@@ -24,7 +24,7 @@ fn quick(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measurem
 fn windowed_validation(c: &mut Criterion) {
     let (_, ds) = jan2020_small();
     let excl = coordination_core::filter::ExclusionList::reddit_defaults();
-    let btm = ds.btm().without_authors(&excl.resolve(ds));
+    let btm = ds.btm_without(&excl.resolve(ds));
     let out = run_hunt_config(ds);
     let triangles: Vec<tripoll::Triangle> =
         out.survey.triangles.iter().map(|s| s.triangle).collect();
@@ -52,7 +52,7 @@ fn windowed_validation(c: &mut Criterion) {
 fn group_merging(c: &mut Criterion) {
     let (_, ds) = jan2020_small();
     let excl = coordination_core::filter::ExclusionList::reddit_defaults();
-    let btm = ds.btm().without_authors(&excl.resolve(ds));
+    let btm = ds.btm_without(&excl.resolve(ds));
     let out = run_hunt_config(ds);
     let mut g = quick(c);
     for overlap in [1usize, 2] {

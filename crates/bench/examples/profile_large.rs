@@ -25,20 +25,17 @@ fn main() {
     };
 
     let t = Instant::now();
-    let n = month.all_events().count();
+    let events: Vec<_> = month.all_events().collect();
     println!(
-        "generation alone: {:.3}s for {n} events",
-        t.elapsed().as_secs_f64()
+        "generation alone: {:.3}s for {} events",
+        t.elapsed().as_secs_f64(),
+        events.len()
     );
 
     let pipe = Pipeline::new(config.clone());
     for _ in 0..2 {
         let t = Instant::now();
-        let btm = Btm::from_event_iter(
-            month.total_authors(),
-            month.total_pages(),
-            month.all_events(),
-        );
+        let btm = Btm::from_events(month.total_authors(), month.total_pages(), &events);
         let tb = t.elapsed().as_secs_f64();
         let out = pipe.run_btm(&btm);
         println!(

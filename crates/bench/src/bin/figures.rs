@@ -444,7 +444,7 @@ fn future_work(runs: &Runs) {
     println!("== Future-work features (paper §4.3), exercised ==");
     let (scen, ds) = jan2020();
     let excl = coordination_core::filter::ExclusionList::reddit_defaults();
-    let btm = ds.btm().without_authors(&excl.resolve(ds));
+    let btm = ds.btm_without(&excl.resolve(ds));
 
     // 1. time-windowed hyperedges: the provable bound the paper lacked
     let triangles: Vec<tripoll::Triangle> = runs

@@ -5,144 +5,285 @@
 //! (the hypergraph side: `p_x` of Eq. 3 and the inputs to `w_xyz` of Eq. 2).
 //! It is a *multigraph*: one author commenting the same page five times is
 //! five edges, distinguished by timestamp.
+//!
+//! Both sides are stored CSR-style: one offset array per side plus one flat
+//! array of rows laid end to end (16 B per comment, 4 B per author–page
+//! incidence). [`Btm::build`] fills them with a counting pass, a prefix sum
+//! and a scatter pass — constant work per event and no per-page or
+//! per-author allocation — and only comparison-sorts the page rows the input
+//! did not already deliver in time order.
 
 use crate::ids::{AuthorId, Event, PageId, Timestamp};
 
-/// In-memory BTM over dense ids. Construct with [`Btm::from_events`].
-#[derive(Clone, Debug)]
+/// In-memory BTM over dense ids. Construct with [`Btm::from_events`] or
+/// [`Btm::build`]. Two BTMs over the same multiset of events compare equal
+/// whatever order the events arrived in.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Btm {
-    /// Per page: comments as `(timestamp, author)`, sorted by timestamp then
-    /// author. Indexed by `PageId`.
-    page_comments: Vec<Vec<(Timestamp, AuthorId)>>,
-    /// Per author: distinct pages commented on, sorted. Indexed by `AuthorId`.
-    author_pages: Vec<Vec<PageId>>,
-    /// Total comments (multigraph edge count |E|).
-    n_comments: u64,
+    /// Page `p`'s comments are `comments[page_off[p]..page_off[p + 1]]`.
+    page_off: Vec<usize>,
+    /// `(timestamp, author)` rows, each page's sorted by timestamp then
+    /// author. Its length is the multigraph edge count |E|.
+    comments: Vec<(Timestamp, AuthorId)>,
+    /// Author `a`'s pages are `pages[author_off[a]..author_off[a + 1]]`.
+    author_off: Vec<usize>,
+    /// Distinct pages per author, each author's sorted.
+    pages: Vec<PageId>,
+}
+
+/// Events per staging-buffer fill in [`Btm::build`]'s scatter pass (16 KiB).
+const STAGE_EVENTS: usize = 1024;
+
+/// Turn per-row counts stored at `off[row + 1]` into row start offsets.
+fn prefix_sum(off: &mut [usize]) {
+    let mut total = 0;
+    for slot in off {
+        total += *slot;
+        *slot = total;
+    }
+}
+
+/// The author side as the transpose of the page side: the same count →
+/// prefix sum → scatter, walking pages in id order so that every author's
+/// row comes out sorted, and taking a page once per author (an author's
+/// repeat comments all sit inside the page's row, so remembering the last
+/// page each author was seen on catches them).
+fn author_side(
+    n_authors: usize,
+    page_off: &[usize],
+    comments: &[(Timestamp, AuthorId)],
+) -> (Vec<usize>, Vec<PageId>) {
+    // Page ids are below `n_pages <= u32::MAX`, so the sentinel is no page.
+    const NO_PAGE: PageId = PageId(u32::MAX);
+    /// Calls `f(author, page)` once per distinct pair, pages ascending.
+    fn each_incidence(
+        n_authors: usize,
+        page_off: &[usize],
+        comments: &[(Timestamp, AuthorId)],
+        mut f: impl FnMut(usize, PageId),
+    ) {
+        let mut last_page = vec![NO_PAGE; n_authors];
+        for (p, w) in page_off.windows(2).enumerate() {
+            let p = PageId(p as u32);
+            for &(_, a) in &comments[w[0]..w[1]] {
+                if std::mem::replace(&mut last_page[a.0 as usize], p) != p {
+                    f(a.0 as usize, p);
+                }
+            }
+        }
+    }
+
+    let mut author_off = vec![0usize; n_authors + 1];
+    each_incidence(n_authors, page_off, comments, |a, _| author_off[a + 1] += 1);
+    prefix_sum(&mut author_off);
+
+    let mut pages = vec![PageId(0); author_off[n_authors]];
+    let mut cursor = author_off[..n_authors].to_vec();
+    each_incidence(n_authors, page_off, comments, |a, p| {
+        pages[cursor[a]] = p;
+        cursor[a] += 1;
+    });
+    (author_off, pages)
+}
+
+/// `gone[a]` for every excluded author over an `n_authors` id space.
+fn author_mask(n_authors: usize, excluded: &[AuthorId]) -> Vec<bool> {
+    let mut gone = vec![false; n_authors];
+    for a in excluded {
+        gone[a.0 as usize] = true;
+    }
+    gone
 }
 
 impl Btm {
     /// Build from raw events. `n_authors`/`n_pages` fix the dense id spaces
     /// (authors or pages with no events simply have empty lists).
     pub fn from_events(n_authors: u32, n_pages: u32, events: &[Event]) -> Self {
-        Self::from_event_iter(n_authors, n_pages, events.iter().copied())
+        Self::build(n_authors, n_pages, &[], || events.iter().copied())
     }
 
-    /// Build from an event stream without requiring a materialized slice —
-    /// the snapshot load path feeds the mmapped columns straight in, so the
-    /// events never exist as a resident `Vec<Event>`. Order-invariant: both
-    /// sides are sorted here, so any permutation of the same events yields
-    /// an identical BTM.
-    pub fn from_event_iter(
+    /// Build from a re-iterable event source, dropping every event of the
+    /// `excluded` authors (the pre-projection exclusion list; their rows
+    /// come out empty, exactly as [`Btm::without_authors`] leaves them).
+    ///
+    /// `events` is called twice and must yield the same events both times:
+    /// the first pass counts each page's row, the second scatters into
+    /// place, so the events never need to exist as a resident `Vec<Event>` —
+    /// the snapshot load path decodes the mmapped columns twice instead.
+    /// Order-invariant: any permutation of the same events yields an equal
+    /// BTM. Page rows that arrive time-ordered (every timestamp-sorted
+    /// source delivers them so) are detected and not sorted again.
+    pub fn build<I: Iterator<Item = Event>>(
         n_authors: u32,
         n_pages: u32,
-        events: impl Iterator<Item = Event>,
+        excluded: &[AuthorId],
+        events: impl Fn() -> I,
     ) -> Self {
-        let mut page_comments: Vec<Vec<(Timestamp, AuthorId)>> = vec![Vec::new(); n_pages as usize];
-        let mut author_pages: Vec<Vec<PageId>> = vec![Vec::new(); n_authors as usize];
-        let mut n_comments = 0u64;
-        for e in events {
+        let _g = obs::span("btm.build");
+        let (na, np) = (n_authors as usize, n_pages as usize);
+        // No mask, and no per-event lookup, when nothing is excluded.
+        let gone = if excluded.is_empty() {
+            Vec::new()
+        } else {
+            author_mask(na, excluded)
+        };
+        let kept = |e: &Event| gone.is_empty() || !gone[e.author.0 as usize];
+
+        let mut page_off = vec![0usize; np + 1];
+        events().for_each(|e| {
             assert!(
                 e.author.0 < n_authors,
                 "author id {} out of range",
                 e.author.0
             );
             assert!(e.page.0 < n_pages, "page id {} out of range", e.page.0);
-            page_comments[e.page.0 as usize].push((e.ts, e.author));
-            author_pages[e.author.0 as usize].push(e.page);
-            n_comments += 1;
+            if kept(&e) {
+                page_off[e.page.0 as usize + 1] += 1;
+            }
+        });
+        prefix_sum(&mut page_off);
+
+        let mut comments = vec![(0, AuthorId(0)); page_off[np]];
+        let mut cursor = page_off[..np].to_vec();
+        // Staged through a small buffer: a source that decodes or generates
+        // as it goes (varint columns, an RNG) mispredicts often enough to
+        // serialize the scatter's cache misses behind it — 4x slower on
+        // snapshot columns than filling a buffer first and scattering that.
+        let mut source = events().filter(kept);
+        let mut staged = Vec::with_capacity(STAGE_EVENTS);
+        loop {
+            staged.clear();
+            staged.extend(source.by_ref().take(STAGE_EVENTS));
+            if staged.is_empty() {
+                break;
+            }
+            for e in &staged {
+                let at = &mut cursor[e.page.0 as usize];
+                comments[*at] = (e.ts, e.author);
+                *at += 1;
+            }
         }
-        for comments in &mut page_comments {
-            comments.sort_unstable();
+        // A row that over- or under-filled would silently shift its
+        // neighbours; both passes seeing the same events rules that out.
+        assert!(
+            cursor == page_off[1..],
+            "event source yielded different events on its second pass"
+        );
+
+        let mut presorted = 0u64;
+        let mut sorted = 0u64;
+        for w in page_off.windows(2) {
+            let row = &mut comments[w[0]..w[1]];
+            if row.is_empty() {
+                continue;
+            }
+            if row.is_sorted() {
+                presorted += 1;
+            } else {
+                row.sort_unstable();
+                sorted += 1;
+            }
         }
-        for pages in &mut author_pages {
-            pages.sort_unstable();
-            pages.dedup();
-        }
+        obs::counter("btm.pages_presorted").add(presorted);
+        obs::counter("btm.pages_sorted").add(sorted);
+
+        let (author_off, pages) = author_side(na, &page_off, &comments);
         Btm {
-            page_comments,
-            author_pages,
-            n_comments,
+            page_off,
+            comments,
+            author_off,
+            pages,
         }
     }
 
     /// Number of author slots `|U|`.
     pub fn n_authors(&self) -> u32 {
-        self.author_pages.len() as u32
+        (self.author_off.len() - 1) as u32
     }
 
     /// Number of page slots `|P|`.
     pub fn n_pages(&self) -> u32 {
-        self.page_comments.len() as u32
+        (self.page_off.len() - 1) as u32
     }
 
     /// Total comments `|E|` (the paper reads 138 million for January 2020).
     pub fn n_comments(&self) -> u64 {
-        self.n_comments
+        self.comments.len() as u64
     }
 
     /// Number of authors with at least one comment.
     pub fn active_authors(&self) -> u32 {
-        self.author_pages.iter().filter(|p| !p.is_empty()).count() as u32
+        self.author_off.windows(2).filter(|w| w[1] > w[0]).count() as u32
     }
 
     /// The page's comments, `(timestamp, author)` sorted by time — the
     /// neighborhood `N` of Algorithm 1 line 4.
     pub fn page_neighborhood(&self, p: PageId) -> &[(Timestamp, AuthorId)] {
-        &self.page_comments[p.0 as usize]
+        let p = p.0 as usize;
+        &self.comments[self.page_off[p]..self.page_off[p + 1]]
     }
 
     /// The author's distinct pages, sorted — the hypergraph incidence list.
     pub fn author_pages(&self, a: AuthorId) -> &[PageId] {
-        &self.author_pages[a.0 as usize]
+        let a = a.0 as usize;
+        &self.pages[self.author_off[a]..self.author_off[a + 1]]
     }
 
     /// `p_x`: the number of pages where `x` has at least one comment (Eq. 3).
     pub fn page_count(&self, a: AuthorId) -> u64 {
-        self.author_pages[a.0 as usize].len() as u64
+        self.author_pages(a).len() as u64
     }
 
     /// Remove all events of the given authors, returning a new BTM over the
     /// same id spaces. This is the paper's refinement loop (§2.4/§3): ruled-out
     /// authors (helpful bots, `[deleted]`) are removed and the projection
-    /// rerun.
+    /// rerun. Equal to [`Btm::build`] over the same events with the same
+    /// `excluded`, which is the cheaper way to apply a list known up front.
     pub fn without_authors(&self, excluded: &[AuthorId]) -> Btm {
-        let mut gone = vec![false; self.author_pages.len()];
-        for a in excluded {
-            gone[a.0 as usize] = true;
+        let gone = author_mask(self.n_authors() as usize, excluded);
+        let mut comments = Vec::with_capacity(self.comments.len());
+        let mut page_off = Vec::with_capacity(self.page_off.len());
+        page_off.push(0);
+        for w in self.page_off.windows(2) {
+            let row = &self.comments[w[0]..w[1]];
+            comments.extend(row.iter().filter(|(_, a)| !gone[a.0 as usize]));
+            page_off.push(comments.len());
         }
-        let mut page_comments = self.page_comments.clone();
-        let mut removed = 0u64;
-        for comments in &mut page_comments {
-            let before = comments.len();
-            comments.retain(|&(_, a)| !gone[a.0 as usize]);
-            removed += (before - comments.len()) as u64;
-        }
-        let mut author_pages = self.author_pages.clone();
-        for (i, pages) in author_pages.iter_mut().enumerate() {
-            if gone[i] {
-                pages.clear();
+        let mut pages = Vec::with_capacity(self.pages.len());
+        let mut author_off = Vec::with_capacity(self.author_off.len());
+        author_off.push(0);
+        for (w, &gone) in self.author_off.windows(2).zip(&gone) {
+            if !gone {
+                pages.extend_from_slice(&self.pages[w[0]..w[1]]);
             }
+            author_off.push(pages.len());
         }
         Btm {
-            page_comments,
-            author_pages,
-            n_comments: self.n_comments - removed,
+            page_off,
+            comments,
+            author_off,
+            pages,
         }
+    }
+
+    /// Neighborhood sizes of all page slots, empty ones included.
+    fn page_degrees(&self) -> impl Iterator<Item = usize> + '_ {
+        self.page_off.windows(2).map(|w| w[1] - w[0])
     }
 
     /// Iterate pages with non-empty neighborhoods as `(PageId, comments)`.
     pub fn pages(&self) -> impl Iterator<Item = (PageId, &[(Timestamp, AuthorId)])> {
-        self.page_comments
-            .iter()
+        self.page_off
+            .windows(2)
             .enumerate()
-            .filter(|(_, c)| !c.is_empty())
-            .map(|(i, c)| (PageId(i as u32), c.as_slice()))
+            .filter(|(_, w)| w[1] > w[0])
+            .map(|(i, w)| (PageId(i as u32), &self.comments[w[0]..w[1]]))
     }
 
     /// The largest page neighborhood (comment count) — the projection's
     /// worst-case page.
     pub fn max_page_degree(&self) -> usize {
-        self.page_comments.iter().map(Vec::len).max().unwrap_or(0)
+        self.page_degrees().max().unwrap_or(0)
     }
 
     /// Distribution of page neighborhood sizes over active pages. The
@@ -150,12 +291,7 @@ impl Btm {
     /// p95 (sizing for the typical page, not the mega-thread outlier) and
     /// pick the heavy-page split from `max`.
     pub fn page_degree_stats(&self) -> PageDegreeStats {
-        let mut lens: Vec<usize> = self
-            .page_comments
-            .iter()
-            .map(Vec::len)
-            .filter(|&l| l > 0)
-            .collect();
+        let mut lens: Vec<usize> = self.page_degrees().filter(|&l| l > 0).collect();
         if lens.is_empty() {
             return PageDegreeStats::default();
         }
@@ -185,6 +321,150 @@ mod tests {
 
     fn ev(a: u32, p: u32, ts: Timestamp) -> Event {
         Event::new(AuthorId(a), PageId(p), ts)
+    }
+
+    /// The BTM by definition: per page the sorted multiset of `(ts, author)`,
+    /// per author the sorted distinct pages.
+    type Naive = (Vec<Vec<(Timestamp, AuthorId)>>, Vec<Vec<PageId>>);
+
+    fn naive(n_authors: u32, n_pages: u32, events: &[Event]) -> Naive {
+        let mut by_page = vec![Vec::new(); n_pages as usize];
+        let mut by_author = vec![Vec::new(); n_authors as usize];
+        for e in events {
+            by_page[e.page.0 as usize].push((e.ts, e.author));
+            by_author[e.author.0 as usize].push(e.page);
+        }
+        by_page.iter_mut().for_each(|row| row.sort_unstable());
+        for row in &mut by_author {
+            row.sort_unstable();
+            row.dedup();
+        }
+        (by_page, by_author)
+    }
+
+    fn rows(btm: &Btm) -> Naive {
+        (
+            (0..btm.n_pages())
+                .map(|p| btm.page_neighborhood(PageId(p)).to_vec())
+                .collect(),
+            (0..btm.n_authors())
+                .map(|a| btm.author_pages(AuthorId(a)).to_vec())
+                .collect(),
+        )
+    }
+
+    /// A fixed mess: duplicate rows, equal timestamps with authors out of
+    /// order, extreme and negative timestamps, empty slots at both ends of
+    /// both id spaces (author 0, author 7, page 0, page 5 never appear).
+    fn messy() -> Vec<Event> {
+        vec![
+            ev(3, 2, 50),
+            ev(1, 2, 50),
+            ev(3, 2, 50),
+            ev(6, 4, i64::MAX),
+            ev(2, 4, i64::MIN),
+            ev(2, 4, -7),
+            ev(5, 1, 0),
+            ev(1, 3, -1),
+            ev(1, 1, 9),
+            ev(6, 2, 49),
+            ev(1, 2, 51),
+            ev(2, 1, 0),
+        ]
+    }
+
+    /// Deterministic Fisher–Yates driven by a splitmix-style counter.
+    fn shuffled(events: &[Event], seed: u64) -> Vec<Event> {
+        let mut out = events.to_vec();
+        let mut x = seed;
+        for i in (1..out.len()).rev() {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            out.swap(i, (x >> 33) as usize % (i + 1));
+        }
+        out
+    }
+
+    #[test]
+    fn flat_build_matches_the_definition_for_any_input_order() {
+        let events = messy();
+        let want = naive(8, 6, &events);
+        let reference = Btm::from_events(8, 6, &events);
+        assert_eq!(rows(&reference), want);
+        assert_eq!(reference.n_comments(), events.len() as u64);
+
+        let mut by_time = events.clone();
+        by_time.sort_by_key(|e| (e.ts, e.author));
+        let mut reversed = by_time.clone();
+        reversed.reverse();
+        let mut inputs = vec![by_time, reversed];
+        inputs.extend((0..20).map(|seed| shuffled(&events, seed)));
+        for input in inputs {
+            assert_eq!(Btm::from_events(8, 6, &input), reference);
+        }
+    }
+
+    #[test]
+    fn empty_id_spaces_and_empty_inputs_build() {
+        let none = Btm::from_events(0, 0, &[]);
+        assert_eq!(
+            (none.n_authors(), none.n_pages(), none.n_comments()),
+            (0, 0, 0)
+        );
+        assert_eq!(none.pages().count(), 0);
+        assert_eq!(none.active_authors(), 0);
+        assert_eq!(none.max_page_degree(), 0);
+        assert_eq!(none, none.without_authors(&[]));
+
+        // authors but no pages (hence no events), and the other way round
+        assert_eq!(Btm::from_events(3, 0, &[]).page_count(AuthorId(2)), 0);
+        assert!(Btm::from_events(0, 3, &[])
+            .page_neighborhood(PageId(2))
+            .is_empty());
+        assert_eq!(rows(&Btm::from_events(4, 4, &[])), naive(4, 4, &[]));
+    }
+
+    #[test]
+    fn exclusion_in_the_build_equals_removal_after_and_filtering_before() {
+        let events = messy();
+        for excluded in [
+            vec![],
+            vec![AuthorId(1)],
+            vec![AuthorId(0), AuthorId(7)], // never commented
+            vec![AuthorId(2), AuthorId(3), AuthorId(6)],
+            (0..8).map(AuthorId).collect(), // everyone
+        ] {
+            let masked = Btm::build(8, 6, &excluded, || events.iter().copied());
+            let removed = Btm::from_events(8, 6, &events).without_authors(&excluded);
+            let filtered: Vec<Event> = events
+                .iter()
+                .copied()
+                .filter(|e| !excluded.contains(&e.author))
+                .collect();
+            assert_eq!(masked, removed);
+            assert_eq!(masked, Btm::from_events(8, 6, &filtered));
+            assert_eq!(rows(&masked), naive(8, 6, &filtered));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different events on its second pass")]
+    fn a_source_that_changes_between_passes_is_caught() {
+        let calls = std::cell::Cell::new(0);
+        Btm::build(2, 2, &[], || {
+            calls.set(calls.get() + 1);
+            // same count both times, but the second pass moves page 1's
+            // comment onto page 0, whose row then runs into its neighbour's
+            let page = if calls.get() == 1 { 1 } else { 0 };
+            [ev(0, 0, 1), ev(1, page, 2)].into_iter()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "page id 1 out of range")]
+    fn out_of_range_page_panics() {
+        Btm::from_events(1, 1, &[ev(0, 1, 0)]);
     }
 
     #[test]

@@ -166,14 +166,8 @@ impl Pipeline {
 
     /// Run on a dataset: applies exclusions, builds the BTM, runs all steps.
     pub fn run_dataset(&self, ds: &Dataset) -> PipelineOutput {
-        let btm = ds.btm();
         let excluded = self.config.exclusions.resolve(ds);
-        let btm = if excluded.is_empty() {
-            btm
-        } else {
-            btm.without_authors(&excluded)
-        };
-        self.run_btm(&btm)
+        self.run_btm(&ds.btm_without(&excluded))
     }
 
     /// Run from an opened snapshot — the mmap twin of
@@ -185,17 +179,11 @@ impl Pipeline {
     /// materialized, which is what keeps this path's peak RSS below the
     /// resident one.
     pub fn run_snapshot(&self, snap: &coordination_store::Snapshot) -> PipelineOutput {
-        let btm = crate::snapshot::btm_from_snapshot(snap);
         let excluded = self
             .config
             .exclusions
             .resolve_names(snap.author_names().iter());
-        let btm = if excluded.is_empty() {
-            btm
-        } else {
-            btm.without_authors(&excluded)
-        };
-        self.run_btm(&btm)
+        self.run_btm(&crate::snapshot::btm_from_snapshot(snap, &excluded))
     }
 
     /// Run on an already-built (and already-filtered) BTM.

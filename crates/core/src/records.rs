@@ -77,10 +77,17 @@ impl Dataset {
 
     /// Build the BTM over this dataset's full id spaces.
     pub fn btm(&self) -> crate::btm::Btm {
-        crate::btm::Btm::from_events(
+        self.btm_without(&[])
+    }
+
+    /// [`Dataset::btm`] minus every event of the `excluded` authors (a
+    /// resolved [`crate::filter::ExclusionList`]), dropped while building.
+    pub fn btm_without(&self, excluded: &[AuthorId]) -> crate::btm::Btm {
+        crate::btm::Btm::build(
             self.authors.len() as u32,
             self.pages.len() as u32,
-            &self.events,
+            excluded,
+            || self.events.iter().copied(),
         )
     }
 

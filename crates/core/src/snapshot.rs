@@ -22,9 +22,9 @@
 //! any dataset, `Pipeline::run_snapshot` over `write_snapshot`'s output
 //! produces byte-identical survey and validation results to
 //! `Pipeline::run_dataset` on the original. The snapshot stores events
-//! timestamp-sorted (a different order than ingest), but the BTM sorts both
-//! of its sides, so the projection input — and everything downstream — is
-//! identical.
+//! timestamp-sorted (a different order than ingest), but the BTM depends
+//! only on the multiset of events, so the projection input — and everything
+//! downstream — is identical.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -100,10 +100,7 @@ pub fn ingest_to_snapshot(
     let summary = match project {
         Some(window) => {
             let excl = crate::filter::ExclusionList::reddit_defaults();
-            let btm = ingest
-                .dataset
-                .btm()
-                .without_authors(&excl.resolve(&ingest.dataset));
+            let btm = ingest.dataset.btm_without(&excl.resolve(&ingest.dataset));
             let ci = crate::project::project(&btm, window);
             write_snapshot(&ingest.dataset, Some((window, &ci)), path)
         }
@@ -134,18 +131,18 @@ impl std::fmt::Display for SnapshotWriteError {
 
 impl std::error::Error for SnapshotWriteError {}
 
-/// Build the BTM directly from the mapped event columns. No `Vec<Event>`,
-/// no interners: the only resident allocations are the BTM's own lists.
-pub fn btm_from_snapshot(snap: &Snapshot) -> Btm {
+/// Build the BTM directly from the mapped event columns, minus the
+/// `excluded` authors. No `Vec<Event>`, no interners: the columns are
+/// decoded once per build pass and the only resident allocations are the
+/// BTM's own arrays.
+pub fn btm_from_snapshot(snap: &Snapshot, excluded: &[AuthorId]) -> Btm {
     let _g = obs::span("snapshot.btm");
     let m = snap.meta();
-    Btm::from_event_iter(
-        m.n_authors,
-        m.n_pages,
+    Btm::build(m.n_authors, m.n_pages, excluded, || {
         snap.events()
             .iter()
-            .map(|(a, p, ts)| Event::new(AuthorId(a), PageId(p), ts)),
-    )
+            .map(|(a, p, ts)| Event::new(AuthorId(a), PageId(p), ts))
+    })
 }
 
 /// Materialize a full [`Dataset`] from a snapshot — the compatibility path
@@ -297,19 +294,12 @@ mod tests {
         let path = tmp("btm");
         write_snapshot(&ds, None, &path).unwrap();
         let snap = Snapshot::open(&path).unwrap();
-        let a = ds.btm();
-        let b = btm_from_snapshot(&snap);
-        assert_eq!(a.n_authors(), b.n_authors());
-        assert_eq!(a.n_comments(), b.n_comments());
-        for p in 0..a.n_pages() {
-            assert_eq!(
-                a.page_neighborhood(PageId(p)),
-                b.page_neighborhood(PageId(p))
-            );
-        }
-        for u in 0..a.n_authors() {
-            assert_eq!(a.author_pages(AuthorId(u)), b.author_pages(AuthorId(u)));
-        }
+        assert_eq!(btm_from_snapshot(&snap, &[]), ds.btm());
+        let excluded = [AuthorId(0), AuthorId(3)];
+        assert_eq!(
+            btm_from_snapshot(&snap, &excluded),
+            ds.btm_without(&excluded)
+        );
         drop(snap);
         std::fs::remove_file(&path).ok();
     }

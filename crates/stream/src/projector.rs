@@ -198,7 +198,7 @@ impl StreamProjector {
     pub fn warm_start_snapshot(window: Window, snap: &coordination_core::store::Snapshot) -> Self {
         Self::warm_start(
             window,
-            &coordination_core::snapshot::btm_from_snapshot(snap),
+            &coordination_core::snapshot::btm_from_snapshot(snap, &[]),
         )
     }
 

@@ -17,7 +17,7 @@ fn main() {
     let scenario = ScenarioConfig::jan2020(0.3).build();
     let dataset = scenario.dataset();
     let excl = coordination::core::filter::ExclusionList::reddit_defaults();
-    let btm = dataset.btm().without_authors(&excl.resolve(&dataset));
+    let btm = dataset.btm_without(&excl.resolve(&dataset));
     println!(
         "{} comments, {} authors\n",
         scenario.len(),

@@ -26,7 +26,7 @@ use coordination::redditgen::ScenarioConfig;
 
 /// Stage spans every batch run records — `report-validate` and the CI gate
 /// fail if any is missing from a run report.
-const BATCH_SPANS: &[&str] = &["ingest", "project", "survey", "validate"];
+const BATCH_SPANS: &[&str] = &["ingest", "btm.build", "project", "survey", "validate"];
 
 /// Counters the batch pipeline documents (registered even when zero, so a
 /// lossless run still reports `ingest.skipped_lines: 0`).
@@ -34,6 +34,8 @@ const BATCH_COUNTERS: &[&str] = &[
     "ingest.lines",
     "ingest.events",
     "ingest.skipped_lines",
+    "btm.pages_presorted",
+    "btm.pages_sorted",
     "project.pages",
     "project.pages_split",
     "project.edges",
@@ -351,7 +353,7 @@ fn cmd_project(flags: &Flags) -> Result<(), String> {
     let out_path = flags.get("out").ok_or("--out is required")?;
     let w = window(flags)?;
     let excl = coordination::core::filter::ExclusionList::reddit_defaults();
-    let btm = ds.btm().without_authors(&excl.resolve(&ds));
+    let btm = ds.btm_without(&excl.resolve(&ds));
     let t0 = std::time::Instant::now();
     let ci = coordination::core::project::project(&btm, w);
     eprintln!(
@@ -527,7 +529,7 @@ fn cmd_validate(flags: &Flags) -> Result<(), String> {
         let w = window(flags)?;
         let btm = {
             let excl = coordination::core::filter::ExclusionList::reddit_defaults();
-            ds.btm().without_authors(&excl.resolve(&ds))
+            ds.btm_without(&excl.resolve(&ds))
         };
         let triangles: Vec<coordination::tripoll::Triangle> =
             out.survey.triangles.iter().map(|s| s.triangle).collect();
@@ -649,7 +651,7 @@ fn cmd_pipeline(flags: &Flags) -> Result<(), String> {
 fn cmd_groups(flags: &Flags) -> Result<(), String> {
     let (ds, out) = run_pipeline(flags, 25)?;
     let excl = coordination::core::filter::ExclusionList::reddit_defaults();
-    let btm = ds.btm().without_authors(&excl.resolve(&ds));
+    let btm = ds.btm_without(&excl.resolve(&ds));
     let groups = coordination::core::groups::merge_triplets(&btm, &out.triplets, 2);
     println!(
         "{} groups from {} triplets:",
@@ -679,7 +681,7 @@ fn cmd_refine(flags: &Flags) -> Result<(), String> {
         ..Default::default()
     });
     let excl = coordination::core::filter::ExclusionList::reddit_defaults();
-    let btm = ds.btm().without_authors(&excl.resolve(&ds));
+    let btm = ds.btm_without(&excl.resolve(&ds));
     for (i, round) in pipeline.run_refinement(&btm, rounds).iter().enumerate() {
         let names: Vec<&str> = round.flagged.iter().map(|a| ds.authors.name(a.0)).collect();
         println!(

@@ -300,7 +300,7 @@ proptest! {
         budget in (0usize..2048).prop_map(|b| (b > 0).then_some(b)),
     ) {
         let (n_authors, n_pages) = (16, 12);
-        let btm = Btm::from_event_iter(n_authors, n_pages, events.iter().copied());
+        let btm = Btm::from_events(n_authors, n_pages, &events);
         let config = PipelineConfig {
             min_triangle_weight: 1,
             ..Default::default()

@@ -401,4 +401,72 @@ proptest! {
         // page-level dedup absorbs both).
         prop_assert_eq!(canon(&project(&btm, w)), canon(&project(&once, w)));
     }
+
+    /// The flat BTM is the BTM of the definition — per page the sorted
+    /// multiset of `(ts, author)`, per author the sorted distinct pages — for
+    /// any arrival order of the same events, with empty slots at both ends of
+    /// both id spaces, duplicate rows, equal, negative and extreme
+    /// timestamps; and excluding authors in the build ≡ removing them
+    /// afterwards ≡ never feeding their events.
+    #[test]
+    fn flat_btm_matches_the_definition(
+        keyed in prop::collection::vec(
+            ((1u32..9, 1u32..7, 0u8..10, -40i64..40), 0u32..1_000),
+            0..200,
+        ),
+        excluded in prop::collection::vec(0u32..10, 0..4),
+    ) {
+        // ids 0 and n-1 never occur: empty rows at both ends
+        let (na, np) = (10, 8);
+        let event = |&((a, p, kind, t), _): &((u32, u32, u8, i64), u32)| Event {
+            author: AuthorId(a),
+            page: PageId(p),
+            ts: match kind {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                2 => i64::MIN + 41 + t,
+                _ => t,
+            },
+        };
+        let events: Vec<Event> = keyed.iter().map(event).collect();
+        let excluded: Vec<AuthorId> = excluded.into_iter().map(AuthorId).collect();
+
+        let mut by_page = vec![Vec::new(); np as usize];
+        let mut by_author = vec![Vec::new(); na as usize];
+        for e in events.iter().filter(|e| !excluded.contains(&e.author)) {
+            by_page[e.page.0 as usize].push((e.ts, e.author));
+            by_author[e.author.0 as usize].push(e.page);
+        }
+        by_page.iter_mut().for_each(|row| row.sort_unstable());
+        for row in &mut by_author {
+            row.sort_unstable();
+            row.dedup();
+        }
+
+        let btm = Btm::build(na, np, &excluded, || events.iter().copied());
+        for p in 0..np {
+            prop_assert_eq!(btm.page_neighborhood(PageId(p)), &by_page[p as usize][..]);
+        }
+        for a in 0..na {
+            prop_assert_eq!(btm.author_pages(AuthorId(a)), &by_author[a as usize][..]);
+        }
+        prop_assert_eq!(btm.n_comments(), by_page.iter().map(Vec::len).sum::<usize>() as u64);
+
+        let mut permuted = keyed.clone();
+        permuted.sort_by_key(|&(_, key)| key);
+        let mut by_time = events.clone();
+        by_time.sort_by_key(|e| (e.ts, e.author));
+        let reversed: Vec<Event> = by_time.iter().rev().copied().collect();
+        let permuted: Vec<Event> = permuted.iter().map(event).collect();
+        for input in [&permuted, &by_time, &reversed] {
+            prop_assert_eq!(&Btm::build(na, np, &excluded, || input.iter().copied()), &btm);
+        }
+        prop_assert_eq!(&Btm::from_events(na, np, &events).without_authors(&excluded), &btm);
+        let filtered: Vec<Event> = events
+            .iter()
+            .copied()
+            .filter(|e| !excluded.contains(&e.author))
+            .collect();
+        prop_assert_eq!(&Btm::from_events(na, np, &filtered), &btm);
+    }
 }

@@ -84,7 +84,7 @@ fn groups_and_windowed_validation_compose_with_the_pipeline() {
     let scenario = ScenarioConfig::jan2020(0.12).build();
     let dataset = scenario.dataset();
     let excl = coordination::core::filter::ExclusionList::reddit_defaults();
-    let btm = dataset.btm().without_authors(&excl.resolve(&dataset));
+    let btm = dataset.btm_without(&excl.resolve(&dataset));
     let out = Pipeline::new(PipelineConfig {
         window: Window::zero_to_60s(),
         min_triangle_weight: 20,
@@ -163,7 +163,7 @@ fn refinement_with_groups_reconstructs_families_round_by_round() {
     let scenario = ScenarioConfig::jan2020(0.12).build();
     let dataset = scenario.dataset();
     let excl = coordination::core::filter::ExclusionList::reddit_defaults();
-    let btm = dataset.btm().without_authors(&excl.resolve(&dataset));
+    let btm = dataset.btm_without(&excl.resolve(&dataset));
     let pipeline = Pipeline::new(PipelineConfig {
         window: Window::zero_to_60s(),
         min_triangle_weight: 20,
