@@ -43,16 +43,17 @@
 //!    degree reduction: every rank learns the degree of every vertex (the
 //!    ghosts of its partition included) and orients its edges by the same
 //!    `(degree, id)` rule as [`tripoll::OrientedGraph`]. Oriented edges
-//!    shuffle (packed) to their source's owner, build a
-//!    [`coordination_graph::LocalCsr`] partition published into the
-//!    distributed adjacency by direct owner-local inserts (no self-send
-//!    round trip), and [`tripoll::survey_stage`] closes wedges exactly as on
-//!    the cluster, its wedge-check messages batched by the same adaptive
-//!    policy.
-//! 5. **Validation** — first the *on-demand harvest*: the surveyed
-//!    triangles are keep-filtered (min weight and `T`-score — both locally
-//!    computable, `P'` is replicated), the survivors' vertex set is
-//!    all-gathered, each rank
+//!    shuffle (packed) to their source's owner and build a
+//!    [`coordination_graph::LocalCsr`] partition, which the rank publishes
+//!    whole into the [`tripoll::DistSurvey`] (no per-row copy), and
+//!    [`tripoll::survey_stage`] closes wedges exactly as on the cluster —
+//!    16-byte wedge checks through the same packed aggregator as every
+//!    other shuffle — folding each triangle where its wedge closes into the
+//!    resident survey's own [`tripoll::survey::SurveyFold`] (min weight and
+//!    `T`-score predicates included — `P'` is replicated). Only the
+//!    statistics and the survivors exist afterwards.
+//! 5. **Validation** — first the *on-demand harvest*: the survivors'
+//!    vertex set is all-gathered, each rank
 //!    scans its page-sorted event run for just those authors, and ships the
 //!    packed `(author, page)` incidences to the author owners, which sort
 //!    and dedup — reproducing `Btm`'s page lists for exactly the authors
@@ -76,11 +77,11 @@
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use coordination_graph::LocalCsr;
-use tripoll::survey::{t_score, SurveyReport, SurveyedTriangle};
-use tripoll::{survey_stage, DistAdjacency, Triangle};
+use tripoll::survey::{SurveyConfig, SurveyReport, SurveyedTriangle};
+use tripoll::{survey_stage, DistSurvey};
 use ygm::container::DistBag;
 use ygm::reduce::{all_gather_concat, all_reduce_hist};
 use ygm::{owner_of, DistRuns, PackedAggregator, PackedBatch, RankCtx, World};
@@ -214,8 +215,9 @@ struct RankOut {
     edge_run: Vec<(u32, u32, u64)>,
     /// Triangles this rank kept, already validated.
     kept: Vec<(SurveyedTriangle, TripletMetrics)>,
-    /// Replicated `P'` vector (identical on every rank).
-    page_counts: Vec<u64>,
+    /// Replicated `P'` vector (identical on every rank; shared with the
+    /// survey's wedge-check handlers while they run).
+    page_counts: Arc<Vec<u64>>,
     /// Globals (identical on every rank after reduction).
     n_authors: u32,
     n_comments: u64,
@@ -328,16 +330,21 @@ impl DistPipeline {
         // bag so validation's quiescent cross-rank binary searches still
         // have a random-access sorted shard to read.
         let harvest_out: DistBag<u64> = DistBag::new(nranks);
-        let adjacency: DistAdjacency = DistAdjacency::new(nranks);
-        let found: DistBag<Triangle> = DistBag::new(nranks);
+        let survey = DistSurvey::new(
+            nranks,
+            SurveyConfig {
+                min_edge_weight: cfg.min_triangle_weight,
+                min_t_score: cfg.min_t_score,
+                top_k: None,
+            },
+        );
 
         let pe = &page_events;
         let ap = &author_pages;
         let occ_runs = &pair_occurrences;
         let edge_runs = &oriented_edges;
         let harvest = &harvest_out;
-        let adj = &adjacency;
-        let found_ref = &found;
+        let survey_ref = &survey;
 
         let mut outs = World::run(nranks, move |ctx| {
             rank_main(
@@ -350,10 +357,12 @@ impl DistPipeline {
                 occ_runs,
                 edge_runs,
                 harvest,
-                adj,
-                found_ref,
+                survey_ref,
             )
         });
+        // The survey holds the ranks' `P'` replicas; with it gone, rank 0's
+        // moves into the CI graph below without a copy.
+        drop(survey);
 
         // Text-path parse failure: the erroring ranks carried their local
         // error out; earliest chunk (= lowest rank) wins, like the serial
@@ -370,7 +379,7 @@ impl DistPipeline {
         // edge runs are disjoint sorted canonical runs (each pair hashes to
         // exactly one owner), so the k-way merge in `CiGraph::from_runs`
         // reproduces the exact CSR any other partitioning would.
-        let page_counts = std::mem::take(&mut outs[0].page_counts);
+        let page_counts = Arc::unwrap_or_clone(std::mem::take(&mut outs[0].page_counts));
         let n_authors = outs[0].n_authors;
         let runs: Vec<Vec<(u32, u32, u64)>> = outs
             .iter_mut()
@@ -431,11 +440,10 @@ fn rank_main(
     pair_occurrences: &DistRuns<u64>,
     oriented_edges: &DistRuns<u128>,
     harvest_out: &DistBag<u64>,
-    adjacency: &DistAdjacency,
-    found: &DistBag<Triangle>,
+    survey: &DistSurvey,
 ) -> RankOut {
     let mut out = RankOut::default();
-    let t_rank0 = (ctx.rank() == 0).then(Instant::now);
+    let t_start = Instant::now();
     // One threshold policy for every shuffle in this run: the adaptive
     // bytes-per-batch default, or the test override.
     macro_rules! packed_agg {
@@ -563,7 +571,7 @@ fn rank_main(
     ctx.barrier();
     // Replicate P' everywhere: the survey's T-score and validation both
     // index it by arbitrary author id.
-    out.page_counts = all_reduce_hist(ctx, pprime_local);
+    out.page_counts = Arc::new(all_reduce_hist(ctx, pprime_local));
 
     // Each edge owner run-length-counts its disjoint slice of the pair
     // multiset straight off the merge cursor (already globally sorted,
@@ -573,6 +581,7 @@ fn rank_main(
     drop(occ_set);
     out.ci_edges = ctx.all_reduce_sum(out.edge_run.len() as u64);
     drop(project_span);
+    let t_projected = Instant::now();
 
     // ---- Stage 4: orient + partitioned triangle survey ------------------
     let survey_span = obs::span("dist.survey");
@@ -616,45 +625,37 @@ fn rank_main(
         to_sources.flush_all(ctx);
     }
     ctx.barrier();
-    // Build this rank's LocalCsr partition and publish its rows as the
-    // distributed adjacency tripoll's survey stage consumes. The merge
-    // cursor yields the partition in (src, dst) order, so the CSR builds
-    // streaming — no flat edge vector. Every row's source hashed here, so
-    // the insert is owner-local — a direct shard write instead of a
-    // self-send message per vertex.
+    // Build this rank's LocalCsr partition and publish it whole as its
+    // share of the survey's adjacency. The merge cursor yields the partition
+    // in (src, dst) order, so the CSR builds streaming — no flat edge vector.
     let edge_set = oriented_edges.local_take(ctx);
     let csr = LocalCsr::from_sorted_edges(edge_set.cursor().map(edge_from_key));
     drop(edge_set);
     obs::counter("dist.ghost_vertices").add(csr.ghosts().len() as u64);
-    for (u, targets, weights) in csr.rows() {
-        let list: Vec<(u32, u64)> = targets
-            .iter()
-            .copied()
-            .zip(weights.iter().copied())
-            .collect();
-        adjacency.local_insert(ctx, u, Arc::new(list));
-    }
+    survey.publish(ctx, csr, Some(Arc::clone(&out.page_counts)));
     ctx.barrier();
-    survey_stage(ctx, adjacency, found);
+    survey_stage(ctx, survey, batch_bytes);
     ctx.barrier();
 
-    // Reduce the survey statistics; keep survivors with their metadata.
-    let mine = found.local_take(ctx);
-    let mut hist = vec![0u64; HIST_BUCKETS];
-    let mut max_min = 0u64;
-    for t in &mine {
-        let mw = t.min_weight();
-        max_min = max_min.max(mw);
-        hist[63 - mw.max(1).leading_zeros() as usize] += 1;
-    }
-    out.triangles_examined = ctx.all_reduce_sum(mine.len() as u64);
-    out.max_min_weight = ctx.all_reduce_max(max_min);
+    // Every triangle was folded where its wedge closed: reduce the
+    // statistics, keep this rank's survivors for validation.
+    let fold = survey.take_fold(ctx);
+    out.triangles_examined = ctx.all_reduce_sum(fold.examined());
+    out.max_min_weight = ctx.all_reduce_max(fold.max_min_weight());
+    let mut hist = fold.log_hist().to_vec();
+    hist.resize(HIST_BUCKETS, 0);
     let mut hist = all_reduce_hist(ctx, hist);
     while hist.last() == Some(&0) {
         hist.pop();
     }
     out.min_weight_log_hist = hist;
+    // Survivors stay in closing order through validation: consecutive ones
+    // share their apex (and usually `v`), so the page runs fetched for them
+    // are still in cache. Sorting them by vertex triple first measured 9 %
+    // more validation time on `triplet_flood`; the main thread sorts once.
+    let mine = fold.into_survivors();
     drop(survey_span);
+    let t_surveyed = Instant::now();
 
     // ---- Stage 5: hypergraph validation ---------------------------------
     let validate_span = obs::span("dist.validate");
@@ -666,33 +667,13 @@ fn rank_main(
     // those incidences. The packed sort + dedup at the owner reproduces
     // `Btm`'s sorted, deduplicated page lists exactly — restricted to the
     // authors anyone will look up.
-    // Pre-apply the validation keep predicates (min weight, t-score) before
-    // collecting the needed-author set: `pprime` is replicated, so every rank
-    // can evaluate them locally, and vertices of triangles the loop below
-    // skips never enter the harvest. Hot organic authors with huge page
-    // lists mostly ride in noise triangles, so this is the difference
-    // between shipping thousands of pairs and shipping a sizable fraction
-    // of the whole incidence.
+    // The fold already applied the keep predicates (min weight, t-score),
+    // so only survivors' vertices enter the harvest. Hot organic authors
+    // with huge page lists mostly ride in noise triangles, so this is the
+    // difference between shipping thousands of pairs and shipping a sizable
+    // fraction of the whole incidence.
     let pprime = &out.page_counts;
-    let keep = |t: &Triangle| {
-        let mw = t.min_weight();
-        if mw < cfg.min_triangle_weight {
-            return false;
-        }
-        let [a, b, c] = t.vertices();
-        cfg.min_t_score <= 0.0
-            || t_score(
-                mw,
-                pprime[a as usize],
-                pprime[b as usize],
-                pprime[c as usize],
-            ) >= cfg.min_t_score
-    };
-    let mut needed: Vec<u32> = mine
-        .iter()
-        .filter(|t| keep(t))
-        .flat_map(|t| t.vertices())
-        .collect();
+    let mut needed: Vec<u32> = mine.iter().flat_map(|s| s.triangle.vertices()).collect();
     needed.sort_unstable();
     needed.dedup();
     let mut needed = all_gather_concat(ctx, needed);
@@ -750,47 +731,26 @@ fn rank_main(
             into.extend(shard[lo..hi].iter().map(|&p| PageId(p as u32)));
         });
     };
-    for t in mine {
-        let mw = t.min_weight();
-        if mw < cfg.min_triangle_weight {
-            continue;
-        }
-        let [a, b, c] = t.vertices();
-        let ts = t_score(
-            mw,
-            pprime[a as usize],
-            pprime[b as usize],
-            pprime[c as usize],
-        );
-        if cfg.min_t_score > 0.0 && ts < cfg.min_t_score {
-            continue;
-        }
+    for s in mine {
+        let [a, b, c] = s.triangle.vertices();
         let [pa, pb, pc] = &mut page_scratch;
         fetch_pages(a, pa);
         fetch_pages(b, pb);
         fetch_pages(c, pc);
-        let metrics = validate_triangle_parts(&t, [pa, pb, pc], pprime);
-        out.kept.push((
-            SurveyedTriangle {
-                triangle: t,
-                min_weight: mw,
-                t_score: ts,
-            },
-            metrics,
-        ));
+        let metrics = validate_triangle_parts(&s.triangle, [pa, pb, pc], pprime);
+        out.kept.push((s, metrics));
     }
     obs::counter("dist.triplets_validated").add(out.kept.len() as u64);
     drop(validate_span);
 
-    if let Some(t0) = t_rank0 {
-        // Coarse end-to-end time on rank 0; the per-stage split is not
-        // observable from one rank of an interleaved SPMD program, so the
-        // whole wall time is reported as the survey stage (the dominant
-        // one). Timings are advisory — equivalence is on everything else.
+    // Rank 0's wall between the stage boundaries it crossed (every
+    // boundary is a collective, so the other ranks crossed them with it).
+    // Ingest and exchange are booked as projection: they build its input.
+    if ctx.rank() == 0 {
         out.timings = StageTimings {
-            projection: Duration::default(),
-            survey: t0.elapsed(),
-            validation: Duration::default(),
+            projection: t_projected - t_start,
+            survey: t_surveyed - t_projected,
+            validation: t_surveyed.elapsed(),
         };
     }
     out

@@ -11,22 +11,32 @@
 //! frontier, so the exchange ships no more than it has to.
 //!
 //! The distributed pipeline in `coordination-core` builds one `LocalCsr` per
-//! rank from its shuffled, already-oriented edges and feeds the rows into
-//! `tripoll`'s partitioned adjacency.
+//! rank from its shuffled, already-oriented edges and publishes it whole as
+//! that rank's share of `tripoll`'s rank-sharded survey.
 
 /// A compressed-sparse-row adjacency over an arbitrary *owned* subset of a
-/// global vertex space. Row ids are global vertex ids (no local renumbering:
-/// lookups go through a binary search over the sorted owned-vertex list,
-/// which keeps the structure directly shardable by any partitioner).
+/// global vertex space. Row ids are global vertex ids (no local renumbering,
+/// which keeps the structure directly shardable by any partitioner); a row
+/// is found through a dense vertex-id → row table, one load per lookup. The
+/// table costs 4 B per vertex id up to the largest owned source — the
+/// rank-sharded pipeline already replicates two 8 B-per-vertex vectors
+/// (degrees, `P'`) on every rank, so it does not change that footprint's
+/// order, and the wedge-closing loop looks a row up per oriented edge.
 #[derive(Clone, Debug, Default)]
 pub struct LocalCsr {
     /// Owned source vertices, ascending, deduplicated.
     vertices: Vec<u32>,
+    /// `row_of[u]` is `u`'s index in `vertices`, or [`NO_ROW`]; ids past the
+    /// largest owned source are simply absent.
+    row_of: Vec<u32>,
     /// `offsets[i]..offsets[i+1]` is `vertices[i]`'s slice of targets/weights.
     offsets: Vec<usize>,
     targets: Vec<u32>,
     weights: Vec<u64>,
 }
+
+/// `row_of` entry of a vertex that is not a local source.
+const NO_ROW: u32 = u32::MAX;
 
 impl LocalCsr {
     /// Build this rank's partition from its `(src, dst, weight)` triples, in
@@ -57,11 +67,25 @@ impl LocalCsr {
             weights.push(w);
             *offsets.last_mut().expect("offsets never empty") = targets.len();
         }
+        let mut row_of = vec![NO_ROW; vertices.last().map_or(0, |&u| u as usize + 1)];
+        for (i, &u) in vertices.iter().enumerate() {
+            row_of[u as usize] = i as u32;
+        }
         LocalCsr {
             vertices,
+            row_of,
             offsets,
             targets,
             weights,
+        }
+    }
+
+    /// `u`'s row index, if `u` is a local source.
+    #[inline]
+    fn row_index(&self, u: u32) -> Option<usize> {
+        match self.row_of.get(u as usize) {
+            Some(&i) if i != NO_ROW => Some(i as usize),
+            _ => None,
         }
     }
 
@@ -87,8 +111,9 @@ impl LocalCsr {
     /// The out-list of global vertex `u`, or `None` when `u` is not a local
     /// source (either unowned or owned with no out-edges — callers that need
     /// the distinction track ownership in the partitioner).
+    #[inline]
     pub fn out(&self, u: u32) -> Option<(&[u32], &[u64])> {
-        let i = self.vertices.binary_search(&u).ok()?;
+        let i = self.row_index(u)?;
         let lo = self.offsets[i];
         let hi = self.offsets[i + 1];
         Some((&self.targets[lo..hi], &self.weights[lo..hi]))
@@ -102,7 +127,7 @@ impl LocalCsr {
             .targets
             .iter()
             .copied()
-            .filter(|t| self.vertices.binary_search(t).is_err())
+            .filter(|&t| self.row_index(t).is_none())
             .collect();
         g.sort_unstable();
         g.dedup();

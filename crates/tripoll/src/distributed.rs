@@ -1,110 +1,244 @@
-//! Distributed triangle surveying over the [`ygm`] runtime.
+//! Rank-sharded triangle surveying over the [`ygm`] runtime.
 //!
 //! This driver reproduces the *communication structure* of real TriPoll's
 //! push-based algorithm: the oriented adjacency is partitioned across ranks by
 //! vertex hash; the rank owning wedge apex `u` pushes, for each oriented edge
-//! `(u, v)`, a *wedge-check* message carrying `out(u)` to the owner of `v`,
-//! which intersects it against its local `out(v)` and emits the closed
-//! triangles into a distributed bag. A single barrier separates the push
-//! superstep from result extraction.
+//! `(u, v)`, a *wedge check* to the owner of `v`, which intersects `out(u)`
+//! against its local `out(v)` and **folds** every triangle it closes into its
+//! own [`SurveyFold`] — statistics and survivors, never the listing. A single
+//! barrier separates the push superstep from reading the folds.
 //!
-//! On one node this is slower than the shared-memory rayon driver in
-//! [`crate::enumerate`] (every wedge list is boxed into a message), but it
-//! demonstrates and tests the exact program the paper ran on MPI clusters.
+//! It is the resident survey ([`crate::survey::survey`]) run where the data
+//! lives, not a second implementation of it: the same fold, the same
+//! [`close_wedge`] kernel, rows read in place out of each rank's
+//! [`LocalCsr`]. What the ranks add is the 16-byte wedge check per oriented
+//! edge, shipped through [`PackedAggregator`] like every other shuffle of the
+//! pipeline. In this one-process world `out(u)` itself travels *by
+//! reference* (the closing rank reads it out of the apex owner's published
+//! partition); the `survey.wedge_list_bytes` counter records what a network
+//! transport would have to ship in its place.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use ygm::container::{DistBag, DistMap};
+use coordination_graph::LocalCsr;
+use parking_lot::Mutex;
 use ygm::partition::owner_of;
-use ygm::{Aggregator, RankCtx, World};
+use ygm::{adaptive_batch_bytes, Packable, PackedAggregator, PackedBatch, RankCtx, World};
 
-use crate::enumerate::Triangle;
+use crate::enumerate::{close_wedge, Triangle};
 use crate::orient::OrientedGraph;
+use crate::survey::{record_counters, SurveyConfig, SurveyFold, SurveyReport};
 
-/// The partitioned oriented adjacency the distributed survey consumes:
-/// vertex → out-list (sorted by target id), hash-partitioned by vertex id
-/// with [`ygm::owner_of`]. Out-lists are `Arc`'d because the push superstep
-/// ships them in wedge-check messages.
-pub type DistAdjacency = DistMap<u32, Arc<Vec<(u32, u64)>>>;
+/// One wedge check on the wire: close the wedges through oriented edge
+/// `(u, v)` of weight `w_uv` at the owner of `v`. 16 bytes packed.
+type WedgeCheck = (u32, u32, u64);
 
-/// Load a resident [`OrientedGraph`] into a [`DistAdjacency`], each rank
-/// inserting the out-lists of the vertices it owns. SPMD stage: call from
-/// every rank, then `ctx.barrier()` before surveying. Vertices with empty
-/// out-lists are skipped — the survey treats a missing entry as empty.
-pub fn load_oriented(ctx: &RankCtx, oriented: &OrientedGraph, adjacency: &DistAdjacency) {
-    for u in 0..oriented.n() {
-        if owner_of(&u, ctx.nranks()) == ctx.rank() {
-            let (nbrs, ws) = oriented.out(u);
-            if nbrs.is_empty() {
-                continue;
-            }
-            let list: Vec<(u32, u64)> = nbrs.iter().copied().zip(ws.iter().copied()).collect();
-            adjacency.async_insert(ctx, u, Arc::new(list));
-        }
+/// What one rank publishes before the survey: the rows it owns (vertices
+/// `owner_of` assigns it, out-lists sorted by target id) and its replica of
+/// the per-vertex `P'` metadata, if the survey scores triangles.
+struct Partition {
+    csr: LocalCsr,
+    vertex_pages: Option<Arc<Vec<u64>>>,
+}
+
+/// What one rank accumulates: the fold of the wedges it closed, and the
+/// traffic of the wedge checks it sent. Cache-line aligned: each rank bumps
+/// its own fold per triangle, and adjacent ranks must not share a line.
+#[derive(Default)]
+#[repr(align(64))]
+struct RankState {
+    fold: SurveyFold,
+    wedge_checks: u64,
+    wedge_list_entries: u64,
+}
+
+struct Shared {
+    config: SurveyConfig,
+    /// Written once by its rank before the barrier, read-only after: rows are
+    /// found by `owner_of` + [`LocalCsr::out`], with no lock and no copy.
+    parts: Vec<OnceLock<Partition>>,
+    /// Locked by its own rank only, once per received batch.
+    states: Vec<Mutex<RankState>>,
+}
+
+impl Shared {
+    fn part(&self, rank: usize) -> &Partition {
+        self.parts[rank]
+            .get()
+            .expect("every rank publishes its partition before the survey barrier")
     }
 }
 
-/// One wedge-check request: close wedges through apex `u` at the owner of
-/// `v`. The `Arc` makes staging a request one pointer bump — the out-list is
-/// shared, never copied per edge.
-type WedgeCheck = (u32, u32, u64, Arc<Vec<(u32, u64)>>);
+/// One rank-sharded survey: the world-shared handle every rank of an SPMD
+/// region publishes into, surveys through and reads its fold back from.
+/// Create it *outside* the region (so all ranks close over the same state);
+/// it serves one survey.
+///
+/// ```text
+/// survey.publish(ctx, my_rows, pages);  ctx.barrier();
+/// survey_stage(ctx, &survey, None);     ctx.barrier();
+/// let fold = survey.take_fold(ctx);
+/// ```
+pub struct DistSurvey(Arc<Shared>);
+
+impl DistSurvey {
+    /// A survey over `nranks` ranks with the predicates of `config`
+    /// (`top_k` is the caller's to apply, via [`SurveyFold::into_report`]).
+    pub fn new(nranks: usize, config: SurveyConfig) -> Self {
+        assert!(nranks > 0, "a survey needs at least one rank");
+        DistSurvey(Arc::new(Shared {
+            config,
+            parts: (0..nranks).map(|_| OnceLock::new()).collect(),
+            states: (0..nranks).map(|_| Mutex::default()).collect(),
+        }))
+    }
+
+    /// Publish this rank's partition: `csr` must hold exactly the rows of
+    /// the vertices `owner_of` assigns this rank, and `vertex_pages` (vertex
+    /// id → `P'`, the same on every rank) is required if the config has a
+    /// `min_t_score`. Follow with `ctx.barrier()` before [`survey_stage`].
+    pub fn publish(&self, ctx: &RankCtx, csr: LocalCsr, vertex_pages: Option<Arc<Vec<u64>>>) {
+        assert_eq!(
+            self.0.parts.len(),
+            ctx.nranks(),
+            "survey/world size mismatch"
+        );
+        assert!(
+            self.0.config.min_t_score <= 0.0 || vertex_pages.is_some(),
+            "min_t_score requires vertex_pages metadata"
+        );
+        let published = self.0.parts[ctx.rank()].set(Partition { csr, vertex_pages });
+        assert!(published.is_ok(), "a rank publishes its partition once");
+    }
+
+    /// This rank's fold, once the barrier after [`survey_stage`] has drained
+    /// every wedge check. Records this rank's share of the survey counters.
+    pub fn take_fold(&self, ctx: &RankCtx) -> SurveyFold {
+        let state = std::mem::take(&mut *self.0.states[ctx.rank()].lock());
+        record_counters(
+            state.fold.examined(),
+            state.fold.survivors().len() as u64,
+            state.wedge_checks,
+            state.wedge_list_entries,
+        );
+        state.fold
+    }
+}
 
 /// The TriPoll push superstep as a *composable* SPMD stage: for each owned
-/// apex `u` and oriented edge `(u, v)`, ship the wedge list `out(u)` to the
-/// owner of `v`, which intersects it against its local `out(v)` and emits
-/// every closed triangle into `found` exactly once (on the closing rank).
+/// apex `u` and oriented edge `(u, v)`, ship a wedge check to the owner of
+/// `v`, which closes the wedges `out(u) ∩ out(v)` and folds each triangle
+/// exactly once (on the closing rank).
 ///
-/// Wedge-check requests are batched through an [`Aggregator`] with the
-/// adaptive bytes-per-batch threshold rather than sent one active message
-/// per oriented edge, so the per-message overhead (boxed closure + channel
-/// send + termination-detection counters) is paid once per batch. Each
-/// request carries its `out(u)` as an `Arc` clone — one pointer bump per
-/// edge, the list itself is shipped once per batch destination.
+/// `batch_bytes` overrides the [`adaptive_batch_bytes`] flush threshold
+/// (equivalence tests shrink it to one check per batch).
 ///
 /// This is the building block larger SPMD programs (e.g.
 /// `coordination_core`'s distributed pipeline) embed between their own
 /// stages; [`distributed_survey`] is the self-contained wrapper around it.
-/// The caller must follow with `ctx.barrier()` before reading `found` —
-/// wedge-check messages are only guaranteed delivered once the barrier's
-/// termination detection has drained them.
-pub fn survey_stage(ctx: &RankCtx, adjacency: &DistAdjacency, found: &DistBag<Triangle>) {
-    let adj = adjacency.clone();
-    let bag = found.clone();
-    let mut checks = Aggregator::adaptive(
+/// The caller must follow with `ctx.barrier()` before
+/// [`DistSurvey::take_fold`] — wedge checks are only guaranteed delivered
+/// once the barrier's termination detection has drained them.
+pub fn survey_stage(ctx: &RankCtx, survey: &DistSurvey, batch_bytes: Option<usize>) {
+    let nranks = ctx.nranks();
+    let shared = Arc::clone(&survey.0);
+    let mut checks = PackedAggregator::with_batch_bytes(
         ctx,
-        move |inner: &RankCtx, (u, v, w_uv, out_u): WedgeCheck| {
-            // Owner of v closes wedges: intersect out(u) with out(v).
-            let Some(out_v) = adj.global_get(&v) else {
-                return;
-            };
-            let mut ai = 0;
-            let mut bi = 0;
-            while ai < out_u.len() && bi < out_v.len() {
-                let (x, w_ux) = out_u[ai];
-                let (y, w_vy) = out_v[bi];
-                if x == v {
-                    ai += 1;
-                    continue;
-                }
-                match x.cmp(&y) {
-                    std::cmp::Ordering::Less => ai += 1,
-                    std::cmp::Ordering::Greater => bi += 1,
-                    std::cmp::Ordering::Equal => {
-                        let t = Triangle::new(u, v, x, w_uv, w_ux, w_vy);
-                        bag.local_insert(inner, t);
-                        ai += 1;
-                        bi += 1;
+        "wedge_checks",
+        batch_bytes.unwrap_or_else(|| adaptive_batch_bytes(WedgeCheck::WIDTH, nranks)),
+        move |inner: &RankCtx, batch: PackedBatch<WedgeCheck>| {
+            let mine = shared.part(inner.rank());
+            let pages = mine.vertex_pages.as_deref().map(Vec::as_slice);
+            let fold = &mut shared.states[inner.rank()].lock().fold;
+            // An apex's checks arrive back to back: look its row up once.
+            let mut apex = None;
+            for (u, v, w_uv) in batch.iter() {
+                let out_u = match apex {
+                    Some((cached, out)) if cached == u => out,
+                    _ => {
+                        let out = shared
+                            .part(owner_of(&u, nranks))
+                            .csr
+                            .out(u)
+                            .expect("a wedge check names a row its sender published");
+                        apex = Some((u, out));
+                        out
                     }
+                };
+                // A `v` without out-edges closes nothing.
+                if let Some(out_v) = mine.csr.out(v) {
+                    close_wedge(u, v, w_uv, out_u, out_v, &mut |t: Triangle| {
+                        fold.observe(t, &shared.config, pages)
+                    });
                 }
             }
         },
     );
-    adjacency.local_for_each(ctx, |&u, out_u| {
-        for &(v, w_uv) in out_u.iter() {
-            checks.push_keyed(ctx, &v, (u, v, w_uv, Arc::clone(out_u)));
+
+    let mine = survey.0.part(ctx.rank());
+    let (mut sent, mut list_entries) = (0u64, 0u64);
+    // `row_of[dest]` = last row that sent `dest` a check: one out-list would
+    // travel per distinct (u, owner_of(v)).
+    let mut row_of = vec![usize::MAX; nranks];
+    for (row, (u, targets, weights)) in mine.csr.rows().enumerate() {
+        for (&v, &w_uv) in targets.iter().zip(weights) {
+            let dest = owner_of(&v, nranks);
+            if row_of[dest] != row {
+                row_of[dest] = row;
+                list_entries += targets.len() as u64;
+            }
+            checks.push(ctx, dest, (u, v, w_uv));
         }
-    });
+        sent += targets.len() as u64;
+    }
     checks.flush_all(ctx);
+    let mut state = survey.0.states[ctx.rank()].lock();
+    state.wedge_checks += sent;
+    state.wedge_list_entries += list_entries;
+}
+
+/// This rank's share of a resident orientation — the rows of the vertices
+/// `owner_of` assigns it — as the [`LocalCsr`] it would [`DistSurvey::publish`].
+pub fn local_partition(ctx: &RankCtx, oriented: &OrientedGraph) -> LocalCsr {
+    let owned = (0..oriented.n()).filter(|u| owner_of(u, ctx.nranks()) == ctx.rank());
+    LocalCsr::from_sorted_edges(owned.flat_map(|u| {
+        let (targets, weights) = oriented.out(u);
+        targets.iter().zip(weights).map(move |(&v, &w)| (u, v, w))
+    }))
+}
+
+/// Survey a resident orientation on `nranks` ygm ranks: the rank-sharded
+/// twin of [`crate::survey::survey`], equal to it field for field. Also
+/// returns the active messages the run sent (a proxy for MPI traffic).
+pub fn survey_on_ranks(
+    oriented: &OrientedGraph,
+    config: &SurveyConfig,
+    vertex_pages: Option<&[u64]>,
+    nranks: usize,
+) -> (SurveyReport, u64) {
+    if let Some(vp) = vertex_pages {
+        assert_eq!(
+            vp.len(),
+            oriented.n() as usize,
+            "vertex_pages length mismatch"
+        );
+    }
+    let survey = DistSurvey::new(nranks, config.clone());
+    let pages = vertex_pages.map(|vp| Arc::new(vp.to_vec()));
+    let per_rank = World::run(nranks, |ctx| {
+        survey.publish(ctx, local_partition(ctx, oriented), pages.clone());
+        ctx.barrier();
+        survey_stage(ctx, &survey, None);
+        ctx.barrier();
+        (survey.take_fold(ctx), ctx.messages_sent())
+    });
+    let mut fold = SurveyFold::default();
+    let mut messages_sent = 0;
+    for (rank_fold, sent) in per_rank {
+        fold.merge(rank_fold);
+        messages_sent = messages_sent.max(sent);
+    }
+    (fold.into_report(config.top_k), messages_sent)
 }
 
 /// Result of a distributed survey.
@@ -125,47 +259,15 @@ pub fn distributed_survey(
     cutoff: u64,
     nranks: usize,
 ) -> DistSurveyResult {
-    // Distribute the oriented adjacency: vertex → out-list.
-    let adjacency: DistAdjacency = DistMap::new(nranks);
-    let found: DistBag<Triangle> = DistBag::new(nranks);
-
-    // Stage the adjacency once, outside the SPMD region, directly into the
-    // owner shards (simulating the graph already being loaded in place).
-    {
-        let staging = World::new(nranks);
-        let o = &oriented;
-        let lm = &adjacency;
-        staging.launch(move |ctx| {
-            load_oriented(ctx, o, lm);
-            ctx.barrier();
-        });
-    }
-
-    let adjacency2 = adjacency.clone();
-    let found2 = found.clone();
-    let per_rank: Vec<(u64, u64)> = World::run(nranks, move |ctx| {
-        let mut local_total = 0u64;
-        survey_stage(ctx, &adjacency2, &found2);
-        ctx.barrier();
-        // Count and locally filter.
-        let mine = found2.local_take(ctx);
-        local_total += mine.len() as u64;
-        for t in &mine {
-            if t.min_weight() >= cutoff {
-                found2.local_insert(ctx, *t);
-            }
-        }
-        ctx.barrier();
-        (local_total, ctx.messages_sent())
-    });
-
-    let total_triangles: u64 = per_rank.iter().map(|&(t, _)| t).sum();
-    let messages_sent = per_rank.iter().map(|&(_, m)| m).max().unwrap_or(0);
-    let mut triangles = found.drain_into_local();
-    triangles.sort_unstable_by_key(|t| t.vertices());
+    let (report, messages_sent) = survey_on_ranks(
+        oriented,
+        &SurveyConfig::with_min_weight(cutoff),
+        None,
+        nranks,
+    );
     DistSurveyResult {
-        triangles,
-        total_triangles,
+        triangles: report.triangles.iter().map(|s| s.triangle).collect(),
+        total_triangles: report.total_examined,
         messages_sent,
     }
 }
@@ -262,7 +364,10 @@ pub fn distributed_components(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::enumerate::brute_force_triangles;
     use crate::graph::WeightedGraph;
+    use crate::survey::survey;
+    use proptest::prelude::*;
 
     fn random_graph(n: u32, p: f64, seed: u64) -> WeightedGraph {
         use rand::{Rng, SeedableRng};
@@ -278,19 +383,154 @@ mod tests {
         WeightedGraph::from_edges(n, edges)
     }
 
-    #[test]
-    fn distributed_matches_shared_memory_enumeration() {
-        for seed in 0..5 {
-            let g = random_graph(40, 0.2, seed);
-            let o = OrientedGraph::from_graph(&g);
-            let mut expected = Vec::new();
-            crate::enumerate::for_each_triangle(&o, |t| expected.push(t));
-            expected.sort_unstable_by_key(|t| t.vertices());
-
-            let res = distributed_survey(&o, 1, 4);
-            assert_eq!(res.triangles, expected, "seed {seed}");
-            assert_eq!(res.total_triangles, expected.len() as u64);
+    /// A 40-clique hub with 200 fringe vertices hanging off two or three hub
+    /// members each: a fringe apex has `|out(u)| ≤ 3` while its hub
+    /// neighbour's out-list runs to dozens, so `intersect_indices` gallops.
+    fn hub_and_fringe() -> WeightedGraph {
+        let hub = 40u32;
+        let mut edges = Vec::new();
+        for a in 0..hub {
+            for b in (a + 1)..hub {
+                edges.push((a, b, u64::from(1 + (a * 7 + b) % 30)));
+            }
         }
+        for f in 0..200u32 {
+            for k in 0..(2 + f % 2) {
+                edges.push(((f * 3 + k * 11) % hub, hub + f, u64::from(1 + (f + k) % 9)));
+            }
+        }
+        WeightedGraph::from_edges(hub + 200, edges)
+    }
+
+    /// `P'`-like metadata: any positive per-vertex count will do.
+    fn pages_for(g: &WeightedGraph) -> Vec<u64> {
+        (0..g.n()).map(|v| 20 + u64::from(v % 13)).collect()
+    }
+
+    fn assert_reports_equal(got: &SurveyReport, want: &SurveyReport, what: &str) {
+        assert_eq!(got.total_examined, want.total_examined, "{what}");
+        assert_eq!(got.max_min_weight, want.max_min_weight, "{what}");
+        assert_eq!(got.min_weight_log_hist, want.min_weight_log_hist, "{what}");
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (x, y) in got.triangles.iter().zip(&want.triangles) {
+            assert_eq!(x.triangle, y.triangle, "{what}");
+            assert_eq!(x.min_weight, y.min_weight, "{what}");
+            assert_eq!(x.t_score.to_bits(), y.t_score.to_bits(), "{what}");
+        }
+    }
+
+    /// The rank-sharded survey equals the resident one field for field, at
+    /// every rank count, for a cutoff, for cutoff 1 (everything survives)
+    /// and for a `T`-score predicate over vertex metadata; and both examine
+    /// exactly the triangles the O(n³) reference finds.
+    fn assert_equals_resident(g: &WeightedGraph, what: &str) {
+        let o = OrientedGraph::from_graph(g);
+        let pages = pages_for(g);
+        let scored = SurveyConfig {
+            min_edge_weight: 2,
+            min_t_score: 0.2,
+            top_k: None,
+        };
+        let cases = [
+            (SurveyConfig::with_min_weight(6), None),
+            (SurveyConfig::with_min_weight(1), None),
+            (scored, Some(&pages[..])),
+        ];
+        let reference = brute_force_triangles(g).len() as u64;
+        for (config, vertex_pages) in &cases {
+            let want = survey(&o, config, *vertex_pages);
+            assert_eq!(want.total_examined, reference, "{what}");
+            for nranks in [1, 2, 3, 7] {
+                let (got, _) = survey_on_ranks(&o, config, *vertex_pages, nranks);
+                assert_reports_equal(&got, &want, &format!("{what}, {nranks} ranks, {config:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn rank_sharded_survey_equals_resident_on_random_graphs() {
+        for seed in 0..4 {
+            assert_equals_resident(&random_graph(40, 0.25, seed), &format!("seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn rank_sharded_survey_equals_resident_when_intersections_gallop() {
+        let g = hub_and_fringe();
+        let o = OrientedGraph::from_graph(&g);
+        let skewed = (0..o.n()).any(|u| {
+            let (nbrs, _) = o.out(u);
+            nbrs.iter().any(|&v| {
+                nbrs.len() * coordination_graph::intersect::GALLOP_RATIO < o.out(v).0.len()
+            })
+        });
+        assert!(skewed, "the graph must put a wedge on the galloping branch");
+        assert_equals_resident(&g, "hub and fringe");
+    }
+
+    #[test]
+    fn rank_sharded_survey_equals_resident_on_degenerate_graphs() {
+        assert_equals_resident(&WeightedGraph::from_edges(0, std::iter::empty()), "empty");
+        assert_equals_resident(
+            &WeightedGraph::from_edges(6, std::iter::empty()),
+            "edgeless",
+        );
+        // Weights at the top of the range land in the last histogram bucket.
+        let max =
+            WeightedGraph::from_edges(3, [(0, 1, u64::MAX), (0, 2, u64::MAX), (1, 2, u64::MAX)]);
+        assert_equals_resident(&max, "u64::MAX weights");
+        let (report, _) = survey_on_ranks(
+            &OrientedGraph::from_graph(&max),
+            &SurveyConfig::default(),
+            None,
+            2,
+        );
+        assert_eq!(report.min_weight_log_hist.len(), 64);
+        assert_eq!(report.min_weight_log_hist[63], 1);
+    }
+
+    #[test]
+    fn rank_sharded_survey_equals_resident_when_every_out_list_is_ghosts() {
+        // One triangle whose three vertices live on three different ranks:
+        // each out-list names only vertices some other rank owns.
+        let nranks = 3;
+        let mut on_rank = [None; 3];
+        for v in 0..64u32 {
+            on_rank[owner_of(&v, nranks)].get_or_insert(v);
+        }
+        let [a, b, c] = on_rank.map(|v| v.expect("64 ids cover three ranks"));
+        let g = WeightedGraph::from_edges(64, [(a, b, 5), (a, c, 7), (b, c, 9)]);
+        let o = OrientedGraph::from_graph(&g);
+        let ghost_only = World::run(nranks, |ctx| {
+            let part = local_partition(ctx, &o);
+            part.m_local() > 0 && part.ghosts().len() as u64 == part.m_local()
+        });
+        assert!(ghost_only.contains(&true));
+        assert_equals_resident(&g, "one triangle across three ranks");
+    }
+
+    #[test]
+    fn folds_hold_survivors_only() {
+        // The materialisation must not creep back: after the stage, what the
+        // ranks hold between them is the kept triangles, not the examined.
+        let g = random_graph(60, 0.3, 7);
+        let o = OrientedGraph::from_graph(&g);
+        let config = SurveyConfig::with_min_weight(12);
+        let want = survey(&o, &config, None);
+        assert!(!want.is_empty() && (want.len() as u64) < want.total_examined / 4);
+        let nranks = 3;
+        let dist = DistSurvey::new(nranks, config);
+        let folds = World::run(nranks, |ctx| {
+            dist.publish(ctx, local_partition(ctx, &o), None);
+            ctx.barrier();
+            survey_stage(ctx, &dist, Some(1));
+            ctx.barrier();
+            dist.take_fold(ctx)
+        });
+        let held: usize = folds.iter().map(|f| f.survivors().len()).sum();
+        let examined: u64 = folds.iter().map(SurveyFold::examined).sum();
+        assert_eq!(held, want.len());
+        assert_eq!(examined, want.total_examined);
     }
 
     #[test]
@@ -313,13 +553,28 @@ mod tests {
         assert_eq!(res.triangles[0].vertices(), [0, 1, 2]);
     }
 
-    #[test]
-    fn works_with_one_rank_and_empty_graph() {
-        let g = WeightedGraph::from_edges(4, std::iter::empty());
-        let o = OrientedGraph::from_graph(&g);
-        let res = distributed_survey(&o, 1, 1);
-        assert!(res.triangles.is_empty());
-        assert_eq!(res.total_triangles, 0);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Any edge soup (duplicates, self-loops, isolated vertices), any
+        /// rank count, any cutoff: the rank-sharded report is the resident
+        /// report.
+        #[test]
+        fn rank_sharded_survey_equals_resident(
+            (n, edges) in (3u32..24).prop_flat_map(|n| {
+                (Just(n), prop::collection::vec((0..n, 0..n, 1u64..12), 0..120))
+            }),
+            nranks in 1usize..8,
+            cutoff in 1u64..10,
+        ) {
+            let g = WeightedGraph::from_edges(n, edges.into_iter().filter(|&(a, b, _)| a != b));
+            let o = OrientedGraph::from_graph(&g);
+            let config = SurveyConfig::with_min_weight(cutoff);
+            let pages = pages_for(&g);
+            let want = survey(&o, &config, Some(&pages));
+            let (got, _) = survey_on_ranks(&o, &config, Some(&pages), nranks);
+            assert_reports_equal(&got, &want, "proptest");
+        }
     }
 
     #[test]
@@ -350,17 +605,5 @@ mod tests {
         assert!(distributed_components(&empty, 1, 2).is_empty());
         let edgeless = WeightedGraph::from_edges(5, std::iter::empty());
         assert!(distributed_components(&edgeless, 1, 2).is_empty());
-    }
-
-    #[test]
-    fn rank_count_does_not_change_results() {
-        let g = random_graph(30, 0.3, 99);
-        let o = OrientedGraph::from_graph(&g);
-        let r1 = distributed_survey(&o, 3, 1);
-        let r4 = distributed_survey(&o, 3, 4);
-        let r7 = distributed_survey(&o, 3, 7);
-        assert_eq!(r1.triangles, r4.triangles);
-        assert_eq!(r4.triangles, r7.triangles);
-        assert_eq!(r1.total_triangles, r7.total_triangles);
     }
 }

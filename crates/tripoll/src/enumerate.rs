@@ -103,25 +103,42 @@ pub fn for_each_apex_triangle<F: FnMut(Triangle)>(oriented: &OrientedGraph, u: u
     wedge_close(oriented, u, f)
 }
 
-/// All triangles whose wedge apex (lowest degree-order vertex) is `u`.
-///
-/// Intersects the *whole* of `out(u)` with `out(v)` for every `v ∈ out(u)` —
-/// the third vertex can sit anywhere in `out(u)`, not only past `v`, because
-/// degree order ≠ id order. The intersection runs through the shared adaptive
-/// kernel: linear merge when the two out-lists are comparable, galloping from
-/// the shorter side when their lengths are skewed (id-order orientation and
-/// hub-heavy graphs produce exactly that skew). `v` itself never matches —
-/// `v ∉ out(v)` since the orientation has no self-loops.
+/// All triangles whose wedge apex (lowest degree-order vertex) is `u`: one
+/// [`close_wedge`] per oriented edge `(u, v)`.
 #[inline]
 fn wedge_close<F: FnMut(Triangle)>(oriented: &OrientedGraph, u: u32, f: &mut F) {
-    let (u_nbrs, u_ws) = oriented.out(u);
-    for (&v, &w_uv) in u_nbrs.iter().zip(u_ws) {
-        let (v_nbrs, v_ws) = oriented.out(v);
-        coordination_graph::intersect_indices(u_nbrs, v_nbrs, &mut |ai, bi| {
-            // triangle u–v–x with x = u_nbrs[ai]: w_uv, w_ux, w_vx
-            f(Triangle::new(u, v, u_nbrs[ai], w_uv, u_ws[ai], v_ws[bi]));
-        });
+    let out_u = oriented.out(u);
+    for (&v, &w_uv) in out_u.0.iter().zip(out_u.1) {
+        close_wedge(u, v, w_uv, out_u, oriented.out(v), f);
     }
+}
+
+/// Close the wedges through one oriented edge `(u, v)`: every
+/// `x ∈ out(u) ∩ out(v)` is the triangle `u–v–x`. The one wedge-intersection
+/// kernel of the crate — the resident enumerator calls it for each edge of
+/// `out(u)`, the rank-sharded survey ([`crate::distributed`]) calls it on
+/// `owner_of(v)` for each wedge check it receives.
+///
+/// Intersects the *whole* of `out(u)` with `out(v)` — the third vertex can
+/// sit anywhere in `out(u)`, not only past `v`, because degree order ≠ id
+/// order. The intersection runs through the shared adaptive kernel: linear
+/// merge when the two out-lists are comparable, galloping from the shorter
+/// side when their lengths are skewed (id-order orientation and hub-heavy
+/// graphs produce exactly that skew). `v` itself never matches — `v ∉ out(v)`
+/// since the orientation has no self-loops.
+#[inline]
+pub fn close_wedge<F: FnMut(Triangle)>(
+    u: u32,
+    v: u32,
+    w_uv: u64,
+    (u_nbrs, u_ws): (&[u32], &[u64]),
+    (v_nbrs, v_ws): (&[u32], &[u64]),
+    f: &mut F,
+) {
+    coordination_graph::intersect_indices(u_nbrs, v_nbrs, &mut |ai, bi| {
+        // triangle u–v–x with x = u_nbrs[ai]: w_uv, w_ux, w_vx
+        f(Triangle::new(u, v, u_nbrs[ai], w_uv, u_ws[ai], v_ws[bi]));
+    });
 }
 
 /// Parallel map over all triangles: `map` runs on rayon workers and its `Some`

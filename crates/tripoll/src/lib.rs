@@ -15,9 +15,12 @@
 //! 4. apply survey predicates (minimum edge weight, normalized coordination
 //!    score) and collect summaries ([`survey`]).
 //!
-//! Both a [rayon](https://docs.rs/rayon) shared-memory driver and a
-//! message-based [`distributed`] driver over the [`ygm`] runtime are provided;
-//! the latter preserves the push-style communication structure of real TriPoll.
+//! Two drivers run that core: the resident [`survey::survey`] over one
+//! shared orientation, and the rank-sharded [`distributed`] driver over the
+//! [`ygm`] runtime, which preserves the push-style communication structure of
+//! real TriPoll. Both close wedges with the same kernel
+//! ([`enumerate::close_wedge`]) and fold triangles into the same
+//! [`survey::SurveyFold`].
 //!
 //! ## Example
 //!
@@ -45,7 +48,7 @@ pub mod orient;
 pub mod survey;
 pub mod truss;
 
-pub use distributed::{load_oriented, survey_stage, DistAdjacency};
+pub use distributed::{survey_stage, DistSurvey};
 pub use enumerate::Triangle;
 pub use graph::{GraphRef, SubsetView, ThresholdView, WeightedGraph};
 pub use orient::OrientedGraph;

@@ -105,6 +105,133 @@ pub fn t_score(min_weight: u64, px: u64, py: u64, pz: u64) -> f64 {
     3.0 * min_weight as f64 / denom as f64
 }
 
+/// Bytes one `out(u)` entry (`u32` target + `u64` weight) takes on the wire.
+const WEDGE_ENTRY_BYTES: u64 = 12;
+
+/// The survey fold: what a survey keeps of the triangles that stream past it
+/// — the examined count, the largest `min{w'}`, the log2 histogram and the
+/// survivors of the predicates. Never the listing.
+///
+/// Both engines fold into this one type where the wedge closes: the resident
+/// [`survey`] per apex, the rank-sharded [`crate::distributed::DistSurvey`]
+/// on the rank that receives the wedge check. Folds merge associatively.
+#[derive(Clone, Debug, Default)]
+pub struct SurveyFold {
+    kept: Vec<SurveyedTriangle>,
+    examined: u64,
+    max_min: u64,
+    /// log2 buckets of `min{w'}`, grown on write: the last one is never 0.
+    hist: Vec<u64>,
+}
+
+impl SurveyFold {
+    /// Stream one triangle past the predicates of `config`. `vertex_pages`
+    /// is the `P'` metadata of [`survey`].
+    #[inline]
+    pub fn observe(&mut self, t: Triangle, config: &SurveyConfig, vertex_pages: Option<&[u64]>) {
+        let mw = t.min_weight();
+        self.examined += 1;
+        self.max_min = self.max_min.max(mw);
+        let bucket = 63 - mw.max(1).leading_zeros() as usize;
+        if self.hist.len() <= bucket {
+            self.hist.resize(bucket + 1, 0);
+        }
+        self.hist[bucket] += 1;
+        if mw < config.min_edge_weight {
+            return;
+        }
+        let ts = match vertex_pages {
+            Some(vp) => t_score(mw, vp[t.a as usize], vp[t.b as usize], vp[t.c as usize]),
+            None => f64::NAN,
+        };
+        if config.min_t_score > 0.0 && ts < config.min_t_score {
+            return;
+        }
+        self.kept.push(SurveyedTriangle {
+            triangle: t,
+            min_weight: mw,
+            t_score: ts,
+        });
+    }
+
+    /// Fold `other` into `self`.
+    pub fn merge(&mut self, mut other: SurveyFold) {
+        if self.kept.len() < other.kept.len() {
+            std::mem::swap(&mut self.kept, &mut other.kept);
+        }
+        self.kept.append(&mut other.kept);
+        self.examined += other.examined;
+        self.max_min = self.max_min.max(other.max_min);
+        if self.hist.len() < other.hist.len() {
+            std::mem::swap(&mut self.hist, &mut other.hist);
+        }
+        for (x, y) in self.hist.iter_mut().zip(other.hist) {
+            *x += y;
+        }
+    }
+
+    /// Triangles streamed past the fold.
+    pub fn examined(&self) -> u64 {
+        self.examined
+    }
+
+    /// Largest `min{w'}` seen.
+    pub fn max_min_weight(&self) -> u64 {
+        self.max_min
+    }
+
+    /// Histogram of `log2(min{w'})` over every triangle examined, as in
+    /// [`SurveyReport::min_weight_log_hist`].
+    pub fn log_hist(&self) -> &[u64] {
+        &self.hist
+    }
+
+    /// The survivors, in the order their wedges closed.
+    pub fn survivors(&self) -> &[SurveyedTriangle] {
+        &self.kept
+    }
+
+    /// The survivors alone, still in closing order, once the statistics
+    /// have been read.
+    pub fn into_survivors(self) -> Vec<SurveyedTriangle> {
+        self.kept
+    }
+
+    /// The finished report: survivors sorted by vertex triple (or the
+    /// `top_k` heaviest, ties by vertex ids).
+    pub fn into_report(self, top_k: Option<usize>) -> SurveyReport {
+        let mut triangles = self.kept;
+        if let Some(k) = top_k {
+            triangles.sort_unstable_by(|x, y| {
+                y.min_weight
+                    .cmp(&x.min_weight)
+                    .then_with(|| x.triangle.vertices().cmp(&y.triangle.vertices()))
+            });
+            triangles.truncate(k);
+        } else {
+            triangles.sort_unstable_by_key(|s| s.triangle.vertices());
+        }
+        SurveyReport {
+            triangles,
+            total_examined: self.examined,
+            max_min_weight: self.max_min,
+            min_weight_log_hist: self.hist,
+        }
+    }
+}
+
+/// The survey's [`obs`] counters, defined once for both engines:
+/// `survey.triangles_examined` / `survey.triangles_kept`, the wedge checks
+/// made (one per oriented edge) and `survey.wedge_list_bytes` — the bytes of
+/// `out(u)` lists a network transport would ship, 12 B per entry once per
+/// distinct `(u, owner_of(v))`; `wedge_list_entries` is that entry count.
+pub fn record_counters(examined: u64, kept: u64, wedge_checks: u64, wedge_list_entries: u64) {
+    obs::counter("survey.triangles_examined").add(examined);
+    obs::counter("survey.triangles_kept").add(kept);
+    obs::counter("survey.wedge_checks").add(wedge_checks);
+    obs::counter("survey.wedge_list_bytes").add(WEDGE_ENTRY_BYTES * wedge_list_entries);
+}
+
 /// Run a survey over every triangle of `oriented`.
 ///
 /// `vertex_pages`, when given, must map vertex id → `P'` (the number of pages
@@ -128,80 +255,30 @@ pub fn survey(
         );
     }
 
-    // Per-apex partial reports, merged associatively.
-    #[derive(Default)]
-    struct Partial {
-        kept: Vec<SurveyedTriangle>,
-        examined: u64,
-        max_min: u64,
-        hist: Vec<u64>,
-    }
-    let merge = |mut a: Partial, mut b: Partial| {
-        a.kept.append(&mut b.kept);
-        a.examined += b.examined;
-        a.max_min = a.max_min.max(b.max_min);
-        if a.hist.len() < b.hist.len() {
-            std::mem::swap(&mut a.hist, &mut b.hist);
-        }
-        for (x, y) in a.hist.iter_mut().zip(b.hist) {
-            *x += y;
-        }
-        a
-    };
-
-    let partial = (0..oriented.n())
+    // Per-apex partial folds, merged associatively.
+    let fold = (0..oriented.n())
         .into_par_iter()
-        .fold(Partial::default, |mut acc, u| {
+        .fold(SurveyFold::default, |mut acc, u| {
             crate::enumerate::for_each_apex_triangle(oriented, u, &mut |t: Triangle| {
-                let mw = t.min_weight();
-                acc.examined += 1;
-                acc.max_min = acc.max_min.max(mw);
-                let bucket = 64 - mw.max(1).leading_zeros() as usize - 1;
-                if acc.hist.len() <= bucket {
-                    acc.hist.resize(bucket + 1, 0);
-                }
-                acc.hist[bucket] += 1;
-                if mw < config.min_edge_weight {
-                    return;
-                }
-                let ts = match vertex_pages {
-                    Some(vp) => t_score(mw, vp[t.a as usize], vp[t.b as usize], vp[t.c as usize]),
-                    None => f64::NAN,
-                };
-                if config.min_t_score > 0.0 && ts < config.min_t_score {
-                    return;
-                }
-                acc.kept.push(SurveyedTriangle {
-                    triangle: t,
-                    min_weight: mw,
-                    t_score: ts,
-                });
+                acc.observe(t, config, vertex_pages)
             });
             acc
         })
-        .reduce(Partial::default, merge);
-
-    let mut triangles = partial.kept;
-    if let Some(k) = config.top_k {
-        triangles.sort_unstable_by(|x, y| {
-            y.min_weight
-                .cmp(&x.min_weight)
-                .then_with(|| x.triangle.vertices().cmp(&y.triangle.vertices()))
+        .reduce(SurveyFold::default, |mut a, b| {
+            a.merge(b);
+            a
         });
-        triangles.truncate(k);
-    } else {
-        triangles.sort_unstable_by_key(|s| s.triangle.vertices());
-    }
 
-    obs::counter("survey.triangles_examined").add(partial.examined);
-    obs::counter("survey.triangles_kept").add(triangles.len() as u64);
+    let report = fold.into_report(config.top_k);
+    // One rank owns every vertex here, so each out-list would travel once.
+    record_counters(
+        report.total_examined,
+        report.len() as u64,
+        oriented.m(),
+        oriented.m(),
+    );
     obs::record_stage_rss("survey");
-    SurveyReport {
-        triangles,
-        total_examined: partial.examined,
-        max_min_weight: partial.max_min,
-        min_weight_log_hist: partial.hist,
-    }
+    report
 }
 
 /// Convenience: the `k` triangles with the largest minimum edge weight.

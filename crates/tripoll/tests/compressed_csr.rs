@@ -94,35 +94,38 @@ fn distributed_survey_over_compressed_csr_matches_resident() {
 
 #[test]
 fn composable_survey_stage_runs_over_compressed_csr() {
-    // The promoted stage API (load_oriented + survey_stage inside one SPMD
+    // The stage API (publish + survey_stage + take_fold inside one SPMD
     // region) over the compressed view: same triangles as a full survey.
-    use std::sync::Arc;
-    use tripoll::{load_oriented, survey_stage, DistAdjacency, Triangle};
-    use ygm::container::{DistBag, DistMap};
+    use tripoll::distributed::local_partition;
+    use tripoll::survey::SurveyFold;
+    use tripoll::{survey_stage, DistSurvey};
     use ygm::World;
 
     let g = random_graph(13, 80, 700);
     let mut blob = Vec::new();
     encode_graph(&g, &mut blob);
     let view = CsrView::parse(&blob).unwrap();
-    let oriented = Arc::new(OrientedGraph::from_ref(&view));
+    let oriented = OrientedGraph::from_ref(&view);
 
     let nranks = 3;
-    let adjacency: DistAdjacency = DistMap::new(nranks);
-    let found: DistBag<Triangle> = DistBag::new(nranks);
-    {
-        let adjacency = adjacency.clone();
-        let found = found.clone();
-        let oriented = Arc::clone(&oriented);
-        World::run(nranks, move |ctx| {
-            load_oriented(ctx, &oriented, &adjacency);
-            ctx.barrier();
-            survey_stage(ctx, &adjacency, &found);
-            ctx.barrier();
-        });
+    let survey = DistSurvey::new(nranks, SurveyConfig::default());
+    let folds = World::run(nranks, |ctx| {
+        survey.publish(ctx, local_partition(ctx, &oriented), None);
+        ctx.barrier();
+        survey_stage(ctx, &survey, None);
+        ctx.barrier();
+        survey.take_fold(ctx)
+    });
+    let mut fold = SurveyFold::default();
+    for f in folds {
+        fold.merge(f);
     }
-    let mut got = found.drain_into_local();
-    got.sort_unstable_by_key(|t| t.vertices());
+    let got: Vec<_> = fold
+        .into_report(None)
+        .triangles
+        .iter()
+        .map(|s| s.triangle)
+        .collect();
 
     let mut expected = Vec::new();
     tripoll::enumerate::for_each_triangle(&OrientedGraph::from_graph(&g), |t| expected.push(t));

@@ -51,19 +51,6 @@ where
         }
     }
 
-    /// An aggregator whose flush threshold is derived from the item's
-    /// in-memory size and the world size via
-    /// [`crate::exchange::adaptive_batch_bytes`], so batches target a fixed
-    /// bytes-per-batch instead of a hardcoded item count. For items that are
-    /// not fixed-width wire types (`Arc`s, small structs) this is the
-    /// batch-size policy; truly fixed-width shuffles should use
-    /// [`crate::exchange::PackedAggregator`] instead.
-    pub fn adaptive(ctx: &RankCtx, apply: A) -> Self {
-        let width = std::mem::size_of::<T>().max(1);
-        let bytes = crate::exchange::adaptive_batch_bytes(width, ctx.nranks());
-        Self::new(ctx, (bytes / width).max(1), apply)
-    }
-
     /// Stage `item` for `dest`, shipping the buffer if it reaches the
     /// threshold.
     pub fn push(&mut self, ctx: &RankCtx, dest: usize, item: T) {

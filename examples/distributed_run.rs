@@ -10,7 +10,8 @@
 use coordination::core::pipeline::{Pipeline, PipelineConfig, ProjectionStrategy};
 use coordination::core::Window;
 use coordination::redditgen::ScenarioConfig;
-use coordination::tripoll::distributed::distributed_survey;
+use coordination::tripoll::distributed::survey_on_ranks;
+use coordination::tripoll::survey::{survey, SurveyConfig};
 use coordination::tripoll::OrientedGraph;
 
 fn main() {
@@ -53,20 +54,26 @@ fn main() {
     assert_eq!(shared.stats.ci_edges, distributed.stats.ci_edges);
     assert_eq!(shared.triplets.len(), distributed.triplets.len());
 
-    // distributed triangle survey with message accounting
+    // rank-sharded triangle survey with message accounting: the same fold
+    // and wedge kernel as the resident survey, run where the rows live
     let wg = shared.ci.threshold(2).to_weighted_graph();
     let oriented = OrientedGraph::from_graph(&wg);
-    let res = distributed_survey(&oriented, 10, nranks);
+    let config = SurveyConfig::with_min_weight(10);
+    let pages = shared.ci.page_counts();
+    let resident = survey(&oriented, &config, Some(pages));
+    let (report, messages_sent) = survey_on_ranks(&oriented, &config, Some(pages), nranks);
     println!(
-        "\ndistributed survey: {} triangles total, {} kept at cutoff 10, {} active messages",
-        res.total_triangles,
-        res.triangles.len(),
-        res.messages_sent
+        "\nrank-sharded survey: {} triangles examined, {} kept at cutoff 10, {} active messages",
+        report.total_examined,
+        report.len(),
+        messages_sent
     );
-    let shared_count = coordination::tripoll::enumerate::count_triangles(&oriented);
-    assert_eq!(
-        res.total_triangles, shared_count,
-        "distributed == shared-memory"
+    assert_eq!(report.total_examined, resident.total_examined);
+    assert_eq!(report.triplets(), resident.triplets());
+    assert_eq!(report.min_weight_log_hist, resident.min_weight_log_hist);
+    println!(
+        "matches the resident survey: {} examined, {} kept",
+        resident.total_examined,
+        resident.len()
     );
-    println!("matches shared-memory count: {shared_count}");
 }
