@@ -1,7 +1,7 @@
 //! End-to-end pipeline bench harness: per-stage wall times (ingest,
 //! projection, survey, validation), throughput and peak RSS, the
 //! rank-sharded distributed pipeline at 1/2/4 ranks against the resident
-//! path, plus the kernel ablations (parallel vs serial ingest, zero-copy
+//! path, plus the kernel ablations (ingest vs the reference reader, zero-copy
 //! scanner vs serde, flat vs hashed projection, adaptive vs linear triple
 //! intersection), written to `BENCH_pipeline.json`.
 //!
@@ -10,8 +10,7 @@
 //! ```
 //!
 //! * `--smoke` — single repetition and smaller ablation inputs (the CI mode);
-//! * `--threads N` — run inside an N-thread rayon pool (chunked ingest and
-//!   the parallel pipeline stages scale with it);
+//! * `--threads N` — run inside an N-thread rayon pool;
 //! * `--out PATH` — where to write the JSON report (default
 //!   `BENCH_pipeline.json` in the working directory);
 //! * `--check BASELINE` — compare this run's stage times against a previous
@@ -79,10 +78,10 @@ fn bench_scenario(
     name: &'static str,
     records: &[CommentRecord],
     ds: &Dataset,
-    ingest_cfg: &IngestConfig,
     reps: usize,
 ) -> ScenarioReport {
     let ndjson = ndjson_bytes(records);
+    let ingest_cfg = &IngestConfig::default();
     // untimed warm-up so a single-rep smoke run isn't timing cold allocation
     std::hint::black_box(ingest::ingest_slice(&ndjson, ingest_cfg).expect("ingest bench NDJSON"));
     // the on-disk snapshot for the cold-start stage: written once (untimed),
@@ -769,18 +768,13 @@ fn ablation_obs(ds: &Dataset, reps: usize) -> Ablation {
     }
 }
 
-/// Parallel chunked ingest vs the serial reference reader, and the zero-copy
-/// field scanner vs full serde deserialization, on the same NDJSON corpus.
+/// The one-pass ingest vs the reference reader, and the zero-copy field
+/// scanner vs full serde deserialization, on the same NDJSON corpus.
 ///
-/// Both comparisons carry a correctness guard: the parallel path must produce
-/// the exact dataset (events and dense ids) the serial reader does, and the
+/// Both comparisons carry a correctness guard: the ingest must produce the
+/// exact dataset (events and dense ids) the reference reader does, and the
 /// scanner must accept every line serde accepts with identical fields.
-fn ablation_ingest(
-    records: &[CommentRecord],
-    smoke: bool,
-    threads: usize,
-    reps: usize,
-) -> (Ablation, Ablation) {
+fn ablation_ingest(records: &[CommentRecord], smoke: bool, reps: usize) -> (Ablation, Ablation) {
     // Full mode replays the scenario several times over so the corpus is big
     // enough for stable per-byte timings (the dense-vocabulary shape — few
     // new names after the first pass — matches a real archive month).
@@ -792,27 +786,24 @@ fn ablation_ingest(
     let records = &corpus[..];
     let ndjson = ndjson_bytes(records);
     let text = std::str::from_utf8(&ndjson).expect("bench NDJSON is UTF-8");
-    let cfg = IngestConfig {
-        chunks: 4 * threads.max(1),
-        ..IngestConfig::default()
-    };
+    let cfg = IngestConfig::default();
 
-    // correctness guard: byte-identical datasets, any chunking
-    let serial = read_ndjson_into_dataset(ndjson.as_slice()).expect("serial read");
-    let parallel = ingest::ingest_slice(&ndjson, &cfg).expect("parallel ingest");
-    assert_eq!(serial.events, parallel.dataset.events, "ingest diverged");
-    assert_eq!(serial.authors.len(), parallel.dataset.authors.len());
-    assert_eq!(serial.pages.len(), parallel.dataset.pages.len());
+    // correctness guard: identical datasets
+    let reference = read_ndjson_into_dataset(ndjson.as_slice()).expect("reference read");
+    let ingested = ingest::ingest_slice(&ndjson, &cfg).expect("ingest");
+    assert_eq!(reference.events, ingested.dataset.events, "ingest diverged");
+    assert_eq!(reference.authors.len(), ingested.dataset.authors.len());
+    assert_eq!(reference.pages.len(), ingested.dataset.pages.len());
 
-    let mut serial_secs = f64::INFINITY;
-    let mut parallel_secs = f64::INFINITY;
+    let mut reference_secs = f64::INFINITY;
+    let mut ingest_secs = f64::INFINITY;
     for _ in 0..reps {
         let t = Instant::now();
-        std::hint::black_box(read_ndjson_into_dataset(ndjson.as_slice()).expect("serial read"));
-        serial_secs = serial_secs.min(t.elapsed().as_secs_f64());
+        std::hint::black_box(read_ndjson_into_dataset(ndjson.as_slice()).expect("reference read"));
+        reference_secs = reference_secs.min(t.elapsed().as_secs_f64());
         let t = Instant::now();
-        std::hint::black_box(ingest::ingest_slice(&ndjson, &cfg).expect("parallel ingest"));
-        parallel_secs = parallel_secs.min(t.elapsed().as_secs_f64());
+        std::hint::black_box(ingest::ingest_slice(&ndjson, &cfg).expect("ingest"));
+        ingest_secs = ingest_secs.min(t.elapsed().as_secs_f64());
     }
 
     // scanner vs serde, line by line on the same corpus; every line here is
@@ -836,9 +827,9 @@ fn ablation_ingest(
 
     (
         Ablation {
-            label: "ingest_parallel_vs_serial",
-            baseline_secs: serial_secs,
-            kernel_secs: parallel_secs,
+            label: "ingest_vs_reference_reader",
+            baseline_secs: reference_secs,
+            kernel_secs: ingest_secs,
         },
         Ablation {
             label: "ingest_scanner_vs_serde",
@@ -992,13 +983,6 @@ fn check_regressions(current: &str, baseline_path: &str) -> Result<(), String> {
 
 fn run(smoke: bool, threads: usize, out_path: &str, baseline: Option<&str>) {
     let reps = if smoke { 1 } else { 3 };
-    // The ingest chunk count is tied to the requested thread count so the
-    // bench exercises the same chunking the CLI would use on an N-way pool.
-    let ingest_cfg = IngestConfig {
-        chunks: 4 * threads,
-        ..IngestConfig::default()
-    };
-
     println!(
         "pipeline bench ({}, {threads} threads):",
         if smoke { "smoke" } else { "full" }
@@ -1006,20 +990,8 @@ fn run(smoke: bool, threads: usize, out_path: &str, baseline: Option<&str>) {
     let (jan_scenario, jan) = jan2020_small();
     let (oct_scenario, oct) = oct2016_small();
     let scenarios = vec![
-        bench_scenario(
-            "jan2020_small",
-            &jan_scenario.records,
-            jan,
-            &ingest_cfg,
-            reps,
-        ),
-        bench_scenario(
-            "oct2016_small",
-            &oct_scenario.records,
-            oct,
-            &ingest_cfg,
-            reps,
-        ),
+        bench_scenario("jan2020_small", &jan_scenario.records, jan, reps),
+        bench_scenario("oct2016_small", &oct_scenario.records, oct, reps),
         bench_distributed(reps),
         bench_distributed_large(reps, smoke),
     ];
@@ -1036,15 +1008,14 @@ fn run(smoke: bool, threads: usize, out_path: &str, baseline: Option<&str>) {
     let abl_reps = if smoke { 2 } else { 3 };
     let (kernel_abl, driver_abl, dense_comments) = ablation_projection(smoke, abl_reps);
     let triple_abl = ablation_triple(smoke, abl_reps);
-    let (parallel_abl, scanner_abl) =
-        ablation_ingest(&jan_scenario.records, smoke, threads, abl_reps);
+    let (ingest_abl, scanner_abl) = ablation_ingest(&jan_scenario.records, smoke, abl_reps);
     let obs_abl = ablation_obs(jan, abl_reps);
     let sort_abl = ablation_shuffle_sort(smoke, abl_reps);
     let ablations = vec![
         kernel_abl,
         driver_abl,
         triple_abl,
-        parallel_abl,
+        ingest_abl,
         scanner_abl,
         obs_abl,
         sort_abl,

@@ -13,10 +13,10 @@
 //!    [`DistPipeline::run_events`] path). No rank ever materializes its
 //!    event partition as an owned `Vec<Event>` — events flow straight from
 //!    the source into the exchange aggregators, so ingest and exchange
-//!    overlap. For text input, name tables are all-gathered and every rank
-//!    replays the chunk-order interner merge, so the dense ids are exactly
-//!    the ids the serial reader would assign (the [`crate::ingest`]
-//!    invariant, here with chunks ≡ ranks).
+//!    overlap. For text input, each rank interns its own chunk in order
+//!    ([`crate::ingest`]'s pass, chunks ≡ ranks), the ranks share those name
+//!    tables by `Arc`, and every rank replays the chunk-order merge, so the
+//!    dense ids are exactly the ids the reference reader would assign.
 //! 2. **Exchange** — kept events are shuffled *once*, through a packed
 //!    byte-buffer aggregator ([`ygm::PackedAggregator`], adaptive
 //!    bytes-per-batch thresholds): `(page, ts, author)` to the *page* owner
@@ -279,7 +279,7 @@ impl DistPipeline {
     }
 
     /// Rank-sharded ingest + pipeline over an NDJSON buffer. Errors exactly
-    /// like the serial reader: the earliest malformed line wins, with its
+    /// like the reference reader: the earliest malformed line wins, with its
     /// global 1-based line number.
     pub fn run_text(&self, text: &str) -> Result<PipelineOutput, ReadError> {
         self.run_world(DistInput::Text(text))
@@ -867,7 +867,7 @@ fn ingest_rank<'a>(
             // the early exit; the earliest chunk's error wins with its line
             // number offset by the full line counts of the chunks before it.
             let statuses: Vec<(u64, Option<u64>)> = ctx.all_gather(match &parsed {
-                Ok(s) => (s.stats.lines, None),
+                Ok(shard) => (shard.stats.lines, None),
                 Err((line, _)) => (0, Some(*line)),
             });
             if let Some(bad_rank) = statuses.iter().position(|(_, e)| e.is_some()) {
@@ -880,34 +880,27 @@ fn ingest_rank<'a>(
                 }
                 return Err(None);
             }
-            let shard = parsed.expect("no rank reported a parse failure");
+            let shard = parsed.expect("no rank reported a parse failure").dataset;
 
-            // All-gather the shard name tables in shard-local id order and
+            // All-gather a handle on every rank's name tables (ranks are
+            // threads: the tables themselves are shared, not copied) and
             // replay the chunk-order merge on every rank: local
             // first-occurrence order + chunk order = global first-occurrence
-            // order, so these are exactly the serial reader's dense ids.
-            let author_tables: Vec<Vec<String>> =
-                ctx.all_gather(shard.authors.iter().map(|(_, n)| n.to_owned()).collect());
-            let page_tables: Vec<Vec<String>> =
-                ctx.all_gather(shard.pages.iter().map(|(_, n)| n.to_owned()).collect());
+            // order, so these are exactly the reference reader's dense ids.
+            let tables: Vec<(Arc<Interner>, Arc<Interner>)> =
+                ctx.all_gather((Arc::clone(&shard.authors), Arc::clone(&shard.pages)));
             let mut authors = Interner::new();
             let mut pages = Interner::new();
             let mut my_author_map: Vec<u32> = Vec::new();
             let mut my_page_map: Vec<u32> = Vec::new();
-            for (rank, table) in author_tables.iter().enumerate() {
-                for name in table {
-                    let id = authors.intern(name);
-                    if rank == ctx.rank() {
-                        my_author_map.push(id);
-                    }
-                }
-            }
-            for (rank, table) in page_tables.iter().enumerate() {
-                for name in table {
-                    let id = pages.intern(name);
-                    if rank == ctx.rank() {
-                        my_page_map.push(id);
-                    }
+            for (rank, (rank_authors, rank_pages)) in tables.iter().enumerate() {
+                let author_map: Vec<u32> = rank_authors
+                    .iter()
+                    .map(|(_, n)| authors.intern(n))
+                    .collect();
+                let page_map: Vec<u32> = rank_pages.iter().map(|(_, n)| pages.intern(n)).collect();
+                if rank == ctx.rank() {
+                    (my_author_map, my_page_map) = (author_map, page_map);
                 }
             }
             let excluded: HashSet<u32> = authors

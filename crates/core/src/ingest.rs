@@ -1,53 +1,50 @@
-//! Parallel NDJSON ingest: chunked parsing, a zero-copy field scanner, and
-//! sharded deterministic interning.
+//! NDJSON ingest: a zero-copy field scanner feeding one in-order interning
+//! pass.
 //!
 //! The paper's raw input is a month of pushshift.io Reddit comments — tens of
-//! GB of NDJSON — and after the analysis stages went parallel, the serial
-//! `read_line` + `serde_json::from_str` loop in [`crate::records`] dominates
-//! end-to-end wall time. This module is the archive-scale replacement. Three
-//! pieces, composed by [`ingest_str`]:
+//! GB of NDJSON — and turning its names into dense ids is the first thing
+//! every run pays. The reference reader in [`crate::records`] spends one
+//! `serde_json` parse and two `String`s per line on it; this module is the
+//! production path. Two pieces, composed by [`ingest_str`]:
 //!
-//! 1. **Chunked parallel parsing.** The input buffer is split on line
-//!    boundaries into per-worker chunks and the chunks are
-//!    parsed on the current rayon pool (so the CLI's `--threads N` scoping
-//!    applies). Each worker counts the lines it consumes, so a parse error in
-//!    any chunk is still reported with its exact 1-based line number in the
-//!    whole input.
-//! 2. **Zero-copy field scanning.** [`scan_record`] extracts only `author`,
+//! 1. **Zero-copy field scanning.** [`scan_record`] extracts only `author`,
 //!    `link_id` and `created_utc` from a line without allocating or building a
 //!    value tree for the dozens of unused pushshift fields. The scanner is
 //!    deliberately conservative: any construct it is not certain about
 //!    (escape sequences, non-integer timestamps, malformed syntax) makes it
 //!    bail, and the line is re-parsed by `serde_json` — so the fast path can
 //!    never change what gets accepted or rejected.
-//! 3. **Sharded deterministic interning.** Workers intern author/page names
-//!    into thread-local [`Interner`]s, then a sequential merge pass re-interns
-//!    each shard's names *in shard-local id order, shard by shard in input
-//!    order*. Local first-occurrence order within a chunk plus chunk order
-//!    equals global first-occurrence order, so the merged dense ids are
-//!    exactly the ids the serial reader would have assigned — the resulting
-//!    [`Dataset`] is identical regardless of thread or chunk count.
+//! 2. **One pass in input order.** Each scanned line's `author` and `link_id`
+//!    are interned straight into the final [`Dataset`]'s arena-backed
+//!    [`Interner`]s and its [`Event`] is pushed, so global first-occurrence
+//!    ids — exactly the ids the reference reader assigns — fall out by
+//!    construction. There is no second name table to merge, no id remap and
+//!    no event copy, and a parse error carries its 1-based line number
+//!    directly. The pass scans a few lines ahead of the interning
+//!    (`SCAN_AHEAD`) so that the lookups' cache misses overlap.
+//!
+//! The pass runs on the calling thread. Interning in order is the part that
+//! cannot be split (it is the Amdahl term: the scanner is about a third of
+//! the pass), so a future scan-ahead on real threads would slot in *front* of
+//! it — workers scan line ranges into borrowed [`RecordRef`]s, this pass
+//! consumes them in input order — without changing any id. The one place a
+//! chunk is a real thread today is the rank-sharded text path of
+//! [`crate::dist_pipeline`], which parses one chunk per rank
+//! (`split_chunks`, `parse_chunk`) and merges the ranks' name tables.
 //!
 //! A strict-vs-lossy switch ([`IngestConfig::skip_bad_lines`]) lets multi-hour
 //! archive runs count and skip malformed lines instead of aborting on line 80
-//! million; the default remains strict, matching the serial reader.
+//! million; the default remains strict, matching the reference reader.
 
-use std::io::Read;
+use std::borrow::Cow;
 use std::sync::Arc;
-
-use rayon::prelude::*;
 
 use crate::ids::{AuthorId, Event, Interner, PageId, Timestamp};
 use crate::records::{CommentRecord, Dataset, ReadError};
 
-/// Ingest tuning knobs. The default is strict parsing with automatic
-/// chunking sized to the current rayon pool.
+/// Ingest options. The default is strict parsing.
 #[derive(Clone, Debug, Default)]
 pub struct IngestConfig {
-    /// Number of chunks to split the input into; `0` picks
-    /// `4 × rayon::current_num_threads()`, bounded so chunks stay ≥ 1 MiB.
-    /// The produced [`Dataset`] is identical for every value.
-    pub chunks: usize,
     /// Lossy mode: count malformed lines in
     /// [`IngestStats::skipped_lines`] and keep going, instead of aborting
     /// with [`ReadError::Parse`]. Blank lines are always skipped silently.
@@ -66,14 +63,12 @@ pub struct IngestStats {
     /// Lines the zero-copy scanner bailed on and handed to `serde_json`
     /// (includes every malformed line — the scanner never rejects on its own).
     pub scanner_fallbacks: u64,
-    /// Chunks the input was actually split into.
-    pub chunks: usize,
 }
 
 /// A parsed dataset plus the run's [`IngestStats`].
 #[derive(Clone, Debug)]
 pub struct Ingest {
-    /// The interned dataset, identical to what the serial reader produces.
+    /// The interned dataset, identical to what the reference reader produces.
     pub dataset: Dataset,
     /// Ingest counters.
     pub stats: IngestStats,
@@ -92,16 +87,41 @@ pub struct RecordRef<'a> {
 
 // ---------------------------------------------------------------- scanner
 
+/// Index of the first `"` or `\\` in `bytes`, eight bytes at a time.
+fn find_quote_or_backslash(bytes: &[u8]) -> Option<usize> {
+    const LOW: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    // Nonzero in the lowest byte of `w` that equals `b` (exact for the
+    // first match, which is the only one read).
+    let hits = |w: u64, b: u8| {
+        let x = w ^ (LOW * u64::from(b));
+        x.wrapping_sub(LOW) & !x & HIGH
+    };
+    let mut at = 0;
+    while let Some(chunk) = bytes.get(at..at + 8) {
+        let w = u64::from_le_bytes(chunk.try_into().expect("an 8-byte slice"));
+        let hit = hits(w, b'"') | hits(w, b'\\');
+        if hit != 0 {
+            return Some(at + hit.trailing_zeros() as usize / 8);
+        }
+        at += 8;
+    }
+    bytes[at..]
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\')
+        .map(|i| at + i)
+}
+
 /// Byte cursor over one line. All helpers return `None`/`false` to signal
 /// "bail to serde" — the scanner never errors on its own.
 struct Cursor<'a> {
-    b: &'a [u8],
+    line: &'a str,
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
     fn peek(&self) -> Option<u8> {
-        self.b.get(self.pos).copied()
+        self.line.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8) -> bool {
@@ -121,7 +141,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.b[self.pos..].starts_with(lit.as_bytes()) {
+        if self.line.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             true
         } else {
@@ -137,39 +157,39 @@ impl<'a> Cursor<'a> {
             return None;
         }
         let start = self.pos;
-        loop {
-            match self.peek()? {
-                b'"' => {
-                    let s = &self.b[start..self.pos];
-                    self.pos += 1;
-                    // The line is valid UTF-8 and both bounds sit on '"'
-                    // bytes, which never occur inside a multi-byte sequence.
-                    return std::str::from_utf8(s).ok();
-                }
-                b'\\' => return None,
-                _ => self.pos += 1,
-            }
+        let rest = &self.line.as_bytes()[start..];
+        let len = find_quote_or_backslash(rest)?;
+        if rest[len] == b'\\' {
+            return None;
         }
+        self.pos = start + len + 1;
+        // Both bounds sit next to '"' bytes, which never occur inside a
+        // multi-byte sequence, so this is always a char-boundary slice.
+        self.line.get(start..start + len)
     }
 
     /// A plain integer literal. Bails on fractions, exponents and overflow —
     /// the fallback decides whether e.g. `created_utc: 5.0` is acceptable.
     fn integer(&mut self) -> Option<i64> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
+        let negative = self.eat(b'-');
         let digits = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        let mut magnitude = 0u64;
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            magnitude = magnitude.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
             self.pos += 1;
         }
-        if self.pos == digits || matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+        let n_digits = self.pos - digits;
+        if n_digits == 0 || matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
             return None;
         }
-        std::str::from_utf8(&self.b[start..self.pos])
-            .ok()?
-            .parse()
-            .ok()
+        if n_digits > 18 {
+            // Only past 18 digits can an `i64` overflow (or `magnitude` have
+            // wrapped): let the standard parser draw that line.
+            return self.line.get(start..self.pos)?.parse().ok();
+        }
+        let magnitude = magnitude as i64;
+        Some(if negative { -magnitude } else { magnitude })
     }
 
     /// A number in strict grammar: `-? digits (.digits)? ([eE][+-]?digits)?`.
@@ -273,10 +293,7 @@ impl<'a> Cursor<'a> {
 /// which makes the accept/reject decision. Duplicate keys follow
 /// last-occurrence-wins, matching the fallback's object semantics.
 pub fn scan_record(line: &str) -> Option<RecordRef<'_>> {
-    let mut c = Cursor {
-        b: line.as_bytes(),
-        pos: 0,
-    };
+    let mut c = Cursor { line, pos: 0 };
     c.skip_ws();
     if !c.eat(b'{') {
         return None;
@@ -315,7 +332,7 @@ pub fn scan_record(line: &str) -> Option<RecordRef<'_>> {
         }
     }
     c.skip_ws();
-    if c.pos != c.b.len() {
+    if c.pos != line.len() {
         return None; // trailing garbage: serde turns this into a parse error
     }
     Some(RecordRef {
@@ -325,7 +342,101 @@ pub fn scan_record(line: &str) -> Option<RecordRef<'_>> {
     })
 }
 
-// ---------------------------------------------------------------- chunking
+// ---------------------------------------------------------------- the pass
+
+/// Parse every line of `text` in order, feeding each record's three fields
+/// to `emit` — borrowed from `text` when the scanner took the line, owned
+/// when `serde_json` had to unescape it. On a strict-mode parse failure,
+/// returns the 1-based line number within `text` plus the serde error.
+fn for_each_record<'a>(
+    text: &'a str,
+    skip_bad: bool,
+    mut emit: impl FnMut(Cow<'a, str>, Cow<'a, str>, Timestamp),
+) -> Result<IngestStats, (u64, serde_json::Error)> {
+    let mut st = IngestStats::default();
+    for line in text.split_terminator('\n') {
+        st.lines += 1;
+        // The scanner skips JSON whitespace itself, so the Unicode-aware
+        // `trim` the reference reader applies is only paid for by lines the
+        // scanner did not take as they stand: blank ones, ones padded with
+        // non-JSON whitespace (rescanned once trimmed) and true fallbacks.
+        let mut scanned = scan_record(line);
+        let mut trimmed = line;
+        if scanned.is_none() {
+            trimmed = line.trim();
+            if trimmed.is_empty() {
+                continue;
+            }
+            if trimmed.len() != line.len() {
+                scanned = scan_record(trimmed);
+            }
+        }
+        let (author, link_id, ts) = match scanned {
+            Some(r) => (r.author.into(), r.link_id.into(), r.created_utc),
+            None => {
+                st.scanner_fallbacks += 1;
+                match serde_json::from_str::<CommentRecord>(trimmed) {
+                    Ok(rec) => (rec.author.into(), rec.link_id.into(), rec.created_utc),
+                    Err(_) if skip_bad => {
+                        st.skipped_lines += 1;
+                        continue;
+                    }
+                    Err(source) => return Err((st.lines, source)),
+                }
+            }
+        };
+        emit(author, link_id, ts);
+        st.events += 1;
+    }
+    Ok(st)
+}
+
+/// How many records are scanned before their names are interned. A lookup
+/// in a month-sized name table is a chain of cache misses (slot → offsets →
+/// arena); looking a few lines' names up back to back lets those chains
+/// overlap instead of each waiting behind the next line's scan. Measured on
+/// 1 M lines / 150 K authors: 1 → 4 → 16 lines ahead is 242 → 175 → 170 ns
+/// per line, flat beyond.
+const SCAN_AHEAD: usize = 16;
+
+/// The in-order pass over one piece of input: scan each line and intern its
+/// names straight into the resulting [`Dataset`], whose ids are therefore in
+/// first-occurrence order within `chunk` — authors and pages are separate id
+/// spaces, so interning a few lines' authors and then the same lines' pages
+/// assigns what interning line by line would. The whole input is one chunk
+/// for every resident driver; only the rank-sharded text path feeds it less.
+pub(crate) fn parse_chunk(chunk: &str, skip_bad: bool) -> Result<Ingest, (u64, serde_json::Error)> {
+    let mut authors = Interner::new();
+    let mut pages = Interner::new();
+    let mut events: Vec<Event> = Vec::new();
+    let mut ahead = Vec::with_capacity(SCAN_AHEAD);
+    let mut intern_ahead =
+        |ahead: &mut Vec<(Cow<str>, Cow<str>, Timestamp)>| {
+            let first = events.len();
+            events.extend(ahead.iter().map(|(author, _, ts)| {
+                Event::new(AuthorId(authors.intern(author)), PageId(0), *ts)
+            }));
+            for (event, (_, link_id, _)) in events[first..].iter_mut().zip(ahead.iter()) {
+                event.page = PageId(pages.intern(link_id));
+            }
+            ahead.clear();
+        };
+    let stats = for_each_record(chunk, skip_bad, |author, link_id, ts| {
+        ahead.push((author, link_id, ts));
+        if ahead.len() == SCAN_AHEAD {
+            intern_ahead(&mut ahead);
+        }
+    })?;
+    intern_ahead(&mut ahead);
+    Ok(Ingest {
+        dataset: Dataset {
+            authors: Arc::new(authors),
+            pages: Arc::new(pages),
+            events,
+        },
+        stats,
+    })
+}
 
 /// Split `text` into at most `want` non-overlapping chunks covering it
 /// exactly, each ending on a line boundary (the final chunk may lack a
@@ -354,233 +465,65 @@ pub(crate) fn split_chunks(text: &str, want: usize) -> Vec<&str> {
     chunks
 }
 
-fn effective_chunks(cfg: &IngestConfig, len: usize) -> usize {
-    if cfg.chunks > 0 {
-        return cfg.chunks;
+// ---------------------------------------------------------------- drivers
+
+fn parse_error((line, source): (u64, serde_json::Error)) -> ReadError {
+    ReadError::Parse {
+        line: line as usize,
+        source,
     }
-    // Below ~1 MiB per chunk the split/merge overhead outweighs the
-    // parallelism; tiny inputs collapse to a single chunk.
-    const MIN_CHUNK_BYTES: usize = 1 << 20;
-    let by_pool = rayon::current_num_threads().saturating_mul(4).max(1);
-    by_pool.min(len / MIN_CHUNK_BYTES + 1)
 }
 
-// ---------------------------------------------------------------- workers
-
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct ChunkStats {
-    pub(crate) lines: u64,
-    pub(crate) skipped: u64,
-    pub(crate) fallbacks: u64,
-}
-
-/// Parse every line of one chunk, feeding each record's three fields to
-/// `emit`. On a strict-mode parse failure, returns the 1-based line number
-/// *within this chunk* plus the serde error.
-fn for_each_record(
-    chunk: &str,
-    skip_bad: bool,
-    mut emit: impl FnMut(&str, &str, Timestamp),
-) -> Result<ChunkStats, (u64, serde_json::Error)> {
-    let mut st = ChunkStats::default();
-    for line in chunk.split_terminator('\n') {
-        st.lines += 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        if let Some(r) = scan_record(trimmed) {
-            emit(r.author, r.link_id, r.created_utc);
-            continue;
-        }
-        st.fallbacks += 1;
-        match serde_json::from_str::<CommentRecord>(trimmed) {
-            Ok(rec) => emit(&rec.author, &rec.link_id, rec.created_utc),
-            Err(_) if skip_bad => st.skipped += 1,
-            Err(source) => return Err((st.lines, source)),
-        }
-    }
-    Ok(st)
-}
-
-/// One worker's output: events under chunk-local dense ids.
-pub(crate) struct Shard {
-    pub(crate) authors: Interner,
-    pub(crate) pages: Interner,
-    pub(crate) events: Vec<Event>,
-    pub(crate) stats: ChunkStats,
-}
-
-pub(crate) fn parse_chunk(chunk: &str, skip_bad: bool) -> Result<Shard, (u64, serde_json::Error)> {
-    let mut authors = Interner::new();
-    let mut pages = Interner::new();
-    let mut events = Vec::new();
-    let stats = for_each_record(chunk, skip_bad, |author, link_id, ts| {
-        let a = AuthorId(authors.intern(author));
-        let p = PageId(pages.intern(link_id));
-        events.push(Event::new(a, p, ts));
-    })?;
-    Ok(Shard {
-        authors,
-        pages,
-        events,
-        stats,
+fn utf8(buf: &[u8]) -> Result<&str, ReadError> {
+    std::str::from_utf8(buf).map_err(|e| {
+        ReadError::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("input is not valid UTF-8: {e}"),
+        ))
     })
 }
-
-/// Turn per-chunk worker results into a globally consistent outcome: the
-/// earliest chunk failure wins (with its line number offset by the full line
-/// counts of the chunks before it), otherwise the `Ok` shards in chunk order.
-fn sequence_shards<T>(
-    results: Vec<Result<T, (u64, serde_json::Error)>>,
-    lines_of: impl Fn(&T) -> u64,
-) -> Result<Vec<T>, ReadError> {
-    let mut ok = Vec::with_capacity(results.len());
-    for r in results {
-        match r {
-            Ok(shard) => ok.push(shard),
-            Err((local_line, source)) => {
-                let prior: u64 = ok.iter().map(&lines_of).sum();
-                return Err(ReadError::Parse {
-                    line: (prior + local_line) as usize,
-                    source,
-                });
-            }
-        }
-    }
-    Ok(ok)
-}
-
-// ---------------------------------------------------------------- drivers
 
 /// Route one run's [`IngestStats`] through the metrics registry, making
 /// lossy runs (`--skip-bad-lines`) auditable in the run report rather than
 /// stderr-only. Counter registration is unconditional so every documented
 /// `ingest.*` name appears in the report even when it stays 0.
-pub(crate) fn record_ingest_stats(stats: &IngestStats) {
+fn record_ingest_stats(stats: &IngestStats) {
     obs::counter("ingest.lines").add(stats.lines);
     obs::counter("ingest.events").add(stats.events);
     obs::counter("ingest.skipped_lines").add(stats.skipped_lines);
     obs::counter("ingest.scanner_fallbacks").add(stats.scanner_fallbacks);
-    obs::counter("ingest.chunks").add(stats.chunks as u64);
     obs::record_stage_rss("ingest");
 }
 
-/// Parallel ingest of an NDJSON buffer into a [`Dataset`].
-///
-/// The merge re-interns each shard's names in shard-local id order, shard by
-/// shard in input order. Within a chunk, local ids are first-occurrence
-/// ordered; chunks are input-ordered; therefore the merge sees every name in
-/// global first-occurrence order and assigns **exactly the dense ids the
-/// serial reader would** — the output is identical for any chunk count.
+/// Ingest an NDJSON buffer into a [`Dataset`] in one in-order pass. Names
+/// get their ids where they first occur, so the output is identical to the
+/// reference reader's ([`crate::records::read_ndjson_into_dataset`]).
 pub fn ingest_str(text: &str, cfg: &IngestConfig) -> Result<Ingest, ReadError> {
     let _stage = obs::span("ingest");
-    let chunks = split_chunks(text, effective_chunks(cfg, text.len()));
-    let parse_span = obs::span("ingest.parse");
-    let results: Vec<Result<Shard, (u64, serde_json::Error)>> = chunks
-        .par_iter()
-        .map(|chunk| parse_chunk(chunk, cfg.skip_bad_lines))
-        .collect();
-    drop(parse_span);
-    let shards = sequence_shards(results, |s: &Shard| s.stats.lines)?;
-
-    let _merge = obs::span("ingest.merge");
-    let mut authors = Interner::new();
-    let mut pages = Interner::new();
-    let mut events = Vec::with_capacity(shards.iter().map(|s| s.events.len()).sum());
-    let mut stats = IngestStats {
-        chunks: shards.len(),
-        ..IngestStats::default()
-    };
-    let mut author_map: Vec<u32> = Vec::new();
-    let mut page_map: Vec<u32> = Vec::new();
-    for shard in &shards {
-        author_map.clear();
-        author_map.extend(shard.authors.iter().map(|(_, name)| authors.intern(name)));
-        page_map.clear();
-        page_map.extend(shard.pages.iter().map(|(_, name)| pages.intern(name)));
-        events.extend(shard.events.iter().map(|e| {
-            Event::new(
-                AuthorId(author_map[e.author.0 as usize]),
-                PageId(page_map[e.page.0 as usize]),
-                e.ts,
-            )
-        }));
-        stats.lines += shard.stats.lines;
-        stats.skipped_lines += shard.stats.skipped;
-        stats.scanner_fallbacks += shard.stats.fallbacks;
-    }
-    stats.events = events.len() as u64;
-    record_ingest_stats(&stats);
-    Ok(Ingest {
-        dataset: Dataset {
-            authors: Arc::new(authors),
-            pages: Arc::new(pages),
-            events,
-        },
-        stats,
-    })
+    let ingest = parse_chunk(text, cfg.skip_bad_lines).map_err(parse_error)?;
+    record_ingest_stats(&ingest.stats);
+    Ok(ingest)
 }
 
 /// [`ingest_str`] over raw bytes; non-UTF-8 input is an I/O error, as it is
-/// for the serial line reader.
+/// for the reference line reader.
 pub fn ingest_slice(buf: &[u8], cfg: &IngestConfig) -> Result<Ingest, ReadError> {
-    let text = std::str::from_utf8(buf).map_err(|e| {
-        ReadError::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("input is not valid UTF-8: {e}"),
-        ))
-    })?;
-    ingest_str(text, cfg)
+    ingest_str(utf8(buf)?, cfg)
 }
 
-/// Drain `reader` and ingest it in parallel. Chunked parsing needs the whole
-/// buffer; month-scale archives fit, and the parse wins dwarf the extra copy.
-pub fn ingest_reader<R: Read>(mut reader: R, cfg: &IngestConfig) -> Result<Ingest, ReadError> {
-    let mut buf = Vec::new();
-    reader.read_to_end(&mut buf)?;
-    ingest_slice(&buf, cfg)
-}
-
-/// Parallel parse to owned records (no interning), in input order — the
-/// streaming path wants [`CommentRecord`]s it can sort and replay.
+/// Parse to owned records (no interning), in input order — the streaming
+/// path wants [`CommentRecord`]s it can sort and replay.
 pub fn ingest_records_slice(
     buf: &[u8],
     cfg: &IngestConfig,
 ) -> Result<(Vec<CommentRecord>, IngestStats), ReadError> {
-    let text = std::str::from_utf8(buf).map_err(|e| {
-        ReadError::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("input is not valid UTF-8: {e}"),
-        ))
-    })?;
+    let text = utf8(buf)?;
     let _stage = obs::span("ingest");
-    type RecordShard = (Vec<CommentRecord>, ChunkStats);
-    let chunks = split_chunks(text, effective_chunks(cfg, text.len()));
-    let results: Vec<Result<RecordShard, (u64, serde_json::Error)>> = chunks
-        .par_iter()
-        .map(|chunk| {
-            let mut records = Vec::new();
-            let stats = for_each_record(chunk, cfg.skip_bad_lines, |author, link_id, ts| {
-                records.push(CommentRecord::new(author, link_id, ts));
-            })?;
-            Ok((records, stats))
-        })
-        .collect();
-    let shards = sequence_shards(results, |s: &RecordShard| s.1.lines)?;
-
-    let mut records = Vec::with_capacity(shards.iter().map(|(r, _)| r.len()).sum());
-    let mut stats = IngestStats {
-        chunks: shards.len(),
-        ..IngestStats::default()
-    };
-    for (shard_records, st) in shards {
-        stats.lines += st.lines;
-        stats.skipped_lines += st.skipped;
-        stats.scanner_fallbacks += st.fallbacks;
-        records.extend(shard_records);
-    }
-    stats.events = records.len() as u64;
+    let mut records = Vec::new();
+    let stats = for_each_record(text, cfg.skip_bad_lines, |author, link_id, ts| {
+        records.push(CommentRecord::new(author, link_id, ts));
+    })
+    .map_err(parse_error)?;
     record_ingest_stats(&stats);
     Ok((records, stats))
 }
@@ -649,6 +592,20 @@ mod tests {
     }
 
     #[test]
+    fn scanner_reads_the_whole_i64_range_and_bails_past_it() {
+        let ts = |ts: &str| {
+            let text = format!(r#"{{"author":"a","link_id":"p","created_utc":{ts}}}"#);
+            scan_record(&text).map(|r| r.created_utc)
+        };
+        assert_eq!(ts("-9223372036854775808"), Some(i64::MIN));
+        assert_eq!(ts("9223372036854775807"), Some(i64::MAX));
+        assert_eq!(ts("-0"), Some(0));
+        assert_eq!(ts("9223372036854775808"), None);
+        assert_eq!(ts("-9223372036854775809"), None);
+        assert_eq!(ts("-"), None);
+    }
+
+    #[test]
     fn scanner_duplicate_keys_are_last_wins_like_serde() {
         let text = r#"{"author":"first","author":"second","link_id":"p","created_utc":1}"#;
         let r = scan_record(text).unwrap();
@@ -676,10 +633,9 @@ mod tests {
     }
 
     #[test]
-    fn chunked_ingest_matches_serial_at_every_chunk_count() {
+    fn ingest_matches_the_reference_reader() {
         let mut text = String::new();
         for i in 0..40 {
-            // interleave so first occurrences straddle chunk boundaries
             text.push_str(&line(
                 &format!("u{}", i % 7),
                 &format!("p{}", (i * 3) % 11),
@@ -689,39 +645,70 @@ mod tests {
         }
         text.push('\n'); // blank line
         text.push_str(&line("tail", "p0", 1000)); // no trailing newline
-        let serial = read_ndjson_into_dataset(text.as_bytes()).unwrap();
-        for chunks in [1, 2, 3, 5, 8, 64] {
-            let cfg = IngestConfig {
-                chunks,
-                ..IngestConfig::default()
-            };
-            let ing = ingest_str(&text, &cfg).unwrap();
-            assert_same(&ing.dataset, &serial);
-            assert_eq!(ing.stats.events, 41);
-            assert_eq!(ing.stats.lines, 42);
+        let reference = read_ndjson_into_dataset(text.as_bytes()).unwrap();
+        let ing = ingest_str(&text, &IngestConfig::default()).unwrap();
+        assert_same(&ing.dataset, &reference);
+        assert_eq!(ing.stats.events, 41);
+        assert_eq!(ing.stats.lines, 42);
+        assert_eq!(ing.stats.scanner_fallbacks, 0);
+    }
+
+    /// Which lines the scanner takes, which fall back, which count as blank
+    /// and which are rejected must not depend on where the trim happens.
+    #[test]
+    fn whitespace_handling_is_the_reference_readers() {
+        let good = line("a", "p", 1);
+        let text = [
+            format!("\u{a0}{good}"),         // non-JSON whitespace: scanned once trimmed
+            format!("{good}\r"),             // CRLF ending: scanned as it stands
+            format!(" \t{good} \u{2003}\r"), // both kinds, both ends
+            "\u{a0} \t\r".to_owned(),        // whitespace only: blank, not a fallback
+            String::new(),                   // empty: blank
+            format!("{good} x"),             // trailing garbage: fallback, rejected
+            format!("\u{b}{}", line("b\\\\c", "p", 2)), // padded *and* escaped: one fallback
+        ]
+        .join("\n");
+        let cfg = IngestConfig {
+            skip_bad_lines: true,
+        };
+        let ing = ingest_str(&text, &cfg).unwrap();
+        assert_eq!(
+            ing.stats,
+            IngestStats {
+                lines: 7,
+                events: 4,
+                skipped_lines: 1,
+                scanner_fallbacks: 2,
+            }
+        );
+        assert_eq!(names(&ing.dataset.authors), vec!["a", "b\\c"]);
+        // Strict mode stops at the garbage line, as the reference reader does.
+        let strict = ingest_str(&text, &IngestConfig::default());
+        let reference = read_ndjson_into_dataset(text.as_bytes());
+        match (strict, reference) {
+            (Err(ReadError::Parse { line: a, .. }), Err(ReadError::Parse { line: b, .. })) => {
+                assert_eq!((a, b), (6, 6));
+            }
+            other => panic!("expected two parse errors, got {other:?}"),
         }
     }
 
     #[test]
-    fn parse_error_line_numbers_survive_chunk_boundaries() {
-        // 9 lines, line 7 malformed; force enough chunks that line 7 lands in
-        // a non-first chunk.
-        let mut text = String::new();
-        for i in 0..9 {
-            if i == 6 {
-                text.push_str("definitely not json\n");
-            } else {
-                text.push_str(&line("u", &format!("p{i}"), i));
-                text.push('\n');
-            }
-        }
-        for chunks in [1, 3, 4, 9] {
-            let cfg = IngestConfig {
-                chunks,
-                ..IngestConfig::default()
-            };
-            match ingest_str(&text, &cfg) {
-                Err(ReadError::Parse { line, .. }) => assert_eq!(line, 7, "chunks={chunks}"),
+    fn parse_errors_carry_their_line_number() {
+        let good = line("u", "p", 1);
+        for (bad_at, n) in [(1, 9), (7, 9), (9, 9)] {
+            let text: String = (1..=n)
+                .map(|i| {
+                    if i == bad_at {
+                        "definitely not json"
+                    } else {
+                        &good
+                    }
+                })
+                .map(|l| format!("{l}\n"))
+                .collect();
+            match ingest_str(&text, &IngestConfig::default()) {
+                Err(ReadError::Parse { line, .. }) => assert_eq!(line, bad_at),
                 other => panic!("expected parse error, got {other:?}"),
             }
         }
@@ -736,7 +723,6 @@ mod tests {
             line("c", "p", 3)
         );
         let cfg = IngestConfig {
-            chunks: 2,
             skip_bad_lines: true,
         };
         let ing = ingest_str(&text, &cfg).unwrap();
@@ -769,7 +755,6 @@ mod tests {
     fn records_driver_preserves_input_order_and_stats() {
         let text = format!("{}\njunk\n{}\n", line("z", "p", 5), line("a", "q", 1));
         let cfg = IngestConfig {
-            chunks: 3,
             skip_bad_lines: true,
         };
         let (records, stats) = ingest_records_slice(text.as_bytes(), &cfg).unwrap();

@@ -177,11 +177,11 @@ pub fn write_ndjson<W: Write>(mut w: W, records: &[CommentRecord]) -> std::io::R
 
 /// Stream NDJSON into a [`Dataset`] without materializing the record list.
 ///
-/// This is the *serial reference reader*: one line, one `serde_json` parse,
-/// one interner. The production path for month-scale archives is
-/// [`crate::ingest`], which parses chunks in parallel with a zero-copy field
-/// scanner and is pinned (by proptest and by a bench-time guard) to produce a
-/// byte-identical [`Dataset`] to this function.
+/// This is the *reference reader*: one line, one `serde_json` parse, one
+/// [`Dataset::push`]. The production path for month-scale archives is
+/// [`crate::ingest`] — a zero-copy field scanner feeding one in-order
+/// interning pass — which is pinned (by proptest and by a bench-time guard)
+/// to produce an identical [`Dataset`] to this function.
 pub fn read_ndjson_into_dataset<R: BufRead>(mut reader: R) -> Result<Dataset, ReadError> {
     let mut ds = Dataset::default();
     let mut line = String::new();

@@ -9,8 +9,8 @@
 //!   sorted by timestamp so the column delta-encodes, interner names in
 //!   dense-id order so ids survive the round trip), optionally embedding a
 //!   projected CI graph for survey-only consumers;
-//! * [`ingest_to_snapshot`] — the `snapshot write` path: parallel NDJSON
-//!   ingest straight into a snapshot file;
+//! * [`ingest_to_snapshot`] — the `snapshot write` path: NDJSON ingest
+//!   straight into a snapshot file;
 //! * [`btm_from_snapshot`] — stream the mmapped event columns directly into
 //!   a [`Btm`]; the events never exist as a resident `Vec<Event>`, which is
 //!   what puts the snapshot path's peak RSS below the resident path's;
@@ -84,8 +84,8 @@ pub fn write_snapshot(
     })
 }
 
-/// The `snapshot write` ingest path: parse an NDJSON buffer with the
-/// parallel ingest and write the result straight to `path`. With `project`
+/// The `snapshot write` ingest path: ingest an NDJSON buffer
+/// ([`ingest::ingest_slice`]) and write the result straight to `path`. With `project`
 /// set, the CI graph is projected under that window — after the paper's
 /// standard bot exclusions, exactly as the pipeline and the `project`
 /// command do — and embedded, so `survey --from-snapshot` re-queries the

@@ -1,22 +1,29 @@
-//! Property tests pinning the parallel ingest layer to the serial reference
-//! reader and the zero-copy scanner to full serde deserialization.
+//! Property tests pinning every NDJSON ingest driver to the reference reader
+//! and the zero-copy scanner to full serde deserialization.
 //!
-//! The deterministic-merge invariant under test: for ANY chunk count, the
-//! chunked parallel reader must produce a byte-identical [`Dataset`] — same
-//! events, same dense id assignment, same interner contents in the same
-//! order — as `read_ndjson_into_dataset` reading the whole input serially.
+//! The invariant under test: on ANY input, [`ingest::ingest_slice`],
+//! [`ingest::ingest_records_slice`] and the rank-sharded text path
+//! ([`DistPipeline::run_text`], one chunk per rank, at 1/2/3/5 ranks) see
+//! what `read_ndjson_into_dataset` — one `serde_json` parse per line, one
+//! `Dataset::push` — sees: the same events, the same names under the same
+//! dense ids, the same line counts, and in strict mode the same 1-based line
+//! number for the first malformed line.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
+use coordination_core::dist_pipeline::DistPipeline;
 use coordination_core::ids::Interner;
-use coordination_core::ingest::{self, scan_record, IngestConfig};
-use coordination_core::records::{read_ndjson_into_dataset, write_ndjson, CommentRecord, Dataset};
+use coordination_core::ingest::{self, scan_record, IngestConfig, IngestStats};
+use coordination_core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
+use coordination_core::records::{
+    read_ndjson_into_dataset, write_ndjson, CommentRecord, Dataset, ReadError,
+};
 
 /// Author/page name pool, heavy on serialization hazards: empty strings,
-/// JSON metacharacters, escapes, unicode, whitespace. Names needing escapes
-/// force the scanner down its serde-fallback path, so both scanner-handled
-/// and fallback lines appear in most generated corpora.
+/// JSON metacharacters, escapes, unicode, whitespace, an excluded bot. Names
+/// needing escapes force the scanner down its serde-fallback path, so both
+/// scanner-handled and fallback lines appear in most generated corpora.
 const NAMES: &[&str] = &[
     "alice",
     "bob",
@@ -34,70 +41,226 @@ const NAMES: &[&str] = &[
     "t3_dupe",
 ];
 
+const RANKS: [usize; 4] = [1, 2, 3, 5];
+
+const BAD_LINE: &str = "{\"author\": 12, \"oops";
+
 fn arb_name() -> impl Strategy<Value = String> {
     (0usize..NAMES.len()).prop_map(|i| NAMES[i].to_string())
 }
 
-fn arb_records() -> impl Strategy<Value = Vec<CommentRecord>> {
-    prop::collection::vec(
-        (arb_name(), arb_name(), -1_000i64..1_000_000_000)
-            .prop_map(|(author, link_id, ts)| CommentRecord::new(author, link_id, ts)),
-        0..60,
+/// One input line: a record in one of several spellings, or a blank.
+fn arb_line() -> impl Strategy<Value = String> {
+    (arb_name(), arb_name(), 0i64..200, 0u8..8, 0u8..4).prop_map(
+        |(author, link_id, ts, shape, crlf)| {
+            let a = serde_json::to_string(&author).unwrap();
+            let p = serde_json::to_string(&link_id).unwrap();
+            let mut line = match shape {
+                0 | 1 => format!(r#"{{"author":{a},"link_id":{p},"created_utc":{ts}}}"#),
+                2 => format!(
+                    r#"{{"score":-3,"author":{a},"gildings":{{"a":[1,2.5e3]}},"link_id":{p},"created_utc":{ts},"edited":false}}"#
+                ),
+                // an integral float: the scanner punts, serde accepts
+                3 => format!(r#"{{"author":{a},"link_id":{p},"created_utc":{ts}.0}}"#),
+                // duplicate key, last wins: "ghost" must never be interned
+                4 => format!(
+                    r#"{{"author":"ghost","author":{a},"link_id":{p},"created_utc":{ts}}}"#
+                ),
+                5 => format!("  {{ \"author\" : {a} ,\t\"link_id\":{p},\"created_utc\": {ts} }}\t "),
+                6 => String::new(),
+                _ => "  \t".to_owned(),
+            };
+            if crlf == 0 {
+                line.push('\r');
+            }
+            line
+        },
     )
+}
+
+/// A corpus: generated lines, with or without the final newline.
+fn arb_corpus() -> impl Strategy<Value = (Vec<String>, bool)> {
+    (prop::collection::vec(arb_line(), 0..60), 0u8..3).prop_map(|(lines, nl)| (lines, nl > 0))
+}
+
+fn join(lines: &[String], final_newline: bool) -> String {
+    let mut text = lines.join("\n");
+    if final_newline && !lines.is_empty() {
+        text.push('\n');
+    }
+    text
+}
+
+/// The stats the input itself implies, worked out without any reader: a line
+/// is a `'\n'`-terminated run (or the unterminated tail), and the scanner
+/// punts exactly on escapes, float timestamps and malformed lines.
+fn implied_stats(text: &str, events: u64, skipped: u64) -> IngestStats {
+    let newlines = text.bytes().filter(|&b| b == b'\n').count() as u64;
+    let tail = u64::from(!text.is_empty() && !text.ends_with('\n'));
+    let fallbacks = text
+        .split('\n')
+        .filter(|l| l.contains('\\') || l.contains(".0}") || l.contains("oops"))
+        .count() as u64;
+    IngestStats {
+        lines: newlines + tail,
+        events,
+        skipped_lines: skipped,
+        scanner_fallbacks: fallbacks,
+    }
 }
 
 fn interner_names(i: &Interner) -> Vec<&str> {
     (0..i.len() as u32).map(|id| i.name(id)).collect()
 }
 
-fn assert_datasets_identical(serial: &Dataset, parallel: &Dataset) -> Result<(), TestCaseError> {
-    prop_assert_eq!(&serial.events, &parallel.events);
+fn assert_datasets_identical(reference: &Dataset, got: &Dataset) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&reference.events, &got.events);
     prop_assert_eq!(
-        interner_names(&serial.authors),
-        interner_names(&parallel.authors)
+        interner_names(&reference.authors),
+        interner_names(&got.authors)
     );
-    prop_assert_eq!(
-        interner_names(&serial.pages),
-        interner_names(&parallel.pages)
-    );
+    prop_assert_eq!(interner_names(&reference.pages), interner_names(&got.pages));
+    // and back: every name resolves to its own id
+    for (id, name) in got.authors.iter() {
+        prop_assert_eq!(got.authors.get(name), Some(id));
+    }
     Ok(())
+}
+
+/// A detector configuration loose enough that small corpora produce edges
+/// and triplets: the output then carries dense author ids, page counts and
+/// the by-name bot exclusions, so a wrong id assignment on any rank shows.
+fn loose_config() -> PipelineConfig {
+    PipelineConfig {
+        min_triangle_weight: 1,
+        ..PipelineConfig::default()
+    }
+}
+
+fn assert_outputs_identical(
+    want: &PipelineOutput,
+    got: &PipelineOutput,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(want.stats.comments_reviewed, got.stats.comments_reviewed);
+    prop_assert_eq!(want.stats.total_authors, got.stats.total_authors);
+    prop_assert_eq!(
+        want.ci.edges().collect::<Vec<_>>(),
+        got.ci.edges().collect::<Vec<_>>()
+    );
+    prop_assert_eq!(want.ci.page_counts(), got.ci.page_counts());
+    prop_assert_eq!(&want.triplets, &got.triplets);
+    Ok(())
+}
+
+/// Every driver against the reference reader on well-formed `text`.
+fn assert_all_drivers_match(text: &str) -> Result<(), TestCaseError> {
+    let reference = read_ndjson_into_dataset(text.as_bytes()).unwrap();
+    let stats = implied_stats(text, reference.len() as u64, 0);
+
+    let resident = ingest::ingest_slice(text.as_bytes(), &IngestConfig::default()).unwrap();
+    assert_datasets_identical(&reference, &resident.dataset)?;
+    prop_assert_eq!(resident.stats, stats);
+    prop_assert_eq!(resident.dataset.authors.get("ghost"), None);
+
+    let (records, record_stats) =
+        ingest::ingest_records_slice(text.as_bytes(), &IngestConfig::default()).unwrap();
+    assert_datasets_identical(&reference, &Dataset::from_records(records))?;
+    prop_assert_eq!(record_stats, stats);
+
+    let want = Pipeline::new(loose_config()).run_dataset(&reference);
+    for nranks in RANKS {
+        let got = DistPipeline::new(loose_config(), nranks)
+            .run_text(text)
+            .unwrap();
+        assert_outputs_identical(&want, &got)?;
+    }
+    Ok(())
+}
+
+fn parse_error_line<T: std::fmt::Debug>(r: Result<T, ReadError>) -> usize {
+    match r {
+        Err(ReadError::Parse { line, .. }) => line,
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+}
+
+/// Every strict driver reports the first malformed line of `text` under the
+/// same 1-based number as the reference reader.
+fn assert_all_drivers_fail_at(text: &str, line: usize) {
+    let strict = IngestConfig::default();
+    assert_eq!(
+        parse_error_line(read_ndjson_into_dataset(text.as_bytes())),
+        line
+    );
+    assert_eq!(
+        parse_error_line(ingest::ingest_slice(text.as_bytes(), &strict)),
+        line
+    );
+    assert_eq!(
+        parse_error_line(ingest::ingest_records_slice(text.as_bytes(), &strict)),
+        line
+    );
+    for nranks in RANKS {
+        let run = DistPipeline::new(loose_config(), nranks).run_text(text);
+        assert_eq!(parse_error_line(run), line, "{nranks} ranks");
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Chunked parallel ingest equals the serial reference reader — same
-    /// events, same dense ids, same interner order — for every chunk count,
-    /// including far more chunks than lines.
+    /// Mixed corpora — scanner-eligible lines, escape and float fallbacks,
+    /// duplicate keys, padded and blank lines, CRLF endings, with and
+    /// without the final newline.
     #[test]
-    fn parallel_matches_serial_for_any_chunking(
-        records in arb_records(),
-        chunks in 1usize..10,
-        chunk_scale in 0usize..3,
-    ) {
-        let mut ndjson = Vec::new();
-        write_ndjson(&mut ndjson, &records).unwrap();
-        let serial = read_ndjson_into_dataset(ndjson.as_slice()).unwrap();
-        let cfg = IngestConfig {
-            // 1..10 chunks, then the same corpus again at 10x and 100x that
-            chunks: chunks * 10usize.pow(chunk_scale as u32),
-            ..IngestConfig::default()
-        };
-        let out = ingest::ingest_slice(&ndjson, &cfg).unwrap();
-        assert_datasets_identical(&serial, &out.dataset)?;
-        prop_assert_eq!(out.stats.events, records.len() as u64);
-        prop_assert_eq!(out.stats.skipped_lines, 0);
+    fn every_driver_matches_the_reference_reader((lines, final_newline) in arb_corpus()) {
+        assert_all_drivers_match(&join(&lines, final_newline))?;
     }
 
-    /// Auto chunking (`chunks: 0`, sized off the rayon pool) is covered by
-    /// the same invariant.
+    /// Strict mode: one malformed line anywhere in the corpus (first, last,
+    /// or wherever the rank split happens to fall) is reported under the
+    /// same line number by every driver at every rank count.
     #[test]
-    fn parallel_matches_serial_with_auto_chunking(records in arb_records()) {
-        let mut ndjson = Vec::new();
-        write_ndjson(&mut ndjson, &records).unwrap();
-        let serial = read_ndjson_into_dataset(ndjson.as_slice()).unwrap();
-        let out = ingest::ingest_slice(&ndjson, &IngestConfig::default()).unwrap();
-        assert_datasets_identical(&serial, &out.dataset)?;
+    fn strict_mode_reports_the_reference_readers_line(
+        (mut lines, final_newline) in arb_corpus(),
+        at in 0usize..60,
+    ) {
+        let at = at.min(lines.len());
+        lines.insert(at, BAD_LINE.to_owned());
+        assert_all_drivers_fail_at(&join(&lines, final_newline), at + 1);
+    }
+
+    /// Lossy mode over a corpus with malformed lines spliced in: the good
+    /// records all survive under the reference reader's ids, and the
+    /// counters say exactly what was dropped.
+    #[test]
+    fn lossy_mode_keeps_good_records_and_counts_the_rest(
+        (lines, final_newline) in arb_corpus(),
+        every in 2usize..5,
+    ) {
+        let mut corrupt = Vec::new();
+        let mut bad = 0u64;
+        for (i, line) in lines.iter().enumerate() {
+            corrupt.push(line.clone());
+            if i % every == 0 {
+                corrupt.push(BAD_LINE.to_owned());
+                bad += 1;
+            }
+        }
+        let good = join(&lines, true);
+        let text = join(&corrupt, final_newline);
+        let reference = read_ndjson_into_dataset(good.as_bytes()).unwrap();
+        let stats = implied_stats(&text, reference.len() as u64, bad);
+        let lossy = IngestConfig { skip_bad_lines: true };
+
+        let out = ingest::ingest_slice(text.as_bytes(), &lossy).unwrap();
+        assert_datasets_identical(&reference, &out.dataset)?;
+        prop_assert_eq!(out.stats, stats);
+
+        let (records, record_stats) =
+            ingest::ingest_records_slice(text.as_bytes(), &lossy).unwrap();
+        assert_datasets_identical(&reference, &Dataset::from_records(records))?;
+        prop_assert_eq!(record_stats, stats);
     }
 
     /// On every serialized record line the scanner either bails (handing the
@@ -165,33 +328,52 @@ proptest! {
             prop_assert_eq!(r.created_utc, parsed.created_utc);
         }
     }
+}
 
-    /// Lossy mode over a corpus with malformed lines spliced in: the good
-    /// records all survive with serial-identical ids, and the counters add
-    /// up (`events + skipped + blank = lines`).
-    #[test]
-    fn lossy_mode_keeps_good_records_across_chunks(
-        records in arb_records(),
-        every in 2usize..5,
-        chunks in 1usize..8,
-    ) {
-        let mut good = Vec::new();
-        write_ndjson(&mut good, &records).unwrap();
-        let mut corrupt = String::new();
-        let mut bad = 0u64;
-        for (i, line) in std::str::from_utf8(&good).unwrap().lines().enumerate() {
-            corrupt.push_str(line);
-            corrupt.push('\n');
-            if i % every == 0 {
-                corrupt.push_str("{\"author\": 12, \"oops\n");
-                bad += 1;
-            }
-        }
-        let cfg = IngestConfig { chunks, skip_bad_lines: true };
-        let out = ingest::ingest_slice(corrupt.as_bytes(), &cfg).unwrap();
-        let serial = read_ndjson_into_dataset(good.as_slice()).unwrap();
-        assert_datasets_identical(&serial, &out.dataset)?;
-        prop_assert_eq!(out.stats.skipped_lines, bad);
-        prop_assert_eq!(out.stats.events + bad, out.stats.lines);
+fn plain_line(author: &str, page: &str, ts: i64) -> String {
+    format!(r#"{{"author":"{author}","link_id":"{page}","created_utc":{ts}}}"#)
+}
+
+/// Every line a new author (and every fifth a new page): the interners grow
+/// through many table doublings, and at N ranks each rank's table is merged
+/// into a global one that has never seen any of its names.
+#[test]
+fn huge_vocabulary_matches_the_reference_reader() {
+    let lines: Vec<String> = (0..3000)
+        .map(|i| {
+            plain_line(
+                &format!("author_{i}"),
+                &format!("t3_{}", i / 5),
+                i / 5 * 100,
+            )
+        })
+        .collect();
+    let text = join(&lines, true);
+    assert_all_drivers_match(&text).unwrap();
+    let ds = ingest::ingest_slice(text.as_bytes(), &IngestConfig::default())
+        .unwrap()
+        .dataset;
+    assert_eq!((ds.authors.len(), ds.pages.len()), (3000, 600));
+}
+
+/// Equal-length lines split evenly, so at 2/3/5 ranks the chunk boundaries
+/// fall after known lines: the malformed line is swept through every
+/// position — first, last, and both sides of every rank boundary.
+#[test]
+fn strict_error_line_is_the_same_on_every_rank_boundary() {
+    let n = 30;
+    let width = plain_line("u00", "p", 100).len();
+    for bad_at in 1..=n {
+        let lines: Vec<String> = (1..=n)
+            .map(|i| {
+                if i == bad_at {
+                    format!("{BAD_LINE:<width$}")
+                } else {
+                    plain_line(&format!("u{:02}", i % 7), "p", 100 + i as i64)
+                }
+            })
+            .collect();
+        assert!(lines.iter().all(|l| l.len() == lines[0].len()));
+        assert_all_drivers_fail_at(&join(&lines, bad_at % 2 == 0), bad_at);
     }
 }

@@ -157,10 +157,13 @@ impl StreamEngine {
         self.events += 1;
 
         self.alert_scratch.clear();
-        let deltas = self.projector.ingest(author, page, ts).to_vec();
+        // The deltas are read in place, beside the `P'` the same call left
+        // behind: the steady state (most events change no edge) allocates
+        // nothing.
+        let (deltas, page_counts) = self.projector.ingest_with_page_counts(author, page, ts);
         let mut added = 0u64;
         let mut expired = 0u64;
-        for d in &deltas {
+        for d in deltas {
             if d.delta > 0 {
                 added += 1;
             } else {
@@ -170,7 +173,7 @@ impl StreamEngine {
             self.alerter.evaluate(
                 &ev,
                 &self.tracker,
-                self.projector.page_counts(),
+                page_counts,
                 ts,
                 self.events,
                 &mut self.alert_scratch,
@@ -199,9 +202,9 @@ impl StreamEngine {
     {
         let mut fired = 0u64;
         for record in source {
-            let alerts = self.ingest(&record).to_vec();
-            fired += alerts.len() as u64;
-            for a in &alerts {
+            self.ingest(&record);
+            fired += self.alert_scratch.len() as u64;
+            for a in &self.alert_scratch {
                 on_alert(self, a);
             }
         }

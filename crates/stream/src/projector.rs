@@ -251,6 +251,22 @@ impl StreamProjector {
     ///
     /// If `ts` precedes an already-ingested timestamp.
     pub fn ingest(&mut self, author: u32, page: u32, ts: Timestamp) -> &[EdgeDelta] {
+        self.ingest_with_page_counts(author, page, ts).0
+    }
+
+    /// [`ingest`](Self::ingest), returning the deltas together with the
+    /// dense `P'` as the event left it — what a consumer scoring each delta
+    /// needs, without copying the deltas out to look at `P'`.
+    ///
+    /// # Panics
+    ///
+    /// If `ts` precedes an already-ingested timestamp.
+    pub fn ingest_with_page_counts(
+        &mut self,
+        author: u32,
+        page: u32,
+        ts: Timestamp,
+    ) -> (&[EdgeDelta], &[u64]) {
         assert!(
             !self.started || ts >= self.now,
             "out-of-order event: ts {ts} after stream time {} — sort the source first",
@@ -311,7 +327,7 @@ impl StreamProjector {
         }
         buffer.push_back((ts, author));
 
-        &self.scratch
+        (&self.scratch, &self.page_counts)
     }
 
     /// Advance the stream clock without an event (e.g. a timer tick in a

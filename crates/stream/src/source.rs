@@ -30,19 +30,15 @@ pub fn sort_records(records: &mut [CommentRecord]) {
     });
 }
 
-/// Read NDJSON comment records from a byte buffer — parsed in parallel by
-/// the chunked [`coordination_core::ingest`] layer — and return them in
+/// Read NDJSON comment records from a byte buffer — through the
+/// [`coordination_core::ingest`] layer's scanner — and return them in
 /// stream order plus the ingest counters (skipped lines in lossy mode,
 /// scanner fallbacks).
 pub fn read_ndjson_sorted_slice(
     buf: &[u8],
     skip_bad_lines: bool,
 ) -> Result<(Vec<CommentRecord>, IngestStats), ReadError> {
-    let cfg = IngestConfig {
-        skip_bad_lines,
-        ..IngestConfig::default()
-    };
-    let (mut records, stats) = ingest_records_slice(buf, &cfg)?;
+    let (mut records, stats) = ingest_records_slice(buf, &IngestConfig { skip_bad_lines })?;
     sort_records(&mut records);
     Ok((records, stats))
 }

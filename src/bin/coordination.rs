@@ -101,8 +101,8 @@ fn usage() -> ExitCode {
          per label; overflow spills sorted segments to disk and the output\n\
          is bit-identical to an unbounded run (distributed pipeline only).\n\
          --threads N runs the command inside an N-thread rayon pool\n\
-         (default: rayon's own sizing); ingest parses input chunks on the\n\
-         same pool. --skip-bad-lines counts and skips malformed input lines\n\
+         (default: rayon's own sizing); NDJSON ingest is one in-order pass\n\
+         on the calling thread either way. --skip-bad-lines counts and skips malformed input lines\n\
          instead of aborting (default: strict). --report FILE writes a\n\
          schema-versioned JSON run report (span timings + counters);\n\
          --progress prints live per-stage lines to stderr."
@@ -151,8 +151,8 @@ impl Flags {
     }
 }
 
-/// Slurp `--input` (a path or `-` for stdin) into memory for the chunked
-/// parallel ingest layer.
+/// Slurp `--input` (a path or `-` for stdin) into memory: the ingest
+/// scanner borrows names straight from the buffer.
 fn read_input_bytes(flags: &Flags) -> Result<(Vec<u8>, &str), String> {
     let path = flags.get("input").ok_or("--input is required")?;
     let buf = if path == "-" {
@@ -171,7 +171,6 @@ fn read_input_bytes(flags: &Flags) -> Result<(Vec<u8>, &str), String> {
 fn ingest_config(flags: &Flags) -> IngestConfig {
     IngestConfig {
         skip_bad_lines: flags.has("skip-bad-lines"),
-        ..IngestConfig::default()
     }
 }
 
@@ -799,7 +798,7 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// `snapshot write`: parallel NDJSON ingest straight into the columnar
+/// `snapshot write`: NDJSON ingest straight into the columnar
 /// binary snapshot format. `--with-ci` also projects under the `--d1/--d2`
 /// window and embeds the compressed CI graph for `survey --from-snapshot`.
 fn cmd_snapshot_write(flags: &Flags) -> Result<(), String> {

@@ -114,7 +114,7 @@ fn distributed_matches_rayon_at_4_ranks() {
 fn distributed_text_ingest_matches_rayon_on_generated_month() {
     // The rank-sharded ingest path: each rank parses its own chunk of the
     // NDJSON buffer, and the replicated interner merge must reproduce the
-    // serial reader's dense ids exactly.
+    // reference reader's dense ids exactly.
     let scenario = ScenarioConfig::jan2020(0.02).build();
     let mut ndjson = Vec::new();
     write_ndjson(&mut ndjson, &scenario.records).expect("serialize");
