@@ -693,52 +693,6 @@ fn ablation_triple(smoke: bool, reps: usize) -> Ablation {
     }
 }
 
-/// LSD radix vs comparison sort on the shuffle's packed 16-byte keys — the
-/// measurement behind `ygm::sort_run`'s policy. The key distribution mirrors
-/// the pipeline's: page id in the top 32 bits over a small id space (so high
-/// digits are skewed), timestamp and author below. The honest result on this
-/// hardware: comparison sort wins (~2×) at every sealed-run size, so
-/// `sort_run` ships `sort_unstable` and the radix stays available as
-/// `ygm::radix_sort_run` for this ablation to keep pinning the crossover.
-fn ablation_shuffle_sort(smoke: bool, reps: usize) -> Ablation {
-    use rand::{Rng, SeedableRng};
-    let n = if smoke { 1 << 16 } else { 1 << 21 };
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
-    let keys: Vec<u128> = (0..n)
-        .map(|_| {
-            let page = rng.gen_range(0u64..10_000) as u128;
-            let ts = rng.gen_range(0u64..1 << 22) as u128;
-            let author = rng.gen_range(0u64..200_000) as u128;
-            page << 96 | ts << 32 | author
-        })
-        .collect();
-    // correctness guard: identical order (u128 keys have no ties to break)
-    let mut radix = keys.clone();
-    ygm::radix_sort_run(&mut radix);
-    let mut cmp = keys.clone();
-    cmp.sort_unstable();
-    assert_eq!(radix, cmp, "radix order diverged from comparison sort");
-    let mut radix_secs = f64::INFINITY;
-    let mut cmp_secs = f64::INFINITY;
-    for _ in 0..reps {
-        let mut buf = keys.clone();
-        let t = Instant::now();
-        ygm::radix_sort_run(&mut buf);
-        radix_secs = radix_secs.min(t.elapsed().as_secs_f64());
-        std::hint::black_box(&buf);
-        let mut buf = keys.clone();
-        let t = Instant::now();
-        buf.sort_unstable();
-        cmp_secs = cmp_secs.min(t.elapsed().as_secs_f64());
-        std::hint::black_box(&buf);
-    }
-    Ablation {
-        label: "shuffle_sort_radix_vs_cmp",
-        baseline_secs: cmp_secs,
-        kernel_secs: radix_secs,
-    }
-}
-
 /// Instrumentation overhead: the full figure pipeline with the obs registry
 /// enabled vs disabled. "speedup" here reads as the overhead ratio —
 /// `enabled / disabled`, expected within a couple percent of 1.0 (disabled
@@ -1010,7 +964,6 @@ fn run(smoke: bool, threads: usize, out_path: &str, baseline: Option<&str>) {
     let triple_abl = ablation_triple(smoke, abl_reps);
     let (ingest_abl, scanner_abl) = ablation_ingest(&jan_scenario.records, smoke, abl_reps);
     let obs_abl = ablation_obs(jan, abl_reps);
-    let sort_abl = ablation_shuffle_sort(smoke, abl_reps);
     let ablations = vec![
         kernel_abl,
         driver_abl,
@@ -1018,7 +971,6 @@ fn run(smoke: bool, threads: usize, out_path: &str, baseline: Option<&str>) {
         ingest_abl,
         scanner_abl,
         obs_abl,
-        sort_abl,
     ];
     for a in &ablations {
         println!(

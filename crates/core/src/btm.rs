@@ -11,27 +11,28 @@
 //! incidence). [`Btm::build`] fills them with a counting pass, a prefix sum
 //! and a scatter pass — constant work per event and no per-page or
 //! per-author allocation — and only comparison-sorts the page rows the input
-//! did not already deliver in time order.
+//! did not already deliver in time order. The page side is a type of its own,
+//! [`PageRows`], because a rank of the sharded pipeline builds exactly that
+//! (and no author side) out of the events it receives.
 
 use crate::ids::{AuthorId, Event, PageId, Timestamp};
 
-/// In-memory BTM over dense ids. Construct with [`Btm::from_events`] or
-/// [`Btm::build`]. Two BTMs over the same multiset of events compare equal
-/// whatever order the events arrived in.
+/// The page side of the BTM on its own: every page's comments as one
+/// time-sorted row, the rows laid end to end behind one offset table. [`Btm`]
+/// is these rows plus their author transpose; a rank of the sharded pipeline
+/// ([`crate::dist_pipeline`]) holds just the rows of the pages it owns. Equal
+/// for any arrival order of the same events.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Btm {
-    /// Page `p`'s comments are `comments[page_off[p]..page_off[p + 1]]`.
-    page_off: Vec<usize>,
+pub struct PageRows {
+    /// Page `p`'s comments are `comments[off[p]..off[p + 1]]`.
+    off: Vec<usize>,
     /// `(timestamp, author)` rows, each page's sorted by timestamp then
     /// author. Its length is the multigraph edge count |E|.
     comments: Vec<(Timestamp, AuthorId)>,
-    /// Author `a`'s pages are `pages[author_off[a]..author_off[a + 1]]`.
-    author_off: Vec<usize>,
-    /// Distinct pages per author, each author's sorted.
-    pages: Vec<PageId>,
 }
 
-/// Events per staging-buffer fill in [`Btm::build`]'s scatter pass (16 KiB).
+/// Events per staging-buffer fill in [`PageRows::build`]'s scatter pass
+/// (16 KiB).
 const STAGE_EVENTS: usize = 1024;
 
 /// Turn per-row counts stored at `off[row + 1]` into row start offsets.
@@ -43,29 +44,125 @@ fn prefix_sum(off: &mut [usize]) {
     }
 }
 
+impl PageRows {
+    /// Partition `(page, timestamp, author)` comments by page: a counting
+    /// pass, a prefix sum and a scatter pass — constant work per event, no
+    /// per-page allocation — then a comparison sort of only the rows that
+    /// did not arrive time-ordered (every timestamp-sorted source delivers
+    /// them so; `btm.pages_presorted` / `btm.pages_sorted` count both kinds).
+    ///
+    /// `events` is called twice and must yield the same events both times,
+    /// so they never need to exist as a resident list of their own.
+    ///
+    /// # Panics
+    /// If a page id is not below `n_pages`, or the two passes differ.
+    pub fn build<I: Iterator<Item = (PageId, Timestamp, AuthorId)>>(
+        n_pages: u32,
+        events: impl Fn() -> I,
+    ) -> Self {
+        let np = n_pages as usize;
+        let mut off = vec![0usize; np + 1];
+        events().for_each(|(p, _, _)| off[p.0 as usize + 1] += 1);
+        prefix_sum(&mut off);
+
+        let mut comments = vec![(0, AuthorId(0)); off[np]];
+        let mut cursor = off[..np].to_vec();
+        // Staged through a small buffer: a source that decodes or generates
+        // as it goes (varint columns, an RNG) mispredicts often enough to
+        // serialize the scatter's cache misses behind it — 4x slower on
+        // snapshot columns than filling a buffer first and scattering that.
+        let mut source = events();
+        let mut staged = Vec::with_capacity(STAGE_EVENTS);
+        loop {
+            staged.clear();
+            staged.extend(source.by_ref().take(STAGE_EVENTS));
+            if staged.is_empty() {
+                break;
+            }
+            for &(p, ts, a) in &staged {
+                let at = &mut cursor[p.0 as usize];
+                comments[*at] = (ts, a);
+                *at += 1;
+            }
+        }
+        // A row that over- or under-filled would silently shift its
+        // neighbours; both passes seeing the same events rules that out.
+        assert!(
+            cursor == off[1..],
+            "event source yielded different events on its second pass"
+        );
+
+        let mut presorted = 0u64;
+        let mut sorted = 0u64;
+        for w in off.windows(2) {
+            let row = &mut comments[w[0]..w[1]];
+            if row.is_empty() {
+                continue;
+            }
+            if row.is_sorted() {
+                presorted += 1;
+            } else {
+                row.sort_unstable();
+                sorted += 1;
+            }
+        }
+        obs::counter("btm.pages_presorted").add(presorted);
+        obs::counter("btm.pages_sorted").add(sorted);
+        PageRows { off, comments }
+    }
+
+    /// Number of page slots, empty ones included.
+    pub fn n_pages(&self) -> u32 {
+        (self.off.len() - 1) as u32
+    }
+
+    /// Total comments over all rows.
+    pub fn n_comments(&self) -> u64 {
+        self.comments.len() as u64
+    }
+
+    /// Page `p`'s comments, `(timestamp, author)` sorted by time.
+    pub fn row(&self, p: PageId) -> &[(Timestamp, AuthorId)] {
+        let p = p.0 as usize;
+        &self.comments[self.off[p]..self.off[p + 1]]
+    }
+
+    /// Iterate the non-empty rows as `(PageId, comments)`, pages ascending.
+    pub fn pages(&self) -> impl Iterator<Item = (PageId, &[(Timestamp, AuthorId)])> {
+        self.off
+            .windows(2)
+            .enumerate()
+            .filter(|(_, w)| w[1] > w[0])
+            .map(|(i, w)| (PageId(i as u32), &self.comments[w[0]..w[1]]))
+    }
+}
+
+/// In-memory BTM over dense ids. Construct with [`Btm::from_events`] or
+/// [`Btm::build`]. Two BTMs over the same multiset of events compare equal
+/// whatever order the events arrived in.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Btm {
+    /// The page side: each page's time-sorted comments.
+    rows: PageRows,
+    /// Author `a`'s pages are `pages[author_off[a]..author_off[a + 1]]`.
+    author_off: Vec<usize>,
+    /// Distinct pages per author, each author's sorted.
+    pages: Vec<PageId>,
+}
+
 /// The author side as the transpose of the page side: the same count →
 /// prefix sum → scatter, walking pages in id order so that every author's
 /// row comes out sorted, and taking a page once per author (an author's
 /// repeat comments all sit inside the page's row, so remembering the last
 /// page each author was seen on catches them).
-fn author_side(
-    n_authors: usize,
-    page_off: &[usize],
-    comments: &[(Timestamp, AuthorId)],
-) -> (Vec<usize>, Vec<PageId>) {
+fn author_side(n_authors: usize, rows: &PageRows) -> (Vec<usize>, Vec<PageId>) {
     // Page ids are below `n_pages <= u32::MAX`, so the sentinel is no page.
     const NO_PAGE: PageId = PageId(u32::MAX);
     /// Calls `f(author, page)` once per distinct pair, pages ascending.
-    fn each_incidence(
-        n_authors: usize,
-        page_off: &[usize],
-        comments: &[(Timestamp, AuthorId)],
-        mut f: impl FnMut(usize, PageId),
-    ) {
+    fn each_incidence(n_authors: usize, rows: &PageRows, mut f: impl FnMut(usize, PageId)) {
         let mut last_page = vec![NO_PAGE; n_authors];
-        for (p, w) in page_off.windows(2).enumerate() {
-            let p = PageId(p as u32);
-            for &(_, a) in &comments[w[0]..w[1]] {
+        for (p, row) in rows.pages() {
+            for &(_, a) in row {
                 if std::mem::replace(&mut last_page[a.0 as usize], p) != p {
                     f(a.0 as usize, p);
                 }
@@ -74,12 +171,12 @@ fn author_side(
     }
 
     let mut author_off = vec![0usize; n_authors + 1];
-    each_incidence(n_authors, page_off, comments, |a, _| author_off[a + 1] += 1);
+    each_incidence(n_authors, rows, |a, _| author_off[a + 1] += 1);
     prefix_sum(&mut author_off);
 
     let mut pages = vec![PageId(0); author_off[n_authors]];
     let mut cursor = author_off[..n_authors].to_vec();
-    each_incidence(n_authors, page_off, comments, |a, p| {
+    each_incidence(n_authors, rows, |a, p| {
         pages[cursor[a]] = p;
         cursor[a] += 1;
     });
@@ -106,13 +203,11 @@ impl Btm {
     /// `excluded` authors (the pre-projection exclusion list; their rows
     /// come out empty, exactly as [`Btm::without_authors`] leaves them).
     ///
-    /// `events` is called twice and must yield the same events both times:
-    /// the first pass counts each page's row, the second scatters into
-    /// place, so the events never need to exist as a resident `Vec<Event>` —
-    /// the snapshot load path decodes the mmapped columns twice instead.
-    /// Order-invariant: any permutation of the same events yields an equal
-    /// BTM. Page rows that arrive time-ordered (every timestamp-sorted
-    /// source delivers them so) are detected and not sorted again.
+    /// `events` is called twice and must yield the same events both times
+    /// ([`PageRows::build`]'s two passes), so the events never need to exist
+    /// as a resident `Vec<Event>` — the snapshot load path decodes the
+    /// mmapped columns twice instead. Order-invariant: any permutation of
+    /// the same events yields an equal BTM.
     pub fn build<I: Iterator<Item = Event>>(
         n_authors: u32,
         n_pages: u32,
@@ -120,7 +215,7 @@ impl Btm {
         events: impl Fn() -> I,
     ) -> Self {
         let _g = obs::span("btm.build");
-        let (na, np) = (n_authors as usize, n_pages as usize);
+        let na = n_authors as usize;
         // No mask, and no per-event lookup, when nothing is excluded.
         let gone = if excluded.is_empty() {
             Vec::new()
@@ -128,69 +223,23 @@ impl Btm {
             author_mask(na, excluded)
         };
         let kept = |e: &Event| gone.is_empty() || !gone[e.author.0 as usize];
-
-        let mut page_off = vec![0usize; np + 1];
-        events().for_each(|e| {
+        let in_range = |e: &Event| {
             assert!(
                 e.author.0 < n_authors,
                 "author id {} out of range",
                 e.author.0
             );
             assert!(e.page.0 < n_pages, "page id {} out of range", e.page.0);
-            if kept(&e) {
-                page_off[e.page.0 as usize + 1] += 1;
-            }
+        };
+        let rows = PageRows::build(n_pages, || {
+            events()
+                .inspect(in_range)
+                .filter(kept)
+                .map(|e| (e.page, e.ts, e.author))
         });
-        prefix_sum(&mut page_off);
-
-        let mut comments = vec![(0, AuthorId(0)); page_off[np]];
-        let mut cursor = page_off[..np].to_vec();
-        // Staged through a small buffer: a source that decodes or generates
-        // as it goes (varint columns, an RNG) mispredicts often enough to
-        // serialize the scatter's cache misses behind it — 4x slower on
-        // snapshot columns than filling a buffer first and scattering that.
-        let mut source = events().filter(kept);
-        let mut staged = Vec::with_capacity(STAGE_EVENTS);
-        loop {
-            staged.clear();
-            staged.extend(source.by_ref().take(STAGE_EVENTS));
-            if staged.is_empty() {
-                break;
-            }
-            for e in &staged {
-                let at = &mut cursor[e.page.0 as usize];
-                comments[*at] = (e.ts, e.author);
-                *at += 1;
-            }
-        }
-        // A row that over- or under-filled would silently shift its
-        // neighbours; both passes seeing the same events rules that out.
-        assert!(
-            cursor == page_off[1..],
-            "event source yielded different events on its second pass"
-        );
-
-        let mut presorted = 0u64;
-        let mut sorted = 0u64;
-        for w in page_off.windows(2) {
-            let row = &mut comments[w[0]..w[1]];
-            if row.is_empty() {
-                continue;
-            }
-            if row.is_sorted() {
-                presorted += 1;
-            } else {
-                row.sort_unstable();
-                sorted += 1;
-            }
-        }
-        obs::counter("btm.pages_presorted").add(presorted);
-        obs::counter("btm.pages_sorted").add(sorted);
-
-        let (author_off, pages) = author_side(na, &page_off, &comments);
+        let (author_off, pages) = author_side(na, &rows);
         Btm {
-            page_off,
-            comments,
+            rows,
             author_off,
             pages,
         }
@@ -203,12 +252,12 @@ impl Btm {
 
     /// Number of page slots `|P|`.
     pub fn n_pages(&self) -> u32 {
-        (self.page_off.len() - 1) as u32
+        self.rows.n_pages()
     }
 
     /// Total comments `|E|` (the paper reads 138 million for January 2020).
     pub fn n_comments(&self) -> u64 {
-        self.comments.len() as u64
+        self.rows.n_comments()
     }
 
     /// Number of authors with at least one comment.
@@ -219,8 +268,7 @@ impl Btm {
     /// The page's comments, `(timestamp, author)` sorted by time — the
     /// neighborhood `N` of Algorithm 1 line 4.
     pub fn page_neighborhood(&self, p: PageId) -> &[(Timestamp, AuthorId)] {
-        let p = p.0 as usize;
-        &self.comments[self.page_off[p]..self.page_off[p + 1]]
+        self.rows.row(p)
     }
 
     /// The author's distinct pages, sorted — the hypergraph incidence list.
@@ -241,13 +289,13 @@ impl Btm {
     /// `excluded`, which is the cheaper way to apply a list known up front.
     pub fn without_authors(&self, excluded: &[AuthorId]) -> Btm {
         let gone = author_mask(self.n_authors() as usize, excluded);
-        let mut comments = Vec::with_capacity(self.comments.len());
-        let mut page_off = Vec::with_capacity(self.page_off.len());
-        page_off.push(0);
-        for w in self.page_off.windows(2) {
-            let row = &self.comments[w[0]..w[1]];
+        let mut comments = Vec::with_capacity(self.rows.comments.len());
+        let mut off = Vec::with_capacity(self.rows.off.len());
+        off.push(0);
+        for w in self.rows.off.windows(2) {
+            let row = &self.rows.comments[w[0]..w[1]];
             comments.extend(row.iter().filter(|(_, a)| !gone[a.0 as usize]));
-            page_off.push(comments.len());
+            off.push(comments.len());
         }
         let mut pages = Vec::with_capacity(self.pages.len());
         let mut author_off = Vec::with_capacity(self.author_off.len());
@@ -259,8 +307,7 @@ impl Btm {
             author_off.push(pages.len());
         }
         Btm {
-            page_off,
-            comments,
+            rows: PageRows { off, comments },
             author_off,
             pages,
         }
@@ -268,16 +315,12 @@ impl Btm {
 
     /// Neighborhood sizes of all page slots, empty ones included.
     fn page_degrees(&self) -> impl Iterator<Item = usize> + '_ {
-        self.page_off.windows(2).map(|w| w[1] - w[0])
+        self.rows.off.windows(2).map(|w| w[1] - w[0])
     }
 
     /// Iterate pages with non-empty neighborhoods as `(PageId, comments)`.
     pub fn pages(&self) -> impl Iterator<Item = (PageId, &[(Timestamp, AuthorId)])> {
-        self.page_off
-            .windows(2)
-            .enumerate()
-            .filter(|(_, w)| w[1] > w[0])
-            .map(|(i, w)| (PageId(i as u32), &self.comments[w[0]..w[1]]))
+        self.rows.pages()
     }
 
     /// The largest page neighborhood (comment count) — the projection's

@@ -1,40 +1,53 @@
 //! The rank-sharded end-to-end pipeline: ingest → projection → survey →
 //! validation entirely on [`ygm`] ranks.
 //!
-//! [`Pipeline`](crate::Pipeline) runs the three paper steps on a rayon pool;
-//! this module runs the *same program* in the SPMD communication structure
-//! the paper's MPI deployment used, with every stage owner-partitioned and
-//! every hand-off an explicit shuffle:
+//! [`Pipeline`](crate::Pipeline) runs the three paper steps in one address
+//! space over a resident [`Btm`](crate::btm::Btm); this module runs the
+//! *same program* in the SPMD communication structure the paper's MPI
+//! deployment used, with every stage owner-partitioned and every hand-off an
+//! explicit shuffle:
 //!
 //! 1. **Ingest** — each rank *streams* its share of the input: its
 //!    line-range of the NDJSON buffer, its block of a [`Dataset`] (borrowed
 //!    slice), its slice of one mmapped snapshot shared read-only by all
 //!    ranks, or a caller-supplied per-rank generator ([`EventSource`], the
 //!    [`DistPipeline::run_events`] path). No rank ever materializes its
-//!    event partition as an owned `Vec<Event>` — events flow straight from
-//!    the source into the exchange aggregators, so ingest and exchange
+//!    share of the input as an owned `Vec<Event>` — events flow straight
+//!    from the source into the exchange aggregators, so ingest and exchange
 //!    overlap. For text input, each rank interns its own chunk in order
 //!    ([`crate::ingest`]'s pass, chunks ≡ ranks), the ranks share those name
 //!    tables by `Arc`, and every rank replays the chunk-order merge, so the
 //!    dense ids are exactly the ids the reference reader would assign.
 //! 2. **Exchange** — kept events are shuffled *once*, through a packed
 //!    byte-buffer aggregator ([`ygm::PackedAggregator`], adaptive
-//!    bytes-per-batch thresholds): `(page, ts, author)` to the *page* owner
-//!    (projection input). Receivers absorb each batch into a bounded
-//!    **run stack** ([`ygm::runs::DistRuns`], one lock per batch): arriving
-//!    batches are sorted immediately (as order-preserving packed keys —
-//!    `event_key`) and merged incrementally *while later batches are in
-//!    flight* (ship drains opportunistically), spilling sorted segments to
-//!    the snapshot store past the `--shuffle-budget` cap. The owner-side
-//!    "sort" is then a streaming k-way merge over resident + spilled runs —
-//!    order-invariant exactly like the post-barrier sort it replaces (the
-//!    invariance that makes [`crate::btm::Btm`] chunk-count-independent),
-//!    but with receive memory bounded by the budget instead of the
-//!    partition size. (The author→pages incidence `Btm` also builds is
-//!    *skipped* here and harvested on demand in stage 5.)
+//!    bytes-per-batch thresholds): `(page, ts, author)`, 16 B on the wire,
+//!    to the *page* owner. What the owner does with an arriving batch
+//!    depends on one thing, whether a `--shuffle-budget` caps its memory:
+//!    * **No budget — rows.** Batches are appended unsorted, one lock each.
+//!      After the closing barrier the rank *partitions instead of sorting*:
+//!      count per page → prefix sum → scatter into one flat array of
+//!      `(ts, author)` rows, then a comparison sort of only the rows that
+//!      did not arrive time-ordered ([`crate::btm::PageRows::build`] — the
+//!      builder [`Btm`](crate::btm::Btm) makes its own page side with, not a
+//!      copy of it). Algorithm 1 needs each page's comments in time order
+//!      and never a global `(page, ts, author)` order, so none is computed.
+//!    * **A budget — runs.** Flat rows hold the whole partition resident,
+//!      which is what the budget forbids, so each batch is sorted on arrival
+//!      as order-preserving packed keys ([`event_key`]) into a bounded run
+//!      stack ([`ygm::runs::DistRuns`]), merged incrementally *while later
+//!      batches are in flight* (ship drains opportunistically) and spilled
+//!      as sorted segments to the snapshot store past the cap; the rank
+//!      reads its partition back through a streaming k-way merge over
+//!      resident + spilled runs, one page resident at a time.
+//!
+//!    Either way the rank holds a [`PagePartition`] — the same comments in
+//!    the same order, whatever order they arrived in (the invariance that
+//!    makes `Btm` chunk-count-independent) — and stages 3 and 5 are written
+//!    once against its two methods. (The author→pages incidence `Btm` also
+//!    builds is *skipped* here and harvested on demand in stage 5.)
 //! 3. **Projection** — page owners run the flat pair kernel
-//!    ([`crate::project::page_pairs_flat`]) over their neighborhoods (runs
-//!    of the flat page-sorted event array) and shuffle each packed pair
+//!    ([`crate::project::page_pairs_flat`]) over each page's row, borrowed in
+//!    place ([`PagePartition::for_each_page`]), and shuffle each packed pair
 //!    occurrence to its *edge owner* (`owner_of(packed)`), which sorts and
 //!    run-length-counts its disjoint slice of the edge set. Per-author `P'`
 //!    contributions reduce to a replicated dense vector via
@@ -53,10 +66,12 @@
 //!    `T`-score predicates included — `P'` is replicated). Only the
 //!    statistics and the survivors exist afterwards.
 //! 5. **Validation** — first the *on-demand harvest*: the survivors'
-//!    vertex set is all-gathered, each rank
-//!    scans its page-sorted event run for just those authors, and ships the
-//!    packed `(author, page)` incidences to the author owners, which sort
-//!    and dedup — reproducing `Btm`'s page lists for exactly the authors
+//!    vertex set is all-gathered and turned into a dense mask over author
+//!    ids, each rank scans its page partition a second time for just those
+//!    authors ([`PagePartition::for_each_incidence`]: the rows flat, the
+//!    runs straight off a merge cursor), and ships the packed
+//!    `(author, page)` incidences to the author owners, which sort and
+//!    dedup — reproducing `Btm`'s page lists for exactly the authors
 //!    validation will read, instead of shuffling and sorting the full
 //!    per-event incidence. Then the rank that kept a triangle
 //!    binary-searches the three authors' page runs out of the author-owner
@@ -66,14 +81,18 @@
 //!    metrics through [`crate::hypergraph::validate_triangle_parts`], the
 //!    same floating-point expressions the resident path evaluates.
 //!
+//! The pair-occurrence, oriented-edge and harvest shuffles still land in run
+//! stacks with or without a budget.
+//!
 //! **Equivalence contract** (pinned by `tests/distributed_equivalence.rs`
 //! and a CLI byte-identity test): for every input, every rank count, every
-//! flush threshold and every shuffle budget — down to one item per batch
-//! and one batch per spill — [`DistPipeline`] produces the same
-//! [`PipelineOutput`] as [`Pipeline`](crate::Pipeline) — same CI graph,
-//! same survey report (including the examined count, log-histogram and
-//! bit-identical `T` scores), same validated triplets in the same order.
-//! Only the stage timings differ.
+//! flush threshold and every shuffle budget — none, one larger than the
+//! partition, and down to one item per batch and one batch per spill —
+//! [`DistPipeline`] produces the same [`PipelineOutput`] as
+//! [`Pipeline`](crate::Pipeline) — same CI graph, same survey report
+//! (including the examined count, log-histogram and bit-identical `T`
+//! scores), same validated triplets in the same order. Only the stage
+//! timings differ.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -84,8 +103,9 @@ use tripoll::survey::{SurveyConfig, SurveyReport, SurveyedTriangle};
 use tripoll::{survey_stage, DistSurvey};
 use ygm::container::DistBag;
 use ygm::reduce::{all_gather_concat, all_reduce_hist};
-use ygm::{owner_of, DistRuns, PackedAggregator, PackedBatch, RankCtx, World};
+use ygm::{owner_of, DistRuns, PackedAggregator, PackedBatch, RankCtx, RunSet, World};
 
+use crate::btm::PageRows;
 use crate::cigraph::CiGraph;
 use crate::hypergraph::validate_triangle_parts;
 use crate::ids::{AuthorId, Event, Interner, PageId, Timestamp};
@@ -104,9 +124,10 @@ const HIST_BUCKETS: usize = 64;
 /// Pack a `(page, ts, author)` event into one order-preserving `u128` run
 /// key: `page·2⁹⁶ | (ts ⊕ 2⁶³)·2³² | author`. The timestamp sign-flip maps
 /// `i64` order onto unsigned order, so numeric key order is exactly the
-/// `(page, ts, author)` tuple order the page-grouping pass needs.
+/// `(page, ts, author)` tuple order [`PagePartition::Runs`] is grouped by.
+/// Only a budgeted run packs events this way.
 #[inline]
-fn event_key(p: u32, ts: i64, a: u32) -> u128 {
+pub fn event_key(p: u32, ts: i64, a: u32) -> u128 {
     ((p as u128) << 96) | ((((ts as u64) ^ (1 << 63)) as u128) << 32) | a as u128
 }
 
@@ -116,6 +137,122 @@ fn event_from_key(k: u128) -> (u32, i64, u32) {
     let p = (k >> 96) as u32;
     let ts = (((k >> 32) as u64) ^ (1 << 63)) as i64;
     (p, ts, k as u32)
+}
+
+/// One rank's share of the page side once the event exchange has closed:
+/// every comment of every page the rank owns, each page's in `(ts, author)`
+/// order. Stored one of two ways, chosen by the shuffle budget alone, and
+/// read through the same two methods either way.
+pub enum PagePartition {
+    /// No budget: the whole partition resident as flat page rows, built by
+    /// the counting scatter [`crate::btm::Btm`] builds its page side with,
+    /// and read in place.
+    Rows(PageRows),
+    /// Under a budget the partition may not be resident: sorted runs of
+    /// [`event_key`]s, spilled past the budget, read back through a
+    /// streaming merge that holds one page at a time.
+    Runs(RunSet<u128>),
+}
+
+impl PagePartition {
+    /// Call `f` with every non-empty page and its time-sorted comments,
+    /// pages ascending.
+    pub fn for_each_page(&self, mut f: impl FnMut(PageId, &[(Timestamp, AuthorId)])) {
+        match self {
+            PagePartition::Rows(rows) => rows.pages().for_each(|(p, row)| f(p, row)),
+            PagePartition::Runs(runs) => {
+                // Keys are `(page, ts, author)`-ordered, so each page is one
+                // contiguous stretch of the merge.
+                let mut keys = runs.cursor().peekable();
+                let mut row: Vec<(Timestamp, AuthorId)> = Vec::new();
+                while let Some(&k) = keys.peek() {
+                    let page = (k >> 96) as u32;
+                    row.clear();
+                    while let Some(&next) = keys.peek() {
+                        if (next >> 96) as u32 != page {
+                            break;
+                        }
+                        let (_, ts, a) = event_from_key(next);
+                        row.push((ts, AuthorId(a)));
+                        keys.next();
+                    }
+                    f(PageId(page), &row);
+                }
+            }
+        }
+    }
+
+    /// Call `f(page, author)` once per comment, in `(page, ts, author)`
+    /// order. The runs stream straight off the merge: regrouping them into
+    /// rows first measured 5–8 % off the whole budgeted run.
+    pub fn for_each_incidence(&self, mut f: impl FnMut(PageId, AuthorId)) {
+        match self {
+            PagePartition::Rows(rows) => {
+                for (p, row) in rows.pages() {
+                    row.iter().for_each(|&(_, a)| f(p, a));
+                }
+            }
+            PagePartition::Runs(runs) => {
+                for k in runs.cursor() {
+                    let (p, _, a) = event_from_key(k);
+                    f(PageId(p), AuthorId(a));
+                }
+            }
+        }
+    }
+}
+
+/// The receive side of the event exchange, one shard per rank: what arriving
+/// batches are absorbed into and what [`PagePartition`] each rank takes out
+/// after the closing barrier. Flat rows hold a rank's whole partition
+/// resident, which is exactly what a shuffle budget forbids, so the budget
+/// picks the side.
+#[derive(Clone)]
+enum PageInbox {
+    /// Batches appended unsorted (16 B/event); partitioned on take.
+    Unsorted(DistBag<(u32, i64, u32)>),
+    /// Batches sorted and merged as they arrive, spilling past the budget.
+    Runs(DistRuns<u128>),
+}
+
+impl PageInbox {
+    fn new(nranks: usize, budget: Option<usize>) -> Self {
+        match budget {
+            None => PageInbox::Unsorted(DistBag::new(nranks)),
+            Some(_) => PageInbox::Runs(DistRuns::new(nranks, "page_events", budget)),
+        }
+    }
+
+    /// Absorb one arriving batch into the calling rank's shard, one lock.
+    fn absorb(&self, ctx: &RankCtx, batch: PackedBatch<(u32, i64, u32)>) {
+        match self {
+            PageInbox::Unsorted(bag) => bag.local_extend(ctx, batch.iter()),
+            PageInbox::Runs(runs) => {
+                runs.local_absorb(ctx, batch.iter().map(|(p, ts, a)| event_key(p, ts, a)))
+            }
+        }
+    }
+
+    /// Finish the calling rank's partition (post-barrier).
+    fn take(&self, ctx: &RankCtx) -> PagePartition {
+        match self {
+            PageInbox::Unsorted(bag) => {
+                let events = bag.local_take(ctx);
+                // `run_events` is told only `n_authors`, so the offset table
+                // is sized from the largest page id that arrived.
+                let n_pages = events.iter().map(|e| e.0).max().map_or(0, |max| {
+                    max.checked_add(1)
+                        .expect("dense page ids stay below u32::MAX")
+                });
+                PagePartition::Rows(PageRows::build(n_pages, || {
+                    events
+                        .iter()
+                        .map(|&(p, ts, a)| (PageId(p), ts, AuthorId(a)))
+                }))
+            }
+            PageInbox::Runs(runs) => PagePartition::Runs(runs.local_take(ctx)),
+        }
+    }
 }
 
 /// Pack an oriented `(src, dst, w)` edge into one order-preserving `u128`
@@ -135,7 +272,8 @@ fn edge_from_key(k: u128) -> (u32, u32, u64) {
 /// One-entry owner cache for `push`-ing long same-key streams without
 /// rehashing: the page loop ships every comment of a page to the same
 /// destination, the orientation loop ships consecutive same-source edges,
-/// and [`ygm::owner_of`] SipHashes on every `push_keyed` call regardless.
+/// and [`ygm::owner_of`] hashes (FNV-1a, then a splitmix finish) on every
+/// `push_keyed` call regardless.
 /// Routing is identical by construction (same key type, same hash); the
 /// equivalence proptests pin it.
 struct CachedOwner {
@@ -178,8 +316,10 @@ pub struct DistPipeline {
     pub batch_bytes: Option<usize>,
     /// Per-label, per-rank cap on resident receive-side bytes. When a run
     /// stack exceeds it, resident runs are merged and spilled to a sorted
-    /// on-disk segment ([`ygm::runs`]); `None` (the default) never spills.
-    /// The output must be bit-identical for every budget, down to one batch.
+    /// on-disk segment ([`ygm::runs`]); `None` (the default) never spills,
+    /// and lets the event exchange land in flat page rows instead of a run
+    /// stack ([`PagePartition`]). The output must be bit-identical for every
+    /// budget, down to one batch.
     pub shuffle_budget: Option<usize>,
 }
 
@@ -318,11 +458,13 @@ impl DistPipeline {
         let budget = self.shuffle_budget;
         let input = &input;
 
-        // Distributed containers, one per shuffle point — all bounded run
-        // stacks (each arriving batch sorted and merged incrementally,
-        // spilling past the budget), never maps of per-key `Vec`s. Keys are
-        // the order-preserving packings declared at the top of the module.
-        let page_events: DistRuns<u128> = DistRuns::new(nranks, "page_events", budget);
+        // Distributed containers, one per shuffle point. The event exchange
+        // lands in flat page rows (or, under a budget, a spilling run stack);
+        // the other three are bounded run stacks (each arriving batch sorted
+        // and merged incrementally, spilling past the budget), never maps of
+        // per-key `Vec`s. Keys are the order-preserving packings declared at
+        // the top of the module.
+        let page_events = PageInbox::new(nranks, budget);
         let author_pages: DistRuns<u64> = DistRuns::new(nranks, "author_pages", budget);
         let pair_occurrences: DistRuns<u64> = DistRuns::new(nranks, "pair_occurrences", budget);
         let oriented_edges: DistRuns<u128> = DistRuns::new(nranks, "oriented_edges", budget);
@@ -435,7 +577,7 @@ fn rank_main(
     cfg: &PipelineConfig,
     batch_bytes: Option<usize>,
     input: &DistInput<'_>,
-    page_events: &DistRuns<u128>,
+    page_events: &PageInbox,
     author_pages: &DistRuns<u64>,
     pair_occurrences: &DistRuns<u64>,
     oriented_edges: &DistRuns<u128>,
@@ -467,14 +609,14 @@ fn rank_main(
     drop(_ingest_span);
     out.n_authors = n_authors;
 
-    // ---- Stage 2: event exchange (author-hash / page-hash shuffles) -----
+    // ---- Stage 2: event exchange (page-hash shuffle) --------------------
     // The source is pulled one event at a time straight into the packed
-    // aggregator, so ingest and exchange overlap and this rank's event
-    // partition never exists as an owned `Vec<Event>`. Receivers absorb
-    // whole batches into bounded run stacks — each batch is sorted as it
-    // arrives and merged incrementally *while later batches are still in
-    // flight* (ship drains opportunistically), spilling sorted segments to
-    // disk past the shuffle budget.
+    // aggregator, so ingest and exchange overlap and this rank's share of
+    // the *input* never exists as an owned `Vec<Event>`. Receivers absorb
+    // whole batches under one lock each ([`PageInbox`]): appended as they
+    // are when the partition may stay resident; under a shuffle budget,
+    // sorted on arrival and merged *while later batches are still in flight*
+    // (ship drains opportunistically), spilling sorted segments to disk.
     let exchange_span = obs::span("dist.exchange");
     let mut kept_local = 0u64;
     {
@@ -482,9 +624,7 @@ fn rank_main(
         let mut to_pages = packed_agg!(
             "events_to_pages",
             (u32, i64, u32),
-            move |inner: &RankCtx, batch: PackedBatch<(u32, i64, u32)>| {
-                pe.local_absorb(inner, batch.iter().map(|(p, ts, a)| event_key(p, ts, a)));
-            }
+            move |inner: &RankCtx, batch: PackedBatch<(u32, i64, u32)>| pe.absorb(inner, batch)
         );
         // Hoisted emptiness check: `contains` hashes the author id even on an
         // empty set, and generated/snapshot inputs usually exclude nobody —
@@ -492,7 +632,7 @@ fn rank_main(
         let no_exclusions = excluded.is_empty();
         // Inputs arrive page-clustered (dataset and snapshot events are
         // page-major; generated blocks share a page), so one cached owner
-        // saves a SipHash per event in the common case.
+        // saves an `owner_of` hash per event in the common case.
         let mut page_owner = CachedOwner::new();
         stream.for_each(ctx, |e| {
             if !no_exclusions && excluded.contains(&e.author.0) {
@@ -506,14 +646,14 @@ fn rank_main(
     }
     ctx.barrier();
     out.n_comments = ctx.all_reduce_sum(kept_local);
-    // Owners finish their partitions: the run stack already holds sorted
-    // runs (resident and spilled), so the `(page, ts, author)` order the
-    // projection needs comes from a streaming merge cursor, not a
-    // partition-sized sort. Identical contents to what `Btm` builds —
-    // without ever holding the partition flat. (The author→pages incidence
-    // the validator needs is *not* built here: it is harvested on demand in
-    // stage 5, for the handful of authors the survey actually surfaces.)
-    let my_events = page_events.local_take(ctx);
+    // Owners finish their partitions: a counting scatter into flat page
+    // rows, comparing only within the rows that did not arrive time-ordered
+    // — `Btm`'s page side, by `Btm`'s own builder — or, under a budget, the
+    // sorted runs (resident and spilled) the stack already holds, read back
+    // through a streaming merge. (The author→pages incidence the validator
+    // needs is *not* built here: it is harvested on demand in stage 5, for
+    // the handful of authors the survey actually surfaces.)
+    let my_events = page_events.take(ctx);
     ctx.barrier();
     drop(exchange_span);
 
@@ -531,25 +671,9 @@ fn rank_main(
         );
         let mut pairs: Vec<u64> = Vec::new();
         let mut authors_scratch: Vec<u32> = Vec::new();
-        let mut comments: Vec<(Timestamp, AuthorId)> = Vec::new();
         let window = cfg.window;
-        // Page grouping over the streaming merge cursor: keys are
-        // `(page, ts, author)`-ordered, so each page's neighborhood arrives
-        // as one contiguous run — same slices as the flat-array loop, with
-        // only one page's comments resident at a time.
-        let mut events = my_events.cursor().peekable();
-        while let Some(&k) = events.peek() {
-            let page = (k >> 96) as u32;
-            comments.clear();
-            while let Some(&next) = events.peek() {
-                if (next >> 96) as u32 != page {
-                    break;
-                }
-                let (_, ts, a) = event_from_key(next);
-                comments.push((ts, AuthorId(a)));
-                events.next();
-            }
-            page_pairs_flat(&comments, &window, &mut pairs);
+        my_events.for_each_page(|_, comments| {
+            page_pairs_flat(comments, &window, &mut pairs);
             authors_scratch.clear();
             for &p in &pairs {
                 let (x, y) = unpack_pair(p);
@@ -563,11 +687,11 @@ fn rank_main(
             for &a in &authors_scratch {
                 pprime_local[a as usize] += 1;
             }
-        }
+        });
         to_edges.flush_all(ctx);
     }
     // `my_events` stays alive through the survey: stage 5 harvests the
-    // surveyed authors' page lists from a second cursor pass.
+    // surveyed authors' page lists from a second pass over it.
     ctx.barrier();
     // Replicate P' everywhere: the survey's T-score and validation both
     // index it by arbitrary author id.
@@ -663,7 +787,7 @@ fn rank_main(
     // lists of surveyed triangle vertices — a handful of authors — so
     // instead of shuffling every event to its author owner (a second full
     // per-event exchange plus a multimillion-pair sort), each rank scans its
-    // page-sorted run for the authors the survey surfaced and ships just
+    // page partition for the authors the survey surfaced and ships just
     // those incidences. The packed sort + dedup at the owner reproduces
     // `Btm`'s sorted, deduplicated page lists exactly — restricted to the
     // authors anyone will look up.
@@ -689,20 +813,25 @@ fn rank_main(
                 ap.local_absorb(inner, batch.iter());
             });
         if !needed.is_empty() {
+            // Every comment of the partition is tested, so membership is one
+            // indexed load, not a search of `needed`.
+            let mut is_needed = vec![false; n_authors as usize];
+            for &a in &needed {
+                is_needed[a as usize] = true;
+            }
             // Bots comment in bursts, so consecutive qualifying events often
             // share an author — cache the owner like the page loop does.
             let mut author_owner = CachedOwner::new();
-            for k in my_events.cursor() {
-                let (p, _ts, a) = event_from_key(k);
-                if needed.binary_search(&a).is_ok() {
-                    let dest = author_owner.dest(a, ctx.nranks());
-                    to_authors.push(ctx, dest, pack_pair(a, p));
+            my_events.for_each_incidence(|p, a| {
+                if is_needed[a.0 as usize] {
+                    let dest = author_owner.dest(a.0, ctx.nranks());
+                    to_authors.push(ctx, dest, pack_pair(a.0, p.0));
                 }
-            }
+            });
         }
         to_authors.flush_all(ctx);
     }
-    // Dropping the event run set deletes any spill segments behind it.
+    // Dropping the partition deletes any spill segments behind it.
     drop(my_events);
     ctx.barrier();
     // Merge + dedup the harvested incidences (the cursor yields duplicates

@@ -103,6 +103,14 @@ pub(crate) fn sort_packed(v: &mut Vec<u64>) {
     }
 }
 
+/// The delay `later - earlier` if it is at most `d2`. Timestamps come from
+/// the input file, so two comments of one page can lie more than `i64::MAX`
+/// seconds apart: a difference that overflows is farther than any window.
+#[inline]
+pub fn delay_within(earlier: Timestamp, later: Timestamp, d2: i64) -> Option<i64> {
+    later.checked_sub(earlier).filter(|&dt| dt <= d2)
+}
+
 /// Push every window-qualifying candidate author pair with a *start* index in
 /// `lo..hi` (canonicalized, packed via [`pack_pair`], self-pairs dropped)
 /// onto `out`, compacting periodically. The inner cursor runs past `hi` to
@@ -121,10 +129,9 @@ fn push_pair_candidates(
     for i in lo..hi {
         let (ti, ai) = comments[i];
         for &(tj, aj) in &comments[i + 1..] {
-            let dt = tj - ti;
-            if dt > window.d2() {
+            let Some(dt) = delay_within(ti, tj, window.d2()) else {
                 break; // sorted: later comments are only farther away
-            }
+            };
             if dt >= window.d1() && ai != aj {
                 out.push(pack_pair(ai.0.min(aj.0), ai.0.max(aj.0)));
                 if out.len() >= compact_at {
@@ -359,10 +366,9 @@ fn page_pairs(
     for i in 0..n {
         let (ti, ai) = comments[i];
         for &(tj, aj) in &comments[i + 1..] {
-            let dt = tj - ti;
-            if dt > window.d2() {
+            let Some(dt) = delay_within(ti, tj, window.d2()) else {
                 break; // sorted: later comments are only farther away
-            }
+            };
             if dt >= window.d1() && ai != aj {
                 pairs.insert((ai.0.min(aj.0), ai.0.max(aj.0)));
             }

@@ -26,6 +26,7 @@ use rayon::prelude::*;
 use crate::btm::Btm;
 use crate::ids::{AuthorId, Timestamp};
 use crate::metrics::c_score;
+use crate::project::delay_within;
 use tripoll::Triangle;
 
 /// Count pages where `x`, `y`, `z` all comment within a span of `max_span`
@@ -98,7 +99,7 @@ fn page_has_windowed_triple(
     };
     for right in 0..comments.len() {
         bump(comments[right].1, 1, &mut nx, &mut ny, &mut nz);
-        while comments[right].0 - comments[left].0 > max_span {
+        while delay_within(comments[left].0, comments[right].0, max_span).is_none() {
             bump(comments[left].1, -1, &mut nx, &mut ny, &mut nz);
             left += 1;
         }

@@ -32,7 +32,7 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use coordination_core::btm::Btm;
 use coordination_core::cigraph::CiGraph;
 use coordination_core::ids::Timestamp;
-use coordination_core::project::{page_pairs_flat, unpack_pair};
+use coordination_core::project::{delay_within, page_pairs_flat, unpack_pair};
 use coordination_core::window::Window;
 
 /// An unordered author pair, stored as `(min, max)`.
@@ -163,7 +163,7 @@ impl StreamProjector {
             // happens on an arrival to the same page).
             let keep = comments
                 .iter()
-                .position(|&(t, _)| last_ts - t <= window.d2())
+                .position(|&(t, _)| delay_within(t, last_ts, window.d2()).is_some())
                 .unwrap_or(comments.len());
             p.buffers.insert(
                 page,
@@ -287,16 +287,16 @@ impl StreamProjector {
         // 2. Pair the arrival against the page's recent comments.
         let buffer = self.buffers.entry(page).or_default();
         while let Some(&(t_old, _)) = buffer.front() {
-            if ts - t_old > self.window.d2() {
-                buffer.pop_front();
-            } else {
+            if delay_within(t_old, ts, self.window.d2()).is_some() {
                 break;
             }
+            buffer.pop_front();
         }
         let (d1, horizon) = (self.window.d1(), self.horizon);
         for &(t_old, a_old) in buffer.iter() {
-            // Everything left in the buffer is within δ2; enforce δ1 and
-            // skip self-pairs (same account commenting twice).
+            // Everything left in the buffer is within δ2 (so the difference
+            // cannot overflow); enforce δ1 and skip self-pairs (same account
+            // commenting twice).
             if ts - t_old < d1 || a_old == author {
                 continue;
             }
@@ -322,7 +322,8 @@ impl StreamProjector {
                 }
             }
             if let Some(h) = horizon {
-                self.expiry.push(Reverse((ts + h, page, pair)));
+                self.expiry
+                    .push(Reverse((ts.saturating_add(h), page, pair)));
             }
         }
         buffer.push_back((ts, author));
@@ -357,7 +358,7 @@ impl StreamProjector {
             // only act when the recorded last interaction matches this due
             // time.
             match self.support.get(&(page, pair)) {
-                Some(&last) if last + h == due => {}
+                Some(&last) if last.saturating_add(h) == due => {}
                 _ => continue,
             }
             self.support.remove(&(page, pair));
@@ -538,6 +539,29 @@ mod tests {
         assert_eq!(p.page_count(0), 0);
         assert_eq!(p.page_count(1), 0);
         assert_eq!(p.n_edges(), 0);
+    }
+
+    #[test]
+    fn extreme_timestamps_neither_pair_nor_overflow() {
+        // One page spanning the whole `i64` range: every delay overflows or
+        // dwarfs δ2 except the last pair's, whose expiry deadline saturates
+        // instead of wrapping and so never comes due.
+        let window = Window::new(0, 60);
+        let mut p = StreamProjector::with_horizon(window, Some(100));
+        assert!(p.ingest(0, 0, i64::MIN).is_empty());
+        assert!(p.ingest(1, 0, 5).is_empty());
+        assert!(p.ingest(2, 0, i64::MAX - 1).is_empty());
+        assert_eq!(p.ingest(3, 0, i64::MAX).len(), 1);
+        assert!(p.advance_to(i64::MAX).is_empty());
+        assert_eq!((p.n_edges(), p.weight(2, 3)), (1, 1));
+
+        let events: Vec<Event> = [i64::MIN, 5, i64::MAX - 1, i64::MAX]
+            .iter()
+            .enumerate()
+            .map(|(a, &ts)| Event::new(AuthorId(a as u32), PageId(0), ts))
+            .collect();
+        let warm = StreamProjector::warm_start(window, &Btm::from_events(4, 1, &events));
+        assert_eq!((warm.n_edges(), warm.weight(2, 3)), (1, 1));
     }
 
     #[test]

@@ -80,4 +80,4 @@ pub use batch::Aggregator;
 pub use comm::{RankCtx, World};
 pub use exchange::{adaptive_batch_bytes, BufferPool, Packable, PackedAggregator, PackedBatch};
 pub use partition::{block_owner, block_range, owner_of};
-pub use runs::{radix_sort_run, sort_run, DistRuns, MergeCursor, RunKey, RunSet, RunStack};
+pub use runs::{sort_run, DistRuns, MergeCursor, RunKey, RunSet, RunStack};

