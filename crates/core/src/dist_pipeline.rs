@@ -756,7 +756,7 @@ fn rank_main(
     let csr = LocalCsr::from_sorted_edges(edge_set.cursor().map(edge_from_key));
     drop(edge_set);
     obs::counter("dist.ghost_vertices").add(csr.ghosts().len() as u64);
-    survey.publish(ctx, csr, Some(Arc::clone(&out.page_counts)));
+    survey.publish(ctx, csr, n_authors, Some(Arc::clone(&out.page_counts)));
     ctx.barrier();
     survey_stage(ctx, survey, batch_bytes);
     ctx.barrier();

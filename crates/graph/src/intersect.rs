@@ -3,11 +3,9 @@
 //! Two consumers burn most of their cycles intersecting sorted lists: the
 //! triangle enumerator (`tripoll::enumerate` intersects oriented out-lists)
 //! and hypergraph validation (`coordination_core::hypergraph` intersects
-//! three author page lists). Both previously used one-size-fits-all linear
-//! merges, which is optimal when the inputs are near-equal length but wastes
-//! `O(|long|)` work when one side is much shorter — exactly the skewed shape
-//! degree-skewed social graphs and hyperactive-author page lists produce.
+//! three author page lists). They have different shapes, and a kernel each.
 //!
+//! *One pair at a time* (validation, `truss`, `clique`):
 //! [`intersect_indices`] dispatches on the length ratio: below
 //! [`GALLOP_RATIO`] it runs the classic two-cursor linear merge; above it,
 //! it walks the *short* side and locates each element in the long side by
@@ -16,12 +14,32 @@
 //! the gallop restarts from the previous match's position, so the total is
 //! also bounded by `O(|short| + |long|)` even in the worst case. The linear
 //! reference ([`intersect_indices_linear`]) stays public: property tests pin
-//! the adaptive kernel to it and the kernel-ablation bench measures the gap.
+//! every other kernel here to it.
+//!
+//! *One row against many* (the wedge kernel: `out(u)` against `out(v)` for
+//! every `v ∈ out(u)`): [`StampSet`] marks the shared row once in a dense
+//! per-id scratch and each partner row is probed against it — `|b|` loads
+//! with one mostly-not-taken branch each, where the merge pays `|a| + |b|`
+//! data-dependent three-way branches. A partner more than
+//! [`STAMP_GALLOP_RATIO`] times the stamped row's length is galloped through
+//! instead ([`intersect_indices_gallop`]).
 
-/// Length ratio above which galloping beats the linear merge. Chosen from the
-/// kernel-ablation bench (`cargo run -p bench --bin pipeline`): below ~8× the
-/// branchy binary search loses to the branch-predictable linear scan.
+/// Length ratio above which galloping beats the linear merge in
+/// [`intersect_indices`]. Chosen from the `triple_intersection_skewed`
+/// ablation of `cargo run -p bench --bin pipeline`: below ~8× the branchy
+/// binary search loses to the branch-predictable linear scan.
 pub const GALLOP_RATIO: usize = 8;
+
+/// Length ratio `|b| / |a|` above which galloping through `b` from `a`'s side
+/// beats probing `b` against a [`StampSet`] of `a`. A measurement, not an
+/// option (EXPERIMENTS.md "Stamp, don't merge", probe-vs-gallop by ratio
+/// bucket): a probe costs 0.5–1.3 ns per element of `b`, several times less
+/// than a merge step, so the crossover sits higher than [`GALLOP_RATIO`]. On
+/// randomly scattered out-lists the two arms meet in `[32, 64)` (gallop ÷ probe 1.08
+/// and 0.90; 1.3–1.5 in `[16, 32)`, 0.4–0.8 in `[64, 128)`); on contiguous-id
+/// hub lists, where the gallop's branches predict, the gallop already wins
+/// from 8 (0.54), so 32 leaves at most 2× between 8 and 32 on that shape.
+pub const STAMP_GALLOP_RATIO: usize = 32;
 
 /// Find `target` in `xs[from..]`, returning `Ok(absolute index)` if present
 /// or `Err(absolute insertion point)` if not, by exponential probing followed
@@ -82,10 +100,11 @@ pub fn intersect_indices_linear<T: Ord, F: FnMut(usize, usize)>(a: &[T], b: &[T]
 }
 
 /// Walk the shorter slice and gallop for each element in the longer one.
-/// `swap` reports whether the roles were swapped so callbacks keep (a, b)
-/// index order.
+/// `swapped` reports whether the roles were swapped so callbacks keep (a, b)
+/// index order. Public as the wedge kernel's escape for `|long| ≫ |short|`
+/// (see [`STAMP_GALLOP_RATIO`]).
 #[inline]
-fn intersect_indices_gallop<T: Ord, F: FnMut(usize, usize)>(
+pub fn intersect_indices_gallop<T: Ord, F: FnMut(usize, usize)>(
     short: &[T],
     long: &[T],
     swapped: bool,
@@ -136,6 +155,65 @@ pub fn intersect_count<T: Ord>(a: &[T], b: &[T]) -> u64 {
     let mut n = 0u64;
     intersect_indices(a, b, &mut |_, _| n += 1);
     n
+}
+
+/// A dense membership stamp over an id space `0..n_ids`: one `u32` per id
+/// holding `index + 1` of the id in the row currently stamped, `0` elsewhere.
+///
+/// The one-against-many form of the intersection: a caller that intersects
+/// one row `a` with many rows `b₁, b₂, …` (a wedge apex's `out(u)` against
+/// `out(v)` for every `v ∈ out(u)`) stamps `a` once, probes each `b` — one
+/// load and one mostly-not-taken branch per element of `b`, nothing per
+/// element of `a` — and unstamps `a`. Allocate it once for the id space and
+/// reuse it: every operation costs the length of the row it is given, never
+/// `n_ids`.
+#[derive(Clone, Debug, Default)]
+pub struct StampSet {
+    slots: Vec<u32>,
+}
+
+impl StampSet {
+    /// An all-clear set over ids `0..n_ids` (4 B per id).
+    pub fn new(n_ids: usize) -> Self {
+        StampSet {
+            slots: vec![0; n_ids],
+        }
+    }
+
+    /// Stamp row `a` (distinct ids, all `< n_ids`, on an all-clear set).
+    #[inline]
+    pub fn stamp(&mut self, a: &[u32]) {
+        for (i, &x) in a.iter().enumerate() {
+            debug_assert_eq!(self.slots[x as usize], 0, "stamping over a live stamp");
+            self.slots[x as usize] = i as u32 + 1;
+        }
+    }
+
+    /// Clear the stamps of row `a`, the row last passed to [`Self::stamp`].
+    #[inline]
+    pub fn unstamp(&mut self, a: &[u32]) {
+        for &x in a {
+            self.slots[x as usize] = 0;
+        }
+    }
+
+    /// Visit every element of `b` (ids `< n_ids`) that is in the stamped row
+    /// `a` as `f(index_in_a, index_in_b)`, in `b`'s order — for sorted rows,
+    /// exactly the visit sequence of [`intersect_indices_linear`]`(a, b)`.
+    #[inline]
+    pub fn probe<F: FnMut(usize, usize)>(&self, b: &[u32], f: &mut F) {
+        for (bi, &x) in b.iter().enumerate() {
+            let slot = self.slots[x as usize];
+            if slot != 0 {
+                f(slot as usize - 1, bi);
+            }
+        }
+    }
+
+    /// Whether no id is stamped. `O(n_ids)`: for assertions and tests.
+    pub fn is_clear(&self) -> bool {
+        self.slots.iter().all(|&s| s == 0)
+    }
 }
 
 #[cfg(test)]
@@ -209,6 +287,30 @@ mod tests {
         let b = [1u32, 3, 999];
         assert_eq!(intersect_count(&a, &b), 0);
         assert_eq!(intersect_count(&b, &a), 0);
+    }
+
+    #[test]
+    fn stamp_probe_visits_what_the_linear_merge_visits() {
+        let mut stamps = StampSet::new(12);
+        // the highest id of the space on both sides, an empty row, a
+        // one-element row, and consecutive rows that overlap almost entirely
+        let rows: [&[u32]; 5] = [
+            &[1, 3, 5, 7, 11],
+            &[],
+            &[11],
+            &[1, 3, 5, 7],
+            &[0, 3, 5, 7, 11],
+        ];
+        for a in rows {
+            stamps.stamp(a);
+            for b in rows {
+                let mut probed = Vec::new();
+                stamps.probe(b, &mut |i, j| probed.push((i, j)));
+                assert_eq!(probed, pairs_linear(a, b), "a={a:?} b={b:?}");
+            }
+            stamps.unstamp(a);
+            assert!(stamps.is_clear(), "a={a:?} left a stamp behind");
+        }
     }
 
     #[test]

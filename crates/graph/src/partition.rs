@@ -33,6 +33,8 @@ pub struct LocalCsr {
     offsets: Vec<usize>,
     targets: Vec<u32>,
     weights: Vec<u64>,
+    /// One past the largest vertex id any row names, as source or target.
+    id_bound: usize,
 }
 
 /// `row_of` entry of a vertex that is not a local source.
@@ -57,7 +59,9 @@ impl LocalCsr {
         let mut offsets = vec![0usize];
         let mut targets = Vec::new();
         let mut weights = Vec::new();
+        let mut id_bound = 0usize;
         for (s, d, w) in edges {
+            id_bound = id_bound.max(d as usize + 1);
             if vertices.last() != Some(&s) {
                 debug_assert!(vertices.last().is_none_or(|&p| p < s), "unsorted edges");
                 vertices.push(s);
@@ -72,6 +76,7 @@ impl LocalCsr {
             row_of[u as usize] = i as u32;
         }
         LocalCsr {
+            id_bound: id_bound.max(row_of.len()),
             vertices,
             row_of,
             offsets,
@@ -97,6 +102,13 @@ impl LocalCsr {
     /// Number of local edges.
     pub fn m_local(&self) -> u64 {
         self.targets.len() as u64
+    }
+
+    /// One past the largest vertex id any row names, as source or target
+    /// (0 for an empty partition): the id space a dense per-vertex table must
+    /// cover to be indexed by everything in this partition.
+    pub fn id_bound(&self) -> usize {
+        self.id_bound
     }
 
     /// Iterate `(source, targets, weights)` rows in ascending source order.
@@ -157,6 +169,9 @@ mod tests {
         );
         assert_eq!(csr.out(7), Some((&[8u32, 9][..], &[2u64, 3][..])));
         assert_eq!(csr.out(3), None);
+        assert_eq!(csr.id_bound(), 10);
+        // a source can be the largest id named
+        assert_eq!(LocalCsr::from_edges(vec![(7, 2, 1)]).id_bound(), 8);
     }
 
     #[test]
@@ -174,6 +189,7 @@ mod tests {
         assert!(csr.ghosts().is_empty());
         assert!(csr.rows().next().is_none());
         assert_eq!(csr.out(0), None);
+        assert_eq!(csr.id_bound(), 0);
     }
 
     #[test]

@@ -3,23 +3,30 @@
 //! This driver reproduces the *communication structure* of real TriPoll's
 //! push-based algorithm: the oriented adjacency is partitioned across ranks by
 //! vertex hash; the rank owning wedge apex `u` pushes, for each oriented edge
-//! `(u, v)`, a *wedge check* to the owner of `v`, which intersects `out(u)`
-//! against its local `out(v)` and **folds** every triangle it closes into its
-//! own [`SurveyFold`] — statistics and survivors, never the listing. A single
-//! barrier separates the push superstep from reading the folds.
+//! `(u, v)`, a *wedge check* to the owner of `v`, which probes its local
+//! `out(v)` against the stamped `out(u)` and **folds** every triangle it
+//! closes into its own [`SurveyFold`] — statistics and survivors, never the
+//! listing. A single barrier separates the push superstep from reading the
+//! folds.
 //!
 //! It is the resident survey ([`crate::survey::survey`]) run where the data
 //! lives, not a second implementation of it: the same fold, the same
 //! [`close_wedge`] kernel, rows read in place out of each rank's
-//! [`LocalCsr`]. What the ranks add is the 16-byte wedge check per oriented
-//! edge, shipped through [`PackedAggregator`] like every other shuffle of the
-//! pipeline. In this one-process world `out(u)` itself travels *by
+//! [`LocalCsr`]. Each rank keeps the kernel's stamp scratch (4 B per vertex
+//! id, allocated once in [`DistSurvey::publish`]): an apex's checks arrive
+//! back to back, so its handler stamps `out(u)` when the apex changes and
+//! leaves the scratch all-clear when it returns — batches from different
+//! senders interleave, and the next one must find nothing of this one. What
+//! the ranks add is the 16-byte wedge check per oriented edge, shipped
+//! through [`PackedAggregator`] like every other shuffle of the pipeline. In
+//! this one-process world `out(u)` itself travels *by
 //! reference* (the closing rank reads it out of the apex owner's published
 //! partition); the `survey.wedge_list_bytes` counter records what a network
 //! transport would have to ship in its place.
 
 use std::sync::{Arc, OnceLock};
 
+use coordination_graph::intersect::StampSet;
 use coordination_graph::LocalCsr;
 use parking_lot::Mutex;
 use ygm::partition::owner_of;
@@ -32,6 +39,9 @@ use crate::survey::{record_counters, SurveyConfig, SurveyFold, SurveyReport};
 /// One wedge check on the wire: close the wedges through oriented edge
 /// `(u, v)` of weight `w_uv` at the owner of `v`. 16 bytes packed.
 type WedgeCheck = (u32, u32, u64);
+
+/// One out-list read in place: targets and weights.
+type Row<'a> = (&'a [u32], &'a [u64]);
 
 /// What one rank publishes before the survey: the rows it owns (vertices
 /// `owner_of` assigns it, out-lists sorted by target id) and its replica of
@@ -48,6 +58,9 @@ struct Partition {
 #[repr(align(64))]
 struct RankState {
     fold: SurveyFold,
+    /// The wedge kernel's scratch over `0..n_vertices`, allocated by
+    /// [`DistSurvey::publish`] and all-clear between received batches.
+    stamps: StampSet,
     wedge_checks: u64,
     wedge_list_entries: u64,
 }
@@ -75,7 +88,7 @@ impl Shared {
 /// it serves one survey.
 ///
 /// ```text
-/// survey.publish(ctx, my_rows, pages);  ctx.barrier();
+/// survey.publish(ctx, my_rows, n, pages);  ctx.barrier();
 /// survey_stage(ctx, &survey, None);     ctx.barrier();
 /// let fold = survey.take_fold(ctx);
 /// ```
@@ -94,10 +107,23 @@ impl DistSurvey {
     }
 
     /// Publish this rank's partition: `csr` must hold exactly the rows of
-    /// the vertices `owner_of` assigns this rank, and `vertex_pages` (vertex
-    /// id → `P'`, the same on every rank) is required if the config has a
-    /// `min_t_score`. Follow with `ctx.barrier()` before [`survey_stage`].
-    pub fn publish(&self, ctx: &RankCtx, csr: LocalCsr, vertex_pages: Option<Arc<Vec<u64>>>) {
+    /// the vertices `owner_of` assigns this rank, out of a graph on vertex
+    /// ids `0..n_vertices`; `vertex_pages` (vertex id → `P'`) is required if
+    /// the config has a `min_t_score`. Both are the same on every rank.
+    /// Follow with `ctx.barrier()` before [`survey_stage`].
+    ///
+    /// Panics here, on the publishing thread and before that barrier, if a
+    /// row names a vertex id `≥ n_vertices` or `vertex_pages` is not
+    /// `n_vertices` long: the wedge handler indexes the `P'` replica and its
+    /// stamp scratch by those ids inside a message handler, where a panic
+    /// strands the other ranks at the barrier.
+    pub fn publish(
+        &self,
+        ctx: &RankCtx,
+        csr: LocalCsr,
+        n_vertices: u32,
+        vertex_pages: Option<Arc<Vec<u64>>>,
+    ) {
         assert_eq!(
             self.0.parts.len(),
             ctx.nranks(),
@@ -107,6 +133,18 @@ impl DistSurvey {
             self.0.config.min_t_score <= 0.0 || vertex_pages.is_some(),
             "min_t_score requires vertex_pages metadata"
         );
+        let n_vertices = n_vertices as usize;
+        if let Some(vp) = &vertex_pages {
+            assert_eq!(vp.len(), n_vertices, "vertex_pages length mismatch");
+        }
+        assert!(
+            csr.id_bound() <= n_vertices,
+            "published rows name vertex id {} of a {n_vertices}-vertex survey",
+            csr.id_bound() - 1
+        );
+        // Allocated here, not in the handler: a peer's first wedge check can
+        // arrive while this rank is still inside the barrier that follows.
+        self.0.states[ctx.rank()].lock().stamps = StampSet::new(n_vertices);
         let published = self.0.parts[ctx.rank()].set(Partition { csr, vertex_pages });
         assert!(published.is_ok(), "a rank publishes its partition once");
     }
@@ -115,6 +153,7 @@ impl DistSurvey {
     /// every wedge check. Records this rank's share of the survey counters.
     pub fn take_fold(&self, ctx: &RankCtx) -> SurveyFold {
         let state = std::mem::take(&mut *self.0.states[ctx.rank()].lock());
+        debug_assert!(state.stamps.is_clear(), "a handler left a stamp behind");
         record_counters(
             state.fold.examined(),
             state.fold.survivors().len() as u64,
@@ -149,28 +188,39 @@ pub fn survey_stage(ctx: &RankCtx, survey: &DistSurvey, batch_bytes: Option<usiz
         move |inner: &RankCtx, batch: PackedBatch<WedgeCheck>| {
             let mine = shared.part(inner.rank());
             let pages = mine.vertex_pages.as_deref().map(Vec::as_slice);
-            let fold = &mut shared.states[inner.rank()].lock().fold;
-            // An apex's checks arrive back to back: look its row up once.
-            let mut apex = None;
+            let mut state = shared.states[inner.rank()].lock();
+            let RankState { fold, stamps, .. } = &mut *state;
+            // An apex's checks arrive back to back: look its row up, and
+            // stamp it, once.
+            let mut apex: Option<(u32, Row)> = None;
             for (u, v, w_uv) in batch.iter() {
                 let out_u = match apex {
                     Some((cached, out)) if cached == u => out,
                     _ => {
+                        if let Some((_, stale)) = apex {
+                            stamps.unstamp(stale.0);
+                        }
                         let out = shared
                             .part(owner_of(&u, nranks))
                             .csr
                             .out(u)
                             .expect("a wedge check names a row its sender published");
+                        stamps.stamp(out.0);
                         apex = Some((u, out));
                         out
                     }
                 };
                 // A `v` without out-edges closes nothing.
                 if let Some(out_v) = mine.csr.out(v) {
-                    close_wedge(u, v, w_uv, out_u, out_v, &mut |t: Triangle| {
-                        fold.observe(t, &shared.config, pages)
+                    close_wedge(stamps, out_u, out_v, &mut |x, w_ux, w_vx| {
+                        fold.observe([u, v, x], [w_uv, w_ux, w_vx], &shared.config, pages)
                     });
                 }
+            }
+            // Batches from different senders interleave here, so every batch
+            // starts from, and leaves, an all-clear scratch.
+            if let Some((_, last)) = apex {
+                stamps.unstamp(last.0);
             }
         },
     );
@@ -216,19 +266,24 @@ pub fn survey_on_ranks(
     vertex_pages: Option<&[u64]>,
     nranks: usize,
 ) -> (SurveyReport, u64) {
-    if let Some(vp) = vertex_pages {
-        assert_eq!(
-            vp.len(),
-            oriented.n() as usize,
-            "vertex_pages length mismatch"
-        );
-    }
+    survey_on_ranks_batched(oriented, config, vertex_pages, nranks, None)
+}
+
+/// [`survey_on_ranks`] with [`survey_stage`]'s `batch_bytes` override.
+fn survey_on_ranks_batched(
+    oriented: &OrientedGraph,
+    config: &SurveyConfig,
+    vertex_pages: Option<&[u64]>,
+    nranks: usize,
+    batch_bytes: Option<usize>,
+) -> (SurveyReport, u64) {
     let survey = DistSurvey::new(nranks, config.clone());
     let pages = vertex_pages.map(|vp| Arc::new(vp.to_vec()));
     let per_rank = World::run(nranks, |ctx| {
-        survey.publish(ctx, local_partition(ctx, oriented), pages.clone());
+        let rows = local_partition(ctx, oriented);
+        survey.publish(ctx, rows, oriented.n(), pages.clone());
         ctx.barrier();
-        survey_stage(ctx, &survey, None);
+        survey_stage(ctx, &survey, batch_bytes);
         ctx.barrier();
         (survey.take_fold(ctx), ctx.messages_sent())
     });
@@ -365,47 +420,17 @@ pub fn distributed_components(
 mod tests {
     use super::*;
     use crate::enumerate::brute_force_triangles;
+    use crate::fixtures::{hub_and_fringe, pages_for, random_graph};
     use crate::graph::WeightedGraph;
+    use crate::orient::OrientationStrategy;
     use crate::survey::survey;
+    use coordination_graph::intersect::STAMP_GALLOP_RATIO;
     use proptest::prelude::*;
 
-    fn random_graph(n: u32, p: f64, seed: u64) -> WeightedGraph {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let mut edges = Vec::new();
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if rng.gen_bool(p) {
-                    edges.push((a, b, rng.gen_range(1..20u64)));
-                }
-            }
-        }
-        WeightedGraph::from_edges(n, edges)
-    }
-
-    /// A 40-clique hub with 200 fringe vertices hanging off two or three hub
-    /// members each: a fringe apex has `|out(u)| ≤ 3` while its hub
-    /// neighbour's out-list runs to dozens, so `intersect_indices` gallops.
-    fn hub_and_fringe() -> WeightedGraph {
-        let hub = 40u32;
-        let mut edges = Vec::new();
-        for a in 0..hub {
-            for b in (a + 1)..hub {
-                edges.push((a, b, u64::from(1 + (a * 7 + b) % 30)));
-            }
-        }
-        for f in 0..200u32 {
-            for k in 0..(2 + f % 2) {
-                edges.push(((f * 3 + k * 11) % hub, hub + f, u64::from(1 + (f + k) % 9)));
-            }
-        }
-        WeightedGraph::from_edges(hub + 200, edges)
-    }
-
-    /// `P'`-like metadata: any positive per-vertex count will do.
-    fn pages_for(g: &WeightedGraph) -> Vec<u64> {
-        (0..g.n()).map(|v| 20 + u64::from(v % 13)).collect()
-    }
+    /// One wedge check per batch: every check restamps its apex, apex rows
+    /// from different senders interleave at the closing rank, and every batch
+    /// must start from the all-clear scratch the last one left.
+    const ONE_CHECK: Option<usize> = Some(WedgeCheck::WIDTH);
 
     fn assert_reports_equal(got: &SurveyReport, want: &SurveyReport, what: &str) {
         assert_eq!(got.total_examined, want.total_examined, "{what}");
@@ -420,11 +445,11 @@ mod tests {
     }
 
     /// The rank-sharded survey equals the resident one field for field, at
-    /// every rank count, for a cutoff, for cutoff 1 (everything survives)
+    /// every rank count, batched adaptively and one check per batch, under
+    /// both orientations, for a cutoff, for cutoff 1 (everything survives)
     /// and for a `T`-score predicate over vertex metadata; and both examine
     /// exactly the triangles the O(n³) reference finds.
     fn assert_equals_resident(g: &WeightedGraph, what: &str) {
-        let o = OrientedGraph::from_graph(g);
         let pages = pages_for(g);
         let scored = SurveyConfig {
             min_edge_weight: 2,
@@ -437,12 +462,24 @@ mod tests {
             (scored, Some(&pages[..])),
         ];
         let reference = brute_force_triangles(g).len() as u64;
-        for (config, vertex_pages) in &cases {
-            let want = survey(&o, config, *vertex_pages);
-            assert_eq!(want.total_examined, reference, "{what}");
-            for nranks in [1, 2, 3, 7] {
-                let (got, _) = survey_on_ranks(&o, config, *vertex_pages, nranks);
-                assert_reports_equal(&got, &want, &format!("{what}, {nranks} ranks, {config:?}"));
+        for strategy in [
+            OrientationStrategy::DegreeOrder,
+            OrientationStrategy::IdOrder,
+        ] {
+            let o = OrientedGraph::with_strategy(g, strategy);
+            for (config, vertex_pages) in &cases {
+                let want = survey(&o, config, *vertex_pages);
+                assert_eq!(want.total_examined, reference, "{what}");
+                for nranks in [1, 2, 3, 7] {
+                    for batch_bytes in [None, ONE_CHECK] {
+                        let (got, _) =
+                            survey_on_ranks_batched(&o, config, *vertex_pages, nranks, batch_bytes);
+                        let what = format!(
+                            "{what}, {strategy:?}, {nranks} ranks, batch {batch_bytes:?}, {config:?}"
+                        );
+                        assert_reports_equal(&got, &want, &what);
+                    }
+                }
             }
         }
     }
@@ -455,17 +492,55 @@ mod tests {
     }
 
     #[test]
-    fn rank_sharded_survey_equals_resident_when_intersections_gallop() {
+    fn rank_sharded_survey_equals_resident_on_every_kernel_shape() {
+        // Galloping wedges, near-identical consecutive apex rows, apexes of
+        // out-degree 0 and 1, the highest id as a target: see the fixture
+        // (`enumerate`'s tests assert it reaches both arms of the kernel).
         let g = hub_and_fringe();
         let o = OrientedGraph::from_graph(&g);
         let skewed = (0..o.n()).any(|u| {
             let (nbrs, _) = o.out(u);
-            nbrs.iter().any(|&v| {
-                nbrs.len() * coordination_graph::intersect::GALLOP_RATIO < o.out(v).0.len()
-            })
+            nbrs.iter()
+                .any(|&v| nbrs.len() * STAMP_GALLOP_RATIO < o.out(v).0.len())
         });
         assert!(skewed, "the graph must put a wedge on the galloping branch");
         assert_equals_resident(&g, "hub and fringe");
+    }
+
+    /// Publish `o`'s partitions on two ranks as a graph of `n_vertices`
+    /// with `pages` for `P'`, and re-raise the panic `publish` answers with.
+    /// It is caught where it is raised, so the world shuts down normally: no
+    /// rank reaches the barrier, let alone a handler, with what was refused.
+    fn publish_refuses(o: &OrientedGraph, n_vertices: u32, pages: Option<Vec<u64>>) {
+        use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+        let pages = pages.map(Arc::new);
+        let dist = DistSurvey::new(2, SurveyConfig::default());
+        let refused = World::run(2, |ctx| {
+            let rows = local_partition(ctx, o);
+            catch_unwind(AssertUnwindSafe(|| {
+                dist.publish(ctx, rows, n_vertices, pages.clone())
+            }))
+            .err()
+        });
+        if let Some(payload) = refused.into_iter().flatten().next() {
+            resume_unwind(payload);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex_pages length mismatch")]
+    fn publishing_a_short_replica_panics_before_the_barrier() {
+        let o = OrientedGraph::from_graph(&random_graph(20, 0.4, 1));
+        publish_refuses(&o, o.n(), Some(vec![1; o.n() as usize - 1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "name vertex id 19 of a 19-vertex survey")]
+    fn publishing_rows_past_the_id_space_panics_before_the_barrier() {
+        // The stamp scratch is sized from `n_vertices`: a row naming an id
+        // past it must not reach a handler.
+        let o = OrientedGraph::from_graph(&random_graph(20, 0.4, 1));
+        publish_refuses(&o, o.n() - 1, None);
     }
 
     #[test]
@@ -521,9 +596,9 @@ mod tests {
         let nranks = 3;
         let dist = DistSurvey::new(nranks, config);
         let folds = World::run(nranks, |ctx| {
-            dist.publish(ctx, local_partition(ctx, &o), None);
+            dist.publish(ctx, local_partition(ctx, &o), o.n(), None);
             ctx.barrier();
-            survey_stage(ctx, &dist, Some(1));
+            survey_stage(ctx, &dist, ONE_CHECK);
             ctx.barrier();
             dist.take_fold(ctx)
         });
@@ -557,7 +632,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Any edge soup (duplicates, self-loops, isolated vertices), any
-        /// rank count, any cutoff: the rank-sharded report is the resident
+        /// rank count, either orientation, any cutoff, adaptive batches or
+        /// one check per batch: the rank-sharded report is the resident
         /// report.
         #[test]
         fn rank_sharded_survey_equals_resident(
@@ -566,13 +642,17 @@ mod tests {
             }),
             nranks in 1usize..8,
             cutoff in 1u64..10,
+            by_id in 0usize..2,
+            one_check in 0usize..2,
         ) {
             let g = WeightedGraph::from_edges(n, edges.into_iter().filter(|&(a, b, _)| a != b));
-            let o = OrientedGraph::from_graph(&g);
+            let strategy = [OrientationStrategy::DegreeOrder, OrientationStrategy::IdOrder][by_id];
+            let o = OrientedGraph::with_strategy(&g, strategy);
             let config = SurveyConfig::with_min_weight(cutoff);
             let pages = pages_for(&g);
             let want = survey(&o, &config, Some(&pages));
-            let (got, _) = survey_on_ranks(&o, &config, Some(&pages), nranks);
+            let batch_bytes = [None, ONE_CHECK][one_check];
+            let (got, _) = survey_on_ranks_batched(&o, &config, Some(&pages), nranks, batch_bytes);
             assert_reports_equal(&got, &want, "proptest");
         }
     }

@@ -1,18 +1,21 @@
-//! Triangle enumeration by sorted-adjacency intersection.
+//! Triangle enumeration by stamp-and-probe wedge closing.
 //!
 //! With the graph oriented by degree order, every triangle `{a, b, c}` appears
-//! exactly once: at its lowest-order vertex `u`, as a pair `(v, w)` present in
-//! both `out(u)` and such that `w ∈ out(v)`. Enumeration therefore reduces to
-//! intersecting sorted out-lists through the shared adaptive kernel
-//! ([`coordination_graph::intersect`]): `O(min + log·short)` per wedge when
-//! the two out-lists are skewed, `O(|out(u)| + |out(v)|)` linear merge when
-//! they are comparable — near-linear in the triangle count on
-//! social-network-like degree distributions either way.
+//! exactly once: at its lowest-order vertex `u` (the wedge *apex*), as an
+//! oriented edge `(u, v)` and a third vertex `x ∈ out(u) ∩ out(v)`. Every `v`
+//! of one apex intersects the *same* `out(u)`, so the enumerator stamps
+//! `out(u)` into a dense per-vertex scratch once
+//! ([`coordination_graph::intersect::StampSet`]) and closes each wedge by
+//! probing `out(v)` against it ([`close_wedge`]): `Σ |out(v)|` loads over all
+//! oriented edges, each followed by one mostly-not-taken branch, and nothing
+//! per element of `out(u)` beyond the stamp itself. When `out(v)` is far
+//! longer than `out(u)` (id-order orientation, hub-and-fringe graphs) the
+//! kernel gallops through it from `out(u)`'s side instead —
+//! `O(|out(u)| · log |out(v)|)`.
 //!
-//! The parallel driver partitions the *wedge apex* vertices over rayon tasks;
-//! out-lists are read-only, so the map step is embarrassingly parallel.
+//! Everything here is one sequential pass in apex order.
 
-use rayon::prelude::*;
+use coordination_graph::intersect::{intersect_indices_gallop, StampSet, STAMP_GALLOP_RATIO};
 
 use crate::graph::WeightedGraph;
 use crate::orient::OrientedGraph;
@@ -87,93 +90,73 @@ impl Triangle {
     }
 }
 
-/// Stream every triangle of `oriented` through `f`, single-threaded.
+/// Stream every triangle of `oriented` through `f` as the raw wedge that
+/// closed it — vertices `[u, v, x]` (apex, the oriented edge's head, the
+/// common out-neighbour) and weights `[w_uv, w_ux, w_vx]`, the argument
+/// order of [`Triangle::new`] — in apex order, then `out(u)` order of `v`,
+/// then ascending `x`. The one apex loop of the crate: one [`StampSet`] for
+/// the whole pass, stamped and cleared per apex around its [`close_wedge`]s.
+pub fn for_each_wedge<F>(oriented: &OrientedGraph, mut f: F)
+where
+    F: FnMut([u32; 3], [u64; 3]),
+{
+    let mut stamps = StampSet::new(oriented.n() as usize);
+    for u in 0..oriented.n() {
+        let out_u = oriented.out(u);
+        stamps.stamp(out_u.0);
+        for (&v, &w_uv) in out_u.0.iter().zip(out_u.1) {
+            close_wedge(&stamps, out_u, oriented.out(v), &mut |x, w_ux, w_vx| {
+                f([u, v, x], [w_uv, w_ux, w_vx])
+            });
+        }
+        stamps.unstamp(out_u.0);
+    }
+}
+
+/// Stream every triangle of `oriented` through `f`, canonicalised.
 pub fn for_each_triangle<F>(oriented: &OrientedGraph, mut f: F)
 where
     F: FnMut(Triangle),
 {
-    for u in 0..oriented.n() {
-        wedge_close(oriented, u, &mut f);
-    }
-}
-
-/// Stream every triangle whose wedge apex (lowest degree-order vertex) is `u`.
-/// The unit of parallel work: apexes partition the triangle set.
-pub fn for_each_apex_triangle<F: FnMut(Triangle)>(oriented: &OrientedGraph, u: u32, f: &mut F) {
-    wedge_close(oriented, u, f)
-}
-
-/// All triangles whose wedge apex (lowest degree-order vertex) is `u`: one
-/// [`close_wedge`] per oriented edge `(u, v)`.
-#[inline]
-fn wedge_close<F: FnMut(Triangle)>(oriented: &OrientedGraph, u: u32, f: &mut F) {
-    let out_u = oriented.out(u);
-    for (&v, &w_uv) in out_u.0.iter().zip(out_u.1) {
-        close_wedge(u, v, w_uv, out_u, oriented.out(v), f);
-    }
+    for_each_wedge(oriented, |[u, v, x], [w_uv, w_ux, w_vx]| {
+        f(Triangle::new(u, v, x, w_uv, w_ux, w_vx))
+    });
 }
 
 /// Close the wedges through one oriented edge `(u, v)`: every
-/// `x ∈ out(u) ∩ out(v)` is the triangle `u–v–x`. The one wedge-intersection
-/// kernel of the crate — the resident enumerator calls it for each edge of
+/// `x ∈ out(u) ∩ out(v)` is the triangle `u–v–x`, handed to `f` as
+/// `(x, w_ux, w_vx)` in ascending `x`. `stamps` must hold `out(u)` stamped
+/// (and nothing else). The one wedge-closing kernel of the crate — the
+/// resident apex loop ([`for_each_wedge`]) calls it for each edge of
 /// `out(u)`, the rank-sharded survey ([`crate::distributed`]) calls it on
 /// `owner_of(v)` for each wedge check it receives.
 ///
-/// Intersects the *whole* of `out(u)` with `out(v)` — the third vertex can
-/// sit anywhere in `out(u)`, not only past `v`, because degree order ≠ id
-/// order. The intersection runs through the shared adaptive kernel: linear
-/// merge when the two out-lists are comparable, galloping from the shorter
-/// side when their lengths are skewed (id-order orientation and hub-heavy
-/// graphs produce exactly that skew). `v` itself never matches — `v ∉ out(v)`
-/// since the orientation has no self-loops.
+/// Two arms, chosen by the measured [`STAMP_GALLOP_RATIO`]: probe the whole
+/// of `out(v)` against the stamps — the third vertex can sit anywhere in
+/// `out(u)`, not only past `v`, because degree order ≠ id order — or, when
+/// `out(v)` is that many times longer than `out(u)`, gallop through it from
+/// `out(u)`'s side. `v` itself never matches — `v ∉ out(v)` since the
+/// orientation has no self-loops.
 #[inline]
-pub fn close_wedge<F: FnMut(Triangle)>(
-    u: u32,
-    v: u32,
-    w_uv: u64,
+pub fn close_wedge<F: FnMut(u32, u64, u64)>(
+    stamps: &StampSet,
     (u_nbrs, u_ws): (&[u32], &[u64]),
     (v_nbrs, v_ws): (&[u32], &[u64]),
     f: &mut F,
 ) {
-    coordination_graph::intersect_indices(u_nbrs, v_nbrs, &mut |ai, bi| {
-        // triangle u–v–x with x = u_nbrs[ai]: w_uv, w_ux, w_vx
-        f(Triangle::new(u, v, u_nbrs[ai], w_uv, u_ws[ai], v_ws[bi]));
-    });
+    let mut hit = |ai: usize, bi: usize| f(v_nbrs[bi], u_ws[ai], v_ws[bi]);
+    if u_nbrs.len() * STAMP_GALLOP_RATIO < v_nbrs.len() {
+        intersect_indices_gallop(u_nbrs, v_nbrs, false, &mut hit);
+    } else {
+        stamps.probe(v_nbrs, &mut hit);
+    }
 }
 
-/// Parallel map over all triangles: `map` runs on rayon workers and its `Some`
-/// results are collected (order unspecified).
-pub fn par_triangles<T, F>(oriented: &OrientedGraph, map: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Triangle) -> Option<T> + Sync,
-{
-    (0..oriented.n())
-        .into_par_iter()
-        .fold(Vec::new, |mut acc, u| {
-            wedge_close(oriented, u, &mut |t| {
-                if let Some(x) = map(t) {
-                    acc.push(x);
-                }
-            });
-            acc
-        })
-        .reduce(Vec::new, |mut a, mut b| {
-            a.append(&mut b);
-            a
-        })
-}
-
-/// Count triangles, in parallel.
+/// Count triangles.
 pub fn count_triangles(oriented: &OrientedGraph) -> u64 {
-    (0..oriented.n())
-        .into_par_iter()
-        .map(|u| {
-            let mut n = 0u64;
-            wedge_close(oriented, u, &mut |_| n += 1);
-            n
-        })
-        .sum()
+    let mut n = 0u64;
+    for_each_wedge(oriented, |_, _| n += 1);
+    n
 }
 
 /// Reference implementation: brute-force O(n³) triangle enumeration straight
@@ -270,6 +253,79 @@ mod tests {
         assert_eq!(count_triangles(&o), (10 * 9 * 8) / 6);
     }
 
+    /// The stamped kernel against its two references, under both
+    /// orientations: per oriented edge `(u, v)` the visit sequence of
+    /// [`close_wedge`] is `intersect_indices_linear`'s, and `survey()` is a
+    /// fold over `brute_force_triangles`, field for field.
+    fn assert_kernel_matches_references(g: &WeightedGraph, what: &str) {
+        use crate::orient::OrientationStrategy;
+        use crate::survey::{survey, t_score, SurveyConfig};
+        use coordination_graph::intersect_indices_linear;
+
+        let brute = brute_force_triangles(g);
+        let pages = crate::fixtures::pages_for(g);
+        let config = SurveyConfig {
+            min_edge_weight: 4,
+            min_t_score: 0.15,
+            top_k: None,
+        };
+        let mut hist = Vec::new();
+        let mut kept = Vec::new();
+        for t in &brute {
+            let mw = t.min_weight();
+            let bucket = mw.max(1).ilog2() as usize;
+            hist.resize(hist.len().max(bucket + 1), 0u64);
+            hist[bucket] += 1;
+            let [a, b, c] = t.vertices().map(|v| pages[v as usize]);
+            let ts = t_score(mw, a, b, c);
+            if mw >= config.min_edge_weight && ts >= config.min_t_score {
+                kept.push((*t, mw, ts.to_bits()));
+            }
+        }
+
+        for strategy in [
+            OrientationStrategy::DegreeOrder,
+            OrientationStrategy::IdOrder,
+        ] {
+            let what = format!("{what}, {strategy:?}");
+            let o = OrientedGraph::with_strategy(g, strategy);
+            let mut stamps = StampSet::new(o.n() as usize);
+            for u in 0..o.n() {
+                let out_u = o.out(u);
+                stamps.stamp(out_u.0);
+                for &v in out_u.0 {
+                    let out_v = o.out(v);
+                    let mut got = Vec::new();
+                    close_wedge(&stamps, out_u, out_v, &mut |x, w_ux, w_vx| {
+                        got.push((x, w_ux, w_vx))
+                    });
+                    let mut want = Vec::new();
+                    intersect_indices_linear(out_u.0, out_v.0, &mut |ai, bi| {
+                        want.push((out_u.0[ai], out_u.1[ai], out_v.1[bi]))
+                    });
+                    assert_eq!(got, want, "{what}: wedge ({u}, {v})");
+                }
+                stamps.unstamp(out_u.0);
+            }
+            assert!(stamps.is_clear(), "{what}");
+
+            let report = survey(&o, &config, Some(&pages));
+            assert_eq!(report.total_examined, brute.len() as u64, "{what}");
+            assert_eq!(
+                report.max_min_weight,
+                brute.iter().map(Triangle::min_weight).max().unwrap_or(0),
+                "{what}"
+            );
+            assert_eq!(report.min_weight_log_hist, hist, "{what}");
+            let survivors: Vec<_> = report
+                .triangles
+                .iter()
+                .map(|s| (s.triangle, s.min_weight, s.t_score.to_bits()))
+                .collect();
+            assert_eq!(survivors, kept, "{what}");
+        }
+    }
+
     #[test]
     fn matches_brute_force_on_random_graphs() {
         use rand::{Rng, SeedableRng};
@@ -289,11 +345,42 @@ mod tests {
             let fast: HashSet<Triangle> = triangles_of(&g).into_iter().collect();
             let brute: HashSet<Triangle> = brute_force_triangles(&g).into_iter().collect();
             assert_eq!(fast, brute, "mismatch on trial {trial} (n={n}, p={p})");
+            assert_kernel_matches_references(&g, &format!("trial {trial} (n={n}, p={p})"));
         }
     }
 
     #[test]
-    fn parallel_matches_sequential() {
+    fn matches_brute_force_on_every_kernel_shape() {
+        use crate::orient::OrientationStrategy;
+        let g = crate::fixtures::hub_and_fringe();
+        // The fixture must reach both arms, the gallop with something to find.
+        for strategy in [
+            OrientationStrategy::DegreeOrder,
+            OrientationStrategy::IdOrder,
+        ] {
+            let o = OrientedGraph::with_strategy(&g, strategy);
+            let (mut gallops_hit, mut probes) = (false, false);
+            for u in 0..o.n() {
+                let (u_nbrs, _) = o.out(u);
+                for &v in u_nbrs {
+                    let (v_nbrs, _) = o.out(v);
+                    if u_nbrs.len() * STAMP_GALLOP_RATIO < v_nbrs.len() {
+                        gallops_hit |= u_nbrs.iter().any(|x| v_nbrs.contains(x));
+                    } else {
+                        probes = true;
+                    }
+                }
+            }
+            assert!(gallops_hit && probes, "{strategy:?} misses a kernel arm");
+            assert_eq!(o.out_degree(o.n() - 1), 0, "the last vertex is a target");
+            assert!((0..o.n() - 1).any(|u| o.out(u).0.last() == Some(&(o.n() - 1))));
+            assert!((0..o.n()).any(|u| o.out_degree(u) == 1));
+        }
+        assert_kernel_matches_references(&g, "hub and fringe");
+    }
+
+    #[test]
+    fn listing_helpers_agree_with_for_each_triangle() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
         let n = 200u32;
@@ -307,31 +394,17 @@ mod tests {
         }
         let g = WeightedGraph::from_edges(n, edges);
         let o = OrientedGraph::from_graph(&g);
-        let mut seq = Vec::new();
-        for_each_triangle(&o, |t| seq.push(t));
-        let mut par = par_triangles(&o, Some);
-        seq.sort_unstable_by_key(|t| (t.a, t.b, t.c));
-        par.sort_unstable_by_key(|t| (t.a, t.b, t.c));
-        assert_eq!(seq, par);
-        assert_eq!(count_triangles(&o), seq.len() as u64);
-    }
-
-    #[test]
-    fn par_map_filters() {
-        let g = WeightedGraph::from_edges(
-            4,
-            [
-                (0, 1, 10),
-                (0, 2, 10),
-                (1, 2, 10),
-                (1, 3, 1),
-                (2, 3, 1),
-                (0, 3, 1),
-            ],
-        );
-        let o = OrientedGraph::from_graph(&g);
-        let heavy = par_triangles(&o, |t| (t.min_weight() >= 10).then_some(t.vertices()));
-        assert_eq!(heavy, vec![[0, 1, 2]]);
+        let mut listed = Vec::new();
+        for_each_triangle(&o, |t| listed.push(t));
+        assert_eq!(count_triangles(&o), listed.len() as u64);
+        let mut heavy: Vec<Triangle> = listed
+            .iter()
+            .copied()
+            .filter(|t| t.min_weight() >= 10)
+            .collect();
+        heavy.sort_unstable_by_key(Triangle::vertices);
+        assert!(!heavy.is_empty() && heavy.len() < listed.len());
+        assert_eq!(crate::survey::triangles_above(&o, 10), heavy);
     }
 
     #[test]

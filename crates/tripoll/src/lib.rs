@@ -10,8 +10,9 @@
 //! 2. orient every edge from lower to higher *degree order* — a total order on
 //!    vertices by `(degree, id)` — so each triangle is discovered exactly once
 //!    ([`orient::OrientedGraph`]);
-//! 3. enumerate triangles by sorted-adjacency intersection, invoking a
-//!    user callback with full per-edge metadata ([`enumerate`]);
+//! 3. enumerate triangles by closing wedges — stamp `out(u)` once per apex,
+//!    probe each `out(v)` against it — invoking a user callback with full
+//!    per-edge metadata ([`enumerate`]);
 //! 4. apply survey predicates (minimum edge weight, normalized coordination
 //!    score) and collect summaries ([`survey`]).
 //!
@@ -43,6 +44,8 @@
 pub mod clique;
 pub mod distributed;
 pub mod enumerate;
+#[cfg(test)]
+mod fixtures;
 pub mod graph;
 pub mod orient;
 pub mod survey;

@@ -26,7 +26,7 @@ pub enum OrientationStrategy {
 /// A degree-order-oriented view of a [`WeightedGraph`].
 ///
 /// `out(u)` holds only neighbors above `u` in degree order, sorted by id, so
-/// two out-lists can be intersected with a linear merge.
+/// two out-lists intersect in ascending id whichever kernel walks them.
 #[derive(Clone, Debug)]
 pub struct OrientedGraph {
     offsets: Vec<usize>,

@@ -9,10 +9,14 @@
 //! * normalized CI coordination score `T(x,y,z) = 3·min{w'}/(P'_x+P'_y+P'_z)
 //!   ≥ τ`, which needs per-vertex metadata (`P'` page counts) supplied
 //!   alongside the graph.
+//!
+//! The statistics cover *every* triangle, so the fold ([`SurveyFold`]) is
+//! handed each one as the raw wedge that closed it and pays a `min`, a
+//! compare and a histogram bump for it; the vertex sort and weight
+//! permutation of [`Triangle::new`] are spent on survivors of the weight
+//! cutoff only. [`survey`] is one sequential pass in apex order.
 
-use rayon::prelude::*;
-
-use crate::enumerate::{par_triangles, Triangle};
+use crate::enumerate::{for_each_triangle, for_each_wedge, Triangle};
 use crate::orient::OrientedGraph;
 
 /// Survey thresholds and options.
@@ -113,8 +117,9 @@ const WEDGE_ENTRY_BYTES: u64 = 12;
 /// survivors of the predicates. Never the listing.
 ///
 /// Both engines fold into this one type where the wedge closes: the resident
-/// [`survey`] per apex, the rank-sharded [`crate::distributed::DistSurvey`]
-/// on the rank that receives the wedge check. Folds merge associatively.
+/// [`survey`] in its one apex loop, the rank-sharded
+/// [`crate::distributed::DistSurvey`] on the rank that receives the wedge
+/// check. Folds merge associatively.
 #[derive(Clone, Debug, Default)]
 pub struct SurveyFold {
     kept: Vec<SurveyedTriangle>,
@@ -125,11 +130,24 @@ pub struct SurveyFold {
 }
 
 impl SurveyFold {
-    /// Stream one triangle past the predicates of `config`. `vertex_pages`
-    /// is the `P'` metadata of [`survey`].
+    /// Stream one triangle past the predicates of `config`, as the raw wedge
+    /// that closed it: three distinct vertices in any order and the weights
+    /// of edges `(u, v)`, `(u, x)`, `(v, x)`. `vertex_pages` is the `P'`
+    /// metadata of [`survey`]. Every triangle is counted; only one that
+    /// passes `min_edge_weight` is canonicalised into a [`Triangle`].
     #[inline]
-    pub fn observe(&mut self, t: Triangle, config: &SurveyConfig, vertex_pages: Option<&[u64]>) {
-        let mw = t.min_weight();
+    pub fn observe(
+        &mut self,
+        [u, v, x]: [u32; 3],
+        [w_uv, w_ux, w_vx]: [u64; 3],
+        config: &SurveyConfig,
+        vertex_pages: Option<&[u64]>,
+    ) {
+        debug_assert!(
+            u != v && v != x && u != x,
+            "triangle vertices must be distinct"
+        );
+        let mw = w_uv.min(w_ux).min(w_vx);
         self.examined += 1;
         self.max_min = self.max_min.max(mw);
         let bucket = 63 - mw.max(1).leading_zeros() as usize;
@@ -140,6 +158,7 @@ impl SurveyFold {
         if mw < config.min_edge_weight {
             return;
         }
+        let t = Triangle::new(u, v, x, w_uv, w_ux, w_vx);
         let ts = match vertex_pages {
             Some(vp) => t_score(mw, vp[t.a as usize], vp[t.b as usize], vp[t.c as usize]),
             None => f64::NAN,
@@ -255,19 +274,10 @@ pub fn survey(
         );
     }
 
-    // Per-apex partial folds, merged associatively.
-    let fold = (0..oriented.n())
-        .into_par_iter()
-        .fold(SurveyFold::default, |mut acc, u| {
-            crate::enumerate::for_each_apex_triangle(oriented, u, &mut |t: Triangle| {
-                acc.observe(t, config, vertex_pages)
-            });
-            acc
-        })
-        .reduce(SurveyFold::default, |mut a, b| {
-            a.merge(b);
-            a
-        });
+    let mut fold = SurveyFold::default();
+    for_each_wedge(oriented, |vertices, weights| {
+        fold.observe(vertices, weights, config, vertex_pages)
+    });
 
     let report = fold.into_report(config.top_k);
     // One rank owns every vertex here, so each out-list would travel once.
@@ -297,9 +307,14 @@ pub fn top_k_by_min_weight(oriented: &OrientedGraph, k: usize) -> Vec<SurveyedTr
 
 /// Convenience: all triangles with `min_weight >= cutoff`, sorted by vertices.
 pub fn triangles_above(oriented: &OrientedGraph, cutoff: u64) -> Vec<Triangle> {
-    par_triangles(oriented, |t| (t.min_weight() >= cutoff).then_some(t))
-        .into_iter()
-        .collect()
+    let mut above = Vec::new();
+    for_each_triangle(oriented, |t| {
+        if t.min_weight() >= cutoff {
+            above.push(t);
+        }
+    });
+    above.sort_unstable_by_key(Triangle::vertices);
+    above
 }
 
 #[cfg(test)]
@@ -412,6 +427,59 @@ mod tests {
         assert_eq!(ts.len(), 2);
         let ts = triangles_above(&o, 11);
         assert!(ts.is_empty());
+    }
+
+    #[test]
+    fn observe_keeps_one_canonical_triangle_for_all_six_wedge_orders() {
+        // vertices 5, 2, 9 with w_25 = 4, w_59 = 7, w_29 = 3
+        let w = |a: u32, b: u32| match (a.min(b), a.max(b)) {
+            (2, 5) => 4u64,
+            (5, 9) => 7,
+            (2, 9) => 3,
+            _ => unreachable!(),
+        };
+        let pages: Vec<u64> = (0..10).map(|v| 3 + 2 * v).collect();
+        let keep_all = SurveyConfig {
+            min_edge_weight: 3,
+            min_t_score: 0.05,
+            top_k: None,
+        };
+        let orders = [
+            [2, 5, 9],
+            [2, 9, 5],
+            [5, 2, 9],
+            [5, 9, 2],
+            [9, 2, 5],
+            [9, 5, 2],
+        ];
+        let (mut kept, mut dropped) = (SurveyFold::default(), SurveyFold::default());
+        for [u, v, x] in orders {
+            let weights = [w(u, v), w(u, x), w(v, x)];
+            // what canonicalising first, then reading the triangle, gives
+            let t = Triangle::new(u, v, x, weights[0], weights[1], weights[2]);
+            let want = SurveyedTriangle {
+                triangle: t,
+                min_weight: t.min_weight(),
+                t_score: t_score(t.min_weight(), pages[2], pages[5], pages[9]),
+            };
+            assert_eq!(t.edge_weights(), [4, 3, 7]);
+            kept.observe([u, v, x], weights, &keep_all, Some(&pages));
+            assert_eq!(kept.survivors().last(), Some(&want), "order {u} {v} {x}");
+            dropped.observe([u, v, x], weights, &SurveyConfig::with_min_weight(4), None);
+        }
+        // Below the cutoff a triangle is counted, never canonicalised or kept.
+        assert_eq!(dropped.examined(), 6);
+        assert_eq!(dropped.max_min_weight(), 3);
+        assert_eq!(dropped.log_hist(), [0, 6]);
+        assert!(dropped.survivors().is_empty());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "distinct")]
+    fn observe_rejects_a_degenerate_wedge_it_would_only_count() {
+        let below_cutoff = SurveyConfig::with_min_weight(10);
+        SurveyFold::default().observe([1, 2, 1], [1, 1, 1], &below_cutoff, None);
     }
 
     #[test]

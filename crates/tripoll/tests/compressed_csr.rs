@@ -110,7 +110,7 @@ fn composable_survey_stage_runs_over_compressed_csr() {
     let nranks = 3;
     let survey = DistSurvey::new(nranks, SurveyConfig::default());
     let folds = World::run(nranks, |ctx| {
-        survey.publish(ctx, local_partition(ctx, &oriented), None);
+        survey.publish(ctx, local_partition(ctx, &oriented), oriented.n(), None);
         ctx.barrier();
         survey_stage(ctx, &survey, None);
         ctx.barrier();

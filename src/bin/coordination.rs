@@ -13,13 +13,13 @@
 //! usage error.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::process::ExitCode;
 
 use coordination::analysis::components::{component_dot, describe, named_components};
 use coordination::core::dist_pipeline::DistPipeline;
 use coordination::core::ingest::{self, IngestConfig, IngestStats};
-use coordination::core::pipeline::{Pipeline, PipelineConfig};
+use coordination::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
 use coordination::core::records::{write_ndjson, Dataset};
 use coordination::core::Window;
 use coordination::redditgen::ScenarioConfig;
@@ -521,11 +521,23 @@ fn cmd_hunt(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// Write a whole report through one locked, buffered stdout handle, flushed
+/// before returning: a report of thousands of rows is a handful of
+/// `write(2)`s, not one per line, and a closed pipe is an error, not a panic.
+fn with_stdout(
+    report: impl FnOnce(&mut BufWriter<std::io::StdoutLock<'static>>) -> std::io::Result<()>,
+) -> Result<(), String> {
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    report(&mut out)
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("write stdout: {e}"))
+}
+
 fn cmd_validate(flags: &Flags) -> Result<(), String> {
     let (ds, out) = run_pipeline(flags, 10)?;
     if flags.has("windowed") {
         // future-work variant: hyperedges bounded by the projection window
-        let w = window(flags)?;
+        let bound = window(flags)?.d2();
         let btm = {
             let excl = coordination::core::filter::ExclusionList::reddit_defaults();
             ds.btm_without(&excl.resolve(&ds))
@@ -533,24 +545,39 @@ fn cmd_validate(flags: &Flags) -> Result<(), String> {
         let triangles: Vec<coordination::tripoll::Triangle> =
             out.survey.triangles.iter().map(|s| s.triangle).collect();
         let rows =
-            coordination::core::windowed_hyperedge::validate_windowed(&btm, &triangles, w.d2());
-        println!("a\tb\tc\tmin_w\tw_xyz\tw_xyz_windowed\tC_windowed");
-        for r in rows {
-            let n: Vec<&str> = r.authors.iter().map(|a| ds.authors.name(a.0)).collect();
-            println!(
-                "{}\t{}\t{}\t{}\t{}\t{}\t{:.4}",
-                n[0], n[1], n[2], r.min_ci_weight, r.hyper_weight, r.windowed_weight, r.windowed_c
-            );
-        }
+            coordination::core::windowed_hyperedge::validate_windowed(&btm, &triangles, bound);
+        with_stdout(|w| {
+            writeln!(w, "a\tb\tc\tmin_w\tw_xyz\tw_xyz_windowed\tC_windowed")?;
+            for r in rows {
+                let [a, b, c] = r.authors.map(|a| ds.authors.name(a.0));
+                writeln!(
+                    w,
+                    "{a}\t{b}\t{c}\t{}\t{}\t{}\t{:.4}",
+                    r.min_ci_weight, r.hyper_weight, r.windowed_weight, r.windowed_c
+                )?;
+            }
+            Ok(())
+        })
     } else {
-        println!("a\tb\tc\tmin_w\tT\tw_xyz\tC");
-        for m in &out.triplets {
-            let n: Vec<&str> = m.authors.iter().map(|a| ds.authors.name(a.0)).collect();
-            println!(
-                "{}\t{}\t{}\t{}\t{:.4}\t{}\t{:.4}",
-                n[0], n[1], n[2], m.min_ci_weight, m.t, m.hyper_weight, m.c
-            );
-        }
+        with_stdout(|w| write_triplet_rows(w, &out.triplets, |id| ds.authors.name(id)))
+    }
+}
+
+/// The validated-triplet TSV — header, then one row per triplet — with
+/// author names read in place through `name`.
+fn write_triplet_rows<'a>(
+    w: &mut impl Write,
+    triplets: &[coordination::core::TripletMetrics],
+    name: impl Fn(u32) -> &'a str,
+) -> std::io::Result<()> {
+    writeln!(w, "a\tb\tc\tmin_w\tT\tw_xyz\tC")?;
+    for m in triplets {
+        let [a, b, c] = m.authors.map(|a| name(a.0));
+        writeln!(
+            w,
+            "{a}\t{b}\t{c}\t{}\t{:.4}\t{}\t{:.4}",
+            m.min_ci_weight, m.t, m.hyper_weight, m.c
+        )?;
     }
     Ok(())
 }
@@ -578,29 +605,36 @@ fn cmd_pipeline(flags: &Flags) -> Result<(), String> {
         p
     };
 
-    // Run, and keep a name table for printing (the snapshot path reads names
-    // straight off the mapping; no Dataset is materialized).
-    let (out, names): (_, Box<dyn Fn(u32) -> String>) =
-        if let Some(path) = flags.get("from-snapshot") {
-            let snap = open_snapshot(path)?;
-            let out = if distributed {
-                make_dist(config).run_snapshot(&snap)
-            } else {
-                Pipeline::new(config).run_snapshot(&snap)
-            };
-            let names: Vec<String> = snap.author_names().iter().map(str::to_owned).collect();
-            (out, Box::new(move |id| names[id as usize].clone()))
+    // Run, then print with author names read in place: off the mapping on
+    // the snapshot path (no Dataset is materialized), out of the interner's
+    // arena otherwise.
+    if let Some(path) = flags.get("from-snapshot") {
+        let snap = open_snapshot(path)?;
+        let out = if distributed {
+            make_dist(config).run_snapshot(&snap)
         } else {
-            let ds = load_dataset(flags)?;
-            let out = if distributed {
-                make_dist(config).run_dataset(&ds)
-            } else {
-                Pipeline::new(config).run_dataset(&ds)
-            };
-            let authors = std::sync::Arc::clone(&ds.authors);
-            (out, Box::new(move |id| authors.name(id).to_owned()))
+            Pipeline::new(config).run_snapshot(&snap)
         };
+        let names = snap.author_names();
+        print_pipeline_report(distributed, &out, |id| names.get(id))
+    } else {
+        let ds = load_dataset(flags)?;
+        let out = if distributed {
+            make_dist(config).run_dataset(&ds)
+        } else {
+            Pipeline::new(config).run_dataset(&ds)
+        };
+        print_pipeline_report(distributed, &out, |id| ds.authors.name(id))
+    }
+}
 
+/// `pipeline`'s output: stage timings on stderr, the deterministic report on
+/// stdout.
+fn print_pipeline_report<'a>(
+    distributed: bool,
+    out: &PipelineOutput,
+    name: impl Fn(u32) -> &'a str,
+) -> Result<(), String> {
     let s = &out.stats;
     eprintln!(
         "{} path: projection {:.2?}, survey {:.2?}, validation {:.2?}",
@@ -613,38 +647,30 @@ fn cmd_pipeline(flags: &Flags) -> Result<(), String> {
         out.timings.survey,
         out.timings.validation,
     );
-    println!("comments reviewed      {}", s.comments_reviewed);
-    println!(
-        "authors (projected)    {} ({})",
-        s.total_authors, s.projected_authors
-    );
-    println!(
-        "ci edges               {} ({} after threshold)",
-        s.ci_edges, s.ci_edges_after_threshold
-    );
-    println!(
-        "triangles              {} examined, {} kept (max min-weight {})",
-        s.triangles_examined, s.triangles_kept, out.survey.max_min_weight
-    );
-    println!(
-        "min-weight log2 hist   {:?}",
-        out.survey.min_weight_log_hist
-    );
-    println!("a\tb\tc\tmin_w\tT\tw_xyz\tC");
-    for m in &out.triplets {
-        let [a, b, c] = m.authors.map(|a| a.0);
-        println!(
-            "{}\t{}\t{}\t{}\t{:.4}\t{}\t{:.4}",
-            names(a),
-            names(b),
-            names(c),
-            m.min_ci_weight,
-            m.t,
-            m.hyper_weight,
-            m.c
-        );
-    }
-    Ok(())
+    with_stdout(|w| {
+        writeln!(w, "comments reviewed      {}", s.comments_reviewed)?;
+        writeln!(
+            w,
+            "authors (projected)    {} ({})",
+            s.total_authors, s.projected_authors
+        )?;
+        writeln!(
+            w,
+            "ci edges               {} ({} after threshold)",
+            s.ci_edges, s.ci_edges_after_threshold
+        )?;
+        writeln!(
+            w,
+            "triangles              {} examined, {} kept (max min-weight {})",
+            s.triangles_examined, s.triangles_kept, out.survey.max_min_weight
+        )?;
+        writeln!(
+            w,
+            "min-weight log2 hist   {:?}",
+            out.survey.min_weight_log_hist
+        )?;
+        write_triplet_rows(w, &out.triplets, name)
+    })
 }
 
 fn cmd_groups(flags: &Flags) -> Result<(), String> {
