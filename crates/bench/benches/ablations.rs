@@ -1,12 +1,8 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! * **T-B bucketed projection** — the paper's suggested memory workaround for
-//!   long windows vs the direct scan (same output, different cost profile);
 //! * **T-C window sweep** — how projection cost and CI size grow with `δ2`
 //!   (the paper: "projected graphs can become extremely large for a time
 //!   window of just an hour");
-//! * **projection drivers** — sequential Algorithm 1 vs rayon vs the
-//!   YGM-style distributed driver;
 //! * **edge threshold** — pre-survey edge filtering (the paper thresholded at
 //!   5 before enumerating the 2016 one-hour graph's triangles).
 
@@ -14,9 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use bench::oct2016_small;
-use coordination_core::project::{
-    project, project_bucketed, project_distributed, project_sequential,
-};
+use coordination_core::project::project;
 use coordination_core::Window;
 use tripoll::survey::{survey, SurveyConfig};
 use tripoll::OrientedGraph;
@@ -27,25 +21,6 @@ fn quick(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measurem
     g.warm_up_time(std::time::Duration::from_millis(300));
     g.measurement_time(std::time::Duration::from_secs(2));
     g
-}
-
-/// T-B: direct vs bucketed projection of the one-hour window.
-fn ablation_bucketing(c: &mut Criterion) {
-    let (_, ds) = oct2016_small();
-    let btm = ds.btm();
-    let w = Window::zero_to_1h();
-    let mut g = quick(c);
-    g.bench_function("project_1h_direct", |b| {
-        b.iter(|| black_box(project(&btm, w).n_edges()))
-    });
-    for n_buckets in [4usize, 15, 60] {
-        g.bench_with_input(
-            BenchmarkId::new("project_1h_bucketed", n_buckets),
-            &n_buckets,
-            |b, &n| b.iter(|| black_box(project_bucketed(&btm, w, n).n_edges())),
-        );
-    }
-    g.finish();
 }
 
 /// T-C: projection cost vs window length.
@@ -62,25 +37,6 @@ fn ablation_window_sweep(c: &mut Criterion) {
             b.iter(|| black_box(project(&btm, w).n_edges()))
         });
     }
-    g.finish();
-}
-
-/// Projection drivers: literal Algorithm 1, rayon fold/reduce, and the
-/// YGM-style distributed formulation (4 ranks).
-fn ablation_projection_drivers(c: &mut Criterion) {
-    let (_, ds) = oct2016_small();
-    let btm = ds.btm();
-    let w = Window::zero_to_10m();
-    let mut g = quick(c);
-    g.bench_function("driver_sequential", |b| {
-        b.iter(|| black_box(project_sequential(&btm, w).n_edges()))
-    });
-    g.bench_function("driver_rayon", |b| {
-        b.iter(|| black_box(project(&btm, w).n_edges()))
-    });
-    g.bench_function("driver_ygm_4ranks", |b| {
-        b.iter(|| black_box(project_distributed(&btm, w, 4).n_edges()))
-    });
     g.finish();
 }
 
@@ -108,34 +64,5 @@ fn ablation_edge_threshold(c: &mut Criterion) {
     g.finish();
 }
 
-/// Rayon thread scaling of the projection (T-D).
-fn perf_thread_scaling(c: &mut Criterion) {
-    let (_, ds) = oct2016_small();
-    let btm = ds.btm();
-    let w = Window::zero_to_10m();
-    let mut g = quick(c);
-    for threads in [1usize, 2, 4] {
-        g.bench_with_input(
-            BenchmarkId::new("project_threads", threads),
-            &threads,
-            |b, &t| {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(t)
-                    .build()
-                    .expect("pool");
-                b.iter(|| pool.install(|| black_box(project(&btm, w).n_edges())))
-            },
-        );
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    ablation_bucketing,
-    ablation_window_sweep,
-    ablation_projection_drivers,
-    ablation_edge_threshold,
-    perf_thread_scaling,
-);
+criterion_group!(benches, ablation_window_sweep, ablation_edge_threshold);
 criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! Benches for the future-work extensions and their ablations:
-//! windowed hyperedge validation, group merging, k-truss backbone extraction,
-//! the orientation-strategy ablation, and the distributed top-k tracker.
+//! windowed hyperedge validation, group merging, k-truss backbone extraction
+//! and the orientation-strategy ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -115,32 +115,11 @@ fn truss_extraction(c: &mut Criterion) {
     g.finish();
 }
 
-/// Distributed top-k offers + collective merge.
-fn dist_topk(c: &mut Criterion) {
-    let mut g = quick(c);
-    g.bench_function("dist_topk_20k_offers_4ranks", |b| {
-        b.iter(|| {
-            let topk = ygm::container::DistTopK::<u32>::new(4, 16);
-            let t2 = topk.clone();
-            let tops = ygm::World::run(4, move |ctx| {
-                for i in 0..5_000u32 {
-                    t2.async_offer(ctx, i % 1024, (i as u64 * 2_654_435_761) % 100_000);
-                }
-                ctx.barrier();
-                t2.global_top(ctx)
-            });
-            black_box(tops)
-        })
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     windowed_validation,
     group_merging,
     orientation_ablation,
     truss_extraction,
-    dist_topk,
 );
 criterion_main!(benches);

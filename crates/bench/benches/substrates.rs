@@ -1,13 +1,12 @@
 //! Substrate microbenches: the ygm runtime and the tripoll triangle engine,
 //! measured in isolation so pipeline-level regressions can be attributed.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use rand::{Rng, SeedableRng};
 use tripoll::enumerate::count_triangles;
 use tripoll::{OrientedGraph, WeightedGraph};
-use ygm::container::DistCountingSet;
 use ygm::World;
 
 fn quick(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measurement::WallTime> {
@@ -16,32 +15,6 @@ fn quick(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measurem
     g.warm_up_time(std::time::Duration::from_millis(300));
     g.measurement_time(std::time::Duration::from_secs(2));
     g
-}
-
-/// Active-message throughput: 10k counting-set increments per rank, fanned to
-/// hashed owners, plus the terminating barrier.
-fn ygm_message_throughput(c: &mut Criterion) {
-    let mut g = quick(c);
-    for nranks in [2usize, 4, 8] {
-        g.bench_with_input(
-            BenchmarkId::new("counting_set_10k_per_rank", nranks),
-            &nranks,
-            |b, &n| {
-                b.iter(|| {
-                    let cs: DistCountingSet<u64> = DistCountingSet::new(n);
-                    let cs2 = cs.clone();
-                    World::run(n, move |ctx| {
-                        for i in 0..10_000u64 {
-                            cs2.async_add(ctx, i % 512);
-                        }
-                        ctx.barrier();
-                    });
-                    black_box(cs.global_count(&0))
-                })
-            },
-        );
-    }
-    g.finish();
 }
 
 /// Barrier latency with no traffic: the floor cost of a superstep.
@@ -129,7 +102,6 @@ fn hexbin_binning(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    ygm_message_throughput,
     ygm_barrier_latency,
     tripoll_enumeration,
     tripoll_distributed_overhead,

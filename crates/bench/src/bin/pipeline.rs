@@ -2,15 +2,14 @@
 //! projection, survey, validation), throughput and peak RSS, the
 //! rank-sharded distributed pipeline at 1/2/4 ranks against the resident
 //! path, plus the kernel ablations (ingest vs the reference reader, zero-copy
-//! scanner vs serde, flat vs hashed projection, adaptive vs linear triple
-//! intersection), written to `BENCH_pipeline.json`.
+//! scanner vs serde, adaptive vs linear triple intersection), written to
+//! `BENCH_pipeline.json`.
 //!
 //! ```text
-//! cargo run --release -p bench --bin pipeline -- [--smoke] [--threads N] [--out PATH] [--check BASELINE]
+//! cargo run --release -p bench --bin pipeline -- [--smoke] [--out PATH] [--check BASELINE]
 //! ```
 //!
 //! * `--smoke` — single repetition and smaller ablation inputs (the CI mode);
-//! * `--threads N` — run inside an N-thread rayon pool;
 //! * `--out PATH` — where to write the JSON report (default
 //!   `BENCH_pipeline.json` in the working directory);
 //! * `--check BASELINE` — compare this run's stage times against a previous
@@ -25,10 +24,8 @@ use std::time::Instant;
 use bench::{jan2020_small, oct2016_small, run_figures_config};
 use coordination_core::dist_pipeline::{event_source, DistPipeline};
 use coordination_core::hypergraph::{triple_intersection_count, triple_intersection_count_linear};
-use coordination_core::ids::{AuthorId, Event, PageId};
 use coordination_core::ingest::{self, IngestConfig};
 use coordination_core::pipeline::{Pipeline, PipelineConfig};
-use coordination_core::project::{project, project_hashed};
 use coordination_core::records::{read_ndjson_into_dataset, write_ndjson, CommentRecord, Dataset};
 use coordination_core::snapshot::{btm_from_snapshot, write_snapshot};
 use coordination_core::store::Snapshot;
@@ -156,7 +153,7 @@ fn bench_scenario(
 
 /// The rank-sharded end-to-end pipeline at 1/2/4 ygm ranks on the same
 /// scenario and figure config the resident rows use, so the report shows the
-/// distributed path's scaling next to the rayon numbers. Each row is the
+/// distributed path's scaling next to the resident numbers. Each row is the
 /// whole run (rank-sharded ingest-from-dataset through global validation),
 /// best of `reps`; a resident row timed the same way anchors the comparison.
 /// Every distributed run is checked against the resident output — the bench
@@ -540,26 +537,6 @@ fn rss_comparison(name: &'static str, records: &[CommentRecord]) -> Vec<(String,
     ]
 }
 
-/// A worst-case projection input: a handful of very dense pages where many
-/// authors comment seconds apart, so nearly every comment pairs with a full
-/// window of successors. This is the shape where the per-candidate hash
-/// insert of the old kernel dominates.
-fn dense_page_btm(n_pages: u32, page_len: usize, n_authors: u32) -> Btm {
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(42);
-    let mut events = Vec::with_capacity(n_pages as usize * page_len);
-    for p in 0..n_pages {
-        for i in 0..page_len {
-            events.push(Event::new(
-                AuthorId(rng.gen_range(0..n_authors)),
-                PageId(p),
-                i as i64,
-            ));
-        }
-    }
-    Btm::from_events(n_authors, n_pages, &events)
-}
-
 struct Ablation {
     label: &'static str,
     baseline_secs: f64,
@@ -570,90 +547,6 @@ impl Ablation {
     fn speedup(&self) -> f64 {
         self.baseline_secs / self.kernel_secs.max(1e-12)
     }
-}
-
-/// The seed per-page kernel, replicated verbatim for the ablation: a
-/// `HashSet` insert per window-qualifying candidate pair.
-fn page_pairs_hashset(
-    comments: &[(i64, AuthorId)],
-    window: &Window,
-    pairs: &mut std::collections::HashSet<(u32, u32)>,
-) {
-    pairs.clear();
-    let n = comments.len();
-    for i in 0..n {
-        let (ti, ai) = comments[i];
-        for &(tj, aj) in &comments[i + 1..] {
-            let dt = tj - ti;
-            if dt > window.d2() {
-                break;
-            }
-            if dt >= window.d1() && ai != aj {
-                pairs.insert((ai.0.min(aj.0), ai.0.max(aj.0)));
-            }
-        }
-    }
-}
-
-/// Flat vs hashed projection on the dense-page workload, best of `reps`:
-/// the per-page kernels head to head, and the full drivers (which share the
-/// CSR merge, so their gap is smaller by construction).
-fn ablation_projection(smoke: bool, reps: usize) -> (Ablation, Ablation, u64) {
-    let (n_pages, page_len, n_authors) = if smoke {
-        (2, 2_500, 2_000)
-    } else {
-        (4, 6_000, 5_000)
-    };
-    let btm = dense_page_btm(n_pages, page_len, n_authors);
-    let w = Window::new(0, 240);
-    // warm up + correctness guard: both drivers must agree here
-    let flat = project(&btm, w);
-    let hashed = project_hashed(&btm, w);
-    assert_eq!(flat.n_edges(), hashed.n_edges(), "kernels disagree");
-
-    // kernel microbench: dedup one page's pair multiset, both ways
-    let mut flat_kernel = f64::INFINITY;
-    let mut hash_kernel = f64::INFINITY;
-    let mut scratch: Vec<u64> = Vec::new();
-    let mut set: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
-    for _ in 0..reps {
-        let t = Instant::now();
-        for (_, comments) in btm.pages() {
-            coordination_core::project::page_pairs_flat(comments, &w, &mut scratch);
-            std::hint::black_box(scratch.len());
-        }
-        flat_kernel = flat_kernel.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        for (_, comments) in btm.pages() {
-            page_pairs_hashset(comments, &w, &mut set);
-            std::hint::black_box(set.len());
-        }
-        hash_kernel = hash_kernel.min(t.elapsed().as_secs_f64());
-    }
-
-    let mut flat_secs = f64::INFINITY;
-    let mut hashed_secs = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        std::hint::black_box(project(&btm, w));
-        flat_secs = flat_secs.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        std::hint::black_box(project_hashed(&btm, w));
-        hashed_secs = hashed_secs.min(t.elapsed().as_secs_f64());
-    }
-    (
-        Ablation {
-            label: "projection_dense_page_kernel",
-            baseline_secs: hash_kernel,
-            kernel_secs: flat_kernel,
-        },
-        Ablation {
-            label: "projection_dense_page_driver",
-            baseline_secs: hashed_secs,
-            kernel_secs: flat_secs,
-        },
-        btm.n_comments(),
-    )
 }
 
 /// Adaptive vs linear triple intersection on degree-skewed page lists.
@@ -795,17 +688,14 @@ fn ablation_ingest(records: &[CommentRecord], smoke: bool, reps: usize) -> (Abla
 
 fn json_report(
     smoke: bool,
-    threads: usize,
     scenarios: &[ScenarioReport],
     ablations: &[Ablation],
     rss: &[(String, u64)],
-    dense_comments: u64,
 ) -> String {
     let mut j = String::new();
     let _ = writeln!(j, "{{");
     let _ = writeln!(j, "  \"schema\": \"bench-pipeline-v1\",");
     let _ = writeln!(j, "  \"smoke\": {smoke},");
-    let _ = writeln!(j, "  \"threads\": {threads},");
     let _ = writeln!(
         j,
         "  \"peak_rss_kb\": {},",
@@ -848,7 +738,6 @@ fn json_report(
         );
     }
     let _ = writeln!(j, "  ],");
-    let _ = writeln!(j, "  \"dense_page_comments\": {dense_comments},");
     // flat key/value view of every stage time, for the --check comparator
     let _ = writeln!(j, "  \"checks\": {{");
     let mut entries: Vec<(String, f64)> = Vec::new();
@@ -935,12 +824,9 @@ fn check_regressions(current: &str, baseline_path: &str) -> Result<(), String> {
     }
 }
 
-fn run(smoke: bool, threads: usize, out_path: &str, baseline: Option<&str>) {
+fn run(smoke: bool, out_path: &str, baseline: Option<&str>) {
     let reps = if smoke { 1 } else { 3 };
-    println!(
-        "pipeline bench ({}, {threads} threads):",
-        if smoke { "smoke" } else { "full" }
-    );
+    println!("pipeline bench ({}):", if smoke { "smoke" } else { "full" });
     let (jan_scenario, jan) = jan2020_small();
     let (oct_scenario, oct) = oct2016_small();
     let scenarios = vec![
@@ -960,18 +846,10 @@ fn run(smoke: bool, threads: usize, out_path: &str, baseline: Option<&str>) {
     }
 
     let abl_reps = if smoke { 2 } else { 3 };
-    let (kernel_abl, driver_abl, dense_comments) = ablation_projection(smoke, abl_reps);
     let triple_abl = ablation_triple(smoke, abl_reps);
     let (ingest_abl, scanner_abl) = ablation_ingest(&jan_scenario.records, smoke, abl_reps);
     let obs_abl = ablation_obs(jan, abl_reps);
-    let ablations = vec![
-        kernel_abl,
-        driver_abl,
-        triple_abl,
-        ingest_abl,
-        scanner_abl,
-        obs_abl,
-    ];
+    let ablations = vec![triple_abl, ingest_abl, scanner_abl, obs_abl];
     for a in &ablations {
         println!(
             "  ablation {:<28} baseline {:.4}s, kernel {:.4}s → {:.2}x",
@@ -989,7 +867,7 @@ fn run(smoke: bool, threads: usize, out_path: &str, baseline: Option<&str>) {
         println!("  {k}: {v} kB");
     }
 
-    let report = json_report(smoke, threads, &scenarios, &ablations, &rss, dense_comments);
+    let report = json_report(smoke, &scenarios, &ablations, &rss);
     std::fs::write(out_path, &report).expect("write bench report");
     println!("wrote {out_path}");
 
@@ -1018,14 +896,5 @@ fn main() {
     }
     let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_pipeline.json".to_string());
     let baseline = flag_value("--check");
-    let threads: usize = flag_value("--threads")
-        .map(|v| v.parse().expect("--threads takes a positive integer"))
-        .unwrap_or_else(rayon::current_num_threads)
-        .max(1);
-
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("build bench thread pool");
-    pool.install(|| run(smoke, threads, &out_path, baseline.as_deref()));
+    run(smoke, &out_path, baseline.as_deref());
 }

@@ -4,12 +4,11 @@
 //! `C`), written to `BENCH_quality.json`.
 //!
 //! ```text
-//! cargo run --release -p bench --bin quality -- [--smoke] [--threads N] [--out PATH] [--check BASELINE]
+//! cargo run --release -p bench --bin quality -- [--smoke] [--out PATH] [--check BASELINE]
 //! ```
 //!
 //! * `--smoke` — reduced scenario scale (the CI mode; generation is seeded,
 //!   so smoke-mode numbers are bit-reproducible across runs and machines);
-//! * `--threads N` — run inside an N-thread rayon pool;
 //! * `--out PATH` — where to write the JSON report (default
 //!   `BENCH_quality.json` in the working directory);
 //! * `--check BASELINE` — gate against a committed baseline report and exit
@@ -231,13 +230,13 @@ fn check_regressions(current: &str, baseline_path: &str) -> Result<(), String> {
     }
 }
 
-fn run(smoke: bool, threads: usize, out_path: &str, baseline: Option<&str>) {
+fn run(smoke: bool, out_path: &str, baseline: Option<&str>) {
     let (mode, scale) = if smoke {
         ("smoke", SMOKE_SCALE)
     } else {
         ("full", FULL_SCALE)
     };
-    println!("quality bench ({mode}, {threads} threads, scale {scale}):");
+    println!("quality bench ({mode}, scale {scale}):");
     let reports: Vec<QualityReport> = ScenarioConfig::PRESETS
         .iter()
         .map(|name| {
@@ -284,14 +283,5 @@ fn main() {
     };
     let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_quality.json".to_string());
     let baseline = flag_value("--check");
-    let threads: usize = flag_value("--threads")
-        .map(|v| v.parse().expect("--threads takes a positive integer"))
-        .unwrap_or_else(rayon::current_num_threads)
-        .max(1);
-
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("build bench thread pool");
-    pool.install(|| run(smoke, threads, &out_path, baseline.as_deref()));
+    run(smoke, &out_path, baseline.as_deref());
 }

@@ -330,9 +330,8 @@ impl Btm {
     }
 
     /// Distribution of page neighborhood sizes over active pages. The
-    /// projection drivers pre-size their per-worker scratch buffers from the
-    /// p95 (sizing for the typical page, not the mega-thread outlier) and
-    /// pick the heavy-page split from `max`.
+    /// projection pre-sizes its scratch buffers from the p95 (sizing for the
+    /// typical page, not the mega-thread outlier).
     pub fn page_degree_stats(&self) -> PageDegreeStats {
         let mut lens: Vec<usize> = self.page_degrees().filter(|&l| l > 0).collect();
         if lens.is_empty() {

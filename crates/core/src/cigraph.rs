@@ -8,8 +8,8 @@
 //!
 //! Since the `crates/graph` refactor the edge set is stored as a shared
 //! [`CsrGraph`] rather than a `HashMap<(u32, u32), u64>`: the projection
-//! drivers hand their per-worker sorted edge runs straight to
-//! [`CiGraph::from_runs`], the triangle survey orients [`CiGraph::as_csr`]
+//! hands its sorted edge run (one per rank in the rank-sharded engine)
+//! straight to [`CiGraph::from_runs`], the triangle survey orients [`CiGraph::as_csr`]
 //! directly (`tripoll::WeightedGraph` *is* this CSR type), and thresholding is
 //! a borrowed [`ThresholdView`] instead of an edge-map clone.
 
@@ -37,8 +37,8 @@ impl CiGraph {
         }
     }
 
-    /// Construct from a drained edge map (the distributed projection driver
-    /// collects shard results into one map before building).
+    /// Construct from an edge map (the reference projection accumulates
+    /// into one before building).
     pub fn from_parts(
         n_authors: u32,
         edges: HashMap<(u32, u32), u64>,
@@ -69,9 +69,9 @@ impl CiGraph {
         )
     }
 
-    /// Construct from per-worker sorted canonical edge runs — the zero-re-sort
-    /// fast path the projection drivers use ([`CsrGraph::from_canonical_runs`]
-    /// k-way merges the runs, summing duplicate pairs across workers).
+    /// Construct from sorted canonical edge runs — the zero-re-sort fast path
+    /// the projection uses ([`CsrGraph::from_canonical_runs`] k-way merges
+    /// the runs, summing duplicate pairs across them).
     pub fn from_runs(
         n_authors: u32,
         runs: Vec<Vec<(u32, u32, u64)>>,
@@ -153,23 +153,6 @@ impl CiGraph {
     /// Iterate edges as `(x, y, w')` with `x < y`, ascending.
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32, u64)> + '_ {
         self.csr.edges()
-    }
-
-    /// Merge another projection's counts into this one (used by shard
-    /// collection; *not* a semantically valid way to combine different
-    /// windows — see `project::project_bucketed`).
-    pub fn absorb(&mut self, other: CiGraph) {
-        assert_eq!(self.n_authors(), other.n_authors());
-        let n = self.n_authors();
-        // both edge iterations are sorted canonical runs: a 2-way merge, no sort
-        let runs = vec![
-            self.csr.edges().collect::<Vec<_>>(),
-            other.csr.edges().collect::<Vec<_>>(),
-        ];
-        self.csr = CsrGraph::from_canonical_runs(n, runs);
-        for (i, c) in other.page_counts.into_iter().enumerate() {
-            self.page_counts[i] += c;
-        }
     }
 
     /// Materialize a thresholded copy. Prefer [`CiGraph::threshold_view`]
@@ -292,7 +275,7 @@ impl CiGraph {
 ///
 /// Replaces the removed `add_edge_count` / `add_page_count` mutators: the
 /// CSR-backed `CiGraph` is immutable once built, so accumulation happens here
-/// and [`CiGraphBuilder::build`] runs the sharded builder once at the end.
+/// and [`CiGraphBuilder::build`] runs the CSR builder once at the end.
 #[derive(Clone, Debug)]
 pub struct CiGraphBuilder {
     n_authors: u32,
@@ -422,22 +405,6 @@ mod tests {
         let g = b.build();
         let view = g.subset_view([1, 2]);
         assert_eq!(view.edge_iter().collect::<Vec<_>>(), vec![(1, 2, 2)]);
-    }
-
-    #[test]
-    fn absorb_sums_everything() {
-        let mut b1 = CiGraphBuilder::new(3);
-        b1.add_edge_count(0, 1, 2);
-        b1.add_page_count(0, 1);
-        let mut g1 = b1.build();
-        let mut b2 = CiGraphBuilder::new(3);
-        b2.add_edge_count(1, 0, 3);
-        b2.add_edge_count(1, 2, 1);
-        b2.add_page_count(0, 2);
-        g1.absorb(b2.build());
-        assert_eq!(g1.weight(a(0), a(1)), 5);
-        assert_eq!(g1.weight(a(1), a(2)), 1);
-        assert_eq!(g1.page_count(a(0)), 3);
     }
 
     #[test]

@@ -301,9 +301,8 @@ impl CachedOwner {
 
 /// The three-step pipeline run as one SPMD program over `nranks` ygm ranks.
 ///
-/// Construction mirrors [`Pipeline`](crate::Pipeline); the
-/// [`ProjectionStrategy`](crate::pipeline::ProjectionStrategy) field of the
-/// config is ignored — this *is* the distributed strategy, end to end.
+/// Construction mirrors [`Pipeline`](crate::Pipeline), and the config is the
+/// same type.
 #[derive(Clone, Debug)]
 pub struct DistPipeline {
     /// Run parameters (shared with the resident pipeline).
@@ -1123,7 +1122,7 @@ mod tests {
     }
 
     #[test]
-    fn distributed_dataset_matches_rayon_for_any_rank_count() {
+    fn distributed_dataset_matches_resident_for_any_rank_count() {
         let ds = scenario();
         let resident = Pipeline::default().run_dataset(&ds);
         for nranks in [1, 2, 3, 4, 7] {
@@ -1133,7 +1132,7 @@ mod tests {
     }
 
     #[test]
-    fn distributed_text_ingest_matches_rayon() {
+    fn distributed_text_ingest_matches_resident() {
         let mut text = String::new();
         let ds = scenario();
         for e in &ds.events {
@@ -1152,7 +1151,7 @@ mod tests {
     }
 
     #[test]
-    fn distributed_snapshot_matches_rayon() {
+    fn distributed_snapshot_matches_resident() {
         let ds = scenario();
         let path = std::env::temp_dir().join(format!(
             "dist_pipeline_snap_{}_{:?}.bin",

@@ -8,8 +8,6 @@
 //! Note there is deliberately no time bound here — the paper validates spatial
 //! coordination only (its §4.2 names time-windowed hyperedges as future work).
 
-use rayon::prelude::*;
-
 use crate::btm::Btm;
 use crate::ids::{AuthorId, PageId};
 use crate::metrics::{c_score, TripletMetrics};
@@ -142,8 +140,7 @@ pub fn validate_triangle_parts(
     }
 }
 
-/// Validate a batch of triangles in parallel, returning metrics in the same
-/// order.
+/// Validate a batch of triangles, returning metrics in the same order.
 pub fn validate_all(
     btm: &Btm,
     ci_page_counts: &[u64],
@@ -151,7 +148,7 @@ pub fn validate_all(
 ) -> Vec<TripletMetrics> {
     let _stage = obs::span("validate");
     let metrics: Vec<TripletMetrics> = triangles
-        .par_iter()
+        .iter()
         .map(|t| validate_triangle(btm, ci_page_counts, t))
         .collect();
     obs::counter("validate.triplets").add(metrics.len() as u64);

@@ -22,24 +22,6 @@ use crate::window::Window;
 use tripoll::survey::{survey, SurveyConfig, SurveyReport};
 use tripoll::{GraphRef, OrientedGraph};
 
-/// Which projection driver step 1 uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProjectionStrategy {
-    /// Parallel flat-vector kernels with heavy-page splitting (default; see
-    /// [`project::project`]).
-    Rayon,
-    /// The previous hash-based rayon driver, kept as the kernel-ablation
-    /// baseline ([`project::project_hashed`]).
-    Hashed,
-    /// Literal single-threaded Algorithm 1.
-    Sequential,
-    /// Time-bucketed scan with the given bucket count (exact; see
-    /// [`project::project_bucketed`]).
-    Bucketed(usize),
-    /// YGM-style distributed driver with the given rank count.
-    Distributed(usize),
-}
-
 /// Pipeline parameters. Defaults mirror the paper's hexbin figures: window
 /// `(0, 60s)`, CI edge threshold 1, triangle minimum-edge-weight cutoff 10.
 #[derive(Clone, Debug)]
@@ -56,8 +38,6 @@ pub struct PipelineConfig {
     pub min_t_score: f64,
     /// Author names excluded before projection.
     pub exclusions: ExclusionList,
-    /// Projection driver.
-    pub strategy: ProjectionStrategy,
 }
 
 impl Default for PipelineConfig {
@@ -68,7 +48,6 @@ impl Default for PipelineConfig {
             min_triangle_weight: 10,
             min_t_score: 0.0,
             exclusions: ExclusionList::reddit_defaults(),
-            strategy: ProjectionStrategy::Rayon,
         }
     }
 }
@@ -192,13 +171,7 @@ impl Pipeline {
 
         // Step 1: projection.
         let t0 = Instant::now();
-        let ci = match cfg.strategy {
-            ProjectionStrategy::Rayon => project::project(btm, cfg.window),
-            ProjectionStrategy::Hashed => project::project_hashed(btm, cfg.window),
-            ProjectionStrategy::Sequential => project::project_sequential(btm, cfg.window),
-            ProjectionStrategy::Bucketed(n) => project::project_bucketed(btm, cfg.window, n),
-            ProjectionStrategy::Distributed(n) => project::project_distributed(btm, cfg.window, n),
-        };
+        let ci = project::project(btm, cfg.window);
         let projection_time = t0.elapsed();
 
         // Step 2: triangle survey on the edge-thresholded graph. Thresholding
@@ -377,30 +350,6 @@ mod tests {
         assert!(s.ci_edges_after_threshold <= s.ci_edges);
         assert!(s.projected_authors <= s.total_authors);
         assert!(s.comments_reviewed > 0);
-    }
-
-    #[test]
-    fn strategies_agree() {
-        let ds = scenario();
-        let base = Pipeline::default().run_dataset(&ds);
-        for strategy in [
-            ProjectionStrategy::Hashed,
-            ProjectionStrategy::Sequential,
-            ProjectionStrategy::Bucketed(4),
-            ProjectionStrategy::Distributed(3),
-        ] {
-            let alt = Pipeline::new(PipelineConfig {
-                strategy,
-                ..Default::default()
-            })
-            .run_dataset(&ds);
-            assert_eq!(alt.stats.ci_edges, base.stats.ci_edges, "{strategy:?}");
-            assert_eq!(alt.triplets.len(), base.triplets.len(), "{strategy:?}");
-            assert_eq!(
-                alt.triplets[0].min_ci_weight, base.triplets[0].min_ci_weight,
-                "{strategy:?}"
-            );
-        }
     }
 
     #[test]

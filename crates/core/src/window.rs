@@ -55,34 +55,6 @@ impl Window {
     pub fn contains(&self, dt: i64) -> bool {
         dt >= self.d1 && dt <= self.d2
     }
-
-    /// Split into `n` contiguous sub-windows covering `[d1, d2]` — the
-    /// paper's time-'bucket' workaround for the memory cost of long windows
-    /// (§3, opening). Bucket `i` covers `[d1 + i·len, d1 + (i+1)·len - 1]`
-    /// except the last, which extends to `d2`; together they partition the
-    /// integer delays of `self`.
-    ///
-    /// `n` is clamped to `[1, span]`: `n = 0` degenerates to one bucket (the
-    /// window itself) and `n > span` yields one bucket per integer delay, so
-    /// every call returns a valid exact partition.
-    pub fn buckets(&self, n: usize) -> Vec<Window> {
-        let span = self.d2 - self.d1 + 1; // inclusive integer delays
-        let n = (n.min(i64::MAX as usize) as i64).min(span).max(1);
-        let per = span / n;
-        let rem = span % n;
-        let mut out = Vec::with_capacity(n as usize);
-        let mut lo = self.d1;
-        for i in 0..n {
-            let len = per + if i < rem { 1 } else { 0 };
-            let hi = lo + len - 1;
-            // Window requires d2 > d1 strictly; widen one-delay buckets by
-            // half-openness is impossible, so we carry them as (lo, hi) with
-            // lo == hi via the raw constructor below.
-            out.push(Window { d1: lo, d2: hi });
-            lo = hi + 1;
-        }
-        out
-    }
 }
 
 impl std::fmt::Display for Window {
@@ -121,76 +93,6 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_d1_rejected() {
         Window::new(-1, 5);
-    }
-
-    #[test]
-    fn buckets_partition_the_delay_range() {
-        let w = Window::new(0, 3600);
-        for n in [1usize, 2, 3, 7, 60] {
-            let bs = w.buckets(n);
-            assert_eq!(bs.len(), n);
-            assert_eq!(bs[0].d1(), 0);
-            assert_eq!(bs.last().unwrap().d2(), 3600);
-            for pair in bs.windows(2) {
-                assert_eq!(pair[0].d2() + 1, pair[1].d1(), "gap or overlap");
-            }
-            // every delay in exactly one bucket
-            for dt in [0i64, 1, 59, 60, 61, 600, 3599, 3600] {
-                assert_eq!(bs.iter().filter(|b| b.contains(dt)).count(), 1);
-            }
-        }
-    }
-
-    #[test]
-    fn more_buckets_than_delays_clamps() {
-        let w = Window::new(0, 2); // delays {0,1,2}
-        let bs = w.buckets(10);
-        assert_eq!(bs.len(), 3);
-        for dt in 0..=2 {
-            assert_eq!(bs.iter().filter(|b| b.contains(dt)).count(), 1);
-        }
-    }
-
-    #[test]
-    fn zero_buckets_degenerates_to_whole_window() {
-        let w = Window::new(5, 90);
-        assert_eq!(w.buckets(0), vec![w]);
-    }
-
-    /// The invariant bucketed projection depends on: for any window and any
-    /// `n`, the buckets cover `[d1, d2]` exactly — each integer delay lies in
-    /// precisely one bucket, buckets are contiguous, in order, and never
-    /// escape the parent window.
-    #[test]
-    fn buckets_partition_exactly_for_all_shapes() {
-        for (d1, d2) in [(0i64, 1), (0, 59), (3, 4), (7, 300), (100, 103)] {
-            let w = Window::new(d1, d2);
-            let span = (d2 - d1 + 1) as usize;
-            for n in [0usize, 1, 2, 3, span - 1, span, span + 1, 5 * span] {
-                let bs = w.buckets(n);
-                assert_eq!(bs.len(), n.clamp(1, span), "w={w} n={n}");
-                assert_eq!(bs[0].d1(), d1);
-                assert_eq!(bs.last().unwrap().d2(), d2);
-                for pair in bs.windows(2) {
-                    assert!(
-                        pair[0].d1() <= pair[0].d2(),
-                        "inverted bucket in w={w} n={n}"
-                    );
-                    assert_eq!(pair[0].d2() + 1, pair[1].d1(), "gap/overlap in w={w} n={n}");
-                }
-                for dt in d1..=d2 {
-                    assert_eq!(
-                        bs.iter().filter(|b| b.contains(dt)).count(),
-                        1,
-                        "delay {dt} not covered exactly once (w={w}, n={n})"
-                    );
-                }
-                // remainder spreading keeps bucket sizes within one of equal
-                let sizes: Vec<i64> = bs.iter().map(|b| b.d2() - b.d1() + 1).collect();
-                let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                assert!(max - min <= 1, "uneven buckets {sizes:?} (w={w}, n={n})");
-            }
-        }
     }
 
     #[test]

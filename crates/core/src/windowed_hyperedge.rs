@@ -21,8 +21,6 @@
 //! the right cursor one comment at a time, retract the left cursor to keep the
 //! span ≤ δ2, and check whether the window covers all three authors.
 
-use rayon::prelude::*;
-
 use crate::btm::Btm;
 use crate::ids::{AuthorId, Timestamp};
 use crate::metrics::c_score;
@@ -126,12 +124,12 @@ pub struct WindowedTriplet {
     pub windowed_c: f64,
 }
 
-/// Validate surveyed triangles with the windowed hyperedge count, in parallel.
+/// Validate surveyed triangles with the windowed hyperedge count.
 /// `max_span` should equal the projection window's `δ2` for the bound
 /// `windowed_weight ≤ min_ci_weight` to hold.
 pub fn validate_windowed(btm: &Btm, triangles: &[Triangle], max_span: i64) -> Vec<WindowedTriplet> {
     triangles
-        .par_iter()
+        .iter()
         .map(|t| {
             let [a, b, c] = t.vertices();
             let (xa, xb, xc) = (AuthorId(a), AuthorId(b), AuthorId(c));

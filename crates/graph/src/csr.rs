@@ -8,11 +8,10 @@
 //! Two build paths share one merge core:
 //!
 //! * [`CsrGraph::from_edges`] — arbitrary edge lists (duplicates in either
-//!   orientation, self-loops). Canonicalizes, splits into shards, sorts each
-//!   shard in parallel, and k-way merges the sorted runs — no global re-sort
-//!   of the doubled directed edge list.
+//!   orientation, self-loops). Canonicalizes and sorts the canonical list
+//!   into one run — never the doubled directed edge list.
 //! * [`CsrGraph::from_canonical_runs`] — the fast path for producers (the
-//!   projection drivers) that already hold per-worker sorted runs of
+//!   projection, one run per rank) that already hold sorted runs of
 //!   canonical `(x, y, w)` edges: the runs are merged directly into CSR.
 //!
 //! Both paths place each merged canonical edge into *both* adjacency lists
@@ -23,12 +22,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use rayon::prelude::*;
-
 use crate::view::GraphRef;
-
-/// Shard a build only when there is enough work to amortize the merge.
-const SHARD_MIN_EDGES: usize = 1 << 14;
 
 /// An undirected weighted graph in CSR form.
 ///
@@ -117,11 +111,6 @@ impl CsrGraph {
     /// triangles cannot use them.
     ///
     /// `n` is the vertex-count; every endpoint must be `< n`.
-    ///
-    /// Large inputs are built shard-parallel: the canonicalized list is split
-    /// into per-thread shards, each shard is sorted and coalesced
-    /// independently, and the sorted runs are k-way merged. The result is
-    /// bit-identical regardless of shard count.
     pub fn from_edges(n: u32, edges: impl IntoIterator<Item = (u32, u32, u64)>) -> Self {
         let mut canon: Vec<(u32, u32, u64)> = Vec::new();
         for (u, v, w) in edges {
@@ -141,31 +130,9 @@ impl CsrGraph {
     /// arbitrary order. Duplicate keys have their weights summed. This is
     /// [`CsrGraph::from_edges`] minus the canonicalization pass — the entry
     /// point for producers holding unordered unique pairs (hash-map drains).
-    pub fn from_canonical_unsorted(n: u32, canon: Vec<(u32, u32, u64)>) -> Self {
-        // One shard per SHARD_MIN_EDGES of input, capped so shards stay
-        // meaty; at least one shard per rayon worker once the input is large
-        // enough to amortize the merge.
-        let threads = rayon::current_num_threads().max(1);
-        let n_shards = (canon.len() / SHARD_MIN_EDGES)
-            .clamp(1, threads.max(4))
-            .min(16);
-        if n_shards == 1 {
-            let mut run = canon;
-            run.sort_unstable_by_key(|&(x, y, _)| (x, y));
-            return Self::from_canonical_runs(n, vec![run]);
-        }
-        let shard_len = canon.len().div_ceil(n_shards);
-        let shards: Vec<Vec<(u32, u32, u64)>> =
-            canon.chunks(shard_len).map(<[_]>::to_vec).collect();
-        let runs: Vec<Vec<(u32, u32, u64)>> = shards
-            .into_par_iter()
-            .map(|mut shard| {
-                shard.sort_unstable_by_key(|&(x, y, _)| (x, y));
-                coalesce_sorted(&mut shard);
-                shard
-            })
-            .collect();
-        Self::from_canonical_runs(n, runs)
+    pub fn from_canonical_unsorted(n: u32, mut canon: Vec<(u32, u32, u64)>) -> Self {
+        canon.sort_unstable_by_key(|&(x, y, _)| (x, y));
+        Self::from_canonical_runs(n, vec![canon])
     }
 
     /// Build from pre-sorted runs of canonical edges — the zero-re-sort fast
@@ -486,20 +453,19 @@ mod tests {
     }
 
     #[test]
-    fn sharded_build_is_identical_to_single_run_build() {
-        // Enough edges to cross SHARD_MIN_EDGES and exercise the k-way merge.
+    fn large_build_matches_the_directed_sort_definition() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
         let n = 300u32;
-        let edges: Vec<(u32, u32, u64)> = (0..(SHARD_MIN_EDGES + 123))
+        let edges: Vec<(u32, u32, u64)> = (0..((1 << 14) + 123))
             .map(|_| {
                 let u = rng.gen_range(0..n);
                 let v = rng.gen_range(0..n);
                 (u, v, rng.gen_range(1..5u64))
             })
             .collect();
-        let sharded = CsrGraph::from_edges(n, edges.iter().copied());
-        // reference: the pre-refactor collect-sort-merge over both directions
+        let built = CsrGraph::from_edges(n, edges.iter().copied());
+        // reference: collect, sort and coalesce both directions
         let mut dir: Vec<(u32, u32, u64)> = Vec::new();
         for &(u, v, w) in &edges {
             if u == v {
@@ -518,7 +484,7 @@ mod tests {
         }
         let got: Vec<(u32, u32, u64)> = (0..n)
             .flat_map(|u| {
-                let (nbrs, ws) = sharded.neighbors(u);
+                let (nbrs, ws) = built.neighbors(u);
                 nbrs.iter()
                     .zip(ws)
                     .map(|(&v, &w)| (u, v, w))

@@ -9,10 +9,10 @@
 //!
 //! * [`ids`] — the typed [`AuthorId`] / [`PageId`] newtypes every layer keys
 //!   vertices by (re-exported through `coordination-core::ids`);
-//! * [`csr`] — [`CsrGraph`] storage with a **sharded parallel builder**
-//!   ([`CsrGraph::from_edges`] sorts per-shard runs and k-way merges them —
-//!   no global re-sort) and the fast path [`CsrGraph::from_canonical_runs`]
-//!   for producers that already hold sorted runs; also the union-find
+//! * [`csr`] — [`CsrGraph`] storage: [`CsrGraph::from_edges`] sorts the
+//!   canonical edge list once, and the fast path
+//!   [`CsrGraph::from_canonical_runs`] k-way merges the sorted runs of
+//!   producers that already hold them; also the union-find
 //!   ([`DisjointSets`]) and generic connected-[`components`] extraction;
 //! * [`intersect`] — the adaptive sorted-slice intersection kernel (linear
 //!   merge for comparable lengths, galloping from the short side for skewed

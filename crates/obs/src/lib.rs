@@ -7,7 +7,7 @@
 //!   (`"project.pairs"` is a child of `"project"` in the report tree). Each
 //!   span records into a **thread-local buffer**; the buffer is merged into
 //!   the global registry only when the thread's *outermost* span closes, so
-//!   rayon hot paths never contend on a lock per span. The invariant: once
+//!   hot paths never contend on a lock per span. The invariant: once
 //!   every scope on every thread has exited, the global totals are exact
 //!   (see DESIGN.md, "span-merge invariant").
 //! * **Counters and gauges** ([`counter`], [`gauge`]): named `AtomicU64`s in
@@ -235,8 +235,8 @@ impl SpanStats {
 
 /// Per-thread span buffer. `depth` counts live guards on this thread; the
 /// buffer flushes into the global registry when depth returns to zero, so a
-/// rayon worker grinding through thousands of inner spans takes the global
-/// lock once per task, not once per span.
+/// thread grinding through thousands of inner spans takes the global lock
+/// once per outermost span, not once per span.
 ///
 /// The same invariant covers SPMD rank threads (`ygm::World::run` spawns one
 /// scoped OS thread per rank): each rank's spans buffer locally and merge

@@ -22,8 +22,8 @@
 //! `spans` is the flat label-sorted list; `span_tree` nests the same entries
 //! by dotted-label prefix (a label's parent is its longest proper dotted
 //! prefix that was itself recorded). The tree is *label-structured*, not
-//! strict-containment: a child recorded on rayon workers can total more than
-//! its parent's wall time.
+//! strict-containment: a child recorded on several rank threads can total
+//! more than its parent's wall time.
 
 use crate::{Snapshot, SpanEntry};
 

@@ -1,12 +1,32 @@
-//! Concurrency stress for the metrics registry: rayon tasks hammering the
+//! Concurrency stress for the metrics registry: OS threads hammering the
 //! same counters and spans must merge to exact totals. Lives in its own
 //! integration-test binary so the process-global registry isn't shared with
 //! unrelated tests.
 
-use rayon::prelude::*;
+use std::sync::Barrier;
 
-const TASKS: u64 = 64;
+const THREADS: u64 = 8;
+const TASKS_PER_THREAD: u64 = 8;
+const TASKS: u64 = THREADS * TASKS_PER_THREAD;
 const INNER: u64 = 500;
+
+/// Run `task(id)` for every task id, `TASKS_PER_THREAD` per thread, all
+/// threads released together so their span buffers really do merge into the
+/// registry concurrently.
+fn hammer(task: impl Fn(u64) + Sync) {
+    let start = Barrier::new(THREADS as usize);
+    std::thread::scope(|s| {
+        for thread in 0..THREADS {
+            let (start, task) = (&start, &task);
+            s.spawn(move || {
+                start.wait();
+                for k in 0..TASKS_PER_THREAD {
+                    task(thread * TASKS_PER_THREAD + k);
+                }
+            });
+        }
+    });
+}
 
 #[test]
 fn concurrent_spans_and_counters_merge_exactly() {
@@ -17,7 +37,7 @@ fn concurrent_spans_and_counters_merge_exactly() {
     let batches = obs::counter("stress.batches");
     let peak = obs::gauge("stress.peak");
 
-    (0..TASKS).into_par_iter().for_each(|t| {
+    hammer(|t| {
         let _outer = obs::span("stress");
         batches.inc();
         peak.set_max(t);
@@ -42,7 +62,7 @@ fn concurrent_spans_and_counters_merge_exactly() {
     assert!(outer.total_ns > 0);
 
     // A second hammering round keeps accumulating (no reset in between).
-    (0..TASKS).into_par_iter().for_each(|_| {
+    hammer(|_| {
         let _outer = obs::span("stress");
         items.add(1);
     });

@@ -327,95 +327,6 @@ pub fn distributed_survey(
     }
 }
 
-/// Distributed connected components by min-label propagation over the ygm
-/// runtime — the distributed path for the paper's botnet-component extraction
-/// (Figures 1–2 ran on billion-edge graphs where a single-node union-find is
-/// not an option). Considers only edges with `weight >= min_weight`; returns
-/// components with ≥ 2 vertices, largest first, matching
-/// [`crate::graph::WeightedGraph::components`] exactly.
-pub fn distributed_components(
-    g: &crate::graph::WeightedGraph,
-    min_weight: u64,
-    nranks: usize,
-) -> Vec<Vec<u32>> {
-    use ygm::container::DistArray;
-    use ygm::partition::block_range;
-
-    let n = g.n() as usize;
-    if n == 0 {
-        return Vec::new();
-    }
-    let labels: DistArray<u32> = DistArray::new(nranks, n, 0);
-    {
-        // initialize label[v] = v on each owner
-        let labels = labels.clone();
-        World::run(nranks, move |ctx| {
-            let r = block_range(ctx.rank(), n, ctx.nranks());
-            for v in r {
-                labels.async_set(ctx, v, v as u32);
-            }
-            ctx.barrier();
-        });
-    }
-    // propagate until a full round changes nothing
-    let labels2 = labels.clone();
-    World::run(nranks, move |ctx| {
-        loop {
-            // push phase: offer this round's label to every neighbor
-            let r = block_range(ctx.rank(), n, ctx.nranks());
-            for u in r {
-                let my_label = labels2.global_get(u); // own block: local read
-                let (nbrs, ws) = g.neighbors(u as u32);
-                for (&v, &w) in nbrs.iter().zip(ws) {
-                    if w < min_weight {
-                        continue;
-                    }
-                    labels2.async_visit(ctx, v as usize, move |_, l| {
-                        if my_label < *l {
-                            *l = my_label;
-                        }
-                    });
-                }
-            }
-            ctx.barrier();
-            // convergence check: did any label actually change this round?
-            let mut changed = 0u64;
-            let r = block_range(ctx.rank(), n, ctx.nranks());
-            for u in r {
-                let l = labels2.global_get(u) as usize;
-                // a label is stable when it equals the min over the closed
-                // neighborhood (within the thresholded graph)
-                let (nbrs, ws) = g.neighbors(u as u32);
-                let min_nbr = nbrs
-                    .iter()
-                    .zip(ws)
-                    .filter(|&(_, &w)| w >= min_weight)
-                    .map(|(&v, _)| labels2.global_get(v as usize))
-                    .min()
-                    .unwrap_or(u32::MAX);
-                if min_nbr < l as u32 {
-                    changed += 1;
-                }
-            }
-            if ctx.all_reduce_sum(changed) == 0 {
-                break;
-            }
-        }
-    });
-    // group by final label
-    let final_labels = labels.gather();
-    let mut groups: std::collections::HashMap<u32, Vec<u32>> = std::collections::HashMap::new();
-    for (v, &l) in final_labels.iter().enumerate() {
-        groups.entry(l).or_default().push(v as u32);
-    }
-    let mut comps: Vec<Vec<u32>> = groups.into_values().filter(|c| c.len() >= 2).collect();
-    for c in &mut comps {
-        c.sort_unstable();
-    }
-    comps.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
-    comps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -655,35 +566,5 @@ mod tests {
             let (got, _) = survey_on_ranks_batched(&o, &config, Some(&pages), nranks, batch_bytes);
             assert_reports_equal(&got, &want, "proptest");
         }
-    }
-
-    #[test]
-    fn distributed_components_match_union_find() {
-        for seed in 0..5 {
-            let g = random_graph(50, 0.04, seed + 200);
-            for min_weight in [1u64, 5, 10] {
-                let expect = g.components(min_weight);
-                let got = distributed_components(&g, min_weight, 4);
-                assert_eq!(got, expect, "seed {seed} min_weight {min_weight}");
-            }
-        }
-    }
-
-    #[test]
-    fn distributed_components_on_a_long_path() {
-        // a path stresses propagation rounds (diameter = n-1)
-        let n = 60u32;
-        let g = WeightedGraph::from_edges(n, (0..n - 1).map(|i| (i, i + 1, 1u64)));
-        let got = distributed_components(&g, 1, 3);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0], (0..n).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn distributed_components_empty_and_edgeless() {
-        let empty = WeightedGraph::from_edges(0, std::iter::empty());
-        assert!(distributed_components(&empty, 1, 2).is_empty());
-        let edgeless = WeightedGraph::from_edges(5, std::iter::empty());
-        assert!(distributed_components(&edgeless, 1, 2).is_empty());
     }
 }

@@ -1,12 +1,11 @@
 //! Packed-batch exchange: the throughput path for fixed-width shuffles.
 //!
-//! [`crate::Aggregator`] batches arbitrary `Clone` items into per-destination
-//! `Vec<T>`s and replays them one closure call per item on the owner. That is
-//! the right shape for small irregular traffic, but the pipeline's big
-//! shuffles (events, projection pairs, oriented edges) move millions of
-//! *fixed-width* items, and there three costs dominate: the per-item apply
-//! call, the per-batch buffer allocation, and a flush threshold that ignores
-//! how wide the items are.
+//! The pipeline's big shuffles (events, projection pairs, oriented edges)
+//! move millions of *fixed-width* items, and an aggregator that stages
+//! arbitrary items in per-destination `Vec<T>`s and replays them one closure
+//! call per item pays three costs there: the per-item apply call, the
+//! per-batch buffer allocation, and a flush threshold that ignores how wide
+//! the items are.
 //!
 //! [`PackedAggregator`] removes all three:
 //!
@@ -443,6 +442,7 @@ where
 mod tests {
     use super::*;
     use crate::container::DistBag;
+    use crate::partition::owner_of;
     use crate::World;
 
     #[test]
@@ -503,12 +503,12 @@ mod tests {
     }
 
     #[test]
-    fn packed_routing_matches_generic_aggregator() {
+    fn packed_routing_matches_direct_pushes() {
         let packed: DistBag<(u32, u32)> = DistBag::new(3);
-        let generic: DistBag<(u32, u32)> = DistBag::new(3);
+        let direct: DistBag<(u32, u32)> = DistBag::new(3);
         {
             let packed = packed.clone();
-            let generic = generic.clone();
+            let direct = direct.clone();
             World::run(3, move |ctx| {
                 let p = packed.clone();
                 let mut pagg = PackedAggregator::new(
@@ -518,24 +518,19 @@ mod tests {
                         p.local_extend(inner, batch.iter());
                     },
                 );
-                let g = generic.clone();
-                let mut gagg = crate::Aggregator::new(ctx, 64, move |inner: &RankCtx, item| {
-                    g.local_insert(inner, item);
-                });
                 for i in 0..5_000u32 {
                     let key = i % 101;
                     pagg.push_keyed(ctx, &key, (key, i));
-                    gagg.push_keyed(ctx, &key, (key, i));
+                    direct.async_insert_to(ctx, owner_of(&key, ctx.nranks()), (key, i));
                 }
                 pagg.flush_all(ctx);
-                gagg.flush_all(ctx);
                 ctx.barrier();
                 // same hash, same owner: the per-rank shards must agree
                 let mut mine_p = packed.local_take(ctx);
-                let mut mine_g = generic.local_take(ctx);
+                let mut mine_d = direct.local_take(ctx);
                 mine_p.sort_unstable();
-                mine_g.sort_unstable();
-                assert_eq!(mine_p, mine_g);
+                mine_d.sort_unstable();
+                assert_eq!(mine_p, mine_d);
             });
         }
     }

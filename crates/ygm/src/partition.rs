@@ -1,7 +1,7 @@
 //! Hash partitioning: deciding which rank owns a key.
 //!
-//! All distributed containers route operations to an *owner* rank computed from
-//! a stable hash of the key. The hash is deliberately independent of
+//! Every keyed shuffle routes an item to an *owner* rank computed from a stable
+//! hash of its key. The hash is deliberately independent of
 //! `std::collections`' per-process SipHash keys so that ownership is
 //! reproducible run to run (useful when debugging distributed traces).
 
@@ -54,18 +54,6 @@ pub fn stable_hash<K: Hash + ?Sized>(key: &K) -> u64 {
 #[inline]
 pub fn owner_of<K: Hash + ?Sized>(key: &K, nranks: usize) -> usize {
     (stable_hash(key) % nranks as u64) as usize
-}
-
-/// Block partition of a global index space `0..len` over `nranks` ranks:
-/// returns the rank owning index `i`. Used by [`crate::container::DistArray`].
-#[inline]
-pub fn block_owner(i: usize, len: usize, nranks: usize) -> usize {
-    assert!(
-        i < len,
-        "index {i} out of bounds for DistArray of len {len}"
-    );
-    let per = len.div_ceil(nranks);
-    (i / per).min(nranks - 1)
 }
 
 /// The half-open range of global indices owned by `rank` under block
@@ -125,17 +113,10 @@ mod tests {
                     for i in block_range(rank, len, nranks) {
                         assert!(!seen[i], "index {i} owned twice");
                         seen[i] = true;
-                        assert_eq!(block_owner(i, len, nranks), rank);
                     }
                 }
                 assert!(seen.iter().all(|&s| s), "uncovered index for len={len}");
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn block_owner_rejects_out_of_range() {
-        block_owner(10, 10, 4);
     }
 }

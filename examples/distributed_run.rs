@@ -1,13 +1,14 @@
-//! Run the projection and triangle survey through the YGM-style distributed
-//! substrate — the exact communication structure the paper ran on LLNL
-//! clusters, here over in-process ranks. Verifies the distributed drivers
-//! agree with the shared-memory ones and reports message traffic.
+//! Run the three-step pipeline on the rank-sharded engine — the
+//! communication structure the paper ran on LLNL clusters, here over
+//! in-process ranks. Verifies it agrees with the resident engine and reports
+//! the survey's message traffic.
 //!
 //! ```text
 //! cargo run --release --example distributed_run [n_ranks]
 //! ```
 
-use coordination::core::pipeline::{Pipeline, PipelineConfig, ProjectionStrategy};
+use coordination::core::dist_pipeline::DistPipeline;
+use coordination::core::pipeline::{Pipeline, PipelineConfig};
 use coordination::core::Window;
 use coordination::redditgen::ScenarioConfig;
 use coordination::tripoll::distributed::survey_on_ranks;
@@ -23,31 +24,23 @@ fn main() {
     let dataset = scenario.dataset();
     println!("{} comments, {nranks} ranks\n", scenario.len());
 
-    // step 1+2+3 through the rayon driver (reference)
-    let shared = Pipeline::new(PipelineConfig {
+    let config = PipelineConfig {
         window: Window::zero_to_60s(),
         min_triangle_weight: 10,
         ..Default::default()
-    })
-    .run_dataset(&dataset);
+    };
+    // steps 1+2+3 on the resident engine (reference), then rank-sharded
+    let shared = Pipeline::new(config.clone()).run_dataset(&dataset);
+    let distributed = DistPipeline::new(config, nranks).run_dataset(&dataset);
 
-    // the same pipeline with the distributed projection driver
-    let distributed = Pipeline::new(PipelineConfig {
-        window: Window::zero_to_60s(),
-        min_triangle_weight: 10,
-        strategy: ProjectionStrategy::Distributed(nranks),
-        ..Default::default()
-    })
-    .run_dataset(&dataset);
-
-    println!("projection      edges        triplets");
+    println!("engine          edges        triplets");
     println!(
-        "rayon        {:>8}        {:>5}",
+        "resident     {:>8}        {:>5}",
         shared.stats.ci_edges,
         shared.triplets.len()
     );
     println!(
-        "ygm({nranks} ranks) {:>8}        {:>5}",
+        "{nranks} ranks      {:>8}        {:>5}",
         distributed.stats.ci_edges,
         distributed.triplets.len()
     );

@@ -37,7 +37,6 @@ const BATCH_COUNTERS: &[&str] = &[
     "btm.pages_presorted",
     "btm.pages_sorted",
     "project.pages",
-    "project.pages_split",
     "project.edges",
     "survey.triangles_examined",
     "survey.triangles_kept",
@@ -100,15 +99,45 @@ fn usage() -> ExitCode {
          --shuffle-budget BYTES caps each rank's resident shuffle run stack\n\
          per label; overflow spills sorted segments to disk and the output\n\
          is bit-identical to an unbounded run (distributed pipeline only).\n\
-         --threads N runs the command inside an N-thread rayon pool\n\
-         (default: rayon's own sizing); NDJSON ingest is one in-order pass\n\
-         on the calling thread either way. --skip-bad-lines counts and skips malformed input lines\n\
-         instead of aborting (default: strict). --report FILE writes a\n\
-         schema-versioned JSON run report (span timings + counters);\n\
-         --progress prints live per-stage lines to stderr."
+         --skip-bad-lines counts and skips malformed input lines instead of\n\
+         aborting (default: strict). --report FILE writes a schema-versioned\n\
+         JSON run report (span timings + counters); --progress prints live\n\
+         per-stage lines to stderr. A flag no command reads is a usage error."
     );
     ExitCode::from(2)
 }
+
+/// Every flag some command reads. Anything else is a typo or a flag that no
+/// longer exists, and is refused before any work instead of ignored.
+const KNOWN_FLAGS: &[&str] = &[
+    "checkpoint",
+    "cutoff",
+    "d1",
+    "d2",
+    "distributed",
+    "dot-dir",
+    "from-snapshot",
+    "graph",
+    "horizon",
+    "input",
+    "kind",
+    "out",
+    "preset",
+    "progress",
+    "ranks",
+    "report",
+    "rounds",
+    "scale",
+    "shuffle-budget",
+    "skip-bad-lines",
+    "snapshot",
+    "snapshot-out",
+    "speedup",
+    "t-score",
+    "top",
+    "windowed",
+    "with-ci",
+];
 
 /// Minimal `--flag value` / `--flag` parser.
 struct Flags(HashMap<String, String>);
@@ -124,6 +153,10 @@ impl Flags {
                 return None;
             }
             let key = a.trim_start_matches("--").to_string();
+            if !KNOWN_FLAGS.contains(&key.as_str()) {
+                eprintln!("unknown flag: {a}");
+                return None;
+            }
             if i + 1 < args.len() && !args[i + 1].starts_with("--") {
                 map.insert(key, args[i + 1].clone());
                 i += 2;
@@ -583,7 +616,7 @@ fn write_triplet_rows<'a>(
 }
 
 /// `pipeline`: the full ingest → projection → survey → validation run with a
-/// deterministic stdout report — the same bytes whether it runs on the rayon
+/// deterministic stdout report — the same bytes whether it runs on the resident
 /// path or rank-sharded (`--distributed --ranks N`), which is what the CLI
 /// equivalence test pins. Timings go to stderr only.
 fn cmd_pipeline(flags: &Flags) -> Result<(), String> {
@@ -982,27 +1015,9 @@ fn main() -> ExitCode {
         obs::Obs::enable();
         obs::Obs::set_progress(flags.has("progress"));
     }
-    // `--threads N` scopes every parallel stage (projection fan-out, survey)
-    // to an N-thread rayon pool instead of the global one.
-    let result = match flags.num::<usize>("threads", 0) {
-        Err(e) => Err(e),
-        Ok(0) => match dispatch(cmd, &flags) {
-            Some(r) => r,
-            None => {
-                eprintln!("unknown command: {cmd}");
-                return usage();
-            }
-        },
-        Ok(n) => match rayon::ThreadPoolBuilder::new().num_threads(n).build() {
-            Err(e) => Err(format!("build {n}-thread pool: {e}")),
-            Ok(pool) => match pool.install(|| dispatch(cmd, &flags)) {
-                Some(r) => r,
-                None => {
-                    eprintln!("unknown command: {cmd}");
-                    return usage();
-                }
-            },
-        },
+    let Some(result) = dispatch(cmd, &flags) else {
+        eprintln!("unknown command: {cmd}");
+        return usage();
     };
     match result {
         Ok(()) => {

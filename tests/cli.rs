@@ -394,3 +394,28 @@ fn usage_errors_exit_2() {
         .expect("bad window");
     assert_eq!(status.code(), Some(2));
 }
+
+/// A flag no command reads — a typo, or one that no longer exists — is a
+/// usage error naming the flag, raised before the input is even opened.
+#[test]
+fn unknown_flags_are_refused_before_any_work() {
+    let dir = tmpdir("unknown-flag");
+    let input = generate_month(&dir);
+    for (cmd, flag, value) in [
+        ("pipeline", "--threads", "4"),
+        ("validate", "--cuttoff", "5"),
+    ] {
+        let output = bin()
+            .args([cmd, "--input"])
+            .arg(&input)
+            .args([flag, value])
+            .output()
+            .expect("run with an unknown flag");
+        assert_eq!(output.status.code(), Some(2), "{cmd} {flag}");
+        assert!(output.stdout.is_empty(), "{cmd} {flag} printed to stdout");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(flag), "{cmd} {flag}: stderr was {stderr}");
+        assert!(!stderr.contains("loaded"), "{cmd} {flag} ingested first");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}

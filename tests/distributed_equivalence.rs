@@ -1,10 +1,10 @@
 //! The PR's acceptance bar: the rank-sharded end-to-end pipeline
-//! ([`DistPipeline`]) is *exactly* equivalent to the resident rayon path —
+//! ([`DistPipeline`]) is *exactly* equivalent to the resident path —
 //! same CI graph, same survey report, same validated triplets with
 //! bit-identical floating-point scores — for any input, any rank count, and
 //! any event interleaving.
 //!
-//! CI runs the named `distributed_matches_rayon_at_*_ranks` tests explicitly
+//! CI runs the named `distributed_matches_resident_at_*_ranks` tests explicitly
 //! at 1/2/4 ranks; the proptests below extend the same claim to arbitrary
 //! rank counts and shuffled event orders.
 
@@ -90,7 +90,7 @@ fn run_both(ds: &Dataset, nranks: usize) -> (PipelineOutput, PipelineOutput) {
 }
 
 #[test]
-fn distributed_matches_rayon_at_1_rank() {
+fn distributed_matches_resident_at_1_rank() {
     let ds = month();
     let (resident, dist) = run_both(&ds, 1);
     assert!(!resident.triplets.is_empty(), "scenario found no triplets");
@@ -98,21 +98,21 @@ fn distributed_matches_rayon_at_1_rank() {
 }
 
 #[test]
-fn distributed_matches_rayon_at_2_ranks() {
+fn distributed_matches_resident_at_2_ranks() {
     let ds = month();
     let (resident, dist) = run_both(&ds, 2);
     assert_equivalent(&resident, &dist);
 }
 
 #[test]
-fn distributed_matches_rayon_at_4_ranks() {
+fn distributed_matches_resident_at_4_ranks() {
     let ds = month();
     let (resident, dist) = run_both(&ds, 4);
     assert_equivalent(&resident, &dist);
 }
 
 #[test]
-fn distributed_text_ingest_matches_rayon_on_generated_month() {
+fn distributed_text_ingest_matches_resident_on_generated_month() {
     // The rank-sharded ingest path: each rank parses its own chunk of the
     // NDJSON buffer, and the replicated interner merge must reproduce the
     // reference reader's dense ids exactly.
@@ -159,7 +159,7 @@ fn budget_of_one_batch_stress() {
     // side to spill its run stack to disk after absorbing at most one more
     // batch. Every shuffle label on every rank runs almost entirely
     // out-of-core, and the output still must be bit-identical to the
-    // resident rayon pipeline. Run by name in CI.
+    // resident pipeline. Run by name in CI.
     let mut records = Vec::new();
     for page in 0..40 {
         for (i, bot) in ["bot_a", "bot_b", "bot_c"].iter().enumerate() {
@@ -347,7 +347,7 @@ proptest! {
     /// run stacks to disk mid-shuffle, a huge one keeps them resident, and
     /// none may move the output.
     #[test]
-    fn distributed_equals_rayon_for_any_rank_count(
+    fn distributed_equals_resident_for_any_rank_count(
         records in arb_records(16, 12, 250),
         seed in 0u64..u64::MAX,
         nranks in 1usize..9,
@@ -371,7 +371,7 @@ proptest! {
     /// the distributed orientation (post-threshold degree reduction) and the
     /// keep filter are both on the hook.
     #[test]
-    fn distributed_equals_rayon_under_thresholds(
+    fn distributed_equals_resident_under_thresholds(
         records in arb_records(14, 10, 220),
         seed in 0u64..u64::MAX,
         nranks in 1usize..7,

@@ -8,9 +8,7 @@ use coordination::core::dist_pipeline::{event_key, PagePartition};
 use coordination::core::hypergraph::hyperedge_weight;
 use coordination::core::ids::{AuthorId, Event, PageId};
 use coordination::core::metrics::c_score;
-use coordination::core::project::{
-    project, project_bucketed, project_distributed, project_sequential, project_with_heavy_split,
-};
+use coordination::core::project::{project, project_sequential};
 use coordination::core::Window;
 use coordination::tripoll::survey::t_score;
 use coordination::tripoll::OrientedGraph;
@@ -71,6 +69,20 @@ fn arrival_orders(keyed: &[KeyedEvent]) -> [Vec<Event>; 4] {
     [events, permuted, by_time, reversed]
 }
 
+/// A projection as comparable data: sorted edges and the `P'` counts.
+fn canon(g: &coordination::core::CiGraph) -> (Vec<(u32, u32, u64)>, Vec<u64>) {
+    let mut e: Vec<_> = g.edges().collect();
+    e.sort_unstable();
+    (e, g.page_counts().to_vec())
+}
+
+/// The one projection property every generator below feeds: `project` equals
+/// the literal Algorithm 1 reference, edge for edge and `P'` for `P'`.
+fn assert_matches_reference(btm: &Btm, w: Window) -> Result<(), proptest::TestCaseError> {
+    prop_assert_eq!(canon(&project(btm, w)), canon(&project_sequential(btm, w)));
+    Ok(())
+}
+
 fn arb_window() -> impl Strategy<Value = Window> {
     (0i64..100, 1i64..500).prop_map(|(d1, len)| Window::new(d1, d1 + len))
 }
@@ -78,22 +90,10 @@ fn arb_window() -> impl Strategy<Value = Window> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// All four projection drivers agree exactly.
+    /// `project` agrees exactly with the Algorithm 1 reference.
     #[test]
     fn projection_drivers_agree((na, np, events) in arb_events(20, 15, 300), w in arb_window()) {
-        let btm = Btm::from_events(na, np, &events);
-        let a = project(&btm, w);
-        let b = project_sequential(&btm, w);
-        let c = project_bucketed(&btm, w, 3);
-        let d = project_distributed(&btm, w, 3);
-        let canon = |g: &coordination::core::CiGraph| {
-            let mut e: Vec<_> = g.edges().collect();
-            e.sort_unstable();
-            (e, g.page_counts().to_vec())
-        };
-        prop_assert_eq!(canon(&a), canon(&b));
-        prop_assert_eq!(canon(&a), canon(&c));
-        prop_assert_eq!(canon(&a), canon(&d));
+        assert_matches_reference(&Btm::from_events(na, np, &events), w)?;
     }
 
     /// Projection weights never exceed either endpoint's P' page count, and
@@ -353,30 +353,18 @@ proptest! {
     }
 
     /// Adversarial projection input #1: one mega-dense page holding every
-    /// event. This is the shape that routes through the heavy-page split
-    /// kernel; every chunking factor must reproduce the sequential reference
-    /// exactly (the same author pair can be generated by several chunks — the
-    /// post-union dedup has to erase that).
+    /// event, so the same author pair is generated over and over and the
+    /// per-page dedup has to erase that.
     #[test]
-    fn mega_dense_page_survives_any_heavy_split(
+    fn mega_dense_page_projects_exactly(
         events in prop::collection::vec((0u32..12, 0i64..400), 1..250),
-        split in 2usize..40,
         w in arb_window(),
     ) {
-        let na = 12;
         let evs: Vec<Event> = events
             .iter()
             .map(|&(a, t)| Event { author: AuthorId(a), page: PageId(0), ts: t })
             .collect();
-        let btm = Btm::from_events(na, 1, &evs);
-        let reference = project_sequential(&btm, w);
-        let canon = |g: &coordination::core::CiGraph| {
-            let mut e: Vec<_> = g.edges().collect();
-            e.sort_unstable();
-            (e, g.page_counts().to_vec())
-        };
-        prop_assert_eq!(canon(&project_with_heavy_split(&btm, w, split)), canon(&reference));
-        prop_assert_eq!(canon(&project(&btm, w)), canon(&reference));
+        assert_matches_reference(&Btm::from_events(12, 1, &evs), w)?;
     }
 
     /// Adversarial projection input #2: every comment carries the same
@@ -391,15 +379,7 @@ proptest! {
             .iter()
             .map(|&(a, p)| Event { author: AuthorId(a), page: PageId(p), ts })
             .collect();
-        let btm = Btm::from_events(10, 4, &evs);
-        let w = Window::new(0, 60);
-        let canon = |g: &coordination::core::CiGraph| {
-            let mut e: Vec<_> = g.edges().collect();
-            e.sort_unstable();
-            (e, g.page_counts().to_vec())
-        };
-        prop_assert_eq!(canon(&project(&btm, w)), canon(&project_sequential(&btm, w)));
-        prop_assert_eq!(canon(&project_with_heavy_split(&btm, w, 3)), canon(&project_sequential(&btm, w)));
+        assert_matches_reference(&Btm::from_events(10, 4, &evs), Window::new(0, 60))?;
     }
 
     /// Adversarial projection input #3: duplicate (author, ts) rows — the
@@ -429,13 +409,8 @@ proptest! {
                 .map(|&(a, p, t)| Event { author: AuthorId(a), page: PageId(p), ts: t })
                 .collect::<Vec<_>>(),
         );
-        let canon = |g: &coordination::core::CiGraph| {
-            let mut e: Vec<_> = g.edges().collect();
-            e.sort_unstable();
-            (e, g.page_counts().to_vec())
-        };
         // duplicates agree with the sequential reference…
-        prop_assert_eq!(canon(&project(&btm, w)), canon(&project_sequential(&btm, w)));
+        assert_matches_reference(&btm, w)?;
         // …and change nothing relative to the deduplicated log (δ1 = 0: the
         // duplicate row pairs with its twin at dt = 0, same as with itself —
         // page-level dedup absorbs both).

@@ -1,11 +1,11 @@
-//! Cross-crate integration: the distributed substrates must agree with the
-//! shared-memory paths at realistic scenario scale, and the future-work
-//! features must compose with the pipeline.
+//! Cross-crate integration: the rank-sharded triangle survey must agree with
+//! the resident one at realistic scenario scale, and the future-work features
+//! must compose with the pipeline.
 
-use coordination::core::pipeline::{Pipeline, PipelineConfig, ProjectionStrategy};
+use coordination::core::pipeline::{Pipeline, PipelineConfig};
 use coordination::core::Window;
 use coordination::redditgen::ScenarioConfig;
-use coordination::tripoll::distributed::{distributed_components, distributed_survey};
+use coordination::tripoll::distributed::distributed_survey;
 use coordination::tripoll::OrientedGraph;
 
 fn scenario_ci() -> (
@@ -24,36 +24,6 @@ fn scenario_ci() -> (
 }
 
 #[test]
-fn distributed_projection_agrees_at_scenario_scale() {
-    let scenario = ScenarioConfig::oct2016(0.12).build();
-    let dataset = scenario.dataset();
-    let shared = Pipeline::new(PipelineConfig {
-        window: Window::zero_to_60s(),
-        min_triangle_weight: 15,
-        ..Default::default()
-    })
-    .run_dataset(&dataset);
-    let dist = Pipeline::new(PipelineConfig {
-        window: Window::zero_to_60s(),
-        min_triangle_weight: 15,
-        strategy: ProjectionStrategy::Distributed(5),
-        ..Default::default()
-    })
-    .run_dataset(&dataset);
-    assert_eq!(shared.stats.ci_edges, dist.stats.ci_edges);
-    assert_eq!(
-        shared.stats.triangles_examined,
-        dist.stats.triangles_examined
-    );
-    let key = |m: &coordination::core::TripletMetrics| m.authors;
-    let mut a: Vec<_> = shared.triplets.iter().map(key).collect();
-    let mut b: Vec<_> = dist.triplets.iter().map(key).collect();
-    a.sort_unstable();
-    b.sort_unstable();
-    assert_eq!(a, b);
-}
-
-#[test]
 fn distributed_survey_agrees_on_a_projected_graph() {
     let (_, ci) = scenario_ci();
     let oriented = OrientedGraph::from_ref(&ci.threshold_view(5));
@@ -66,17 +36,6 @@ fn distributed_survey_agrees_on_a_projected_graph() {
         dist.messages_sent > 0,
         "the push algorithm must communicate"
     );
-}
-
-#[test]
-fn distributed_components_agree_on_a_projected_graph() {
-    let (_, ci) = scenario_ci();
-    let wg = ci.as_csr();
-    for cutoff in [20u64, 25] {
-        let expect = wg.components(cutoff);
-        let got = distributed_components(wg, cutoff, 4);
-        assert_eq!(got, expect, "cutoff {cutoff}");
-    }
 }
 
 #[test]
@@ -114,48 +73,6 @@ fn groups_and_windowed_validation_compose_with_the_pipeline() {
         assert!(w.windowed_weight <= w.hyper_weight);
         assert!((0.0..=1.0).contains(&w.windowed_c));
     }
-}
-
-#[test]
-fn aggregated_messaging_is_dramatically_cheaper() {
-    // the ygm batching ablation at pipeline scale: count active messages for
-    // per-item vs aggregated counting
-    use ygm::container::DistCountingSet;
-    use ygm::{Aggregator, World};
-    const ITEMS: u64 = 20_000;
-
-    let per_item_msgs = {
-        let cs = DistCountingSet::<u64>::new(4);
-        World::run(4, move |ctx| {
-            for i in 0..ITEMS {
-                cs.async_add(ctx, i % 512);
-            }
-            ctx.barrier();
-            ctx.messages_sent()
-        })[0]
-    };
-    let batched_msgs = {
-        let cs = DistCountingSet::<u64>::new(4);
-        World::run(4, move |ctx| {
-            let cs2 = cs.clone();
-            // apply on the owner directly — re-sending would defeat batching
-            let mut agg = Aggregator::new(ctx, 1024, move |inner, k: u64| {
-                cs2.local_add(inner, k, 1);
-            });
-            for i in 0..ITEMS {
-                agg.push(ctx, ygm::owner_of(&(i % 512), ctx.nranks()), i % 512);
-            }
-            agg.flush_all(ctx);
-            ctx.barrier();
-            ctx.messages_sent()
-        })[0]
-    };
-    // batched: ITEMS self-routed adds (local) + ~ITEMS/1024 shipped batches;
-    // the cross-rank traffic collapses by ~3 orders of magnitude
-    assert!(
-        batched_msgs < per_item_msgs / 2,
-        "batched {batched_msgs} vs per-item {per_item_msgs}"
-    );
 }
 
 #[test]
