@@ -1,27 +1,31 @@
 //! The bipartite temporal multigraph (BTM) `B = (U, P, E, t)`.
 //!
 //! Pages map to their time-sorted comment lists (the page *neighborhoods*
-//! Algorithm 1 iterates), and authors map to their deduplicated page lists
-//! (the hypergraph side: `p_x` of Eq. 3 and the inputs to `w_xyz` of Eq. 2).
-//! It is a *multigraph*: one author commenting the same page five times is
-//! five edges, distinguished by timestamp.
+//! Algorithm 1 iterates). It is a *multigraph*: one author commenting the
+//! same page five times is five edges, distinguished by timestamp.
 //!
-//! Both sides are stored CSR-style: one offset array per side plus one flat
-//! array of rows laid end to end (16 B per comment, 4 B per author–page
-//! incidence). [`Btm::build`] fills them with a counting pass, a prefix sum
-//! and a scatter pass — constant work per event and no per-page or
-//! per-author allocation — and only comparison-sorts the page rows the input
-//! did not already deliver in time order. The page side is a type of its own,
-//! [`PageRows`], because a rank of the sharded pipeline builds exactly that
-//! (and no author side) out of the events it receives.
+//! The page side is all a [`Btm`] stores, CSR-style: one offset array plus
+//! one flat array of rows laid end to end (16 B per comment).
+//! [`PageRows::build`] fills them with a counting pass, a prefix sum and a
+//! scatter pass — constant work per event and no per-page allocation — and
+//! only comparison-sorts the rows the input did not already deliver in time
+//! order. A rank of the sharded pipeline builds exactly these rows out of the
+//! events it receives.
+//!
+//! The author side — each author's deduplicated page list, the hypergraph
+//! side: `p_x` of Eq. 3 and the inputs to `w_xyz` of Eq. 2 — is not stored.
+//! Step 3 reads it for the vertices of the triangles that survived steps
+//! 1–2, a few dozen authors out of |U|, so it is a value of its own,
+//! [`AuthorPages`], harvested from the rows for exactly the authors asked
+//! for in one masked scan.
 
 use crate::ids::{AuthorId, Event, PageId, Timestamp};
 
 /// The page side of the BTM on its own: every page's comments as one
 /// time-sorted row, the rows laid end to end behind one offset table. [`Btm`]
-/// is these rows plus their author transpose; a rank of the sharded pipeline
-/// ([`crate::dist_pipeline`]) holds just the rows of the pages it owns. Equal
-/// for any arrival order of the same events.
+/// is these rows plus the size of the author id space; a rank of the sharded
+/// pipeline ([`crate::dist_pipeline`]) holds the rows of the pages it owns.
+/// Equal for any arrival order of the same events.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PageRows {
     /// Page `p`'s comments are `comments[off[p]..off[p + 1]]`.
@@ -144,50 +148,18 @@ impl PageRows {
 pub struct Btm {
     /// The page side: each page's time-sorted comments.
     rows: PageRows,
-    /// Author `a`'s pages are `pages[author_off[a]..author_off[a + 1]]`.
-    author_off: Vec<usize>,
-    /// Distinct pages per author, each author's sorted.
-    pages: Vec<PageId>,
+    /// Number of author slots `|U|`.
+    n_authors: u32,
 }
 
-/// The author side as the transpose of the page side: the same count →
-/// prefix sum → scatter, walking pages in id order so that every author's
-/// row comes out sorted, and taking a page once per author (an author's
-/// repeat comments all sit inside the page's row, so remembering the last
-/// page each author was seen on catches them).
-fn author_side(n_authors: usize, rows: &PageRows) -> (Vec<usize>, Vec<PageId>) {
-    // Page ids are below `n_pages <= u32::MAX`, so the sentinel is no page.
-    const NO_PAGE: PageId = PageId(u32::MAX);
-    /// Calls `f(author, page)` once per distinct pair, pages ascending.
-    fn each_incidence(n_authors: usize, rows: &PageRows, mut f: impl FnMut(usize, PageId)) {
-        let mut last_page = vec![NO_PAGE; n_authors];
-        for (p, row) in rows.pages() {
-            for &(_, a) in row {
-                if std::mem::replace(&mut last_page[a.0 as usize], p) != p {
-                    f(a.0 as usize, p);
-                }
-            }
-        }
-    }
-
-    let mut author_off = vec![0usize; n_authors + 1];
-    each_incidence(n_authors, rows, |a, _| author_off[a + 1] += 1);
-    prefix_sum(&mut author_off);
-
-    let mut pages = vec![PageId(0); author_off[n_authors]];
-    let mut cursor = author_off[..n_authors].to_vec();
-    each_incidence(n_authors, rows, |a, p| {
-        pages[cursor[a]] = p;
-        cursor[a] += 1;
-    });
-    (author_off, pages)
-}
-
-/// `gone[a]` for every excluded author over an `n_authors` id space.
+/// `gone[a]` for every excluded author over an `n_authors` id space. An
+/// excluded id outside the space has no events to drop and is ignored.
 fn author_mask(n_authors: usize, excluded: &[AuthorId]) -> Vec<bool> {
     let mut gone = vec![false; n_authors];
     for a in excluded {
-        gone[a.0 as usize] = true;
+        if let Some(slot) = gone.get_mut(a.0 as usize) {
+            *slot = true;
+        }
     }
     gone
 }
@@ -215,12 +187,11 @@ impl Btm {
         events: impl Fn() -> I,
     ) -> Self {
         let _g = obs::span("btm.build");
-        let na = n_authors as usize;
         // No mask, and no per-event lookup, when nothing is excluded.
         let gone = if excluded.is_empty() {
             Vec::new()
         } else {
-            author_mask(na, excluded)
+            author_mask(n_authors as usize, excluded)
         };
         let kept = |e: &Event| gone.is_empty() || !gone[e.author.0 as usize];
         let in_range = |e: &Event| {
@@ -237,17 +208,12 @@ impl Btm {
                 .filter(kept)
                 .map(|e| (e.page, e.ts, e.author))
         });
-        let (author_off, pages) = author_side(na, &rows);
-        Btm {
-            rows,
-            author_off,
-            pages,
-        }
+        Btm { rows, n_authors }
     }
 
     /// Number of author slots `|U|`.
     pub fn n_authors(&self) -> u32 {
-        (self.author_off.len() - 1) as u32
+        self.n_authors
     }
 
     /// Number of page slots `|P|`.
@@ -260,26 +226,10 @@ impl Btm {
         self.rows.n_comments()
     }
 
-    /// Number of authors with at least one comment.
-    pub fn active_authors(&self) -> u32 {
-        self.author_off.windows(2).filter(|w| w[1] > w[0]).count() as u32
-    }
-
     /// The page's comments, `(timestamp, author)` sorted by time — the
     /// neighborhood `N` of Algorithm 1 line 4.
     pub fn page_neighborhood(&self, p: PageId) -> &[(Timestamp, AuthorId)] {
         self.rows.row(p)
-    }
-
-    /// The author's distinct pages, sorted — the hypergraph incidence list.
-    pub fn author_pages(&self, a: AuthorId) -> &[PageId] {
-        let a = a.0 as usize;
-        &self.pages[self.author_off[a]..self.author_off[a + 1]]
-    }
-
-    /// `p_x`: the number of pages where `x` has at least one comment (Eq. 3).
-    pub fn page_count(&self, a: AuthorId) -> u64 {
-        self.author_pages(a).len() as u64
     }
 
     /// Remove all events of the given authors, returning a new BTM over the
@@ -297,25 +247,10 @@ impl Btm {
             comments.extend(row.iter().filter(|(_, a)| !gone[a.0 as usize]));
             off.push(comments.len());
         }
-        let mut pages = Vec::with_capacity(self.pages.len());
-        let mut author_off = Vec::with_capacity(self.author_off.len());
-        author_off.push(0);
-        for (w, &gone) in self.author_off.windows(2).zip(&gone) {
-            if !gone {
-                pages.extend_from_slice(&self.pages[w[0]..w[1]]);
-            }
-            author_off.push(pages.len());
-        }
         Btm {
             rows: PageRows { off, comments },
-            author_off,
-            pages,
+            n_authors: self.n_authors,
         }
-    }
-
-    /// Neighborhood sizes of all page slots, empty ones included.
-    fn page_degrees(&self) -> impl Iterator<Item = usize> + '_ {
-        self.rows.off.windows(2).map(|w| w[1] - w[0])
     }
 
     /// Iterate pages with non-empty neighborhoods as `(PageId, comments)`.
@@ -326,71 +261,174 @@ impl Btm {
     /// The largest page neighborhood (comment count) — the projection's
     /// worst-case page.
     pub fn max_page_degree(&self) -> usize {
-        self.page_degrees().max().unwrap_or(0)
-    }
-
-    /// Distribution of page neighborhood sizes over active pages. The
-    /// projection pre-sizes its scratch buffers from the p95 (sizing for the
-    /// typical page, not the mega-thread outlier).
-    pub fn page_degree_stats(&self) -> PageDegreeStats {
-        let mut lens: Vec<usize> = self.page_degrees().filter(|&l| l > 0).collect();
-        if lens.is_empty() {
-            return PageDegreeStats::default();
-        }
-        lens.sort_unstable();
-        PageDegreeStats {
-            active_pages: lens.len(),
-            max: *lens.last().unwrap(),
-            p95: lens[(lens.len() - 1) * 95 / 100],
-        }
+        let degrees = self.rows.off.windows(2).map(|w| w[1] - w[0]);
+        degrees.max().unwrap_or(0)
     }
 }
 
-/// Page neighborhood size distribution — see [`Btm::page_degree_stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PageDegreeStats {
-    /// Pages with at least one comment.
-    pub active_pages: usize,
-    /// Largest neighborhood (equals [`Btm::max_page_degree`]).
-    pub max: usize,
-    /// 95th-percentile neighborhood size among active pages.
-    pub p95: usize,
+/// The author side of a [`Btm`] for a stated set of authors: each one's
+/// distinct pages, sorted — the hypergraph incidence lists `w_xyz` (Eq. 2)
+/// intersects and `p_x` (Eq. 3) measures. Asking for every author gives the
+/// full transpose of the page side.
+#[derive(Clone, Debug)]
+pub struct AuthorPages {
+    /// `slot[a]` is author `a`'s row below if `a` was asked for, [`NO_SLOT`]
+    /// otherwise.
+    slot: Vec<u32>,
+    /// Row `s`'s pages are `pages[author_off[s]..author_off[s + 1]]`.
+    author_off: Vec<usize>,
+    /// Distinct pages per harvested author, each author's sorted.
+    pages: Vec<PageId>,
+}
+
+/// Rows number below `n_authors <= u32::MAX`, so the sentinel is no row.
+const NO_SLOT: u32 = u32::MAX;
+
+impl AuthorPages {
+    /// Read the page lists of `authors` (any order, repeats welcome) out of
+    /// the page rows in one scan: every comment's author is tested against a
+    /// bitset of the requested ids (`|U|` / 8 bytes, cache-resident where a
+    /// per-author table is not), a hit is taken the first time that author
+    /// is seen on that page (an author's repeat comments all sit inside the
+    /// page's row, so remembering the last page per requested author catches
+    /// them), and the hits — already in page order — are laid out per author
+    /// by count → prefix sum → scatter. Nothing is scanned when nothing is
+    /// asked for.
+    ///
+    /// # Panics
+    /// If a requested id is not below `btm.n_authors()`.
+    pub fn harvest(btm: &Btm, authors: impl IntoIterator<Item = AuthorId>) -> Self {
+        // Page ids are below `n_pages <= u32::MAX`, so the sentinel is no page.
+        const NO_PAGE: PageId = PageId(u32::MAX);
+        let n_authors = btm.n_authors();
+        let mut slot = vec![NO_SLOT; n_authors as usize];
+        let mut wanted = vec![0u64; (n_authors as usize).div_ceil(64)];
+        let mut n_slots = 0usize;
+        for a in authors {
+            assert!(a.0 < n_authors, "author id {} out of range", a.0);
+            let a = a.0 as usize;
+            if slot[a] == NO_SLOT {
+                slot[a] = n_slots as u32;
+                wanted[a / 64] |= 1 << (a % 64);
+                n_slots += 1;
+            }
+        }
+
+        let mut author_off = vec![0usize; n_slots + 1];
+        let mut hits: Vec<(u32, PageId)> = Vec::new();
+        if n_slots > 0 {
+            let mut last_page = vec![NO_PAGE; n_slots];
+            for (p, row) in btm.pages() {
+                for &(_, a) in row {
+                    let a = a.0 as usize;
+                    if wanted[a / 64] >> (a % 64) & 1 == 0 {
+                        continue;
+                    }
+                    let s = slot[a];
+                    if std::mem::replace(&mut last_page[s as usize], p) != p {
+                        author_off[s as usize + 1] += 1;
+                        hits.push((s, p));
+                    }
+                }
+            }
+        }
+        prefix_sum(&mut author_off);
+
+        let mut pages = vec![PageId(0); hits.len()];
+        let mut cursor = author_off[..n_slots].to_vec();
+        for (s, p) in hits {
+            let at = &mut cursor[s as usize];
+            pages[*at] = p;
+            *at += 1;
+        }
+        AuthorPages {
+            slot,
+            author_off,
+            pages,
+        }
+    }
+
+    /// Every author's page list: the full transpose of the page side, by the
+    /// same scan.
+    pub fn all(btm: &Btm) -> Self {
+        Self::harvest(btm, (0..btm.n_authors()).map(AuthorId))
+    }
+
+    /// The author's distinct pages, sorted.
+    ///
+    /// # Panics
+    /// If `a` was not among the authors harvested.
+    pub fn pages(&self, a: AuthorId) -> &[PageId] {
+        match self.slot.get(a.0 as usize) {
+            Some(&s) if s != NO_SLOT => {
+                &self.pages[self.author_off[s as usize]..self.author_off[s as usize + 1]]
+            }
+            _ => panic!("author {} was not harvested", a.0),
+        }
+    }
+
+    /// `p_x`: the number of pages where `x` has at least one comment (Eq. 3).
+    pub fn page_count(&self, a: AuthorId) -> u64 {
+        self.pages(a).len() as u64
+    }
+
+    /// Number of distinct authors harvested.
+    pub fn n_authors(&self) -> u32 {
+        (self.author_off.len() - 1) as u32
+    }
+
+    /// Number of harvested authors with at least one comment.
+    pub fn active_authors(&self) -> u32 {
+        self.author_off.windows(2).filter(|w| w[1] > w[0]).count() as u32
+    }
+
+    /// Total author–page incidences harvested.
+    pub fn n_incidences(&self) -> u64 {
+        self.pages.len() as u64
+    }
+}
+
+/// What [`reference_sides`] returns: `(by_page, by_author)`.
+pub type ReferenceSides = (Vec<Vec<(Timestamp, AuthorId)>>, Vec<Vec<PageId>>);
+
+/// The BTM by definition, as plain nested lists: per page the sorted multiset
+/// of `(ts, author)`, per author the sorted distinct pages. The reference
+/// [`PageRows`], [`Btm`] and [`AuthorPages`] are tested against; nothing else
+/// calls it.
+pub fn reference_sides(n_authors: u32, n_pages: u32, events: &[Event]) -> ReferenceSides {
+    let mut by_page = vec![Vec::new(); n_pages as usize];
+    let mut by_author = vec![Vec::new(); n_authors as usize];
+    for e in events {
+        by_page[e.page.0 as usize].push((e.ts, e.author));
+        by_author[e.author.0 as usize].push(e.page);
+    }
+    by_page.iter_mut().for_each(|row| row.sort_unstable());
+    for row in &mut by_author {
+        row.sort_unstable();
+        row.dedup();
+    }
+    (by_page, by_author)
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference_sides as naive;
     use super::*;
 
     fn ev(a: u32, p: u32, ts: Timestamp) -> Event {
         Event::new(AuthorId(a), PageId(p), ts)
     }
 
-    /// The BTM by definition: per page the sorted multiset of `(ts, author)`,
-    /// per author the sorted distinct pages.
-    type Naive = (Vec<Vec<(Timestamp, AuthorId)>>, Vec<Vec<PageId>>);
-
-    fn naive(n_authors: u32, n_pages: u32, events: &[Event]) -> Naive {
-        let mut by_page = vec![Vec::new(); n_pages as usize];
-        let mut by_author = vec![Vec::new(); n_authors as usize];
-        for e in events {
-            by_page[e.page.0 as usize].push((e.ts, e.author));
-            by_author[e.author.0 as usize].push(e.page);
-        }
-        by_page.iter_mut().for_each(|row| row.sort_unstable());
-        for row in &mut by_author {
-            row.sort_unstable();
-            row.dedup();
-        }
-        (by_page, by_author)
-    }
-
-    fn rows(btm: &Btm) -> Naive {
+    /// Both sides of `btm` as nested lists, the author side harvested for
+    /// everyone.
+    fn rows(btm: &Btm) -> ReferenceSides {
+        let authors = AuthorPages::all(btm);
         (
             (0..btm.n_pages())
                 .map(|p| btm.page_neighborhood(PageId(p)).to_vec())
                 .collect(),
             (0..btm.n_authors())
-                .map(|a| btm.author_pages(AuthorId(a)).to_vec())
+                .map(|a| authors.pages(AuthorId(a)).to_vec())
                 .collect(),
         )
     }
@@ -455,12 +493,15 @@ mod tests {
             (0, 0, 0)
         );
         assert_eq!(none.pages().count(), 0);
-        assert_eq!(none.active_authors(), 0);
+        assert_eq!(AuthorPages::all(&none).active_authors(), 0);
         assert_eq!(none.max_page_degree(), 0);
         assert_eq!(none, none.without_authors(&[]));
 
         // authors but no pages (hence no events), and the other way round
-        assert_eq!(Btm::from_events(3, 0, &[]).page_count(AuthorId(2)), 0);
+        assert_eq!(
+            AuthorPages::all(&Btm::from_events(3, 0, &[])).page_count(AuthorId(2)),
+            0
+        );
         assert!(Btm::from_events(0, 3, &[])
             .page_neighborhood(PageId(2))
             .is_empty());
@@ -475,7 +516,8 @@ mod tests {
             vec![AuthorId(1)],
             vec![AuthorId(0), AuthorId(7)], // never commented
             vec![AuthorId(2), AuthorId(3), AuthorId(6)],
-            (0..8).map(AuthorId).collect(), // everyone
+            (0..8).map(AuthorId).collect(),        // everyone
+            vec![AuthorId(8), AuthorId(u32::MAX)], // outside the id space
         ] {
             let masked = Btm::build(8, 6, &excluded, || events.iter().copied());
             let removed = Btm::from_events(8, 6, &events).without_authors(&excluded);
@@ -523,11 +565,12 @@ mod tests {
     #[test]
     fn author_pages_are_deduped_and_sorted() {
         let btm = Btm::from_events(1, 3, &[ev(0, 2, 1), ev(0, 0, 2), ev(0, 2, 3), ev(0, 1, 4)]);
+        let authors = AuthorPages::all(&btm);
         assert_eq!(
-            btm.author_pages(AuthorId(0)),
+            authors.pages(AuthorId(0)),
             &[PageId(0), PageId(1), PageId(2)]
         );
-        assert_eq!(btm.page_count(AuthorId(0)), 3);
+        assert_eq!(authors.page_count(AuthorId(0)), 3);
     }
 
     #[test]
@@ -535,14 +578,14 @@ mod tests {
         let btm = Btm::from_events(1, 1, &[ev(0, 0, 1), ev(0, 0, 1), ev(0, 0, 2)]);
         assert_eq!(btm.page_neighborhood(PageId(0)).len(), 3);
         assert_eq!(btm.n_comments(), 3);
-        assert_eq!(btm.page_count(AuthorId(0)), 1);
+        assert_eq!(AuthorPages::all(&btm).page_count(AuthorId(0)), 1);
     }
 
     #[test]
     fn active_authors_ignores_empty_slots() {
         let btm = Btm::from_events(5, 1, &[ev(1, 0, 0), ev(3, 0, 0)]);
         assert_eq!(btm.n_authors(), 5);
-        assert_eq!(btm.active_authors(), 2);
+        assert_eq!(AuthorPages::all(&btm).active_authors(), 2);
     }
 
     #[test]
@@ -552,9 +595,10 @@ mod tests {
         assert_eq!(cleaned.n_comments(), 2);
         assert_eq!(cleaned.page_neighborhood(PageId(0)).len(), 2);
         assert!(cleaned.page_neighborhood(PageId(1)).is_empty());
-        assert_eq!(cleaned.page_count(AuthorId(1)), 0);
+        let authors = AuthorPages::all(&cleaned);
+        assert_eq!(authors.page_count(AuthorId(1)), 0);
         // untouched authors keep their data
-        assert_eq!(cleaned.page_count(AuthorId(0)), 1);
+        assert_eq!(authors.page_count(AuthorId(0)), 1);
         // original is unchanged
         assert_eq!(btm.n_comments(), 4);
     }
@@ -574,16 +618,26 @@ mod tests {
     }
 
     #[test]
-    fn page_degree_stats_summarize_active_pages() {
-        let btm = Btm::from_events(1, 3, &[]);
-        assert_eq!(btm.page_degree_stats(), PageDegreeStats::default());
+    fn a_harvest_holds_exactly_the_authors_asked_for() {
+        let btm = Btm::from_events(8, 6, &messy());
+        let (_, by_author) = naive(8, 6, &messy());
+        // unsorted, repeated, and one author (7) who never commented
+        let asked = [6, 2, 7, 2, 6].map(AuthorId);
+        let some = AuthorPages::harvest(&btm, asked);
+        assert_eq!((some.n_authors(), some.active_authors()), (3, 2));
+        for a in asked {
+            assert_eq!(some.pages(a), &by_author[a.0 as usize][..]);
+        }
+        assert_eq!(some.n_incidences(), 2 + 2);
+        assert!(std::panic::catch_unwind(|| some.pages(AuthorId(1))).is_err());
+    }
 
-        // page 0: 3 comments, page 2: 1 comment, page 1 empty
-        let btm = Btm::from_events(1, 3, &[ev(0, 0, 1), ev(0, 0, 2), ev(0, 0, 3), ev(0, 2, 4)]);
-        let s = btm.page_degree_stats();
-        assert_eq!(s.active_pages, 2);
-        assert_eq!(s.max, 3);
-        assert_eq!(s.max, btm.max_page_degree());
-        assert!(s.p95 <= s.max && s.p95 >= 1);
+    #[test]
+    #[should_panic(expected = "author id 8 out of range")]
+    fn out_of_range_harvest_request_panics() {
+        AuthorPages::harvest(
+            &Btm::from_events(8, 6, &messy()),
+            [AuthorId(1), AuthorId(8)],
+        );
     }
 }

@@ -802,6 +802,11 @@ fn rank_main(
     let mut needed = all_gather_concat(ctx, needed);
     needed.sort_unstable();
     needed.dedup();
+    // `needed` is replicated, so one rank speaks for all: the same totals
+    // the resident `validate_all` reports for its harvest.
+    if ctx.rank() == 0 {
+        obs::counter("validate.harvest_authors").add(needed.len() as u64);
+    }
     {
         let ap = author_pages.clone();
         let mut to_authors =
@@ -841,6 +846,7 @@ fn rank_main(
         let harvested = author_pages.local_take(ctx);
         let mut merged: Vec<u64> = harvested.cursor().collect();
         merged.dedup();
+        obs::counter("validate.harvest_incidences").add(merged.len() as u64);
         harvest_out.with_shard_mut(ctx.rank(), |shard| *shard = merged);
     }
     ctx.barrier();

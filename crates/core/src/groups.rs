@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use crate::btm::Btm;
+use crate::btm::{AuthorPages, Btm};
 use crate::ids::{AuthorId, PageId};
 use crate::metrics::TripletMetrics;
 use tripoll::graph::DisjointSets;
@@ -36,10 +36,10 @@ pub struct Group {
 }
 
 /// Pages shared by *all* the given authors (k-way sorted intersection).
-pub fn group_weight(btm: &Btm, members: &[AuthorId]) -> u64 {
+pub fn group_weight(authors: &AuthorPages, members: &[AuthorId]) -> u64 {
     assert!(!members.is_empty());
     // Intersect iteratively, starting from the shortest list.
-    let mut lists: Vec<&[PageId]> = members.iter().map(|&a| btm.author_pages(a)).collect();
+    let mut lists: Vec<&[PageId]> = members.iter().map(|&a| authors.pages(a)).collect();
     lists.sort_by_key(|l| l.len());
     let mut current: Vec<PageId> = lists[0].to_vec();
     for list in &lists[1..] {
@@ -66,8 +66,8 @@ pub fn group_weight(btm: &Btm, members: &[AuthorId]) -> u64 {
 
 /// The generalized coordination score `|G|·w_G / Σ p_x`; in `[0, 1]` because
 /// `w_G ≤ min p_x ≤ mean p_x`.
-pub fn group_score(btm: &Btm, members: &[AuthorId], w_g: u64) -> f64 {
-    let denom: u64 = members.iter().map(|&a| btm.page_count(a)).sum();
+pub fn group_score(authors: &AuthorPages, members: &[AuthorId], w_g: u64) -> f64 {
+    let denom: u64 = members.iter().map(|&a| authors.page_count(a)).sum();
     if denom == 0 {
         return 0.0;
     }
@@ -76,9 +76,11 @@ pub fn group_score(btm: &Btm, members: &[AuthorId], w_g: u64) -> f64 {
 
 /// Merge validated triplets into candidate groups: triplets sharing at least
 /// `min_overlap` authors (2 = an edge, the default; 1 = a vertex) land in the
-/// same group. Returns assessed groups, largest first.
+/// same group. Returns assessed groups, largest first. The triplets' authors'
+/// page lists are harvested from `btm` once.
 pub fn merge_triplets(btm: &Btm, triplets: &[TripletMetrics], min_overlap: usize) -> Vec<Group> {
     assert!((1..=2).contains(&min_overlap), "overlap must be 1 or 2");
+    let authors = AuthorPages::harvest(btm, triplets.iter().flat_map(|t| t.authors));
     let n = triplets.len();
     let mut dsu = DisjointSets::new(n);
     if min_overlap == 2 {
@@ -124,9 +126,9 @@ pub fn merge_triplets(btm: &Btm, triplets: &[TripletMetrics], min_overlap: usize
         .into_values()
         .map(|(tris, members)| {
             let members: Vec<AuthorId> = members.into_iter().collect();
-            let w_g = group_weight(btm, &members);
+            let w_g = group_weight(&authors, &members);
             Group {
-                score: group_score(btm, &members, w_g),
+                score: group_score(&authors, &members, w_g),
                 group_weight: w_g,
                 triplet_support: tris.len(),
                 members,
@@ -148,6 +150,7 @@ pub fn merge_triplets(btm: &Btm, triplets: &[TripletMetrics], min_overlap: usize
 /// paper's "remove authors ruled out of coordination and rerun" refinement at
 /// group granularity. Returns the pruned group (re-assessed).
 pub fn prune_group(btm: &Btm, group: &Group, min_weight: u64) -> Group {
+    let authors = AuthorPages::harvest(btm, group.members.iter().copied());
     let mut members = group.members.clone();
     let mut w = group.group_weight;
     while w < min_weight && members.len() > 3 {
@@ -155,7 +158,7 @@ pub fn prune_group(btm: &Btm, group: &Group, min_weight: u64) -> Group {
             .map(|i| {
                 let mut rest = members.clone();
                 rest.remove(i);
-                (i, group_weight(btm, &rest))
+                (i, group_weight(&authors, &rest))
             })
             .max_by_key(|&(i, w)| (w, std::cmp::Reverse(i)))
             .expect("nonempty");
@@ -163,7 +166,7 @@ pub fn prune_group(btm: &Btm, group: &Group, min_weight: u64) -> Group {
         w = best_w;
     }
     Group {
-        score: group_score(btm, &members, w),
+        score: group_score(&authors, &members, w),
         group_weight: w,
         triplet_support: group.triplet_support,
         members,
@@ -193,27 +196,27 @@ mod tests {
 
     fn triplet(a: u32, b: u32, c: u32, btm: &Btm) -> TripletMetrics {
         let t = tripoll::Triangle::new(a, b, c, 8, 8, 8);
-        crate::hypergraph::validate_triangle(btm, &[8u64; 6], &t)
+        crate::hypergraph::validate_triangle(&AuthorPages::all(btm), &[8u64; 6], &t)
     }
 
     #[test]
     fn group_weight_is_kway_intersection() {
-        let btm = botnet_btm();
+        let authors = AuthorPages::all(&botnet_btm());
         let all5: Vec<AuthorId> = (0..5).map(AuthorId).collect();
-        assert_eq!(group_weight(&btm, &all5), 8);
+        assert_eq!(group_weight(&authors, &all5), 8);
         let with_tagalong: Vec<AuthorId> = (0..6).map(AuthorId).collect();
-        assert_eq!(group_weight(&btm, &with_tagalong), 1);
-        assert_eq!(group_weight(&btm, &[AuthorId(0)]), 8);
+        assert_eq!(group_weight(&authors, &with_tagalong), 1);
+        assert_eq!(group_weight(&authors, &[AuthorId(0)]), 8);
     }
 
     #[test]
     fn group_score_in_unit_interval() {
-        let btm = botnet_btm();
+        let authors = AuthorPages::all(&botnet_btm());
         let all5: Vec<AuthorId> = (0..5).map(AuthorId).collect();
-        let w = group_weight(&btm, &all5);
-        let s = group_score(&btm, &all5, w);
+        let w = group_weight(&authors, &all5);
+        let s = group_score(&authors, &all5, w);
         assert!((s - 1.0).abs() < 1e-12, "tight group scores 1: {s}");
-        assert_eq!(group_score(&btm, &[AuthorId(5)], 0), 0.0);
+        assert_eq!(group_score(&authors, &[AuthorId(5)], 0), 0.0);
     }
 
     #[test]
@@ -253,7 +256,10 @@ mod tests {
         let btm = botnet_btm();
         let dirty = Group {
             members: (0..6).map(AuthorId).collect(),
-            group_weight: group_weight(&btm, &(0..6).map(AuthorId).collect::<Vec<_>>()),
+            group_weight: group_weight(
+                &AuthorPages::all(&btm),
+                &(0..6).map(AuthorId).collect::<Vec<_>>(),
+            ),
             score: 0.0,
             triplet_support: 4,
         };

@@ -8,7 +8,7 @@
 //! Note there is deliberately no time bound here — the paper validates spatial
 //! coordination only (its §4.2 names time-windowed hyperedges as future work).
 
-use crate::btm::Btm;
+use crate::btm::{AuthorPages, Btm};
 use crate::ids::{AuthorId, PageId};
 use crate::metrics::{c_score, TripletMetrics};
 use tripoll::survey::t_score;
@@ -80,37 +80,30 @@ pub fn triple_intersection_count_linear(a: &[PageId], b: &[PageId], c: &[PageId]
     n
 }
 
-/// `w_xyz` for three authors straight from the BTM.
-pub fn hyperedge_weight(btm: &Btm, x: AuthorId, y: AuthorId, z: AuthorId) -> u64 {
-    triple_intersection_count(
-        btm.author_pages(x),
-        btm.author_pages(y),
-        btm.author_pages(z),
-    )
+/// `w_xyz` for three harvested authors.
+pub fn hyperedge_weight(authors: &AuthorPages, x: AuthorId, y: AuthorId, z: AuthorId) -> u64 {
+    triple_intersection_count(authors.pages(x), authors.pages(y), authors.pages(z))
 }
 
 /// Validate one surveyed triangle: combine its CI metadata (weights and `P'`)
-/// with the hypergraph measures computed from `btm`.
-pub fn validate_triangle(btm: &Btm, ci_page_counts: &[u64], t: &Triangle) -> TripletMetrics {
-    let [a, b, c] = t.vertices();
-    validate_triangle_parts(
-        t,
-        [
-            btm.author_pages(AuthorId(a)),
-            btm.author_pages(AuthorId(b)),
-            btm.author_pages(AuthorId(c)),
-        ],
-        ci_page_counts,
-    )
+/// with the hypergraph measures computed from its vertices' page lists.
+pub fn validate_triangle(
+    authors: &AuthorPages,
+    ci_page_counts: &[u64],
+    t: &Triangle,
+) -> TripletMetrics {
+    let pages = t.vertices().map(|v| authors.pages(AuthorId(v)));
+    validate_triangle_parts(t, pages, ci_page_counts)
 }
 
 /// The representation-independent core of [`validate_triangle`]: compute a
 /// triangle's [`TripletMetrics`] from the three authors' sorted,
 /// deduplicated page lists (`pages[i]` belongs to `t.vertices()[i]`) and the
 /// global `P'` vector. Both the resident path (which borrows the lists from
-/// a [`Btm`]) and the distributed pipeline (which fetches them from
-/// owner-rank shards) delegate here, so the two paths compute the exact same
-/// floating-point expressions — byte-identical scores by construction.
+/// an [`AuthorPages`] harvest) and the distributed pipeline (which fetches
+/// them from owner-rank shards) delegate here, so the two paths compute the
+/// exact same floating-point expressions — byte-identical scores by
+/// construction.
 pub fn validate_triangle_parts(
     t: &Triangle,
     pages: [&[PageId]; 3],
@@ -140,16 +133,27 @@ pub fn validate_triangle_parts(
     }
 }
 
-/// Validate a batch of triangles, returning metrics in the same order.
+/// Validate a batch of triangles, returning metrics in the same order. The
+/// page lists of the triangles' vertices — all of `B` this step reads — are
+/// harvested from `btm` once, up front.
 pub fn validate_all(
     btm: &Btm,
     ci_page_counts: &[u64],
     triangles: &[Triangle],
 ) -> Vec<TripletMetrics> {
     let _stage = obs::span("validate");
+    let authors = {
+        let _harvest = obs::span("validate.harvest");
+        AuthorPages::harvest(
+            btm,
+            triangles.iter().flat_map(|t| t.vertices()).map(AuthorId),
+        )
+    };
+    obs::counter("validate.harvest_authors").add(u64::from(authors.n_authors()));
+    obs::counter("validate.harvest_incidences").add(authors.n_incidences());
     let metrics: Vec<TripletMetrics> = triangles
         .iter()
-        .map(|t| validate_triangle(btm, ci_page_counts, t))
+        .map(|t| validate_triangle(&authors, ci_page_counts, t))
         .collect();
     obs::counter("validate.triplets").add(metrics.len() as u64);
     obs::record_stage_rss("validate");
@@ -238,9 +242,9 @@ mod tests {
 
     #[test]
     fn hyperedge_weight_counts_shared_pages() {
-        let btm = coordinated_btm();
+        let authors = AuthorPages::all(&coordinated_btm());
         assert_eq!(
-            hyperedge_weight(&btm, AuthorId(0), AuthorId(1), AuthorId(2)),
+            hyperedge_weight(&authors, AuthorId(0), AuthorId(1), AuthorId(2)),
             4
         );
     }
@@ -250,7 +254,7 @@ mod tests {
         let btm = coordinated_btm();
         let tri = Triangle::new(0, 1, 2, 4, 4, 4);
         let ci_pages = vec![4u64, 4, 4];
-        let m = validate_triangle(&btm, &ci_pages, &tri);
+        let m = validate_triangle(&AuthorPages::all(&btm), &ci_pages, &tri);
         assert_eq!(m.hyper_weight, 4);
         assert_eq!(m.min_ci_weight, 4);
         // T = 3*4/(4+4+4) = 1
@@ -272,16 +276,20 @@ mod tests {
         assert_eq!(ms.len(), 2);
         assert_eq!(ms[0].min_ci_weight, 4);
         assert_eq!(ms[1].min_ci_weight, 1);
+        // a repeated triangle is validated again, in place
+        let again = validate_all(&btm, &ci_pages, &[t2, t1, t2]);
+        assert_eq!(again, [ms[1], ms[0], ms[1]]);
+        assert!(validate_all(&btm, &ci_pages, &[]).is_empty());
     }
 
     #[test]
     fn hyper_weight_bounded_by_min_page_count() {
-        let btm = coordinated_btm();
-        let w = hyperedge_weight(&btm, AuthorId(0), AuthorId(1), AuthorId(2));
-        let min_p = btm
+        let authors = AuthorPages::all(&coordinated_btm());
+        let w = hyperedge_weight(&authors, AuthorId(0), AuthorId(1), AuthorId(2));
+        let min_p = authors
             .page_count(AuthorId(0))
-            .min(btm.page_count(AuthorId(1)))
-            .min(btm.page_count(AuthorId(2)));
+            .min(authors.page_count(AuthorId(1)))
+            .min(authors.page_count(AuthorId(2)));
         assert!(w <= min_p);
     }
 }

@@ -75,7 +75,7 @@ pub use coordination_graph as graph;
 /// CSR, mmap views) — [`snapshot`] holds the Dataset/Btm adapters over it.
 pub use coordination_store as store;
 
-pub use btm::{Btm, PageDegreeStats};
+pub use btm::{AuthorPages, Btm};
 pub use cigraph::{CiGraph, CiGraphBuilder};
 pub use coordination_graph::{GraphRef, SubsetView, ThresholdView};
 pub use dist_pipeline::DistPipeline;

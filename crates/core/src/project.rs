@@ -168,11 +168,8 @@ fn project_pages_flat(
     btm: &Btm,
     mut kernel: impl FnMut(&[(Timestamp, AuthorId)], &mut Vec<u64>),
 ) -> CiGraph {
-    // p95 of page neighborhoods bounds the *typical* page's candidate count;
-    // clamp so one mega-page doesn't pre-reserve quadratic memory.
-    let stats = btm.page_degree_stats();
-    let mut pairs: Vec<u64> = Vec::with_capacity((stats.p95 * stats.p95 / 2).clamp(16, 1 << 16));
-    let mut authors: Vec<u32> = Vec::with_capacity(stats.p95.clamp(8, 1 << 12));
+    let mut pairs: Vec<u64> = Vec::new();
+    let mut authors: Vec<u32> = Vec::new();
     let mut occ: Vec<u64> = Vec::new();
     let mut page_counts = vec![0u64; btm.n_authors() as usize];
     let run = {

@@ -21,16 +21,17 @@
 //! the right cursor one comment at a time, retract the left cursor to keep the
 //! span ≤ δ2, and check whether the window covers all three authors.
 
-use crate::btm::Btm;
+use crate::btm::{AuthorPages, Btm};
 use crate::ids::{AuthorId, Timestamp};
 use crate::metrics::c_score;
 use crate::project::delay_within;
 use tripoll::Triangle;
 
 /// Count pages where `x`, `y`, `z` all comment within a span of `max_span`
-/// seconds — `w_xyz^(δ2)`.
+/// seconds — `w_xyz^(δ2)`. `authors` is a harvest of `btm` holding all three.
 pub fn windowed_hyperedge_weight(
     btm: &Btm,
+    authors: &AuthorPages,
     x: AuthorId,
     y: AuthorId,
     z: AuthorId,
@@ -40,11 +41,7 @@ pub fn windowed_hyperedge_weight(
     assert!(x != y && y != z && x != z, "authors must be distinct");
     // Only pages all three touch can qualify; intersect their page lists
     // first so the per-page scan runs on a short list.
-    let (pa, pb, pc) = (
-        btm.author_pages(x),
-        btm.author_pages(y),
-        btm.author_pages(z),
-    );
+    let (pa, pb, pc) = (authors.pages(x), authors.pages(y), authors.pages(z));
     let mut count = 0u64;
     let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
     while i < pa.len() && j < pb.len() && k < pc.len() {
@@ -126,15 +123,20 @@ pub struct WindowedTriplet {
 
 /// Validate surveyed triangles with the windowed hyperedge count.
 /// `max_span` should equal the projection window's `δ2` for the bound
-/// `windowed_weight ≤ min_ci_weight` to hold.
+/// `windowed_weight ≤ min_ci_weight` to hold. The vertices' page lists are
+/// harvested from `btm` once.
 pub fn validate_windowed(btm: &Btm, triangles: &[Triangle], max_span: i64) -> Vec<WindowedTriplet> {
+    let authors = AuthorPages::harvest(
+        btm,
+        triangles.iter().flat_map(|t| t.vertices()).map(AuthorId),
+    );
     triangles
         .iter()
         .map(|t| {
             let [a, b, c] = t.vertices();
             let (xa, xb, xc) = (AuthorId(a), AuthorId(b), AuthorId(c));
-            let ww = windowed_hyperedge_weight(btm, xa, xb, xc, max_span);
-            let unbounded = crate::hypergraph::hyperedge_weight(btm, xa, xb, xc);
+            let ww = windowed_hyperedge_weight(btm, &authors, xa, xb, xc, max_span);
+            let unbounded = crate::hypergraph::hyperedge_weight(&authors, xa, xb, xc);
             WindowedTriplet {
                 authors: [xa, xb, xc],
                 min_ci_weight: t.min_weight(),
@@ -142,9 +144,9 @@ pub fn validate_windowed(btm: &Btm, triangles: &[Triangle], max_span: i64) -> Ve
                 windowed_weight: ww,
                 windowed_c: c_score(
                     ww,
-                    btm.page_count(xa),
-                    btm.page_count(xb),
-                    btm.page_count(xc),
+                    authors.page_count(xa),
+                    authors.page_count(xb),
+                    authors.page_count(xc),
                 ),
             }
         })
@@ -160,6 +162,12 @@ mod tests {
 
     fn ev(a: u32, p: u32, ts: Timestamp) -> Event {
         Event::new(AuthorId(a), PageId(p), ts)
+    }
+
+    /// `w^(span)` of authors 0, 1, 2.
+    fn w012(btm: &Btm, span: i64) -> u64 {
+        let authors = AuthorPages::harvest(btm, (0..3).map(AuthorId));
+        windowed_hyperedge_weight(btm, &authors, AuthorId(0), AuthorId(1), AuthorId(2), span)
     }
 
     #[test]
@@ -178,7 +186,7 @@ mod tests {
                 ev(2, 1, 90),
             ],
         );
-        let w = |span| windowed_hyperedge_weight(&btm, AuthorId(0), AuthorId(1), AuthorId(2), span);
+        let w = |span| w012(&btm, span);
         assert_eq!(w(30), 1);
         assert_eq!(w(89), 1);
         assert_eq!(w(90), 2);
@@ -193,10 +201,7 @@ mod tests {
             1,
             &[ev(0, 0, 0), ev(1, 0, 500), ev(2, 0, 510), ev(0, 0, 505)],
         );
-        assert_eq!(
-            windowed_hyperedge_weight(&btm, AuthorId(0), AuthorId(1), AuthorId(2), 20),
-            1
-        );
+        assert_eq!(w012(&btm, 20), 1);
     }
 
     #[test]
@@ -221,7 +226,7 @@ mod tests {
         );
         let mut prev = 0;
         for span in [0i64, 10, 200, 2000, 10_000] {
-            let w = windowed_hyperedge_weight(&btm, AuthorId(0), AuthorId(1), AuthorId(2), span);
+            let w = w012(&btm, span);
             assert!(w >= prev, "span {span}: {w} < {prev}");
             prev = w;
         }
@@ -243,9 +248,13 @@ mod tests {
                 ev(0, 2, 5),
             ],
         );
-        let unbounded =
-            crate::hypergraph::hyperedge_weight(&btm, AuthorId(0), AuthorId(1), AuthorId(2));
-        let windowed = windowed_hyperedge_weight(&btm, AuthorId(0), AuthorId(1), AuthorId(2), 60);
+        let unbounded = crate::hypergraph::hyperedge_weight(
+            &AuthorPages::all(&btm),
+            AuthorId(0),
+            AuthorId(1),
+            AuthorId(2),
+        );
+        let windowed = w012(&btm, 60);
         assert_eq!(unbounded, 2);
         assert_eq!(windowed, 1);
         assert!(windowed <= unbounded);
@@ -270,11 +279,13 @@ mod tests {
             let btm = Btm::from_events(8, 10, &events);
             let span = rng.gen_range(1..500i64);
             let ci = project(&btm, Window::new(0, span));
+            let authors = AuthorPages::all(&btm);
             for a in 0..8u32 {
                 for b in (a + 1)..8 {
                     for c in (b + 1)..8 {
                         let ww = windowed_hyperedge_weight(
                             &btm,
+                            &authors,
                             AuthorId(a),
                             AuthorId(b),
                             AuthorId(c),
@@ -326,6 +337,7 @@ mod tests {
     #[should_panic(expected = "distinct")]
     fn degenerate_authors_rejected() {
         let btm = Btm::from_events(2, 1, &[ev(0, 0, 0)]);
-        windowed_hyperedge_weight(&btm, AuthorId(0), AuthorId(0), AuthorId(1), 10);
+        let authors = AuthorPages::all(&btm);
+        windowed_hyperedge_weight(&btm, &authors, AuthorId(0), AuthorId(0), AuthorId(1), 10);
     }
 }

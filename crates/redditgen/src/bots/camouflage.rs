@@ -116,13 +116,14 @@ mod tests {
             let ci = project::project(&btm, Window::zero_to_60s());
             let id = |n: &str| AuthorId(ds.authors.get(n).unwrap());
             let (a, b, c) = (id("stream_bot_0"), id("stream_bot_1"), id("stream_bot_2"));
+            let pages = coordination_core::AuthorPages::harvest(&btm, [a, b, c]);
             let min_w = ci.weight(a, b).min(ci.weight(a, c)).min(ci.weight(b, c));
-            let w_xyz = coordination_core::hypergraph::hyperedge_weight(&btm, a, b, c);
+            let w_xyz = coordination_core::hypergraph::hyperedge_weight(&pages, a, b, c);
             let c_score = coordination_core::metrics::c_score(
                 w_xyz,
-                btm.page_count(a),
-                btm.page_count(b),
-                btm.page_count(c),
+                pages.page_count(a),
+                pages.page_count(b),
+                pages.page_count(c),
             );
             (min_w, w_xyz, c_score)
         };

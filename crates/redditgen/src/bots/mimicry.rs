@@ -206,12 +206,13 @@ mod tests {
             let btm = ds.btm();
             let id = |n: &str| AuthorId(ds.authors.get(n).unwrap());
             let (a, b, c) = (id("mimic_bot_0"), id("mimic_bot_1"), id("mimic_bot_2"));
-            let w_xyz = coordination_core::hypergraph::hyperedge_weight(&btm, a, b, c);
+            let pages = coordination_core::AuthorPages::harvest(&btm, [a, b, c]);
+            let w_xyz = coordination_core::hypergraph::hyperedge_weight(&pages, a, b, c);
             coordination_core::metrics::c_score(
                 w_xyz,
-                btm.page_count(a),
-                btm.page_count(b),
-                btm.page_count(c),
+                pages.page_count(a),
+                pages.page_count(b),
+                pages.page_count(c),
             )
         };
         let (clean, hidden) = (c_of(0.0), c_of(2.0));

@@ -129,7 +129,8 @@ mod tests {
         let btm = ds.btm();
         let id = |n: &str| AuthorId(ds.authors.get(n).unwrap());
         let (a, b, c) = (id("drip_bot_0"), id("drip_bot_1"), id("drip_bot_2"));
-        let w_xyz = coordination_core::hypergraph::hyperedge_weight(&btm, a, b, c);
+        let pages = coordination_core::AuthorPages::harvest(&btm, [a, b, c]);
+        let w_xyz = coordination_core::hypergraph::hyperedge_weight(&pages, a, b, c);
         // all three respond to ~73% of 60 triggers regardless of timing
         assert!(
             w_xyz >= 30,

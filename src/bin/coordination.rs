@@ -41,6 +41,8 @@ const BATCH_COUNTERS: &[&str] = &[
     "survey.triangles_examined",
     "survey.triangles_kept",
     "validate.triplets",
+    "validate.harvest_authors",
+    "validate.harvest_incidences",
 ];
 
 /// Stage spans / counters the stream engine documents.
@@ -352,15 +354,16 @@ fn run_pipeline(
 fn cmd_stats(flags: &Flags) -> Result<(), String> {
     let ds = load_dataset(flags)?;
     let btm = ds.btm();
+    let authors = coordination::core::AuthorPages::all(&btm);
     let per_author: Vec<f64> = (0..btm.n_authors())
-        .map(|a| btm.page_count(coordination::core::AuthorId(a)) as f64)
+        .map(|a| authors.page_count(coordination::core::AuthorId(a)) as f64)
         .collect();
     let active: Vec<f64> = per_author.iter().copied().filter(|&c| c > 0.0).collect();
     println!("comments            {}", btm.n_comments());
     println!(
         "authors (active)    {} ({})",
         btm.n_authors(),
-        btm.active_authors()
+        authors.active_authors()
     );
     println!("pages               {}", btm.n_pages());
     println!("largest page        {} comments", btm.max_page_degree());

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use coordination::core::btm::{Btm, PageRows};
+use coordination::core::btm::{reference_sides, AuthorPages, Btm, PageRows};
 use coordination::core::dist_pipeline::{event_key, PagePartition};
 use coordination::core::hypergraph::hyperedge_weight;
 use coordination::core::ids::{AuthorId, Event, PageId};
@@ -106,8 +106,9 @@ proptest! {
             prop_assert!(wt <= ci.page_count(AuthorId(x)));
             prop_assert!(wt <= ci.page_count(AuthorId(y)));
         }
+        let authors = AuthorPages::all(&btm);
         for a in 0..na {
-            prop_assert!(ci.page_count(AuthorId(a)) <= btm.page_count(AuthorId(a)));
+            prop_assert!(ci.page_count(AuthorId(a)) <= authors.page_count(AuthorId(a)));
         }
     }
 
@@ -136,6 +137,7 @@ proptest! {
         let oriented = OrientedGraph::from_graph(&wg);
         let mut triangles = Vec::new();
         coordination::tripoll::enumerate::for_each_triangle(&oriented, |t| triangles.push(t));
+        let authors = AuthorPages::all(&btm);
         for t in triangles {
             let [a, b, c] = t.vertices();
             let ts = t_score(
@@ -145,11 +147,11 @@ proptest! {
                 ci.page_count(AuthorId(c)),
             );
             prop_assert!((0.0..=1.0).contains(&ts), "T = {}", ts);
-            let wxyz = hyperedge_weight(&btm, AuthorId(a), AuthorId(b), AuthorId(c));
+            let wxyz = hyperedge_weight(&authors, AuthorId(a), AuthorId(b), AuthorId(c));
             let (pa, pb, pc) = (
-                btm.page_count(AuthorId(a)),
-                btm.page_count(AuthorId(b)),
-                btm.page_count(AuthorId(c)),
+                authors.page_count(AuthorId(a)),
+                authors.page_count(AuthorId(b)),
+                authors.page_count(AuthorId(c)),
             );
             prop_assert!(wxyz <= pa.min(pb).min(pc));
             let cs = c_score(wxyz, pa, pb, pc);
@@ -208,16 +210,17 @@ proptest! {
         use coordination::core::windowed_hyperedge::windowed_hyperedge_weight;
         let btm = Btm::from_events(na, np, &events);
         let ci = project(&btm, Window::new(0, span));
+        let authors = AuthorPages::all(&btm);
         for a in 0..na.min(6) {
             for b in (a + 1)..na.min(6) {
                 for c in (b + 1)..na.min(6) {
                     let (xa, xb, xc) = (AuthorId(a), AuthorId(b), AuthorId(c));
-                    let ww = windowed_hyperedge_weight(&btm, xa, xb, xc, span);
-                    let unbounded = hyperedge_weight(&btm, xa, xb, xc);
+                    let ww = windowed_hyperedge_weight(&btm, &authors, xa, xb, xc, span);
+                    let unbounded = hyperedge_weight(&authors, xa, xb, xc);
                     prop_assert!(ww <= unbounded);
                     let min_w = ci.weight(xa, xb).min(ci.weight(xa, xc)).min(ci.weight(xb, xc));
                     prop_assert!(ww <= min_w, "w^({span})={} > min w'={}", ww, min_w);
-                    let wider = windowed_hyperedge_weight(&btm, xa, xb, xc, span * 2);
+                    let wider = windowed_hyperedge_weight(&btm, &authors, xa, xb, xc, span * 2);
                     prop_assert!(wider >= ww);
                 }
             }
@@ -230,19 +233,20 @@ proptest! {
     fn group_weight_bounds((na, np, events) in arb_events(10, 8, 250)) {
         use coordination::core::groups::{group_score, group_weight};
         prop_assume!(na >= 4);
-        let btm = Btm::from_events(na, np, &events);
         let trio: Vec<AuthorId> = (0..3).map(AuthorId).collect();
         let quad: Vec<AuthorId> = (0..4).map(AuthorId).collect();
-        let w3 = group_weight(&btm, &trio);
-        let w4 = group_weight(&btm, &quad);
+        let authors =
+            AuthorPages::harvest(&Btm::from_events(na, np, &events), quad.iter().copied());
+        let w3 = group_weight(&authors, &trio);
+        let w4 = group_weight(&authors, &quad);
         prop_assert!(w4 <= w3, "adding a member grew the intersection");
         for &a in &quad {
-            prop_assert!(w4 <= btm.page_count(a));
+            prop_assert!(w4 <= authors.page_count(a));
         }
-        let s = group_score(&btm, &quad, w4);
+        let s = group_score(&authors, &quad, w4);
         prop_assert!((0.0..=1.0).contains(&s), "group score {}", s);
         // triplet group weight equals the paper's w_xyz
-        prop_assert_eq!(w3, hyperedge_weight(&btm, trio[0], trio[1], trio[2]));
+        prop_assert_eq!(w3, hyperedge_weight(&authors, trio[0], trio[1], trio[2]));
     }
 
     /// k-trusses are nested and the 3-truss contains every triangle edge.
@@ -432,37 +436,59 @@ proptest! {
         let [events, permuted, by_time, reversed] = arrival_orders(&keyed);
         let excluded: Vec<AuthorId> = excluded.into_iter().map(AuthorId).collect();
 
-        let mut by_page = vec![Vec::new(); np as usize];
-        let mut by_author = vec![Vec::new(); na as usize];
-        for e in events.iter().filter(|e| !excluded.contains(&e.author)) {
-            by_page[e.page.0 as usize].push((e.ts, e.author));
-            by_author[e.author.0 as usize].push(e.page);
-        }
-        by_page.iter_mut().for_each(|row| row.sort_unstable());
-        for row in &mut by_author {
-            row.sort_unstable();
-            row.dedup();
-        }
-
-        let btm = Btm::build(na, np, &excluded, || events.iter().copied());
-        for p in 0..np {
-            prop_assert_eq!(btm.page_neighborhood(PageId(p)), &by_page[p as usize][..]);
-        }
-        for a in 0..na {
-            prop_assert_eq!(btm.author_pages(AuthorId(a)), &by_author[a as usize][..]);
-        }
-        prop_assert_eq!(btm.n_comments(), by_page.iter().map(Vec::len).sum::<usize>() as u64);
-
-        for input in [&permuted, &by_time, &reversed] {
-            prop_assert_eq!(&Btm::build(na, np, &excluded, || input.iter().copied()), &btm);
-        }
-        prop_assert_eq!(&Btm::from_events(na, np, &events).without_authors(&excluded), &btm);
         let filtered: Vec<Event> = events
             .iter()
             .copied()
             .filter(|e| !excluded.contains(&e.author))
             .collect();
+        let (by_page, by_author) = reference_sides(na, np, &filtered);
+
+        let btm = Btm::build(na, np, &excluded, || events.iter().copied());
+        for p in 0..np {
+            prop_assert_eq!(btm.page_neighborhood(PageId(p)), &by_page[p as usize][..]);
+        }
+        let authors = AuthorPages::all(&btm);
+        for a in 0..na {
+            prop_assert_eq!(authors.pages(AuthorId(a)), &by_author[a as usize][..]);
+        }
+        prop_assert_eq!(btm.n_comments(), filtered.len() as u64);
+
+        for input in [&permuted, &by_time, &reversed] {
+            prop_assert_eq!(&Btm::build(na, np, &excluded, || input.iter().copied()), &btm);
+        }
+        prop_assert_eq!(&Btm::from_events(na, np, &events).without_authors(&excluded), &btm);
         prop_assert_eq!(&Btm::from_events(na, np, &filtered), &btm);
+    }
+
+    /// Author pages ≡ the definition, for any subset: whatever authors are
+    /// asked for — nobody, everybody, unsorted, repeated, authors who never
+    /// commented (0 and 9 never do) — each harvested list is the naive sort +
+    /// dedup of that author's pages, nobody else is held, and asking for
+    /// everyone is the full transpose of the page side.
+    #[test]
+    fn author_pages_match_the_definition_for_any_subset(
+        keyed in arb_keyed_events(),
+        asked in prop::collection::vec(0u32..10, 0..24),
+    ) {
+        let (na, np) = (10, 8);
+        let events: Vec<Event> = keyed.iter().map(keyed_event).collect();
+        let (_, by_author) = reference_sides(na, np, &events);
+        let btm = Btm::from_events(na, np, &events);
+
+        let everyone: Vec<u32> = (0..na).collect();
+        for asked in [&asked, &everyone, &Vec::new()] {
+            let authors = AuthorPages::harvest(&btm, asked.iter().copied().map(AuthorId));
+            let mut distinct = asked.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            for &a in &distinct {
+                prop_assert_eq!(authors.pages(AuthorId(a)), &by_author[a as usize][..]);
+            }
+            let held = distinct.iter().map(|&a| by_author[a as usize].len());
+            prop_assert_eq!(authors.n_authors() as usize, distinct.len());
+            prop_assert_eq!(authors.n_incidences() as usize, held.clone().sum::<usize>());
+            prop_assert_eq!(authors.active_authors() as usize, held.filter(|&l| l > 0).count());
+        }
     }
 
     /// One page side, however it was come by: for any event multiset and any
@@ -479,11 +505,7 @@ proptest! {
     ) {
         let np = 8;
         let orders = arrival_orders(&keyed);
-        let mut by_page = vec![Vec::new(); np as usize];
-        for e in &orders[0] {
-            by_page[e.page.0 as usize].push((e.ts, e.author));
-        }
-        by_page.iter_mut().for_each(|row| row.sort_unstable());
+        let (by_page, _) = reference_sides(10, np, &orders[0]);
         let want_pages: Vec<(PageId, Vec<(i64, AuthorId)>)> = (0..np)
             .map(PageId)
             .zip(by_page.iter().cloned())
