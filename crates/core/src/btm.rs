@@ -232,25 +232,59 @@ impl Btm {
         self.rows.row(p)
     }
 
+    /// Build from input that is already grouped by page: `fill(p, row)` is
+    /// called once per page id in ascending order and pushes that page's
+    /// comments onto `row` in `(timestamp, author)` order. Comments of the
+    /// `excluded` authors are dropped as they are pushed. One pass, no
+    /// counting, no scatter; `capacity` is the number of comments to expect.
+    ///
+    /// # Panics
+    /// If an author id is not below `n_authors`, or a row is pushed out of
+    /// order.
+    pub fn from_page_major(
+        n_authors: u32,
+        n_pages: u32,
+        capacity: usize,
+        excluded: &[AuthorId],
+        mut fill: impl FnMut(PageId, &mut RowSink<'_>),
+    ) -> Self {
+        let gone = if excluded.is_empty() {
+            Vec::new()
+        } else {
+            author_mask(n_authors as usize, excluded)
+        };
+        let mut comments = Vec::with_capacity(capacity);
+        let mut off = Vec::with_capacity(n_pages as usize + 1);
+        off.push(0);
+        for p in 0..n_pages {
+            let mut row = RowSink {
+                comments: &mut comments,
+                last: (Timestamp::MIN, AuthorId(0)),
+                n_authors,
+                gone: &gone,
+            };
+            fill(PageId(p), &mut row);
+            off.push(comments.len());
+        }
+        Btm {
+            rows: PageRows { off, comments },
+            n_authors,
+        }
+    }
+
     /// Remove all events of the given authors, returning a new BTM over the
     /// same id spaces. This is the paper's refinement loop (§2.4/§3): ruled-out
     /// authors (helpful bots, `[deleted]`) are removed and the projection
     /// rerun. Equal to [`Btm::build`] over the same events with the same
     /// `excluded`, which is the cheaper way to apply a list known up front.
     pub fn without_authors(&self, excluded: &[AuthorId]) -> Btm {
-        let gone = author_mask(self.n_authors() as usize, excluded);
-        let mut comments = Vec::with_capacity(self.rows.comments.len());
-        let mut off = Vec::with_capacity(self.rows.off.len());
-        off.push(0);
-        for w in self.rows.off.windows(2) {
-            let row = &self.rows.comments[w[0]..w[1]];
-            comments.extend(row.iter().filter(|(_, a)| !gone[a.0 as usize]));
-            off.push(comments.len());
-        }
-        Btm {
-            rows: PageRows { off, comments },
-            n_authors: self.n_authors,
-        }
+        let (n_authors, n_pages) = (self.n_authors, self.n_pages());
+        let kept = self.rows.comments.len();
+        Btm::from_page_major(n_authors, n_pages, kept, excluded, |p, row| {
+            for &(ts, a) in self.rows.row(p) {
+                row.push(ts, a);
+            }
+        })
     }
 
     /// Iterate pages with non-empty neighborhoods as `(PageId, comments)`.
@@ -263,6 +297,38 @@ impl Btm {
     pub fn max_page_degree(&self) -> usize {
         let degrees = self.rows.off.windows(2).map(|w| w[1] - w[0]);
         degrees.max().unwrap_or(0)
+    }
+}
+
+/// Where [`Btm::from_page_major`]'s `fill` pushes one page's comments.
+pub struct RowSink<'a> {
+    comments: &'a mut Vec<(Timestamp, AuthorId)>,
+    /// The comment pushed last on this row, kept or dropped.
+    last: (Timestamp, AuthorId),
+    n_authors: u32,
+    gone: &'a [bool],
+}
+
+impl RowSink<'_> {
+    /// Append a comment to the row, unless its author is excluded.
+    #[inline]
+    pub fn push(&mut self, ts: Timestamp, author: AuthorId) {
+        assert!(
+            author.0 < self.n_authors,
+            "author id {} out of range",
+            author.0
+        );
+        // `PageRows`' sortedness rests on this, not on the caller's word.
+        assert!(
+            self.last <= (ts, author),
+            "comment {:?} pushed after {:?}: row not in (timestamp, author) order",
+            (ts, author),
+            self.last
+        );
+        self.last = (ts, author);
+        if self.gone.is_empty() || !self.gone[author.0 as usize] {
+            self.comments.push((ts, author));
+        }
     }
 }
 

@@ -431,9 +431,11 @@ impl DistPipeline {
             .expect("dataset input cannot fail to parse")
     }
 
-    /// Pipeline over an opened snapshot: every rank decodes its own slice of
-    /// the shared mmap ([`coordination_store::EventsView::rank_slice`]) — the
-    /// event table is never copied, per rank or at all.
+    /// Pipeline over an opened snapshot: every rank decodes its own block of
+    /// the page rows in the shared mmap
+    /// ([`coordination_store::EventsView::rank_slice`]: whole pages but for
+    /// the two a block boundary may split) — the event table is never copied,
+    /// per rank or at all.
     pub fn run_snapshot(&self, snap: &coordination_store::Snapshot) -> PipelineOutput {
         self.run_world(DistInput::Snapshot(snap))
             .expect("snapshot input cannot fail to parse")

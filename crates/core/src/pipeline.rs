@@ -151,9 +151,9 @@ impl Pipeline {
 
     /// Run from an opened snapshot — the mmap twin of
     /// [`Pipeline::run_dataset`], producing identical output for a snapshot
-    /// written from the same dataset (the BTM is order-invariant, so the
-    /// timestamp-sorted columns project exactly like the ingest-ordered
-    /// events). The events stream out of the mapped columns and exclusion
+    /// written from the same dataset (the stored page rows are the rows
+    /// [`Dataset::btm`] builds from the ingest-ordered events). The rows are
+    /// decoded once out of the mapping, straight into the BTM, and exclusion
     /// names resolve against the mapped string table; no [`Dataset`] is ever
     /// materialized, which is what keeps this path's peak RSS below the
     /// resident one.

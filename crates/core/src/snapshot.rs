@@ -5,13 +5,13 @@
 //! tables so it can sit below core in the dependency graph; this module
 //! supplies the translations the pipeline actually uses:
 //!
-//! * [`write_snapshot`] — serialize an ingested [`Dataset`] (events stably
-//!   sorted by timestamp so the column delta-encodes, interner names in
-//!   dense-id order so ids survive the round trip), optionally embedding a
-//!   projected CI graph for survey-only consumers;
+//! * [`write_snapshot`] — serialize an ingested [`Dataset`] (its page rows
+//!   as `EVENTS`, interner names in dense-id order so ids survive the round
+//!   trip), optionally embedding a projected CI graph for survey-only
+//!   consumers;
 //! * [`ingest_to_snapshot`] — the `snapshot write` path: NDJSON ingest
 //!   straight into a snapshot file;
-//! * [`btm_from_snapshot`] — stream the mmapped event columns directly into
+//! * [`btm_from_snapshot`] — decode the mmapped page rows once, straight into
 //!   a [`Btm`]; the events never exist as a resident `Vec<Event>`, which is
 //!   what puts the snapshot path's peak RSS below the resident path's;
 //! * [`dataset_from_snapshot`] — materialize a full [`Dataset`] (interners
@@ -21,17 +21,17 @@
 //! Equivalence contract (pinned by proptest and an integration test): for
 //! any dataset, `Pipeline::run_snapshot` over `write_snapshot`'s output
 //! produces byte-identical survey and validation results to
-//! `Pipeline::run_dataset` on the original. The snapshot stores events
-//! timestamp-sorted (a different order than ingest), but the BTM depends
-//! only on the multiset of events, so the projection input — and everything
-//! downstream — is identical.
+//! `Pipeline::run_dataset` on the original. The snapshot stores events page
+//! by page (a different order than ingest), but the BTM depends only on the
+//! multiset of events, so the projection input — and everything downstream —
+//! is identical.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use coordination_store::{Snapshot, SnapshotWriter, StoreError};
 
-use crate::btm::Btm;
+use crate::btm::{Btm, PageRows};
 use crate::cigraph::CiGraph;
 use crate::ids::{AuthorId, Event, Interner, PageId};
 use crate::ingest::{self, IngestConfig, IngestStats};
@@ -58,19 +58,17 @@ pub fn write_snapshot(
     path: &Path,
 ) -> Result<WriteSummary, StoreError> {
     let _g = obs::span("snapshot.write");
-    let mut events: Vec<(u32, u32, i64)> = ds
-        .events
-        .iter()
-        .map(|e| (e.author.0, e.page.0, e.ts))
-        .collect();
-    // Stable by timestamp: the column delta-encodes, and equal-timestamp
-    // events keep their ingest order (not that the BTM could tell).
-    events.sort_by_key(|e| e.2);
+    let rows = PageRows::build(ds.pages.len() as u32, || {
+        ds.events.iter().map(|e| (e.page, e.ts, e.author))
+    });
 
     let mut w = SnapshotWriter::new();
     w.authors(ds.authors.iter().map(|(_, n)| n));
     w.pages(ds.pages.iter().map(|(_, n)| n));
-    w.events(&events)?;
+    w.page_rows(
+        rows.pages()
+            .map(|(p, row)| (p.0, row.iter().map(|&(ts, a)| (ts, a.0)))),
+    )?;
     if let Some((window, ci)) = ci {
         w.ci_graph(window.d1(), window.d2(), ci.page_counts(), ci.as_csr())?;
     }
@@ -79,7 +77,7 @@ pub fn write_snapshot(
     obs::gauge("snapshot.bytes").set(bytes);
     Ok(WriteSummary {
         bytes,
-        n_events: events.len() as u64,
+        n_events: rows.n_comments(),
         with_ci: ci.is_some(),
     })
 }
@@ -131,17 +129,21 @@ impl std::fmt::Display for SnapshotWriteError {
 
 impl std::error::Error for SnapshotWriteError {}
 
-/// Build the BTM directly from the mapped event columns, minus the
-/// `excluded` authors. No `Vec<Event>`, no interners: the columns are
-/// decoded once per build pass and the only resident allocations are the
+/// Build the BTM directly from the mapped page rows, minus the `excluded`
+/// authors: one walk of the row cursor, each row appended as it is decoded.
+/// No `Vec<Event>`, no interners: the only resident allocations are the
 /// BTM's own arrays.
 pub fn btm_from_snapshot(snap: &Snapshot, excluded: &[AuthorId]) -> Btm {
     let _g = obs::span("snapshot.btm");
     let m = snap.meta();
-    Btm::build(m.n_authors, m.n_pages, excluded, || {
-        snap.events()
-            .iter()
-            .map(|(a, p, ts)| Event::new(AuthorId(a), PageId(p), ts))
+    let mut rows = snap.events().rows();
+    let capacity = m.n_events as usize;
+    Btm::from_page_major(m.n_authors, m.n_pages, capacity, excluded, |p, row| {
+        let stored = rows.next_row().map(|(page, _)| page);
+        assert_eq!(stored, Some(p.0), "EVENTS holds one row per page id");
+        for (ts, a) in rows.by_ref() {
+            row.push(ts, AuthorId(a));
+        }
     })
 }
 
@@ -227,7 +229,7 @@ mod tests {
         for (id, name) in ds.authors.iter() {
             assert_eq!(back.authors.get(name), Some(id));
         }
-        // Same multiset of events (order differs: snapshot is ts-sorted).
+        // Same multiset of events (order differs: snapshot is page-major).
         let mut a = ds.events.clone();
         let mut b = back.events.clone();
         let key = |e: &Event| (e.ts, e.author.0, e.page.0);
@@ -286,6 +288,39 @@ mod tests {
         assert_eq!(want, got);
         drop(snap);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Any non-decreasing `i64` row round-trips: differences are taken and
+    /// re-applied in the unsigned domain, where `i64::MIN → i64::MAX` fits.
+    #[test]
+    fn extreme_timestamps_round_trip() {
+        let rec = |who: &str, page: &str, ts| CommentRecord::new(who, page, ts);
+        // a row across the whole range, between pages whose first timestamps
+        // are above and then below their predecessor's
+        let mut spread = vec![rec("a", "p0", 7), rec("b", "p0", 9)];
+        for (who, ts) in [("a", i64::MIN), ("b", -1), ("a", 0), ("c", i64::MAX)] {
+            spread.push(rec(who, "p1", ts));
+        }
+        spread.push(rec("c", "p2", i64::MAX));
+        // the widest step there is, which version 1 could write but not open
+        let widest = vec![rec("a", "p", i64::MIN), rec("a", "p", i64::MAX)];
+        for recs in [spread, widest] {
+            let ds = Dataset::from_records(recs);
+            let path = tmp("extreme");
+            write_snapshot(&ds, None, &path).unwrap();
+            let snap = Snapshot::open(&path).unwrap();
+            assert_eq!(
+                (snap.meta().min_ts, snap.meta().max_ts),
+                (i64::MIN, i64::MAX)
+            );
+            let (na, np) = (ds.authors.len() as u32, ds.pages.len() as u32);
+            assert_eq!(
+                btm_from_snapshot(&snap, &[]),
+                Btm::from_events(na, np, &ds.events)
+            );
+            drop(snap);
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

@@ -13,10 +13,9 @@
 //! ```text
 //! n        varint  vertex count
 //! m        varint  directed entry count (sum of degrees)
-//! weighted u8      0 = ids only (weights read as 1), 1 = per-entry weights
 //! offsets  (n+1) × u64 LE   byte offsets into `lists`, offsets[0] = 0
 //! lists    per vertex: varint degree, then ceil(d / BLOCK) blocks:
-//!            BLOCK × varint id-delta, then (if weighted) BLOCK × varint weight
+//!            BLOCK × varint id-delta, then BLOCK × varint weight
 //! ```
 //!
 //! The offsets table is fixed-width on purpose: random access to vertex `u`
@@ -34,12 +33,7 @@ pub const BLOCK: usize = 128;
 /// Encode `n` adjacency rows produced by `fill` (strictly ascending by id)
 /// into `out`. `fill` is called once per vertex in id order and appends that
 /// vertex's `(neighbor, weight)` entries to the scratch row.
-pub fn encode_rows(
-    n: u32,
-    weighted: bool,
-    mut fill: impl FnMut(u32, &mut Vec<(u32, u64)>),
-    out: &mut Vec<u8>,
-) {
+pub fn encode_rows(n: u32, mut fill: impl FnMut(u32, &mut Vec<(u32, u64)>), out: &mut Vec<u8>) {
     let mut lists: Vec<u8> = Vec::new();
     let mut offsets: Vec<u64> = Vec::with_capacity(n as usize + 1);
     offsets.push(0);
@@ -60,17 +54,14 @@ pub fn encode_rows(
                 varint::write_u64(&mut lists, u64::from(v - prev));
                 prev = v;
             }
-            if weighted {
-                for &(_, w) in chunk {
-                    varint::write_u64(&mut lists, w);
-                }
+            for &(_, w) in chunk {
+                varint::write_u64(&mut lists, w);
             }
         }
         offsets.push(lists.len() as u64);
     }
     varint::write_u64(out, u64::from(n));
     varint::write_u64(out, m);
-    out.push(u8::from(weighted));
     for off in &offsets {
         out.extend_from_slice(&off.to_le_bytes());
     }
@@ -81,7 +72,6 @@ pub fn encode_rows(
 pub fn encode_graph<G: GraphRef>(g: &G, out: &mut Vec<u8>) {
     encode_rows(
         g.n_vertices(),
-        true,
         |u, row| row.extend(g.neighbors_iter(u)),
         out,
     );
@@ -94,7 +84,6 @@ pub fn encode_graph<G: GraphRef>(g: &G, out: &mut Vec<u8>) {
 pub struct CsrView<'a> {
     n: u32,
     m: u64,
-    weighted: bool,
     offsets: &'a [u8],
     lists: &'a [u8],
 }
@@ -106,19 +95,6 @@ impl<'a> CsrView<'a> {
         let mut pos = 0usize;
         let n = varint::read_u32(bytes, &mut pos)?;
         let m = varint::read_u64(bytes, &mut pos)?;
-        let weighted = match bytes.get(pos) {
-            Some(0) => false,
-            Some(1) => true,
-            Some(b) => return Err(StoreError::corrupt(format!("bad weighted flag {b}"))),
-            None => {
-                return Err(StoreError::Truncated {
-                    what: "csr header",
-                    need: (pos + 1) as u64,
-                    have: bytes.len() as u64,
-                })
-            }
-        };
-        pos += 1;
         let off_len = (n as usize + 1)
             .checked_mul(8)
             .ok_or_else(|| StoreError::corrupt("csr offsets length overflows"))?;
@@ -134,7 +110,6 @@ impl<'a> CsrView<'a> {
         let view = CsrView {
             n,
             m,
-            weighted,
             offsets,
             lists,
         };
@@ -173,11 +148,6 @@ impl<'a> CsrView<'a> {
         self.m
     }
 
-    /// Whether entries carry explicit weights.
-    pub fn weighted(&self) -> bool {
-        self.weighted
-    }
-
     /// Degree of `u`: one varint decode, no list scan.
     pub fn degree(&self, u: u32) -> u32 {
         let Some(row) = self.row_bytes(u) else {
@@ -188,7 +158,6 @@ impl<'a> CsrView<'a> {
     }
 
     /// Block-decoding iterator over `u`'s `(neighbor, weight)` entries.
-    /// Unweighted blobs yield weight `1`.
     pub fn neighbors(&self, u: u32) -> NeighborIter<'a> {
         let row = self.row_bytes(u).unwrap_or(&[]);
         let mut pos = 0;
@@ -197,22 +166,11 @@ impl<'a> CsrView<'a> {
             bytes: row,
             pos,
             remaining,
-            weighted: self.weighted,
             prev: 0,
             ids: [0; BLOCK],
-            ws: [1; BLOCK],
+            ws: [0; BLOCK],
             len: 0,
             idx: 0,
-        }
-    }
-
-    /// Decode `u`'s ids (and weights, when present) into the given vectors.
-    pub fn decode_into(&self, u: u32, ids: &mut Vec<u32>, ws: &mut Vec<u64>) {
-        ids.clear();
-        ws.clear();
-        for (v, w) in self.neighbors(u) {
-            ids.push(v);
-            ws.push(w);
         }
     }
 
@@ -257,10 +215,8 @@ impl<'a> CsrView<'a> {
                         )));
                     }
                 }
-                if self.weighted {
-                    for _ in 0..take {
-                        varint::read_u64(row, &mut pos)?;
-                    }
+                for _ in 0..take {
+                    varint::read_u64(row, &mut pos)?;
                 }
                 done += take;
             }
@@ -288,7 +244,6 @@ pub struct NeighborIter<'a> {
     bytes: &'a [u8],
     pos: usize,
     remaining: usize,
-    weighted: bool,
     prev: u32,
     ids: [u32; BLOCK],
     ws: [u64; BLOCK],
@@ -319,14 +274,12 @@ impl NeighborIter<'_> {
             self.ids[k] = v;
             self.prev = v;
         }
-        if self.weighted {
-            for k in 0..take {
-                let Ok(w) = varint::read_u64(self.bytes, &mut self.pos) else {
-                    self.remaining = 0;
-                    return;
-                };
-                self.ws[k] = w;
-            }
+        for k in 0..take {
+            let Ok(w) = varint::read_u64(self.bytes, &mut self.pos) else {
+                self.remaining = 0;
+                return;
+            };
+            self.ws[k] = w;
         }
         self.remaining -= take;
         self.len = take;
@@ -344,10 +297,7 @@ impl Iterator for NeighborIter<'_> {
                 return None;
             }
         }
-        let out = (
-            self.ids[self.idx],
-            if self.weighted { self.ws[self.idx] } else { 1 },
-        );
+        let out = (self.ids[self.idx], self.ws[self.idx]);
         self.idx += 1;
         Some(out)
     }
@@ -416,7 +366,6 @@ mod tests {
         let mut blob = Vec::new();
         encode_rows(
             2,
-            true,
             |u, row| {
                 if u == 0 {
                     row.extend((0..n).map(|v| (v * 3, u64::from(v) + 1)));
@@ -434,24 +383,9 @@ mod tests {
     }
 
     #[test]
-    fn unweighted_rows_yield_unit_weights() {
-        let mut blob = Vec::new();
-        encode_rows(
-            1,
-            false,
-            |_, row| row.extend([(2, 0), (5, 0), (9, 0)]),
-            &mut blob,
-        );
-        let view = CsrView::parse(&blob).unwrap();
-        view.validate(10).unwrap();
-        let decoded: Vec<(u32, u64)> = view.neighbors(0).collect();
-        assert_eq!(decoded, vec![(2, 1), (5, 1), (9, 1)]);
-    }
-
-    #[test]
     fn validate_rejects_out_of_range_targets() {
         let mut blob = Vec::new();
-        encode_rows(1, false, |_, row| row.push((9, 0)), &mut blob);
+        encode_rows(1, |_, row| row.push((9, 0)), &mut blob);
         let view = CsrView::parse(&blob).unwrap();
         assert!(view.validate(10).is_ok());
         assert!(matches!(view.validate(9), Err(StoreError::Corrupt { .. })));

@@ -34,7 +34,7 @@ pub enum StoreError {
         /// Bytes actually available.
         have: u64,
     },
-    /// A section's stored FNV-1a checksum does not match its bytes.
+    /// A section's stored checksum does not match its bytes.
     ChecksumMismatch {
         /// Human name of the failing section.
         section: &'static str,

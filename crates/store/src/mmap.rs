@@ -28,9 +28,13 @@ enum Inner {
     },
 }
 
-// The mapping is PROT_READ and never mutated; sharing the pointer across
-// threads is sound.
+// SAFETY: `Inner::Owned` is a `Vec<u8>`, `Send` on its own. `Inner::Mapped`
+// is a pointer to a `PROT_READ | MAP_PRIVATE` mapping this value alone owns:
+// nothing in the process writes through it, so it may be read, and unmapped
+// on drop, from whichever thread holds the value.
 unsafe impl Send for Bytes {}
+// SAFETY: as above, and `&Bytes` only hands out `&[u8]` over memory that is
+// never written through this mapping, so any number of threads may share it.
 unsafe impl Sync for Bytes {}
 
 #[cfg(unix)]
@@ -74,6 +78,12 @@ impl Bytes {
         #[cfg(unix)]
         {
             use std::os::unix::io::AsRawFd;
+            // SAFETY: a fresh mapping at an address of the kernel's choosing
+            // (`addr` null, no `MAP_FIXED`), so no existing memory is touched.
+            // `file` is open for the call and `len` is its non-zero length as
+            // just reported by its metadata; the mapping is read-only and
+            // private. Failure is `MAP_FAILED`, checked below before the
+            // pointer is used.
             let ptr = unsafe {
                 sys::mmap(
                     core::ptr::null_mut(),
@@ -110,6 +120,15 @@ impl Deref for Bytes {
         match &self.inner {
             Inner::Owned(v) => v,
             #[cfg(unix)]
+            // SAFETY: `ptr` came from a successful `mmap` of exactly `len`
+            // bytes (the only place `Mapped` is built), is page-aligned and
+            // non-null, and stays mapped until `Drop`, which outlives the
+            // borrow returned here. `len` fits `isize` because the file fit
+            // the address space. Nothing in this process writes to the
+            // mapping. What it cannot rule out is another process truncating
+            // the file, after which reads past the new end fault (`SIGBUS`):
+            // keeping the file whole while mapped is the caller's obligation,
+            // stated on `Snapshot::open`.
             Inner::Mapped { ptr, len } => unsafe {
                 std::slice::from_raw_parts(*ptr as *const u8, *len)
             },
@@ -121,6 +140,10 @@ impl Drop for Bytes {
     fn drop(&mut self) {
         #[cfg(unix)]
         if let Inner::Mapped { ptr, len } = self.inner {
+            // SAFETY: `ptr`/`len` are exactly what the successful `mmap`
+            // returned and was asked for, unmapped once (this is `Drop`), and
+            // every `&[u8]` borrowed from `self` has ended. A failure is
+            // ignored: there is nothing to do about it in a destructor.
             unsafe {
                 sys::munmap(ptr, len);
             }

@@ -50,7 +50,7 @@ pub const SEG_BLOCK: usize = 128;
 /// Fixed header size: magic + width + count + paylen + fnv.
 const HEADER_LEN: usize = 8 + 1 + 8 + 8 + 8;
 
-/// FNV-1a 64 offset basis (incremental form of [`crate::snapshot::fnv1a`]).
+/// FNV-1a 64 offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 

@@ -1,38 +1,42 @@
 //! The snapshot container: magic, version, checksummed section directory,
 //! and the columnar sections themselves.
 //!
-//! ## File layout (version 1)
+//! ## File layout (version 2)
 //!
 //! ```text
 //! [0..8)    magic  b"COORSNAP"
-//! [8..12)   schema version, u32 LE      — readers refuse unknown versions
+//! [8..12)   schema version, u32 LE      — readers refuse every other version
 //! [12..16)  section count, u32 LE
 //! then      count × 28-byte directory entries:
-//!             kind u32 LE · offset u64 LE · len u64 LE · FNV-1a-64 checksum
+//!             kind u32 LE · offset u64 LE · len u64 LE · checksum u64 LE
 //! then      section bytes at their recorded offsets
 //! ```
 //!
-//! Sections (kinds 1–6; unknown kinds are an error under a known version):
+//! Sections (kinds 1–4 and 6; any other kind is an error). They may not
+//! overlap the directory or each other, and together they cover the rest of
+//! the file.
 //!
 //! * `META` — n_authors, n_pages, n_events, min/max timestamp (varints).
 //! * `AUTHOR_NAMES` / `PAGE_NAMES` — interner string tables in dense-id
 //!   order: count, byte length, fixed-width `u32` end-offset table, then the
 //!   concatenated UTF-8 bytes. Fixed-width ends make `name(id)` two loads.
-//! * `EVENTS` — the comment stream sorted stably by timestamp, as three
-//!   independently sliceable columns: timestamps (first value zigzag, then
-//!   non-negative varint deltas), author ids, page ids (plain varints).
-//! * `AUTHOR_PAGES` — each author's sorted distinct page list as an
-//!   unweighted compressed CSR ([`crate::csr`]): exactly what hypergraph
-//!   validation intersects, served without rebuilding the BTM.
+//! * `EVENTS` — the page side of the BTM, stored the way it is held in
+//!   memory: the event count, then three length-prefixed columns. `row_len`
+//!   has one varint per page id (zeros included). `ts` has, per non-empty
+//!   page, the first timestamp as a zigzag *wrapping* difference from the
+//!   previous non-empty page's first (from 0 for the first such page), then
+//!   the non-negative differences along the row. `author` has one varint per
+//!   comment. Every row is in `(timestamp, author)` order.
 //! * `CI_GRAPH` (optional) — a projected common-interaction graph: the
 //!   window it was projected under, the `P'` page counts, and the weighted
 //!   compressed CSR the survey decodes block-wise.
 //!
 //! [`Snapshot::open`] maps the file and validates *everything* up front —
 //! magic, version, directory bounds, per-section checksums, and a full
-//! structural decode (id ranges, sort order, exact byte consumption). After
-//! open, every accessor and iterator is infallible; corrupt or truncated
-//! input never gets past open, and never panics.
+//! structural decode (id ranges, row order, timestamp arithmetic, `META`
+//! agreement, exact byte consumption). After open, every accessor and
+//! iterator is infallible; corrupt or truncated input never gets past open,
+//! and never panics.
 
 use std::path::Path;
 
@@ -48,15 +52,17 @@ pub const MAGIC: [u8; 8] = *b"COORSNAP";
 
 /// The single schema version this build reads and writes. Bump on any
 /// layout change; readers must refuse versions they do not speak.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 mod kind {
     pub const META: u32 = 1;
     pub const AUTHOR_NAMES: u32 = 2;
     pub const PAGE_NAMES: u32 = 3;
     pub const EVENTS: u32 = 4;
-    pub const AUTHOR_PAGES: u32 = 5;
+    // 5 was a version 1 section and is not reused.
     pub const CI_GRAPH: u32 = 6;
+
+    pub const ALL: [u32; 5] = [META, AUTHOR_NAMES, PAGE_NAMES, EVENTS, CI_GRAPH];
 
     pub fn name(k: u32) -> &'static str {
         match k {
@@ -64,22 +70,33 @@ mod kind {
             AUTHOR_NAMES => "AUTHOR_NAMES",
             PAGE_NAMES => "PAGE_NAMES",
             EVENTS => "EVENTS",
-            AUTHOR_PAGES => "AUTHOR_PAGES",
             CI_GRAPH => "CI_GRAPH",
             _ => "UNKNOWN",
         }
     }
 }
 
-/// FNV-1a 64 — tiny, dependency-free, and plenty to catch bit rot and
-/// truncation (structural validation catches what a colliding flip slips by).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// The per-section checksum, also the hash of the name-uniqueness check:
+/// the length, then every little-endian 8-byte word (the tail zero-padded)
+/// folded in by xor and a multiplication by an odd constant. Each step is a
+/// bijection of the running value, so corrupting any single word always
+/// changes the sum; structural validation catches what a colliding
+/// multi-word change slips by.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let fold = |h: u64, word: [u8; 8]| (h ^ u64::from_le_bytes(word)).wrapping_mul(K);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = fold(0, (bytes.len() as u64).to_le_bytes());
+    for word in &mut words {
+        h = fold(h, word.try_into().expect("8-byte chunk"));
     }
-    h
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        h = fold(h, word);
+    }
+    h ^ (h >> 32)
 }
 
 /// Corpus-level facts recorded in the `META` section.
@@ -101,19 +118,16 @@ pub struct SnapshotMeta {
 // Writer
 // ---------------------------------------------------------------------------
 
-/// Assembles a snapshot: set the name tables, then the events (which also
-/// derives `META` and the `AUTHOR_PAGES` adjacency), optionally a projected
-/// CI graph, then [`SnapshotWriter::write_to`] or
-/// [`SnapshotWriter::to_bytes`].
+/// Assembles a snapshot: set the name tables, then the page rows (which also
+/// derives `META`), optionally a projected CI graph, then
+/// [`SnapshotWriter::write_to`] or [`SnapshotWriter::to_bytes`].
 #[derive(Default)]
 pub struct SnapshotWriter {
-    n_authors: Option<u32>,
-    n_pages: Option<u32>,
-    authors: Option<Vec<u8>>,
-    pages: Option<Vec<u8>>,
+    /// `(name count, section)` of each name table.
+    authors: Option<(u32, Vec<u8>)>,
+    pages: Option<(u32, Vec<u8>)>,
     meta: Option<Vec<u8>>,
     events: Option<Vec<u8>>,
-    author_pages: Option<Vec<u8>>,
     ci: Option<Vec<u8>>,
 }
 
@@ -141,68 +155,82 @@ impl SnapshotWriter {
     }
 
     /// Record the author name table, in dense-id order (id `i` = `i`-th
-    /// name). Must be called before [`SnapshotWriter::events`].
+    /// name). Must be called before [`SnapshotWriter::page_rows`].
     pub fn authors<'a>(&mut self, names: impl Iterator<Item = &'a str>) -> &mut Self {
-        let (count, section) = encode_names(names);
-        self.n_authors = Some(count);
-        self.authors = Some(section);
+        self.authors = Some(encode_names(names));
         self
     }
 
     /// Record the page name table, in dense-id order.
     pub fn pages<'a>(&mut self, names: impl Iterator<Item = &'a str>) -> &mut Self {
-        let (count, section) = encode_names(names);
-        self.n_pages = Some(count);
-        self.pages = Some(section);
+        self.pages = Some(encode_names(names));
         self
     }
 
-    /// Record the event columns. `events` must already be sorted ascending
-    /// by timestamp (stably, so equal-timestamp order is the ingest order)
-    /// and reference only ids covered by the name tables; violations are
-    /// writer-side [`StoreError::Corrupt`] errors.
-    pub fn events(&mut self, events: &[(u32, u32, i64)]) -> Result<&mut Self, StoreError> {
-        let n_authors = self
-            .n_authors
-            .ok_or_else(|| StoreError::corrupt("events() requires authors() first"))?;
-        let n_pages = self
-            .n_pages
-            .ok_or_else(|| StoreError::corrupt("events() requires pages() first"))?;
-
-        let mut ts_col: Vec<u8> = Vec::new();
-        let mut author_col: Vec<u8> = Vec::new();
-        let mut page_col: Vec<u8> = Vec::new();
-        let mut prev_ts = None::<i64>;
-        for (i, &(a, p, ts)) in events.iter().enumerate() {
-            if a >= n_authors {
+    /// Record the `EVENTS` section from the BTM's page rows: `(page id, row)`
+    /// for pages in strictly ascending id order (pages left out get empty
+    /// rows), each row its `(timestamp, author)` comments in that order. A
+    /// page or author id the name tables do not cover, a page out of order
+    /// or a row out of order is a writer-side [`StoreError::Corrupt`].
+    pub fn page_rows<R: IntoIterator<Item = (i64, u32)>>(
+        &mut self,
+        rows: impl IntoIterator<Item = (u32, R)>,
+    ) -> Result<&mut Self, StoreError> {
+        let (Some((n_authors, _)), Some((n_pages, _))) = (&self.authors, &self.pages) else {
+            return Err(StoreError::corrupt(
+                "page_rows() requires authors() and pages() first",
+            ));
+        };
+        let (n_authors, n_pages) = (*n_authors, *n_pages);
+        let (mut len_col, mut ts_col, mut author_col) = (Vec::new(), Vec::new(), Vec::new());
+        let mut n_events = 0u64;
+        let mut next_page = 0u32;
+        let mut first = 0i64;
+        let (mut min_ts, mut max_ts) = (i64::MAX, i64::MIN);
+        for (p, row) in rows {
+            if p < next_page || p >= n_pages {
                 return Err(StoreError::corrupt(format!(
-                    "event {i} author id {a} >= {n_authors}"
+                    "page id {p} out of order or >= {n_pages}"
                 )));
             }
-            if p >= n_pages {
-                return Err(StoreError::corrupt(format!(
-                    "event {i} page id {p} >= {n_pages}"
-                )));
-            }
-            match prev_ts {
-                None => varint::write_i64(&mut ts_col, ts),
-                Some(prev) => {
-                    if ts < prev {
-                        return Err(StoreError::corrupt(format!(
-                            "event {i} timestamp {ts} < predecessor {prev}: not sorted"
-                        )));
-                    }
-                    varint::write_u64(&mut ts_col, (ts - prev) as u64);
+            len_col.resize(len_col.len() + (p - next_page) as usize, 0);
+            next_page = p + 1;
+            let mut len = 0u64;
+            let mut prev = (i64::MIN, 0u32);
+            for (ts, a) in row {
+                if a >= n_authors || (ts, a) < prev {
+                    return Err(StoreError::corrupt(format!(
+                        "page {p}: comment {:?} follows {prev:?} or its author id is >= {n_authors}",
+                        (ts, a)
+                    )));
                 }
+                // Wrapping: a non-decreasing pair differs by less than 2^64,
+                // which is exactly what the wrapped difference read as `u64`
+                // holds, however far apart the two `i64`s are.
+                if len == 0 {
+                    varint::write_i64(&mut ts_col, ts.wrapping_sub(first));
+                    first = ts;
+                } else {
+                    varint::write_u64(&mut ts_col, ts.wrapping_sub(prev.0) as u64);
+                }
+                varint::write_u64(&mut author_col, u64::from(a));
+                prev = (ts, a);
+                len += 1;
             }
-            prev_ts = Some(ts);
-            varint::write_u64(&mut author_col, u64::from(a));
-            varint::write_u64(&mut page_col, u64::from(p));
+            if len > 0 {
+                (min_ts, max_ts) = (min_ts.min(first), max_ts.max(prev.0));
+            }
+            varint::write_u64(&mut len_col, len);
+            n_events += len;
+        }
+        len_col.resize(len_col.len() + (n_pages - next_page) as usize, 0);
+        if n_events == 0 {
+            (min_ts, max_ts) = (0, 0);
         }
 
         let mut section = Vec::new();
-        varint::write_u64(&mut section, events.len() as u64);
-        for col in [&ts_col, &author_col, &page_col] {
+        varint::write_u64(&mut section, n_events);
+        for col in [&len_col, &ts_col, &author_col] {
             varint::write_u64(&mut section, col.len() as u64);
             section.extend_from_slice(col);
         }
@@ -211,31 +239,24 @@ impl SnapshotWriter {
         let mut meta = Vec::new();
         varint::write_u64(&mut meta, u64::from(n_authors));
         varint::write_u64(&mut meta, u64::from(n_pages));
-        varint::write_u64(&mut meta, events.len() as u64);
-        varint::write_i64(&mut meta, events.first().map_or(0, |e| e.2));
-        varint::write_i64(&mut meta, events.last().map_or(0, |e| e.2));
+        varint::write_u64(&mut meta, n_events);
+        varint::write_i64(&mut meta, min_ts);
+        varint::write_i64(&mut meta, max_ts);
         self.meta = Some(meta);
-
-        // Derive each author's sorted distinct page list — the exact slices
-        // hypergraph validation intersects.
-        let mut pages_of: Vec<Vec<u32>> = vec![Vec::new(); n_authors as usize];
-        for &(a, p, _) in events {
-            pages_of[a as usize].push(p);
-        }
-        let mut blob = Vec::new();
-        csr::encode_rows(
-            n_authors,
-            false,
-            |u, row| {
-                let list = &mut pages_of[u as usize];
-                list.sort_unstable();
-                list.dedup();
-                row.extend(list.iter().map(|&p| (p, 0u64)));
-            },
-            &mut blob,
-        );
-        self.author_pages = Some(blob);
         Ok(self)
+    }
+
+    /// [`SnapshotWriter::page_rows`] for `(author, page, ts)` events in any
+    /// order: sorts a copy into page rows first, so it suits small inputs.
+    pub fn events(&mut self, events: &[(u32, u32, i64)]) -> Result<&mut Self, StoreError> {
+        let mut sorted: Vec<(u32, i64, u32)> =
+            events.iter().map(|&(a, p, ts)| (p, ts, a)).collect();
+        sorted.sort_unstable();
+        self.page_rows(
+            sorted
+                .chunk_by(|x, y| x.0 == y.0)
+                .map(|row| (row[0].0, row.iter().map(|&(_, ts, a)| (ts, a)))),
+        )
     }
 
     /// Attach a projected common-interaction graph: the `[d1, d2]` window it
@@ -271,26 +292,21 @@ impl SnapshotWriter {
 
     /// Assemble the full snapshot file image.
     pub fn to_bytes(&self) -> Result<Vec<u8>, StoreError> {
-        let meta = self
-            .meta
-            .as_deref()
-            .ok_or_else(|| StoreError::corrupt("snapshot writer: events() never called"))?;
-        let authors = self.authors.as_deref().expect("meta implies authors");
-        let pages = self.pages.as_deref().expect("meta implies pages");
-        let events = self.events.as_deref().expect("meta implies events");
-        let author_pages = self
-            .author_pages
-            .as_deref()
-            .expect("meta implies author_pages");
+        let (Some(meta), Some(events)) = (&self.meta, &self.events) else {
+            return Err(StoreError::corrupt(
+                "snapshot writer: page_rows() never called",
+            ));
+        };
+        let (_, authors) = self.authors.as_ref().expect("page_rows() needed authors");
+        let (_, pages) = self.pages.as_ref().expect("page_rows() needed pages");
 
         let mut sections: Vec<(u32, &[u8])> = vec![
             (kind::META, meta),
             (kind::AUTHOR_NAMES, authors),
             (kind::PAGE_NAMES, pages),
             (kind::EVENTS, events),
-            (kind::AUTHOR_PAGES, author_pages),
         ];
-        if let Some(ci) = self.ci.as_deref() {
+        if let Some(ci) = &self.ci {
             sections.push((kind::CI_GRAPH, ci));
         }
 
@@ -305,7 +321,7 @@ impl SnapshotWriter {
             out.extend_from_slice(&k.to_le_bytes());
             out.extend_from_slice(&offset.to_le_bytes());
             out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-            out.extend_from_slice(&fnv1a(s).to_le_bytes());
+            out.extend_from_slice(&checksum(s).to_le_bytes());
             offset += s.len() as u64;
         }
         for (_, s) in &sections {
@@ -335,17 +351,27 @@ struct Section {
     range: (usize, usize),
 }
 
+fn find_section<'d>(sections: &[Section], data: &'d [u8], k: u32) -> Option<&'d [u8]> {
+    let s = sections.iter().find(|s| s.kind == k)?;
+    Some(&data[s.range.0..s.range.1])
+}
+
 /// A validated, opened snapshot. Accessors return borrowed views over the
 /// mapped (or owned) bytes; nothing is decoded into resident columns.
 pub struct Snapshot {
     bytes: Bytes,
     meta: SnapshotMeta,
     sections: Vec<Section>,
-    names_counts: [u32; 2], // cached (authors, pages) header parse
 }
 
 impl Snapshot {
     /// Map `path` and validate the entire file (see module docs).
+    ///
+    /// The mapping stays valid only while the file keeps its length: the
+    /// caller must see to it that nothing truncates the file while the
+    /// `Snapshot` lives (writers replace a snapshot by rename, never in
+    /// place). A read past a truncation point is a `SIGBUS` this process
+    /// cannot turn into an error.
     pub fn open(path: &Path) -> Result<Self, StoreError> {
         let _g = obs::span("snapshot.open");
         let bytes = Bytes::map_file(path)?;
@@ -359,10 +385,7 @@ impl Snapshot {
     }
 
     fn section(&self, k: u32) -> Option<&[u8]> {
-        self.sections
-            .iter()
-            .find(|s| s.kind == k)
-            .map(|s| &self.bytes[s.range.0..s.range.1])
+        find_section(&self.sections, &self.bytes, k)
     }
 
     fn require(&self, k: u32) -> &[u8] {
@@ -372,22 +395,18 @@ impl Snapshot {
     fn parse(bytes: Bytes) -> Result<Self, StoreError> {
         let _g = obs::span("snapshot.validate");
         let data: &[u8] = &bytes;
+        let mut found = [0u8; 8];
+        let head = data.len().min(8);
+        found[..head].copy_from_slice(&data[..head]);
+        if found != MAGIC {
+            return Err(StoreError::BadMagic { found });
+        }
         if data.len() < 16 {
-            let mut found = [0u8; 8];
-            found[..data.len().min(8)].copy_from_slice(&data[..data.len().min(8)]);
-            if data.len() < 8 || found != MAGIC {
-                return Err(StoreError::BadMagic { found });
-            }
             return Err(StoreError::Truncated {
                 what: "file header",
                 need: 16,
                 have: data.len() as u64,
             });
-        }
-        if data[..8] != MAGIC {
-            let mut found = [0u8; 8];
-            found.copy_from_slice(&data[..8]);
-            return Err(StoreError::BadMagic { found });
         }
         let version = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes"));
         if version != VERSION {
@@ -396,90 +415,94 @@ impl Snapshot {
                 supported: VERSION,
             });
         }
-        let n_sections = u32::from_le_bytes(data[12..16].try_into().expect("4 bytes")) as usize;
-        let dir_end = 16usize
-            .checked_add(n_sections.checked_mul(28).ok_or_else(|| {
-                StoreError::corrupt(format!("section count {n_sections} overflows"))
-            })?)
-            .ok_or_else(|| StoreError::corrupt("directory length overflows"))?;
-        if data.len() < dir_end {
+        let n_sections = u32::from_le_bytes(data[12..16].try_into().expect("4 bytes"));
+        let dir_end = 16 + u64::from(n_sections) * 28;
+        if (data.len() as u64) < dir_end {
             return Err(StoreError::Truncated {
                 what: "section directory",
-                need: dir_end as u64,
+                need: dir_end,
                 have: data.len() as u64,
             });
         }
 
-        let mut sections = Vec::with_capacity(n_sections);
-        for i in 0..n_sections {
-            let at = 16 + i * 28;
+        let mut sections: Vec<Section> = Vec::with_capacity(n_sections as usize);
+        let mut covered = dir_end;
+        for at in (16..dir_end as usize).step_by(28) {
+            let word = |at| u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"));
             let k = u32::from_le_bytes(data[at..at + 4].try_into().expect("4 bytes"));
-            let offset = u64::from_le_bytes(data[at + 4..at + 12].try_into().expect("8 bytes"));
-            let len = u64::from_le_bytes(data[at + 12..at + 20].try_into().expect("8 bytes"));
-            let sum = u64::from_le_bytes(data[at + 20..at + 28].try_into().expect("8 bytes"));
-            if !(kind::META..=kind::CI_GRAPH).contains(&k) {
+            let (offset, len, sum) = (word(at + 4), word(at + 12), word(at + 20));
+            if !kind::ALL.contains(&k) {
                 return Err(StoreError::corrupt(format!("unknown section kind {k}")));
             }
-            if sections.iter().any(|s: &Section| s.kind == k) {
+            let name = kind::name(k);
+            if sections.iter().any(|s| s.kind == k) {
+                return Err(StoreError::corrupt(format!("duplicate section {name}")));
+            }
+            let end = offset
+                .checked_add(len)
+                .ok_or_else(|| StoreError::corrupt(format!("section {name} range overflows")))?;
+            if offset < dir_end {
                 return Err(StoreError::corrupt(format!(
-                    "duplicate section {}",
-                    kind::name(k)
+                    "section {name} overlaps the directory"
                 )));
             }
-            let end = offset.checked_add(len).ok_or_else(|| {
-                StoreError::corrupt(format!("section {} range overflows", kind::name(k)))
-            })?;
-            if end > data.len() as u64 || offset < dir_end as u64 {
+            if end > data.len() as u64 {
                 return Err(StoreError::Truncated {
-                    what: kind::name(k),
+                    what: name,
                     need: end,
                     have: data.len() as u64,
                 });
             }
             let range = (offset as usize, end as usize);
-            if fnv1a(&data[range.0..range.1]) != sum {
-                return Err(StoreError::ChecksumMismatch {
-                    section: kind::name(k),
-                });
+            if let Some(other) = sections
+                .iter()
+                .find(|s| range.0 < s.range.1 && s.range.0 < range.1)
+            {
+                return Err(StoreError::corrupt(format!(
+                    "sections {} and {name} overlap",
+                    kind::name(other.kind)
+                )));
             }
+            if checksum(&data[range.0..range.1]) != sum {
+                return Err(StoreError::ChecksumMismatch { section: name });
+            }
+            covered += len;
             sections.push(Section { kind: k, range });
         }
+        // Disjoint and inside the file, so equal totals mean an exact tiling.
+        if covered != data.len() as u64 {
+            return Err(StoreError::corrupt(format!(
+                "{} bytes belong to no section",
+                data.len() as u64 - covered
+            )));
+        }
 
-        let get = |k: u32| -> Result<&[u8], StoreError> {
-            sections
-                .iter()
-                .find(|s| s.kind == k)
-                .map(|s| &data[s.range.0..s.range.1])
-                .ok_or_else(|| {
-                    StoreError::corrupt(format!("missing mandatory section {}", kind::name(k)))
-                })
+        let get = |k: u32| {
+            find_section(&sections, data, k).ok_or_else(|| {
+                StoreError::corrupt(format!("missing mandatory section {}", kind::name(k)))
+            })
         };
 
         // META
         let meta_bytes = get(kind::META)?;
         let mut pos = 0;
-        let n_authors = varint::read_u32(meta_bytes, &mut pos)?;
-        let n_pages = varint::read_u32(meta_bytes, &mut pos)?;
-        let n_events = varint::read_u64(meta_bytes, &mut pos)?;
-        let min_ts = varint::read_i64(meta_bytes, &mut pos)?;
-        let max_ts = varint::read_i64(meta_bytes, &mut pos)?;
+        let meta = SnapshotMeta {
+            n_authors: varint::read_u32(meta_bytes, &mut pos)?,
+            n_pages: varint::read_u32(meta_bytes, &mut pos)?,
+            n_events: varint::read_u64(meta_bytes, &mut pos)?,
+            min_ts: varint::read_i64(meta_bytes, &mut pos)?,
+            max_ts: varint::read_i64(meta_bytes, &mut pos)?,
+        };
         if pos != meta_bytes.len() {
             return Err(StoreError::corrupt("META has trailing bytes"));
         }
-        let meta = SnapshotMeta {
-            n_authors,
-            n_pages,
-            n_events,
-            min_ts,
-            max_ts,
-        };
 
         // Name tables
-        let mut names_counts = [0u32; 2];
-        for (slot, (k, expect)) in [(kind::AUTHOR_NAMES, n_authors), (kind::PAGE_NAMES, n_pages)]
-            .into_iter()
-            .enumerate()
-        {
+        let counts = [
+            (kind::AUTHOR_NAMES, meta.n_authors),
+            (kind::PAGE_NAMES, meta.n_pages),
+        ];
+        for (k, expect) in counts {
             let view = NamesView::parse(get(k)?)?;
             if view.len() != expect {
                 return Err(StoreError::corrupt(format!(
@@ -489,43 +512,20 @@ impl Snapshot {
                 )));
             }
             view.validate()?;
-            names_counts[slot] = view.len();
         }
 
-        // Event columns: full decode sweep.
-        let events = EventsView::parse(get(kind::EVENTS)?)?;
-        if events.len() != n_events {
-            return Err(StoreError::corrupt(format!(
-                "EVENTS holds {} events, META declares {n_events}",
-                events.len()
-            )));
-        }
-        events.validate(&meta)?;
-
-        // Author → pages adjacency.
-        let ap = CsrView::parse(get(kind::AUTHOR_PAGES)?)?;
-        if ap.n() != n_authors {
-            return Err(StoreError::corrupt(format!(
-                "AUTHOR_PAGES has {} rows, META declares {n_authors} authors",
-                ap.n()
-            )));
-        }
-        if ap.weighted() {
-            return Err(StoreError::corrupt("AUTHOR_PAGES must be unweighted"));
-        }
-        ap.validate(n_pages)?;
+        // Page rows: full decode sweep.
+        EventsView::parse(get(kind::EVENTS)?)?.validate(&meta)?;
 
         // Optional CI graph.
-        if let Some(s) = sections.iter().find(|s| s.kind == kind::CI_GRAPH) {
-            let ci = CiView::parse(&data[s.range.0..s.range.1])?;
-            if ci.graph.n() != n_authors {
+        if let Some(section) = find_section(&sections, data, kind::CI_GRAPH) {
+            let ci = CiView::parse(section)?;
+            if ci.graph.n() != meta.n_authors {
                 return Err(StoreError::corrupt(format!(
-                    "CI_GRAPH has {} vertices, META declares {n_authors} authors",
-                    ci.graph.n()
+                    "CI_GRAPH has {} vertices, META declares {} authors",
+                    ci.graph.n(),
+                    meta.n_authors
                 )));
-            }
-            if !ci.graph.weighted() {
-                return Err(StoreError::corrupt("CI_GRAPH must carry weights"));
             }
             ci.validate()?;
         }
@@ -534,7 +534,6 @@ impl Snapshot {
             bytes,
             meta,
             sections,
-            names_counts,
         })
     }
 
@@ -548,19 +547,6 @@ impl Snapshot {
         self.bytes.is_mapped()
     }
 
-    /// Total file size in bytes.
-    pub fn file_len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// `(section name, byte length)` for every section present, in file order.
-    pub fn section_sizes(&self) -> Vec<(&'static str, u64)> {
-        self.sections
-            .iter()
-            .map(|s| (kind::name(s.kind), (s.range.1 - s.range.0) as u64))
-            .collect()
-    }
-
     /// The author name table (dense-id order).
     pub fn author_names(&self) -> NamesView<'_> {
         NamesView::parse(self.require(kind::AUTHOR_NAMES)).expect("validated at open")
@@ -571,14 +557,9 @@ impl Snapshot {
         NamesView::parse(self.require(kind::PAGE_NAMES)).expect("validated at open")
     }
 
-    /// The timestamp-sorted event columns.
+    /// The page rows: every page's `(timestamp, author)` comments.
     pub fn events(&self) -> EventsView<'_> {
         EventsView::parse(self.require(kind::EVENTS)).expect("validated at open")
-    }
-
-    /// Each author's sorted distinct page list, compressed.
-    pub fn author_pages(&self) -> CsrView<'_> {
-        CsrView::parse(self.require(kind::AUTHOR_PAGES)).expect("validated at open")
     }
 
     /// The embedded projected CI graph, if the writer attached one.
@@ -590,21 +571,35 @@ impl Snapshot {
     /// Human-readable summary for `snapshot inspect`.
     pub fn describe(&self) -> String {
         let m = &self.meta;
+        let events = self.events();
+        let (mut non_empty, mut longest) = (0u32, 0u64);
+        let mut pos = 0;
+        while pos < events.row_len.len() {
+            let len = varint::read_u64(events.row_len, &mut pos).expect("validated at open");
+            non_empty += u32::from(len > 0);
+            longest = longest.max(len);
+        }
         let mut out = format!(
-            "snapshot v{VERSION} ({} bytes, {})\n  authors: {} ({} names)\n  pages:   {} ({} names)\n  events:  {} spanning ts [{}, {}]\n",
-            self.file_len(),
+            "snapshot v{VERSION} ({} bytes, {})\n  authors: {}\n  pages:   {} ({non_empty} with comments, longest row {longest})\n  events:  {} spanning ts [{}, {}]\n",
+            self.bytes.len(),
             if self.is_mapped() { "mmap" } else { "resident" },
             m.n_authors,
-            self.names_counts[0],
             m.n_pages,
-            self.names_counts[1],
             m.n_events,
             m.min_ts,
             m.max_ts,
         );
-        for (name, len) in self.section_sizes() {
+        for s in &self.sections {
+            let (name, len) = (kind::name(s.kind), s.range.1 - s.range.0);
             out.push_str(&format!("  section {name:<13} {len} bytes\n"));
         }
+        let per_event = |col: &[u8]| col.len() as f64 / m.n_events.max(1) as f64;
+        out.push_str(&format!(
+            "  events columns: row_len {:.2} + ts {:.2} + author {:.2} bytes per event\n",
+            per_event(events.row_len),
+            per_event(events.ts),
+            per_event(events.authors),
+        ));
         if let Some(ci) = self.ci_graph() {
             out.push_str(&format!(
                 "  ci graph: window [{}, {}], {} vertices, {} edges\n",
@@ -665,29 +660,42 @@ impl<'a> NamesView<'a> {
     }
 
     fn validate(&self) -> Result<(), StoreError> {
+        // Valid as a whole and cut at character boundaries is the same as
+        // every name being valid UTF-8 on its own.
+        let text = std::str::from_utf8(self.bytes).map_err(|e| {
+            StoreError::corrupt(format!("name byte {} is not valid UTF-8", e.valid_up_to()))
+        })?;
+        // The table must be a bijection: re-interning it downstream has to
+        // reproduce the dense ids exactly, which duplicates would break.
+        // Open addressing over `hash tag | id + 1` slots, 0 for empty; bytes
+        // are compared only when the 32-bit tags agree.
+        let mask = (self.count as usize * 2).next_power_of_two() - 1;
+        let mut slots = vec![0u64; mask + 1];
         let mut prev = 0usize;
-        for i in 0..self.count {
-            let end = self.end(i + 1);
-            if end < prev || end > self.bytes.len() {
-                return Err(StoreError::corrupt(format!(
-                    "name {i} end offset out of order"
-                )));
-            }
-            std::str::from_utf8(&self.bytes[prev..end])
-                .map_err(|_| StoreError::corrupt(format!("name {i} is not valid UTF-8")))?;
+        for id in 0..self.count {
+            let end = self.end(id + 1);
+            let name = text.get(prev..end).ok_or_else(|| {
+                StoreError::corrupt(format!(
+                    "name {id} ends out of order, out of bounds or inside a character"
+                ))
+            })?;
             prev = end;
+            let hash = checksum(name.as_bytes());
+            let entry = hash & !0xffff_ffff | u64::from(id + 1);
+            let mut at = hash as usize & mask;
+            while slots[at] != 0 {
+                let seen = slots[at];
+                if seen >> 32 == entry >> 32 && self.get(seen as u32 - 1) == name {
+                    return Err(StoreError::corrupt(format!("duplicate name {name:?}")));
+                }
+                at = (at + 1) & mask;
+            }
+            slots[at] = entry;
         }
         if prev != self.bytes.len() {
             return Err(StoreError::corrupt(
                 "name bytes extend past the last offset",
             ));
-        }
-        // The table must be a bijection: re-interning it downstream has to
-        // reproduce the dense ids exactly, which duplicates would break.
-        let mut sorted: Vec<&str> = self.iter().collect();
-        sorted.sort_unstable();
-        if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
-            return Err(StoreError::corrupt(format!("duplicate name {:?}", w[0])));
         }
         Ok(())
     }
@@ -722,79 +730,104 @@ impl<'a> NamesView<'a> {
     }
 }
 
-/// Borrowed view over the timestamp-sorted event columns.
+/// Borrowed view over the `EVENTS` page rows.
 #[derive(Clone, Copy)]
 pub struct EventsView<'a> {
     n: u64,
+    row_len: &'a [u8],
     ts: &'a [u8],
     authors: &'a [u8],
-    pages: &'a [u8],
+}
+
+/// The column at `*pos`: a byte-length varint, then that many bytes.
+fn read_column<'a>(section: &'a [u8], pos: &mut usize) -> Result<&'a [u8], StoreError> {
+    let len = varint::read_u64(section, pos)?;
+    let end = usize::try_from(len)
+        .ok()
+        .and_then(|len| pos.checked_add(len))
+        .ok_or_else(|| StoreError::corrupt("column length overflows"))?;
+    let column = section.get(*pos..end).ok_or(StoreError::Truncated {
+        what: "column",
+        need: end as u64,
+        have: section.len() as u64,
+    })?;
+    *pos = end;
+    Ok(column)
 }
 
 impl<'a> EventsView<'a> {
     fn parse(section: &'a [u8]) -> Result<Self, StoreError> {
         let mut pos = 0;
-        let n = varint::read_u64(section, &mut pos)?;
-        let mut cols = [&section[0..0]; 3];
-        for col in cols.iter_mut() {
-            let len = varint::read_u64(section, &mut pos)?;
-            let len = usize::try_from(len)
-                .map_err(|_| StoreError::corrupt("event column length overflows"))?;
-            let end = pos
-                .checked_add(len)
-                .ok_or_else(|| StoreError::corrupt("event column range overflows"))?;
-            if end > section.len() {
-                return Err(StoreError::Truncated {
-                    what: "event column",
-                    need: end as u64,
-                    have: section.len() as u64,
-                });
-            }
-            *col = &section[pos..end];
-            pos = end;
-        }
+        let view = EventsView {
+            n: varint::read_u64(section, &mut pos)?,
+            row_len: read_column(section, &mut pos)?,
+            ts: read_column(section, &mut pos)?,
+            authors: read_column(section, &mut pos)?,
+        };
         if pos != section.len() {
             return Err(StoreError::corrupt("EVENTS has trailing bytes"));
         }
-        Ok(EventsView {
-            n,
-            ts: cols[0],
-            authors: cols[1],
-            pages: cols[2],
-        })
+        Ok(view)
     }
 
+    /// The sweep that makes every later decode infallible: one row per page
+    /// id, rows summing to the declared count, every author id in range,
+    /// every row in `(timestamp, author)` order with no timestamp leaving
+    /// `i64`, each column consumed to its last byte, and the extremes `META`
+    /// recorded.
     fn validate(&self, meta: &SnapshotMeta) -> Result<(), StoreError> {
-        let mut count = 0u64;
-        let mut last_ts = 0i64;
-        for ev in self.try_iter() {
-            let (a, p, ts) = ev?;
-            if a >= meta.n_authors {
-                return Err(StoreError::corrupt(format!(
-                    "event {count} author id {a} >= {}",
-                    meta.n_authors
-                )));
-            }
-            if p >= meta.n_pages {
-                return Err(StoreError::corrupt(format!(
-                    "event {count} page id {p} >= {}",
-                    meta.n_pages
-                )));
-            }
-            if count == 0 && ts != meta.min_ts {
-                return Err(StoreError::corrupt("first timestamp disagrees with META"));
-            }
-            last_ts = ts;
-            count += 1;
-        }
-        if count != self.n {
+        if self.n != meta.n_events {
             return Err(StoreError::corrupt(format!(
-                "EVENTS decodes {count} events, header declares {}",
-                self.n
+                "EVENTS declares {} events, META {}",
+                self.n, meta.n_events
             )));
         }
-        if count > 0 && last_ts != meta.max_ts {
-            return Err(StoreError::corrupt("last timestamp disagrees with META"));
+        let mut rows = self.rows();
+        let mut total = 0u64;
+        let (mut min_ts, mut max_ts) = (i64::MAX, i64::MIN);
+        while let Some((p, len)) = rows.try_next_row()? {
+            // A forged length cannot loop for long: the columns run out.
+            total = total.saturating_add(len);
+            // Timestamps cannot decrease along a row (their differences are
+            // unsigned); among equal ones the authors must not either.
+            let mut prev = (i64::MIN, 0u32);
+            for i in 0..len {
+                let (ts, a) = rows.try_next()?;
+                if a >= meta.n_authors {
+                    return Err(StoreError::corrupt(format!(
+                        "page {p} author id {a} >= {}",
+                        meta.n_authors
+                    )));
+                }
+                if prev.0 == ts && prev.1 > a {
+                    return Err(StoreError::corrupt(format!(
+                        "page {p}: author {a} follows {} at timestamp {ts}",
+                        prev.1
+                    )));
+                }
+                if i == 0 {
+                    min_ts = min_ts.min(ts);
+                }
+                prev = (ts, a);
+            }
+            if len > 0 {
+                max_ts = max_ts.max(prev.0);
+            }
+        }
+        if rows.page != meta.n_pages || total != self.n {
+            return Err(StoreError::corrupt(format!(
+                "EVENTS holds {} rows of {total} comments, META declares {} pages and {} events",
+                rows.page, meta.n_pages, self.n
+            )));
+        }
+        if rows.ts_at != self.ts.len() || rows.author_at != self.authors.len() {
+            return Err(StoreError::corrupt("EVENTS column has trailing bytes"));
+        }
+        if total == 0 {
+            (min_ts, max_ts) = (0, 0);
+        }
+        if (min_ts, max_ts) != (meta.min_ts, meta.max_ts) {
+            return Err(StoreError::corrupt("timestamp extremes disagree with META"));
         }
         Ok(())
     }
@@ -809,34 +842,27 @@ impl<'a> EventsView<'a> {
         self.n == 0
     }
 
-    fn try_iter(&self) -> impl Iterator<Item = Result<(u32, u32, i64), StoreError>> + 'a {
-        let (ts, authors, pages, n) = (self.ts, self.authors, self.pages, self.n);
-        let mut ts_pos = 0usize;
-        let mut a_pos = 0usize;
-        let mut p_pos = 0usize;
-        let mut prev_ts = 0i64;
-        (0..n).map(move |i| {
-            let t = if i == 0 {
-                varint::read_i64(ts, &mut ts_pos)?
-            } else {
-                let delta = varint::read_u64(ts, &mut ts_pos)?;
-                let delta = i64::try_from(delta)
-                    .map_err(|_| StoreError::corrupt("timestamp delta overflows"))?;
-                prev_ts
-                    .checked_add(delta)
-                    .ok_or_else(|| StoreError::corrupt("timestamp overflows i64"))?
-            };
-            prev_ts = t;
-            let a = varint::read_u32(authors, &mut a_pos)?;
-            let p = varint::read_u32(pages, &mut p_pos)?;
-            Ok((a, p, t))
-        })
+    /// A cursor over the rows, positioned before page 0's.
+    pub fn rows(&self) -> RowCursor<'a> {
+        RowCursor {
+            row_len: self.row_len,
+            ts: self.ts,
+            authors: self.authors,
+            ..RowCursor::default()
+        }
     }
 
-    /// Decode the columns in timestamp order as `(author, page, ts)`.
-    /// Infallible: the sweep at open proved every row decodes.
+    /// Decode every comment as `(author, page, ts)`, page by page and in
+    /// `(ts, author)` order within a page.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32, i64)> + 'a {
-        self.try_iter().map_while(Result::ok)
+        let mut rows = self.rows();
+        let mut page = 0;
+        std::iter::from_fn(move || loop {
+            if let Some((ts, a)) = rows.next() {
+                return Some((a, page, ts));
+            }
+            page = rows.next_row()?.0;
+        })
     }
 
     /// The half-open event-index range `rank` owns under a block partition of
@@ -853,13 +879,15 @@ impl<'a> EventsView<'a> {
         lo..hi
     }
 
-    /// Decode only this rank's block of events, in timestamp order.
+    /// Decode only this rank's block of [`EventsView::iter`].
     ///
     /// This is the rank-slice view the distributed pipeline reads: every rank
     /// holds the *same* `EventsView` over the *same* mmap (the view is `Copy`
     /// and borrows the file), and each decodes just its `rank_range` — no
-    /// per-rank copy of the event columns is ever materialized. The columns
-    /// are delta/varint coded, so slicing skips (decodes and discards) the
+    /// per-rank copy of the event columns is ever materialized. A block is a
+    /// run of whole pages plus at most two split ones, so nearly all of a
+    /// rank's events go to one owner after another. The columns are
+    /// delta/varint coded, so slicing skips (decodes and discards) the
     /// prefix; that scan is branch-light and memory-sequential, and in
     /// practice is a small constant of the rank's own decode work.
     pub fn rank_slice(
@@ -871,6 +899,85 @@ impl<'a> EventsView<'a> {
         self.iter()
             .skip(r.start as usize)
             .take((r.end - r.start) as usize)
+    }
+}
+
+/// Walks the `EVENTS` rows in page-id order: [`RowCursor::next_row`] moves to
+/// the next page's row, and the cursor then iterates that row's
+/// `(timestamp, author)` comments, ending where the row does.
+#[derive(Default)]
+pub struct RowCursor<'a> {
+    row_len: &'a [u8],
+    ts: &'a [u8],
+    authors: &'a [u8],
+    len_at: usize,
+    ts_at: usize,
+    author_at: usize,
+    /// Id of the next row `next_row` will open.
+    page: u32,
+    /// Comments of the current row not yet read.
+    left: u64,
+    /// Whether the next comment is the first of its row.
+    row_start: bool,
+    /// First timestamp of the latest non-empty row.
+    first: i64,
+    /// Timestamp of the latest comment.
+    now: i64,
+}
+
+/// `i64` onto `u64`, order-preserving, and back.
+const SIGN: u64 = 1 << 63;
+
+impl RowCursor<'_> {
+    fn try_next_row(&mut self) -> Result<Option<(u32, u64)>, StoreError> {
+        while self.left > 0 {
+            self.try_next()?;
+        }
+        if self.len_at == self.row_len.len() {
+            return Ok(None);
+        }
+        self.left = varint::read_u64(self.row_len, &mut self.len_at)?;
+        self.row_start = true;
+        let page = self.page;
+        self.page = page
+            .checked_add(1)
+            .ok_or_else(|| StoreError::corrupt("more rows than page ids"))?;
+        Ok(Some((page, self.left)))
+    }
+
+    /// The current row's next comment; the caller has checked `left > 0`.
+    fn try_next(&mut self) -> Result<(i64, u32), StoreError> {
+        self.now = if std::mem::take(&mut self.row_start) {
+            let delta = varint::read_i64(self.ts, &mut self.ts_at)?;
+            self.first = self.first.wrapping_add(delta);
+            self.first
+        } else {
+            // In the unsigned image of `i64` a non-negative step of any size
+            // either lands on a valid timestamp or overflows, checked here.
+            let delta = varint::read_u64(self.ts, &mut self.ts_at)?;
+            let next = (self.now as u64 ^ SIGN)
+                .checked_add(delta)
+                .ok_or_else(|| StoreError::corrupt("timestamp overflows i64"))?;
+            (next ^ SIGN) as i64
+        };
+        let author = varint::read_u32(self.authors, &mut self.author_at)?;
+        self.left -= 1;
+        Ok((self.now, author))
+    }
+
+    /// Move to the next page id's row, skipping whatever of the current one
+    /// is unread: `(page id, comments in its row)`, `None` after the last
+    /// page.
+    pub fn next_row(&mut self) -> Option<(u32, u64)> {
+        self.try_next_row().expect("validated at open")
+    }
+}
+
+impl Iterator for RowCursor<'_> {
+    type Item = (i64, u32);
+
+    fn next(&mut self) -> Option<(i64, u32)> {
+        (self.left > 0).then(|| self.try_next().expect("validated at open"))
     }
 }
 
@@ -890,21 +997,8 @@ impl<'a> CiView<'a> {
         let mut pos = 0;
         let d1 = varint::read_i64(section, &mut pos)?;
         let d2 = varint::read_i64(section, &mut pos)?;
-        let pc_len = varint::read_u64(section, &mut pos)?;
-        let pc_len = usize::try_from(pc_len)
-            .map_err(|_| StoreError::corrupt("page_counts length overflows"))?;
-        let end = pos
-            .checked_add(pc_len)
-            .ok_or_else(|| StoreError::corrupt("page_counts range overflows"))?;
-        if end > section.len() {
-            return Err(StoreError::Truncated {
-                what: "ci page_counts",
-                need: end as u64,
-                have: section.len() as u64,
-            });
-        }
-        let page_counts = &section[pos..end];
-        let graph = CsrView::parse(&section[end..])?;
+        let page_counts = read_column(section, &mut pos)?;
+        let graph = CsrView::parse(&section[pos..])?;
         Ok(CiView {
             d1,
             d2,
@@ -970,12 +1064,13 @@ mod tests {
             evs,
             vec![(0, 0, 100), (1, 0, 100), (2, 1, 101), (0, 1, 105)]
         );
-        let ap = snap.author_pages();
-        assert_eq!(
-            ap.neighbors(0).map(|(p, _)| p).collect::<Vec<_>>(),
-            vec![0, 1]
-        );
-        assert_eq!(ap.neighbors(2).map(|(p, _)| p).collect::<Vec<_>>(), vec![1]);
+        let mut rows = snap.events().rows();
+        assert_eq!(rows.next_row(), Some((0, 2)));
+        assert_eq!(rows.next(), Some((100, 0)));
+        // the unread rest of a row is skipped
+        assert_eq!(rows.next_row(), Some((1, 2)));
+        assert_eq!(rows.by_ref().collect::<Vec<_>>(), [(101, 2), (105, 0)]);
+        assert_eq!((rows.next(), rows.next_row()), (None, None));
         let ci = snap.ci_graph().unwrap();
         assert_eq!((ci.d1, ci.d2), (-60, 60));
         assert_eq!(ci.page_counts(), vec![2, 1, 1]);
@@ -1023,22 +1118,35 @@ mod tests {
     }
 
     #[test]
-    fn unsorted_or_out_of_range_events_are_writer_errors() {
+    fn unsorted_or_out_of_range_rows_are_writer_errors() {
         let mut w = SnapshotWriter::new();
-        w.authors(["a"].into_iter());
-        w.pages(["p"].into_iter());
-        assert!(matches!(
-            w.events(&[(0, 0, 10), (0, 0, 5)]),
-            Err(StoreError::Corrupt { .. })
-        ));
-        assert!(matches!(
-            w.events(&[(1, 0, 10)]),
-            Err(StoreError::Corrupt { .. })
-        ));
+        w.authors(["a", "b"].into_iter());
+        w.pages(["p", "q"].into_iter());
+        for bad in [
+            vec![(0, vec![(10, 0), (5, 0)])],             // time runs backwards
+            vec![(0, vec![(10, 1), (10, 0)])],            // authors do, at one time
+            vec![(0, vec![(10, 2)])],                     // author id
+            vec![(2, vec![(10, 0)])],                     // page id
+            vec![(1, vec![(10, 0)]), (1, vec![])],        // page repeated
+            vec![(1, vec![(10, 0)]), (0, vec![(10, 0)])], // pages descend
+        ] {
+            assert!(
+                matches!(w.page_rows(bad.clone()), Err(StoreError::Corrupt { .. })),
+                "{bad:?}"
+            );
+        }
         assert!(matches!(
             w.events(&[(0, 7, 10)]),
             Err(StoreError::Corrupt { .. })
         ));
+        // `events` takes any order, equal rows included
+        w.events(&[(1, 1, 9), (0, 0, 10), (0, 0, 5), (0, 0, 5)])
+            .unwrap();
+        let snap = Snapshot::from_bytes(w.to_bytes().unwrap()).unwrap();
+        assert_eq!(
+            snap.events().iter().collect::<Vec<_>>(),
+            [(0, 0, 5), (0, 0, 5), (0, 0, 10), (1, 1, 9)]
+        );
     }
 
     #[test]
@@ -1061,6 +1169,47 @@ mod tests {
         }
     }
 
+    /// `sample()` with directory entry `i`'s offset and length replaced.
+    fn with_toc_entry(i: usize, offset: u64, len: u64) -> Result<Snapshot, StoreError> {
+        let mut bytes = sample();
+        let at = 16 + i * 28;
+        bytes[at + 4..at + 12].copy_from_slice(&offset.to_le_bytes());
+        bytes[at + 12..at + 20].copy_from_slice(&len.to_le_bytes());
+        Snapshot::from_bytes(bytes)
+    }
+
+    fn corrupt_message(r: Result<Snapshot, StoreError>) -> String {
+        match r {
+            Err(StoreError::Corrupt { what }) => what,
+            Err(other) => panic!("expected Corrupt, got {other:?}"),
+            Ok(_) => panic!("a forged directory must not open"),
+        }
+    }
+
+    #[test]
+    fn a_section_inside_the_directory_is_corrupt_not_truncated() {
+        // the file is long enough for [20, 24): it is the directory's bytes
+        let what = corrupt_message(with_toc_entry(0, 20, 4));
+        assert_eq!(what, "section META overlaps the directory");
+    }
+
+    #[test]
+    fn aliased_sections_are_corrupt() {
+        // point PAGE_NAMES at AUTHOR_NAMES' bytes, checksum and all: every
+        // per-section check passes, only the overlap gives it away
+        let mut bytes = sample();
+        let (authors, pages) = (16 + 28, 16 + 2 * 28);
+        bytes.copy_within(authors + 4..authors + 28, pages + 4);
+        let what = corrupt_message(Snapshot::from_bytes(bytes));
+        assert_eq!(what, "sections AUTHOR_NAMES and PAGE_NAMES overlap");
+
+        // and bytes no section claims are not ignored either
+        let mut bytes = sample();
+        bytes.push(0);
+        let what = corrupt_message(Snapshot::from_bytes(bytes));
+        assert_eq!(what, "1 bytes belong to no section");
+    }
+
     #[test]
     fn every_truncation_is_a_typed_error() {
         let bytes = sample();
@@ -1076,10 +1225,110 @@ mod tests {
     fn checksum_catches_section_corruption() {
         let good = sample();
         // Flip a byte in the section payload region (past the directory).
-        let dir_end = 16 + 6 * 28;
+        let dir_end = 16 + 5 * 28;
         let mut bytes = good.clone();
         bytes[dir_end + 3] ^= 0x40;
-        assert!(Snapshot::from_bytes(bytes).is_err());
+        assert!(matches!(
+            Snapshot::from_bytes(bytes),
+            Err(StoreError::ChecksumMismatch { section: "META" })
+        ));
+    }
+
+    /// A two-author, two-page, three-comment image (`META` says timestamps
+    /// 10 to 20) whose `EVENTS` section is replaced by the given raw varint
+    /// columns — valid checksums, so only the structural sweep can object.
+    fn forged_rows(
+        n_events: u64,
+        row_len: &[u64],
+        ts: &[u64],
+        authors: &[u64],
+    ) -> Result<Snapshot, StoreError> {
+        let mut w = SnapshotWriter::new();
+        w.authors(["a", "b"].into_iter());
+        w.pages(["p", "q"].into_iter());
+        w.events(&[(0, 0, 10), (1, 0, 10), (0, 1, 20)]).unwrap();
+        let mut section = Vec::new();
+        varint::write_u64(&mut section, n_events);
+        for col in [row_len, ts, authors] {
+            let mut bytes = Vec::new();
+            col.iter().for_each(|&v| varint::write_u64(&mut bytes, v));
+            varint::write_u64(&mut section, bytes.len() as u64);
+            section.extend_from_slice(&bytes);
+        }
+        w.events = Some(section);
+        Snapshot::from_bytes(w.to_bytes().unwrap())
+    }
+
+    #[test]
+    fn forged_rows_are_corrupt_behind_a_valid_checksum() {
+        // zigzag(10) = 20: page 0 starts at 10, page 1 ten later
+        let honest = forged_rows(3, &[2, 1], &[20, 0, 20], &[0, 1, 0]).unwrap();
+        assert_eq!(
+            honest.events().iter().collect::<Vec<_>>(),
+            [(0, 0, 10), (1, 0, 10), (0, 1, 20)]
+        );
+        for (why, forged) in [
+            (
+                "authors descend at one timestamp",
+                forged_rows(3, &[2, 1], &[20, 0, 20], &[1, 0, 0]),
+            ),
+            (
+                "author id out of range",
+                forged_rows(3, &[2, 1], &[20, 0, 20], &[0, 2, 0]),
+            ),
+            (
+                "rows hold more than declared",
+                forged_rows(3, &[3, 1], &[20, 0, 0, 20], &[0, 1, 1, 0]),
+            ),
+            (
+                "rows hold fewer than declared",
+                forged_rows(3, &[2, 0], &[20, 0], &[0, 1]),
+            ),
+            (
+                "a row short",
+                forged_rows(3, &[3], &[20, 0, 10], &[0, 1, 0]),
+            ),
+            (
+                "a row too many",
+                forged_rows(3, &[2, 1, 0], &[20, 0, 20], &[0, 1, 0]),
+            ),
+            (
+                "count disagrees with META",
+                forged_rows(2, &[2, 0], &[20, 0], &[0, 1]),
+            ),
+            (
+                "last timestamp is not META's",
+                forged_rows(3, &[2, 1], &[20, 0, 22], &[0, 1, 0]),
+            ),
+            (
+                "first timestamp is not META's",
+                forged_rows(3, &[2, 1], &[18, 1, 22], &[0, 1, 0]),
+            ),
+            (
+                "timestamp leaves i64",
+                forged_rows(3, &[2, 1], &[u64::MAX - 1, 1, 0], &[0, 1, 0]),
+            ),
+            (
+                "unread author bytes",
+                forged_rows(3, &[2, 1], &[20, 0, 20], &[0, 1, 0, 0]),
+            ),
+            (
+                "unread timestamp bytes",
+                forged_rows(3, &[2, 1], &[20, 0, 20, 0], &[0, 1, 0]),
+            ),
+            (
+                "author column runs out",
+                forged_rows(3, &[2, 1], &[20, 0, 20], &[0, 1]),
+            ),
+        ] {
+            assert!(
+                matches!(
+                    forged,
+                    Err(StoreError::Corrupt { .. } | StoreError::Truncated { .. })
+                ),
+                "{why}"
+            );
+        }
     }
 
     #[test]

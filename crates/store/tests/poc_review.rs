@@ -2,7 +2,7 @@
 //! wraps the `need` computation in NamesView::parse, bypassing the bounds
 //! check and panicking on the ends-table slice.
 
-use coordination_store::snapshot::fnv1a;
+use coordination_store::snapshot::checksum;
 use coordination_store::{Snapshot, MAGIC, VERSION};
 
 fn varint(out: &mut Vec<u8>, mut v: u64) {
@@ -49,24 +49,16 @@ fn crafted_name_table_should_not_panic() {
     pages.extend_from_slice(&1u32.to_le_bytes());
     pages.push(b'p');
 
-    // EVENTS: empty.
+    // EVENTS: no comments; one page, so one zero in the row_len column.
     let mut events = Vec::new();
     varint(&mut events, 0);
-    for _ in 0..3 {
+    varint(&mut events, 1);
+    events.push(0);
+    for _ in 0..2 {
         varint(&mut events, 0);
     }
 
-    // AUTHOR_PAGES: unweighted CSR, 1 vertex, empty row.
-    let mut ap = Vec::new();
-    varint(&mut ap, 1); // n
-    varint(&mut ap, 0); // m
-    ap.push(0); // unweighted
-    ap.extend_from_slice(&0u64.to_le_bytes());
-    ap.extend_from_slice(&1u64.to_le_bytes());
-    varint(&mut ap, 0); // degree 0
-
-    let sections: Vec<(u32, &[u8])> =
-        vec![(1, &meta), (2, &names), (3, &pages), (4, &events), (5, &ap)];
+    let sections: Vec<(u32, &[u8])> = vec![(1, &meta), (2, &names), (3, &pages), (4, &events)];
     let header_len = 16 + sections.len() * 28;
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
@@ -77,7 +69,7 @@ fn crafted_name_table_should_not_panic() {
         out.extend_from_slice(&k.to_le_bytes());
         out.extend_from_slice(&offset.to_le_bytes());
         out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a(s).to_le_bytes());
+        out.extend_from_slice(&checksum(s).to_le_bytes());
         offset += s.len() as u64;
     }
     for (_, s) in &sections {

@@ -222,8 +222,14 @@ fn report_skipped(stats: &IngestStats) {
 /// Corrupt, truncated, or future-versioned files land here as a clear
 /// message and exit code 2 — never a panic.
 fn open_snapshot(path: &str) -> Result<coordination::core::store::Snapshot, String> {
-    let snap = coordination::core::store::Snapshot::open(std::path::Path::new(path))
-        .map_err(|e| format!("open snapshot {path}: {e}"))?;
+    use coordination::core::store::{Snapshot, StoreError};
+    let snap = Snapshot::open(std::path::Path::new(path)).map_err(|e| match e {
+        // a snapshot is a cache of its NDJSON, so another version is rebuilt, not converted
+        StoreError::UnsupportedVersion { .. } => {
+            format!("open snapshot {path}: {e}; re-create it with `coordination snapshot write`")
+        }
+        e => format!("open snapshot {path}: {e}"),
+    })?;
     let m = snap.meta();
     eprintln!(
         "mapped {path}: {} comments, {} authors, {} pages{}",

@@ -227,7 +227,10 @@ fn snapshot_write_inspect_and_from_snapshot_paths() {
         .expect("run snapshot inspect");
     assert!(inspect.status.success());
     let described = String::from_utf8_lossy(&inspect.stdout);
-    assert!(described.contains("snapshot v1"), "{described}");
+    assert!(described.contains("snapshot v2"), "{described}");
+    assert!(described.contains("events columns: row_len"), "{described}");
+    // META, both name tables, EVENTS and the CI graph; nothing else
+    assert_eq!(described.matches("  section ").count(), 5, "{described}");
     assert!(described.contains("section CI_GRAPH"), "{described}");
 
     // the acceptance bar: --from-snapshot output is byte-identical to the
@@ -292,10 +295,22 @@ fn snapshot_inspect_rejects_damaged_and_future_files() {
     b[8..12].copy_from_slice(&99u32.to_le_bytes());
     std::fs::write(&future, &b).unwrap();
 
+    // a version 1 file, as far as any reader gets into one: the 16-byte header
+    let v1 = dir.join("v1.snap");
+    let mut header = b"COORSNAP".to_vec();
+    header.extend_from_slice(&1u32.to_le_bytes());
+    header.extend_from_slice(&5u32.to_le_bytes());
+    std::fs::write(&v1, &header).unwrap();
+
     for (path, needle) in [
         (&trunc, "truncated"),
         (&forged, "bad magic"),
         (&future, "unsupported snapshot schema version 99"),
+        (
+            &v1,
+            "unsupported snapshot schema version 1 (this build reads version 2); \
+             re-create it with `coordination snapshot write`",
+        ),
     ] {
         let out = bin()
             .args(["snapshot", "inspect", "--snapshot"])

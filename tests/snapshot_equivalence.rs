@@ -2,15 +2,89 @@
 //! snapshot (`ingest → snapshot write → mmap open`) must be indistinguishable
 //! from the resident in-memory path at every consumer — batch pipeline,
 //! triangle survey over the embedded compressed CI graph, and the stream
-//! projector's warm start.
+//! projector's warm start — and the rows a snapshot stores must be the BTM of
+//! the definition for any events at all.
 
+use std::sync::Arc;
+
+use coordination::core::btm::reference_sides;
+use coordination::core::ids::Interner;
 use coordination::core::pipeline::{Pipeline, PipelineConfig};
-use coordination::core::records::write_ndjson;
-use coordination::core::snapshot::{ci_from_snapshot, dataset_from_snapshot, ingest_to_snapshot};
+use coordination::core::records::{write_ndjson, Dataset};
+use coordination::core::snapshot::{
+    btm_from_snapshot, ci_from_snapshot, dataset_from_snapshot, ingest_to_snapshot, write_snapshot,
+};
 use coordination::core::store::Snapshot;
-use coordination::core::{IngestConfig, Window};
+use coordination::core::{AuthorId, Event, IngestConfig, PageId, Window};
 use coordination::redditgen::ScenarioConfig;
 use coordination::stream::StreamProjector;
+use proptest::prelude::*;
+
+/// 10 authors and 8 pages of which ids 0 and n-1 never occur (rows are empty
+/// at both ends of both id spaces); rows repeat, and timestamps are equal,
+/// negative and extreme — the shape `tests/invariants.rs` checks `Btm` on.
+fn arb_events() -> impl Strategy<Value = Vec<Event>> {
+    let event = (1u32..9, 1u32..7, 0u8..10, -40i64..40).prop_map(|(a, p, kind, t)| {
+        let ts = match kind {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            2 => i64::MIN + 41 + t,
+            _ => t,
+        };
+        Event::new(AuthorId(a), PageId(p), ts)
+    });
+    prop::collection::vec(event, 0..200)
+}
+
+fn interner(prefix: &str, n: u32) -> Arc<Interner> {
+    let mut names = Interner::new();
+    for i in 0..n {
+        names.intern(&format!("{prefix}{i}"));
+    }
+    Arc::new(names)
+}
+
+proptest! {
+    /// Stored rows ≡ the definition: whatever the events and whoever is
+    /// excluded, the BTM read off a written snapshot is the dataset's own and
+    /// the definition's, the flat event iterator is a permutation of what was
+    /// written, and the rank slices tile it for every rank count.
+    #[test]
+    fn snapshot_rows_are_the_btm_of_the_definition(
+        events in arb_events(),
+        excluded in prop::collection::vec(0u32..12, 0..4),
+    ) {
+        let (na, np) = (10, 8);
+        let ds = Dataset { authors: interner("a", na), pages: interner("p", np), events };
+        let excluded: Vec<AuthorId> = excluded.into_iter().map(AuthorId).collect();
+        let path = std::env::temp_dir().join(format!("snap-rows-{}.snap", std::process::id()));
+        write_snapshot(&ds, None, &path).expect("any dataset writes");
+        let snap = Snapshot::open(&path).expect("and opens");
+
+        let btm = btm_from_snapshot(&snap, &excluded);
+        prop_assert_eq!(&btm, &ds.btm_without(&excluded));
+        let kept: Vec<Event> =
+            ds.events.iter().copied().filter(|e| !excluded.contains(&e.author)).collect();
+        let (by_page, _) = reference_sides(na, np, &kept);
+        for p in 0..np {
+            prop_assert_eq!(btm.page_neighborhood(PageId(p)), &by_page[p as usize][..]);
+        }
+
+        let stored: Vec<(u32, u32, i64)> = snap.events().iter().collect();
+        let mut got = stored.clone();
+        let mut want: Vec<_> = ds.events.iter().map(|e| (e.author.0, e.page.0, e.ts)).collect();
+        got.sort_unstable();
+        want.sort_unstable();
+        prop_assert_eq!(got, want);
+        for nranks in 1..=7 {
+            let tiled: Vec<_> =
+                (0..nranks).flat_map(|r| snap.events().rank_slice(r, nranks)).collect();
+            prop_assert_eq!(&tiled, &stored, "{} ranks", nranks);
+        }
+        drop(snap);
+        std::fs::remove_file(&path).ok();
+    }
+}
 
 #[test]
 fn snapshot_path_is_equivalent_end_to_end() {
