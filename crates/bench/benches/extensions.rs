@@ -1,6 +1,6 @@
 //! Benches for the future-work extensions and their ablations:
-//! windowed hyperedge validation, group merging, k-truss backbone extraction
-//! and the orientation-strategy ablation.
+//! windowed hyperedge validation, group merging and the orientation-strategy
+//! ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -9,7 +9,6 @@ use bench::{jan2020_small, run_hunt_config};
 use coordination_core::groups::merge_triplets;
 use coordination_core::windowed_hyperedge::validate_windowed;
 use tripoll::orient::{OrientationStrategy, OrientedGraph};
-use tripoll::truss::edge_trussness;
 use tripoll::WeightedGraph;
 
 fn quick(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measurement::WallTime> {
@@ -103,23 +102,10 @@ fn orientation_ablation(c: &mut Criterion) {
     g.finish();
 }
 
-/// k-truss backbone extraction on a projected CI graph.
-fn truss_extraction(c: &mut Criterion) {
-    let (_, ds) = jan2020_small();
-    let out = run_hunt_config(ds);
-    let wg = out.ci.threshold(5).to_weighted_graph();
-    let mut g = quick(c);
-    g.bench_function("edge_trussness_ci_graph", |b| {
-        b.iter(|| black_box(edge_trussness(&wg).len()))
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     windowed_validation,
     group_merging,
     orientation_ablation,
-    truss_extraction,
 );
 criterion_main!(benches);

@@ -152,16 +152,27 @@ pub struct Btm {
     n_authors: u32,
 }
 
-/// `gone[a]` for every excluded author over an `n_authors` id space. An
-/// excluded id outside the space has no events to drop and is ignored.
-fn author_mask(n_authors: usize, excluded: &[AuthorId]) -> Vec<bool> {
-    let mut gone = vec![false; n_authors];
+/// `gone[a]` for every excluded author over an `n_authors` id space: what
+/// every way into the detector drops excluded authors' events through. An
+/// excluded id outside the space has no events to drop and is ignored; with
+/// nobody excluded there is no mask (and no per-event lookup) at all.
+pub(crate) fn author_mask(n_authors: u32, excluded: &[AuthorId]) -> Vec<bool> {
+    if excluded.is_empty() {
+        return Vec::new();
+    }
+    let mut gone = vec![false; n_authors as usize];
     for a in excluded {
         if let Some(slot) = gone.get_mut(a.0 as usize) {
             *slot = true;
         }
     }
     gone
+}
+
+/// Whether [`author_mask`]'s `gone` keeps author `a`'s events.
+#[inline]
+pub(crate) fn is_kept(gone: &[bool], a: AuthorId) -> bool {
+    gone.is_empty() || !gone[a.0 as usize]
 }
 
 impl Btm {
@@ -187,13 +198,8 @@ impl Btm {
         events: impl Fn() -> I,
     ) -> Self {
         let _g = obs::span("btm.build");
-        // No mask, and no per-event lookup, when nothing is excluded.
-        let gone = if excluded.is_empty() {
-            Vec::new()
-        } else {
-            author_mask(n_authors as usize, excluded)
-        };
-        let kept = |e: &Event| gone.is_empty() || !gone[e.author.0 as usize];
+        let gone = author_mask(n_authors, excluded);
+        let kept = |e: &Event| is_kept(&gone, e.author);
         let in_range = |e: &Event| {
             assert!(
                 e.author.0 < n_authors,
@@ -248,11 +254,7 @@ impl Btm {
         excluded: &[AuthorId],
         mut fill: impl FnMut(PageId, &mut RowSink<'_>),
     ) -> Self {
-        let gone = if excluded.is_empty() {
-            Vec::new()
-        } else {
-            author_mask(n_authors as usize, excluded)
-        };
+        let gone = author_mask(n_authors, excluded);
         let mut comments = Vec::with_capacity(capacity);
         let mut off = Vec::with_capacity(n_pages as usize + 1);
         off.push(0);
@@ -326,7 +328,7 @@ impl RowSink<'_> {
             self.last
         );
         self.last = (ts, author);
-        if self.gone.is_empty() || !self.gone[author.0 as usize] {
+        if is_kept(self.gone, author) {
             self.comments.push((ts, author));
         }
     }
@@ -350,48 +352,87 @@ pub struct AuthorPages {
 /// Rows number below `n_authors <= u32::MAX`, so the sentinel is no row.
 const NO_SLOT: u32 = u32::MAX;
 
-impl AuthorPages {
-    /// Read the page lists of `authors` (any order, repeats welcome) out of
-    /// the page rows in one scan: every comment's author is tested against a
-    /// bitset of the requested ids (`|U|` / 8 bytes, cache-resident where a
-    /// per-author table is not), a hit is taken the first time that author
-    /// is seen on that page (an author's repeat comments all sit inside the
-    /// page's row, so remembering the last page per requested author catches
-    /// them), and the hits — already in page order — are laid out per author
-    /// by count → prefix sum → scatter. Nothing is scanned when nothing is
-    /// asked for.
+/// The one harvest scan, over any page-major stream of `(page, author)`
+/// incidences: every comment's author is tested against a bitset of the
+/// requested ids (`|U|` / 8 bytes, cache-resident where a per-author table is
+/// not), and a hit is taken the first time that author is seen on that page —
+/// an author's repeat comments all sit inside the page's row, so remembering
+/// the last page per requested author catches them. [`AuthorPages::harvest`]
+/// runs it over a [`Btm`]'s rows; stage 5 of [`crate::dist_pipeline`] runs it
+/// over a rank's page partition.
+pub(crate) struct HarvestScan {
+    /// `slot[a]` numbers the requested authors in request order, [`NO_SLOT`]
+    /// for everyone else.
+    slot: Vec<u32>,
+    wanted: Vec<u64>,
+    /// Per slot, the page its last hit was taken on.
+    last_page: Vec<PageId>,
+}
+
+impl HarvestScan {
+    /// Page ids are below `n_pages <= u32::MAX`, so the sentinel is no page.
+    const NO_PAGE: PageId = PageId(u32::MAX);
+
+    /// A scan for `authors` (any order, repeats welcome).
     ///
     /// # Panics
-    /// If a requested id is not below `btm.n_authors()`.
-    pub fn harvest(btm: &Btm, authors: impl IntoIterator<Item = AuthorId>) -> Self {
-        // Page ids are below `n_pages <= u32::MAX`, so the sentinel is no page.
-        const NO_PAGE: PageId = PageId(u32::MAX);
-        let n_authors = btm.n_authors();
+    /// If a requested id is not below `n_authors`.
+    pub(crate) fn new(n_authors: u32, authors: impl IntoIterator<Item = AuthorId>) -> Self {
         let mut slot = vec![NO_SLOT; n_authors as usize];
         let mut wanted = vec![0u64; (n_authors as usize).div_ceil(64)];
-        let mut n_slots = 0usize;
+        let mut n_slots = 0u32;
         for a in authors {
             assert!(a.0 < n_authors, "author id {} out of range", a.0);
             let a = a.0 as usize;
             if slot[a] == NO_SLOT {
-                slot[a] = n_slots as u32;
+                slot[a] = n_slots;
                 wanted[a / 64] |= 1 << (a % 64);
                 n_slots += 1;
             }
         }
+        HarvestScan {
+            slot,
+            wanted,
+            last_page: vec![Self::NO_PAGE; n_slots as usize],
+        }
+    }
 
+    /// Number of distinct authors requested.
+    pub(crate) fn n_slots(&self) -> usize {
+        self.last_page.len()
+    }
+
+    /// Feed the next incidence of a page-major stream: the author's slot if
+    /// they were requested and this is their first comment on page `p`.
+    #[inline]
+    pub(crate) fn first_on_page(&mut self, p: PageId, a: AuthorId) -> Option<u32> {
+        let a = a.0 as usize;
+        if self.wanted[a / 64] >> (a % 64) & 1 == 0 {
+            return None;
+        }
+        let s = self.slot[a];
+        (std::mem::replace(&mut self.last_page[s as usize], p) != p).then_some(s)
+    }
+}
+
+impl AuthorPages {
+    /// Read the page lists of `authors` (any order, repeats welcome) out of
+    /// the page rows in one masked scan — a hit is a requested author's first
+    /// comment on a page — and lay the hits, already in page order, out per
+    /// author by count → prefix sum → scatter. Nothing is scanned when
+    /// nothing is asked for.
+    ///
+    /// # Panics
+    /// If a requested id is not below `btm.n_authors()`.
+    pub fn harvest(btm: &Btm, authors: impl IntoIterator<Item = AuthorId>) -> Self {
+        let mut scan = HarvestScan::new(btm.n_authors(), authors);
+        let n_slots = scan.n_slots();
         let mut author_off = vec![0usize; n_slots + 1];
         let mut hits: Vec<(u32, PageId)> = Vec::new();
         if n_slots > 0 {
-            let mut last_page = vec![NO_PAGE; n_slots];
             for (p, row) in btm.pages() {
                 for &(_, a) in row {
-                    let a = a.0 as usize;
-                    if wanted[a / 64] >> (a % 64) & 1 == 0 {
-                        continue;
-                    }
-                    let s = slot[a];
-                    if std::mem::replace(&mut last_page[s as usize], p) != p {
+                    if let Some(s) = scan.first_on_page(p, a) {
                         author_off[s as usize + 1] += 1;
                         hits.push((s, p));
                     }
@@ -408,7 +449,7 @@ impl AuthorPages {
             *at += 1;
         }
         AuthorPages {
-            slot,
+            slot: scan.slot,
             author_off,
             pages,
         }

@@ -7,17 +7,17 @@
 //! deployment used, with every stage owner-partitioned and every hand-off an
 //! explicit shuffle:
 //!
-//! 1. **Ingest** — each rank *streams* its share of the input: its
-//!    line-range of the NDJSON buffer, its block of a [`Dataset`] (borrowed
-//!    slice), its slice of one mmapped snapshot shared read-only by all
-//!    ranks, or a caller-supplied per-rank generator ([`EventSource`], the
-//!    [`DistPipeline::run_events`] path). No rank ever materializes its
-//!    share of the input as an owned `Vec<Event>` — events flow straight
-//!    from the source into the exchange aggregators, so ingest and exchange
-//!    overlap. For text input, each rank interns its own chunk in order
-//!    ([`crate::ingest`]'s pass, chunks ≡ ranks), the ranks share those name
-//!    tables by `Arc`, and every rank replays the chunk-order merge, so the
-//!    dense ids are exactly the ids the reference reader would assign.
+//! 1. **Ingest** — there is one way in: the author id-space size, an
+//!    exclusion list the caller resolved, and one [`EventSource`] that every
+//!    rank calls as `source(rank, nranks)` to pull its share of the input
+//!    ([`DistPipeline::run_events`]). A [`Dataset`] and a snapshot are two
+//!    five-line sources over that door — a block of the borrowed event list,
+//!    a slice of the one mmapped file all ranks share — and resolve their
+//!    exclusions by name exactly as [`Pipeline`](crate::Pipeline) does. No
+//!    rank ever materializes its share as an owned `Vec<Event>`: events flow
+//!    straight from the source, through the author range check and the
+//!    exclusion mask ([`Btm::build`](crate::btm::Btm::build)'s own), into the
+//!    exchange aggregators, so ingest and exchange overlap.
 //! 2. **Exchange** — kept events are shuffled *once*, through a packed
 //!    byte-buffer aggregator ([`ygm::PackedAggregator`], adaptive
 //!    bytes-per-batch thresholds): `(page, ts, author)`, 16 B on the wire,
@@ -45,9 +45,10 @@
 //!    makes `Btm` chunk-count-independent) — and stages 3 and 5 are written
 //!    once against its two methods. (The author→pages incidence `Btm` also
 //!    builds is *skipped* here and harvested on demand in stage 5.)
-//! 3. **Projection** — page owners run the flat pair kernel
-//!    ([`crate::project::page_pairs_flat`]) over each page's row, borrowed in
-//!    place ([`PagePartition::for_each_page`]), and shuffle each packed pair
+//! 3. **Projection** — page owners run the resident engine's page step
+//!    (`project::PageStep`: [`crate::project::page_pairs_flat`] → pair set →
+//!    distinct endpoints into `P'`) over each page's row, borrowed in place
+//!    ([`PagePartition::for_each_page`]), and shuffle each packed pair
 //!    occurrence to its *edge owner* (`owner_of(packed)`), which sorts and
 //!    run-length-counts its disjoint slice of the edge set. Per-author `P'`
 //!    contributions reduce to a replicated dense vector via
@@ -66,14 +67,16 @@
 //!    `T`-score predicates included — `P'` is replicated). Only the
 //!    statistics and the survivors exist afterwards.
 //! 5. **Validation** — first the *on-demand harvest*: the survivors'
-//!    vertex set is all-gathered and turned into a dense mask over author
-//!    ids, each rank scans its page partition a second time for just those
-//!    authors ([`PagePartition::for_each_incidence`]: the rows flat, the
-//!    runs straight off a merge cursor), and ships the packed
-//!    `(author, page)` incidences to the author owners, which sort and
-//!    dedup — reproducing `Btm`'s page lists for exactly the authors
-//!    validation will read, instead of shuffling and sorting the full
-//!    per-event incidence. Then the rank that kept a triangle
+//!    vertex set is all-gathered, each rank runs the resident engine's
+//!    harvest scan (`btm::HarvestScan`, the scan under
+//!    [`AuthorPages::harvest`](crate::btm::AuthorPages::harvest)) over its
+//!    page partition a second time for just those authors
+//!    ([`PagePartition::for_each_incidence`]: the rows flat, the runs
+//!    straight off a merge cursor — page-major either way), and ships each
+//!    packed `(author, page)` hit, already deduplicated, to the author
+//!    owners, which merge them — reproducing `Btm`'s page lists for exactly the
+//!    authors validation will read, instead of shuffling and sorting the
+//!    full per-event incidence. Then the rank that kept a triangle
 //!    binary-searches the three authors' page runs out of the author-owner
 //!    shards in place (quiescent
 //!    [`with_shard`](ygm::container::DistBag::with_shard) reads after the
@@ -94,7 +97,6 @@
 //! scores), same validated triplets in the same order. Only the stage
 //! timings differ.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -103,17 +105,16 @@ use tripoll::survey::{SurveyConfig, SurveyReport, SurveyedTriangle};
 use tripoll::{survey_stage, DistSurvey};
 use ygm::container::DistBag;
 use ygm::reduce::{all_gather_concat, all_reduce_hist};
-use ygm::{owner_of, DistRuns, PackedAggregator, PackedBatch, RankCtx, RunSet, World};
+use ygm::{block_range, owner_of, DistRuns, PackedAggregator, PackedBatch, RankCtx, RunSet, World};
 
-use crate::btm::PageRows;
+use crate::btm::{author_mask, is_kept, HarvestScan, PageRows};
 use crate::cigraph::CiGraph;
 use crate::hypergraph::validate_triangle_parts;
-use crate::ids::{AuthorId, Event, Interner, PageId, Timestamp};
-use crate::ingest::{parse_chunk, split_chunks};
+use crate::ids::{AuthorId, Event, PageId, Timestamp};
 use crate::metrics::TripletMetrics;
 use crate::pipeline::{PipelineConfig, PipelineOutput, RunStats, StageTimings};
-use crate::project::{pack_pair, page_pairs_flat, run_length_pairs, unpack_pair};
-use crate::records::{Dataset, ReadError};
+use crate::project::{pack_pair, page_pairs_flat, run_length_pairs, PageStep};
+use crate::records::Dataset;
 
 /// `log2`-bucket histograms pad to the full `u64` range so
 /// [`all_reduce_hist`] sees equal lengths on every rank; trailing zeros are
@@ -322,11 +323,10 @@ pub struct DistPipeline {
     pub shuffle_budget: Option<usize>,
 }
 
-/// A per-rank event generator for [`DistPipeline::run_events`]: called as
-/// `source(rank, nranks)` on every rank, it yields that rank's share of the
-/// event stream. The union over ranks must be the same event multiset for
-/// every rank count (events carry dense ids already; no interning happens on
-/// this path, and no name-based exclusions apply).
+/// The rank program's one input shape: called as `source(rank, nranks)` on
+/// every rank, it yields that rank's share of the event stream. The union
+/// over ranks must be the same event multiset for every rank count. Events
+/// carry dense ids already — no interning happens behind this door.
 pub type EventSource<'a> = dyn Fn(usize, usize) -> Box<dyn Iterator<Item = Event> + 'a> + Sync + 'a;
 
 /// Identity helper that pins a closure to the [`EventSource`] shape. Without
@@ -358,7 +358,6 @@ struct RankOut {
     /// survey's wedge-check handlers while they run).
     page_counts: Arc<Vec<u64>>,
     /// Globals (identical on every rank after reduction).
-    n_authors: u32,
     n_comments: u64,
     ci_edges: u64,
     ci_edges_after_threshold: u64,
@@ -367,21 +366,6 @@ struct RankOut {
     min_weight_log_hist: Vec<u64>,
     /// Rank 0's wall-clock stage timings (zero elsewhere).
     timings: StageTimings,
-    /// Text path only: the parse failure this rank hit, with the line count
-    /// of every chunk before it already folded in by the main thread.
-    parse_err: Option<(u64, serde_json::Error)>,
-}
-
-/// The three input shapes, borrowed into the SPMD region (ranks are scoped
-/// threads, so no copy of the dataset or mmapped snapshot is made).
-enum DistInput<'a> {
-    Text(&'a str),
-    Dataset(&'a Dataset),
-    Snapshot(&'a coordination_store::Snapshot),
-    Events {
-        n_authors: u32,
-        source: &'a EventSource<'a>,
-    },
 }
 
 impl DistPipeline {
@@ -417,47 +401,60 @@ impl DistPipeline {
         self
     }
 
-    /// Rank-sharded ingest + pipeline over an NDJSON buffer. Errors exactly
-    /// like the reference reader: the earliest malformed line wins, with its
-    /// global 1-based line number.
-    pub fn run_text(&self, text: &str) -> Result<PipelineOutput, ReadError> {
-        self.run_world(DistInput::Text(text))
-    }
-
     /// Pipeline over an already-interned dataset: each rank takes its block
-    /// of the event list ([`ygm::block_range`]) and shuffles from there.
+    /// of the event list ([`ygm::block_range`]); exclusions resolve by name,
+    /// as in [`Pipeline::run_dataset`](crate::Pipeline::run_dataset).
     pub fn run_dataset(&self, ds: &Dataset) -> PipelineOutput {
-        self.run_world(DistInput::Dataset(ds))
-            .expect("dataset input cannot fail to parse")
+        let excluded = self.config.exclusions.resolve(ds);
+        let source = event_source(|rank, nranks| {
+            let block = block_range(rank, ds.events.len(), nranks);
+            Box::new(ds.events[block].iter().copied())
+        });
+        self.run_world(ds.authors.len() as u32, &excluded, &source)
     }
 
     /// Pipeline over an opened snapshot: every rank decodes its own block of
     /// the page rows in the shared mmap
     /// ([`coordination_store::EventsView::rank_slice`]: whole pages but for
     /// the two a block boundary may split) — the event table is never copied,
-    /// per rank or at all.
+    /// per rank or at all. Exclusions resolve against the mapped name table,
+    /// as in [`Pipeline::run_snapshot`](crate::Pipeline::run_snapshot).
     pub fn run_snapshot(&self, snap: &coordination_store::Snapshot) -> PipelineOutput {
-        self.run_world(DistInput::Snapshot(snap))
-            .expect("snapshot input cannot fail to parse")
+        let excluded = self
+            .config
+            .exclusions
+            .resolve_names(snap.author_names().iter());
+        let source = event_source(|rank, nranks| {
+            let slice = snap.events().rank_slice(rank, nranks);
+            Box::new(slice.map(|(a, p, ts)| Event::new(AuthorId(a), PageId(p), ts)))
+        });
+        self.run_world(snap.meta().n_authors, &excluded, &source)
     }
 
     /// Pipeline over a rank-sharded event stream that is never materialized:
     /// each rank pulls `source(rank, nranks)` and feeds the events straight
     /// into the exchange — the path for generated (or externally streamed)
     /// workloads whose full event list would not fit one rank. Events carry
-    /// dense author/page ids (`< n_authors` authors); name-based exclusions
-    /// do not apply here (there are no names), so callers exclude upstream.
+    /// dense author/page ids; name-based exclusions do not apply here (there
+    /// are no names), so callers exclude upstream.
+    ///
+    /// # Panics
+    /// If the source yields an author id that is not below `n_authors`.
     pub fn run_events<'a>(&self, n_authors: u32, source: &'a EventSource<'a>) -> PipelineOutput {
-        self.run_world(DistInput::Events { n_authors, source })
-            .expect("event-source input cannot fail to parse")
+        self.run_world(n_authors, &[], source)
     }
 
-    fn run_world(&self, input: DistInput<'_>) -> Result<PipelineOutput, ReadError> {
+    /// The one door: every `run_*` is this call.
+    fn run_world(
+        &self,
+        n_authors: u32,
+        excluded: &[AuthorId],
+        source: &EventSource<'_>,
+    ) -> PipelineOutput {
         let nranks = self.nranks;
         let cfg = &self.config;
-        let batch_bytes = self.batch_bytes;
         let budget = self.shuffle_budget;
-        let input = &input;
+        let gone = author_mask(n_authors, excluded);
 
         // Distributed containers, one per shuffle point. The event exchange
         // lands in flat page rows (or, under a budget, a spilling run stack);
@@ -482,48 +479,29 @@ impl DistPipeline {
             },
         );
 
-        let pe = &page_events;
-        let ap = &author_pages;
-        let occ_runs = &pair_occurrences;
-        let edge_runs = &oriented_edges;
-        let harvest = &harvest_out;
-        let survey_ref = &survey;
-
-        let mut outs = World::run(nranks, move |ctx| {
-            rank_main(
-                ctx,
-                cfg,
-                batch_bytes,
-                input,
-                pe,
-                ap,
-                occ_runs,
-                edge_runs,
-                harvest,
-                survey_ref,
-            )
-        });
+        let program = RankProgram {
+            cfg,
+            batch_bytes: self.batch_bytes,
+            n_authors,
+            gone: &gone,
+            source,
+            page_events: &page_events,
+            author_pages: &author_pages,
+            pair_occurrences: &pair_occurrences,
+            oriented_edges: &oriented_edges,
+            harvest_out: &harvest_out,
+            survey: &survey,
+        };
+        let mut outs = World::run(nranks, |ctx| rank_main(ctx, program));
         // The survey holds the ranks' `P'` replicas; with it gone, rank 0's
         // moves into the CI graph below without a copy.
         drop(survey);
-
-        // Text-path parse failure: the erroring ranks carried their local
-        // error out; earliest chunk (= lowest rank) wins, like the serial
-        // reader's sequence_shards.
-        if let Some(out) = outs.iter_mut().find(|o| o.parse_err.is_some()) {
-            let (line, source) = out.parse_err.take().expect("checked above");
-            return Err(ReadError::Parse {
-                line: line as usize,
-                source,
-            });
-        }
 
         // Assemble the PipelineOutput from the per-rank contributions. The
         // edge runs are disjoint sorted canonical runs (each pair hashes to
         // exactly one owner), so the k-way merge in `CiGraph::from_runs`
         // reproduces the exact CSR any other partitioning would.
         let page_counts = Arc::unwrap_or_clone(std::mem::take(&mut outs[0].page_counts));
-        let n_authors = outs[0].n_authors;
         let runs: Vec<Vec<(u32, u32, u64)>> = outs
             .iter_mut()
             .map(|o| std::mem::take(&mut o.edge_run))
@@ -553,7 +531,7 @@ impl DistPipeline {
             triangles_kept: triangles.len() as u64,
             triplets_validated: triplets.len() as u64,
         };
-        Ok(PipelineOutput {
+        PipelineOutput {
             ci,
             survey: SurveyReport {
                 triangles,
@@ -564,27 +542,44 @@ impl DistPipeline {
             triplets,
             stats,
             timings: g.timings,
-        })
+        }
     }
 }
 
-/// One rank's whole program, ingest to validation. Every collective below is
-/// issued unconditionally and in the same order on every rank — the only
-/// early return (text parse failure) happens after a collective that told
-/// *all* ranks to take it.
-#[allow(clippy::too_many_arguments)]
-fn rank_main(
-    ctx: &RankCtx,
-    cfg: &PipelineConfig,
+/// What every rank of one run shares: the input behind the door and the
+/// landing zone of each shuffle.
+#[derive(Clone, Copy)]
+struct RankProgram<'a, 's> {
+    cfg: &'a PipelineConfig,
     batch_bytes: Option<usize>,
-    input: &DistInput<'_>,
-    page_events: &PageInbox,
-    author_pages: &DistRuns<u64>,
-    pair_occurrences: &DistRuns<u64>,
-    oriented_edges: &DistRuns<u128>,
-    harvest_out: &DistBag<u64>,
-    survey: &DistSurvey,
-) -> RankOut {
+    n_authors: u32,
+    /// [`author_mask`] of the caller's exclusion list.
+    gone: &'a [bool],
+    source: &'a EventSource<'s>,
+    page_events: &'a PageInbox,
+    author_pages: &'a DistRuns<u64>,
+    pair_occurrences: &'a DistRuns<u64>,
+    oriented_edges: &'a DistRuns<u128>,
+    harvest_out: &'a DistBag<u64>,
+    survey: &'a DistSurvey,
+}
+
+/// One rank's whole program, ingest to validation. Every collective below is
+/// issued unconditionally and in the same order on every rank.
+fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
+    let RankProgram {
+        cfg,
+        batch_bytes,
+        n_authors,
+        gone,
+        source,
+        page_events,
+        author_pages,
+        pair_occurrences,
+        oriented_edges,
+        harvest_out,
+        survey,
+    } = program;
     let mut out = RankOut::default();
     let t_start = Instant::now();
     // One threshold policy for every shuffle in this run: the adaptive
@@ -598,17 +593,10 @@ fn rank_main(
         }};
     }
 
-    // ---- Stage 1: rank-sharded ingest (streamed) ------------------------
-    let _ingest_span = obs::span("dist.ingest");
-    let (stream, excluded, n_authors) = match ingest_rank(ctx, cfg, input) {
-        Ok(parts) => parts,
-        Err(err) => {
-            out.parse_err = err;
-            return out;
-        }
-    };
-    drop(_ingest_span);
-    out.n_authors = n_authors;
+    // ---- Stage 1: open this rank's share of the one source --------------
+    let ingest_span = obs::span("dist.ingest");
+    let events = source(ctx.rank(), ctx.nranks());
+    drop(ingest_span);
 
     // ---- Stage 2: event exchange (page-hash shuffle) --------------------
     // The source is pulled one event at a time straight into the packed
@@ -627,22 +615,25 @@ fn rank_main(
             (u32, i64, u32),
             move |inner: &RankCtx, batch: PackedBatch<(u32, i64, u32)>| pe.absorb(inner, batch)
         );
-        // Hoisted emptiness check: `contains` hashes the author id even on an
-        // empty set, and generated/snapshot inputs usually exclude nobody —
-        // at paper scale that is millions of wasted SipHash rounds.
-        let no_exclusions = excluded.is_empty();
         // Inputs arrive page-clustered (dataset and snapshot events are
         // page-major; generated blocks share a page), so one cached owner
         // saves an `owner_of` hash per event in the common case.
         let mut page_owner = CachedOwner::new();
-        stream.for_each(ctx, |e| {
-            if !no_exclusions && excluded.contains(&e.author.0) {
-                return;
+        for e in events {
+            // The door's range check, with `Btm::build`'s message: past here
+            // an author id indexes dense per-author tables on every rank.
+            assert!(
+                e.author.0 < n_authors,
+                "author id {} out of range",
+                e.author.0
+            );
+            if !is_kept(gone, e.author) {
+                continue;
             }
             kept_local += 1;
             let dest = page_owner.dest(e.page.0, ctx.nranks());
             to_pages.push(ctx, dest, (e.page.0, e.ts, e.author.0));
-        });
+        }
         to_pages.flush_all(ctx);
     }
     ctx.barrier();
@@ -660,7 +651,7 @@ fn rank_main(
 
     // ---- Stage 3: projection (pair shuffle to edge owners) --------------
     let project_span = obs::span("dist.project");
-    let mut pprime_local = vec![0u64; n_authors as usize];
+    let mut step = PageStep::new(n_authors);
     {
         let occ = pair_occurrences.clone();
         let mut to_edges = packed_agg!(
@@ -670,23 +661,12 @@ fn rank_main(
                 occ.local_absorb(inner, batch.iter());
             }
         );
-        let mut pairs: Vec<u64> = Vec::new();
-        let mut authors_scratch: Vec<u32> = Vec::new();
-        let window = cfg.window;
+        let kernel = |row: &[(Timestamp, AuthorId)], pairs: &mut Vec<u64>| {
+            page_pairs_flat(row, &cfg.window, pairs)
+        };
         my_events.for_each_page(|_, comments| {
-            page_pairs_flat(comments, &window, &mut pairs);
-            authors_scratch.clear();
-            for &p in &pairs {
-                let (x, y) = unpack_pair(p);
-                authors_scratch.push(x);
-                authors_scratch.push(y);
+            for &p in step.page(comments, kernel) {
                 to_edges.push_keyed(ctx, &p, p);
-            }
-            // P'_x: each page counts once per distinct endpoint author.
-            authors_scratch.sort_unstable();
-            authors_scratch.dedup();
-            for &a in &authors_scratch {
-                pprime_local[a as usize] += 1;
             }
         });
         to_edges.flush_all(ctx);
@@ -696,7 +676,7 @@ fn rank_main(
     ctx.barrier();
     // Replicate P' everywhere: the survey's T-score and validation both
     // index it by arbitrary author id.
-    out.page_counts = Arc::new(all_reduce_hist(ctx, pprime_local));
+    out.page_counts = Arc::new(all_reduce_hist(ctx, step.into_page_counts()));
 
     // Each edge owner run-length-counts its disjoint slice of the pair
     // multiset straight off the merge cursor (already globally sorted,
@@ -819,17 +799,15 @@ fn rank_main(
                 ap.local_absorb(inner, batch.iter());
             });
         if !needed.is_empty() {
-            // Every comment of the partition is tested, so membership is one
-            // indexed load, not a search of `needed`.
-            let mut is_needed = vec![false; n_authors as usize];
-            for &a in &needed {
-                is_needed[a as usize] = true;
-            }
+            // The resident harvest's scan, over this rank's pages: a hit is
+            // an author's first comment on a page, so what ships is already
+            // deduplicated (a page has one owner).
+            let mut scan = HarvestScan::new(n_authors, needed.iter().map(|&a| AuthorId(a)));
             // Bots comment in bursts, so consecutive qualifying events often
             // share an author — cache the owner like the page loop does.
             let mut author_owner = CachedOwner::new();
             my_events.for_each_incidence(|p, a| {
-                if is_needed[a.0 as usize] {
+                if scan.first_on_page(p, a).is_some() {
                     let dest = author_owner.dest(a.0, ctx.nranks());
                     to_authors.push(ctx, dest, pack_pair(a.0, p.0));
                 }
@@ -890,319 +868,4 @@ fn rank_main(
         };
     }
     out
-}
-
-/// One rank's streamed share of the input. Variants hold borrows (or, for
-/// text, the shard-local parse output plus its id remap tables) — never a
-/// materialized `Vec<Event>` in global id space.
-enum EventStream<'a> {
-    /// Dataset block: a borrowed slice of the already-interned event list.
-    Slice(&'a [Event]),
-    /// Snapshot slice: decoded lazily out of the shared mmap.
-    Snapshot(&'a coordination_store::Snapshot),
-    /// Text chunk: shard-local events remapped to global dense ids on the
-    /// fly through the replayed interner merge.
-    Remap {
-        events: Vec<Event>,
-        author_map: Vec<u32>,
-        page_map: Vec<u32>,
-    },
-    /// Caller-supplied per-rank generator ([`DistPipeline::run_events`]).
-    Source(&'a EventSource<'a>),
-}
-
-impl EventStream<'_> {
-    /// Drive `f` over this rank's events, in the input's order.
-    fn for_each(&self, ctx: &RankCtx, mut f: impl FnMut(Event)) {
-        match self {
-            EventStream::Slice(events) => {
-                for &e in *events {
-                    f(e);
-                }
-            }
-            EventStream::Snapshot(snap) => {
-                for (a, p, ts) in snap.events().rank_slice(ctx.rank(), ctx.nranks()) {
-                    f(Event::new(AuthorId(a), PageId(p), ts));
-                }
-            }
-            EventStream::Remap {
-                events,
-                author_map,
-                page_map,
-            } => {
-                for e in events {
-                    f(Event::new(
-                        AuthorId(author_map[e.author.0 as usize]),
-                        PageId(page_map[e.page.0 as usize]),
-                        e.ts,
-                    ));
-                }
-            }
-            EventStream::Source(source) => {
-                for e in source(ctx.rank(), ctx.nranks()) {
-                    f(e);
-                }
-            }
-        }
-    }
-}
-
-type IngestParts<'a> = (EventStream<'a>, HashSet<u32>, u32);
-
-/// Stage 1 for one rank: produce this rank's *stream* over the
-/// (globally-dense) event space plus the replicated exclusion set and
-/// id-space sizes. The stream borrows the input wherever possible — the
-/// dataset block and the mmapped snapshot slice are never copied.
-///
-/// Returns `Err(Some(..))` only on the text path's parse failure, and then
-/// only on the rank that owns the failing chunk; every other rank returns
-/// `Err(None)` so all ranks take the same early exit.
-fn ingest_rank<'a>(
-    ctx: &RankCtx,
-    cfg: &PipelineConfig,
-    input: &DistInput<'a>,
-) -> Result<IngestParts<'a>, Option<(u64, serde_json::Error)>> {
-    match input {
-        DistInput::Dataset(ds) => {
-            let r = ygm::block_range(ctx.rank(), ds.events.len(), ctx.nranks());
-            let excluded: HashSet<u32> = cfg
-                .exclusions
-                .resolve(ds)
-                .into_iter()
-                .map(|a| a.0)
-                .collect();
-            Ok((
-                EventStream::Slice(&ds.events[r]),
-                excluded,
-                ds.authors.len() as u32,
-            ))
-        }
-        DistInput::Snapshot(snap) => {
-            let m = snap.meta();
-            let excluded: HashSet<u32> = cfg
-                .exclusions
-                .resolve_names(snap.author_names().iter())
-                .into_iter()
-                .map(|a| a.0)
-                .collect();
-            Ok((EventStream::Snapshot(snap), excluded, m.n_authors))
-        }
-        DistInput::Events { n_authors, source } => {
-            // Pre-excluded by contract: events carry dense ids, no names.
-            Ok((EventStream::Source(*source), HashSet::new(), *n_authors))
-        }
-        DistInput::Text(text) => {
-            // Every rank computes the same line-boundary split (chunks ≡
-            // ranks); short inputs may yield fewer chunks — trailing ranks
-            // parse nothing.
-            let chunks = split_chunks(text, ctx.nranks());
-            let my_chunk = chunks.get(ctx.rank()).copied().unwrap_or("");
-            let parsed = parse_chunk(my_chunk, false);
-            // Collective error agreement: (full line count, failing local
-            // line). All ranks learn whether any chunk failed and agree on
-            // the early exit; the earliest chunk's error wins with its line
-            // number offset by the full line counts of the chunks before it.
-            let statuses: Vec<(u64, Option<u64>)> = ctx.all_gather(match &parsed {
-                Ok(shard) => (shard.stats.lines, None),
-                Err((line, _)) => (0, Some(*line)),
-            });
-            if let Some(bad_rank) = statuses.iter().position(|(_, e)| e.is_some()) {
-                if ctx.rank() == bad_rank {
-                    let Err((local_line, source)) = parsed else {
-                        unreachable!("status said this rank failed");
-                    };
-                    let prior: u64 = statuses[..bad_rank].iter().map(|&(l, _)| l).sum();
-                    return Err(Some((prior + local_line, source)));
-                }
-                return Err(None);
-            }
-            let shard = parsed.expect("no rank reported a parse failure").dataset;
-
-            // All-gather a handle on every rank's name tables (ranks are
-            // threads: the tables themselves are shared, not copied) and
-            // replay the chunk-order merge on every rank: local
-            // first-occurrence order + chunk order = global first-occurrence
-            // order, so these are exactly the reference reader's dense ids.
-            let tables: Vec<(Arc<Interner>, Arc<Interner>)> =
-                ctx.all_gather((Arc::clone(&shard.authors), Arc::clone(&shard.pages)));
-            let mut authors = Interner::new();
-            let mut pages = Interner::new();
-            let mut my_author_map: Vec<u32> = Vec::new();
-            let mut my_page_map: Vec<u32> = Vec::new();
-            for (rank, (rank_authors, rank_pages)) in tables.iter().enumerate() {
-                let author_map: Vec<u32> = rank_authors
-                    .iter()
-                    .map(|(_, n)| authors.intern(n))
-                    .collect();
-                let page_map: Vec<u32> = rank_pages.iter().map(|(_, n)| pages.intern(n)).collect();
-                if rank == ctx.rank() {
-                    (my_author_map, my_page_map) = (author_map, page_map);
-                }
-            }
-            let excluded: HashSet<u32> = authors
-                .iter()
-                .filter(|(_, name)| cfg.exclusions.contains(name))
-                .map(|(id, _)| id)
-                .collect();
-            let n_authors = authors.len() as u32;
-            // The shard-local events are remapped lazily as the exchange
-            // pulls them — the remapped event list is never materialized.
-            Ok((
-                EventStream::Remap {
-                    events: shard.events,
-                    author_map: my_author_map,
-                    page_map: my_page_map,
-                },
-                excluded,
-                n_authors,
-            ))
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::pipeline::Pipeline;
-    use crate::records::CommentRecord;
-
-    fn scenario() -> Dataset {
-        let mut recs = Vec::new();
-        for page in 0..20 {
-            for (i, bot) in ["bot_a", "bot_b", "bot_c"].iter().enumerate() {
-                recs.push(CommentRecord::new(
-                    *bot,
-                    format!("p{page}"),
-                    page as i64 * 10_000 + i as i64 * 5,
-                ));
-            }
-            recs.push(CommentRecord::new(
-                format!("user{page}"),
-                format!("p{page}"),
-                page as i64 * 10_000 + 7_200,
-            ));
-        }
-        for page in 0..20 {
-            recs.push(CommentRecord::new(
-                "AutoModerator",
-                format!("p{page}"),
-                page as i64 * 10_000,
-            ));
-        }
-        Dataset::from_records(recs)
-    }
-
-    fn assert_outputs_identical(a: &PipelineOutput, b: &PipelineOutput) {
-        assert_eq!(a.stats.comments_reviewed, b.stats.comments_reviewed);
-        assert_eq!(a.stats.total_authors, b.stats.total_authors);
-        assert_eq!(a.stats.projected_authors, b.stats.projected_authors);
-        assert_eq!(a.stats.ci_edges, b.stats.ci_edges);
-        assert_eq!(
-            a.stats.ci_edges_after_threshold,
-            b.stats.ci_edges_after_threshold
-        );
-        assert_eq!(a.stats.triangles_examined, b.stats.triangles_examined);
-        assert_eq!(a.stats.triangles_kept, b.stats.triangles_kept);
-        assert_eq!(
-            a.ci.edges().collect::<Vec<_>>(),
-            b.ci.edges().collect::<Vec<_>>()
-        );
-        assert_eq!(a.ci.page_counts(), b.ci.page_counts());
-        assert_eq!(a.survey.total_examined, b.survey.total_examined);
-        assert_eq!(a.survey.max_min_weight, b.survey.max_min_weight);
-        assert_eq!(a.survey.min_weight_log_hist, b.survey.min_weight_log_hist);
-        assert_eq!(a.survey.triangles.len(), b.survey.triangles.len());
-        for (x, y) in a.survey.triangles.iter().zip(&b.survey.triangles) {
-            assert_eq!(x.triangle, y.triangle);
-            assert_eq!(x.min_weight, y.min_weight);
-            assert_eq!(x.t_score.to_bits(), y.t_score.to_bits());
-        }
-        assert_eq!(a.triplets.len(), b.triplets.len());
-        for (x, y) in a.triplets.iter().zip(&b.triplets) {
-            assert_eq!(x.authors, y.authors);
-            assert_eq!(x.ci_weights, y.ci_weights);
-            assert_eq!(x.min_ci_weight, y.min_ci_weight);
-            assert_eq!(x.hyper_weight, y.hyper_weight);
-            assert_eq!(x.page_counts, y.page_counts);
-            assert_eq!(x.t.to_bits(), y.t.to_bits());
-            assert_eq!(x.c.to_bits(), y.c.to_bits());
-        }
-    }
-
-    #[test]
-    fn distributed_dataset_matches_resident_for_any_rank_count() {
-        let ds = scenario();
-        let resident = Pipeline::default().run_dataset(&ds);
-        for nranks in [1, 2, 3, 4, 7] {
-            let dist = DistPipeline::new(PipelineConfig::default(), nranks).run_dataset(&ds);
-            assert_outputs_identical(&resident, &dist);
-        }
-    }
-
-    #[test]
-    fn distributed_text_ingest_matches_resident() {
-        let mut text = String::new();
-        let ds = scenario();
-        for e in &ds.events {
-            text.push_str(&format!(
-                "{{\"author\":{:?},\"link_id\":{:?},\"created_utc\":{}}}\n",
-                ds.authors.name(e.author.0),
-                ds.pages.name(e.page.0),
-                e.ts
-            ));
-        }
-        let resident = Pipeline::default().run_dataset(&ds);
-        let dist = DistPipeline::new(PipelineConfig::default(), 3)
-            .run_text(&text)
-            .expect("well-formed input");
-        assert_outputs_identical(&resident, &dist);
-    }
-
-    #[test]
-    fn distributed_snapshot_matches_resident() {
-        let ds = scenario();
-        let path = std::env::temp_dir().join(format!(
-            "dist_pipeline_snap_{}_{:?}.bin",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        crate::snapshot::write_snapshot(&ds, None, &path).unwrap();
-        let snap = coordination_store::Snapshot::open(&path).unwrap();
-        let resident = Pipeline::default().run_dataset(&ds);
-        for nranks in [1, 4] {
-            let dist = DistPipeline::new(PipelineConfig::default(), nranks).run_snapshot(&snap);
-            assert_outputs_identical(&resident, &dist);
-        }
-        drop(snap);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn text_parse_errors_carry_global_line_numbers() {
-        let mut text = String::new();
-        for i in 0..40 {
-            text.push_str(&format!(
-                "{{\"author\":\"a{i}\",\"link_id\":\"p\",\"created_utc\":{i}}}\n"
-            ));
-        }
-        text.push_str("not json\n");
-        let err = DistPipeline::new(PipelineConfig::default(), 4)
-            .run_text(&text)
-            .unwrap_err();
-        match err {
-            ReadError::Parse { line, .. } => assert_eq!(line, 41),
-            other => panic!("expected parse error, got {other}"),
-        }
-    }
-
-    #[test]
-    fn empty_input_runs_cleanly_at_any_rank_count() {
-        for nranks in [1, 2, 5] {
-            let out = DistPipeline::new(PipelineConfig::default(), nranks)
-                .run_dataset(&Dataset::default());
-            assert!(out.triplets.is_empty());
-            assert_eq!(out.stats.ci_edges, 0);
-            assert!(out.survey.min_weight_log_hist.is_empty());
-        }
-    }
 }

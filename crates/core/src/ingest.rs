@@ -27,10 +27,9 @@
 //! cannot be split (it is the Amdahl term: the scanner is about a third of
 //! the pass), so a future scan-ahead on real threads would slot in *front* of
 //! it — workers scan line ranges into borrowed [`RecordRef`]s, this pass
-//! consumes them in input order — without changing any id. The one place a
-//! chunk is a real thread today is the rank-sharded text path of
-//! [`crate::dist_pipeline`], which parses one chunk per rank
-//! (`split_chunks`, `parse_chunk`) and merges the ranks' name tables.
+//! consumes them in input order — without changing any id. Nothing parses a
+//! chunk on a thread of its own today: the rank-sharded engine
+//! ([`crate::dist_pipeline`]) takes events that already carry dense ids.
 //!
 //! A strict-vs-lossy switch ([`IngestConfig::skip_bad_lines`]) lets multi-hour
 //! archive runs count and skip malformed lines instead of aborting on line 80
@@ -403,8 +402,8 @@ const SCAN_AHEAD: usize = 16;
 /// names straight into the resulting [`Dataset`], whose ids are therefore in
 /// first-occurrence order within `chunk` — authors and pages are separate id
 /// spaces, so interning a few lines' authors and then the same lines' pages
-/// assigns what interning line by line would. The whole input is one chunk
-/// for every resident driver; only the rank-sharded text path feeds it less.
+/// assigns what interning line by line would. Every driver feeds it the
+/// whole input as one chunk.
 pub(crate) fn parse_chunk(chunk: &str, skip_bad: bool) -> Result<Ingest, (u64, serde_json::Error)> {
     let mut authors = Interner::new();
     let mut pages = Interner::new();
@@ -436,33 +435,6 @@ pub(crate) fn parse_chunk(chunk: &str, skip_bad: bool) -> Result<Ingest, (u64, s
         },
         stats,
     })
-}
-
-/// Split `text` into at most `want` non-overlapping chunks covering it
-/// exactly, each ending on a line boundary (the final chunk may lack a
-/// trailing newline). Chunk boundaries never split a line.
-pub(crate) fn split_chunks(text: &str, want: usize) -> Vec<&str> {
-    let bytes = text.as_bytes();
-    let mut chunks = Vec::with_capacity(want.max(1));
-    let mut start = 0;
-    for k in 1..want {
-        let target = text.len() * k / want;
-        if target <= start {
-            continue;
-        }
-        match bytes[target..].iter().position(|&b| b == b'\n') {
-            Some(i) => {
-                let end = target + i + 1;
-                chunks.push(&text[start..end]);
-                start = end;
-            }
-            None => break, // no newline left: the remainder is one chunk
-        }
-    }
-    if start < text.len() {
-        chunks.push(&text[start..]);
-    }
-    chunks
 }
 
 // ---------------------------------------------------------------- drivers
@@ -762,18 +734,5 @@ mod tests {
         assert_eq!(records[0], CommentRecord::new("z", "p", 5));
         assert_eq!(records[1], CommentRecord::new("a", "q", 1));
         assert_eq!(stats.skipped_lines, 1);
-    }
-
-    #[test]
-    fn split_chunks_covers_input_exactly() {
-        let text = "aa\nbbb\nc\n\ndddd\ne";
-        for want in 1..10 {
-            let chunks = split_chunks(text, want);
-            assert_eq!(chunks.concat(), text, "want={want}");
-            for c in &chunks[..chunks.len().saturating_sub(1)] {
-                assert!(c.ends_with('\n'), "non-final chunk must end a line");
-            }
-        }
-        assert!(split_chunks("", 4).is_empty());
     }
 }

@@ -13,8 +13,8 @@
 //! end into the sorted edge run [`CiGraph::from_runs`] takes. No per-page
 //! hashing anywhere on the path. [`project_subset`] is the same loop over
 //! each page's subset members, and the rank-sharded engine
-//! (`crate::dist_pipeline`) calls the same [`page_pairs_flat`] on the pages
-//! each rank owns.
+//! (`crate::dist_pipeline`) runs the same per-page step on the pages each rank
+//! owns.
 //!
 //! [`project_sequential`] is the literal Algorithm 1 on hash sets and maps,
 //! kept only as the reference the tests compare [`project`] against.
@@ -158,44 +158,79 @@ pub(crate) fn run_length_pairs(occ: impl IntoIterator<Item = u64>) -> Vec<(u32, 
     run
 }
 
+/// The one page step of Algorithm 1, shared by every engine: run the pair
+/// kernel on a page, count each distinct endpoint author of the page's pair
+/// set once into `P'`, and hand the pair set back. Where the pair set goes is
+/// the caller's business — [`project`] and [`project_subset`] append it to
+/// their occurrence buffer, stage 3 of [`crate::dist_pipeline`] ships it to
+/// the edge owners.
+pub(crate) struct PageStep {
+    pairs: Vec<u64>,
+    endpoints: Vec<u32>,
+    page_counts: Vec<u64>,
+}
+
+impl PageStep {
+    /// A step accumulating `P'` over an `n_authors` id space.
+    pub(crate) fn new(n_authors: u32) -> Self {
+        PageStep {
+            pairs: Vec::new(),
+            endpoints: Vec::new(),
+            page_counts: vec![0; n_authors as usize],
+        }
+    }
+
+    /// One page: `kernel` must leave the page's deduplicated sorted pair set
+    /// in the scratch vec it is given. Returns that pair set.
+    #[inline]
+    pub(crate) fn page(
+        &mut self,
+        comments: &[(Timestamp, AuthorId)],
+        kernel: impl FnOnce(&[(Timestamp, AuthorId)], &mut Vec<u64>),
+    ) -> &[u64] {
+        kernel(comments, &mut self.pairs);
+        self.endpoints.clear();
+        for &p in &self.pairs {
+            let (x, y) = unpack_pair(p);
+            self.endpoints.push(x);
+            self.endpoints.push(y);
+        }
+        self.endpoints.sort_unstable();
+        self.endpoints.dedup();
+        for &a in &self.endpoints {
+            self.page_counts[a as usize] += 1;
+        }
+        &self.pairs
+    }
+
+    /// The accumulated `P'`.
+    pub(crate) fn into_page_counts(self) -> Vec<u64> {
+        self.page_counts
+    }
+}
+
 /// The one loop [`project`] and [`project_subset`] share: walk every page
-/// through `kernel` (which must leave the page's deduplicated sorted pair set
-/// in the scratch vec), count each distinct endpoint author once into `P'`,
-/// and append the pair set to one occurrence buffer that is sorted and
-/// run-length-counted **once** after the last page — no hash map on the whole
-/// path.
+/// through the [`PageStep`] and append its pair set to one occurrence buffer
+/// that is sorted and run-length-counted **once** after the last page — no
+/// hash map on the whole path.
 fn project_pages_flat(
     btm: &Btm,
     mut kernel: impl FnMut(&[(Timestamp, AuthorId)], &mut Vec<u64>),
 ) -> CiGraph {
-    let mut pairs: Vec<u64> = Vec::new();
-    let mut authors: Vec<u32> = Vec::new();
+    let mut step = PageStep::new(btm.n_authors());
     let mut occ: Vec<u64> = Vec::new();
-    let mut page_counts = vec![0u64; btm.n_authors() as usize];
     let run = {
         // One span for the whole loop, not per page — no clock read per page.
         let _pairs = obs::span("project.pairs");
         for (_, comments) in btm.pages() {
-            kernel(comments, &mut pairs);
-            occ.extend_from_slice(&pairs);
-            authors.clear();
-            for &p in &pairs {
-                let (x, y) = unpack_pair(p);
-                authors.push(x);
-                authors.push(y);
-            }
-            authors.sort_unstable();
-            authors.dedup();
-            for &a in &authors {
-                page_counts[a as usize] += 1;
-            }
+            occ.extend_from_slice(step.page(comments, &mut kernel));
         }
         obs::counter("project.pair_occurrences").add(occ.len() as u64);
         sort_packed(&mut occ);
         run_length_pairs(occ)
     };
     let _merge = obs::span("project.merge");
-    CiGraph::from_runs(btm.n_authors(), vec![run], page_counts)
+    CiGraph::from_runs(btm.n_authors(), vec![run], step.into_page_counts())
 }
 
 /// Algorithm 1 on the flat vector kernels (see the module docs): one loop

@@ -1,21 +1,17 @@
 //! Property tests pinning every NDJSON ingest driver to the reference reader
 //! and the zero-copy scanner to full serde deserialization.
 //!
-//! The invariant under test: on ANY input, [`ingest::ingest_slice`],
-//! [`ingest::ingest_records_slice`] and the rank-sharded text path
-//! ([`DistPipeline::run_text`], one chunk per rank, at 1/2/3/5 ranks) see
-//! what `read_ndjson_into_dataset` — one `serde_json` parse per line, one
-//! `Dataset::push` — sees: the same events, the same names under the same
-//! dense ids, the same line counts, and in strict mode the same 1-based line
-//! number for the first malformed line.
+//! The invariant under test: on ANY input, [`ingest::ingest_slice`] and
+//! [`ingest::ingest_records_slice`] see what `read_ndjson_into_dataset` — one
+//! `serde_json` parse per line, one `Dataset::push` — sees: the same events,
+//! the same names under the same dense ids, the same line counts, and in
+//! strict mode the same 1-based line number for the first malformed line.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
-use coordination_core::dist_pipeline::DistPipeline;
 use coordination_core::ids::Interner;
 use coordination_core::ingest::{self, scan_record, IngestConfig, IngestStats};
-use coordination_core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
 use coordination_core::records::{
     read_ndjson_into_dataset, write_ndjson, CommentRecord, Dataset, ReadError,
 };
@@ -40,8 +36,6 @@ const NAMES: &[&str] = &[
     "a",
     "t3_dupe",
 ];
-
-const RANKS: [usize; 4] = [1, 2, 3, 5];
 
 const BAD_LINE: &str = "{\"author\": 12, \"oops";
 
@@ -127,31 +121,6 @@ fn assert_datasets_identical(reference: &Dataset, got: &Dataset) -> Result<(), T
     Ok(())
 }
 
-/// A detector configuration loose enough that small corpora produce edges
-/// and triplets: the output then carries dense author ids, page counts and
-/// the by-name bot exclusions, so a wrong id assignment on any rank shows.
-fn loose_config() -> PipelineConfig {
-    PipelineConfig {
-        min_triangle_weight: 1,
-        ..PipelineConfig::default()
-    }
-}
-
-fn assert_outputs_identical(
-    want: &PipelineOutput,
-    got: &PipelineOutput,
-) -> Result<(), TestCaseError> {
-    prop_assert_eq!(want.stats.comments_reviewed, got.stats.comments_reviewed);
-    prop_assert_eq!(want.stats.total_authors, got.stats.total_authors);
-    prop_assert_eq!(
-        want.ci.edges().collect::<Vec<_>>(),
-        got.ci.edges().collect::<Vec<_>>()
-    );
-    prop_assert_eq!(want.ci.page_counts(), got.ci.page_counts());
-    prop_assert_eq!(&want.triplets, &got.triplets);
-    Ok(())
-}
-
 /// Every driver against the reference reader on well-formed `text`.
 fn assert_all_drivers_match(text: &str) -> Result<(), TestCaseError> {
     let reference = read_ndjson_into_dataset(text.as_bytes()).unwrap();
@@ -166,14 +135,6 @@ fn assert_all_drivers_match(text: &str) -> Result<(), TestCaseError> {
         ingest::ingest_records_slice(text.as_bytes(), &IngestConfig::default()).unwrap();
     assert_datasets_identical(&reference, &Dataset::from_records(records))?;
     prop_assert_eq!(record_stats, stats);
-
-    let want = Pipeline::new(loose_config()).run_dataset(&reference);
-    for nranks in RANKS {
-        let got = DistPipeline::new(loose_config(), nranks)
-            .run_text(text)
-            .unwrap();
-        assert_outputs_identical(&want, &got)?;
-    }
     Ok(())
 }
 
@@ -200,10 +161,6 @@ fn assert_all_drivers_fail_at(text: &str, line: usize) {
         parse_error_line(ingest::ingest_records_slice(text.as_bytes(), &strict)),
         line
     );
-    for nranks in RANKS {
-        let run = DistPipeline::new(loose_config(), nranks).run_text(text);
-        assert_eq!(parse_error_line(run), line, "{nranks} ranks");
-    }
 }
 
 proptest! {
@@ -217,9 +174,8 @@ proptest! {
         assert_all_drivers_match(&join(&lines, final_newline))?;
     }
 
-    /// Strict mode: one malformed line anywhere in the corpus (first, last,
-    /// or wherever the rank split happens to fall) is reported under the
-    /// same line number by every driver at every rank count.
+    /// Strict mode: one malformed line anywhere in the corpus (first, last or
+    /// in between) is reported under the same line number by every driver.
     #[test]
     fn strict_mode_reports_the_reference_readers_line(
         (mut lines, final_newline) in arb_corpus(),
@@ -335,8 +291,7 @@ fn plain_line(author: &str, page: &str, ts: i64) -> String {
 }
 
 /// Every line a new author (and every fifth a new page): the interners grow
-/// through many table doublings, and at N ranks each rank's table is merged
-/// into a global one that has never seen any of its names.
+/// through many table doublings.
 #[test]
 fn huge_vocabulary_matches_the_reference_reader() {
     let lines: Vec<String> = (0..3000)
@@ -356,11 +311,10 @@ fn huge_vocabulary_matches_the_reference_reader() {
     assert_eq!((ds.authors.len(), ds.pages.len()), (3000, 600));
 }
 
-/// Equal-length lines split evenly, so at 2/3/5 ranks the chunk boundaries
-/// fall after known lines: the malformed line is swept through every
-/// position — first, last, and both sides of every rank boundary.
+/// The malformed line swept through every position of a corpus, first to
+/// last, with and without the final newline.
 #[test]
-fn strict_error_line_is_the_same_on_every_rank_boundary() {
+fn strict_error_line_is_the_same_at_every_position() {
     let n = 30;
     let width = plain_line("u00", "p", 100).len();
     for bad_at in 1..=n {

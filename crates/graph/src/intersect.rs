@@ -5,7 +5,7 @@
 //! and hypergraph validation (`coordination_core::hypergraph` intersects
 //! three author page lists). They have different shapes, and a kernel each.
 //!
-//! *One pair at a time* (validation, `truss`, `clique`):
+//! *One pair at a time* (validation):
 //! [`intersect_indices`] dispatches on the length ratio: below
 //! [`GALLOP_RATIO`] it runs the classic two-cursor linear merge; above it,
 //! it walks the *short* side and locates each element in the long side by

@@ -49,7 +49,6 @@ mod fixtures;
 pub mod graph;
 pub mod orient;
 pub mod survey;
-pub mod truss;
 
 pub use distributed::{survey_stage, DistSurvey};
 pub use enumerate::Triangle;

@@ -36,6 +36,10 @@ pub(crate) struct Shared {
     barrier_count: AtomicUsize,
     /// The barrier sense bit; flipped by the last arriver once quiescent.
     barrier_sense: AtomicBool,
+    /// Set once a rank has panicked. That rank will never arrive at a barrier
+    /// or process its queue again, so every barrier wait loop checks this and
+    /// panics instead of spinning forever.
+    poisoned: AtomicBool,
     /// Slots for matched collectives (all_gather etc.), keyed by sequence id.
     pub(crate) collectives: parking_lot::Mutex<std::collections::HashMap<u64, CollectiveSlots>>,
     pub(crate) stats: WorldStats,
@@ -78,6 +82,7 @@ impl World {
                 processed: AtomicU64::new(0),
                 barrier_count: AtomicUsize::new(nranks),
                 barrier_sense: AtomicBool::new(false),
+                poisoned: AtomicBool::new(false),
                 collectives: parking_lot::Mutex::new(std::collections::HashMap::new()),
                 stats: WorldStats::new(nranks),
                 // Enough retained buffers for every rank to have one in
@@ -98,6 +103,11 @@ impl World {
     /// `f` with its own [`RankCtx`]. Returns the per-rank results, indexed by
     /// rank. An implicit final barrier guarantees all in-flight messages have
     /// been processed before this returns.
+    ///
+    /// # Panics
+    /// If a rank panics — in `f` or in a message handler it runs — the other
+    /// ranks panic out of their next barrier and the first panic is re-raised
+    /// here once every rank thread has ended.
     pub fn launch<R, F>(mut self, f: F) -> Vec<R>
     where
         R: Send,
@@ -108,8 +118,11 @@ impl World {
         let senders = &self.senders;
         let receivers: Vec<Receiver<Message>> = std::mem::take(&mut self.receivers);
         let f = &f;
-        let mut out: Vec<Option<R>> = (0..nranks).map(|_| None).collect();
-        std::thread::scope(|scope| {
+        // The earliest panic of the region. Later ones are its consequences:
+        // a poisoned barrier, a send to the dead rank's dropped receiver.
+        let first_panic = parking_lot::Mutex::new(None);
+        let first_panic = &first_panic;
+        let out: Vec<Option<R>> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(nranks);
             for (rank, receiver) in receivers.into_iter().enumerate() {
                 let shared = Arc::clone(shared);
@@ -124,17 +137,34 @@ impl World {
                         coll_seq: Cell::new(0),
                         draining: Cell::new(false),
                     };
-                    let r = f(&ctx);
-                    // Final implicit barrier: drain stragglers so no message is
-                    // dropped when the receivers are torn down.
-                    ctx.barrier();
-                    r
+                    // Handlers run inside `drain` on this thread, so one
+                    // catch covers `f`, its handlers and the final barrier.
+                    // AssertUnwindSafe: nothing `ctx` or `f` touched is read
+                    // again once a rank has panicked — the panic is re-raised.
+                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        let r = f(&ctx);
+                        // Final implicit barrier: drain stragglers so no message is
+                        // dropped when the receivers are torn down.
+                        ctx.barrier();
+                        r
+                    }));
+                    // The payload is recorded before the flag releases the
+                    // other ranks, and both before `ctx` drops its receiver.
+                    run.map_err(|payload| {
+                        first_panic.lock().get_or_insert(payload);
+                        ctx.shared.poisoned.store(true, Ordering::Relaxed);
+                    })
+                    .ok()
                 }));
             }
-            for (rank, h) in handles.into_iter().enumerate() {
-                out[rank] = Some(h.join().expect("rank thread panicked"));
-            }
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("a rank's panic is caught on its thread"))
+                .collect()
         });
+        if let Some(payload) = first_panic.lock().take() {
+            std::panic::resume_unwind(payload);
+        }
         out.into_iter()
             .map(|r| r.expect("rank produced no result"))
             .collect()
@@ -199,7 +229,7 @@ impl RankCtx {
         // processed, so quiescence (`sent == processed`) is never observed
         // spuriously while a message is in a queue.
         self.shared.sent.fetch_add(1, Ordering::SeqCst);
-        self.shared.stats.record_send(self.rank, dest);
+        self.shared.stats.record_send(self.rank);
         self.senders[dest]
             .send(Box::new(f))
             .expect("rank receiver dropped while world is running");
@@ -245,6 +275,7 @@ impl RankCtx {
             // quiescence (handlers bump `sent` before `processed`).
             loop {
                 self.drain();
+                self.check_poisoned();
                 let sent = shared.sent.load(Ordering::SeqCst);
                 let processed = shared.processed.load(Ordering::SeqCst);
                 if sent == processed {
@@ -256,6 +287,7 @@ impl RankCtx {
             }
         } else {
             while shared.barrier_sense.load(Ordering::SeqCst) != local_sense {
+                self.check_poisoned();
                 if self.drain() == 0 {
                     std::thread::yield_now();
                 }
@@ -263,15 +295,16 @@ impl RankCtx {
         }
     }
 
-    /// Send the same closure to every rank (including self) — the broadcast
-    /// form of [`RankCtx::async_exec`].
-    pub fn async_exec_all<F>(&self, f: F)
-    where
-        F: Fn(&RankCtx) + Clone + Send + 'static,
-    {
-        for dest in 0..self.shared.nranks {
-            let f = f.clone();
-            self.async_exec(dest, move |ctx| f(ctx));
+    /// A rank that panicked never arrives and never drains its queue again,
+    /// so waiting for it would spin forever. The flag publishes nothing (the
+    /// payload travels through [`World::launch`]'s join), hence `Relaxed`.
+    #[inline]
+    fn check_poisoned(&self) {
+        if self.shared.poisoned.load(Ordering::Relaxed) {
+            panic!(
+                "rank {}: another rank panicked; leaving the barrier",
+                self.rank
+            );
         }
     }
 
@@ -393,22 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn async_exec_all_reaches_every_rank() {
-        let hits = Arc::new(AtomicU64::new(0));
-        let h = Arc::clone(&hits);
-        World::run(5, move |ctx| {
-            if ctx.rank() == 2 {
-                let h = Arc::clone(&h);
-                ctx.async_exec_all(move |inner| {
-                    h.fetch_add(1 << inner.rank(), Ordering::SeqCst);
-                });
-            }
-            ctx.barrier();
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), 0b11111);
-    }
-
-    #[test]
     fn barrier_waits_for_cascading_messages() {
         // Rank 0 sends a message that itself sends messages, three levels deep.
         // The barrier must not release until the whole cascade has settled.
@@ -500,6 +517,54 @@ mod tests {
             ctx.barrier();
             assert_eq!(t.load(Ordering::SeqCst), PER_RANK * nranks as u64);
         });
+    }
+
+    /// Run `f` on a helper thread and return the message it panicked with. A
+    /// world that strands its surviving ranks fails here instead of hanging.
+    fn panic_message_within_10s(f: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err();
+            let _ = tx.send(payload.map(|p| {
+                match p.downcast::<String>() {
+                    Ok(s) => *s,
+                    Err(p) => p
+                        .downcast::<&str>()
+                        .map_or_else(|_| "?".into(), |s| s.to_string()),
+                }
+            }));
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the world did not tear down within 10 s")
+            .expect("the region was expected to panic")
+    }
+
+    #[test]
+    fn poisoned_world_a_rank_panicking_before_its_first_barrier_releases_the_others() {
+        let msg = panic_message_within_10s(|| {
+            World::run(3, |ctx| {
+                if ctx.rank() == 1 {
+                    panic!("rank one gives up");
+                }
+                ctx.barrier();
+                ctx.all_reduce_sum(1)
+            });
+        });
+        assert_eq!(msg, "rank one gives up");
+    }
+
+    #[test]
+    fn poisoned_world_a_handler_panic_releases_the_others() {
+        let msg = panic_message_within_10s(|| {
+            World::run(3, |ctx| {
+                if ctx.rank() == 0 {
+                    ctx.async_exec(2, |inner| panic!("handler on rank {}", inner.rank()));
+                }
+                ctx.barrier();
+                ctx.barrier();
+            });
+        });
+        assert_eq!(msg, "handler on rank 2");
     }
 
     #[test]

@@ -1,18 +1,23 @@
 //! `DistBag`: an unordered distributed collection (`ygm::container::bag`).
 //!
-//! Bags are the ingestion container: records are appended locally (no
-//! communication), then consumed by per-rank iteration. They also serve as the
-//! output container for triangle listings.
+//! A bag is a receive-side landing zone: a packed batch's handler appends it
+//! to the receiving rank's shard under one lock ([`DistBag::local_extend`]),
+//! and after the barrier the rank takes its shard ([`DistBag::local_take`]) or
+//! any rank reads it in place ([`DistBag::with_shard`]).
 
 use std::sync::Arc;
 
+use parking_lot::Mutex;
+
 use crate::comm::RankCtx;
 
-use super::{new_shards, Shards};
+/// Cache-line-aligned shard wrapper: adjacent shards never false-share.
+#[repr(align(64))]
+struct Shard<T>(Mutex<T>);
 
 /// A distributed bag of items with no ordering or ownership semantics.
 pub struct DistBag<T> {
-    shards: Shards<Vec<T>>,
+    shards: Arc<Vec<Shard<Vec<T>>>>,
     nranks: usize,
 }
 
@@ -31,8 +36,10 @@ where
 {
     /// Create a bag partitioned over `nranks` ranks.
     pub fn new(nranks: usize) -> Self {
+        assert!(nranks > 0, "containers need at least one rank");
+        let shards = (0..nranks).map(|_| Shard(Mutex::new(Vec::new()))).collect();
         DistBag {
-            shards: new_shards(nranks),
+            shards: Arc::new(shards),
             nranks,
         }
     }
@@ -40,12 +47,6 @@ where
     #[inline]
     fn check(&self, ctx: &RankCtx) {
         debug_assert_eq!(self.nranks, ctx.nranks(), "container/world size mismatch");
-    }
-
-    /// Append `item` to the calling rank's shard — immediate, no messaging.
-    pub fn local_insert(&self, ctx: &RankCtx, item: T) {
-        self.check(ctx);
-        self.shards[ctx.rank()].0.lock().push(item);
     }
 
     /// Bulk-append `items` to the calling rank's shard under one lock
@@ -61,7 +62,7 @@ where
 
     /// Read `rank`'s shard in place through `f`, without cloning. Quiescent
     /// regimes only (post-barrier or post-run): the caller must guarantee no
-    /// in-flight inserts, exactly as for `gather`.
+    /// in-flight inserts.
     pub fn with_shard<R>(&self, rank: usize, f: impl FnOnce(&Vec<T>) -> R) -> R {
         f(&self.shards[rank].0.lock())
     }
@@ -74,72 +75,10 @@ where
         f(&mut self.shards[rank].0.lock())
     }
 
-    /// Send `item` to `dest`'s shard.
-    pub fn async_insert_to(&self, ctx: &RankCtx, dest: usize, item: T) {
-        self.check(ctx);
-        let shards = Arc::clone(&self.shards);
-        ctx.async_exec(dest, move |inner| {
-            shards[inner.rank()].0.lock().push(item);
-        });
-    }
-
-    /// Send `item` to a rank chosen round-robin from a caller-supplied cursor,
-    /// spreading load when one rank produces most of the data.
-    pub fn async_insert_spread(&self, ctx: &RankCtx, cursor: &mut usize, item: T) {
-        let dest = *cursor % self.nranks;
-        *cursor = cursor.wrapping_add(1);
-        self.async_insert_to(ctx, dest, item);
-    }
-
-    /// Iterate this rank's items.
-    pub fn local_for_each<F>(&self, ctx: &RankCtx, mut f: F)
-    where
-        F: FnMut(&T),
-    {
-        self.check(ctx);
-        for item in self.shards[ctx.rank()].0.lock().iter() {
-            f(item);
-        }
-    }
-
     /// Take (move out) this rank's items, leaving the shard empty.
     pub fn local_take(&self, ctx: &RankCtx) -> Vec<T> {
         self.check(ctx);
         std::mem::take(&mut *self.shards[ctx.rank()].0.lock())
-    }
-
-    /// Items on this rank.
-    pub fn local_len(&self, ctx: &RankCtx) -> usize {
-        self.check(ctx);
-        self.shards[ctx.rank()].0.lock().len()
-    }
-
-    /// Collective: total items across ranks.
-    pub fn global_len(&self, ctx: &RankCtx) -> u64 {
-        self.check(ctx);
-        ctx.all_reduce_sum(self.local_len(ctx) as u64)
-    }
-
-    /// Move every item into one local `Vec` (shard order, then insertion
-    /// order). Quiescent-state only.
-    pub fn drain_into_local(&self) -> Vec<T> {
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            out.append(&mut shard.0.lock());
-        }
-        out
-    }
-
-    /// Clone every item into one local `Vec`. Quiescent-state only.
-    pub fn gather(&self) -> Vec<T>
-    where
-        T: Clone,
-    {
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            out.extend(shard.0.lock().iter().cloned());
-        }
-        out
     }
 }
 
@@ -149,64 +88,12 @@ mod tests {
     use crate::World;
 
     #[test]
-    fn local_inserts_stay_local() {
-        let bag = DistBag::<usize>::new(3);
-        let lens = {
-            let bag = bag.clone();
-            World::run(3, move |ctx| {
-                for _ in 0..=ctx.rank() {
-                    bag.local_insert(ctx, ctx.rank());
-                }
-                ctx.barrier();
-                bag.local_len(ctx)
-            })
-        };
-        assert_eq!(lens, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn async_insert_to_routes_items() {
-        let bag = DistBag::<usize>::new(4);
-        let lens = {
-            let bag = bag.clone();
-            World::run(4, move |ctx| {
-                bag.async_insert_to(ctx, 0, ctx.rank());
-                ctx.barrier();
-                bag.local_len(ctx)
-            })
-        };
-        assert_eq!(lens, vec![4, 0, 0, 0]);
-        let mut all = bag.drain_into_local();
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn spread_insert_balances() {
-        let bag = DistBag::<u32>::new(4);
-        let lens = {
-            let bag = bag.clone();
-            World::run(4, move |ctx| {
-                if ctx.rank() == 0 {
-                    let mut cursor = 0usize;
-                    for i in 0..400u32 {
-                        bag.async_insert_spread(ctx, &mut cursor, i);
-                    }
-                }
-                ctx.barrier();
-                bag.local_len(ctx)
-            })
-        };
-        assert_eq!(lens, vec![100, 100, 100, 100]);
-    }
-
-    #[test]
     fn take_empties_only_this_rank() {
-        let bag = DistBag::<usize>::new(2);
+        let bag = DistBag::<usize>::new(3);
         let taken = {
             let bag = bag.clone();
-            World::run(2, move |ctx| {
-                bag.local_insert(ctx, ctx.rank());
+            World::run(3, move |ctx| {
+                bag.local_extend(ctx, std::iter::repeat_n(ctx.rank(), ctx.rank() + 1));
                 ctx.barrier();
                 if ctx.rank() == 0 {
                     bag.local_take(ctx)
@@ -215,22 +102,8 @@ mod tests {
                 }
             })
         };
-        assert_eq!(taken[0], vec![0]);
-        assert_eq!(bag.gather(), vec![1]);
-    }
-
-    #[test]
-    fn global_len_counts_everything() {
-        let bag = DistBag::<u8>::new(3);
-        let out = {
-            let bag = bag.clone();
-            World::run(3, move |ctx| {
-                bag.local_insert(ctx, 1);
-                bag.async_insert_to(ctx, (ctx.rank() + 1) % 3, 2);
-                ctx.barrier();
-                bag.global_len(ctx)
-            })
-        };
-        assert_eq!(out, vec![6, 6, 6]);
+        assert_eq!(taken, vec![vec![0], vec![], vec![]]);
+        let lens: Vec<usize> = (0..3).map(|r| bag.with_shard(r, Vec::len)).collect();
+        assert_eq!(lens, vec![0, 2, 3]);
     }
 }

@@ -35,36 +35,43 @@
 //!    completion before any rank is released).
 //! 2. **Inside the SPMD region, immediately after a barrier** — the world is
 //!    quiescent until the next `async_*` send, so readers of another rank's
-//!    shard ([`container::DistBag::with_shard`], `gather`) may peek at it
-//!    through shared memory. Collectives (`all_gather`, `all_reduce*`,
-//!    `global_len`, …) must be issued by **every** rank in the same order.
+//!    shard ([`container::DistBag::with_shard`]) may peek at it through shared
+//!    memory. Collectives (`all_gather`, `all_reduce*`, …) must be issued by
+//!    **every** rank in the same order.
 //! 3. **After [`World::run`] returns** — all ranks have joined and an
 //!    implicit final barrier has drained every in-flight message, so the
-//!    containers are permanently quiescent and `drain_into_local` / `gather`
-//!    are safe from the main thread.
+//!    containers are permanently quiescent and `with_shard` is safe from the
+//!    main thread.
 //!
 //! Collective calls after `World::run` has returned are a bug: there are no
 //! rank threads left to meet the barrier, so they would deadlock.
+//!
+//! A rank that panics — in its SPMD function or in a message handler — poisons
+//! the world: every other rank panics out of its next barrier wait instead of
+//! spinning on it, and [`World::launch`] re-raises the first panic.
 //!
 //! ## Example
 //!
 //! ```
 //! use ygm::container::DistBag;
-//! use ygm::{owner_of, World};
+//! use ygm::{PackedAggregator, PackedBatch, World};
 //!
 //! let bag = DistBag::<u64>::new(4);
-//! let lens = {
-//!     let bag = bag.clone();
-//!     World::run(4, move |ctx| {
-//!         // every rank routes the same keys; each lands on its owner
-//!         for key in 0..100u64 {
-//!             bag.async_insert_to(ctx, owner_of(&key, ctx.nranks()), key);
-//!         }
-//!         ctx.barrier();
-//!         bag.global_len(ctx)
-//!     })
-//! };
-//! assert!(lens.iter().all(|&n| n == 400));
+//! let shards = World::run(4, |ctx| {
+//!     // every rank routes the same keys; each lands on its owner's shard
+//!     let landing = bag.clone();
+//!     let mut agg = PackedAggregator::new(ctx, "keys", move |owner, batch: PackedBatch<u64>| {
+//!         landing.local_extend(owner, batch.iter());
+//!     });
+//!     for key in 0..100u64 {
+//!         agg.push_keyed(ctx, &key, key);
+//!     }
+//!     agg.flush_all(ctx);
+//!     ctx.barrier();
+//!     bag.local_take(ctx)
+//! });
+//! assert_eq!(shards.iter().map(Vec::len).sum::<usize>(), 400);
+//! assert!(shards.iter().flatten().all(|&key| key < 100));
 //! ```
 
 pub mod comm;

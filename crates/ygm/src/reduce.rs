@@ -1,8 +1,8 @@
 //! Higher-level collective helpers built on [`crate::RankCtx::all_gather`].
 //!
-//! These mirror the small set of collectives YGM programs reach for between
-//! supersteps: min/max/sum of scalars, histogram merging, and gathering small
-//! per-rank vectors to every rank.
+//! The two collectives the rank program reaches for between supersteps beyond
+//! the scalar reductions on [`crate::RankCtx`]: histogram merging, and
+//! gathering small per-rank vectors to every rank.
 
 use crate::comm::RankCtx;
 
@@ -24,26 +24,6 @@ pub fn all_reduce_hist(ctx: &RankCtx, local: Vec<u64>) -> Vec<u64> {
         }
     }
     out
-}
-
-/// Min of an `f64` per rank (NaN-free inputs assumed).
-pub fn all_reduce_min_f64(ctx: &RankCtx, local: f64) -> f64 {
-    ctx.all_reduce(local, f64::min)
-}
-
-/// Max of an `f64` per rank (NaN-free inputs assumed).
-pub fn all_reduce_max_f64(ctx: &RankCtx, local: f64) -> f64 {
-    ctx.all_reduce(local, f64::max)
-}
-
-/// Sum of an `f64` per rank, accumulated in rank order for determinism.
-pub fn all_reduce_sum_f64(ctx: &RankCtx, local: f64) -> f64 {
-    ctx.all_gather(local).into_iter().sum()
-}
-
-/// Broadcast rank 0's value to every rank.
-pub fn broadcast<T: Clone + Send + 'static>(ctx: &RankCtx, local: T) -> T {
-    ctx.all_gather(local).swap_remove(0)
 }
 
 #[cfg(test)]
@@ -72,28 +52,5 @@ mod tests {
         for h in out {
             assert_eq!(h, vec![20, 10, 10]);
         }
-    }
-
-    #[test]
-    fn float_reductions() {
-        let out = World::run(3, |ctx| {
-            let x = ctx.rank() as f64 + 0.5;
-            (
-                all_reduce_min_f64(ctx, x),
-                all_reduce_max_f64(ctx, x),
-                all_reduce_sum_f64(ctx, x),
-            )
-        });
-        for (mn, mx, sum) in out {
-            assert_eq!(mn, 0.5);
-            assert_eq!(mx, 2.5);
-            assert!((sum - 4.5).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn broadcast_takes_rank_zero_value() {
-        let out = World::run(4, |ctx| broadcast(ctx, ctx.rank() as u32 + 100));
-        assert_eq!(out, vec![100, 100, 100, 100]);
     }
 }

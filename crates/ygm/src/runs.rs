@@ -502,12 +502,6 @@ impl<K: RunKey> DistRuns<K> {
         self.shards[ctx.rank()].lock().absorb(items);
     }
 
-    /// Keys resident in memory on this rank (spilled keys excluded).
-    pub fn local_resident_keys(&self, ctx: &RankCtx) -> usize {
-        self.check(ctx);
-        self.shards[ctx.rank()].lock().resident_keys()
-    }
-
     /// Take (move out) this rank's finished partition for merging, leaving
     /// the shard empty. Quiescent regimes only (post-barrier).
     pub fn local_take(&self, ctx: &RankCtx) -> RunSet<K> {

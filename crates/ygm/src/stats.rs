@@ -1,9 +1,8 @@
 //! World-wide message statistics.
 //!
-//! Real YGM exposes per-rank send/receive counters that LLNL uses to reason
-//! about communication balance; the pipeline's scale reports (paper §3.2.3)
-//! need the same visibility here. Counters are cache-padded per source rank to
-//! keep the hot `record_send` path contention-free.
+//! Real YGM exposes per-rank send counters that LLNL uses to reason about
+//! communication balance. Counters are cache-padded per source rank to keep
+//! the hot `record_send` path contention-free.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -14,9 +13,6 @@ struct PaddedCounter(AtomicU64);
 /// Per-rank message counters for a [`crate::World`].
 pub struct WorldStats {
     sent_by_rank: Vec<PaddedCounter>,
-    /// Messages whose destination equals their source (self-sends); these are
-    /// "free" in a real distributed setting and interesting to track.
-    self_sends_by_rank: Vec<PaddedCounter>,
 }
 
 impl WorldStats {
@@ -25,30 +21,12 @@ impl WorldStats {
             sent_by_rank: (0..nranks)
                 .map(|_| PaddedCounter(AtomicU64::new(0)))
                 .collect(),
-            self_sends_by_rank: (0..nranks)
-                .map(|_| PaddedCounter(AtomicU64::new(0)))
-                .collect(),
         }
     }
 
     #[inline]
-    pub(crate) fn record_send(&self, from: usize, to: usize) {
+    pub(crate) fn record_send(&self, from: usize) {
         self.sent_by_rank[from].0.fetch_add(1, Ordering::Relaxed);
-        if from == to {
-            self.self_sends_by_rank[from]
-                .0
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Messages sent by `rank`.
-    pub fn sent_by(&self, rank: usize) -> u64 {
-        self.sent_by_rank[rank].0.load(Ordering::Relaxed)
-    }
-
-    /// Self-addressed messages sent by `rank`.
-    pub fn self_sends_by(&self, rank: usize) -> u64 {
-        self.self_sends_by_rank[rank].0.load(Ordering::Relaxed)
     }
 
     /// Total messages sent world-wide.
@@ -58,23 +36,6 @@ impl WorldStats {
             .map(|c| c.0.load(Ordering::Relaxed))
             .sum()
     }
-
-    /// Ratio of the busiest rank's sends to the mean; 1.0 is perfectly
-    /// balanced. Returns 0.0 before any message is sent.
-    pub fn send_imbalance(&self) -> f64 {
-        let total = self.total_sent();
-        if total == 0 {
-            return 0.0;
-        }
-        let max = self
-            .sent_by_rank
-            .iter()
-            .map(|c| c.0.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0);
-        let mean = total as f64 / self.sent_by_rank.len() as f64;
-        max as f64 / mean
-    }
 }
 
 #[cfg(test)]
@@ -82,7 +43,7 @@ mod tests {
     use crate::World;
 
     #[test]
-    fn counters_track_sends_per_rank() {
+    fn total_counts_every_send() {
         let out = World::run(3, |ctx| {
             if ctx.rank() == 1 {
                 for _ in 0..5 {
@@ -91,36 +52,8 @@ mod tests {
                 ctx.async_exec(1, |_| {}); // self-send
             }
             ctx.barrier();
-            (
-                ctx.stats().sent_by(1),
-                ctx.stats().self_sends_by(1),
-                ctx.stats().total_sent(),
-            )
+            ctx.stats().total_sent()
         });
-        for (by1, self1, total) in out {
-            assert_eq!(by1, 6);
-            assert_eq!(self1, 1);
-            assert_eq!(total, 6);
-        }
-    }
-
-    #[test]
-    fn imbalance_is_one_for_uniform_traffic() {
-        let out = World::run(4, |ctx| {
-            for _ in 0..100 {
-                ctx.async_exec((ctx.rank() + 1) % ctx.nranks(), |_| {});
-            }
-            ctx.barrier();
-            ctx.stats().send_imbalance()
-        });
-        for imb in out {
-            assert!((imb - 1.0).abs() < 1e-9, "imbalance {imb}");
-        }
-    }
-
-    #[test]
-    fn imbalance_zero_with_no_traffic() {
-        let out = World::run(2, |ctx| ctx.stats().send_imbalance());
-        assert_eq!(out, vec![0.0, 0.0]);
+        assert_eq!(out, vec![6, 6, 6]);
     }
 }

@@ -13,7 +13,7 @@
 //! usage error.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::process::ExitCode;
 
 use coordination::analysis::components::{component_dot, describe, named_components};
@@ -62,7 +62,7 @@ fn usage() -> ExitCode {
          generate  --preset jan2020|oct2016|adv_* [--scale F=0.3] --out FILE\n\
          stats     --input FILE\n\
          pipeline  --input FILE [--d1 S=0] [--d2 S=60] [--cutoff N=10] [--t-score F=0]\n\
-         \x20          [--distributed [--ranks N=4] [--shuffle-budget BYTES]]\n\
+         \x20          [--ranks N=1] [--shuffle-budget BYTES]\n\
          project   --input FILE [--d1 S=0] [--d2 S=60] --out GRAPH.tsv\n\
          survey    --graph GRAPH.tsv [--cutoff N=10] [--t-score F=0] [--top N]\n\
          hunt      --input FILE [--d1 S=0] [--d2 S=60] [--cutoff N=25] [--dot-dir DIR]\n\
@@ -79,8 +79,8 @@ fn usage() -> ExitCode {
          `project` persists the expensive step-1 graph; `survey` re-queries it\n\
          at any cutoff without reprojecting. `pipeline` runs ingest →\n\
          projection → survey → validation end to end and prints a\n\
-         deterministic analysis; with --distributed it runs rank-sharded on\n\
-         --ranks ygm ranks and produces byte-identical stdout. `stream`\n\
+         deterministic analysis; with --ranks N > 1 it runs rank-sharded on\n\
+         N ygm ranks and produces byte-identical stdout. `stream`\n\
          replays the input as a live event stream and alerts on coordinated\n\
          triplets mid-stream.\n\
          `snapshot write` serializes an ingest to the columnar binary snapshot\n\
@@ -96,11 +96,12 @@ fn usage() -> ExitCode {
          members.\n\
          Input is pushshift-style NDJSON.\n\
          \n\
-         Global: --ranks N sets the rank count for distributed runs (only\n\
-         valid with `pipeline --distributed`; errors elsewhere).\n\
-         --shuffle-budget BYTES caps each rank's resident shuffle run stack\n\
-         per label; overflow spills sorted segments to disk and the output\n\
-         is bit-identical to an unbounded run (distributed pipeline only).\n\
+         Global: --ranks N (`pipeline` only; errors elsewhere) runs the\n\
+         rank-sharded engine on N ranks; the default, 1, is the resident\n\
+         engine. --shuffle-budget BYTES (`pipeline` only) caps each rank's\n\
+         resident shuffle run stack per label; overflow spills sorted\n\
+         segments to disk and the output is bit-identical to an unbounded\n\
+         run. A budget selects the rank-sharded engine at any --ranks.\n\
          --skip-bad-lines counts and skips malformed input lines instead of\n\
          aborting (default: strict). --report FILE writes a schema-versioned\n\
          JSON run report (span timings + counters); --progress prints live\n\
@@ -116,7 +117,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "cutoff",
     "d1",
     "d2",
-    "distributed",
     "dot-dir",
     "from-snapshot",
     "graph",
@@ -253,24 +253,43 @@ fn reject_both_inputs(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn load_dataset(flags: &Flags) -> Result<Dataset, String> {
-    reject_both_inputs(flags)?;
-    if let Some(path) = flags.get("from-snapshot") {
-        let snap = open_snapshot(path)?;
-        return Ok(coordination::core::snapshot::dataset_from_snapshot(&snap));
+/// What a command runs over: `--input` ingested, or `--from-snapshot` mapped.
+enum Input {
+    Dataset(Dataset),
+    Snapshot(coordination::core::store::Snapshot),
+}
+
+impl Input {
+    fn open(flags: &Flags) -> Result<Input, String> {
+        reject_both_inputs(flags)?;
+        if let Some(path) = flags.get("from-snapshot") {
+            return open_snapshot(path).map(Input::Snapshot);
+        }
+        let (buf, path) = read_input_bytes(flags)?;
+        let ing = ingest::ingest_slice(&buf, &ingest_config(flags))
+            .map_err(|e| format!("read {path}: {e}"))?;
+        report_skipped(&ing.stats);
+        let ds = ing.dataset;
+        eprintln!(
+            "loaded {} comments, {} authors, {} pages",
+            ds.len(),
+            ds.authors.len(),
+            ds.pages.len()
+        );
+        Ok(Input::Dataset(ds))
     }
-    let (buf, path) = read_input_bytes(flags)?;
-    let ing = ingest::ingest_slice(&buf, &ingest_config(flags))
-        .map_err(|e| format!("read {path}: {e}"))?;
-    report_skipped(&ing.stats);
-    let ds = ing.dataset;
-    eprintln!(
-        "loaded {} comments, {} authors, {} pages",
-        ds.len(),
-        ds.authors.len(),
-        ds.pages.len()
-    );
-    Ok(ds)
+
+    /// The input as a [`Dataset`]; a snapshot materializes its tables.
+    fn into_dataset(self) -> Dataset {
+        match self {
+            Input::Dataset(ds) => ds,
+            Input::Snapshot(snap) => coordination::core::snapshot::dataset_from_snapshot(&snap),
+        }
+    }
+}
+
+fn load_dataset(flags: &Flags) -> Result<Dataset, String> {
+    Input::open(flags).map(Input::into_dataset)
 }
 
 fn window(flags: &Flags) -> Result<Window, String> {
@@ -318,32 +337,45 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn run_pipeline(
-    flags: &Flags,
-    default_cutoff: u64,
-) -> Result<(Dataset, coordination::core::pipeline::PipelineOutput), String> {
-    reject_both_inputs(flags)?;
-    let pipeline = Pipeline::new(PipelineConfig {
+/// The detector configuration of the commands that run all three steps.
+fn pipeline_config(flags: &Flags, default_cutoff: u64) -> Result<PipelineConfig, String> {
+    Ok(PipelineConfig {
         window: window(flags)?,
         min_triangle_weight: flags.num("cutoff", default_cutoff)?,
         min_t_score: flags.num("t-score", 0.0)?,
         ..Default::default()
-    });
-    // Both paths produce identical output (events reach the BTM in a
-    // different order, which it is insensitive to); the snapshot path feeds
-    // the mapped columns straight into the BTM and only materializes the
-    // name tables, which downstream printing needs anyway.
-    let (ds, out) = if let Some(path) = flags.get("from-snapshot") {
-        let snap = open_snapshot(path)?;
-        let out = pipeline.run_snapshot(&snap);
-        (
-            coordination::core::snapshot::dataset_from_snapshot(&snap),
-            out,
-        )
+    })
+}
+
+/// Run the three steps over `input`. The rank count alone says which engine
+/// runs: the rank program at `--ranks N > 1` — or at any count under a
+/// `--shuffle-budget`, which only it can honour — and the resident engine
+/// otherwise. Both print the same bytes (events reach the BTM in a different
+/// order, which it is insensitive to), and a snapshot feeds its mapped rows
+/// to either without materializing a [`Dataset`].
+fn run_detector(
+    flags: &Flags,
+    config: PipelineConfig,
+    input: &Input,
+) -> Result<PipelineOutput, String> {
+    // `main` has checked both for a positive count
+    let ranks: usize = flags.num("ranks", 1)?;
+    let budget: Option<usize> = flags.get("shuffle-budget").and_then(|v| v.parse().ok());
+    let out = if ranks > 1 || budget.is_some() {
+        let mut ranked = DistPipeline::new(config, ranks);
+        if let Some(bytes) = budget {
+            ranked = ranked.with_shuffle_budget(bytes);
+        }
+        match input {
+            Input::Dataset(ds) => ranked.run_dataset(ds),
+            Input::Snapshot(snap) => ranked.run_snapshot(snap),
+        }
     } else {
-        let ds = load_dataset(flags)?;
-        let out = pipeline.run_dataset(&ds);
-        (ds, out)
+        let resident = Pipeline::new(config);
+        match input {
+            Input::Dataset(ds) => resident.run_dataset(ds),
+            Input::Snapshot(snap) => resident.run_snapshot(snap),
+        }
     };
     eprintln!(
         "projection: {} edges in {:.2?}; survey: {} triangles in {:.2?}; {} triplets validated in {:.2?}",
@@ -354,7 +386,15 @@ fn run_pipeline(
         out.stats.triplets_validated,
         out.timings.validation,
     );
-    Ok((ds, out))
+    Ok(out)
+}
+
+fn run_pipeline(flags: &Flags, default_cutoff: u64) -> Result<(Dataset, PipelineOutput), String> {
+    let config = pipeline_config(flags, default_cutoff)?;
+    let input = Input::open(flags)?;
+    let out = run_detector(flags, config, &input)?;
+    // downstream printing needs the name tables either way
+    Ok((input.into_dataset(), out))
 }
 
 fn cmd_stats(flags: &Flags) -> Result<(), String> {
@@ -625,70 +665,30 @@ fn write_triplet_rows<'a>(
 }
 
 /// `pipeline`: the full ingest → projection → survey → validation run with a
-/// deterministic stdout report — the same bytes whether it runs on the resident
-/// path or rank-sharded (`--distributed --ranks N`), which is what the CLI
-/// equivalence test pins. Timings go to stderr only.
+/// deterministic stdout report — the same bytes whichever engine `--ranks`
+/// and `--shuffle-budget` select, which is what the CLI equivalence test
+/// pins. Timings go to stderr only.
 fn cmd_pipeline(flags: &Flags) -> Result<(), String> {
-    reject_both_inputs(flags)?;
-    let config = PipelineConfig {
-        window: window(flags)?,
-        min_triangle_weight: flags.num("cutoff", 10)?,
-        min_t_score: flags.num("t-score", 0.0)?,
-        ..Default::default()
-    };
-    let distributed = flags.has("distributed");
-    let ranks: usize = flags.num("ranks", 4)?;
-    let shuffle_budget: usize = flags.num("shuffle-budget", 0)?;
-    let make_dist = |config: PipelineConfig| {
-        let mut p = DistPipeline::new(config, ranks);
-        if shuffle_budget > 0 {
-            p = p.with_shuffle_budget(shuffle_budget);
+    let config = pipeline_config(flags, 10)?;
+    let input = Input::open(flags)?;
+    let out = run_detector(flags, config, &input)?;
+    // Author names are read in place: off the mapping on the snapshot path
+    // (no Dataset is materialized), out of the interner's arena otherwise.
+    match &input {
+        Input::Dataset(ds) => print_pipeline_report(&out, |id| ds.authors.name(id)),
+        Input::Snapshot(snap) => {
+            let names = snap.author_names();
+            print_pipeline_report(&out, |id| names.get(id))
         }
-        p
-    };
-
-    // Run, then print with author names read in place: off the mapping on
-    // the snapshot path (no Dataset is materialized), out of the interner's
-    // arena otherwise.
-    if let Some(path) = flags.get("from-snapshot") {
-        let snap = open_snapshot(path)?;
-        let out = if distributed {
-            make_dist(config).run_snapshot(&snap)
-        } else {
-            Pipeline::new(config).run_snapshot(&snap)
-        };
-        let names = snap.author_names();
-        print_pipeline_report(distributed, &out, |id| names.get(id))
-    } else {
-        let ds = load_dataset(flags)?;
-        let out = if distributed {
-            make_dist(config).run_dataset(&ds)
-        } else {
-            Pipeline::new(config).run_dataset(&ds)
-        };
-        print_pipeline_report(distributed, &out, |id| ds.authors.name(id))
     }
 }
 
-/// `pipeline`'s output: stage timings on stderr, the deterministic report on
-/// stdout.
+/// `pipeline`'s deterministic report.
 fn print_pipeline_report<'a>(
-    distributed: bool,
     out: &PipelineOutput,
     name: impl Fn(u32) -> &'a str,
 ) -> Result<(), String> {
     let s = &out.stats;
-    eprintln!(
-        "{} path: projection {:.2?}, survey {:.2?}, validation {:.2?}",
-        if distributed {
-            "distributed"
-        } else {
-            "resident"
-        },
-        out.timings.projection,
-        out.timings.survey,
-        out.timings.validation,
-    );
     with_stdout(|w| {
         writeln!(w, "comments reviewed      {}", s.comments_reviewed)?;
         writeln!(
@@ -981,40 +981,20 @@ fn main() -> ExitCode {
     let Some(flags) = Flags::parse(rest) else {
         return usage();
     };
-    // Global `--ranks` validation: it only means something on a distributed
-    // run, and it must be a positive rank count. Catching it here gives every
-    // other subcommand the same clear error instead of a silently ignored
-    // flag.
-    if let Some(v) = flags.get("ranks") {
-        if cmd != "pipeline" || !flags.has("distributed") {
+    // `--ranks` and `--shuffle-budget` choose and bound `pipeline`'s engine.
+    // Catching them here gives every other subcommand the same clear error
+    // instead of a silently ignored flag.
+    for (flag, what) in [("ranks", "rank count"), ("shuffle-budget", "byte count")] {
+        let Some(v) = flags.get(flag) else { continue };
+        if cmd != "pipeline" {
             eprintln!(
-                "error: --ranks only applies to distributed runs; use `pipeline --distributed --ranks N`"
+                "error: --{flag} only applies to `pipeline`; use `pipeline [--ranks N] [--shuffle-budget BYTES]`"
             );
             return ExitCode::from(2);
         }
-        match v.parse::<usize>() {
-            Ok(n) if n > 0 => {}
-            _ => {
-                eprintln!("error: --ranks: need a positive rank count, got {v:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    // Same story for `--shuffle-budget`: a memory cap on the distributed
-    // shuffle's receive side, meaningless anywhere else.
-    if let Some(v) = flags.get("shuffle-budget") {
-        if cmd != "pipeline" || !flags.has("distributed") {
-            eprintln!(
-                "error: --shuffle-budget only applies to distributed runs; use `pipeline --distributed --shuffle-budget BYTES`"
-            );
+        if !matches!(v.parse::<usize>(), Ok(n) if n > 0) {
+            eprintln!("error: --{flag}: need a positive {what}, got {v:?}");
             return ExitCode::from(2);
-        }
-        match v.parse::<usize>() {
-            Ok(n) if n > 0 => {}
-            _ => {
-                eprintln!("error: --shuffle-budget: need a positive byte count, got {v:?}");
-                return ExitCode::from(2);
-            }
         }
     }
     // `--report` / `--progress` turn instrumentation on for the whole run;
@@ -1046,7 +1026,3 @@ fn main() -> ExitCode {
         }
     }
 }
-
-// keep stdin generic-read import used even when input comes from files
-#[allow(unused)]
-fn _assert_bufread_bound<R: BufRead>(_: R) {}

@@ -328,38 +328,29 @@ fn snapshot_inspect_rejects_damaged_and_future_files() {
 fn pipeline_distributed_stdout_is_byte_identical_to_resident() {
     let dir = tmpdir("pipeline-dist");
     let input = generate_month(&dir);
-    let resident = bin()
-        .args(["pipeline", "--input"])
-        .arg(&input)
-        .args(["--d2", "60", "--cutoff", "25"])
-        .output()
-        .expect("run pipeline");
-    assert!(resident.status.success());
-    let stdout = String::from_utf8_lossy(&resident.stdout);
+    let pipeline = |engine: &[&str]| {
+        let run = bin()
+            .args(["pipeline", "--input"])
+            .arg(&input)
+            .args(["--d2", "60", "--cutoff", "25"])
+            .args(engine)
+            .output()
+            .expect("run pipeline");
+        assert!(run.status.success(), "pipeline {engine:?}");
+        run.stdout
+    };
+    let resident = pipeline(&[]);
+    let stdout = String::from_utf8_lossy(&resident);
     assert!(stdout.contains("comments reviewed"), "{stdout}");
     assert!(stdout.contains("a\tb\tc\tmin_w\tT\tw_xyz\tC"), "{stdout}");
 
     // the acceptance bar: the rank-sharded run prints the same bytes
-    let distributed = bin()
-        .args(["pipeline", "--input"])
-        .arg(&input)
-        .args([
-            "--d2",
-            "60",
-            "--cutoff",
-            "25",
-            "--distributed",
-            "--ranks",
-            "4",
-        ])
-        .output()
-        .expect("run pipeline --distributed");
-    assert!(distributed.status.success());
-    assert!(!resident.stdout.is_empty());
-    assert_eq!(
-        resident.stdout, distributed.stdout,
-        "distributed stdout diverged from resident"
-    );
+    for engine in [&["--ranks", "3"][..], &["--shuffle-budget", "65536"]] {
+        assert!(
+            resident == pipeline(engine),
+            "pipeline {engine:?} stdout diverged from the resident engine's"
+        );
+    }
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -367,33 +358,39 @@ fn pipeline_distributed_stdout_is_byte_identical_to_resident() {
 fn ranks_flag_is_validated_and_scoped_to_distributed_runs() {
     let dir = tmpdir("ranks-flag");
     let input = generate_month(&dir);
-    // --ranks without --distributed (or on another subcommand) is an error
-    for args in [
-        vec!["stats", "--ranks", "4", "--input"],
-        vec!["pipeline", "--ranks", "2", "--input"],
-    ] {
-        let out = bin().args(&args).arg(&input).output().expect("run");
+    let stderr_of_exit_2 = |args: &[&str]| {
+        let out = bin().args(args).arg(&input).output().expect("run");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    // the engine flags on any other subcommand are an error naming `pipeline`
+    for args in [
+        ["stats", "--ranks", "4", "--input"],
+        ["hunt", "--shuffle-budget", "65536", "--input"],
+    ] {
+        let stderr = stderr_of_exit_2(&args);
         assert!(
-            stderr.contains("--ranks only applies to distributed runs"),
+            stderr.contains(&format!("{} only applies to `pipeline`", args[1])),
             "{args:?}: {stderr}"
         );
     }
-    // a non-positive or malformed rank count is an error
-    for bad in ["0", "-3", "many"] {
-        let out = bin()
-            .args(["pipeline", "--distributed", "--ranks", bad, "--input"])
-            .arg(&input)
-            .output()
-            .expect("run");
-        assert_eq!(out.status.code(), Some(2), "--ranks {bad}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
+    // a non-positive or malformed count is an error
+    for (flag, bad) in [
+        ("--ranks", "0"),
+        ("--ranks", "-3"),
+        ("--ranks", "x"),
+        ("--shuffle-budget", "0"),
+    ] {
+        let stderr = stderr_of_exit_2(&["pipeline", flag, bad, "--input"]);
         assert!(
-            stderr.contains("positive rank count"),
-            "--ranks {bad}: {stderr}"
+            stderr.contains(&format!("{flag}: need a positive")),
+            "{flag} {bad}: {stderr}"
         );
     }
+    // the flag that used to pick the engine is gone, refused like any typo
+    let stderr = stderr_of_exit_2(&["pipeline", "--distributed", "--input"]);
+    assert!(stderr.contains("unknown flag: --distributed"), "{stderr}");
     std::fs::remove_dir_all(dir).ok();
 }
 

@@ -6,15 +6,21 @@
 //!
 //! CI runs the named `distributed_matches_resident_at_*_ranks` tests explicitly
 //! at 1/2/4 ranks; the proptests below extend the same claim to arbitrary
-//! rank counts and shuffled event orders.
+//! rank counts and shuffled event orders, and to every way in
+//! (`every_way_in_is_the_same_door`).
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use coordination::core::dist_pipeline::{event_source, DistPipeline};
+use coordination::core::filter::ExclusionList;
 use coordination::core::ids::{AuthorId, Event, PageId};
 use coordination::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
-use coordination::core::records::{write_ndjson, CommentRecord, Dataset};
-use coordination::core::Btm;
+use coordination::core::records::{CommentRecord, Dataset};
+use coordination::core::snapshot::write_snapshot;
+use coordination::core::store::Snapshot;
+use coordination::core::{Btm, Interner};
 use coordination::redditgen::ScenarioConfig;
 use coordination::stream::{StreamConfig, StreamEngine};
 
@@ -111,27 +117,108 @@ fn distributed_matches_resident_at_4_ranks() {
     assert_equivalent(&resident, &dist);
 }
 
-#[test]
-fn distributed_text_ingest_matches_resident_on_generated_month() {
-    // The rank-sharded ingest path: each rank parses its own chunk of the
-    // NDJSON buffer, and the replicated interner merge must reproduce the
-    // reference reader's dense ids exactly.
-    let scenario = ScenarioConfig::jan2020(0.02).build();
-    let mut ndjson = Vec::new();
-    write_ndjson(&mut ndjson, &scenario.records).expect("serialize");
-    let text = String::from_utf8(ndjson).expect("utf8");
-    let ds = Dataset::from_records(scenario.records);
+/// Three coordinated authors on 20 pages, an organic straggler per page,
+/// and AutoModerator greeting every page instantly (must be excluded).
+fn automoderator_scenario() -> Dataset {
+    let mut recs = Vec::new();
+    for page in 0..20 {
+        for (i, bot) in ["bot_a", "bot_b", "bot_c"].iter().enumerate() {
+            recs.push(CommentRecord::new(
+                *bot,
+                format!("p{page}"),
+                page as i64 * 10_000 + i as i64 * 5,
+            ));
+        }
+        recs.push(CommentRecord::new(
+            format!("user{page}"),
+            format!("p{page}"),
+            page as i64 * 10_000 + 7_200,
+        ));
+    }
+    for page in 0..20 {
+        recs.push(CommentRecord::new(
+            "AutoModerator",
+            format!("p{page}"),
+            page as i64 * 10_000,
+        ));
+    }
+    Dataset::from_records(recs)
+}
 
-    let config = PipelineConfig {
-        min_triangle_weight: 25,
-        ..Default::default()
-    };
-    let resident = Pipeline::new(config.clone()).run_dataset(&ds);
-    for nranks in [1, 3, 4] {
-        let dist = DistPipeline::new(config.clone(), nranks)
-            .run_text(&text)
-            .expect("well-formed month");
+/// `ds` written to a snapshot file of this test's own and opened; the file
+/// is unlinked when the guard drops.
+fn snapshot_of(ds: &Dataset, tag: &str) -> (Snapshot, impl Drop) {
+    struct Unlink(std::path::PathBuf);
+    impl Drop for Unlink {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+    let path = std::env::temp_dir().join(format!(
+        "dist_equiv_{tag}_{}_{:?}.snap",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    write_snapshot(ds, None, &path).expect("write snapshot");
+    let snap = Snapshot::open(&path).expect("open snapshot");
+    (snap, Unlink(path))
+}
+
+#[test]
+fn distributed_dataset_matches_resident_for_any_rank_count() {
+    let ds = automoderator_scenario();
+    let resident = Pipeline::default().run_dataset(&ds);
+    for nranks in [1, 2, 3, 4, 7] {
+        let dist = DistPipeline::new(PipelineConfig::default(), nranks).run_dataset(&ds);
         assert_equivalent(&resident, &dist);
+    }
+}
+
+#[test]
+fn distributed_snapshot_matches_resident() {
+    let ds = automoderator_scenario();
+    let (snap, _unlink) = snapshot_of(&ds, "scenario");
+    let resident = Pipeline::default().run_dataset(&ds);
+    for nranks in [1, 4] {
+        let dist = DistPipeline::new(PipelineConfig::default(), nranks).run_snapshot(&snap);
+        assert_equivalent(&resident, &dist);
+    }
+}
+
+#[test]
+fn empty_input_runs_cleanly_at_any_rank_count() {
+    for nranks in [1, 2, 5] {
+        let out =
+            DistPipeline::new(PipelineConfig::default(), nranks).run_dataset(&Dataset::default());
+        assert!(out.triplets.is_empty());
+        assert_eq!(out.stats.ci_edges, 0);
+        assert!(out.survey.min_weight_log_hist.is_empty());
+    }
+}
+
+/// An event source that yields an author id outside the id space must stop
+/// the run at the door, on one rank or three — not index a per-author table
+/// out of bounds on one rank and strand the others in a barrier. Run on a
+/// helper thread so that a stranded world fails here instead of hanging.
+#[test]
+fn poisoned_world_an_out_of_range_author_stops_the_run_at_the_door() {
+    for nranks in [1, 3] {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let events = [(0, 0, 5), (1, 0, 6), (9, 1, 7), (2, 1, 8)]
+                .map(|(a, p, ts)| Event::new(AuthorId(a), PageId(p), ts));
+            let source =
+                event_source(|rank, n| Box::new(events.iter().skip(rank).step_by(n).copied()));
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                DistPipeline::new(PipelineConfig::default(), nranks).run_events(9, &source)
+            }));
+            let _ = tx.send(run.err().and_then(|p| p.downcast::<String>().ok()));
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the world did not tear down within 10 s")
+            .expect("the run was expected to panic with a message");
+        assert_eq!(*message, "author id 9 out of range", "{nranks} ranks");
     }
 }
 
@@ -420,5 +507,64 @@ proptest! {
         }
         let dist = pipeline.run_events(n_authors, &source);
         assert_equivalent(&resident, &dist);
+    }
+
+    /// Every way in is the same door: a dataset, its snapshot and a
+    /// pre-filtered event source produce what the resident engine produces,
+    /// for a random excluded subset of the authors — plus one excluded name
+    /// (and, where raw ids are taken, one id) past the end of the id space,
+    /// which has no events to drop and must not index anything.
+    #[test]
+    fn every_way_in_is_the_same_door(
+        events in arb_events(16, 12, 300),
+        excluded_bits in 0u32..1 << 16,
+        nranks in 1usize..5,
+        budget in arb_budget(),
+    ) {
+        let (n_authors, n_pages) = (16, 12 * PAGE_STRIDE);
+        let names = |prefix: &str, n: u32| {
+            let mut interner = Interner::new();
+            (0..n).for_each(|i| assert_eq!(interner.intern(&format!("{prefix}{i}")), i));
+            Arc::new(interner)
+        };
+        let ds = Dataset {
+            authors: names("author", n_authors),
+            pages: names("page", n_pages),
+            events,
+        };
+        let mut excluded: Vec<AuthorId> = (0..n_authors)
+            .filter(|a| excluded_bits >> a & 1 == 1)
+            .map(AuthorId)
+            .collect();
+        excluded.push(AuthorId(n_authors));
+        let mut exclusions = ExclusionList::new();
+        exclusions.extend(excluded.iter().map(|a| format!("author{}", a.0)));
+        let config = PipelineConfig {
+            min_triangle_weight: 1,
+            exclusions,
+            ..Default::default()
+        };
+
+        let resident = Pipeline::new(config.clone()).run_dataset(&ds);
+        let by_id = Btm::build(n_authors, n_pages, &excluded, || ds.events.iter().copied());
+        assert_equivalent(&resident, &Pipeline::new(config.clone()).run_btm(&by_id));
+
+        let mut pipeline = DistPipeline::new(config, nranks);
+        if let Some(bytes) = budget {
+            pipeline = pipeline.with_shuffle_budget(bytes);
+        }
+        assert_equivalent(&resident, &pipeline.run_dataset(&ds));
+        let (snap, _unlink) = snapshot_of(&ds, "door");
+        assert_equivalent(&resident, &pipeline.run_snapshot(&snap));
+        let kept: Vec<Event> = ds
+            .events
+            .iter()
+            .copied()
+            .filter(|e| !excluded.contains(&e.author))
+            .collect();
+        let source = event_source(|rank, n| {
+            Box::new(kept[coordination::ygm::block_range(rank, kept.len(), n)].iter().copied())
+        });
+        assert_equivalent(&resident, &pipeline.run_events(n_authors, &source));
     }
 }

@@ -249,31 +249,6 @@ proptest! {
         prop_assert_eq!(w3, hyperedge_weight(&authors, trio[0], trio[1], trio[2]));
     }
 
-    /// k-trusses are nested and the 3-truss contains every triangle edge.
-    #[test]
-    fn truss_nesting_on_projections((na, np, events) in arb_events(12, 10, 250)) {
-        use coordination::tripoll::truss::{k_truss, max_trussness};
-        let btm = Btm::from_events(na, np, &events);
-        let wg = project(&btm, Window::new(0, 300)).to_weighted_graph();
-        let kmax = max_trussness(&wg);
-        let mut prev_edges = wg.m();
-        for k in 2..=kmax {
-            let t = k_truss(&wg, k);
-            prop_assert!(t.m() <= prev_edges);
-            prev_edges = t.m();
-        }
-        // every triangle's three edges are in the 3-truss
-        let t3 = k_truss(&wg, 3);
-        let oriented = OrientedGraph::from_graph(&wg);
-        let mut ok = true;
-        coordination::tripoll::enumerate::for_each_triangle(&oriented, |t| {
-            ok &= t3.edge_weight(t.a, t.b).is_some()
-                && t3.edge_weight(t.a, t.c).is_some()
-                && t3.edge_weight(t.b, t.c).is_some();
-        });
-        prop_assert!(ok, "a triangle edge fell out of the 3-truss");
-    }
-
     /// Subset reprojection equals the full projection filtered to the subset.
     #[test]
     fn subset_projection_consistency((na, np, events) in arb_events(14, 10, 250), w in arb_window()) {
