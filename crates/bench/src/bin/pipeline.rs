@@ -80,7 +80,9 @@ fn bench_scenario(
     let ndjson = ndjson_bytes(records);
     let ingest_cfg = &IngestConfig::default();
     // untimed warm-up so a single-rep smoke run isn't timing cold allocation
-    std::hint::black_box(ingest::ingest_slice(&ndjson, ingest_cfg).expect("ingest bench NDJSON"));
+    std::hint::black_box(
+        ingest::ingest_reader(&ndjson[..], ingest_cfg).expect("ingest bench NDJSON"),
+    );
     // the on-disk snapshot for the cold-start stage: written once (untimed),
     // reopened and decoded to a ready BTM inside the timed loop
     let snap_path = std::env::temp_dir().join(format!("bench-{name}-{}.snap", std::process::id()));
@@ -88,7 +90,7 @@ fn bench_scenario(
     let mut best: Option<ScenarioReport> = None;
     for _ in 0..reps {
         let t = Instant::now();
-        let ingested = ingest::ingest_slice(&ndjson, ingest_cfg).expect("ingest bench NDJSON");
+        let ingested = ingest::ingest_reader(&ndjson[..], ingest_cfg).expect("ingest bench NDJSON");
         let ingest_secs = t.elapsed().as_secs_f64();
         let t = Instant::now();
         let snap = Snapshot::open(&snap_path).expect("open bench snapshot");
@@ -386,8 +388,9 @@ fn probe_pipeline() -> Pipeline {
 }
 
 /// Child-process entry for `--rss-probe`: run one full pipeline over the
-/// given input path — `resident` reads + ingests NDJSON, `snapshot` mmaps a
-/// snapshot file — then print the process's peak RSS (VmHWM) in kB.
+/// given input path — `resident` ingests NDJSON a chunk at a time, as the
+/// CLI's `--input` does, `snapshot` mmaps a snapshot file — then print the
+/// process's peak RSS (VmHWM) in kB.
 ///
 /// VmHWM is a per-process high-water mark, so the two paths can only be
 /// compared from separate processes; the parent spawns this binary once per
@@ -395,9 +398,8 @@ fn probe_pipeline() -> Pipeline {
 fn rss_probe_child(mode: &str, input: &str) -> ! {
     let triplets = match mode {
         "resident" => {
-            let buf = std::fs::read(input).expect("probe: read NDJSON");
-            let ing = ingest::ingest_slice(&buf, &IngestConfig::default()).expect("probe: ingest");
-            drop(buf);
+            let file = std::fs::File::open(input).expect("probe: open NDJSON");
+            let ing = ingest::ingest_reader(file, &IngestConfig::default()).expect("probe: ingest");
             probe_pipeline().run_dataset(&ing.dataset).triplets.len()
         }
         "snapshot" => {
@@ -637,7 +639,7 @@ fn ablation_ingest(records: &[CommentRecord], smoke: bool, reps: usize) -> (Abla
 
     // correctness guard: identical datasets
     let reference = read_ndjson_into_dataset(ndjson.as_slice()).expect("reference read");
-    let ingested = ingest::ingest_slice(&ndjson, &cfg).expect("ingest");
+    let ingested = ingest::ingest_reader(&ndjson[..], &cfg).expect("ingest");
     assert_eq!(reference.events, ingested.dataset.events, "ingest diverged");
     assert_eq!(reference.authors.len(), ingested.dataset.authors.len());
     assert_eq!(reference.pages.len(), ingested.dataset.pages.len());
@@ -649,7 +651,7 @@ fn ablation_ingest(records: &[CommentRecord], smoke: bool, reps: usize) -> (Abla
         std::hint::black_box(read_ndjson_into_dataset(ndjson.as_slice()).expect("reference read"));
         reference_secs = reference_secs.min(t.elapsed().as_secs_f64());
         let t = Instant::now();
-        std::hint::black_box(ingest::ingest_slice(&ndjson, &cfg).expect("ingest"));
+        std::hint::black_box(ingest::ingest_reader(&ndjson[..], &cfg).expect("ingest"));
         ingest_secs = ingest_secs.min(t.elapsed().as_secs_f64());
     }
 

@@ -1,27 +1,46 @@
 //! NDJSON ingest: a zero-copy field scanner feeding one in-order interning
-//! pass.
+//! pass, fed by a chunk reader that holds one buffer of text at a time.
 //!
 //! The paper's raw input is a month of pushshift.io Reddit comments — tens of
-//! GB of NDJSON — and turning its names into dense ids is the first thing
-//! every run pays. The reference reader in [`crate::records`] spends one
+//! GB of NDJSON, distributed compressed, so the natural feed is a
+//! decompressor's pipe — and turning its names into dense ids is the first
+//! thing every run pays. The reference reader in [`crate::records`] spends one
 //! `serde_json` parse and two `String`s per line on it; this module is the
-//! production path. Two pieces, composed by [`ingest_str`]:
+//! production path. Three pieces:
 //!
-//! 1. **Zero-copy field scanning.** [`scan_record`] extracts only `author`,
-//!    `link_id` and `created_utc` from a line without allocating or building a
-//!    value tree for the dozens of unused pushshift fields. The scanner is
-//!    deliberately conservative: any construct it is not certain about
-//!    (escape sequences, non-integer timestamps, malformed syntax) makes it
-//!    bail, and the line is re-parsed by `serde_json` — so the fast path can
-//!    never change what gets accepted or rejected.
-//! 2. **One pass in input order.** Each scanned line's `author` and `link_id`
-//!    are interned straight into the final [`Dataset`]'s arena-backed
-//!    [`Interner`]s and its [`Event`] is pushed, so global first-occurrence
+//! 1. **The scanner.** [`scan_record`] extracts only `author`, `link_id` and
+//!    `created_utc` from a line without allocating or building a value tree
+//!    for the dozens of unused pushshift fields. The scanner is deliberately
+//!    conservative: any construct it is not certain about (escape sequences,
+//!    non-integer timestamps, malformed syntax) makes it bail, and the line
+//!    is re-parsed by `serde_json` — so the fast path can never change what
+//!    gets accepted or rejected. It also ends its own line: `\n` is not in
+//!    its whitespace set and stops a string, so the pass scans a record off
+//!    the front of what is left of the text and only a line the scanner does
+//!    not take searches for its `\n`.
+//! 2. **The pass.** Each scanned line's `author` and `link_id` are interned
+//!    straight into the final [`Dataset`]'s arena-backed [`Interner`]s and
+//!    its [`Event`] is pushed, in input order, so global first-occurrence
 //!    ids — exactly the ids the reference reader assigns — fall out by
-//!    construction. There is no second name table to merge, no id remap and
-//!    no event copy, and a parse error carries its 1-based line number
-//!    directly. The pass scans a few lines ahead of the interning
+//!    construction. The pass is resumable: it owns the interners, the event
+//!    column and the running [`IngestStats`], takes the input a piece at a
+//!    time (each piece a run of whole lines) and carries its line count
+//!    across pieces, so a parse error's 1-based line number is the file's.
+//!    Within a piece it scans a few lines ahead of the interning
 //!    (`SCAN_AHEAD`) so that the lookups' cache misses overlap.
+//! 3. **The chunk reader.** [`ingest_reader`] fills one reused buffer
+//!    (`CHUNK` bytes; a line longer than it doubles the buffer), cuts at the
+//!    last `\n`, validates that prefix as UTF-8, feeds it to the pass and
+//!    moves the unterminated tail to the front — so ingest holds the dataset
+//!    plus one chunk, never the file, and reads a pipe as readily as a path.
+//!    [`ingest_slice`] / [`ingest_str`] are the same pass fed one piece.
+//!
+//! **The first fault in file order wins, at any chunking.** A chunk that
+//! fails UTF-8 validation first feeds its complete lines before the bad
+//! byte — a malformed line among them is the earlier fault and is reported
+//! as [`ReadError::Parse`] — and only then returns [`ReadError::Io`] naming
+//! the line and the file-absolute byte offset: what the reference reader,
+//! which validates line by line, reports.
 //!
 //! The pass runs on the calling thread. Interning in order is the part that
 //! cannot be split (it is the Amdahl term: the scanner is about a third of
@@ -36,6 +55,7 @@
 //! million; the default remains strict, matching the reference reader.
 
 use std::borrow::Cow;
+use std::io::{ErrorKind, Read};
 use std::sync::Arc;
 
 use crate::ids::{AuthorId, Event, Interner, PageId, Timestamp};
@@ -86,8 +106,10 @@ pub struct RecordRef<'a> {
 
 // ---------------------------------------------------------------- scanner
 
-/// Index of the first `"` or `\\` in `bytes`, eight bytes at a time.
-fn find_quote_or_backslash(bytes: &[u8]) -> Option<usize> {
+/// Index of the first `"`, `\\` or `\n` in `bytes`, eight bytes at a time: the
+/// bytes that end a string the scanner can borrow — its closing quote, an
+/// escape, or the end of the line it is on.
+fn find_string_stop(bytes: &[u8]) -> Option<usize> {
     const LOW: u64 = 0x0101_0101_0101_0101;
     const HIGH: u64 = 0x8080_8080_8080_8080;
     // Nonzero in the lowest byte of `w` that equals `b` (exact for the
@@ -99,7 +121,7 @@ fn find_quote_or_backslash(bytes: &[u8]) -> Option<usize> {
     let mut at = 0;
     while let Some(chunk) = bytes.get(at..at + 8) {
         let w = u64::from_le_bytes(chunk.try_into().expect("an 8-byte slice"));
-        let hit = hits(w, b'"') | hits(w, b'\\');
+        let hit = hits(w, b'"') | hits(w, b'\\') | hits(w, b'\n');
         if hit != 0 {
             return Some(at + hit.trailing_zeros() as usize / 8);
         }
@@ -107,20 +129,22 @@ fn find_quote_or_backslash(bytes: &[u8]) -> Option<usize> {
     }
     bytes[at..]
         .iter()
-        .position(|&b| b == b'"' || b == b'\\')
+        .position(|&b| matches!(b, b'"' | b'\\' | b'\n'))
         .map(|i| at + i)
 }
 
-/// Byte cursor over one line. All helpers return `None`/`false` to signal
-/// "bail to serde" — the scanner never errors on its own.
+/// Byte cursor over the text a record is scanned off the front of: one line,
+/// or what is left of a piece. No helper steps over a `\n`, so the scan stays
+/// on the first line whatever follows it. All helpers return `None`/`false`
+/// to signal "bail to serde" — the scanner never errors on its own.
 struct Cursor<'a> {
-    line: &'a str,
+    text: &'a str,
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
     fn peek(&self) -> Option<u8> {
-        self.line.as_bytes().get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8) -> bool {
@@ -132,15 +156,16 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Same whitespace set as the JSON parser this falls back to.
+    /// The whitespace of the JSON parser this falls back to that can occur
+    /// inside a line.
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.line.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             true
         } else {
@@ -149,22 +174,23 @@ impl<'a> Cursor<'a> {
     }
 
     /// A string with no escape sequences, returned as a borrowed slice.
-    /// Bails on the first backslash: unescaping needs an allocation and the
-    /// serde fallback already knows how to do it.
+    /// Bails on the first backslash — unescaping needs an allocation and the
+    /// serde fallback already knows how to do it — and at the end of the
+    /// line: the string is unterminated.
     fn simple_string(&mut self) -> Option<&'a str> {
         if !self.eat(b'"') {
             return None;
         }
         let start = self.pos;
-        let rest = &self.line.as_bytes()[start..];
-        let len = find_quote_or_backslash(rest)?;
-        if rest[len] == b'\\' {
+        let rest = &self.text.as_bytes()[start..];
+        let len = find_string_stop(rest)?;
+        if rest[len] != b'"' {
             return None;
         }
         self.pos = start + len + 1;
         // Both bounds sit next to '"' bytes, which never occur inside a
         // multi-byte sequence, so this is always a char-boundary slice.
-        self.line.get(start..start + len)
+        self.text.get(start..start + len)
     }
 
     /// A plain integer literal. Bails on fractions, exponents and overflow —
@@ -185,7 +211,7 @@ impl<'a> Cursor<'a> {
         if n_digits > 18 {
             // Only past 18 digits can an `i64` overflow (or `magnitude` have
             // wrapped): let the standard parser draw that line.
-            return self.line.get(start..self.pos)?.parse().ok();
+            return self.text.get(start..self.pos)?.parse().ok();
         }
         let magnitude = magnitude as i64;
         Some(if negative { -magnitude } else { magnitude })
@@ -285,14 +311,12 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Extract `author`, `link_id` and `created_utc` from one NDJSON line without
-/// allocating. Returns `None` whenever the line contains *anything* the
-/// scanner is not certain about (escapes in a needed string, a non-integer
-/// timestamp, unusual syntax); the caller then re-parses with `serde_json`,
-/// which makes the accept/reject decision. Duplicate keys follow
-/// last-occurrence-wins, matching the fallback's object semantics.
-pub fn scan_record(line: &str) -> Option<RecordRef<'_>> {
-    let mut c = Cursor { line, pos: 0 };
+/// Scan one record off the front of `text`: its three fields plus what is
+/// left of `text` after the record's line. The record must end its line —
+/// only JSON whitespace between it and the `\n` or the end of `text` — so
+/// the outcome is [`scan_record`]'s on that line alone, whatever follows.
+fn scan_prefix(text: &str) -> Option<(RecordRef<'_>, &str)> {
+    let mut c = Cursor { text, pos: 0 };
     c.skip_ws();
     if !c.eat(b'{') {
         return None;
@@ -331,46 +355,72 @@ pub fn scan_record(line: &str) -> Option<RecordRef<'_>> {
         }
     }
     c.skip_ws();
-    if c.pos != line.len() {
-        return None; // trailing garbage: serde turns this into a parse error
-    }
-    Some(RecordRef {
+    let next_line = match c.peek() {
+        None => c.pos,
+        Some(b'\n') => c.pos + 1,
+        Some(_) => return None, // trailing garbage: serde turns this into a parse error
+    };
+    let record = RecordRef {
         author: author?,
         link_id: link_id?,
         created_utc: created_utc?,
-    })
+    };
+    Some((record, &text[next_line..]))
+}
+
+/// Extract `author`, `link_id` and `created_utc` from one NDJSON line without
+/// allocating. Returns `None` whenever the line contains *anything* the
+/// scanner is not certain about (escapes in a needed string, a non-integer
+/// timestamp, unusual syntax, a `\n` anywhere but at its end); the caller
+/// then re-parses with `serde_json`, which makes the accept/reject decision.
+/// Duplicate keys follow last-occurrence-wins, matching the fallback's object
+/// semantics.
+pub fn scan_record(line: &str) -> Option<RecordRef<'_>> {
+    let (record, rest) = scan_prefix(line)?;
+    rest.is_empty().then_some(record)
 }
 
 // ---------------------------------------------------------------- the pass
 
-/// Parse every line of `text` in order, feeding each record's three fields
-/// to `emit` — borrowed from `text` when the scanner took the line, owned
-/// when `serde_json` had to unescape it. On a strict-mode parse failure,
-/// returns the 1-based line number within `text` plus the serde error.
+/// A record's three fields: borrowed from the piece when the scanner took
+/// the line, owned when `serde_json` had to unescape it.
+type Scanned<'a> = (Cow<'a, str>, Cow<'a, str>, Timestamp);
+
+/// Parse every line of `text` in order, feeding each record to `emit` and
+/// counting into `st`, whose line count runs on from the pieces before this
+/// one — so a strict-mode parse failure carries the input's 1-based line
+/// number.
 fn for_each_record<'a>(
     text: &'a str,
     skip_bad: bool,
-    mut emit: impl FnMut(Cow<'a, str>, Cow<'a, str>, Timestamp),
-) -> Result<IngestStats, (u64, serde_json::Error)> {
-    let mut st = IngestStats::default();
-    for line in text.split_terminator('\n') {
+    st: &mut IngestStats,
+    mut emit: impl FnMut(Scanned<'a>),
+) -> Result<(), ReadError> {
+    let mut rest = text;
+    while !rest.is_empty() {
         st.lines += 1;
-        // The scanner skips JSON whitespace itself, so the Unicode-aware
-        // `trim` the reference reader applies is only paid for by lines the
-        // scanner did not take as they stand: blank ones, ones padded with
-        // non-JSON whitespace (rescanned once trimmed) and true fallbacks.
-        let mut scanned = scan_record(line);
-        let mut trimmed = line;
-        if scanned.is_none() {
-            trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            if trimmed.len() != line.len() {
-                scanned = scan_record(trimmed);
-            }
+        if let Some((r, after)) = scan_prefix(rest) {
+            rest = after;
+            emit((r.author.into(), r.link_id.into(), r.created_utc));
+            st.events += 1;
+            continue;
         }
-        let (author, link_id, ts) = match scanned {
+        // Only a line the scanner did not take as it stands looks for its
+        // end and pays for the Unicode-aware `trim` the reference reader
+        // applies: blank ones, ones padded with non-JSON whitespace
+        // (rescanned once trimmed) and true fallbacks.
+        let (line, after) = rest.split_once('\n').unwrap_or((rest, ""));
+        rest = after;
+        let trimmed = line.trim();
+        if trimmed.is_empty() {
+            continue;
+        }
+        let rescanned = if trimmed.len() != line.len() {
+            scan_record(trimmed)
+        } else {
+            None
+        };
+        let scanned = match rescanned {
             Some(r) => (r.author.into(), r.link_id.into(), r.created_utc),
             None => {
                 st.scanner_fallbacks += 1;
@@ -380,14 +430,19 @@ fn for_each_record<'a>(
                         st.skipped_lines += 1;
                         continue;
                     }
-                    Err(source) => return Err((st.lines, source)),
+                    Err(source) => {
+                        return Err(ReadError::Parse {
+                            line: st.lines as usize,
+                            source,
+                        })
+                    }
                 }
             }
         };
-        emit(author, link_id, ts);
+        emit(scanned);
         st.events += 1;
     }
-    Ok(st)
+    Ok(())
 }
 
 /// How many records are scanned before their names are interned. A lookup
@@ -398,106 +453,251 @@ fn for_each_record<'a>(
 /// per line, flat beyond.
 const SCAN_AHEAD: usize = 16;
 
-/// The in-order pass over one piece of input: scan each line and intern its
-/// names straight into the resulting [`Dataset`], whose ids are therefore in
-/// first-occurrence order within `chunk` — authors and pages are separate id
+/// Where a pass puts its records: a window of at most [`SCAN_AHEAD`] at a
+/// time, in input order.
+trait Sink {
+    /// Consume `ahead`, leaving it empty.
+    fn take(&mut self, ahead: &mut Vec<Scanned<'_>>);
+}
+
+/// Interns names straight into the resulting [`Dataset`], whose ids are
+/// therefore in first-occurrence order — authors and pages are separate id
 /// spaces, so interning a few lines' authors and then the same lines' pages
-/// assigns what interning line by line would. Every driver feeds it the
-/// whole input as one chunk.
-pub(crate) fn parse_chunk(chunk: &str, skip_bad: bool) -> Result<Ingest, (u64, serde_json::Error)> {
-    let mut authors = Interner::new();
-    let mut pages = Interner::new();
-    let mut events: Vec<Event> = Vec::new();
-    let mut ahead = Vec::with_capacity(SCAN_AHEAD);
-    let mut intern_ahead =
-        |ahead: &mut Vec<(Cow<str>, Cow<str>, Timestamp)>| {
-            let first = events.len();
-            events.extend(ahead.iter().map(|(author, _, ts)| {
-                Event::new(AuthorId(authors.intern(author)), PageId(0), *ts)
-            }));
-            for (event, (_, link_id, _)) in events[first..].iter_mut().zip(ahead.iter()) {
-                event.page = PageId(pages.intern(link_id));
-            }
-            ahead.clear();
-        };
-    let stats = for_each_record(chunk, skip_bad, |author, link_id, ts| {
-        ahead.push((author, link_id, ts));
-        if ahead.len() == SCAN_AHEAD {
-            intern_ahead(&mut ahead);
+/// assigns what interning line by line would.
+struct Interning {
+    authors: Interner,
+    pages: Interner,
+    events: Vec<Event>,
+}
+
+impl Interning {
+    fn new() -> Self {
+        Interning {
+            authors: Interner::new(),
+            pages: Interner::new(),
+            events: Vec::new(),
         }
-    })?;
-    intern_ahead(&mut ahead);
-    Ok(Ingest {
-        dataset: Dataset {
-            authors: Arc::new(authors),
-            pages: Arc::new(pages),
-            events,
-        },
-        stats,
-    })
+    }
+}
+
+impl Sink for Interning {
+    fn take(&mut self, ahead: &mut Vec<Scanned<'_>>) {
+        let first = self.events.len();
+        self.events.extend(ahead.iter().map(|(author, _, ts)| {
+            Event::new(AuthorId(self.authors.intern(author)), PageId(0), *ts)
+        }));
+        for (event, (_, link_id, _)) in self.events[first..].iter_mut().zip(ahead.iter()) {
+            event.page = PageId(self.pages.intern(link_id));
+        }
+        ahead.clear();
+    }
+}
+
+/// Owned records, no interning — the streaming path wants
+/// [`CommentRecord`]s it can sort and replay.
+impl Sink for Vec<CommentRecord> {
+    fn take(&mut self, ahead: &mut Vec<Scanned<'_>>) {
+        self.extend(
+            ahead
+                .drain(..)
+                .map(|(author, link_id, ts)| CommentRecord::new(author, link_id, ts)),
+        );
+    }
+}
+
+/// The in-order pass, resumable between pieces of input: it owns the sink
+/// and the running counters, and takes the text one run of whole lines at a
+/// time. The scan-ahead window is flushed at the end of every piece — the
+/// names it borrows die with the piece — which cannot change an id because
+/// order is preserved.
+struct Pass<S> {
+    sink: S,
+    skip_bad: bool,
+    stats: IngestStats,
+    bytes: u64,
+    chunks: u64,
+}
+
+impl<S: Sink> Pass<S> {
+    /// Parse `piece` — whole lines, the last of which may lack its `\n` only
+    /// at the end of the input.
+    fn feed(&mut self, piece: &str) -> Result<(), ReadError> {
+        self.bytes += piece.len() as u64;
+        self.chunks += 1;
+        let mut ahead = Vec::with_capacity(SCAN_AHEAD);
+        let sink = &mut self.sink;
+        for_each_record(piece, self.skip_bad, &mut self.stats, |scanned| {
+            ahead.push(scanned);
+            if ahead.len() == SCAN_AHEAD {
+                sink.take(&mut ahead);
+            }
+        })?;
+        sink.take(&mut ahead);
+        Ok(())
+    }
+
+    /// [`Pass::feed`] over raw bytes that start `offset` bytes into the
+    /// input. Non-UTF-8 input is an I/O error, as it is for the reference
+    /// line reader — reported after the complete lines before the bad byte
+    /// have been parsed, so a malformed line among them, being the earlier
+    /// fault, is the one reported.
+    fn feed_bytes(&mut self, bytes: &[u8], offset: u64) -> Result<(), ReadError> {
+        let fault = match std::str::from_utf8(bytes) {
+            Ok(text) => return self.feed(text),
+            Err(e) => e.valid_up_to(),
+        };
+        let whole_lines = bytes[..fault]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1);
+        let before = std::str::from_utf8(&bytes[..whole_lines])
+            .expect("a prefix of the valid prefix, cut after an ASCII byte");
+        self.feed(before)?;
+        Err(ReadError::Io(std::io::Error::new(
+            ErrorKind::InvalidData,
+            format!(
+                "input is not valid UTF-8 on line {}, at byte {}",
+                self.stats.lines + 1,
+                offset + fault as u64
+            ),
+        )))
+    }
+}
+
+// ---------------------------------------------------------------- chunk reader
+
+/// Bytes of input held at a time. Measured flat between 256 KiB and 4 MiB on
+/// a 60 MB month, slower at 16 MiB.
+const CHUNK: usize = 1 << 20;
+
+/// Drive `pass` over everything `reader` yields through one reused buffer of
+/// `capacity` bytes: fill it, cut at the last `\n`, feed that prefix, move
+/// the unterminated tail to the front. A line longer than the buffer doubles
+/// it. [`ErrorKind::Interrupted`] is retried; any other read error ends the
+/// run.
+fn read_chunks<S: Sink>(
+    mut reader: impl Read,
+    capacity: usize,
+    pass: &mut Pass<S>,
+) -> Result<(), ReadError> {
+    let mut buf = vec![0u8; capacity];
+    // `buf[..filled]` is input not yet fed, `offset` bytes into the input;
+    // its first `tail` bytes are known to hold no `\n`.
+    let (mut filled, mut tail, mut offset) = (0, 0, 0u64);
+    loop {
+        let mut eof = false;
+        while filled < buf.len() && !eof {
+            match reader.read(&mut buf[filled..]) {
+                Ok(0) => eof = true,
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(ReadError::Io(e)),
+            }
+        }
+        let cut = if eof {
+            filled
+        } else if let Some(i) = buf[tail..filled].iter().rposition(|&b| b == b'\n') {
+            tail + i + 1
+        } else {
+            tail = filled;
+            buf.resize(buf.len() * 2, 0);
+            continue;
+        };
+        if cut > 0 {
+            pass.feed_bytes(&buf[..cut], offset)?;
+        }
+        if eof {
+            return Ok(());
+        }
+        buf.copy_within(cut..filled, 0);
+        filled -= cut;
+        tail = filled;
+        offset += cut as u64;
+    }
 }
 
 // ---------------------------------------------------------------- drivers
 
-fn parse_error((line, source): (u64, serde_json::Error)) -> ReadError {
-    ReadError::Parse {
-        line: line as usize,
-        source,
+/// One run of the pass under the `ingest` span — opened before `drive` reads
+/// its first byte, so the span covers the read — with the run's counters
+/// routed through the metrics registry, making lossy runs
+/// (`--skip-bad-lines`) auditable in the run report rather than stderr-only.
+/// Counter registration is unconditional so every documented `ingest.*` name
+/// appears in the report even when it stays 0.
+fn run<S: Sink>(
+    sink: S,
+    cfg: &IngestConfig,
+    drive: impl FnOnce(&mut Pass<S>) -> Result<(), ReadError>,
+) -> Result<(S, IngestStats), ReadError> {
+    let _stage = obs::span("ingest");
+    let mut pass = Pass {
+        sink,
+        skip_bad: cfg.skip_bad_lines,
+        stats: IngestStats::default(),
+        bytes: 0,
+        chunks: 0,
+    };
+    drive(&mut pass)?;
+    obs::counter("ingest.bytes").add(pass.bytes);
+    obs::counter("ingest.chunks").add(pass.chunks);
+    obs::counter("ingest.lines").add(pass.stats.lines);
+    obs::counter("ingest.events").add(pass.stats.events);
+    obs::counter("ingest.skipped_lines").add(pass.stats.skipped_lines);
+    obs::counter("ingest.scanner_fallbacks").add(pass.stats.scanner_fallbacks);
+    obs::record_stage_rss("ingest");
+    Ok((pass.sink, pass.stats))
+}
+
+fn into_ingest((sink, stats): (Interning, IngestStats)) -> Ingest {
+    Ingest {
+        dataset: Dataset {
+            authors: Arc::new(sink.authors),
+            pages: Arc::new(sink.pages),
+            events: sink.events,
+        },
+        stats,
     }
 }
 
-fn utf8(buf: &[u8]) -> Result<&str, ReadError> {
-    std::str::from_utf8(buf).map_err(|e| {
-        ReadError::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("input is not valid UTF-8: {e}"),
-        ))
+/// Ingest NDJSON from `reader` — a file, a pipe — into a [`Dataset`] in one
+/// in-order pass, holding one chunk of text at a time. Names get their ids
+/// where they first occur, so the output is identical to the reference
+/// reader's ([`crate::records::read_ndjson_into_dataset`]), and so is the
+/// fault reported: the first in file order, a malformed line as
+/// [`ReadError::Parse`] and a non-UTF-8 one as [`ReadError::Io`]. Nothing
+/// partial is returned on an error.
+pub fn ingest_reader(reader: impl Read, cfg: &IngestConfig) -> Result<Ingest, ReadError> {
+    run(Interning::new(), cfg, |pass| {
+        read_chunks(reader, CHUNK, pass)
     })
+    .map(into_ingest)
 }
 
-/// Route one run's [`IngestStats`] through the metrics registry, making
-/// lossy runs (`--skip-bad-lines`) auditable in the run report rather than
-/// stderr-only. Counter registration is unconditional so every documented
-/// `ingest.*` name appears in the report even when it stays 0.
-fn record_ingest_stats(stats: &IngestStats) {
-    obs::counter("ingest.lines").add(stats.lines);
-    obs::counter("ingest.events").add(stats.events);
-    obs::counter("ingest.skipped_lines").add(stats.skipped_lines);
-    obs::counter("ingest.scanner_fallbacks").add(stats.scanner_fallbacks);
-    obs::record_stage_rss("ingest");
-}
-
-/// Ingest an NDJSON buffer into a [`Dataset`] in one in-order pass. Names
-/// get their ids where they first occur, so the output is identical to the
-/// reference reader's ([`crate::records::read_ndjson_into_dataset`]).
+/// [`ingest_reader`] over text already in memory: the same pass, fed one
+/// piece.
 pub fn ingest_str(text: &str, cfg: &IngestConfig) -> Result<Ingest, ReadError> {
-    let _stage = obs::span("ingest");
-    let ingest = parse_chunk(text, cfg.skip_bad_lines).map_err(parse_error)?;
-    record_ingest_stats(&ingest.stats);
-    Ok(ingest)
+    run(Interning::new(), cfg, |pass| pass.feed(text)).map(into_ingest)
 }
 
-/// [`ingest_str`] over raw bytes; non-UTF-8 input is an I/O error, as it is
-/// for the reference line reader.
+/// [`ingest_str`] over raw bytes.
 pub fn ingest_slice(buf: &[u8], cfg: &IngestConfig) -> Result<Ingest, ReadError> {
-    ingest_str(utf8(buf)?, cfg)
+    run(Interning::new(), cfg, |pass| pass.feed_bytes(buf, 0)).map(into_ingest)
 }
 
-/// Parse to owned records (no interning), in input order — the streaming
-/// path wants [`CommentRecord`]s it can sort and replay.
+/// [`ingest_reader`] to owned records (no interning), in input order.
+pub fn ingest_records_reader(
+    reader: impl Read,
+    cfg: &IngestConfig,
+) -> Result<(Vec<CommentRecord>, IngestStats), ReadError> {
+    run(Vec::new(), cfg, |pass| read_chunks(reader, CHUNK, pass))
+}
+
+/// [`ingest_records_reader`] over raw bytes already in memory.
 pub fn ingest_records_slice(
     buf: &[u8],
     cfg: &IngestConfig,
 ) -> Result<(Vec<CommentRecord>, IngestStats), ReadError> {
-    let text = utf8(buf)?;
-    let _stage = obs::span("ingest");
-    let mut records = Vec::new();
-    let stats = for_each_record(text, cfg.skip_bad_lines, |author, link_id, ts| {
-        records.push(CommentRecord::new(author, link_id, ts));
-    })
-    .map_err(parse_error)?;
-    record_ingest_stats(&stats);
-    Ok((records, stats))
+    run(Vec::new(), cfg, |pass| pass.feed_bytes(buf, 0))
 }
 
 #[cfg(test)]
@@ -517,6 +717,228 @@ mod tests {
         assert_eq!(a.events, b.events);
         assert_eq!(names(&a.authors), names(&b.authors));
         assert_eq!(names(&a.pages), names(&b.pages));
+    }
+
+    /// The chunk reader at a private `capacity`, to put a buffer end — and
+    /// so a cut — at every place a 1 MiB chunk would only rarely put one.
+    fn ingest_chunked(
+        bytes: &[u8],
+        capacity: usize,
+        cfg: &IngestConfig,
+    ) -> Result<Ingest, ReadError> {
+        run(Interning::new(), cfg, |pass| {
+            read_chunks(bytes, capacity, pass)
+        })
+        .map(into_ingest)
+    }
+
+    /// A finished run, in full: names in id order, events, counters.
+    #[derive(Debug, PartialEq)]
+    struct Ended {
+        authors: Vec<String>,
+        pages: Vec<String>,
+        events: Vec<Event>,
+        stats: IngestStats,
+    }
+
+    /// How a run ended: what it produced, or the error, worded.
+    fn outcome(r: Result<Ingest, ReadError>) -> Result<Ended, String> {
+        r.map(|ing| Ended {
+            authors: names(&ing.dataset.authors),
+            pages: names(&ing.dataset.pages),
+            events: ing.dataset.events,
+            stats: ing.stats,
+        })
+        .map_err(|e| e.to_string())
+    }
+
+    /// At every capacity, strict and lossy, the chunk reader ends as the
+    /// one-piece pass does — and as the reference reader does, where that has
+    /// a say (it has no lossy mode and does not number a non-UTF-8 line).
+    fn assert_every_capacity_matches(bytes: &[u8], capacities: impl IntoIterator<Item = usize>) {
+        let strict = IngestConfig::default();
+        let lossy = IngestConfig {
+            skip_bad_lines: true,
+        };
+        let whole = [&strict, &lossy].map(|cfg| outcome(ingest_slice(bytes, cfg)));
+        match (read_ndjson_into_dataset(bytes), &whole[0]) {
+            (Ok(reference), Ok(ended)) => {
+                assert_eq!(names(&reference.authors), ended.authors);
+                assert_eq!(names(&reference.pages), ended.pages);
+                assert_eq!(reference.events, ended.events);
+            }
+            (Err(reference), Err(message)) => match reference {
+                ReadError::Parse { .. } => assert_eq!(&reference.to_string(), message),
+                ReadError::Io(_) => assert!(message.contains("not valid UTF-8"), "{message}"),
+            },
+            (reference, whole) => panic!("reference {reference:?}, one piece {whole:?}"),
+        }
+        for capacity in capacities {
+            for (cfg, whole) in [&strict, &lossy].into_iter().zip(&whole) {
+                let chunked = outcome(ingest_chunked(bytes, capacity, cfg));
+                assert_eq!(&chunked, whole, "capacity {capacity}, {cfg:?}");
+            }
+        }
+    }
+
+    const CAPACITIES: [usize; 5] = [1, 2, 7, 64, 4096];
+
+    /// Record lines in every spelling the tests of this module use, one
+    /// each: taken by the scanner, handed to serde, rejected by both.
+    fn corpus_lines() -> Vec<String> {
+        let good = line("a", "p", 1);
+        vec![
+            good.clone(),
+            line("uni—codé✓", "t3_ü", -7),
+            format!("{good}\r"),
+            format!(" \t{good} \t"),
+            format!("\u{a0}{good}\u{2003}"),
+            concat!(
+                r#"{"score":-3,"body":"no escapes here","edited":false,"gildings":{"a":[1,2.5e3]},"#,
+                r#""author":"a","tags":[null,true,{"k":"v"}],"link_id":"p","created_utc":7}"#
+            )
+            .to_owned(),
+            r#"{"author":"first","author":"second","link_id":"p","created_utc":1}"#.to_owned(),
+            r#"{"author":"a\\b","link_id":"p","created_utc":1}"#.to_owned(),
+            r#"{"body":"say \"hi\"","author":"a","link_id":"p","created_utc":1}"#.to_owned(),
+            r#"{"author":"c","link_id":"p","created_utc":2.0}"#.to_owned(),
+            r#"{"author":"a","link_id":"p","created_utc":9223372036854775808}"#.to_owned(),
+            r#"{"author":"a","created_utc":1}"#.to_owned(),
+            format!("{good} x"),
+            format!("{good}{good}"),
+            r#"{"author":"a","link_id":"p","created_utc":1"#.to_owned(),
+            r#"{"author":"a","link_id":"p"#.to_owned(),
+            "{}".to_owned(),
+            "definitely not json".to_owned(),
+            "\u{a0} \t\r".to_owned(),
+            String::new(),
+        ]
+    }
+
+    #[test]
+    fn prefix_scan_of_a_line_and_whatever_follows_is_the_scan_of_the_line() {
+        let lines = corpus_lines();
+        let mut taken = 0;
+        for line in &lines {
+            let alone = scan_record(line);
+            taken += usize::from(alone.is_some());
+            for junk in lines
+                .iter()
+                .map(String::as_str)
+                .chain(["\n", "\"", "}", "\\"])
+            {
+                let text = format!("{line}\n{junk}");
+                let prefix = scan_prefix(&text);
+                assert_eq!(prefix.map(|(r, _)| r), alone, "{text:?}");
+                if let Some((_, rest)) = prefix {
+                    assert_eq!(rest, junk, "{text:?}");
+                }
+                // the public scanner takes a line, not a prefix
+                assert_eq!(
+                    scan_record(&text),
+                    alone.filter(|_| junk.is_empty()),
+                    "{text:?}"
+                );
+            }
+        }
+        assert_eq!(taken, 6, "the corpus exercises both outcomes");
+    }
+
+    /// The scanner never steps over a `\n`: a record broken over two
+    /// physical lines is two malformed lines, a raw newline inside a string
+    /// likewise, and a line holding two records is serde's to reject.
+    #[test]
+    fn lines_the_scanner_does_not_end_reach_serde() {
+        let lossy = IngestConfig {
+            skip_bad_lines: true,
+        };
+        let good = line("a", "p", 1);
+        for (text, lines, events) in [
+            (
+                "{\"author\":\"a\",\n\"link_id\":\"p\",\"created_utc\":1}\n".to_owned(),
+                2,
+                0,
+            ),
+            (
+                "{\"author\":\"a\nb\",\"link_id\":\"p\",\"created_utc\":1}\n".to_owned(),
+                2,
+                0,
+            ),
+            (format!("{good}{good}\n{good}\n"), 2, 1),
+        ] {
+            let ing = ingest_str(&text, &lossy).unwrap();
+            let expected = IngestStats {
+                lines,
+                events,
+                skipped_lines: lines - events,
+                scanner_fallbacks: lines - events,
+            };
+            assert_eq!(ing.stats, expected, "{text:?}");
+            assert_every_capacity_matches(text.as_bytes(), CAPACITIES);
+        }
+    }
+
+    /// Every line of the corpus in one file — so the strict run stops at
+    /// the first rejected line, the lossy one counts them all — and each
+    /// accepted prefix of it, with and without the final newline.
+    #[test]
+    fn every_capacity_ends_as_the_one_piece_pass_does() {
+        let lines = corpus_lines();
+        assert_every_capacity_matches(lines.join("\n").as_bytes(), CAPACITIES);
+        let accepted: Vec<String> = lines
+            .into_iter()
+            .filter(|l| {
+                l.trim().is_empty() || serde_json::from_str::<CommentRecord>(l.trim()).is_ok()
+            })
+            .collect();
+        assert_eq!(accepted.len(), 12);
+        for newline in ["", "\n", "\r\n"] {
+            let text = accepted.join("\n") + newline;
+            assert!(ingest_str(&text, &IngestConfig::default()).is_ok());
+            assert_every_capacity_matches(text.as_bytes(), CAPACITIES);
+        }
+        assert_every_capacity_matches(b"", CAPACITIES);
+        assert_every_capacity_matches(b"\n", CAPACITIES);
+    }
+
+    /// CRLF endings and multi-byte names, at every capacity up to a few
+    /// lines: every byte of the text — inside a character, between `\r` and
+    /// `\n` — is where the buffer ends at some capacity.
+    #[test]
+    fn crlf_and_multibyte_characters_straddle_every_buffer_end() {
+        let text: String = (0..6)
+            .map(|i| format!("{}\r\n", line("uni—codé✓", &format!("t3_ü{}", i % 2), i)))
+            .collect();
+        assert_every_capacity_matches(text.as_bytes(), 1..=200);
+        assert_every_capacity_matches(text.trim_end().as_bytes(), 1..=200);
+    }
+
+    /// The same two faults in either order, at every capacity: the earlier
+    /// one is reported, with the file's line number and byte offset.
+    #[test]
+    fn the_first_fault_in_file_order_wins_at_any_chunking() {
+        let good = line("a", "p", 1);
+        let mut lines: Vec<&[u8]> = vec![good.as_bytes(); 12];
+        lines[2] = b"not json";
+        lines[9] = b"{\"author\":\"\xff\"}";
+        let bytes = lines.join(&b'\n');
+        let message = ingest_slice(&bytes, &IngestConfig::default())
+            .unwrap_err()
+            .to_string();
+        assert!(message.starts_with("parse error on line 3"), "{message}");
+        assert_every_capacity_matches(&bytes, 1..=128);
+
+        lines.swap(2, 9);
+        let bytes = lines.join(&b'\n');
+        let message = ingest_slice(&bytes, &IngestConfig::default())
+            .unwrap_err()
+            .to_string();
+        let offset = 2 * (good.len() + 1) + 11;
+        assert!(
+            message.ends_with(&format!("not valid UTF-8 on line 3, at byte {offset}")),
+            "{message}"
+        );
+        assert_every_capacity_matches(&bytes, 1..=128);
     }
 
     #[test]
@@ -623,6 +1045,7 @@ mod tests {
         assert_eq!(ing.stats.events, 41);
         assert_eq!(ing.stats.lines, 42);
         assert_eq!(ing.stats.scanner_fallbacks, 0);
+        assert_every_capacity_matches(text.as_bytes(), CAPACITIES);
     }
 
     /// Which lines the scanner takes, which fall back, which count as blank
@@ -663,6 +1086,7 @@ mod tests {
             }
             other => panic!("expected two parse errors, got {other:?}"),
         }
+        assert_every_capacity_matches(text.as_bytes(), CAPACITIES);
     }
 
     #[test]
@@ -683,6 +1107,7 @@ mod tests {
                 Err(ReadError::Parse { line, .. }) => assert_eq!(line, bad_at),
                 other => panic!("expected parse error, got {other:?}"),
             }
+            assert_every_capacity_matches(text.as_bytes(), CAPACITIES);
         }
     }
 
@@ -702,6 +1127,7 @@ mod tests {
         assert_eq!(ing.stats.skipped_lines, 2);
         assert_eq!(ing.stats.lines, 5);
         assert_eq!(names(&ing.dataset.authors), vec!["a", "b", "c"]);
+        assert_every_capacity_matches(text.as_bytes(), CAPACITIES);
     }
 
     #[test]

@@ -82,19 +82,19 @@ pub fn write_snapshot(
     })
 }
 
-/// The `snapshot write` ingest path: ingest an NDJSON buffer
-/// ([`ingest::ingest_slice`]) and write the result straight to `path`. With `project`
+/// The `snapshot write` ingest path: ingest NDJSON from `reader`
+/// ([`ingest::ingest_reader`]) and write the result straight to `path`. With `project`
 /// set, the CI graph is projected under that window — after the paper's
 /// standard bot exclusions, exactly as the pipeline and the `project`
 /// command do — and embedded, so `survey --from-snapshot` re-queries the
 /// same graph every other consumer would have built.
 pub fn ingest_to_snapshot(
-    buf: &[u8],
+    reader: impl std::io::Read,
     cfg: &IngestConfig,
     project: Option<Window>,
     path: &Path,
 ) -> Result<(WriteSummary, IngestStats), SnapshotWriteError> {
-    let ingest = ingest::ingest_slice(buf, cfg).map_err(SnapshotWriteError::Read)?;
+    let ingest = ingest::ingest_reader(reader, cfg).map_err(SnapshotWriteError::Read)?;
     let summary = match project {
         Some(window) => {
             let excl = crate::filter::ExclusionList::reddit_defaults();

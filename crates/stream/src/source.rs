@@ -14,10 +14,10 @@
 //! demo runs of the CLI; tests and benches leave pacing off and ingest at
 //! full speed.
 
-use std::io::BufRead;
+use std::io::Read;
 use std::time::{Duration, Instant};
 
-use coordination_core::ingest::{ingest_records_slice, IngestConfig, IngestStats};
+use coordination_core::ingest::{ingest_records_reader, IngestConfig, IngestStats};
 use coordination_core::records::{CommentRecord, ReadError};
 use redditgen::Scenario;
 
@@ -30,25 +30,17 @@ pub fn sort_records(records: &mut [CommentRecord]) {
     });
 }
 
-/// Read NDJSON comment records from a byte buffer — through the
-/// [`coordination_core::ingest`] layer's scanner — and return them in
+/// Read NDJSON comment records from `reader` — a chunk at a time, through
+/// the [`coordination_core::ingest`] layer's scanner — and return them in
 /// stream order plus the ingest counters (skipped lines in lossy mode,
 /// scanner fallbacks).
-pub fn read_ndjson_sorted_slice(
-    buf: &[u8],
+pub fn read_ndjson_sorted(
+    reader: impl Read,
     skip_bad_lines: bool,
 ) -> Result<(Vec<CommentRecord>, IngestStats), ReadError> {
-    let (mut records, stats) = ingest_records_slice(buf, &IngestConfig { skip_bad_lines })?;
+    let (mut records, stats) = ingest_records_reader(reader, &IngestConfig { skip_bad_lines })?;
     sort_records(&mut records);
     Ok((records, stats))
-}
-
-/// Read NDJSON comment records and return them in stream order. Drains the
-/// reader and delegates to the parallel [`read_ndjson_sorted_slice`].
-pub fn read_ndjson_sorted<R: BufRead>(mut reader: R) -> Result<Vec<CommentRecord>, ReadError> {
-    let mut buf = Vec::new();
-    reader.read_to_end(&mut buf)?;
-    read_ndjson_sorted_slice(&buf, false).map(|(records, _)| records)
 }
 
 /// A scenario's records in stream order (cloned; the scenario keeps its
@@ -133,13 +125,13 @@ mod tests {
             r#"{"author":"c","link_id":"t3_x","created_utc":200}"#,
             "\n",
         );
-        let records = read_ndjson_sorted(Cursor::new(input)).unwrap();
+        let (records, _) = read_ndjson_sorted(Cursor::new(input), false).unwrap();
         let ts: Vec<i64> = records.iter().map(|r| r.created_utc).collect();
         assert_eq!(ts, vec![100, 200, 300]);
     }
 
     #[test]
-    fn lossy_slice_source_skips_and_counts_bad_lines() {
+    fn lossy_source_skips_and_counts_bad_lines() {
         let input = concat!(
             r#"{"author":"b","link_id":"t3_x","created_utc":300}"#,
             "\n",
@@ -147,12 +139,12 @@ mod tests {
             r#"{"author":"a","link_id":"t3_y","created_utc":100}"#,
             "\n",
         );
-        let (records, stats) = read_ndjson_sorted_slice(input.as_bytes(), true).unwrap();
+        let (records, stats) = read_ndjson_sorted(input.as_bytes(), true).unwrap();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].created_utc, 100);
         assert_eq!(stats.skipped_lines, 1);
         // strict mode aborts on the same input
-        assert!(read_ndjson_sorted_slice(input.as_bytes(), false).is_err());
+        assert!(read_ndjson_sorted(input.as_bytes(), false).is_err());
     }
 
     #[test]

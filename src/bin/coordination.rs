@@ -31,6 +31,8 @@ const BATCH_SPANS: &[&str] = &["ingest", "btm.build", "project", "survey", "vali
 /// Counters the batch pipeline documents (registered even when zero, so a
 /// lossless run still reports `ingest.skipped_lines: 0`).
 const BATCH_COUNTERS: &[&str] = &[
+    "ingest.bytes",
+    "ingest.chunks",
     "ingest.lines",
     "ingest.events",
     "ingest.skipped_lines",
@@ -186,21 +188,16 @@ impl Flags {
     }
 }
 
-/// Slurp `--input` (a path or `-` for stdin) into memory: the ingest
-/// scanner borrows names straight from the buffer.
-fn read_input_bytes(flags: &Flags) -> Result<(Vec<u8>, &str), String> {
+/// Open `--input` (a path, or `-` for stdin) for the ingest layer, which
+/// reads it a chunk at a time: a pipe streams, and the file is never held.
+fn open_input(flags: &Flags) -> Result<(Box<dyn Read>, &str), String> {
     let path = flags.get("input").ok_or("--input is required")?;
-    let buf = if path == "-" {
-        let mut buf = Vec::new();
-        std::io::stdin()
-            .lock()
-            .read_to_end(&mut buf)
-            .map_err(|e| format!("read stdin: {e}"))?;
-        buf
+    let reader: Box<dyn Read> = if path == "-" {
+        Box::new(std::io::stdin().lock())
     } else {
-        std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?
+        Box::new(std::fs::File::open(path).map_err(|e| format!("read {path}: {e}"))?)
     };
-    Ok((buf, path))
+    Ok((reader, path))
 }
 
 fn ingest_config(flags: &Flags) -> IngestConfig {
@@ -265,8 +262,8 @@ impl Input {
         if let Some(path) = flags.get("from-snapshot") {
             return open_snapshot(path).map(Input::Snapshot);
         }
-        let (buf, path) = read_input_bytes(flags)?;
-        let ing = ingest::ingest_slice(&buf, &ingest_config(flags))
+        let (reader, path) = open_input(flags)?;
+        let ing = ingest::ingest_reader(reader, &ingest_config(flags))
             .map_err(|e| format!("read {path}: {e}"))?;
         report_skipped(&ing.stats);
         let ds = ing.dataset;
@@ -767,10 +764,9 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
     // also gives us ground truth to judge the alerts against).
     let (records, truth) = match (flags.get("input"), flags.get("preset")) {
         (Some(_), None) => {
-            let (buf, path) = read_input_bytes(flags)?;
-            let (records, stats) =
-                source::read_ndjson_sorted_slice(&buf, flags.has("skip-bad-lines"))
-                    .map_err(|e| format!("read {path}: {e}"))?;
+            let (reader, path) = open_input(flags)?;
+            let (records, stats) = source::read_ndjson_sorted(reader, flags.has("skip-bad-lines"))
+                .map_err(|e| format!("read {path}: {e}"))?;
             report_skipped(&stats);
             (records, None)
         }
@@ -870,7 +866,7 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
 /// binary snapshot format. `--with-ci` also projects under the `--d1/--d2`
 /// window and embeds the compressed CI graph for `survey --from-snapshot`.
 fn cmd_snapshot_write(flags: &Flags) -> Result<(), String> {
-    let (buf, in_path) = read_input_bytes(flags)?;
+    let (reader, in_path) = open_input(flags)?;
     let out = flags.get("out").ok_or("--out is required")?;
     let project = if flags.has("with-ci") {
         Some(window(flags)?)
@@ -878,7 +874,7 @@ fn cmd_snapshot_write(flags: &Flags) -> Result<(), String> {
         None
     };
     let (summary, stats) = coordination::core::snapshot::ingest_to_snapshot(
-        &buf,
+        reader,
         &ingest_config(flags),
         project,
         std::path::Path::new(out),

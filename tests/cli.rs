@@ -354,6 +354,92 @@ fn pipeline_distributed_stdout_is_byte_identical_to_resident() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// Run `coordination <args> --input <input>` — or, `piped`, `--input -` with
+/// the file's bytes written down a pipe.
+fn run_on(args: &[&str], input: &std::path::Path, piped: bool) -> std::process::Output {
+    use std::io::Write;
+    use std::process::Stdio;
+    if !piped {
+        return bin()
+            .args(args)
+            .arg("--input")
+            .arg(input)
+            .output()
+            .expect("run on a file");
+    }
+    let mut child = bin()
+        .args(args)
+        .args(["--input", "-"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn on a pipe");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let bytes = std::fs::read(input).expect("read input");
+    let writer = std::thread::spawn(move || {
+        // a strict run that stops at a bad line closes its end early
+        let _ = stdin.write_all(&bytes);
+    });
+    let out = child.wait_with_output().expect("run on a pipe");
+    writer.join().expect("pipe writer");
+    out
+}
+
+#[test]
+fn streamed_input_is_byte_identical_to_a_file() {
+    let dir = tmpdir("streamed-input");
+    let clean = generate_month(&dir);
+    // the same month with a junk line spliced in every 1000 lines
+    let junky = dir.join("junky.ndjson");
+    let text = std::fs::read_to_string(&clean).expect("read month");
+    assert!(text.len() > 1 << 20, "the month is more than one chunk");
+    let mut spliced = String::new();
+    for (i, line) in text.lines().enumerate() {
+        if i % 1000 == 500 {
+            spliced.push_str("{\"author\": 12, \"oops\n");
+        }
+        spliced.push_str(line);
+        spliced.push('\n');
+    }
+    std::fs::write(&junky, spliced).expect("write junky month");
+    let snap = dir.join("month.snap");
+    let snap_path = snap.to_str().expect("utf-8 temp path");
+    let commands = [
+        &["pipeline", "--d2", "60", "--cutoff", "25"][..],
+        &["stream", "--cutoff", "8"],
+        &["snapshot", "write", "--with-ci", "--out", snap_path],
+    ];
+
+    for (input, lossy) in [(&clean, false), (&junky, true)] {
+        for command in commands {
+            let args = [command, if lossy { &["--skip-bad-lines"] } else { &[] }].concat();
+            let [file, pipe] = [false, true].map(|piped| {
+                let run = run_on(&args, input, piped);
+                assert!(run.status.success(), "{args:?}, piped: {piped}");
+                // what the run wrote besides stdout, if it is that command
+                (run, std::fs::read(&snap).unwrap_or_default())
+            });
+            assert!(file.0.stdout == pipe.0.stdout, "{args:?}: stdout diverged");
+            assert!(file.1 == pipe.1, "{args:?}: snapshot bytes diverged");
+            assert!(!file.0.stdout.is_empty() || !file.1.is_empty(), "{args:?}");
+            std::fs::remove_file(&snap).ok();
+        }
+    }
+
+    // strict on the junky month: the same line, named the same way
+    for command in commands {
+        for piped in [false, true] {
+            let run = run_on(command, &junky, piped);
+            assert_eq!(run.status.code(), Some(2), "{command:?}");
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert!(stderr.contains("parse error on line 501"), "{stderr}");
+            assert!(run.stdout.is_empty() && !snap.exists(), "{command:?}");
+        }
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
 #[test]
 fn ranks_flag_is_validated_and_scoped_to_distributed_runs() {
     let dir = tmpdir("ranks-flag");

@@ -95,7 +95,7 @@ fn snapshot_path_is_equivalent_end_to_end() {
     let path = std::env::temp_dir().join(format!("snap-equiv-{}.snap", std::process::id()));
     let window = Window::zero_to_60s();
     let (summary, stats) =
-        ingest_to_snapshot(&ndjson, &IngestConfig::default(), Some(window), &path)
+        ingest_to_snapshot(&ndjson[..], &IngestConfig::default(), Some(window), &path)
             .expect("ingest to snapshot");
     assert_eq!(summary.n_events, stats.events);
     assert!(summary.with_ci);
