@@ -5,12 +5,22 @@
 //! same page five times is five edges, distinguished by timestamp.
 //!
 //! The page side is all a [`Btm`] stores, CSR-style: one offset array plus
-//! one flat array of rows laid end to end (16 B per comment).
-//! [`PageRows::build`] fills them with a counting pass, a prefix sum and a
-//! scatter pass — constant work per event and no per-page allocation — and
-//! only comparison-sorts the rows the input did not already deliver in time
-//! order. A rank of the sharded pipeline builds exactly these rows out of the
-//! events it receives.
+//! one flat array of rows laid end to end, **8 B per comment**: every
+//! comparison Algorithm 1 makes is between two comments of one page at most
+//! δ2 apart, so a row holds `(ts − t0) << 32 | author` in one word
+//! ([`NarrowRow`]; integer order is `(ts, author)` order) whenever the span
+//! of the timestamps fits a `u32` — a month is 2.7 M s. An input spread wider
+//! than that (136 years) keeps 16 B `(ts, author)` tuples ([`WideRow`]).
+//! Nothing but that property of the input picks the layout, readers get a row
+//! as a [`PageRow`] view, and every per-row loop is one body generic over
+//! [`Row`].
+//!
+//! [`PageRows::build`] fills the rows with a counting pass (which also learns
+//! the timestamp span), a prefix sum and a scatter pass — constant work per
+//! event and no per-page allocation — that checks each comment against its
+//! row predecessor as it lands, and comparison-sorts only the rows the input
+//! did not already deliver in time order. A rank of the sharded pipeline
+//! builds exactly these rows out of the events it receives.
 //!
 //! The author side — each author's deduplicated page list, the hypergraph
 //! side: `p_x` of Eq. 3 and the inputs to `w_xyz` of Eq. 2 — is not stored.
@@ -21,23 +31,179 @@
 
 use crate::ids::{AuthorId, Event, PageId, Timestamp};
 
+/// One comment of a narrow row: `(ts − t0) << 32 | author` for the row set's
+/// base `t0`, so integer order is `(ts, author)` order.
+pub type NarrowRow = u64;
+
+/// One comment of a wide row.
+pub type WideRow = (Timestamp, AuthorId);
+
+// "Half as wide" is a claim about these two types.
+const _: () = assert!(std::mem::size_of::<NarrowRow>() == 8);
+const _: () = assert!(std::mem::size_of::<WideRow>() == 16);
+
+/// A comment of a page row in either layout — what the per-row loops are
+/// written over, once. Algorithm 1 never needs a comment's absolute time,
+/// only its author and its delay to a later comment of the same page.
+pub trait Row: Copy + Ord {
+    /// Who commented.
+    fn author(self) -> AuthorId;
+
+    /// Seconds from this comment to `later`. Timestamps come from the input
+    /// file, so two comments of one wide row can lie more than `i64::MAX`
+    /// seconds apart: `None` is farther than any window.
+    fn delay_to(self, later: Self) -> Option<i64>;
+
+    /// [`Row::delay_to`] if it is at most `d2`.
+    #[inline]
+    fn delay_within(self, later: Self, d2: i64) -> Option<i64> {
+        self.delay_to(later).filter(|&dt| dt <= d2)
+    }
+}
+
+impl Row for NarrowRow {
+    #[inline]
+    fn author(self) -> AuthorId {
+        AuthorId((self & u64::from(u32::MAX)) as u32)
+    }
+
+    #[inline]
+    fn delay_to(self, later: Self) -> Option<i64> {
+        // two 32-bit offsets: the difference always fits
+        Some((later >> 32) as i64 - (self >> 32) as i64)
+    }
+}
+
+impl Row for WideRow {
+    #[inline]
+    fn author(self) -> AuthorId {
+        self.1
+    }
+
+    #[inline]
+    fn delay_to(self, later: Self) -> Option<i64> {
+        later.0.checked_sub(self.0)
+    }
+}
+
+/// The narrow row of a comment at `ts`, if `ts − t0` fits a `u32`.
+#[inline]
+fn pack_narrow(t0: Timestamp, ts: Timestamp, author: AuthorId) -> Option<NarrowRow> {
+    let offset = u32::try_from(ts.checked_sub(t0)?).ok()?;
+    Some(u64::from(offset) << 32 | u64::from(author.0))
+}
+
+/// Inverse of [`pack_narrow`] under the same `t0`.
+#[inline]
+fn unpack_narrow(t0: Timestamp, row: NarrowRow) -> WideRow {
+    (t0 + (row >> 32) as i64, row.author())
+}
+
+/// The narrow layout's base if timestamps spanning `lo..=hi` all fit a `u32`
+/// offset from it (`lo > hi`: there were no timestamps at all).
+fn narrow_base(lo: Timestamp, hi: Timestamp) -> Option<Timestamp> {
+    if lo > hi {
+        return Some(0);
+    }
+    let span = hi.checked_sub(lo)?;
+    u32::try_from(span).is_ok().then_some(lo)
+}
+
+/// A page's time-sorted comments in whichever layout its [`PageRows`] chose:
+/// a small `Copy` view. Per-row loops match on it once per page and run one
+/// body generic over [`Row`] on the slice inside; [`PageRow::iter`] decodes
+/// `(timestamp, author)` for everything else.
+#[derive(Clone, Copy, Debug)]
+pub enum PageRow<'a> {
+    /// 8 B rows holding offsets from `t0`.
+    Narrow {
+        /// What the rows' timestamp offsets count from.
+        t0: Timestamp,
+        /// The comments, ascending.
+        row: &'a [NarrowRow],
+    },
+    /// 16 B rows, ascending.
+    Wide(&'a [WideRow]),
+}
+
+impl<'a> PageRow<'a> {
+    /// Number of comments.
+    pub fn len(self) -> usize {
+        match self {
+            PageRow::Narrow { row, .. } => row.len(),
+            PageRow::Wide(row) => row.len(),
+        }
+    }
+
+    /// Whether the page has no comments.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// The comments as `(timestamp, author)`, in row order: for the readers
+    /// that need absolute times (the snapshot writer, the stream warm start,
+    /// tests). A hot loop matches on the view instead.
+    pub fn iter(self) -> impl DoubleEndedIterator<Item = WideRow> + 'a {
+        // one slice per layout, the other one empty
+        let (t0, narrow, wide): (_, &[NarrowRow], &[WideRow]) = match self {
+            PageRow::Narrow { t0, row } => (t0, row, &[]),
+            PageRow::Wide(row) => (0, &[], row),
+        };
+        let narrow = narrow.iter().map(move |&r| unpack_narrow(t0, r));
+        narrow.chain(wide.iter().copied())
+    }
+
+    /// The decoded comments as an owned list.
+    pub fn to_vec(self) -> Vec<WideRow> {
+        self.iter().collect()
+    }
+}
+
+/// Either layout's flat row array.
+#[derive(Clone, Debug)]
+enum Comments {
+    Narrow { t0: Timestamp, rows: Vec<NarrowRow> },
+    Wide(Vec<WideRow>),
+}
+
+impl Comments {
+    fn len(&self) -> usize {
+        match self {
+            Comments::Narrow { rows, .. } => rows.len(),
+            Comments::Wide(rows) => rows.len(),
+        }
+    }
+}
+
 /// The page side of the BTM on its own: every page's comments as one
 /// time-sorted row, the rows laid end to end behind one offset table. [`Btm`]
 /// is these rows plus the size of the author id space; a rank of the sharded
 /// pipeline ([`crate::dist_pipeline`]) holds the rows of the pages it owns.
-/// Equal for any arrival order of the same events.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Equal for any arrival order of the same events: equality is of the decoded
+/// rows, not of the layout or its base.
+#[derive(Clone, Debug)]
 pub struct PageRows {
-    /// Page `p`'s comments are `comments[off[p]..off[p + 1]]`.
+    /// Page `p`'s comments are rows `off[p]..off[p + 1]`.
     off: Vec<usize>,
-    /// `(timestamp, author)` rows, each page's sorted by timestamp then
-    /// author. Its length is the multigraph edge count |E|.
-    comments: Vec<(Timestamp, AuthorId)>,
+    /// Each page's rows sorted by timestamp then author. The length is the
+    /// multigraph edge count |E|.
+    comments: Comments,
 }
+
+impl PartialEq for PageRows {
+    fn eq(&self, other: &Self) -> bool {
+        self.off == other.off && self.all().iter().eq(other.all().iter())
+    }
+}
+
+impl Eq for PageRows {}
 
 /// Events per staging-buffer fill in [`PageRows::build`]'s scatter pass
 /// (16 KiB).
 const STAGE_EVENTS: usize = 1024;
+
+/// What [`PageRows::build`]'s two passes must agree on.
+const SECOND_PASS_DIFFERS: &str = "event source yielded different events on its second pass";
 
 /// Turn per-row counts stored at `off[row + 1]` into row start offsets.
 fn prefix_sum(off: &mut [usize]) {
@@ -48,12 +214,80 @@ fn prefix_sum(off: &mut [usize]) {
     }
 }
 
+/// [`PageRows::build`]'s scatter pass in one layout: every event lands at its
+/// page's cursor as `pack` makes it, compared with its row predecessor on the
+/// way, and the rows that took a comment out of order are sorted after.
+/// Returns the rows and how many needed the sort.
+fn scatter<R: Row>(
+    off: &[usize],
+    zero: R,
+    mut source: impl Iterator<Item = (PageId, Timestamp, AuthorId)>,
+    pack: impl Fn(Timestamp, AuthorId) -> R,
+) -> (Vec<R>, u64) {
+    let np = off.len() - 1;
+    let mut rows = vec![zero; off[np]];
+    let mut cursor = off[..np].to_vec();
+    let mut unsorted = vec![false; np];
+    // Staged through a small buffer: a source that decodes or generates as
+    // it goes (varint columns, an RNG) mispredicts often enough to serialize
+    // the scatter's cache misses behind it — 4x slower on snapshot columns
+    // than filling a buffer first and scattering that.
+    let mut staged = Vec::with_capacity(STAGE_EVENTS);
+    loop {
+        staged.clear();
+        staged.extend(source.by_ref().take(STAGE_EVENTS));
+        if staged.is_empty() {
+            break;
+        }
+        for &(p, ts, a) in &staged {
+            let p = p.0 as usize;
+            let row = pack(ts, a);
+            let at = cursor[p];
+            // The slot before is this row's previous arrival, or — at a row
+            // start — a neighbour's, which the second test tells apart; a
+            // time-ordered source never gets that far.
+            if at > 0 && rows[at - 1] > row && at > off[p] {
+                unsorted[p] = true;
+            }
+            rows[at] = row;
+            cursor[p] = at + 1;
+        }
+    }
+    // A row that over- or under-filled would silently shift its neighbours;
+    // both passes seeing the same events rules that out.
+    assert!(cursor == off[1..], "{SECOND_PASS_DIFFERS}");
+
+    let mut sorted = 0;
+    for (p, _) in unsorted.iter().enumerate().filter(|(_, &flagged)| flagged) {
+        rows[off[p]..off[p + 1]].sort_unstable();
+        sorted += 1;
+    }
+    (rows, sorted)
+}
+
+/// [`Btm::without_authors`] in one layout: the rows of `off` minus the
+/// comments `gone` drops, behind their own offset table.
+fn retain_kept<R: Row>(off: &[usize], rows: &[R], gone: &[bool]) -> (Vec<usize>, Vec<R>) {
+    let mut kept = Vec::with_capacity(rows.len());
+    let mut kept_off = Vec::with_capacity(off.len());
+    kept_off.push(0);
+    for w in off.windows(2) {
+        let row = rows[w[0]..w[1]].iter();
+        kept.extend(row.filter(|r| is_kept(gone, r.author())));
+        kept_off.push(kept.len());
+    }
+    (kept_off, kept)
+}
+
 impl PageRows {
     /// Partition `(page, timestamp, author)` comments by page: a counting
     /// pass, a prefix sum and a scatter pass — constant work per event, no
     /// per-page allocation — then a comparison sort of only the rows that
     /// did not arrive time-ordered (every timestamp-sorted source delivers
     /// them so; `btm.pages_presorted` / `btm.pages_sorted` count both kinds).
+    /// The counting pass also learns the timestamps' span, which alone picks
+    /// the layout: 8 B rows when it fits a `u32`, 16 B rows otherwise
+    /// (`btm.rows_narrow` / `btm.rows_wide` count the builds of each).
     ///
     /// `events` is called twice and must yield the same events both times,
     /// so they never need to exist as a resident list of their own.
@@ -64,54 +298,45 @@ impl PageRows {
         n_pages: u32,
         events: impl Fn() -> I,
     ) -> Self {
+        Self::build_in(n_pages, events, false)
+    }
+
+    /// [`PageRows::build`], in the wide layout whatever the span if
+    /// `force_wide` (the layout-equivalence tests' way to hold one input in
+    /// both).
+    fn build_in<I: Iterator<Item = (PageId, Timestamp, AuthorId)>>(
+        n_pages: u32,
+        events: impl Fn() -> I,
+        force_wide: bool,
+    ) -> Self {
         let np = n_pages as usize;
         let mut off = vec![0usize; np + 1];
-        events().for_each(|(p, _, _)| off[p.0 as usize + 1] += 1);
+        let (mut lo, mut hi) = (Timestamp::MAX, Timestamp::MIN);
+        events().for_each(|(p, ts, _)| {
+            off[p.0 as usize + 1] += 1;
+            lo = lo.min(ts);
+            hi = hi.max(ts);
+        });
         prefix_sum(&mut off);
 
-        let mut comments = vec![(0, AuthorId(0)); off[np]];
-        let mut cursor = off[..np].to_vec();
-        // Staged through a small buffer: a source that decodes or generates
-        // as it goes (varint columns, an RNG) mispredicts often enough to
-        // serialize the scatter's cache misses behind it — 4x slower on
-        // snapshot columns than filling a buffer first and scattering that.
-        let mut source = events();
-        let mut staged = Vec::with_capacity(STAGE_EVENTS);
-        loop {
-            staged.clear();
-            staged.extend(source.by_ref().take(STAGE_EVENTS));
-            if staged.is_empty() {
-                break;
+        let base = narrow_base(lo, hi).filter(|_| !force_wide);
+        let (comments, sorted) = match base {
+            Some(t0) => {
+                let pack = |ts, a| pack_narrow(t0, ts, a).expect(SECOND_PASS_DIFFERS);
+                let (rows, sorted) = scatter(&off, 0, events(), pack);
+                (Comments::Narrow { t0, rows }, sorted)
             }
-            for &(p, ts, a) in &staged {
-                let at = &mut cursor[p.0 as usize];
-                comments[*at] = (ts, a);
-                *at += 1;
+            None => {
+                let zero = (0, AuthorId(0));
+                let (rows, sorted) = scatter(&off, zero, events(), |ts, a| (ts, a));
+                (Comments::Wide(rows), sorted)
             }
-        }
-        // A row that over- or under-filled would silently shift its
-        // neighbours; both passes seeing the same events rules that out.
-        assert!(
-            cursor == off[1..],
-            "event source yielded different events on its second pass"
-        );
-
-        let mut presorted = 0u64;
-        let mut sorted = 0u64;
-        for w in off.windows(2) {
-            let row = &mut comments[w[0]..w[1]];
-            if row.is_empty() {
-                continue;
-            }
-            if row.is_sorted() {
-                presorted += 1;
-            } else {
-                row.sort_unstable();
-                sorted += 1;
-            }
-        }
-        obs::counter("btm.pages_presorted").add(presorted);
+        };
+        let occupied = off.windows(2).filter(|w| w[1] > w[0]).count() as u64;
+        obs::counter("btm.pages_presorted").add(occupied - sorted);
         obs::counter("btm.pages_sorted").add(sorted);
+        obs::counter("btm.rows_narrow").add(u64::from(base.is_some()));
+        obs::counter("btm.rows_wide").add(u64::from(base.is_none()));
         PageRows { off, comments }
     }
 
@@ -125,25 +350,57 @@ impl PageRows {
         self.comments.len() as u64
     }
 
-    /// Page `p`'s comments, `(timestamp, author)` sorted by time.
-    pub fn row(&self, p: PageId) -> &[(Timestamp, AuthorId)] {
+    /// Every row end to end as one view.
+    fn all(&self) -> PageRow<'_> {
+        self.slice(0, self.comments.len())
+    }
+
+    /// Rows `lo..hi` of the flat array as one view.
+    fn slice(&self, lo: usize, hi: usize) -> PageRow<'_> {
+        match &self.comments {
+            Comments::Narrow { t0, rows } => PageRow::Narrow {
+                t0: *t0,
+                row: &rows[lo..hi],
+            },
+            Comments::Wide(rows) => PageRow::Wide(&rows[lo..hi]),
+        }
+    }
+
+    /// Page `p`'s comments, sorted by time.
+    pub fn row(&self, p: PageId) -> PageRow<'_> {
         let p = p.0 as usize;
-        &self.comments[self.off[p]..self.off[p + 1]]
+        self.slice(self.off[p], self.off[p + 1])
     }
 
     /// Iterate the non-empty rows as `(PageId, comments)`, pages ascending.
-    pub fn pages(&self) -> impl Iterator<Item = (PageId, &[(Timestamp, AuthorId)])> {
+    pub fn pages(&self) -> impl Iterator<Item = (PageId, PageRow<'_>)> {
         self.off
             .windows(2)
             .enumerate()
             .filter(|(_, w)| w[1] > w[0])
-            .map(|(i, w)| (PageId(i as u32), &self.comments[w[0]..w[1]]))
+            .map(|(i, w)| (PageId(i as u32), self.slice(w[0], w[1])))
+    }
+
+    /// The same rows minus the comments `gone` ([`author_mask`]) drops, in
+    /// the same layout on the same base.
+    fn without(&self, gone: &[bool]) -> PageRows {
+        let (off, comments) = match &self.comments {
+            Comments::Narrow { t0, rows } => {
+                let (off, rows) = retain_kept(&self.off, rows, gone);
+                (off, Comments::Narrow { t0: *t0, rows })
+            }
+            Comments::Wide(rows) => {
+                let (off, rows) = retain_kept(&self.off, rows, gone);
+                (off, Comments::Wide(rows))
+            }
+        };
+        PageRows { off, comments }
     }
 }
 
 /// In-memory BTM over dense ids. Construct with [`Btm::from_events`] or
 /// [`Btm::build`]. Two BTMs over the same multiset of events compare equal
-/// whatever order the events arrived in.
+/// whatever order the events arrived in and whichever layout their rows took.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Btm {
     /// The page side: each page's time-sorted comments.
@@ -197,6 +454,34 @@ impl Btm {
         excluded: &[AuthorId],
         events: impl Fn() -> I,
     ) -> Self {
+        Self::build_in(n_authors, n_pages, excluded, events, false)
+    }
+
+    /// [`Btm::build`] with its rows in the wide layout whatever the span: one
+    /// input held in both layouts is what the equivalence tests compare.
+    #[cfg(test)]
+    pub(crate) fn build_wide<I: Iterator<Item = Event>>(
+        n_authors: u32,
+        n_pages: u32,
+        excluded: &[AuthorId],
+        events: impl Fn() -> I,
+    ) -> Self {
+        Self::build_in(n_authors, n_pages, excluded, events, true)
+    }
+
+    /// Whether the rows took the 8 B layout.
+    #[cfg(test)]
+    pub(crate) fn is_narrow(&self) -> bool {
+        matches!(self.rows.comments, Comments::Narrow { .. })
+    }
+
+    fn build_in<I: Iterator<Item = Event>>(
+        n_authors: u32,
+        n_pages: u32,
+        excluded: &[AuthorId],
+        events: impl Fn() -> I,
+        force_wide: bool,
+    ) -> Self {
         let _g = obs::span("btm.build");
         let gone = author_mask(n_authors, excluded);
         let kept = |e: &Event| is_kept(&gone, e.author);
@@ -208,12 +493,14 @@ impl Btm {
             );
             assert!(e.page.0 < n_pages, "page id {} out of range", e.page.0);
         };
-        let rows = PageRows::build(n_pages, || {
+        let source = || {
             events()
                 .inspect(in_range)
                 .filter(kept)
                 .map(|e| (e.page, e.ts, e.author))
-        });
+        };
+        let rows = PageRows::build_in(n_pages, source, force_wide);
+        obs::record_stage_rss("btm");
         Btm { rows, n_authors }
     }
 
@@ -232,9 +519,9 @@ impl Btm {
         self.rows.n_comments()
     }
 
-    /// The page's comments, `(timestamp, author)` sorted by time — the
-    /// neighborhood `N` of Algorithm 1 line 4.
-    pub fn page_neighborhood(&self, p: PageId) -> &[(Timestamp, AuthorId)] {
+    /// The page's comments sorted by time — the neighborhood `N` of
+    /// Algorithm 1 line 4.
+    pub fn page_neighborhood(&self, p: PageId) -> PageRow<'_> {
         self.rows.row(p)
     }
 
@@ -242,20 +529,30 @@ impl Btm {
     /// called once per page id in ascending order and pushes that page's
     /// comments onto `row` in `(timestamp, author)` order. Comments of the
     /// `excluded` authors are dropped as they are pushed. One pass, no
-    /// counting, no scatter; `capacity` is the number of comments to expect.
+    /// counting, no scatter; `capacity` is the number of comments to expect
+    /// and `ts_range` the `(least, greatest)` timestamp among them, which
+    /// picks the layout as [`PageRows::build`]'s counting pass would.
     ///
     /// # Panics
-    /// If an author id is not below `n_authors`, or a row is pushed out of
-    /// order.
+    /// If an author id is not below `n_authors`, a row is pushed out of
+    /// order, or a timestamp lies outside a `ts_range` narrow enough for 8 B
+    /// rows.
     pub fn from_page_major(
         n_authors: u32,
         n_pages: u32,
         capacity: usize,
+        ts_range: (Timestamp, Timestamp),
         excluded: &[AuthorId],
         mut fill: impl FnMut(PageId, &mut RowSink<'_>),
     ) -> Self {
         let gone = author_mask(n_authors, excluded);
-        let mut comments = Vec::with_capacity(capacity);
+        let mut comments = match narrow_base(ts_range.0, ts_range.1) {
+            Some(t0) => Comments::Narrow {
+                t0,
+                rows: Vec::with_capacity(capacity),
+            },
+            None => Comments::Wide(Vec::with_capacity(capacity)),
+        };
         let mut off = Vec::with_capacity(n_pages as usize + 1);
         off.push(0);
         for p in 0..n_pages {
@@ -268,6 +565,7 @@ impl Btm {
             fill(PageId(p), &mut row);
             off.push(comments.len());
         }
+        obs::record_stage_rss("btm");
         Btm {
             rows: PageRows { off, comments },
             n_authors,
@@ -280,17 +578,14 @@ impl Btm {
     /// rerun. Equal to [`Btm::build`] over the same events with the same
     /// `excluded`, which is the cheaper way to apply a list known up front.
     pub fn without_authors(&self, excluded: &[AuthorId]) -> Btm {
-        let (n_authors, n_pages) = (self.n_authors, self.n_pages());
-        let kept = self.rows.comments.len();
-        Btm::from_page_major(n_authors, n_pages, kept, excluded, |p, row| {
-            for &(ts, a) in self.rows.row(p) {
-                row.push(ts, a);
-            }
-        })
+        Btm {
+            rows: self.rows.without(&author_mask(self.n_authors, excluded)),
+            n_authors: self.n_authors,
+        }
     }
 
     /// Iterate pages with non-empty neighborhoods as `(PageId, comments)`.
-    pub fn pages(&self) -> impl Iterator<Item = (PageId, &[(Timestamp, AuthorId)])> {
+    pub fn pages(&self) -> impl Iterator<Item = (PageId, PageRow<'_>)> {
         self.rows.pages()
     }
 
@@ -304,9 +599,9 @@ impl Btm {
 
 /// Where [`Btm::from_page_major`]'s `fill` pushes one page's comments.
 pub struct RowSink<'a> {
-    comments: &'a mut Vec<(Timestamp, AuthorId)>,
+    comments: &'a mut Comments,
     /// The comment pushed last on this row, kept or dropped.
-    last: (Timestamp, AuthorId),
+    last: WideRow,
     n_authors: u32,
     gone: &'a [bool],
 }
@@ -328,8 +623,15 @@ impl RowSink<'_> {
             self.last
         );
         self.last = (ts, author);
-        if is_kept(self.gone, author) {
-            self.comments.push((ts, author));
+        if !is_kept(self.gone, author) {
+            return;
+        }
+        match self.comments {
+            Comments::Narrow { t0, rows } => rows.push(
+                pack_narrow(*t0, ts, author)
+                    .unwrap_or_else(|| panic!("timestamp {ts} outside the stated range")),
+            ),
+            Comments::Wide(rows) => rows.push((ts, author)),
         }
     }
 }
@@ -413,6 +715,26 @@ impl HarvestScan {
         let s = self.slot[a];
         (std::mem::replace(&mut self.last_page[s as usize], p) != p).then_some(s)
     }
+
+    /// Feed page `p`'s whole row: `hit(slot, author)` for each requested
+    /// author's first comment on it.
+    pub(crate) fn page(&mut self, p: PageId, row: PageRow<'_>, mut hit: impl FnMut(u32, AuthorId)) {
+        match row {
+            PageRow::Narrow { row, .. } => self.row(p, row, &mut hit),
+            PageRow::Wide(row) => self.row(p, row, &mut hit),
+        }
+    }
+
+    /// [`HarvestScan::page`] over one layout's rows: the mask test per
+    /// comment is the loop, a hit the rare way out of it.
+    fn row<R: Row>(&mut self, p: PageId, row: &[R], hit: &mut impl FnMut(u32, AuthorId)) {
+        for r in row {
+            let a = r.author();
+            if let Some(s) = self.first_on_page(p, a) {
+                hit(s, a);
+            }
+        }
+    }
 }
 
 impl AuthorPages {
@@ -431,12 +753,10 @@ impl AuthorPages {
         let mut hits: Vec<(u32, PageId)> = Vec::new();
         if n_slots > 0 {
             for (p, row) in btm.pages() {
-                for &(_, a) in row {
-                    if let Some(s) = scan.first_on_page(p, a) {
-                        author_off[s as usize + 1] += 1;
-                        hits.push((s, p));
-                    }
-                }
+                scan.page(p, row, |s, _| {
+                    author_off[s as usize + 1] += 1;
+                    hits.push((s, p));
+                });
             }
         }
         prefix_sum(&mut author_off);
@@ -663,8 +983,8 @@ mod tests {
         let btm = Btm::from_events(2, 1, &[ev(0, 0, 30), ev(1, 0, 10), ev(0, 0, 20)]);
         let n = btm.page_neighborhood(PageId(0));
         assert_eq!(
-            n,
-            &[(10, AuthorId(1)), (20, AuthorId(0)), (30, AuthorId(0))]
+            n.to_vec(),
+            [(10, AuthorId(1)), (20, AuthorId(0)), (30, AuthorId(0))]
         );
         assert_eq!(btm.n_comments(), 3);
     }
@@ -746,5 +1066,114 @@ mod tests {
             &Btm::from_events(8, 6, &messy()),
             [AuthorId(1), AuthorId(8)],
         );
+    }
+
+    /// The span of the timestamps, and nothing else, picks the layout — with
+    /// no truncation on the way: exactly `u32::MAX` still packs, one more
+    /// does not, and neither does a span `i64` cannot hold.
+    #[test]
+    fn the_span_alone_picks_the_layout() {
+        let span = i64::from(u32::MAX);
+        for (t0, t1, narrow) in [
+            (0, span, true),
+            (0, span + 1, false),
+            (-5_000_000_000, -5_000_000_000 + span, true), // negative base
+            (-5_000_000_000, -5_000_000_000 + span + 1, false),
+            (i64::MAX - span, i64::MAX, true),
+            (i64::MIN, i64::MIN + span, true),
+            (i64::MIN, i64::MAX, false),
+            (-1, i64::MAX, false), // span overflows i64
+            (7, 7, true),
+        ] {
+            let events = [ev(1, 0, t1), ev(0, 0, t0), ev(0, 1, t0), ev(1, 1, t0)];
+            let btm = Btm::from_events(2, 2, &events);
+            assert_eq!(Btm::is_narrow(&btm), narrow, "{t0}..={t1}");
+            assert_eq!(rows(&btm), naive(2, 2, &events), "{t0}..={t1}");
+            assert_eq!(
+                btm,
+                Btm::build_wide(2, 2, &[], || events.iter().copied()),
+                "{t0}..={t1}"
+            );
+        }
+        assert!(!Btm::is_narrow(&Btm::from_events(8, 6, &messy())));
+        assert!(Btm::is_narrow(&Btm::from_events(3, 3, &[])));
+    }
+
+    /// Equality is of the decoded rows: the layout and its base are not part
+    /// of it, and an exclusion in the build may change both.
+    #[test]
+    fn equality_ignores_layout_and_base() {
+        // author 2's far-off comment is all that makes these rows wide
+        let events = [
+            ev(0, 0, 100),
+            ev(1, 0, 130),
+            ev(2, 1, i64::MIN),
+            ev(0, 1, 90),
+        ];
+        let full = Btm::from_events(3, 2, &events);
+        let masked = Btm::build(3, 2, &[AuthorId(2)], || events.iter().copied());
+        let removed = full.without_authors(&[AuthorId(2)]);
+        assert!(!Btm::is_narrow(&full) && !Btm::is_narrow(&removed) && Btm::is_narrow(&masked));
+        assert_eq!(masked, removed);
+        assert_ne!(masked, full);
+        // same layout, different base: dropping the earliest comment re-bases
+        // the build at 100 and leaves `without_authors` at 90
+        let rebased = Btm::build(3, 2, &[AuthorId(2), AuthorId(0)], || events.iter().copied());
+        assert!(Btm::is_narrow(&rebased));
+        assert_eq!(rebased, masked.without_authors(&[AuthorId(0)]));
+        assert_ne!(rebased, masked);
+    }
+
+    /// Delays on the two layouts: two `u32` offsets never overflow, two
+    /// `i64` timestamps can, and that is farther than any window.
+    #[test]
+    fn row_delays_hold_at_the_extremes() {
+        let narrow = |ts| pack_narrow(-9, ts, AuthorId(u32::MAX)).unwrap();
+        let (first, last) = (narrow(-9), narrow(-9 + i64::from(u32::MAX)));
+        assert_eq!(last.author(), AuthorId(u32::MAX));
+        assert_eq!(unpack_narrow(-9, last).0, -9 + i64::from(u32::MAX));
+        assert_eq!(first.delay_to(last), Some(i64::from(u32::MAX)));
+        assert_eq!(
+            first.delay_within(last, i64::MAX),
+            Some(i64::from(u32::MAX))
+        );
+        assert_eq!(first.delay_within(last, i64::from(u32::MAX) - 1), None);
+        assert!(first < last && narrow(5) < narrow(6));
+        assert_eq!(pack_narrow(-9, -10, AuthorId(0)), None);
+        assert_eq!(
+            pack_narrow(-9, -9 + i64::from(u32::MAX) + 1, AuthorId(0)),
+            None
+        );
+        assert_eq!(pack_narrow(i64::MAX, i64::MIN, AuthorId(0)), None);
+
+        let wide = |ts| (ts, AuthorId(0));
+        assert_eq!(wide(i64::MIN).delay_to(wide(i64::MAX)), None);
+        assert_eq!(wide(-1).delay_to(wide(i64::MAX)), None);
+        assert_eq!(
+            wide(0).delay_within(wide(i64::MAX), i64::MAX),
+            Some(i64::MAX)
+        );
+        assert_eq!(wide(0).delay_within(wide(61), 60), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the stated range")]
+    fn a_page_major_timestamp_outside_its_stated_range_panics() {
+        Btm::from_page_major(1, 1, 1, (0, 10), &[], |_, row| {
+            row.push(i64::from(u32::MAX) + 1, AuthorId(0))
+        });
+    }
+
+    /// A source whose second pass moves a timestamp out of the span the
+    /// first pass saw cannot be packed, and says why.
+    #[test]
+    #[should_panic(expected = "different events on its second pass")]
+    fn a_second_pass_outside_the_first_pass_span_is_caught() {
+        let calls = std::cell::Cell::new(0);
+        Btm::build(1, 1, &[], || {
+            calls.set(calls.get() + 1);
+            let ts = if calls.get() == 1 { 5 } else { 4 };
+            [ev(0, 0, 5), ev(0, 0, ts)].into_iter()
+        });
     }
 }

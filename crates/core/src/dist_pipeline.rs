@@ -26,7 +26,8 @@
 //!    * **No budget — rows.** Batches are appended unsorted, one lock each.
 //!      After the closing barrier the rank *partitions instead of sorting*:
 //!      count per page → prefix sum → scatter into one flat array of
-//!      `(ts, author)` rows, then a comparison sort of only the rows that
+//!      page rows (8 B a comment when the rank's timestamps span no more
+//!      than a `u32`), then a comparison sort of only the rows that
 //!      did not arrive time-ordered ([`crate::btm::PageRows::build`] — the
 //!      builder [`Btm`](crate::btm::Btm) makes its own page side with, not a
 //!      copy of it). Algorithm 1 needs each page's comments in time order
@@ -71,7 +72,7 @@
 //!    harvest scan (`btm::HarvestScan`, the scan under
 //!    [`AuthorPages::harvest`](crate::btm::AuthorPages::harvest)) over its
 //!    page partition a second time for just those authors
-//!    ([`PagePartition::for_each_incidence`]: the rows flat, the runs
+//!    (`PagePartition::harvest`: the rows flat, the runs
 //!    straight off a merge cursor — page-major either way), and ships each
 //!    packed `(author, page)` hit, already deduplicated, to the author
 //!    owners, which merge them — reproducing `Btm`'s page lists for exactly the
@@ -107,10 +108,10 @@ use ygm::container::DistBag;
 use ygm::reduce::{all_gather_concat, all_reduce_hist};
 use ygm::{block_range, owner_of, DistRuns, PackedAggregator, PackedBatch, RankCtx, RunSet, World};
 
-use crate::btm::{author_mask, is_kept, HarvestScan, PageRows};
+use crate::btm::{author_mask, is_kept, HarvestScan, PageRow, PageRows, WideRow};
 use crate::cigraph::CiGraph;
 use crate::hypergraph::validate_triangle_parts;
-use crate::ids::{AuthorId, Event, PageId, Timestamp};
+use crate::ids::{AuthorId, Event, PageId};
 use crate::metrics::TripletMetrics;
 use crate::pipeline::{PipelineConfig, PipelineOutput, RunStats, StageTimings};
 use crate::project::{pack_pair, page_pairs_flat, run_length_pairs, PageStep};
@@ -158,14 +159,14 @@ pub enum PagePartition {
 impl PagePartition {
     /// Call `f` with every non-empty page and its time-sorted comments,
     /// pages ascending.
-    pub fn for_each_page(&self, mut f: impl FnMut(PageId, &[(Timestamp, AuthorId)])) {
+    pub fn for_each_page(&self, mut f: impl FnMut(PageId, PageRow<'_>)) {
         match self {
             PagePartition::Rows(rows) => rows.pages().for_each(|(p, row)| f(p, row)),
             PagePartition::Runs(runs) => {
                 // Keys are `(page, ts, author)`-ordered, so each page is one
                 // contiguous stretch of the merge.
                 let mut keys = runs.cursor().peekable();
-                let mut row: Vec<(Timestamp, AuthorId)> = Vec::new();
+                let mut row: Vec<WideRow> = Vec::new();
                 while let Some(&k) = keys.peek() {
                     let page = (k >> 96) as u32;
                     row.clear();
@@ -177,7 +178,7 @@ impl PagePartition {
                         row.push((ts, AuthorId(a)));
                         keys.next();
                     }
-                    f(PageId(page), &row);
+                    f(PageId(page), PageRow::Wide(&row));
                 }
             }
         }
@@ -190,7 +191,7 @@ impl PagePartition {
         match self {
             PagePartition::Rows(rows) => {
                 for (p, row) in rows.pages() {
-                    row.iter().for_each(|&(_, a)| f(p, a));
+                    row.iter().for_each(|(_, a)| f(p, a));
                 }
             }
             PagePartition::Runs(runs) => {
@@ -199,6 +200,23 @@ impl PagePartition {
                     f(PageId(p), AuthorId(a));
                 }
             }
+        }
+    }
+
+    /// Run the harvest `scan` over the partition: `hit(page, author)` for
+    /// each requested author's first comment on each page.
+    pub(crate) fn harvest(&self, scan: &mut HarvestScan, mut hit: impl FnMut(PageId, AuthorId)) {
+        match self {
+            PagePartition::Rows(rows) => {
+                for (p, row) in rows.pages() {
+                    scan.page(p, row, |_, a| hit(p, a));
+                }
+            }
+            PagePartition::Runs(_) => self.for_each_incidence(|p, a| {
+                if scan.first_on_page(p, a).is_some() {
+                    hit(p, a);
+                }
+            }),
         }
     }
 }
@@ -661,9 +679,8 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
                 occ.local_absorb(inner, batch.iter());
             }
         );
-        let kernel = |row: &[(Timestamp, AuthorId)], pairs: &mut Vec<u64>| {
-            page_pairs_flat(row, &cfg.window, pairs)
-        };
+        let kernel =
+            |row: PageRow<'_>, pairs: &mut Vec<u64>| page_pairs_flat(row, &cfg.window, pairs);
         my_events.for_each_page(|_, comments| {
             for &p in step.page(comments, kernel) {
                 to_edges.push_keyed(ctx, &p, p);
@@ -806,11 +823,9 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
             // Bots comment in bursts, so consecutive qualifying events often
             // share an author — cache the owner like the page loop does.
             let mut author_owner = CachedOwner::new();
-            my_events.for_each_incidence(|p, a| {
-                if scan.first_on_page(p, a).is_some() {
-                    let dest = author_owner.dest(a.0, ctx.nranks());
-                    to_authors.push(ctx, dest, pack_pair(a.0, p.0));
-                }
+            my_events.harvest(&mut scan, |p, a| {
+                let dest = author_owner.dest(a.0, ctx.nranks());
+                to_authors.push(ctx, dest, pack_pair(a.0, p.0));
             });
         }
         to_authors.flush_all(ctx);

@@ -59,6 +59,8 @@ pub mod groups;
 pub mod hypergraph;
 pub mod ids;
 pub mod ingest;
+#[cfg(test)]
+mod layout_equivalence;
 pub mod metrics;
 pub mod pipeline;
 pub mod project;

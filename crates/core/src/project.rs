@@ -21,7 +21,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crate::btm::Btm;
+use crate::btm::{Btm, PageRow, Row};
 use crate::cigraph::CiGraph;
 use crate::ids::{AuthorId, Timestamp};
 use crate::window::Window;
@@ -99,18 +99,27 @@ pub fn delay_within(earlier: Timestamp, later: Timestamp, d2: i64) -> Option<i64
 /// qualifying candidate, compacting periodically, then sort + dedup. A flat
 /// push is a handful of cycles where a per-page `HashSet` insert pays a
 /// SipHash probe, and the batched single-word sorts are cache friendly.
-/// `comments` must be sorted by timestamp (BTM guarantees this). Shared with
-/// the rank-sharded engine and the streaming engine's warm start.
-pub fn page_pairs_flat(comments: &[(Timestamp, AuthorId)], window: &Window, pairs: &mut Vec<u64>) {
+/// Shared with the rank-sharded engine and the streaming engine's warm start.
+pub fn page_pairs_flat(comments: PageRow<'_>, window: &Window, pairs: &mut Vec<u64>) {
+    match comments {
+        PageRow::Narrow { row, .. } => row_pairs(row, window, pairs),
+        PageRow::Wide(row) => row_pairs(row, window, pairs),
+    }
+}
+
+/// [`page_pairs_flat`] over one layout's rows, sorted by timestamp.
+fn row_pairs<R: Row>(comments: &[R], window: &Window, pairs: &mut Vec<u64>) {
     pairs.clear();
     let mut compact_at = COMPACT_MIN;
-    for (i, &(ti, ai)) in comments.iter().enumerate() {
-        for &(tj, aj) in &comments[i + 1..] {
-            let Some(dt) = delay_within(ti, tj, window.d2()) else {
+    for (i, &ci) in comments.iter().enumerate() {
+        let ai = ci.author().0;
+        for &cj in &comments[i + 1..] {
+            let Some(dt) = ci.delay_within(cj, window.d2()) else {
                 break; // sorted: later comments are only farther away
             };
+            let aj = cj.author().0;
             if dt >= window.d1() && ai != aj {
-                pairs.push(pack_pair(ai.0.min(aj.0), ai.0.max(aj.0)));
+                pairs.push(pack_pair(ai.min(aj), ai.max(aj)));
                 if pairs.len() >= compact_at {
                     let before = pairs.len();
                     sort_packed(pairs);
@@ -185,8 +194,8 @@ impl PageStep {
     #[inline]
     pub(crate) fn page(
         &mut self,
-        comments: &[(Timestamp, AuthorId)],
-        kernel: impl FnOnce(&[(Timestamp, AuthorId)], &mut Vec<u64>),
+        comments: PageRow<'_>,
+        kernel: impl FnOnce(PageRow<'_>, &mut Vec<u64>),
     ) -> &[u64] {
         kernel(comments, &mut self.pairs);
         self.endpoints.clear();
@@ -213,10 +222,7 @@ impl PageStep {
 /// through the [`PageStep`] and append its pair set to one occurrence buffer
 /// that is sorted and run-length-counted **once** after the last page — no
 /// hash map on the whole path.
-fn project_pages_flat(
-    btm: &Btm,
-    mut kernel: impl FnMut(&[(Timestamp, AuthorId)], &mut Vec<u64>),
-) -> CiGraph {
+fn project_pages_flat(btm: &Btm, mut kernel: impl FnMut(PageRow<'_>, &mut Vec<u64>)) -> CiGraph {
     let mut step = PageStep::new(btm.n_authors());
     let mut occ: Vec<u64> = Vec::new();
     let run = {
@@ -307,7 +313,7 @@ pub fn project_sequential(btm: &Btm, window: Window) -> CiGraph {
     let mut pairs = HashSet::new();
     let mut scratch = HashSet::new();
     for (_, comments) in btm.pages() {
-        page_pairs(comments, &window, &mut pairs);
+        page_pairs(&comments.to_vec(), &window, &mut pairs);
         accumulate_page(&pairs, &mut edges, &mut counts, &mut scratch);
     }
     finish(btm.n_authors(), edges, counts)
@@ -319,18 +325,36 @@ pub fn project_sequential(btm: &Btm, window: Window) -> CiGraph {
 /// with a longer time window". Equivalent to filtering [`project`]'s output
 /// to subset-internal edges (and recomputing `P'` over those pages), but runs
 /// in time proportional to the subset's comment volume.
+///
+/// A subset id outside the id space has no comments to pair and is ignored.
 pub fn project_subset(btm: &Btm, subset: &[AuthorId], window: Window) -> CiGraph {
     let mut in_subset = vec![false; btm.n_authors() as usize];
     for a in subset {
-        in_subset[a.0 as usize] = true;
+        if let Some(slot) = in_subset.get_mut(a.0 as usize) {
+            *slot = true;
+        }
     }
-    let mut filtered: Vec<(Timestamp, AuthorId)> = Vec::new();
-    project_pages_flat(btm, |comments, pairs| {
-        // restrict the neighborhood to subset members up front
-        filtered.clear();
-        filtered.extend(comments.iter().filter(|&&(_, a)| in_subset[a.0 as usize]));
-        page_pairs_flat(&filtered, &window, pairs);
+    // the members' comments of the page at hand, in the page's own layout
+    let (mut narrow, mut wide) = (Vec::new(), Vec::new());
+    project_pages_flat(btm, |comments, pairs| match comments {
+        PageRow::Narrow { row, .. } => member_pairs(row, &in_subset, &mut narrow, &window, pairs),
+        PageRow::Wide(row) => member_pairs(row, &in_subset, &mut wide, &window, pairs),
     })
+}
+
+/// [`project_subset`]'s page step over one layout's rows: restrict the
+/// neighborhood to subset members up front (into the scratch `members`), then
+/// pair those.
+fn member_pairs<R: Row>(
+    comments: &[R],
+    in_subset: &[bool],
+    members: &mut Vec<R>,
+    window: &Window,
+    pairs: &mut Vec<u64>,
+) {
+    members.clear();
+    members.extend(comments.iter().filter(|c| in_subset[c.author().0 as usize]));
+    row_pairs(members, window, pairs);
 }
 
 /// Summary statistics of one projection run, for scale reporting
@@ -583,5 +607,50 @@ mod tests {
         assert_eq!(s.ci_edges, ci.n_edges());
         assert_eq!(s.active_authors, ci.active_authors());
         assert_eq!(s.max_weight, ci.max_weight());
+    }
+
+    #[test]
+    fn subset_ids_outside_the_id_space_are_ignored() {
+        let b = btm(3, 1, &[ev(0, 0, 0), ev(1, 0, 5), ev(2, 0, 9)]);
+        let w = Window::new(0, 60);
+        let members = [AuthorId(0), AuthorId(1)];
+        let with_strays = [AuthorId(3), AuthorId(0), AuthorId(u32::MAX), AuthorId(1)];
+        assert_ci_eq(
+            &project_subset(&b, &with_strays, w),
+            &project_subset(&b, &members, w),
+        );
+        assert_eq!(project_subset(&b, &[AuthorId(7)], w).n_edges(), 0);
+    }
+
+    /// Windows around what a narrow row can span: two comments exactly
+    /// `u32::MAX` apart on 8 B rows, one second more on 16 B rows. A `δ2`
+    /// past `u32::MAX` admits the pair like any bound at or above its delay,
+    /// a `δ1` past it admits nothing, and both layouts agree with the
+    /// literal loop.
+    #[test]
+    fn windows_wider_than_a_narrow_row_can_span() {
+        let span = i64::from(u32::MAX);
+        for (gap, t0) in [(span, -77), (span + 1, -77), (span, i64::MAX - span)] {
+            let events = [ev(0, 0, t0), ev(1, 0, t0 + gap), ev(2, 1, t0), ev(0, 1, t0)];
+            let narrow = btm(3, 2, &events);
+            let wide = Btm::build_wide(3, 2, &[], || events.iter().copied());
+            assert_eq!(narrow, wide);
+            for (d1, d2, paired) in [
+                (0, i64::MAX, true),
+                (0, gap, true),
+                (gap, gap + 1, true),
+                (0, gap - 1, false),
+                (gap + 1, i64::MAX, false),
+                (span + 2, i64::MAX, false),
+            ] {
+                let w = Window::new(d1, d2);
+                for b in [&narrow, &wide] {
+                    let ci = project(b, w);
+                    assert_eq!(ci.weight(AuthorId(0), AuthorId(1)), u64::from(paired));
+                    assert_eq!(ci.weight(AuthorId(0), AuthorId(2)), u64::from(d1 == 0));
+                    assert_ci_eq(&ci, &project_sequential(b, w));
+                }
+            }
+        }
     }
 }

@@ -67,7 +67,7 @@ pub fn write_snapshot(
     w.pages(ds.pages.iter().map(|(_, n)| n));
     w.page_rows(
         rows.pages()
-            .map(|(p, row)| (p.0, row.iter().map(|&(ts, a)| (ts, a.0)))),
+            .map(|(p, row)| (p.0, row.iter().map(|(ts, a)| (ts, a.0)))),
     )?;
     if let Some((window, ci)) = ci {
         w.ci_graph(window.d1(), window.d2(), ci.page_counts(), ci.as_csr())?;
@@ -138,7 +138,10 @@ pub fn btm_from_snapshot(snap: &Snapshot, excluded: &[AuthorId]) -> Btm {
     let m = snap.meta();
     let mut rows = snap.events().rows();
     let capacity = m.n_events as usize;
-    Btm::from_page_major(m.n_authors, m.n_pages, capacity, excluded, |p, row| {
+    // validated against the rows when the snapshot was opened
+    let ts_range = (m.min_ts, m.max_ts);
+    let (na, np) = (m.n_authors, m.n_pages);
+    Btm::from_page_major(na, np, capacity, ts_range, excluded, |p, row| {
         let stored = rows.next_row().map(|(page, _)| page);
         assert_eq!(stored, Some(p.0), "EVENTS holds one row per page id");
         for (ts, a) in rows.by_ref() {

@@ -21,10 +21,9 @@
 //! the right cursor one comment at a time, retract the left cursor to keep the
 //! span ≤ δ2, and check whether the window covers all three authors.
 
-use crate::btm::{AuthorPages, Btm};
-use crate::ids::{AuthorId, Timestamp};
+use crate::btm::{AuthorPages, Btm, PageRow, Row};
+use crate::ids::AuthorId;
 use crate::metrics::c_score;
-use crate::project::delay_within;
 use tripoll::Triangle;
 
 /// Count pages where `x`, `y`, `z` all comment within a span of `max_span`
@@ -48,9 +47,11 @@ pub fn windowed_hyperedge_weight(
         let (a, b, c) = (pa[i], pb[j], pc[k]);
         let m = a.min(b).min(c);
         if a == b && b == c {
-            if page_has_windowed_triple(btm.page_neighborhood(a), x, y, z, max_span) {
-                count += 1;
-            }
+            let covered = match btm.page_neighborhood(a) {
+                PageRow::Narrow { row, .. } => page_has_windowed_triple(row, x, y, z, max_span),
+                PageRow::Wide(row) => page_has_windowed_triple(row, x, y, z, max_span),
+            };
+            count += u64::from(covered);
             i += 1;
             j += 1;
             k += 1;
@@ -71,8 +72,8 @@ pub fn windowed_hyperedge_weight(
 
 /// Does a sliding window of span `max_span` over `comments` (time-sorted)
 /// ever cover all three authors?
-fn page_has_windowed_triple(
-    comments: &[(Timestamp, AuthorId)],
+fn page_has_windowed_triple<R: Row>(
+    comments: &[R],
     x: AuthorId,
     y: AuthorId,
     z: AuthorId,
@@ -93,9 +94,12 @@ fn page_has_windowed_triple(
         *slot = slot.wrapping_add(delta as u32);
     };
     for right in 0..comments.len() {
-        bump(comments[right].1, 1, &mut nx, &mut ny, &mut nz);
-        while delay_within(comments[left].0, comments[right].0, max_span).is_none() {
-            bump(comments[left].1, -1, &mut nx, &mut ny, &mut nz);
+        bump(comments[right].author(), 1, &mut nx, &mut ny, &mut nz);
+        while comments[left]
+            .delay_within(comments[right], max_span)
+            .is_none()
+        {
+            bump(comments[left].author(), -1, &mut nx, &mut ny, &mut nz);
             left += 1;
         }
         if nx > 0 && ny > 0 && nz > 0 {
@@ -156,7 +160,7 @@ pub fn validate_windowed(btm: &Btm, triangles: &[Triangle], max_span: i64) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{Event, PageId};
+    use crate::ids::{Event, PageId, Timestamp};
     use crate::project::project;
     use crate::window::Window;
 

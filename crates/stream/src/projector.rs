@@ -147,12 +147,15 @@ impl StreamProjector {
         let mut pairs: Vec<u64> = Vec::new();
         for (pid, comments) in btm.pages() {
             let page = pid.0;
-            let &(last_ts, _) = comments.last().expect("pages() yields non-empty pages");
+            let (last_ts, _) = comments
+                .iter()
+                .next_back()
+                .expect("pages() yields non-empty pages");
             if !p.started || last_ts > p.now {
                 p.now = last_ts;
             }
             p.started = true;
-            for &(_, a) in comments {
+            for (_, a) in comments.iter() {
                 if p.n_authors <= a.0 {
                     p.n_authors = a.0 + 1;
                 }
@@ -161,14 +164,11 @@ impl StreamProjector {
             // left: comments still within δ2 of the page's own newest
             // arrival (stale pages keep their tail — pruning only ever
             // happens on an arrival to the same page).
-            let keep = comments
+            let recent = comments
                 .iter()
-                .position(|&(t, _)| delay_within(t, last_ts, window.d2()).is_some())
-                .unwrap_or(comments.len());
-            p.buffers.insert(
-                page,
-                comments[keep..].iter().map(|&(t, a)| (t, a.0)).collect(),
-            );
+                .skip_while(|&(t, _)| delay_within(t, last_ts, window.d2()).is_none());
+            p.buffers
+                .insert(page, recent.map(|(t, a)| (t, a.0)).collect());
             // Supported pairs via the shared flat kernel. Cumulative mode
             // never reads the support timestamp (only presence matters, and
             // nothing expires), so the page's newest comment stands in for

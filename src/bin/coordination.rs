@@ -38,6 +38,8 @@ const BATCH_COUNTERS: &[&str] = &[
     "ingest.skipped_lines",
     "btm.pages_presorted",
     "btm.pages_sorted",
+    "btm.rows_narrow",
+    "btm.rows_wide",
     "project.pages",
     "project.edges",
     "survey.triangles_examined",
@@ -350,10 +352,16 @@ fn pipeline_config(flags: &Flags, default_cutoff: u64) -> Result<PipelineConfig,
 /// otherwise. Both print the same bytes (events reach the BTM in a different
 /// order, which it is insensitive to), and a snapshot feeds its mapped rows
 /// to either without materializing a [`Dataset`].
+///
+/// With `release_events` the caller reads nothing but the name tables
+/// afterwards, so the resident engine drops the dataset's event column once
+/// the BTM's rows are built from it — the two never sit side by side through
+/// projection and survey. (The rank program reads its events as it runs.)
 fn run_detector(
     flags: &Flags,
     config: PipelineConfig,
-    input: &Input,
+    input: &mut Input,
+    release_events: bool,
 ) -> Result<PipelineOutput, String> {
     // `main` has checked both for a positive count
     let ranks: usize = flags.num("ranks", 1)?;
@@ -370,7 +378,13 @@ fn run_detector(
     } else {
         let resident = Pipeline::new(config);
         match input {
-            Input::Dataset(ds) => resident.run_dataset(ds),
+            Input::Dataset(ds) => {
+                let btm = ds.btm_without(&resident.config.exclusions.resolve(ds));
+                if release_events {
+                    ds.events = Vec::new();
+                }
+                resident.run_btm(&btm)
+            }
             Input::Snapshot(snap) => resident.run_snapshot(snap),
         }
     };
@@ -388,8 +402,8 @@ fn run_detector(
 
 fn run_pipeline(flags: &Flags, default_cutoff: u64) -> Result<(Dataset, PipelineOutput), String> {
     let config = pipeline_config(flags, default_cutoff)?;
-    let input = Input::open(flags)?;
-    let out = run_detector(flags, config, &input)?;
+    let mut input = Input::open(flags)?;
+    let out = run_detector(flags, config, &mut input, false)?;
     // downstream printing needs the name tables either way
     Ok((input.into_dataset(), out))
 }
@@ -667,8 +681,8 @@ fn write_triplet_rows<'a>(
 /// pins. Timings go to stderr only.
 fn cmd_pipeline(flags: &Flags) -> Result<(), String> {
     let config = pipeline_config(flags, 10)?;
-    let input = Input::open(flags)?;
-    let out = run_detector(flags, config, &input)?;
+    let mut input = Input::open(flags)?;
+    let out = run_detector(flags, config, &mut input, true)?;
     // Author names are read in place: off the mapping on the snapshot path
     // (no Dataset is materialized), out of the interner's arena otherwise.
     match &input {

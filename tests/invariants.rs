@@ -420,7 +420,7 @@ proptest! {
 
         let btm = Btm::build(na, np, &excluded, || events.iter().copied());
         for p in 0..np {
-            prop_assert_eq!(btm.page_neighborhood(PageId(p)), &by_page[p as usize][..]);
+            prop_assert_eq!(&btm.page_neighborhood(PageId(p)).to_vec(), &by_page[p as usize]);
         }
         let authors = AuthorPages::all(&btm);
         for a in 0..na {
@@ -496,7 +496,7 @@ proptest! {
             prop_assert_eq!(rows.n_pages(), np);
             prop_assert_eq!(rows.n_comments(), input.len() as u64);
             for p in 0..np {
-                prop_assert_eq!(rows.row(PageId(p)), &by_page[p as usize][..]);
+                prop_assert_eq!(&rows.row(PageId(p)).to_vec(), &by_page[p as usize]);
             }
             let mut stack: RunStack<u128> = RunStack::new("page_rows_property", 0, budget);
             for arrivals in input.chunks(batch) {

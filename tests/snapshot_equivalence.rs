@@ -67,7 +67,7 @@ proptest! {
             ds.events.iter().copied().filter(|e| !excluded.contains(&e.author)).collect();
         let (by_page, _) = reference_sides(na, np, &kept);
         for p in 0..np {
-            prop_assert_eq!(btm.page_neighborhood(PageId(p)), &by_page[p as usize][..]);
+            prop_assert_eq!(&btm.page_neighborhood(PageId(p)).to_vec(), &by_page[p as usize]);
         }
 
         let stored: Vec<(u32, u32, i64)> = snap.events().iter().collect();
