@@ -2,10 +2,11 @@
 //!
 //! The id newtypes themselves live in the shared [`coordination_graph`] layer
 //! (every graph representation keys vertices by them) and are re-exported here
-//! for compatibility; the [`Event`] record and the [`Interner`] are
-//! core-specific.
+//! for compatibility; the [`Event`] record, the [`Interner`] and the
+//! [`IdHash`] that id-keyed maps hash with are core-specific.
 
 use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 
 pub use coordination_graph::{AuthorId, PageId, Timestamp};
@@ -74,6 +75,13 @@ fn half_word(s: &[u8], at: usize) -> u64 {
     ))
 }
 
+/// A random odd multiplier, fixed by its owner for life. `RandomState` is
+/// std's per-process random source; hashing nothing with it yields 64 bits
+/// an outsider cannot predict.
+fn random_secret() -> u64 {
+    RandomState::new().build_hasher().finish() | 1
+}
+
 /// Where the arena ends once `add` more bytes follow its current `len`.
 fn arena_end(len: usize, add: usize) -> u32 {
     len.checked_add(add)
@@ -97,10 +105,8 @@ impl Interner {
             arena: String::new(),
             ends: Vec::new(),
             table: Vec::new(),
-            // `RandomState` is std's per-process random source; hashing
-            // nothing with it yields 64 bits an outsider cannot predict. (A
-            // zero secret — tests only — would make every hash 0.)
-            secret: RandomState::new().build_hasher().finish() | 1,
+            // (A zero secret — tests only — would make every hash 0.)
+            secret: random_secret(),
         }
     }
 
@@ -235,6 +241,85 @@ impl Interner {
         (0..self.len() as u32).map(|id| (id, self.name(id)))
     }
 }
+
+/// The `BuildHasher` for maps keyed by dense ids or words packed from them
+/// (`pack_pair`, `page << 32 | author`, …): the [`Interner`]'s `fold_mul`
+/// mixing, one multiply per key word, under a random odd secret drawn per
+/// instance the way an interner draws its own — so ids an outsider chose
+/// cannot be crafted to pile onto one probe chain, where an unkeyed
+/// multiplicative hash would let them.
+#[derive(Clone, Debug)]
+pub struct IdHash {
+    secret: u64,
+}
+
+impl Default for IdHash {
+    fn default() -> Self {
+        IdHash {
+            secret: random_secret(),
+        }
+    }
+}
+
+impl BuildHasher for IdHash {
+    type Hasher = IdHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> IdHasher {
+        IdHasher {
+            secret: self.secret,
+            h: self.secret,
+        }
+    }
+}
+
+/// The state of one [`IdHash`] hash: each key word is folded in by
+/// `h = fold_mul(h ^ word, secret)`.
+#[derive(Clone, Debug)]
+pub struct IdHasher {
+    secret: u64,
+    h: u64,
+}
+
+impl Hasher for IdHasher {
+    /// Byte keys (arrays hash their length first) go a zero-padded word at a
+    /// time.
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.h = fold_mul(self.h ^ n, self.secret);
+    }
+
+    #[inline]
+    fn write_u128(&mut self, n: u128) {
+        self.write_u64(n as u64);
+        self.write_u64((n >> 64) as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.h
+    }
+}
+
+/// A `HashMap` keyed by ids, hashed with [`IdHash`].
+pub type IdMap<K, V> = HashMap<K, V, IdHash>;
+
+/// A `HashSet` of ids, hashed with [`IdHash`].
+pub type IdSet<K> = HashSet<K, IdHash>;
 
 #[cfg(test)]
 mod tests {
@@ -386,6 +471,22 @@ mod tests {
     fn fresh_interners_draw_different_secrets() {
         assert_ne!(Interner::new().secret, Interner::new().secret);
         assert_eq!(Interner::new().secret & 1, 1);
+    }
+
+    #[test]
+    fn id_hash_is_keyed_per_instance_and_stable_within_one() {
+        let (a, b) = (IdHash::default(), IdHash::default());
+        assert_ne!(a.secret, b.secret);
+        assert_eq!(a.secret & 1, 1);
+        let key = 7u64 << 32 | 9;
+        assert_eq!(a.hash_one(key), a.hash_one(key));
+        assert_ne!(a.hash_one(key), b.hash_one(key));
+        assert_ne!(a.hash_one([1u32, 2, 3]), a.hash_one([1u32, 2, 4]));
+        let mut m: IdMap<u128, u32> = IdMap::default();
+        for k in 0..1000u128 {
+            m.insert(k << 64 | k, k as u32);
+        }
+        assert!((0..1000u128).all(|k| m[&(k << 64 | k)] == k as u32));
     }
 
     #[test]

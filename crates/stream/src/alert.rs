@@ -14,9 +14,7 @@
 //! mode the next interaction or expiry on any clique edge re-triggers the
 //! check. Each triplet fires at most once per engine lifetime.
 
-use std::collections::HashSet;
-
-use coordination_core::ids::Timestamp;
+use coordination_core::ids::{IdSet, Timestamp};
 use tripoll::survey::t_score;
 
 use crate::triangles::{TriangleEvents, TriangleTracker, Triple};
@@ -41,7 +39,7 @@ pub struct Alert {
 #[derive(Debug)]
 pub struct Alerter {
     min_t_score: f64,
-    fired: HashSet<Triple>,
+    fired: IdSet<Triple>,
 }
 
 impl Alerter {
@@ -51,17 +49,12 @@ impl Alerter {
         assert!(min_t_score >= 0.0, "T-score floor must be non-negative");
         Alerter {
             min_t_score,
-            fired: HashSet::new(),
+            fired: IdSet::default(),
         }
     }
 
-    /// The configured T-score floor.
-    pub fn min_t_score(&self) -> f64 {
-        self.min_t_score
-    }
-
     /// Triplets that have fired so far.
-    pub fn fired(&self) -> &HashSet<Triple> {
+    pub fn fired(&self) -> &IdSet<Triple> {
         &self.fired
     }
 

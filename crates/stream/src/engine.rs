@@ -9,8 +9,6 @@
 //! materialises the live CI graph at any moment, in exactly the form the
 //! batch `analysis` / hypergraph-validation tooling consumes.
 
-use std::collections::HashMap;
-
 use coordination_core::cigraph::CiGraph;
 use coordination_core::ids::{Interner, Timestamp};
 use coordination_core::records::CommentRecord;
@@ -84,6 +82,8 @@ pub struct StreamEngine {
     c_edge_additions: obs::Counter,
     c_edge_expirations: obs::Counter,
     c_checkpoints: obs::Counter,
+    c_dropped_late: obs::Counter,
+    c_expiry_stale: obs::Counter,
 }
 
 impl StreamEngine {
@@ -105,6 +105,8 @@ impl StreamEngine {
             c_edge_additions: obs::counter("stream.edge_additions"),
             c_edge_expirations: obs::counter("stream.edge_expirations"),
             c_checkpoints: obs::counter("stream.checkpoints"),
+            c_dropped_late: obs::counter("stream.dropped_late"),
+            c_expiry_stale: obs::counter("stream.expiry_stale"),
         }
     }
 
@@ -113,7 +115,7 @@ impl StreamEngine {
         &self.config
     }
 
-    /// Events ingested so far.
+    /// Events ingested so far (late records dropped are not counted).
     pub fn events_ingested(&self) -> u64 {
         self.events
     }
@@ -149,14 +151,21 @@ impl StreamEngine {
     }
 
     /// Ingest one record; returns the alerts it fired (usually empty). The
-    /// slice is valid until the next `ingest` call.
+    /// slice is valid until the next `ingest` call. A record stamped before
+    /// stream time is late: it is dropped before interning — it assigns no
+    /// author or page id — and counted in `stream.dropped_late`.
     pub fn ingest(&mut self, record: &CommentRecord) -> &[Alert] {
+        let ts = record.created_utc;
+        self.alert_scratch.clear();
+        if self.projector.drop_if_late(ts) {
+            self.c_dropped_late.inc();
+            return &self.alert_scratch;
+        }
         let author = self.authors.intern(&record.author);
         let page = self.pages.intern(&record.link_id);
-        let ts = record.created_utc;
         self.events += 1;
 
-        self.alert_scratch.clear();
+        let stale = self.projector.expiry_stale();
         // The deltas are read in place, beside the `P'` the same call left
         // behind: the steady state (most events change no edge) allocates
         // nothing.
@@ -184,6 +193,8 @@ impl StreamEngine {
         self.c_edge_additions.add(added);
         self.c_edge_expirations.add(expired);
         self.c_alerts.add(self.alert_scratch.len() as u64);
+        self.c_expiry_stale
+            .add(self.projector.expiry_stale() - stale);
 
         if let Some(every) = self.config.checkpoint_every {
             if every > 0 && self.events.is_multiple_of(every) {
@@ -218,6 +229,7 @@ impl StreamEngine {
         let live_triangles = self.tracker.len() as u64;
         self.c_checkpoints.inc();
         obs::gauge("stream.live_edges").set(n_edges);
+        obs::gauge("stream.expiry_queue").set_max(self.projector.expiry_queue_len() as u64);
         obs::gauge("stream.live_triangles").set(live_triangles);
         obs::record_stage_rss("stream");
         self.checkpoints.push(Checkpoint {
@@ -268,23 +280,6 @@ impl StreamEngine {
             self.authors.name(t[1]),
             self.authors.name(t[2]),
         ]
-    }
-
-    /// Per-edge weights of the live graph keyed by author names — convenient
-    /// for debugging and small demos.
-    pub fn named_edges(&self) -> HashMap<(String, String), u64> {
-        self.projector
-            .edges()
-            .map(|(x, y, w)| {
-                (
-                    (
-                        self.authors.name(x).to_string(),
-                        self.authors.name(y).to_string(),
-                    ),
-                    w,
-                )
-            })
-            .collect()
     }
 }
 
@@ -395,6 +390,30 @@ mod tests {
         assert_eq!(seen.len(), 1);
         let names = &seen[0].1;
         assert_eq!(names, &["a".to_string(), "b".to_string(), "c".to_string()]);
+    }
+
+    #[test]
+    fn late_records_are_dropped_before_interning() {
+        let mut engine = StreamEngine::new(StreamConfig {
+            window: Window::new(0, 60),
+            min_triangle_weight: 2,
+            horizon: Some(3600),
+            ..Default::default()
+        });
+        for r in trio_records(3) {
+            engine.ingest(&r);
+        }
+        // before stream time (2020), by a new account on a new page: dropped
+        assert!(engine
+            .ingest(&CommentRecord::new("late", "t3_late", 5))
+            .is_empty());
+        assert_eq!(engine.projector().dropped_late(), 1);
+        assert_eq!(engine.authors().get("late"), None);
+        assert_eq!(engine.pages().get("t3_late"), None);
+        assert_eq!((engine.authors().len(), engine.pages().len()), (3, 3));
+        assert_eq!(engine.events_ingested(), 9);
+        assert_eq!(engine.projector().n_edges(), 3);
+        assert_eq!(engine.tracker().len(), 1);
     }
 
     #[test]

@@ -20,23 +20,60 @@
 //!   `P'` shrinks in step via per-(page, author) refcounts. This is the
 //!   "live" mode: old coordination decays instead of accumulating forever.
 //!
-//! Events must arrive with non-decreasing timestamps (ties allowed in any
-//! order — pair keys are unordered, so arrival order within a timestamp does
-//! not change the result). Replaying a real out-of-order firehose requires a
-//! reorder buffer in front of the projector; the [`crate::source`] replays
-//! sort up front.
+//! Events arrive with non-decreasing timestamps (ties allowed in any order —
+//! pair keys are unordered, so arrival order within a timestamp does not
+//! change the result). An event stamped before stream time is *late*: it
+//! changes no state, yields no deltas and is counted in
+//! [`StreamProjector::dropped_late`]. Replaying a real out-of-order firehose
+//! without losses requires a reorder buffer in front of the projector; the
+//! [`crate::source`] replays sort up front.
+//!
+//! # Per-event state
+//!
+//! Each structure is chosen from a property the ingest path guarantees:
+//!
+//! * **Expiry is a FIFO.** Stream time never moves backwards (late events are
+//!   dropped, not applied) and the horizon is fixed, so the due time
+//!   `ts + h` is non-decreasing in push order and the lapsed entries
+//!   (`due < now`) are always a prefix of the queue. Retiring them sorts
+//!   only that prefix by `(due, page, pair)`: ties in `due` were pushed in
+//!   buffer order, and the sort puts them in the order a min-heap of the
+//!   same entries pops them, so −1 deltas — and every alert downstream of
+//!   them — come out as they would from a priority queue, for a push and a
+//!   pop per entry instead of O(log n) cache misses.
+//! * **Page buffers are indexed by page id**, dense like `P'`.
+//! * **Id-keyed maps hash with [`IdHash`](coordination_core::ids::IdHash)**
+//!   over packed keys (`support`: page above pair in a `u128`; `edges`: the
+//!   packed pair; `incident`: page above author): one or two keyed
+//!   multiplies per probe instead of SipHash, under a random per-map secret,
+//!   so ids an outsider picks still cannot be crafted onto one probe chain.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 
 use coordination_core::btm::Btm;
 use coordination_core::cigraph::CiGraph;
-use coordination_core::ids::Timestamp;
-use coordination_core::project::{delay_within, page_pairs_flat, unpack_pair};
+use coordination_core::ids::{IdMap, Timestamp};
+use coordination_core::project::{delay_within, pack_pair, page_pairs_flat, unpack_pair};
 use coordination_core::window::Window;
 
 /// An unordered author pair, stored as `(min, max)`.
 type Pair = (u32, u32);
+
+/// An expiry entry: `(due, page, packed pair)`.
+type Expiry = (Timestamp, u32, u64);
+
+/// The `support` key of a packed pair on a page.
+#[inline]
+fn support_key(page: u32, pair: u64) -> u128 {
+    u128::from(page) << 64 | u128::from(pair)
+}
+
+/// The `incident` key of an author on a page.
+#[inline]
+fn incident_key(page: u32, author: u32) -> u64 {
+    u64::from(page) << 32 | u64::from(author)
+}
 
 /// A ±1 change to one CI-graph edge weight, emitted by
 /// [`StreamProjector::ingest`].
@@ -80,24 +117,31 @@ pub struct StreamProjector {
     started: bool,
     /// 1 + max author id seen.
     n_authors: u32,
-    /// Per-page recent comments, time-ordered (oldest front).
-    buffers: HashMap<u32, VecDeque<(Timestamp, u32)>>,
-    /// (page, pair) → timestamp of the latest qualifying interaction.
-    /// Presence ⇔ the page currently supports the pair.
-    support: HashMap<(u32, Pair), Timestamp>,
-    /// Live edge weights `w'` (number of supporting pages per pair).
-    edges: HashMap<Pair, u64>,
-    /// (page, author) → number of supported pairs on `page` incident to
-    /// `author`; transitions 0↔1 move `P'`.
-    incident: HashMap<(u32, u32), u32>,
+    /// Recent comments by page id, time-ordered (oldest front); grown as
+    /// pages appear.
+    buffers: Vec<VecDeque<(Timestamp, u32)>>,
+    /// `support_key(page, pair)` → timestamp of the latest qualifying
+    /// interaction. Presence ⇔ the page currently supports the pair.
+    support: IdMap<u128, Timestamp>,
+    /// Live edge weights `w'` (number of supporting pages) by packed pair.
+    edges: IdMap<u64, u64>,
+    /// `incident_key(page, author)` → number of supported pairs on `page`
+    /// incident to `author`; transitions 0↔1 move `P'`.
+    incident: IdMap<u64, u32>,
     /// Dense `P'` indexed by author id (grows as authors appear).
     page_counts: Vec<u64>,
-    /// Lazy expiry queue: (candidate expiry time, page, pair). Entries are
-    /// validated against `support` when popped, so refreshed pairs cost one
-    /// stale pop instead of a decrease-key.
-    expiry: BinaryHeap<Reverse<(Timestamp, u32, Pair)>>,
+    /// Lazy expiry FIFO, `due` non-decreasing front to back. Entries are
+    /// checked against `support` when they lapse, so a refreshed pair costs
+    /// one stale entry instead of a decrease-key.
+    expiry: VecDeque<Expiry>,
+    /// The lapsed prefix of `expiry` being retired (reused buffer).
+    retiring: Vec<Expiry>,
     /// Deltas scratch, drained into the caller's sink each ingest.
     scratch: Vec<EdgeDelta>,
+    /// Late events dropped so far.
+    dropped_late: u64,
+    /// Lapsed expiry entries whose pair had been refreshed or retired.
+    expiry_stale: u64,
 }
 
 impl StreamProjector {
@@ -124,13 +168,16 @@ impl StreamProjector {
             now: Timestamp::MIN,
             started: false,
             n_authors: 0,
-            buffers: HashMap::new(),
-            support: HashMap::new(),
-            edges: HashMap::new(),
-            incident: HashMap::new(),
+            buffers: Vec::new(),
+            support: IdMap::default(),
+            edges: IdMap::default(),
+            incident: IdMap::default(),
             page_counts: Vec::new(),
-            expiry: BinaryHeap::new(),
+            expiry: VecDeque::new(),
+            retiring: Vec::new(),
             scratch: Vec::new(),
+            dropped_late: 0,
+            expiry_stale: 0,
         }
     }
 
@@ -140,10 +187,11 @@ impl StreamProjector {
     /// ([`coordination_core::project::page_pairs_flat`]) — one sort+dedup
     /// pass per page instead of a backward pairing scan per event. Use it to
     /// bootstrap a live projector from a historical log before switching to
-    /// per-event ingestion; subsequent [`ingest`](Self::ingest) timestamps
-    /// must be ≥ the BTM's newest event, as always.
+    /// per-event ingestion; later [`ingest`](Self::ingest) timestamps before
+    /// the BTM's newest event are late, as always.
     pub fn warm_start(window: Window, btm: &Btm) -> Self {
         let mut p = Self::new(window);
+        p.buffers.resize_with(btm.n_pages() as usize, VecDeque::new);
         let mut pairs: Vec<u64> = Vec::new();
         for (pid, comments) in btm.pages() {
             let page = pid.0;
@@ -167,25 +215,24 @@ impl StreamProjector {
             let recent = comments
                 .iter()
                 .skip_while(|&(t, _)| delay_within(t, last_ts, window.d2()).is_none());
-            p.buffers
-                .insert(page, recent.map(|(t, a)| (t, a.0)).collect());
+            p.buffers[page as usize] = recent.map(|(t, a)| (t, a.0)).collect();
             // Supported pairs via the shared flat kernel. Cumulative mode
             // never reads the support timestamp (only presence matters, and
             // nothing expires), so the page's newest comment stands in for
             // the pair's last qualifying interaction.
             page_pairs_flat(comments, &window, &mut pairs);
-            for &packed in &pairs {
-                let pair = unpack_pair(packed);
-                p.support.insert((page, pair), last_ts);
+            for &pair in &pairs {
+                p.support.insert(support_key(page, pair), last_ts);
                 *p.edges.entry(pair).or_insert(0) += 1;
-                for a in [pair.0, pair.1] {
-                    *p.incident.entry((page, a)).or_insert(0) += 1;
+                let (x, y) = unpack_pair(pair);
+                for a in [x, y] {
+                    *p.incident.entry(incident_key(page, a)).or_insert(0) += 1;
                 }
             }
         }
         p.page_counts = vec![0; p.n_authors as usize];
-        for &(_, a) in p.incident.keys() {
-            p.page_counts[a as usize] += 1;
+        for &key in p.incident.keys() {
+            p.page_counts[key as u32 as usize] += 1;
         }
         p
     }
@@ -202,16 +249,6 @@ impl StreamProjector {
         )
     }
 
-    /// The projection window.
-    pub fn window(&self) -> Window {
-        self.window
-    }
-
-    /// The retention horizon, if sliding.
-    pub fn horizon(&self) -> Option<i64> {
-        self.horizon
-    }
-
     /// Stream time: the newest timestamp ingested, or `None` before the
     /// first event.
     pub fn now(&self) -> Option<Timestamp> {
@@ -223,6 +260,22 @@ impl StreamProjector {
         self.n_authors
     }
 
+    /// Late events — stamped before stream time — dropped so far.
+    pub fn dropped_late(&self) -> u64 {
+        self.dropped_late
+    }
+
+    /// Lapsed expiry entries found stale so far: their pair had been
+    /// refreshed on the page (or already retired) since they were queued.
+    pub(crate) fn expiry_stale(&self) -> u64 {
+        self.expiry_stale
+    }
+
+    /// Entries in the lazy expiry queue, stale ones included.
+    pub(crate) fn expiry_queue_len(&self) -> usize {
+        self.expiry.len()
+    }
+
     /// Number of live edges (pairs with `w' ≥ 1`).
     pub fn n_edges(&self) -> usize {
         self.edges.len()
@@ -230,7 +283,8 @@ impl StreamProjector {
 
     /// Current weight of an edge (0 if absent).
     pub fn weight(&self, x: u32, y: u32) -> u64 {
-        self.edges.get(&(x.min(y), x.max(y))).copied().unwrap_or(0)
+        let pair = pack_pair(x.min(y), x.max(y));
+        self.edges.get(&pair).copied().unwrap_or(0)
     }
 
     /// Current `P'_x` (0 for authors not yet seen).
@@ -243,13 +297,24 @@ impl StreamProjector {
         &self.page_counts
     }
 
+    /// Whether an event stamped `ts` precedes stream time.
+    fn is_late(&self, ts: Timestamp) -> bool {
+        self.started && ts < self.now
+    }
+
+    /// Drop an event stamped `ts` if it is late, counting it; returns
+    /// whether it was. `ingest` calls this itself; the engine asks first so
+    /// that a late record is never interned.
+    pub(crate) fn drop_if_late(&mut self, ts: Timestamp) -> bool {
+        let late = self.is_late(ts);
+        self.dropped_late += u64::from(late);
+        late
+    }
+
     /// Ingest one event and return the edge deltas it caused (expiries the
     /// event's timestamp triggered, then any +1 from the event itself). The
-    /// returned slice is valid until the next `ingest` call.
-    ///
-    /// # Panics
-    ///
-    /// If `ts` precedes an already-ingested timestamp.
+    /// returned slice is valid until the next `ingest` call. A late event is
+    /// dropped: no deltas, no state change.
     pub fn ingest(&mut self, author: u32, page: u32, ts: Timestamp) -> &[EdgeDelta] {
         self.ingest_with_page_counts(author, page, ts).0
     }
@@ -257,35 +322,29 @@ impl StreamProjector {
     /// [`ingest`](Self::ingest), returning the deltas together with the
     /// dense `P'` as the event left it — what a consumer scoring each delta
     /// needs, without copying the deltas out to look at `P'`.
-    ///
-    /// # Panics
-    ///
-    /// If `ts` precedes an already-ingested timestamp.
     pub fn ingest_with_page_counts(
         &mut self,
         author: u32,
         page: u32,
         ts: Timestamp,
     ) -> (&[EdgeDelta], &[u64]) {
-        assert!(
-            !self.started || ts >= self.now,
-            "out-of-order event: ts {ts} after stream time {} — sort the source first",
-            self.now
-        );
-        self.now = ts;
-        self.started = true;
         self.scratch.clear();
-
+        if self.drop_if_late(ts) {
+            return (&self.scratch, &self.page_counts);
+        }
         if self.n_authors <= author {
             self.n_authors = author + 1;
             self.page_counts.resize(self.n_authors as usize, 0);
         }
+        if self.buffers.len() <= page as usize {
+            self.buffers.resize_with(page as usize + 1, VecDeque::new);
+        }
 
         // 1. Retire page contributions whose horizon has lapsed.
-        self.expire_until(ts);
+        self.advance(ts);
 
         // 2. Pair the arrival against the page's recent comments.
-        let buffer = self.buffers.entry(page).or_default();
+        let buffer = &mut self.buffers[page as usize];
         while let Some(&(t_old, _)) = buffer.front() {
             if delay_within(t_old, ts, self.window.d2()).is_some() {
                 break;
@@ -300,30 +359,31 @@ impl StreamProjector {
             if ts - t_old < d1 || a_old == author {
                 continue;
             }
-            let pair = (a_old.min(author), a_old.max(author));
-            match self.support.insert((page, pair), ts) {
-                Some(_) => {} // refreshed: page already supports this pair
-                None => {
-                    let w = self.edges.entry(pair).or_insert(0);
-                    *w += 1;
-                    self.scratch.push(EdgeDelta {
-                        x: pair.0,
-                        y: pair.1,
-                        new_weight: *w,
-                        delta: 1,
-                    });
-                    for a in [pair.0, pair.1] {
-                        let r = self.incident.entry((page, a)).or_insert(0);
-                        *r += 1;
-                        if *r == 1 {
-                            self.page_counts[a as usize] += 1;
-                        }
+            let (x, y) = (a_old.min(author), a_old.max(author));
+            let pair = pack_pair(x, y);
+            // A refresh (the page already supports the pair) only moves the
+            // support timestamp.
+            if self.support.insert(support_key(page, pair), ts).is_none() {
+                let w = self.edges.entry(pair).or_insert(0);
+                *w += 1;
+                self.scratch.push(EdgeDelta {
+                    x,
+                    y,
+                    new_weight: *w,
+                    delta: 1,
+                });
+                for a in [x, y] {
+                    let r = self.incident.entry(incident_key(page, a)).or_insert(0);
+                    *r += 1;
+                    if *r == 1 {
+                        self.page_counts[a as usize] += 1;
                     }
                 }
             }
             if let Some(h) = horizon {
-                self.expiry
-                    .push(Reverse((ts.saturating_add(h), page, pair)));
+                let due = ts.saturating_add(h);
+                debug_assert!(self.expiry.back().is_none_or(|&(last, ..)| last <= due));
+                self.expiry.push_back((due, page, pair));
             }
         }
         buffer.push_back((ts, author));
@@ -333,62 +393,74 @@ impl StreamProjector {
 
     /// Advance the stream clock without an event (e.g. a timer tick in a
     /// live deployment), expiring lapsed contributions. No-op in cumulative
-    /// mode. Returns the −1 deltas.
+    /// mode, and when `ts` is before stream time. Returns the −1 deltas.
     pub fn advance_to(&mut self, ts: Timestamp) -> &[EdgeDelta] {
-        assert!(
-            !self.started || ts >= self.now,
-            "cannot advance stream time backwards ({ts} < {})",
-            self.now
-        );
+        self.scratch.clear();
+        if !self.is_late(ts) {
+            self.advance(ts);
+        }
+        &self.scratch
+    }
+
+    /// Move stream time to `ts` (never before it) and retire what lapsed.
+    fn advance(&mut self, ts: Timestamp) {
         self.now = ts;
         self.started = true;
-        self.scratch.clear();
         self.expire_until(ts);
-        &self.scratch
     }
 
     fn expire_until(&mut self, now: Timestamp) {
         let Some(h) = self.horizon else { return };
-        while let Some(&Reverse((due, page, pair))) = self.expiry.peek() {
-            if due >= now {
-                break;
-            }
-            self.expiry.pop();
+        let lapsed = self.expiry.iter().take_while(|e| e.0 < now).count();
+        if lapsed == 0 {
+            return;
+        }
+        // The prefix is already in `due` order; the sort orders equal-`due`
+        // ties by (page, pair), as a min-heap would pop them.
+        let mut retiring = std::mem::take(&mut self.retiring);
+        retiring.extend(self.expiry.drain(..lapsed));
+        retiring.sort_unstable();
+        for &(due, page, pair) in &retiring {
             // Stale entry if the pair was refreshed (or already expired):
             // only act when the recorded last interaction matches this due
             // time.
-            match self.support.get(&(page, pair)) {
-                Some(&last) if last.saturating_add(h) == due => {}
-                _ => continue,
+            match self.support.entry(support_key(page, pair)) {
+                Entry::Occupied(last) if last.get().saturating_add(h) == due => {
+                    last.remove();
+                }
+                _ => {
+                    self.expiry_stale += 1;
+                    continue;
+                }
             }
-            self.support.remove(&(page, pair));
-            let w = self
-                .edges
-                .get_mut(&pair)
-                .expect("supported pair must have an edge");
-            *w -= 1;
-            let new_weight = *w;
+            let Entry::Occupied(mut w) = self.edges.entry(pair) else {
+                panic!("supported pair must have an edge");
+            };
+            *w.get_mut() -= 1;
+            let new_weight = *w.get();
             if new_weight == 0 {
-                self.edges.remove(&pair);
+                w.remove();
             }
+            let (x, y) = unpack_pair(pair);
             self.scratch.push(EdgeDelta {
-                x: pair.0,
-                y: pair.1,
+                x,
+                y,
                 new_weight,
                 delta: -1,
             });
-            for a in [pair.0, pair.1] {
-                let r = self
-                    .incident
-                    .get_mut(&(page, a))
-                    .expect("supported pair must be refcounted");
-                *r -= 1;
-                if *r == 0 {
-                    self.incident.remove(&(page, a));
+            for a in [x, y] {
+                let Entry::Occupied(mut r) = self.incident.entry(incident_key(page, a)) else {
+                    panic!("supported pair must be refcounted");
+                };
+                *r.get_mut() -= 1;
+                if *r.get() == 0 {
+                    r.remove();
                     self.page_counts[a as usize] -= 1;
                 }
             }
         }
+        retiring.clear();
+        self.retiring = retiring;
     }
 
     /// Materialise the current CI graph. `n_authors` must cover every author
@@ -409,7 +481,10 @@ impl StreamProjector {
 
     /// Iterate the live edges as `(x, y, w')` with `x < y`.
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32, u64)> + '_ {
-        self.edges.iter().map(|(&(x, y), &w)| (x, y, w))
+        self.edges.iter().map(|(&pair, &w)| {
+            let (x, y) = unpack_pair(pair);
+            (x, y, w)
+        })
     }
 }
 
@@ -605,11 +680,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out-of-order")]
-    fn out_of_order_events_panic() {
-        let mut p = StreamProjector::new(Window::new(0, 60));
+    fn late_events_are_dropped_and_counted() {
+        let mut p = StreamProjector::with_horizon(Window::new(0, 60), Some(100));
         p.ingest(0, 0, 100);
-        p.ingest(1, 0, 50);
+        assert_eq!(p.ingest(1, 0, 110).len(), 1);
+        let queued = p.expiry_queue_len();
+        // late: would pair with both comments on page 0, and names an author
+        // and a page never seen — none of it may land
+        assert!(p.ingest(7, 0, 105).is_empty());
+        assert!(p.ingest(2, 9, 50).is_empty());
+        assert_eq!(p.dropped_late(), 2);
+        assert_eq!(p.now(), Some(110));
+        assert_eq!((p.n_authors_seen(), p.n_edges(), p.weight(0, 1)), (2, 1, 1));
+        assert_eq!(p.page_counts(), &[1, 1]);
+        assert_eq!(p.expiry_queue_len(), queued);
+        // a backwards tick is a no-op, and not an event
+        assert!(p.advance_to(0).is_empty());
+        assert_eq!((p.now(), p.dropped_late()), (Some(110), 2));
+        // equal timestamps are on time; the clock still expires on schedule
+        assert_eq!(p.ingest(2, 0, 110).len(), 2);
+        assert_eq!(p.advance_to(211).len(), 3);
+        assert_eq!(p.n_edges(), 0);
     }
 
     #[test]

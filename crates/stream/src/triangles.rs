@@ -9,10 +9,14 @@
 //! per threshold crossing instead of a full re-enumeration per query.
 //!
 //! Invariant (pinned by the workspace equivalence test): after any sequence
-//! of deltas, [`TriangleTracker::live`] equals tripoll enumeration over the
-//! thresholded snapshot of the projector that produced the deltas.
+//! of deltas, [`TriangleTracker::iter`] yields exactly the triangles tripoll
+//! enumerates over the thresholded snapshot of the projector that produced
+//! the deltas.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
+
+use coordination_core::ids::{IdMap, IdSet};
+use coordination_core::project::pack_pair;
 
 use crate::projector::EdgeDelta;
 
@@ -56,11 +60,11 @@ pub struct TriangleTracker {
     cutoff: u64,
     /// Adjacency over edges with `w' ≥ cutoff`; `BTreeSet` keeps neighbour
     /// intersections ordered and mergeable.
-    adj: HashMap<u32, BTreeSet<u32>>,
-    /// Current weights of the stored (≥ cutoff) edges, keyed `(min, max)`.
-    weights: HashMap<(u32, u32), u64>,
+    adj: IdMap<u32, BTreeSet<u32>>,
+    /// Current weights of the stored (≥ cutoff) edges by packed `(min, max)`.
+    weights: IdMap<u64, u64>,
     /// The surviving triangles.
-    live: HashSet<Triple>,
+    live: IdSet<Triple>,
 }
 
 impl TriangleTracker {
@@ -71,15 +75,10 @@ impl TriangleTracker {
         assert!(cutoff >= 1, "cutoff 0 would admit absent edges");
         TriangleTracker {
             cutoff,
-            adj: HashMap::new(),
-            weights: HashMap::new(),
-            live: HashSet::new(),
+            adj: IdMap::default(),
+            weights: IdMap::default(),
+            live: IdSet::default(),
         }
-    }
-
-    /// The min-weight cutoff.
-    pub fn cutoff(&self) -> u64 {
-        self.cutoff
     }
 
     /// Number of surviving triangles.
@@ -92,19 +91,9 @@ impl TriangleTracker {
         self.live.is_empty()
     }
 
-    /// The live triangle set.
-    pub fn live(&self) -> &HashSet<Triple> {
-        &self.live
-    }
-
     /// Iterate the live triples in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
         self.live.iter().copied()
-    }
-
-    /// Number of stored (≥ cutoff) edges.
-    pub fn n_heavy_edges(&self) -> usize {
-        self.weights.len()
     }
 
     /// The minimum edge weight of a live triple (`None` if it is not live).
@@ -112,14 +101,15 @@ impl TriangleTracker {
         if !self.live.contains(&t) {
             return None;
         }
-        let w = |x: u32, y: u32| self.weights[&(x.min(y), x.max(y))];
+        let w = |x: u32, y: u32| self.weights[&pack_pair(x.min(y), x.max(y))];
         Some(w(t[0], t[1]).min(w(t[0], t[2])).min(w(t[1], t[2])))
     }
 
     /// Apply one projector delta, returning the triangle-level changes.
     pub fn apply(&mut self, d: &EdgeDelta) -> TriangleEvents {
         let key = d.pair();
-        let was_heavy = self.weights.contains_key(&key);
+        let packed = pack_pair(key.0, key.1);
+        let was_heavy = self.weights.contains_key(&packed);
         let is_heavy = d.new_weight >= self.cutoff;
         let mut ev = TriangleEvents::default();
 
@@ -128,13 +118,13 @@ impl TriangleTracker {
             (true, true) => {
                 // Weight moved but stayed above the cutoff: min weights of
                 // the triangles on this edge may have changed.
-                self.weights.insert(key, d.new_weight);
-                ev.touched = self.triangles_on(key);
+                self.weights.insert(packed, d.new_weight);
+                ev.touched = self.common_neighbors(key);
             }
             (false, true) => {
                 // Crossed up: the new surviving triangles are this edge plus
                 // every common neighbour of its endpoints.
-                self.weights.insert(key, d.new_weight);
+                self.weights.insert(packed, d.new_weight);
                 ev.created = self.common_neighbors(key);
                 self.adj.entry(key.0).or_default().insert(key.1);
                 self.adj.entry(key.1).or_default().insert(key.0);
@@ -144,8 +134,8 @@ impl TriangleTracker {
             }
             (true, false) => {
                 // Crossed down: every triangle through this edge dies.
-                self.weights.remove(&key);
-                ev.destroyed = self.triangles_on(key);
+                self.weights.remove(&packed);
+                ev.destroyed = self.common_neighbors(key);
                 Self::remove_neighbor(&mut self.adj, key.0, key.1);
                 Self::remove_neighbor(&mut self.adj, key.1, key.0);
                 for t in &ev.destroyed {
@@ -156,8 +146,9 @@ impl TriangleTracker {
         ev
     }
 
-    /// Triples formed by `(x, y)` and each common neighbour — assumes the
-    /// edge is **not** yet (or no longer) in `adj`.
+    /// Triples formed by `(x, y)` and each common neighbour, whether or not
+    /// the edge itself is in `adj`: x and y are never their own neighbours,
+    /// so the intersection yields exactly the third vertices.
     fn common_neighbors(&self, (x, y): (u32, u32)) -> Vec<Triple> {
         let (Some(nx), Some(ny)) = (self.adj.get(&x), self.adj.get(&y)) else {
             return Vec::new();
@@ -176,14 +167,7 @@ impl TriangleTracker {
             .collect()
     }
 
-    /// Live triangles through a currently-heavy edge.
-    fn triangles_on(&self, key: (u32, u32)) -> Vec<Triple> {
-        // The edge is in adj here, but x/y are never their own neighbours,
-        // so the intersection yields exactly the third vertices.
-        self.common_neighbors(key)
-    }
-
-    fn remove_neighbor(adj: &mut HashMap<u32, BTreeSet<u32>>, from: u32, gone: u32) {
+    fn remove_neighbor(adj: &mut IdMap<u32, BTreeSet<u32>>, from: u32, gone: u32) {
         if let Some(set) = adj.get_mut(&from) {
             set.remove(&gone);
             if set.is_empty() {
@@ -196,6 +180,7 @@ impl TriangleTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn delta(x: u32, y: u32, new_weight: u64, delta: i8) -> EdgeDelta {
         EdgeDelta {
@@ -271,7 +256,7 @@ mod tests {
         for a in 0..5u32 {
             for b in (a + 1)..5 {
                 for c in (b + 1)..5 {
-                    assert!(t.live().contains(&[a, b, c]));
+                    assert!(t.min_weight([a, b, c]).is_some());
                 }
             }
         }
@@ -330,6 +315,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(t.live(), &expect);
+        assert_eq!(t.iter().collect::<HashSet<_>>(), expect);
     }
 }

@@ -57,6 +57,8 @@ const STREAM_COUNTERS: &[&str] = &[
     "stream.edge_additions",
     "stream.edge_expirations",
     "stream.checkpoints",
+    "stream.dropped_late",
+    "stream.expiry_stale",
 ];
 
 fn usage() -> ExitCode {
