@@ -2,7 +2,7 @@
 //! projection, survey, validation), throughput and peak RSS, the
 //! rank-sharded distributed pipeline at 1/2/4 ranks against the resident
 //! path, plus the kernel ablations (ingest vs the reference reader, zero-copy
-//! scanner vs serde, adaptive vs linear triple intersection), written to
+//! scanner vs serde, obs enabled vs disabled), written to
 //! `BENCH_pipeline.json`.
 //!
 //! ```text
@@ -23,13 +23,12 @@ use std::time::Instant;
 
 use bench::{jan2020_small, oct2016_small, run_figures_config};
 use coordination_core::dist_pipeline::{event_source, DistPipeline};
-use coordination_core::hypergraph::{triple_intersection_count, triple_intersection_count_linear};
 use coordination_core::ingest::{self, IngestConfig};
 use coordination_core::pipeline::{Pipeline, PipelineConfig};
 use coordination_core::records::{read_ndjson_into_dataset, write_ndjson, CommentRecord, Dataset};
 use coordination_core::snapshot::{btm_from_snapshot, write_snapshot};
 use coordination_core::store::Snapshot;
-use coordination_core::{Btm, PageId as CorePageId, Window};
+use coordination_core::{Btm, Window};
 
 /// A stage must be this much slower than the baseline to fail `--check`.
 const REGRESSION_FACTOR: f64 = 2.0;
@@ -551,43 +550,6 @@ impl Ablation {
     }
 }
 
-/// Adaptive vs linear triple intersection on degree-skewed page lists.
-fn ablation_triple(smoke: bool, reps: usize) -> Ablation {
-    let (short_len, mid_len, long_len) = if smoke {
-        (32usize, 2_000usize, 100_000usize)
-    } else {
-        (64, 5_000, 500_000)
-    };
-    let p = |i: usize| CorePageId(i as u32);
-    let short: Vec<CorePageId> = (0..short_len)
-        .map(|i| p(i * long_len / short_len))
-        .collect();
-    let mid: Vec<CorePageId> = (0..mid_len).map(|i| p(i * long_len / mid_len)).collect();
-    let long: Vec<CorePageId> = (0..long_len).map(p).collect();
-    let expect = triple_intersection_count_linear(&short, &mid, &long);
-    assert_eq!(triple_intersection_count(&short, &mid, &long), expect);
-    let inner = if smoke { 20 } else { 50 };
-    let mut adaptive_secs = f64::INFINITY;
-    let mut linear_secs = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        for _ in 0..inner {
-            std::hint::black_box(triple_intersection_count(&short, &mid, &long));
-        }
-        adaptive_secs = adaptive_secs.min(t.elapsed().as_secs_f64() / inner as f64);
-        let t = Instant::now();
-        for _ in 0..inner {
-            std::hint::black_box(triple_intersection_count_linear(&short, &mid, &long));
-        }
-        linear_secs = linear_secs.min(t.elapsed().as_secs_f64() / inner as f64);
-    }
-    Ablation {
-        label: "triple_intersection_skewed",
-        baseline_secs: linear_secs,
-        kernel_secs: adaptive_secs,
-    }
-}
-
 /// Instrumentation overhead: the full figure pipeline with the obs registry
 /// enabled vs disabled. "speedup" here reads as the overhead ratio —
 /// `enabled / disabled`, expected within a couple percent of 1.0 (disabled
@@ -848,10 +810,9 @@ fn run(smoke: bool, out_path: &str, baseline: Option<&str>) {
     }
 
     let abl_reps = if smoke { 2 } else { 3 };
-    let triple_abl = ablation_triple(smoke, abl_reps);
     let (ingest_abl, scanner_abl) = ablation_ingest(&jan_scenario.records, smoke, abl_reps);
     let obs_abl = ablation_obs(jan, abl_reps);
-    let ablations = vec![triple_abl, ingest_abl, scanner_abl, obs_abl];
+    let ablations = vec![ingest_abl, scanner_abl, obs_abl];
     for a in &ablations {
         println!(
             "  ablation {:<28} baseline {:.4}s, kernel {:.4}s → {:.2}x",

@@ -704,6 +704,11 @@ impl HarvestScan {
         self.last_page.len()
     }
 
+    /// The slot of a requested author.
+    pub(crate) fn slot(&self, a: AuthorId) -> u32 {
+        self.slot[a.0 as usize]
+    }
+
     /// Feed the next incidence of a page-major stream: the author's slot if
     /// they were requested and this is their first comment on page `p`.
     #[inline]
@@ -748,22 +753,30 @@ impl AuthorPages {
     /// If a requested id is not below `btm.n_authors()`.
     pub fn harvest(btm: &Btm, authors: impl IntoIterator<Item = AuthorId>) -> Self {
         let mut scan = HarvestScan::new(btm.n_authors(), authors);
-        let n_slots = scan.n_slots();
-        let mut author_off = vec![0usize; n_slots + 1];
         let mut hits: Vec<(u32, PageId)> = Vec::new();
-        if n_slots > 0 {
+        if scan.n_slots() > 0 {
             for (p, row) in btm.pages() {
-                scan.page(p, row, |s, _| {
-                    author_off[s as usize + 1] += 1;
-                    hits.push((s, p));
-                });
+                scan.page(p, row, |s, _| hits.push((s, p)));
             }
         }
-        prefix_sum(&mut author_off);
+        Self::from_hits(scan, &hits)
+    }
 
+    /// Lay `(slot, page)` hits — each slot's pages ascending and distinct —
+    /// out per author of `scan`'s request by count → prefix sum → scatter.
+    /// [`AuthorPages::harvest`] feeds it one scan's hits; stage 5 of
+    /// [`crate::dist_pipeline`] feeds it the runs it reads out of the
+    /// harvest shards.
+    pub(crate) fn from_hits(scan: HarvestScan, hits: &[(u32, PageId)]) -> Self {
+        let n_slots = scan.n_slots();
+        let mut author_off = vec![0usize; n_slots + 1];
+        for &(s, _) in hits {
+            author_off[s as usize + 1] += 1;
+        }
+        prefix_sum(&mut author_off);
         let mut pages = vec![PageId(0); hits.len()];
         let mut cursor = author_off[..n_slots].to_vec();
-        for (s, p) in hits {
+        for &(s, p) in hits {
             let at = &mut cursor[s as usize];
             pages[*at] = p;
             *at += 1;
@@ -812,6 +825,12 @@ impl AuthorPages {
     /// Total author–page incidences harvested.
     pub fn n_incidences(&self) -> u64 {
         self.pages.len() as u64
+    }
+
+    /// One past the largest page id harvested (0 for none): the page-id space
+    /// a dense per-page table over these lists needs.
+    pub(crate) fn page_bound(&self) -> usize {
+        self.pages.iter().max().map_or(0, |p| p.0 as usize + 1)
     }
 }
 

@@ -77,13 +77,14 @@
 //!    packed `(author, page)` hit, already deduplicated, to the author
 //!    owners, which merge them — reproducing `Btm`'s page lists for exactly the
 //!    authors validation will read, instead of shuffling and sorting the
-//!    full per-event incidence. Then the rank that kept a triangle
-//!    binary-searches the three authors' page runs out of the author-owner
-//!    shards in place (quiescent
+//!    full per-event incidence. Then each rank reads the page run of every
+//!    author of its survivors out of the author-owner shard once (quiescent
 //!    [`with_shard`](ygm::container::DistBag::with_shard) reads after the
-//!    harvest barrier — no message chains, no list clones) and computes the
-//!    metrics through [`crate::hypergraph::validate_triangle_parts`], the
-//!    same floating-point expressions the resident path evaluates.
+//!    harvest barrier — no message chains) into an [`AuthorPages`] table,
+//!    and validates its survivors, sorted by vertex triple, through the
+//!    resident engine's kernel and metrics constructor
+//!    ([`crate::hypergraph`]) — the same floating-point expressions the
+//!    resident path evaluates.
 //!
 //! The pair-occurrence, oriented-edge and harvest shuffles still land in run
 //! stacks with or without a budget.
@@ -108,9 +109,9 @@ use ygm::container::DistBag;
 use ygm::reduce::{all_gather_concat, all_reduce_hist};
 use ygm::{block_range, owner_of, DistRuns, PackedAggregator, PackedBatch, RankCtx, RunSet, World};
 
-use crate::btm::{author_mask, is_kept, HarvestScan, PageRow, PageRows, WideRow};
+use crate::btm::{author_mask, is_kept, AuthorPages, HarvestScan, PageRow, PageRows, WideRow};
 use crate::cigraph::CiGraph;
-use crate::hypergraph::validate_triangle_parts;
+use crate::hypergraph::{record_runs, validate_triangles};
 use crate::ids::{AuthorId, Event, PageId};
 use crate::metrics::TripletMetrics;
 use crate::pipeline::{PipelineConfig, PipelineOutput, RunStats, StageTimings};
@@ -771,16 +772,15 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
         hist.pop();
     }
     out.min_weight_log_hist = hist;
-    // Survivors stay in closing order through validation: consecutive ones
-    // share their apex (and usually `v`), so the page runs fetched for them
-    // are still in cache. Sorting them by vertex triple first measured 9 %
-    // more validation time on `triplet_flood`; the main thread sorts once.
-    let mine = fold.into_survivors();
+    let mut mine = fold.into_survivors();
     drop(survey_span);
     let t_surveyed = Instant::now();
 
     // ---- Stage 5: hypergraph validation ---------------------------------
     let validate_span = obs::span("dist.validate");
+    // Sorted by vertex triple, consecutive survivors share their leading
+    // edge: the validation kernel intersects it once per run.
+    mine.sort_unstable_by_key(|s| s.triangle.vertices());
     // On-demand author→pages harvest. Validation only ever reads the page
     // lists of surveyed triangle vertices — a handful of authors — so
     // instead of shuffling every event to its author owner (a second full
@@ -794,11 +794,10 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
     // with huge page lists mostly ride in noise triangles, so this is the
     // difference between shipping thousands of pairs and shipping a sizable
     // fraction of the whole incidence.
-    let pprime = &out.page_counts;
-    let mut needed: Vec<u32> = mine.iter().flat_map(|s| s.triangle.vertices()).collect();
-    needed.sort_unstable();
-    needed.dedup();
-    let mut needed = all_gather_concat(ctx, needed);
+    let mut local: Vec<u32> = mine.iter().flat_map(|s| s.triangle.vertices()).collect();
+    local.sort_unstable();
+    local.dedup();
+    let mut needed = all_gather_concat(ctx, local.clone());
     needed.sort_unstable();
     needed.dedup();
     // `needed` is replicated, so one rank speaks for all: the same totals
@@ -845,29 +844,30 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
         harvest_out.with_shard_mut(ctx.rank(), |shard| *shard = merged);
     }
     ctx.barrier();
-    // Scratch for the three authors' page runs, copied out of the sorted
-    // packed shards under a binary search — no per-author list clones.
-    let mut page_scratch: [Vec<PageId>; 3] = Default::default();
-    let fetch_pages = |author: u32, into: &mut Vec<PageId>| {
-        into.clear();
-        let owner = owner_of(&author, ctx.nranks());
-        // Quiescent reads: the harvest barrier drained every message, and
-        // validation sends none, so owner-shard page runs are stable.
-        harvest_out.with_shard(owner, |shard| {
-            let key = u64::from(author) << 32;
-            let lo = shard.partition_point(|&p| p < key);
-            let hi = lo + shard[lo..].partition_point(|&p| p >> 32 == u64::from(author));
-            into.extend(shard[lo..hi].iter().map(|&p| PageId(p as u32)));
+    // Each author's run, read out of its owner's shard once — quiescent
+    // reads: the harvest barrier drained every message and validation sends
+    // none — into the table the kernel borrows, as in the resident path.
+    let scan = HarvestScan::new(n_authors, local.iter().map(|&a| AuthorId(a)));
+    let mut hits = Vec::new();
+    for &a in &local {
+        let s = scan.slot(AuthorId(a));
+        harvest_out.with_shard(owner_of(&a, ctx.nranks()), |shard| {
+            let lo = shard.partition_point(|&p| p < u64::from(a) << 32);
+            let run = shard[lo..].iter().take_while(|&&p| p >> 32 == u64::from(a));
+            hits.extend(run.map(|&p| (s, PageId(p as u32))));
         });
-    };
-    for s in mine {
-        let [a, b, c] = s.triangle.vertices();
-        let [pa, pb, pc] = &mut page_scratch;
-        fetch_pages(a, pa);
-        fetch_pages(b, pb);
-        fetch_pages(c, pc);
-        let metrics = validate_triangle_parts(&s.triangle, [pa, pb, pc], pprime);
-        out.kept.push((s, metrics));
+    }
+    let authors = AuthorPages::from_hits(scan, &hits);
+    let (metrics, runs) =
+        validate_triangles(&authors, &out.page_counts, mine.iter().map(|s| &s.triangle));
+    out.kept = mine.into_iter().zip(metrics).collect();
+    // A run can split across ranks; the distinct edges over all ranks are
+    // the resident engine's runs, and one rank speaks for them.
+    let mut runs = all_gather_concat(ctx, runs);
+    if ctx.rank() == 0 {
+        runs.sort_unstable();
+        runs.dedup();
+        record_runs(&runs);
     }
     obs::counter("dist.triplets_validated").add(out.kept.len() as u64);
     drop(validate_span);

@@ -196,7 +196,7 @@ mod tests {
 
     fn triplet(a: u32, b: u32, c: u32, btm: &Btm) -> TripletMetrics {
         let t = tripoll::Triangle::new(a, b, c, 8, 8, 8);
-        crate::hypergraph::validate_triangle(&AuthorPages::all(btm), &[8u64; 6], &t)
+        crate::hypergraph::validate_all(btm, &[8u64; 6], &[t])[0]
     }
 
     #[test]

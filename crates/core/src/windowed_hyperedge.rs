@@ -134,13 +134,14 @@ pub fn validate_windowed(btm: &Btm, triangles: &[Triangle], max_span: i64) -> Ve
         btm,
         triangles.iter().flat_map(|t| t.vertices()).map(AuthorId),
     );
+    let mut kernel = crate::hypergraph::SharedPrefix::new(&authors);
     triangles
         .iter()
         .map(|t| {
             let [a, b, c] = t.vertices();
             let (xa, xb, xc) = (AuthorId(a), AuthorId(b), AuthorId(c));
             let ww = windowed_hyperedge_weight(btm, &authors, xa, xb, xc, max_span);
-            let unbounded = crate::hypergraph::hyperedge_weight(&authors, xa, xb, xc);
+            let unbounded = kernel.weight([xa, xb, xc]);
             WindowedTriplet {
                 authors: [xa, xb, xc],
                 min_ci_weight: t.min_weight(),

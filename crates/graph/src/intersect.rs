@@ -3,9 +3,9 @@
 //! Two consumers burn most of their cycles intersecting sorted lists: the
 //! triangle enumerator (`tripoll::enumerate` intersects oriented out-lists)
 //! and hypergraph validation (`coordination_core::hypergraph` intersects
-//! three author page lists). They have different shapes, and a kernel each.
+//! author page lists). Both use both kernels below.
 //!
-//! *One pair at a time* (validation):
+//! *One pair at a time* (validation's leading edge):
 //! [`intersect_indices`] dispatches on the length ratio: below
 //! [`GALLOP_RATIO`] it runs the classic two-cursor linear merge; above it,
 //! it walks the *short* side and locates each element in the long side by
@@ -17,17 +17,18 @@
 //! every other kernel here to it.
 //!
 //! *One row against many* (the wedge kernel: `out(u)` against `out(v)` for
-//! every `v ∈ out(u)`): [`StampSet`] marks the shared row once in a dense
-//! per-id scratch and each partner row is probed against it — `|b|` loads
-//! with one mostly-not-taken branch each, where the merge pays `|a| + |b|`
-//! data-dependent three-way branches. A partner more than
+//! every `v ∈ out(u)`; validation: `pages(a) ∩ pages(b)` against `pages(c)`
+//! for every `c` of a run sharing the edge `(a, b)`): [`StampSet`] marks the
+//! shared row once in a dense per-id scratch and each partner row is probed
+//! against it — `|b|` loads with one mostly-not-taken branch each, where the
+//! merge pays `|a| + |b|` data-dependent three-way branches. A partner more than
 //! [`STAMP_GALLOP_RATIO`] times the stamped row's length is galloped through
 //! instead ([`intersect_indices_gallop`]).
 
 /// Length ratio above which galloping beats the linear merge in
-/// [`intersect_indices`]. Chosen from the `triple_intersection_skewed`
-/// ablation of `cargo run -p bench --bin pipeline`: below ~8× the branchy
-/// binary search loses to the branch-predictable linear scan.
+/// [`intersect_indices`]. Chosen from an ablation on degree-skewed page
+/// lists: below ~8× the branchy binary search loses to the
+/// branch-predictable linear scan.
 pub const GALLOP_RATIO: usize = 8;
 
 /// Length ratio `|b| / |a|` above which galloping through `b` from `a`'s side
@@ -181,19 +182,21 @@ impl StampSet {
     }
 
     /// Stamp row `a` (distinct ids, all `< n_ids`, on an all-clear set).
+    /// Rows are of any dense id type: vertex ids, or page ids.
     #[inline]
-    pub fn stamp(&mut self, a: &[u32]) {
+    pub fn stamp<T: Copy + Into<u32>>(&mut self, a: &[T]) {
         for (i, &x) in a.iter().enumerate() {
-            debug_assert_eq!(self.slots[x as usize], 0, "stamping over a live stamp");
-            self.slots[x as usize] = i as u32 + 1;
+            let x = x.into() as usize;
+            debug_assert_eq!(self.slots[x], 0, "stamping over a live stamp");
+            self.slots[x] = i as u32 + 1;
         }
     }
 
     /// Clear the stamps of row `a`, the row last passed to [`Self::stamp`].
     #[inline]
-    pub fn unstamp(&mut self, a: &[u32]) {
+    pub fn unstamp<T: Copy + Into<u32>>(&mut self, a: &[T]) {
         for &x in a {
-            self.slots[x as usize] = 0;
+            self.slots[x.into() as usize] = 0;
         }
     }
 
@@ -201,9 +204,9 @@ impl StampSet {
     /// `a` as `f(index_in_a, index_in_b)`, in `b`'s order — for sorted rows,
     /// exactly the visit sequence of [`intersect_indices_linear`]`(a, b)`.
     #[inline]
-    pub fn probe<F: FnMut(usize, usize)>(&self, b: &[u32], f: &mut F) {
+    pub fn probe<T: Copy + Into<u32>, F: FnMut(usize, usize)>(&self, b: &[T], f: &mut F) {
         for (bi, &x) in b.iter().enumerate() {
-            let slot = self.slots[x as usize];
+            let slot = self.slots[x.into() as usize];
             if slot != 0 {
                 f(slot as usize - 1, bi);
             }

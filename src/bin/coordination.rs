@@ -47,6 +47,8 @@ const BATCH_COUNTERS: &[&str] = &[
     "validate.triplets",
     "validate.harvest_authors",
     "validate.harvest_incidences",
+    "validate.prefix_runs",
+    "validate.prefix_pages",
 ];
 
 /// Stage spans / counters the stream engine documents.
