@@ -20,7 +20,9 @@
 //! event and no per-page allocation — that checks each comment against its
 //! row predecessor as it lands, and comparison-sorts only the rows the input
 //! did not already deliver in time order. A rank of the sharded pipeline
-//! builds exactly these rows out of the events it receives.
+//! builds exactly these rows out of the events it receives, and a COORSNAP
+//! file stores them word for word, so a [`Btm`] read off a snapshot borrows
+//! its narrow rows from the mapping ([`Btm::from_stored`]).
 //!
 //! The author side — each author's deduplicated page list, the hypergraph
 //! side: `p_x` of Eq. 3 and the inputs to `w_xyz` of Eq. 2 — is not stored.
@@ -28,6 +30,9 @@
 //! 1–2, a few dozen authors out of |U|, so it is a value of its own,
 //! [`AuthorPages`], harvested from the rows for exactly the authors asked
 //! for in one masked scan.
+
+use coordination_store::mmap::Words;
+use coordination_store::snapshot::narrow_base;
 
 use crate::ids::{AuthorId, Event, PageId, Timestamp};
 
@@ -99,16 +104,6 @@ fn unpack_narrow(t0: Timestamp, row: NarrowRow) -> WideRow {
     (t0 + (row >> 32) as i64, row.author())
 }
 
-/// The narrow layout's base if timestamps spanning `lo..=hi` all fit a `u32`
-/// offset from it (`lo > hi`: there were no timestamps at all).
-fn narrow_base(lo: Timestamp, hi: Timestamp) -> Option<Timestamp> {
-    if lo > hi {
-        return Some(0);
-    }
-    let span = hi.checked_sub(lo)?;
-    u32::try_from(span).is_ok().then_some(lo)
-}
-
 /// A page's time-sorted comments in whichever layout its [`PageRows`] chose:
 /// a small `Copy` view. Per-row loops match on it once per page and run one
 /// body generic over [`Row`] on the slice inside; [`PageRow::iter`] decodes
@@ -159,20 +154,31 @@ impl<'a> PageRow<'a> {
     }
 }
 
+/// A narrow flat row array: built here, or the very words of a snapshot's
+/// `ROWS` section, borrowed from its mapping ([`Btm::from_stored`]). Readers
+/// deref it to a slice once per row view, never per comment.
+#[derive(Clone, Debug)]
+enum NarrowRows {
+    Owned(Vec<NarrowRow>),
+    Mapped(Words),
+}
+
+impl std::ops::Deref for NarrowRows {
+    type Target = [NarrowRow];
+
+    fn deref(&self) -> &[NarrowRow] {
+        match self {
+            NarrowRows::Owned(rows) => rows,
+            NarrowRows::Mapped(words) => words,
+        }
+    }
+}
+
 /// Either layout's flat row array.
 #[derive(Clone, Debug)]
 enum Comments {
-    Narrow { t0: Timestamp, rows: Vec<NarrowRow> },
+    Narrow { t0: Timestamp, rows: NarrowRows },
     Wide(Vec<WideRow>),
-}
-
-impl Comments {
-    fn len(&self) -> usize {
-        match self {
-            Comments::Narrow { rows, .. } => rows.len(),
-            Comments::Wide(rows) => rows.len(),
-        }
-    }
 }
 
 /// The page side of the BTM on its own: every page's comments as one
@@ -192,7 +198,8 @@ pub struct PageRows {
 
 impl PartialEq for PageRows {
     fn eq(&self, other: &Self) -> bool {
-        self.off == other.off && self.all().iter().eq(other.all().iter())
+        let ((off, rows), (other_off, other_rows)) = (self.parts(), other.parts());
+        off == other_off && rows.iter().eq(other_rows.iter())
     }
 }
 
@@ -324,6 +331,7 @@ impl PageRows {
             Some(t0) => {
                 let pack = |ts, a| pack_narrow(t0, ts, a).expect(SECOND_PASS_DIFFERS);
                 let (rows, sorted) = scatter(&off, 0, events(), pack);
+                let rows = NarrowRows::Owned(rows);
                 (Comments::Narrow { t0, rows }, sorted)
             }
             None => {
@@ -335,9 +343,20 @@ impl PageRows {
         let occupied = off.windows(2).filter(|w| w[1] > w[0]).count() as u64;
         obs::counter("btm.pages_presorted").add(occupied - sorted);
         obs::counter("btm.pages_sorted").add(sorted);
-        obs::counter("btm.rows_narrow").add(u64::from(base.is_some()));
-        obs::counter("btm.rows_wide").add(u64::from(base.is_none()));
-        PageRows { off, comments }
+        PageRows { off, comments }.counted()
+    }
+
+    /// Count these rows' layout into `btm.rows_narrow` / `btm.rows_wide`,
+    /// and into `btm.rows_mapped` if they borrow a snapshot's mapping.
+    fn counted(self) -> Self {
+        let (narrow, mapped) = match &self.comments {
+            Comments::Narrow { rows, .. } => (true, matches!(rows, NarrowRows::Mapped(_))),
+            Comments::Wide(_) => (false, false),
+        };
+        obs::counter("btm.rows_narrow").add(u64::from(narrow));
+        obs::counter("btm.rows_wide").add(u64::from(!narrow));
+        obs::counter("btm.rows_mapped").add(u64::from(mapped));
+        self
     }
 
     /// Number of page slots, empty ones included.
@@ -347,12 +366,13 @@ impl PageRows {
 
     /// Total comments over all rows.
     pub fn n_comments(&self) -> u64 {
-        self.comments.len() as u64
+        self.off[self.off.len() - 1] as u64
     }
 
-    /// Every row end to end as one view.
-    fn all(&self) -> PageRow<'_> {
-        self.slice(0, self.comments.len())
+    /// The offset table and every row end to end as one view: what equality
+    /// compares and a snapshot stores.
+    pub(crate) fn parts(&self) -> (&[usize], PageRow<'_>) {
+        (&self.off, self.slice(0, self.n_comments() as usize))
     }
 
     /// Rows `lo..hi` of the flat array as one view.
@@ -387,6 +407,7 @@ impl PageRows {
         let (off, comments) = match &self.comments {
             Comments::Narrow { t0, rows } => {
                 let (off, rows) = retain_kept(&self.off, rows, gone);
+                let rows = NarrowRows::Owned(rows);
                 (off, Comments::Narrow { t0: *t0, rows })
             }
             Comments::Wide(rows) => {
@@ -444,10 +465,9 @@ impl Btm {
     /// come out empty, exactly as [`Btm::without_authors`] leaves them).
     ///
     /// `events` is called twice and must yield the same events both times
-    /// ([`PageRows::build`]'s two passes), so the events never need to exist
-    /// as a resident `Vec<Event>` — the snapshot load path decodes the
-    /// mmapped columns twice instead. Order-invariant: any permutation of
-    /// the same events yields an equal BTM.
+    /// ([`PageRows::build`]'s two passes), so they never need to exist as a
+    /// resident `Vec<Event>`. Order-invariant: any permutation of the same
+    /// events yields an equal BTM.
     pub fn build<I: Iterator<Item = Event>>(
         n_authors: u32,
         n_pages: u32,
@@ -525,49 +545,32 @@ impl Btm {
         self.rows.row(p)
     }
 
-    /// Build from input that is already grouped by page: `fill(p, row)` is
-    /// called once per page id in ascending order and pushes that page's
-    /// comments onto `row` in `(timestamp, author)` order. Comments of the
-    /// `excluded` authors are dropped as they are pushed. One pass, no
-    /// counting, no scatter; `capacity` is the number of comments to expect
-    /// and `ts_range` the `(least, greatest)` timestamp among them, which
-    /// picks the layout as [`PageRows::build`]'s counting pass would.
-    ///
-    /// # Panics
-    /// If an author id is not below `n_authors`, a row is pushed out of
-    /// order, or a timestamp lies outside a `ts_range` narrow enough for 8 B
-    /// rows.
-    pub fn from_page_major(
+    /// The rows of a snapshot's `ROWS` section, validated at open: page `p`'s
+    /// comments are `off[p]..off[p + 1]` of `comments`, narrow words shared
+    /// with the mapping under base `t0` (`Ok`) or wide rows decoded (`Err`).
+    /// With nobody `excluded` the words stay borrowed (`btm.rows_mapped`); an
+    /// exclusion filters them into an owned copy, as `without_authors` does.
+    pub(crate) fn from_stored(
         n_authors: u32,
-        n_pages: u32,
-        capacity: usize,
-        ts_range: (Timestamp, Timestamp),
+        off: &[u64],
+        comments: Result<(Timestamp, Words), Vec<WideRow>>,
         excluded: &[AuthorId],
-        mut fill: impl FnMut(PageId, &mut RowSink<'_>),
     ) -> Self {
-        let gone = author_mask(n_authors, excluded);
-        let mut comments = match narrow_base(ts_range.0, ts_range.1) {
-            Some(t0) => Comments::Narrow {
+        let comments = match comments {
+            Ok((t0, words)) => Comments::Narrow {
                 t0,
-                rows: Vec::with_capacity(capacity),
+                rows: NarrowRows::Mapped(words),
             },
-            None => Comments::Wide(Vec::with_capacity(capacity)),
+            Err(rows) => Comments::Wide(rows),
         };
-        let mut off = Vec::with_capacity(n_pages as usize + 1);
-        off.push(0);
-        for p in 0..n_pages {
-            let mut row = RowSink {
-                comments: &mut comments,
-                last: (Timestamp::MIN, AuthorId(0)),
-                n_authors,
-                gone: &gone,
-            };
-            fill(PageId(p), &mut row);
-            off.push(comments.len());
+        let off = off.iter().map(|&o| o as usize).collect();
+        let mut rows = PageRows { off, comments };
+        if !excluded.is_empty() {
+            rows = rows.without(&author_mask(n_authors, excluded));
         }
         obs::record_stage_rss("btm");
         Btm {
-            rows: PageRows { off, comments },
+            rows: rows.counted(),
             n_authors,
         }
     }
@@ -594,45 +597,6 @@ impl Btm {
     pub fn max_page_degree(&self) -> usize {
         let degrees = self.rows.off.windows(2).map(|w| w[1] - w[0]);
         degrees.max().unwrap_or(0)
-    }
-}
-
-/// Where [`Btm::from_page_major`]'s `fill` pushes one page's comments.
-pub struct RowSink<'a> {
-    comments: &'a mut Comments,
-    /// The comment pushed last on this row, kept or dropped.
-    last: WideRow,
-    n_authors: u32,
-    gone: &'a [bool],
-}
-
-impl RowSink<'_> {
-    /// Append a comment to the row, unless its author is excluded.
-    #[inline]
-    pub fn push(&mut self, ts: Timestamp, author: AuthorId) {
-        assert!(
-            author.0 < self.n_authors,
-            "author id {} out of range",
-            author.0
-        );
-        // `PageRows`' sortedness rests on this, not on the caller's word.
-        assert!(
-            self.last <= (ts, author),
-            "comment {:?} pushed after {:?}: row not in (timestamp, author) order",
-            (ts, author),
-            self.last
-        );
-        self.last = (ts, author);
-        if !is_kept(self.gone, author) {
-            return;
-        }
-        match self.comments {
-            Comments::Narrow { t0, rows } => rows.push(
-                pack_narrow(*t0, ts, author)
-                    .unwrap_or_else(|| panic!("timestamp {ts} outside the stated range")),
-            ),
-            Comments::Wide(rows) => rows.push((ts, author)),
-        }
     }
 }
 
@@ -1173,14 +1137,6 @@ mod tests {
             Some(i64::MAX)
         );
         assert_eq!(wide(0).delay_within(wide(61), 60), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the stated range")]
-    fn a_page_major_timestamp_outside_its_stated_range_panics() {
-        Btm::from_page_major(1, 1, 1, (0, 10), &[], |_, row| {
-            row.push(i64::from(u32::MAX) + 1, AuthorId(0))
-        });
     }
 
     /// A source whose second pass moves a timestamp out of the span the

@@ -432,17 +432,15 @@ impl DistPipeline {
         self.run_world(ds.authors.len() as u32, &excluded, &source)
     }
 
-    /// Pipeline over an opened snapshot: every rank decodes its own block of
-    /// the page rows in the shared mmap
+    /// Pipeline over an opened snapshot: every rank reads its own block of
+    /// the page rows' words in the shared mmap
     /// ([`coordination_store::EventsView::rank_slice`]: whole pages but for
-    /// the two a block boundary may split) — the event table is never copied,
-    /// per rank or at all. Exclusions resolve against the mapped name table,
-    /// as in [`Pipeline::run_snapshot`](crate::Pipeline::run_snapshot).
+    /// the two a block boundary may split, found through the row offsets) —
+    /// the rows are never copied, per rank or at all. Exclusions resolve
+    /// against the mapped name table, as in
+    /// [`Pipeline::run_snapshot`](crate::Pipeline::run_snapshot).
     pub fn run_snapshot(&self, snap: &coordination_store::Snapshot) -> PipelineOutput {
-        let excluded = self
-            .config
-            .exclusions
-            .resolve_names(snap.author_names().iter());
+        let excluded = self.config.exclusions.resolve_names(snap.author_names());
         let source = event_source(|rank, nranks| {
             let slice = snap.events().rank_slice(rank, nranks);
             Box::new(slice.map(|(a, p, ts)| Event::new(AuthorId(a), PageId(p), ts)))

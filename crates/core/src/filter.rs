@@ -9,6 +9,8 @@
 
 use std::collections::HashSet;
 
+use coordination_store::NamesView;
+
 use crate::ids::AuthorId;
 use crate::records::Dataset;
 
@@ -73,19 +75,21 @@ impl ExclusionList {
         ids
     }
 
-    /// Resolve against a name table in dense-id order (the snapshot load
-    /// path: one linear scan of the mmapped string table, no interner
-    /// materialized). Produces exactly what [`ExclusionList::resolve`] would
-    /// for the same vocabulary.
-    pub fn resolve_names<'a>(&self, names: impl Iterator<Item = &'a str>) -> Vec<AuthorId> {
-        if self.names.is_empty() {
-            return Vec::new();
-        }
-        names
-            .enumerate()
-            .filter(|(_, n)| self.names.contains(*n))
-            .map(|(i, _)| AuthorId(i as u32))
-            .collect()
+    /// Resolve against a snapshot's mapped author table (the snapshot load
+    /// path: no interner materialized). Each excluded name is looked up with
+    /// [`NamesView::find`], which compares bytes only among names of its
+    /// length, so nothing is hashed or UTF-8-checked per stored name.
+    /// Produces exactly what [`ExclusionList::resolve`] would for the same
+    /// vocabulary.
+    pub fn resolve_names(&self, names: NamesView<'_>) -> Vec<AuthorId> {
+        let mut ids: Vec<AuthorId> = self
+            .names
+            .iter()
+            .filter_map(|n| names.find(n))
+            .map(AuthorId)
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 }
 
@@ -108,7 +112,48 @@ pub fn high_volume_accounts(ds: &Dataset, threshold: u64) -> Vec<(String, u64)> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::Interner;
     use crate::records::CommentRecord;
+    use crate::store::{Snapshot, SnapshotWriter};
+    use proptest::prelude::*;
+    use std::sync::Arc;
+
+    proptest! {
+        /// Resolving against a snapshot's mapped author table gives what
+        /// resolving against the interned dataset gives, whatever the table
+        /// holds: the default names or not, and names of their byte lengths
+        /// (`AutoModerator` is 13 bytes and `[deleted]` 9) that differ in the
+        /// last byte only.
+        #[test]
+        fn resolve_names_over_a_mapped_table_equals_resolve(
+            drawn in prop::collection::vec((0u8..3, 0u8..4), 0..30),
+            extra in prop::collection::vec((0u8..3, 0u8..4), 0..3),
+        ) {
+            let name = |(stem, last): (u8, u8)| {
+                let stem = ["AutoModerato", "[deleted", "bo"][stem as usize];
+                format!("{stem}{}", ['r', ']', 'x', 't'][last as usize])
+            };
+            let mut authors = Interner::new();
+            for &d in &drawn {
+                authors.intern(&name(d));
+            }
+            let ds = Dataset {
+                authors: Arc::new(authors),
+                pages: Arc::new(Interner::new()),
+                events: Vec::new(),
+            };
+            let mut w = SnapshotWriter::new();
+            w.authors(ds.authors.iter().map(|(_, n)| n));
+            w.pages(std::iter::empty());
+            w.events(&[]).unwrap();
+            let snap = Snapshot::from_bytes(w.to_bytes().unwrap()).unwrap();
+            let mut more = ExclusionList::reddit_defaults();
+            more.extend(extra.into_iter().map(name));
+            for list in [ExclusionList::new(), ExclusionList::reddit_defaults(), more] {
+                prop_assert_eq!(list.resolve_names(snap.author_names()), list.resolve(&ds));
+            }
+        }
+    }
 
     #[test]
     fn defaults_cover_the_papers_cases() {

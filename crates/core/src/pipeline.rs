@@ -152,16 +152,13 @@ impl Pipeline {
     /// Run from an opened snapshot — the mmap twin of
     /// [`Pipeline::run_dataset`], producing identical output for a snapshot
     /// written from the same dataset (the stored page rows are the rows
-    /// [`Dataset::btm`] builds from the ingest-ordered events). The rows are
-    /// decoded once out of the mapping, straight into the BTM, and exclusion
-    /// names resolve against the mapped string table; no [`Dataset`] is ever
-    /// materialized, which is what keeps this path's peak RSS below the
-    /// resident one.
+    /// [`Dataset::btm`] builds from the ingest-ordered events). The BTM
+    /// borrows the rows from the mapping when nobody is excluded (and filters
+    /// a copy when someone is), and exclusion names resolve against the
+    /// mapped string table; no [`Dataset`] is ever materialized, which is
+    /// what keeps this path's peak RSS below the resident one.
     pub fn run_snapshot(&self, snap: &coordination_store::Snapshot) -> PipelineOutput {
-        let excluded = self
-            .config
-            .exclusions
-            .resolve_names(snap.author_names().iter());
+        let excluded = self.config.exclusions.resolve_names(snap.author_names());
         self.run_btm(&crate::snapshot::btm_from_snapshot(snap, &excluded))
     }
 

@@ -5,15 +5,16 @@
 //! tables so it can sit below core in the dependency graph; this module
 //! supplies the translations the pipeline actually uses:
 //!
-//! * [`write_snapshot`] — serialize an ingested [`Dataset`] (its page rows
-//!   as `EVENTS`, interner names in dense-id order so ids survive the round
-//!   trip), optionally embedding a projected CI graph for survey-only
-//!   consumers;
+//! * [`write_snapshot`] — serialize an ingested [`Dataset`] (its
+//!   [`PageRows`] copied word for word as `ROWS`, interner names in dense-id
+//!   order so ids survive the round trip), optionally embedding a projected
+//!   CI graph for survey-only consumers;
 //! * [`ingest_to_snapshot`] — the `snapshot write` path: NDJSON ingest
 //!   straight into a snapshot file;
-//! * [`btm_from_snapshot`] — decode the mmapped page rows once, straight into
-//!   a [`Btm`]; the events never exist as a resident `Vec<Event>`, which is
-//!   what puts the snapshot path's peak RSS below the resident path's;
+//! * [`btm_from_snapshot`] — a [`Btm`] whose narrow rows are the mapping's
+//!   own words, borrowed, not decoded; the events never exist as a resident
+//!   `Vec<Event>`, which is what puts the snapshot path's peak RSS below the
+//!   resident path's;
 //! * [`dataset_from_snapshot`] — materialize a full [`Dataset`] (interners
 //!   included) for name-consuming commands; ids match the original ingest
 //!   exactly.
@@ -31,7 +32,7 @@ use std::sync::Arc;
 
 use coordination_store::{Snapshot, SnapshotWriter, StoreError};
 
-use crate::btm::{Btm, PageRows};
+use crate::btm::{Btm, PageRow, PageRows};
 use crate::cigraph::CiGraph;
 use crate::ids::{AuthorId, Event, Interner, PageId};
 use crate::ingest::{self, IngestConfig, IngestStats};
@@ -65,10 +66,16 @@ pub fn write_snapshot(
     let mut w = SnapshotWriter::new();
     w.authors(ds.authors.iter().map(|(_, n)| n));
     w.pages(ds.pages.iter().map(|(_, n)| n));
-    w.page_rows(
-        rows.pages()
-            .map(|(p, row)| (p.0, row.iter().map(|(ts, a)| (ts, a.0)))),
-    )?;
+    let (off, all) = rows.parts();
+    let off: Vec<u64> = off.iter().map(|&o| o as u64).collect();
+    let wide = |row: &[(i64, AuthorId)]| -> Vec<u64> {
+        let words = row.iter().flat_map(|&(ts, a)| [ts as u64, u64::from(a.0)]);
+        words.collect()
+    };
+    match all {
+        PageRow::Narrow { t0, row } => w.page_rows(&off, Some(t0), row)?,
+        PageRow::Wide(row) => w.page_rows(&off, None, &wide(row))?,
+    };
     if let Some((window, ci)) = ci {
         w.ci_graph(window.d1(), window.d2(), ci.page_counts(), ci.as_csr())?;
     }
@@ -129,25 +136,18 @@ impl std::fmt::Display for SnapshotWriteError {
 
 impl std::error::Error for SnapshotWriteError {}
 
-/// Build the BTM directly from the mapped page rows, minus the `excluded`
-/// authors: one walk of the row cursor, each row appended as it is decoded.
-/// No `Vec<Event>`, no interners: the only resident allocations are the
-/// BTM's own arrays.
+/// The BTM of the mapped page rows, minus the `excluded` authors. With
+/// nobody excluded a month-sized (narrow) file's rows are not decoded or
+/// copied at all: the `Btm` borrows the mapping's words, and holds a share
+/// of it that outlives `snap`; only the page offsets are copied. Wide rows
+/// decode into an owned array, and an exclusion filters into one. No
+/// `Vec<Event>`, no interners.
 pub fn btm_from_snapshot(snap: &Snapshot, excluded: &[AuthorId]) -> Btm {
     let _g = obs::span("snapshot.btm");
-    let m = snap.meta();
-    let mut rows = snap.events().rows();
-    let capacity = m.n_events as usize;
-    // validated against the rows when the snapshot was opened
-    let ts_range = (m.min_ts, m.max_ts);
-    let (na, np) = (m.n_authors, m.n_pages);
-    Btm::from_page_major(na, np, capacity, ts_range, excluded, |p, row| {
-        let stored = rows.next_row().map(|(page, _)| page);
-        assert_eq!(stored, Some(p.0), "EVENTS holds one row per page id");
-        for (ts, a) in rows.by_ref() {
-            row.push(ts, AuthorId(a));
-        }
-    })
+    let view = snap.events();
+    let wide = || view.iter().map(|(a, _, ts)| (ts, AuthorId(a))).collect();
+    let comments = snap.narrow_words().ok_or_else(wide);
+    Btm::from_stored(snap.meta().n_authors, view.offsets(), comments, excluded)
 }
 
 /// Materialize a full [`Dataset`] from a snapshot — the compatibility path
@@ -293,8 +293,8 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Any non-decreasing `i64` row round-trips: differences are taken and
-    /// re-applied in the unsigned domain, where `i64::MIN → i64::MAX` fits.
+    /// Any non-decreasing `i64` row round-trips: a span no `u32` holds is
+    /// stored in the wide layout, timestamps whole.
     #[test]
     fn extreme_timestamps_round_trip() {
         let rec = |who: &str, page: &str, ts| CommentRecord::new(who, page, ts);
@@ -316,6 +316,7 @@ mod tests {
                 (snap.meta().min_ts, snap.meta().max_ts),
                 (i64::MIN, i64::MAX)
             );
+            assert!(snap.narrow_words().is_none(), "stored wide");
             let (na, np) = (ds.authors.len() as u32, ds.pages.len() as u32);
             assert_eq!(
                 btm_from_snapshot(&snap, &[]),
@@ -326,19 +327,29 @@ mod tests {
         }
     }
 
+    /// With nobody excluded the `Btm` borrows: every row lies inside the
+    /// mapping's words, and outlives the `Snapshot`. With exclusions it is
+    /// an owned copy equal to the dataset's own.
     #[test]
-    fn btm_from_snapshot_matches_dataset_btm() {
+    fn btm_from_snapshot_borrows_the_mapping_unless_someone_is_excluded() {
         let ds = scenario();
         let path = tmp("btm");
         write_snapshot(&ds, None, &path).unwrap();
         let snap = Snapshot::open(&path).unwrap();
-        assert_eq!(btm_from_snapshot(&snap, &[]), ds.btm());
+        let (_, words) = snap.narrow_words().expect("a month-shaped file is narrow");
+        let mapped = words.as_ptr_range();
+        let inside = |(_, row): (PageId, PageRow<'_>)| match row {
+            PageRow::Narrow { row, .. } => mapped.contains(&row.as_ptr()),
+            PageRow::Wide(_) => false,
+        };
+        let btm = btm_from_snapshot(&snap, &[]);
+        assert!(snap.is_mapped() && btm.pages().all(inside));
         let excluded = [AuthorId(0), AuthorId(3)];
-        assert_eq!(
-            btm_from_snapshot(&snap, &excluded),
-            ds.btm_without(&excluded)
-        );
-        drop(snap);
+        let filtered = btm_from_snapshot(&snap, &excluded);
+        assert!(!filtered.pages().any(inside));
+        assert_eq!(filtered, ds.btm_without(&excluded));
+        drop((snap, words));
+        assert_eq!(btm, ds.btm());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -46,6 +46,12 @@ pub enum StoreError {
         /// What was wrong, for the error message.
         what: String,
     },
+    /// A sound file this host cannot read as stored (a big-endian host
+    /// borrowing little-endian row words).
+    Unsupported {
+        /// What the host cannot do.
+        what: &'static str,
+    },
 }
 
 impl StoreError {
@@ -76,6 +82,7 @@ impl fmt::Display for StoreError {
                 write!(f, "checksum mismatch in section {section}")
             }
             StoreError::Corrupt { what } => write!(f, "corrupt snapshot: {what}"),
+            StoreError::Unsupported { what } => write!(f, "unsupported on this host: {what}"),
         }
     }
 }

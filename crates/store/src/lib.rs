@@ -16,8 +16,10 @@
 //! * [`segment`] — sorted spill segments ([`SegmentWriter`] /
 //!   [`SegmentReader`]): delta-varint key runs the memory-bounded shuffle
 //!   (`ygm::runs`) evicts to disk and later k-way merges back, streaming;
-//! * [`varint`] — the LEB128 + zigzag framing every section shares;
-//! * [`mmap`] — read-only file mapping with an owned-buffer fallback;
+//! * [`varint`] — the LEB128 + zigzag framing of the metadata, name-table,
+//!   CSR and segment encodings;
+//! * [`mmap`] — read-only file mapping with an owned-buffer fallback, and the
+//!   one checked cast that borrows a file's `u64` row words in place;
 //! * [`err`] — the typed [`StoreError`]: corrupt or truncated input is
 //!   always an `Err`, never a panic.
 //!

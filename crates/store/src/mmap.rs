@@ -7,11 +7,19 @@
 //! `libc` crate, so the mapping goes through the two C symbols `std` already
 //! links. Any mapping failure (exotic filesystem, non-unix target) degrades
 //! to `std::fs::read`: same bytes, same API, just resident.
+//!
+//! Either way the bytes start at an 8-aligned address (a mapping is
+//! page-aligned; the owned buffer places its copy so), which is what lets
+//! [`words`] borrow a file's little-endian `u64` arrays in place and
+//! [`Words`] hand one out as a value that keeps the bytes alive.
 
 use std::fs::File;
 use std::io;
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::path::Path;
+use std::sync::Arc;
+
+use crate::err::StoreError;
 
 /// Immutable bytes backing a snapshot: a private read-only file mapping or
 /// an owned buffer.
@@ -20,7 +28,8 @@ pub struct Bytes {
 }
 
 enum Inner {
-    Owned(Vec<u8>),
+    /// The bytes are `buf[start..]`, `start` chosen to make them 8-aligned.
+    Owned { buf: Vec<u8>, start: usize },
     #[cfg(unix)]
     Mapped {
         ptr: *mut core::ffi::c_void,
@@ -28,7 +37,7 @@ enum Inner {
     },
 }
 
-// SAFETY: `Inner::Owned` is a `Vec<u8>`, `Send` on its own. `Inner::Mapped`
+// SAFETY: `Inner::Owned` holds a `Vec<u8>`, `Send` on its own. `Inner::Mapped`
 // is a pointer to a `PROT_READ | MAP_PRIVATE` mapping this value alone owns:
 // nothing in the process writes through it, so it may be read, and unmapped
 // on drop, from whichever thread holds the value.
@@ -58,10 +67,17 @@ mod sys {
 }
 
 impl Bytes {
-    /// Wrap an owned buffer (tests, in-memory round-trips).
-    pub fn from_vec(v: Vec<u8>) -> Self {
+    /// An owned copy of `bytes` (tests, in-memory round-trips, the fallback
+    /// when a file cannot be mapped), placed at an 8-aligned address — a
+    /// `Vec<u8>` promises only 1 — so it opens exactly as a mapping would.
+    pub fn copy_from(bytes: &[u8]) -> Self {
+        let mut buf = Vec::with_capacity(bytes.len() + 7);
+        // the allocation does not move: nothing below outgrows the capacity
+        let start = (8 - buf.as_ptr() as usize % 8) % 8;
+        buf.resize(start, 0);
+        buf.extend_from_slice(bytes);
         Bytes {
-            inner: Inner::Owned(v),
+            inner: Inner::Owned { buf, start },
         }
     }
 
@@ -73,7 +89,7 @@ impl Bytes {
         let len = usize::try_from(len)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "file larger than usize"))?;
         if len == 0 {
-            return Ok(Bytes::from_vec(Vec::new()));
+            return Ok(Bytes::copy_from(&[]));
         }
         #[cfg(unix)]
         {
@@ -100,14 +116,14 @@ impl Bytes {
                 });
             }
         }
-        Ok(Bytes::from_vec(std::fs::read(path)?))
+        Ok(Bytes::copy_from(&std::fs::read(path)?))
     }
 
     /// Whether the bytes are an actual file mapping (as opposed to the
     /// owned-buffer fallback). Diagnostics only.
     pub fn is_mapped(&self) -> bool {
         match self.inner {
-            Inner::Owned(_) => false,
+            Inner::Owned { .. } => false,
             #[cfg(unix)]
             Inner::Mapped { .. } => true,
         }
@@ -118,7 +134,7 @@ impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         match &self.inner {
-            Inner::Owned(v) => v,
+            Inner::Owned { buf, start } => &buf[*start..],
             #[cfg(unix)]
             // SAFETY: `ptr` came from a successful `mmap` of exactly `len`
             // bytes (the only place `Mapped` is built), is page-aligned and
@@ -151,6 +167,73 @@ impl Drop for Bytes {
     }
 }
 
+/// `bytes` as the little-endian `u64` words it holds, borrowed in place: the
+/// one cast between the file's bytes and the rows `PageRows` reads. An
+/// address that is not 8-aligned or a length that is not whole words is
+/// [`StoreError::Corrupt`]; a big-endian host, which would read every word
+/// byte-swapped, is [`StoreError::Unsupported`].
+pub fn words(bytes: &[u8]) -> Result<&[u64], StoreError> {
+    if cfg!(target_endian = "big") {
+        return Err(StoreError::Unsupported {
+            what: "little-endian row words on a big-endian host",
+        });
+    }
+    if !(bytes.as_ptr() as usize).is_multiple_of(8) || !bytes.len().is_multiple_of(8) {
+        return Err(StoreError::corrupt(format!(
+            "{} bytes at address {:p} are not 8-aligned whole words",
+            bytes.len(),
+            bytes.as_ptr()
+        )));
+    }
+    // SAFETY: the pointer is 8-aligned (the alignment of `u64`, checked
+    // above) and non-null, and `len / 8` words cover exactly the `len` bytes
+    // of `bytes`, which are initialised and live for the returned borrow.
+    // Every bit pattern is a valid `u64`, and the host is little-endian, so
+    // each word reads as the file wrote it. The shared borrow of `bytes`
+    // forbids writes through it while the words are borrowed; the mapping a
+    // snapshot's bytes usually are is never written by this process.
+    Ok(unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<u64>(), bytes.len() / 8) })
+}
+
+/// A run of [`words`] that owns a share of its [`Bytes`]: cheap to clone,
+/// `Send + Sync`, and it keeps the mapping alive after the snapshot that
+/// handed it out is dropped. Derefs to `&[u64]`.
+#[derive(Clone)]
+pub struct Words {
+    bytes: Arc<Bytes>,
+    range: Range<usize>,
+}
+
+impl Words {
+    /// The words of `bytes[range]`, checked as [`words`] checks them.
+    pub fn new(bytes: Arc<Bytes>, range: Range<usize>) -> Result<Self, StoreError> {
+        let run = bytes
+            .get(range.clone())
+            .ok_or_else(|| StoreError::corrupt("word range outside the bytes"))?;
+        words(run)?;
+        Ok(Words { bytes, range })
+    }
+}
+
+impl Deref for Words {
+    type Target = [u64];
+    fn deref(&self) -> &[u64] {
+        words(&self.bytes[self.range.clone()]).expect("checked by Words::new")
+    }
+}
+
+impl std::fmt::Debug for Words {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mapped = self.bytes.is_mapped();
+        write!(
+            f,
+            "Words({} at {:?}, mapped: {mapped})",
+            self.len(),
+            self.range
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,6 +248,26 @@ mod tests {
         assert_eq!(&*bytes, &payload[..]);
         drop(bytes);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn owned_copies_are_8_aligned_and_words_are_checked() {
+        let image: Vec<u8> = (0..41u8).collect();
+        for skew in 0..8 {
+            let bytes = Bytes::copy_from(&image[skew..]);
+            assert_eq!(&*bytes, &image[skew..]);
+            assert_eq!(bytes.as_ptr() as usize % 8, 0);
+        }
+        let bytes = Arc::new(Bytes::copy_from(&image));
+        let first = u64::from_le_bytes(image[8..16].try_into().unwrap());
+        assert_eq!(Words::new(Arc::clone(&bytes), 8..24).unwrap()[0], first);
+        assert_eq!(words(&bytes[..0]).unwrap(), &[] as &[u64]);
+        for bad in [1..9, 8..20, 40..48] {
+            assert!(
+                Words::new(Arc::clone(&bytes), bad.clone()).is_err(),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The snapshot container: magic, version, checksummed section directory,
 //! and the columnar sections themselves.
 //!
-//! ## File layout (version 2)
+//! ## File layout (version 3)
 //!
 //! ```text
 //! [0..8)    magic  b"COORSNAP"
@@ -12,7 +12,7 @@
 //! then      section bytes at their recorded offsets
 //! ```
 //!
-//! Sections (kinds 1–4 and 6; any other kind is an error). They may not
+//! Sections (kinds 1–3, 6 and 7; any other kind is an error). They may not
 //! overlap the directory or each other, and together they cover the rest of
 //! the file.
 //!
@@ -20,31 +20,32 @@
 //! * `AUTHOR_NAMES` / `PAGE_NAMES` — interner string tables in dense-id
 //!   order: count, byte length, fixed-width `u32` end-offset table, then the
 //!   concatenated UTF-8 bytes. Fixed-width ends make `name(id)` two loads.
-//! * `EVENTS` — the page side of the BTM, stored the way it is held in
-//!   memory: the event count, then three length-prefixed columns. `row_len`
-//!   has one varint per page id (zeros included). `ts` has, per non-empty
-//!   page, the first timestamp as a zigzag *wrapping* difference from the
-//!   previous non-empty page's first (from 0 for the first such page), then
-//!   the non-negative differences along the row. `author` has one varint per
-//!   comment. Every row is in `(timestamp, author)` order.
+//! * `ROWS` — the BTM's page side exactly as `PageRows` holds it, so readers
+//!   borrow it: a 32-byte header (layout `u32`, pad `u32`, `t0`, n_pages,
+//!   n_events), `pad` zero bytes up to an 8-aligned file offset, `n_pages +
+//!   1` `u64` row offsets, then the rows end to end, each in `(ts, author)`
+//!   order — narrow (layout 1): one `(ts − t0) << 32 | author` word per
+//!   comment; wide (layout 2, `t0` 0): `ts`, then the author. All LE words.
 //! * `CI_GRAPH` (optional) — a projected common-interaction graph: the
 //!   window it was projected under, the `P'` page counts, and the weighted
 //!   compressed CSR the survey decodes block-wise.
 //!
 //! [`Snapshot::open`] maps the file and validates *everything* up front —
 //! magic, version, directory bounds, per-section checksums, and a full
-//! structural decode (id ranges, row order, timestamp arithmetic, `META`
-//! agreement, exact byte consumption). After open, every accessor and
-//! iterator is infallible; corrupt or truncated input never gets past open,
-//! and never panics.
+//! structural check (id ranges, row order, offsets, timestamp arithmetic,
+//! the row layout, `META` agreement, exact byte consumption). After open,
+//! every accessor and iterator is infallible; corrupt or truncated input
+//! never gets past open, and never panics.
 
+use std::ops::Range;
 use std::path::Path;
+use std::sync::Arc;
 
 use coordination_graph::GraphRef;
 
 use crate::csr::{self, CsrView};
 use crate::err::StoreError;
-use crate::mmap::Bytes;
+use crate::mmap::{self, Bytes, Words};
 use crate::varint;
 
 /// First eight bytes of every snapshot.
@@ -52,29 +53,36 @@ pub const MAGIC: [u8; 8] = *b"COORSNAP";
 
 /// The single schema version this build reads and writes. Bump on any
 /// layout change; readers must refuse versions they do not speak.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 mod kind {
     pub const META: u32 = 1;
     pub const AUTHOR_NAMES: u32 = 2;
     pub const PAGE_NAMES: u32 = 3;
-    pub const EVENTS: u32 = 4;
-    // 5 was a version 1 section and is not reused.
+    // 4 was version 2's varint `EVENTS` and 5 a version 1 section; neither
+    // is reused.
     pub const CI_GRAPH: u32 = 6;
+    pub const ROWS: u32 = 7;
 
-    pub const ALL: [u32; 5] = [META, AUTHOR_NAMES, PAGE_NAMES, EVENTS, CI_GRAPH];
+    pub const ALL: [u32; 5] = [META, AUTHOR_NAMES, PAGE_NAMES, ROWS, CI_GRAPH];
 
     pub fn name(k: u32) -> &'static str {
         match k {
             META => "META",
             AUTHOR_NAMES => "AUTHOR_NAMES",
             PAGE_NAMES => "PAGE_NAMES",
-            EVENTS => "EVENTS",
+            ROWS => "ROWS",
             CI_GRAPH => "CI_GRAPH",
             _ => "UNKNOWN",
         }
     }
 }
+
+/// `ROWS` layout tags: one word per comment, or two.
+const NARROW: u32 = 1;
+const WIDE: u32 = 2;
+/// Bytes of the `ROWS` header, before its padding.
+const ROWS_HEADER: usize = 32;
 
 /// The per-section checksum, also the hash of the name-uniqueness check:
 /// the length, then every little-endian 8-byte word (the tail zero-padded)
@@ -106,12 +114,113 @@ pub struct SnapshotMeta {
     pub n_authors: u32,
     /// Dense page-id vocabulary size.
     pub n_pages: u32,
-    /// Events in the `EVENTS` columns.
+    /// Comments in the `ROWS` section.
     pub n_events: u64,
     /// Smallest timestamp (0 when empty).
     pub min_ts: i64,
     /// Largest timestamp (0 when empty).
     pub max_ts: i64,
+}
+
+/// The narrow layout's base if timestamps spanning `lo..=hi` all fit a `u32`
+/// offset from it (`lo > hi`: there were no timestamps at all): the one rule
+/// `PageRows::build` picks its layout by and a file's `ROWS` must follow.
+pub fn narrow_base(lo: i64, hi: i64) -> Option<i64> {
+    if lo > hi {
+        return Some(0);
+    }
+    let span = hi.checked_sub(lo)?;
+    u32::try_from(span).is_ok().then_some(lo)
+}
+
+/// The comments of a `ROWS` section as words: narrow with a base `t0`, one
+/// `(ts − t0) << 32 | author` each, or wide without one, `ts` then the
+/// author.
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    t0: Option<i64>,
+    words: &'a [u64],
+}
+
+impl Rows<'_> {
+    fn len(self) -> usize {
+        self.words.len() / if self.t0.is_some() { 1 } else { 2 }
+    }
+
+    /// Comment `i` as `(ts, author)`.
+    #[inline]
+    fn comment(self, i: usize) -> (i64, u32) {
+        let w = self.words;
+        match self.t0 {
+            // `t0 + offset` was checked by `check_rows`
+            Some(t0) => (t0 + (w[i] >> 32) as i64, w[i] as u32),
+            None => (w[2 * i] as i64, w[2 * i + 1] as u32),
+        }
+    }
+}
+
+/// What `ROWS` must hold, proven by the writer and by open alike in one
+/// sequential pass: offsets from 0 to the comment count that never decrease,
+/// every row in `(timestamp, author)` order with its authors below
+/// `n_authors` (and a wide row's padding zero), no `t0 + offset` outside
+/// `i64`, and the layout and base the timestamps' span picks — so every
+/// dataset has exactly one encoding. Returns the least and greatest
+/// timestamp, 0 and 0 without comments.
+fn check_rows(meta: (u32, u32), off: &[u64], rows: Rows<'_>) -> Result<(i64, i64), StoreError> {
+    let ((n_authors, n_pages), n) = (meta, rows.len() as u64);
+    let whole = rows.t0.is_some() || rows.words.len().is_multiple_of(2);
+    if off.len() != n_pages as usize + 1 || off[0] != 0 || off[n_pages as usize] != n || !whole {
+        return Err(StoreError::corrupt(format!(
+            "{} row offsets do not run from 0 to the {n} comments stored on {n_pages} pages",
+            off.len()
+        )));
+    }
+    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+    // an empty row's offsets are checked by its neighbours'
+    for (p, w) in off.windows(2).enumerate().filter(|(_, w)| w[0] != w[1]) {
+        if w[0] > w[1] || w[1] > n {
+            return Err(StoreError::corrupt(format!(
+                "row offsets decrease or overrun at page {p}"
+            )));
+        }
+        let (a, b) = (w[0] as usize, w[1] as usize);
+        let bad = |what: &str| StoreError::corrupt(format!("page {p}: {what}"));
+        let (first, last) = match rows.t0 {
+            Some(t0) => {
+                let row = &rows.words[a..b];
+                if !row.windows(2).all(|x| x[0] <= x[1]) {
+                    return Err(bad("row out of (timestamp, author) order"));
+                }
+                if !row.iter().all(|&x| (x as u32) < n_authors) {
+                    return Err(bad("author id out of range"));
+                }
+                let ts = |x: u64| {
+                    t0.checked_add((x >> 32) as i64)
+                        .ok_or_else(|| bad("timestamp leaves i64"))
+                };
+                (ts(row[0])?, ts(row[row.len() - 1])?)
+            }
+            None => {
+                let row = &rows.words[2 * a..2 * b];
+                if !row.chunks_exact(2).all(|c| c[1] < u64::from(n_authors)) {
+                    return Err(bad("author id out of range or padding not zero"));
+                }
+                let key = |c: &[u64]| (c[0] as i64, c[1]);
+                let mut pairs = row.chunks_exact(2).zip(row.chunks_exact(2).skip(1));
+                if !pairs.all(|(x, y)| key(x) <= key(y)) {
+                    return Err(bad("row out of (timestamp, author) order"));
+                }
+                (row[0] as i64, row[row.len() - 2] as i64)
+            }
+        };
+        (lo, hi) = (lo.min(first), hi.max(last));
+    }
+    let (lo, hi) = if n == 0 { (0, 0) } else { (lo, hi) };
+    if rows.t0 != narrow_base(lo, hi) {
+        let what = format!("timestamps {lo}..={hi} stored in another layout or base");
+        return Err(StoreError::corrupt(what));
+    }
+    Ok((lo, hi))
 }
 
 // ---------------------------------------------------------------------------
@@ -127,7 +236,8 @@ pub struct SnapshotWriter {
     authors: Option<(u32, Vec<u8>)>,
     pages: Option<(u32, Vec<u8>)>,
     meta: Option<Vec<u8>>,
-    events: Option<Vec<u8>>,
+    /// Header (its pad still 0), offsets and rows.
+    rows: Option<Vec<u8>>,
     ci: Option<Vec<u8>>,
 }
 
@@ -167,14 +277,18 @@ impl SnapshotWriter {
         self
     }
 
-    /// Record the `EVENTS` section from the BTM's page rows: `(page id, row)`
-    /// for pages in strictly ascending id order (pages left out get empty
-    /// rows), each row its `(timestamp, author)` comments in that order. A
-    /// page or author id the name tables do not cover, a page out of order
-    /// or a row out of order is a writer-side [`StoreError::Corrupt`].
-    pub fn page_rows<R: IntoIterator<Item = (i64, u32)>>(
+    /// Record the `ROWS` section, and `META` from it, out of page rows laid
+    /// out as `PageRows` holds them: page `p`'s comments are
+    /// `off[p]..off[p + 1]` of `words`, which are narrow if `t0` is given —
+    /// one `(ts − t0) << 32 | author` word each — and wide if not: `ts as
+    /// u64`, then the author. Rows that would not pass open's checks (order,
+    /// author ids the name table covers, offsets, the layout and base the
+    /// timestamps' span picks) are a writer-side [`StoreError::Corrupt`].
+    pub fn page_rows(
         &mut self,
-        rows: impl IntoIterator<Item = (u32, R)>,
+        off: &[u64],
+        t0: Option<i64>,
+        words: &[u64],
     ) -> Result<&mut Self, StoreError> {
         let (Some((n_authors, _)), Some((n_pages, _))) = (&self.authors, &self.pages) else {
             return Err(StoreError::corrupt(
@@ -182,59 +296,16 @@ impl SnapshotWriter {
             ));
         };
         let (n_authors, n_pages) = (*n_authors, *n_pages);
-        let (mut len_col, mut ts_col, mut author_col) = (Vec::new(), Vec::new(), Vec::new());
-        let mut n_events = 0u64;
-        let mut next_page = 0u32;
-        let mut first = 0i64;
-        let (mut min_ts, mut max_ts) = (i64::MAX, i64::MIN);
-        for (p, row) in rows {
-            if p < next_page || p >= n_pages {
-                return Err(StoreError::corrupt(format!(
-                    "page id {p} out of order or >= {n_pages}"
-                )));
-            }
-            len_col.resize(len_col.len() + (p - next_page) as usize, 0);
-            next_page = p + 1;
-            let mut len = 0u64;
-            let mut prev = (i64::MIN, 0u32);
-            for (ts, a) in row {
-                if a >= n_authors || (ts, a) < prev {
-                    return Err(StoreError::corrupt(format!(
-                        "page {p}: comment {:?} follows {prev:?} or its author id is >= {n_authors}",
-                        (ts, a)
-                    )));
-                }
-                // Wrapping: a non-decreasing pair differs by less than 2^64,
-                // which is exactly what the wrapped difference read as `u64`
-                // holds, however far apart the two `i64`s are.
-                if len == 0 {
-                    varint::write_i64(&mut ts_col, ts.wrapping_sub(first));
-                    first = ts;
-                } else {
-                    varint::write_u64(&mut ts_col, ts.wrapping_sub(prev.0) as u64);
-                }
-                varint::write_u64(&mut author_col, u64::from(a));
-                prev = (ts, a);
-                len += 1;
-            }
-            if len > 0 {
-                (min_ts, max_ts) = (min_ts.min(first), max_ts.max(prev.0));
-            }
-            varint::write_u64(&mut len_col, len);
-            n_events += len;
+        let rows = Rows { t0, words };
+        let (min_ts, max_ts) = check_rows((n_authors, n_pages), off, rows)?;
+        let n_events = rows.len() as u64;
+        let layout = u64::from(if t0.is_some() { NARROW } else { WIDE });
+        let head = [layout, t0.unwrap_or(0) as u64, u64::from(n_pages), n_events];
+        let mut section = Vec::with_capacity(8 * (head.len() + off.len() + words.len()));
+        for w in head.iter().chain(off).chain(words) {
+            section.extend_from_slice(&w.to_le_bytes());
         }
-        len_col.resize(len_col.len() + (n_pages - next_page) as usize, 0);
-        if n_events == 0 {
-            (min_ts, max_ts) = (0, 0);
-        }
-
-        let mut section = Vec::new();
-        varint::write_u64(&mut section, n_events);
-        for col in [&len_col, &ts_col, &author_col] {
-            varint::write_u64(&mut section, col.len() as u64);
-            section.extend_from_slice(col);
-        }
-        self.events = Some(section);
+        self.rows = Some(section);
 
         let mut meta = Vec::new();
         varint::write_u64(&mut meta, u64::from(n_authors));
@@ -247,16 +318,34 @@ impl SnapshotWriter {
     }
 
     /// [`SnapshotWriter::page_rows`] for `(author, page, ts)` events in any
-    /// order: sorts a copy into page rows first, so it suits small inputs.
+    /// order: sorts a copy into page rows and packs them in the layout their
+    /// span picks, so it suits small inputs. A page id the name table does
+    /// not cover is a writer-side [`StoreError::Corrupt`].
     pub fn events(&mut self, events: &[(u32, u32, i64)]) -> Result<&mut Self, StoreError> {
+        let n_pages = self.pages.as_ref().map_or(0, |(n, _)| *n);
         let mut sorted: Vec<(u32, i64, u32)> =
             events.iter().map(|&(a, p, ts)| (p, ts, a)).collect();
         sorted.sort_unstable();
-        self.page_rows(
-            sorted
-                .chunk_by(|x, y| x.0 == y.0)
-                .map(|row| (row[0].0, row.iter().map(|&(_, ts, a)| (ts, a)))),
-        )
+        let mut off = vec![0u64; n_pages as usize + 1];
+        for &(p, ..) in &sorted {
+            *off.get_mut(p as usize + 1)
+                .ok_or_else(|| StoreError::corrupt(format!("page id {p} >= {n_pages}")))? += 1;
+        }
+        (1..off.len()).for_each(|p| off[p] += off[p - 1]);
+        let lo = sorted.iter().map(|e| e.1).min().unwrap_or(0);
+        let hi = sorted.iter().map(|e| e.1).max().unwrap_or(0);
+        let t0 = narrow_base(lo, hi);
+        let words: Vec<u64> = match t0 {
+            Some(t0) => sorted
+                .iter()
+                .map(|&(_, ts, a)| ((ts - t0) as u64) << 32 | u64::from(a))
+                .collect(),
+            None => sorted
+                .iter()
+                .flat_map(|&(_, ts, a)| [ts as u64, u64::from(a)])
+                .collect(),
+        };
+        self.page_rows(&off, t0, &words)
     }
 
     /// Attach a projected common-interaction graph: the `[d1, d2]` window it
@@ -292,7 +381,7 @@ impl SnapshotWriter {
 
     /// Assemble the full snapshot file image.
     pub fn to_bytes(&self) -> Result<Vec<u8>, StoreError> {
-        let (Some(meta), Some(events)) = (&self.meta, &self.events) else {
+        let (Some(meta), Some(rows)) = (&self.meta, &self.rows) else {
             return Err(StoreError::corrupt(
                 "snapshot writer: page_rows() never called",
             ));
@@ -304,28 +393,38 @@ impl SnapshotWriter {
             (kind::META, meta),
             (kind::AUTHOR_NAMES, authors),
             (kind::PAGE_NAMES, pages),
-            (kind::EVENTS, events),
+            (kind::ROWS, rows),
         ];
         if let Some(ci) = &self.ci {
             sections.push((kind::CI_GRAPH, ci));
         }
 
-        let header_len = 16 + sections.len() * 28;
-        let total: usize = header_len + sections.iter().map(|(_, s)| s.len()).sum::<usize>();
-        let mut out = Vec::with_capacity(total);
+        let dir_end = 16 + sections.len() * 28;
+        let body: usize = sections.iter().map(|(_, s)| s.len()).sum();
+        let mut out = Vec::with_capacity(dir_end + ROWS_HEADER + 7 + body);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-        let mut offset = header_len as u64;
-        for (k, s) in &sections {
-            out.extend_from_slice(&k.to_le_bytes());
-            out.extend_from_slice(&offset.to_le_bytes());
-            out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-            out.extend_from_slice(&checksum(s).to_le_bytes());
-            offset += s.len() as u64;
-        }
-        for (_, s) in &sections {
-            out.extend_from_slice(s);
+        out.resize(dir_end, 0);
+        for (i, (k, s)) in sections.iter().enumerate() {
+            let at = out.len();
+            if *k == kind::ROWS {
+                // pad the header so that the offsets start 8-aligned
+                let pad = (8 - (at + ROWS_HEADER) % 8) % 8;
+                out.extend_from_slice(&s[..ROWS_HEADER]);
+                out[at + 4..at + 8].copy_from_slice(&(pad as u32).to_le_bytes());
+                out.resize(out.len() + pad, 0);
+                out.extend_from_slice(&s[ROWS_HEADER..]);
+            } else {
+                out.extend_from_slice(s);
+            }
+            let entry = 16 + i * 28;
+            let len = (out.len() - at) as u64;
+            let sum = checksum(&out[at..]);
+            out[entry..entry + 4].copy_from_slice(&k.to_le_bytes());
+            out[entry + 4..entry + 12].copy_from_slice(&(at as u64).to_le_bytes());
+            out[entry + 12..entry + 20].copy_from_slice(&len.to_le_bytes());
+            out[entry + 20..entry + 28].copy_from_slice(&sum.to_le_bytes());
         }
         Ok(out)
     }
@@ -356,22 +455,93 @@ fn find_section<'d>(sections: &[Section], data: &'d [u8], k: u32) -> Option<&'d 
     Some(&data[s.range.0..s.range.1])
 }
 
+/// Where a validated `ROWS` section's offsets and rows lie in the file, and
+/// the narrow base (`None`: wide rows).
+struct RowsAt {
+    t0: Option<i64>,
+    off: Range<usize>,
+    rows: Range<usize>,
+}
+
+impl RowsAt {
+    /// Check the `ROWS` section at `data[at.0..at.1]` against `meta`.
+    fn parse(data: &[u8], at: (usize, usize), meta: &SnapshotMeta) -> Result<Self, StoreError> {
+        let section = &data[at.0..at.1];
+        let have = section.len() as u64;
+        let head = section.get(..ROWS_HEADER).ok_or(StoreError::Truncated {
+            what: "ROWS header",
+            need: ROWS_HEADER as u64,
+            have,
+        })?;
+        let word =
+            |i: usize| u64::from_le_bytes(head[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+        let (tag, pad) = (word(0) as u32, word(0) >> 32);
+        let t0 = match (tag, word(1) as i64) {
+            (NARROW, t0) => Some(t0),
+            (WIDE, 0) => None,
+            (_, t0) => return Err(StoreError::corrupt(format!("ROWS layout {tag}, base {t0}"))),
+        };
+        let width = if t0.is_some() { 1 } else { 2 };
+        if (word(2), word(3)) != (u64::from(meta.n_pages), meta.n_events) {
+            return Err(StoreError::corrupt("ROWS counts disagree with META"));
+        }
+        let start = at.0 + ROWS_HEADER + pad as usize;
+        if pad >= 8 || !start.is_multiple_of(8) {
+            return Err(StoreError::corrupt(format!(
+                "ROWS row offsets at file offset {start} are not 8-aligned"
+            )));
+        }
+        let need = (meta.n_events.checked_mul(width))
+            .and_then(|w| w.checked_add(u64::from(meta.n_pages) + 1))
+            .and_then(|w| w.checked_mul(8))
+            .and_then(|b| b.checked_add(ROWS_HEADER as u64 + pad))
+            .ok_or_else(|| StoreError::corrupt("ROWS size overflows"))?;
+        if have < need {
+            return Err(StoreError::Truncated {
+                what: "ROWS",
+                need,
+                have,
+            });
+        }
+        if have > need || section[ROWS_HEADER..start - at.0].iter().any(|&b| b != 0) {
+            return Err(StoreError::corrupt("ROWS has stray bytes"));
+        }
+        let off = start..start + 8 * (meta.n_pages as usize + 1);
+        let rows = off.end..at.1;
+        let view = Rows {
+            t0,
+            words: mmap::words(&data[rows.clone()])?,
+        };
+        let extremes = check_rows(
+            (meta.n_authors, meta.n_pages),
+            mmap::words(&data[off.clone()])?,
+            view,
+        )?;
+        if extremes != (meta.min_ts, meta.max_ts) {
+            return Err(StoreError::corrupt("timestamp extremes disagree with META"));
+        }
+        Ok(RowsAt { t0, off, rows })
+    }
+}
+
 /// A validated, opened snapshot. Accessors return borrowed views over the
 /// mapped (or owned) bytes; nothing is decoded into resident columns.
 pub struct Snapshot {
-    bytes: Bytes,
+    bytes: Arc<Bytes>,
     meta: SnapshotMeta,
     sections: Vec<Section>,
+    rows: RowsAt,
 }
 
 impl Snapshot {
     /// Map `path` and validate the entire file (see module docs).
     ///
-    /// The mapping stays valid only while the file keeps its length: the
-    /// caller must see to it that nothing truncates the file while the
-    /// `Snapshot` lives (writers replace a snapshot by rename, never in
-    /// place). A read past a truncation point is a `SIGBUS` this process
-    /// cannot turn into an error.
+    /// The mapping stays valid only while the file keeps its length and its
+    /// bytes: the caller must see to it that nothing truncates or rewrites
+    /// the file in place while the `Snapshot`, or rows borrowed from it,
+    /// live (writers replace a snapshot by rename, never in place). A read
+    /// past a truncation point is a `SIGBUS` this process cannot turn into an
+    /// error, and bytes rewritten after open were never validated.
     pub fn open(path: &Path) -> Result<Self, StoreError> {
         let _g = obs::span("snapshot.open");
         let bytes = Bytes::map_file(path)?;
@@ -379,9 +549,10 @@ impl Snapshot {
     }
 
     /// Open an in-memory image (tests, round-trips) with the same
-    /// validation as [`Snapshot::open`].
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, StoreError> {
-        Self::parse(Bytes::from_vec(bytes))
+    /// validation as [`Snapshot::open`]. The image is copied to an 8-aligned
+    /// address first, so any buffer opens as its file would.
+    pub fn from_bytes(bytes: impl AsRef<[u8]>) -> Result<Self, StoreError> {
+        Self::parse(Bytes::copy_from(bytes.as_ref()))
     }
 
     fn section(&self, k: u32) -> Option<&[u8]> {
@@ -477,11 +648,9 @@ impl Snapshot {
             )));
         }
 
-        let get = |k: u32| {
-            find_section(&sections, data, k).ok_or_else(|| {
-                StoreError::corrupt(format!("missing mandatory section {}", kind::name(k)))
-            })
-        };
+        let missing =
+            |k: u32| StoreError::corrupt(format!("missing mandatory section {}", kind::name(k)));
+        let get = |k: u32| find_section(&sections, data, k).ok_or_else(|| missing(k));
 
         // META
         let meta_bytes = get(kind::META)?;
@@ -497,7 +666,7 @@ impl Snapshot {
             return Err(StoreError::corrupt("META has trailing bytes"));
         }
 
-        // Name tables
+        let names = obs::span("snapshot.validate.names");
         let counts = [
             (kind::AUTHOR_NAMES, meta.n_authors),
             (kind::PAGE_NAMES, meta.n_pages),
@@ -513,9 +682,13 @@ impl Snapshot {
             }
             view.validate()?;
         }
+        drop(names);
 
-        // Page rows: full decode sweep.
-        EventsView::parse(get(kind::EVENTS)?)?.validate(&meta)?;
+        let rows = {
+            let _g = obs::span("snapshot.validate.rows");
+            let at = sections.iter().find(|s| s.kind == kind::ROWS);
+            RowsAt::parse(data, at.ok_or_else(|| missing(kind::ROWS))?.range, &meta)?
+        };
 
         // Optional CI graph.
         if let Some(section) = find_section(&sections, data, kind::CI_GRAPH) {
@@ -531,9 +704,10 @@ impl Snapshot {
         }
 
         Ok(Snapshot {
-            bytes,
+            bytes: Arc::new(bytes),
             meta,
             sections,
+            rows,
         })
     }
 
@@ -557,9 +731,23 @@ impl Snapshot {
         NamesView::parse(self.require(kind::PAGE_NAMES)).expect("validated at open")
     }
 
-    /// The page rows: every page's `(timestamp, author)` comments.
+    /// The page rows: every page's `(timestamp, author)` comments, read off
+    /// the file's words in place.
     pub fn events(&self) -> EventsView<'_> {
-        EventsView::parse(self.require(kind::EVENTS)).expect("validated at open")
+        let words =
+            |r: &Range<usize>| mmap::words(&self.bytes[r.clone()]).expect("validated at open");
+        let (off, t0, words) = (words(&self.rows.off), self.rows.t0, words(&self.rows.rows));
+        let rows = Rows { t0, words };
+        EventsView { off, rows }
+    }
+
+    /// The narrow rows as `(t0, words)` for a `PageRows` to borrow: the words
+    /// share this snapshot's bytes and keep them alive. `None` for a file
+    /// whose rows are wide.
+    pub fn narrow_words(&self) -> Option<(i64, Words)> {
+        let t0 = self.rows.t0?;
+        let words = Words::new(Arc::clone(&self.bytes), self.rows.rows.clone());
+        Some((t0, words.expect("validated at open")))
     }
 
     /// The embedded projected CI graph, if the writer attached one.
@@ -571,14 +759,10 @@ impl Snapshot {
     /// Human-readable summary for `snapshot inspect`.
     pub fn describe(&self) -> String {
         let m = &self.meta;
-        let events = self.events();
-        let (mut non_empty, mut longest) = (0u32, 0u64);
-        let mut pos = 0;
-        while pos < events.row_len.len() {
-            let len = varint::read_u64(events.row_len, &mut pos).expect("validated at open");
-            non_empty += u32::from(len > 0);
-            longest = longest.max(len);
-        }
+        let lens = self.events().off.windows(2).map(|w| w[1] - w[0]);
+        let (non_empty, longest) = lens.fold((0u32, 0u64), |(n, l), len| {
+            (n + u32::from(len > 0), l.max(len))
+        });
         let mut out = format!(
             "snapshot v{VERSION} ({} bytes, {})\n  authors: {}\n  pages:   {} ({non_empty} with comments, longest row {longest})\n  events:  {} spanning ts [{}, {}]\n",
             self.bytes.len(),
@@ -593,12 +777,13 @@ impl Snapshot {
             let (name, len) = (kind::name(s.kind), s.range.1 - s.range.0);
             out.push_str(&format!("  section {name:<13} {len} bytes\n"));
         }
-        let per_event = |col: &[u8]| col.len() as f64 / m.n_events.max(1) as f64;
+        let per_event = self.require(kind::ROWS).len() as f64 / m.n_events.max(1) as f64;
+        let layout = match self.rows.t0 {
+            Some(t0) => format!("narrow, 8 B per comment from t0 {t0}"),
+            None => "wide, 16 B per comment".to_string(),
+        };
         out.push_str(&format!(
-            "  events columns: row_len {:.2} + ts {:.2} + author {:.2} bytes per event\n",
-            per_event(events.row_len),
-            per_event(events.ts),
-            per_event(events.authors),
+            "  rows:    {layout}; ROWS {per_event:.2} B per event\n"
         ));
         if let Some(ci) = self.ci_graph() {
             out.push_str(&format!(
@@ -723,20 +908,96 @@ impl<'a> NamesView<'a> {
         (0..self.count).map(move |i| self.get(i))
     }
 
-    /// Linear-scan lookup of `name` → dense id. O(n); fine for resolving a
-    /// handful of exclusion names without materializing an interner.
+    /// `name`'s dense id, by one walk of the end-offset table that compares
+    /// bytes only for names of `name`'s length — no name is decoded or
+    /// hashed, so resolving a handful of exclusion names costs a pass over
+    /// 4 B per name.
     pub fn find(&self, name: &str) -> Option<u32> {
-        (0..self.count).find(|&i| self.get(i) == name)
+        let want = name.as_bytes();
+        let mut lo = 0;
+        for (id, end) in self.ends.chunks_exact(4).enumerate() {
+            let hi = u32::from_le_bytes(end.try_into().expect("4-byte slot")) as usize;
+            if hi - lo == want.len() && self.bytes[lo..hi] == *want {
+                return Some(id as u32);
+            }
+            lo = hi;
+        }
+        None
     }
 }
 
-/// Borrowed view over the `EVENTS` page rows.
+/// Borrowed view over the `ROWS` page rows: the file's words, read in place.
 #[derive(Clone, Copy)]
 pub struct EventsView<'a> {
-    n: u64,
-    row_len: &'a [u8],
-    ts: &'a [u8],
-    authors: &'a [u8],
+    off: &'a [u64],
+    rows: Rows<'a>,
+}
+
+impl<'a> EventsView<'a> {
+    /// Number of events.
+    pub fn len(&self) -> u64 {
+        self.rows.len() as u64
+    }
+
+    /// Whether the table is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `n_pages + 1` row offsets: page `p`'s comments are
+    /// `off[p]..off[p + 1]` of [`EventsView::iter`].
+    pub fn offsets(&self) -> &'a [u64] {
+        self.off
+    }
+
+    /// Comments `lo..hi` of [`EventsView::iter`]: the page holding `lo` is
+    /// found in the offsets, later page boundaries are stepped over.
+    fn between(self, lo: u64, hi: u64) -> impl Iterator<Item = (u32, u32, i64)> + 'a {
+        let off = self.off;
+        let mut page = off.partition_point(|&o| o <= lo) - 1;
+        (lo..hi).map(move |i| {
+            while off[page + 1] <= i {
+                page += 1;
+            }
+            let (ts, a) = self.rows.comment(i as usize);
+            (a, page as u32, ts)
+        })
+    }
+
+    /// Every comment as `(author, page, ts)`, page by page and in
+    /// `(ts, author)` order within a page.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, u32, i64)> + 'a {
+        self.between(0, self.len())
+    }
+
+    /// The half-open event-index range `rank` owns under a block partition of
+    /// `0..len()` across `nranks` ranks — same tiling as
+    /// `ygm::partition::block_range`, duplicated here so the store stays
+    /// below the runtime in the dependency graph. Ranges tile the event space
+    /// exactly: disjoint, in order, covering every index.
+    pub fn rank_range(&self, rank: usize, nranks: usize) -> std::ops::Range<u64> {
+        assert!(nranks > 0, "rank_range needs at least one rank");
+        assert!(rank < nranks, "rank {rank} out of range for {nranks} ranks");
+        let n = self.len();
+        let per = n.div_ceil(nranks as u64);
+        let lo = (rank as u64 * per).min(n);
+        let hi = ((rank as u64 + 1) * per).min(n);
+        lo..hi
+    }
+
+    /// Only this rank's block of [`EventsView::iter`], which the distributed
+    /// pipeline reads: every rank reads its `rank_range` of the same mapping,
+    /// starting at the page the offsets say holds its first comment — no
+    /// copy, no prefix read and thrown away. A block is a run of whole pages
+    /// plus at most two split ones.
+    pub fn rank_slice(
+        &self,
+        rank: usize,
+        nranks: usize,
+    ) -> impl Iterator<Item = (u32, u32, i64)> + 'a {
+        let r = self.rank_range(rank, nranks);
+        self.between(r.start, r.end)
+    }
 }
 
 /// The column at `*pos`: a byte-length varint, then that many bytes.
@@ -753,232 +1014,6 @@ fn read_column<'a>(section: &'a [u8], pos: &mut usize) -> Result<&'a [u8], Store
     })?;
     *pos = end;
     Ok(column)
-}
-
-impl<'a> EventsView<'a> {
-    fn parse(section: &'a [u8]) -> Result<Self, StoreError> {
-        let mut pos = 0;
-        let view = EventsView {
-            n: varint::read_u64(section, &mut pos)?,
-            row_len: read_column(section, &mut pos)?,
-            ts: read_column(section, &mut pos)?,
-            authors: read_column(section, &mut pos)?,
-        };
-        if pos != section.len() {
-            return Err(StoreError::corrupt("EVENTS has trailing bytes"));
-        }
-        Ok(view)
-    }
-
-    /// The sweep that makes every later decode infallible: one row per page
-    /// id, rows summing to the declared count, every author id in range,
-    /// every row in `(timestamp, author)` order with no timestamp leaving
-    /// `i64`, each column consumed to its last byte, and the extremes `META`
-    /// recorded.
-    fn validate(&self, meta: &SnapshotMeta) -> Result<(), StoreError> {
-        if self.n != meta.n_events {
-            return Err(StoreError::corrupt(format!(
-                "EVENTS declares {} events, META {}",
-                self.n, meta.n_events
-            )));
-        }
-        let mut rows = self.rows();
-        let mut total = 0u64;
-        let (mut min_ts, mut max_ts) = (i64::MAX, i64::MIN);
-        while let Some((p, len)) = rows.try_next_row()? {
-            // A forged length cannot loop for long: the columns run out.
-            total = total.saturating_add(len);
-            // Timestamps cannot decrease along a row (their differences are
-            // unsigned); among equal ones the authors must not either.
-            let mut prev = (i64::MIN, 0u32);
-            for i in 0..len {
-                let (ts, a) = rows.try_next()?;
-                if a >= meta.n_authors {
-                    return Err(StoreError::corrupt(format!(
-                        "page {p} author id {a} >= {}",
-                        meta.n_authors
-                    )));
-                }
-                if prev.0 == ts && prev.1 > a {
-                    return Err(StoreError::corrupt(format!(
-                        "page {p}: author {a} follows {} at timestamp {ts}",
-                        prev.1
-                    )));
-                }
-                if i == 0 {
-                    min_ts = min_ts.min(ts);
-                }
-                prev = (ts, a);
-            }
-            if len > 0 {
-                max_ts = max_ts.max(prev.0);
-            }
-        }
-        if rows.page != meta.n_pages || total != self.n {
-            return Err(StoreError::corrupt(format!(
-                "EVENTS holds {} rows of {total} comments, META declares {} pages and {} events",
-                rows.page, meta.n_pages, self.n
-            )));
-        }
-        if rows.ts_at != self.ts.len() || rows.author_at != self.authors.len() {
-            return Err(StoreError::corrupt("EVENTS column has trailing bytes"));
-        }
-        if total == 0 {
-            (min_ts, max_ts) = (0, 0);
-        }
-        if (min_ts, max_ts) != (meta.min_ts, meta.max_ts) {
-            return Err(StoreError::corrupt("timestamp extremes disagree with META"));
-        }
-        Ok(())
-    }
-
-    /// Number of events.
-    pub fn len(&self) -> u64 {
-        self.n
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// A cursor over the rows, positioned before page 0's.
-    pub fn rows(&self) -> RowCursor<'a> {
-        RowCursor {
-            row_len: self.row_len,
-            ts: self.ts,
-            authors: self.authors,
-            ..RowCursor::default()
-        }
-    }
-
-    /// Decode every comment as `(author, page, ts)`, page by page and in
-    /// `(ts, author)` order within a page.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u32, i64)> + 'a {
-        let mut rows = self.rows();
-        let mut page = 0;
-        std::iter::from_fn(move || loop {
-            if let Some((ts, a)) = rows.next() {
-                return Some((a, page, ts));
-            }
-            page = rows.next_row()?.0;
-        })
-    }
-
-    /// The half-open event-index range `rank` owns under a block partition of
-    /// `0..len()` across `nranks` ranks — same tiling as
-    /// `ygm::partition::block_range`, duplicated here so the store stays
-    /// below the runtime in the dependency graph. Ranges tile the event space
-    /// exactly: disjoint, in order, covering every index.
-    pub fn rank_range(&self, rank: usize, nranks: usize) -> std::ops::Range<u64> {
-        assert!(nranks > 0, "rank_range needs at least one rank");
-        assert!(rank < nranks, "rank {rank} out of range for {nranks} ranks");
-        let per = self.n.div_ceil(nranks as u64);
-        let lo = (rank as u64 * per).min(self.n);
-        let hi = ((rank as u64 + 1) * per).min(self.n);
-        lo..hi
-    }
-
-    /// Decode only this rank's block of [`EventsView::iter`].
-    ///
-    /// This is the rank-slice view the distributed pipeline reads: every rank
-    /// holds the *same* `EventsView` over the *same* mmap (the view is `Copy`
-    /// and borrows the file), and each decodes just its `rank_range` — no
-    /// per-rank copy of the event columns is ever materialized. A block is a
-    /// run of whole pages plus at most two split ones, so nearly all of a
-    /// rank's events go to one owner after another. The columns are
-    /// delta/varint coded, so slicing skips (decodes and discards) the
-    /// prefix; that scan is branch-light and memory-sequential, and in
-    /// practice is a small constant of the rank's own decode work.
-    pub fn rank_slice(
-        &self,
-        rank: usize,
-        nranks: usize,
-    ) -> impl Iterator<Item = (u32, u32, i64)> + 'a {
-        let r = self.rank_range(rank, nranks);
-        self.iter()
-            .skip(r.start as usize)
-            .take((r.end - r.start) as usize)
-    }
-}
-
-/// Walks the `EVENTS` rows in page-id order: [`RowCursor::next_row`] moves to
-/// the next page's row, and the cursor then iterates that row's
-/// `(timestamp, author)` comments, ending where the row does.
-#[derive(Default)]
-pub struct RowCursor<'a> {
-    row_len: &'a [u8],
-    ts: &'a [u8],
-    authors: &'a [u8],
-    len_at: usize,
-    ts_at: usize,
-    author_at: usize,
-    /// Id of the next row `next_row` will open.
-    page: u32,
-    /// Comments of the current row not yet read.
-    left: u64,
-    /// Whether the next comment is the first of its row.
-    row_start: bool,
-    /// First timestamp of the latest non-empty row.
-    first: i64,
-    /// Timestamp of the latest comment.
-    now: i64,
-}
-
-/// `i64` onto `u64`, order-preserving, and back.
-const SIGN: u64 = 1 << 63;
-
-impl RowCursor<'_> {
-    fn try_next_row(&mut self) -> Result<Option<(u32, u64)>, StoreError> {
-        while self.left > 0 {
-            self.try_next()?;
-        }
-        if self.len_at == self.row_len.len() {
-            return Ok(None);
-        }
-        self.left = varint::read_u64(self.row_len, &mut self.len_at)?;
-        self.row_start = true;
-        let page = self.page;
-        self.page = page
-            .checked_add(1)
-            .ok_or_else(|| StoreError::corrupt("more rows than page ids"))?;
-        Ok(Some((page, self.left)))
-    }
-
-    /// The current row's next comment; the caller has checked `left > 0`.
-    fn try_next(&mut self) -> Result<(i64, u32), StoreError> {
-        self.now = if std::mem::take(&mut self.row_start) {
-            let delta = varint::read_i64(self.ts, &mut self.ts_at)?;
-            self.first = self.first.wrapping_add(delta);
-            self.first
-        } else {
-            // In the unsigned image of `i64` a non-negative step of any size
-            // either lands on a valid timestamp or overflows, checked here.
-            let delta = varint::read_u64(self.ts, &mut self.ts_at)?;
-            let next = (self.now as u64 ^ SIGN)
-                .checked_add(delta)
-                .ok_or_else(|| StoreError::corrupt("timestamp overflows i64"))?;
-            (next ^ SIGN) as i64
-        };
-        let author = varint::read_u32(self.authors, &mut self.author_at)?;
-        self.left -= 1;
-        Ok((self.now, author))
-    }
-
-    /// Move to the next page id's row, skipping whatever of the current one
-    /// is unread: `(page id, comments in its row)`, `None` after the last
-    /// page.
-    pub fn next_row(&mut self) -> Option<(u32, u64)> {
-        self.try_next_row().expect("validated at open")
-    }
-}
-
-impl Iterator for RowCursor<'_> {
-    type Item = (i64, u32);
-
-    fn next(&mut self) -> Option<(i64, u32)> {
-        (self.left > 0).then(|| self.try_next().expect("validated at open"))
-    }
 }
 
 /// Borrowed view over the optional projected CI-graph section.
@@ -1059,18 +1094,19 @@ mod tests {
         );
         assert_eq!(snap.author_names().find("carol"), Some(2));
         assert_eq!(snap.author_names().find("mallory"), None);
+        // same length as a stored name, and a prefix of one
+        assert_eq!(snap.author_names().find("bot"), None);
+        assert_eq!(snap.author_names().find("ali"), None);
         let evs: Vec<_> = snap.events().iter().collect();
         assert_eq!(
             evs,
             vec![(0, 0, 100), (1, 0, 100), (2, 1, 101), (0, 1, 105)]
         );
-        let mut rows = snap.events().rows();
-        assert_eq!(rows.next_row(), Some((0, 2)));
-        assert_eq!(rows.next(), Some((100, 0)));
-        // the unread rest of a row is skipped
-        assert_eq!(rows.next_row(), Some((1, 2)));
-        assert_eq!(rows.by_ref().collect::<Vec<_>>(), [(101, 2), (105, 0)]);
-        assert_eq!((rows.next(), rows.next_row()), (None, None));
+        assert_eq!(snap.events().offsets(), [0, 2, 4]);
+        // the stored words are `PageRows`' own: (ts − t0) << 32 | author
+        let (t0, words) = snap.narrow_words().unwrap();
+        assert_eq!(t0, 100);
+        assert_eq!(*words, [0, 1, 1 << 32 | 2, 5 << 32]);
         let ci = snap.ci_graph().unwrap();
         assert_eq!((ci.d1, ci.d2), (-60, 60));
         assert_eq!(ci.page_counts(), vec![2, 1, 1]);
@@ -1080,16 +1116,51 @@ mod tests {
         );
     }
 
+    /// Either layout round-trips, and `describe` says which one it is.
+    #[test]
+    fn wide_rows_round_trip_and_each_layout_describes_itself() {
+        let mut w = SnapshotWriter::new();
+        w.authors(["a", "b"].into_iter());
+        w.pages(["p", "q"].into_iter());
+        let events = [(0, 1, i64::MAX), (1, 0, -1), (0, 0, i64::MIN), (1, 0, -1)];
+        w.events(&events).unwrap();
+        let snap = Snapshot::from_bytes(w.to_bytes().unwrap()).unwrap();
+        assert!(snap.narrow_words().is_none());
+        assert_eq!(
+            snap.events().iter().collect::<Vec<_>>(),
+            [(0, 0, i64::MIN), (1, 0, -1), (1, 0, -1), (0, 1, i64::MAX)]
+        );
+        assert!(snap.describe().contains("rows:    wide, 16 B per comment"));
+        let narrow = Snapshot::from_bytes(sample()).unwrap().describe();
+        assert!(narrow.contains("rows:    narrow, 8 B per comment from t0 100"));
+    }
+
+    /// Nothing assumes the caller's buffer is aligned: an image whose first
+    /// byte sits at an odd address opens, its words borrowed from an
+    /// 8-aligned copy.
+    #[test]
+    fn an_image_at_an_odd_address_opens() {
+        let image = sample();
+        let mut buf = vec![0u8; image.len() + 1];
+        let skew = 1 - buf.as_ptr() as usize % 2;
+        buf[skew..skew + image.len()].copy_from_slice(&image);
+        let odd = &buf[skew..skew + image.len()];
+        assert_eq!(odd.as_ptr() as usize % 2, 1);
+        let snap = Snapshot::from_bytes(odd).unwrap();
+        assert_eq!(snap.events().iter().count(), 4);
+        assert_eq!(snap.narrow_words().unwrap().1.as_ptr() as usize % 8, 0);
+    }
+
     #[test]
     fn rank_slices_tile_the_event_table() {
-        // Larger table than `sample()` so blocks span several varint runs.
+        // Larger table than `sample()`, with empty pages between full ones.
         let mut w = SnapshotWriter::new();
         let author_names: Vec<String> = (0..37).map(|i| format!("a{i}")).collect();
-        let page_names: Vec<String> = (0..11).map(|i| format!("p{i}")).collect();
+        let page_names: Vec<String> = (0..15).map(|i| format!("p{i}")).collect();
         w.authors(author_names.iter().map(String::as_str));
         w.pages(page_names.iter().map(String::as_str));
         let events: Vec<(u32, u32, i64)> = (0..997u32)
-            .map(|i| (i % 37, i % 11, i64::from(i / 3)))
+            .map(|i| (i % 37, i % 11 + i % 2 * 3, i64::from(i / 3)))
             .collect();
         w.events(&events).unwrap();
         let snap = Snapshot::from_bytes(w.to_bytes().unwrap()).unwrap();
@@ -1118,21 +1189,38 @@ mod tests {
     }
 
     #[test]
-    fn unsorted_or_out_of_range_rows_are_writer_errors() {
+    fn rows_open_would_refuse_are_writer_errors() {
         let mut w = SnapshotWriter::new();
         w.authors(["a", "b"].into_iter());
         w.pages(["p", "q"].into_iter());
-        for bad in [
-            vec![(0, vec![(10, 0), (5, 0)])],             // time runs backwards
-            vec![(0, vec![(10, 1), (10, 0)])],            // authors do, at one time
-            vec![(0, vec![(10, 2)])],                     // author id
-            vec![(2, vec![(10, 0)])],                     // page id
-            vec![(1, vec![(10, 0)]), (1, vec![])],        // page repeated
-            vec![(1, vec![(10, 0)]), (0, vec![(10, 0)])], // pages descend
+        let s = 1u64 << 32; // one second
+        for (why, off, t0, words) in [
+            ("time runs backwards", vec![0, 2, 2], Some(10), vec![s, 0]),
+            (
+                "authors do, at one time",
+                vec![0, 2, 2],
+                Some(10),
+                vec![1, 0],
+            ),
+            ("author id", vec![0, 1, 1], Some(10), vec![2]),
+            ("offsets for one page", vec![0, 1], Some(10), vec![0]),
+            (
+                "offsets short of the rows",
+                vec![0, 1, 1],
+                Some(10),
+                vec![0, 1],
+            ),
+            ("offsets descend", vec![0, 2, 1], Some(10), vec![0]),
+            ("base not the least time", vec![0, 1, 1], Some(9), vec![s]),
+            ("wide where narrow fits", vec![0, 1, 1], None, vec![10, 0]),
+            ("half a wide comment", vec![0, 1, 1], None, vec![10]),
         ] {
             assert!(
-                matches!(w.page_rows(bad.clone()), Err(StoreError::Corrupt { .. })),
-                "{bad:?}"
+                matches!(
+                    w.page_rows(&off, t0, &words),
+                    Err(StoreError::Corrupt { .. })
+                ),
+                "{why}"
             );
         }
         assert!(matches!(
@@ -1215,7 +1303,7 @@ mod tests {
         let bytes = sample();
         for cut in 0..bytes.len() {
             assert!(
-                Snapshot::from_bytes(bytes[..cut].to_vec()).is_err(),
+                Snapshot::from_bytes(&bytes[..cut]).is_err(),
                 "prefix of {cut} bytes must not open"
             );
         }
@@ -1234,101 +1322,150 @@ mod tests {
         ));
     }
 
-    /// A two-author, two-page, three-comment image (`META` says timestamps
-    /// 10 to 20) whose `EVENTS` section is replaced by the given raw varint
-    /// columns — valid checksums, so only the structural sweep can object.
+    /// Recompute every directory checksum over the bytes it addresses.
+    fn reseal(bytes: &mut [u8]) {
+        let n = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        for entry in (0..n).map(|i| 16 + i * 28) {
+            let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            let (lo, len) = (field(entry + 4) as usize, field(entry + 12) as usize);
+            let sum = checksum(&bytes[lo..lo + len]);
+            bytes[entry + 20..entry + 28].copy_from_slice(&sum.to_le_bytes());
+        }
+    }
+
+    /// Comments at 10, 10 and 20 s: narrow rows on base 10.
+    const NEAR: [(u32, u32, i64); 3] = [(0, 0, 10), (1, 0, 10), (0, 1, 20)];
+    /// The same three across all of `i64`: wide rows.
+    const FAR: [(u32, u32, i64); 3] = [(0, 0, i64::MIN), (1, 0, i64::MIN), (0, 1, i64::MAX)];
+
+    /// A two-author, three-page image whose `META` is `events`' and whose
+    /// `ROWS` section is forged: the given layout tag and base, `skew` zero
+    /// bytes more than the alignment needs, then `off` and `words` — valid
+    /// checksums, so only the structural check can object.
     fn forged_rows(
-        n_events: u64,
-        row_len: &[u64],
-        ts: &[u64],
-        authors: &[u64],
+        events: &[(u32, u32, i64)],
+        (layout, t0): (u32, i64),
+        skew: usize,
+        off: &[u64],
+        words: &[u64],
     ) -> Result<Snapshot, StoreError> {
         let mut w = SnapshotWriter::new();
         w.authors(["a", "b"].into_iter());
-        w.pages(["p", "q"].into_iter());
-        w.events(&[(0, 0, 10), (1, 0, 10), (0, 1, 20)]).unwrap();
-        let mut section = Vec::new();
-        varint::write_u64(&mut section, n_events);
-        for col in [row_len, ts, authors] {
-            let mut bytes = Vec::new();
-            col.iter().for_each(|&v| varint::write_u64(&mut bytes, v));
-            varint::write_u64(&mut section, bytes.len() as u64);
-            section.extend_from_slice(&bytes);
-        }
-        w.events = Some(section);
-        Snapshot::from_bytes(w.to_bytes().unwrap())
+        w.pages(["p", "q", "r"].into_iter());
+        w.events(events).unwrap();
+        let head = [u64::from(layout), t0 as u64, 3, events.len() as u64];
+        let mut section: Vec<u8> = head.iter().flat_map(|w| w.to_le_bytes()).collect();
+        section.resize(section.len() + skew, 0);
+        off.iter()
+            .chain(words)
+            .for_each(|v| section.extend_from_slice(&v.to_le_bytes()));
+        w.rows = Some(section);
+        let mut bytes = w.to_bytes().unwrap();
+        let rows_entry = 16 + 3 * 28;
+        let at = u64::from_le_bytes(bytes[rows_entry + 4..rows_entry + 12].try_into().unwrap());
+        let pad = &mut bytes[at as usize + 4..at as usize + 8];
+        let skewed = u32::from_le_bytes((&*pad).try_into().unwrap()) + skew as u32;
+        pad.copy_from_slice(&skewed.to_le_bytes());
+        reseal(&mut bytes);
+        Snapshot::from_bytes(bytes)
     }
 
     #[test]
     fn forged_rows_are_corrupt_behind_a_valid_checksum() {
-        // zigzag(10) = 20: page 0 starts at 10, page 1 ten later
-        let honest = forged_rows(3, &[2, 1], &[20, 0, 20], &[0, 1, 0]).unwrap();
-        assert_eq!(
-            honest.events().iter().collect::<Vec<_>>(),
-            [(0, 0, 10), (1, 0, 10), (0, 1, 20)]
-        );
+        let s = 1u64 << 32; // one second
+        let near = [0, 1, 10 * s];
+        let far = [i64::MIN as u64, 0, i64::MIN as u64, 1, i64::MAX as u64, 0];
+        let honest = forged_rows(&NEAR, (NARROW, 10), 0, &[0, 2, 3, 3], &near).unwrap();
+        assert_eq!(honest.events().iter().collect::<Vec<_>>(), NEAR);
+        let honest = forged_rows(&FAR, (WIDE, 0), 0, &[0, 2, 3, 3], &far).unwrap();
+        assert_eq!(honest.events().iter().collect::<Vec<_>>(), FAR);
+
+        let narrow =
+            |t0, off: &[u64], words: &[u64]| forged_rows(&NEAR, (NARROW, t0), 0, off, words);
         for (why, forged) in [
             (
-                "authors descend at one timestamp",
-                forged_rows(3, &[2, 1], &[20, 0, 20], &[1, 0, 0]),
+                "an unsorted row",
+                narrow(10, &[0, 2, 3, 3], &[1, 0, 10 * s]),
+            ),
+            (
+                "time runs backwards",
+                narrow(10, &[0, 2, 3, 3], &[s, 0, 10 * s]),
             ),
             (
                 "author id out of range",
-                forged_rows(3, &[2, 1], &[20, 0, 20], &[0, 2, 0]),
+                narrow(10, &[0, 2, 3, 3], &[0, 2, 10 * s]),
+            ),
+            ("offsets decrease", narrow(10, &[0, 2, 1, 3], &near)),
+            ("offsets overrun", narrow(10, &[0, 4, 3, 3], &near)),
+            ("offsets end short", narrow(10, &[0, 2, 3, 2], &near)),
+            ("offsets start late", narrow(10, &[1, 2, 3, 3], &near)),
+            (
+                "t0 + offset leaves i64",
+                narrow(i64::MAX - 5, &[0, 2, 3, 3], &near),
             ),
             (
-                "rows hold more than declared",
-                forged_rows(3, &[3, 1], &[20, 0, 0, 20], &[0, 1, 1, 0]),
+                "the base is not the least time",
+                narrow(5, &[0, 2, 3, 3], &[5 * s, 5 * s + 1, 15 * s]),
             ),
             (
-                "rows hold fewer than declared",
-                forged_rows(3, &[2, 0], &[20, 0], &[0, 1]),
+                "last time is not META's",
+                narrow(10, &[0, 2, 3, 3], &[0, 1, 12 * s]),
             ),
             (
-                "a row short",
-                forged_rows(3, &[3], &[20, 0, 10], &[0, 1, 0]),
+                "a narrow tag on a span that needs wide",
+                forged_rows(
+                    &FAR,
+                    (NARROW, i64::MIN),
+                    0,
+                    &[0, 2, 3, 3],
+                    &[0, 1, u64::from(u32::MAX) << 32],
+                ),
             ),
             (
-                "a row too many",
-                forged_rows(3, &[2, 1, 0], &[20, 0, 20], &[0, 1, 0]),
+                "a wide tag on a span that fits narrow",
+                forged_rows(&NEAR, (WIDE, 0), 0, &[0, 2, 3, 3], &[10, 0, 10, 1, 20, 0]),
             ),
             (
-                "count disagrees with META",
-                forged_rows(2, &[2, 0], &[20, 0], &[0, 1]),
+                "a wide tag with a base",
+                forged_rows(&FAR, (WIDE, 1), 0, &[0, 2, 3, 3], &far),
             ),
             (
-                "last timestamp is not META's",
-                forged_rows(3, &[2, 1], &[20, 0, 22], &[0, 1, 0]),
+                "an unknown layout tag",
+                forged_rows(&NEAR, (3, 10), 0, &[0, 2, 3, 3], &near),
             ),
             (
-                "first timestamp is not META's",
-                forged_rows(3, &[2, 1], &[18, 1, 22], &[0, 1, 0]),
+                "nonzero wide padding",
+                forged_rows(
+                    &FAR,
+                    (WIDE, 0),
+                    0,
+                    &[0, 2, 3, 3],
+                    &[far[0], 1 << 32, far[2], 1, far[4], 0],
+                ),
             ),
             (
-                "timestamp leaves i64",
-                forged_rows(3, &[2, 1], &[u64::MAX - 1, 1, 0], &[0, 1, 0]),
+                "a row array not 8-aligned",
+                forged_rows(&NEAR, (NARROW, 10), 1, &[0, 2, 3, 3], &near),
             ),
             (
-                "unread author bytes",
-                forged_rows(3, &[2, 1], &[20, 0, 20], &[0, 1, 0, 0]),
+                "a row array padded a word too far",
+                forged_rows(&NEAR, (NARROW, 10), 8, &[0, 2, 3, 3], &near),
             ),
             (
-                "unread timestamp bytes",
-                forged_rows(3, &[2, 1], &[20, 0, 20, 0], &[0, 1, 0]),
-            ),
-            (
-                "author column runs out",
-                forged_rows(3, &[2, 1], &[20, 0, 20], &[0, 1]),
+                "a comment too many",
+                narrow(10, &[0, 2, 3, 3], &[0, 1, 10 * s, 10 * s]),
             ),
         ] {
             assert!(
-                matches!(
-                    forged,
-                    Err(StoreError::Corrupt { .. } | StoreError::Truncated { .. })
-                ),
-                "{why}"
+                matches!(forged, Err(StoreError::Corrupt { .. })),
+                "{why}: {:?}",
+                forged.err()
             );
         }
+        assert!(matches!(
+            narrow(10, &[0, 2, 3, 3], &near[..2]),
+            Err(StoreError::Truncated { what: "ROWS", .. })
+        ));
     }
 
     #[test]

@@ -49,17 +49,20 @@ fn crafted_name_table_should_not_panic() {
     pages.extend_from_slice(&1u32.to_le_bytes());
     pages.push(b'p');
 
-    // EVENTS: no comments; one page, so one zero in the row_len column.
-    let mut events = Vec::new();
-    varint(&mut events, 0);
-    varint(&mut events, 1);
-    events.push(0);
-    for _ in 0..2 {
-        varint(&mut events, 0);
-    }
+    // ROWS: narrow layout, no comments; one page, so two zero offsets after
+    // the 32-byte header, padded to start 8-aligned in the file.
+    let header_len = 16 + 4 * 28;
+    let rows_at = header_len + meta.len() + names.len() + pages.len();
+    let pad = (8 - (rows_at + 32) % 8) % 8;
+    let mut rows = Vec::new();
+    rows.extend_from_slice(&1u32.to_le_bytes()); // narrow
+    rows.extend_from_slice(&(pad as u32).to_le_bytes());
+    rows.extend_from_slice(&0i64.to_le_bytes()); // t0
+    rows.extend_from_slice(&1u64.to_le_bytes()); // n_pages
+    rows.extend_from_slice(&0u64.to_le_bytes()); // n_events
+    rows.resize(rows.len() + pad + 16, 0);
 
-    let sections: Vec<(u32, &[u8])> = vec![(1, &meta), (2, &names), (3, &pages), (4, &events)];
-    let header_len = 16 + sections.len() * 28;
+    let sections: Vec<(u32, &[u8])> = vec![(1, &meta), (2, &names), (3, &pages), (7, &rows)];
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());

@@ -1,8 +1,8 @@
 //! Property suite for the snapshot container: write → open is lossless
-//! (names keep their dense ids, events come back exactly), and arbitrarily
-//! damaged bytes — bit flips, truncations, forged headers, multi-byte
-//! mutations with the checksums repaired — always surface as typed
-//! [`StoreError`]s, never panics.
+//! (names keep their dense ids, events come back exactly, in the narrow row
+//! layout and the wide one), and arbitrarily damaged bytes — bit flips,
+//! truncations, forged headers, multi-byte mutations with the checksums
+//! repaired — always surface as typed [`StoreError`]s, never panics.
 
 use coordination_store::snapshot::checksum;
 use coordination_store::{Snapshot, SnapshotWriter, StoreError, MAGIC, VERSION};
@@ -28,19 +28,22 @@ struct Input {
 }
 
 fn inputs() -> impl Strategy<Value = Input> {
-    (names(16, "a"), names(12, "p")).prop_flat_map(|(authors, pages)| {
+    (names(16, "a"), names(12, "p"), 0u8..4).prop_flat_map(|(authors, pages, spread)| {
         let (na, np) = (authors.len() as u32, pages.len() as u32);
-        prop::collection::vec((0..na, 0..np, -1_000_000i64..1_000_000), 0..200).prop_map(
-            move |mut events| {
-                // the order they come back in: by page, then (ts, author)
-                events.sort_by_key(|&(a, p, ts)| (p, ts, a));
-                Input {
-                    authors: authors.clone(),
-                    pages: pages.clone(),
-                    events,
-                }
-            },
-        )
+        // one input in four spreads over all of `i64`, which takes wide rows
+        let ts = match spread {
+            0 => i64::MIN..i64::MAX,
+            _ => -1_000_000i64..1_000_000,
+        };
+        prop::collection::vec((0..na, 0..np, ts), 0..200).prop_map(move |mut events| {
+            // the order they come back in: by page, then (ts, author)
+            events.sort_by_key(|&(a, p, ts)| (p, ts, a));
+            Input {
+                authors: authors.clone(),
+                pages: pages.clone(),
+                events,
+            }
+        })
     })
 }
 
@@ -64,18 +67,13 @@ fn sweep(snap: &Snapshot) {
         count += 1;
     }
     assert_eq!(count, m.n_events);
-    let mut rows = snap.events().rows();
-    let (mut n_rows, mut in_rows) = (0u32, 0u64);
-    while let Some((p, len)) = rows.next_row() {
-        assert_eq!(p, n_rows);
-        n_rows += 1;
-        // every other row is left unread for `next_row` to skip
-        if p % 2 == 0 {
-            assert_eq!(rows.by_ref().count() as u64, len);
-        }
-        in_rows += len;
+    let off = snap.events().offsets();
+    assert_eq!(off.len() as u64, u64::from(m.n_pages) + 1);
+    assert_eq!(off.last(), Some(&m.n_events));
+    for nranks in [2, 3] {
+        let sliced = (0..nranks).map(|r| snap.events().rank_slice(r, nranks).count());
+        assert_eq!(sliced.sum::<usize>() as u64, m.n_events);
     }
-    assert_eq!((n_rows, in_rows), (m.n_pages, m.n_events));
     for name in snap.author_names().iter().chain(snap.page_names().iter()) {
         std::hint::black_box(name.len());
     }
@@ -124,7 +122,7 @@ proptest! {
     fn truncations_never_panic(input in inputs(), keep in 0usize..4096) {
         let bytes = write(&input);
         let keep = keep % (bytes.len() + 1);
-        match Snapshot::from_bytes(bytes[..keep].to_vec()) {
+        match Snapshot::from_bytes(&bytes[..keep]) {
             // only the untruncated prefix may open; anything shorter must
             // be caught by the bounds/checksum validation
             Ok(snap) => {
@@ -298,6 +296,7 @@ fn multi_byte_mutations_never_panic_even_behind_the_checksum() {
                         StoreError::Truncated { .. } => "truncated",
                         StoreError::ChecksumMismatch { .. } => "checksum",
                         StoreError::Corrupt { .. } => "corrupt",
+                        StoreError::Unsupported { .. } => "unsupported",
                     };
                     *refused.entry(class).or_default() += 1;
                 }

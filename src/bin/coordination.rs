@@ -40,6 +40,7 @@ const BATCH_COUNTERS: &[&str] = &[
     "btm.pages_sorted",
     "btm.rows_narrow",
     "btm.rows_wide",
+    "btm.rows_mapped",
     "project.pages",
     "project.edges",
     "survey.triangles_examined",

@@ -227,9 +227,12 @@ fn snapshot_write_inspect_and_from_snapshot_paths() {
         .expect("run snapshot inspect");
     assert!(inspect.status.success());
     let described = String::from_utf8_lossy(&inspect.stdout);
-    assert!(described.contains("snapshot v2"), "{described}");
-    assert!(described.contains("events columns: row_len"), "{described}");
-    // META, both name tables, EVENTS and the CI graph; nothing else
+    assert!(described.contains("snapshot v3"), "{described}");
+    assert!(
+        described.contains("rows:    narrow, 8 B per comment"),
+        "{described}"
+    );
+    // META, both name tables, ROWS and the CI graph; nothing else
     assert_eq!(described.matches("  section ").count(), 5, "{described}");
     assert!(described.contains("section CI_GRAPH"), "{described}");
 
@@ -263,6 +266,47 @@ fn snapshot_write_inspect_and_from_snapshot_paths() {
     let survey_rows = String::from_utf8_lossy(&surveyed.stdout).lines().count() - 1;
     let validate_rows = String::from_utf8_lossy(&resident.stdout).lines().count() - 1;
     assert_eq!(survey_rows, validate_rows);
+
+    // the same month plus one comment 10^13 s later, by its own author on
+    // its own page: stored wide, and still the same pipeline stdout
+    let far = dir.join("far.ndjson");
+    let mut text = std::fs::read_to_string(&input).expect("read month");
+    text.push_str("{\"author\":\"far\",\"created_utc\":10000000000000,\"link_id\":\"t3_far\"}\n");
+    std::fs::write(&far, text).expect("write far month");
+    let far_snap = dir.join("far.snap");
+    let status = bin()
+        .args(["snapshot", "write", "--input"])
+        .arg(&far)
+        .arg("--out")
+        .arg(&far_snap)
+        .status()
+        .expect("run snapshot write");
+    assert!(status.success());
+    let inspect = bin()
+        .args(["snapshot", "inspect", "--snapshot"])
+        .arg(&far_snap)
+        .output()
+        .expect("run snapshot inspect");
+    let described = String::from_utf8_lossy(&inspect.stdout);
+    assert!(
+        described.contains("rows:    wide, 16 B per comment"),
+        "{described}"
+    );
+    let pipeline = |door: &str, path: &PathBuf, ranks: &str| {
+        let run = bin()
+            .args(["pipeline", door])
+            .arg(path)
+            .args(["--d2", "60", "--cutoff", "25", "--ranks", ranks])
+            .output()
+            .expect("run pipeline");
+        assert!(run.status.success(), "pipeline {door} --ranks {ranks}");
+        run.stdout
+    };
+    let want = pipeline("--input", &far, "1");
+    for ranks in ["1", "2"] {
+        let got = pipeline("--from-snapshot", &far_snap, ranks);
+        assert!(got == want, "wide --from-snapshot --ranks {ranks} diverged");
+    }
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -308,7 +352,7 @@ fn snapshot_inspect_rejects_damaged_and_future_files() {
         (&future, "unsupported snapshot schema version 99"),
         (
             &v1,
-            "unsupported snapshot schema version 1 (this build reads version 2); \
+            "unsupported snapshot schema version 1 (this build reads version 3); \
              re-create it with `coordination snapshot write`",
         ),
     ] {
