@@ -22,7 +22,7 @@
 //! did not already deliver in time order. A rank of the sharded pipeline
 //! builds exactly these rows out of the events it receives, and a COORSNAP
 //! file stores them word for word, so a [`Btm`] read off a snapshot borrows
-//! its narrow rows from the mapping ([`Btm::from_stored`]).
+//! its narrow rows from the mapping (`Btm::from_stored`).
 //!
 //! The author side — each author's deduplicated page list, the hypergraph
 //! side: `p_x` of Eq. 3 and the inputs to `w_xyz` of Eq. 2 — is not stored.
@@ -305,17 +305,6 @@ impl PageRows {
         n_pages: u32,
         events: impl Fn() -> I,
     ) -> Self {
-        Self::build_in(n_pages, events, false)
-    }
-
-    /// [`PageRows::build`], in the wide layout whatever the span if
-    /// `force_wide` (the layout-equivalence tests' way to hold one input in
-    /// both).
-    fn build_in<I: Iterator<Item = (PageId, Timestamp, AuthorId)>>(
-        n_pages: u32,
-        events: impl Fn() -> I,
-        force_wide: bool,
-    ) -> Self {
         let np = n_pages as usize;
         let mut off = vec![0usize; np + 1];
         let (mut lo, mut hi) = (Timestamp::MAX, Timestamp::MIN);
@@ -326,8 +315,7 @@ impl PageRows {
         });
         prefix_sum(&mut off);
 
-        let base = narrow_base(lo, hi).filter(|_| !force_wide);
-        let (comments, sorted) = match base {
+        let (comments, sorted) = match narrow_base(lo, hi) {
             Some(t0) => {
                 let pack = |ts, a| pack_narrow(t0, ts, a).expect(SECOND_PASS_DIFFERS);
                 let (rows, sorted) = scatter(&off, 0, events(), pack);
@@ -474,34 +462,6 @@ impl Btm {
         excluded: &[AuthorId],
         events: impl Fn() -> I,
     ) -> Self {
-        Self::build_in(n_authors, n_pages, excluded, events, false)
-    }
-
-    /// [`Btm::build`] with its rows in the wide layout whatever the span: one
-    /// input held in both layouts is what the equivalence tests compare.
-    #[cfg(test)]
-    pub(crate) fn build_wide<I: Iterator<Item = Event>>(
-        n_authors: u32,
-        n_pages: u32,
-        excluded: &[AuthorId],
-        events: impl Fn() -> I,
-    ) -> Self {
-        Self::build_in(n_authors, n_pages, excluded, events, true)
-    }
-
-    /// Whether the rows took the 8 B layout.
-    #[cfg(test)]
-    pub(crate) fn is_narrow(&self) -> bool {
-        matches!(self.rows.comments, Comments::Narrow { .. })
-    }
-
-    fn build_in<I: Iterator<Item = Event>>(
-        n_authors: u32,
-        n_pages: u32,
-        excluded: &[AuthorId],
-        events: impl Fn() -> I,
-        force_wide: bool,
-    ) -> Self {
         let _g = obs::span("btm.build");
         let gone = author_mask(n_authors, excluded);
         let kept = |e: &Event| is_kept(&gone, e.author);
@@ -519,7 +479,7 @@ impl Btm {
                 .filter(kept)
                 .map(|e| (e.page, e.ts, e.author))
         };
-        let rows = PageRows::build_in(n_pages, source, force_wide);
+        let rows = PageRows::build(n_pages, source);
         obs::record_stage_rss("btm");
         Btm { rows, n_authors }
     }
@@ -798,49 +758,23 @@ impl AuthorPages {
     }
 }
 
-/// What [`reference_sides`] returns: `(by_page, by_author)`.
-pub type ReferenceSides = (Vec<Vec<(Timestamp, AuthorId)>>, Vec<Vec<PageId>>);
-
-/// The BTM by definition, as plain nested lists: per page the sorted multiset
-/// of `(ts, author)`, per author the sorted distinct pages. The reference
-/// [`PageRows`], [`Btm`] and [`AuthorPages`] are tested against; nothing else
-/// calls it.
-pub fn reference_sides(n_authors: u32, n_pages: u32, events: &[Event]) -> ReferenceSides {
-    let mut by_page = vec![Vec::new(); n_pages as usize];
-    let mut by_author = vec![Vec::new(); n_authors as usize];
-    for e in events {
-        by_page[e.page.0 as usize].push((e.ts, e.author));
-        by_author[e.author.0 as usize].push(e.page);
-    }
-    by_page.iter_mut().for_each(|row| row.sort_unstable());
-    for row in &mut by_author {
-        row.sort_unstable();
-        row.dedup();
-    }
-    (by_page, by_author)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::reference_sides as naive;
     use super::*;
 
     fn ev(a: u32, p: u32, ts: Timestamp) -> Event {
         Event::new(AuthorId(a), PageId(p), ts)
     }
 
-    /// Both sides of `btm` as nested lists, the author side harvested for
-    /// everyone.
-    fn rows(btm: &Btm) -> ReferenceSides {
-        let authors = AuthorPages::all(btm);
-        (
-            (0..btm.n_pages())
-                .map(|p| btm.page_neighborhood(PageId(p)).to_vec())
-                .collect(),
-            (0..btm.n_authors())
-                .map(|a| authors.pages(AuthorId(a)).to_vec())
-                .collect(),
-        )
+    /// Every page row of `btm`, decoded.
+    fn rows(btm: &Btm) -> Vec<Vec<WideRow>> {
+        let rows = (0..btm.n_pages()).map(|p| btm.page_neighborhood(PageId(p)).to_vec());
+        rows.collect()
+    }
+
+    /// Whether `btm`'s rows took the 8 B layout, as page 0's view shows.
+    fn narrow(btm: &Btm) -> bool {
+        matches!(btm.page_neighborhood(PageId(0)), PageRow::Narrow { .. })
     }
 
     /// A fixed mess: duplicate rows, equal timestamps with authors out of
@@ -863,38 +797,6 @@ mod tests {
         ]
     }
 
-    /// Deterministic Fisher–Yates driven by a splitmix-style counter.
-    fn shuffled(events: &[Event], seed: u64) -> Vec<Event> {
-        let mut out = events.to_vec();
-        let mut x = seed;
-        for i in (1..out.len()).rev() {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            out.swap(i, (x >> 33) as usize % (i + 1));
-        }
-        out
-    }
-
-    #[test]
-    fn flat_build_matches_the_definition_for_any_input_order() {
-        let events = messy();
-        let want = naive(8, 6, &events);
-        let reference = Btm::from_events(8, 6, &events);
-        assert_eq!(rows(&reference), want);
-        assert_eq!(reference.n_comments(), events.len() as u64);
-
-        let mut by_time = events.clone();
-        by_time.sort_by_key(|e| (e.ts, e.author));
-        let mut reversed = by_time.clone();
-        reversed.reverse();
-        let mut inputs = vec![by_time, reversed];
-        inputs.extend((0..20).map(|seed| shuffled(&events, seed)));
-        for input in inputs {
-            assert_eq!(Btm::from_events(8, 6, &input), reference);
-        }
-    }
-
     #[test]
     fn empty_id_spaces_and_empty_inputs_build() {
         let none = Btm::from_events(0, 0, &[]);
@@ -915,7 +817,7 @@ mod tests {
         assert!(Btm::from_events(0, 3, &[])
             .page_neighborhood(PageId(2))
             .is_empty());
-        assert_eq!(rows(&Btm::from_events(4, 4, &[])), naive(4, 4, &[]));
+        assert_eq!(rows(&Btm::from_events(4, 4, &[])), vec![vec![]; 4]);
     }
 
     #[test]
@@ -938,7 +840,6 @@ mod tests {
                 .collect();
             assert_eq!(masked, removed);
             assert_eq!(masked, Btm::from_events(8, 6, &filtered));
-            assert_eq!(rows(&masked), naive(8, 6, &filtered));
         }
     }
 
@@ -1030,14 +931,13 @@ mod tests {
     #[test]
     fn a_harvest_holds_exactly_the_authors_asked_for() {
         let btm = Btm::from_events(8, 6, &messy());
-        let (_, by_author) = naive(8, 6, &messy());
         // unsorted, repeated, and one author (7) who never commented
         let asked = [6, 2, 7, 2, 6].map(AuthorId);
         let some = AuthorPages::harvest(&btm, asked);
         assert_eq!((some.n_authors(), some.active_authors()), (3, 2));
-        for a in asked {
-            assert_eq!(some.pages(a), &by_author[a.0 as usize][..]);
-        }
+        assert_eq!(some.pages(AuthorId(6)), [2, 4].map(PageId));
+        assert_eq!(some.pages(AuthorId(2)), [1, 4].map(PageId));
+        assert_eq!(some.pages(AuthorId(7)), []);
         assert_eq!(some.n_incidences(), 2 + 2);
         assert!(std::panic::catch_unwind(|| some.pages(AuthorId(1))).is_err());
     }
@@ -1057,7 +957,7 @@ mod tests {
     #[test]
     fn the_span_alone_picks_the_layout() {
         let span = i64::from(u32::MAX);
-        for (t0, t1, narrow) in [
+        for (t0, t1, is_narrow) in [
             (0, span, true),
             (0, span + 1, false),
             (-5_000_000_000, -5_000_000_000 + span, true), // negative base
@@ -1070,16 +970,13 @@ mod tests {
         ] {
             let events = [ev(1, 0, t1), ev(0, 0, t0), ev(0, 1, t0), ev(1, 1, t0)];
             let btm = Btm::from_events(2, 2, &events);
-            assert_eq!(Btm::is_narrow(&btm), narrow, "{t0}..={t1}");
-            assert_eq!(rows(&btm), naive(2, 2, &events), "{t0}..={t1}");
-            assert_eq!(
-                btm,
-                Btm::build_wide(2, 2, &[], || events.iter().copied()),
-                "{t0}..={t1}"
-            );
+            assert_eq!(narrow(&btm), is_narrow, "{t0}..={t1}");
+            let (a0, a1) = (AuthorId(0), AuthorId(1));
+            let want = vec![vec![(t0, a0), (t1, a1)], vec![(t0, a0), (t0, a1)]];
+            assert_eq!(rows(&btm), want, "{t0}..={t1}");
         }
-        assert!(!Btm::is_narrow(&Btm::from_events(8, 6, &messy())));
-        assert!(Btm::is_narrow(&Btm::from_events(3, 3, &[])));
+        assert!(!narrow(&Btm::from_events(8, 6, &messy())));
+        assert!(narrow(&Btm::from_events(3, 3, &[])));
     }
 
     /// Equality is of the decoded rows: the layout and its base are not part
@@ -1096,13 +993,13 @@ mod tests {
         let full = Btm::from_events(3, 2, &events);
         let masked = Btm::build(3, 2, &[AuthorId(2)], || events.iter().copied());
         let removed = full.without_authors(&[AuthorId(2)]);
-        assert!(!Btm::is_narrow(&full) && !Btm::is_narrow(&removed) && Btm::is_narrow(&masked));
+        assert!(!narrow(&full) && !narrow(&removed) && narrow(&masked));
         assert_eq!(masked, removed);
         assert_ne!(masked, full);
         // same layout, different base: dropping the earliest comment re-bases
         // the build at 100 and leaves `without_authors` at 90
         let rebased = Btm::build(3, 2, &[AuthorId(2), AuthorId(0)], || events.iter().copied());
-        assert!(Btm::is_narrow(&rebased));
+        assert!(narrow(&rebased));
         assert_eq!(rebased, masked.without_authors(&[AuthorId(0)]));
         assert_ne!(rebased, masked);
     }

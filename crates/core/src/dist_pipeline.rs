@@ -34,14 +34,14 @@
 //!      and never a global `(page, ts, author)` order, so none is computed.
 //!    * **A budget — runs.** Flat rows hold the whole partition resident,
 //!      which is what the budget forbids, so each batch is sorted on arrival
-//!      as order-preserving packed keys ([`event_key`]) into a bounded run
+//!      as order-preserving packed keys (`event_key`) into a bounded run
 //!      stack ([`ygm::runs::DistRuns`]), merged incrementally *while later
 //!      batches are in flight* (ship drains opportunistically) and spilled
 //!      as sorted segments to the snapshot store past the cap; the rank
 //!      reads its partition back through a streaming k-way merge over
 //!      resident + spilled runs, one page resident at a time.
 //!
-//!    Either way the rank holds a [`PagePartition`] — the same comments in
+//!    Either way the rank holds a `PagePartition` — the same comments in
 //!    the same order, whatever order they arrived in (the invariance that
 //!    makes `Btm` chunk-count-independent) — and stages 3 and 5 are written
 //!    once against its two methods. (The author→pages incidence `Btm` also
@@ -49,7 +49,7 @@
 //! 3. **Projection** — page owners run the resident engine's page step
 //!    (`project::PageStep`: [`crate::project::page_pairs_flat`] → pair set →
 //!    distinct endpoints into `P'`) over each page's row, borrowed in place
-//!    ([`PagePartition::for_each_page`]), and shuffle each packed pair
+//!    (`PagePartition::for_each_page`), and shuffle each packed pair
 //!    occurrence to its *edge owner* (`owner_of(packed)`), which sorts and
 //!    run-length-counts its disjoint slice of the edge set. Per-author `P'`
 //!    contributions reduce to a replicated dense vector via
@@ -89,9 +89,10 @@
 //! The pair-occurrence, oriented-edge and harvest shuffles still land in run
 //! stacks with or without a budget.
 //!
-//! **Equivalence contract** (pinned by `tests/distributed_equivalence.rs`
-//! and a CLI byte-identity test): for every input, every rank count, every
-//! flush threshold and every shuffle budget — none, one larger than the
+//! **Equivalence contract** (pinned by the oracle matrix in `tests/`, which
+//! holds every door of both engines to the paper's definition, and a CLI
+//! byte-identity test): for every input, every rank count, every flush
+//! threshold and every shuffle budget — none, one larger than the
 //! partition, and down to one item per batch and one batch per spill —
 //! [`DistPipeline`] produces the same [`PipelineOutput`] as
 //! [`Pipeline`](crate::Pipeline) — same CI graph, same survey report
@@ -130,7 +131,7 @@ const HIST_BUCKETS: usize = 64;
 /// `(page, ts, author)` tuple order [`PagePartition::Runs`] is grouped by.
 /// Only a budgeted run packs events this way.
 #[inline]
-pub fn event_key(p: u32, ts: i64, a: u32) -> u128 {
+fn event_key(p: u32, ts: i64, a: u32) -> u128 {
     ((p as u128) << 96) | ((((ts as u64) ^ (1 << 63)) as u128) << 32) | a as u128
 }
 
@@ -146,7 +147,7 @@ fn event_from_key(k: u128) -> (u32, i64, u32) {
 /// every comment of every page the rank owns, each page's in `(ts, author)`
 /// order. Stored one of two ways, chosen by the shuffle budget alone, and
 /// read through the same two methods either way.
-pub enum PagePartition {
+pub(crate) enum PagePartition {
     /// No budget: the whole partition resident as flat page rows, built by
     /// the counting scatter [`crate::btm::Btm`] builds its page side with,
     /// and read in place.
@@ -160,7 +161,7 @@ pub enum PagePartition {
 impl PagePartition {
     /// Call `f` with every non-empty page and its time-sorted comments,
     /// pages ascending.
-    pub fn for_each_page(&self, mut f: impl FnMut(PageId, PageRow<'_>)) {
+    pub(crate) fn for_each_page(&self, mut f: impl FnMut(PageId, PageRow<'_>)) {
         match self {
             PagePartition::Rows(rows) => rows.pages().for_each(|(p, row)| f(p, row)),
             PagePartition::Runs(runs) => {
@@ -185,27 +186,10 @@ impl PagePartition {
         }
     }
 
-    /// Call `f(page, author)` once per comment, in `(page, ts, author)`
-    /// order. The runs stream straight off the merge: regrouping them into
-    /// rows first measured 5–8 % off the whole budgeted run.
-    pub fn for_each_incidence(&self, mut f: impl FnMut(PageId, AuthorId)) {
-        match self {
-            PagePartition::Rows(rows) => {
-                for (p, row) in rows.pages() {
-                    row.iter().for_each(|(_, a)| f(p, a));
-                }
-            }
-            PagePartition::Runs(runs) => {
-                for k in runs.cursor() {
-                    let (p, _, a) = event_from_key(k);
-                    f(PageId(p), AuthorId(a));
-                }
-            }
-        }
-    }
-
     /// Run the harvest `scan` over the partition: `hit(page, author)` for
-    /// each requested author's first comment on each page.
+    /// each requested author's first comment on each page. The runs stream
+    /// straight off the merge: regrouping them into rows first measured 5–8 %
+    /// off the whole budgeted run.
     pub(crate) fn harvest(&self, scan: &mut HarvestScan, mut hit: impl FnMut(PageId, AuthorId)) {
         match self {
             PagePartition::Rows(rows) => {
@@ -213,11 +197,15 @@ impl PagePartition {
                     scan.page(p, row, |_, a| hit(p, a));
                 }
             }
-            PagePartition::Runs(_) => self.for_each_incidence(|p, a| {
-                if scan.first_on_page(p, a).is_some() {
-                    hit(p, a);
+            PagePartition::Runs(runs) => {
+                for k in runs.cursor() {
+                    let (p, _, a) = event_from_key(k);
+                    let (p, a) = (PageId(p), AuthorId(a));
+                    if scan.first_on_page(p, a).is_some() {
+                        hit(p, a);
+                    }
                 }
-            }),
+            }
         }
     }
 }
@@ -337,7 +325,7 @@ pub struct DistPipeline {
     /// stack exceeds it, resident runs are merged and spilled to a sorted
     /// on-disk segment ([`ygm::runs`]); `None` (the default) never spills,
     /// and lets the event exchange land in flat page rows instead of a run
-    /// stack ([`PagePartition`]). The output must be bit-identical for every
+    /// stack. The output must be bit-identical for every
     /// budget, down to one batch.
     pub shuffle_budget: Option<usize>,
 }

@@ -15,11 +15,6 @@
 //! each page's subset members, and the rank-sharded engine
 //! (`crate::dist_pipeline`) runs the same per-page step on the pages each rank
 //! owns.
-//!
-//! [`project_sequential`] is the literal Algorithm 1 on hash sets and maps,
-//! kept only as the reference the tests compare [`project`] against.
-
-use std::collections::{HashMap, HashSet};
 
 use crate::btm::{Btm, PageRow, Row};
 use crate::cigraph::CiGraph;
@@ -252,73 +247,6 @@ pub fn project(btm: &Btm, window: Window) -> CiGraph {
     ci
 }
 
-/// Collect the deduplicated author pairs of one page under `window` into
-/// `pairs`. `comments` must be sorted by timestamp (BTM guarantees this).
-/// Hash-set variant backing [`project_sequential`].
-fn page_pairs(
-    comments: &[(Timestamp, AuthorId)],
-    window: &Window,
-    pairs: &mut HashSet<(u32, u32)>,
-) {
-    pairs.clear();
-    let n = comments.len();
-    for i in 0..n {
-        let (ti, ai) = comments[i];
-        for &(tj, aj) in &comments[i + 1..] {
-            let Some(dt) = delay_within(ti, tj, window.d2()) else {
-                break; // sorted: later comments are only farther away
-            };
-            if dt >= window.d1() && ai != aj {
-                pairs.insert((ai.0.min(aj.0), ai.0.max(aj.0)));
-            }
-        }
-    }
-}
-
-/// Fold one page's pair set into partial edge/page-count maps.
-fn accumulate_page(
-    pairs: &HashSet<(u32, u32)>,
-    edges: &mut HashMap<(u32, u32), u64>,
-    page_counts: &mut HashMap<u32, u64>,
-    authors_scratch: &mut HashSet<u32>,
-) {
-    if pairs.is_empty() {
-        return;
-    }
-    authors_scratch.clear();
-    for &(x, y) in pairs {
-        *edges.entry((x, y)).or_insert(0) += 1;
-        authors_scratch.insert(x);
-        authors_scratch.insert(y);
-    }
-    for &a in authors_scratch.iter() {
-        *page_counts.entry(a).or_insert(0) += 1;
-    }
-}
-
-fn finish(n_authors: u32, edges: HashMap<(u32, u32), u64>, counts: HashMap<u32, u64>) -> CiGraph {
-    let mut page_counts = vec![0u64; n_authors as usize];
-    for (a, c) in counts {
-        page_counts[a as usize] = c;
-    }
-    CiGraph::from_parts(n_authors, edges, page_counts)
-}
-
-/// The literal Algorithm 1 loop: a `HashSet` pair set per page folded into
-/// `HashMap` counts. Not an engine — the reference implementation the unit
-/// tests and `tests/invariants.rs` compare [`project`] against.
-pub fn project_sequential(btm: &Btm, window: Window) -> CiGraph {
-    let mut edges = HashMap::new();
-    let mut counts = HashMap::new();
-    let mut pairs = HashSet::new();
-    let mut scratch = HashSet::new();
-    for (_, comments) in btm.pages() {
-        page_pairs(&comments.to_vec(), &window, &mut pairs);
-        accumulate_page(&pairs, &mut edges, &mut counts, &mut scratch);
-    }
-    finish(btm.n_authors(), edges, counts)
-}
-
 /// Targeted reprojection (paper §2.2): project only the pairs drawn from a
 /// given author subset, typically with a *longer* window than the discovery
 /// pass — "reproject the original BTM for just this smaller group of users
@@ -503,35 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_sequential_reference() {
-        // many sparse pages under a short window, then few dense pages under
-        // a long one (every page's window spans most of its comments)
-        for seed in 0..5 {
-            let b = random_btm(seed, 40, 30, 600);
-            let w = Window::new(0, 120);
-            assert_ci_eq(&project(&b, w), &project_sequential(&b, w));
-            let b = random_btm(seed + 300, 25, 8, 500);
-            for w in [Window::new(0, 400), Window::new(30, 600)] {
-                assert_ci_eq(&project(&b, w), &project_sequential(&b, w));
-            }
-        }
-        // One page of simultaneous comments whose candidate stream outgrows
-        // COMPACT_MIN: over 12 authors the mid-page compaction collapses it
-        // (and stays armed), over 200 distinct authors it removes nothing
-        // (and switches itself off).
-        let n = 200u32;
-        for n_authors in [12, n] {
-            let events: Vec<Event> = (0..n).map(|i| ev(i % n_authors, 0, 7)).collect();
-            let per_author = n.div_ceil(n_authors);
-            let same_author_at_most = n_authors * per_author * (per_author - 1) / 2;
-            assert!((n * (n - 1) / 2 - same_author_at_most) as usize > COMPACT_MIN);
-            let b = btm(n_authors, 1, &events);
-            let w = Window::new(0, 60);
-            assert_ci_eq(&project(&b, w), &project_sequential(&b, w));
-        }
-    }
-
-    #[test]
     fn window_nesting_is_monotone() {
         // paper §3: projection for (0,60) ⊆ projection for (0,3600)
         let b = random_btm(11, 30, 20, 800);
@@ -625,16 +524,13 @@ mod tests {
     /// Windows around what a narrow row can span: two comments exactly
     /// `u32::MAX` apart on 8 B rows, one second more on 16 B rows. A `δ2`
     /// past `u32::MAX` admits the pair like any bound at or above its delay,
-    /// a `δ1` past it admits nothing, and both layouts agree with the
-    /// literal loop.
+    /// and a `δ1` past it admits nothing.
     #[test]
     fn windows_wider_than_a_narrow_row_can_span() {
         let span = i64::from(u32::MAX);
         for (gap, t0) in [(span, -77), (span + 1, -77), (span, i64::MAX - span)] {
             let events = [ev(0, 0, t0), ev(1, 0, t0 + gap), ev(2, 1, t0), ev(0, 1, t0)];
-            let narrow = btm(3, 2, &events);
-            let wide = Btm::build_wide(3, 2, &[], || events.iter().copied());
-            assert_eq!(narrow, wide);
+            let b = btm(3, 2, &events);
             for (d1, d2, paired) in [
                 (0, i64::MAX, true),
                 (0, gap, true),
@@ -643,13 +539,10 @@ mod tests {
                 (gap + 1, i64::MAX, false),
                 (span + 2, i64::MAX, false),
             ] {
-                let w = Window::new(d1, d2);
-                for b in [&narrow, &wide] {
-                    let ci = project(b, w);
-                    assert_eq!(ci.weight(AuthorId(0), AuthorId(1)), u64::from(paired));
-                    assert_eq!(ci.weight(AuthorId(0), AuthorId(2)), u64::from(d1 == 0));
-                    assert_ci_eq(&ci, &project_sequential(b, w));
-                }
+                let ci = project(&b, Window::new(d1, d2));
+                assert_eq!(ci.weight(AuthorId(0), AuthorId(1)), u64::from(paired));
+                assert_eq!(ci.weight(AuthorId(0), AuthorId(2)), u64::from(d1 == 0));
+                assert_eq!(ci.n_edges(), u64::from(paired) + u64::from(d1 == 0));
             }
         }
     }

@@ -710,37 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn cumulative_snapshot_matches_batch_projection() {
-        // A small deliberately gnarly log: duplicate timestamps, repeat
-        // authors, pairs straddling the window edge.
-        let events = vec![
-            (0u32, 0u32, 100i64),
-            (1, 0, 100), // dt = 0 pairs (δ1 = 0)
-            (2, 0, 160), // dt 60 from both: inclusive upper bound
-            (3, 0, 161), // dt 61 from 0/1: out; dt 1 from 2: in
-            (0, 1, 500),
-            (2, 1, 540),
-            (0, 1, 560), // same pair again on page 1
-            (4, 2, 900), // lonely author on its own page
-        ];
-        let window = Window::new(0, 60);
-        let p = drive(&events, window);
-
-        let evs: Vec<Event> = events
-            .iter()
-            .map(|&(a, g, t)| Event::new(AuthorId(a), PageId(g), t))
-            .collect();
-        let btm = Btm::from_events(5, 3, &evs);
-        let batch = project::project(&btm, window);
-        let snap = p.snapshot(5);
-        assert_eq!(snap.n_edges(), batch.n_edges());
-        for (x, y, w) in batch.edges() {
-            assert_eq!(snap.weight(AuthorId(x), AuthorId(y)), w, "edge ({x},{y})");
-        }
-        assert_eq!(snap.page_counts(), batch.page_counts());
-    }
-
-    #[test]
     fn warm_start_matches_batch_and_incremental() {
         let events = vec![
             (0u32, 0u32, 100i64),

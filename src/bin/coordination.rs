@@ -21,7 +21,8 @@ use coordination::core::dist_pipeline::DistPipeline;
 use coordination::core::ingest::{self, IngestConfig, IngestStats};
 use coordination::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
 use coordination::core::records::{write_ndjson, Dataset};
-use coordination::core::Window;
+use coordination::core::snapshot::btm_from_snapshot;
+use coordination::core::{Btm, Window};
 use coordination::redditgen::ScenarioConfig;
 
 /// Stage spans every batch run records — `report-validate` and the CI gate
@@ -356,12 +357,8 @@ fn pipeline_config(flags: &Flags, default_cutoff: u64) -> Result<PipelineConfig,
 /// `--shuffle-budget`, which only it can honour — and the resident engine
 /// otherwise. Both print the same bytes (events reach the BTM in a different
 /// order, which it is insensitive to), and a snapshot feeds its mapped rows
-/// to either without materializing a [`Dataset`].
-///
-/// With `release_events` the caller reads nothing but the name tables
-/// afterwards, so the resident engine drops the dataset's event column once
-/// the BTM's rows are built from it — the two never sit side by side through
-/// projection and survey. (The rank program reads its events as it runs.)
+/// to either without materializing a [`Dataset`]. `release_events` is
+/// [`run_resident`]'s; the rank program reads its events as it runs.
 fn run_detector(
     flags: &Flags,
     config: PipelineConfig,
@@ -381,18 +378,39 @@ fn run_detector(
             Input::Snapshot(snap) => ranked.run_snapshot(snap),
         }
     } else {
-        let resident = Pipeline::new(config);
-        match input {
-            Input::Dataset(ds) => {
-                let btm = ds.btm_without(&resident.config.exclusions.resolve(ds));
-                if release_events {
-                    ds.events = Vec::new();
-                }
-                resident.run_btm(&btm)
+        run_resident(config, input, release_events).0
+    };
+    log_timings(&out);
+    Ok(out)
+}
+
+/// The resident engine over `input`, and the BTM it read, built under the
+/// run's own exclusion list. With `release_events` the caller reads nothing
+/// but the name tables afterwards, so the dataset's event column is dropped
+/// once the BTM's rows are built from it — the two never sit side by side
+/// through projection and survey.
+fn run_resident(
+    config: PipelineConfig,
+    input: &mut Input,
+    release_events: bool,
+) -> (PipelineOutput, Btm) {
+    let exclusions = &config.exclusions;
+    let btm = match input {
+        Input::Dataset(ds) => {
+            let btm = ds.btm_without(&exclusions.resolve(ds));
+            if release_events {
+                ds.events = Vec::new();
             }
-            Input::Snapshot(snap) => resident.run_snapshot(snap),
+            btm
+        }
+        Input::Snapshot(snap) => {
+            btm_from_snapshot(snap, &exclusions.resolve_names(snap.author_names()))
         }
     };
+    (Pipeline::new(config).run_btm(&btm), btm)
+}
+
+fn log_timings(out: &PipelineOutput) {
     eprintln!(
         "projection: {} edges in {:.2?}; survey: {} triangles in {:.2?}; {} triplets validated in {:.2?}",
         out.stats.ci_edges,
@@ -402,15 +420,21 @@ fn run_detector(
         out.stats.triplets_validated,
         out.timings.validation,
     );
-    Ok(out)
 }
 
-fn run_pipeline(flags: &Flags, default_cutoff: u64) -> Result<(Dataset, PipelineOutput), String> {
+/// The three steps for a command that prints names afterwards, on the
+/// resident engine (`--ranks` and `--shuffle-budget` are `pipeline`'s alone):
+/// the dataset, the output and the BTM the run read.
+fn run_pipeline(
+    flags: &Flags,
+    default_cutoff: u64,
+) -> Result<(Dataset, PipelineOutput, Btm), String> {
     let config = pipeline_config(flags, default_cutoff)?;
     let mut input = Input::open(flags)?;
-    let out = run_detector(flags, config, &mut input, false)?;
+    let (out, btm) = run_resident(config, &mut input, false);
+    log_timings(&out);
     // downstream printing needs the name tables either way
-    Ok((input.into_dataset(), out))
+    Ok((input.into_dataset(), out, btm))
 }
 
 fn cmd_stats(flags: &Flags) -> Result<(), String> {
@@ -597,7 +621,7 @@ fn cmd_survey(flags: &Flags) -> Result<(), String> {
 
 fn cmd_hunt(flags: &Flags) -> Result<(), String> {
     let cutoff: u64 = flags.num("cutoff", 25)?;
-    let (ds, out) = run_pipeline(flags, 25)?;
+    let (ds, out, _) = run_pipeline(flags, 25)?;
     let comps = named_components(&ds, &out.ci, cutoff);
     println!("{} connected components at cutoff {cutoff}:", comps.len());
     for (i, c) in comps.iter().enumerate() {
@@ -632,14 +656,10 @@ fn with_stdout(
 }
 
 fn cmd_validate(flags: &Flags) -> Result<(), String> {
-    let (ds, out) = run_pipeline(flags, 10)?;
+    let (ds, out, btm) = run_pipeline(flags, 10)?;
     if flags.has("windowed") {
         // future-work variant: hyperedges bounded by the projection window
         let bound = window(flags)?.d2();
-        let btm = {
-            let excl = coordination::core::filter::ExclusionList::reddit_defaults();
-            ds.btm_without(&excl.resolve(&ds))
-        };
         let triangles: Vec<coordination::tripoll::Triangle> =
             out.survey.triangles.iter().map(|s| s.triangle).collect();
         let rows =
@@ -732,9 +752,7 @@ fn print_pipeline_report<'a>(
 }
 
 fn cmd_groups(flags: &Flags) -> Result<(), String> {
-    let (ds, out) = run_pipeline(flags, 25)?;
-    let excl = coordination::core::filter::ExclusionList::reddit_defaults();
-    let btm = ds.btm_without(&excl.resolve(&ds));
+    let (ds, out, btm) = run_pipeline(flags, 25)?;
     let groups = coordination::core::groups::merge_triplets(&btm, &out.triplets, 2);
     println!(
         "{} groups from {} triplets:",

@@ -3,6 +3,9 @@
 //! sharing no helper with any engine. Quadratic in a page's comments and
 //! cubic in the active authors — small inputs only.
 
+// Each test binary that includes this module reads its own part of it.
+#![allow(dead_code)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One raw comment: `(author, page, created_utc)`.
@@ -42,10 +45,20 @@ pub struct Triplet {
 /// What the definition says about one input.
 #[derive(Debug, PartialEq)]
 pub struct Definition {
+    /// The comments left once the excluded authors' are dropped: `|E|`.
+    pub comments: u64,
     /// `w′_xy` for every pair `x < y` with at least one page.
     pub w: BTreeMap<(u32, u32), u64>,
     /// `P′_x` for every author with at least one edge.
     pub p_prime: BTreeMap<u32, u64>,
+    /// Step 2's report over the edges at or above the threshold: how many
+    /// there are, every triangle they close, the largest `min{w′}` of those
+    /// triangles, and for each `i` up to the last nonzero count how many have
+    /// `⌊log₂ max(min{w′}, 1)⌋ = i`.
+    pub edges_kept: u64,
+    pub examined: u64,
+    pub max_min_weight: u64,
+    pub log_hist: Vec<u64>,
     /// The survivors, ascending by `(x, y, z)`.
     pub triplets: Vec<Triplet>,
 }
@@ -58,6 +71,32 @@ fn score(num: u64, d: [u64; 3]) -> f64 {
         return 0.0;
     }
     3.0 * num as f64 / denom as f64
+}
+
+/// The BTM's page side: for each page below `n_pages`, its comments as
+/// `(created_utc, author)`, ascending, repeats kept.
+pub fn rows(comments: &[Comment], n_pages: u32) -> Vec<Vec<(i64, u32)>> {
+    let row = |page| {
+        let on_page = comments.iter().filter(|c| c.1 == page);
+        let mut row: Vec<(i64, u32)> = on_page.map(|c| (c.2, c.0)).collect();
+        row.sort_unstable();
+        row
+    };
+    (0..n_pages).map(row).collect()
+}
+
+/// The BTM's author side: for each author below `n_authors`, the distinct
+/// pages they commented on, ascending.
+pub fn author_pages(comments: &[Comment], n_authors: u32) -> Vec<Vec<u32>> {
+    let pages = |author| {
+        let theirs = comments.iter().filter(|c| c.0 == author);
+        theirs
+            .map(|c| c.1)
+            .collect::<BTreeSet<u32>>()
+            .into_iter()
+            .collect()
+    };
+    (0..n_authors).map(pages).collect()
 }
 
 /// Run the three steps on `comments`, after dropping every comment of an
@@ -101,8 +140,9 @@ pub fn run(comments: &[Comment], excluded: &[u32], params: &Params) -> Definitio
         }
     }
 
-    // Steps 2 and 3: every author triple whose three edges pass the edge
-    // threshold, kept by min{w′} and T, then validated against the raw pages.
+    // Step 2: every author triple whose three edges pass the edge threshold
+    // is a triangle of the survey, kept by min{w′} and T. Step 3 validates
+    // the kept ones against the raw pages.
     let edge = |x: u32, y: u32| {
         w.get(&(x, y))
             .copied()
@@ -110,15 +150,27 @@ pub fn run(comments: &[Comment], excluded: &[u32], params: &Params) -> Definitio
     };
     let pp = |x: u32| p_prime.get(&x).copied().unwrap_or(0);
     let commented = |x: u32, page: u32| kept.iter().any(|c| c.0 == x && c.1 == page);
+    let (mut examined, mut max_min_weight, mut log_hist) = (0, 0, Vec::new());
     let mut triplets = Vec::new();
     for (i, &x) in authors.iter().enumerate() {
         for (j, &y) in authors.iter().enumerate().skip(i + 1) {
+            let Some(w_xy) = edge(x, y) else {
+                continue;
+            };
             for &z in &authors[j + 1..] {
-                let (Some(w_xy), Some(w_xz), Some(w_yz)) = (edge(x, y), edge(x, z), edge(y, z))
-                else {
+                let (Some(w_xz), Some(w_yz)) = (edge(x, z), edge(y, z)) else {
                     continue;
                 };
                 let min = w_xy.min(w_xz).min(w_yz);
+                examined += 1;
+                max_min_weight = max_min_weight.max(min);
+                // the largest i with 2^i ≤ max(min, 1)
+                let bucket = (1..64).take_while(|&i| 1u64 << i <= min).count();
+                if log_hist.len() <= bucket {
+                    log_hist.resize(bucket + 1, 0);
+                }
+                log_hist[bucket] += 1;
+
                 let t = score(min, [pp(x), pp(y), pp(z)]);
                 if min < params.min_weight || (params.min_t > 0.0 && t < params.min_t) {
                     continue;
@@ -140,9 +192,15 @@ pub fn run(comments: &[Comment], excluded: &[u32], params: &Params) -> Definitio
             }
         }
     }
+    let threshold = params.edge_threshold.max(1);
     Definition {
+        comments: kept.len() as u64,
+        edges_kept: w.values().filter(|&&wt| wt >= threshold).count() as u64,
         w,
         p_prime,
+        examined,
+        max_min_weight,
+        log_hist,
         triplets,
     }
 }

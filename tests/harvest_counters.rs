@@ -6,11 +6,15 @@
 //! So do the validation kernel's `validate.prefix_runs` (runs of survivors
 //! sharing a leading edge `(a, b)`: the distinct such edges) and
 //! `validate.prefix_pages` (their `|pages(a) ∩ pages(b)|`, summed), though a
-//! run may split across the ranks that kept its triangles.
+//! run may split across the ranks that kept its triangles. And a one-byte
+//! shuffle budget really spills (`shuffle.spilled_bytes`,
+//! `shuffle.spill_segments`), where no budget spills nothing.
 //!
 //! `obs` counters are process-global, so this is the only test in its binary:
-//! beside the pipelines `distributed_equivalence.rs` runs on parallel test
-//! threads, the totals read around a run would include theirs.
+//! beside the pipelines other tests run on parallel threads, the totals read
+//! around a run would include theirs. A per-run `obs` session (ROADMAP item
+//! 3's scoped registry) would let each run read its own counters, and these
+//! checks join the one matrix (`oracle.rs`).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -19,15 +23,17 @@ use coordination::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
 use coordination::core::records::{CommentRecord, Dataset};
 use coordination::redditgen::ScenarioConfig;
 
-const COUNTERS: [&str; 4] = [
+const COUNTERS: [&str; 6] = [
     "validate.harvest_authors",
     "validate.harvest_incidences",
     "validate.prefix_runs",
     "validate.prefix_pages",
+    "shuffle.spilled_bytes",
+    "shuffle.spill_segments",
 ];
 
-/// The four counters' growth over one run.
-fn measured(run: &dyn Fn() -> PipelineOutput) -> (PipelineOutput, [u64; 4]) {
+/// The counters' growth over one run.
+fn measured(run: &dyn Fn() -> PipelineOutput) -> (PipelineOutput, [u64; 6]) {
     let read = || COUNTERS.map(|name| obs::counter(name).get());
     let before = read();
     let out = run();
@@ -87,7 +93,7 @@ fn check(ds: &Dataset, config: &PipelineConfig) {
     let shared = edges
         .iter()
         .map(|&[a, b]| pages(a).intersection(&pages(b)).count() as u64);
-    assert_eq!(want[2..], [edges.len() as u64, shared.sum()]);
+    assert_eq!(want[2..], [edges.len() as u64, shared.sum(), 0, 0]);
 
     for nranks in [1, 2, 3, 4] {
         for budget in [None, Some(1), Some(65_536)] {
@@ -100,7 +106,13 @@ fn check(ds: &Dataset, config: &PipelineConfig) {
                 .run_dataset(ds)
             });
             assert_eq!(dist.triplets, resident.triplets);
-            assert_eq!(got, want, "{nranks} ranks, budget {budget:?}");
+            assert_eq!(got[..4], want[..4], "{nranks} ranks, budget {budget:?}");
+            let spilled = got[4..].iter().all(|&n| n > 0);
+            match budget {
+                None => assert_eq!(got[4..], [0, 0], "{nranks} ranks spilled"),
+                Some(1) => assert!(spilled, "{nranks} ranks, budget 1: {:?}", &got[4..]),
+                Some(_) => {}
+            }
         }
     }
 }

@@ -1,18 +1,21 @@
 //! Property-based tests of the DESIGN.md §5 invariants, over random bipartite
 //! temporal multigraphs.
 
-use proptest::prelude::*;
+mod definition;
 
-use coordination::core::btm::{reference_sides, AuthorPages, Btm, PageRows};
-use coordination::core::dist_pipeline::{event_key, PagePartition};
+use std::collections::BTreeMap;
+
+use proptest::prelude::*;
+use proptest::TestCaseError;
+
+use coordination::core::btm::{AuthorPages, Btm, PageRows};
 use coordination::core::hypergraph::hyperedge_weight;
 use coordination::core::ids::{AuthorId, Event, PageId};
 use coordination::core::metrics::c_score;
-use coordination::core::project::{project, project_sequential};
+use coordination::core::project::project;
 use coordination::core::Window;
 use coordination::tripoll::survey::t_score;
 use coordination::tripoll::OrientedGraph;
-use coordination::ygm::RunStack;
 
 /// A random event log over small id spaces — small enough that collisions
 /// (shared pages, repeat comments) are common.
@@ -76,10 +79,46 @@ fn canon(g: &coordination::core::CiGraph) -> (Vec<(u32, u32, u64)>, Vec<u64>) {
     (e, g.page_counts().to_vec())
 }
 
-/// The one projection property every generator below feeds: `project` equals
-/// the literal Algorithm 1 reference, edge for edge and `P'` for `P'`.
-fn assert_matches_reference(btm: &Btm, w: Window) -> Result<(), proptest::TestCaseError> {
-    prop_assert_eq!(canon(&project(btm, w)), canon(&project_sequential(btm, w)));
+/// Events as the definition's `(author, page, ts)` comments.
+fn comments(events: &[Event]) -> Vec<definition::Comment> {
+    events
+        .iter()
+        .map(|e| (e.author.0, e.page.0, e.ts))
+        .collect()
+}
+
+/// The definition's page side, as page rows decode.
+fn rows_of(events: &[Event], n_pages: u32) -> Vec<Vec<(i64, AuthorId)>> {
+    let rows = definition::rows(&comments(events), n_pages).into_iter();
+    rows.map(|row| row.into_iter().map(|(ts, a)| (ts, AuthorId(a))).collect())
+        .collect()
+}
+
+/// The definition's author side, as a harvest holds it.
+fn pages_of(events: &[Event], n_authors: u32) -> Vec<Vec<PageId>> {
+    let pages = definition::author_pages(&comments(events), n_authors).into_iter();
+    pages
+        .map(|own| own.into_iter().map(PageId).collect())
+        .collect()
+}
+
+/// The one projection property every generator below feeds: `project`
+/// reports the definition's `w′` edge for edge and its `P′` for `P′`.
+fn assert_matches_definition(btm: &Btm, events: &[Event], w: Window) -> Result<(), TestCaseError> {
+    let params = definition::Params {
+        d1: w.d1(),
+        d2: w.d2(),
+        edge_threshold: 1,
+        min_weight: u64::MAX,
+        min_t: 0.0,
+    };
+    let want = definition::run(&comments(events), &[], &params);
+    let ci = project(btm, w);
+    let edges: BTreeMap<(u32, u32), u64> = ci.edges().map(|(x, y, w)| ((x, y), w)).collect();
+    prop_assert_eq!(edges, want.w);
+    let counts = (0u32..).zip(ci.page_counts().iter().copied());
+    let p_prime: BTreeMap<u32, u64> = counts.filter(|&(_, n)| n > 0).collect();
+    prop_assert_eq!(p_prime, want.p_prime);
     Ok(())
 }
 
@@ -90,10 +129,10 @@ fn arb_window() -> impl Strategy<Value = Window> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `project` agrees exactly with the Algorithm 1 reference.
+    /// `project` agrees exactly with the definition.
     #[test]
     fn projection_drivers_agree((na, np, events) in arb_events(20, 15, 300), w in arb_window()) {
-        assert_matches_reference(&Btm::from_events(na, np, &events), w)?;
+        assert_matches_definition(&Btm::from_events(na, np, &events), &events, w)?;
     }
 
     /// Projection weights never exceed either endpoint's P' page count, and
@@ -343,7 +382,7 @@ proptest! {
             .iter()
             .map(|&(a, t)| Event { author: AuthorId(a), page: PageId(0), ts: t })
             .collect();
-        assert_matches_reference(&Btm::from_events(12, 1, &evs), w)?;
+        assert_matches_definition(&Btm::from_events(12, 1, &evs), &evs, w)?;
     }
 
     /// Adversarial projection input #2: every comment carries the same
@@ -358,7 +397,7 @@ proptest! {
             .iter()
             .map(|&(a, p)| Event { author: AuthorId(a), page: PageId(p), ts })
             .collect();
-        assert_matches_reference(&Btm::from_events(10, 4, &evs), Window::new(0, 60))?;
+        assert_matches_definition(&Btm::from_events(10, 4, &evs), &evs, Window::new(0, 60))?;
     }
 
     /// Adversarial projection input #3: duplicate (author, ts) rows — the
@@ -388,8 +427,8 @@ proptest! {
                 .map(|&(a, p, t)| Event { author: AuthorId(a), page: PageId(p), ts: t })
                 .collect::<Vec<_>>(),
         );
-        // duplicates agree with the sequential reference…
-        assert_matches_reference(&btm, w)?;
+        // duplicates agree with the definition…
+        assert_matches_definition(&btm, &evs, w)?;
         // …and change nothing relative to the deduplicated log (δ1 = 0: the
         // duplicate row pairs with its twin at dt = 0, same as with itself —
         // page-level dedup absorbs both).
@@ -416,7 +455,7 @@ proptest! {
             .copied()
             .filter(|e| !excluded.contains(&e.author))
             .collect();
-        let (by_page, by_author) = reference_sides(na, np, &filtered);
+        let (by_page, by_author) = (rows_of(&filtered, np), pages_of(&filtered, na));
 
         let btm = Btm::build(na, np, &excluded, || events.iter().copied());
         for p in 0..np {
@@ -447,7 +486,7 @@ proptest! {
     ) {
         let (na, np) = (10, 8);
         let events: Vec<Event> = keyed.iter().map(keyed_event).collect();
-        let (_, by_author) = reference_sides(na, np, &events);
+        let by_author = pages_of(&events, na);
         let btm = Btm::from_events(na, np, &events);
 
         let everyone: Vec<u32> = (0..na).collect();
@@ -466,49 +505,20 @@ proptest! {
         }
     }
 
-    /// One page side, however it was come by: for any event multiset and any
-    /// arrival order, the counting-scatter builder `Btm` and the rank-sharded
-    /// exchange share ≡ the definition (per page, the sorted multiset of
-    /// `(ts, author)`) ≡ the rows grouped off a run-stack merge — resident,
-    /// spilled on every batch, or under a budget never reached — read through
-    /// the one partition type the rank-sharded stages consume.
+    /// One page side, whatever the arrival order: the counting-scatter
+    /// builder that `Btm` and every rank's partition are built with holds
+    /// the definition's rows, per page the sorted multiset of `(ts, author)`.
     #[test]
-    fn page_rows_match_the_definition(
-        keyed in arb_keyed_events(),
-        batch in 1usize..40,
-        budget in (0u8..3).prop_map(|kind| [None, Some(1), Some(1 << 30)][kind as usize]),
-    ) {
+    fn page_rows_match_the_definition(keyed in arb_keyed_events()) {
         let np = 8;
         let orders = arrival_orders(&keyed);
-        let (by_page, _) = reference_sides(10, np, &orders[0]);
-        let want_pages: Vec<(PageId, Vec<(i64, AuthorId)>)> = (0..np)
-            .map(PageId)
-            .zip(by_page.iter().cloned())
-            .filter(|(_, row)| !row.is_empty())
-            .collect();
-        let want_incidences: Vec<(PageId, AuthorId)> = want_pages
-            .iter()
-            .flat_map(|(p, row)| row.iter().map(|&(_, a)| (*p, a)))
-            .collect();
-
+        let by_page = rows_of(&orders[0], np);
         for input in &orders {
             let rows = PageRows::build(np, || input.iter().map(|e| (e.page, e.ts, e.author)));
             prop_assert_eq!(rows.n_pages(), np);
             prop_assert_eq!(rows.n_comments(), input.len() as u64);
             for p in 0..np {
                 prop_assert_eq!(&rows.row(PageId(p)).to_vec(), &by_page[p as usize]);
-            }
-            let mut stack: RunStack<u128> = RunStack::new("page_rows_property", 0, budget);
-            for arrivals in input.chunks(batch) {
-                stack.absorb(arrivals.iter().map(|e| event_key(e.page.0, e.ts, e.author.0)));
-            }
-            for partition in [PagePartition::Rows(rows), PagePartition::Runs(stack.take())] {
-                let mut pages = Vec::new();
-                partition.for_each_page(|p, row| pages.push((p, row.to_vec())));
-                prop_assert_eq!(&pages, &want_pages);
-                let mut incidences = Vec::new();
-                partition.for_each_incidence(|p, a| incidences.push((p, a)));
-                prop_assert_eq!(&incidences, &want_incidences);
             }
         }
     }

@@ -1,15 +1,17 @@
-//! Cross-crate equivalence: a generated month driven through the on-disk
-//! snapshot (`ingest → snapshot write → mmap open`) must be indistinguishable
-//! from the resident in-memory path at every consumer — batch pipeline,
-//! triangle survey over the embedded compressed CI graph, and the stream
-//! projector's warm start — and the rows a snapshot stores must be the BTM of
-//! the definition for any events at all.
+//! What a snapshot stores, read back: the rows of any events are the BTM of
+//! the definition, its event views tile them at every rank count, and a
+//! generated month keeps ingest's ids, the CI graph the writer projected and
+//! what the stream projector warm-starts from. (The pipelines over a
+//! snapshot are doors of the one matrix, `oracle.rs`.)
+
+mod definition;
+mod matrix;
 
 use std::sync::Arc;
 
-use coordination::core::btm::reference_sides;
+use coordination::core::filter::ExclusionList;
 use coordination::core::ids::Interner;
-use coordination::core::pipeline::{Pipeline, PipelineConfig};
+use coordination::core::project::project;
 use coordination::core::records::{write_ndjson, Dataset};
 use coordination::core::snapshot::{
     btm_from_snapshot, ci_from_snapshot, dataset_from_snapshot, ingest_to_snapshot, write_snapshot,
@@ -18,6 +20,7 @@ use coordination::core::store::Snapshot;
 use coordination::core::{AuthorId, Event, IngestConfig, PageId, Window};
 use coordination::redditgen::ScenarioConfig;
 use coordination::stream::StreamProjector;
+use matrix::TempSnap;
 use proptest::prelude::*;
 
 /// 10 authors and 8 pages of which ids 0 and n-1 never occur (rows are empty
@@ -46,9 +49,9 @@ fn interner(prefix: &str, n: u32) -> Arc<Interner> {
 
 proptest! {
     /// Stored rows ≡ the definition: whatever the events and whoever is
-    /// excluded, the BTM read off a written snapshot is the dataset's own and
-    /// the definition's, the flat event iterator is a permutation of what was
-    /// written, and the rank slices tile it for every rank count.
+    /// excluded, the BTM read off a written snapshot holds the definition's
+    /// rows, the flat event iterator is a permutation of what was written,
+    /// and the rank slices tile it for every rank count.
     #[test]
     fn snapshot_rows_are_the_btm_of_the_definition(
         events in arb_events(),
@@ -56,18 +59,22 @@ proptest! {
     ) {
         let (na, np) = (10, 8);
         let ds = Dataset { authors: interner("a", na), pages: interner("p", np), events };
-        let excluded: Vec<AuthorId> = excluded.into_iter().map(AuthorId).collect();
-        let path = std::env::temp_dir().join(format!("snap-rows-{}.snap", std::process::id()));
-        write_snapshot(&ds, None, &path).expect("any dataset writes");
-        let snap = Snapshot::open(&path).expect("and opens");
+        let file = TempSnap::new("snapshot-rows");
+        write_snapshot(&ds, None, file.path()).expect("any dataset writes");
+        let snap = Snapshot::open(file.path()).expect("and opens");
 
-        let btm = btm_from_snapshot(&snap, &excluded);
-        prop_assert_eq!(&btm, &ds.btm_without(&excluded));
-        let kept: Vec<Event> =
-            ds.events.iter().copied().filter(|e| !excluded.contains(&e.author)).collect();
-        let (by_page, _) = reference_sides(na, np, &kept);
-        for p in 0..np {
-            prop_assert_eq!(&btm.page_neighborhood(PageId(p)).to_vec(), &by_page[p as usize]);
+        let ids: Vec<AuthorId> = excluded.iter().copied().map(AuthorId).collect();
+        let btm = btm_from_snapshot(&snap, &ids);
+        let kept: Vec<(u32, u32, i64)> = ds
+            .events
+            .iter()
+            .filter(|e| !excluded.contains(&e.author.0))
+            .map(|e| (e.author.0, e.page.0, e.ts))
+            .collect();
+        prop_assert_eq!(btm.n_authors(), na);
+        for (p, want) in (0..np).zip(definition::rows(&kept, np)) {
+            let row = btm.page_neighborhood(PageId(p)).iter().map(|(ts, a)| (ts, a.0));
+            prop_assert_eq!(row.collect::<Vec<_>>(), want);
         }
 
         let stored: Vec<(u32, u32, i64)> = snap.events().iter().collect();
@@ -81,8 +88,6 @@ proptest! {
                 (0..nranks).flat_map(|r| snap.events().rank_slice(r, nranks)).collect();
             prop_assert_eq!(&tiled, &stored, "{} ranks", nranks);
         }
-        drop(snap);
-        std::fs::remove_file(&path).ok();
     }
 }
 
@@ -92,35 +97,22 @@ fn snapshot_path_is_equivalent_end_to_end() {
     let mut ndjson = Vec::new();
     write_ndjson(&mut ndjson, &scenario.records).expect("serialize scenario");
 
-    let path = std::env::temp_dir().join(format!("snap-equiv-{}.snap", std::process::id()));
+    let file = TempSnap::new("snapshot-month");
     let window = Window::zero_to_60s();
-    let (summary, stats) =
-        ingest_to_snapshot(&ndjson[..], &IngestConfig::default(), Some(window), &path)
-            .expect("ingest to snapshot");
+    let (summary, stats) = ingest_to_snapshot(
+        &ndjson[..],
+        &IngestConfig::default(),
+        Some(window),
+        file.path(),
+    )
+    .expect("ingest to snapshot");
     assert_eq!(summary.n_events, stats.events);
     assert!(summary.with_ci);
 
-    let snap = Snapshot::open(&path).expect("open snapshot");
+    let snap = Snapshot::open(file.path()).expect("open snapshot");
     let resident = coordination::core::ingest::ingest_slice(&ndjson, &IngestConfig::default())
         .expect("resident ingest")
         .dataset;
-
-    // batch pipeline: identical triplets, scores bit-for-bit
-    let pipeline = Pipeline::new(PipelineConfig {
-        window,
-        min_triangle_weight: 25,
-        ..Default::default()
-    });
-    let a = pipeline.run_dataset(&resident);
-    let b = pipeline.run_snapshot(&snap);
-    assert_eq!(a.stats.ci_edges, b.stats.ci_edges);
-    assert_eq!(a.triplets.len(), b.triplets.len());
-    assert!(!a.triplets.is_empty(), "scenario produced no triplets");
-    for (x, y) in a.triplets.iter().zip(&b.triplets) {
-        assert_eq!(x.authors, y.authors);
-        assert_eq!(x.t.to_bits(), y.t.to_bits());
-        assert_eq!(x.c.to_bits(), y.c.to_bits());
-    }
 
     // the materialized dataset keeps ingest's dense ids
     let back = dataset_from_snapshot(&snap);
@@ -129,20 +121,23 @@ fn snapshot_path_is_equivalent_end_to_end() {
         assert_eq!(back.authors.get(name), Some(id));
     }
 
-    // embedded CI graph round-trips the projection the writer ran, which
-    // applies the same bot exclusions as the pipeline — so it matches the
-    // pipeline's own step-1 graph exactly
+    // the embedded CI graph is the projection the writer ran, after the same
+    // bot exclusions as the pipeline
+    let excluded = ExclusionList::reddit_defaults().resolve(&resident);
+    let want = project(&resident.btm_without(&excluded), window);
     let (w, ci) = ci_from_snapshot(&snap).expect("embedded CI graph");
     assert_eq!(w, window);
-    assert_eq!(ci.n_edges(), a.ci.n_edges());
-    assert_eq!(ci.page_counts(), a.ci.page_counts());
+    let edges = |g: &coordination::core::CiGraph| {
+        let mut edges: Vec<_> = g.edges().collect();
+        edges.sort_unstable();
+        edges
+    };
+    assert_eq!(edges(&ci), edges(&want));
+    assert_eq!(ci.page_counts(), want.page_counts());
 
-    // stream warm start from the mapped columns matches the resident BTM
+    // stream warm start from the mapped rows matches the resident BTM
     let warm_resident = StreamProjector::warm_start(window, &resident.btm());
     let warm_mapped = StreamProjector::warm_start_snapshot(window, &snap);
     assert_eq!(warm_resident.n_edges(), warm_mapped.n_edges());
     assert_eq!(warm_resident.now(), warm_mapped.now());
-
-    drop(snap);
-    std::fs::remove_file(&path).ok();
 }

@@ -1,22 +1,21 @@
 //! The streaming subsystem's correctness anchor: on any event log, replaying
 //! the stream with no retention horizon and closing the window is *exactly*
-//! the batch pipeline — same CI-graph edges, same weights, same `P'`, and the
-//! live triangle set equals tripoll enumeration over the thresholded
-//! snapshot. In sliding mode, after every event of a log with ties, `δ1 > 0`
-//! and late arrivals, the live state is what the definition recomputed by
-//! brute force over the accepted prefix says it is.
+//! the paper's definition (`definition`) — same CI-graph edges, same weights,
+//! same `P'`, and the live triangle set is the definition's survivors. In
+//! sliding mode, after every event of a log with ties, `δ1 > 0` and late
+//! arrivals, the live state is what the definition recomputed by brute force
+//! over the accepted prefix says it is.
+
+mod definition;
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use coordination::core::btm::Btm;
 use coordination::core::ids::{AuthorId, Event, PageId};
-use coordination::core::project::project;
 use coordination::core::{CiGraph, Window};
 use coordination::stream::projector::StreamProjector;
 use coordination::stream::triangles::TriangleTracker;
-use coordination::tripoll::{OrientedGraph, SurveyConfig};
 
 /// A random event log over small id spaces — small enough that collisions
 /// (shared pages, repeat comments) are common.
@@ -64,58 +63,57 @@ fn canon(g: &CiGraph) -> (Vec<(u32, u32, u64)>, Vec<u64>) {
     (e, g.page_counts().to_vec())
 }
 
+/// The definition of `events` under `[d1, d2]`, keeping triangles with
+/// `min{w′} ≥ cutoff`.
+fn defined(events: &[Event], (d1, d2): (i64, i64), cutoff: u64) -> definition::Definition {
+    let comments: Vec<definition::Comment> = events
+        .iter()
+        .map(|e| (e.author.0, e.page.0, e.ts))
+        .collect();
+    let params = definition::Params {
+        d1,
+        d2,
+        edge_threshold: 1,
+        min_weight: cutoff,
+        min_t: 0.0,
+    };
+    definition::run(&comments, &[], &params)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Streaming replay + window close ≡ batch projection, exactly.
+    /// Streaming replay + window close ≡ the definition's `w′` and `P′`,
+    /// exactly.
     #[test]
     fn stream_close_equals_batch_projection(
-        (na, np, events) in arb_events(20, 15, 300),
+        (na, _np, events) in arb_events(20, 15, 300),
         w in arb_window(),
     ) {
-        let btm = Btm::from_events(na, np, &events);
-        let batch = project(&btm, w);
+        let want = defined(&events, (w.d1(), w.d2()), u64::MAX);
         let (projector, _) = stream_replay(&events, w, 1);
         let snap = projector.snapshot(na);
-        prop_assert_eq!(canon(&snap), canon(&batch));
+        prop_assert_eq!(snap.edges().map(|(x, y, w)| ((x, y), w)).collect::<BTreeMap<_, _>>(), want.w);
+        let counts = (0u32..).zip(snap.page_counts().iter().copied());
+        prop_assert_eq!(counts.filter(|&(_, n)| n > 0).collect::<BTreeMap<_, _>>(), want.p_prime);
     }
 
-    /// The incrementally-maintained triangle set equals tripoll enumeration
-    /// over the thresholded snapshot.
+    /// The incrementally-maintained triangle set, each with its min weight,
+    /// is the definition's triangles with `min{w′} ≥` the cutoff.
     #[test]
     fn live_triangles_equal_tripoll_enumeration(
-        (na, _np, events) in arb_events(14, 8, 250),
+        (_na, _np, events) in arb_events(14, 8, 250),
         d2 in 5i64..300,
         cutoff in 1u64..5,
     ) {
-        let w = Window::new(0, d2);
-        let (projector, tracker) = stream_replay(&events, w, cutoff);
-        let snap = projector.snapshot(na);
-
-        let mut expect: Vec<[u32; 3]> = Vec::new();
-        let oriented = OrientedGraph::from_ref(snap.as_csr());
-        let report = coordination::tripoll::survey::survey(
-            &oriented,
-            &SurveyConfig { min_edge_weight: cutoff, min_t_score: 0.0, top_k: None },
-            Some(snap.page_counts()),
-        );
-        for s in &report.triangles {
-            expect.push(s.triangle.vertices());
-        }
-        expect.sort_unstable();
-
-        let mut live: Vec<[u32; 3]> = tracker.iter().collect();
+        let (_, tracker) = stream_replay(&events, Window::new(0, d2), cutoff);
+        let want = defined(&events, (0, d2), cutoff);
+        let expect: Vec<([u32; 3], u64)> =
+            want.triplets.iter().map(|t| (t.authors, t.w.into_iter().min().unwrap_or(0))).collect();
+        let mut live: Vec<([u32; 3], u64)> =
+            tracker.iter().map(|t| (t, tracker.min_weight(t).unwrap_or(0))).collect();
         live.sort_unstable();
         prop_assert_eq!(live, expect);
-
-        // and the tracked min weights agree with the snapshot's edge weights
-        for t in tracker.iter() {
-            let mw = tracker.min_weight(t).unwrap();
-            let w01 = snap.weight(AuthorId(t[0]), AuthorId(t[1]));
-            let w02 = snap.weight(AuthorId(t[0]), AuthorId(t[2]));
-            let w12 = snap.weight(AuthorId(t[1]), AuthorId(t[2]));
-            prop_assert_eq!(mw, w01.min(w02).min(w12));
-        }
     }
 
     /// Sliding mode never reports *more* than cumulative mode (expiry only
