@@ -1,12 +1,16 @@
-//! Fixed inputs of the one matrix (`matrix::check`, every door against the
-//! paper's definition) that pin a setting of the rank-sharded engine the
-//! drawn cases in `oracle.rs` reach only by chance — a rank count, a budget
-//! and flush threshold of one byte, a span past `i64` — plus what is not an
-//! equivalence: a panicking rank tears the world down, and a generated month,
-//! beyond the cubic definition, prints the same through both engines.
+//! The rank-sharded engine through the one matrix (`matrix::check`, every
+//! door against the paper's definition): drawn inputs larger than
+//! `oracle.rs` draws, at up to eight ranks and flush thresholds up to 511 B,
+//! and fixed inputs that pin a setting the drawn cases reach only by chance
+//! — a rank count, a budget and flush threshold of one byte, a span past
+//! `i64` — plus what is not an equivalence: a panicking rank tears the world
+//! down, and a generated month, beyond the cubic definition, prints the same
+//! through both engines.
 
 mod definition;
 mod matrix;
+
+use proptest::prelude::*;
 
 use coordination::core::dist_pipeline::{event_source, DistPipeline};
 use coordination::core::ids::{AuthorId, Event, PageId};
@@ -15,7 +19,7 @@ use coordination::core::records::Dataset;
 use coordination::redditgen::ScenarioConfig;
 
 use definition::{Comment, Params};
-use matrix::{check, observed, Input, Ranked};
+use matrix::{check, observed, Input, Ranked, BUDGETS};
 
 /// The detector's defaults: a 60 s window, `min{w′} ≥ 10`.
 const DEFAULTS: Params = Params {
@@ -24,6 +28,12 @@ const DEFAULTS: Params = Params {
     edge_threshold: 1,
     min_weight: 10,
     min_t: 0.0,
+};
+
+/// The detector's window, keeping every triangle.
+const KEEP_ALL: Params = Params {
+    min_weight: 1,
+    ..DEFAULTS
 };
 
 /// Three coordinated authors (0–2) on `pages` pages, 5 s apart, an organic
@@ -159,11 +169,7 @@ fn budget_of_one_batch_stress() {
         flush: Some(1),
         ..Ranked::at(3)
     };
-    let params = Params {
-        min_weight: 1,
-        ..DEFAULTS
-    };
-    let def = check(&bots(40, 30), params, &[ranked]).unwrap();
+    let def = check(&bots(40, 30), KEEP_ALL, &[ranked]).unwrap();
     assert!(!def.triplets.is_empty(), "scenario found no triplets");
 }
 
@@ -180,17 +186,145 @@ fn comments_farther_apart_than_i64_do_not_overflow() {
         comments: vec![(0, 0, i64::MIN), (2, 0, 5), (1, 0, i64::MAX)],
         excluded: Vec::new(),
     };
-    let params = Params {
-        min_weight: 1,
-        ..DEFAULTS
-    };
-    let budgets = [None, Some(1), Some(1 << 30)];
     let ranked = [1, 2].map(|ranks| {
-        budgets.map(|budget| Ranked {
+        BUDGETS.map(|budget| Ranked {
             budget,
             ..Ranked::at(ranks)
         })
     });
-    let def = check(&input, params, ranked.as_flattened()).unwrap();
+    let def = check(&input, KEEP_ALL, ranked.as_flattened()).unwrap();
     assert_eq!((def.comments, def.w.len()), (3, 0));
+}
+
+/// File-supplied timestamps are arbitrary `i64`s: both extremes and their
+/// neighbourhoods (differences that overflow), negatives, and a few values
+/// many comments share (ties broken by author alone).
+fn arb_ts() -> impl Strategy<Value = i64> {
+    (0u8..16, -1_500i64..1_500).prop_map(|(kind, t)| match kind {
+        0 => i64::MIN,
+        1 => i64::MAX,
+        2 => i64::MIN + 1_500 + t,
+        3 => i64::MAX - 1_500 + t,
+        4..=6 => t.signum() * 30,
+        _ => t,
+    })
+}
+
+/// Up to `max_events` comments by `authors` authors on a drawn number of
+/// pages up to `pages`, some repeated verbatim, so a world often has more
+/// ranks than pages and some ranks own an empty partition. Page `p` has id
+/// `stride·p + stride/2`: at a stride above one, most slots of the page id
+/// space never occur, at both ends and in between.
+fn arb_input(
+    authors: u32,
+    pages: u32,
+    max_events: usize,
+    stride: u32,
+) -> impl Strategy<Value = Input> {
+    (1..pages + 1)
+        .prop_flat_map(move |n_pages| {
+            let row = ((0..authors, 0..n_pages, arb_ts()), 1usize..3);
+            prop::collection::vec(row, 0..max_events)
+        })
+        .prop_map(move |rows| Input {
+            n_authors: authors,
+            n_pages: stride * pages,
+            comments: rows
+                .into_iter()
+                .flat_map(|((a, p, ts), copies)| {
+                    std::iter::repeat_n((a, stride * p + stride / 2, ts), copies)
+                })
+                .collect(),
+            excluded: Vec::new(),
+        })
+}
+
+/// Page ids are sparse on the event-source doors' inputs.
+const PAGE_STRIDE: u32 = 5;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Arbitrary rank counts, arrival orders and receive sides: every door
+    /// of both engines matches the definition, so the engines match each
+    /// other.
+    #[test]
+    fn distributed_equals_resident_for_any_rank_count(
+        input in arb_input(16, 12, 250, 1),
+        seed in 0u64..u64::MAX,
+        ranks in 1usize..9,
+        budget in 0usize..3,
+    ) {
+        let ranked = Ranked {
+            budget: BUDGETS[budget],
+            seed,
+            ..Ranked::at(ranks)
+        };
+        check(&input, KEEP_ALL, &[ranked])?;
+    }
+
+    /// The same with the edge threshold and the `T` floor active, so the
+    /// rank-sharded orientation (post-threshold degree reduction) and the
+    /// keep filter are both on the hook.
+    #[test]
+    fn distributed_equals_resident_under_thresholds(
+        input in arb_input(14, 10, 220, 1),
+        seed in 0u64..u64::MAX,
+        ranks in 1usize..7,
+        edge_threshold in 1u64..4,
+    ) {
+        let params = Params {
+            edge_threshold,
+            min_weight: 2,
+            min_t: 0.2,
+            ..DEFAULTS
+        };
+        let ranked = Ranked {
+            seed,
+            ..Ranked::at(ranks)
+        };
+        check(&input, params, &[ranked])?;
+    }
+
+    /// Streamed ingest (`run_events`, arrivals permuted) matches the
+    /// materialized doors for flush thresholds down to one byte, where ship
+    /// boundaries land mid-stage everywhere, at every receive side.
+    #[test]
+    fn streaming_equals_materialized_for_any_flush_threshold(
+        input in arb_input(16, 12, 300, PAGE_STRIDE),
+        seed in 0u64..u64::MAX,
+        ranks in 1usize..6,
+        flush in 1usize..512,
+        budget in 0usize..3,
+    ) {
+        let ranked = Ranked {
+            ranks,
+            budget: BUDGETS[budget],
+            flush: Some(flush),
+            seed,
+        };
+        check(&input, KEEP_ALL, &[ranked])?;
+    }
+
+    /// Every way in is the same door: a dataset, its snapshot, a BTM built
+    /// by id and a pre-filtered event source, for a drawn excluded subset of
+    /// the authors — plus the id and name one past the id space, which have
+    /// no comments to drop and must index nothing.
+    #[test]
+    fn every_way_in_is_the_same_door(
+        input in arb_input(16, 12, 300, PAGE_STRIDE),
+        excluded_bits in 0u32..1 << 16,
+        ranks in 1usize..5,
+        budget in 0usize..3,
+    ) {
+        let input = Input {
+            excluded: (0..16).filter(|a| excluded_bits >> a & 1 == 1).collect(),
+            ..input
+        };
+        let ranked = Ranked {
+            budget: BUDGETS[budget],
+            ..Ranked::at(ranks)
+        };
+        check(&input, KEEP_ALL, &[ranked])?;
+    }
 }

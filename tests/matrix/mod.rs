@@ -73,17 +73,20 @@ impl Ranked {
     }
 }
 
-/// Ranks 1–4, each receive side of the event exchange (flat rows, a run
-/// stack spilled on every batch, one that never spills), and the adaptive
-/// flush threshold or one of 1–64 bytes.
-pub fn arb_ranked() -> impl Strategy<Value = Ranked> {
-    (1usize..5, 0usize..3, 0usize..65, 0u64..u64::MAX).prop_map(|(ranks, budget, flush, seed)| {
-        Ranked {
-            ranks,
-            budget: [None, Some(1), Some(1 << 30)][budget],
-            flush: (flush > 0).then_some(flush),
-            seed,
-        }
+/// The shuffle budgets that reach each receive side of the event exchange:
+/// none (flat page rows), one every batch overruns (a run stack spilled on
+/// every batch) and one larger than any partition (a run stack that never
+/// spills).
+pub const BUDGETS: [Option<usize>; 3] = [None, Some(1), Some(1 << 30)];
+
+/// `ranks` ranks with each of the [`BUDGETS`], the adaptive flush threshold
+/// or one of 1–64 bytes, and any arrival order.
+pub fn arb_ranked(ranks: usize) -> impl Strategy<Value = Ranked> {
+    (0usize..3, 0usize..65, 0u64..u64::MAX).prop_map(move |(budget, flush, seed)| Ranked {
+        ranks,
+        budget: BUDGETS[budget],
+        flush: (flush > 0).then_some(flush),
+        seed,
     })
 }
 
