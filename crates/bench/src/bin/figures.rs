@@ -6,10 +6,12 @@
 //!
 //! For each figure the harness prints the measured artifact (ASCII hexbin or
 //! component description), the paper's qualitative claim, and whether the
-//! reproduction exhibits it; CSV/DOT files land in `target/figures/`.
+//! reproduction exhibits it; CSV/DOT files land in `target/figures/`. The
+//! binary exits 1 if any claim check missed.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use analysis::components::{component_dot, describe, named_components};
 use analysis::hexbin::{Hexbin, HexbinConfig};
@@ -56,8 +58,15 @@ fn compute_runs() -> Runs {
     }
 }
 
+/// Claim checks that missed; `main` exits 1 after printing everything if any
+/// did.
+static MISSES: AtomicUsize = AtomicUsize::new(0);
+
 fn check(label: &str, ok: bool) {
     println!("  [{}] {label}", if ok { "ok" } else { "MISS" });
+    if !ok {
+        MISSES.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 fn score_hexbin(out: &PipelineOutput) -> Hexbin {
@@ -594,6 +603,11 @@ fn main() {
     }
     if want("future") {
         future_work(&runs);
+    }
+    let misses = MISSES.load(Ordering::Relaxed);
+    if misses > 0 {
+        eprintln!("{misses} claim check(s) missed");
+        std::process::exit(1);
     }
     println!("done.");
 }

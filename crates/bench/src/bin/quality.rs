@@ -136,7 +136,7 @@ fn print_table(reports: &[QualityReport]) {
 }
 
 /// Pull the flat `"checks"` map back out of a report, without a JSON parser
-/// (same textual contract as the pipeline bench and `obs::report`).
+/// (same textual contract as `obs::report`).
 fn parse_checks(json: &str) -> Vec<(String, f64)> {
     let Some(start) = json.find("\"checks\"") else {
         return Vec::new();

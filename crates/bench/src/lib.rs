@@ -1,4 +1,4 @@
-//! Shared workload setup for the benches and the figure harness.
+//! Shared workload setup for the figure harness and the quality gate.
 //!
 //! Scenario generation is deterministic but not free; the helpers here build
 //! each preset once per process and hand out references.
@@ -13,9 +13,6 @@ use redditgen::{Scenario, ScenarioConfig};
 /// Default scale for figure regeneration: fast enough for CI, big enough for
 /// every structural relationship to be visible.
 pub const FIGURE_SCALE: f64 = 0.5;
-
-/// Smaller scale used inside criterion loops.
-pub const BENCH_SCALE: f64 = 0.15;
 
 /// The January 2020 scenario at [`FIGURE_SCALE`], built once.
 pub fn jan2020() -> &'static (Scenario, Dataset) {
@@ -32,26 +29,6 @@ pub fn oct2016() -> &'static (Scenario, Dataset) {
     static CELL: OnceLock<(Scenario, Dataset)> = OnceLock::new();
     CELL.get_or_init(|| {
         let s = ScenarioConfig::oct2016(FIGURE_SCALE).build();
-        let ds = s.dataset();
-        (s, ds)
-    })
-}
-
-/// Small scenarios for criterion loops, built once.
-pub fn jan2020_small() -> &'static (Scenario, Dataset) {
-    static CELL: OnceLock<(Scenario, Dataset)> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let s = ScenarioConfig::jan2020(BENCH_SCALE).build();
-        let ds = s.dataset();
-        (s, ds)
-    })
-}
-
-/// Small October 2016 scenario for criterion loops.
-pub fn oct2016_small() -> &'static (Scenario, Dataset) {
-    static CELL: OnceLock<(Scenario, Dataset)> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let s = ScenarioConfig::oct2016(BENCH_SCALE).build();
         let ds = s.dataset();
         (s, ds)
     })
@@ -99,18 +76,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scenarios_build_and_cache() {
-        let (s1, ds1) = jan2020_small();
-        let (s2, _) = jan2020_small();
-        assert_eq!(s1.len(), s2.len());
-        assert!(ds1.len() > 1_000);
-    }
-
-    #[test]
     fn labeling_marks_bot_triplets() {
-        let (s, ds) = jan2020_small();
-        let out = run_hunt_config(ds);
-        let labeled = label_triplets(&out, ds, &s.truth);
+        let s = ScenarioConfig::jan2020(0.15).build();
+        let ds = s.dataset();
+        let out = run_hunt_config(&ds);
+        let labeled = label_triplets(&out, &ds, &s.truth);
         assert!(!labeled.is_empty());
         assert!(
             labeled.iter().any(|&(_, pos)| pos),

@@ -502,6 +502,66 @@ mod tests {
         std::fs::remove_file(&flip_path).ok();
     }
 
+    /// Runs of 1–8 random bytes overwritten anywhere in the file, each read
+    /// as it is and with the header's FNV rewritten to match the damaged
+    /// payload, so the decoder's structural checks run rather than the
+    /// checksum alone. Never a panic: a typed error, or keys that are still
+    /// sorted and inside the declared width.
+    #[test]
+    fn multi_byte_mutations_never_panic_even_behind_the_checksum() {
+        // splitmix64: the loop's only source of randomness
+        let mut state = 0x5eed_c0de_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let path = tmp("mutate");
+        let (mut opened, mut corrupt) = (0u32, 0u32);
+        for width in [8u8, 16] {
+            let shift = 128 - u32::from(width) * 8;
+            let mut keys: Vec<u128> = (0..300)
+                .map(|_| {
+                    (u128::from(next()) << 64 | u128::from(next())) >> (shift + next() as u32 % 64)
+                })
+                .collect();
+            keys.sort_unstable();
+            write_keys(&path, width, &keys);
+            let image = std::fs::read(&path).unwrap();
+            for _ in 0..1200 {
+                let mut bytes = image.clone();
+                let at = next() as usize % bytes.len();
+                for slot in bytes.iter_mut().skip(at).take(1 + next() as usize % 8) {
+                    *slot = next() as u8;
+                }
+                let mut repaired = bytes.clone();
+                let fnv = fnv1a_update(FNV_OFFSET, &repaired[HEADER_LEN..]);
+                repaired[25..33].copy_from_slice(&fnv.to_le_bytes());
+                for candidate in [bytes, repaired] {
+                    std::fs::write(&path, &candidate).unwrap();
+                    match read_all(&path) {
+                        Ok(got) => {
+                            let limit = u128::MAX >> (128 - u32::from(candidate[8]) * 8);
+                            assert!(got.windows(2).all(|w| w[0] <= w[1]), "unsorted keys");
+                            assert!(got.iter().all(|&k| k <= limit), "key past width");
+                            opened += 1;
+                        }
+                        Err(StoreError::Io(e)) => panic!("I/O error on a mutated segment: {e}"),
+                        Err(StoreError::Corrupt { .. }) => corrupt += 1,
+                        Err(_) => {}
+                    }
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+        // the repaired copies must reach past the checksum into the decoder
+        assert!(
+            opened > 100 && corrupt > 1000,
+            "opened {opened}, corrupt {corrupt}"
+        );
+    }
+
     #[test]
     fn bad_magic_is_typed() {
         let path = tmp("magic");

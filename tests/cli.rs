@@ -310,6 +310,49 @@ fn snapshot_write_inspect_and_from_snapshot_paths() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// The snapshot door maps rows the `--input` door has to parse and build, so
+/// its process high-water mark — the `validate.peak_rss_kb` gauge of the run
+/// report — must come in strictly below.
+#[test]
+fn snapshot_door_peaks_below_the_input_door() {
+    let dir = tmpdir("snapshot-rss");
+    let input = generate_month(&dir);
+    let snap = dir.join("month.snap");
+    let status = bin()
+        .args(["snapshot", "write", "--input"])
+        .arg(&input)
+        .arg("--out")
+        .arg(&snap)
+        .status()
+        .expect("run snapshot write");
+    assert!(status.success());
+    let peak_kb = |door: &str, path: &PathBuf| {
+        let report = dir.join("report.json");
+        let status = bin()
+            .args(["validate", door])
+            .arg(path)
+            .args(["--cutoff", "10", "--report"])
+            .arg(&report)
+            .stdout(std::process::Stdio::null())
+            .status()
+            .expect("run validate --report");
+        assert!(status.success(), "validate {door}");
+        let text = std::fs::read_to_string(&report).expect("read report");
+        let json: serde_json::Value = serde_json::from_str(&text).expect("report is JSON");
+        json.get("gauges")
+            .and_then(|g| g.get("validate.peak_rss_kb"))
+            .and_then(|kb| kb.as_u64())
+            .expect("validate.peak_rss_kb gauge")
+    };
+    let input_kb = peak_kb("--input", &input);
+    let snapshot_kb = peak_kb("--from-snapshot", &snap);
+    assert!(
+        snapshot_kb < input_kb,
+        "snapshot door peak {snapshot_kb} kB not below --input door peak {input_kb} kB"
+    );
+    std::fs::remove_dir_all(dir).ok();
+}
+
 #[test]
 fn snapshot_inspect_rejects_damaged_and_future_files() {
     let dir = tmpdir("snapshot-bad");

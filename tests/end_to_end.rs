@@ -6,6 +6,8 @@ use coordination::analysis::stats::pearson;
 use coordination::core::pipeline::{Pipeline, PipelineConfig};
 use coordination::core::Window;
 use coordination::redditgen::ScenarioConfig;
+use coordination::stream::source::scenario_records;
+use coordination::stream::{StreamConfig, StreamEngine};
 
 fn hunt(
     scale: f64,
@@ -276,4 +278,41 @@ fn detection_is_precise_and_complete() {
     assert!(eval.flagged_total > 0);
     assert!(eval.precision > 0.95, "precision {}", eval.precision);
     assert_eq!(eval.family_recall, 1.0, "all families found");
+}
+
+/// The cumulative stream engine, replaying the month in time order, alerts
+/// on both planted families. Run with `--nocapture` for the first-alert
+/// latency table (events ingested before each family's first alert).
+#[test]
+fn stream_engine_alerts_both_planted_families() {
+    let scenario = ScenarioConfig::jan2020(0.15).build();
+    let records = scenario_records(&scenario);
+    let total = records.len();
+    let mut engine = StreamEngine::new(StreamConfig {
+        window: Window::zero_to_60s(),
+        min_triangle_weight: 8,
+        ..Default::default()
+    });
+    let mut firsts: Vec<(String, u64)> = Vec::new();
+    engine.run(records, |e, alert| {
+        let names = e.author_names(alert.authors);
+        if let Some(fam) = names.iter().find_map(|n| scenario.truth.family_of(n)) {
+            if !firsts.iter().any(|(f, _)| f == &fam.name) {
+                firsts.push((fam.name.clone(), alert.events_ingested));
+            }
+        }
+    });
+    println!("first-alert latency (cutoff 8, {total} events total):");
+    for (family, events) in &firsts {
+        println!(
+            "  {family:<16} {events:>7} events ({:.1}% of stream)",
+            100.0 * *events as f64 / total as f64
+        );
+    }
+    for expected in ["gpt2", "mlb_restream"] {
+        assert!(
+            firsts.iter().any(|(f, _)| f == expected),
+            "{expected} never alerted: {firsts:?}"
+        );
+    }
 }
