@@ -77,8 +77,8 @@ impl ExclusionList {
 
     /// Resolve against a snapshot's mapped author table (the snapshot load
     /// path: no interner materialized). Each excluded name is looked up with
-    /// [`NamesView::find`], which compares bytes only among names of its
-    /// length, so nothing is hashed or UTF-8-checked per stored name.
+    /// [`NamesView::find`], a binary search of the byte-ordered table, so
+    /// nothing is hashed or UTF-8-checked per stored name.
     /// Produces exactly what [`ExclusionList::resolve`] would for the same
     /// vocabulary.
     pub fn resolve_names(&self, names: NamesView<'_>) -> Vec<AuthorId> {
@@ -143,8 +143,8 @@ mod tests {
                 events: Vec::new(),
             };
             let mut w = SnapshotWriter::new();
-            w.authors(ds.authors.iter().map(|(_, n)| n));
-            w.pages(std::iter::empty());
+            w.authors(ds.authors.iter().map(|(_, n)| n)).unwrap();
+            w.pages(std::iter::empty()).unwrap();
             w.events(&[]).unwrap();
             let snap = Snapshot::from_bytes(w.to_bytes().unwrap()).unwrap();
             let mut more = ExclusionList::reddit_defaults();

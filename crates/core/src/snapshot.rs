@@ -65,8 +65,8 @@ pub fn write_snapshot(
     });
 
     let mut w = SnapshotWriter::new();
-    w.authors(ds.authors.iter().map(|(_, n)| n));
-    w.pages(ds.pages.iter().map(|(_, n)| n));
+    w.authors(ds.authors.iter().map(|(_, n)| n))?;
+    w.pages(ds.pages.iter().map(|(_, n)| n))?;
     let (off, all) = rows.parts();
     let off: Vec<u64> = off.iter().map(|&o| o as u64).collect();
     let wide = |row: &[(i64, AuthorId)]| -> Vec<u64> {

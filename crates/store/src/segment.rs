@@ -17,26 +17,29 @@
 //! width    u8    logical key width in bytes: 8 or 16
 //! count    u64 LE  number of keys
 //! paylen   u64 LE  payload length in bytes
-//! fnv      u64 LE  FNV-1a 64 of the payload bytes
+//! sum      u64 LE  the snapshot sections' checksum of the payload bytes
 //! payload  ceil(count / SEG_BLOCK) blocks:
 //!            varint first key (absolute),
 //!            then (block_len - 1) × varint delta from predecessor
 //! ```
 //!
-//! The writer streams: keys are encoded block-by-block straight into a
-//! buffered file with a running checksum, so spilling never re-buffers the
-//! run it is evicting. The reader streams too — [`SegmentReader::next_block`]
-//! decodes one block at a time into a reusable buffer, which is what lets the
-//! final owner-side merge iterate spilled runs without ever holding one
-//! resident. Every malformed input (bad magic, truncation, varint overflow,
-//! keys out of order or out of width range, checksum mismatch) is a typed
-//! [`StoreError`], never a panic — the same contract as [`crate::Snapshot`].
+//! The writer streams: keys are encoded a block at a time, and each block is
+//! folded into a running sum (the streaming form of
+//! [`crate::snapshot::checksum`]) and written to a buffered file, so
+//! spilling never re-buffers the run it is evicting. The reader streams too
+//! — [`SegmentReader::next_block`] decodes one block at a time into a
+//! reusable buffer, which is what lets the final owner-side merge iterate
+//! spilled runs without ever holding one resident. Every malformed input
+//! (bad magic, truncation, varint overflow, keys out of order or out of
+//! width range, checksum mismatch) is a typed [`StoreError`], never a panic
+//! — the same contract as [`crate::Snapshot`].
 
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::err::StoreError;
+use crate::snapshot::Checksum;
 use crate::varint;
 
 /// Magic prefix of every segment file.
@@ -47,21 +50,8 @@ pub const SEG_MAGIC: [u8; 8] = *b"COORSEG1";
 /// reusable buffer.
 pub const SEG_BLOCK: usize = 128;
 
-/// Fixed header size: magic + width + count + paylen + fnv.
+/// Fixed header size: magic + width + count + paylen + sum.
 const HEADER_LEN: usize = 8 + 1 + 8 + 8 + 8;
-
-/// FNV-1a 64 offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv1a_update(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// What a finished segment holds — the writer's receipt, used by the spill
 /// machinery to account `shuffle.spilled_bytes`.
@@ -83,9 +73,10 @@ pub struct SegmentWriter {
     width: u8,
     count: u64,
     payload_len: u64,
-    hash: u64,
+    sum: Checksum,
     prev: u128,
-    scratch: Vec<u8>,
+    /// The current block's encoded keys.
+    block: Vec<u8>,
 }
 
 impl SegmentWriter {
@@ -106,9 +97,9 @@ impl SegmentWriter {
             width,
             count: 0,
             payload_len: 0,
-            hash: FNV_OFFSET,
+            sum: Checksum::new(),
             prev: 0,
-            scratch: Vec::with_capacity(20),
+            block: Vec::new(),
         })
     }
 
@@ -117,32 +108,34 @@ impl SegmentWriter {
         if self.width == 8 && key > u128::from(u64::MAX) {
             return Err(StoreError::corrupt("segment key overflows declared width"));
         }
-        self.scratch.clear();
-        if self.count.is_multiple_of(SEG_BLOCK as u64) {
-            varint::write_u128(&mut self.scratch, key);
-        } else {
-            let Some(delta) = key.checked_sub(self.prev) else {
-                return Err(StoreError::corrupt(
-                    "segment keys pushed out of sorted order",
-                ));
-            };
-            varint::write_u128(&mut self.scratch, delta);
-        }
         if self.count > 0 && key < self.prev {
             return Err(StoreError::corrupt(
                 "segment keys pushed out of sorted order",
             ));
         }
-        self.hash = fnv1a_update(self.hash, &self.scratch);
-        self.payload_len += self.scratch.len() as u64;
-        self.out.write_all(&self.scratch)?;
+        if self.count.is_multiple_of(SEG_BLOCK as u64) {
+            self.flush_block()?;
+            varint::write_u128(&mut self.block, key);
+        } else {
+            varint::write_u128(&mut self.block, key - self.prev);
+        }
         self.prev = key;
         self.count += 1;
         Ok(())
     }
 
+    /// Sum and write the encoded block.
+    fn flush_block(&mut self) -> Result<(), StoreError> {
+        self.sum.update(&self.block);
+        self.payload_len += self.block.len() as u64;
+        self.out.write_all(&self.block)?;
+        self.block.clear();
+        Ok(())
+    }
+
     /// Flush, patch the header with the final totals, and sync lengths.
-    pub fn finish(self) -> Result<SegmentStats, StoreError> {
+    pub fn finish(mut self) -> Result<SegmentStats, StoreError> {
+        self.flush_block()?;
         let mut file = self
             .out
             .into_inner()
@@ -152,7 +145,7 @@ impl SegmentWriter {
         header.push(self.width);
         header.extend_from_slice(&self.count.to_le_bytes());
         header.extend_from_slice(&self.payload_len.to_le_bytes());
-        header.extend_from_slice(&self.hash.to_le_bytes());
+        header.extend_from_slice(&self.sum.finish().to_le_bytes());
         file.seek(SeekFrom::Start(0))?;
         file.write_all(&header)?;
         file.flush()?;
@@ -177,8 +170,8 @@ pub struct SegmentReader {
     width: u8,
     count: u64,
     payload_len: u64,
-    declared_hash: u64,
-    hash: u64,
+    declared_sum: u64,
+    sum: Checksum,
     bytes_read: u64,
     keys_read: u64,
     prev: u128,
@@ -215,7 +208,7 @@ impl SegmentReader {
         }
         let count = u64::from_le_bytes(header[9..17].try_into().expect("8-byte slot"));
         let payload_len = u64::from_le_bytes(header[17..25].try_into().expect("8-byte slot"));
-        let declared_hash = u64::from_le_bytes(header[25..33].try_into().expect("8-byte slot"));
+        let declared_sum = u64::from_le_bytes(header[25..33].try_into().expect("8-byte slot"));
         let need = HEADER_LEN as u64 + payload_len;
         if file_len < need {
             return Err(StoreError::Truncated {
@@ -238,8 +231,8 @@ impl SegmentReader {
             width,
             count,
             payload_len,
-            declared_hash,
-            hash: FNV_OFFSET,
+            declared_sum,
+            sum: Checksum::new(),
             bytes_read: 0,
             keys_read: 0,
             prev: 0,
@@ -275,7 +268,7 @@ impl SegmentReader {
             let want = (self.payload_len - self.bytes_read).min(SEG_CHUNK as u64) as usize;
             self.chunk.resize(want, 0);
             self.input.read_exact(&mut self.chunk)?;
-            self.hash = fnv1a_update(self.hash, &self.chunk);
+            self.sum.update(&self.chunk);
             self.chunk_pos = 0;
         }
         let b = self.chunk[self.chunk_pos];
@@ -339,7 +332,7 @@ impl SegmentReader {
                     self.payload_len - self.bytes_read
                 )));
             }
-            if self.hash != self.declared_hash {
+            if self.sum.finish() != self.declared_sum {
                 return Err(StoreError::ChecksumMismatch { section: "segment" });
             }
             return Ok(&self.block);
@@ -503,7 +496,7 @@ mod tests {
     }
 
     /// Runs of 1–8 random bytes overwritten anywhere in the file, each read
-    /// as it is and with the header's FNV rewritten to match the damaged
+    /// as it is and with the header's checksum rewritten to match the damaged
     /// payload, so the decoder's structural checks run rather than the
     /// checksum alone. Never a panic: a typed error, or keys that are still
     /// sorted and inside the declared width.
@@ -536,8 +529,8 @@ mod tests {
                     *slot = next() as u8;
                 }
                 let mut repaired = bytes.clone();
-                let fnv = fnv1a_update(FNV_OFFSET, &repaired[HEADER_LEN..]);
-                repaired[25..33].copy_from_slice(&fnv.to_le_bytes());
+                let sum = crate::snapshot::checksum(&repaired[HEADER_LEN..]);
+                repaired[25..33].copy_from_slice(&sum.to_le_bytes());
                 for candidate in [bytes, repaired] {
                     std::fs::write(&path, &candidate).unwrap();
                     match read_all(&path) {

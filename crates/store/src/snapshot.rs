@@ -1,7 +1,7 @@
 //! The snapshot container: magic, version, checksummed section directory,
 //! and the columnar sections themselves.
 //!
-//! ## File layout (version 3)
+//! ## File layout (version 4)
 //!
 //! ```text
 //! [0..8)    magic  b"COORSNAP"
@@ -17,9 +17,12 @@
 //! the file.
 //!
 //! * `META` — n_authors, n_pages, n_events, min/max timestamp (varints).
-//! * `AUTHOR_NAMES` / `PAGE_NAMES` — interner string tables in dense-id
-//!   order: count, byte length, fixed-width `u32` end-offset table, then the
-//!   concatenated UTF-8 bytes. Fixed-width ends make `name(id)` two loads.
+//! * `AUTHOR_NAMES` / `PAGE_NAMES` — interner string tables: count, byte
+//!   length, the names in strictly increasing byte order as a fixed-width
+//!   `u32` end-offset table and their concatenated UTF-8 bytes, then one
+//!   `u32` rank per dense id (id `i`'s name is sorted entry `rank[i]`).
+//!   Sorted names prove uniqueness neighbour by neighbour; fixed-width ends
+//!   and ranks make `name(id)` three loads.
 //! * `ROWS` — the BTM's page side exactly as `PageRows` holds it, so readers
 //!   borrow it: a 32-byte header (layout `u32`, pad `u32`, `t0`, n_pages,
 //!   n_events), `pad` zero bytes up to an 8-aligned file offset, `n_pages +
@@ -53,7 +56,7 @@ pub const MAGIC: [u8; 8] = *b"COORSNAP";
 
 /// The single schema version this build reads and writes. Bump on any
 /// layout change; readers must refuse versions they do not speak.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 mod kind {
     pub const META: u32 = 1;
@@ -84,27 +87,107 @@ const WIDE: u32 = 2;
 /// Bytes of the `ROWS` header, before its padding.
 const ROWS_HEADER: usize = 32;
 
-/// The per-section checksum, also the hash of the name-uniqueness check:
-/// the length, then every little-endian 8-byte word (the tail zero-padded)
-/// folded in by xor and a multiplication by an odd constant. Each step is a
-/// bijection of the running value, so corrupting any single word always
-/// changes the sum; structural validation catches what a colliding
-/// multi-word change slips by.
+const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Bytes the checksum reads per step: one word into each of its four lanes.
+const BLOCK: usize = 32;
+
+#[inline]
+fn fold(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(K)
+}
+
+/// One block's four little-endian words, word `j` into lane `j`.
+#[inline]
+fn absorb(lanes: &mut [u64; 4], block: &[u8]) {
+    let word =
+        |j: usize| u64::from_le_bytes(block[8 * j..8 * j + 8].try_into().expect("8-byte word"));
+    let [a, b, c, d] = *lanes;
+    *lanes = [
+        fold(a, word(0)),
+        fold(b, word(1)),
+        fold(c, word(2)),
+        fold(d, word(3)),
+    ];
+}
+
+/// The running form of [`checksum`], for bytes that arrive in pieces (the
+/// spill segments): any split of the same bytes gives the same sum.
+pub(crate) struct Checksum {
+    lanes: [u64; 4],
+    /// The bytes of a block not yet whole.
+    pending: [u8; BLOCK],
+    filled: usize,
+    len: u64,
+}
+
+impl Checksum {
+    /// The sum of no bytes so far.
+    pub(crate) fn new() -> Self {
+        Checksum {
+            lanes: [0, 1, 2, 3],
+            pending: [0; BLOCK],
+            filled: 0,
+            len: 0,
+        }
+    }
+
+    /// Fold in the next bytes.
+    // Always inlined, so that a one-shot `checksum` keeps the lanes in
+    // registers. Out of line they load from and store back to `self`, and
+    // the compiler then packs the four chains into two-lane vectors whose
+    // 64-bit multiplies take three 32-bit ones each: half the speed.
+    #[inline(always)]
+    pub(crate) fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.filled > 0 {
+            let take = (BLOCK - self.filled).min(bytes.len());
+            self.pending[self.filled..self.filled + take].copy_from_slice(&bytes[..take]);
+            self.filled += take;
+            bytes = &bytes[take..];
+            if self.filled < BLOCK {
+                return;
+            }
+            absorb(&mut self.lanes, &self.pending);
+            self.filled = 0;
+        }
+        let mut lanes = self.lanes;
+        let mut blocks = bytes.chunks_exact(BLOCK);
+        for block in &mut blocks {
+            absorb(&mut lanes, block);
+        }
+        self.lanes = lanes;
+        let rest = blocks.remainder();
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.filled = rest.len();
+    }
+
+    /// The sum of every byte folded in so far.
+    pub(crate) fn finish(&self) -> u64 {
+        let mut lanes = self.lanes;
+        if self.filled > 0 {
+            let mut block = [0u8; BLOCK];
+            block[..self.filled].copy_from_slice(&self.pending[..self.filled]);
+            absorb(&mut lanes, &block);
+        }
+        let h = lanes
+            .iter()
+            .fold(fold(0, self.len), |h, &lane| fold(h, lane));
+        h ^ (h >> 32)
+    }
+}
+
+/// The per-section checksum. Word `i` of the bytes (little-endian, the tail
+/// zero-padded) goes into lane `i % 4` by xor and a multiplication by an odd
+/// constant, so four independent chains keep the multiplier busy; the lanes
+/// are then folded the same way into the length. Every step is a bijection
+/// of the value it updates, so corrupting any single word always changes the
+/// sum; structural validation catches what a colliding multi-word change
+/// slips by.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    const K: u64 = 0x9e37_79b9_7f4a_7c15;
-    let fold = |h: u64, word: [u8; 8]| (h ^ u64::from_le_bytes(word)).wrapping_mul(K);
-    let mut words = bytes.chunks_exact(8);
-    let mut h = fold(0, (bytes.len() as u64).to_le_bytes());
-    for word in &mut words {
-        h = fold(h, word.try_into().expect("8-byte chunk"));
-    }
-    let tail = words.remainder();
-    if !tail.is_empty() {
-        let mut word = [0u8; 8];
-        word[..tail.len()].copy_from_slice(tail);
-        h = fold(h, word);
-    }
-    h ^ (h >> 32)
+    let mut sum = Checksum::new();
+    sum.update(bytes);
+    sum.finish()
 }
 
 /// Corpus-level facts recorded in the `META` section.
@@ -241,21 +324,71 @@ pub struct SnapshotWriter {
     ci: Option<Vec<u8>>,
 }
 
-fn encode_names<'a>(names: impl Iterator<Item = &'a str>) -> (u32, Vec<u8>) {
-    let mut ends: Vec<u8> = Vec::new();
-    let mut bytes: Vec<u8> = Vec::new();
-    let mut count = 0u32;
-    for name in names {
-        bytes.extend_from_slice(name.as_bytes());
-        ends.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        count += 1;
+/// The first eight bytes of the name `bytes[lo..hi]` as a big-endian word,
+/// zero past its end. Names whose words differ compare as the words do, so
+/// sorting and the open-time order check read one integer per name and
+/// compare bytes only on a tie.
+#[inline]
+fn prefix_at(bytes: &[u8], lo: usize, hi: usize) -> u64 {
+    let len = hi - lo;
+    match bytes.get(lo..lo + 8) {
+        Some(word) => {
+            let word = u64::from_be_bytes(word.try_into().expect("8 bytes"));
+            // a name shorter than 8 bytes keeps only its own
+            word & !u64::MAX.checked_shr(8 * len.min(8) as u32).unwrap_or(0)
+        }
+        None => {
+            let mut word = [0u8; 8];
+            word[..len].copy_from_slice(&bytes[lo..hi]);
+            u64::from_be_bytes(word)
+        }
     }
-    let mut out = Vec::with_capacity(bytes.len() + ends.len() + 10);
+}
+
+/// A name table in dense-id order as its section: the names sorted once —
+/// on their first eight bytes as a big-endian integer, which settles most
+/// comparisons in one instruction, then on all their bytes — and each id's
+/// rank in that order. Two equal names are a [`StoreError::Corrupt`].
+fn encode_names<'a>(
+    table: &str,
+    names: impl Iterator<Item = &'a str>,
+) -> Result<(u32, Vec<u8>), StoreError> {
+    let names: Vec<&str> = names.collect();
+    let count = u32::try_from(names.len())
+        .map_err(|_| StoreError::corrupt(format!("{table}: too many names")))?;
+    let prefix = |name: &str| prefix_at(name.as_bytes(), 0, name.len());
+    let mut order: Vec<(u64, u32)> = (0..count)
+        .map(|id| (prefix(names[id as usize]), id))
+        .collect();
+    order.sort_unstable_by(|x, y| {
+        x.0.cmp(&y.0)
+            .then_with(|| names[x.1 as usize].cmp(names[y.1 as usize]))
+    });
+    let mut ends: Vec<u8> = Vec::with_capacity(4 * names.len());
+    let mut bytes: Vec<u8> = Vec::new();
+    let mut ranks = vec![0u32; names.len()];
+    for (rank, &(_, id)) in order.iter().enumerate() {
+        let name = names[id as usize];
+        if rank > 0 && names[order[rank - 1].1 as usize] == name {
+            return Err(StoreError::corrupt(format!(
+                "{table}: duplicate name {name:?}"
+            )));
+        }
+        bytes.extend_from_slice(name.as_bytes());
+        let end = u32::try_from(bytes.len())
+            .map_err(|_| StoreError::corrupt(format!("{table}: name bytes pass u32 offsets")))?;
+        ends.extend_from_slice(&end.to_le_bytes());
+        ranks[id as usize] = rank as u32;
+    }
+    let mut out = Vec::with_capacity(bytes.len() + 2 * ends.len() + 10);
     varint::write_u64(&mut out, u64::from(count));
     varint::write_u64(&mut out, bytes.len() as u64);
     out.extend_from_slice(&ends);
     out.extend_from_slice(&bytes);
-    (count, out)
+    ranks
+        .iter()
+        .for_each(|r| out.extend_from_slice(&r.to_le_bytes()));
+    Ok((count, out))
 }
 
 impl SnapshotWriter {
@@ -265,16 +398,25 @@ impl SnapshotWriter {
     }
 
     /// Record the author name table, in dense-id order (id `i` = `i`-th
-    /// name). Must be called before [`SnapshotWriter::page_rows`].
-    pub fn authors<'a>(&mut self, names: impl Iterator<Item = &'a str>) -> &mut Self {
-        self.authors = Some(encode_names(names));
-        self
+    /// name). Must be called before [`SnapshotWriter::page_rows`]. Two
+    /// equal names are a [`StoreError::Corrupt`] and record nothing: ids
+    /// could not survive a re-interning.
+    pub fn authors<'a>(
+        &mut self,
+        names: impl Iterator<Item = &'a str>,
+    ) -> Result<&mut Self, StoreError> {
+        self.authors = Some(encode_names(kind::name(kind::AUTHOR_NAMES), names)?);
+        Ok(self)
     }
 
-    /// Record the page name table, in dense-id order.
-    pub fn pages<'a>(&mut self, names: impl Iterator<Item = &'a str>) -> &mut Self {
-        self.pages = Some(encode_names(names));
-        self
+    /// Record the page name table, in dense-id order; refused as
+    /// [`SnapshotWriter::authors`] is.
+    pub fn pages<'a>(
+        &mut self,
+        names: impl Iterator<Item = &'a str>,
+    ) -> Result<&mut Self, StoreError> {
+        self.pages = Some(encode_names(kind::name(kind::PAGE_NAMES), names)?);
+        Ok(self)
     }
 
     /// Record the `ROWS` section, and `META` from it, out of page rows laid
@@ -680,7 +822,7 @@ impl Snapshot {
                     view.len()
                 )));
             }
-            view.validate()?;
+            view.validate(kind::name(k))?;
         }
         drop(names);
 
@@ -803,11 +945,19 @@ impl Snapshot {
 // ---------------------------------------------------------------------------
 
 /// Borrowed view over a name-table section: `&str` by dense id, zero-copy.
+/// The names lie in byte order; `ranks` maps each dense id to its place.
 #[derive(Clone, Copy)]
 pub struct NamesView<'a> {
     count: u32,
     ends: &'a [u8],
     bytes: &'a [u8],
+    ranks: &'a [u8],
+}
+
+/// Little-endian `u32` `i` of `column`.
+#[inline]
+fn u32_at(column: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(column[4 * i..4 * i + 4].try_into().expect("4-byte slot"))
 }
 
 impl<'a> NamesView<'a> {
@@ -815,10 +965,9 @@ impl<'a> NamesView<'a> {
         let mut pos = 0;
         let count = varint::read_u32(section, &mut pos)?;
         let total = varint::read_u64(section, &mut pos)?;
-        let ends_len = (count as usize)
-            .checked_mul(4)
-            .ok_or_else(|| StoreError::corrupt("name table end-offsets overflow"))?;
-        let need = (pos as u64 + ends_len as u64)
+        // ≤ 2^34 each, so only adding `total` can overflow
+        let column = 4 * u64::from(count);
+        let need = (pos as u64 + 2 * column)
             .checked_add(total)
             .ok_or_else(|| StoreError::corrupt("name table size overflows"))?;
         if (section.len() as u64) < need {
@@ -831,56 +980,74 @@ impl<'a> NamesView<'a> {
         if section.len() as u64 != need {
             return Err(StoreError::corrupt("name table has trailing bytes"));
         }
-        let ends = &section[pos..pos + ends_len];
-        let bytes = &section[pos + ends_len..];
-        Ok(NamesView { count, ends, bytes })
+        let (ends, rest) = section[pos..].split_at(column as usize);
+        let (bytes, ranks) = rest.split_at(total as usize);
+        Ok(NamesView {
+            count,
+            ends,
+            bytes,
+            ranks,
+        })
     }
 
-    fn end(&self, i: u32) -> usize {
-        if i == 0 {
+    /// Where sorted name `s` starts, and name `s - 1` ends.
+    fn bound(&self, s: u32) -> usize {
+        if s == 0 {
             return 0;
         }
-        let at = (i as usize - 1) * 4;
-        u32::from_le_bytes(self.ends[at..at + 4].try_into().expect("4-byte slot")) as usize
+        u32_at(self.ends, s as usize - 1) as usize
     }
 
-    fn validate(&self) -> Result<(), StoreError> {
-        // Valid as a whole and cut at character boundaries is the same as
-        // every name being valid UTF-8 on its own.
-        let text = std::str::from_utf8(self.bytes).map_err(|e| {
-            StoreError::corrupt(format!("name byte {} is not valid UTF-8", e.valid_up_to()))
-        })?;
-        // The table must be a bijection: re-interning it downstream has to
-        // reproduce the dense ids exactly, which duplicates would break.
-        // Open addressing over `hash tag | id + 1` slots, 0 for empty; bytes
-        // are compared only when the 32-bit tags agree.
-        let mask = (self.count as usize * 2).next_power_of_two() - 1;
-        let mut slots = vec![0u64; mask + 1];
-        let mut prev = 0usize;
-        for id in 0..self.count {
-            let end = self.end(id + 1);
-            let name = text.get(prev..end).ok_or_else(|| {
-                StoreError::corrupt(format!(
-                    "name {id} ends out of order, out of bounds or inside a character"
-                ))
-            })?;
-            prev = end;
-            let hash = checksum(name.as_bytes());
-            let entry = hash & !0xffff_ffff | u64::from(id + 1);
-            let mut at = hash as usize & mask;
-            while slots[at] != 0 {
-                let seen = slots[at];
-                if seen >> 32 == entry >> 32 && self.get(seen as u32 - 1) == name {
-                    return Err(StoreError::corrupt(format!("duplicate name {name:?}")));
-                }
-                at = (at + 1) & mask;
+    /// Sorted name `s`'s bytes.
+    fn sorted(&self, s: u32) -> &'a [u8] {
+        &self.bytes[self.bound(s)..self.bound(s + 1)]
+    }
+
+    /// One pass, no hashing, linear for any input: the bytes are UTF-8 as a
+    /// whole and the ends ascend inside them on character boundaries (so
+    /// every name is UTF-8 on its own), each name is greater than the one
+    /// before it (so no two are equal: the table is a bijection, which
+    /// re-interning it downstream needs to reproduce the dense ids), and the
+    /// ranks are a permutation.
+    fn validate(&self, table: &str) -> Result<(), StoreError> {
+        let bad = |what: String| StoreError::corrupt(format!("{table}: {what}"));
+        let text = std::str::from_utf8(self.bytes)
+            .map_err(|e| bad(format!("name byte {} is not valid UTF-8", e.valid_up_to())))?;
+        let bytes = text.as_bytes();
+        // the previous name's first eight bytes and where it starts
+        let (mut lo, mut prev) = (0usize, None);
+        for (s, end) in self.ends.chunks_exact(4).enumerate() {
+            let hi = u32::from_le_bytes(end.try_into().expect("4-byte slot")) as usize;
+            if hi < lo || !text.is_char_boundary(hi) {
+                return Err(bad(format!(
+                    "name {s} ends out of order, out of bounds or inside a character"
+                )));
             }
-            slots[at] = entry;
+            let word = prefix_at(bytes, lo, hi);
+            if let Some((before, start)) = prev {
+                if word < before || word == before && bytes[lo..hi] <= bytes[start..lo] {
+                    return Err(bad(format!(
+                        "names {} and {s} are not in increasing byte order",
+                        s - 1
+                    )));
+                }
+            }
+            (lo, prev) = (hi, Some((word, lo)));
         }
-        if prev != self.bytes.len() {
-            return Err(StoreError::corrupt(
-                "name bytes extend past the last offset",
-            ));
+        if lo != self.bytes.len() {
+            return Err(bad("name bytes extend past the last offset".to_string()));
+        }
+        let mut seen = vec![0u64; (self.count as usize).div_ceil(64)];
+        for id in 0..self.count as usize {
+            let rank = u32_at(self.ranks, id);
+            if rank >= self.count {
+                return Err(bad(format!("id {id} has rank {rank} of {}", self.count)));
+            }
+            let (word, bit) = (rank as usize / 64, 1u64 << (rank % 64));
+            if seen[word] & bit != 0 {
+                return Err(bad(format!("rank {rank} is given twice")));
+            }
+            seen[word] |= bit;
         }
         Ok(())
     }
@@ -899,8 +1066,8 @@ impl<'a> NamesView<'a> {
     /// the same validated snapshot, so a violation is a caller bug).
     pub fn get(&self, i: u32) -> &'a str {
         assert!(i < self.count, "name id {i} out of range ({})", self.count);
-        let (lo, hi) = (self.end(i), self.end(i + 1));
-        std::str::from_utf8(&self.bytes[lo..hi]).expect("validated at open")
+        let name = self.sorted(u32_at(self.ranks, i as usize));
+        std::str::from_utf8(name).expect("validated at open")
     }
 
     /// All names in dense-id order.
@@ -908,19 +1075,26 @@ impl<'a> NamesView<'a> {
         (0..self.count).map(move |i| self.get(i))
     }
 
-    /// `name`'s dense id, by one walk of the end-offset table that compares
-    /// bytes only for names of `name`'s length — no name is decoded or
-    /// hashed, so resolving a handful of exclusion names costs a pass over
-    /// 4 B per name.
+    /// `name`'s dense id: a binary search of the sorted names for its rank,
+    /// then one scan of the rank column for the id holding it — nothing is
+    /// decoded or hashed, so resolving a handful of exclusion names costs a
+    /// pass over 4 B per name.
     pub fn find(&self, name: &str) -> Option<u32> {
-        let want = name.as_bytes();
-        let mut lo = 0;
-        for (id, end) in self.ends.chunks_exact(4).enumerate() {
-            let hi = u32::from_le_bytes(end.try_into().expect("4-byte slot")) as usize;
-            if hi - lo == want.len() && self.bytes[lo..hi] == *want {
-                return Some(id as u32);
+        use std::cmp::Ordering;
+        let (mut lo, mut hi) = (0, self.count);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.sorted(mid).cmp(name.as_bytes()) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => {
+                    let id = self
+                        .ranks
+                        .chunks_exact(4)
+                        .position(|r| *r == mid.to_le_bytes());
+                    return id.map(|id| id as u32);
+                }
             }
-            lo = hi;
         }
         None
     }
@@ -1072,8 +1246,8 @@ mod tests {
 
     fn sample() -> Vec<u8> {
         let mut w = SnapshotWriter::new();
-        w.authors(["alice", "bob", "carol"].into_iter());
-        w.pages(["t3_a", "t3_b"].into_iter());
+        w.authors(["alice", "bob", "carol"].into_iter()).unwrap();
+        w.pages(["t3_a", "t3_b"].into_iter()).unwrap();
         w.events(&[(0, 0, 100), (1, 0, 100), (2, 1, 101), (0, 1, 105)])
             .unwrap();
         let ci = CsrGraph::from_edges(3, vec![(0, 1, 2), (1, 2, 1)]);
@@ -1120,8 +1294,8 @@ mod tests {
     #[test]
     fn wide_rows_round_trip_and_each_layout_describes_itself() {
         let mut w = SnapshotWriter::new();
-        w.authors(["a", "b"].into_iter());
-        w.pages(["p", "q"].into_iter());
+        w.authors(["a", "b"].into_iter()).unwrap();
+        w.pages(["p", "q"].into_iter()).unwrap();
         let events = [(0, 1, i64::MAX), (1, 0, -1), (0, 0, i64::MIN), (1, 0, -1)];
         w.events(&events).unwrap();
         let snap = Snapshot::from_bytes(w.to_bytes().unwrap()).unwrap();
@@ -1157,8 +1331,8 @@ mod tests {
         let mut w = SnapshotWriter::new();
         let author_names: Vec<String> = (0..37).map(|i| format!("a{i}")).collect();
         let page_names: Vec<String> = (0..15).map(|i| format!("p{i}")).collect();
-        w.authors(author_names.iter().map(String::as_str));
-        w.pages(page_names.iter().map(String::as_str));
+        w.authors(author_names.iter().map(String::as_str)).unwrap();
+        w.pages(page_names.iter().map(String::as_str)).unwrap();
         let events: Vec<(u32, u32, i64)> = (0..997u32)
             .map(|i| (i % 37, i % 11 + i % 2 * 3, i64::from(i / 3)))
             .collect();
@@ -1180,8 +1354,8 @@ mod tests {
         }
         // Empty table: every rank gets an empty slice.
         let mut w = SnapshotWriter::new();
-        w.authors(std::iter::empty());
-        w.pages(std::iter::empty());
+        w.authors(std::iter::empty()).unwrap();
+        w.pages(std::iter::empty()).unwrap();
         w.events(&[]).unwrap();
         let snap = Snapshot::from_bytes(w.to_bytes().unwrap()).unwrap();
         assert_eq!(snap.events().rank_slice(0, 3).count(), 0);
@@ -1191,8 +1365,8 @@ mod tests {
     #[test]
     fn rows_open_would_refuse_are_writer_errors() {
         let mut w = SnapshotWriter::new();
-        w.authors(["a", "b"].into_iter());
-        w.pages(["p", "q"].into_iter());
+        w.authors(["a", "b"].into_iter()).unwrap();
+        w.pages(["p", "q"].into_iter()).unwrap();
         let s = 1u64 << 32; // one second
         for (why, off, t0, words) in [
             ("time runs backwards", vec![0, 2, 2], Some(10), vec![s, 0]),
@@ -1246,15 +1420,41 @@ mod tests {
             Err(StoreError::BadMagic { .. })
         ));
 
-        let mut bytes = sample();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        match Snapshot::from_bytes(bytes) {
-            Err(StoreError::UnsupportedVersion { found, supported }) => {
-                assert_eq!((found, supported), (99, VERSION));
+        // v3, whose name tables were in id order, has no reader either
+        for version in [3u32, 99] {
+            let mut bytes = sample();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            match Snapshot::from_bytes(bytes) {
+                Err(StoreError::UnsupportedVersion { found, supported }) => {
+                    assert_eq!((found, supported), (version, 4));
+                }
+                Err(other) => panic!("expected UnsupportedVersion, got {other:?}"),
+                Ok(_) => panic!("version {version} must not open"),
             }
-            Err(other) => panic!("expected UnsupportedVersion, got {other:?}"),
-            Ok(_) => panic!("future version must not open"),
         }
+    }
+
+    /// Any split of the bytes sums alike, and changing any one word of them
+    /// — each lane, the tail — changes the sum.
+    #[test]
+    fn checksum_is_split_free_and_sees_every_word() {
+        let bytes: Vec<u8> = (0..203u32).map(|i| (i * 37 % 251) as u8).collect();
+        let whole = checksum(&bytes);
+        for cut in [0, 1, 7, 31, 32, 33, 64, 100, 203] {
+            let mut sum = Checksum::new();
+            let (a, b) = bytes.split_at(cut);
+            sum.update(a);
+            sum.update(&[]);
+            b.chunks(5).for_each(|piece| sum.update(piece));
+            assert_eq!(sum.finish(), whole, "cut at {cut}");
+        }
+        for word in 0..bytes.len().div_ceil(8) {
+            let mut damaged = bytes.clone();
+            damaged[8 * word] ^= 0x01;
+            assert_ne!(checksum(&damaged), whole, "word {word}");
+        }
+        assert_ne!(checksum(&bytes[..202]), whole);
+        assert_ne!(checksum(&[]), checksum(&[0]));
     }
 
     /// `sample()` with directory entry `i`'s offset and length replaced.
@@ -1350,8 +1550,8 @@ mod tests {
         words: &[u64],
     ) -> Result<Snapshot, StoreError> {
         let mut w = SnapshotWriter::new();
-        w.authors(["a", "b"].into_iter());
-        w.pages(["p", "q", "r"].into_iter());
+        w.authors(["a", "b"].into_iter()).unwrap();
+        w.pages(["p", "q", "r"].into_iter()).unwrap();
         w.events(events).unwrap();
         let head = [u64::from(layout), t0 as u64, 3, events.len() as u64];
         let mut section: Vec<u8> = head.iter().flat_map(|w| w.to_le_bytes()).collect();
@@ -1468,12 +1668,118 @@ mod tests {
         ));
     }
 
+    /// Names out of id order come back by id, and `find` answers through
+    /// the rank column.
+    #[test]
+    fn names_are_stored_sorted_and_read_by_id() {
+        // "a\0" ties "a" on the first eight bytes, zero-padded
+        let authors = ["zed", "amy", "émile", "", "amy2", "a", "a\0"];
+        let mut w = SnapshotWriter::new();
+        w.authors(authors.into_iter()).unwrap();
+        w.pages(["q", "p"].into_iter()).unwrap();
+        w.events(&[(0, 1, 5), (6, 0, 6)]).unwrap();
+        let snap = Snapshot::from_bytes(w.to_bytes().unwrap()).unwrap();
+        let names = snap.author_names();
+        assert_eq!(names.iter().collect::<Vec<_>>(), authors);
+        for (id, name) in authors.iter().enumerate() {
+            assert_eq!(names.find(name), Some(id as u32), "{name:?}");
+        }
+        for absent in ["am", "amy1", "zee", "zz", "é"] {
+            assert_eq!(names.find(absent), None, "{absent:?}");
+        }
+        // stored as "", "a", "a\0", "amy", "amy2", "zed", "émile"
+        let sorted: Vec<u32> = (0..7).map(|id| u32_at(names.ranks, id)).collect();
+        assert_eq!(sorted, [5, 3, 6, 0, 4, 1, 2]);
+    }
+
+    #[test]
+    fn duplicate_names_are_writer_errors() {
+        let names = ["a", "b", "a"];
+        let mut w = SnapshotWriter::new();
+        for (table, err) in [
+            ("AUTHOR_NAMES", w.authors(names.into_iter()).err()),
+            ("PAGE_NAMES", w.pages(names.into_iter()).err()),
+        ] {
+            match err {
+                Some(StoreError::Corrupt { what }) => {
+                    assert!(
+                        what.starts_with(&format!("{table}: duplicate name")),
+                        "{what}"
+                    )
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
+        // nothing was recorded, so nothing can be written
+        assert!(matches!(w.events(&[]), Err(StoreError::Corrupt { .. })));
+        assert!(matches!(w.to_bytes(), Err(StoreError::Corrupt { .. })));
+    }
+
+    /// A three-name image whose author or page table is forged from sorted
+    /// `names` and `ranks` as given — checksums written over the forgery,
+    /// so only the name clause can object.
+    fn forged_names(k: u32, names: [&[u8]; 3], ranks: [u32; 3]) -> Result<Snapshot, StoreError> {
+        let mut section = Vec::new();
+        varint::write_u64(&mut section, 3);
+        varint::write_u64(&mut section, names.concat().len() as u64);
+        let mut end = 0;
+        for name in names {
+            end += name.len() as u32;
+            section.extend_from_slice(&end.to_le_bytes());
+        }
+        section.extend_from_slice(&names.concat());
+        ranks
+            .iter()
+            .for_each(|r| section.extend_from_slice(&r.to_le_bytes()));
+        let mut w = SnapshotWriter::new();
+        w.authors(["a", "b", "c"].into_iter()).unwrap();
+        w.pages(["p", "q", "r"].into_iter()).unwrap();
+        w.events(&[(0, 0, 1), (1, 1, 2), (2, 2, 3)]).unwrap();
+        let forged = Some((3, section));
+        match k {
+            kind::AUTHOR_NAMES => w.authors = forged,
+            _ => w.pages = forged,
+        }
+        Snapshot::from_bytes(w.to_bytes().unwrap())
+    }
+
+    #[test]
+    fn forged_name_tables_are_corrupt_behind_a_valid_checksum() {
+        for k in [kind::AUTHOR_NAMES, kind::PAGE_NAMES] {
+            let honest = forged_names(k, [b"x", b"y", b"z"], [2, 0, 1]).unwrap();
+            let table = match k {
+                kind::AUTHOR_NAMES => honest.author_names(),
+                _ => honest.page_names(),
+            };
+            assert_eq!(table.iter().collect::<Vec<_>>(), ["z", "x", "y"]);
+
+            for (why, names, ranks) in [
+                ("equal neighbours", [&b"x"[..], b"y", b"y"], [0, 1, 2]),
+                ("neighbours out of order", [b"x", b"z", b"y"], [0, 1, 2]),
+                ("a repeated rank", [b"x", b"y", b"z"], [0, 1, 1]),
+                ("a rank past the count", [b"x", b"y", b"z"], [0, 1, 3]),
+                (
+                    "an end inside a character",
+                    [b"x", b"\xc3", b"\xa9"],
+                    [0, 1, 2],
+                ),
+                ("a byte that is not UTF-8", [b"x", b"y", b"\xff"], [0, 1, 2]),
+            ] {
+                let what = corrupt_message(forged_names(k, names, ranks));
+                assert!(
+                    what.starts_with(&format!("{}: ", kind::name(k))),
+                    "{why}: {what}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn write_to_then_open_maps_the_file() {
         let path = std::env::temp_dir().join(format!("store-snap-{}.snap", std::process::id()));
         let mut w = SnapshotWriter::new();
-        w.authors(["a", "b"].into_iter());
-        w.pages(["p"].into_iter());
+        w.authors(["a", "b"].into_iter()).unwrap();
+        w.pages(["p"].into_iter()).unwrap();
         w.events(&[(0, 0, 1), (1, 0, 2)]).unwrap();
         w.write_to(&path).unwrap();
         let snap = Snapshot::open(&path).unwrap();

@@ -1,6 +1,6 @@
 //! Review PoC: crafted AUTHOR_NAMES section whose declared total byte length
 //! wraps the `need` computation in NamesView::parse, bypassing the bounds
-//! check and panicking on the ends-table slice.
+//! check and panicking on the end-offset or rank column slice.
 
 use coordination_store::snapshot::checksum;
 use coordination_store::{Snapshot, MAGIC, VERSION};
@@ -19,10 +19,11 @@ fn varint(out: &mut Vec<u8>, mut v: u64) {
 
 #[test]
 fn crafted_name_table_should_not_panic() {
-    // AUTHOR_NAMES: count = 2^30 (ends_len = 2^32), total chosen so that
-    // pos + ends_len + total wraps mod 2^64 to exactly section.len().
+    // AUTHOR_NAMES: count = 2^30 (end offsets and ranks 2^32 bytes each),
+    // total chosen so that pos + both columns + total wraps mod 2^64 to
+    // exactly section.len().
     let count: u64 = 1 << 30;
-    let ends_len: u64 = count * 4;
+    let ends_len: u64 = 2 * count * 4;
     let mut names = Vec::new();
     varint(&mut names, count);
     let header_guess = names.len() + 10; // total will encode as 10 bytes
@@ -42,12 +43,13 @@ fn crafted_name_table_should_not_panic() {
     meta.push(0); // min_ts zigzag(0)
     meta.push(0); // max_ts
 
-    // PAGE_NAMES: one name "p".
+    // PAGE_NAMES: one name "p", of rank 0.
     let mut pages = Vec::new();
     varint(&mut pages, 1);
     varint(&mut pages, 1);
     pages.extend_from_slice(&1u32.to_le_bytes());
     pages.push(b'p');
+    pages.extend_from_slice(&0u32.to_le_bytes());
 
     // ROWS: narrow layout, no comments; one page, so two zero offsets after
     // the 32-byte header, padded to start 8-aligned in the file.

@@ -49,8 +49,8 @@ fn inputs() -> impl Strategy<Value = Input> {
 
 fn write(input: &Input) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
-    w.authors(input.authors.iter().map(String::as_str));
-    w.pages(input.pages.iter().map(String::as_str));
+    w.authors(input.authors.iter().map(String::as_str)).unwrap();
+    w.pages(input.pages.iter().map(String::as_str)).unwrap();
     w.events(&input.events).expect("in-range events");
     w.to_bytes().expect("serialize")
 }
@@ -139,8 +139,8 @@ proptest! {
 #[test]
 fn bad_magic_is_typed() {
     let mut w = SnapshotWriter::new();
-    w.authors(["a"].into_iter());
-    w.pages(["p"].into_iter());
+    w.authors(["a"].into_iter()).unwrap();
+    w.pages(["p"].into_iter()).unwrap();
     w.events(&[(0, 0, 1)]).unwrap();
     let mut bytes = w.to_bytes().unwrap();
     bytes[..8].copy_from_slice(b"NOTASNAP");
@@ -154,8 +154,8 @@ fn bad_magic_is_typed() {
 #[test]
 fn future_version_is_typed() {
     let mut w = SnapshotWriter::new();
-    w.authors(["a"].into_iter());
-    w.pages(["p"].into_iter());
+    w.authors(["a"].into_iter()).unwrap();
+    w.pages(["p"].into_iter()).unwrap();
     w.events(&[(0, 0, 1)]).unwrap();
     let mut bytes = w.to_bytes().unwrap();
     bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&(VERSION + 7).to_le_bytes());
@@ -221,16 +221,68 @@ fn repair(bytes: &mut [u8], at: usize, grew: i64) {
     }
 }
 
+/// Name table `k`'s section in `image`: where it lies, its names in stored
+/// (byte) order and its ranks. Every table here has under 128 names and
+/// bytes, so both of its leading varints are one byte.
+fn name_table(image: &[u8], k: u32) -> (std::ops::Range<usize>, Vec<Vec<u8>>, Vec<u32>) {
+    let n = u32::from_le_bytes(image[12..16].try_into().unwrap()) as usize;
+    let field = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
+    let entry = (0..n)
+        .map(|i| 16 + i * 28)
+        .find(|&e| u32::from_le_bytes(image[e..e + 4].try_into().unwrap()) == k)
+        .unwrap();
+    let (at, len) = (field(entry + 4), field(entry + 12));
+    let section = &image[at..at + len];
+    let count = section[0] as usize;
+    let u32s = |from: usize| -> Vec<u32> {
+        let column = &section[from..from + 4 * count];
+        column
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+            .collect()
+    };
+    let ends = u32s(2);
+    let bytes = &section[2 + 4 * count..];
+    let mut lo = 0;
+    let names = ends
+        .iter()
+        .map(|&end| {
+            let name = bytes[lo..end as usize].to_vec();
+            lo = end as usize;
+            name
+        })
+        .collect();
+    (at..at + len, names, u32s(len - 4 * count))
+}
+
+/// [`name_table`]'s inverse.
+fn name_section(names: &[Vec<u8>], ranks: &[u32]) -> Vec<u8> {
+    let total: usize = names.iter().map(Vec::len).sum();
+    let mut out = vec![names.len() as u8, total as u8];
+    let mut end = 0u32;
+    for name in names {
+        end += name.len() as u32;
+        out.extend_from_slice(&end.to_le_bytes());
+    }
+    names.iter().for_each(|name| out.extend_from_slice(name));
+    ranks
+        .iter()
+        .for_each(|r| out.extend_from_slice(&r.to_le_bytes()));
+    out
+}
+
 /// Multi-byte damage — overwritten runs, insertions, deletions, truncations,
 /// swapped directory entries — each tried as it is and with the directory
 /// repaired around it, so structural validation is reached rather than the
 /// checksum alone. Never a panic: a typed error, or a snapshot every
-/// accessor can walk.
+/// accessor can walk. Then damage aimed at either name table behind a
+/// repaired checksum: two names swapped or one written over another of its
+/// length is always refused, a permutation of the ranks always opens.
 #[test]
 fn multi_byte_mutations_never_panic_even_behind_the_checksum() {
     let mut w = SnapshotWriter::new();
-    w.authors(["ann", "bob", "cy", "dee"].into_iter());
-    w.pages(["p0", "p1", "empty", "p3"].into_iter());
+    w.authors(["ann", "bob", "cy", "dee"].into_iter()).unwrap();
+    w.pages(["p0", "p1", "empty", "p3"].into_iter()).unwrap();
     w.events(&[
         (0, 0, -5),
         (1, 0, -5),
@@ -309,4 +361,32 @@ fn multi_byte_mutations_never_panic_even_behind_the_checksum() {
         assert!(refused.contains_key(class), "no {class} in {refused:?}");
     }
     assert!(refused["corrupt"] > 1000, "{refused:?}");
+
+    for round in 0..300 {
+        let (range, mut names, mut ranks) = name_table(&image, 2 + rng.below(2) as u32);
+        let mutation = round % 3;
+        match mutation {
+            0 => {
+                let (i, j) = (rng.below(4), rng.below(3));
+                names.swap(i, if j < i { j } else { j + 1 });
+            }
+            1 => {
+                let same_length: Vec<(usize, usize)> = (0..4)
+                    .flat_map(|i| (0..4).map(move |j| (i, j)))
+                    .filter(|&(i, j)| i != j && names[i].len() == names[j].len())
+                    .collect();
+                let (i, j) = same_length[rng.below(same_length.len())];
+                names[j] = names[i].clone();
+            }
+            _ => (1..4).rev().for_each(|r| ranks.swap(r, rng.below(r + 1))),
+        }
+        let mut bytes = image.clone();
+        bytes[range.clone()].copy_from_slice(&name_section(&names, &ranks));
+        repair(&mut bytes, range.start + 1, 0);
+        match Snapshot::from_bytes(bytes) {
+            Ok(snap) if mutation == 2 => sweep(&snap),
+            Err(StoreError::Corrupt { .. }) if mutation != 2 => {}
+            other => panic!("name mutation {mutation}: {:?}", other.err()),
+        }
+    }
 }

@@ -766,8 +766,8 @@ mod tests {
         let mut w = coordination_core::store::SnapshotWriter::new();
         let authors: Vec<String> = (0..5).map(|i| format!("a{i}")).collect();
         let pages: Vec<String> = (0..3).map(|i| format!("p{i}")).collect();
-        w.authors(authors.iter().map(String::as_str));
-        w.pages(pages.iter().map(String::as_str));
+        w.authors(authors.iter().map(String::as_str)).unwrap();
+        w.pages(pages.iter().map(String::as_str)).unwrap();
         let mut sorted = events.clone();
         sorted.sort_by_key(|&(_, _, t)| t);
         w.events(&sorted).unwrap();

@@ -342,7 +342,7 @@ impl<K: RunKey> RunSet<K> {
                 "spill segment width mismatch"
             );
             sources.push(Source::Spilled {
-                reader,
+                reader: Box::new(reader),
                 block: Vec::new(),
                 at: 0,
             });
@@ -382,7 +382,9 @@ enum Source<'a, K: RunKey> {
         at: usize,
     },
     Spilled {
-        reader: SegmentReader,
+        // boxed: a reader carries its checksum's block buffer, and resident
+        // sources outnumber spilled ones
+        reader: Box<SegmentReader>,
         block: Vec<u128>,
         at: usize,
     },

@@ -227,7 +227,7 @@ fn snapshot_write_inspect_and_from_snapshot_paths() {
         .expect("run snapshot inspect");
     assert!(inspect.status.success());
     let described = String::from_utf8_lossy(&inspect.stdout);
-    assert!(described.contains("snapshot v3"), "{described}");
+    assert!(described.contains("snapshot v4"), "{described}");
     assert!(
         described.contains("rows:    narrow, 8 B per comment"),
         "{described}"
@@ -395,7 +395,7 @@ fn snapshot_inspect_rejects_damaged_and_future_files() {
         (&future, "unsupported snapshot schema version 99"),
         (
             &v1,
-            "unsupported snapshot schema version 1 (this build reads version 3); \
+            "unsupported snapshot schema version 1 (this build reads version 4); \
              re-create it with `coordination snapshot write`",
         ),
     ] {
