@@ -25,7 +25,7 @@
 
 /// One point of a precision/recall sweep.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SweepPoint {
+pub(crate) struct SweepPoint {
     /// Score threshold: candidates with `score >= threshold` are flagged.
     pub threshold: f64,
     /// Candidates flagged at this threshold.
@@ -40,7 +40,7 @@ pub struct SweepPoint {
 
 impl SweepPoint {
     /// Harmonic mean of precision and recall; 0.0 when both are zero.
-    pub fn f1(&self) -> f64 {
+    pub(crate) fn f1(&self) -> f64 {
         let (p, r) = (self.precision, self.recall);
         if p + r == 0.0 {
             0.0
@@ -54,7 +54,7 @@ impl SweepPoint {
 /// value becomes one threshold; every emitted point flags at least one
 /// candidate (see the module docs for the `flagged = 0` convention).
 /// Non-finite scores are dropped and counted on `eval.dropped_nonfinite`.
-pub fn precision_recall_sweep(scored: &[(f64, bool)]) -> Vec<SweepPoint> {
+pub(crate) fn precision_recall_sweep(scored: &[(f64, bool)]) -> Vec<SweepPoint> {
     let mut sorted: Vec<(f64, bool)> = scored
         .iter()
         .copied()
@@ -115,15 +115,6 @@ pub fn average_precision(scored: &[(f64, bool)]) -> f64 {
     ap
 }
 
-/// The highest threshold achieving at least `min_recall`, if any — "what
-/// cutoff would have caught the whole botnet?"
-pub fn threshold_for_recall(scored: &[(f64, bool)], min_recall: f64) -> Option<f64> {
-    precision_recall_sweep(scored)
-        .into_iter()
-        .find(|p| p.recall >= min_recall)
-        .map(|p| p.threshold)
-}
-
 /// The sweep point with the best F1, plus the score it was achieved at.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BestF1 {
@@ -143,7 +134,7 @@ pub struct BestF1 {
 /// Best F1 over the full threshold sweep — the scalar CI gates on: it asks
 /// "could *any* cutoff have separated this botnet?", independent of where the
 /// operating point was tuned. `None` when no finite-scored candidates exist.
-pub fn best_f1(scored: &[(f64, bool)]) -> Option<BestF1> {
+pub(crate) fn best_f1(scored: &[(f64, bool)]) -> Option<BestF1> {
     let mut best: Option<BestF1> = None;
     for p in precision_recall_sweep(scored) {
         let f1 = p.f1();
@@ -163,16 +154,16 @@ pub fn best_f1(scored: &[(f64, bool)]) -> Option<BestF1> {
 // ------------------------------------------------------------ quality report
 
 /// Version stamp every quality report carries; bump on any layout change.
-pub const QUALITY_SCHEMA_VERSION: u32 = 1;
+pub(crate) const QUALITY_SCHEMA_VERSION: u32 = 1;
 
 /// The four score metrics every scenario is swept over, in report order:
 /// the triangle survey's `min w'` and `T`, validation's `w_xyz` and `C`.
-pub const SCORE_METRICS: [&str; 4] = ["min_w", "t_score", "w_xyz", "c_score"];
+pub(crate) const SCORE_METRICS: [&str; 4] = ["min_w", "t_score", "w_xyz", "c_score"];
 
 /// Per-metric detection quality within one scenario.
 #[derive(Clone, Debug)]
 pub struct MetricQuality {
-    /// Metric label (one of [`SCORE_METRICS`]).
+    /// Metric label: `min_w`, `t_score`, `w_xyz` or `c_score`.
     pub metric: String,
     /// Area under the precision/recall curve.
     pub average_precision: f64,
@@ -321,8 +312,8 @@ fn parse_schema_version(json: &str) -> Option<u64> {
 }
 
 /// Validate an emitted quality document: it must carry this build's
-/// [`QUALITY_SCHEMA_VERSION`], declare `"kind": "quality"`, report every
-/// score metric in [`SCORE_METRICS`] for at least one scenario, carry the
+/// quality schema version, declare `"kind": "quality"`, report every
+/// score metric for at least one scenario, carry the
 /// per-scenario `candidates` counts the collapse gate reads, and contain no
 /// non-finite numbers (a NaN that reached the report is a scoring bug the
 /// sweep failed to drop). Textual, like `obs::report::validate` — this
@@ -423,13 +414,6 @@ mod tests {
         let sweep = precision_recall_sweep(&scored);
         assert_eq!(sweep[0].flagged, 2);
         assert_eq!(sweep[0].precision, 0.5);
-    }
-
-    #[test]
-    fn threshold_for_recall_finds_the_knee() {
-        let t = threshold_for_recall(&separable(), 1.0).unwrap();
-        assert_eq!(t, 10.0);
-        assert_eq!(threshold_for_recall(&[], 0.5), None);
     }
 
     #[test]

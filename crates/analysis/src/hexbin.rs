@@ -4,9 +4,9 @@
 //! lattices (the even lattice at integer coordinates, the odd lattice offset
 //! by half a cell), which tiles the plane with hexagons. Counts are reported
 //! per occupied bin; empty bins are omitted (the paper leaves them white).
-//! Color levels are log-scaled exactly as the paper describes: "the log
-//! scaling prevents the extremely high counts for bins at the lower ends of
-//! each axis from completely drowning out the rest of the graph".
+//! [`crate::render`] log-scales the counts exactly as the paper describes:
+//! "the log scaling prevents the extremely high counts for bins at the lower
+//! ends of each axis from completely drowning out the rest of the graph".
 
 /// Binning parameters.
 #[derive(Clone, Copy, Debug)]
@@ -53,7 +53,6 @@ pub struct Hexbin {
     pub n_points: u64,
     /// Points discarded for falling outside a fixed range.
     pub n_clipped: u64,
-    config: HexbinConfig,
 }
 
 impl Hexbin {
@@ -72,7 +71,6 @@ impl Hexbin {
                 y_range: (0.0, 1.0),
                 n_points: 0,
                 n_clipped: 0,
-                config: *config,
             };
         }
         let (xmin, mut xmax) = config
@@ -146,49 +144,12 @@ impl Hexbin {
             y_range: (ymin, ymax),
             n_points: n,
             n_clipped: clipped,
-            config: *config,
         }
-    }
-
-    /// Largest bin count (0 if empty).
-    pub fn max_count(&self) -> u64 {
-        self.bins.iter().map(|b| b.count).max().unwrap_or(0)
     }
 
     /// Number of occupied bins.
-    pub fn occupied(&self) -> usize {
+    pub(crate) fn occupied(&self) -> usize {
         self.bins.len()
-    }
-
-    /// Log-scaled color level in `[0, 1]` for a count, as the paper's plots
-    /// use: `ln(1+c) / ln(1+max)`.
-    pub fn log_level(&self, count: u64) -> f64 {
-        let max = self.max_count();
-        if max == 0 {
-            return 0.0;
-        }
-        ((1 + count) as f64).ln() / ((1 + max) as f64).ln()
-    }
-
-    /// The gridsize this plot was computed with.
-    pub fn gridsize(&self) -> usize {
-        self.config.gridsize
-    }
-
-    /// Mass above the diagonal: fraction of points in bins with `cy > cx`.
-    /// The paper draws `y = x` on every plot and reads the distributions
-    /// against it; this quantifies that comparison.
-    pub fn fraction_above_diagonal(&self) -> f64 {
-        if self.n_points == 0 {
-            return 0.0;
-        }
-        let above: u64 = self
-            .bins
-            .iter()
-            .filter(|b| b.cy > b.cx)
-            .map(|b| b.count)
-            .sum();
-        above as f64 / self.n_points as f64
     }
 }
 
@@ -211,8 +172,6 @@ mod tests {
         let hb = Hexbin::compute(&[], &HexbinConfig::default());
         assert_eq!(hb.occupied(), 0);
         assert_eq!(hb.n_points, 0);
-        assert_eq!(hb.max_count(), 0);
-        assert_eq!(hb.log_level(0), 0.0);
     }
 
     #[test]
@@ -237,7 +196,7 @@ mod tests {
             },
         );
         assert_eq!(hb.occupied(), 1);
-        assert_eq!(hb.max_count(), 100);
+        assert_eq!(hb.bins[0].count, 100);
     }
 
     #[test]
@@ -281,38 +240,6 @@ mod tests {
                 .any(|&(x, y)| (x - b.cx).abs() <= cell_x && (y - b.cy).abs() <= cell_y);
             assert!(close, "stranded bin at ({}, {})", b.cx, b.cy);
         }
-    }
-
-    #[test]
-    fn log_levels_are_monotone_and_bounded() {
-        let pts: Vec<(f64, f64)> = (0..1000)
-            .map(|i| if i < 900 { (0.1, 0.1) } else { (0.9, 0.9) })
-            .collect();
-        let hb = Hexbin::compute(
-            &pts,
-            &HexbinConfig {
-                gridsize: 5,
-                ..Default::default()
-            },
-        );
-        let lmax = hb.log_level(hb.max_count());
-        assert!((lmax - 1.0).abs() < 1e-12);
-        assert!(hb.log_level(1) > 0.0);
-        assert!(hb.log_level(1) < hb.log_level(100));
-        // log scaling compresses: the 9:1 count ratio maps to < 2:1 in level
-        assert!(hb.log_level(900) / hb.log_level(100) < 2.0);
-    }
-
-    #[test]
-    fn diagonal_fraction_separates_regimes() {
-        let above: Vec<(f64, f64)> = (0..100).map(|i| (i as f64, i as f64 + 30.0)).collect();
-        let below: Vec<(f64, f64)> = (0..100).map(|i| (i as f64, i as f64 - 30.0)).collect();
-        let cfg = HexbinConfig {
-            gridsize: 20,
-            ..Default::default()
-        };
-        assert!(Hexbin::compute(&above, &cfg).fraction_above_diagonal() > 0.9);
-        assert!(Hexbin::compute(&below, &cfg).fraction_above_diagonal() < 0.1);
     }
 
     #[test]

@@ -16,14 +16,13 @@
 //!   triplets, enabling the detection-quality table the paper could not
 //!   produce without ground truth.
 
+#![warn(unreachable_pub)]
+
 pub mod components;
 pub mod evalmetrics;
 pub mod hexbin;
-pub mod hist2d;
 pub mod render;
 pub mod report;
 pub mod stats;
 
-pub use hexbin::{Hexbin, HexbinConfig};
-pub use hist2d::Hist2d;
-pub use stats::{pearson, spearman, Summary};
+pub use stats::Summary;

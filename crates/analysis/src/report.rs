@@ -1,7 +1,8 @@
-//! Markdown report building — the figure harness and CLI emit their
-//! paper-vs-measured tables through this, so formatting lives in one place.
+//! Report tables — the figure harness and CLI emit their paper-vs-measured
+//! tables through this, as aligned text or CSV, so formatting lives in one
+//! place.
 
-/// A markdown table under construction.
+/// A report table under construction.
 #[derive(Clone, Debug)]
 pub struct Table {
     header: Vec<String>,
@@ -25,30 +26,6 @@ impl Table {
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows.push(cells);
         self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Render as a GitHub-flavored markdown table.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("| {} |\n", self.header.join(" | ")));
-        out.push_str(&format!(
-            "|{}\n",
-            self.header.iter().map(|_| "---|").collect::<String>()
-        ));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
     }
 
     /// Render as aligned plain text (for terminal output).
@@ -117,16 +94,6 @@ mod tests {
     }
 
     #[test]
-    fn markdown_shape() {
-        let md = sample().to_markdown();
-        let lines: Vec<&str> = md.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert_eq!(lines[0], "| figure | paper | measured |");
-        assert_eq!(lines[1], "|---|---|---|");
-        assert!(lines[3].contains("8-clique"));
-    }
-
-    #[test]
     fn text_is_aligned() {
         let txt = sample().to_text();
         let lines: Vec<&str> = txt.lines().collect();
@@ -156,8 +123,6 @@ mod tests {
 
     #[test]
     fn empty_table_renders_header_only() {
-        let t = Table::new(["x"]);
-        assert!(t.is_empty());
-        assert_eq!(t.to_markdown().lines().count(), 2);
+        assert_eq!(Table::new(["x"]).to_text().lines().count(), 2);
     }
 }

@@ -124,50 +124,6 @@ pub fn mean_diagonal_gap(points: &[(f64, f64)]) -> Option<f64> {
     Some(points.iter().map(|&(x, y)| (y - x).abs()).sum::<f64>() / points.len() as f64)
 }
 
-/// Gini coefficient of a non-negative sample (0 = perfectly equal, →1 =
-/// concentrated). Used to characterize how skewed comment volume and CI
-/// degree are — real Reddit months are highly unequal, and the generator's
-/// realism is checked against this.
-pub fn gini(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut v: Vec<f64> = values.to_vec();
-    assert!(
-        v.iter().all(|&x| x >= 0.0 && x.is_finite()),
-        "gini needs non-negative inputs"
-    );
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let n = v.len() as f64;
-    let total: f64 = v.iter().sum();
-    if total == 0.0 {
-        return Some(0.0);
-    }
-    let weighted: f64 = v
-        .iter()
-        .enumerate()
-        .map(|(i, &x)| (i as f64 + 1.0) * x)
-        .sum();
-    Some((2.0 * weighted) / (n * total) - (n + 1.0) / n)
-}
-
-/// Log-binned degree distribution: `out[i]` counts values in `[2^i, 2^(i+1))`
-/// (zeros are dropped). The standard way to eyeball a power law.
-pub fn log_binned(values: impl IntoIterator<Item = u64>) -> Vec<u64> {
-    let mut out: Vec<u64> = Vec::new();
-    for v in values {
-        if v == 0 {
-            continue;
-        }
-        let bucket = (63 - v.leading_zeros()) as usize;
-        if out.len() <= bucket {
-            out.resize(bucket + 1, 0);
-        }
-        out[bucket] += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,31 +182,6 @@ mod tests {
         assert_eq!(s.q3, 4.0);
         assert_eq!(s.mean, 3.0);
         assert_eq!(Summary::of(&[]), None);
-    }
-
-    #[test]
-    fn gini_extremes_and_known_value() {
-        assert_eq!(gini(&[5.0, 5.0, 5.0, 5.0]), Some(0.0));
-        // all mass on one of n → (n-1)/n
-        let g = gini(&[0.0, 0.0, 0.0, 12.0]).unwrap();
-        assert!((g - 0.75).abs() < 1e-12, "{g}");
-        assert_eq!(gini(&[]), None);
-        assert_eq!(gini(&[0.0, 0.0]), Some(0.0));
-        // a heavy tail is more unequal than a uniform spread
-        let skewed: Vec<f64> = (1..100).map(|i| (i as f64).powi(3)).collect();
-        let flat: Vec<f64> = (1..100).map(|i| i as f64).collect();
-        assert!(gini(&skewed).unwrap() > gini(&flat).unwrap());
-    }
-
-    #[test]
-    fn log_binning_buckets_powers_of_two() {
-        let bins = log_binned([0u64, 1, 1, 2, 3, 4, 7, 8, 1024]);
-        assert_eq!(bins[0], 2); // the two 1s
-        assert_eq!(bins[1], 2); // 2, 3
-        assert_eq!(bins[2], 2); // 4, 7
-        assert_eq!(bins[3], 1); // 8
-        assert_eq!(bins[10], 1); // 1024
-        assert_eq!(bins.iter().sum::<u64>(), 8, "zero dropped");
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! Scenario generation is deterministic but not free; the helpers here build
 //! each preset once per process and hand out references.
 
+#![warn(unreachable_pub)]
+
 use std::sync::OnceLock;
 
 use coordination_core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
@@ -12,9 +14,9 @@ use redditgen::{Scenario, ScenarioConfig};
 
 /// Default scale for figure regeneration: fast enough for CI, big enough for
 /// every structural relationship to be visible.
-pub const FIGURE_SCALE: f64 = 0.5;
+pub(crate) const FIGURE_SCALE: f64 = 0.5;
 
-/// The January 2020 scenario at [`FIGURE_SCALE`], built once.
+/// The January 2020 scenario at the figure scale, built once.
 pub fn jan2020() -> &'static (Scenario, Dataset) {
     static CELL: OnceLock<(Scenario, Dataset)> = OnceLock::new();
     CELL.get_or_init(|| {
@@ -24,7 +26,7 @@ pub fn jan2020() -> &'static (Scenario, Dataset) {
     })
 }
 
-/// The October 2016 scenario at [`FIGURE_SCALE`], built once.
+/// The October 2016 scenario at the figure scale, built once.
 pub fn oct2016() -> &'static (Scenario, Dataset) {
     static CELL: OnceLock<(Scenario, Dataset)> = OnceLock::new();
     CELL.get_or_init(|| {

@@ -8,12 +8,12 @@
 //! one flat array of rows laid end to end, **8 B per comment**: every
 //! comparison Algorithm 1 makes is between two comments of one page at most
 //! δ2 apart, so a row holds `(ts − t0) << 32 | author` in one word
-//! ([`NarrowRow`]; integer order is `(ts, author)` order) whenever the span
+//! (`NarrowRow`; integer order is `(ts, author)` order) whenever the span
 //! of the timestamps fits a `u32` — a month is 2.7 M s. An input spread wider
-//! than that (136 years) keeps 16 B `(ts, author)` tuples ([`WideRow`]).
+//! than that (136 years) keeps 16 B `(ts, author)` tuples (`WideRow`).
 //! Nothing but that property of the input picks the layout, readers get a row
 //! as a [`PageRow`] view, and every per-row loop is one body generic over
-//! [`Row`].
+//! `Row`.
 //!
 //! [`PageRows::build`] fills the rows with a counting pass (which also learns
 //! the timestamp span), a prefix sum and a scatter pass — constant work per
@@ -38,10 +38,10 @@ use crate::ids::{AuthorId, Event, PageId, Timestamp};
 
 /// One comment of a narrow row: `(ts − t0) << 32 | author` for the row set's
 /// base `t0`, so integer order is `(ts, author)` order.
-pub type NarrowRow = u64;
+pub(crate) type NarrowRow = u64;
 
 /// One comment of a wide row.
-pub type WideRow = (Timestamp, AuthorId);
+pub(crate) type WideRow = (Timestamp, AuthorId);
 
 // "Half as wide" is a claim about these two types.
 const _: () = assert!(std::mem::size_of::<NarrowRow>() == 8);
@@ -50,7 +50,7 @@ const _: () = assert!(std::mem::size_of::<WideRow>() == 16);
 /// A comment of a page row in either layout — what the per-row loops are
 /// written over, once. Algorithm 1 never needs a comment's absolute time,
 /// only its author and its delay to a later comment of the same page.
-pub trait Row: Copy + Ord {
+pub(crate) trait Row: Copy + Ord {
     /// Who commented.
     fn author(self) -> AuthorId;
 
@@ -106,7 +106,7 @@ fn unpack_narrow(t0: Timestamp, row: NarrowRow) -> WideRow {
 
 /// A page's time-sorted comments in whichever layout its [`PageRows`] chose:
 /// a small `Copy` view. Per-row loops match on it once per page and run one
-/// body generic over [`Row`] on the slice inside; [`PageRow::iter`] decodes
+/// body generic over `Row` on the slice inside; [`PageRow::iter`] decodes
 /// `(timestamp, author)` for everything else.
 #[derive(Clone, Copy, Debug)]
 pub enum PageRow<'a> {
@@ -122,19 +122,6 @@ pub enum PageRow<'a> {
 }
 
 impl<'a> PageRow<'a> {
-    /// Number of comments.
-    pub fn len(self) -> usize {
-        match self {
-            PageRow::Narrow { row, .. } => row.len(),
-            PageRow::Wide(row) => row.len(),
-        }
-    }
-
-    /// Whether the page has no comments.
-    pub fn is_empty(self) -> bool {
-        self.len() == 0
-    }
-
     /// The comments as `(timestamp, author)`, in row order: for the readers
     /// that need absolute times (the snapshot writer, the stream warm start,
     /// tests). A hot loop matches on the view instead.
@@ -381,7 +368,7 @@ impl PageRows {
     }
 
     /// Iterate the non-empty rows as `(PageId, comments)`, pages ascending.
-    pub fn pages(&self) -> impl Iterator<Item = (PageId, PageRow<'_>)> {
+    pub(crate) fn pages(&self) -> impl Iterator<Item = (PageId, PageRow<'_>)> {
         self.off
             .windows(2)
             .enumerate()
@@ -816,7 +803,9 @@ mod tests {
         );
         assert!(Btm::from_events(0, 3, &[])
             .page_neighborhood(PageId(2))
-            .is_empty());
+            .iter()
+            .next()
+            .is_none());
         assert_eq!(rows(&Btm::from_events(4, 4, &[])), vec![vec![]; 4]);
     }
 
@@ -887,7 +876,7 @@ mod tests {
     #[test]
     fn multigraph_keeps_repeat_comments() {
         let btm = Btm::from_events(1, 1, &[ev(0, 0, 1), ev(0, 0, 1), ev(0, 0, 2)]);
-        assert_eq!(btm.page_neighborhood(PageId(0)).len(), 3);
+        assert_eq!(btm.page_neighborhood(PageId(0)).iter().count(), 3);
         assert_eq!(btm.n_comments(), 3);
         assert_eq!(AuthorPages::all(&btm).page_count(AuthorId(0)), 1);
     }
@@ -904,8 +893,8 @@ mod tests {
         let btm = Btm::from_events(3, 2, &[ev(0, 0, 1), ev(1, 0, 2), ev(2, 0, 3), ev(1, 1, 4)]);
         let cleaned = btm.without_authors(&[AuthorId(1)]);
         assert_eq!(cleaned.n_comments(), 2);
-        assert_eq!(cleaned.page_neighborhood(PageId(0)).len(), 2);
-        assert!(cleaned.page_neighborhood(PageId(1)).is_empty());
+        assert_eq!(cleaned.page_neighborhood(PageId(0)).iter().count(), 2);
+        assert!(cleaned.page_neighborhood(PageId(1)).iter().next().is_none());
         let authors = AuthorPages::all(&cleaned);
         assert_eq!(authors.page_count(AuthorId(1)), 0);
         // untouched authors keep their data

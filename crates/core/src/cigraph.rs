@@ -9,13 +9,11 @@
 //! Since the `crates/graph` refactor the edge set is stored as a shared
 //! [`CsrGraph`] rather than a `HashMap<(u32, u32), u64>`: the projection
 //! hands its sorted edge run (one per rank in the rank-sharded engine)
-//! straight to [`CiGraph::from_runs`], the triangle survey orients [`CiGraph::as_csr`]
+//! straight to `CiGraph::from_runs`, the triangle survey orients [`CiGraph::as_csr`]
 //! directly (`tripoll::WeightedGraph` *is* this CSR type), and thresholding is
 //! a borrowed [`ThresholdView`] instead of an edge-map clone.
 
-use std::collections::HashMap;
-
-use coordination_graph::{CsrGraph, GraphRef, SubsetView, ThresholdView};
+use coordination_graph::{CsrGraph, GraphRef, ThresholdView};
 
 use crate::ids::AuthorId;
 
@@ -29,19 +27,12 @@ pub struct CiGraph {
 }
 
 impl CiGraph {
-    /// An empty graph over `n_authors` vertex slots.
-    pub fn new(n_authors: u32) -> Self {
-        CiGraph {
-            csr: CsrGraph::empty(n_authors),
-            page_counts: vec![0; n_authors as usize],
-        }
-    }
-
-    /// Construct from an edge map (the reference projection accumulates
-    /// into one before building).
-    pub fn from_parts(
+    /// Construct from an edge map: the tests' reference for
+    /// [`CiGraph::from_runs`].
+    #[cfg(test)]
+    fn from_parts(
         n_authors: u32,
-        edges: HashMap<(u32, u32), u64>,
+        edges: std::collections::HashMap<(u32, u32), u64>,
         page_counts: Vec<u64>,
     ) -> Self {
         debug_assert!(edges.keys().all(|&(a, b)| a < b && b < n_authors));
@@ -72,7 +63,7 @@ impl CiGraph {
     /// Construct from sorted canonical edge runs — the zero-re-sort fast path
     /// the projection uses ([`CsrGraph::from_canonical_runs`] k-way merges
     /// the runs, summing duplicate pairs across them).
-    pub fn from_runs(
+    pub(crate) fn from_runs(
         n_authors: u32,
         runs: Vec<Vec<(u32, u32, u64)>>,
         page_counts: Vec<u64>,
@@ -86,7 +77,7 @@ impl CiGraph {
 
     /// Construct from an already-built CSR and its `P'` counts — the
     /// snapshot load path rematerializes an embedded CI section this way.
-    pub fn from_csr(csr: CsrGraph, page_counts: Vec<u64>) -> Self {
+    pub(crate) fn from_csr(csr: CsrGraph, page_counts: Vec<u64>) -> Self {
         Self::from_runs_inner(csr.n(), csr, page_counts)
     }
 
@@ -112,12 +103,6 @@ impl CiGraph {
     /// re-projection.
     pub fn threshold_view(&self, min_weight: u64) -> ThresholdView<'_, CsrGraph> {
         ThresholdView::new(&self.csr, min_weight)
-    }
-
-    /// Borrowed view keeping only edges internal to `vertices` (for component
-    /// extraction and subset re-examination).
-    pub fn subset_view(&self, vertices: impl IntoIterator<Item = u32>) -> SubsetView<'_, CsrGraph> {
-        SubsetView::new(&self.csr, vertices)
     }
 
     /// Number of author slots.
@@ -271,25 +256,24 @@ impl CiGraph {
     }
 }
 
-/// Incremental construction of a [`CiGraph`] by accumulating counts.
+/// Incremental construction of a [`CiGraph`] by accumulating edge counts.
 ///
-/// Replaces the removed `add_edge_count` / `add_page_count` mutators: the
-/// CSR-backed `CiGraph` is immutable once built, so accumulation happens here
-/// and [`CiGraphBuilder::build`] runs the CSR builder once at the end.
+/// The CSR-backed `CiGraph` is immutable once built, so accumulation happens
+/// here and [`CiGraphBuilder::build`] runs the CSR builder once at the end.
+/// Every `P'` of the built graph is 0; a graph with page counts comes from
+/// [`CiGraph::from_weighted_edges`].
 #[derive(Clone, Debug)]
 pub struct CiGraphBuilder {
     n_authors: u32,
     edges: Vec<(u32, u32, u64)>,
-    page_counts: Vec<u64>,
 }
 
 impl CiGraphBuilder {
-    /// A builder over `n_authors` vertex slots with no counts yet.
+    /// A builder over `n_authors` vertex slots with no edges yet.
     pub fn new(n_authors: u32) -> Self {
         CiGraphBuilder {
             n_authors,
             edges: Vec::new(),
-            page_counts: vec![0; n_authors as usize],
         }
     }
 
@@ -303,20 +287,17 @@ impl CiGraphBuilder {
         self.edges.push((x.min(y), x.max(y), n));
     }
 
-    /// Add `n` to `P'_x`.
-    pub fn add_page_count(&mut self, x: u32, n: u64) {
-        self.page_counts[x as usize] += n;
-    }
-
     /// Build the immutable CSR-backed graph.
     pub fn build(self) -> CiGraph {
-        CiGraph::from_weighted_edges(self.n_authors, self.edges, self.page_counts)
+        let page_counts = vec![0; self.n_authors as usize];
+        CiGraph::from_weighted_edges(self.n_authors, self.edges, page_counts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn a(i: u32) -> AuthorId {
         AuthorId(i)
@@ -351,10 +332,7 @@ mod tests {
 
     #[test]
     fn page_counts_track_active_authors() {
-        let mut b = CiGraphBuilder::new(4);
-        b.add_page_count(1, 3);
-        b.add_page_count(2, 1);
-        let g = b.build();
+        let g = CiGraph::from_weighted_edges(4, [], vec![0, 3, 1, 0]);
         assert_eq!(g.page_count(a(1)), 3);
         assert_eq!(g.page_count(a(0)), 0);
         assert_eq!(g.active_authors(), 2);
@@ -363,11 +341,7 @@ mod tests {
 
     #[test]
     fn threshold_keeps_heavy_edges_and_page_counts() {
-        let mut b = CiGraphBuilder::new(3);
-        b.add_edge_count(0, 1, 10);
-        b.add_edge_count(1, 2, 2);
-        b.add_page_count(0, 7);
-        let g = b.build();
+        let g = CiGraph::from_weighted_edges(3, [(0, 1, 10), (1, 2, 2)], vec![7, 0, 0]);
         let t = g.threshold(5);
         assert_eq!(t.n_edges(), 1);
         assert_eq!(t.weight(a(0), a(1)), 10);
@@ -393,18 +367,6 @@ mod tests {
             );
             assert_eq!(view.count_edges(), owned.n_edges(), "min={min}");
         }
-    }
-
-    #[test]
-    fn subset_view_restricts_edges() {
-        use coordination_graph::GraphRef;
-        let mut b = CiGraphBuilder::new(4);
-        b.add_edge_count(0, 1, 1);
-        b.add_edge_count(1, 2, 2);
-        b.add_edge_count(2, 3, 3);
-        let g = b.build();
-        let view = g.subset_view([1, 2]);
-        assert_eq!(view.edge_iter().collect::<Vec<_>>(), vec![(1, 2, 2)]);
     }
 
     #[test]
@@ -443,12 +405,7 @@ mod tests {
 
     #[test]
     fn tsv_roundtrip_is_identity() {
-        let mut b = CiGraphBuilder::new(5);
-        b.add_edge_count(0, 3, 12);
-        b.add_edge_count(4, 1, 7);
-        b.add_page_count(0, 9);
-        b.add_page_count(3, 2);
-        let g = b.build();
+        let g = CiGraph::from_weighted_edges(5, [(0, 3, 12), (4, 1, 7)], vec![9, 0, 0, 2, 0]);
         let mut buf = Vec::new();
         g.write_tsv(&mut buf).unwrap();
         let back = CiGraph::read_tsv(&buf[..]).unwrap();

@@ -8,7 +8,7 @@
 //! explicit shuffle:
 //!
 //! 1. **Ingest** — there is one way in: the author id-space size, an
-//!    exclusion list the caller resolved, and one [`EventSource`] that every
+//!    exclusion list the caller resolved, and one `EventSource` that every
 //!    rank calls as `source(rank, nranks)` to pull its share of the input
 //!    ([`DistPipeline::run_events`]). A [`Dataset`] and a snapshot are two
 //!    five-line sources over that door — a block of the borrowed event list,
@@ -334,9 +334,10 @@ pub struct DistPipeline {
 /// every rank, it yields that rank's share of the event stream. The union
 /// over ranks must be the same event multiset for every rank count. Events
 /// carry dense ids already — no interning happens behind this door.
-pub type EventSource<'a> = dyn Fn(usize, usize) -> Box<dyn Iterator<Item = Event> + 'a> + Sync + 'a;
+pub(crate) type EventSource<'a> =
+    dyn Fn(usize, usize) -> Box<dyn Iterator<Item = Event> + 'a> + Sync + 'a;
 
-/// Identity helper that pins a closure to the [`EventSource`] shape. Without
+/// Identity helper that pins a closure to the `EventSource` shape. Without
 /// it, a closure literal returning `Box::new(...)` infers a `'static` boxed
 /// iterator and refuses to capture borrowed generator state; routing the
 /// closure through this function ties the box's lifetime to the borrow:
@@ -422,7 +423,7 @@ impl DistPipeline {
 
     /// Pipeline over an opened snapshot: every rank reads its own block of
     /// the page rows' words in the shared mmap
-    /// ([`coordination_store::EventsView::rank_slice`]: whole pages but for
+    /// ([`coordination_store::snapshot::EventsView::rank_slice`]: whole pages but for
     /// the two a block boundary may split, found through the row offsets) —
     /// the rows are never copied, per rank or at all. Exclusions resolve
     /// against the mapped name table, as in

@@ -36,7 +36,7 @@ impl ExclusionList {
     }
 
     /// Add a name.
-    pub fn add(&mut self, name: impl Into<String>) -> &mut Self {
+    pub(crate) fn add(&mut self, name: impl Into<String>) -> &mut Self {
         self.names.insert(name.into());
         self
     }
@@ -50,16 +50,6 @@ impl ExclusionList {
     /// Whether `name` is excluded.
     pub fn contains(&self, name: &str) -> bool {
         self.names.contains(name)
-    }
-
-    /// Number of excluded names.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
     }
 
     /// Resolve to dense author ids present in `ds` (unknown names are
@@ -161,7 +151,7 @@ mod tests {
         assert!(l.contains("AutoModerator"));
         assert!(l.contains("[deleted]"));
         assert!(!l.contains("alice"));
-        assert_eq!(l.len(), 2);
+        assert_eq!(l.names.len(), 2);
     }
 
     #[test]
@@ -194,7 +184,7 @@ mod tests {
     fn extend_and_custom_names() {
         let mut l = ExclusionList::new();
         l.extend(["bot1", "bot2"]).add("bot3");
-        assert_eq!(l.len(), 3);
+        assert_eq!(l.names.len(), 3);
         assert!(l.contains("bot2"));
     }
 

@@ -33,7 +33,7 @@
 //!    last `\n`, validates that prefix as UTF-8, feeds it to the pass and
 //!    moves the unterminated tail to the front — so ingest holds the dataset
 //!    plus one chunk, never the file, and reads a pipe as readily as a path.
-//!    [`ingest_slice`] / [`ingest_str`] are the same pass fed one piece.
+//!    [`ingest_slice`] is the same pass fed one piece.
 //!
 //! **The first fault in file order wins, at any chunking.** A chunk that
 //! fails UTF-8 validation first feeds its complete lines before the bad
@@ -673,13 +673,8 @@ pub fn ingest_reader(reader: impl Read, cfg: &IngestConfig) -> Result<Ingest, Re
     .map(into_ingest)
 }
 
-/// [`ingest_reader`] over text already in memory: the same pass, fed one
+/// [`ingest_reader`] over bytes already in memory: the same pass, fed one
 /// piece.
-pub fn ingest_str(text: &str, cfg: &IngestConfig) -> Result<Ingest, ReadError> {
-    run(Interning::new(), cfg, |pass| pass.feed(text)).map(into_ingest)
-}
-
-/// [`ingest_str`] over raw bytes.
 pub fn ingest_slice(buf: &[u8], cfg: &IngestConfig) -> Result<Ingest, ReadError> {
     run(Interning::new(), cfg, |pass| pass.feed_bytes(buf, 0)).map(into_ingest)
 }
@@ -866,7 +861,7 @@ mod tests {
             ),
             (format!("{good}{good}\n{good}\n"), 2, 1),
         ] {
-            let ing = ingest_str(&text, &lossy).unwrap();
+            let ing = ingest_slice(text.as_bytes(), &lossy).unwrap();
             let expected = IngestStats {
                 lines,
                 events,
@@ -894,7 +889,7 @@ mod tests {
         assert_eq!(accepted.len(), 12);
         for newline in ["", "\n", "\r\n"] {
             let text = accepted.join("\n") + newline;
-            assert!(ingest_str(&text, &IngestConfig::default()).is_ok());
+            assert!(ingest_slice(text.as_bytes(), &IngestConfig::default()).is_ok());
             assert_every_capacity_matches(text.as_bytes(), CAPACITIES);
         }
         assert_every_capacity_matches(b"", CAPACITIES);
@@ -1015,7 +1010,7 @@ mod tests {
             r#"{"author":"a\\b","link_id":"p","created_utc":1}"#, // escaped backslash
             r#"{"author":"c","link_id":"p","created_utc":2.0}"#,  // integral float ts
         );
-        let ing = ingest_str(&text, &IngestConfig::default()).unwrap();
+        let ing = ingest_slice(text.as_bytes(), &IngestConfig::default()).unwrap();
         assert_eq!(ing.stats.events, 2);
         assert_eq!(ing.stats.scanner_fallbacks, 2);
         assert_eq!(ing.dataset.authors.name(0), "a\\b");
@@ -1040,7 +1035,7 @@ mod tests {
         text.push('\n'); // blank line
         text.push_str(&line("tail", "p0", 1000)); // no trailing newline
         let reference = read_ndjson_into_dataset(text.as_bytes()).unwrap();
-        let ing = ingest_str(&text, &IngestConfig::default()).unwrap();
+        let ing = ingest_slice(text.as_bytes(), &IngestConfig::default()).unwrap();
         assert_same(&ing.dataset, &reference);
         assert_eq!(ing.stats.events, 41);
         assert_eq!(ing.stats.lines, 42);
@@ -1066,7 +1061,7 @@ mod tests {
         let cfg = IngestConfig {
             skip_bad_lines: true,
         };
-        let ing = ingest_str(&text, &cfg).unwrap();
+        let ing = ingest_slice(text.as_bytes(), &cfg).unwrap();
         assert_eq!(
             ing.stats,
             IngestStats {
@@ -1078,7 +1073,7 @@ mod tests {
         );
         assert_eq!(names(&ing.dataset.authors), vec!["a", "b\\c"]);
         // Strict mode stops at the garbage line, as the reference reader does.
-        let strict = ingest_str(&text, &IngestConfig::default());
+        let strict = ingest_slice(text.as_bytes(), &IngestConfig::default());
         let reference = read_ndjson_into_dataset(text.as_bytes());
         match (strict, reference) {
             (Err(ReadError::Parse { line: a, .. }), Err(ReadError::Parse { line: b, .. })) => {
@@ -1103,7 +1098,7 @@ mod tests {
                 })
                 .map(|l| format!("{l}\n"))
                 .collect();
-            match ingest_str(&text, &IngestConfig::default()) {
+            match ingest_slice(text.as_bytes(), &IngestConfig::default()) {
                 Err(ReadError::Parse { line, .. }) => assert_eq!(line, bad_at),
                 other => panic!("expected parse error, got {other:?}"),
             }
@@ -1122,7 +1117,7 @@ mod tests {
         let cfg = IngestConfig {
             skip_bad_lines: true,
         };
-        let ing = ingest_str(&text, &cfg).unwrap();
+        let ing = ingest_slice(text.as_bytes(), &cfg).unwrap();
         assert_eq!(ing.stats.events, 3);
         assert_eq!(ing.stats.skipped_lines, 2);
         assert_eq!(ing.stats.lines, 5);
@@ -1132,10 +1127,10 @@ mod tests {
 
     #[test]
     fn empty_and_blank_inputs() {
-        let ing = ingest_str("", &IngestConfig::default()).unwrap();
+        let ing = ingest_slice(b"", &IngestConfig::default()).unwrap();
         assert!(ing.dataset.is_empty());
         assert_eq!(ing.stats.lines, 0);
-        let ing = ingest_str("\n  \n\n", &IngestConfig::default()).unwrap();
+        let ing = ingest_slice(b"\n  \n\n", &IngestConfig::default()).unwrap();
         assert!(ing.dataset.is_empty());
         assert_eq!(ing.stats.lines, 3);
     }

@@ -51,6 +51,8 @@
 //! assert!((triplet.c - 1.0).abs() < 1e-12); // perfectly coordinated
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod btm;
 pub mod cigraph;
 pub mod dist_pipeline;
@@ -77,10 +79,9 @@ pub use coordination_store as store;
 
 pub use btm::{AuthorPages, Btm};
 pub use cigraph::{CiGraph, CiGraphBuilder};
-pub use coordination_graph::{GraphRef, SubsetView, ThresholdView};
-pub use dist_pipeline::DistPipeline;
-pub use ids::{AuthorId, Event, Interner, PageId, Timestamp};
-pub use ingest::{IngestConfig, IngestStats};
-pub use metrics::{c_score, t_score, TripletMetrics};
-pub use pipeline::{Pipeline, PipelineConfig, PipelineOutput};
+pub use coordination_graph::GraphRef;
+pub use ids::{AuthorId, Event, Interner, PageId};
+pub use ingest::IngestConfig;
+pub use metrics::TripletMetrics;
+pub use pipeline::{Pipeline, PipelineConfig};
 pub use window::Window;

@@ -53,7 +53,7 @@ impl TripletMetrics {
 
     /// `(x, y)` point for the weight hexbins (Figures 4, 6, 8, 10):
     /// `(min w', w_xyz)`.
-    pub fn weight_point(&self) -> (f64, f64) {
+    pub(crate) fn weight_point(&self) -> (f64, f64) {
         (self.min_ci_weight as f64, self.hyper_weight as f64)
     }
 }

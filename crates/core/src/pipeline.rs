@@ -101,12 +101,6 @@ pub struct PipelineOutput {
 }
 
 impl PipelineOutput {
-    /// Connected components of the CI graph at `min_weight` — the botnet
-    /// candidates of Figures 1–2 (≥ 2 vertices, largest first).
-    pub fn components(&self, min_weight: u64) -> Vec<Vec<u32>> {
-        self.ci.components(min_weight)
-    }
-
     /// `(T, C)` points for the score hexbins (Figures 3/5/7/9).
     pub fn score_points(&self) -> Vec<(f64, f64)> {
         self.triplets
@@ -310,8 +304,8 @@ mod tests {
 
         assert_eq!(out.triplets.len(), 1, "exactly the bot triangle survives");
         let m = &out.triplets[0];
-        let names = ds.author_names(&m.authors.map(|a| a.0));
-        assert_eq!(names, vec!["bot_a", "bot_b", "bot_c"]);
+        let names = m.authors.map(|a| ds.authors.name(a.0));
+        assert_eq!(names, ["bot_a", "bot_b", "bot_c"]);
         assert_eq!(m.min_ci_weight, 20);
         assert_eq!(m.hyper_weight, 20);
         assert!((m.c - 1.0).abs() < 1e-12, "perfectly coordinated: C = 1");
@@ -341,7 +335,7 @@ mod tests {
     #[test]
     fn components_extract_the_botnet() {
         let out = Pipeline::default().run_dataset(&scenario());
-        let comps = out.components(10);
+        let comps = out.ci.components(10);
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0].len(), 3);
     }

@@ -10,7 +10,7 @@
 //! pushed into a reusable scratch `Vec` and sort+deduped per page
 //! ([`page_pairs_flat`]), and every page's pair set is appended to one
 //! occurrence buffer that is sorted and run-length-counted **once** at the
-//! end into the sorted edge run [`CiGraph::from_runs`] takes. No per-page
+//! end into the sorted edge run `CiGraph::from_runs` takes. No per-page
 //! hashing anywhere on the path. [`project_subset`] is the same loop over
 //! each page's subset members, and the rank-sharded engine
 //! (`crate::dist_pipeline`) runs the same per-page step on the pages each rank
@@ -285,30 +285,6 @@ fn member_pairs<R: Row>(
     row_pairs(members, window, pairs);
 }
 
-/// Summary statistics of one projection run, for scale reporting
-/// (paper §3.2.3: "2.95 million authors and 3.28 billion edges").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProjectionStats {
-    /// Comments reviewed (BTM edge count).
-    pub comments_reviewed: u64,
-    /// Authors with at least one projection edge.
-    pub active_authors: u32,
-    /// Edges in the CI graph.
-    pub ci_edges: u64,
-    /// Largest `w'`.
-    pub max_weight: u64,
-}
-
-/// Compute [`ProjectionStats`] for a projection of `btm`.
-pub fn stats(btm: &Btm, ci: &CiGraph) -> ProjectionStats {
-    ProjectionStats {
-        comments_reviewed: btm.n_comments(),
-        active_authors: ci.active_authors(),
-        ci_edges: ci.n_edges(),
-        max_weight: ci.max_weight(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,20 +468,6 @@ mod tests {
         let ci = project(&b, Window::new(0, 60));
         assert_eq!(ci.n_edges(), 0);
         assert_eq!(ci.active_authors(), 0);
-        let s = stats(&b, &ci);
-        assert_eq!(s.comments_reviewed, 0);
-        assert_eq!(s.ci_edges, 0);
-    }
-
-    #[test]
-    fn stats_report_scale() {
-        let b = random_btm(3, 20, 10, 300);
-        let ci = project(&b, Window::new(0, 300));
-        let s = stats(&b, &ci);
-        assert_eq!(s.comments_reviewed, 300);
-        assert_eq!(s.ci_edges, ci.n_edges());
-        assert_eq!(s.active_authors, ci.active_authors());
-        assert_eq!(s.max_weight, ci.max_weight());
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! Those three fields are exactly what the BTM needs (paper §2.1.1); everything
 //! else is ignored on read.
 
-use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
@@ -42,10 +41,8 @@ impl CommentRecord {
 
 /// A dataset of comments with dense author/page id spaces.
 ///
-/// The interners sit behind [`Arc`] so that time slices ([`Dataset::slice_time`],
-/// [`Dataset::split_time`]) share them at zero cost instead of deep-cloning
-/// the full name tables per window — a longitudinal run over a month splits
-/// into dozens of windows, each of which only needs the events filtered.
+/// The interners sit behind [`Arc`], so a clone of the dataset shares the
+/// name tables instead of deep-cloning them.
 #[derive(Clone, Debug, Default)]
 pub struct Dataset {
     /// Author-name interner; `AuthorId(i)` ↔ `authors.name(i)`.
@@ -68,8 +65,8 @@ impl Dataset {
 
     /// Intern and append one record. (`Arc::make_mut` is a cheap refcount
     /// check while the dataset is being built unshared; pushing into a
-    /// dataset whose interners are shared with slices copies them first.)
-    pub fn push(&mut self, r: &CommentRecord) {
+    /// dataset whose interners are shared with a clone copies them first.)
+    pub(crate) fn push(&mut self, r: &CommentRecord) {
         let a = AuthorId(Arc::make_mut(&mut self.authors).intern(&r.author));
         let p = PageId(Arc::make_mut(&mut self.pages).intern(&r.link_id));
         self.events.push(Event::new(a, p, r.created_utc));
@@ -99,11 +96,6 @@ impl Dataset {
     /// Whether the dataset has no events.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Author names for a dense-id triplet — for presenting results.
-    pub fn author_names(&self, ids: &[u32]) -> Vec<&str> {
-        ids.iter().map(|&i| self.authors.name(i)).collect()
     }
 }
 
@@ -178,7 +170,7 @@ pub fn write_ndjson<W: Write>(mut w: W, records: &[CommentRecord]) -> std::io::R
 /// Stream NDJSON into a [`Dataset`] without materializing the record list.
 ///
 /// This is the *reference reader*: one line, one `serde_json` parse, one
-/// [`Dataset::push`]. The production path for month-scale archives is
+/// `Dataset::push`. The production path for month-scale archives is
 /// [`crate::ingest`] — a zero-copy field scanner feeding one in-order
 /// interning pass — which is pinned (by proptest and by a bench-time guard)
 /// to produce an identical [`Dataset`] to this function.
@@ -208,72 +200,12 @@ pub fn read_ndjson_into_dataset<R: BufRead>(mut reader: R) -> Result<Dataset, Re
 
 /// Count events per author as a dense vector indexed by `AuthorId` — one
 /// cache-friendly pass over the events, no hashing of author names.
-pub fn comment_counts_dense(ds: &Dataset) -> Vec<u64> {
+pub(crate) fn comment_counts_dense(ds: &Dataset) -> Vec<u64> {
     let mut out = vec![0u64; ds.authors.len()];
     for e in &ds.events {
         out[e.author.0 as usize] += 1;
     }
     out
-}
-
-/// Count events per author name — the name-keyed adapter over
-/// [`comment_counts_dense`], kept for the exclusion-list heuristics. Authors
-/// with zero events (possible when the interners are shared with a time
-/// slice) are omitted, as they always were.
-pub fn comment_counts(ds: &Dataset) -> HashMap<&str, u64> {
-    comment_counts_dense(ds)
-        .into_iter()
-        .enumerate()
-        .filter(|&(_, c)| c > 0)
-        .map(|(i, c)| (ds.authors.name(i as u32), c))
-        .collect()
-}
-
-impl Dataset {
-    /// The `[min, max]` timestamp range of the events, or `None` if empty.
-    pub fn time_range(&self) -> Option<(Timestamp, Timestamp)> {
-        self.events.iter().fold(None, |acc, e| match acc {
-            None => Some((e.ts, e.ts)),
-            Some((lo, hi)) => Some((lo.min(e.ts), hi.max(e.ts))),
-        })
-    }
-
-    /// A view restricted to events with `ts ∈ [from, to)`. Id spaces (and
-    /// interners) are shared with the parent — via `Arc`, so slicing costs
-    /// O(events), not O(names) — and results remain comparable across
-    /// windows: the paper's per-month analyses over a multi-month archive
-    /// are exactly this operation.
-    pub fn slice_time(&self, from: Timestamp, to: Timestamp) -> Dataset {
-        assert!(from < to, "empty or inverted time range [{from}, {to})");
-        Dataset {
-            authors: Arc::clone(&self.authors),
-            pages: Arc::clone(&self.pages),
-            events: self
-                .events
-                .iter()
-                .copied()
-                .filter(|e| e.ts >= from && e.ts < to)
-                .collect(),
-        }
-    }
-
-    /// Split into consecutive windows of `width` seconds covering the event
-    /// range, in time order (empty windows included). The building block for
-    /// longitudinal studies — e.g. does a botnet's coordination score drift
-    /// week over week?
-    pub fn split_time(&self, width: i64) -> Vec<Dataset> {
-        assert!(width > 0, "window width must be positive");
-        let Some((lo, hi)) = self.time_range() else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        let mut start = lo;
-        while start <= hi {
-            out.push(self.slice_time(start, start + width));
-            start += width;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -328,7 +260,7 @@ mod tests {
         assert_eq!(ds.pages.len(), 2);
         assert_eq!(ds.events[0], Event::new(AuthorId(0), PageId(0), 1));
         assert_eq!(ds.events[2], Event::new(AuthorId(0), PageId(1), 3));
-        assert_eq!(ds.author_names(&[0, 1]), vec!["a", "b"]);
+        assert_eq!([ds.authors.name(0), ds.authors.name(1)], ["a", "b"]);
     }
 
     #[test]
@@ -350,82 +282,16 @@ mod tests {
         let btm = ds.btm();
         assert_eq!(btm.n_authors(), 2);
         assert_eq!(btm.n_pages(), 1);
-        assert_eq!(btm.page_neighborhood(PageId(0)).len(), 2);
+        assert_eq!(btm.page_neighborhood(PageId(0)).iter().count(), 2);
     }
 
     #[test]
-    fn time_slicing_preserves_id_spaces() {
-        let ds = Dataset::from_records([
-            CommentRecord::new("a", "p", 10),
-            CommentRecord::new("b", "q", 20),
-            CommentRecord::new("a", "q", 30),
-        ]);
-        assert_eq!(ds.time_range(), Some((10, 30)));
-        let early = ds.slice_time(0, 25);
-        assert_eq!(early.len(), 2);
-        // interners are shared: 'a' has the same id in every slice
-        assert_eq!(early.authors.get("a"), ds.authors.get("a"));
-        assert_eq!(early.authors.len(), ds.authors.len());
-        let empty = ds.slice_time(100, 200);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn split_time_covers_all_events_once() {
-        let ds =
-            Dataset::from_records((0..50).map(|i| CommentRecord::new("u", format!("p{i}"), i * 7)));
-        let windows = ds.split_time(100);
-        assert_eq!(windows.iter().map(Dataset::len).sum::<usize>(), 50);
-        // boundaries are half-open: no event appears twice
-        assert_eq!(windows.len(), 4); // range [0, 343] at width 100
-        for w in &windows {
-            if let Some((lo, hi)) = w.time_range() {
-                assert!(hi - lo < 100);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "inverted")]
-    fn slice_rejects_bad_range() {
-        Dataset::default().slice_time(5, 5);
-    }
-
-    #[test]
-    fn comment_counts_by_name() {
+    fn comment_counts_by_dense_id() {
         let ds = Dataset::from_records([
             CommentRecord::new("a", "p", 1),
             CommentRecord::new("a", "q", 2),
             CommentRecord::new("b", "p", 3),
         ]);
-        let counts = comment_counts(&ds);
-        assert_eq!(counts["a"], 2);
-        assert_eq!(counts["b"], 1);
         assert_eq!(comment_counts_dense(&ds), vec![2, 1]);
-    }
-
-    #[test]
-    fn slices_share_interners_without_cloning() {
-        let ds = Dataset::from_records([
-            CommentRecord::new("a", "p", 10),
-            CommentRecord::new("b", "q", 20),
-        ]);
-        let slice = ds.slice_time(0, 15);
-        assert!(Arc::ptr_eq(&ds.authors, &slice.authors));
-        assert!(Arc::ptr_eq(&ds.pages, &slice.pages));
-        // zero-count authors in a slice stay out of the name-keyed view
-        assert!(!comment_counts(&slice).contains_key("b"));
-        assert_eq!(comment_counts_dense(&slice), vec![1, 0]);
-    }
-
-    #[test]
-    fn push_after_slicing_leaves_the_slice_intact() {
-        let mut ds = Dataset::from_records([CommentRecord::new("a", "p", 10)]);
-        let slice = ds.slice_time(0, 100);
-        ds.push(&CommentRecord::new("late", "q", 50));
-        // copy-on-write: the slice still sees the original name table
-        assert_eq!(slice.authors.len(), 1);
-        assert_eq!(ds.authors.len(), 2);
-        assert_eq!(ds.authors.get("late"), Some(1));
     }
 }

@@ -49,12 +49,6 @@ impl Window {
     pub fn d2(&self) -> i64 {
         self.d2
     }
-
-    /// Whether a non-negative delay `dt` falls in the window.
-    #[inline]
-    pub fn contains(&self, dt: i64) -> bool {
-        dt >= self.d1 && dt <= self.d2
-    }
 }
 
 impl std::fmt::Display for Window {
@@ -72,15 +66,6 @@ mod tests {
         assert_eq!(Window::zero_to_60s(), Window::new(0, 60));
         assert_eq!(Window::zero_to_10m(), Window::new(0, 600));
         assert_eq!(Window::zero_to_1h(), Window::new(0, 3600));
-    }
-
-    #[test]
-    fn contains_is_inclusive_on_both_ends() {
-        let w = Window::new(5, 10);
-        assert!(!w.contains(4));
-        assert!(w.contains(5));
-        assert!(w.contains(10));
-        assert!(!w.contains(11));
     }
 
     #[test]

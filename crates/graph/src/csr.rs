@@ -97,7 +97,7 @@ fn merge_runs(runs: Vec<Vec<(u32, u32, u64)>>) -> Vec<(u32, u32, u64)> {
 
 impl CsrGraph {
     /// The edgeless graph over `n` vertices.
-    pub fn empty(n: u32) -> Self {
+    pub(crate) fn empty(n: u32) -> Self {
         CsrGraph {
             offsets: vec![0; n as usize + 1],
             targets: Vec::new(),
@@ -199,7 +199,7 @@ impl CsrGraph {
 
     /// `u`'s neighbors (sorted ascending) and the matching edge weights.
     #[inline]
-    pub fn neighbors(&self, u: u32) -> (&[u32], &[u64]) {
+    pub(crate) fn neighbors(&self, u: u32) -> (&[u32], &[u64]) {
         let lo = self.offsets[u as usize];
         let hi = self.offsets[u as usize + 1];
         (&self.targets[lo..hi], &self.weights[lo..hi])
@@ -236,11 +236,6 @@ impl CsrGraph {
                 .filter(|&(_, _, w)| w >= min_weight)
                 .collect::<Vec<_>>()],
         )
-    }
-
-    /// Sum of all edge weights.
-    pub fn total_weight(&self) -> u64 {
-        self.weights.iter().sum::<u64>() / 2
     }
 
     /// Largest edge weight (0 for an edgeless graph).
@@ -320,12 +315,6 @@ impl DisjointSets {
         self.size[ra] += self.size[rb];
         true
     }
-
-    /// Size of `x`'s set.
-    pub fn set_size(&mut self, x: usize) -> u32 {
-        let r = self.find(x);
-        self.size[r]
-    }
 }
 
 #[cfg(test)]
@@ -394,9 +383,8 @@ mod tests {
     }
 
     #[test]
-    fn total_weight_counts_each_edge_once() {
+    fn max_weight_is_the_heaviest_edge() {
         let g = CsrGraph::from_edges(3, [(0, 1, 2), (1, 2, 3), (0, 2, 4)]);
-        assert_eq!(g.total_weight(), 9);
         assert_eq!(g.max_weight(), 4);
     }
 
@@ -530,7 +518,6 @@ mod tests {
         assert_ne!(d.find(0), d.find(2));
         assert!(d.union(1, 3));
         assert_eq!(d.find(0), d.find(2));
-        assert_eq!(d.set_size(3), 4);
-        assert_eq!(d.set_size(4), 1);
+        assert_ne!(d.find(4), d.find(0));
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! *One pair at a time* (validation's leading edge):
 //! [`intersect_indices`] dispatches on the length ratio: below
-//! [`GALLOP_RATIO`] it runs the classic two-cursor linear merge; above it,
+//! `GALLOP_RATIO` it runs the classic two-cursor linear merge; above it,
 //! it walks the *short* side and locates each element in the long side by
 //! galloping (exponential probe + binary search within the bracketed range),
 //! giving `O(|short| · log |long|)` — and, because the short side is sorted,
@@ -29,13 +29,13 @@
 /// [`intersect_indices`]. Chosen from an ablation on degree-skewed page
 /// lists: below ~8× the branchy binary search loses to the
 /// branch-predictable linear scan.
-pub const GALLOP_RATIO: usize = 8;
+pub(crate) const GALLOP_RATIO: usize = 8;
 
 /// Length ratio `|b| / |a|` above which galloping through `b` from `a`'s side
 /// beats probing `b` against a [`StampSet`] of `a`. A measurement, not an
 /// option (EXPERIMENTS.md "Stamp, don't merge", probe-vs-gallop by ratio
 /// bucket): a probe costs 0.5–1.3 ns per element of `b`, several times less
-/// than a merge step, so the crossover sits higher than [`GALLOP_RATIO`]. On
+/// than a merge step, so the crossover sits higher than `GALLOP_RATIO`. On
 /// randomly scattered out-lists the two arms meet in `[32, 64)` (gallop ÷ probe 1.08
 /// and 0.90; 1.3–1.5 in `[16, 32)`, 0.4–0.8 in `[64, 128)`); on contiguous-id
 /// hub lists, where the gallop's branches predict, the gallop already wins
@@ -47,7 +47,7 @@ pub const STAMP_GALLOP_RATIO: usize = 32;
 /// by binary search over the bracketed range. `O(log distance)` — cheap when
 /// successive targets land near each other, which sorted callers guarantee.
 #[inline]
-pub fn gallop_search<T: Ord>(xs: &[T], from: usize, target: &T) -> Result<usize, usize> {
+pub(crate) fn gallop_search<T: Ord>(xs: &[T], from: usize, target: &T) -> Result<usize, usize> {
     let n = xs.len();
     if from >= n {
         return Err(n);
@@ -133,7 +133,7 @@ pub fn intersect_indices_gallop<T: Ord, F: FnMut(usize, usize)>(
 /// Visit every common element of two sorted, strictly-increasing slices as
 /// `f(index_in_a, index_in_b)`, choosing the kernel by length ratio:
 /// linear merge for comparable lengths, galloping from the shorter side when
-/// one input is ≥ [`GALLOP_RATIO`]× the other. Exactly the visit sequence of
+/// one input is ≥ `GALLOP_RATIO`× the other. Exactly the visit sequence of
 /// [`intersect_indices_linear`] (ascending in both indices).
 #[inline]
 pub fn intersect_indices<T: Ord, F: FnMut(usize, usize)>(a: &[T], b: &[T], f: &mut F) {

@@ -29,6 +29,8 @@
 //! `coordination_core::CiGraph` wraps a [`CsrGraph`] plus the `P'` page
 //! counts — one representation end to end.
 
+#![warn(unreachable_pub)]
+
 pub mod csr;
 pub mod ids;
 pub mod intersect;

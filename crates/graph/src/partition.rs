@@ -46,7 +46,8 @@ impl LocalCsr {
     /// sorted by target id (ties summed? — no: parallel edges are kept as-is;
     /// producers upstream are expected to have aggregated weights already,
     /// which both the projection and the snapshot CSR guarantee).
-    pub fn from_edges(mut edges: Vec<(u32, u32, u64)>) -> Self {
+    #[cfg(test)]
+    fn from_edges(mut edges: Vec<(u32, u32, u64)>) -> Self {
         edges.sort_unstable_by_key(|&(s, d, _)| (s, d));
         Self::from_sorted_edges(edges)
     }
@@ -92,11 +93,6 @@ impl LocalCsr {
             Some(&i) if i != NO_ROW => Some(i as usize),
             _ => None,
         }
-    }
-
-    /// Number of owned source vertices with at least one out-edge.
-    pub fn n_local(&self) -> usize {
-        self.vertices.len()
     }
 
     /// Number of local edges.
@@ -154,7 +150,6 @@ mod tests {
     #[test]
     fn builds_sorted_rows_from_shuffled_edges() {
         let csr = LocalCsr::from_edges(vec![(7, 9, 3), (2, 5, 1), (7, 8, 2), (2, 3, 4), (2, 4, 6)]);
-        assert_eq!(csr.n_local(), 2);
         assert_eq!(csr.m_local(), 5);
         let rows: Vec<_> = csr
             .rows()
@@ -184,7 +179,6 @@ mod tests {
     #[test]
     fn empty_partition_is_fine() {
         let csr = LocalCsr::from_edges(Vec::new());
-        assert_eq!(csr.n_local(), 0);
         assert_eq!(csr.m_local(), 0);
         assert!(csr.ghosts().is_empty());
         assert!(csr.rows().next().is_none());

@@ -103,11 +103,6 @@ impl<'a, G: GraphRef> ThresholdView<'a, G> {
     pub fn new(inner: &'a G, min_weight: u64) -> Self {
         ThresholdView { inner, min_weight }
     }
-
-    /// The weight cutoff this view applies.
-    pub fn min_weight(&self) -> u64 {
-        self.min_weight
-    }
 }
 
 impl<G: GraphRef> GraphRef for ThresholdView<'_, G> {
@@ -144,7 +139,7 @@ impl<'a, G: GraphRef> SubsetView<'a, G> {
     }
 
     /// Whether `v` is in the subset.
-    pub fn contains(&self, v: u32) -> bool {
+    pub(crate) fn contains(&self, v: u32) -> bool {
         self.mask.get(v as usize).copied().unwrap_or(false)
     }
 }

@@ -20,7 +20,7 @@
 //!   counter and gauge maps — plus a validator CI uses to fail runs whose
 //!   reports lost a registered stage span or documented counter.
 //!
-//! Instrumentation is compiled in but **off by default**: [`Obs::disabled`]
+//! Instrumentation is compiled in but **off by default**: the disabled state
 //! is the no-op path (a relaxed atomic load per call site), benchmarked at
 //! well under 2% overhead on the pipeline stages. [`Obs::enable`] turns
 //! recording on (the CLI does this for `--report` / `--progress`).
@@ -37,6 +37,8 @@
 //! # obs::Obs::disable();
 //! # obs::reset();
 //! ```
+
+#![warn(unreachable_pub)]
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -82,13 +84,8 @@ impl Obs {
         REGISTRY.enabled.store(false, Ordering::Relaxed);
     }
 
-    /// Whether the no-op path is active (the default).
-    pub fn disabled() -> bool {
-        !REGISTRY.enabled.load(Ordering::Relaxed)
-    }
-
     /// Whether recording is active.
-    pub fn enabled() -> bool {
+    pub(crate) fn enabled() -> bool {
         REGISTRY.enabled.load(Ordering::Relaxed)
     }
 
@@ -98,7 +95,7 @@ impl Obs {
     }
 
     /// Whether progress rendering is on.
-    pub fn progress() -> bool {
+    pub(crate) fn progress() -> bool {
         REGISTRY.progress.load(Ordering::Relaxed)
     }
 }
@@ -178,11 +175,6 @@ impl Gauge {
             self.0.fetch_max(v, Ordering::Relaxed);
         }
     }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
 }
 
 /// Get (registering on first use) the gauge named `name`.
@@ -228,7 +220,7 @@ impl SpanStats {
     }
 
     /// Longest entry in seconds.
-    pub fn max_seconds(&self) -> f64 {
+    pub(crate) fn max_seconds(&self) -> f64 {
         self.max_ns as f64 / 1e9
     }
 }
@@ -443,7 +435,7 @@ mod tests {
         let _g = locked();
         Obs::disable();
         reset();
-        assert!(Obs::disabled());
+        assert!(!Obs::enabled());
         {
             let _s = span("disabled_stage");
             let _inner = span("disabled_stage.kernel");
@@ -541,9 +533,9 @@ mod tests {
         let g = gauge("peaky");
         g.set_max(10);
         g.set_max(3);
-        assert_eq!(g.get(), 10);
+        assert_eq!(snapshot().gauge("peaky"), Some(10));
         g.set(2);
-        assert_eq!(g.get(), 2);
+        assert_eq!(snapshot().gauge("peaky"), Some(2));
         Obs::disable();
         reset();
     }

@@ -1,7 +1,7 @@
 //! Machine-readable run reports: the registry serialized as stable JSON,
 //! plus the validator CI runs against emitted reports.
 //!
-//! The document layout (`schema_version` [`SCHEMA_VERSION`]):
+//! The document layout (`schema_version` `SCHEMA_VERSION`):
 //!
 //! ```json
 //! {
@@ -28,7 +28,7 @@
 use crate::{Snapshot, SpanEntry};
 
 /// Version stamp every report carries; bump on any layout change.
-pub const SCHEMA_VERSION: u32 = 1;
+pub(crate) const SCHEMA_VERSION: u32 = 1;
 
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -116,7 +116,7 @@ fn render_map(pairs: &[(String, u64)], indent: usize) -> String {
 }
 
 /// Serialize a snapshot as the schema-versioned run report.
-pub fn render(command: &str, snap: &Snapshot) -> String {
+pub(crate) fn render(command: &str, snap: &Snapshot) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
@@ -143,7 +143,7 @@ pub fn render(command: &str, snap: &Snapshot) -> String {
     out
 }
 
-/// [`render`] over the live registry (see [`crate::snapshot`]).
+/// `render` over the live registry (see [`crate::snapshot`]).
 pub fn render_current(command: &str) -> String {
     render(command, &crate::snapshot())
 }
@@ -161,13 +161,13 @@ fn parse_schema_version(json: &str) -> Option<u64> {
 }
 
 /// Validate an emitted run report: it must carry `schema_version` equal to
-/// this build's [`SCHEMA_VERSION`] (a report from a future or unknown layout
+/// this build's `SCHEMA_VERSION` (a report from a future or unknown layout
 /// is rejected, not half-checked), a span entry for every label in
 /// `required_spans`, and an entry (even `0`) for every counter in
 /// `required_counters`. Returns every violation at once so a CI failure
 /// names the full gap, not just the first one.
 ///
-/// The checks are textual against the layout [`render`] produces — this
+/// The checks are textual against the layout `render` produces — this
 /// crate has no JSON parser by design, and it validates only its own output.
 pub fn validate(
     json: &str,

@@ -6,8 +6,8 @@
 //! each pairwise edge's month of weight is split across two handle pairs,
 //! halving every `w'` and fragmenting the CI component into two weaker
 //! cliques. Detection quality can only be scored if the ground truth knows
-//! the rotation — [`ChurnInjection::aliases`] maps each post-rotation handle
-//! back to its canonical account, and [`crate::truth::GroundTruth::add_alias`]
+//! the rotation — `ChurnInjection::aliases` maps each post-rotation handle
+//! back to its canonical account, and `GroundTruth::add_alias`
 //! resolves flagged triplets through it so both eras score as one family.
 
 use coordination_core::records::CommentRecord;
@@ -51,7 +51,7 @@ impl Default for ChurnConfig {
 
 /// Output of the churn injector: records, canonical members, and the
 /// rotated-handle → canonical-member alias pairs for the ground truth.
-pub struct ChurnInjection {
+pub(crate) struct ChurnInjection {
     /// Generated comments (mixed pre- and post-rotation handles).
     pub records: Vec<CommentRecord>,
     /// Canonical account names (the pre-rotation handles).
@@ -61,12 +61,12 @@ pub struct ChurnInjection {
 }
 
 /// The rotated handle of a canonical member name.
-pub fn rotated_handle(canonical: &str) -> String {
+pub(crate) fn rotated_handle(canonical: &str) -> String {
     format!("{canonical}_v2")
 }
 
 /// Generate the month's activity with a mid-month handle rotation.
-pub fn generate<R: Rng + ?Sized>(cfg: &ChurnConfig, rng: &mut R) -> ChurnInjection {
+pub(crate) fn generate<R: Rng + ?Sized>(cfg: &ChurnConfig, rng: &mut R) -> ChurnInjection {
     assert!(cfg.n_members >= 2, "need at least two members");
     assert!(!cfg.response_delay.is_empty() && cfg.response_delay.start >= 0);
     assert!((0.0..=1.0).contains(&cfg.rotate_frac));

@@ -67,7 +67,7 @@ pub struct Injection {
 }
 
 /// Generate the network's month of activity.
-pub fn generate<R: Rng + ?Sized>(cfg: &Gpt2Config, rng: &mut R) -> Injection {
+pub(crate) fn generate<R: Rng + ?Sized>(cfg: &Gpt2Config, rng: &mut R) -> Injection {
     assert!(cfg.n_bots >= 2, "a network needs at least two bots");
     assert!(!cfg.comment_gap.is_empty() && cfg.comment_gap.start >= 0);
     let members: Vec<String> = (0..cfg.n_bots)

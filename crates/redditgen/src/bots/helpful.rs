@@ -33,7 +33,7 @@ impl Default for HelpfulConfig {
 }
 
 /// Generate AutoModerator and `[deleted]` records over the organic stream.
-pub fn generate<R: Rng + ?Sized>(
+pub(crate) fn generate<R: Rng + ?Sized>(
     cfg: &HelpfulConfig,
     organic: &[CommentRecord],
     rng: &mut R,

@@ -55,7 +55,7 @@ impl Default for JitterConfig {
 }
 
 /// Generate the month's jittered trigger/response activity.
-pub fn generate<R: Rng + ?Sized>(cfg: &JitterConfig, rng: &mut R) -> Injection {
+pub(crate) fn generate<R: Rng + ?Sized>(cfg: &JitterConfig, rng: &mut R) -> Injection {
     assert!(cfg.n_members >= 2, "need at least two members");
     assert!(cfg.window_edge > 0, "window edge must be positive");
     assert!(cfg.straddle >= 1.0, "straddle < 1 would be fully in-window");

@@ -3,7 +3,7 @@
 //! Naive injectors post uniformly around the clock — a rhythm no human
 //! population produces, and an easy tell for activity-profile detectors. This
 //! network schedules everything by rejection-sampling against the *same*
-//! [`crate::organic::diurnal_accept`] curve the organic generator uses, so
+//! `organic::diurnal_accept` curve the organic generator uses, so
 //! per-hour activity histograms match the human baseline exactly. On top of
 //! the gpt2-style coordinated pages it sprinkles diurnal solo comments on a
 //! wide filler-page pool: those inflate every member's page count, diluting
@@ -71,7 +71,7 @@ fn diurnal_ts<R: Rng + ?Sized>(rng: &mut R, t0: i64, span: i64) -> i64 {
 }
 
 /// Generate the month's diurnal-shaped coordinated + solo activity.
-pub fn generate<R: Rng + ?Sized>(cfg: &MimicryConfig, rng: &mut R) -> Injection {
+pub(crate) fn generate<R: Rng + ?Sized>(cfg: &MimicryConfig, rng: &mut R) -> Injection {
     assert!(cfg.n_bots >= 2, "need at least two bots");
     assert!(!cfg.comment_gap.is_empty() && cfg.comment_gap.start >= 0);
     assert!(!cfg.participants.is_empty());

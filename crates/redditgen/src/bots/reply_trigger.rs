@@ -47,7 +47,7 @@ impl Default for ReplyTriggerConfig {
 /// Add reply-bot activity over the given organic records. Pages are sampled
 /// by their first appearance in `organic`; each firing bot replies shortly
 /// after the triggering (first) comment.
-pub fn generate<R: Rng + ?Sized>(
+pub(crate) fn generate<R: Rng + ?Sized>(
     cfg: &ReplyTriggerConfig,
     organic: &[CommentRecord],
     rng: &mut R,

@@ -51,7 +51,7 @@ impl Default for SlowBurnConfig {
 }
 
 /// Generate the month's slow trigger/response activity.
-pub fn generate<R: Rng + ?Sized>(cfg: &SlowBurnConfig, rng: &mut R) -> Injection {
+pub(crate) fn generate<R: Rng + ?Sized>(cfg: &SlowBurnConfig, rng: &mut R) -> Injection {
     assert!(cfg.n_members >= 2, "need at least two members");
     assert!(!cfg.response_delay.is_empty() && cfg.response_delay.start >= 0);
     let members: Vec<String> = (0..cfg.n_members)

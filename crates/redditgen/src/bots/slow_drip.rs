@@ -59,7 +59,7 @@ impl Default for SlowDripConfig {
 }
 
 /// Generate the month's rationed trigger/response activity.
-pub fn generate<R: Rng + ?Sized>(cfg: &SlowDripConfig, rng: &mut R) -> Injection {
+pub(crate) fn generate<R: Rng + ?Sized>(cfg: &SlowDripConfig, rng: &mut R) -> Injection {
     assert!(cfg.n_members >= 2, "need at least two members");
     assert!(!cfg.fast_delay.is_empty() && cfg.fast_delay.start >= 0);
     assert!(!cfg.slow_delay.is_empty() && cfg.slow_delay.start >= 0);

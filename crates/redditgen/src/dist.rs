@@ -23,13 +23,13 @@ use rand_chacha::ChaCha8Rng;
 /// O(log n) per draw, exact, and cheap to build for the ~10⁴–10⁶ element
 /// ranges the generator uses.
 #[derive(Clone, Debug)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cdf: Vec<f64>,
 }
 
 impl Zipf {
     /// Build a Zipf sampler over `n` ranks with exponent `s > 0`.
-    pub fn new(n: usize, s: f64) -> Self {
+    pub(crate) fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one rank");
         assert!(s > 0.0, "Zipf exponent must be positive");
         let mut cdf = Vec::with_capacity(n);
@@ -47,13 +47,8 @@ impl Zipf {
         Zipf { cdf }
     }
 
-    /// Number of ranks.
-    pub fn n(&self) -> usize {
-        self.cdf.len()
-    }
-
     /// Sample a rank in `0..n` (rank 0 most likely).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
@@ -61,26 +56,26 @@ impl Zipf {
 
 /// Log-normal distribution: `exp(μ + σ·Z)` with `Z ~ N(0,1)` via Box–Muller.
 #[derive(Clone, Copy, Debug)]
-pub struct LogNormal {
+pub(crate) struct LogNormal {
     mu: f64,
     sigma: f64,
 }
 
 impl LogNormal {
     /// Log-normal with log-space mean `mu` and log-space std-dev `sigma ≥ 0`.
-    pub fn new(mu: f64, sigma: f64) -> Self {
+    pub(crate) fn new(mu: f64, sigma: f64) -> Self {
         assert!(sigma >= 0.0, "sigma must be non-negative");
         LogNormal { mu, sigma }
     }
 
     /// Draw one value (always > 0).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         (self.mu + self.sigma * standard_normal(rng)).exp()
     }
 }
 
 /// One standard-normal draw via Box–Muller.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // u1 in (0, 1] so ln is finite
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();
@@ -88,44 +83,21 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 }
 
 /// Exponential with the given mean, by inversion.
-pub fn exponential<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
+pub(crate) fn exponential<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
     assert!(mean > 0.0, "exponential mean must be positive");
     let u: f64 = 1.0 - rng.gen::<f64>();
     -mean * u.ln()
 }
 
-/// Poisson draw by Knuth's product method (fine for `lambda ≲ 30`, which is
-/// all the generator needs).
-pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
-    assert!(lambda >= 0.0, "lambda must be non-negative");
-    if lambda == 0.0 {
-        return 0;
-    }
-    let l = (-lambda).exp();
-    let mut k = 0u64;
-    let mut p = 1.0f64;
-    loop {
-        p *= rng.gen::<f64>();
-        if p <= l {
-            return k;
-        }
-        k += 1;
-        if k > 10_000 {
-            // numerically impossible for sane lambda; avoid infinite loops
-            return k;
-        }
-    }
-}
-
 /// Weighted index sampler over arbitrary non-negative weights (CDF inversion).
 #[derive(Clone, Debug)]
-pub struct WeightedIndex {
+pub(crate) struct WeightedIndex {
     cdf: Vec<f64>,
 }
 
 impl WeightedIndex {
     /// Build from weights; at least one must be positive.
-    pub fn new(weights: &[f64]) -> Self {
+    pub(crate) fn new(weights: &[f64]) -> Self {
         assert!(!weights.is_empty(), "need at least one weight");
         let mut cdf = Vec::with_capacity(weights.len());
         let mut acc = 0.0;
@@ -146,7 +118,7 @@ impl WeightedIndex {
     }
 
     /// Sample an index proportional to its weight.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
@@ -235,11 +207,6 @@ impl DistMonth {
         }
     }
 
-    /// The configuration this generator was built from.
-    pub fn config(&self) -> &DistMonthConfig {
-        &self.cfg
-    }
-
     /// Total dense author id space (organic + clique members).
     pub fn total_authors(&self) -> u32 {
         self.cfg.organic_authors + self.cfg.n_cliques * self.cfg.clique_size
@@ -250,17 +217,9 @@ impl DistMonth {
         self.cfg.organic_pages + self.cfg.n_cliques * self.cfg.bursts_per_clique
     }
 
-    /// Total comments in the month (organic + burst events).
-    pub fn n_comments(&self) -> u64 {
-        self.cfg.n_blocks as u64 * self.cfg.block_comments as u64
-            + u64::from(self.cfg.n_cliques)
-                * u64::from(self.cfg.bursts_per_clique)
-                * u64::from(self.cfg.clique_size)
-    }
-
     /// Generate block `b` into `out` (cleared first). Depends only on
     /// `(seed, b)` — which rank generates a block never changes its events.
-    pub fn block_into(&self, b: usize, out: &mut Vec<Event>) {
+    pub(crate) fn block_into(&self, b: usize, out: &mut Vec<Event>) {
         assert!(b < self.cfg.n_blocks, "block out of range");
         out.clear();
         let cfg = &self.cfg;
@@ -296,7 +255,11 @@ impl DistMonth {
     /// Stream rank `r`'s share of the month — blocks `r, r+nranks, …` in
     /// order, one block buffered at a time. The union over all ranks is the
     /// same event multiset for every `nranks`.
-    pub fn rank_events(&self, rank: usize, nranks: usize) -> impl Iterator<Item = Event> + '_ {
+    pub(crate) fn rank_events(
+        &self,
+        rank: usize,
+        nranks: usize,
+    ) -> impl Iterator<Item = Event> + '_ {
         assert!(nranks > 0 && rank < nranks, "bad rank/nranks");
         let mut buf: Vec<Event> = Vec::new();
         let mut at = 0usize;
@@ -384,15 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_mean_converges() {
-        let mut r = rng(6);
-        let n = 20_000;
-        let mean: f64 = (0..n).map(|_| poisson(&mut r, 3.5) as f64).sum::<f64>() / n as f64;
-        assert!((mean - 3.5).abs() < 0.1, "mean {mean}");
-        assert_eq!(poisson(&mut r, 0.0), 0);
-    }
-
-    #[test]
     fn weighted_index_respects_weights() {
         let w = WeightedIndex::new(&[1.0, 0.0, 3.0]);
         let mut r = rng(7);
@@ -448,15 +402,14 @@ mod tests {
     fn dist_month_counts_and_bounds() {
         let m = small_month();
         let events: Vec<Event> = m.all_events().collect();
-        assert_eq!(events.len() as u64, m.n_comments());
-        assert_eq!(m.n_comments(), 12 * 300 + 2 * 6 * 4);
+        assert_eq!(events.len(), 12 * 300 + 2 * 6 * 4);
         for e in &events {
             assert!(e.author.0 < m.total_authors());
             assert!(e.page.0 < m.total_pages());
             assert!((0..crate::MONTH_SECS).contains(&e.ts));
         }
         // The bursts really land: every clique author appears.
-        let organic = m.config().organic_authors;
+        let organic = m.cfg.organic_authors;
         for a in organic..m.total_authors() {
             assert!(events.iter().any(|e| e.author.0 == a), "author {a} missing");
         }
@@ -482,7 +435,7 @@ mod tests {
         let a: Vec<_> = small_month().all_events().map(|e| event_key(&e)).collect();
         let b: Vec<_> = small_month().all_events().map(|e| event_key(&e)).collect();
         assert_eq!(a, b);
-        let mut cfg = small_month().config().clone();
+        let mut cfg = small_month().cfg.clone();
         cfg.seed = 43;
         let c: Vec<_> = DistMonth::new(cfg)
             .all_events()
@@ -495,7 +448,7 @@ mod tests {
     fn dist_month_bursts_sit_inside_the_coordination_window() {
         let m = small_month();
         // Group burst-page events by page; each burst spans < 60 seconds.
-        let organic_pages = m.config().organic_pages;
+        let organic_pages = m.cfg.organic_pages;
         let mut per_page: std::collections::HashMap<u32, Vec<i64>> = Default::default();
         for e in m.all_events() {
             if e.page.0 >= organic_pages {
@@ -504,10 +457,10 @@ mod tests {
         }
         assert_eq!(
             per_page.len() as u32,
-            m.config().n_cliques * m.config().bursts_per_clique
+            m.cfg.n_cliques * m.cfg.bursts_per_clique
         );
         for (page, ts) in per_page {
-            assert_eq!(ts.len() as u32, m.config().clique_size, "page {page}");
+            assert_eq!(ts.len() as u32, m.cfg.clique_size, "page {page}");
             let span = ts.iter().max().unwrap() - ts.iter().min().unwrap();
             assert!(span < 60, "page {page} burst spans {span}s");
         }

@@ -31,6 +31,8 @@
 //!
 //! All generation is deterministic given a seed.
 
+#![warn(unreachable_pub)]
+
 pub mod bots;
 pub mod dist;
 pub mod organic;
@@ -41,4 +43,4 @@ pub use scenario::{Scenario, ScenarioConfig};
 pub use truth::GroundTruth;
 
 /// One month of seconds — every preset spans `[t0, t0 + MONTH_SECS)`.
-pub const MONTH_SECS: i64 = 30 * 24 * 3600;
+pub(crate) const MONTH_SECS: i64 = 30 * 24 * 3600;

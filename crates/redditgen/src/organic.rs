@@ -83,14 +83,14 @@ impl Default for OrganicConfig {
 /// below 0.1. Shared by organic traffic and by any injector that mimics it
 /// (see [`crate::bots::mimicry`]) — an adversary shaping its activity on this
 /// exact curve is indistinguishable from humans by rhythm alone.
-pub fn diurnal_accept(ts: i64, t0: i64) -> f64 {
+pub(crate) fn diurnal_accept(ts: i64, t0: i64) -> f64 {
     let phase = ((ts - t0) % 86_400) as f64 / 86_400.0 * std::f64::consts::TAU;
     0.5 * (1.0 + phase.sin()) * 0.9 + 0.1
 }
 
 /// Generate one organic month. Returned records are in generation order
 /// (callers sort the merged scenario by time).
-pub fn generate<R: Rng + ?Sized>(cfg: &OrganicConfig, rng: &mut R) -> Vec<CommentRecord> {
+pub(crate) fn generate<R: Rng + ?Sized>(cfg: &OrganicConfig, rng: &mut R) -> Vec<CommentRecord> {
     assert!(cfg.n_users > 0 && cfg.n_pages > 0, "need users and pages");
     assert!(cfg.span > 0, "month span must be positive");
 

@@ -193,7 +193,7 @@ impl ScenarioConfig {
     }
 
     /// Evasion preset: a clique whose bursts straddle the (δ1, δ2) edge.
-    pub fn adv_jitter(scale: f64) -> Self {
+    pub(crate) fn adv_jitter(scale: f64) -> Self {
         ScenarioConfig {
             jitter: Some(JitterConfig::default()),
             ..Self::adversarial_base("adv_jitter", 0x00AD_0001, scale)
@@ -201,7 +201,7 @@ impl ScenarioConfig {
     }
 
     /// Evasion preset: coordination rationed below the min-weight cutoff.
-    pub fn adv_slow_drip(scale: f64) -> Self {
+    pub(crate) fn adv_slow_drip(scale: f64) -> Self {
         ScenarioConfig {
             slow_drip: Some(SlowDripConfig::default()),
             ..Self::adversarial_base("adv_slow_drip", 0x00AD_0002, scale)
@@ -210,7 +210,7 @@ impl ScenarioConfig {
 
     /// Evasion preset: the network rotates handles mid-month (ground truth
     /// tracks the rotation via aliases).
-    pub fn adv_churn(scale: f64) -> Self {
+    pub(crate) fn adv_churn(scale: f64) -> Self {
         ScenarioConfig {
             churn: Some(ChurnConfig::default()),
             ..Self::adversarial_base("adv_churn", 0x00AD_0003, scale)
@@ -218,7 +218,7 @@ impl ScenarioConfig {
     }
 
     /// Evasion preset: diurnal-shaped bot activity on the organic time curve.
-    pub fn adv_mimicry(scale: f64) -> Self {
+    pub(crate) fn adv_mimicry(scale: f64) -> Self {
         ScenarioConfig {
             mimicry: Some(MimicryConfig::default()),
             ..Self::adversarial_base("adv_mimicry", 0x00AD_0004, scale)

@@ -56,12 +56,12 @@ pub struct GroundTruth {
 
 impl GroundTruth {
     /// Empty truth (all traffic organic).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Register a family. Member names must be globally unique.
-    pub fn add_family(&mut self, family: BotFamily) {
+    pub(crate) fn add_family(&mut self, family: BotFamily) {
         let idx = self.families.len();
         for m in &family.members {
             assert!(
@@ -77,7 +77,7 @@ impl GroundTruth {
     /// Register `alias` as a rotated handle of the already-registered member
     /// `canonical`. Lookups and evaluation resolve through the alias, so the
     /// two handles score as one account in one family.
-    pub fn add_alias(&mut self, alias: impl Into<String>, canonical: &str) {
+    pub(crate) fn add_alias(&mut self, alias: impl Into<String>, canonical: &str) {
         let alias = alias.into();
         assert!(
             self.member_to_family.contains_key(canonical),
@@ -110,7 +110,7 @@ impl GroundTruth {
 
     /// Resolve a handle to its canonical member name (identity for
     /// non-aliased names).
-    pub fn resolve<'a>(&'a self, name: &'a str) -> &'a str {
+    pub(crate) fn resolve<'a>(&'a self, name: &'a str) -> &'a str {
         self.aliases.get(name).map(String::as_str).unwrap_or(name)
     }
 

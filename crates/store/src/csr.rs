@@ -2,7 +2,7 @@
 //!
 //! Neighbor lists are strictly ascending (the [`GraphRef`] contract), so
 //! each id is stored as a varint delta from its predecessor — one byte for
-//! the dense-id common case. Entries are framed in blocks of [`BLOCK`]
+//! the dense-id common case. Entries are framed in blocks of `BLOCK`
 //! (ids first, then the block's weights), and the decoding iterator refills
 //! one block at a time into a stack buffer, so the galloping/adaptive
 //! intersection kernels and the triangle survey run over compressed bytes
@@ -28,12 +28,16 @@ use crate::varint;
 
 /// Entries per decode block: big enough to amortize refill overhead, small
 /// enough that two block buffers live comfortably on the stack.
-pub const BLOCK: usize = 128;
+pub(crate) const BLOCK: usize = 128;
 
 /// Encode `n` adjacency rows produced by `fill` (strictly ascending by id)
 /// into `out`. `fill` is called once per vertex in id order and appends that
 /// vertex's `(neighbor, weight)` entries to the scratch row.
-pub fn encode_rows(n: u32, mut fill: impl FnMut(u32, &mut Vec<(u32, u64)>), out: &mut Vec<u8>) {
+pub(crate) fn encode_rows(
+    n: u32,
+    mut fill: impl FnMut(u32, &mut Vec<(u32, u64)>),
+    out: &mut Vec<u8>,
+) {
     let mut lists: Vec<u8> = Vec::new();
     let mut offsets: Vec<u64> = Vec::with_capacity(n as usize + 1);
     offsets.push(0);
@@ -143,13 +147,8 @@ impl<'a> CsrView<'a> {
         self.n
     }
 
-    /// Directed entry count (sum of degrees).
-    pub fn m(&self) -> u64 {
-        self.m
-    }
-
     /// Degree of `u`: one varint decode, no list scan.
-    pub fn degree(&self, u: u32) -> u32 {
+    pub(crate) fn degree(&self, u: u32) -> u32 {
         let Some(row) = self.row_bytes(u) else {
             return 0;
         };
@@ -238,7 +237,7 @@ impl<'a> CsrView<'a> {
 }
 
 /// Iterator over one vertex's compressed neighbor list, decoding one
-/// [`BLOCK`] of entries at a time into stack buffers. Infallible by design:
+/// `BLOCK` of entries at a time into stack buffers. Infallible by design:
 /// malformed bytes (unreachable after [`CsrView::validate`]) end iteration.
 pub struct NeighborIter<'a> {
     bytes: &'a [u8],

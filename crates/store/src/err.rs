@@ -56,7 +56,7 @@ pub enum StoreError {
 
 impl StoreError {
     /// Shorthand for [`StoreError::Corrupt`].
-    pub fn corrupt(what: impl Into<String>) -> Self {
+    pub(crate) fn corrupt(what: impl Into<String>) -> Self {
         StoreError::Corrupt { what: what.into() }
     }
 }

@@ -13,8 +13,8 @@
 //!   implements `coordination_graph::GraphRef` by decoding neighbor lists
 //!   block-wise, so the galloping/adaptive intersection kernels run directly
 //!   over compressed bytes;
-//! * [`segment`] — sorted spill segments ([`SegmentWriter`] /
-//!   [`SegmentReader`]): delta-varint key runs the memory-bounded shuffle
+//! * [`segment`] — sorted spill segments ([`SegmentWriter`](segment::SegmentWriter) /
+//!   [`SegmentReader`](segment::SegmentReader)): delta-varint key runs the memory-bounded shuffle
 //!   (`ygm::runs`) evicts to disk and later k-way merges back, streaming;
 //! * [`varint`] — the LEB128 + zigzag framing of the metadata, name-table,
 //!   CSR and segment encodings;
@@ -33,6 +33,8 @@
 //! graph: it speaks raw `(author, page, ts)` tuples and `&str` name tables,
 //! and core supplies the `Dataset`/`Btm` glue (`coordination_core::snapshot`).
 
+#![warn(unreachable_pub)]
+
 pub mod csr;
 pub mod err;
 pub mod mmap;
@@ -42,6 +44,5 @@ pub mod varint;
 
 pub use csr::CsrView;
 pub use err::StoreError;
-pub use segment::{SegmentReader, SegmentStats, SegmentWriter, SEG_BLOCK, SEG_MAGIC};
-pub use snapshot::{CiView, EventsView, NamesView, Snapshot, SnapshotMeta, SnapshotWriter};
+pub use snapshot::{NamesView, Snapshot, SnapshotWriter};
 pub use snapshot::{MAGIC, VERSION};

@@ -10,7 +10,7 @@
 //!
 //! Either way the bytes start at an 8-aligned address (a mapping is
 //! page-aligned; the owned buffer places its copy so), which is what lets
-//! [`words`] borrow a file's little-endian `u64` arrays in place and
+//! `words` borrow a file's little-endian `u64` arrays in place and
 //! [`Words`] hand one out as a value that keeps the bytes alive.
 
 use std::fs::File;
@@ -23,7 +23,7 @@ use crate::err::StoreError;
 
 /// Immutable bytes backing a snapshot: a private read-only file mapping or
 /// an owned buffer.
-pub struct Bytes {
+pub(crate) struct Bytes {
     inner: Inner,
 }
 
@@ -50,11 +50,11 @@ unsafe impl Sync for Bytes {}
 mod sys {
     use core::ffi::c_void;
 
-    pub const PROT_READ: i32 = 1;
-    pub const MAP_PRIVATE: i32 = 2;
+    pub(crate) const PROT_READ: i32 = 1;
+    pub(crate) const MAP_PRIVATE: i32 = 2;
 
     extern "C" {
-        pub fn mmap(
+        pub(crate) fn mmap(
             addr: *mut c_void,
             len: usize,
             prot: i32,
@@ -62,7 +62,7 @@ mod sys {
             fd: i32,
             offset: i64,
         ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> i32;
+        pub(crate) fn munmap(addr: *mut c_void, len: usize) -> i32;
     }
 }
 
@@ -70,7 +70,7 @@ impl Bytes {
     /// An owned copy of `bytes` (tests, in-memory round-trips, the fallback
     /// when a file cannot be mapped), placed at an 8-aligned address — a
     /// `Vec<u8>` promises only 1 — so it opens exactly as a mapping would.
-    pub fn copy_from(bytes: &[u8]) -> Self {
+    pub(crate) fn copy_from(bytes: &[u8]) -> Self {
         let mut buf = Vec::with_capacity(bytes.len() + 7);
         // the allocation does not move: nothing below outgrows the capacity
         let start = (8 - buf.as_ptr() as usize % 8) % 8;
@@ -83,7 +83,7 @@ impl Bytes {
 
     /// Map `path` read-only; fall back to reading it into memory if the
     /// mapping cannot be established.
-    pub fn map_file(path: &Path) -> io::Result<Self> {
+    pub(crate) fn map_file(path: &Path) -> io::Result<Self> {
         let file = File::open(path)?;
         let len = file.metadata()?.len();
         let len = usize::try_from(len)
@@ -121,7 +121,7 @@ impl Bytes {
 
     /// Whether the bytes are an actual file mapping (as opposed to the
     /// owned-buffer fallback). Diagnostics only.
-    pub fn is_mapped(&self) -> bool {
+    pub(crate) fn is_mapped(&self) -> bool {
         match self.inner {
             Inner::Owned { .. } => false,
             #[cfg(unix)]
@@ -172,7 +172,7 @@ impl Drop for Bytes {
 /// address that is not 8-aligned or a length that is not whole words is
 /// [`StoreError::Corrupt`]; a big-endian host, which would read every word
 /// byte-swapped, is [`StoreError::Unsupported`].
-pub fn words(bytes: &[u8]) -> Result<&[u64], StoreError> {
+pub(crate) fn words(bytes: &[u8]) -> Result<&[u64], StoreError> {
     if cfg!(target_endian = "big") {
         return Err(StoreError::Unsupported {
             what: "little-endian row words on a big-endian host",
@@ -195,7 +195,7 @@ pub fn words(bytes: &[u8]) -> Result<&[u64], StoreError> {
     Ok(unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<u64>(), bytes.len() / 8) })
 }
 
-/// A run of [`words`] that owns a share of its [`Bytes`]: cheap to clone,
+/// A run of `words` that owns a share of its `Bytes`: cheap to clone,
 /// `Send + Sync`, and it keeps the mapping alive after the snapshot that
 /// handed it out is dropped. Derefs to `&[u64]`.
 #[derive(Clone)]
@@ -206,7 +206,7 @@ pub struct Words {
 
 impl Words {
     /// The words of `bytes[range]`, checked as [`words`] checks them.
-    pub fn new(bytes: Arc<Bytes>, range: Range<usize>) -> Result<Self, StoreError> {
+    pub(crate) fn new(bytes: Arc<Bytes>, range: Range<usize>) -> Result<Self, StoreError> {
         let run = bytes
             .get(range.clone())
             .ok_or_else(|| StoreError::corrupt("word range outside the bytes"))?;

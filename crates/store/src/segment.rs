@@ -4,7 +4,7 @@
 //! When a receive-side run stack (`ygm::runs`) exceeds its `--shuffle-budget`
 //! cap, the resident runs are k-way merged and streamed here as one sorted
 //! **segment**: a flat, non-decreasing sequence of packed shuffle keys (8-byte
-//! pairs/incidences or 16-byte events/edges), framed in [`SEG_BLOCK`]-key
+//! pairs/incidences or 16-byte events/edges), framed in `SEG_BLOCK`-key
 //! blocks exactly like the snapshot CSR's neighbor lists — each block opens
 //! with its first key absolute, followed by non-negative deltas, so ascending
 //! dense keys cost a byte or two each. Duplicates are legal (a delta of zero):
@@ -43,12 +43,12 @@ use crate::snapshot::Checksum;
 use crate::varint;
 
 /// Magic prefix of every segment file.
-pub const SEG_MAGIC: [u8; 8] = *b"COORSEG1";
+pub(crate) const SEG_MAGIC: [u8; 8] = *b"COORSEG1";
 
 /// Keys per block: the same framing granularity as the snapshot CSR, big
 /// enough to amortize decode dispatch, small enough for a stack-friendly
 /// reusable buffer.
-pub const SEG_BLOCK: usize = 128;
+pub(crate) const SEG_BLOCK: usize = 128;
 
 /// Fixed header size: magic + width + count + paylen + sum.
 const HEADER_LEN: usize = 8 + 1 + 8 + 8 + 8;
@@ -242,11 +242,6 @@ impl SegmentReader {
         })
     }
 
-    /// Total keys this segment declares.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Logical key width in bytes (8 or 16).
     pub fn width(&self) -> u8 {
         self.width
@@ -367,11 +362,12 @@ impl SegmentReader {
     }
 }
 
-/// Decode a whole segment into memory — the convenience form for tests and
-/// small segments; the merge path streams via [`SegmentReader::next_block`].
-pub fn read_all(path: &Path) -> Result<Vec<u128>, StoreError> {
+/// Decode a whole segment into memory; the merge path streams via
+/// [`SegmentReader::next_block`].
+#[cfg(test)]
+fn read_all(path: &Path) -> Result<Vec<u128>, StoreError> {
     let mut reader = SegmentReader::open(path)?;
-    let mut out = Vec::with_capacity((reader.count() as usize).min(1 << 20));
+    let mut out = Vec::new();
     loop {
         let block = reader.next_block()?;
         if block.is_empty() {

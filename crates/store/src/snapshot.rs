@@ -59,17 +59,17 @@ pub const MAGIC: [u8; 8] = *b"COORSNAP";
 pub const VERSION: u32 = 4;
 
 mod kind {
-    pub const META: u32 = 1;
-    pub const AUTHOR_NAMES: u32 = 2;
-    pub const PAGE_NAMES: u32 = 3;
+    pub(crate) const META: u32 = 1;
+    pub(crate) const AUTHOR_NAMES: u32 = 2;
+    pub(crate) const PAGE_NAMES: u32 = 3;
     // 4 was version 2's varint `EVENTS` and 5 a version 1 section; neither
     // is reused.
-    pub const CI_GRAPH: u32 = 6;
-    pub const ROWS: u32 = 7;
+    pub(crate) const CI_GRAPH: u32 = 6;
+    pub(crate) const ROWS: u32 = 7;
 
-    pub const ALL: [u32; 5] = [META, AUTHOR_NAMES, PAGE_NAMES, ROWS, CI_GRAPH];
+    pub(crate) const ALL: [u32; 5] = [META, AUTHOR_NAMES, PAGE_NAMES, ROWS, CI_GRAPH];
 
-    pub fn name(k: u32) -> &'static str {
+    pub(crate) fn name(k: u32) -> &'static str {
         match k {
             META => "META",
             AUTHOR_NAMES => "AUTHOR_NAMES",
@@ -1109,13 +1109,8 @@ pub struct EventsView<'a> {
 
 impl<'a> EventsView<'a> {
     /// Number of events.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.rows.len() as u64
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The `n_pages + 1` row offsets: page `p`'s comments are
@@ -1149,7 +1144,7 @@ impl<'a> EventsView<'a> {
     /// `ygm::partition::block_range`, duplicated here so the store stays
     /// below the runtime in the dependency graph. Ranges tile the event space
     /// exactly: disjoint, in order, covering every index.
-    pub fn rank_range(&self, rank: usize, nranks: usize) -> std::ops::Range<u64> {
+    pub(crate) fn rank_range(&self, rank: usize, nranks: usize) -> std::ops::Range<u64> {
         assert!(nranks > 0, "rank_range needs at least one rank");
         assert!(rank < nranks, "rank {rank} out of range for {nranks} ranks");
         let n = self.len();

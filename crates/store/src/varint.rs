@@ -10,7 +10,7 @@ use crate::err::StoreError;
 
 /// Append `v` as LEB128.
 #[inline]
-pub fn write_u64(out: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn write_u64(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -24,14 +24,14 @@ pub fn write_u64(out: &mut Vec<u8>, mut v: u64) {
 
 /// Append `v` zigzag-encoded.
 #[inline]
-pub fn write_i64(out: &mut Vec<u8>, v: i64) {
+pub(crate) fn write_i64(out: &mut Vec<u8>, v: i64) {
     write_u64(out, ((v << 1) ^ (v >> 63)) as u64);
 }
 
 /// Decode one LEB128 value at `*pos`, advancing it. Truncation and
 /// over-length encodings are typed errors, never panics.
 #[inline]
-pub fn read_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, StoreError> {
+pub(crate) fn read_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, StoreError> {
     // With eight bytes in hand, find the terminating byte and squeeze the
     // 7-bit groups together without a branch per byte: column values are a
     // mix of one to three bytes, which a byte loop mispredicts on.
@@ -80,14 +80,14 @@ fn read_u64_bytewise(bytes: &[u8], pos: &mut usize) -> Result<u64, StoreError> {
 
 /// Decode one zigzag value at `*pos`, advancing it.
 #[inline]
-pub fn read_i64(bytes: &[u8], pos: &mut usize) -> Result<i64, StoreError> {
+pub(crate) fn read_i64(bytes: &[u8], pos: &mut usize) -> Result<i64, StoreError> {
     let z = read_u64(bytes, pos)?;
     Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
 }
 
 /// Decode a varint expected to fit `u32` (dense vertex/author/page ids).
 #[inline]
-pub fn read_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, StoreError> {
+pub(crate) fn read_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, StoreError> {
     let v = read_u64(bytes, pos)?;
     u32::try_from(v).map_err(|_| StoreError::corrupt(format!("value {v} overflows u32 id")))
 }
@@ -95,7 +95,7 @@ pub fn read_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, StoreError> {
 /// Append `v` as LEB128 — the wide-key variant for 16-byte sorted-segment
 /// keys ([`crate::segment`]); at most 19 bytes.
 #[inline]
-pub fn write_u128(out: &mut Vec<u8>, mut v: u128) {
+pub(crate) fn write_u128(out: &mut Vec<u8>, mut v: u128) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -104,36 +104,6 @@ pub fn write_u128(out: &mut Vec<u8>, mut v: u128) {
             return;
         }
         out.push(byte | 0x80);
-    }
-}
-
-/// Decode one LEB128 `u128` at `*pos`, advancing it. Truncation and
-/// over-length encodings are typed errors, never panics.
-#[inline]
-pub fn read_u128(bytes: &[u8], pos: &mut usize) -> Result<u128, StoreError> {
-    let mut v: u128 = 0;
-    let mut shift = 0u32;
-    loop {
-        let Some(&byte) = bytes.get(*pos) else {
-            return Err(StoreError::Truncated {
-                what: "varint",
-                need: (*pos + 1) as u64,
-                have: bytes.len() as u64,
-            });
-        };
-        *pos += 1;
-        // Byte 19 carries bits 126..128: only its low two payload bits fit.
-        if shift == 126 && byte > 3 {
-            return Err(StoreError::corrupt("varint overflows u128"));
-        }
-        v |= u128::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 126 {
-            return Err(StoreError::corrupt("varint longer than 19 bytes"));
-        }
     }
 }
 
@@ -217,56 +187,6 @@ mod tests {
             }
             assert_eq!((fast_at, slow_at), (enc.len(), enc.len()), "{enc:x?}");
         }
-    }
-
-    #[test]
-    fn roundtrip_u128_boundaries() {
-        let vals = [
-            0u128,
-            1,
-            127,
-            128,
-            u64::MAX as u128,
-            (u64::MAX as u128) + 1,
-            u128::MAX - 1,
-            u128::MAX,
-        ];
-        let mut buf = Vec::new();
-        for &v in &vals {
-            write_u128(&mut buf, v);
-        }
-        let mut pos = 0;
-        for &v in &vals {
-            assert_eq!(read_u128(&buf, &mut pos).unwrap(), v);
-        }
-        assert_eq!(pos, buf.len());
-    }
-
-    #[test]
-    fn u128_truncated_and_overlong_are_errors() {
-        let mut buf = Vec::new();
-        write_u128(&mut buf, u128::MAX);
-        assert_eq!(buf.len(), 19);
-        let mut pos = 0;
-        assert!(matches!(
-            read_u128(&buf[..buf.len() - 1], &mut pos),
-            Err(StoreError::Truncated { .. })
-        ));
-        // 20 continuation bytes can never be a valid u128.
-        let bad = [0x80u8; 20];
-        let mut pos = 0;
-        assert!(matches!(
-            read_u128(&bad, &mut pos),
-            Err(StoreError::Corrupt { .. })
-        ));
-        // 19th byte with payload bits above bit 127 set.
-        let mut bad = vec![0xffu8; 18];
-        bad.push(0x04);
-        let mut pos = 0;
-        assert!(matches!(
-            read_u128(&bad, &mut pos),
-            Err(StoreError::Corrupt { .. })
-        ));
     }
 
     #[test]

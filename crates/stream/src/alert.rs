@@ -37,7 +37,7 @@ pub struct Alert {
 
 /// Once-per-triplet alert gate over tracker events.
 #[derive(Debug)]
-pub struct Alerter {
+pub(crate) struct Alerter {
     min_t_score: f64,
     fired: IdSet<Triple>,
 }
@@ -45,7 +45,7 @@ pub struct Alerter {
 impl Alerter {
     /// Alert on triplets with T-score ≥ `min_t_score` (0.0 alerts on every
     /// triplet that survives the weight cutoff).
-    pub fn new(min_t_score: f64) -> Self {
+    pub(crate) fn new(min_t_score: f64) -> Self {
         assert!(min_t_score >= 0.0, "T-score floor must be non-negative");
         Alerter {
             min_t_score,
@@ -54,13 +54,13 @@ impl Alerter {
     }
 
     /// Triplets that have fired so far.
-    pub fn fired(&self) -> &IdSet<Triple> {
+    pub(crate) fn fired(&self) -> &IdSet<Triple> {
         &self.fired
     }
 
     /// Evaluate the triplets affected by one applied delta, appending any
     /// new alerts to `out`. `page_counts` is the projector's live `P'`.
-    pub fn evaluate(
+    pub(crate) fn evaluate(
         &mut self,
         events: &TriangleEvents,
         tracker: &TriangleTracker,

@@ -110,11 +110,6 @@ impl StreamEngine {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &StreamConfig {
-        &self.config
-    }
-
     /// Events ingested so far (late records dropped are not counted).
     pub fn events_ingested(&self) -> u64 {
         self.events
@@ -123,11 +118,6 @@ impl StreamEngine {
     /// The author interner (id ↔ account name).
     pub fn authors(&self) -> &Interner {
         &self.authors
-    }
-
-    /// The page interner (id ↔ link id).
-    pub fn pages(&self) -> &Interner {
-        &self.pages
     }
 
     /// The projector (live edge weights and `P'`).
@@ -224,7 +214,7 @@ impl StreamEngine {
 
     /// Take a checkpoint now (also called automatically on the configured
     /// interval).
-    pub fn record_checkpoint(&mut self, ts: Timestamp) {
+    pub(crate) fn record_checkpoint(&mut self, ts: Timestamp) {
         let n_edges = self.projector.n_edges() as u64;
         let live_triangles = self.tracker.len() as u64;
         self.c_checkpoints.inc();
@@ -246,24 +236,6 @@ impl StreamEngine {
     /// batch survey/validation/analysis tooling.
     pub fn snapshot(&self) -> CiGraph {
         self.projector.snapshot(self.authors.len() as u32)
-    }
-
-    /// The live surviving triplets with their min weights and T-scores,
-    /// heaviest first — a streaming stand-in for the batch survey report.
-    pub fn live_survivors(&self) -> Vec<(Triple, u64, f64)> {
-        let p = self.projector.page_counts();
-        let pc = |x: u32| p.get(x as usize).copied().unwrap_or(0);
-        let mut out: Vec<(Triple, u64, f64)> = self
-            .tracker
-            .iter()
-            .map(|t| {
-                let mw = self.tracker.min_weight(t).unwrap_or(0);
-                let score = tripoll::survey::t_score(mw, pc(t[0]), pc(t[1]), pc(t[2]));
-                (t, mw, score)
-            })
-            .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
     }
 
     /// Triplets that have alerted so far, in canonical id order.
@@ -319,9 +291,10 @@ mod tests {
         // 0,1 lift each edge to 2, page 2's third comment closes weight 3.
         assert_eq!(fired_at, Some(8));
         assert_eq!(engine.alerts_fired(), 1);
-        let survivors = engine.live_survivors();
-        assert_eq!(survivors.len(), 1);
-        assert_eq!(survivors[0].1, 5); // all five pages counted by the end
+        let live: Vec<Triple> = engine.tracker().iter().collect();
+        assert_eq!(live.len(), 1);
+        // all five pages counted by the end
+        assert_eq!(engine.tracker().min_weight(live[0]), Some(5));
     }
 
     #[test]
@@ -409,8 +382,8 @@ mod tests {
             .is_empty());
         assert_eq!(engine.projector().dropped_late(), 1);
         assert_eq!(engine.authors().get("late"), None);
-        assert_eq!(engine.pages().get("t3_late"), None);
-        assert_eq!((engine.authors().len(), engine.pages().len()), (3, 3));
+        assert_eq!(engine.pages.get("t3_late"), None);
+        assert_eq!((engine.authors().len(), engine.pages.len()), (3, 3));
         assert_eq!(engine.events_ingested(), 9);
         assert_eq!(engine.projector().n_edges(), 3);
         assert_eq!(engine.tracker().len(), 1);

@@ -58,14 +58,14 @@
 //! assert!(alerts[0].events_ingested < records.len() as u64); // mid-stream
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod alert;
 pub mod engine;
 pub mod projector;
 pub mod source;
 pub mod triangles;
 
-pub use alert::Alert;
-pub use engine::{Checkpoint, StreamConfig, StreamEngine};
+pub use engine::{StreamConfig, StreamEngine};
 pub use projector::{EdgeDelta, StreamProjector};
-pub use source::Replay;
 pub use triangles::TriangleTracker;

@@ -255,11 +255,6 @@ impl StreamProjector {
         self.started.then_some(self.now)
     }
 
-    /// 1 + the largest author id seen so far.
-    pub fn n_authors_seen(&self) -> u32 {
-        self.n_authors
-    }
-
     /// Late events — stamped before stream time — dropped so far.
     pub fn dropped_late(&self) -> u64 {
         self.dropped_late
@@ -292,11 +287,6 @@ impl StreamProjector {
         self.page_counts.get(x as usize).copied().unwrap_or(0)
     }
 
-    /// Dense `P'` for the authors seen so far.
-    pub fn page_counts(&self) -> &[u64] {
-        &self.page_counts
-    }
-
     /// Whether an event stamped `ts` precedes stream time.
     fn is_late(&self, ts: Timestamp) -> bool {
         self.started && ts < self.now
@@ -322,7 +312,7 @@ impl StreamProjector {
     /// [`ingest`](Self::ingest), returning the deltas together with the
     /// dense `P'` as the event left it — what a consumer scoring each delta
     /// needs, without copying the deltas out to look at `P'`.
-    pub fn ingest_with_page_counts(
+    pub(crate) fn ingest_with_page_counts(
         &mut self,
         author: u32,
         page: u32,
@@ -394,7 +384,8 @@ impl StreamProjector {
     /// Advance the stream clock without an event (e.g. a timer tick in a
     /// live deployment), expiring lapsed contributions. No-op in cumulative
     /// mode, and when `ts` is before stream time. Returns the −1 deltas.
-    pub fn advance_to(&mut self, ts: Timestamp) -> &[EdgeDelta] {
+    #[cfg(test)]
+    fn advance_to(&mut self, ts: Timestamp) -> &[EdgeDelta] {
         self.scratch.clear();
         if !self.is_late(ts) {
             self.advance(ts);
@@ -691,8 +682,8 @@ mod tests {
         assert!(p.ingest(2, 9, 50).is_empty());
         assert_eq!(p.dropped_late(), 2);
         assert_eq!(p.now(), Some(110));
-        assert_eq!((p.n_authors_seen(), p.n_edges(), p.weight(0, 1)), (2, 1, 1));
-        assert_eq!(p.page_counts(), &[1, 1]);
+        assert_eq!((p.n_authors, p.n_edges(), p.weight(0, 1)), (2, 1, 1));
+        assert_eq!(p.page_counts, [1, 1]);
         assert_eq!(p.expiry_queue_len(), queued);
         // a backwards tick is a no-op, and not an event
         assert!(p.advance_to(0).is_empty());

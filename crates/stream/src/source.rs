@@ -77,11 +77,6 @@ impl Replay {
         self.speedup = (speedup.is_finite() && speedup > 0.0).then_some(speedup);
         self
     }
-
-    /// Records remaining.
-    pub fn remaining(&self) -> usize {
-        self.records.len()
-    }
 }
 
 impl Iterator for Replay {

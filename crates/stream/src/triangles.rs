@@ -21,11 +21,11 @@ use coordination_core::project::pack_pair;
 use crate::projector::EdgeDelta;
 
 /// A canonical author triple `a < b < c`.
-pub type Triple = [u32; 3];
+pub(crate) type Triple = [u32; 3];
 
 /// Sort three vertex ids into a canonical [`Triple`].
 #[inline]
-pub fn canonical(a: u32, b: u32, c: u32) -> Triple {
+pub(crate) fn canonical(a: u32, b: u32, c: u32) -> Triple {
     let mut t = [a, b, c];
     t.sort_unstable();
     t
@@ -41,13 +41,6 @@ pub struct TriangleEvents {
     /// Surviving triples whose min weight may have changed (the delta's edge
     /// stayed at or above the cutoff while its weight moved).
     pub touched: Vec<Triple>,
-}
-
-impl TriangleEvents {
-    /// True when the delta changed nothing at the triangle level.
-    pub fn is_empty(&self) -> bool {
-        self.created.is_empty() && self.destroyed.is_empty() && self.touched.is_empty()
-    }
 }
 
 /// Maintains the set of triangles whose three edges all carry `w' ≥ cutoff`.
@@ -211,7 +204,7 @@ mod tests {
         assert!(t.is_empty());
         // third edge at weight 1: below cutoff, still nothing
         let ev = t.apply(&delta(0, 2, 1, 1));
-        assert!(ev.is_empty());
+        assert!(ev.created.is_empty() && ev.destroyed.is_empty() && ev.touched.is_empty());
         // crosses to 2: triangle born
         let ev = t.apply(&delta(0, 2, 2, 1));
         assert_eq!(ev.created, vec![[0, 1, 2]]);

@@ -9,4 +9,4 @@
 /// TriPoll's historical name for the shared CSR graph.
 pub use coordination_graph::CsrGraph as WeightedGraph;
 
-pub use coordination_graph::{components, DisjointSets, GraphRef, SubsetView, ThresholdView};
+pub use coordination_graph::{DisjointSets, GraphRef};

@@ -41,6 +41,8 @@
 //! assert_eq!(report.triangles[0].min_weight, 26);
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod clique;
 pub mod distributed;
 pub mod enumerate;
@@ -52,6 +54,6 @@ pub mod survey;
 
 pub use distributed::{survey_stage, DistSurvey};
 pub use enumerate::Triangle;
-pub use graph::{GraphRef, SubsetView, ThresholdView, WeightedGraph};
+pub use graph::{GraphRef, WeightedGraph};
 pub use orient::OrientedGraph;
-pub use survey::{SurveyConfig, SurveyReport, SurveyedTriangle};
+pub use survey::{SurveyConfig, SurveyedTriangle};

@@ -10,16 +10,13 @@
 
 use crate::graph::{GraphRef, WeightedGraph};
 
-/// How edges are oriented. Degree order is the default and the right choice
-/// for skewed graphs; id order exists as the ablation baseline (it degrades
-/// to O(Δ²) wedge work at hubs, which the `orientation_ablation` bench
-/// quantifies on a hub-heavy graph).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OrientationStrategy {
-    /// `(degree, id)` lexicographic — bounds out-degrees by O(√m).
-    #[default]
+/// How the tests orient edges: degree order is what the survey runs; id
+/// order is the hub-hostile ablation baseline (O(Δ²) wedge work at hubs) the
+/// kernels are cross-checked under.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum OrientationStrategy {
     DegreeOrder,
-    /// Plain vertex-id order — simple, hub-hostile.
     IdOrder,
 }
 
@@ -32,8 +29,6 @@ pub struct OrientedGraph {
     offsets: Vec<usize>,
     targets: Vec<u32>,
     weights: Vec<u64>,
-    /// Largest out-degree, folded into the counting pass at build time.
-    max_out: u32,
 }
 
 impl OrientedGraph {
@@ -43,19 +38,21 @@ impl OrientedGraph {
     }
 
     /// Orient `g` with an explicit strategy.
-    pub fn with_strategy(g: &WeightedGraph, strategy: OrientationStrategy) -> Self {
-        Self::with_strategy_ref(g, strategy)
+    #[cfg(test)]
+    pub(crate) fn with_strategy(g: &WeightedGraph, strategy: OrientationStrategy) -> Self {
+        match strategy {
+            OrientationStrategy::DegreeOrder => Self::from_graph(g),
+            OrientationStrategy::IdOrder => {
+                let edges: Vec<(u32, u32, u64)> = g.edge_iter().collect();
+                Self::build(g.n(), &edges, |u, v| u < v)
+            }
+        }
     }
 
     /// Orient any borrowed [`GraphRef`] view by degree order. This is the
     /// zero-copy entry point: thresholding via
-    /// [`ThresholdView`](crate::graph::ThresholdView) composes directly, so
+    /// [`ThresholdView`](coordination_graph::ThresholdView) composes directly, so
     /// survey setup never materializes a filtered copy of the graph.
-    pub fn from_ref<G: GraphRef>(g: &G) -> Self {
-        Self::with_strategy_ref(g, OrientationStrategy::DegreeOrder)
-    }
-
-    /// Orient any borrowed [`GraphRef`] view with an explicit strategy.
     ///
     /// The view's adjacency is scanned exactly **once** (via `edge_iter`);
     /// the surviving canonical edges are staged in one flat buffer and
@@ -63,24 +60,19 @@ impl OrientedGraph {
     /// buffer. A sparse threshold view therefore costs a single filtered
     /// pass, where filter-then-rebuild pays the same pass *plus* a full CSR
     /// construction and copy.
-    pub fn with_strategy_ref<G: GraphRef>(g: &G, strategy: OrientationStrategy) -> Self {
+    pub fn from_ref<G: GraphRef>(g: &G) -> Self {
         let n = g.n_vertices();
         let edges: Vec<(u32, u32, u64)> = g.edge_iter().collect();
-        match strategy {
-            OrientationStrategy::DegreeOrder => {
-                // Degrees in the *view* (post-filter), tallied from the
-                // staged edges rather than per-vertex degree_of scans.
-                let mut deg = vec![0u32; n as usize];
-                for &(x, y, _) in &edges {
-                    deg[x as usize] += 1;
-                    deg[y as usize] += 1;
-                }
-                Self::build(n, &edges, move |u, v| {
-                    (deg[u as usize], u) < (deg[v as usize], v)
-                })
-            }
-            OrientationStrategy::IdOrder => Self::build(n, &edges, |u, v| u < v),
+        // Degrees in the *view* (post-filter), tallied from the staged edges
+        // rather than per-vertex degree_of scans.
+        let mut deg = vec![0u32; n as usize];
+        for &(x, y, _) in &edges {
+            deg[x as usize] += 1;
+            deg[y as usize] += 1;
         }
+        Self::build(n, &edges, move |u, v| {
+            (deg[u as usize], u) < (deg[v as usize], v)
+        })
     }
 
     /// `edges` must be canonical (`x < y`) and sorted by `(x, y)` — the
@@ -92,9 +84,7 @@ impl OrientedGraph {
             let src = if points_up(x, y) { x } else { y };
             offsets[src as usize + 1] += 1;
         }
-        let mut max_out = 0u32;
         for k in 0..n {
-            max_out = max_out.max(offsets[k + 1] as u32);
             offsets[k + 1] += offsets[k];
         }
         let total = offsets[n];
@@ -121,7 +111,6 @@ impl OrientedGraph {
             offsets,
             targets,
             weights,
-            max_out,
         }
     }
 
@@ -137,38 +126,29 @@ impl OrientedGraph {
         self.targets.len() as u64
     }
 
-    /// Out-degree of `u` in the orientation.
-    #[inline]
-    pub fn out_degree(&self, u: u32) -> u32 {
-        (self.offsets[u as usize + 1] - self.offsets[u as usize]) as u32
-    }
-
     /// Out-neighbors of `u` (sorted by id) with edge weights.
     #[inline]
-    pub fn out(&self, u: u32) -> (&[u32], &[u64]) {
+    pub(crate) fn out(&self, u: u32) -> (&[u32], &[u64]) {
         let lo = self.offsets[u as usize];
         let hi = self.offsets[u as usize + 1];
         (&self.targets[lo..hi], &self.weights[lo..hi])
     }
 
     /// Weight of oriented edge `(u, v)` if present.
-    pub fn out_weight(&self, u: u32, v: u32) -> Option<u64> {
+    #[cfg(test)]
+    fn out_weight(&self, u: u32, v: u32) -> Option<u64> {
         let (nbrs, ws) = self.out(u);
         nbrs.binary_search(&v).ok().map(|i| ws[i])
-    }
-
-    /// Maximum out-degree — the quantity the √m bound constrains. Cached at
-    /// build time, so per-run reporting (the bench harness logs it as the
-    /// intersection-skew indicator) is O(1).
-    #[inline]
-    pub fn max_out_degree(&self) -> u32 {
-        self.max_out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn max_out_degree(o: &OrientedGraph) -> usize {
+        (0..o.n()).map(|u| o.out(u).0.len()).max().unwrap_or(0)
+    }
 
     #[test]
     fn every_edge_oriented_exactly_once() {
@@ -193,9 +173,8 @@ mod tests {
         // star: center 0 has degree 4, leaves degree 1 → all edges leaf→center
         let g = WeightedGraph::from_edges(5, (1..5).map(|v| (0u32, v, 1u64)));
         let o = OrientedGraph::from_graph(&g);
-        assert_eq!(o.out_degree(0), 0);
+        assert!(o.out(0).0.is_empty());
         for v in 1..5 {
-            assert_eq!(o.out_degree(v), 1);
             assert_eq!(o.out(v).0, &[0]);
         }
     }
@@ -239,7 +218,7 @@ mod tests {
         let g = WeightedGraph::from_edges(1001, (1..=1000).map(|v| (0u32, v, 1u64)));
         assert_eq!(g.max_degree(), 1000);
         let o = OrientedGraph::from_graph(&g);
-        assert_eq!(o.max_out_degree(), 1);
+        assert_eq!(max_out_degree(&o), 1);
     }
 
     #[test]
@@ -270,14 +249,14 @@ mod tests {
         // a low-id hub: id order gives it out-degree n-1; degree order gives 0
         let g = WeightedGraph::from_edges(500, (1..500).map(|v| (0u32, v, 1u64)));
         let id = OrientedGraph::with_strategy(&g, OrientationStrategy::IdOrder);
-        assert_eq!(id.max_out_degree(), 499);
+        assert_eq!(max_out_degree(&id), 499);
         let deg = OrientedGraph::with_strategy(&g, OrientationStrategy::DegreeOrder);
-        assert_eq!(deg.max_out_degree(), 1);
+        assert_eq!(max_out_degree(&deg), 1);
     }
 
     #[test]
     fn orienting_a_threshold_view_matches_filter_then_orient() {
-        use crate::graph::ThresholdView;
+        use coordination_graph::ThresholdView;
         let g =
             WeightedGraph::from_edges(5, [(0, 1, 1), (0, 2, 7), (1, 2, 3), (2, 3, 9), (3, 4, 2)]);
         for min in [1, 2, 3, 7, 10] {
@@ -297,6 +276,6 @@ mod tests {
         let o = OrientedGraph::from_graph(&g);
         assert_eq!(o.n(), 1);
         assert_eq!(o.m(), 0);
-        assert_eq!(o.max_out_degree(), 0);
+        assert_eq!(max_out_degree(&o), 0);
     }
 }

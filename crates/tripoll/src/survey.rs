@@ -136,7 +136,7 @@ impl SurveyFold {
     /// metadata of [`survey`]. Every triangle is counted; only one that
     /// passes `min_edge_weight` is canonicalised into a [`Triangle`].
     #[inline]
-    pub fn observe(
+    pub(crate) fn observe(
         &mut self,
         [u, v, x]: [u32; 3],
         [w_uv, w_ux, w_vx]: [u64; 3],
@@ -206,7 +206,7 @@ impl SurveyFold {
     }
 
     /// The survivors, in the order their wedges closed.
-    pub fn survivors(&self) -> &[SurveyedTriangle] {
+    pub(crate) fn survivors(&self) -> &[SurveyedTriangle] {
         &self.kept
     }
 
@@ -244,7 +244,12 @@ impl SurveyFold {
 /// made (one per oriented edge) and `survey.wedge_list_bytes` — the bytes of
 /// `out(u)` lists a network transport would ship, 12 B per entry once per
 /// distinct `(u, owner_of(v))`; `wedge_list_entries` is that entry count.
-pub fn record_counters(examined: u64, kept: u64, wedge_checks: u64, wedge_list_entries: u64) {
+pub(crate) fn record_counters(
+    examined: u64,
+    kept: u64,
+    wedge_checks: u64,
+    wedge_list_entries: u64,
+) {
     obs::counter("survey.triangles_examined").add(examined);
     obs::counter("survey.triangles_kept").add(kept);
     obs::counter("survey.wedge_checks").add(wedge_checks);
@@ -289,20 +294,6 @@ pub fn survey(
     );
     obs::record_stage_rss("survey");
     report
-}
-
-/// Convenience: the `k` triangles with the largest minimum edge weight.
-pub fn top_k_by_min_weight(oriented: &OrientedGraph, k: usize) -> Vec<SurveyedTriangle> {
-    survey(
-        oriented,
-        &SurveyConfig {
-            min_edge_weight: 1,
-            min_t_score: 0.0,
-            top_k: Some(k),
-        },
-        None,
-    )
-    .triangles
 }
 
 /// Convenience: all triangles with `min_weight >= cutoff`, sorted by vertices.
@@ -399,6 +390,14 @@ mod tests {
     fn top_k_orders_by_min_weight_desc() {
         let g = two_triangle_graph();
         let o = OrientedGraph::from_graph(&g);
+        let top_k_by_min_weight = |o: &OrientedGraph, k: usize| {
+            let config = SurveyConfig {
+                min_edge_weight: 1,
+                min_t_score: 0.0,
+                top_k: Some(k),
+            };
+            survey(o, &config, None).triangles
+        };
         let top = top_k_by_min_weight(&o, 1);
         assert_eq!(top.len(), 1);
         assert_eq!(top[0].min_weight, 10);

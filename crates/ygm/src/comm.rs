@@ -16,10 +16,9 @@ use std::sync::Arc;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 
 use crate::exchange::BufferPool;
-use crate::stats::WorldStats;
 
 /// An active message: a closure executed on the destination rank's thread.
-pub type Message = Box<dyn FnOnce(&RankCtx) + Send>;
+pub(crate) type Message = Box<dyn FnOnce(&RankCtx) + Send>;
 
 /// Slot storage for one matched collective: one `Any` box per rank.
 type CollectiveSlots = Vec<Option<Box<dyn std::any::Any + Send>>>;
@@ -42,7 +41,6 @@ pub(crate) struct Shared {
     poisoned: AtomicBool,
     /// Slots for matched collectives (all_gather etc.), keyed by sequence id.
     pub(crate) collectives: parking_lot::Mutex<std::collections::HashMap<u64, CollectiveSlots>>,
-    pub(crate) stats: WorldStats,
     /// World-shared recycling pool for packed-batch byte buffers: a buffer
     /// shipped from any rank and drained on any other returns here for the
     /// next sender, so steady-state shuffles allocate nothing.
@@ -66,7 +64,7 @@ impl World {
     ///
     /// # Panics
     /// Panics if `nranks == 0`.
-    pub fn new(nranks: usize) -> Self {
+    pub(crate) fn new(nranks: usize) -> Self {
         assert!(nranks > 0, "a World needs at least one rank");
         let mut senders = Vec::with_capacity(nranks);
         let mut receivers = Vec::with_capacity(nranks);
@@ -84,7 +82,6 @@ impl World {
                 barrier_sense: AtomicBool::new(false),
                 poisoned: AtomicBool::new(false),
                 collectives: parking_lot::Mutex::new(std::collections::HashMap::new()),
-                stats: WorldStats::new(nranks),
                 // Enough retained buffers for every rank to have one in
                 // flight to every other rank, with headroom for bursts.
                 pool: BufferPool::new((nranks * nranks).clamp(64, 1024)),
@@ -92,11 +89,6 @@ impl World {
             senders: Arc::new(senders),
             receivers,
         }
-    }
-
-    /// Number of ranks in this world.
-    pub fn nranks(&self) -> usize {
-        self.shared.nranks
     }
 
     /// Run `f` as an SPMD region: one thread per rank, every thread executing
@@ -108,7 +100,7 @@ impl World {
     /// If a rank panics — in `f` or in a message handler it runs — the other
     /// ranks panic out of their next barrier and the first panic is re-raised
     /// here once every rank thread has ended.
-    pub fn launch<R, F>(mut self, f: F) -> Vec<R>
+    pub(crate) fn launch<R, F>(mut self, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&RankCtx) -> R + Send + Sync,
@@ -170,7 +162,7 @@ impl World {
             .collect()
     }
 
-    /// Convenience constructor + [`World::launch`] in one call.
+    /// Convenience constructor + `World::launch` in one call.
     pub fn run<R, F>(nranks: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -220,7 +212,7 @@ impl RankCtx {
     ///
     /// Handlers may freely send further messages; they must **not** call
     /// [`RankCtx::barrier`] or any collective.
-    pub fn async_exec<F>(&self, dest: usize, f: F)
+    pub(crate) fn async_exec<F>(&self, dest: usize, f: F)
     where
         F: FnOnce(&RankCtx) + Send + 'static,
     {
@@ -229,7 +221,6 @@ impl RankCtx {
         // processed, so quiescence (`sent == processed`) is never observed
         // spuriously while a message is in a queue.
         self.shared.sent.fetch_add(1, Ordering::SeqCst);
-        self.shared.stats.record_send(self.rank);
         self.senders[dest]
             .send(Box::new(f))
             .expect("rank receiver dropped while world is running");
@@ -238,7 +229,7 @@ impl RankCtx {
     /// Process every message currently queued at this rank. Returns the number
     /// of messages processed. Called automatically inside barriers; exposed so
     /// long local compute loops can make progress on incoming traffic.
-    pub fn drain(&self) -> usize {
+    pub(crate) fn drain(&self) -> usize {
         // A handler that sends (and thereby drains) while we are already
         // draining must not recurse — the outer loop will pick up whatever it
         // would have processed.
@@ -310,7 +301,7 @@ impl RankCtx {
 
     /// Gather one value from every rank; returns the values indexed by rank.
     /// Collective: every rank must call with the same sequence of collectives.
-    pub fn all_gather<T: Clone + Send + 'static>(&self, value: T) -> Vec<T> {
+    pub(crate) fn all_gather<T: Clone + Send + 'static>(&self, value: T) -> Vec<T> {
         let seq = self.coll_seq.get();
         self.coll_seq.set(seq + 1);
         {
@@ -342,7 +333,7 @@ impl RankCtx {
     }
 
     /// Reduce one value per rank with `op`; every rank receives the result.
-    pub fn all_reduce<T, F>(&self, value: T, op: F) -> T
+    pub(crate) fn all_reduce<T, F>(&self, value: T, op: F) -> T
     where
         T: Clone + Send + 'static,
         F: Fn(T, T) -> T,
@@ -364,13 +355,8 @@ impl RankCtx {
 
     /// The world-shared byte-buffer recycling pool used by
     /// [`crate::exchange::PackedAggregator`] batches.
-    pub fn buffer_pool(&self) -> &Arc<BufferPool> {
+    pub(crate) fn buffer_pool(&self) -> &Arc<BufferPool> {
         &self.shared.pool
-    }
-
-    /// Snapshot of world-wide message statistics.
-    pub fn stats(&self) -> &WorldStats {
-        &self.shared.stats
     }
 
     /// Total messages sent so far, world-wide.
@@ -573,11 +559,13 @@ mod tests {
             if ctx.rank() == 0 {
                 ctx.async_exec(1, |_| {});
                 ctx.async_exec(1, |_| {});
+                ctx.async_exec(0, |_| {}); // self-send
             }
             ctx.barrier();
             ctx.messages_sent()
         });
-        // 2 explicit messages; collectives in barrier send none.
-        assert!(out.iter().all(|&s| s >= 2));
+        // 3 explicit messages, counted world-wide; collectives in barrier
+        // send none.
+        assert_eq!(out, vec![3, 3]);
     }
 }

@@ -13,7 +13,7 @@
 //!   pre-sized **byte buffers** — exactly the wire layout a real YGM/MPI
 //!   deployment would put on the network, so batch sizes are measured in
 //!   bytes, not items;
-//! * shipped buffers return to a world-shared [`BufferPool`] after the
+//! * shipped buffers return to a world-shared `BufferPool` after the
 //!   receiver drains them, so steady-state shuffles allocate nothing: the
 //!   pool reaches its working set within the first few batches and every
 //!   later ship reuses a buffer some rank finished with;
@@ -38,7 +38,7 @@
 //! report automatically.
 //!
 //! Shipping is also where send/receive **overlap** happens: after handing a
-//! batch to the channel, [`PackedAggregator`] ship calls [`RankCtx::drain`],
+//! batch to the channel, [`PackedAggregator`] ship calls `RankCtx::drain`,
 //! so a rank mid-shuffle processes whatever has already arrived for it
 //! instead of letting its inbox (and the run stacks behind it) sit idle
 //! until the next barrier.
@@ -50,13 +50,13 @@ use crate::comm::RankCtx;
 
 /// Target payload per shipped batch. 64 KiB amortizes the per-message boxed
 /// closure + channel send to noise while staying far inside L2.
-pub const TARGET_BATCH_BYTES: usize = 64 << 10;
+pub(crate) const TARGET_BATCH_BYTES: usize = 64 << 10;
 
 /// Ceiling on one rank's total buffered bytes across all destination
 /// buffers. The adaptive threshold divides this by `nranks`, so doubling the
 /// world halves the per-destination buffer instead of doubling the rank's
 /// send-side footprint.
-pub const PER_RANK_BUFFER_BUDGET: usize = 4 << 20;
+pub(crate) const PER_RANK_BUFFER_BUDGET: usize = 4 << 20;
 
 /// The adaptive flush threshold in bytes for items of `item_width` bytes in
 /// an `nranks`-rank world:
@@ -66,7 +66,7 @@ pub const PER_RANK_BUFFER_BUDGET: usize = 4 << 20;
 ///                                 PER_RANK_BUFFER_BUDGET / nranks))
 /// ```
 ///
-/// At small world sizes this is simply [`TARGET_BATCH_BYTES`]; past
+/// At small world sizes this is simply `TARGET_BATCH_BYTES`; past
 /// `PER_RANK_BUFFER_BUDGET / TARGET_BATCH_BYTES` ranks (64 with the default
 /// constants) the budget clamp takes over. The result is never below one
 /// item, so degenerate widths still make progress.
@@ -148,7 +148,7 @@ packable_tuple!(a: u32, b: u32, c: u64);
 /// pool is world-shared, a buffer filled on rank 0 and drained on rank 3 is
 /// available to *any* rank's next ship. Retention is bounded so a bursty
 /// stage cannot pin unbounded memory.
-pub struct BufferPool {
+pub(crate) struct BufferPool {
     free: Mutex<Vec<Vec<u8>>>,
     max_retained: usize,
     hits: obs::Counter,
@@ -157,7 +157,7 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// A pool retaining at most `max_retained` idle buffers.
-    pub fn new(max_retained: usize) -> Arc<Self> {
+    pub(crate) fn new(max_retained: usize) -> Arc<Self> {
         Arc::new(BufferPool {
             free: Mutex::new(Vec::new()),
             max_retained,
@@ -167,7 +167,7 @@ impl BufferPool {
     }
 
     /// Take a cleared buffer with at least `capacity` bytes reserved.
-    pub fn acquire(&self, capacity: usize) -> Vec<u8> {
+    pub(crate) fn acquire(&self, capacity: usize) -> Vec<u8> {
         let recycled = self.free.lock().pop();
         match &recycled {
             Some(_) => self.hits.add(1),
@@ -182,7 +182,7 @@ impl BufferPool {
     }
 
     /// Return a drained buffer; dropped instead if the pool is full.
-    pub fn release(&self, buf: Vec<u8>) {
+    pub(crate) fn release(&self, buf: Vec<u8>) {
         if buf.capacity() == 0 {
             return;
         }
@@ -190,11 +190,6 @@ impl BufferPool {
         if free.len() < self.max_retained {
             free.push(buf);
         }
-    }
-
-    /// Idle buffers currently retained.
-    pub fn retained(&self) -> usize {
-        self.free.lock().len()
     }
 }
 
@@ -248,7 +243,6 @@ where
     threshold_bytes: usize,
     pool: Arc<BufferPool>,
     apply: A,
-    items_sent: u64,
     batches_sent: u64,
     bytes_sent: u64,
     batch_hist: [u64; BATCH_HIST_BUCKETS],
@@ -316,18 +310,12 @@ where
             threshold_bytes: batch_bytes.max(T::WIDTH),
             pool: Arc::clone(ctx.buffer_pool()),
             apply,
-            items_sent: 0,
             batches_sent: 0,
             bytes_sent: 0,
             batch_hist: [0; BATCH_HIST_BUCKETS],
             counters: ExchangeCounters::new(label),
             _item: std::marker::PhantomData,
         }
-    }
-
-    /// The flush threshold in bytes this aggregator ships at.
-    pub fn batch_bytes(&self) -> usize {
-        self.threshold_bytes
     }
 
     /// Stage `item` for `dest`, shipping the buffer once it holds
@@ -364,7 +352,6 @@ where
     fn ship(&mut self, ctx: &RankCtx, dest: usize) {
         let batch = std::mem::take(&mut self.buffers[dest]);
         let items = (batch.len() / T::WIDTH) as u64;
-        self.items_sent += items;
         self.batches_sent += 1;
         self.bytes_sent += batch.len() as u64;
         let bucket = (63 - items.max(1).leading_zeros() as usize).min(BATCH_HIST_BUCKETS - 1);
@@ -393,11 +380,6 @@ where
         ctx.drain();
     }
 
-    /// Items shipped so far (excluding still-buffered ones).
-    pub fn items_sent(&self) -> u64 {
-        self.items_sent
-    }
-
     /// Batches (active messages) shipped so far.
     pub fn batches_sent(&self) -> u64 {
         self.batches_sent
@@ -409,7 +391,7 @@ where
     }
 
     /// Items currently buffered, across all destinations.
-    pub fn buffered(&self) -> usize {
+    pub(crate) fn buffered(&self) -> usize {
         self.buffers.iter().map(|b| b.len() / T::WIDTH).sum()
     }
 }
@@ -551,11 +533,10 @@ mod tests {
             }
             agg.flush_all(ctx);
             ctx.barrier();
-            (agg.batches_sent(), agg.items_sent(), agg.bytes_sent())
+            (agg.batches_sent(), agg.bytes_sent())
         });
-        for (batches, items, bytes) in out {
+        for (batches, bytes) in out {
             assert_eq!(batches, 10);
-            assert_eq!(items, 100);
             assert_eq!(bytes, 800);
         }
     }
@@ -591,7 +572,7 @@ mod tests {
                 agg.flush_all(ctx);
                 ctx.barrier();
             }
-            ctx.buffer_pool().retained()
+            ctx.buffer_pool().free.lock().len()
         });
         // after the final barrier every shipped buffer was drained and
         // released; the pool holds the steady-state working set

@@ -8,7 +8,7 @@
 //! * a fixed set of *ranks*, each running the same SPMD function
 //!   ([`World::run`]);
 //! * *asynchronous active messages*: a rank sends a closure to another rank,
-//!   which executes it on its local state ([`RankCtx::async_exec`]);
+//!   which executes it on its local state (`RankCtx::async_exec`);
 //! * *owner-computes* routing by a stable key hash ([`owner_of`]), with the
 //!   fixed-width shuffles packed into byte batches ([`PackedAggregator`]);
 //! * receive-side landing zones: an unordered per-rank bag
@@ -16,8 +16,8 @@
 //! * *barriers with termination detection*: [`RankCtx::barrier`] returns only
 //!   once every rank has arrived **and** every message sent anywhere — including
 //!   messages generated while processing other messages — has been processed;
-//! * collectives over those barriers ([`RankCtx::all_gather`],
-//!   [`RankCtx::all_reduce`], [`reduce`]).
+//! * collectives over those barriers (`RankCtx::all_gather`,
+//!   `RankCtx::all_reduce`, [`reduce`]).
 //!
 //! The only difference from real YGM is the transport: ranks are OS threads and
 //! messages are boxed closures over shared memory instead of serialized MPI
@@ -48,7 +48,7 @@
 //!
 //! A rank that panics — in its SPMD function or in a message handler — poisons
 //! the world: every other rank panics out of its next barrier wait instead of
-//! spinning on it, and [`World::launch`] re-raises the first panic.
+//! spinning on it, and `World::launch` re-raises the first panic.
 //!
 //! ## Example
 //!
@@ -74,15 +74,16 @@
 //! assert!(shards.iter().flatten().all(|&key| key < 100));
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod comm;
 pub mod container;
 pub mod exchange;
 pub mod partition;
 pub mod reduce;
 pub mod runs;
-pub mod stats;
 
 pub use comm::{RankCtx, World};
-pub use exchange::{adaptive_batch_bytes, BufferPool, Packable, PackedAggregator, PackedBatch};
+pub use exchange::{adaptive_batch_bytes, Packable, PackedAggregator, PackedBatch};
 pub use partition::{block_range, owner_of};
-pub use runs::{sort_run, DistRuns, MergeCursor, RunKey, RunSet, RunStack};
+pub use runs::{sort_run, DistRuns, RunSet};

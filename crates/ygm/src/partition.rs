@@ -9,7 +9,7 @@ use std::hash::{Hash, Hasher};
 
 /// A fixed-key 64-bit FNV-1a hasher: stable across runs and processes.
 #[derive(Clone)]
-pub struct StableHasher(u64);
+pub(crate) struct StableHasher(u64);
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -44,7 +44,7 @@ impl Hasher for StableHasher {
 
 /// Stable 64-bit hash of any `Hash` key.
 #[inline]
-pub fn stable_hash<K: Hash + ?Sized>(key: &K) -> u64 {
+pub(crate) fn stable_hash<K: Hash + ?Sized>(key: &K) -> u64 {
     let mut h = StableHasher::default();
     key.hash(&mut h);
     h.finish()

@@ -1,4 +1,4 @@
-//! Higher-level collective helpers built on [`crate::RankCtx::all_gather`].
+//! Higher-level collective helpers built on `RankCtx::all_gather`.
 //!
 //! The two collectives the rank program reaches for between supersteps beyond
 //! the scalar reductions on [`crate::RankCtx`]: histogram merging, and

@@ -40,7 +40,7 @@ use crate::comm::RankCtx;
 /// Target size of one sealed in-memory run. Runs around this size keep the
 /// stack shallow; the effective seal threshold is the smaller of this and
 /// the label's spill budget.
-pub const RUN_TARGET_BYTES: usize = 4 << 20;
+pub(crate) const RUN_TARGET_BYTES: usize = 4 << 20;
 
 /// A shuffle key with a fixed-width packed integer encoding whose numeric
 /// order equals the item's sort order — the contract that lets run stacks
@@ -116,7 +116,7 @@ static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 ///
 /// Not a distributed container itself — [`DistRuns`] wraps one of these per
 /// rank behind the usual shard locks. Public for direct unit testing.
-pub struct RunStack<K: RunKey> {
+pub(crate) struct RunStack<K: RunKey> {
     /// Unsorted arrivals since the last seal.
     active: Vec<K>,
     /// Sealed sorted runs, oldest first; the merge-by-level invariant keeps
@@ -137,7 +137,8 @@ pub struct RunStack<K: RunKey> {
 impl<K: RunKey> RunStack<K> {
     /// A stack for `label`/`rank` spilling past `budget_bytes` resident
     /// bytes (`None` = never spill).
-    pub fn new(label: &str, rank: usize, budget_bytes: Option<usize>) -> Self {
+    #[cfg(test)]
+    fn new(label: &str, rank: usize, budget_bytes: Option<usize>) -> Self {
         Self::with_counters(label, rank, budget_bytes, SpillCounters::new())
     }
 
@@ -170,7 +171,7 @@ impl<K: RunKey> RunStack<K> {
     /// transient the budget exists to avoid — an over-budget stack goes
     /// straight to disk from its unmerged runs instead (the spill's k-way
     /// merge produces the same sorted segment without the intermediate).
-    pub fn absorb<I: IntoIterator<Item = K>>(&mut self, items: I) {
+    pub(crate) fn absorb<I: IntoIterator<Item = K>>(&mut self, items: I) {
         self.active.extend(items);
         if self.active.len() < self.seal_keys {
             return;
@@ -182,13 +183,8 @@ impl<K: RunKey> RunStack<K> {
     }
 
     /// Resident keys across the active buffer and sealed runs.
-    pub fn resident_keys(&self) -> usize {
+    pub(crate) fn resident_keys(&self) -> usize {
         self.active.len() + self.runs.iter().map(Vec::len).sum::<usize>()
-    }
-
-    /// Sorted segments spilled so far.
-    pub fn spill_count(&self) -> usize {
-        self.spills.len()
     }
 
     fn seal(&mut self) {
@@ -263,7 +259,7 @@ impl<K: RunKey> RunStack<K> {
 
     /// Finish the stack: seal whatever is buffered and hand the runs +
     /// spilled segments to a [`RunSet`] for merging.
-    pub fn take(&mut self) -> RunSet<K> {
+    pub(crate) fn take(&mut self) -> RunSet<K> {
         self.seal();
         RunSet {
             runs: std::mem::take(&mut self.runs),
@@ -315,16 +311,6 @@ impl<K: RunKey> Default for RunSet<K> {
 }
 
 impl<K: RunKey> RunSet<K> {
-    /// Keys resident in memory (excludes spilled segments).
-    pub fn resident_keys(&self) -> usize {
-        self.runs.iter().map(Vec::len).sum()
-    }
-
-    /// Spilled segments backing this set.
-    pub fn spill_count(&self) -> usize {
-        self.spills.len()
-    }
-
     /// A fresh streaming cursor over the globally sorted key sequence.
     /// Segment files were written by this process moments ago, so read
     /// errors here are unrecoverable environment failures and panic.
@@ -359,12 +345,6 @@ impl<K: RunKey> RunSet<K> {
             heap,
             lead,
         }
-    }
-
-    /// Drain the whole set into one sorted `Vec` — test/ablation convenience;
-    /// production consumers stream the cursor.
-    pub fn into_sorted_vec(self) -> Vec<K> {
-        self.cursor().collect()
     }
 }
 
@@ -451,7 +431,7 @@ impl<K: RunKey> Iterator for MergeCursor<'_, K> {
     }
 }
 
-/// The distributed face of the run stacks: one [`RunStack`] shard per rank,
+/// The distributed face of the run stacks: one `RunStack` shard per rank,
 /// same locking discipline as [`crate::container::DistBag`]. Batch handlers
 /// call [`DistRuns::local_absorb`] (one lock per batch — sorting happens
 /// inside, while other batches are still in flight), and after the closing
@@ -535,13 +515,12 @@ mod tests {
         expect.sort_unstable();
         let set = stack.take();
         if let Some(b) = budget {
+            let resident: usize = set.runs.iter().map(Vec::len).sum();
             assert!(
-                set.resident_keys() * 8 <= b.max(8) * 2,
-                "resident {} keys over budget {}",
-                set.resident_keys(),
-                b
+                resident * 8 <= b.max(8) * 2,
+                "resident {resident} keys over budget {b}"
             );
-            assert!(set.spill_count() > 0, "budget {b} never spilled");
+            assert!(!set.spills.is_empty(), "budget {b} never spilled");
         }
         let merged: Vec<u64> = set.cursor().collect();
         assert_eq!(merged, expect);
@@ -578,7 +557,7 @@ mod tests {
         let mut stack: RunStack<u64> = RunStack::new("cleanup", 0, Some(8));
         stack.absorb(0..1_000u64);
         let set = stack.take();
-        assert!(set.spill_count() > 0);
+        assert!(!set.spills.is_empty());
         let paths: Vec<PathBuf> = set.spills.clone();
         assert!(paths.iter().all(|p| p.exists()));
         drop(set);
@@ -607,7 +586,7 @@ mod tests {
                     }
                     agg.flush_all(ctx);
                     ctx.barrier();
-                    runs.local_take(ctx).into_sorted_vec()
+                    runs.local_take(ctx).cursor().collect::<Vec<_>>()
                 })
             };
             let mut all: Vec<u64> = out.into_iter().flatten().collect();
