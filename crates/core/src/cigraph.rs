@@ -75,12 +75,6 @@ impl CiGraph {
         )
     }
 
-    /// Construct from an already-built CSR and its `P'` counts — the
-    /// snapshot load path rematerializes an embedded CI section this way.
-    pub(crate) fn from_csr(csr: CsrGraph, page_counts: Vec<u64>) -> Self {
-        Self::from_runs_inner(csr.n(), csr, page_counts)
-    }
-
     fn from_runs_inner(n_authors: u32, csr: CsrGraph, page_counts: Vec<u64>) -> Self {
         assert_eq!(
             page_counts.len(),

@@ -7,10 +7,10 @@
 //!
 //! * [`write_snapshot`] — serialize an ingested [`Dataset`] (its
 //!   [`PageRows`] copied word for word as `ROWS`, interner names in dense-id
-//!   order so ids survive the round trip), optionally embedding a projected
-//!   CI graph for survey-only consumers;
+//!   order so ids survive the round trip), optionally recording the
+//!   projection window a later `survey` re-projects the rows under;
 //! * [`ingest_to_snapshot`] — the `snapshot write` path: NDJSON ingest
-//!   straight into a snapshot file;
+//!   straight into a snapshot file that records its window;
 //! * [`btm_from_snapshot`] — a [`Btm`] whose narrow rows are the mapping's
 //!   own words, borrowed, not decoded; the events never exist as a resident
 //!   `Vec<Event>`, which is what puts the snapshot path's peak RSS below the
@@ -34,7 +34,6 @@ use std::sync::Arc;
 use coordination_store::{Snapshot, SnapshotWriter, StoreError};
 
 use crate::btm::{Btm, PageRow, PageRows};
-use crate::cigraph::CiGraph;
 use crate::ids::{AuthorId, Event, Interner, PageId};
 use crate::ingest::{self, IngestConfig, IngestStats};
 use crate::records::{Dataset, ReadError};
@@ -47,16 +46,13 @@ pub struct WriteSummary {
     pub bytes: u64,
     /// Events written.
     pub n_events: u64,
-    /// Whether a projected CI graph section was embedded.
-    pub with_ci: bool,
 }
 
-/// Serialize `ds` to a snapshot at `path`. Pass `ci` to embed a projected
-/// CI graph (with the window it was projected under) so survey-only
-/// consumers can skip projection entirely.
+/// Serialize `ds` to a snapshot at `path`. Pass a `window` to record it in
+/// `META`: `survey --from-snapshot` projects the rows under it.
 pub fn write_snapshot(
     ds: &Dataset,
-    ci: Option<(Window, &CiGraph)>,
+    window: Option<Window>,
     path: &Path,
 ) -> Result<WriteSummary, StoreError> {
     let _g = obs::span("snapshot.write");
@@ -77,8 +73,8 @@ pub fn write_snapshot(
         PageRow::Narrow { t0, row } => w.page_rows(&off, Some(t0), row)?,
         PageRow::Wide(row) => w.page_rows(&off, None, &wide(row))?,
     };
-    if let Some((window, ci)) = ci {
-        w.ci_graph(window.d1(), window.d2(), ci.page_counts(), ci.as_csr())?;
+    if let Some(window) = window {
+        w.window(window.d1(), window.d2())?;
     }
     w.write_to(path)?;
     let bytes = std::fs::metadata(path)?.len();
@@ -86,33 +82,21 @@ pub fn write_snapshot(
     Ok(WriteSummary {
         bytes,
         n_events: rows.n_comments(),
-        with_ci: ci.is_some(),
     })
 }
 
 /// The `snapshot write` ingest path: ingest NDJSON from `reader`
-/// ([`ingest::ingest_reader`]) and write the result straight to `path`. With `project`
-/// set, the CI graph is projected under that window — after the paper's
-/// standard bot exclusions, exactly as the pipeline and the `project`
-/// command do — and embedded, so `survey --from-snapshot` re-queries the
-/// same graph every other consumer would have built.
+/// ([`ingest::ingest_reader`]) and write the result straight to `path`,
+/// recording `window` for `survey --from-snapshot`.
 pub fn ingest_to_snapshot(
     reader: impl std::io::Read,
     cfg: &IngestConfig,
-    project: Option<Window>,
+    window: Window,
     path: &Path,
 ) -> Result<(WriteSummary, IngestStats), SnapshotWriteError> {
     let ingest = ingest::ingest_reader(reader, cfg).map_err(SnapshotWriteError::Read)?;
-    let summary = match project {
-        Some(window) => {
-            let excl = crate::filter::ExclusionList::reddit_defaults();
-            let btm = ingest.dataset.btm_without(&excl.resolve(&ingest.dataset));
-            let ci = crate::project::project(&btm, window);
-            write_snapshot(&ingest.dataset, Some((window, &ci)), path)
-        }
-        None => write_snapshot(&ingest.dataset, None, path),
-    }
-    .map_err(SnapshotWriteError::Store)?;
+    let summary =
+        write_snapshot(&ingest.dataset, Some(window), path).map_err(SnapshotWriteError::Store)?;
     Ok((summary, ingest.stats))
 }
 
@@ -175,19 +159,6 @@ pub fn dataset_from_snapshot(snap: &Snapshot) -> Dataset {
     }
 }
 
-/// Rebuild a resident [`CiGraph`] from a snapshot's embedded CI section,
-/// with the window it was projected under. `None` if the writer embedded no
-/// CI graph. Consumers that can work over [`crate::GraphRef`] should use the
-/// compressed `ci_graph().graph` view directly instead.
-pub fn ci_from_snapshot(snap: &Snapshot) -> Option<(Window, CiGraph)> {
-    let ci = snap.ci_graph()?;
-    let csr = coordination_graph::GraphRef::to_csr(&ci.graph);
-    Some((
-        Window::new(ci.d1, ci.d2),
-        CiGraph::from_csr(csr, ci.page_counts()),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,7 +193,6 @@ mod tests {
         let path = tmp("roundtrip");
         let summary = write_snapshot(&ds, None, &path).unwrap();
         assert_eq!(summary.n_events as usize, ds.len());
-        assert!(!summary.with_ci);
 
         let snap = Snapshot::open(&path).unwrap();
         let back = dataset_from_snapshot(&snap);

@@ -21,8 +21,7 @@
 //!   (owned-source rows plus the ghost-vertex frontier) the distributed
 //!   pipeline builds on each `ygm` rank;
 //! * [`view`] — the [`GraphRef`] borrowing trait and the allocation-free
-//!   [`ThresholdView`] / [`SubsetView`] adapters, so consumers (edge
-//!   thresholding before a survey, subset extraction for reprojection) filter
+//!   [`ThresholdView`] adapter, so edge thresholding before a survey filters
 //!   *during iteration* instead of cloning the edge set.
 //!
 //! Downstream, `tripoll::WeightedGraph` is a re-export of [`CsrGraph`], and
@@ -41,4 +40,4 @@ pub use csr::{components, CsrGraph, DisjointSets};
 pub use ids::{AuthorId, PageId, Timestamp};
 pub use intersect::{intersect_count, intersect_indices, intersect_indices_linear};
 pub use partition::LocalCsr;
-pub use view::{GraphRef, SubsetView, ThresholdView};
+pub use view::{GraphRef, ThresholdView};

@@ -1,12 +1,11 @@
 //! Borrowed graph views: filter during iteration instead of cloning.
 //!
 //! The pre-refactor pipeline materialized a fresh graph at every stage
-//! boundary — `threshold()` cloned the full edge map, subset extraction
-//! rebuilt a graph per component. The [`GraphRef`] trait lets every consumer
-//! (orientation, triangle survey, component extraction) run over *any*
-//! graph-shaped borrow, and [`ThresholdView`] / [`SubsetView`] implement the
-//! two filters the pipeline needs with no per-edge allocation: the filter
-//! predicate runs inside the neighbor iterator.
+//! boundary — `threshold()` cloned the full edge map. The [`GraphRef`] trait
+//! lets every consumer (orientation, triangle survey, component extraction)
+//! run over *any* graph-shaped borrow, and [`ThresholdView`] implements the
+//! edge-weight filter the pipeline needs with no per-edge allocation: the
+//! filter predicate runs inside the neighbor iterator.
 
 use crate::csr::CsrGraph;
 
@@ -115,47 +114,6 @@ impl<G: GraphRef> GraphRef for ThresholdView<'_, G> {
     }
 }
 
-/// A borrowed view keeping only edges whose *both* endpoints are in a vertex
-/// subset. The vertex universe (id space) is unchanged; excluded vertices
-/// simply have no edges. Construction allocates one `n`-bit membership mask;
-/// iteration allocates nothing.
-#[derive(Clone, Debug)]
-pub struct SubsetView<'a, G> {
-    inner: &'a G,
-    mask: Vec<bool>,
-}
-
-impl<'a, G: GraphRef> SubsetView<'a, G> {
-    /// View `inner` restricted to edges within `vertices`. Ids outside
-    /// `0..n_vertices()` are ignored.
-    pub fn new(inner: &'a G, vertices: impl IntoIterator<Item = u32>) -> Self {
-        let mut mask = vec![false; inner.n_vertices() as usize];
-        for v in vertices {
-            if let Some(slot) = mask.get_mut(v as usize) {
-                *slot = true;
-            }
-        }
-        SubsetView { inner, mask }
-    }
-
-    /// Whether `v` is in the subset.
-    pub(crate) fn contains(&self, v: u32) -> bool {
-        self.mask.get(v as usize).copied().unwrap_or(false)
-    }
-}
-
-impl<G: GraphRef> GraphRef for SubsetView<'_, G> {
-    fn n_vertices(&self) -> u32 {
-        self.inner.n_vertices()
-    }
-    fn neighbors_iter(&self, u: u32) -> impl Iterator<Item = (u32, u64)> + '_ {
-        let keep_u = self.contains(u);
-        self.inner
-            .neighbors_iter(u)
-            .filter(move |&(v, _)| keep_u && self.contains(v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,35 +149,6 @@ mod tests {
         assert_eq!(
             owned.edges().collect::<Vec<_>>(),
             g.filter_weight(5).edges().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn subset_view_keeps_internal_edges_only() {
-        let g = diamond();
-        let view = SubsetView::new(&g, [0, 2, 3]);
-        let es: Vec<_> = view.edge_iter().collect();
-        assert_eq!(es, vec![(0, 2, 5), (0, 3, 2), (2, 3, 7)]);
-        assert_eq!(view.degree_of(1), 0);
-        assert!(view.contains(0));
-        assert!(!view.contains(1));
-    }
-
-    #[test]
-    fn subset_view_ignores_out_of_range_ids() {
-        let g = diamond();
-        let view = SubsetView::new(&g, [0, 1, 99]);
-        assert_eq!(view.edge_iter().collect::<Vec<_>>(), vec![(0, 1, 9)]);
-    }
-
-    #[test]
-    fn views_compose() {
-        let g = diamond();
-        let sub = SubsetView::new(&g, [0, 2, 3]);
-        let both = ThresholdView::new(&sub, 5);
-        assert_eq!(
-            both.edge_iter().collect::<Vec<_>>(),
-            vec![(0, 2, 5), (2, 3, 7)]
         );
     }
 

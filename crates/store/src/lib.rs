@@ -9,15 +9,11 @@
 //! * [`snapshot`] — the container format (magic / version / checksummed
 //!   section directory), the [`SnapshotWriter`] builder, and the validating
 //!   [`Snapshot::open`] mmap reader whose accessors hand out borrowed views;
-//! * [`csr`] — delta-varint compressed adjacency ([`CsrView`]) that
-//!   implements `coordination_graph::GraphRef` by decoding neighbor lists
-//!   block-wise, so the galloping/adaptive intersection kernels run directly
-//!   over compressed bytes;
 //! * [`segment`] — sorted spill segments ([`SegmentWriter`](segment::SegmentWriter) /
 //!   [`SegmentReader`](segment::SegmentReader)): delta-varint key runs the memory-bounded shuffle
 //!   (`ygm::runs`) evicts to disk and later k-way merges back, streaming;
-//! * [`varint`] — the LEB128 + zigzag framing of the metadata, name-table,
-//!   CSR and segment encodings;
+//! * [`varint`] — the LEB128 + zigzag framing of the metadata, name-table
+//!   and segment encodings;
 //! * [`mmap`] — read-only file mapping with an owned-buffer fallback, and the
 //!   one checked cast that borrows a file's `u64` row words in place;
 //! * [`err`] — the typed [`StoreError`]: corrupt or truncated input is
@@ -35,14 +31,12 @@
 
 #![warn(unreachable_pub)]
 
-pub mod csr;
 pub mod err;
 pub mod mmap;
 pub mod segment;
 pub mod snapshot;
 pub mod varint;
 
-pub use csr::CsrView;
 pub use err::StoreError;
 pub use snapshot::{NamesView, Snapshot, SnapshotWriter};
 pub use snapshot::{MAGIC, VERSION};

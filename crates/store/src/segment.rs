@@ -5,10 +5,10 @@
 //! cap, the resident runs are k-way merged and streamed here as one sorted
 //! **segment**: a flat, non-decreasing sequence of packed shuffle keys (8-byte
 //! pairs/incidences or 16-byte events/edges), framed in `SEG_BLOCK`-key
-//! blocks exactly like the snapshot CSR's neighbor lists — each block opens
-//! with its first key absolute, followed by non-negative deltas, so ascending
-//! dense keys cost a byte or two each. Duplicates are legal (a delta of zero):
-//! pair-occurrence multisets repeat keys by design.
+//! blocks — each block opens with its first key absolute, followed by
+//! non-negative deltas, so ascending dense keys cost a byte or two each.
+//! Duplicates are legal (a delta of zero): pair-occurrence multisets repeat
+//! keys by design.
 //!
 //! Layout of a segment file:
 //!
@@ -45,8 +45,7 @@ use crate::varint;
 /// Magic prefix of every segment file.
 pub(crate) const SEG_MAGIC: [u8; 8] = *b"COORSEG1";
 
-/// Keys per block: the same framing granularity as the snapshot CSR, big
-/// enough to amortize decode dispatch, small enough for a stack-friendly
+/// Keys per block: big enough to amortize decode dispatch, small enough for a stack-friendly
 /// reusable buffer.
 pub(crate) const SEG_BLOCK: usize = 128;
 

@@ -1,7 +1,7 @@
 //! The snapshot container: magic, version, checksummed section directory,
 //! and the columnar sections themselves.
 //!
-//! ## File layout (version 4)
+//! ## File layout (version 5)
 //!
 //! ```text
 //! [0..8)    magic  b"COORSNAP"
@@ -12,11 +12,13 @@
 //! then      section bytes at their recorded offsets
 //! ```
 //!
-//! Sections (kinds 1–3, 6 and 7; any other kind is an error). They may not
+//! Sections (kinds 1–3 and 7; any other kind is an error). They may not
 //! overlap the directory or each other, and together they cover the rest of
 //! the file.
 //!
-//! * `META` — n_authors, n_pages, n_events, min/max timestamp (varints).
+//! * `META` — n_authors, n_pages, n_events, min/max timestamp (varints),
+//!   then the projection window: a presence byte, 0 or 1, and after a 1 the
+//!   window's `d1` and `d2` (varints, `0 ≤ d1 < d2`).
 //! * `AUTHOR_NAMES` / `PAGE_NAMES` — interner string tables: count, byte
 //!   length, the names in strictly increasing byte order as a fixed-width
 //!   `u32` end-offset table and their concatenated UTF-8 bytes, then one
@@ -29,24 +31,18 @@
 //!   1` `u64` row offsets, then the rows end to end, each in `(ts, author)`
 //!   order — narrow (layout 1): one `(ts − t0) << 32 | author` word per
 //!   comment; wide (layout 2, `t0` 0): `ts`, then the author. All LE words.
-//! * `CI_GRAPH` (optional) — a projected common-interaction graph: the
-//!   window it was projected under, the `P'` page counts, and the weighted
-//!   compressed CSR the survey decodes block-wise.
 //!
 //! [`Snapshot::open`] maps the file and validates *everything* up front —
 //! magic, version, directory bounds, per-section checksums, and a full
 //! structural check (id ranges, row order, offsets, timestamp arithmetic,
-//! the row layout, `META` agreement, exact byte consumption). After open,
-//! every accessor and iterator is infallible; corrupt or truncated input
-//! never gets past open, and never panics.
+//! the row layout, `META` agreement and its window, exact byte consumption).
+//! After open, every accessor and iterator is infallible; corrupt or
+//! truncated input never gets past open, and never panics.
 
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
-use coordination_graph::GraphRef;
-
-use crate::csr::{self, CsrView};
 use crate::err::StoreError;
 use crate::mmap::{self, Bytes, Words};
 use crate::varint;
@@ -56,18 +52,17 @@ pub const MAGIC: [u8; 8] = *b"COORSNAP";
 
 /// The single schema version this build reads and writes. Bump on any
 /// layout change; readers must refuse versions they do not speak.
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
 
 mod kind {
     pub(crate) const META: u32 = 1;
     pub(crate) const AUTHOR_NAMES: u32 = 2;
     pub(crate) const PAGE_NAMES: u32 = 3;
-    // 4 was version 2's varint `EVENTS` and 5 a version 1 section; neither
-    // is reused.
-    pub(crate) const CI_GRAPH: u32 = 6;
+    // 4 was version 2's varint `EVENTS`, 5 a version 1 section and 6 the
+    // compressed `CI_GRAPH` up to version 4; none is reused.
     pub(crate) const ROWS: u32 = 7;
 
-    pub(crate) const ALL: [u32; 5] = [META, AUTHOR_NAMES, PAGE_NAMES, ROWS, CI_GRAPH];
+    pub(crate) const ALL: [u32; 4] = [META, AUTHOR_NAMES, PAGE_NAMES, ROWS];
 
     pub(crate) fn name(k: u32) -> &'static str {
         match k {
@@ -75,7 +70,6 @@ mod kind {
             AUTHOR_NAMES => "AUTHOR_NAMES",
             PAGE_NAMES => "PAGE_NAMES",
             ROWS => "ROWS",
-            CI_GRAPH => "CI_GRAPH",
             _ => "UNKNOWN",
         }
     }
@@ -203,6 +197,76 @@ pub struct SnapshotMeta {
     pub min_ts: i64,
     /// Largest timestamp (0 when empty).
     pub max_ts: i64,
+    /// The projection window `(d1, d2)` in seconds, `0 ≤ d1 < d2`, that the
+    /// writer recorded for readers that re-project the rows; `None` if it
+    /// recorded none.
+    pub window: Option<(i64, i64)>,
+}
+
+/// A window that breaks `0 ≤ d1 < d2` is [`StoreError::Corrupt`].
+fn check_window((d1, d2): (i64, i64)) -> Result<(), StoreError> {
+    if 0 <= d1 && d1 < d2 {
+        return Ok(());
+    }
+    let what = format!("window ({d1}, {d2}) breaks 0 <= d1 < d2");
+    Err(StoreError::corrupt(what))
+}
+
+impl SnapshotMeta {
+    /// The `META` section's bytes.
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        varint::write_u64(&mut out, u64::from(self.n_authors));
+        varint::write_u64(&mut out, u64::from(self.n_pages));
+        varint::write_u64(&mut out, self.n_events);
+        varint::write_i64(&mut out, self.min_ts);
+        varint::write_i64(&mut out, self.max_ts);
+        out.push(u8::from(self.window.is_some()));
+        if let Some((d1, d2)) = self.window {
+            varint::write_i64(&mut out, d1);
+            varint::write_i64(&mut out, d2);
+        }
+        out
+    }
+
+    /// Read a `META` section, all of it: a presence byte other than 0 or 1,
+    /// a window that is not one, or a byte after it is corrupt.
+    fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
+        let mut pos = 0;
+        let mut meta = SnapshotMeta {
+            n_authors: varint::read_u32(bytes, &mut pos)?,
+            n_pages: varint::read_u32(bytes, &mut pos)?,
+            n_events: varint::read_u64(bytes, &mut pos)?,
+            min_ts: varint::read_i64(bytes, &mut pos)?,
+            max_ts: varint::read_i64(bytes, &mut pos)?,
+            window: None,
+        };
+        let present = *bytes.get(pos).ok_or(StoreError::Truncated {
+            what: "META window",
+            need: pos as u64 + 1,
+            have: bytes.len() as u64,
+        })?;
+        pos += 1;
+        match present {
+            0 => {}
+            1 => {
+                let window = (
+                    varint::read_i64(bytes, &mut pos)?,
+                    varint::read_i64(bytes, &mut pos)?,
+                );
+                check_window(window)?;
+                meta.window = Some(window);
+            }
+            b => {
+                let what = format!("META window presence byte {b}");
+                return Err(StoreError::corrupt(what));
+            }
+        }
+        if pos != bytes.len() {
+            return Err(StoreError::corrupt("META has trailing bytes"));
+        }
+        Ok(meta)
+    }
 }
 
 /// The narrow layout's base if timestamps spanning `lo..=hi` all fit a `u32`
@@ -311,17 +375,18 @@ fn check_rows(meta: (u32, u32), off: &[u64], rows: Rows<'_>) -> Result<(i64, i64
 // ---------------------------------------------------------------------------
 
 /// Assembles a snapshot: set the name tables, then the page rows (which also
-/// derives `META`), optionally a projected CI graph, then
+/// derives `META`), optionally a projection window, then
 /// [`SnapshotWriter::write_to`] or [`SnapshotWriter::to_bytes`].
 #[derive(Default)]
 pub struct SnapshotWriter {
     /// `(name count, section)` of each name table.
     authors: Option<(u32, Vec<u8>)>,
     pages: Option<(u32, Vec<u8>)>,
-    meta: Option<Vec<u8>>,
+    /// `META` but for its window.
+    meta: Option<SnapshotMeta>,
+    window: Option<(i64, i64)>,
     /// Header (its pad still 0), offsets and rows.
     rows: Option<Vec<u8>>,
-    ci: Option<Vec<u8>>,
 }
 
 /// The first eight bytes of the name `bytes[lo..hi]` as a big-endian word,
@@ -448,14 +513,14 @@ impl SnapshotWriter {
             section.extend_from_slice(&w.to_le_bytes());
         }
         self.rows = Some(section);
-
-        let mut meta = Vec::new();
-        varint::write_u64(&mut meta, u64::from(n_authors));
-        varint::write_u64(&mut meta, u64::from(n_pages));
-        varint::write_u64(&mut meta, n_events);
-        varint::write_i64(&mut meta, min_ts);
-        varint::write_i64(&mut meta, max_ts);
-        self.meta = Some(meta);
+        self.meta = Some(SnapshotMeta {
+            n_authors,
+            n_pages,
+            n_events,
+            min_ts,
+            max_ts,
+            window: None,
+        });
         Ok(self)
     }
 
@@ -490,34 +555,12 @@ impl SnapshotWriter {
         self.page_rows(&off, t0, &words)
     }
 
-    /// Attach a projected common-interaction graph: the `[d1, d2]` window it
-    /// was projected under, the per-author `P'` page counts, and the graph
-    /// itself (stored weighted, compressed).
-    pub fn ci_graph<G: GraphRef>(
-        &mut self,
-        d1: i64,
-        d2: i64,
-        page_counts: &[u64],
-        g: &G,
-    ) -> Result<&mut Self, StoreError> {
-        if page_counts.len() != g.n_vertices() as usize {
-            return Err(StoreError::corrupt(format!(
-                "page_counts has {} entries for a {}-vertex graph",
-                page_counts.len(),
-                g.n_vertices()
-            )));
-        }
-        let mut pc = Vec::new();
-        for &c in page_counts {
-            varint::write_u64(&mut pc, c);
-        }
-        let mut section = Vec::new();
-        varint::write_i64(&mut section, d1);
-        varint::write_i64(&mut section, d2);
-        varint::write_u64(&mut section, pc.len() as u64);
-        section.extend_from_slice(&pc);
-        csr::encode_graph(g, &mut section);
-        self.ci = Some(section);
+    /// Record the projection window `(d1, d2)` in `META`, for readers that
+    /// re-project the rows. A window that breaks `0 ≤ d1 < d2` is a
+    /// writer-side [`StoreError::Corrupt`], as open would refuse it.
+    pub fn window(&mut self, d1: i64, d2: i64) -> Result<&mut Self, StoreError> {
+        check_window((d1, d2))?;
+        self.window = Some((d1, d2));
         Ok(self)
     }
 
@@ -530,16 +573,15 @@ impl SnapshotWriter {
         };
         let (_, authors) = self.authors.as_ref().expect("page_rows() needed authors");
         let (_, pages) = self.pages.as_ref().expect("page_rows() needed pages");
+        let window = self.window;
+        let meta = SnapshotMeta { window, ..*meta }.encode();
 
-        let mut sections: Vec<(u32, &[u8])> = vec![
-            (kind::META, meta),
+        let sections: [(u32, &[u8]); 4] = [
+            (kind::META, &meta),
             (kind::AUTHOR_NAMES, authors),
             (kind::PAGE_NAMES, pages),
             (kind::ROWS, rows),
         ];
-        if let Some(ci) = &self.ci {
-            sections.push((kind::CI_GRAPH, ci));
-        }
 
         let dir_end = 16 + sections.len() * 28;
         let body: usize = sections.iter().map(|(_, s)| s.len()).sum();
@@ -697,12 +739,8 @@ impl Snapshot {
         Self::parse(Bytes::copy_from(bytes.as_ref()))
     }
 
-    fn section(&self, k: u32) -> Option<&[u8]> {
-        find_section(&self.sections, &self.bytes, k)
-    }
-
     fn require(&self, k: u32) -> &[u8] {
-        self.section(k).expect("mandatory section checked at open")
+        find_section(&self.sections, &self.bytes, k).expect("mandatory section checked at open")
     }
 
     fn parse(bytes: Bytes) -> Result<Self, StoreError> {
@@ -794,19 +832,7 @@ impl Snapshot {
             |k: u32| StoreError::corrupt(format!("missing mandatory section {}", kind::name(k)));
         let get = |k: u32| find_section(&sections, data, k).ok_or_else(|| missing(k));
 
-        // META
-        let meta_bytes = get(kind::META)?;
-        let mut pos = 0;
-        let meta = SnapshotMeta {
-            n_authors: varint::read_u32(meta_bytes, &mut pos)?,
-            n_pages: varint::read_u32(meta_bytes, &mut pos)?,
-            n_events: varint::read_u64(meta_bytes, &mut pos)?,
-            min_ts: varint::read_i64(meta_bytes, &mut pos)?,
-            max_ts: varint::read_i64(meta_bytes, &mut pos)?,
-        };
-        if pos != meta_bytes.len() {
-            return Err(StoreError::corrupt("META has trailing bytes"));
-        }
+        let meta = SnapshotMeta::decode(get(kind::META)?)?;
 
         let names = obs::span("snapshot.validate.names");
         let counts = [
@@ -831,19 +857,6 @@ impl Snapshot {
             let at = sections.iter().find(|s| s.kind == kind::ROWS);
             RowsAt::parse(data, at.ok_or_else(|| missing(kind::ROWS))?.range, &meta)?
         };
-
-        // Optional CI graph.
-        if let Some(section) = find_section(&sections, data, kind::CI_GRAPH) {
-            let ci = CiView::parse(section)?;
-            if ci.graph.n() != meta.n_authors {
-                return Err(StoreError::corrupt(format!(
-                    "CI_GRAPH has {} vertices, META declares {} authors",
-                    ci.graph.n(),
-                    meta.n_authors
-                )));
-            }
-            ci.validate()?;
-        }
 
         Ok(Snapshot {
             bytes: Arc::new(bytes),
@@ -892,12 +905,6 @@ impl Snapshot {
         Some((t0, words.expect("validated at open")))
     }
 
-    /// The embedded projected CI graph, if the writer attached one.
-    pub fn ci_graph(&self) -> Option<CiView<'_>> {
-        self.section(kind::CI_GRAPH)
-            .map(|b| CiView::parse(b).expect("validated at open"))
-    }
-
     /// Human-readable summary for `snapshot inspect`.
     pub fn describe(&self) -> String {
         let m = &self.meta;
@@ -927,14 +934,8 @@ impl Snapshot {
         out.push_str(&format!(
             "  rows:    {layout}; ROWS {per_event:.2} B per event\n"
         ));
-        if let Some(ci) = self.ci_graph() {
-            out.push_str(&format!(
-                "  ci graph: window [{}, {}], {} vertices, {} edges\n",
-                ci.d1,
-                ci.d2,
-                ci.graph.n(),
-                ci.graph.count_edges()
-            ));
+        if let Some((d1, d2)) = m.window {
+            out.push_str(&format!("  window:  ({d1}s, {d2}s)\n"));
         }
         out
     }
@@ -1169,75 +1170,9 @@ impl<'a> EventsView<'a> {
     }
 }
 
-/// The column at `*pos`: a byte-length varint, then that many bytes.
-fn read_column<'a>(section: &'a [u8], pos: &mut usize) -> Result<&'a [u8], StoreError> {
-    let len = varint::read_u64(section, pos)?;
-    let end = usize::try_from(len)
-        .ok()
-        .and_then(|len| pos.checked_add(len))
-        .ok_or_else(|| StoreError::corrupt("column length overflows"))?;
-    let column = section.get(*pos..end).ok_or(StoreError::Truncated {
-        what: "column",
-        need: end as u64,
-        have: section.len() as u64,
-    })?;
-    *pos = end;
-    Ok(column)
-}
-
-/// Borrowed view over the optional projected CI-graph section.
-pub struct CiView<'a> {
-    /// Lower window offset the projection used.
-    pub d1: i64,
-    /// Upper window offset.
-    pub d2: i64,
-    /// The compressed weighted CI adjacency.
-    pub graph: CsrView<'a>,
-    page_counts: &'a [u8],
-}
-
-impl<'a> CiView<'a> {
-    fn parse(section: &'a [u8]) -> Result<Self, StoreError> {
-        let mut pos = 0;
-        let d1 = varint::read_i64(section, &mut pos)?;
-        let d2 = varint::read_i64(section, &mut pos)?;
-        let page_counts = read_column(section, &mut pos)?;
-        let graph = CsrView::parse(&section[pos..])?;
-        Ok(CiView {
-            d1,
-            d2,
-            graph,
-            page_counts,
-        })
-    }
-
-    fn validate(&self) -> Result<(), StoreError> {
-        self.graph.validate(self.graph.n())?;
-        let mut pos = 0;
-        for _ in 0..self.graph.n() {
-            varint::read_u64(self.page_counts, &mut pos)?;
-        }
-        if pos != self.page_counts.len() {
-            return Err(StoreError::corrupt("page_counts has trailing bytes"));
-        }
-        Ok(())
-    }
-
-    /// Decode the `P'` per-author page counts.
-    pub fn page_counts(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.graph.n() as usize);
-        let mut pos = 0;
-        for _ in 0..self.graph.n() {
-            out.push(varint::read_u64(self.page_counts, &mut pos).unwrap_or(0));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coordination_graph::CsrGraph;
 
     fn sample() -> Vec<u8> {
         let mut w = SnapshotWriter::new();
@@ -1245,8 +1180,7 @@ mod tests {
         w.pages(["t3_a", "t3_b"].into_iter()).unwrap();
         w.events(&[(0, 0, 100), (1, 0, 100), (2, 1, 101), (0, 1, 105)])
             .unwrap();
-        let ci = CsrGraph::from_edges(3, vec![(0, 1, 2), (1, 2, 1)]);
-        w.ci_graph(-60, 60, &[2, 1, 1], &ci).unwrap();
+        w.window(0, 600).unwrap();
         w.to_bytes().unwrap()
     }
 
@@ -1276,13 +1210,7 @@ mod tests {
         let (t0, words) = snap.narrow_words().unwrap();
         assert_eq!(t0, 100);
         assert_eq!(*words, [0, 1, 1 << 32 | 2, 5 << 32]);
-        let ci = snap.ci_graph().unwrap();
-        assert_eq!((ci.d1, ci.d2), (-60, 60));
-        assert_eq!(ci.page_counts(), vec![2, 1, 1]);
-        assert_eq!(
-            ci.graph.neighbors(1).collect::<Vec<_>>(),
-            vec![(0, 2), (2, 1)]
-        );
+        assert_eq!(m.window, Some((0, 600)));
     }
 
     /// Either layout round-trips, and `describe` says which one it is.
@@ -1299,9 +1227,12 @@ mod tests {
             snap.events().iter().collect::<Vec<_>>(),
             [(0, 0, i64::MIN), (1, 0, -1), (1, 0, -1), (0, 1, i64::MAX)]
         );
-        assert!(snap.describe().contains("rows:    wide, 16 B per comment"));
+        let wide = snap.describe();
+        assert!(wide.contains("rows:    wide, 16 B per comment"), "{wide}");
+        assert!(!wide.contains("window:"), "{wide}");
         let narrow = Snapshot::from_bytes(sample()).unwrap().describe();
         assert!(narrow.contains("rows:    narrow, 8 B per comment from t0 100"));
+        assert!(narrow.contains("window:  (0s, 600s)"), "{narrow}");
     }
 
     /// Nothing assumes the caller's buffer is aligned: an image whose first
@@ -1415,13 +1346,14 @@ mod tests {
             Err(StoreError::BadMagic { .. })
         ));
 
-        // v3, whose name tables were in id order, has no reader either
-        for version in [3u32, 99] {
+        // v3, whose name tables were in id order, and v4, whose `META` had no
+        // window, have no reader either
+        for version in [3u32, 4, 99] {
             let mut bytes = sample();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             match Snapshot::from_bytes(bytes) {
                 Err(StoreError::UnsupportedVersion { found, supported }) => {
-                    assert_eq!((found, supported), (version, 4));
+                    assert_eq!((found, supported), (version, 5));
                 }
                 Err(other) => panic!("expected UnsupportedVersion, got {other:?}"),
                 Ok(_) => panic!("version {version} must not open"),
@@ -1508,7 +1440,7 @@ mod tests {
     fn checksum_catches_section_corruption() {
         let good = sample();
         // Flip a byte in the section payload region (past the directory).
-        let dir_end = 16 + 5 * 28;
+        let dir_end = 16 + 4 * 28;
         let mut bytes = good.clone();
         bytes[dir_end + 3] ^= 0x40;
         assert!(matches!(
@@ -1660,6 +1592,50 @@ mod tests {
         assert!(matches!(
             narrow(10, &[0, 2, 3, 3], &near[..2]),
             Err(StoreError::Truncated { what: "ROWS", .. })
+        ));
+    }
+
+    /// A window open would refuse is a writer error; forged into `META`
+    /// behind a valid checksum — through the writer's field, or as a
+    /// presence byte other than 0 or 1 — it is corrupt, never a panic.
+    #[test]
+    fn forged_windows_are_corrupt_behind_a_valid_checksum() {
+        let writer = |window| {
+            let mut w = SnapshotWriter::new();
+            w.authors(["a", "b"].into_iter()).unwrap();
+            w.pages(["p"].into_iter()).unwrap();
+            w.events(&[(0, 0, 1), (1, 0, 2)]).unwrap();
+            w.window = window;
+            w
+        };
+        for bad in [(-1, 60), (60, 60), (60, 0), (i64::MIN, i64::MAX)] {
+            assert!(matches!(
+                writer(None).window(bad.0, bad.1),
+                Err(StoreError::Corrupt { .. })
+            ));
+            let what = corrupt_message(Snapshot::from_bytes(writer(Some(bad)).to_bytes().unwrap()));
+            assert!(what.starts_with("window ("), "{bad:?}: {what}");
+        }
+        let honest = Snapshot::from_bytes(writer(Some((0, 1))).to_bytes().unwrap());
+        assert_eq!(honest.unwrap().meta().window, Some((0, 1)));
+
+        // `META` is the first section and, without a window, ends in its
+        // presence byte
+        let mut bytes = writer(None).to_bytes().unwrap();
+        let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let end = (field(20) + field(28)) as usize;
+        for presence in [2u8, 0xff] {
+            bytes[end - 1] = presence;
+            reseal(&mut bytes);
+            let what = corrupt_message(Snapshot::from_bytes(bytes.clone()));
+            assert_eq!(what, format!("META window presence byte {presence}"));
+        }
+        // a 1 with no window after it is short
+        bytes[end - 1] = 1;
+        reseal(&mut bytes);
+        assert!(matches!(
+            Snapshot::from_bytes(bytes),
+            Err(StoreError::Truncated { what: "varint", .. })
         ));
     }
 

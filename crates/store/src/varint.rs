@@ -1,10 +1,9 @@
-//! LEB128 varints and zigzag signed framing — the one integer encoding
-//! every snapshot section shares.
+//! LEB128 varints and zigzag signed framing: the counts, timestamps and
+//! window of a snapshot's `META`, the counts heading its name tables, and the
+//! delta-coded keys of a spill segment (which decodes its own blocks).
 //!
-//! Columns store *deltas* of sorted sequences, so most values fit one byte;
-//! LEB128 makes that the common fast path while still carrying full `u64`
-//! range for the occasional jump. Signed values (timestamps, window bounds)
-//! go through zigzag so small negatives stay small.
+//! Small values take one byte and any `u64` fits. Signed values (timestamps,
+//! window bounds) go through zigzag so small negatives stay small.
 
 use crate::err::StoreError;
 
@@ -30,29 +29,7 @@ pub(crate) fn write_i64(out: &mut Vec<u8>, v: i64) {
 
 /// Decode one LEB128 value at `*pos`, advancing it. Truncation and
 /// over-length encodings are typed errors, never panics.
-#[inline]
 pub(crate) fn read_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, StoreError> {
-    // With eight bytes in hand, find the terminating byte and squeeze the
-    // 7-bit groups together without a branch per byte: column values are a
-    // mix of one to three bytes, which a byte loop mispredicts on.
-    if let Some(chunk) = bytes.get(*pos..).and_then(|rest| rest.first_chunk::<8>()) {
-        let word = u64::from_le_bytes(*chunk);
-        let stops = !word & 0x8080_8080_8080_8080;
-        if stops != 0 {
-            let len = stops.trailing_zeros() / 8 + 1;
-            let w = word & (u64::MAX >> (64 - 8 * len)) & 0x7f7f_7f7f_7f7f_7f7f;
-            let w = (w & 0x007f_007f_007f_007f) | ((w & 0x7f00_7f00_7f00_7f00) >> 1);
-            let w = (w & 0x0000_3fff_0000_3fff) | ((w & 0x3fff_0000_3fff_0000) >> 2);
-            *pos += len as usize;
-            return Ok((w & 0x0fff_ffff) | ((w & 0x0fff_ffff_0000_0000) >> 4));
-        }
-    }
-    read_u64_bytewise(bytes, pos)
-}
-
-/// [`read_u64`] a byte at a time: the last seven bytes of a column, and
-/// values of nine and ten bytes.
-fn read_u64_bytewise(bytes: &[u8], pos: &mut usize) -> Result<u64, StoreError> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -161,32 +138,6 @@ mod tests {
             read_u64(&bad, &mut pos),
             Err(StoreError::Corrupt { .. })
         ));
-    }
-
-    #[test]
-    fn word_path_agrees_with_the_byte_loop() {
-        // every encoded length, both edges of each, and two encodings that
-        // are longer than they need to be
-        let mut encodings: Vec<Vec<u8>> = vec![vec![0x80, 0x00], vec![0xff, 0x80, 0x80, 0x00]];
-        for bits in 0..64 {
-            for v in [1u64 << bits, (1u64 << bits) - 1, u64::MAX >> bits] {
-                let mut buf = Vec::new();
-                write_u64(&mut buf, v);
-                encodings.push(buf);
-            }
-        }
-        for enc in encodings {
-            let (mut slow_at, mut fast_at) = (0, 0);
-            let slow = read_u64_bytewise(&enc, &mut slow_at).unwrap();
-            // whatever follows the value must not leak into it
-            for filler in [0x00, 0x7f, 0x80, 0xff] {
-                let mut padded = enc.clone();
-                padded.resize(enc.len() + 8, filler);
-                fast_at = 0;
-                assert_eq!(read_u64(&padded, &mut fast_at).unwrap(), slow, "{enc:x?}");
-            }
-            assert_eq!((fast_at, slow_at), (enc.len(), enc.len()), "{enc:x?}");
-        }
     }
 
     #[test]

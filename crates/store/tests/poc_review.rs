@@ -42,6 +42,7 @@ fn crafted_name_table_should_not_panic() {
     varint(&mut meta, 0); // n_events
     meta.push(0); // min_ts zigzag(0)
     meta.push(0); // max_ts
+    meta.push(0); // no window
 
     // PAGE_NAMES: one name "p", of rank 0.
     let mut pages = Vec::new();

@@ -1,6 +1,6 @@
 //! Property suite for the snapshot container: write → open is lossless
 //! (names keep their dense ids, events come back exactly, in the narrow row
-//! layout and the wide one), and arbitrarily damaged bytes — bit flips,
+//! layout and the wide one, and so does the recorded window), and arbitrarily damaged bytes — bit flips,
 //! truncations, forged headers, multi-byte mutations with the checksums
 //! repaired — always surface as typed [`StoreError`]s, never panics.
 
@@ -25,10 +25,18 @@ struct Input {
     authors: Vec<String>,
     pages: Vec<String>,
     events: Vec<(u32, u32, i64)>,
+    window: Option<(i64, i64)>,
+}
+
+/// No window one time in three; otherwise `0 ≤ d1 < d2`, up to a day.
+fn windows() -> impl Strategy<Value = Option<(i64, i64)>> {
+    (0u8..3, 0i64..3600, 1i64..86_400)
+        .prop_map(|(some, d1, len)| (some > 0).then_some((d1, d1 + len)))
 }
 
 fn inputs() -> impl Strategy<Value = Input> {
-    (names(16, "a"), names(12, "p"), 0u8..4).prop_flat_map(|(authors, pages, spread)| {
+    let tables = (names(16, "a"), names(12, "p"), 0u8..4, windows());
+    tables.prop_flat_map(|(authors, pages, spread, window)| {
         let (na, np) = (authors.len() as u32, pages.len() as u32);
         // one input in four spreads over all of `i64`, which takes wide rows
         let ts = match spread {
@@ -42,6 +50,7 @@ fn inputs() -> impl Strategy<Value = Input> {
                 authors: authors.clone(),
                 pages: pages.clone(),
                 events,
+                window,
             }
         })
     })
@@ -52,6 +61,9 @@ fn write(input: &Input) -> Vec<u8> {
     w.authors(input.authors.iter().map(String::as_str)).unwrap();
     w.pages(input.pages.iter().map(String::as_str)).unwrap();
     w.events(&input.events).expect("in-range events");
+    if let Some((d1, d2)) = input.window {
+        w.window(d1, d2).expect("a window");
+    }
     w.to_bytes().expect("serialize")
 }
 
@@ -77,12 +89,9 @@ fn sweep(snap: &Snapshot) {
     for name in snap.author_names().iter().chain(snap.page_names().iter()) {
         std::hint::black_box(name.len());
     }
-    if let Some(ci) = snap.ci_graph() {
-        for u in 0..ci.graph.n() {
-            for (v, w) in ci.graph.neighbors(u) {
-                std::hint::black_box((v, w));
-            }
-        }
+    // a reader builds its projection window from this without a check
+    if let Some((d1, d2)) = m.window {
+        assert!(0 <= d1 && d1 < d2, "window ({d1}, {d2}) opened");
     }
     std::hint::black_box(snap.describe());
 }
@@ -103,6 +112,7 @@ proptest! {
         }
         let got: Vec<(u32, u32, i64)> = snap.events().iter().collect();
         prop_assert_eq!(got, input.events);
+        prop_assert_eq!(snap.meta().window, input.window);
         sweep(&snap);
     }
 
@@ -294,8 +304,7 @@ fn multi_byte_mutations_never_panic_even_behind_the_checksum() {
         (2, 3, 300),
     ])
     .unwrap();
-    let ci = coordination_graph::CsrGraph::from_edges(4, vec![(0, 1, 2), (1, 2, 1), (0, 3, 5)]);
-    w.ci_graph(0, 60, &[2, 1, 1, 1], &ci).unwrap();
+    w.window(0, 60).unwrap();
     let image = w.to_bytes().unwrap();
 
     let mut rng = Rng(0x5eed_2021);
@@ -325,6 +334,7 @@ fn multi_byte_mutations_never_panic_even_behind_the_checksum() {
                 0
             }
             _ => {
+                // four entries, and slot 4: the first 28 bytes past them
                 let (i, j) = (16 + rng.below(5) * 28, 16 + rng.below(5) * 28);
                 for k in 0..28 {
                     bytes.swap(i + k, j + k);

@@ -22,7 +22,7 @@ use coordination::core::ingest::{self, IngestConfig, IngestStats};
 use coordination::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
 use coordination::core::records::{write_ndjson, Dataset};
 use coordination::core::snapshot::btm_from_snapshot;
-use coordination::core::{Btm, Window};
+use coordination::core::{Btm, CiGraph, Window};
 use coordination::redditgen::ScenarioConfig;
 
 /// Stage spans every batch run records — `report-validate` and the CI gate
@@ -82,7 +82,7 @@ fn usage() -> ExitCode {
          stream    --input FILE | --preset jan2020|oct2016|adv_* [--scale F=0.3]\n\
          \x20          [--d1 S=0] [--d2 S=60] [--cutoff N=25] [--t-score F=0]\n\
          \x20          [--horizon S] [--checkpoint N] [--speedup F] [--snapshot-out GRAPH.tsv]\n\
-         snapshot write   --input FILE --out FILE.snap [--with-ci [--d1 S=0] [--d2 S=60]]\n\
+         snapshot write   --input FILE --out FILE.snap [--d1 S=0] [--d2 S=60]\n\
          snapshot inspect --snapshot FILE.snap\n\
          report-validate --report FILE [--kind batch|stream|quality]\n\
          \n\
@@ -96,7 +96,8 @@ fn usage() -> ExitCode {
          `snapshot write` serializes an ingest to the columnar binary snapshot\n\
          format; stats/survey/hunt/validate/groups/refine then accept\n\
          --from-snapshot FILE.snap in place of --input and run over the\n\
-         memory-mapped columns (survey needs a --with-ci snapshot).\n\
+         memory-mapped columns (survey projects them under the window\n\
+         `snapshot write` recorded).\n\
          `report-validate` checks a --report file for the documented schema\n\
          version, stage spans, and counters (exit 2 on any gap); --kind\n\
          quality validates a BENCH_quality.json detection-quality report.\n\
@@ -148,7 +149,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "t-score",
     "top",
     "windowed",
-    "with-ci",
 ];
 
 /// Minimal `--flag value` / `--flag` parser.
@@ -469,20 +469,27 @@ fn cmd_stats(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_project(flags: &Flags) -> Result<(), String> {
-    let ds = load_dataset(flags)?;
-    let out_path = flags.get("out").ok_or("--out is required")?;
-    let w = window(flags)?;
-    let excl = coordination::core::filter::ExclusionList::reddit_defaults();
-    let btm = ds.btm_without(&excl.resolve(&ds));
+/// Step 1 as `project` and `survey --from-snapshot` run it: `btm` (built
+/// under the paper's standard bot exclusions) projected under `w`, with its
+/// size and time on stderr.
+fn project_logged(btm: &Btm, w: Window) -> CiGraph {
     let t0 = std::time::Instant::now();
-    let ci = coordination::core::project::project(&btm, w);
+    let ci = coordination::core::project::project(btm, w);
     eprintln!(
         "projected window {w}: {} edges, {} active authors in {:.2?}",
         ci.n_edges(),
         ci.active_authors(),
         t0.elapsed()
     );
+    ci
+}
+
+fn cmd_project(flags: &Flags) -> Result<(), String> {
+    let ds = load_dataset(flags)?;
+    let out_path = flags.get("out").ok_or("--out is required")?;
+    let w = window(flags)?;
+    let excl = coordination::core::filter::ExclusionList::reddit_defaults();
+    let ci = project_logged(&ds.btm_without(&excl.resolve(&ds)), w);
     let file = std::fs::File::create(out_path).map_err(|e| format!("create {out_path}: {e}"))?;
     ci.write_tsv(std::io::BufWriter::new(file))
         .map_err(|e| format!("write {out_path}: {e}"))?;
@@ -497,77 +504,36 @@ fn cmd_project(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// `survey --from-snapshot`: re-query an embedded, projected CI graph. The
-/// compressed adjacency is consumed in place — [`OrientedGraph::from_ref`]
-/// walks the block-decoded neighbor iterators straight off the mapping.
-fn survey_snapshot(flags: &Flags, path: &str) -> Result<(), String> {
+/// An author's name in `survey`'s output, by id.
+type Label = Box<dyn Fn(u32) -> String>;
+
+/// `survey --from-snapshot`: the mapped rows, after the paper's standard
+/// bot exclusions as `project` applies them, projected under the window
+/// `snapshot write` recorded, with the author names read off the mapping.
+fn project_snapshot(path: &str) -> Result<(CiGraph, Label), String> {
     let snap = open_snapshot(path)?;
-    let ci = snap.ci_graph().ok_or_else(|| {
-        format!("{path} has no embedded CI graph; write one with `snapshot write --with-ci`")
+    let (d1, d2) = snap.meta().window.ok_or_else(|| {
+        format!(
+            "{path} records no projection window; re-create it with `coordination snapshot write`"
+        )
     })?;
-    eprintln!(
-        "embedded CI graph: window ({}, {}), {} authors, {} edges",
-        ci.d1,
-        ci.d2,
-        ci.graph.n(),
-        coordination::core::GraphRef::count_edges(&ci.graph)
-    );
-    let cutoff: u64 = flags.num("cutoff", 10)?;
-    let min_t: f64 = flags.num("t-score", 0.0)?;
-    let top: Option<usize> = flags
-        .get("top")
-        .map(|v| v.parse().map_err(|_| "--top: bad value"))
-        .transpose()?;
-    let page_counts = ci.page_counts();
-    let oriented = coordination::tripoll::OrientedGraph::from_ref(&ci.graph);
-    let t0 = std::time::Instant::now();
-    let report = coordination::tripoll::survey::survey(
-        &oriented,
-        &coordination::tripoll::SurveyConfig {
-            min_edge_weight: cutoff,
-            min_t_score: min_t,
-            top_k: top,
-        },
-        Some(&page_counts),
-    );
-    eprintln!(
-        "surveyed {} triangles in {:.2?}; {} pass cutoff {cutoff}",
-        report.total_examined,
-        t0.elapsed(),
-        report.len()
-    );
-    let names = snap.author_names();
-    println!("a\tb\tc\tmin_w\tT");
-    for s in &report.triangles {
-        let [a, b, c] = s.triangle.vertices();
-        println!(
-            "{}\t{}\t{}\t{}\t{:.4}",
-            names.get(a),
-            names.get(b),
-            names.get(c),
-            s.min_weight,
-            s.t_score
-        );
-    }
-    Ok(())
+    let excl = coordination::core::filter::ExclusionList::reddit_defaults();
+    let btm = btm_from_snapshot(&snap, &excl.resolve_names(snap.author_names()));
+    let ci = project_logged(&btm, Window::new(d1, d2));
+    let label = move |id: u32| snap.author_names().get(id).to_string();
+    Ok((ci, Box::new(label)))
 }
 
-fn cmd_survey(flags: &Flags) -> Result<(), String> {
-    if let Some(path) = flags.get("from-snapshot") {
-        if flags.has("graph") {
-            return Err("use exactly one of --graph and --from-snapshot".to_string());
-        }
-        return survey_snapshot(flags, path);
-    }
-    let graph_path = flags.get("graph").ok_or("--graph is required")?;
+/// `survey --graph`: a `project --out` TSV, labelled by its `.names`
+/// sidecar if there is one and by author id otherwise.
+fn read_graph(graph_path: &str) -> Result<(CiGraph, Label), String> {
     let file = std::fs::File::open(graph_path).map_err(|e| format!("open {graph_path}: {e}"))?;
-    let ci = coordination::core::CiGraph::read_tsv(BufReader::new(file))?;
+    let ci = CiGraph::read_tsv(BufReader::new(file))?;
     eprintln!(
         "loaded CI graph: {} authors, {} edges",
         ci.n_authors(),
         ci.n_edges()
     );
-    // optional author-name sidecar
     let names: HashMap<u32, String> = std::fs::read_to_string(format!("{graph_path}.names"))
         .ok()
         .map(|text| {
@@ -579,8 +545,19 @@ fn cmd_survey(flags: &Flags) -> Result<(), String> {
                 .collect()
         })
         .unwrap_or_default();
-    let label = |id: u32| names.get(&id).cloned().unwrap_or_else(|| id.to_string());
+    let label = move |id: u32| names.get(&id).cloned().unwrap_or_else(|| id.to_string());
+    Ok((ci, Box::new(label)))
+}
 
+fn cmd_survey(flags: &Flags) -> Result<(), String> {
+    let (ci, label) = match (flags.get("from-snapshot"), flags.get("graph")) {
+        (Some(_), Some(_)) => {
+            return Err("use exactly one of --graph and --from-snapshot".to_string())
+        }
+        (Some(path), None) => project_snapshot(path)?,
+        (None, Some(path)) => read_graph(path)?,
+        (None, None) => return Err("--graph is required".to_string()),
+    };
     let cutoff: u64 = flags.num("cutoff", 10)?;
     let min_t: f64 = flags.num("t-score", 0.0)?;
     let top: Option<usize> = flags
@@ -899,34 +876,24 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// `snapshot write`: NDJSON ingest straight into the columnar
-/// binary snapshot format. `--with-ci` also projects under the `--d1/--d2`
-/// window and embeds the compressed CI graph for `survey --from-snapshot`.
+/// `snapshot write`: NDJSON ingest straight into the columnar binary
+/// snapshot format, recording the `--d1/--d2` window that
+/// `survey --from-snapshot` projects the rows under.
 fn cmd_snapshot_write(flags: &Flags) -> Result<(), String> {
     let (reader, in_path) = open_input(flags)?;
     let out = flags.get("out").ok_or("--out is required")?;
-    let project = if flags.has("with-ci") {
-        Some(window(flags)?)
-    } else {
-        None
-    };
+    let w = window(flags)?;
     let (summary, stats) = coordination::core::snapshot::ingest_to_snapshot(
         reader,
         &ingest_config(flags),
-        project,
+        w,
         std::path::Path::new(out),
     )
     .map_err(|e| format!("snapshot {in_path} -> {out}: {e}"))?;
     report_skipped(&stats);
     eprintln!(
-        "wrote {out}: {} events, {} bytes{}",
-        summary.n_events,
-        summary.bytes,
-        if summary.with_ci {
-            ", CI graph embedded"
-        } else {
-            ""
-        }
+        "wrote {out}: {} events, {} bytes, window {w}",
+        summary.n_events, summary.bytes
     );
     Ok(())
 }

@@ -214,7 +214,7 @@ fn snapshot_write_inspect_and_from_snapshot_paths() {
         .arg(&input)
         .args(["--out"])
         .arg(&snap)
-        .args(["--with-ci", "--d2", "60"])
+        .args(["--d2", "60"])
         .status()
         .expect("run snapshot write");
     assert!(status.success());
@@ -227,14 +227,14 @@ fn snapshot_write_inspect_and_from_snapshot_paths() {
         .expect("run snapshot inspect");
     assert!(inspect.status.success());
     let described = String::from_utf8_lossy(&inspect.stdout);
-    assert!(described.contains("snapshot v4"), "{described}");
+    assert!(described.contains("snapshot v5"), "{described}");
     assert!(
         described.contains("rows:    narrow, 8 B per comment"),
         "{described}"
     );
-    // META, both name tables, ROWS and the CI graph; nothing else
-    assert_eq!(described.matches("  section ").count(), 5, "{described}");
-    assert!(described.contains("section CI_GRAPH"), "{described}");
+    assert!(described.contains("window:  (0s, 60s)"), "{described}");
+    // META, both name tables and ROWS; nothing else
+    assert_eq!(described.matches("  section ").count(), 4, "{described}");
 
     // the acceptance bar: --from-snapshot output is byte-identical to the
     // resident --input path
@@ -254,18 +254,43 @@ fn snapshot_write_inspect_and_from_snapshot_paths() {
     assert!(!resident.stdout.is_empty());
     assert_eq!(resident.stdout, mapped.stdout, "paths diverged");
 
-    // survey over the embedded compressed CI graph agrees with validate's
-    // triangle count on the same window and cutoff
-    let surveyed = bin()
-        .args(["survey", "--from-snapshot"])
-        .arg(&snap)
-        .args(["--cutoff", "25"])
-        .output()
-        .expect("run survey --from-snapshot");
-    assert!(surveyed.status.success());
-    let survey_rows = String::from_utf8_lossy(&surveyed.stdout).lines().count() - 1;
-    let validate_rows = String::from_utf8_lossy(&resident.stdout).lines().count() - 1;
-    assert_eq!(survey_rows, validate_rows);
+    // survey re-projects the mapped rows under the window the file records:
+    // the same bytes as `project` then `survey --graph`, at either window
+    let snap_600 = dir.join("month600.snap");
+    let status = bin()
+        .args(["snapshot", "write", "--input"])
+        .arg(&input)
+        .arg("--out")
+        .arg(&snap_600)
+        .args(["--d1", "0", "--d2", "600"])
+        .status()
+        .expect("run snapshot write");
+    assert!(status.success());
+    let graph = dir.join("graph.tsv");
+    for (d2, snap) in [("60", &snap), ("600", &snap_600)] {
+        let status = bin()
+            .args(["project", "--input"])
+            .arg(&input)
+            .args(["--d2", d2, "--out"])
+            .arg(&graph)
+            .status()
+            .expect("run project");
+        assert!(status.success());
+        let survey = |door: &str, path: &PathBuf| {
+            let run = bin()
+                .args(["survey", door])
+                .arg(path)
+                .args(["--cutoff", "5"])
+                .output()
+                .expect("run survey");
+            assert!(run.status.success(), "survey {door} at d2 {d2}");
+            run.stdout
+        };
+        let want = survey("--graph", &graph);
+        assert!(String::from_utf8_lossy(&want).lines().count() > 10);
+        let got = survey("--from-snapshot", snap);
+        assert!(got == want, "survey --from-snapshot at d2 {d2} diverged");
+    }
 
     // the same month plus one comment 10^13 s later, by its own author on
     // its own page: stored wide, and still the same pipeline stdout
@@ -404,7 +429,7 @@ fn snapshot_inspect_rejects_damaged_and_future_files() {
         (&future, "unsupported snapshot schema version 99"),
         (
             &v1,
-            "unsupported snapshot schema version 1 (this build reads version 4); \
+            "unsupported snapshot schema version 1 (this build reads version 5); \
              re-create it with `coordination snapshot write`",
         ),
     ] {
@@ -416,6 +441,64 @@ fn snapshot_inspect_rejects_damaged_and_future_files() {
         assert_eq!(out.status.code(), Some(2), "{}", path.display());
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(needle), "{}: {stderr}", path.display());
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// `survey --from-snapshot` projects under the window a file records: a
+/// file that records none, or a forged window behind a repaired checksum,
+/// is a usage error (exit 2), never a panic.
+#[test]
+fn survey_from_snapshot_needs_a_recorded_window() {
+    use coordination::core::records::{CommentRecord, Dataset};
+    use coordination::core::snapshot::write_snapshot;
+    use coordination::core::store::snapshot::checksum;
+
+    let dir = tmpdir("snapshot-window");
+    let survey = |path: &PathBuf| {
+        let out = bin()
+            .args(["survey", "--from-snapshot"])
+            .arg(path)
+            .output()
+            .expect("run survey --from-snapshot");
+        assert_eq!(out.status.code(), Some(2), "{}", path.display());
+        assert!(out.stdout.is_empty(), "{}", path.display());
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    let recs = ["a", "b", "c"].map(|who| CommentRecord::new(who, "t3_p", 10));
+    let ds = Dataset::from_records(recs.to_vec());
+
+    let bare = dir.join("bare.snap");
+    write_snapshot(&ds, None, &bare).expect("write without a window");
+    let stderr = survey(&bare);
+    assert!(stderr.contains("records no projection window"), "{stderr}");
+    assert!(stderr.contains("snapshot write"), "{stderr}");
+
+    // `META` is the first section and ends in the presence byte 1 and the
+    // window's two one-byte zigzag varints: 0 and 120, for (0, 60)
+    let good = dir.join("good.snap");
+    write_snapshot(&ds, Some(coordination::core::Window::new(0, 60)), &good).expect("write");
+    let bytes = std::fs::read(&good).expect("read snapshot");
+    let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let (at, len) = (field(20), field(28));
+    assert_eq!(bytes[at + len - 3..at + len], [1, 0, 120]);
+    for (tail, what) in [
+        ([1, 1, 120], "window (-1, 60) breaks 0 <= d1 < d2"),
+        ([1, 120, 120], "window (60, 60) breaks 0 <= d1 < d2"),
+        ([1, 0, 0], "window (0, 0) breaks 0 <= d1 < d2"),
+        ([2, 0, 120], "META window presence byte 2"),
+    ] {
+        let mut forged = bytes.clone();
+        forged[at + len - 3..at + len].copy_from_slice(&tail);
+        let sum = checksum(&forged[at..at + len]);
+        forged[36..44].copy_from_slice(&sum.to_le_bytes());
+        let path = dir.join("forged.snap");
+        std::fs::write(&path, &forged).expect("write forged snapshot");
+        let stderr = survey(&path);
+        assert!(
+            stderr.contains(&format!("corrupt snapshot: {what}")),
+            "{what}: {stderr}"
+        );
     }
     std::fs::remove_dir_all(dir).ok();
 }
@@ -504,7 +587,7 @@ fn streamed_input_is_byte_identical_to_a_file() {
     let commands = [
         &["pipeline", "--d2", "60", "--cutoff", "25"][..],
         &["stream", "--cutoff", "8"],
-        &["snapshot", "write", "--with-ci", "--out", snap_path],
+        &["snapshot", "write", "--out", snap_path],
     ];
 
     for (input, lossy) in [(&clean, false), (&junky, true)] {

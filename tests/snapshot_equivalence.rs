@@ -1,7 +1,8 @@
 //! What a snapshot stores, read back: the rows of any events are the BTM of
 //! the definition, its event views tile them at every rank count, and a
-//! generated month keeps ingest's ids, the CI graph the writer projected and
-//! what the stream projector warm-starts from. (The pipelines over a
+//! generated month keeps ingest's ids, the window it was written with, the
+//! CI graph `survey --from-snapshot` projects and what the stream projector
+//! warm-starts from. (The pipelines over a
 //! snapshot are doors of the one matrix, `oracle.rs`.)
 
 mod definition;
@@ -14,7 +15,7 @@ use coordination::core::ids::Interner;
 use coordination::core::project::project;
 use coordination::core::records::{write_ndjson, Dataset};
 use coordination::core::snapshot::{
-    btm_from_snapshot, ci_from_snapshot, dataset_from_snapshot, ingest_to_snapshot, write_snapshot,
+    btm_from_snapshot, dataset_from_snapshot, ingest_to_snapshot, write_snapshot,
 };
 use coordination::core::store::Snapshot;
 use coordination::core::{AuthorId, Event, IngestConfig, PageId, Window};
@@ -99,15 +100,10 @@ fn snapshot_path_is_equivalent_end_to_end() {
 
     let file = TempSnap::new("snapshot-month");
     let window = Window::zero_to_60s();
-    let (summary, stats) = ingest_to_snapshot(
-        &ndjson[..],
-        &IngestConfig::default(),
-        Some(window),
-        file.path(),
-    )
-    .expect("ingest to snapshot");
+    let (summary, stats) =
+        ingest_to_snapshot(&ndjson[..], &IngestConfig::default(), window, file.path())
+            .expect("ingest to snapshot");
     assert_eq!(summary.n_events, stats.events);
-    assert!(summary.with_ci);
 
     let snap = Snapshot::open(file.path()).expect("open snapshot");
     let resident = coordination::core::ingest::ingest_slice(&ndjson, &IngestConfig::default())
@@ -121,12 +117,13 @@ fn snapshot_path_is_equivalent_end_to_end() {
         assert_eq!(back.authors.get(name), Some(id));
     }
 
-    // the embedded CI graph is the projection the writer ran, after the same
-    // bot exclusions as the pipeline
-    let excluded = ExclusionList::reddit_defaults().resolve(&resident);
-    let want = project(&resident.btm_without(&excluded), window);
-    let (w, ci) = ci_from_snapshot(&snap).expect("embedded CI graph");
-    assert_eq!(w, window);
+    // the file records its window, and its rows under the pipeline's bot
+    // exclusions project to the graph `project` builds from the NDJSON
+    assert_eq!(snap.meta().window, Some((window.d1(), window.d2())));
+    let excl = ExclusionList::reddit_defaults();
+    let want = project(&resident.btm_without(&excl.resolve(&resident)), window);
+    let mapped = btm_from_snapshot(&snap, &excl.resolve_names(snap.author_names()));
+    let ci = project(&mapped, window);
     let edges = |g: &coordination::core::CiGraph| {
         let mut edges: Vec<_> = g.edges().collect();
         edges.sort_unstable();
