@@ -41,7 +41,7 @@ pub enum StoreError {
     },
     /// Structurally invalid content inside a section that passed its
     /// checksum (or a writer-side invariant violation): out-of-range ids,
-    /// non-ascending ordering, varint overflow, missing mandatory sections.
+    /// non-ascending ordering, inconsistent lengths, missing mandatory sections.
     Corrupt {
         /// What was wrong, for the error message.
         what: String,

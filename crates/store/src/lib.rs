@@ -10,14 +10,15 @@
 //!   section directory), the [`SnapshotWriter`] builder, and the validating
 //!   [`Snapshot::open`] mmap reader whose accessors hand out borrowed views;
 //! * [`segment`] — sorted spill segments ([`SegmentWriter`](segment::SegmentWriter) /
-//!   [`SegmentReader`](segment::SegmentReader)): delta-varint key runs the memory-bounded shuffle
+//!   [`SegmentReader`](segment::SegmentReader)): raw sorted key runs the memory-bounded shuffle
 //!   (`ygm::runs`) evicts to disk and later k-way merges back, streaming;
-//! * [`varint`] — the LEB128 + zigzag framing of the metadata, name-table
-//!   and segment encodings;
 //! * [`mmap`] — read-only file mapping with an owned-buffer fallback, and the
 //!   one checked cast that borrows a file's `u64` row words in place;
 //! * [`err`] — the typed [`StoreError`]: corrupt or truncated input is
 //!   always an `Err`, never a panic.
+//!
+//! Both formats store every integer as a fixed-width little-endian field:
+//! there is one on-disk encoding, and no variable-length one.
 //!
 //! The id vocabulary is the canonical one from `coordination_graph::ids`
 //! (`AuthorId` / `PageId` / `Timestamp`) — snapshots store the same dense
@@ -35,7 +36,6 @@ pub mod err;
 pub mod mmap;
 pub mod segment;
 pub mod snapshot;
-pub mod varint;
 
 pub use err::StoreError;
 pub use snapshot::{NamesView, Snapshot, SnapshotWriter};

@@ -1,56 +1,61 @@
-//! Sorted spill segments: delta-varint key runs for the shuffle's
-//! out-of-core merge path.
+//! Sorted spill segments: raw key runs for the shuffle's out-of-core merge
+//! path.
 //!
 //! When a receive-side run stack (`ygm::runs`) exceeds its `--shuffle-budget`
 //! cap, the resident runs are k-way merged and streamed here as one sorted
 //! **segment**: a flat, non-decreasing sequence of packed shuffle keys (8-byte
-//! pairs/incidences or 16-byte events/edges), framed in `SEG_BLOCK`-key
-//! blocks — each block opens with its first key absolute, followed by
-//! non-negative deltas, so ascending dense keys cost a byte or two each.
-//! Duplicates are legal (a delta of zero): pair-occurrence multisets repeat
-//! keys by design.
+//! pairs/incidences or 16-byte events/edges), each stored as its
+//! little-endian bytes — the same fixed-width words a snapshot's `ROWS` holds.
+//! Duplicates are legal: pair-occurrence multisets repeat keys by design.
 //!
 //! Layout of a segment file:
 //!
 //! ```text
-//! magic    8 B   b"COORSEG1"
-//! width    u8    logical key width in bytes: 8 or 16
+//! magic    8 B   b"COORSEG2"
+//! width    u8    key width in bytes: 8 or 16
 //! count    u64 LE  number of keys
-//! paylen   u64 LE  payload length in bytes
+//! paylen   u64 LE  payload length in bytes, count × width
 //! sum      u64 LE  the snapshot sections' checksum of the payload bytes
-//! payload  ceil(count / SEG_BLOCK) blocks:
-//!            varint first key (absolute),
-//!            then (block_len - 1) × varint delta from predecessor
+//! payload  count keys, width bytes LE each, non-decreasing
 //! ```
 //!
-//! The writer streams: keys are encoded a block at a time, and each block is
+//! The writer streams: keys are gathered a chunk at a time, and each chunk is
 //! folded into a running sum (the streaming form of
-//! [`crate::snapshot::checksum`]) and written to a buffered file, so
-//! spilling never re-buffers the run it is evicting. The reader streams too
-//! — [`SegmentReader::next_block`] decodes one block at a time into a
-//! reusable buffer, which is what lets the final owner-side merge iterate
-//! spilled runs without ever holding one resident. Every malformed input
-//! (bad magic, truncation, varint overflow, keys out of order or out of
-//! width range, checksum mismatch) is a typed [`StoreError`], never a panic
-//! — the same contract as [`crate::Snapshot`].
+//! [`crate::snapshot::checksum`]) and written out, so spilling never
+//! re-buffers the run it is evicting. The reader streams too —
+//! [`SegmentReader::next_block`] decodes one chunk at a time into a reusable
+//! buffer, which is what lets the final owner-side merge iterate spilled runs
+//! without ever holding one resident. Every malformed input (bad magic,
+//! truncation, a length that is not `count × width`, keys out of order,
+//! checksum mismatch) is a typed [`StoreError`], never a panic — the same
+//! contract as [`crate::Snapshot`].
 
 use std::fs::File;
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::err::StoreError;
 use crate::snapshot::Checksum;
-use crate::varint;
 
 /// Magic prefix of every segment file.
-pub(crate) const SEG_MAGIC: [u8; 8] = *b"COORSEG1";
-
-/// Keys per block: big enough to amortize decode dispatch, small enough for a stack-friendly
-/// reusable buffer.
-pub(crate) const SEG_BLOCK: usize = 128;
+pub(crate) const SEG_MAGIC: [u8; 8] = *b"COORSEG2";
 
 /// Fixed header size: magic + width + count + paylen + sum.
 const HEADER_LEN: usize = 8 + 1 + 8 + 8 + 8;
+
+/// Payload bytes written or read per syscall: large enough that the per-key
+/// cost is a copy, small enough to stay cache-resident.
+const SEG_CHUNK: usize = 64 << 10;
+
+/// A key width other than 8 or 16 bytes is [`StoreError::Corrupt`].
+fn check_width(width: u8) -> Result<(), StoreError> {
+    if width == 8 || width == 16 {
+        return Ok(());
+    }
+    Err(StoreError::corrupt(format!(
+        "segment key width must be 8 or 16, got {width}"
+    )))
+}
 
 /// What a finished segment holds — the writer's receipt, used by the spill
 /// machinery to account `shuffle.spilled_bytes`.
@@ -58,7 +63,7 @@ const HEADER_LEN: usize = 8 + 1 + 8 + 8 + 8;
 pub struct SegmentStats {
     /// Keys written.
     pub keys: u64,
-    /// Encoded payload bytes on disk (header excluded).
+    /// Payload bytes on disk (header excluded).
     pub payload_bytes: u64,
 }
 
@@ -68,37 +73,30 @@ pub struct SegmentStats {
 /// violations are [`StoreError::Corrupt`] at push time (a writer-side
 /// invariant breach, caught before it can poison a file).
 pub struct SegmentWriter {
-    out: BufWriter<File>,
+    out: File,
     width: u8,
     count: u64,
-    payload_len: u64,
     sum: Checksum,
     prev: u128,
-    /// The current block's encoded keys.
-    block: Vec<u8>,
+    /// Keys encoded but not yet written.
+    chunk: Vec<u8>,
 }
 
 impl SegmentWriter {
     /// Create a segment file at `path` for keys of `width` bytes (8 or 16).
     /// An existing file is truncated.
     pub fn create(path: &Path, width: u8) -> Result<Self, StoreError> {
-        if width != 8 && width != 16 {
-            return Err(StoreError::corrupt(format!(
-                "segment key width must be 8 or 16, got {width}"
-            )));
-        }
-        let file = File::create(path)?;
-        let mut out = BufWriter::new(file);
+        check_width(width)?;
+        let mut out = File::create(path)?;
         // Placeholder header; finish() seeks back and fills in the totals.
         out.write_all(&[0u8; HEADER_LEN])?;
         Ok(SegmentWriter {
             out,
             width,
             count: 0,
-            payload_len: 0,
             sum: Checksum::new(),
             prev: 0,
-            block: Vec::new(),
+            chunk: Vec::new(),
         })
     }
 
@@ -112,76 +110,63 @@ impl SegmentWriter {
                 "segment keys pushed out of sorted order",
             ));
         }
-        if self.count.is_multiple_of(SEG_BLOCK as u64) {
-            self.flush_block()?;
-            varint::write_u128(&mut self.block, key);
-        } else {
-            varint::write_u128(&mut self.block, key - self.prev);
-        }
+        self.chunk
+            .extend_from_slice(&key.to_le_bytes()[..usize::from(self.width)]);
         self.prev = key;
         self.count += 1;
+        if self.chunk.len() >= SEG_CHUNK {
+            self.flush_chunk()?;
+        }
         Ok(())
     }
 
-    /// Sum and write the encoded block.
-    fn flush_block(&mut self) -> Result<(), StoreError> {
-        self.sum.update(&self.block);
-        self.payload_len += self.block.len() as u64;
-        self.out.write_all(&self.block)?;
-        self.block.clear();
+    /// Sum and write the encoded keys.
+    fn flush_chunk(&mut self) -> Result<(), StoreError> {
+        self.sum.update(&self.chunk);
+        self.out.write_all(&self.chunk)?;
+        self.chunk.clear();
         Ok(())
     }
 
-    /// Flush, patch the header with the final totals, and sync lengths.
+    /// Flush and patch the header with the final totals.
     pub fn finish(mut self) -> Result<SegmentStats, StoreError> {
-        self.flush_block()?;
-        let mut file = self
-            .out
-            .into_inner()
-            .map_err(|e| StoreError::Io(e.into_error()))?;
+        self.flush_chunk()?;
+        let payload_len = self.count * u64::from(self.width);
         let mut header = Vec::with_capacity(HEADER_LEN);
         header.extend_from_slice(&SEG_MAGIC);
         header.push(self.width);
         header.extend_from_slice(&self.count.to_le_bytes());
-        header.extend_from_slice(&self.payload_len.to_le_bytes());
+        header.extend_from_slice(&payload_len.to_le_bytes());
         header.extend_from_slice(&self.sum.finish().to_le_bytes());
-        file.seek(SeekFrom::Start(0))?;
-        file.write_all(&header)?;
-        file.flush()?;
+        self.out.seek(SeekFrom::Start(0))?;
+        self.out.write_all(&header)?;
         Ok(SegmentStats {
             keys: self.count,
-            payload_bytes: self.payload_len,
+            payload_bytes: payload_len,
         })
     }
 }
 
-/// Payload bytes fetched per read syscall: large enough that the per-key cost
-/// is slice indexing, small enough to stay cache-resident.
-const SEG_CHUNK: usize = 64 << 10;
-
 /// Streaming reader over one segment: header validated at open, payload
-/// decoded block-at-a-time with a running checksum that is verified once the
-/// last block is out. Memory is one chunk + one block buffer, regardless of
-/// segment size. The checksum runs over each fetched chunk in bulk — byte-at-
-/// a-time hashing in the varint loop dominated the out-of-core merge's wall.
+/// decoded a chunk at a time with a running checksum that is verified once
+/// the last key is out. Memory is one chunk and its decoded keys, regardless
+/// of segment size.
 pub struct SegmentReader {
     input: File,
     width: u8,
     count: u64,
-    payload_len: u64,
     declared_sum: u64,
     sum: Checksum,
-    bytes_read: u64,
     keys_read: u64,
     prev: u128,
     block: Vec<u128>,
     chunk: Vec<u8>,
-    chunk_pos: usize,
 }
 
 impl SegmentReader {
     /// Open and validate a segment header. The payload's declared length must
-    /// account for the file exactly; content is validated as it streams.
+    /// be `count × width` and account for the file exactly; content is
+    /// validated as it streams.
     pub fn open(path: &Path) -> Result<Self, StoreError> {
         let mut input = File::open(path)?;
         let file_len = input.metadata()?.len();
@@ -200,14 +185,14 @@ impl SegmentReader {
             return Err(StoreError::BadMagic { found });
         }
         let width = header[8];
-        if width != 8 && width != 16 {
+        check_width(width)?;
+        let field = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+        let (count, payload_len, declared_sum) = (field(9), field(17), field(25));
+        if count.checked_mul(u64::from(width)) != Some(payload_len) {
             return Err(StoreError::corrupt(format!(
-                "segment key width must be 8 or 16, got {width}"
+                "segment declares {count} keys of {width} bytes in {payload_len} payload bytes"
             )));
         }
-        let count = u64::from_le_bytes(header[9..17].try_into().expect("8-byte slot"));
-        let payload_len = u64::from_le_bytes(header[17..25].try_into().expect("8-byte slot"));
-        let declared_sum = u64::from_le_bytes(header[25..33].try_into().expect("8-byte slot"));
         let need = HEADER_LEN as u64 + payload_len;
         if file_len < need {
             return Err(StoreError::Truncated {
@@ -222,141 +207,56 @@ impl SegmentReader {
                 file_len - need
             )));
         }
-        if count == 0 && payload_len != 0 {
-            return Err(StoreError::corrupt("empty segment declares payload bytes"));
-        }
         Ok(SegmentReader {
             input,
             width,
             count,
-            payload_len,
             declared_sum,
             sum: Checksum::new(),
-            bytes_read: 0,
             keys_read: 0,
             prev: 0,
-            block: Vec::with_capacity(SEG_BLOCK),
+            block: Vec::new(),
             chunk: Vec::new(),
-            chunk_pos: 0,
         })
     }
 
-    /// Logical key width in bytes (8 or 16).
+    /// Key width in bytes (8 or 16).
     pub fn width(&self) -> u8 {
         self.width
     }
 
-    /// Serve the next payload byte from the chunk buffer, refilling (and
-    /// bulk-hashing the refill) when it runs dry. The open-time file-length
-    /// check guarantees every fetched byte is payload.
-    #[inline]
-    fn next_byte(&mut self) -> Result<u8, StoreError> {
-        if self.bytes_read >= self.payload_len {
-            return Err(StoreError::Truncated {
-                what: "segment varint",
-                need: self.bytes_read + 1,
-                have: self.payload_len,
-            });
-        }
-        if self.chunk_pos == self.chunk.len() {
-            let want = (self.payload_len - self.bytes_read).min(SEG_CHUNK as u64) as usize;
-            self.chunk.resize(want, 0);
-            self.input.read_exact(&mut self.chunk)?;
-            self.sum.update(&self.chunk);
-            self.chunk_pos = 0;
-        }
-        let b = self.chunk[self.chunk_pos];
-        self.chunk_pos += 1;
-        self.bytes_read += 1;
-        Ok(b)
-    }
-
-    /// Decode one varint. The 1–2 byte case (almost every delta in a dense
-    /// sorted run) decodes straight off the chunk slice; everything else
-    /// falls back to the byte loop. Chunk bytes are payload by construction,
-    /// so the fast path needs no length accounting beyond the cursor bump.
-    #[inline]
-    fn read_varint(&mut self) -> Result<u128, StoreError> {
-        if self.chunk.len() - self.chunk_pos >= 2 {
-            let b0 = self.chunk[self.chunk_pos];
-            if b0 < 0x80 {
-                self.chunk_pos += 1;
-                self.bytes_read += 1;
-                return Ok(u128::from(b0));
-            }
-            let b1 = self.chunk[self.chunk_pos + 1];
-            if b1 < 0x80 {
-                self.chunk_pos += 2;
-                self.bytes_read += 2;
-                return Ok(u128::from(b0 & 0x7f) | (u128::from(b1) << 7));
-            }
-        }
-        self.read_varint_slow()
-    }
-
-    fn read_varint_slow(&mut self) -> Result<u128, StoreError> {
-        let mut v: u128 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.next_byte()?;
-            if shift == 126 && byte > 3 {
-                return Err(StoreError::corrupt("segment varint overflows u128"));
-            }
-            v |= u128::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-            if shift > 126 {
-                return Err(StoreError::corrupt("segment varint longer than 19 bytes"));
-            }
-        }
-    }
-
-    /// Decode the next block of keys into the internal buffer and return it.
-    /// An empty slice means the segment is exhausted — at that point the
-    /// payload length and checksum have been verified. Errors are sticky in
-    /// practice: callers stop at the first `Err`.
+    /// Read and decode the next chunk of keys into the internal buffer and
+    /// return it. An empty slice means the segment is exhausted — at that
+    /// point the checksum has been verified. Errors are sticky in practice:
+    /// callers stop at the first `Err`.
     pub fn next_block(&mut self) -> Result<&[u128], StoreError> {
         self.block.clear();
-        if self.keys_read == self.count {
-            if self.bytes_read != self.payload_len {
-                return Err(StoreError::corrupt(format!(
-                    "segment has {} payload bytes past the last key",
-                    self.payload_len - self.bytes_read
-                )));
-            }
+        let width = usize::from(self.width);
+        let left = self.count - self.keys_read;
+        if left == 0 {
             if self.sum.finish() != self.declared_sum {
                 return Err(StoreError::ChecksumMismatch { section: "segment" });
             }
             return Ok(&self.block);
         }
-        let take = (self.count - self.keys_read).min(SEG_BLOCK as u64) as usize;
-        let max_key = if self.width == 8 {
-            u128::from(u64::MAX)
-        } else {
-            u128::MAX
-        };
-        for k in 0..take {
-            let v = self.read_varint()?;
-            let key = if k == 0 {
-                // Block-leading absolute key; still must not run backwards.
-                if self.keys_read > 0 && v < self.prev {
-                    return Err(StoreError::corrupt("segment block leader out of order"));
-                }
-                v
-            } else {
-                self.prev
-                    .checked_add(v)
-                    .ok_or_else(|| StoreError::corrupt("segment delta overflows key space"))?
-            };
-            if key > max_key {
-                return Err(StoreError::corrupt("segment key overflows declared width"));
+        // open proved the file holds `count × width` payload bytes
+        let take = left.min((SEG_CHUNK / width) as u64) as usize;
+        self.chunk.resize(take * width, 0);
+        self.input.read_exact(&mut self.chunk)?;
+        self.sum.update(&self.chunk);
+        let mut prev = self.prev;
+        for raw in self.chunk.chunks_exact(width) {
+            let mut word = [0u8; 16];
+            word[..width].copy_from_slice(raw);
+            let key = u128::from_le_bytes(word);
+            if key < prev {
+                return Err(StoreError::corrupt("segment keys out of order"));
             }
-            self.prev = key;
-            self.keys_read += 1;
+            prev = key;
             self.block.push(key);
         }
+        self.prev = prev;
+        self.keys_read += take as u64;
         Ok(&self.block)
     }
 }
@@ -397,14 +297,15 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_with_duplicates_across_blocks() {
+    fn roundtrip_with_duplicates_across_chunks() {
         let path = tmp("roundtrip");
-        let mut keys: Vec<u128> = (0..1000u128).map(|i| i * 3).collect();
-        keys.extend(std::iter::repeat_n(3000u128, 10)); // duplicates
+        // 80 KB of keys: two chunks
+        let mut keys: Vec<u128> = (0..10_000u128).map(|i| i * 3).collect();
+        keys.extend(std::iter::repeat_n(30_000u128, 10)); // duplicates
         keys.sort_unstable();
         let stats = write_keys(&path, 8, &keys);
         assert_eq!(stats.keys, keys.len() as u64);
-        assert!(stats.payload_bytes > 0);
+        assert_eq!(stats.payload_bytes, 8 * keys.len() as u64);
         assert_eq!(read_all(&path).unwrap(), keys);
         std::fs::remove_file(&path).ok();
     }
@@ -550,14 +451,43 @@ mod tests {
         );
     }
 
+    /// Any other magic, the delta-varint `COORSEG1` layout's included, has no
+    /// reader.
     #[test]
     fn bad_magic_is_typed() {
         let path = tmp("magic");
-        std::fs::write(&path, b"NOTASEGMENTFILE!....................").unwrap();
-        assert!(matches!(
-            SegmentReader::open(&path),
-            Err(StoreError::BadMagic { .. })
-        ));
+        write_keys(&path, 8, &[5, 6]);
+        let mut bytes = std::fs::read(&path).unwrap();
+        for magic in [b"NOTASEGM", b"COORSEG1"] {
+            bytes[..8].copy_from_slice(magic);
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(matches!(
+                SegmentReader::open(&path),
+                Err(StoreError::BadMagic { found }) if &found == magic
+            ));
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A header whose count and width do not multiply to its payload length
+    /// is corrupt, even when the file's length agrees with that payload.
+    #[test]
+    fn count_times_width_must_be_the_payload_length() {
+        let path = tmp("count");
+        write_keys(&path, 16, &[1, 2, 3]);
+        let image = std::fs::read(&path).unwrap();
+        for (count, width) in [(2u64, 16u8), (4, 16), (5, 8), (u64::MAX / 8, 16)] {
+            let mut bytes = image.clone();
+            bytes[8] = width;
+            bytes[9..17].copy_from_slice(&count.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            match SegmentReader::open(&path) {
+                Err(StoreError::Corrupt { what }) => {
+                    assert!(what.contains("payload bytes"), "{what}")
+                }
+                other => panic!("{count} x {width}: expected Corrupt, got {:?}", other.err()),
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 

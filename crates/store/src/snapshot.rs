@@ -1,7 +1,7 @@
 //! The snapshot container: magic, version, checksummed section directory,
 //! and the columnar sections themselves.
 //!
-//! ## File layout (version 5)
+//! ## File layout (version 6)
 //!
 //! ```text
 //! [0..8)    magic  b"COORSNAP"
@@ -16,13 +16,13 @@
 //! overlap the directory or each other, and together they cover the rest of
 //! the file.
 //!
-//! * `META` — n_authors, n_pages, n_events, min/max timestamp (varints),
-//!   then the projection window: a presence byte, 0 or 1, and after a 1 the
-//!   window's `d1` and `d2` (varints, `0 ≤ d1 < d2`).
-//! * `AUTHOR_NAMES` / `PAGE_NAMES` — interner string tables: count, byte
-//!   length, the names in strictly increasing byte order as a fixed-width
-//!   `u32` end-offset table and their concatenated UTF-8 bytes, then one
-//!   `u32` rank per dense id (id `i`'s name is sorted entry `rank[i]`).
+//! * `META` — n_authors `u32`, n_pages `u32`, n_events `u64`, min/max
+//!   timestamp `i64`, then the projection window: a presence byte, 0 or 1,
+//!   and after a 1 the window's `d1` and `d2` (`i64`, `0 ≤ d1 < d2`).
+//! * `AUTHOR_NAMES` / `PAGE_NAMES` — interner string tables: count `u32`,
+//!   byte length `u64`, the names in strictly increasing byte order as a
+//!   fixed-width `u32` end-offset table and their concatenated UTF-8 bytes,
+//!   then one `u32` rank per dense id (id `i`'s name is sorted entry `rank[i]`).
 //!   Sorted names prove uniqueness neighbour by neighbour; fixed-width ends
 //!   and ranks make `name(id)` three loads.
 //! * `ROWS` — the BTM's page side exactly as `PageRows` holds it, so readers
@@ -30,7 +30,9 @@
 //!   n_events), `pad` zero bytes up to an 8-aligned file offset, `n_pages +
 //!   1` `u64` row offsets, then the rows end to end, each in `(ts, author)`
 //!   order — narrow (layout 1): one `(ts − t0) << 32 | author` word per
-//!   comment; wide (layout 2, `t0` 0): `ts`, then the author. All LE words.
+//!   comment; wide (layout 2, `t0` 0): `ts`, then the author.
+//!
+//! Every integer in the file is a fixed-width little-endian field.
 //!
 //! [`Snapshot::open`] maps the file and validates *everything* up front —
 //! magic, version, directory bounds, per-section checksums, and a full
@@ -45,14 +47,13 @@ use std::sync::Arc;
 
 use crate::err::StoreError;
 use crate::mmap::{self, Bytes, Words};
-use crate::varint;
 
 /// First eight bytes of every snapshot.
 pub const MAGIC: [u8; 8] = *b"COORSNAP";
 
 /// The single schema version this build reads and writes. Bump on any
 /// layout change; readers must refuse versions they do not speak.
-pub const VERSION: u32 = 5;
+pub const VERSION: u32 = 6;
 
 mod kind {
     pub(crate) const META: u32 = 1;
@@ -80,6 +81,16 @@ const NARROW: u32 = 1;
 const WIDE: u32 = 2;
 /// Bytes of the `ROWS` header, before its padding.
 const ROWS_HEADER: usize = 32;
+/// Bytes of `META` up to and including its window presence byte.
+const META_HEAD: usize = 4 + 4 + 8 + 8 + 8 + 1;
+/// Bytes of a name table's header: count `u32`, byte length `u64`.
+const NAMES_HEADER: usize = 4 + 8;
+
+/// The little-endian `u64` at `bytes[at..at + 8]`.
+#[inline]
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+}
 
 const K: u64 = 0x9e37_79b9_7f4a_7c15;
 
@@ -215,16 +226,16 @@ fn check_window((d1, d2): (i64, i64)) -> Result<(), StoreError> {
 impl SnapshotMeta {
     /// The `META` section's bytes.
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        varint::write_u64(&mut out, u64::from(self.n_authors));
-        varint::write_u64(&mut out, u64::from(self.n_pages));
-        varint::write_u64(&mut out, self.n_events);
-        varint::write_i64(&mut out, self.min_ts);
-        varint::write_i64(&mut out, self.max_ts);
+        let mut out = Vec::with_capacity(META_HEAD + 16);
+        out.extend_from_slice(&self.n_authors.to_le_bytes());
+        out.extend_from_slice(&self.n_pages.to_le_bytes());
+        out.extend_from_slice(&self.n_events.to_le_bytes());
+        out.extend_from_slice(&self.min_ts.to_le_bytes());
+        out.extend_from_slice(&self.max_ts.to_le_bytes());
         out.push(u8::from(self.window.is_some()));
         if let Some((d1, d2)) = self.window {
-            varint::write_i64(&mut out, d1);
-            varint::write_i64(&mut out, d2);
+            out.extend_from_slice(&d1.to_le_bytes());
+            out.extend_from_slice(&d2.to_le_bytes());
         }
         out
     }
@@ -232,37 +243,36 @@ impl SnapshotMeta {
     /// Read a `META` section, all of it: a presence byte other than 0 or 1,
     /// a window that is not one, or a byte after it is corrupt.
     fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
-        let mut pos = 0;
+        let short = |need: usize| StoreError::Truncated {
+            what: "META",
+            need: need as u64,
+            have: bytes.len() as u64,
+        };
+        let head = bytes.get(..META_HEAD).ok_or_else(|| short(META_HEAD))?;
         let mut meta = SnapshotMeta {
-            n_authors: varint::read_u32(bytes, &mut pos)?,
-            n_pages: varint::read_u32(bytes, &mut pos)?,
-            n_events: varint::read_u64(bytes, &mut pos)?,
-            min_ts: varint::read_i64(bytes, &mut pos)?,
-            max_ts: varint::read_i64(bytes, &mut pos)?,
+            n_authors: u32_at(head, 0),
+            n_pages: u32_at(head, 1),
+            n_events: u64_at(head, 8),
+            min_ts: u64_at(head, 16) as i64,
+            max_ts: u64_at(head, 24) as i64,
             window: None,
         };
-        let present = *bytes.get(pos).ok_or(StoreError::Truncated {
-            what: "META window",
-            need: pos as u64 + 1,
-            have: bytes.len() as u64,
-        })?;
-        pos += 1;
-        match present {
-            0 => {}
+        let len = match head[META_HEAD - 1] {
+            0 => META_HEAD,
             1 => {
-                let window = (
-                    varint::read_i64(bytes, &mut pos)?,
-                    varint::read_i64(bytes, &mut pos)?,
-                );
+                let end = META_HEAD + 16;
+                let window = bytes.get(META_HEAD..end).ok_or_else(|| short(end))?;
+                let window = (u64_at(window, 0) as i64, u64_at(window, 8) as i64);
                 check_window(window)?;
                 meta.window = Some(window);
+                end
             }
             b => {
                 let what = format!("META window presence byte {b}");
                 return Err(StoreError::corrupt(what));
             }
-        }
-        if pos != bytes.len() {
+        };
+        if bytes.len() != len {
             return Err(StoreError::corrupt("META has trailing bytes"));
         }
         Ok(meta)
@@ -445,9 +455,9 @@ fn encode_names<'a>(
         ends.extend_from_slice(&end.to_le_bytes());
         ranks[id as usize] = rank as u32;
     }
-    let mut out = Vec::with_capacity(bytes.len() + 2 * ends.len() + 10);
-    varint::write_u64(&mut out, u64::from(count));
-    varint::write_u64(&mut out, bytes.len() as u64);
+    let mut out = Vec::with_capacity(NAMES_HEADER + 2 * ends.len() + bytes.len());
+    out.extend_from_slice(&count.to_le_bytes());
+    out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
     out.extend_from_slice(&ends);
     out.extend_from_slice(&bytes);
     ranks
@@ -779,7 +789,7 @@ impl Snapshot {
         let mut sections: Vec<Section> = Vec::with_capacity(n_sections as usize);
         let mut covered = dir_end;
         for at in (16..dir_end as usize).step_by(28) {
-            let word = |at| u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"));
+            let word = |at| u64_at(data, at);
             let k = u32::from_le_bytes(data[at..at + 4].try_into().expect("4 bytes"));
             let (offset, len, sum) = (word(at + 4), word(at + 12), word(at + 20));
             if !kind::ALL.contains(&k) {
@@ -963,25 +973,30 @@ fn u32_at(column: &[u8], i: usize) -> u32 {
 
 impl<'a> NamesView<'a> {
     fn parse(section: &'a [u8]) -> Result<Self, StoreError> {
-        let mut pos = 0;
-        let count = varint::read_u32(section, &mut pos)?;
-        let total = varint::read_u64(section, &mut pos)?;
+        let have = section.len() as u64;
+        let head = section.get(..NAMES_HEADER).ok_or(StoreError::Truncated {
+            what: "name table header",
+            need: NAMES_HEADER as u64,
+            have,
+        })?;
+        let count = u32_at(head, 0);
+        let total = u64_at(head, 4);
         // ≤ 2^34 each, so only adding `total` can overflow
         let column = 4 * u64::from(count);
-        let need = (pos as u64 + 2 * column)
+        let need = (NAMES_HEADER as u64 + 2 * column)
             .checked_add(total)
             .ok_or_else(|| StoreError::corrupt("name table size overflows"))?;
-        if (section.len() as u64) < need {
+        if have < need {
             return Err(StoreError::Truncated {
                 what: "name table",
                 need,
-                have: section.len() as u64,
+                have,
             });
         }
-        if section.len() as u64 != need {
+        if have != need {
             return Err(StoreError::corrupt("name table has trailing bytes"));
         }
-        let (ends, rest) = section[pos..].split_at(column as usize);
+        let (ends, rest) = section[NAMES_HEADER..].split_at(column as usize);
         let (bytes, ranks) = rest.split_at(total as usize);
         Ok(NamesView {
             count,
@@ -1346,14 +1361,14 @@ mod tests {
             Err(StoreError::BadMagic { .. })
         ));
 
-        // v3, whose name tables were in id order, and v4, whose `META` had no
-        // window, have no reader either
-        for version in [3u32, 4, 99] {
+        // v3, whose name tables were in id order, v4, whose `META` had no
+        // window, and v5, whose `META` was varints, have no reader either
+        for version in [3u32, 4, 5, 99] {
             let mut bytes = sample();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             match Snapshot::from_bytes(bytes) {
                 Err(StoreError::UnsupportedVersion { found, supported }) => {
-                    assert_eq!((found, supported), (version, 5));
+                    assert_eq!((found, supported), (version, 6));
                 }
                 Err(other) => panic!("expected UnsupportedVersion, got {other:?}"),
                 Ok(_) => panic!("version {version} must not open"),
@@ -1635,7 +1650,11 @@ mod tests {
         reseal(&mut bytes);
         assert!(matches!(
             Snapshot::from_bytes(bytes),
-            Err(StoreError::Truncated { what: "varint", .. })
+            Err(StoreError::Truncated {
+                what: "META",
+                need: 49,
+                have: 33
+            })
         ));
     }
 
@@ -1690,9 +1709,8 @@ mod tests {
     /// `names` and `ranks` as given — checksums written over the forgery,
     /// so only the name clause can object.
     fn forged_names(k: u32, names: [&[u8]; 3], ranks: [u32; 3]) -> Result<Snapshot, StoreError> {
-        let mut section = Vec::new();
-        varint::write_u64(&mut section, 3);
-        varint::write_u64(&mut section, names.concat().len() as u64);
+        let mut section = 3u32.to_le_bytes().to_vec();
+        section.extend_from_slice(&(names.concat().len() as u64).to_le_bytes());
         let mut end = 0;
         for name in names {
             end += name.len() as u32;

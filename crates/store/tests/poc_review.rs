@@ -5,49 +5,34 @@
 use coordination_store::snapshot::checksum;
 use coordination_store::{Snapshot, MAGIC, VERSION};
 
-fn varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
 #[test]
 fn crafted_name_table_should_not_panic() {
     // AUTHOR_NAMES: count = 2^30 (end offsets and ranks 2^32 bytes each),
-    // total chosen so that pos + both columns + total wraps mod 2^64 to
+    // total chosen so that the header + both columns + total wraps mod 2^64 to
     // exactly section.len().
-    let count: u64 = 1 << 30;
-    let ends_len: u64 = 2 * count * 4;
-    let mut names = Vec::new();
-    varint(&mut names, count);
-    let header_guess = names.len() + 10; // total will encode as 10 bytes
-    let section_len: u64 = (header_guess + 64) as u64;
+    let count: u32 = 1 << 30;
+    let ends_len: u64 = 2 * u64::from(count) * 4;
+    let names_header = 4 + 8; // count u32, total u64
+    let section_len: u64 = names_header + 64;
     let total = section_len
-        .wrapping_sub(header_guess as u64)
+        .wrapping_sub(names_header)
         .wrapping_sub(ends_len);
-    varint(&mut names, total);
-    assert_eq!(names.len(), header_guess, "varint sizing assumption");
+    let mut names = count.to_le_bytes().to_vec();
+    names.extend_from_slice(&total.to_le_bytes());
     names.resize(section_len as usize, 0);
 
     // META: n_authors irrelevant (cross-check happens after the panic site).
     let mut meta = Vec::new();
-    varint(&mut meta, 1); // n_authors
-    varint(&mut meta, 1); // n_pages
-    varint(&mut meta, 0); // n_events
-    meta.push(0); // min_ts zigzag(0)
-    meta.push(0); // max_ts
+    meta.extend_from_slice(&1u32.to_le_bytes()); // n_authors
+    meta.extend_from_slice(&1u32.to_le_bytes()); // n_pages
+    meta.extend_from_slice(&0u64.to_le_bytes()); // n_events
+    meta.extend_from_slice(&0i64.to_le_bytes()); // min_ts
+    meta.extend_from_slice(&0i64.to_le_bytes()); // max_ts
     meta.push(0); // no window
 
     // PAGE_NAMES: one name "p", of rank 0.
-    let mut pages = Vec::new();
-    varint(&mut pages, 1);
-    varint(&mut pages, 1);
+    let mut pages = 1u32.to_le_bytes().to_vec();
+    pages.extend_from_slice(&1u64.to_le_bytes());
     pages.extend_from_slice(&1u32.to_le_bytes());
     pages.push(b'p');
     pages.extend_from_slice(&0u32.to_le_bytes());

@@ -232,8 +232,8 @@ fn repair(bytes: &mut [u8], at: usize, grew: i64) {
 }
 
 /// Name table `k`'s section in `image`: where it lies, its names in stored
-/// (byte) order and its ranks. Every table here has under 128 names and
-/// bytes, so both of its leading varints are one byte.
+/// (byte) order and its ranks, past its 12-byte header (count `u32`, byte
+/// length `u64`).
 fn name_table(image: &[u8], k: u32) -> (std::ops::Range<usize>, Vec<Vec<u8>>, Vec<u32>) {
     let n = u32::from_le_bytes(image[12..16].try_into().unwrap()) as usize;
     let field = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
@@ -243,7 +243,7 @@ fn name_table(image: &[u8], k: u32) -> (std::ops::Range<usize>, Vec<Vec<u8>>, Ve
         .unwrap();
     let (at, len) = (field(entry + 4), field(entry + 12));
     let section = &image[at..at + len];
-    let count = section[0] as usize;
+    let count = u32::from_le_bytes(section[..4].try_into().unwrap()) as usize;
     let u32s = |from: usize| -> Vec<u32> {
         let column = &section[from..from + 4 * count];
         column
@@ -251,8 +251,8 @@ fn name_table(image: &[u8], k: u32) -> (std::ops::Range<usize>, Vec<Vec<u8>>, Ve
             .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
             .collect()
     };
-    let ends = u32s(2);
-    let bytes = &section[2 + 4 * count..];
+    let ends = u32s(12);
+    let bytes = &section[12 + 4 * count..];
     let mut lo = 0;
     let names = ends
         .iter()
@@ -268,7 +268,8 @@ fn name_table(image: &[u8], k: u32) -> (std::ops::Range<usize>, Vec<Vec<u8>>, Ve
 /// [`name_table`]'s inverse.
 fn name_section(names: &[Vec<u8>], ranks: &[u32]) -> Vec<u8> {
     let total: usize = names.iter().map(Vec::len).sum();
-    let mut out = vec![names.len() as u8, total as u8];
+    let mut out = (names.len() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(&(total as u64).to_le_bytes());
     let mut end = 0u32;
     for name in names {
         end += name.len() as u32;

@@ -60,6 +60,10 @@ impl Alerter {
 
     /// Evaluate the triplets affected by one applied delta, appending any
     /// new alerts to `out`. `page_counts` is the projector's live `P'`.
+    // Out of line on purpose: whether the compiler inlines this into
+    // `StreamEngine::ingest` turns on how the crate falls into codegen units,
+    // and inlined it made the benchmark's stream replay 4–8 % slower.
+    #[inline(never)]
     pub(crate) fn evaluate(
         &mut self,
         events: &TriangleEvents,

@@ -51,10 +51,9 @@
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
-use coordination_core::btm::Btm;
 use coordination_core::cigraph::CiGraph;
 use coordination_core::ids::{IdMap, Timestamp};
-use coordination_core::project::{delay_within, pack_pair, page_pairs_flat, unpack_pair};
+use coordination_core::project::{delay_within, pack_pair, unpack_pair};
 use coordination_core::window::Window;
 
 /// An unordered author pair, stored as `(min, max)`.
@@ -179,74 +178,6 @@ impl StreamProjector {
             dropped_late: 0,
             expiry_stale: 0,
         }
-    }
-
-    /// Warm-start a **cumulative** projector from an already-materialised
-    /// BTM: the result is state-equivalent to ingesting every BTM event one
-    /// at a time, but is built with the batch flat kernel
-    /// ([`coordination_core::project::page_pairs_flat`]) — one sort+dedup
-    /// pass per page instead of a backward pairing scan per event. Use it to
-    /// bootstrap a live projector from a historical log before switching to
-    /// per-event ingestion; later [`ingest`](Self::ingest) timestamps before
-    /// the BTM's newest event are late, as always.
-    pub fn warm_start(window: Window, btm: &Btm) -> Self {
-        let mut p = Self::new(window);
-        p.buffers.resize_with(btm.n_pages() as usize, VecDeque::new);
-        let mut pairs: Vec<u64> = Vec::new();
-        for (pid, comments) in btm.pages() {
-            let page = pid.0;
-            let (last_ts, _) = comments
-                .iter()
-                .next_back()
-                .expect("pages() yields non-empty pages");
-            if !p.started || last_ts > p.now {
-                p.now = last_ts;
-            }
-            p.started = true;
-            for (_, a) in comments.iter() {
-                if p.n_authors <= a.0 {
-                    p.n_authors = a.0 + 1;
-                }
-            }
-            // The recent buffer is exactly what per-event pruning would have
-            // left: comments still within δ2 of the page's own newest
-            // arrival (stale pages keep their tail — pruning only ever
-            // happens on an arrival to the same page).
-            let recent = comments
-                .iter()
-                .skip_while(|&(t, _)| delay_within(t, last_ts, window.d2()).is_none());
-            p.buffers[page as usize] = recent.map(|(t, a)| (t, a.0)).collect();
-            // Supported pairs via the shared flat kernel. Cumulative mode
-            // never reads the support timestamp (only presence matters, and
-            // nothing expires), so the page's newest comment stands in for
-            // the pair's last qualifying interaction.
-            page_pairs_flat(comments, &window, &mut pairs);
-            for &pair in &pairs {
-                p.support.insert(support_key(page, pair), last_ts);
-                *p.edges.entry(pair).or_insert(0) += 1;
-                let (x, y) = unpack_pair(pair);
-                for a in [x, y] {
-                    *p.incident.entry(incident_key(page, a)).or_insert(0) += 1;
-                }
-            }
-        }
-        p.page_counts = vec![0; p.n_authors as usize];
-        for &key in p.incident.keys() {
-            p.page_counts[key as u32 as usize] += 1;
-        }
-        p
-    }
-
-    /// [`StreamProjector::warm_start`] straight from an opened on-disk
-    /// snapshot: the BTM streams out of the mapped event columns
-    /// ([`coordination_core::snapshot::btm_from_snapshot`]), so bootstrapping
-    /// a live projector from a historical archive never materializes the
-    /// archive's dataset — only the projector's own state is resident.
-    pub fn warm_start_snapshot(window: Window, snap: &coordination_core::store::Snapshot) -> Self {
-        Self::warm_start(
-            window,
-            &coordination_core::snapshot::btm_from_snapshot(snap, &[]),
-        )
     }
 
     /// Stream time: the newest timestamp ingested, or `None` before the
@@ -482,9 +413,6 @@ impl StreamProjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coordination_core::btm::Btm;
-    use coordination_core::ids::{AuthorId, Event, PageId};
-    use coordination_core::project;
 
     fn drive(events: &[(u32, u32, Timestamp)], window: Window) -> StreamProjector {
         let mut p = StreamProjector::new(window);
@@ -620,14 +548,6 @@ mod tests {
         assert_eq!(p.ingest(3, 0, i64::MAX).len(), 1);
         assert!(p.advance_to(i64::MAX).is_empty());
         assert_eq!((p.n_edges(), p.weight(2, 3)), (1, 1));
-
-        let events: Vec<Event> = [i64::MIN, 5, i64::MAX - 1, i64::MAX]
-            .iter()
-            .enumerate()
-            .map(|(a, &ts)| Event::new(AuthorId(a as u32), PageId(0), ts))
-            .collect();
-        let warm = StreamProjector::warm_start(window, &Btm::from_events(4, 1, &events));
-        assert_eq!((warm.n_edges(), warm.weight(2, 3)), (1, 1));
     }
 
     #[test]
@@ -698,126 +618,6 @@ mod tests {
     #[should_panic(expected = "must cover the projection window")]
     fn horizon_shorter_than_window_rejected() {
         StreamProjector::with_horizon(Window::new(0, 600), Some(60));
-    }
-
-    #[test]
-    fn warm_start_matches_batch_and_incremental() {
-        let events = vec![
-            (0u32, 0u32, 100i64),
-            (1, 0, 100),
-            (2, 0, 160),
-            (3, 0, 161),
-            (0, 1, 500),
-            (2, 1, 540),
-            (0, 1, 560),
-            (4, 2, 900),
-        ];
-        let window = Window::new(0, 60);
-        let evs: Vec<Event> = events
-            .iter()
-            .map(|&(a, g, t)| Event::new(AuthorId(a), PageId(g), t))
-            .collect();
-        let btm = Btm::from_events(5, 3, &evs);
-        let warm = StreamProjector::warm_start(window, &btm);
-        let batch = project::project(&btm, window);
-        let snap = warm.snapshot(5);
-        assert_eq!(snap.n_edges(), batch.n_edges());
-        for (x, y, w) in batch.edges() {
-            assert_eq!(snap.weight(AuthorId(x), AuthorId(y)), w, "edge ({x},{y})");
-        }
-        assert_eq!(snap.page_counts(), batch.page_counts());
-
-        // State equivalence, not just snapshot equivalence: the incremental
-        // drive of the same log must agree field-for-field on the queryable
-        // surface.
-        let inc = drive(&events, window);
-        assert_eq!(warm.n_edges(), inc.n_edges());
-        assert_eq!(warm.now(), inc.now());
-    }
-
-    #[test]
-    fn warm_start_snapshot_matches_warm_start() {
-        let events = vec![
-            (0u32, 0u32, 100i64),
-            (1, 0, 100),
-            (2, 0, 160),
-            (3, 0, 161),
-            (0, 1, 500),
-            (2, 1, 540),
-            (0, 1, 560),
-            (4, 2, 900),
-        ];
-        let window = Window::new(0, 60);
-        let evs: Vec<Event> = events
-            .iter()
-            .map(|&(a, g, t)| Event::new(AuthorId(a), PageId(g), t))
-            .collect();
-        let btm = Btm::from_events(5, 3, &evs);
-
-        let mut w = coordination_core::store::SnapshotWriter::new();
-        let authors: Vec<String> = (0..5).map(|i| format!("a{i}")).collect();
-        let pages: Vec<String> = (0..3).map(|i| format!("p{i}")).collect();
-        w.authors(authors.iter().map(String::as_str)).unwrap();
-        w.pages(pages.iter().map(String::as_str)).unwrap();
-        let mut sorted = events.clone();
-        sorted.sort_by_key(|&(_, _, t)| t);
-        w.events(&sorted).unwrap();
-        let disk = coordination_core::store::Snapshot::from_bytes(w.to_bytes().unwrap()).unwrap();
-
-        let from_btm = StreamProjector::warm_start(window, &btm);
-        let from_snap = StreamProjector::warm_start_snapshot(window, &disk);
-        assert_eq!(from_btm.n_edges(), from_snap.n_edges());
-        assert_eq!(from_btm.now(), from_snap.now());
-        let a = from_btm.snapshot(5);
-        let b = from_snap.snapshot(5);
-        for (x, y, w) in a.edges() {
-            assert_eq!(b.weight(AuthorId(x), AuthorId(y)), w, "edge ({x},{y})");
-        }
-        assert_eq!(a.n_edges(), b.n_edges());
-        assert_eq!(a.page_counts(), b.page_counts());
-    }
-
-    #[test]
-    fn warm_start_then_ingest_matches_full_drive() {
-        // Split a log mid-page so the warm-started buffers matter: the
-        // suffix events pair with prefix comments still inside δ2.
-        let events = vec![
-            (0u32, 0u32, 100i64),
-            (1, 0, 110),
-            (0, 1, 200),
-            (2, 0, 150), // prefix ends here (sorted order: 100,110,150,200)
-            (3, 0, 205), // pairs with (2,0,150) across the split
-            (1, 1, 230), // pairs with (0,1,200) across the split
-            (4, 2, 300),
-            (0, 2, 350),
-        ];
-        let window = Window::new(0, 60);
-        let mut sorted = events.clone();
-        sorted.sort_by_key(|&(_, _, t)| t);
-        let (prefix, suffix) = sorted.split_at(4);
-
-        let evs: Vec<Event> = prefix
-            .iter()
-            .map(|&(a, g, t)| Event::new(AuthorId(a), PageId(g), t))
-            .collect();
-        let btm = Btm::from_events(5, 3, &evs);
-        let mut warm = StreamProjector::warm_start(window, &btm);
-        for &(a, g, t) in suffix {
-            warm.ingest(a, g, t);
-        }
-
-        let full = drive(&events, window);
-        assert_eq!(warm.n_edges(), full.n_edges());
-        let warm_snap = warm.snapshot(5);
-        let full_snap = full.snapshot(5);
-        for (x, y, w) in full_snap.edges() {
-            assert_eq!(
-                warm_snap.weight(AuthorId(x), AuthorId(y)),
-                w,
-                "edge ({x},{y})"
-            );
-        }
-        assert_eq!(warm_snap.page_counts(), full_snap.page_counts());
     }
 
     #[test]

@@ -366,7 +366,7 @@ impl RankCtx {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
@@ -507,7 +507,7 @@ mod tests {
 
     /// Run `f` on a helper thread and return the message it panicked with. A
     /// world that strands its surviving ranks fails here instead of hanging.
-    fn panic_message_within_10s(f: impl FnOnce() + Send + 'static) -> String {
+    pub(crate) fn panic_message_within_10s(f: impl FnOnce() + Send + 'static) -> String {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err();

@@ -12,7 +12,7 @@
 //!   so the stack holds O(log n) sorted runs instead of n batches;
 //! * when a label's resident bytes exceed its **shuffle budget**, every
 //!   resident run is k-way merged and streamed to disk as one sorted
-//!   delta-compressed [`coordination_store::segment`] — receiver memory is
+//!   [`coordination_store::segment`] — receiver memory is
 //!   again bounded by the budget, arbitrarily below the partition size;
 //! * the consumer's final "sort" is a streaming k-way [`MergeCursor`] over
 //!   resident runs + spilled segments: globally sorted order without ever
@@ -28,7 +28,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -44,7 +44,7 @@ pub(crate) const RUN_TARGET_BYTES: usize = 4 << 20;
 
 /// A shuffle key with a fixed-width packed integer encoding whose numeric
 /// order equals the item's sort order — the contract that lets run stacks
-/// sort, delta-compress, and merge without knowing the item shape.
+/// sort, spill, and merge without knowing the item shape.
 ///
 /// Consumers pick order-preserving bijections into `u64`/`u128` (e.g. a
 /// `(page, ts, author)` event packs as `page·2⁹⁶ | (ts ⊕ 2⁶³)·2³² | author`,
@@ -112,6 +112,31 @@ impl SpillCounters {
 /// within one process.
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// The one owner of a stack's spill segments, oldest first. A path is
+/// recorded before its file is created, and dropping the owner deletes every
+/// file it recorded — whether the stack handed them to a [`RunSet`] that is
+/// done with them, or a world tore down before anyone took them.
+#[derive(Default)]
+struct SpillFiles(Vec<PathBuf>);
+
+impl SpillFiles {
+    /// Record a fresh segment path for `label`/`rank` and return it.
+    fn next_path(&mut self, label: &str, rank: usize) -> &Path {
+        let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
+        let name = format!("ygm-spill-{}-{seq}-{label}-r{rank}.seg", std::process::id());
+        self.0.push(std::env::temp_dir().join(name));
+        self.0.last().expect("just recorded")
+    }
+}
+
+impl Drop for SpillFiles {
+    fn drop(&mut self) {
+        for path in &self.0 {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
 /// One label+rank's bounded stack of sorted runs.
 ///
 /// Not a distributed container itself — [`DistRuns`] wraps one of these per
@@ -126,8 +151,8 @@ pub(crate) struct RunStack<K: RunKey> {
     seal_keys: usize,
     /// Spill everything once resident keys exceed this (None = unbounded).
     budget_keys: Option<usize>,
-    /// Sorted segments already evicted to disk, oldest first.
-    spills: Vec<PathBuf>,
+    /// Sorted segments already evicted to disk.
+    spills: SpillFiles,
     /// For spill file names.
     label: String,
     rank: usize,
@@ -156,7 +181,7 @@ impl<K: RunKey> RunStack<K> {
             runs: Vec::new(),
             seal_keys: (seal_bytes / K::WIDTH).max(1),
             budget_keys: budget_bytes.map(|b| (b / K::WIDTH).max(1)),
-            spills: Vec::new(),
+            spills: SpillFiles::default(),
             label: label.to_string(),
             rank,
             counters,
@@ -225,16 +250,9 @@ impl<K: RunKey> RunStack<K> {
         if self.runs.is_empty() {
             return;
         }
-        let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
-        let path = std::env::temp_dir().join(format!(
-            "ygm-spill-{}-{}-{}-r{}.seg",
-            std::process::id(),
-            seq,
-            self.label,
-            self.rank
-        ));
+        let path = self.spills.next_path(&self.label, self.rank);
         let mut writer =
-            SegmentWriter::create(&path, K::WIDTH as u8).expect("create shuffle spill segment");
+            SegmentWriter::create(path, K::WIDTH as u8).expect("create shuffle spill segment");
         let runs = std::mem::take(&mut self.runs);
         let mut heap: BinaryHeap<Reverse<(K, usize)>> = BinaryHeap::new();
         let mut cursors: Vec<std::slice::Iter<'_, K>> = runs.iter().map(|r| r.iter()).collect();
@@ -254,7 +272,6 @@ impl<K: RunKey> RunStack<K> {
         let stats = writer.finish().expect("finish shuffle spill segment");
         self.counters.spilled_bytes.add(stats.payload_bytes);
         self.counters.spill_segments.add(1);
-        self.spills.push(path);
     }
 
     /// Finish the stack: seal whatever is buffered and hand the runs +
@@ -298,14 +315,14 @@ fn merge_two<K: RunKey>(lo: Vec<K>, hi: Vec<K>) -> Vec<K> {
 /// materialize). Dropping the set deletes its spill files.
 pub struct RunSet<K: RunKey> {
     runs: Vec<Vec<K>>,
-    spills: Vec<PathBuf>,
+    spills: SpillFiles,
 }
 
 impl<K: RunKey> Default for RunSet<K> {
     fn default() -> Self {
         RunSet {
             runs: Vec::new(),
-            spills: Vec::new(),
+            spills: SpillFiles::default(),
         }
     }
 }
@@ -320,7 +337,7 @@ impl<K: RunKey> RunSet<K> {
             .iter()
             .map(|r| Source::Resident { keys: r, at: 0 })
             .collect();
-        for path in &self.spills {
+        for path in &self.spills.0 {
             let reader = SegmentReader::open(path).expect("reopen shuffle spill segment");
             assert_eq!(
                 reader.width() as usize,
@@ -344,14 +361,6 @@ impl<K: RunKey> RunSet<K> {
             sources,
             heap,
             lead,
-        }
-    }
-}
-
-impl<K: RunKey> Drop for RunSet<K> {
-    fn drop(&mut self) {
-        for path in &self.spills {
-            let _ = std::fs::remove_file(path);
         }
     }
 }
@@ -520,7 +529,7 @@ mod tests {
                 resident * 8 <= b.max(8) * 2,
                 "resident {resident} keys over budget {b}"
             );
-            assert!(!set.spills.is_empty(), "budget {b} never spilled");
+            assert!(!set.spills.0.is_empty(), "budget {b} never spilled");
         }
         let merged: Vec<u64> = set.cursor().collect();
         assert_eq!(merged, expect);
@@ -557,11 +566,40 @@ mod tests {
         let mut stack: RunStack<u64> = RunStack::new("cleanup", 0, Some(8));
         stack.absorb(0..1_000u64);
         let set = stack.take();
-        assert!(!set.spills.is_empty());
-        let paths: Vec<PathBuf> = set.spills.clone();
+        assert!(!set.spills.0.is_empty());
+        let paths: Vec<PathBuf> = set.spills.0.clone();
         assert!(paths.iter().all(|p| p.exists()));
         drop(set);
         assert!(paths.iter().all(|p| !p.exists()));
+    }
+
+    /// Rank 0 spills under a 1-byte budget, rank 1 panics before anyone
+    /// takes: the teardown that releases rank 0 from its barrier also drops
+    /// its stack, and with it every segment it spilled.
+    #[test]
+    fn poisoned_world_leaves_no_spill_segment_behind() {
+        let spilled: Arc<Mutex<Vec<PathBuf>>> = Arc::default();
+        let seen = Arc::clone(&spilled);
+        let msg = crate::comm::tests::panic_message_within_10s(move || {
+            let runs: DistRuns<u64> = DistRuns::new(2, "poisoned", Some(1));
+            World::run(2, move |ctx| {
+                if ctx.rank() == 1 {
+                    panic!("rank one gives up before the take");
+                }
+                for batch in 0..10u64 {
+                    runs.local_absorb(ctx, batch * 100..(batch + 1) * 100);
+                }
+                let paths = runs.shards[0].lock().spills.0.clone();
+                assert!(paths.len() == 10 && paths.iter().all(|p| p.exists()));
+                *seen.lock() = paths;
+                ctx.barrier();
+                runs.local_take(ctx).cursor().count()
+            });
+        });
+        assert_eq!(msg, "rank one gives up before the take");
+        let spilled = spilled.lock();
+        assert_eq!(spilled.len(), 10, "rank 0 never spilled");
+        assert!(spilled.iter().all(|p| !p.exists()), "{spilled:?}");
     }
 
     #[test]

@@ -227,7 +227,7 @@ fn snapshot_write_inspect_and_from_snapshot_paths() {
         .expect("run snapshot inspect");
     assert!(inspect.status.success());
     let described = String::from_utf8_lossy(&inspect.stdout);
-    assert!(described.contains("snapshot v5"), "{described}");
+    assert!(described.contains("snapshot v6"), "{described}");
     assert!(
         described.contains("rows:    narrow, 8 B per comment"),
         "{described}"
@@ -415,6 +415,11 @@ fn snapshot_inspect_rejects_damaged_and_future_files() {
     let mut b = bytes.clone();
     b[8..12].copy_from_slice(&99u32.to_le_bytes());
     std::fs::write(&future, &b).unwrap();
+    // the previous schema, whose `META` was varints
+    let v5 = dir.join("v5.snap");
+    let mut b = bytes.clone();
+    b[8..12].copy_from_slice(&5u32.to_le_bytes());
+    std::fs::write(&v5, &b).unwrap();
 
     // a version 1 file, as far as any reader gets into one: the 16-byte header
     let v1 = dir.join("v1.snap");
@@ -428,8 +433,13 @@ fn snapshot_inspect_rejects_damaged_and_future_files() {
         (&forged, "bad magic"),
         (&future, "unsupported snapshot schema version 99"),
         (
+            &v5,
+            "unsupported snapshot schema version 5 (this build reads version 6); \
+             re-create it with `coordination snapshot write`",
+        ),
+        (
             &v1,
-            "unsupported snapshot schema version 1 (this build reads version 5); \
+            "unsupported snapshot schema version 1 (this build reads version 6); \
              re-create it with `coordination snapshot write`",
         ),
     ] {
@@ -475,21 +485,27 @@ fn survey_from_snapshot_needs_a_recorded_window() {
     assert!(stderr.contains("snapshot write"), "{stderr}");
 
     // `META` is the first section and ends in the presence byte 1 and the
-    // window's two one-byte zigzag varints: 0 and 120, for (0, 60)
+    // window's `d1` and `d2` as `i64` LE: 0 and 60
     let good = dir.join("good.snap");
     write_snapshot(&ds, Some(coordination::core::Window::new(0, 60)), &good).expect("write");
     let bytes = std::fs::read(&good).expect("read snapshot");
     let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
     let (at, len) = (field(20), field(28));
-    assert_eq!(bytes[at + len - 3..at + len], [1, 0, 120]);
+    let tail = |presence: u8, d1: i64, d2: i64| {
+        let mut tail = vec![presence];
+        tail.extend_from_slice(&d1.to_le_bytes());
+        tail.extend_from_slice(&d2.to_le_bytes());
+        tail
+    };
+    assert_eq!(bytes[at + len - 17..at + len], tail(1, 0, 60));
     for (tail, what) in [
-        ([1, 1, 120], "window (-1, 60) breaks 0 <= d1 < d2"),
-        ([1, 120, 120], "window (60, 60) breaks 0 <= d1 < d2"),
-        ([1, 0, 0], "window (0, 0) breaks 0 <= d1 < d2"),
-        ([2, 0, 120], "META window presence byte 2"),
+        (tail(1, -1, 60), "window (-1, 60) breaks 0 <= d1 < d2"),
+        (tail(1, 60, 60), "window (60, 60) breaks 0 <= d1 < d2"),
+        (tail(1, 0, 0), "window (0, 0) breaks 0 <= d1 < d2"),
+        (tail(2, 0, 60), "META window presence byte 2"),
     ] {
         let mut forged = bytes.clone();
-        forged[at + len - 3..at + len].copy_from_slice(&tail);
+        forged[at + len - 17..at + len].copy_from_slice(&tail);
         let sum = checksum(&forged[at..at + len]);
         forged[36..44].copy_from_slice(&sum.to_le_bytes());
         let path = dir.join("forged.snap");

@@ -1,8 +1,7 @@
 //! What a snapshot stores, read back: the rows of any events are the BTM of
 //! the definition, its event views tile them at every rank count, and a
-//! generated month keeps ingest's ids, the window it was written with, the
-//! CI graph `survey --from-snapshot` projects and what the stream projector
-//! warm-starts from. (The pipelines over a
+//! generated month keeps ingest's ids, the window it was written with and the
+//! CI graph `survey --from-snapshot` projects. (The pipelines over a
 //! snapshot are doors of the one matrix, `oracle.rs`.)
 
 mod definition;
@@ -20,7 +19,6 @@ use coordination::core::snapshot::{
 use coordination::core::store::Snapshot;
 use coordination::core::{AuthorId, Event, IngestConfig, PageId, Window};
 use coordination::redditgen::ScenarioConfig;
-use coordination::stream::StreamProjector;
 use matrix::TempSnap;
 use proptest::prelude::*;
 
@@ -131,10 +129,4 @@ fn snapshot_path_is_equivalent_end_to_end() {
     };
     assert_eq!(edges(&ci), edges(&want));
     assert_eq!(ci.page_counts(), want.page_counts());
-
-    // stream warm start from the mapped rows matches the resident BTM
-    let warm_resident = StreamProjector::warm_start(window, &resident.btm());
-    let warm_mapped = StreamProjector::warm_start_snapshot(window, &snap);
-    assert_eq!(warm_resident.n_edges(), warm_mapped.n_edges());
-    assert_eq!(warm_resident.now(), warm_mapped.now());
 }
