@@ -13,15 +13,21 @@
 //!    ([`DistPipeline::run_events`]). A [`Dataset`] and a snapshot are two
 //!    five-line sources over that door — a block of the borrowed event list,
 //!    a slice of the one mmapped file all ranks share — and resolve their
-//!    exclusions by name exactly as [`Pipeline`](crate::Pipeline) does. No
-//!    rank ever materializes its share as an owned `Vec<Event>`: events flow
-//!    straight from the source, through the author range check and the
-//!    exclusion mask ([`Btm::build`](crate::btm::Btm::build)'s own), into the
-//!    exchange aggregators, so ingest and exchange overlap.
-//! 2. **Exchange** — kept events are shuffled *once*, through a packed
+//!    exclusions by name exactly as [`Pipeline`](crate::Pipeline) does.
+//!    Events flow straight from the source, through the author range check
+//!    and the exclusion mask ([`Btm::build`](crate::btm::Btm::build)'s own),
+//!    into stage 2, so ingest and exchange overlap. No rank materializes its
+//!    share of the *input* as an owned `Vec<Event>`; only a lone rank without
+//!    a budget collects its kept `(page, ts, author)` triples, which are its
+//!    page partition already.
+//! 2. **Exchange** — each kept event belongs to its *page* owner. At one
+//!    rank without a budget that rank owns every page, so the exchange is
+//!    the identity: no message is sent, and the kept events go into one
+//!    `Vec` (sized from the source's `size_hint`) that becomes flat page rows
+//!    as below. Otherwise kept events are shuffled *once*, through a packed
 //!    byte-buffer aggregator ([`ygm::PackedAggregator`], adaptive
 //!    bytes-per-batch thresholds): `(page, ts, author)`, 16 B on the wire,
-//!    to the *page* owner. What the owner does with an arriving batch
+//!    to the page owner. What the owner does with an arriving batch
 //!    depends on one thing, whether a `--shuffle-budget` caps its memory:
 //!    * **No budget — rows.** Batches are appended unsorted, one lock each.
 //!      After the closing barrier the rank *partitions instead of sorting*:
@@ -244,23 +250,26 @@ impl PageInbox {
     /// Finish the calling rank's partition (post-barrier).
     fn take(&self, ctx: &RankCtx) -> PagePartition {
         match self {
-            PageInbox::Unsorted(bag) => {
-                let events = bag.local_take(ctx);
-                // `run_events` is told only `n_authors`, so the offset table
-                // is sized from the largest page id that arrived.
-                let n_pages = events.iter().map(|e| e.0).max().map_or(0, |max| {
-                    max.checked_add(1)
-                        .expect("dense page ids stay below u32::MAX")
-                });
-                PagePartition::Rows(PageRows::build(n_pages, || {
-                    events
-                        .iter()
-                        .map(|&(p, ts, a)| (PageId(p), ts, AuthorId(a)))
-                }))
-            }
+            PageInbox::Unsorted(bag) => page_rows(&bag.local_take(ctx)),
             PageInbox::Runs(runs) => PagePartition::Runs(runs.local_take(ctx)),
         }
     }
+}
+
+/// A rank's kept `(page, ts, author)` events as flat page rows, by the
+/// builder [`crate::btm::Btm`] builds its page side with. `run_events` is
+/// told only `n_authors`, so the offset table is sized from the largest page
+/// id among the events.
+fn page_rows(events: &[(u32, i64, u32)]) -> PagePartition {
+    let n_pages = events.iter().map(|e| e.0).max().map_or(0, |max| {
+        max.checked_add(1)
+            .expect("dense page ids stay below u32::MAX")
+    });
+    PagePartition::Rows(PageRows::build(n_pages, || {
+        events
+            .iter()
+            .map(|&(p, ts, a)| (PageId(p), ts, AuthorId(a)))
+    }))
 }
 
 /// Pack an oriented `(src, dst, w)` edge into one order-preserving `u128`
@@ -280,8 +289,8 @@ fn edge_from_key(k: u128) -> (u32, u32, u64) {
 /// One-entry owner cache for `push`-ing long same-key streams without
 /// rehashing: the page loop ships every comment of a page to the same
 /// destination, the orientation loop ships consecutive same-source edges,
-/// and [`ygm::owner_of`] hashes (FNV-1a, then a splitmix finish) on every
-/// `push_keyed` call regardless.
+/// and at two or more ranks [`ygm::owner_of`] hashes (FNV-1a, then a
+/// splitmix finish) on every `push_keyed` call regardless.
 /// Routing is identical by construction (same key type, same hash); the
 /// equivalence proptests pin it.
 struct CachedOwner {
@@ -488,6 +497,7 @@ impl DistPipeline {
         let program = RankProgram {
             cfg,
             batch_bytes: self.batch_bytes,
+            budget,
             n_authors,
             gone: &gone,
             source,
@@ -558,6 +568,8 @@ impl DistPipeline {
 struct RankProgram<'a, 's> {
     cfg: &'a PipelineConfig,
     batch_bytes: Option<usize>,
+    /// The run's shuffle budget ([`DistPipeline::shuffle_budget`]).
+    budget: Option<usize>,
     n_authors: u32,
     /// [`author_mask`] of the caller's exclusion list.
     gone: &'a [bool],
@@ -576,6 +588,7 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
     let RankProgram {
         cfg,
         batch_bytes,
+        budget,
         n_authors,
         gone,
         source,
@@ -605,7 +618,10 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
     drop(ingest_span);
 
     // ---- Stage 2: event exchange (page-hash shuffle) --------------------
-    // The source is pulled one event at a time straight into the packed
+    // Every kept event belongs to its page's owner. At one rank without a
+    // budget this rank owns every page, so nothing is exchanged: the kept
+    // events go into one `Vec` and become page rows below. Otherwise the
+    // source is pulled one event at a time straight into the packed
     // aggregator, so ingest and exchange overlap and this rank's share of
     // the *input* never exists as an owned `Vec<Event>`. Receivers absorb
     // whole batches under one lock each ([`PageInbox`]): appended as they
@@ -614,7 +630,27 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
     // (ship drains opportunistically), spilling sorted segments to disk.
     let exchange_span = obs::span("dist.exchange");
     let mut kept_local = 0u64;
-    {
+    let (size_hint, _) = events.size_hint();
+    let kept = events
+        .inspect(|e| {
+            // The door's range check, with `Btm::build`'s message: past here
+            // an author id indexes dense per-author tables on every rank.
+            assert!(
+                e.author.0 < n_authors,
+                "author id {} out of range",
+                e.author.0
+            )
+        })
+        .filter(|e| is_kept(gone, e.author))
+        .map(|e| {
+            kept_local += 1;
+            (e.page.0, e.ts, e.author.0)
+        });
+    let own_events = if ctx.nranks() == 1 && budget.is_none() {
+        let mut own = Vec::with_capacity(size_hint);
+        own.extend(kept);
+        Some(own)
+    } else {
         let pe = page_events.clone();
         let mut to_pages = packed_agg!(
             "events_to_pages",
@@ -625,23 +661,13 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
         // page-major; generated blocks share a page), so one cached owner
         // saves an `owner_of` hash per event in the common case.
         let mut page_owner = CachedOwner::new();
-        for e in events {
-            // The door's range check, with `Btm::build`'s message: past here
-            // an author id indexes dense per-author tables on every rank.
-            assert!(
-                e.author.0 < n_authors,
-                "author id {} out of range",
-                e.author.0
-            );
-            if !is_kept(gone, e.author) {
-                continue;
-            }
-            kept_local += 1;
-            let dest = page_owner.dest(e.page.0, ctx.nranks());
-            to_pages.push(ctx, dest, (e.page.0, e.ts, e.author.0));
+        for event in kept {
+            let dest = page_owner.dest(event.0, ctx.nranks());
+            to_pages.push(ctx, dest, event);
         }
         to_pages.flush_all(ctx);
-    }
+        None
+    };
     ctx.barrier();
     out.n_comments = ctx.all_reduce_sum(kept_local);
     // Owners finish their partitions: a counting scatter into flat page
@@ -651,7 +677,10 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
     // through a streaming merge. (The author→pages incidence the validator
     // needs is *not* built here: it is harvested on demand in stage 5, for
     // the handful of authors the survey actually surfaces.)
-    let my_events = page_events.take(ctx);
+    let my_events = match own_events {
+        Some(own) => page_rows(&own),
+        None => page_events.take(ctx),
+    };
     ctx.barrier();
     drop(exchange_span);
 

@@ -50,9 +50,13 @@ pub(crate) fn stable_hash<K: Hash + ?Sized>(key: &K) -> u64 {
     h.finish()
 }
 
-/// The rank that owns `key` in a world of `nranks` ranks.
+/// The rank that owns `key` in a world of `nranks` ranks. One rank owns
+/// every key, so a one-rank world returns 0 without hashing.
 #[inline]
 pub fn owner_of<K: Hash + ?Sized>(key: &K, nranks: usize) -> usize {
+    if nranks == 1 {
+        return 0;
+    }
     (stable_hash(key) % nranks as u64) as usize
 }
 

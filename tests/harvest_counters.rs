@@ -8,7 +8,9 @@
 //! `validate.prefix_pages` (their `|pages(a) ∩ pages(b)|`, summed), though a
 //! run may split across the ranks that kept its triangles. And a one-byte
 //! shuffle budget really spills (`shuffle.spilled_bytes`,
-//! `shuffle.spill_segments`), where no budget spills nothing.
+//! `shuffle.spill_segments`), where no budget spills nothing; one rank
+//! without a budget sends no event messages
+//! (`ygm.events_to_pages.items_sent`), where every other run does.
 //!
 //! `obs` counters are process-global, so this is the only test in its binary:
 //! beside the pipelines other tests run on parallel threads, the totals read
@@ -23,17 +25,18 @@ use coordination::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
 use coordination::core::records::{CommentRecord, Dataset};
 use coordination::redditgen::ScenarioConfig;
 
-const COUNTERS: [&str; 6] = [
+const COUNTERS: [&str; 7] = [
     "validate.harvest_authors",
     "validate.harvest_incidences",
     "validate.prefix_runs",
     "validate.prefix_pages",
     "shuffle.spilled_bytes",
     "shuffle.spill_segments",
+    "ygm.events_to_pages.items_sent",
 ];
 
 /// The counters' growth over one run.
-fn measured(run: &dyn Fn() -> PipelineOutput) -> (PipelineOutput, [u64; 6]) {
+fn measured(run: &dyn Fn() -> PipelineOutput) -> (PipelineOutput, [u64; 7]) {
     let read = || COUNTERS.map(|name| obs::counter(name).get());
     let before = read();
     let out = run();
@@ -93,7 +96,7 @@ fn check(ds: &Dataset, config: &PipelineConfig) {
     let shared = edges
         .iter()
         .map(|&[a, b]| pages(a).intersection(&pages(b)).count() as u64);
-    assert_eq!(want[2..], [edges.len() as u64, shared.sum(), 0, 0]);
+    assert_eq!(want[2..], [edges.len() as u64, shared.sum(), 0, 0, 0]);
 
     for nranks in [1, 2, 3, 4] {
         for budget in [None, Some(1), Some(65_536)] {
@@ -107,11 +110,19 @@ fn check(ds: &Dataset, config: &PipelineConfig) {
             });
             assert_eq!(dist.triplets, resident.triplets);
             assert_eq!(got[..4], want[..4], "{nranks} ranks, budget {budget:?}");
-            let spilled = got[4..].iter().all(|&n| n > 0);
+            let spilled = got[4..6].iter().all(|&n| n > 0);
             match budget {
-                None => assert_eq!(got[4..], [0, 0], "{nranks} ranks spilled"),
-                Some(1) => assert!(spilled, "{nranks} ranks, budget 1: {:?}", &got[4..]),
+                None => assert_eq!(got[4..6], [0, 0], "{nranks} ranks spilled"),
+                Some(1) => assert!(spilled, "{nranks} ranks, budget 1: {:?}", &got[4..6]),
                 Some(_) => {}
+            }
+            // One rank owns every page: only a budget's run stack sends it
+            // its own events.
+            let sent = got[6];
+            if nranks == 1 && budget.is_none() {
+                assert_eq!(sent, 0, "one rank sent event messages");
+            } else {
+                assert!(sent > 0, "{nranks} ranks, budget {budget:?}: no event sent");
             }
         }
     }
