@@ -17,7 +17,6 @@
 
 use coordination_graph::intersect::{intersect_indices_gallop, StampSet, STAMP_GALLOP_RATIO};
 
-use crate::graph::WeightedGraph;
 use crate::orient::OrientedGraph;
 
 /// One triangle with its three vertices in ascending id order and the weight
@@ -154,9 +153,10 @@ pub(crate) fn count_triangles(oriented: &OrientedGraph) -> u64 {
     n
 }
 
-/// Reference implementation: brute-force O(n³) triangle enumeration straight
-/// off the undirected graph. For tests and tiny graphs only.
-pub fn brute_force_triangles(g: &WeightedGraph) -> Vec<Triangle> {
+/// Brute-force O(n³) triangle enumeration straight off the undirected graph:
+/// the unit tests' reference.
+#[cfg(test)]
+pub(crate) fn brute_force_triangles(g: &crate::graph::WeightedGraph) -> Vec<Triangle> {
     let mut out = Vec::new();
     let n = g.n();
     for a in 0..n {
@@ -185,6 +185,7 @@ pub fn brute_force_triangles(g: &WeightedGraph) -> Vec<Triangle> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::WeightedGraph;
     use std::collections::HashSet;
 
     fn triangles_of(g: &WeightedGraph) -> Vec<Triangle> {

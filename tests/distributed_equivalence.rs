@@ -7,7 +7,6 @@
 //! down, and a generated month, beyond the cubic definition, prints the same
 //! through both engines.
 
-mod definition;
 mod matrix;
 
 use proptest::prelude::*;
@@ -21,19 +20,13 @@ use coordination::redditgen::ScenarioConfig;
 use definition::{Comment, Params};
 use matrix::{check, observed, Input, Ranked, BUDGETS};
 
+/// The detector's window, keeping every triangle.
+const KEEP_ALL: Params = Params::keep_all(0, 60);
+
 /// The detector's defaults: a 60 s window, `min{w′} ≥ 10`.
 const DEFAULTS: Params = Params {
-    d1: 0,
-    d2: 60,
-    edge_threshold: 1,
     min_weight: 10,
-    min_t: 0.0,
-};
-
-/// The detector's window, keeping every triangle.
-const KEEP_ALL: Params = Params {
-    min_weight: 1,
-    ..DEFAULTS
+    ..KEEP_ALL
 };
 
 /// Three coordinated authors (0–2) on `pages` pages, 5 s apart, an organic

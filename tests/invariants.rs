@@ -1,8 +1,6 @@
 //! Property-based tests of the DESIGN.md §5 invariants, over random bipartite
 //! temporal multigraphs.
 
-mod definition;
-
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
@@ -106,11 +104,8 @@ fn pages_of(events: &[Event], n_authors: u32) -> Vec<Vec<PageId>> {
 /// reports the definition's `w′` edge for edge and its `P′` for `P′`.
 fn assert_matches_definition(btm: &Btm, events: &[Event], w: Window) -> Result<(), TestCaseError> {
     let params = definition::Params {
-        d1: w.d1(),
-        d2: w.d2(),
-        edge_threshold: 1,
         min_weight: u64::MAX,
-        min_t: 0.0,
+        ..definition::Params::keep_all(w.d1(), w.d2())
     };
     let want = definition::run(&comments(events), &[], &params);
     let ci = project(btm, w);
@@ -198,18 +193,19 @@ proptest! {
         }
     }
 
-    /// Triangle enumeration on the projected graph matches brute force.
+    /// Triangle enumeration on the projected graph matches the definition's
+    /// brute-force triple loop over the raw events: authors and `w′`.
     #[test]
     fn projected_triangles_match_brute_force((na, np, events) in arb_events(12, 10, 200), w in arb_window()) {
-        let btm = Btm::from_events(na, np, &events);
-        let wg = project(&btm, w).to_weighted_graph();
-        let oriented = OrientedGraph::from_graph(&wg);
+        let wg = project(&Btm::from_events(na, np, &events), w).to_weighted_graph();
         let mut fast = Vec::new();
-        coordination::tripoll::enumerate::for_each_triangle(&oriented, |t| fast.push(t));
-        fast.sort_unstable_by_key(|t| t.vertices());
-        let mut brute = coordination::tripoll::enumerate::brute_force_triangles(&wg);
-        brute.sort_unstable_by_key(|t| t.vertices());
-        prop_assert_eq!(fast, brute);
+        coordination::tripoll::enumerate::for_each_triangle(&OrientedGraph::from_graph(&wg), |t| {
+            fast.push((t.vertices(), t.edge_weights()))
+        });
+        fast.sort_unstable();
+        let params = definition::Params::keep_all(w.d1(), w.d2());
+        let want = definition::run(&comments(&events), &[], &params).triplets;
+        prop_assert_eq!(fast, want.iter().map(|t| (t.authors, t.w)).collect::<Vec<_>>());
     }
 
     /// Removing authors can only shrink projections (refinement loop, §2.4).

@@ -37,7 +37,7 @@ use coordination::core::store::Snapshot;
 use coordination::core::Window;
 use coordination::stream::{StreamConfig, StreamEngine};
 
-use crate::definition::{self, Comment, Definition, Params, Triplet};
+use definition::{self, Comment, Definition, Params, Triplet};
 
 /// One input: the id spaces, the comments, the excluded authors.
 #[derive(Clone, Debug)]
@@ -185,12 +185,8 @@ pub fn check(
     let want = definition::run(&input.comments, &input.excluded, &params);
     let mut excluded = input.excluded.clone();
     excluded.push(input.n_authors);
-    let kept: Vec<Comment> = input
-        .comments
-        .iter()
-        .copied()
-        .filter(|c| !excluded.contains(&c.0))
-        .collect();
+    let mut kept = input.comments.clone();
+    kept.retain(|c| !excluded.contains(&c.0));
     let ts = kept.iter().map(|c| i128::from(c.2));
     let span = ts.clone().max().unwrap_or(0) - ts.min().unwrap_or(0);
     let layout = if span <= u32::MAX.into() {

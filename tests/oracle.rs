@@ -5,7 +5,6 @@
 //! inputs at up to eight ranks, and fixed inputs that pin one setting of the
 //! rank-sharded engine, are in `distributed_equivalence.rs`.
 
-mod definition;
 mod matrix;
 
 use std::collections::BTreeMap;
@@ -84,17 +83,6 @@ fn arb_params() -> impl Strategy<Value = Params> {
     )
 }
 
-/// Any `min{w′}`, `T` ≥ 0 and an edge threshold of 1.
-fn keep_all(d1: i64, d2: i64) -> Params {
-    Params {
-        d1,
-        d2,
-        edge_threshold: 1,
-        min_weight: 1,
-        min_t: 0.0,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -140,7 +128,7 @@ fn runs_of_one_and_of_many_match_the_definition() {
         comments,
         excluded: vec![top + 4],
     };
-    let def = check(&input, keep_all(5, 10), &[1, 2, 3].map(Ranked::at)).unwrap();
+    let def = check(&input, Params::keep_all(5, 10), &[1, 2, 3].map(Ranked::at)).unwrap();
     let mut runs: BTreeMap<[u32; 2], usize> = BTreeMap::new();
     for t in &def.triplets {
         *runs.entry([t.authors[0], t.authors[1]]).or_default() += 1;
@@ -167,7 +155,7 @@ fn pages_past_the_compaction_floor_match_the_definition() {
         };
         let params = Params {
             edge_threshold: threshold,
-            ..keep_all(0, 60)
+            ..Params::keep_all(0, 60)
         };
         let def = check(&input, params, &[Ranked::at(2)]).unwrap();
         let pairs = u64::from(n_authors * (n_authors - 1) / 2);

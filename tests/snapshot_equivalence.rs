@@ -4,7 +4,6 @@
 //! CI graph `survey --from-snapshot` projects. (The pipelines over a
 //! snapshot are doors of the one matrix, `oracle.rs`.)
 
-mod definition;
 mod matrix;
 
 use std::sync::Arc;

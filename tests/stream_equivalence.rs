@@ -6,8 +6,6 @@
 //! arrivals, the live state is what the definition recomputed by brute force
 //! over the accepted prefix says it is.
 
-mod definition;
-
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
@@ -71,11 +69,8 @@ fn defined(events: &[Event], (d1, d2): (i64, i64), cutoff: u64) -> definition::D
         .map(|e| (e.author.0, e.page.0, e.ts))
         .collect();
     let params = definition::Params {
-        d1,
-        d2,
-        edge_threshold: 1,
         min_weight: cutoff,
-        min_t: 0.0,
+        ..definition::Params::keep_all(d1, d2)
     };
     definition::run(&comments, &[], &params)
 }
