@@ -59,7 +59,10 @@
 //!    occurrence to its *edge owner* (`owner_of(packed)`), which sorts and
 //!    run-length-counts its disjoint slice of the edge set. Per-author `P'`
 //!    contributions reduce to a replicated dense vector via
-//!    [`ygm::reduce::all_reduce_hist`].
+//!    [`ygm::reduce::all_reduce_hist`]. A lone rank without a budget owns
+//!    every edge: it appends each page's pair set to one occurrence `Vec`
+//!    and sorts and counts that once — the resident projection loop
+//!    (`project::project_pages_flat`) over its own rows.
 //! 4. **Survey** — the ghost-boundary exchange is a global post-threshold
 //!    degree reduction: every rank learns the degree of every vertex (the
 //!    ghosts of its partition included) and orients its edges by the same
@@ -72,7 +75,11 @@
 //!    other shuffle — folding each triangle where its wedge closes into the
 //!    resident survey's own [`tripoll::survey::SurveyFold`] (min weight and
 //!    `T`-score predicates included — `P'` is replicated). Only the
-//!    statistics and the survivors exist afterwards.
+//!    statistics and the survivors exist afterwards. A lone rank without a
+//!    budget owns every vertex: it orients its thresholded, `(x, y)`-sorted
+//!    edge run with [`tripoll::OrientedGraph::from_sorted_run`] (no degree
+//!    reduction, no sort, no `LocalCsr`) and folds it in the resident apex
+//!    loop ([`tripoll::survey::fold`]) — no wedge check is sent.
 //! 5. **Validation** — first the *on-demand harvest*: the survivors'
 //!    vertex set is all-gathered, each rank runs the resident engine's
 //!    harvest scan (`btm::HarvestScan`, the scan under
@@ -90,9 +97,17 @@
 //!    and validates its survivors, sorted by vertex triple, through the
 //!    resident engine's kernel and metrics constructor
 //!    ([`crate::hypergraph`]) — the same floating-point expressions the
-//!    resident path evaluates.
+//!    resident path evaluates. A lone rank without a budget sees every page:
+//!    it harvests its survivors' authors straight off its rows, with the
+//!    scan [`AuthorPages::harvest`](crate::btm::AuthorPages::harvest) runs
+//!    over a `Btm`'s, and validates through the same kernel.
 //!
-//! The pair-occurrence, oriented-edge and harvest shuffles still land in run
+//! So at one rank without a budget every one of the five shuffles is the
+//! identity and none runs: after stage 2 the rank calls the resident
+//! engine's routines on its own `PageRows` (`lone_rank`), under the same
+//! `dist.*` spans and recording the same `survey.*` and `validate.*`
+//! counters as the resident run. Every other run shuffles at every stage,
+//! and the pair-occurrence, oriented-edge and harvest shuffles land in run
 //! stacks with or without a budget.
 //!
 //! **Equivalence contract** (pinned by the oracle matrix in `tests/`, which
@@ -110,19 +125,19 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use coordination_graph::LocalCsr;
-use tripoll::survey::{SurveyConfig, SurveyReport, SurveyedTriangle};
-use tripoll::{survey_stage, DistSurvey};
+use tripoll::survey::{SurveyReport, SurveyedTriangle};
+use tripoll::{survey_stage, DistSurvey, OrientedGraph};
 use ygm::container::DistBag;
 use ygm::reduce::{all_gather_concat, all_reduce_hist};
 use ygm::{block_range, owner_of, DistRuns, PackedAggregator, PackedBatch, RankCtx, RunSet, World};
 
 use crate::btm::{author_mask, is_kept, AuthorPages, HarvestScan, PageRow, PageRows, WideRow};
 use crate::cigraph::CiGraph;
-use crate::hypergraph::{record_runs, validate_triangles};
+use crate::hypergraph::{harvest_vertices, record_runs, validate_triangles};
 use crate::ids::{AuthorId, Event, PageId};
 use crate::metrics::TripletMetrics;
 use crate::pipeline::{PipelineConfig, PipelineOutput, RunStats, StageTimings};
-use crate::project::{pack_pair, page_pairs_flat, run_length_pairs, PageStep};
+use crate::project::{pack_pair, page_pairs_flat, project_pages_flat, run_length_pairs, PageStep};
 use crate::records::Dataset;
 
 /// `log2`-bucket histograms pad to the full `u64` range so
@@ -250,7 +265,7 @@ impl PageInbox {
     /// Finish the calling rank's partition (post-barrier).
     fn take(&self, ctx: &RankCtx) -> PagePartition {
         match self {
-            PageInbox::Unsorted(bag) => page_rows(&bag.local_take(ctx)),
+            PageInbox::Unsorted(bag) => PagePartition::Rows(page_rows(&bag.local_take(ctx))),
             PageInbox::Runs(runs) => PagePartition::Runs(runs.local_take(ctx)),
         }
     }
@@ -260,16 +275,19 @@ impl PageInbox {
 /// builder [`crate::btm::Btm`] builds its page side with. `run_events` is
 /// told only `n_authors`, so the offset table is sized from the largest page
 /// id among the events.
-fn page_rows(events: &[(u32, i64, u32)]) -> PagePartition {
+///
+/// # Panics
+/// If a page id is `u32::MAX`: the table would need `u32::MAX + 1` slots.
+fn page_rows(events: &[(u32, i64, u32)]) -> PageRows {
     let n_pages = events.iter().map(|e| e.0).max().map_or(0, |max| {
         max.checked_add(1)
             .expect("dense page ids stay below u32::MAX")
     });
-    PagePartition::Rows(PageRows::build(n_pages, || {
+    PageRows::build(n_pages, || {
         events
             .iter()
             .map(|&(p, ts, a)| (PageId(p), ts, AuthorId(a)))
-    }))
+    })
 }
 
 /// Pack an oriented `(src, dst, w)` edge into one order-preserving `u128`
@@ -454,7 +472,10 @@ impl DistPipeline {
     /// are no names), so callers exclude upstream.
     ///
     /// # Panics
-    /// If the source yields an author id that is not below `n_authors`.
+    /// If the source yields an author id that is not below `n_authors`, or —
+    /// without a shuffle budget, at any rank count — page id `u32::MAX`:
+    /// flat page rows are indexed by dense page ids, which stay below it
+    /// ("dense page ids stay below u32::MAX").
     pub fn run_events<'a>(&self, n_authors: u32, source: &'a EventSource<'a>) -> PipelineOutput {
         self.run_world(n_authors, &[], source)
     }
@@ -476,7 +497,8 @@ impl DistPipeline {
         // the other three are bounded run stacks (each arriving batch sorted
         // and merged incrementally, spilling past the budget), never maps of
         // per-key `Vec`s. Keys are the order-preserving packings declared at
-        // the top of the module.
+        // the top of the module. A lone rank without a budget shuffles
+        // nothing and leaves them all empty.
         let page_events = PageInbox::new(nranks, budget);
         let author_pages: DistRuns<u64> = DistRuns::new(nranks, "author_pages", budget);
         let pair_occurrences: DistRuns<u64> = DistRuns::new(nranks, "pair_occurrences", budget);
@@ -485,14 +507,7 @@ impl DistPipeline {
         // bag so validation's quiescent cross-rank binary searches still
         // have a random-access sorted shard to read.
         let harvest_out: DistBag<u64> = DistBag::new(nranks);
-        let survey = DistSurvey::new(
-            nranks,
-            SurveyConfig {
-                min_edge_weight: cfg.min_triangle_weight,
-                min_t_score: cfg.min_t_score,
-                top_k: None,
-            },
-        );
+        let survey = DistSurvey::new(nranks, cfg.survey_config());
 
         let program = RankProgram {
             cfg,
@@ -678,7 +693,14 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
     // needs is *not* built here: it is harvested on demand in stage 5, for
     // the handful of authors the survey actually surfaces.)
     let my_events = match own_events {
-        Some(own) => page_rows(&own),
+        // The rank that owns every page owns every edge and vertex too:
+        // stages 3–5 have nothing to shuffle either.
+        Some(own) => {
+            let rows = page_rows(&own);
+            drop(own);
+            drop(exchange_span);
+            return lone_rank(cfg, n_authors, &rows, out, t_start);
+        }
         None => page_events.take(ctx),
     };
     ctx.barrier();
@@ -770,6 +792,8 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
     let edge_set = oriented_edges.local_take(ctx);
     let csr = LocalCsr::from_sorted_edges(edge_set.cursor().map(edge_from_key));
     drop(edge_set);
+    // A lone rank without a budget publishes no `LocalCsr` (`lone_rank`),
+    // so it has no ghosts and adds nothing here.
     obs::counter("dist.ghost_vertices").add(csr.ghosts().len() as u64);
     survey.publish(ctx, csr, n_authors, Some(Arc::clone(&out.page_counts)));
     ctx.barrier();
@@ -890,13 +914,76 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
 
     // Rank 0's wall between the stage boundaries it crossed (every
     // boundary is a collective, so the other ranks crossed them with it).
-    // Ingest and exchange are booked as projection: they build its input.
     if ctx.rank() == 0 {
-        out.timings = StageTimings {
-            projection: t_projected - t_start,
-            survey: t_surveyed - t_projected,
-            validation: t_surveyed.elapsed(),
-        };
+        out.timings = stage_timings(t_start, t_projected, t_surveyed);
     }
+    out
+}
+
+/// The wall between stage boundaries, up to now. Ingest and exchange are
+/// booked as projection: they build its input.
+fn stage_timings(t_start: Instant, t_projected: Instant, t_surveyed: Instant) -> StageTimings {
+    StageTimings {
+        projection: t_projected - t_start,
+        survey: t_surveyed - t_projected,
+        validation: t_surveyed.elapsed(),
+    }
+}
+
+/// Stages 3–5 on a lone rank without a shuffle budget, after stage 2 left
+/// it every page as flat `rows`. It owns every edge and vertex as well, so
+/// each shuffle would only send the rank its own messages: the resident
+/// engine's routines run on the rows instead — the projection loop, the
+/// orientation's counting scatter, the apex-loop fold, the harvest scan and
+/// the validation kernel. The five `dist.*` spans and the `survey.*` and
+/// `validate.*` counters read as in any other run, the counters equal to
+/// the resident run's.
+fn lone_rank(
+    cfg: &PipelineConfig,
+    n_authors: u32,
+    rows: &PageRows,
+    mut out: RankOut,
+    t_start: Instant,
+) -> RankOut {
+    // ---- Stage 3: projection, the resident loop ------------------------
+    let project_span = obs::span("dist.project");
+    let kernel = |row: PageRow<'_>, pairs: &mut Vec<u64>| page_pairs_flat(row, &cfg.window, pairs);
+    let (edge_run, page_counts) = project_pages_flat(n_authors, rows, kernel);
+    out.ci_edges = edge_run.len() as u64;
+    out.edge_run = edge_run;
+    out.page_counts = Arc::new(page_counts);
+    drop(project_span);
+    let t_projected = Instant::now();
+
+    // ---- Stage 4: orient + the resident apex loop -----------------------
+    let survey_span = obs::span("dist.survey");
+    // The edge run is canonical and (x, y)-sorted: the scatter leaves every
+    // out-list sorted, and the degrees it orients by need no reduction.
+    let threshold = cfg.edge_threshold.max(1);
+    let oriented = OrientedGraph::from_sorted_run(n_authors, &out.edge_run, threshold);
+    out.ci_edges_after_threshold = oriented.m();
+    let fold = tripoll::survey::fold(&oriented, &cfg.survey_config(), Some(&out.page_counts));
+    drop(oriented);
+    out.triangles_examined = fold.examined();
+    out.max_min_weight = fold.max_min_weight();
+    out.min_weight_log_hist = fold.log_hist().to_vec();
+    let mut mine = fold.into_survivors();
+    drop(survey_span);
+    let t_surveyed = Instant::now();
+
+    // ---- Stage 5: the resident harvest scan and validation --------------
+    let validate_span = obs::span("dist.validate");
+    // Sorted by vertex triple, consecutive survivors share their leading
+    // edge: the validation kernel intersects it once per run.
+    mine.sort_unstable_by_key(|s| s.triangle.vertices());
+    let triangles = || mine.iter().map(|s| &s.triangle);
+    let authors = harvest_vertices(n_authors, rows, triangles());
+    let (metrics, runs) = validate_triangles(&authors, &out.page_counts, triangles());
+    record_runs(&runs);
+    out.kept = mine.into_iter().zip(metrics).collect();
+    obs::counter("dist.triplets_validated").add(out.kept.len() as u64);
+    drop(validate_span);
+
+    out.timings = stage_timings(t_start, t_projected, t_surveyed);
     out
 }

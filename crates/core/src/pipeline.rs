@@ -40,6 +40,17 @@ pub struct PipelineConfig {
     pub exclusions: ExclusionList,
 }
 
+impl PipelineConfig {
+    /// Step 2's predicates: the triangle cutoff and the `T`-score floor.
+    pub(crate) fn survey_config(&self) -> SurveyConfig {
+        SurveyConfig {
+            min_edge_weight: self.min_triangle_weight,
+            min_t_score: self.min_t_score,
+            top_k: None,
+        }
+    }
+}
+
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
@@ -177,15 +188,7 @@ impl Pipeline {
             (OrientedGraph::from_ref(ci.as_csr()), ci.n_edges())
         };
         drop(orient_span);
-        let report = survey(
-            &oriented,
-            &SurveyConfig {
-                min_edge_weight: cfg.min_triangle_weight,
-                min_t_score: cfg.min_t_score,
-                top_k: None,
-            },
-            Some(ci.page_counts()),
-        );
+        let report = survey(&oriented, &cfg.survey_config(), Some(ci.page_counts()));
         let survey_time = t1.elapsed();
 
         // Step 3: hypergraph validation.

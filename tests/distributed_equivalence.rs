@@ -111,29 +111,51 @@ fn empty_input_runs_cleanly_at_any_rank_count() {
     assert!(def.w.is_empty() && def.log_hist.is_empty());
 }
 
+/// Run `events` (dense ids, `n_authors` of them) through
+/// `DistPipeline::run_events` on `nranks` ranks without a budget, on a helper
+/// thread so that a stranded world fails here instead of hanging, and return
+/// the message the run panicked with.
+fn panic_message(nranks: usize, n_authors: u32, events: [(u32, u32, i64); 4]) -> String {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let events = events.map(|(a, p, ts)| Event::new(AuthorId(a), PageId(p), ts));
+        let source = event_source(|rank, n| Box::new(events.iter().skip(rank).step_by(n).copied()));
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            DistPipeline::new(PipelineConfig::default(), nranks).run_events(n_authors, &source)
+        }));
+        let _ = tx.send(run.err().and_then(|p| p.downcast::<String>().ok()));
+    });
+    *rx.recv_timeout(std::time::Duration::from_secs(10))
+        .expect("the world did not tear down within 10 s")
+        .expect("the run was expected to panic with a message")
+}
+
 /// An event source that yields an author id outside the id space must stop
 /// the run at the door, on one rank or three — not index a per-author table
-/// out of bounds on one rank and strand the others in a barrier. Run on a
-/// helper thread so that a stranded world fails here instead of hanging.
+/// out of bounds on one rank and strand the others in a barrier.
 #[test]
 fn poisoned_world_an_out_of_range_author_stops_the_run_at_the_door() {
     for nranks in [1, 3] {
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let events = [(0, 0, 5), (1, 0, 6), (9, 1, 7), (2, 1, 8)]
-                .map(|(a, p, ts)| Event::new(AuthorId(a), PageId(p), ts));
-            let source =
-                event_source(|rank, n| Box::new(events.iter().skip(rank).step_by(n).copied()));
-            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                DistPipeline::new(PipelineConfig::default(), nranks).run_events(9, &source)
-            }));
-            let _ = tx.send(run.err().and_then(|p| p.downcast::<String>().ok()));
-        });
-        let message = rx
-            .recv_timeout(std::time::Duration::from_secs(10))
-            .expect("the world did not tear down within 10 s")
-            .expect("the run was expected to panic with a message");
-        assert_eq!(*message, "author id 9 out of range", "{nranks} ranks");
+        let events = [(0, 0, 5), (1, 0, 6), (9, 1, 7), (2, 1, 8)];
+        let message = panic_message(nranks, 9, events);
+        assert_eq!(message, "author id 9 out of range", "{nranks} ranks");
+    }
+}
+
+/// Page id `u32::MAX` has no slot in flat page rows, which index one past
+/// the largest page id: without a budget the run must stop with that
+/// message, on the lone rank that keeps its own rows and on two ranks, where
+/// the page's owner panics after the exchange — and no barrier may strand
+/// the other rank.
+#[test]
+fn poisoned_world_a_page_id_at_the_top_of_the_space_stops_the_run() {
+    for nranks in [1, 2] {
+        let events = [(0, 0, 5), (1, u32::MAX, 6), (2, u32::MAX, 7), (1, 3, 8)];
+        let message = panic_message(nranks, 3, events);
+        assert_eq!(
+            message, "dense page ids stay below u32::MAX",
+            "{nranks} ranks"
+        );
     }
 }
 

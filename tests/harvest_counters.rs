@@ -8,9 +8,13 @@
 //! `validate.prefix_pages` (their `|pages(a) ∩ pages(b)|`, summed), though a
 //! run may split across the ranks that kept its triangles. And a one-byte
 //! shuffle budget really spills (`shuffle.spilled_bytes`,
-//! `shuffle.spill_segments`), where no budget spills nothing; one rank
-//! without a budget sends no event messages
-//! (`ygm.events_to_pages.items_sent`), where every other run does.
+//! `shuffle.spill_segments`), where no budget spills nothing. One rank
+//! without a budget sends no message through any of the five shuffles
+//! (`ygm.<label>.items_sent` for the events, the pair occurrences, the
+//! oriented edges, the wedge checks and the harvest), where every other run
+//! sends through each; and its `survey.triangles_examined`,
+//! `survey.wedge_checks` and `survey.wedge_list_bytes` are the resident
+//! run's.
 //!
 //! `obs` counters are process-global, so this is the only test in its binary:
 //! beside the pipelines other tests run on parallel threads, the totals read
@@ -25,7 +29,7 @@ use coordination::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
 use coordination::core::records::{CommentRecord, Dataset};
 use coordination::redditgen::ScenarioConfig;
 
-const COUNTERS: [&str; 7] = [
+const COUNTERS: [&str; 14] = [
     "validate.harvest_authors",
     "validate.harvest_incidences",
     "validate.prefix_runs",
@@ -33,10 +37,23 @@ const COUNTERS: [&str; 7] = [
     "shuffle.spilled_bytes",
     "shuffle.spill_segments",
     "ygm.events_to_pages.items_sent",
+    "ygm.pair_occurrences.items_sent",
+    "ygm.oriented_edges.items_sent",
+    "ygm.wedge_checks.items_sent",
+    "ygm.author_pages_on_demand.items_sent",
+    "survey.triangles_examined",
+    "survey.wedge_checks",
+    "survey.wedge_list_bytes",
 ];
 
+/// Where the shuffles' `items_sent` counters sit in [`COUNTERS`].
+const SENT: std::ops::Range<usize> = 6..11;
+
+/// Where the survey counters sit in [`COUNTERS`].
+const SURVEY: std::ops::Range<usize> = 11..14;
+
 /// The counters' growth over one run.
-fn measured(run: &dyn Fn() -> PipelineOutput) -> (PipelineOutput, [u64; 7]) {
+fn measured(run: &dyn Fn() -> PipelineOutput) -> (PipelineOutput, [u64; 14]) {
     let read = || COUNTERS.map(|name| obs::counter(name).get());
     let before = read();
     let out = run();
@@ -96,7 +113,9 @@ fn check(ds: &Dataset, config: &PipelineConfig) {
     let shared = edges
         .iter()
         .map(|&[a, b]| pages(a).intersection(&pages(b)).count() as u64);
-    assert_eq!(want[2..], [edges.len() as u64, shared.sum(), 0, 0, 0]);
+    assert_eq!(want[2..4], [edges.len() as u64, shared.sum()]);
+    assert_eq!(want[4..SENT.end], [0; 7], "the resident engine shuffled");
+    assert!(want[SURVEY].iter().all(|&n| n > 0), "{:?}", &want[SURVEY]);
 
     for nranks in [1, 2, 3, 4] {
         for budget in [None, Some(1), Some(65_536)] {
@@ -116,13 +135,16 @@ fn check(ds: &Dataset, config: &PipelineConfig) {
                 Some(1) => assert!(spilled, "{nranks} ranks, budget 1: {:?}", &got[4..6]),
                 Some(_) => {}
             }
-            // One rank owns every page: only a budget's run stack sends it
-            // its own events.
-            let sent = got[6];
+            // One rank owns every page, edge and vertex: only a budget's run
+            // stacks send it its own messages, and without one it surveys
+            // as the resident engine does.
+            let sent = &got[SENT];
             if nranks == 1 && budget.is_none() {
-                assert_eq!(sent, 0, "one rank sent event messages");
+                assert_eq!(sent, [0; 5], "one rank sent messages");
+                assert_eq!(got[SURVEY], want[SURVEY], "one rank's survey counters");
             } else {
-                assert!(sent > 0, "{nranks} ranks, budget {budget:?}: no event sent");
+                let what = format!("{nranks} ranks, budget {budget:?}");
+                assert!(sent.iter().all(|&n| n > 0), "{what}: {sent:?}");
             }
         }
     }
