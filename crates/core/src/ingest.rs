@@ -1,5 +1,5 @@
-//! NDJSON ingest: a zero-copy field scanner feeding one in-order interning
-//! pass, fed by a chunk reader that holds one buffer of text at a time.
+//! NDJSON ingest: a zero-copy field scanner on one thread feeding an
+//! in-order interning pass on another, one chunk of text at a time.
 //!
 //! The paper's raw input is a month of pushshift.io Reddit comments — tens of
 //! GB of NDJSON, distributed compressed, so the natural feed is a
@@ -18,37 +18,46 @@
 //!    its whitespace set and stops a string, so the pass scans a record off
 //!    the front of what is left of the text and only a line the scanner does
 //!    not take searches for its `\n`.
-//! 2. **The pass.** Each scanned line's `author` and `link_id` are interned
-//!    straight into the final [`Dataset`]'s arena-backed [`Interner`]s and
-//!    its [`Event`] is pushed, in input order, so global first-occurrence
-//!    ids — exactly the ids the reference reader assigns — fall out by
-//!    construction. The pass is resumable: it owns the interners, the event
-//!    column and the running [`IngestStats`], takes the input a piece at a
-//!    time (each piece a run of whole lines) and carries its line count
-//!    across pieces, so a parse error's 1-based line number is the file's.
-//!    Within a piece it scans a few lines ahead of the interning
-//!    (`SCAN_AHEAD`) so that the lookups' cache misses overlap.
-//! 3. **The chunk reader.** [`ingest_reader`] fills one reused buffer
-//!    (`CHUNK` bytes; a line longer than it doubles the buffer), cuts at the
-//!    last `\n`, validates that prefix as UTF-8, feeds it to the pass and
-//!    moves the unterminated tail to the front — so ingest holds the dataset
-//!    plus one chunk, never the file, and reads a pipe as readily as a path.
-//!    [`ingest_slice`] is the same pass fed one piece.
+//! 2. **The scan stage.** One scoped worker thread takes the input a piece
+//!    at a time — each piece a run of whole lines — validates it as UTF-8
+//!    and scans it into a batch: each record's timestamp and the ends of its
+//!    two names, copied back to back into the batch's own string. It counts
+//!    lines across pieces, so a parse error's 1-based line number is the
+//!    file's. [`ingest_reader`] reads through one reused buffer (`CHUNK`
+//!    bytes; a line longer than it doubles the buffer), cuts at the last
+//!    `\n` and moves the unterminated tail to the front — so ingest holds the
+//!    dataset plus one chunk of text and two batches of names, never the
+//!    file, and reads a pipe as readily as a path. [`ingest_slice`] scans
+//!    pieces borrowed from the slice, cut at a `\n` about every `CHUNK`
+//!    bytes.
+//! 3. **The interning stage.** The calling thread interns each batch's
+//!    `author`s and `link_id`s straight into the final [`Dataset`]'s
+//!    arena-backed [`Interner`]s and pushes its [`Event`]s, batch after batch
+//!    in input order, so global first-occurrence ids — exactly the ids the
+//!    reference reader assigns — fall out by construction, with no merge and
+//!    no remap. It takes a batch's records a few at a time (`SCAN_AHEAD`) so
+//!    that the lookups' cache misses overlap, then hands the emptied batch
+//!    back to be refilled: the pass allocates its two batches once.
 //!
-//! **The first fault in file order wins, at any chunking.** A chunk that
-//! fails UTF-8 validation first feeds its complete lines before the bad
-//! byte — a malformed line among them is the earlier fault and is reported
-//! as [`ReadError::Parse`] — and only then returns [`ReadError::Io`] naming
-//! the line and the file-absolute byte offset: what the reference reader,
-//! which validates line by line, reports.
+//! **The first fault in file order wins, at any chunking.** A piece that
+//! fails UTF-8 validation first has its complete lines before the bad byte
+//! scanned — a malformed line among them is the earlier fault and is
+//! reported as [`ReadError::Parse`] — and only then returns
+//! [`ReadError::Io`] naming the line and the file-absolute byte offset: what
+//! the reference reader, which validates line by line, reports. The scan
+//! stage stops at its first fault, so no later piece is read.
 //!
-//! The pass runs on the calling thread. Interning in order is the part that
-//! cannot be split (it is the Amdahl term: the scanner is about a third of
-//! the pass), so a future scan-ahead on real threads would slot in *front* of
-//! it — workers scan line ranges into borrowed [`RecordRef`]s, this pass
-//! consumes them in input order — without changing any id. Nothing parses a
-//! chunk on a thread of its own today: the rank-sharded engine
-//! ([`crate::dist_pipeline`]) takes events that already carry dense ids.
+//! **Two threads, always.** Read + UTF-8 + scan is about half of a serial
+//! pass on a 1 M-line month, and interning in order — the part that cannot
+//! be split — the other half, so the stages overlap on two cores and ingest
+//! takes about as long as interning does. There is exactly one worker, with
+//! no setting and no serial fallback: on one core the two stages take turns,
+//! at a few percent over what the serial pass cost. The
+//! worker's counters (`ingest.scan_wait_ns`: waiting for a free batch) and
+//! the calling thread's (`ingest.intern_wait_ns`: waiting for a scanned one)
+//! say which stage bounds a run. An error on either side ends the pass with
+//! nothing partial returned, and a panic on either side reaches the caller
+//! once both have stopped.
 //!
 //! A strict-vs-lossy switch ([`IngestConfig::skip_bad_lines`]) lets multi-hour
 //! archive runs count and skip malformed lines instead of aborting on line 80
@@ -56,7 +65,9 @@
 
 use std::borrow::Cow;
 use std::io::{ErrorKind, Read};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use crate::ids::{AuthorId, Event, Interner, PageId, Timestamp};
 use crate::records::{CommentRecord, Dataset, ReadError};
@@ -445,12 +456,12 @@ fn for_each_record<'a>(
     Ok(())
 }
 
-/// How many records are scanned before their names are interned. A lookup
+/// How many records the interning stage hands its sink at a time. A lookup
 /// in a month-sized name table is a chain of cache misses (slot → offsets →
 /// arena); looking a few lines' names up back to back lets those chains
-/// overlap instead of each waiting behind the next line's scan. Measured on
-/// 1 M lines / 150 K authors: 1 → 4 → 16 lines ahead is 242 → 175 → 170 ns
-/// per line, flat beyond.
+/// overlap instead of each waiting behind the next. Measured on the serial
+/// pass over 1 M lines / 150 K authors: 1 → 4 → 16 lines at a time is 242 →
+/// 175 → 170 ns per line, flat beyond.
 const SCAN_AHEAD: usize = 16;
 
 /// Where a pass puts its records: a window of at most [`SCAN_AHEAD`] at a
@@ -505,41 +516,109 @@ impl Sink for Vec<CommentRecord> {
     }
 }
 
-/// The in-order pass, resumable between pieces of input: it owns the sink
-/// and the running counters, and takes the text one run of whole lines at a
-/// time. The scan-ahead window is flushed at the end of every piece — the
-/// names it borrows die with the piece — which cannot change an id because
-/// order is preserved.
-struct Pass<S> {
-    sink: S,
-    skip_bad: bool,
+// ---------------------------------------------------------------- batches
+
+/// One scanned record in a [`Batch`]: its author is the batch's names from
+/// the previous record's `page_end` to `author_end`, its page the names from
+/// there to `page_end`.
+struct Record {
+    author_end: usize,
+    page_end: usize,
+    ts: Timestamp,
+}
+
+/// What passes between the two stages: the records of a run of whole lines,
+/// in input order, with their names copied out of the text back to back. The
+/// interning stage hands each batch back emptied, so the pass allocates its
+/// [`BATCHES`] batches once, on the calling thread.
+struct Batch {
+    names: String,
+    records: Vec<Record>,
+}
+
+/// Batches in flight: one being filled while the other is interned.
+const BATCHES: usize = 2;
+
+/// Bytes of input read and scanned at a time. Measured flat between 256 KiB
+/// and 4 MiB on a 60 MB month, slower at 16 MiB.
+const CHUNK: usize = 1 << 20;
+
+impl Batch {
+    /// An empty batch with room for the records of `bytes` of text: a record
+    /// line is at least 42 bytes (`{"author":"","link_id":"","created_utc":0}`),
+    /// and its names are a part of it. Memory is only resident once written.
+    fn with_room_for(bytes: usize) -> Batch {
+        Batch {
+            names: String::with_capacity(bytes),
+            records: Vec::with_capacity(bytes / 42 + 1),
+        }
+    }
+}
+
+// ---------------------------------------------------------------- scan stage
+
+/// What the scan stage counted.
+#[derive(Default)]
+struct ScanTally {
     stats: IngestStats,
     bytes: u64,
     chunks: u64,
+    /// Time spent waiting for the interning stage to free a batch.
+    wait: Duration,
 }
 
-impl<S: Sink> Pass<S> {
-    /// Parse `piece` — whole lines, the last of which may lack its `\n` only
-    /// at the end of the input.
+/// The scan stage, on the pass's worker thread: it scans the input a piece
+/// — a run of whole lines — at a time into an empty batch and hands the batch
+/// to the interning stage, in input order, counting as it goes. Its line
+/// count runs on from piece to piece, so a parse error's 1-based line number
+/// is the input's.
+struct Scan {
+    skip_bad: bool,
+    tally: ScanTally,
+    free: Receiver<Batch>,
+    full: SyncSender<Batch>,
+}
+
+/// The scan stage's error once the interning stage has hung up, which it does
+/// only by panicking — so this is never what the caller sees.
+fn hung_up<E>(_: E) -> ReadError {
+    ReadError::Io(std::io::Error::other("the interning stage stopped"))
+}
+
+impl Scan {
+    /// Scan `piece` — whole lines, the last of which may lack its `\n` only
+    /// at the end of the input — into a batch and hand it over. A strict-mode
+    /// parse error ends the pass here.
     fn feed(&mut self, piece: &str) -> Result<(), ReadError> {
-        self.bytes += piece.len() as u64;
-        self.chunks += 1;
-        let mut ahead = Vec::with_capacity(SCAN_AHEAD);
-        let sink = &mut self.sink;
-        for_each_record(piece, self.skip_bad, &mut self.stats, |scanned| {
-            ahead.push(scanned);
-            if ahead.len() == SCAN_AHEAD {
-                sink.take(&mut ahead);
-            }
-        })?;
-        sink.take(&mut ahead);
-        Ok(())
+        let start = Instant::now();
+        let batch = self.free.recv();
+        self.tally.wait += start.elapsed();
+        let mut batch = batch.map_err(hung_up)?;
+        self.tally.bytes += piece.len() as u64;
+        self.tally.chunks += 1;
+        for_each_record(
+            piece,
+            self.skip_bad,
+            &mut self.tally.stats,
+            |(author, page, ts)| {
+                batch.names.push_str(&author);
+                let author_end = batch.names.len();
+                batch.names.push_str(&page);
+                let page_end = batch.names.len();
+                batch.records.push(Record {
+                    author_end,
+                    page_end,
+                    ts,
+                });
+            },
+        )?;
+        self.full.send(batch).map_err(hung_up)
     }
 
-    /// [`Pass::feed`] over raw bytes that start `offset` bytes into the
+    /// [`Scan::feed`] over raw bytes that start `offset` bytes into the
     /// input. Non-UTF-8 input is an I/O error, as it is for the reference
     /// line reader — reported after the complete lines before the bad byte
-    /// have been parsed, so a malformed line among them, being the earlier
+    /// have been scanned, so a malformed line among them, being the earlier
     /// fault, is the one reported.
     fn feed_bytes(&mut self, bytes: &[u8], offset: u64) -> Result<(), ReadError> {
         let fault = match std::str::from_utf8(bytes) {
@@ -557,30 +636,19 @@ impl<S: Sink> Pass<S> {
             ErrorKind::InvalidData,
             format!(
                 "input is not valid UTF-8 on line {}, at byte {}",
-                self.stats.lines + 1,
+                self.tally.stats.lines + 1,
                 offset + fault as u64
             ),
         )))
     }
 }
 
-// ---------------------------------------------------------------- chunk reader
-
-/// Bytes of input held at a time. Measured flat between 256 KiB and 4 MiB on
-/// a 60 MB month, slower at 16 MiB.
-const CHUNK: usize = 1 << 20;
-
-/// Drive `pass` over everything `reader` yields through one reused buffer of
-/// `capacity` bytes: fill it, cut at the last `\n`, feed that prefix, move
+/// The scan stage over everything `reader` yields, through one reused buffer
+/// of `capacity` bytes: fill it, cut at the last `\n`, feed that prefix, move
 /// the unterminated tail to the front. A line longer than the buffer doubles
 /// it. [`ErrorKind::Interrupted`] is retried; any other read error ends the
 /// run.
-fn read_chunks<S: Sink>(
-    mut reader: impl Read,
-    capacity: usize,
-    pass: &mut Pass<S>,
-) -> Result<(), ReadError> {
-    let mut buf = vec![0u8; capacity];
+fn read_chunks(mut reader: impl Read, mut buf: Vec<u8>, scan: &mut Scan) -> Result<(), ReadError> {
     // `buf[..filled]` is input not yet fed, `offset` bytes into the input;
     // its first `tail` bytes are known to hold no `\n`.
     let (mut filled, mut tail, mut offset) = (0, 0, 0u64);
@@ -604,7 +672,7 @@ fn read_chunks<S: Sink>(
             continue;
         };
         if cut > 0 {
-            pass.feed_bytes(&buf[..cut], offset)?;
+            scan.feed_bytes(&buf[..cut], offset)?;
         }
         if eof {
             return Ok(());
@@ -616,37 +684,139 @@ fn read_chunks<S: Sink>(
     }
 }
 
-// ---------------------------------------------------------------- drivers
+/// The scan stage over `bytes` in memory, in pieces that each run to the
+/// first `\n` at least `piece` bytes in, or to the end.
+fn slice_pieces(bytes: &[u8], piece: usize, scan: &mut Scan) -> Result<(), ReadError> {
+    let mut at = 0;
+    while at < bytes.len() {
+        let rest = &bytes[at..];
+        let end = rest
+            .get(piece..)
+            .and_then(|after| after.iter().position(|&b| b == b'\n'))
+            .map_or(rest.len(), |i| piece + i + 1);
+        scan.feed_bytes(&rest[..end], at as u64)?;
+        at += end;
+    }
+    Ok(())
+}
 
-/// One run of the pass under the `ingest` span — opened before `drive` reads
-/// its first byte, so the span covers the read — with the run's counters
-/// routed through the metrics registry, making lossy runs
-/// (`--skip-bad-lines`) auditable in the run report rather than stderr-only.
-/// Counter registration is unconditional so every documented `ingest.*` name
-/// appears in the report even when it stays 0.
+// ---------------------------------------------------------------- interning stage
+
+/// Intern `batch` into `sink` in input order, [`SCAN_AHEAD`] records at a
+/// time, and empty it for the scan stage to refill.
+fn intern<S: Sink>(sink: &mut S, batch: &mut Batch) {
+    let names = batch.names.as_str();
+    let mut start = 0;
+    let mut ahead = Vec::with_capacity(SCAN_AHEAD);
+    for window in batch.records.chunks(SCAN_AHEAD) {
+        ahead.extend(window.iter().map(|r| {
+            let author = &names[start..r.author_end];
+            start = r.page_end;
+            (
+                Cow::Borrowed(author),
+                Cow::Borrowed(&names[r.author_end..r.page_end]),
+                r.ts,
+            )
+        }));
+        sink.take(&mut ahead);
+    }
+    batch.names.clear();
+    batch.records.clear();
+}
+
+/// One run of the pass under the `ingest` span, which covers the read: `scan`
+/// on one scoped worker thread, interning into `sink` on this one, with
+/// [`BATCHES`] batches sized for `piece` bytes of text between them. Ids are
+/// interned in input order, so they are first-occurrence ids by construction.
+/// An error ends the pass with nothing partial returned — a scan thread the
+/// OS will not start is [`ReadError::Io`] — and a panic on either side
+/// reaches the caller once both stages have stopped. The run's counters
+/// go through the metrics registry, making lossy runs (`--skip-bad-lines`)
+/// auditable in the run report rather than stderr-only; counter registration
+/// is unconditional so every documented `ingest.*` name appears in the report
+/// even when it stays 0.
 fn run<S: Sink>(
-    sink: S,
+    mut sink: S,
     cfg: &IngestConfig,
-    drive: impl FnOnce(&mut Pass<S>) -> Result<(), ReadError>,
+    piece: usize,
+    scan: impl FnOnce(&mut Scan) -> Result<(), ReadError> + Send,
 ) -> Result<(S, IngestStats), ReadError> {
     let _stage = obs::span("ingest");
-    let mut pass = Pass {
-        sink,
-        skip_bad: cfg.skip_bad_lines,
-        stats: IngestStats::default(),
-        bytes: 0,
-        chunks: 0,
-    };
-    drive(&mut pass)?;
-    obs::counter("ingest.bytes").add(pass.bytes);
-    obs::counter("ingest.chunks").add(pass.chunks);
-    obs::counter("ingest.lines").add(pass.stats.lines);
-    obs::counter("ingest.events").add(pass.stats.events);
-    obs::counter("ingest.skipped_lines").add(pass.stats.skipped_lines);
-    obs::counter("ingest.scanner_fallbacks").add(pass.stats.scanner_fallbacks);
+    let skip_bad = cfg.skip_bad_lines;
+    let (tally, intern_wait) = std::thread::scope(|s| -> Result<_, ReadError> {
+        // Both channels live in this closure, so a panic here hangs them up
+        // and the worker stops at its next send or receive.
+        let (free_tx, free_rx) = sync_channel(BATCHES);
+        let (full_tx, full_rx) = sync_channel(BATCHES);
+        for _ in 0..BATCHES {
+            free_tx
+                .send(Batch::with_room_for(piece))
+                .expect("a slot for every batch");
+        }
+        let worker = std::thread::Builder::new()
+            .name("ingest-scan".into())
+            .spawn_scoped(s, move || {
+                let mut stage = Scan {
+                    skip_bad,
+                    tally: ScanTally::default(),
+                    free: free_rx,
+                    full: full_tx,
+                };
+                scan(&mut stage).map(|()| stage.tally)
+            })
+            .map_err(ReadError::Io)?;
+        let mut wait = Duration::ZERO;
+        loop {
+            let start = Instant::now();
+            let batch = full_rx.recv();
+            wait += start.elapsed();
+            let Ok(mut batch) = batch else { break };
+            intern(&mut sink, &mut batch);
+            // The scan stage may have finished: a batch it will not refill
+            // is dropped here.
+            let _ = free_tx.send(batch);
+        }
+        match worker.join() {
+            Ok(tally) => Ok((tally?, wait)),
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    })?;
+    let nanos = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+    obs::counter("ingest.bytes").add(tally.bytes);
+    obs::counter("ingest.chunks").add(tally.chunks);
+    obs::counter("ingest.lines").add(tally.stats.lines);
+    obs::counter("ingest.events").add(tally.stats.events);
+    obs::counter("ingest.skipped_lines").add(tally.stats.skipped_lines);
+    obs::counter("ingest.scanner_fallbacks").add(tally.stats.scanner_fallbacks);
+    obs::counter("ingest.intern_wait_ns").add(nanos(intern_wait));
+    obs::counter("ingest.scan_wait_ns").add(nanos(tally.wait));
     obs::record_stage_rss("ingest");
-    Ok((pass.sink, pass.stats))
+    Ok((sink, tally.stats))
 }
+
+/// The pass over `reader`, read through a buffer of `capacity` bytes.
+fn read_run<S: Sink>(
+    sink: S,
+    reader: impl Read + Send,
+    capacity: usize,
+    cfg: &IngestConfig,
+) -> Result<(S, IngestStats), ReadError> {
+    // Allocated here, on the calling thread, as the batches are.
+    let buf = vec![0u8; capacity];
+    run(sink, cfg, capacity, |scan| read_chunks(reader, buf, scan))
+}
+
+/// The pass over `bytes`, in pieces of about `piece` bytes.
+fn slice_run<S: Sink>(
+    sink: S,
+    bytes: &[u8],
+    piece: usize,
+    cfg: &IngestConfig,
+) -> Result<(S, IngestStats), ReadError> {
+    run(sink, cfg, piece, |scan| slice_pieces(bytes, piece, scan))
+}
+
+// ---------------------------------------------------------------- drivers
 
 fn into_ingest((sink, stats): (Interning, IngestStats)) -> Ingest {
     Ingest {
@@ -660,31 +830,30 @@ fn into_ingest((sink, stats): (Interning, IngestStats)) -> Ingest {
 }
 
 /// Ingest NDJSON from `reader` — a file, a pipe — into a [`Dataset`] in one
-/// in-order pass, holding one chunk of text at a time. Names get their ids
-/// where they first occur, so the output is identical to the reference
+/// in-order pass, holding one chunk of text at a time: a worker thread reads
+/// and scans it while this thread interns the chunk before. Names get their
+/// ids where they first occur, so the output is identical to the reference
 /// reader's ([`crate::records::read_ndjson_into_dataset`]), and so is the
 /// fault reported: the first in file order, a malformed line as
 /// [`ReadError::Parse`] and a non-UTF-8 one as [`ReadError::Io`]. Nothing
-/// partial is returned on an error.
-pub fn ingest_reader(reader: impl Read, cfg: &IngestConfig) -> Result<Ingest, ReadError> {
-    run(Interning::new(), cfg, |pass| {
-        read_chunks(reader, CHUNK, pass)
-    })
-    .map(into_ingest)
+/// partial is returned on an error, and a panic in `reader` reaches the
+/// caller.
+pub fn ingest_reader(reader: impl Read + Send, cfg: &IngestConfig) -> Result<Ingest, ReadError> {
+    read_run(Interning::new(), reader, CHUNK, cfg).map(into_ingest)
 }
 
-/// [`ingest_reader`] over bytes already in memory: the same pass, fed one
-/// piece.
+/// [`ingest_reader`] over bytes already in memory: the same pass, scanning
+/// pieces borrowed from `buf` instead of read.
 pub fn ingest_slice(buf: &[u8], cfg: &IngestConfig) -> Result<Ingest, ReadError> {
-    run(Interning::new(), cfg, |pass| pass.feed_bytes(buf, 0)).map(into_ingest)
+    slice_run(Interning::new(), buf, CHUNK, cfg).map(into_ingest)
 }
 
 /// [`ingest_reader`] to owned records (no interning), in input order.
 pub fn ingest_records_reader(
-    reader: impl Read,
+    reader: impl Read + Send,
     cfg: &IngestConfig,
 ) -> Result<(Vec<CommentRecord>, IngestStats), ReadError> {
-    run(Vec::new(), cfg, |pass| read_chunks(reader, CHUNK, pass))
+    read_run(Vec::new(), reader, CHUNK, cfg)
 }
 
 /// [`ingest_records_reader`] over raw bytes already in memory.
@@ -692,7 +861,7 @@ pub fn ingest_records_slice(
     buf: &[u8],
     cfg: &IngestConfig,
 ) -> Result<(Vec<CommentRecord>, IngestStats), ReadError> {
-    run(Vec::new(), cfg, |pass| pass.feed_bytes(buf, 0))
+    slice_run(Vec::new(), buf, CHUNK, cfg)
 }
 
 #[cfg(test)]
@@ -721,10 +890,12 @@ mod tests {
         capacity: usize,
         cfg: &IngestConfig,
     ) -> Result<Ingest, ReadError> {
-        run(Interning::new(), cfg, |pass| {
-            read_chunks(bytes, capacity, pass)
-        })
-        .map(into_ingest)
+        read_run(Interning::new(), bytes, capacity, cfg).map(into_ingest)
+    }
+
+    /// [`ingest_slice`] cutting its pieces about every `piece` bytes.
+    fn ingest_sliced(bytes: &[u8], piece: usize, cfg: &IngestConfig) -> Result<Ingest, ReadError> {
+        slice_run(Interning::new(), bytes, piece, cfg).map(into_ingest)
     }
 
     /// A finished run, in full: names in id order, events, counters.
@@ -772,6 +943,8 @@ mod tests {
             for (cfg, whole) in [&strict, &lossy].into_iter().zip(&whole) {
                 let chunked = outcome(ingest_chunked(bytes, capacity, cfg));
                 assert_eq!(&chunked, whole, "capacity {capacity}, {cfg:?}");
+                let sliced = outcome(ingest_sliced(bytes, capacity, cfg));
+                assert_eq!(&sliced, whole, "slice pieces of {capacity}, {cfg:?}");
             }
         }
     }
@@ -934,6 +1107,178 @@ mod tests {
             "{message}"
         );
         assert_every_capacity_matches(&bytes, 1..=128);
+    }
+
+    /// `n` record lines, every third author and every fifth page new.
+    fn lines(n: i64) -> String {
+        (0..n)
+            .map(|i| line(&format!("u{}", i / 3), &format!("p{}", i / 5), i) + "\n")
+            .collect()
+    }
+
+    /// Hands out `text` in reads of at most `step` bytes, then fails the way
+    /// `end` says.
+    struct Then<'a, F> {
+        text: &'a [u8],
+        step: usize,
+        end: F,
+    }
+
+    impl<F: FnMut() -> std::io::Error> Read for Then<'_, F> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.text.is_empty() {
+                return Err((self.end)());
+            }
+            let n = self.step.min(buf.len()).min(self.text.len());
+            buf[..n].copy_from_slice(&self.text[..n]);
+            self.text = &self.text[n..];
+            Ok(n)
+        }
+    }
+
+    fn broken_pipe() -> std::io::Error {
+        std::io::Error::new(ErrorKind::BrokenPipe, "the pipe went away")
+    }
+
+    /// A sink that counts what it takes and, from the window that brings its
+    /// count to `hold_at`, waits until `open` says so.
+    struct Held<S> {
+        inner: S,
+        seen: usize,
+        hold_at: usize,
+        open: Option<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl<S: Sink> Sink for Held<S> {
+        fn take(&mut self, ahead: &mut Vec<Scanned<'_>>) {
+            self.seen += ahead.len();
+            if self.seen >= self.hold_at {
+                if let Some(open) = self.open.take() {
+                    let _ = open.recv();
+                }
+            }
+            self.inner.take(ahead);
+        }
+    }
+
+    /// The pass over `text`, read 7 bytes at a time into `capacity`-byte
+    /// buffers by a reader that then fails — with a broken pipe, or a panic —
+    /// into `sink`, held from its `hold_at`-th record until the reader has
+    /// failed; a panic is caught. Also returns how many records the sink took.
+    fn failing_run<S: Sink>(
+        sink: S,
+        text: &[u8],
+        capacity: usize,
+        panics: bool,
+        hold_at: usize,
+    ) -> (std::thread::Result<Result<IngestStats, ReadError>>, usize) {
+        let (open, gate) = std::sync::mpsc::channel();
+        let reader = Then {
+            text,
+            step: 7,
+            end: move || {
+                let _ = open.send(());
+                if panics {
+                    panic!("the reader gave up");
+                }
+                broken_pipe()
+            },
+        };
+        let mut held = Held {
+            inner: sink,
+            seen: 0,
+            hold_at,
+            open: Some(gate),
+        };
+        let cfg = IngestConfig::default();
+        let ended = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            read_run(&mut held, reader, capacity, &cfg).map(|(_, stats)| stats)
+        }));
+        (ended, held.seen)
+    }
+
+    impl<S: Sink> Sink for &mut S {
+        fn take(&mut self, ahead: &mut Vec<Scanned<'_>>) {
+            (**self).take(ahead);
+        }
+    }
+
+    /// A reader that fails after many pieces while the interning stage is
+    /// held inside the last batch the scan stage handed over: the failure
+    /// meets scanned records that were never interned, and the typed error
+    /// or the reader's panic reaches the caller — for both sinks — with
+    /// nothing partial returned and no stage left waiting.
+    #[test]
+    fn a_reader_that_fails_with_records_in_flight_ends_the_run() {
+        let text = lines(200);
+        for capacity in [64, 300] {
+            // Where the held run holds: the last record the sink takes, which
+            // is in the last batch sent — the cuts do not depend on timing.
+            let (ended, reached) =
+                failing_run(Vec::new(), text.as_bytes(), capacity, false, usize::MAX);
+            assert!(matches!(ended, Ok(Err(ReadError::Io(_)))), "{ended:?}");
+            let per_piece = capacity / line("u0", "p0", 0).len();
+            assert!(
+                reached > 4 * per_piece,
+                "capacity {capacity}: {reached} records"
+            );
+            for panics in [false, true] {
+                let runs = [
+                    failing_run(Interning::new(), text.as_bytes(), capacity, panics, reached),
+                    failing_run(Vec::new(), text.as_bytes(), capacity, panics, reached),
+                ];
+                for (ended, seen) in runs {
+                    assert_eq!(seen, reached, "capacity {capacity}");
+                    match ended {
+                        Err(panic) if panics => {
+                            assert_eq!(panic.downcast_ref::<&str>(), Some(&"the reader gave up"))
+                        }
+                        Ok(Err(ReadError::Io(e))) if !panics => {
+                            assert_eq!(e.kind(), ErrorKind::BrokenPipe)
+                        }
+                        other => panic!("capacity {capacity}, panics {panics}: {other:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// A panic in the interning stage reaches the caller, and the scan stage
+    /// — blocked on a full channel or waiting for a free batch — stops.
+    #[test]
+    fn a_panic_while_interning_reaches_the_caller() {
+        struct Explodes(usize);
+        impl Sink for Explodes {
+            fn take(&mut self, ahead: &mut Vec<Scanned<'_>>) {
+                self.0 += ahead.len();
+                assert!(self.0 < 40, "the sink gave up");
+                ahead.clear();
+            }
+        }
+        let text = lines(200);
+        for capacity in [64, 300, CHUNK] {
+            let ended = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                read_run(
+                    Explodes(0),
+                    text.as_bytes(),
+                    capacity,
+                    &IngestConfig::default(),
+                )
+                .map(|(_, stats)| stats)
+            }));
+            let panic = ended.expect_err("the sink panicked");
+            assert_eq!(panic.downcast_ref::<&str>(), Some(&"the sink gave up"));
+            let ended = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                slice_run(
+                    Explodes(0),
+                    text.as_bytes(),
+                    capacity,
+                    &IngestConfig::default(),
+                )
+                .map(|(_, stats)| stats)
+            }));
+            assert!(ended.is_err(), "capacity {capacity}");
+        }
     }
 
     #[test]

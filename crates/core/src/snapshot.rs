@@ -89,7 +89,7 @@ pub fn write_snapshot(
 /// ([`ingest::ingest_reader`]) and write the result straight to `path`,
 /// recording `window` for `survey --from-snapshot`.
 pub fn ingest_to_snapshot(
-    reader: impl std::io::Read,
+    reader: impl std::io::Read + Send,
     cfg: &IngestConfig,
     window: Window,
     path: &Path,

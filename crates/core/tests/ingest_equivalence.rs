@@ -581,28 +581,69 @@ fn the_first_fault_in_file_order_wins() {
 }
 
 /// A read error other than `Interrupted` ends the run as `ReadError::Io`:
-/// the lines already parsed are not returned.
+/// the lines already parsed are not returned — whether it comes on the
+/// second read of a two-line input or after several chunks, with scanned
+/// chunks still on their way to the interning thread — and a reader that
+/// panics mid-stream hands its panic to the caller. Neither stage is left
+/// waiting: every run returns.
 #[test]
 fn a_failing_reader_is_an_io_error_with_nothing_partial() {
-    struct Dies<'a>(&'a [u8]);
+    struct Dies<'a> {
+        text: &'a [u8],
+        panics: bool,
+    }
     impl Read for Dies<'_> {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            if self.0.is_empty() {
+            if self.text.is_empty() {
+                if self.panics {
+                    panic!("the reader gave up");
+                }
                 return Err(io::Error::new(ErrorKind::BrokenPipe, "the pipe went away"));
             }
-            let n = self.0.len().min(buf.len());
-            buf[..n].copy_from_slice(&self.0[..n]);
-            self.0 = &self.0[n..];
+            let n = self.text.len().min(buf.len());
+            buf[..n].copy_from_slice(&self.text[..n]);
+            self.text = &self.text[n..];
             Ok(n)
         }
     }
-    let text = join(&[plain_line("a", "p", 1), plain_line("b", "p", 2)], true);
-    match ingest::ingest_reader(Dies(text.as_bytes()), &IngestConfig::default()) {
-        Err(ReadError::Io(e)) => assert_eq!(e.kind(), ErrorKind::BrokenPipe),
-        other => panic!("expected the reader's error, got {other:?}"),
+    fn panic_message<T: std::fmt::Debug>(run: impl FnOnce() -> T) -> String {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+            Err(panic) => panic
+                .downcast_ref::<&str>()
+                .copied()
+                .unwrap_or("?")
+                .to_owned(),
+            Ok(ended) => panic!("expected the reader's panic, got {ended:?}"),
+        }
     }
-    match ingest::ingest_records_reader(Dies(text.as_bytes()), &IngestConfig::default()) {
-        Err(ReadError::Io(e)) => assert_eq!(e.kind(), ErrorKind::BrokenPipe),
-        other => panic!("expected the reader's error, got {other:?}"),
+    let short = join(&[plain_line("a", "p", 1), plain_line("b", "p", 2)], true);
+    let lines: Vec<String> = (0..100_000)
+        .map(|i| plain_line(&format!("u{}", i % 977), &format!("t3_{}", i % 1013), i))
+        .collect();
+    let long = join(&lines, true);
+    assert!(long.len() > 4 << 20, "several chunks");
+    let strict = IngestConfig::default();
+    for text in [short.as_bytes(), long.as_bytes()] {
+        let dies = || Dies {
+            text,
+            panics: false,
+        };
+        match ingest::ingest_reader(dies(), &strict) {
+            Err(ReadError::Io(e)) => assert_eq!(e.kind(), ErrorKind::BrokenPipe),
+            other => panic!("expected the reader's error, got {other:?}"),
+        }
+        match ingest::ingest_records_reader(dies(), &strict) {
+            Err(ReadError::Io(e)) => assert_eq!(e.kind(), ErrorKind::BrokenPipe),
+            other => panic!("expected the reader's error, got {other:?}"),
+        }
+        let panics = || Dies { text, panics: true };
+        assert_eq!(
+            panic_message(|| ingest::ingest_reader(panics(), &strict).map(|_| ())),
+            "the reader gave up"
+        );
+        assert_eq!(
+            panic_message(|| ingest::ingest_records_reader(panics(), &strict).map(|_| ())),
+            "the reader gave up"
+        );
     }
 }

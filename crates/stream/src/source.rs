@@ -35,7 +35,7 @@ pub fn sort_records(records: &mut [CommentRecord]) {
 /// stream order plus the ingest counters (skipped lines in lossy mode,
 /// scanner fallbacks).
 pub fn read_ndjson_sorted(
-    reader: impl Read,
+    reader: impl Read + Send,
     skip_bad_lines: bool,
 ) -> Result<(Vec<CommentRecord>, IngestStats), ReadError> {
     let (mut records, stats) = ingest_records_reader(reader, &IngestConfig { skip_bad_lines })?;

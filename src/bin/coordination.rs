@@ -37,6 +37,9 @@ const BATCH_COUNTERS: &[&str] = &[
     "ingest.lines",
     "ingest.events",
     "ingest.skipped_lines",
+    "ingest.scanner_fallbacks",
+    "ingest.intern_wait_ns",
+    "ingest.scan_wait_ns",
     "btm.pages_presorted",
     "btm.pages_sorted",
     "btm.rows_narrow",
@@ -197,11 +200,13 @@ impl Flags {
 }
 
 /// Open `--input` (a path, or `-` for stdin) for the ingest layer, which
-/// reads it a chunk at a time: a pipe streams, and the file is never held.
-fn open_input(flags: &Flags) -> Result<(Box<dyn Read>, &str), String> {
+/// reads it a chunk at a time on a thread of its own: a pipe streams, and the
+/// file is never held. Stdin is not locked here: a `StdinLock` cannot move to
+/// that thread.
+fn open_input(flags: &Flags) -> Result<(Box<dyn Read + Send>, &str), String> {
     let path = flags.get("input").ok_or("--input is required")?;
-    let reader: Box<dyn Read> = if path == "-" {
-        Box::new(std::io::stdin().lock())
+    let reader: Box<dyn Read + Send> = if path == "-" {
+        Box::new(std::io::stdin())
     } else {
         Box::new(std::fs::File::open(path).map_err(|e| format!("read {path}: {e}"))?)
     };
