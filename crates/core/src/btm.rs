@@ -539,11 +539,6 @@ impl Btm {
         self.rows.pages()
     }
 
-    /// The page side on its own.
-    pub(crate) fn rows(&self) -> &PageRows {
-        &self.rows
-    }
-
     /// The largest page neighborhood (comment count) — the projection's
     /// worst-case page.
     pub fn max_page_degree(&self) -> usize {
@@ -668,24 +663,10 @@ impl AuthorPages {
     /// # Panics
     /// If a requested id is not below `btm.n_authors()`.
     pub fn harvest(btm: &Btm, authors: impl IntoIterator<Item = AuthorId>) -> Self {
-        Self::harvest_rows(btm.n_authors(), &btm.rows, authors)
-    }
-
-    /// [`AuthorPages::harvest`] over any page rows on an `n_authors` id
-    /// space: a [`Btm`]'s, or the whole partition of the sharded pipeline's
-    /// lone rank.
-    ///
-    /// # Panics
-    /// If a requested id is not below `n_authors`.
-    pub(crate) fn harvest_rows(
-        n_authors: u32,
-        rows: &PageRows,
-        authors: impl IntoIterator<Item = AuthorId>,
-    ) -> Self {
-        let mut scan = HarvestScan::new(n_authors, authors);
+        let mut scan = HarvestScan::new(btm.n_authors(), authors);
         let mut hits: Vec<(u32, PageId)> = Vec::new();
         if scan.n_slots() > 0 {
-            for (p, row) in rows.pages() {
+            for (p, row) in btm.pages() {
                 scan.page(p, row, |s, _| hits.push((s, p)));
             }
         }
@@ -948,29 +929,6 @@ mod tests {
         assert_eq!(some.pages(AuthorId(7)), []);
         assert_eq!(some.n_incidences(), 2 + 2);
         assert!(std::panic::catch_unwind(|| some.pages(AuthorId(1))).is_err());
-    }
-
-    /// The harvest over page rows built on their own, from the events in
-    /// reverse, is `Btm`'s harvest — in the wide layout and the narrow one.
-    #[test]
-    fn a_harvest_over_rows_is_the_btm_harvest() {
-        let wide = messy();
-        let narrow: Vec<Event> = wide
-            .iter()
-            .copied()
-            .filter(|e| (-100..100).contains(&e.ts))
-            .collect();
-        let asked = [6, 2, 7, 2, 6, 1, 5].map(AuthorId);
-        for events in [wide, narrow] {
-            let want = AuthorPages::harvest(&Btm::from_events(8, 6, &events), asked);
-            let rows = PageRows::build(6, || events.iter().rev().map(|e| (e.page, e.ts, e.author)));
-            let got = AuthorPages::harvest_rows(8, &rows, asked);
-            assert_eq!(got.n_authors(), want.n_authors());
-            assert_eq!(got.n_incidences(), want.n_incidences());
-            for a in asked {
-                assert_eq!(got.pages(a), want.pages(a), "author {}", a.0);
-            }
-        }
     }
 
     #[test]

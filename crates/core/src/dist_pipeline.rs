@@ -1,11 +1,15 @@
 //! The rank-sharded end-to-end pipeline: ingest → projection → survey →
-//! validation entirely on [`ygm`] ranks.
+//! validation on [`ygm`] ranks.
 //!
-//! [`Pipeline`](crate::Pipeline) runs the three paper steps in one address
-//! space over a resident [`Btm`](crate::btm::Btm); this module runs the
-//! *same program* in the SPMD communication structure the paper's MPI
-//! deployment used, with every stage owner-partitioned and every hand-off an
-//! explicit shuffle:
+//! [`Pipeline`] runs the three paper steps in one address space over a
+//! resident [`Btm`]; this module runs the *same program* in the SPMD
+//! communication structure the paper's MPI deployment used, with every stage
+//! owner-partitioned and every hand-off an explicit shuffle. One rank without a shuffle budget would own every page,
+//! edge and vertex, so each of its shuffles would only send the rank its own
+//! messages: that run is the resident run. The door pulls the source once,
+//! builds the [`Btm`] from it and calls [`Pipeline::run_btm`]; no rank is
+//! spawned. Every other run — two or more ranks, or any budget — is the
+//! rank program:
 //!
 //! 1. **Ingest** — there is one way in: the author id-space size, an
 //!    exclusion list the caller resolved, and one `EventSource` that every
@@ -13,30 +17,24 @@
 //!    ([`DistPipeline::run_events`]). A [`Dataset`] and a snapshot are two
 //!    five-line sources over that door — a block of the borrowed event list,
 //!    a slice of the one mmapped file all ranks share — and resolve their
-//!    exclusions by name exactly as [`Pipeline`](crate::Pipeline) does.
+//!    exclusions by name exactly as [`Pipeline`] does.
 //!    Events flow straight from the source, through the author range check
-//!    and the exclusion mask ([`Btm::build`](crate::btm::Btm::build)'s own),
-//!    into stage 2, so ingest and exchange overlap. No rank materializes its
-//!    share of the *input* as an owned `Vec<Event>`; only a lone rank without
-//!    a budget collects its kept `(page, ts, author)` triples, which are its
-//!    page partition already.
-//! 2. **Exchange** — each kept event belongs to its *page* owner. At one
-//!    rank without a budget that rank owns every page, so the exchange is
-//!    the identity: no message is sent, and the kept events go into one
-//!    `Vec` (sized from the source's `size_hint`) that becomes flat page rows
-//!    as below. Otherwise kept events are shuffled *once*, through a packed
-//!    byte-buffer aggregator ([`ygm::PackedAggregator`], adaptive
-//!    bytes-per-batch thresholds): `(page, ts, author)`, 16 B on the wire,
-//!    to the page owner. What the owner does with an arriving batch
-//!    depends on one thing, whether a `--shuffle-budget` caps its memory:
+//!    and the exclusion mask ([`Btm::build`]'s own), into stage 2, so ingest
+//!    and exchange overlap. No rank materializes its share of the *input* as
+//!    an owned `Vec<Event>`.
+//! 2. **Exchange** — each kept event belongs to its *page* owner and is
+//!    shuffled *once*, through a packed byte-buffer aggregator
+//!    ([`ygm::PackedAggregator`], adaptive bytes-per-batch thresholds):
+//!    `(page, ts, author)`, 16 B on the wire. What the owner does with an
+//!    arriving batch depends on one thing, whether a `--shuffle-budget` caps
+//!    its memory:
 //!    * **No budget — rows.** Batches are appended unsorted, one lock each.
 //!      After the closing barrier the rank *partitions instead of sorting*:
 //!      count per page → prefix sum → scatter into one flat array of
 //!      page rows (8 B a comment when the rank's timestamps span no more
 //!      than a `u32`), then a comparison sort of only the rows that
 //!      did not arrive time-ordered ([`crate::btm::PageRows::build`] — the
-//!      builder [`Btm`](crate::btm::Btm) makes its own page side with, not a
-//!      copy of it). Algorithm 1 needs each page's comments in time order
+//!      builder [`Btm`] makes its own page side with, not a copy of it). Algorithm 1 needs each page's comments in time order
 //!      and never a global `(page, ts, author)` order, so none is computed.
 //!    * **A budget — runs.** Flat rows hold the whole partition resident,
 //!      which is what the budget forbids, so each batch is sorted on arrival
@@ -59,10 +57,7 @@
 //!    occurrence to its *edge owner* (`owner_of(packed)`), which sorts and
 //!    run-length-counts its disjoint slice of the edge set. Per-author `P'`
 //!    contributions reduce to a replicated dense vector via
-//!    [`ygm::reduce::all_reduce_hist`]. A lone rank without a budget owns
-//!    every edge: it appends each page's pair set to one occurrence `Vec`
-//!    and sorts and counts that once — the resident projection loop
-//!    (`project::project_pages_flat`) over its own rows.
+//!    [`ygm::reduce::all_reduce_hist`].
 //! 4. **Survey** — the ghost-boundary exchange is a global post-threshold
 //!    degree reduction: every rank learns the degree of every vertex (the
 //!    ghosts of its partition included) and orients its edges by the same
@@ -75,11 +70,7 @@
 //!    other shuffle — folding each triangle where its wedge closes into the
 //!    resident survey's own [`tripoll::survey::SurveyFold`] (min weight and
 //!    `T`-score predicates included — `P'` is replicated). Only the
-//!    statistics and the survivors exist afterwards. A lone rank without a
-//!    budget owns every vertex: it orients its thresholded, `(x, y)`-sorted
-//!    edge run with [`tripoll::OrientedGraph::from_sorted_run`] (no degree
-//!    reduction, no sort, no `LocalCsr`) and folds it in the resident apex
-//!    loop ([`tripoll::survey::fold`]) — no wedge check is sent.
+//!    statistics and the survivors exist afterwards.
 //! 5. **Validation** — first the *on-demand harvest*: the survivors'
 //!    vertex set is all-gathered, each rank runs the resident engine's
 //!    harvest scan (`btm::HarvestScan`, the scan under
@@ -97,47 +88,44 @@
 //!    and validates its survivors, sorted by vertex triple, through the
 //!    resident engine's kernel and metrics constructor
 //!    ([`crate::hypergraph`]) — the same floating-point expressions the
-//!    resident path evaluates. A lone rank without a budget sees every page:
-//!    it harvests its survivors' authors straight off its rows, with the
-//!    scan [`AuthorPages::harvest`](crate::btm::AuthorPages::harvest) runs
-//!    over a `Btm`'s, and validates through the same kernel.
+//!    resident path evaluates.
 //!
-//! So at one rank without a budget every one of the five shuffles is the
-//! identity and none runs: after stage 2 the rank calls the resident
-//! engine's routines on its own `PageRows` (`lone_rank`), under the same
-//! `dist.*` spans and recording the same `survey.*` and `validate.*`
-//! counters as the resident run. Every other run shuffles at every stage,
-//! and the pair-occurrence, oriented-edge and harvest shuffles land in run
-//! stacks with or without a budget.
+//! The pair-occurrence, oriented-edge and harvest shuffles land in run
+//! stacks with or without a budget. Each stage records the resident
+//! engine's span for the same step — `btm.build` over stages 1–2, which end
+//! with the BTM's page side, then `project`, `survey` and `validate` — and
+//! its counters (`project.pages`, `project.edges`, `survey.*`,
+//! `validate.*`), each rank adding its share, so the process totals are the
+//! resident run's and a run report names the same stages whichever engine
+//! ran.
 //!
 //! **Equivalence contract** (pinned by the oracle matrix in `tests/`, which
 //! holds every door of both engines to the paper's definition, and a CLI
 //! byte-identity test): for every input, every rank count, every flush
 //! threshold and every shuffle budget — none, one larger than the
 //! partition, and down to one item per batch and one batch per spill —
-//! [`DistPipeline`] produces the same [`PipelineOutput`] as
-//! [`Pipeline`](crate::Pipeline) — same CI graph, same survey report
-//! (including the examined count, log-histogram and bit-identical `T`
-//! scores), same validated triplets in the same order. Only the stage
-//! timings differ.
+//! [`DistPipeline`] produces the same [`PipelineOutput`] as [`Pipeline`] —
+//! same CI graph, same survey report (including the examined count,
+//! log-histogram and bit-identical `T` scores), same validated triplets in
+//! the same order. Only the stage timings differ.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use coordination_graph::LocalCsr;
 use tripoll::survey::{SurveyReport, SurveyedTriangle};
-use tripoll::{survey_stage, DistSurvey, OrientedGraph};
+use tripoll::{survey_stage, DistSurvey};
 use ygm::container::DistBag;
 use ygm::reduce::{all_gather_concat, all_reduce_hist};
 use ygm::{block_range, owner_of, DistRuns, PackedAggregator, PackedBatch, RankCtx, RunSet, World};
 
-use crate::btm::{author_mask, is_kept, AuthorPages, HarvestScan, PageRow, PageRows, WideRow};
+use crate::btm::{author_mask, is_kept, AuthorPages, Btm, HarvestScan, PageRow, PageRows, WideRow};
 use crate::cigraph::CiGraph;
-use crate::hypergraph::{harvest_vertices, record_runs, validate_triangles};
+use crate::hypergraph::{record_runs, validate_triangles};
 use crate::ids::{AuthorId, Event, PageId};
 use crate::metrics::TripletMetrics;
-use crate::pipeline::{PipelineConfig, PipelineOutput, RunStats, StageTimings};
-use crate::project::{pack_pair, page_pairs_flat, project_pages_flat, run_length_pairs, PageStep};
+use crate::pipeline::{Pipeline, PipelineConfig, PipelineOutput, RunStats, StageTimings};
+use crate::project::{pack_pair, page_pairs_flat, run_length_pairs, PageStep};
 use crate::records::Dataset;
 
 /// `log2`-bucket histograms pad to the full `u64` range so
@@ -170,8 +158,8 @@ fn event_from_key(k: u128) -> (u32, i64, u32) {
 /// read through the same two methods either way.
 pub(crate) enum PagePartition {
     /// No budget: the whole partition resident as flat page rows, built by
-    /// the counting scatter [`crate::btm::Btm`] builds its page side with,
-    /// and read in place.
+    /// the counting scatter [`Btm`] builds its page side with, and read in
+    /// place.
     Rows(PageRows),
     /// Under a budget the partition may not be resident: sorted runs of
     /// [`event_key`]s, spilled past the budget, read back through a
@@ -271,18 +259,22 @@ impl PageInbox {
     }
 }
 
-/// A rank's kept `(page, ts, author)` events as flat page rows, by the
-/// builder [`crate::btm::Btm`] builds its page side with. `run_events` is
-/// told only `n_authors`, so the offset table is sized from the largest page
-/// id among the events.
+/// `run_events` is told only `n_authors`, so a page table is sized from
+/// the largest page id among the events it holds.
 ///
 /// # Panics
 /// If a page id is `u32::MAX`: the table would need `u32::MAX + 1` slots.
-fn page_rows(events: &[(u32, i64, u32)]) -> PageRows {
-    let n_pages = events.iter().map(|e| e.0).max().map_or(0, |max| {
+fn page_space(pages: impl Iterator<Item = u32>) -> u32 {
+    pages.max().map_or(0, |max| {
         max.checked_add(1)
             .expect("dense page ids stay below u32::MAX")
-    });
+    })
+}
+
+/// A rank's kept `(page, ts, author)` events as flat page rows, by the
+/// builder [`Btm`] builds its page side with.
+fn page_rows(events: &[(u32, i64, u32)]) -> PageRows {
+    let n_pages = page_space(events.iter().map(|e| e.0));
     PageRows::build(n_pages, || {
         events
             .iter()
@@ -336,8 +328,7 @@ impl CachedOwner {
 
 /// The three-step pipeline run as one SPMD program over `nranks` ygm ranks.
 ///
-/// Construction mirrors [`Pipeline`](crate::Pipeline), and the config is the
-/// same type.
+/// Construction mirrors [`Pipeline`], and the config is the same type.
 #[derive(Clone, Debug)]
 pub struct DistPipeline {
     /// Run parameters (shared with the resident pipeline).
@@ -360,7 +351,9 @@ pub struct DistPipeline {
 /// The rank program's one input shape: called as `source(rank, nranks)` on
 /// every rank, it yields that rank's share of the event stream. The union
 /// over ranks must be the same event multiset for every rank count. Events
-/// carry dense ids already — no interning happens behind this door.
+/// carry dense ids already — no interning happens behind this door. A
+/// one-rank run without a budget calls `source(0, 1)` once and builds the
+/// resident engine's [`Btm`] from it.
 pub(crate) type EventSource<'a> =
     dyn Fn(usize, usize) -> Box<dyn Iterator<Item = Event> + 'a> + Sync + 'a;
 
@@ -438,7 +431,7 @@ impl DistPipeline {
 
     /// Pipeline over an already-interned dataset: each rank takes its block
     /// of the event list ([`ygm::block_range`]); exclusions resolve by name,
-    /// as in [`Pipeline::run_dataset`](crate::Pipeline::run_dataset).
+    /// as in [`Pipeline::run_dataset`].
     pub fn run_dataset(&self, ds: &Dataset) -> PipelineOutput {
         let excluded = self.config.exclusions.resolve(ds);
         let source = event_source(|rank, nranks| {
@@ -454,7 +447,7 @@ impl DistPipeline {
     /// the two a block boundary may split, found through the row offsets) —
     /// the rows are never copied, per rank or at all. Exclusions resolve
     /// against the mapped name table, as in
-    /// [`Pipeline::run_snapshot`](crate::Pipeline::run_snapshot).
+    /// [`Pipeline::run_snapshot`].
     pub fn run_snapshot(&self, snap: &coordination_store::Snapshot) -> PipelineOutput {
         let excluded = self.config.exclusions.resolve_names(snap.author_names());
         let source = event_source(|rank, nranks| {
@@ -464,12 +457,14 @@ impl DistPipeline {
         self.run_world(snap.meta().n_authors, &excluded, &source)
     }
 
-    /// Pipeline over a rank-sharded event stream that is never materialized:
-    /// each rank pulls `source(rank, nranks)` and feeds the events straight
-    /// into the exchange — the path for generated (or externally streamed)
-    /// workloads whose full event list would not fit one rank. Events carry
-    /// dense author/page ids; name-based exclusions do not apply here (there
-    /// are no names), so callers exclude upstream.
+    /// Pipeline over a rank-sharded event stream: each rank pulls
+    /// `source(rank, nranks)` and feeds the events straight into the
+    /// exchange, so no rank's share is ever materialized — the path for
+    /// generated (or externally streamed) workloads whose full event list
+    /// would not fit one rank. One rank without a budget collects
+    /// `source(0, 1)`, builds the [`Btm`] from it and runs the resident
+    /// engine. Events carry dense author/page ids; name-based exclusions do
+    /// not apply here (there are no names), so callers exclude upstream.
     ///
     /// # Panics
     /// If the source yields an author id that is not below `n_authors`, or —
@@ -480,7 +475,8 @@ impl DistPipeline {
         self.run_world(n_authors, &[], source)
     }
 
-    /// The one door: every `run_*` is this call.
+    /// The one door: every `run_*` is this call. One rank without a
+    /// shuffle budget is the resident run; everything else spawns the ranks.
     fn run_world(
         &self,
         n_authors: u32,
@@ -490,6 +486,15 @@ impl DistPipeline {
         let nranks = self.nranks;
         let cfg = &self.config;
         let budget = self.shuffle_budget;
+        if nranks == 1 && budget.is_none() {
+            // The source is pulled once: `Btm::build` reads its events
+            // twice, and a boxed source per pass measured slower.
+            let events: Vec<Event> = source(0, 1).collect();
+            let n_pages = page_space(events.iter().map(|e| e.page.0));
+            let btm = Btm::build(n_authors, n_pages, excluded, || events.iter().copied());
+            drop(events);
+            return Pipeline::new(cfg.clone()).run_btm(&btm);
+        }
         let gone = author_mask(n_authors, excluded);
 
         // Distributed containers, one per shuffle point. The event exchange
@@ -497,8 +502,7 @@ impl DistPipeline {
         // the other three are bounded run stacks (each arriving batch sorted
         // and merged incrementally, spilling past the budget), never maps of
         // per-key `Vec`s. Keys are the order-preserving packings declared at
-        // the top of the module. A lone rank without a budget shuffles
-        // nothing and leaves them all empty.
+        // the top of the module.
         let page_events = PageInbox::new(nranks, budget);
         let author_pages: DistRuns<u64> = DistRuns::new(nranks, "author_pages", budget);
         let pair_occurrences: DistRuns<u64> = DistRuns::new(nranks, "pair_occurrences", budget);
@@ -512,7 +516,6 @@ impl DistPipeline {
         let program = RankProgram {
             cfg,
             batch_bytes: self.batch_bytes,
-            budget,
             n_authors,
             gone: &gone,
             source,
@@ -583,8 +586,6 @@ impl DistPipeline {
 struct RankProgram<'a, 's> {
     cfg: &'a PipelineConfig,
     batch_bytes: Option<usize>,
-    /// The run's shuffle budget ([`DistPipeline::shuffle_budget`]).
-    budget: Option<usize>,
     n_authors: u32,
     /// [`author_mask`] of the caller's exclusion list.
     gone: &'a [bool],
@@ -603,7 +604,6 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
     let RankProgram {
         cfg,
         batch_bytes,
-        budget,
         n_authors,
         gone,
         source,
@@ -627,45 +627,23 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
         }};
     }
 
+    // Stages 1–2 end with the BTM's page side, sharded: one span, the
+    // resident build's.
+    let build_span = obs::span("btm.build");
+
     // ---- Stage 1: open this rank's share of the one source --------------
-    let ingest_span = obs::span("dist.ingest");
     let events = source(ctx.rank(), ctx.nranks());
-    drop(ingest_span);
 
     // ---- Stage 2: event exchange (page-hash shuffle) --------------------
-    // Every kept event belongs to its page's owner. At one rank without a
-    // budget this rank owns every page, so nothing is exchanged: the kept
-    // events go into one `Vec` and become page rows below. Otherwise the
-    // source is pulled one event at a time straight into the packed
+    // The source is pulled one event at a time straight into the packed
     // aggregator, so ingest and exchange overlap and this rank's share of
     // the *input* never exists as an owned `Vec<Event>`. Receivers absorb
     // whole batches under one lock each ([`PageInbox`]): appended as they
     // are when the partition may stay resident; under a shuffle budget,
     // sorted on arrival and merged *while later batches are still in flight*
     // (ship drains opportunistically), spilling sorted segments to disk.
-    let exchange_span = obs::span("dist.exchange");
     let mut kept_local = 0u64;
-    let (size_hint, _) = events.size_hint();
-    let kept = events
-        .inspect(|e| {
-            // The door's range check, with `Btm::build`'s message: past here
-            // an author id indexes dense per-author tables on every rank.
-            assert!(
-                e.author.0 < n_authors,
-                "author id {} out of range",
-                e.author.0
-            )
-        })
-        .filter(|e| is_kept(gone, e.author))
-        .map(|e| {
-            kept_local += 1;
-            (e.page.0, e.ts, e.author.0)
-        });
-    let own_events = if ctx.nranks() == 1 && budget.is_none() {
-        let mut own = Vec::with_capacity(size_hint);
-        own.extend(kept);
-        Some(own)
-    } else {
+    {
         let pe = page_events.clone();
         let mut to_pages = packed_agg!(
             "events_to_pages",
@@ -676,13 +654,23 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
         // page-major; generated blocks share a page), so one cached owner
         // saves an `owner_of` hash per event in the common case.
         let mut page_owner = CachedOwner::new();
-        for event in kept {
-            let dest = page_owner.dest(event.0, ctx.nranks());
-            to_pages.push(ctx, dest, event);
+        for e in events {
+            // The door's range check, with `Btm::build`'s message: past here
+            // an author id indexes dense per-author tables on every rank.
+            assert!(
+                e.author.0 < n_authors,
+                "author id {} out of range",
+                e.author.0
+            );
+            if !is_kept(gone, e.author) {
+                continue;
+            }
+            kept_local += 1;
+            let dest = page_owner.dest(e.page.0, ctx.nranks());
+            to_pages.push(ctx, dest, (e.page.0, e.ts, e.author.0));
         }
         to_pages.flush_all(ctx);
-        None
-    };
+    }
     ctx.barrier();
     out.n_comments = ctx.all_reduce_sum(kept_local);
     // Owners finish their partitions: a counting scatter into flat page
@@ -692,22 +680,12 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
     // through a streaming merge. (The author→pages incidence the validator
     // needs is *not* built here: it is harvested on demand in stage 5, for
     // the handful of authors the survey actually surfaces.)
-    let my_events = match own_events {
-        // The rank that owns every page owns every edge and vertex too:
-        // stages 3–5 have nothing to shuffle either.
-        Some(own) => {
-            let rows = page_rows(&own);
-            drop(own);
-            drop(exchange_span);
-            return lone_rank(cfg, n_authors, &rows, out, t_start);
-        }
-        None => page_events.take(ctx),
-    };
+    let my_events = page_events.take(ctx);
     ctx.barrier();
-    drop(exchange_span);
+    drop(build_span);
 
     // ---- Stage 3: projection (pair shuffle to edge owners) --------------
-    let project_span = obs::span("dist.project");
+    let project_span = obs::span("project");
     let mut step = PageStep::new(n_authors);
     {
         let occ = pair_occurrences.clone();
@@ -720,12 +698,15 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
         );
         let kernel =
             |row: PageRow<'_>, pairs: &mut Vec<u64>| page_pairs_flat(row, &cfg.window, pairs);
+        let mut pages = 0u64;
         my_events.for_each_page(|_, comments| {
+            pages += 1;
             for &p in step.page(comments, kernel) {
                 to_edges.push_keyed(ctx, &p, p);
             }
         });
         to_edges.flush_all(ctx);
+        obs::counter("project.pages").add(pages);
     }
     // `my_events` stays alive through the survey: stage 5 harvests the
     // surveyed authors' page lists from a second pass over it.
@@ -740,12 +721,13 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
     let occ_set = pair_occurrences.local_take(ctx);
     out.edge_run = run_length_pairs(occ_set.cursor());
     drop(occ_set);
+    obs::counter("project.edges").add(out.edge_run.len() as u64);
     out.ci_edges = ctx.all_reduce_sum(out.edge_run.len() as u64);
     drop(project_span);
     let t_projected = Instant::now();
 
     // ---- Stage 4: orient + partitioned triangle survey ------------------
-    let survey_span = obs::span("dist.survey");
+    let survey_span = obs::span("survey");
     // Threshold, then the "ghost exchange": a global degree reduction over
     // the post-threshold edge set, so every rank can orient its edges by the
     // same (degree, id) rule OrientedGraph uses without owning its ghosts'
@@ -792,8 +774,6 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
     let edge_set = oriented_edges.local_take(ctx);
     let csr = LocalCsr::from_sorted_edges(edge_set.cursor().map(edge_from_key));
     drop(edge_set);
-    // A lone rank without a budget publishes no `LocalCsr` (`lone_rank`),
-    // so it has no ghosts and adds nothing here.
     obs::counter("dist.ghost_vertices").add(csr.ghosts().len() as u64);
     survey.publish(ctx, csr, n_authors, Some(Arc::clone(&out.page_counts)));
     ctx.barrier();
@@ -817,7 +797,7 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
     let t_surveyed = Instant::now();
 
     // ---- Stage 5: hypergraph validation ---------------------------------
-    let validate_span = obs::span("dist.validate");
+    let validate_span = obs::span("validate");
     // Sorted by vertex triple, consecutive survivors share their leading
     // edge: the validation kernel intersects it once per run.
     mine.sort_unstable_by_key(|s| s.triangle.vertices());
@@ -909,81 +889,18 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
         runs.dedup();
         record_runs(&runs);
     }
-    obs::counter("dist.triplets_validated").add(out.kept.len() as u64);
+    obs::counter("validate.triplets").add(out.kept.len() as u64);
     drop(validate_span);
 
     // Rank 0's wall between the stage boundaries it crossed (every
     // boundary is a collective, so the other ranks crossed them with it).
+    // Ingest and exchange are booked as projection: they build its input.
     if ctx.rank() == 0 {
-        out.timings = stage_timings(t_start, t_projected, t_surveyed);
+        out.timings = StageTimings {
+            projection: t_projected - t_start,
+            survey: t_surveyed - t_projected,
+            validation: t_surveyed.elapsed(),
+        };
     }
-    out
-}
-
-/// The wall between stage boundaries, up to now. Ingest and exchange are
-/// booked as projection: they build its input.
-fn stage_timings(t_start: Instant, t_projected: Instant, t_surveyed: Instant) -> StageTimings {
-    StageTimings {
-        projection: t_projected - t_start,
-        survey: t_surveyed - t_projected,
-        validation: t_surveyed.elapsed(),
-    }
-}
-
-/// Stages 3–5 on a lone rank without a shuffle budget, after stage 2 left
-/// it every page as flat `rows`. It owns every edge and vertex as well, so
-/// each shuffle would only send the rank its own messages: the resident
-/// engine's routines run on the rows instead — the projection loop, the
-/// orientation's counting scatter, the apex-loop fold, the harvest scan and
-/// the validation kernel. The five `dist.*` spans and the `survey.*` and
-/// `validate.*` counters read as in any other run, the counters equal to
-/// the resident run's.
-fn lone_rank(
-    cfg: &PipelineConfig,
-    n_authors: u32,
-    rows: &PageRows,
-    mut out: RankOut,
-    t_start: Instant,
-) -> RankOut {
-    // ---- Stage 3: projection, the resident loop ------------------------
-    let project_span = obs::span("dist.project");
-    let kernel = |row: PageRow<'_>, pairs: &mut Vec<u64>| page_pairs_flat(row, &cfg.window, pairs);
-    let (edge_run, page_counts) = project_pages_flat(n_authors, rows, kernel);
-    out.ci_edges = edge_run.len() as u64;
-    out.edge_run = edge_run;
-    out.page_counts = Arc::new(page_counts);
-    drop(project_span);
-    let t_projected = Instant::now();
-
-    // ---- Stage 4: orient + the resident apex loop -----------------------
-    let survey_span = obs::span("dist.survey");
-    // The edge run is canonical and (x, y)-sorted: the scatter leaves every
-    // out-list sorted, and the degrees it orients by need no reduction.
-    let threshold = cfg.edge_threshold.max(1);
-    let oriented = OrientedGraph::from_sorted_run(n_authors, &out.edge_run, threshold);
-    out.ci_edges_after_threshold = oriented.m();
-    let fold = tripoll::survey::fold(&oriented, &cfg.survey_config(), Some(&out.page_counts));
-    drop(oriented);
-    out.triangles_examined = fold.examined();
-    out.max_min_weight = fold.max_min_weight();
-    out.min_weight_log_hist = fold.log_hist().to_vec();
-    let mut mine = fold.into_survivors();
-    drop(survey_span);
-    let t_surveyed = Instant::now();
-
-    // ---- Stage 5: the resident harvest scan and validation --------------
-    let validate_span = obs::span("dist.validate");
-    // Sorted by vertex triple, consecutive survivors share their leading
-    // edge: the validation kernel intersects it once per run.
-    mine.sort_unstable_by_key(|s| s.triangle.vertices());
-    let triangles = || mine.iter().map(|s| &s.triangle);
-    let authors = harvest_vertices(n_authors, rows, triangles());
-    let (metrics, runs) = validate_triangles(&authors, &out.page_counts, triangles());
-    record_runs(&runs);
-    out.kept = mine.into_iter().zip(metrics).collect();
-    obs::counter("dist.triplets_validated").add(out.kept.len() as u64);
-    drop(validate_span);
-
-    out.timings = stage_timings(t_start, t_projected, t_surveyed);
     out
 }

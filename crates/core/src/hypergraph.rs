@@ -8,7 +8,7 @@
 //! Note there is deliberately no time bound here — the paper validates spatial
 //! coordination only (its §4.2 names time-windowed hyperedges as future work).
 
-use crate::btm::{AuthorPages, Btm, PageRows};
+use crate::btm::{AuthorPages, Btm};
 use crate::ids::{AuthorId, PageId};
 use crate::metrics::{c_score, TripletMetrics};
 use coordination_graph::intersect::{
@@ -135,25 +135,6 @@ pub(crate) fn record_runs(runs: &[PrefixRun]) {
     obs::counter("validate.prefix_pages").add(runs.iter().map(|&(_, n)| n as u64).sum());
 }
 
-/// Both engines' harvest for step 3 when one scan sees every page: the page
-/// lists of `triangles`' vertices, read out of `rows` (over an `n_authors`
-/// id space) once, and counted into `validate.harvest_authors` /
-/// `validate.harvest_incidences`.
-pub(crate) fn harvest_vertices<'t>(
-    n_authors: u32,
-    rows: &PageRows,
-    triangles: impl IntoIterator<Item = &'t Triangle>,
-) -> AuthorPages {
-    let authors = {
-        let _harvest = obs::span("validate.harvest");
-        let vertices = triangles.into_iter().flat_map(|t| t.vertices());
-        AuthorPages::harvest_rows(n_authors, rows, vertices.map(AuthorId))
-    };
-    obs::counter("validate.harvest_authors").add(u64::from(authors.n_authors()));
-    obs::counter("validate.harvest_incidences").add(authors.n_incidences());
-    authors
-}
-
 /// Validate a batch of triangles, returning metrics in the same order. The
 /// page lists of the triangles' vertices — all of `B` this step reads — are
 /// harvested from `btm` once, up front.
@@ -163,7 +144,15 @@ pub fn validate_all(
     triangles: &[Triangle],
 ) -> Vec<TripletMetrics> {
     let _stage = obs::span("validate");
-    let authors = harvest_vertices(btm.n_authors(), btm.rows(), triangles);
+    let authors = {
+        let _harvest = obs::span("validate.harvest");
+        AuthorPages::harvest(
+            btm,
+            triangles.iter().flat_map(|t| t.vertices()).map(AuthorId),
+        )
+    };
+    obs::counter("validate.harvest_authors").add(u64::from(authors.n_authors()));
+    obs::counter("validate.harvest_incidences").add(authors.n_incidences());
     let (metrics, runs) = validate_triangles(&authors, ci_page_counts, triangles);
     record_runs(&runs);
     obs::counter("validate.triplets").add(metrics.len() as u64);

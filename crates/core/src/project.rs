@@ -14,9 +14,9 @@
 //! hashing anywhere on the path. [`project_subset`] is the same loop over
 //! each page's subset members, and the rank-sharded engine
 //! (`crate::dist_pipeline`) runs the same per-page step on the pages each rank
-//! owns — at one rank without a shuffle budget, this same loop.
+//! owns.
 
-use crate::btm::{Btm, PageRow, PageRows, Row};
+use crate::btm::{Btm, PageRow, Row};
 use crate::cigraph::CiGraph;
 use crate::ids::{AuthorId, Timestamp};
 use crate::window::Window;
@@ -166,9 +166,8 @@ pub(crate) fn run_length_pairs(occ: impl IntoIterator<Item = u64>) -> Vec<(u32, 
 /// kernel on a page, count each distinct endpoint author of the page's pair
 /// set once into `P'`, and hand the pair set back. Where the pair set goes is
 /// the caller's business — [`project`] and [`project_subset`] append it to
-/// their occurrence buffer, and so does a lone rank of
-/// [`crate::dist_pipeline`]; at two or more ranks stage 3 ships it to the
-/// edge owners.
+/// their occurrence buffer, stage 3 of [`crate::dist_pipeline`] ships it to
+/// the edge owners.
 pub(crate) struct PageStep {
     pairs: Vec<u64>,
     endpoints: Vec<u32>,
@@ -214,34 +213,25 @@ impl PageStep {
     }
 }
 
-/// The one loop [`project`], [`project_subset`] and the lone rank of
-/// [`crate::dist_pipeline`] share: walk every page of `rows` through the
-/// [`PageStep`] and append its pair set to one occurrence buffer that is
-/// sorted and run-length-counted **once** after the last page — no hash map
-/// on the whole path. Returns the sorted canonical edge run and `P'` over an
-/// `n_authors` id space.
-pub(crate) fn project_pages_flat(
-    n_authors: u32,
-    rows: &PageRows,
-    mut kernel: impl FnMut(PageRow<'_>, &mut Vec<u64>),
-) -> (Vec<(u32, u32, u64)>, Vec<u64>) {
-    let mut step = PageStep::new(n_authors);
+/// The one loop [`project`] and [`project_subset`] share: walk every page
+/// through the [`PageStep`] and append its pair set to one occurrence buffer
+/// that is sorted and run-length-counted **once** after the last page — no
+/// hash map on the whole path.
+fn project_btm(btm: &Btm, mut kernel: impl FnMut(PageRow<'_>, &mut Vec<u64>)) -> CiGraph {
+    let mut step = PageStep::new(btm.n_authors());
     let mut occ: Vec<u64> = Vec::new();
-    // One span for the whole loop, not per page — no clock read per page.
-    let _pairs = obs::span("project.pairs");
-    for (_, comments) in rows.pages() {
-        occ.extend_from_slice(step.page(comments, &mut kernel));
-    }
-    obs::counter("project.pair_occurrences").add(occ.len() as u64);
-    sort_packed(&mut occ);
-    (run_length_pairs(occ), step.into_page_counts())
-}
-
-/// [`project_pages_flat`] over a BTM's rows, merged into its CI graph.
-fn project_btm(btm: &Btm, kernel: impl FnMut(PageRow<'_>, &mut Vec<u64>)) -> CiGraph {
-    let (run, page_counts) = project_pages_flat(btm.n_authors(), btm.rows(), kernel);
+    let run = {
+        // One span for the whole loop, not per page — no clock read per page.
+        let _pairs = obs::span("project.pairs");
+        for (_, comments) in btm.pages() {
+            occ.extend_from_slice(step.page(comments, &mut kernel));
+        }
+        obs::counter("project.pair_occurrences").add(occ.len() as u64);
+        sort_packed(&mut occ);
+        run_length_pairs(occ)
+    };
     let _merge = obs::span("project.merge");
-    CiGraph::from_runs(btm.n_authors(), vec![run], page_counts)
+    CiGraph::from_runs(btm.n_authors(), vec![run], step.into_page_counts())
 }
 
 /// Algorithm 1 on the flat vector kernels (see the module docs): one loop

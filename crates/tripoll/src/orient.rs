@@ -44,7 +44,7 @@ impl OrientedGraph {
             OrientationStrategy::DegreeOrder => Self::from_graph(g),
             OrientationStrategy::IdOrder => {
                 let edges: Vec<(u32, u32, u64)> = g.edge_iter().collect();
-                Self::build(g.n(), || edges.iter().copied(), |u, v| u < v)
+                Self::build(g.n(), &edges, |u, v| u < v)
             }
         }
     }
@@ -61,45 +61,26 @@ impl OrientedGraph {
     /// pass, where filter-then-rebuild pays the same pass *plus* a full CSR
     /// construction and copy.
     pub fn from_ref<G: GraphRef>(g: &G) -> Self {
+        let n = g.n_vertices();
         let edges: Vec<(u32, u32, u64)> = g.edge_iter().collect();
-        Self::from_sorted_run(g.n_vertices(), &edges, 0)
-    }
-
-    /// Orient the edges of `run` that weigh at least `min_weight` by degree
-    /// order, the degrees counted over those edges alone — what
-    /// [`OrientedGraph::from_ref`] gives for a
-    /// [`ThresholdView`](coordination_graph::ThresholdView) of the same
-    /// edges, without a CSR to view. `run` must be canonical (`x < y`) and
-    /// sorted by `(x, y)`, as a projection's run-length-counted edge run is,
-    /// so the counting scatter leaves every out-list sorted with no sort.
-    pub fn from_sorted_run(n: u32, run: &[(u32, u32, u64)], min_weight: u64) -> Self {
-        let kept = || {
-            run.iter()
-                .copied()
-                .filter(move |&(_, _, w)| w >= min_weight)
-        };
-        // Degrees in the thresholded edge set, tallied from the run rather
-        // than per-vertex degree_of scans.
+        // Degrees in the *view* (post-filter), tallied from the staged edges
+        // rather than per-vertex degree_of scans.
         let mut deg = vec![0u32; n as usize];
-        for (x, y, _) in kept() {
+        for &(x, y, _) in &edges {
             deg[x as usize] += 1;
             deg[y as usize] += 1;
         }
-        Self::build(n, kept, move |u, v| {
+        Self::build(n, &edges, move |u, v| {
             (deg[u as usize], u) < (deg[v as usize], v)
         })
     }
 
-    /// `edges` must yield the same edges on every call, canonical (`x < y`)
-    /// and sorted by `(x, y)` — the [`GraphRef::edge_iter`] contract.
-    fn build<I: Iterator<Item = (u32, u32, u64)>>(
-        n: u32,
-        edges: impl Fn() -> I,
-        points_up: impl Fn(u32, u32) -> bool,
-    ) -> Self {
+    /// `edges` must be canonical (`x < y`) and sorted by `(x, y)` — the
+    /// [`GraphRef::edge_iter`] contract.
+    fn build(n: u32, edges: &[(u32, u32, u64)], points_up: impl Fn(u32, u32) -> bool) -> Self {
         let n = n as usize;
         let mut offsets = vec![0usize; n + 1];
-        for (x, y, _) in edges() {
+        for &(x, y, _) in edges {
             let src = if points_up(x, y) { x } else { y };
             offsets[src as usize + 1] += 1;
         }
@@ -110,7 +91,7 @@ impl OrientedGraph {
         let mut targets = vec![0u32; total];
         let mut weights = vec![0u64; total];
         let mut cursor = offsets.clone();
-        for (x, y, w) in edges() {
+        for &(x, y, w) in edges {
             let (src, dst) = if points_up(x, y) { (x, y) } else { (y, x) };
             let c = cursor[src as usize];
             targets[c] = dst;
@@ -285,27 +266,6 @@ mod tests {
             assert_eq!(via_view.m(), via_rebuild.m(), "min={min}");
             for u in 0..via_view.n() {
                 assert_eq!(via_view.out(u), via_rebuild.out(u), "u={u} min={min}");
-            }
-        }
-    }
-
-    /// Orienting a sorted canonical run under a weight threshold is
-    /// orienting the threshold view of the graph holding the same edges.
-    #[test]
-    fn orienting_a_sorted_run_matches_orienting_its_threshold_view() {
-        use crate::fixtures::{hub_and_fringe, random_graph};
-        use coordination_graph::ThresholdView;
-        let graphs = (0..4).map(|seed| random_graph(40, 0.25, seed));
-        for g in graphs.chain([hub_and_fringe()]) {
-            let run: Vec<(u32, u32, u64)> = g.edge_iter().collect();
-            for min in [0, 1, 2, 5, 12, 31] {
-                let via_run = OrientedGraph::from_sorted_run(g.n(), &run, min);
-                let via_view = OrientedGraph::from_ref(&ThresholdView::new(&g, min));
-                assert_eq!(via_run.n(), via_view.n(), "min={min}");
-                assert_eq!(via_run.m(), via_view.m(), "min={min}");
-                for u in 0..via_run.n() {
-                    assert_eq!(via_run.out(u), via_view.out(u), "u={u} min={min}");
-                }
             }
         }
     }

@@ -117,7 +117,7 @@ const WEDGE_ENTRY_BYTES: u64 = 12;
 /// survivors of the predicates. Never the listing.
 ///
 /// Both engines fold into this one type where the wedge closes: the resident
-/// [`fold`] in its one apex loop, the rank-sharded
+/// [`survey`] in its one apex loop, the rank-sharded
 /// [`crate::distributed::DistSurvey`] on the rank that receives the wedge
 /// check. Folds merge associatively.
 #[derive(Clone, Debug, Default)]
@@ -256,20 +256,17 @@ pub(crate) fn record_counters(
     obs::counter("survey.wedge_list_bytes").add(WEDGE_ENTRY_BYTES * wedge_list_entries);
 }
 
-/// The resident survey's one apex loop: fold every triangle of `oriented`
-/// past the predicates of `config` and record the survey counters (the
-/// kept count is the predicates' survivors, before any `top_k`). [`survey`]
-/// is this and [`SurveyFold::into_report`]; the rank-sharded pipeline's
-/// lone rank, which owns every vertex, folds its own orientation here too.
+/// Run a survey over every triangle of `oriented`.
 ///
 /// `vertex_pages`, when given, must map vertex id → `P'` (the number of pages
 /// that contributed a projection edge at that vertex, paper Eq. (6)); it is
 /// required if `config.min_t_score > 0`.
-pub fn fold(
+pub fn survey(
     oriented: &OrientedGraph,
     config: &SurveyConfig,
     vertex_pages: Option<&[u64]>,
-) -> SurveyFold {
+) -> SurveyReport {
+    let _stage = obs::span("survey");
     assert!(
         config.min_t_score <= 0.0 || vertex_pages.is_some(),
         "min_t_score requires vertex_pages metadata"
@@ -282,29 +279,20 @@ pub fn fold(
         );
     }
 
-    let mut folded = SurveyFold::default();
+    let mut fold = SurveyFold::default();
     for_each_wedge(oriented, |vertices, weights| {
-        folded.observe(vertices, weights, config, vertex_pages)
+        fold.observe(vertices, weights, config, vertex_pages)
     });
+
     // One rank owns every vertex here, so each out-list would travel once.
+    // The kept count is the predicates' survivors, before any `top_k`.
     record_counters(
-        folded.examined(),
-        folded.survivors().len() as u64,
+        fold.examined(),
+        fold.survivors().len() as u64,
         oriented.m(),
         oriented.m(),
     );
-    folded
-}
-
-/// Run a survey over every triangle of `oriented`: [`fold`], then the
-/// report. `vertex_pages` is as for [`fold`].
-pub fn survey(
-    oriented: &OrientedGraph,
-    config: &SurveyConfig,
-    vertex_pages: Option<&[u64]>,
-) -> SurveyReport {
-    let _stage = obs::span("survey");
-    let report = fold(oriented, config, vertex_pages).into_report(config.top_k);
+    let report = fold.into_report(config.top_k);
     obs::record_stage_rss("survey");
     report
 }
@@ -492,42 +480,6 @@ mod tests {
     fn observe_rejects_a_degenerate_wedge_it_would_only_count() {
         let below_cutoff = SurveyConfig::with_min_weight(10);
         SurveyFold::default().observe([1, 2, 1], [1, 1, 1], &below_cutoff, None);
-    }
-
-    /// `survey` is `fold` and its report, field for field and `T` bit for
-    /// bit, for a cutoff, cutoff 1 and a `T`-score predicate.
-    #[test]
-    fn survey_is_the_fold_and_its_report() {
-        use crate::fixtures::{hub_and_fringe, pages_for, random_graph};
-        let graphs = (0..4).map(|seed| random_graph(40, 0.25, seed));
-        for g in graphs.chain([hub_and_fringe()]) {
-            let o = OrientedGraph::from_graph(&g);
-            let pages = pages_for(&g);
-            let scored = SurveyConfig {
-                min_edge_weight: 2,
-                min_t_score: 0.2,
-                top_k: None,
-            };
-            let cases = [
-                (SurveyConfig::with_min_weight(6), None),
-                (SurveyConfig::with_min_weight(1), Some(&pages[..])),
-                (scored, Some(&pages[..])),
-            ];
-            for (config, vertex_pages) in &cases {
-                let want = survey(&o, config, *vertex_pages);
-                let got = fold(&o, config, *vertex_pages).into_report(None);
-                assert!(want.total_examined > 0, "{config:?}");
-                assert_eq!(got.total_examined, want.total_examined);
-                assert_eq!(got.max_min_weight, want.max_min_weight);
-                assert_eq!(got.min_weight_log_hist, want.min_weight_log_hist);
-                assert_eq!(got.len(), want.len());
-                for (x, y) in got.triangles.iter().zip(&want.triangles) {
-                    assert_eq!(x.triangle, y.triangle);
-                    assert_eq!(x.min_weight, y.min_weight);
-                    assert_eq!(x.t_score.to_bits(), y.t_score.to_bits());
-                }
-            }
-        }
     }
 
     #[test]

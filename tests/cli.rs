@@ -540,12 +540,24 @@ fn pipeline_distributed_stdout_is_byte_identical_to_resident() {
     assert!(stdout.contains("a\tb\tc\tmin_w\tT\tw_xyz\tC"), "{stdout}");
 
     // the acceptance bar: the rank-sharded run prints the same bytes
-    for engine in [&["--ranks", "3"][..], &["--shuffle-budget", "65536"]] {
+    let report = dir.join("ranks3.json");
+    let report = report.to_str().expect("utf-8 temp path");
+    for engine in [
+        &["--ranks", "3", "--report", report][..],
+        &["--shuffle-budget", "65536"],
+    ] {
         assert!(
             resident == pipeline(engine),
             "pipeline {engine:?} stdout diverged from the resident engine's"
         );
     }
+    // and its run report documents the resident run's stages and counters
+    let check = bin()
+        .args(["report-validate", "--kind", "batch", "--report", report])
+        .output()
+        .expect("run report-validate");
+    let stderr = String::from_utf8_lossy(&check.stderr);
+    assert!(check.status.success(), "{stderr}");
     std::fs::remove_dir_all(dir).ok();
 }
 

@@ -144,9 +144,9 @@ fn poisoned_world_an_out_of_range_author_stops_the_run_at_the_door() {
 
 /// Page id `u32::MAX` has no slot in flat page rows, which index one past
 /// the largest page id: without a budget the run must stop with that
-/// message, on the lone rank that keeps its own rows and on two ranks, where
-/// the page's owner panics after the exchange — and no barrier may strand
-/// the other rank.
+/// message, at one rank, where the door sizes the `Btm` it builds, and on
+/// two ranks, where the page's owner panics after the exchange — and no
+/// barrier may strand the other rank.
 #[test]
 fn poisoned_world_a_page_id_at_the_top_of_the_space_stops_the_run() {
     for nranks in [1, 2] {

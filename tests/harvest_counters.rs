@@ -8,11 +8,14 @@
 //! `validate.prefix_pages` (their `|pages(a) ∩ pages(b)|`, summed), though a
 //! run may split across the ranks that kept its triangles. And a one-byte
 //! shuffle budget really spills (`shuffle.spilled_bytes`,
-//! `shuffle.spill_segments`), where no budget spills nothing. One rank
-//! without a budget sends no message through any of the five shuffles
+//! `shuffle.spill_segments`), where no budget spills nothing. The stage
+//! totals a run report documents — `project.pages`, `project.edges` and
+//! `validate.triplets` — are the resident run's in every cell, each rank
+//! adding its share. One rank without a budget is the resident run: it
+//! sends no message through any of the five shuffles
 //! (`ygm.<label>.items_sent` for the events, the pair occurrences, the
 //! oriented edges, the wedge checks and the harvest), where every other run
-//! sends through each; and its `survey.triangles_examined`,
+//! sends through each, and its `survey.triangles_examined`,
 //! `survey.wedge_checks` and `survey.wedge_list_bytes` are the resident
 //! run's.
 //!
@@ -29,7 +32,7 @@ use coordination::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
 use coordination::core::records::{CommentRecord, Dataset};
 use coordination::redditgen::ScenarioConfig;
 
-const COUNTERS: [&str; 14] = [
+const COUNTERS: [&str; 17] = [
     "validate.harvest_authors",
     "validate.harvest_incidences",
     "validate.prefix_runs",
@@ -44,6 +47,9 @@ const COUNTERS: [&str; 14] = [
     "survey.triangles_examined",
     "survey.wedge_checks",
     "survey.wedge_list_bytes",
+    "project.pages",
+    "project.edges",
+    "validate.triplets",
 ];
 
 /// Where the shuffles' `items_sent` counters sit in [`COUNTERS`].
@@ -52,8 +58,11 @@ const SENT: std::ops::Range<usize> = 6..11;
 /// Where the survey counters sit in [`COUNTERS`].
 const SURVEY: std::ops::Range<usize> = 11..14;
 
+/// Where the stage totals both engines document sit in [`COUNTERS`].
+const STAGES: std::ops::Range<usize> = 14..17;
+
 /// The counters' growth over one run.
-fn measured(run: &dyn Fn() -> PipelineOutput) -> (PipelineOutput, [u64; 14]) {
+fn measured(run: &dyn Fn() -> PipelineOutput) -> (PipelineOutput, [u64; 17]) {
     let read = || COUNTERS.map(|name| obs::counter(name).get());
     let before = read();
     let out = run();
@@ -116,6 +125,12 @@ fn check(ds: &Dataset, config: &PipelineConfig) {
     assert_eq!(want[2..4], [edges.len() as u64, shared.sum()]);
     assert_eq!(want[4..SENT.end], [0; 7], "the resident engine shuffled");
     assert!(want[SURVEY].iter().all(|&n| n > 0), "{:?}", &want[SURVEY]);
+    // pages with a kept comment, distinct edges, validated triplets
+    let excluded = config.exclusions.resolve(ds);
+    let kept = ds.events.iter().filter(|e| !excluded.contains(&e.author));
+    let pages = kept.map(|e| e.page).collect::<BTreeSet<_>>().len() as u64;
+    let stages = [pages, resident.ci.n_edges(), resident.triplets.len() as u64];
+    assert_eq!(want[STAGES], stages, "the resident stage totals");
 
     for nranks in [1, 2, 3, 4] {
         for budget in [None, Some(1), Some(65_536)] {
@@ -129,6 +144,10 @@ fn check(ds: &Dataset, config: &PipelineConfig) {
             });
             assert_eq!(dist.triplets, resident.triplets);
             assert_eq!(got[..4], want[..4], "{nranks} ranks, budget {budget:?}");
+            assert_eq!(
+                got[STAGES], want[STAGES],
+                "{nranks} ranks, budget {budget:?}"
+            );
             let spilled = got[4..6].iter().all(|&n| n > 0);
             match budget {
                 None => assert_eq!(got[4..6], [0, 0], "{nranks} ranks spilled"),
@@ -136,8 +155,8 @@ fn check(ds: &Dataset, config: &PipelineConfig) {
                 Some(_) => {}
             }
             // One rank owns every page, edge and vertex: only a budget's run
-            // stacks send it its own messages, and without one it surveys
-            // as the resident engine does.
+            // stacks send it its own messages, and without one it is the
+            // resident run.
             let sent = &got[SENT];
             if nranks == 1 && budget.is_none() {
                 assert_eq!(sent, [0; 5], "one rank sent messages");
