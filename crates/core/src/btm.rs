@@ -199,6 +199,18 @@ const STAGE_EVENTS: usize = 1024;
 /// What [`PageRows::build`]'s two passes must agree on.
 const SECOND_PASS_DIFFERS: &str = "event source yielded different events on its second pass";
 
+/// Make room for page `p`'s count at `off[p + 1]` in [`PageRows::build`]'s
+/// counting pass: a table the source sizes (`n_pages` is `None`) grows to
+/// `p + 1` slots, a fixed one refuses the page.
+#[cold]
+fn fit(off: &mut Vec<usize>, p: PageId, n_pages: Option<u32>) {
+    assert!(n_pages.is_none(), "page id {} out of range", p.0);
+    let slots =
+        p.0.checked_add(1)
+            .expect("dense page ids stay below u32::MAX");
+    off.resize(slots as usize + 1, 0);
+}
+
 /// Turn per-row counts stored at `off[row + 1]` into row start offsets.
 fn prefix_sum(off: &mut [usize]) {
     let mut total = 0;
@@ -210,10 +222,12 @@ fn prefix_sum(off: &mut [usize]) {
 
 /// [`PageRows::build`]'s scatter pass in one layout: every event lands at its
 /// page's cursor as `pack` makes it, compared with its row predecessor on the
-/// way, and the rows that took a comment out of order are sorted after.
-/// Returns the rows and how many needed the sort.
+/// way, and the rows that took a comment out of order are sorted after. The
+/// comments `gone` drops are skipped. Returns the rows and how many needed
+/// the sort.
 fn scatter<R: Row>(
     off: &[usize],
+    gone: &[bool],
     zero: R,
     mut source: impl Iterator<Item = (PageId, Timestamp, AuthorId)>,
     pack: impl Fn(Timestamp, AuthorId) -> R,
@@ -234,16 +248,21 @@ fn scatter<R: Row>(
             break;
         }
         for &(p, ts, a) in &staged {
+            // The mask is read here, not as a `filter` on the source: one in
+            // the staging chain made `Btm::from_events` about 30 % slower.
+            if !is_kept(gone, a) {
+                continue;
+            }
             let p = p.0 as usize;
             let row = pack(ts, a);
-            let at = cursor[p];
+            let at = *cursor.get(p).expect(SECOND_PASS_DIFFERS);
             // The slot before is this row's previous arrival, or — at a row
             // start — a neighbour's, which the second test tells apart; a
             // time-ordered source never gets that far.
             if at > 0 && rows[at - 1] > row && at > off[p] {
                 unsorted[p] = true;
             }
-            rows[at] = row;
+            *rows.get_mut(at).expect(SECOND_PASS_DIFFERS) = row;
             cursor[p] = at + 1;
         }
     }
@@ -283,35 +302,49 @@ impl PageRows {
     /// the layout: 8 B rows when it fits a `u32`, 16 B rows otherwise
     /// (`btm.rows_narrow` / `btm.rows_wide` count the builds of each).
     ///
+    /// The page table has `n_pages` slots, or with `None` 1 + the largest
+    /// page id the counting pass sees, the comments of the authors `gone`
+    /// masks included (`gone[a]` drops author `a`'s comments; an empty mask
+    /// drops none): a source that knows no id space sizes it as it is read,
+    /// and nobody scans it for that first.
+    ///
     /// `events` is called twice and must yield the same events both times,
     /// so they never need to exist as a resident list of their own.
     ///
     /// # Panics
-    /// If a page id is not below `n_pages`, or the two passes differ.
+    /// If a page id is not below `n_pages` ("page id N out of range"), is
+    /// `u32::MAX` without one ("dense page ids stay below u32::MAX"), or the
+    /// two passes differ.
     pub fn build<I: Iterator<Item = (PageId, Timestamp, AuthorId)>>(
-        n_pages: u32,
+        n_pages: Option<u32>,
+        gone: &[bool],
         events: impl Fn() -> I,
     ) -> Self {
-        let np = n_pages as usize;
-        let mut off = vec![0usize; np + 1];
+        let mut off = vec![0usize; n_pages.map_or(0, |n| n as usize) + 1];
         let (mut lo, mut hi) = (Timestamp::MAX, Timestamp::MIN);
-        events().for_each(|(p, ts, _)| {
-            off[p.0 as usize + 1] += 1;
-            lo = lo.min(ts);
-            hi = hi.max(ts);
+        events().for_each(|(p, ts, a)| {
+            let slot = p.0 as usize + 1;
+            if slot >= off.len() {
+                fit(&mut off, p, n_pages);
+            }
+            if is_kept(gone, a) {
+                off[slot] += 1;
+                lo = lo.min(ts);
+                hi = hi.max(ts);
+            }
         });
         prefix_sum(&mut off);
 
         let (comments, sorted) = match narrow_base(lo, hi) {
             Some(t0) => {
                 let pack = |ts, a| pack_narrow(t0, ts, a).expect(SECOND_PASS_DIFFERS);
-                let (rows, sorted) = scatter(&off, 0, events(), pack);
+                let (rows, sorted) = scatter(&off, gone, 0, events(), pack);
                 let rows = NarrowRows::Owned(rows);
                 (Comments::Narrow { t0, rows }, sorted)
             }
             None => {
                 let zero = (0, AuthorId(0));
-                let (rows, sorted) = scatter(&off, zero, events(), |ts, a| (ts, a));
+                let (rows, sorted) = scatter(&off, gone, zero, events(), |ts, a| (ts, a));
                 (Comments::Wide(rows), sorted)
             }
         };
@@ -432,12 +465,14 @@ impl Btm {
     /// Build from raw events. `n_authors`/`n_pages` fix the dense id spaces
     /// (authors or pages with no events simply have empty lists).
     pub fn from_events(n_authors: u32, n_pages: u32, events: &[Event]) -> Self {
-        Self::build(n_authors, n_pages, &[], || events.iter().copied())
+        Self::build(n_authors, Some(n_pages), &[], || events.iter().copied())
     }
 
     /// Build from a re-iterable event source, dropping every event of the
     /// `excluded` authors (the pre-projection exclusion list; their rows
     /// come out empty, exactly as [`Btm::without_authors`] leaves them).
+    /// `n_pages` fixes the page id space, or with `None` the source sizes
+    /// it ([`PageRows::build`]).
     ///
     /// `events` is called twice and must yield the same events both times
     /// ([`PageRows::build`]'s two passes), so they never need to exist as a
@@ -445,28 +480,21 @@ impl Btm {
     /// events yields an equal BTM.
     pub fn build<I: Iterator<Item = Event>>(
         n_authors: u32,
-        n_pages: u32,
+        n_pages: Option<u32>,
         excluded: &[AuthorId],
         events: impl Fn() -> I,
     ) -> Self {
         let _g = obs::span("btm.build");
-        let gone = author_mask(n_authors, excluded);
-        let kept = |e: &Event| is_kept(&gone, e.author);
         let in_range = |e: &Event| {
             assert!(
                 e.author.0 < n_authors,
                 "author id {} out of range",
                 e.author.0
             );
-            assert!(e.page.0 < n_pages, "page id {} out of range", e.page.0);
         };
-        let source = || {
-            events()
-                .inspect(in_range)
-                .filter(kept)
-                .map(|e| (e.page, e.ts, e.author))
-        };
-        let rows = PageRows::build(n_pages, source);
+        let source = || events().inspect(in_range).map(|e| (e.page, e.ts, e.author));
+        let gone = author_mask(n_authors, excluded);
+        let rows = PageRows::build(n_pages, &gone, source);
         obs::record_stage_rss("btm");
         Btm { rows, n_authors }
     }
@@ -820,7 +848,7 @@ mod tests {
             (0..8).map(AuthorId).collect(),        // everyone
             vec![AuthorId(8), AuthorId(u32::MAX)], // outside the id space
         ] {
-            let masked = Btm::build(8, 6, &excluded, || events.iter().copied());
+            let masked = Btm::build(8, Some(6), &excluded, || events.iter().copied());
             let removed = Btm::from_events(8, 6, &events).without_authors(&excluded);
             let filtered: Vec<Event> = events
                 .iter()
@@ -836,7 +864,7 @@ mod tests {
     #[should_panic(expected = "different events on its second pass")]
     fn a_source_that_changes_between_passes_is_caught() {
         let calls = std::cell::Cell::new(0);
-        Btm::build(2, 2, &[], || {
+        Btm::build(2, Some(2), &[], || {
             calls.set(calls.get() + 1);
             // same count both times, but the second pass moves page 1's
             // comment onto page 0, whose row then runs into its neighbour's
@@ -980,14 +1008,16 @@ mod tests {
             ev(0, 1, 90),
         ];
         let full = Btm::from_events(3, 2, &events);
-        let masked = Btm::build(3, 2, &[AuthorId(2)], || events.iter().copied());
+        let masked = Btm::build(3, Some(2), &[AuthorId(2)], || events.iter().copied());
         let removed = full.without_authors(&[AuthorId(2)]);
         assert!(!narrow(&full) && !narrow(&removed) && narrow(&masked));
         assert_eq!(masked, removed);
         assert_ne!(masked, full);
         // same layout, different base: dropping the earliest comment re-bases
         // the build at 100 and leaves `without_authors` at 90
-        let rebased = Btm::build(3, 2, &[AuthorId(2), AuthorId(0)], || events.iter().copied());
+        let rebased = Btm::build(3, Some(2), &[AuthorId(2), AuthorId(0)], || {
+            events.iter().copied()
+        });
         assert!(narrow(&rebased));
         assert_eq!(rebased, masked.without_authors(&[AuthorId(0)]));
         assert_ne!(rebased, masked);
@@ -1025,13 +1055,25 @@ mod tests {
         assert_eq!(wide(0).delay_within(wide(61), 60), None);
     }
 
+    /// A second pass with one more comment on the last page runs its row past
+    /// the end of the flat array, and says why.
+    #[test]
+    #[should_panic(expected = "different events on its second pass")]
+    fn a_second_pass_that_overfills_the_last_row_is_caught() {
+        let calls = std::cell::Cell::new(0);
+        Btm::build(1, Some(1), &[], || {
+            calls.set(calls.get() + 1);
+            [ev(0, 0, 5), ev(0, 0, 5)].into_iter().take(calls.get())
+        });
+    }
+
     /// A source whose second pass moves a timestamp out of the span the
     /// first pass saw cannot be packed, and says why.
     #[test]
     #[should_panic(expected = "different events on its second pass")]
     fn a_second_pass_outside_the_first_pass_span_is_caught() {
         let calls = std::cell::Cell::new(0);
-        Btm::build(1, 1, &[], || {
+        Btm::build(1, Some(1), &[], || {
             calls.set(calls.get() + 1);
             let ts = if calls.get() == 1 { 5 } else { 4 };
             [ev(0, 0, 5), ev(0, 0, ts)].into_iter()

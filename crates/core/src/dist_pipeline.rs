@@ -4,11 +4,13 @@
 //! [`Pipeline`] runs the three paper steps in one address space over a
 //! resident [`Btm`]; this module runs the *same program* in the SPMD
 //! communication structure the paper's MPI deployment used, with every stage
-//! owner-partitioned and every hand-off an explicit shuffle. One rank without a shuffle budget would own every page,
-//! edge and vertex, so each of its shuffles would only send the rank its own
-//! messages: that run is the resident run. The door pulls the source once,
-//! builds the [`Btm`] from it and calls [`Pipeline::run_btm`]; no rank is
-//! spawned. Every other run — two or more ranks, or any budget — is the
+//! owner-partitioned and every hand-off an explicit shuffle. One rank
+//! without a shuffle budget would own every page, edge and vertex, so each
+//! of its shuffles would only send the rank its own messages: that run is
+//! the resident run. The door hands the source to [`Btm::build`], which
+//! pulls it twice — it counts on the first pull and scatters on the second,
+//! so the events are never copied — and calls [`Pipeline::run_btm`]; no rank
+//! is spawned. Every other run — two or more ranks, or any budget — is the
 //! rank program:
 //!
 //! 1. **Ingest** — there is one way in: the author id-space size, an
@@ -259,23 +261,15 @@ impl PageInbox {
     }
 }
 
-/// `run_events` is told only `n_authors`, so a page table is sized from
-/// the largest page id among the events it holds.
+/// A rank's kept `(page, ts, author)` events as flat page rows, by the
+/// builder [`Btm`] builds its page side with. `run_events` is told only
+/// `n_authors`, so the page table is sized by the events' largest page id
+/// as they are counted.
 ///
 /// # Panics
 /// If a page id is `u32::MAX`: the table would need `u32::MAX + 1` slots.
-fn page_space(pages: impl Iterator<Item = u32>) -> u32 {
-    pages.max().map_or(0, |max| {
-        max.checked_add(1)
-            .expect("dense page ids stay below u32::MAX")
-    })
-}
-
-/// A rank's kept `(page, ts, author)` events as flat page rows, by the
-/// builder [`Btm`] builds its page side with.
 fn page_rows(events: &[(u32, i64, u32)]) -> PageRows {
-    let n_pages = page_space(events.iter().map(|e| e.0));
-    PageRows::build(n_pages, || {
+    PageRows::build(None, &[], || {
         events
             .iter()
             .map(|&(p, ts, a)| (PageId(p), ts, AuthorId(a)))
@@ -351,9 +345,14 @@ pub struct DistPipeline {
 /// The rank program's one input shape: called as `source(rank, nranks)` on
 /// every rank, it yields that rank's share of the event stream. The union
 /// over ranks must be the same event multiset for every rank count. Events
-/// carry dense ids already — no interning happens behind this door. A
-/// one-rank run without a budget calls `source(0, 1)` once and builds the
-/// resident engine's [`Btm`] from it.
+/// carry dense ids already — no interning happens behind this door.
+///
+/// At two or more ranks, or under a budget, each rank calls its source once.
+/// A one-rank run without a budget calls `source(0, 1)` **twice**, and both
+/// pulls must yield the same events: the resident engine's [`Btm`] is built
+/// by counting the first pull and scattering the second, so the events never
+/// exist as a copy. A slice or a mapping re-pulls for one virtual `next` per
+/// event; a source that generates its events pays its generator twice.
 pub(crate) type EventSource<'a> =
     dyn Fn(usize, usize) -> Box<dyn Iterator<Item = Event> + 'a> + Sync + 'a;
 
@@ -366,6 +365,9 @@ pub(crate) type EventSource<'a> =
 /// let source = event_source(|rank, nranks| Box::new(month.rank_events(rank, nranks)));
 /// pipeline.run_events(month.total_authors(), &source);
 /// ```
+///
+/// At one rank without a budget that run generates the month twice, once
+/// per pull of the source.
 pub fn event_source<'a, F>(f: F) -> F
 where
     F: Fn(usize, usize) -> Box<dyn Iterator<Item = Event> + 'a> + Sync,
@@ -461,16 +463,21 @@ impl DistPipeline {
     /// `source(rank, nranks)` and feeds the events straight into the
     /// exchange, so no rank's share is ever materialized — the path for
     /// generated (or externally streamed) workloads whose full event list
-    /// would not fit one rank. One rank without a budget collects
-    /// `source(0, 1)`, builds the [`Btm`] from it and runs the resident
-    /// engine. Events carry dense author/page ids; name-based exclusions do
-    /// not apply here (there are no names), so callers exclude upstream.
+    /// would not fit one rank. One rank without a budget pulls `source(0, 1)`
+    /// twice — it counts on the first pull, sizing the page space from the
+    /// largest page id, and scatters on the second — to build the [`Btm`],
+    /// and runs the resident engine, so the two pulls must yield the same
+    /// events and a generating source pays its generator twice there.
+    /// Events carry dense author/page ids; name-based exclusions do not
+    /// apply here (there are no names), so callers exclude upstream.
     ///
     /// # Panics
-    /// If the source yields an author id that is not below `n_authors`, or —
-    /// without a shuffle budget, at any rank count — page id `u32::MAX`:
-    /// flat page rows are indexed by dense page ids, which stay below it
-    /// ("dense page ids stay below u32::MAX").
+    /// If the source yields an author id that is not below `n_authors`; if —
+    /// without a shuffle budget, at any rank count — it yields page id
+    /// `u32::MAX`: flat page rows are indexed by dense page ids, which stay
+    /// below it ("dense page ids stay below u32::MAX"); or if, at one rank
+    /// without a budget, its second pull yields different events from the
+    /// first ("event source yielded different events on its second pass").
     pub fn run_events<'a>(&self, n_authors: u32, source: &'a EventSource<'a>) -> PipelineOutput {
         self.run_world(n_authors, &[], source)
     }
@@ -487,12 +494,9 @@ impl DistPipeline {
         let cfg = &self.config;
         let budget = self.shuffle_budget;
         if nranks == 1 && budget.is_none() {
-            // The source is pulled once: `Btm::build` reads its events
-            // twice, and a boxed source per pass measured slower.
-            let events: Vec<Event> = source(0, 1).collect();
-            let n_pages = page_space(events.iter().map(|e| e.page.0));
-            let btm = Btm::build(n_authors, n_pages, excluded, || events.iter().copied());
-            drop(events);
+            // Pulled twice, counted on the first pull (which sizes the page
+            // space) and scattered on the second: no copy of the events.
+            let btm = Btm::build(n_authors, None, excluded, || source(0, 1));
             return Pipeline::new(cfg.clone()).run_btm(&btm);
         }
         let gone = author_mask(n_authors, excluded);
@@ -903,4 +907,44 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
         };
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Each rank sizes its page table by the largest page id it owns, so the
+    /// resident table's empty trailing pages are not there: at two ranks the
+    /// rows a rank holds are the resident `Btm`'s rows of its pages, and
+    /// every other slot is empty.
+    #[test]
+    fn two_ranks_hold_the_resident_rows_without_the_trailing_pages() {
+        let events = [(0, 1, 30), (1, 1, 10), (2, 4, 5), (0, 4, 5), (1, 6, 7)]
+            .map(|(a, p, ts)| Event::new(AuthorId(a), PageId(p), ts));
+        let btm = Btm::from_events(3, 10, &events); // pages 7–9 are empty
+        for rank in 0..2 {
+            let mine: Vec<(u32, i64, u32)> = events
+                .iter()
+                .filter(|e| owner_of(&e.page.0, 2) == rank)
+                .map(|e| (e.page.0, e.ts, e.author.0))
+                .collect();
+            assert!(!mine.is_empty(), "rank {rank} owns no comment");
+            let rows = page_rows(&mine);
+            let top = mine.iter().map(|e| e.0 + 1).max().unwrap();
+            assert_eq!(rows.n_pages(), top);
+            for p in (0..10).map(PageId) {
+                let held = if p.0 < top {
+                    rows.row(p).to_vec()
+                } else {
+                    Vec::new()
+                };
+                let resident = if owner_of(&p.0, 2) == rank {
+                    btm.page_neighborhood(p).to_vec()
+                } else {
+                    Vec::new()
+                };
+                assert_eq!(held, resident, "rank {rank}, page {}", p.0);
+            }
+        }
+    }
 }

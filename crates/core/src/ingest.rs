@@ -741,9 +741,9 @@ fn run<S: Sink>(
     piece: usize,
     scan: impl FnOnce(&mut Scan) -> Result<(), ReadError> + Send,
 ) -> Result<(S, IngestStats), ReadError> {
-    let _stage = obs::span("ingest");
+    let mut stage_span = obs::span("ingest");
     let skip_bad = cfg.skip_bad_lines;
-    let (tally, intern_wait) = std::thread::scope(|s| -> Result<_, ReadError> {
+    let (tally, scan_cpu, intern_wait) = std::thread::scope(|s| -> Result<_, ReadError> {
         // Both channels live in this closure, so a panic here hangs them up
         // and the worker stops at its next send or receive.
         let (free_tx, free_rx) = sync_channel(BATCHES);
@@ -756,13 +756,14 @@ fn run<S: Sink>(
         let worker = std::thread::Builder::new()
             .name("ingest-scan".into())
             .spawn_scoped(s, move || {
+                let cpu = obs::ThreadCpu::start();
                 let mut stage = Scan {
                     skip_bad,
                     tally: ScanTally::default(),
                     free: free_rx,
                     full: full_tx,
                 };
-                scan(&mut stage).map(|()| stage.tally)
+                scan(&mut stage).map(|()| (stage.tally, cpu.elapsed_ns()))
             })
             .map_err(ReadError::Io)?;
         let mut wait = Duration::ZERO;
@@ -777,7 +778,7 @@ fn run<S: Sink>(
             let _ = free_tx.send(batch);
         }
         match worker.join() {
-            Ok(tally) => Ok((tally?, wait)),
+            Ok(scanned) => scanned.map(|(tally, cpu)| (tally, cpu, wait)),
             Err(panic) => std::panic::resume_unwind(panic),
         }
     })?;
@@ -791,6 +792,8 @@ fn run<S: Sink>(
     obs::counter("ingest.intern_wait_ns").add(nanos(intern_wait));
     obs::counter("ingest.scan_wait_ns").add(nanos(tally.wait));
     obs::record_stage_rss("ingest");
+    // The scan thread's CPU time is the stage's too.
+    stage_span.add_cpu_ns(scan_cpu);
     Ok((sink, tally.stats))
 }
 

@@ -82,7 +82,7 @@ impl Dataset {
     pub fn btm_without(&self, excluded: &[AuthorId]) -> crate::btm::Btm {
         crate::btm::Btm::build(
             self.authors.len() as u32,
-            self.pages.len() as u32,
+            Some(self.pages.len() as u32),
             excluded,
             || self.events.iter().copied(),
         )

@@ -56,7 +56,7 @@ pub fn write_snapshot(
     path: &Path,
 ) -> Result<WriteSummary, StoreError> {
     let _g = obs::span("snapshot.write");
-    let rows = PageRows::build(ds.pages.len() as u32, || {
+    let rows = PageRows::build(Some(ds.pages.len() as u32), &[], || {
         ds.events.iter().map(|e| (e.page, e.ts, e.author))
     });
 

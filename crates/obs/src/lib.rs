@@ -5,7 +5,10 @@
 //!
 //! * **Timing spans** ([`span`]): RAII guards keyed by dotted labels
 //!   (`"project.pairs"` is a child of `"project"` in the report tree). Each
-//!   span records into a **thread-local buffer**; the buffer is merged into
+//!   span reads the wall clock and the thread's CPU clock at both ends, so a
+//!   report says how much of a stage's wall its threads spent running rather
+//!   than waiting or descheduled. Each span records into a **thread-local
+//!   buffer**; the buffer is merged into
 //!   the global registry only when the thread's *outermost* span closes, so
 //!   hot paths never contend on a lock per span. The invariant: once
 //!   every scope on every thread has exited, the global totals are exact
@@ -199,24 +202,34 @@ pub struct SpanStats {
     pub total_ns: u64,
     /// Longest single entry.
     pub max_ns: u64,
+    /// CPU time inside the span, summed over entries and threads, helper
+    /// threads credited with [`SpanGuard::add_cpu_ns`] included.
+    pub cpu_ns: u64,
 }
 
 impl SpanStats {
-    fn record(&mut self, elapsed_ns: u64) {
+    fn record(&mut self, elapsed_ns: u64, cpu_ns: u64) {
         self.count += 1;
         self.total_ns += elapsed_ns;
         self.max_ns = self.max_ns.max(elapsed_ns);
+        self.cpu_ns += cpu_ns;
     }
 
     fn merge(&mut self, other: &SpanStats) {
         self.count += other.count;
         self.total_ns += other.total_ns;
         self.max_ns = self.max_ns.max(other.max_ns);
+        self.cpu_ns += other.cpu_ns;
     }
 
     /// Total time in seconds.
     pub fn total_seconds(&self) -> f64 {
         self.total_ns as f64 / 1e9
+    }
+
+    /// Total CPU time in seconds.
+    pub fn cpu_seconds(&self) -> f64 {
+        self.cpu_ns as f64 / 1e9
     }
 
     /// Longest entry in seconds.
@@ -255,20 +268,34 @@ thread_local! {
 pub struct SpanGuard {
     label: &'static str,
     start: Option<Instant>,
+    /// The thread's CPU clock when the span opened.
+    cpu: ThreadCpu,
+    /// CPU time helper threads spent on this span's work.
+    lent_cpu_ns: u64,
+}
+
+impl SpanGuard {
+    /// Credit `ns` of CPU time another thread spent on this span's work — a
+    /// helper the span's own thread started and joined, whose clock the
+    /// span cannot read — to the span's `cpu_ns`.
+    pub fn add_cpu_ns(&mut self, ns: u64) {
+        self.lent_cpu_ns += ns;
+    }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
         let elapsed = start.elapsed();
+        let cpu_ns = self.cpu.elapsed_ns() + self.lent_cpu_ns;
         LOCAL.with(|cell| {
             let mut local = cell.borrow_mut();
             let elapsed_ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
             match local.buf.iter_mut().find(|(l, _)| *l == self.label) {
-                Some((_, stats)) => stats.record(elapsed_ns),
+                Some((_, stats)) => stats.record(elapsed_ns, cpu_ns),
                 None => {
                     let mut stats = SpanStats::default();
-                    stats.record(elapsed_ns);
+                    stats.record(elapsed_ns, cpu_ns);
                     local.buf.push((self.label, stats));
                 }
             }
@@ -296,14 +323,75 @@ fn flush_local(local: &mut LocalSpans) {
 /// projection stage is `"project.pairs"`, not `"pairs"`.
 #[inline]
 pub fn span(label: &'static str) -> SpanGuard {
-    if !Obs::enabled() {
-        return SpanGuard { label, start: None };
-    }
-    LOCAL.with(|cell| cell.borrow_mut().depth += 1);
+    let cpu = ThreadCpu::start();
+    let start = cpu.0.map(|_| {
+        LOCAL.with(|cell| cell.borrow_mut().depth += 1);
+        Instant::now()
+    });
     SpanGuard {
         label,
-        start: Some(Instant::now()),
+        start,
+        cpu,
+        lent_cpu_ns: 0,
     }
+}
+
+// ---------------------------------------------------------------- cpu clock
+
+/// A reading of the calling thread's CPU clock (`CLOCK_THREAD_CPUTIME_ID`),
+/// taken only while recording is on: disabled, nothing reads the clock. A
+/// span holds one; a helper thread working for a span open on another
+/// thread takes its own and hands [`ThreadCpu::elapsed_ns`] to
+/// [`SpanGuard::add_cpu_ns`].
+#[derive(Debug)]
+pub struct ThreadCpu(Option<u64>);
+
+impl ThreadCpu {
+    /// Read the clock now, if recording is on.
+    pub fn start() -> Self {
+        ThreadCpu(Obs::enabled().then(thread_cpu_ns))
+    }
+
+    /// CPU time this thread has run since [`ThreadCpu::start`]; 0 if the
+    /// clock was not read then.
+    pub fn elapsed_ns(&self) -> u64 {
+        self.0.map_or(0, |t0| thread_cpu_ns().saturating_sub(t0))
+    }
+}
+
+/// The calling thread's CPU time in ns, or 0 where the clock is not known.
+#[cfg(target_os = "linux")]
+fn thread_cpu_ns() -> u64 {
+    use std::ffi::{c_int, c_long};
+
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
+    }
+    const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
+    extern "C" {
+        fn clock_gettime(clock: c_int, tp: *mut Timespec) -> c_int;
+    }
+
+    let mut t = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `t` is a valid, writable `struct timespec`, and the clock id
+    // is one every Linux kernel since 2.6.12 knows; on failure `t` stays 0.
+    let failed = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut t) } != 0;
+    if failed {
+        return 0;
+    }
+    (t.tv_sec as u64)
+        .saturating_mul(1_000_000_000)
+        .saturating_add(t.tv_nsec as u64)
+}
+
+#[cfg(not(target_os = "linux"))]
+fn thread_cpu_ns() -> u64 {
+    0
 }
 
 // ---------------------------------------------------------------- snapshot
@@ -523,6 +611,70 @@ mod tests {
             "per-rank increments sum into one global counter"
         );
         reset();
+    }
+
+    /// A span's CPU time is its thread's running time: a span that sleeps
+    /// reads a small fraction of its wall, one that spins reads about all of
+    /// it (less whatever the scheduler took on a shared machine), and time a
+    /// helper thread lends is added on.
+    #[test]
+    fn spans_read_cpu_beside_wall() {
+        let _g = locked();
+        Obs::enable();
+        reset();
+        let pause = std::time::Duration::from_millis(60);
+        {
+            let _s = span("cpu_sleeps");
+            std::thread::sleep(pause);
+        }
+        {
+            let _s = span("cpu_spins");
+            let start = Instant::now();
+            while start.elapsed() < pause {
+                std::hint::black_box(start.elapsed());
+            }
+        }
+        let lent = {
+            let mut s = span("cpu_lent");
+            let lent = std::thread::scope(|scope| {
+                scope
+                    .spawn(|| {
+                        let cpu = ThreadCpu::start();
+                        let start = Instant::now();
+                        while start.elapsed() < pause {
+                            std::hint::black_box(start.elapsed());
+                        }
+                        cpu.elapsed_ns()
+                    })
+                    .join()
+                    .unwrap()
+            });
+            s.add_cpu_ns(lent);
+            lent
+        };
+        Obs::disable();
+        let snap = snapshot();
+        let sleeps = snap.span("cpu_sleeps").unwrap();
+        assert!(sleeps.total_ns >= pause.as_nanos() as u64);
+        assert!(sleeps.cpu_ns * 10 < sleeps.total_ns, "{sleeps:?}");
+        let spins = snap.span("cpu_spins").unwrap();
+        assert!(spins.cpu_ns * 2 > spins.total_ns, "{spins:?}");
+        assert!(spins.cpu_ns <= spins.total_ns + 1_000_000, "{spins:?}");
+        assert!(lent * 2 > pause.as_nanos() as u64, "{lent}");
+        let lender = snap.span("cpu_lent").unwrap();
+        assert!(lender.cpu_ns >= lent, "{lender:?}");
+        assert!(lender.cpu_ns < lent + lender.total_ns / 2, "{lender:?}");
+        reset();
+    }
+
+    /// Disabled, a span reads neither clock.
+    #[test]
+    fn a_disabled_span_reads_no_clock() {
+        let _g = locked();
+        Obs::disable();
+        let s = span("cpu_disabled");
+        assert!(s.start.is_none() && s.cpu.0.is_none());
+        assert_eq!(ThreadCpu::start().0, None);
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //!
 //! ```json
 //! {
-//!   "schema_version": 1,
+//!   "schema_version": 2,
 //!   "command": "validate",
 //!   "spans": [
-//!     {"label": "project", "count": 1, "total_seconds": 0.031, "max_seconds": 0.031}
+//!     {"label": "project", "count": 1, "total_seconds": 0.031,
+//!      "cpu_seconds": 0.030, "max_seconds": 0.031}
 //!   ],
 //!   "span_tree": [
-//!     {"label": "project", "count": 1, "total_seconds": 0.031,
+//!     {"label": "project", "count": 1, "total_seconds": 0.031, ...,
 //!      "children": [{"label": "project.pairs", ...}]}
 //!   ],
 //!   "counters": {"ingest.lines": 120000, "ingest.skipped_lines": 0},
@@ -24,11 +25,17 @@
 //! prefix that was itself recorded). The tree is *label-structured*, not
 //! strict-containment: a child recorded on several rank threads can total
 //! more than its parent's wall time.
+//!
+//! `cpu_seconds` is the CPU time the span's threads ran inside it, summed as
+//! `total_seconds` is (the ingest scan thread's is credited to `ingest`):
+//! `cpu_seconds` well below `total_seconds` on one thread is time spent
+//! waiting or descheduled, and above it is threads running in parallel.
 
 use crate::{Snapshot, SpanEntry};
 
 /// Version stamp every report carries; bump on any layout change.
-pub(crate) const SCHEMA_VERSION: u32 = 1;
+/// Version 2 added `cpu_seconds` to every span entry.
+pub(crate) const SCHEMA_VERSION: u32 = 2;
 
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -48,10 +55,11 @@ fn escape(s: &str) -> String {
 
 fn span_fields(e: &SpanEntry) -> String {
     format!(
-        "\"label\": \"{}\", \"count\": {}, \"total_seconds\": {:.6}, \"max_seconds\": {:.6}",
+        "\"label\": \"{}\", \"count\": {}, \"total_seconds\": {:.6}, \"cpu_seconds\": {:.6}, \"max_seconds\": {:.6}",
         escape(&e.label),
         e.stats.count,
         e.stats.total_seconds(),
+        e.stats.cpu_seconds(),
         e.stats.max_seconds()
     )
 }
@@ -163,8 +171,8 @@ fn parse_schema_version(json: &str) -> Option<u64> {
 /// Validate an emitted run report: it must carry `schema_version` equal to
 /// this build's `SCHEMA_VERSION` (a report from a future or unknown layout
 /// is rejected, not half-checked), a span entry for every label in
-/// `required_spans`, and an entry (even `0`) for every counter in
-/// `required_counters`. Returns every violation at once so a CI failure
+/// `required_spans`, `cpu_seconds` on every span entry, and an entry (even
+/// `0`) for every counter in `required_counters`. Returns every violation at once so a CI failure
 /// names the full gap, not just the first one.
 ///
 /// The checks are textual against the layout `render` produces — this
@@ -194,6 +202,14 @@ pub fn validate(
             missing.push(format!("stage span {s:?}"));
         }
     }
+    // An entry's fields come before its children, so each stretch from one
+    // label to the next holds the whole of that entry's own fields.
+    for entry in json.split("\"label\": \"").skip(1) {
+        if !entry.contains("\"cpu_seconds\":") {
+            let label = entry.split('"').next().unwrap_or_default();
+            missing.push(format!("cpu_seconds of span {label:?}"));
+        }
+    }
     for c in required_counters {
         if !json.contains(&format!("\"{c}\":")) {
             missing.push(format!("counter {c:?}"));
@@ -218,6 +234,7 @@ mod tests {
                 count,
                 total_ns,
                 max_ns: total_ns,
+                cpu_ns: total_ns / 2,
             },
         }
     }
@@ -281,6 +298,17 @@ mod tests {
         assert!(err.contains("stage span \"survey\""), "{err}");
         assert!(err.contains("counter \"survey.triangles_kept\""), "{err}");
         assert!(validate("{}", &[], &[]).is_err(), "no schema_version");
+
+        // every span entry, in the flat list and in the tree, carries its CPU time
+        assert!(json.contains("\"cpu_seconds\": 0.002500"), "{json}");
+        let flat = "\"label\": \"ingest.merge\", \"count\": 1, \"total_seconds\": 0.001000, \"cpu_seconds\": 0.000500, ";
+        assert_eq!(json.matches(flat).count(), 2, "{json}");
+        let without = json.replacen(flat, "\"label\": \"ingest.merge\", \"count\": 1, ", 1);
+        let err = validate(&without, &["ingest"], &[]).unwrap_err();
+        assert_eq!(
+            err,
+            "report is missing: cpu_seconds of span \"ingest.merge\""
+        );
     }
 
     #[test]

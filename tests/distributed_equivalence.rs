@@ -159,6 +159,86 @@ fn poisoned_world_a_page_id_at_the_top_of_the_space_stops_the_run() {
     }
 }
 
+/// The door's contract with its source: one rank without a budget pulls
+/// `source(0, 1)` twice (it counts on the first pull and scatters on the
+/// second), and at two ranks each rank pulls its own share once.
+#[test]
+fn the_door_pulls_twice_at_one_rank_and_once_per_rank_at_two() {
+    let events: Vec<Event> = bots(20, 7_200)
+        .comments
+        .iter()
+        .map(|&(a, p, ts)| Event::new(AuthorId(a), PageId(p), ts))
+        .collect();
+    let n_authors = 24;
+    let resident = Pipeline::new(PipelineConfig::default()).run_btm(
+        &coordination::core::Btm::from_events(n_authors, 20, &events),
+    );
+    for nranks in [1, 2] {
+        let pulls = std::sync::Mutex::new(Vec::new());
+        let source = event_source(|rank, n| {
+            pulls.lock().unwrap().push((rank, n));
+            Box::new(events.iter().skip(rank).step_by(n).copied())
+        });
+        let out =
+            DistPipeline::new(PipelineConfig::default(), nranks).run_events(n_authors, &source);
+        assert_eq!(observed(&out).unwrap(), observed(&resident).unwrap());
+        let mut pulls = pulls.into_inner().unwrap();
+        pulls.sort_unstable();
+        let expected = match nranks {
+            1 => vec![(0, 1), (0, 1)],
+            _ => vec![(0, 2), (1, 2)],
+        };
+        assert_eq!(pulls, expected, "{nranks} ranks");
+    }
+}
+
+/// A one-rank source must yield the same events on both pulls: one whose
+/// second pull drops an event stops the run with the builder's message, and
+/// nothing is returned.
+#[test]
+fn a_one_rank_source_whose_second_pull_differs_stops_the_run() {
+    let events = [(0, 0, 5), (1, 0, 6), (2, 4, 7), (1, 4, 8)]
+        .map(|(a, p, ts)| Event::new(AuthorId(a), PageId(p), ts));
+    let pulls = std::sync::atomic::AtomicUsize::new(0);
+    let source = event_source(|_, _| {
+        let pull = pulls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        Box::new(events.iter().take(if pull == 0 { 4 } else { 3 }).copied())
+    });
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        DistPipeline::new(PipelineConfig::default(), 1).run_events(3, &source)
+    }));
+    let Err(panic) = run else {
+        panic!("the run returned output")
+    };
+    let message = *panic.downcast::<String>().expect("a panic message");
+    assert!(
+        message.contains("different events on its second pass"),
+        "{message}"
+    );
+    assert_eq!(pulls.into_inner(), 2);
+}
+
+/// One rank without a budget builds its `Btm` under the run config's
+/// exclusion list, as `Pipeline::run_dataset` does: on a generated month
+/// with its heaviest accounts excluded, the two print the same.
+#[test]
+fn one_rank_run_dataset_excludes_as_the_resident_run_does() {
+    let ds = Dataset::from_records(ScenarioConfig::jan2020(0.03).build().records);
+    let mut config = PipelineConfig {
+        min_triangle_weight: 25,
+        ..Default::default()
+    };
+    let heavy = coordination::core::filter::high_volume_accounts(&ds, 150);
+    assert!(!heavy.is_empty(), "no heavy accounts to exclude");
+    config
+        .exclusions
+        .extend(heavy.into_iter().map(|(name, _)| name));
+    let resident = observed(&Pipeline::new(config.clone()).run_dataset(&ds)).unwrap();
+    assert!(resident.comments < ds.len() as u64, "nothing was excluded");
+    let one_rank = observed(&DistPipeline::new(config, 1).run_dataset(&ds)).unwrap();
+    assert_eq!(one_rank, resident);
+}
+
 /// A 1-byte flush threshold clamps every aggregator to one item per batch,
 /// so every push ships immediately: the degenerate case of the packed
 /// exchange's flush path.

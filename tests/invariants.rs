@@ -453,7 +453,7 @@ proptest! {
             .collect();
         let (by_page, by_author) = (rows_of(&filtered, np), pages_of(&filtered, na));
 
-        let btm = Btm::build(na, np, &excluded, || events.iter().copied());
+        let btm = Btm::build(na, Some(np), &excluded, || events.iter().copied());
         for p in 0..np {
             prop_assert_eq!(&btm.page_neighborhood(PageId(p)).to_vec(), &by_page[p as usize]);
         }
@@ -464,7 +464,7 @@ proptest! {
         prop_assert_eq!(btm.n_comments(), filtered.len() as u64);
 
         for input in [&permuted, &by_time, &reversed] {
-            prop_assert_eq!(&Btm::build(na, np, &excluded, || input.iter().copied()), &btm);
+            prop_assert_eq!(&Btm::build(na, Some(np), &excluded, || input.iter().copied()), &btm);
         }
         prop_assert_eq!(&Btm::from_events(na, np, &events).without_authors(&excluded), &btm);
         prop_assert_eq!(&Btm::from_events(na, np, &filtered), &btm);
@@ -510,8 +510,16 @@ proptest! {
         let orders = arrival_orders(&keyed);
         let by_page = rows_of(&orders[0], np);
         for input in &orders {
-            let rows = PageRows::build(np, || input.iter().map(|e| (e.page, e.ts, e.author)));
+            let source = || input.iter().map(|e| (e.page, e.ts, e.author));
+            let rows = PageRows::build(Some(np), &[], source);
             prop_assert_eq!(rows.n_pages(), np);
+            // sized by the source instead: the same rows up to its largest page
+            let seen = PageRows::build(None, &[], source);
+            let top = input.iter().map(|e| e.page.0 + 1).max().unwrap_or(0);
+            prop_assert_eq!(seen.n_pages(), top);
+            for p in 0..top {
+                prop_assert_eq!(&seen.row(PageId(p)).to_vec(), &by_page[p as usize]);
+            }
             prop_assert_eq!(rows.n_comments(), input.len() as u64);
             for p in 0..np {
                 prop_assert_eq!(&rows.row(PageId(p)).to_vec(), &by_page[p as usize]);

@@ -211,7 +211,7 @@ pub fn check(
 
     let resident = Pipeline::new(config.clone());
     let ids: Vec<AuthorId> = excluded.iter().copied().map(AuthorId).collect();
-    let btm = Btm::build(input.n_authors, input.n_pages, &ids, || {
+    let btm = Btm::build(input.n_authors, Some(input.n_pages), &ids, || {
         ds.events.iter().copied()
     });
     // the page rows a resident door reads, built or mapped, are the definition's
