@@ -32,12 +32,14 @@
 //!    its memory:
 //!    * **No budget — rows.** Batches are appended unsorted, one lock each.
 //!      After the closing barrier the rank *partitions instead of sorting*:
-//!      count per page → prefix sum → scatter into one flat array of
-//!      page rows (8 B a comment when the rank's timestamps span no more
-//!      than a `u32`), then a comparison sort of only the rows that
-//!      did not arrive time-ordered ([`crate::btm::PageRows::build`] — the
-//!      builder [`Btm`] makes its own page side with, not a copy of it). Algorithm 1 needs each page's comments in time order
-//!      and never a global `(page, ts, author)` order, so none is computed.
+//!      count per page → prefix sum → a scatter that only stores each
+//!      comment at its row's cursor, into one flat array of page rows (8 B
+//!      a comment when the rank's timestamps span no more than a `u32`),
+//!      then one pass over the rows that comparison-sorts only those not
+//!      already in time order ([`crate::btm::PageRows::build`] — the builder
+//!      [`Btm`] makes its own page side with, not a copy of it). Algorithm 1
+//!      needs each page's comments in time order and never a global
+//!      `(page, ts, author)` order, so none is computed.
 //!    * **A budget — runs.** Flat rows hold the whole partition resident,
 //!      which is what the budget forbids, so each batch is sorted on arrival
 //!      as order-preserving packed keys (`event_key`) into a bounded run
@@ -678,12 +680,13 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
     ctx.barrier();
     out.n_comments = ctx.all_reduce_sum(kept_local);
     // Owners finish their partitions: a counting scatter into flat page
-    // rows, comparing only within the rows that did not arrive time-ordered
-    // — `Btm`'s page side, by `Btm`'s own builder — or, under a budget, the
-    // sorted runs (resident and spilled) the stack already holds, read back
-    // through a streaming merge. (The author→pages incidence the validator
-    // needs is *not* built here: it is harvested on demand in stage 5, for
-    // the handful of authors the survey actually surfaces.)
+    // rows, then a pass that sorts only the rows that did not arrive
+    // time-ordered — `Btm`'s page side, by `Btm`'s own builder — or, under
+    // a budget, the sorted runs (resident and spilled) the stack already
+    // holds, read back through a streaming merge. (The author→pages
+    // incidence the validator needs is *not* built here: it is harvested on
+    // demand in stage 5, for the handful of authors the survey actually
+    // surfaces.)
     let my_events = page_events.take(ctx);
     ctx.barrier();
     drop(build_span);

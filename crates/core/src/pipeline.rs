@@ -20,7 +20,7 @@ use crate::project;
 use crate::records::Dataset;
 use crate::window::Window;
 use tripoll::survey::{survey, SurveyConfig, SurveyReport};
-use tripoll::{GraphRef, OrientedGraph};
+use tripoll::OrientedGraph;
 
 /// Pipeline parameters. Defaults mirror the paper's hexbin figures: window
 /// `(0, 60s)`, CI edge threshold 1, triangle minimum-edge-weight cutoff 10.
@@ -181,12 +181,13 @@ impl Pipeline {
         // directly, so no filtered copy of the edge set is ever materialized.
         let t1 = Instant::now();
         let orient_span = obs::span("survey.orient");
-        let (oriented, ci_edges_after_threshold) = if cfg.edge_threshold > 1 {
-            let view = ci.threshold_view(cfg.edge_threshold);
-            (OrientedGraph::from_ref(&view), view.count_edges())
+        let oriented = if cfg.edge_threshold > 1 {
+            OrientedGraph::from_ref(&ci.threshold_view(cfg.edge_threshold))
         } else {
-            (OrientedGraph::from_ref(ci.as_csr()), ci.n_edges())
+            OrientedGraph::from_ref(ci.as_csr())
         };
+        // every edge the view keeps is oriented once: no second walk of it
+        let ci_edges_after_threshold = oriented.m();
         drop(orient_span);
         let report = survey(&oriented, &cfg.survey_config(), Some(ci.page_counts()));
         let survey_time = t1.elapsed();

@@ -12,7 +12,7 @@
 pub type Timestamp = i64;
 
 /// Dense author id.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AuthorId(pub u32);
 
 /// Dense page id (the root submission of a comment tree).

@@ -558,6 +558,12 @@ fn pipeline_distributed_stdout_is_byte_identical_to_resident() {
         .expect("run report-validate");
     let stderr = String::from_utf8_lossy(&check.stderr);
     assert!(check.status.success(), "{stderr}");
+    // and times each rank's row build pass by pass
+    let text = std::fs::read_to_string(report).expect("read report");
+    for pass in ["btm.count", "btm.scatter", "btm.order"] {
+        let entry = format!("\"label\": \"{pass}\", \"count\": 3,");
+        assert!(text.contains(&entry), "no {entry} in {text}");
+    }
     std::fs::remove_dir_all(dir).ok();
 }
 
