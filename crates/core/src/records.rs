@@ -1,20 +1,20 @@
-//! Pushshift-style comment records and NDJSON ingestion.
+//! Pushshift-style comment records, the interned dataset, and NDJSON output.
 //!
 //! The paper's raw input is the pushshift.io Reddit comment archive: one JSON
 //! object per line with (among much else) an `author`, a `link_id` naming the
 //! submission at the root of the comment tree, and an integer `created_utc`.
 //! Those three fields are exactly what the BTM needs (paper §2.1.1); everything
-//! else is ignored on read.
+//! else is ignored on read. Reading is [`crate::ingest`]'s, the one NDJSON
+//! parser; [`write_ndjson`] writes the three fields back out.
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{AuthorId, Event, Interner, PageId, Timestamp};
+use crate::ingest::ParseError;
 
 /// One comment record in the pushshift-compatible schema.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CommentRecord {
     /// Account name.
     pub author: String,
@@ -104,11 +104,8 @@ impl Dataset {
 pub enum ReadError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// A line failed to parse; carries the 1-based line number.
-    Parse {
-        line: usize,
-        source: serde_json::Error,
-    },
+    /// A line is not a record; carries the 1-based line number.
+    Parse { line: usize, source: ParseError },
 }
 
 impl std::fmt::Display for ReadError {
@@ -137,65 +134,44 @@ impl From<std::io::Error> for ReadError {
     }
 }
 
-/// Read NDJSON comment records from `reader`, one JSON object per line.
-/// Blank lines are skipped. Unknown fields are ignored (pushshift records
-/// carry dozens).
-pub fn read_ndjson<R: BufRead>(reader: R) -> Result<Vec<CommentRecord>, ReadError> {
-    let mut out = Vec::new();
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let rec: CommentRecord =
-            serde_json::from_str(trimmed).map_err(|source| ReadError::Parse {
-                line: i + 1,
-                source,
-            })?;
-        out.push(rec);
-    }
-    Ok(out)
-}
-
-/// Write records as NDJSON.
+/// Write records as NDJSON, one object per line with its keys in byte
+/// order.
 pub fn write_ndjson<W: Write>(mut w: W, records: &[CommentRecord]) -> std::io::Result<()> {
     for r in records {
-        serde_json::to_writer(&mut w, r)?;
-        w.write_all(b"\n")?;
+        writeln!(
+            w,
+            "{{\"author\":{},\"created_utc\":{},\"link_id\":{}}}",
+            JsonString(&r.author),
+            r.created_utc,
+            JsonString(&r.link_id)
+        )?;
     }
     Ok(())
 }
 
-/// Stream NDJSON into a [`Dataset`] without materializing the record list.
-///
-/// This is the *reference reader*: one line, one `serde_json` parse, one
-/// `Dataset::push`. The production path for month-scale archives is
-/// [`crate::ingest`] — a zero-copy field scanner feeding one in-order
-/// interning pass — which is pinned (by proptest and by a bench-time guard)
-/// to produce an identical [`Dataset`] to this function.
-pub fn read_ndjson_into_dataset<R: BufRead>(mut reader: R) -> Result<Dataset, ReadError> {
-    let mut ds = Dataset::default();
-    let mut line = String::new();
-    let mut lineno = 0usize;
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            break;
+/// A name as a JSON string: `"`, `\\` and the control characters escaped,
+/// every other character as it is.
+struct JsonString<'a>(&'a str);
+
+impl std::fmt::Display for JsonString<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        use std::fmt::Write as _;
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                '\u{8}' => f.write_str("\\b")?,
+                '\u{c}' => f.write_str("\\f")?,
+                '\0'..='\u{1f}' => write!(f, "\\u{:04x}", u32::from(c))?,
+                c => f.write_char(c)?,
+            }
         }
-        lineno += 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let rec: CommentRecord =
-            serde_json::from_str(trimmed).map_err(|source| ReadError::Parse {
-                line: lineno,
-                source,
-            })?;
-        ds.push(&rec);
+        f.write_char('"')
     }
-    Ok(ds)
 }
 
 /// Count events per author as a dense vector indexed by `AuthorId` — one
@@ -212,40 +188,22 @@ pub(crate) fn comment_counts_dense(ds: &Dataset) -> Vec<u64> {
 mod tests {
     use super::*;
 
+    /// Keys in byte order; only what JSON requires is escaped.
     #[test]
-    fn roundtrip_ndjson() {
-        let recs = vec![
+    fn write_ndjson_spells_records_one_way() {
+        let recs = [
             CommentRecord::new("alice", "t3_x", 100),
-            CommentRecord::new("bob", "t3_y", 200),
+            CommentRecord::new("q\"b\\s/\t\u{1}é😀", "t3_y", -2),
         ];
         let mut buf = Vec::new();
         write_ndjson(&mut buf, &recs).unwrap();
-        let back = read_ndjson(&buf[..]).unwrap();
-        assert_eq!(back, recs);
-    }
-
-    #[test]
-    fn unknown_fields_are_ignored() {
-        let line = br#"{"author":"a","link_id":"t3_z","created_utc":5,"score":12,"body":"hi"}"#;
-        let recs = read_ndjson(&line[..]).unwrap();
-        assert_eq!(recs, vec![CommentRecord::new("a", "t3_z", 5)]);
-    }
-
-    #[test]
-    fn blank_lines_are_skipped() {
-        let text = "\n{\"author\":\"a\",\"link_id\":\"p\",\"created_utc\":1}\n\n";
-        let recs = read_ndjson(text.as_bytes()).unwrap();
-        assert_eq!(recs.len(), 1);
-    }
-
-    #[test]
-    fn parse_errors_carry_line_numbers() {
-        let text = "{\"author\":\"a\",\"link_id\":\"p\",\"created_utc\":1}\nnot json\n";
-        let err = read_ndjson(text.as_bytes()).unwrap_err();
-        match err {
-            ReadError::Parse { line, .. } => assert_eq!(line, 2),
-            other => panic!("expected parse error, got {other}"),
-        }
+        assert_eq!(
+            String::from_utf8(buf).unwrap(),
+            concat!(
+                "{\"author\":\"alice\",\"created_utc\":100,\"link_id\":\"t3_x\"}\n",
+                "{\"author\":\"q\\\"b\\\\s/\\t\\u0001é😀\",\"created_utc\":-2,\"link_id\":\"t3_y\"}\n",
+            )
+        );
     }
 
     #[test]
@@ -261,16 +219,6 @@ mod tests {
         assert_eq!(ds.events[0], Event::new(AuthorId(0), PageId(0), 1));
         assert_eq!(ds.events[2], Event::new(AuthorId(0), PageId(1), 3));
         assert_eq!([ds.authors.name(0), ds.authors.name(1)], ["a", "b"]);
-    }
-
-    #[test]
-    fn streaming_reader_matches_batch_reader() {
-        let text = "{\"author\":\"x\",\"link_id\":\"p\",\"created_utc\":9}\n\
-                    {\"author\":\"y\",\"link_id\":\"p\",\"created_utc\":10}\n";
-        let ds = read_ndjson_into_dataset(text.as_bytes()).unwrap();
-        let batch = Dataset::from_records(read_ndjson(text.as_bytes()).unwrap());
-        assert_eq!(ds.events, batch.events);
-        assert_eq!(ds.authors.len(), batch.authors.len());
     }
 
     #[test]

@@ -1,89 +1,385 @@
-//! Property tests pinning every NDJSON ingest driver to the reference reader
-//! and the zero-copy scanner to full serde deserialization.
+//! Property tests pinning every NDJSON ingest driver to the JSON grammar.
 //!
-//! The invariant under test: on ANY input — text or not — and however the
-//! bytes arrive, [`ingest::ingest_reader`], [`ingest::ingest_slice`] and their
-//! `records` twins see what `read_ndjson_into_dataset` — one `serde_json`
-//! parse per line, one `Dataset::push` — sees: the same events, the same names
-//! under the same dense ids, the same line counts, and in strict mode the
-//! same first fault in file order: a malformed line under its 1-based number,
-//! a non-UTF-8 one as an I/O error.
+//! The oracle is RFC 8259 itself: a strategy builds lines from its
+//! productions — escapes and surrogate pairs, numbers with fractions and
+//! exponents, arrays and objects nested four deep, whitespace, duplicate keys
+//! — so the record each line holds is known by construction, and mutation
+//! classes make lines that are malformed by construction. However the bytes
+//! arrive, [`ingest::ingest_reader`], [`ingest::ingest_slice`] and their
+//! `records` twins must yield exactly those records under first-occurrence
+//! ids, the line counts the text implies, and in strict mode the first fault
+//! in file order: a malformed line as [`ReadError::Parse`] under its 1-based
+//! number, a non-UTF-8 one as an I/O error.
 
+use std::fmt::Write as _;
 use std::io::{self, ErrorKind, Read};
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
 use coordination_core::ids::Interner;
-use coordination_core::ingest::{self, scan_record, IngestConfig, IngestStats};
-use coordination_core::records::{
-    read_ndjson_into_dataset, write_ndjson, CommentRecord, Dataset, ReadError,
-};
+use coordination_core::ingest::{self, IngestConfig, IngestStats, ParseError, ParseErrorKind};
+use coordination_core::records::{write_ndjson, CommentRecord, Dataset, ReadError};
 
-/// Author/page name pool, heavy on serialization hazards: empty strings,
-/// JSON metacharacters, escapes, unicode, whitespace, an excluded bot. Names
-/// needing escapes force the scanner down its serde-fallback path, so both
-/// scanner-handled and fallback lines appear in most generated corpora.
-const NAMES: &[&str] = &[
-    "alice",
-    "bob",
-    "carol_9",
-    "",
-    "[deleted]",
-    "AutoModerator",
-    "with space",
-    "quote\"inside",
-    "back\\slash",
-    "uni—codé✓",
-    "tab\tchar",
-    "line\nbreak",
-    "a",
-    "t3_dupe",
-];
+// ---------------------------------------------------------------- the grammar
 
-const BAD_LINE: &str = "{\"author\": 12, \"oops";
-
-fn arb_name() -> impl Strategy<Value = String> {
-    (0usize..NAMES.len()).prop_map(|i| NAMES[i].to_string())
+/// The grammar's choices, drawn in order from a tape of random numbers. A
+/// spent tape answers 0: the first, shortest production.
+struct Tape<'a> {
+    draws: &'a [u32],
+    at: usize,
 }
 
-/// One input line: a record in one of several spellings, or a blank.
-fn arb_line() -> impl Strategy<Value = String> {
-    (arb_name(), arb_name(), 0i64..200, 0u8..8, 0u8..4).prop_map(
-        |(author, link_id, ts, shape, crlf)| {
-            let a = serde_json::to_string(&author).unwrap();
-            let p = serde_json::to_string(&link_id).unwrap();
-            let mut line = match shape {
-                0 | 1 => format!(r#"{{"author":{a},"link_id":{p},"created_utc":{ts}}}"#),
-                2 => format!(
-                    r#"{{"score":-3,"author":{a},"gildings":{{"a":[1,2.5e3]}},"link_id":{p},"created_utc":{ts},"edited":false}}"#
-                ),
-                // an integral float: the scanner punts, serde accepts
-                3 => format!(r#"{{"author":{a},"link_id":{p},"created_utc":{ts}.0}}"#),
-                // duplicate key, last wins: "ghost" must never be interned
-                4 => format!(
-                    r#"{{"author":"ghost","author":{a},"link_id":{p},"created_utc":{ts}}}"#
-                ),
-                5 => format!("  {{ \"author\" : {a} ,\t\"link_id\":{p},\"created_utc\": {ts} }}\t "),
-                6 => String::new(),
-                _ => "  \t".to_owned(),
-            };
-            if crlf == 0 {
-                line.push('\r');
+impl Tape<'_> {
+    fn pick(&mut self, n: usize) -> usize {
+        let draw = self.draws.get(self.at).copied().unwrap_or(0);
+        self.at += 1;
+        draw as usize % n
+    }
+
+    fn one_in(&mut self, n: usize) -> bool {
+        self.pick(n) == 0
+    }
+}
+
+/// Names heavy on hazards: empty, JSON metacharacters, control characters,
+/// characters outside the BMP, and the accounts pushshift months are full of.
+const NAMES: &[&str] = &[
+    "alice",
+    "[deleted]",
+    "AutoModerator",
+    "t3_abc123",
+    "",
+    "quote\"in",
+    "back\\slash/",
+    "uni—codé✓",
+    "🤖 outside the BMP 😀",
+    "tab\tand\nbreak",
+    "\u{1}\u{8}\u{c}\u{1f}",
+    "\u{7f}\u{2028}\u{feff}",
+];
+
+/// `ws`: JSON whitespace, which inside a line is space, tab and `\r`;
+/// mostly none.
+fn ws(t: &mut Tape, out: &mut String) {
+    for _ in 0..t.pick(6).saturating_sub(3) {
+        out.push([' ', '\t', '\r'][t.pick(3)]);
+    }
+}
+
+/// `string`: `s`, each character spelled one of the ways the grammar
+/// allows — as it is, as a short escape, or as `\u` escapes of its UTF-16
+/// units (a surrogate pair outside the BMP) in either case. Half the strings
+/// escape only what they must.
+fn string(t: &mut Tape, s: &str, out: &mut String) {
+    out.push('"');
+    let plain = t.one_in(2);
+    for c in s.chars() {
+        let short = match c {
+            '"' | '\\' | '/' => Some(c),
+            '\u{8}' => Some('b'),
+            '\u{c}' => Some('f'),
+            '\n' => Some('n'),
+            '\r' => Some('r'),
+            '\t' => Some('t'),
+            _ => None,
+        };
+        let raw_ok = !matches!(c, '"' | '\\' | '\0'..='\u{1f}');
+        match (if plain { 0 } else { t.pick(4) }, short) {
+            (0 | 1, _) if raw_ok => out.push(c),
+            (2, Some(short)) => {
+                out.push('\\');
+                out.push(short);
             }
-            line
-        },
-    )
+            (_, _) => {
+                for unit in c.encode_utf16(&mut [0; 2]) {
+                    let _ = if t.one_in(2) {
+                        write!(out, "\\u{unit:04x}")
+                    } else {
+                        write!(out, "\\u{unit:04X}")
+                    };
+                }
+            }
+        }
+    }
+    out.push('"');
+}
+
+/// `number`: an optional minus, an integer part with no leading zero, an
+/// optional fraction and an optional exponent.
+fn number(t: &mut Tape, out: &mut String) {
+    if t.one_in(2) {
+        out.push('-');
+    }
+    let _ = match t.pick(3) {
+        0 => write!(out, "0"),
+        _ => write!(out, "{}", 1 + t.pick(99_999)),
+    };
+    if t.one_in(2) {
+        let _ = write!(out, ".{:0w$}", t.pick(1000), w = 1 + t.pick(3));
+    }
+    if t.one_in(3) {
+        out.push(['e', 'E'][t.pick(2)]);
+        out.push_str(["", "+", "-"][t.pick(3)]);
+        let _ = write!(out, "{}", t.pick(300));
+    }
+}
+
+/// `value`: any value, its arrays and objects nested at most `depth` more
+/// levels.
+fn value(t: &mut Tape, depth: usize, out: &mut String) {
+    match t.pick(if depth == 0 { 3 } else { 5 }) {
+        0 => {
+            let s = name(t);
+            string(t, s, out)
+        }
+        1 => number(t, out),
+        2 => out.push_str(["true", "false", "null"][t.pick(3)]),
+        3 => {
+            out.push('[');
+            for i in 0..t.pick(4) {
+                if i > 0 {
+                    out.push(',');
+                }
+                ws(t, out);
+                value(t, depth - 1, out);
+                ws(t, out);
+            }
+            out.push(']');
+        }
+        _ => {
+            out.push('{');
+            for i in 0..t.pick(4) {
+                if i > 0 {
+                    out.push(',');
+                }
+                let key = name(t);
+                member(t, key, out);
+                value(t, depth - 1, out);
+                ws(t, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+/// A name from [`NAMES`].
+fn name(t: &mut Tape) -> &'static str {
+    NAMES[t.pick(NAMES.len())]
+}
+
+/// A member's `ws key ws : ws`, up to its value.
+fn member(t: &mut Tape, key: &str, out: &mut String) {
+    ws(t, out);
+    string(t, key, out);
+    ws(t, out);
+    out.push(':');
+    ws(t, out);
+}
+
+/// A value the field cannot hold: for a name anything but a string, for
+/// `created_utc` anything but an integer in `i64` range.
+fn wrong_value(t: &mut Tape, timestamp: bool, out: &mut String) {
+    out.push_str(match (t.pick(3), timestamp) {
+        (0, true) => ["\"1577836800\"", "1.5", "-1e19"][t.pick(3)],
+        (0, false) => ["0", "-1.5e3"][t.pick(2)],
+        (1, _) => ["true", "false", "null"][t.pick(3)],
+        _ => ["[]", "{}", "[\"a\"]", "{\"k\":1}"][t.pick(4)],
+    });
+}
+
+/// `ts` spelled as an integer, or with a fraction or an exponent whose
+/// value it is.
+fn timestamp(t: &mut Tape, ts: i64, out: &mut String) {
+    let sign = if ts < 0 { "-" } else { "" };
+    let digits = ts.unsigned_abs().to_string();
+    let (first, rest) = digits.split_at(1);
+    let _ = match t.pick(4) {
+        0 => write!(out, "{ts}.{}", "0".repeat(1 + t.pick(3))),
+        1 => write!(
+            out,
+            "{sign}{first}.{}{}{}{}",
+            if rest.is_empty() { "0" } else { rest },
+            ['e', 'E'][t.pick(2)],
+            ["", "+"][t.pick(2)],
+            rest.len()
+        ),
+        2 if ts != 0 => write!(out, "{ts}0e-1"),
+        _ => write!(out, "{ts}"),
+    };
+}
+
+/// What makes a line malformed by construction.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Defect {
+    /// The line stops inside the record, after its `{`, before its `}`.
+    Cut,
+    /// A raw U+0000–U+001F (a tab among them; not `\n`) in the author.
+    ControlCharacter,
+    /// Half a surrogate pair escaped alone in the author.
+    LoneSurrogate,
+    /// A `,` before the `}` or `]` that closes an object or an array.
+    TrailingComma,
+    /// A number whose integer part is `0` and more digits.
+    LeadingZero,
+    /// One of the three fields absent.
+    MissingField,
+    /// A name that is not a string, or a `created_utc` that is not a number
+    /// or not a whole one.
+    WrongType,
+    /// A value nested past the 128 levels a line may hold.
+    TooDeep,
+    /// Padding that is whitespace to Unicode but not to JSON.
+    ForeignWhitespace,
+}
+
+const DEFECTS: [Defect; 9] = [
+    Defect::Cut,
+    Defect::ControlCharacter,
+    Defect::LoneSurrogate,
+    Defect::TrailingComma,
+    Defect::LeadingZero,
+    Defect::MissingField,
+    Defect::WrongType,
+    Defect::TooDeep,
+    Defect::ForeignWhitespace,
+];
+
+impl Defect {
+    /// Whether the scanner names this defect's fault as it should.
+    fn named(self, kind: ParseErrorKind) -> bool {
+        use ParseErrorKind::*;
+        match self {
+            Defect::Cut => true,
+            Defect::ControlCharacter => kind == ControlCharacter,
+            Defect::LoneSurrogate => kind == LoneSurrogate,
+            Defect::TrailingComma => matches!(kind, Expected(_)),
+            Defect::LeadingZero => kind == LeadingZero,
+            Defect::MissingField => matches!(kind, MissingField(_)),
+            Defect::WrongType => matches!(kind, WrongType(_) | NotATimestamp),
+            Defect::TooDeep => kind == TooDeep,
+            Defect::ForeignWhitespace => matches!(kind, Expected(_) | TrailingCharacters),
+        }
+    }
+}
+
+/// One line from the tape: blank, or a record — its three fields in any
+/// order among other members, earlier duplicates of them holding anything
+/// — or, given a `defect`, a record line malformed by it. Returns the
+/// record a well-formed line holds.
+fn line(t: &mut Tape, defect: Option<Defect>, out: &mut String) -> Option<CommentRecord> {
+    if defect.is_none() && t.one_in(8) {
+        ws(t, out);
+        return None;
+    }
+    let record = CommentRecord::new(
+        name(t),
+        name(t),
+        (t.pick(1 << 30) as i64 - (1 << 29)) * 1000 + t.pick(1000) as i64,
+    );
+    // 0–2 author, link_id, created_utc; 3 another member; 4–6 an earlier
+    // duplicate of 0–2.
+    let mut members: Vec<usize> = (0..3).chain(std::iter::repeat_n(3, t.pick(4))).collect();
+    if defect == Some(Defect::MissingField) {
+        members.remove(t.pick(3));
+    }
+    for i in (1..members.len()).rev() {
+        members.swap(i, t.pick(i + 1));
+    }
+    for field in 0..3 {
+        if let Some(last) = members.iter().position(|&m| m == field) {
+            if t.one_in(4) {
+                members.insert(t.pick(last + 1), field + 4);
+            }
+        }
+    }
+    let wrong = (defect == Some(Defect::WrongType)).then(|| t.pick(3));
+    ws(t, out);
+    let open = out.len();
+    out.push('{');
+    let mut author_at = 0;
+    for (i, &m) in members.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let key = match m % 4 {
+            3 => name(t),
+            field => ["author", "link_id", "created_utc"][field],
+        };
+        member(t, key, out);
+        match m {
+            _ if wrong == Some(m) => wrong_value(t, m == 2, out),
+            0 => {
+                author_at = out.len() + 1;
+                string(t, &record.author, out);
+            }
+            1 => string(t, &record.link_id, out),
+            2 => timestamp(t, record.created_utc, out),
+            _ => value(t, 4, out),
+        }
+        ws(t, out);
+    }
+    let close = out.len();
+    out.push('}');
+    ws(t, out);
+    match defect {
+        None | Some(Defect::MissingField | Defect::WrongType) => {}
+        Some(Defect::Cut) => {
+            let cut = open + 1 + t.pick(close - open);
+            let cut = (cut..).find(|&i| out.is_char_boundary(i)).unwrap();
+            out.truncate(cut.min(close));
+        }
+        Some(Defect::ControlCharacter) => {
+            let c = char::from(t.pick(31) as u8);
+            out.insert(author_at, if c == '\n' { '\u{1f}' } else { c });
+        }
+        Some(Defect::LoneSurrogate) => {
+            out.insert_str(author_at, ["\\uD83Dx", "\\udE00"][t.pick(2)]);
+        }
+        Some(Defect::TrailingComma) => {
+            let bad = [",", ",\"x\":[1,]", ",\"x\":{\"k\":[],}"][t.pick(3)];
+            out.insert_str(close, bad);
+        }
+        Some(Defect::LeadingZero) => {
+            let bad = ["01", "-007", "00.5", "0123e4"][t.pick(4)];
+            out.insert_str(close, &format!(",\"n\":{bad}"));
+        }
+        Some(Defect::TooDeep) => {
+            out.insert_str(
+                close,
+                &format!(",\"deep\":{}{}", "[".repeat(128), "]".repeat(128)),
+            );
+        }
+        Some(Defect::ForeignWhitespace) => {
+            let c = ['\u{a0}', '\u{2003}', '\u{b}', '\u{c}', '\u{feff}'][t.pick(5)];
+            let at = [0, open + 1, out.len()][t.pick(3)];
+            out.insert(at, c);
+        }
+    }
+    defect.is_none().then_some(record)
+}
+
+/// A corpus from the tape: up to `n` lines, with or without the final
+/// newline, and the records they hold.
+fn corpus(draws: &[u32], n: usize) -> (Vec<String>, Vec<CommentRecord>) {
+    let mut t = Tape { draws, at: 0 };
+    let mut lines = Vec::new();
+    let mut records = Vec::new();
+    for _ in 0..n {
+        let mut text = String::new();
+        records.extend(line(&mut t, None, &mut text));
+        lines.push(text);
+    }
+    (lines, records)
+}
+
+fn arb_tape() -> impl Strategy<Value = Vec<u32>> {
+    prop::collection::vec(0u32..u32::MAX, 0..3000)
 }
 
 /// Read sizes for [`ShortReads`] to cycle through.
 fn arb_splits() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(1usize..200, 1..8)
-}
-
-/// A corpus: generated lines, with or without the final newline.
-fn arb_corpus() -> impl Strategy<Value = (Vec<String>, bool)> {
-    (prop::collection::vec(arb_line(), 0..60), 0u8..3).prop_map(|(lines, nl)| (lines, nl > 0))
 }
 
 fn join(lines: &[String], final_newline: bool) -> String {
@@ -94,21 +390,17 @@ fn join(lines: &[String], final_newline: bool) -> String {
     text
 }
 
-/// The stats the input itself implies, worked out without any reader: a line
-/// is a `'\n'`-terminated run (or the unterminated tail), and the scanner
-/// punts exactly on escapes, float timestamps and malformed lines.
-fn implied_stats(text: &str, events: u64, skipped: u64) -> IngestStats {
+// ---------------------------------------------------------------- the drivers
+
+/// The line count the text implies: a line is a `'\n'`-terminated run, or
+/// the unterminated tail.
+fn implied_stats(text: &str, events: usize, skipped: u64) -> IngestStats {
     let newlines = text.bytes().filter(|&b| b == b'\n').count() as u64;
     let tail = u64::from(!text.is_empty() && !text.ends_with('\n'));
-    let fallbacks = text
-        .split('\n')
-        .filter(|l| l.contains('\\') || l.contains(".0}") || l.contains("oops"))
-        .count() as u64;
     IngestStats {
         lines: newlines + tail,
-        events,
+        events: events as u64,
         skipped_lines: skipped,
-        scanner_fallbacks: fallbacks,
     }
 }
 
@@ -116,13 +408,13 @@ fn interner_names(i: &Interner) -> Vec<&str> {
     (0..i.len() as u32).map(|id| i.name(id)).collect()
 }
 
-fn assert_datasets_identical(reference: &Dataset, got: &Dataset) -> Result<(), TestCaseError> {
-    prop_assert_eq!(&reference.events, &got.events);
+fn assert_datasets_identical(expected: &Dataset, got: &Dataset) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&expected.events, &got.events);
     prop_assert_eq!(
-        interner_names(&reference.authors),
+        interner_names(&expected.authors),
         interner_names(&got.authors)
     );
-    prop_assert_eq!(interner_names(&reference.pages), interner_names(&got.pages));
+    prop_assert_eq!(interner_names(&expected.pages), interner_names(&got.pages));
     // and back: every name resolves to its own id
     for (id, name) in got.authors.iter() {
         prop_assert_eq!(got.authors.get(name), Some(id));
@@ -177,289 +469,253 @@ fn drivers<'a, T>(
     out
 }
 
-/// Every dataset driver on `bytes`.
-fn dataset_drivers(
+/// Every driver on `bytes` — the dataset drivers and their `records`
+/// twins — each as the dataset it ends with, interned from the records for
+/// the twins.
+fn every_driver(
     bytes: &[u8],
     cfg: &IngestConfig,
     splits: &[usize],
 ) -> Vec<Result<ingest::Ingest, ReadError>> {
-    drivers(
+    let mut out = drivers(
         bytes,
         splits,
         |b| ingest::ingest_slice(b, cfg),
         |r| ingest::ingest_reader(r, cfg),
-    )
+    );
+    out.extend(
+        drivers(
+            bytes,
+            splits,
+            |b| ingest::ingest_records_slice(b, cfg),
+            |r| ingest::ingest_records_reader(r, cfg),
+        )
+        .into_iter()
+        .map(|r| {
+            r.map(|(records, stats)| ingest::Ingest {
+                dataset: Dataset::from_records(records),
+                stats,
+            })
+        }),
+    );
+    out
 }
 
-/// [`dataset_drivers`]' `records` twins.
-fn record_drivers(
-    bytes: &[u8],
-    cfg: &IngestConfig,
-    splits: &[usize],
-) -> Vec<Result<(Vec<CommentRecord>, IngestStats), ReadError>> {
-    drivers(
-        bytes,
-        splits,
-        |b| ingest::ingest_records_slice(b, cfg),
-        |r| ingest::ingest_records_reader(r, cfg),
-    )
-}
-
-/// Every driver, under `cfg`, yields `reference` and `stats`.
+/// Every driver, under `cfg`, yields `records` and the stats `text` implies
+/// with `skipped` lines skipped.
 fn assert_all_drivers_yield(
-    bytes: &[u8],
+    text: &str,
     cfg: &IngestConfig,
     splits: &[usize],
-    reference: &Dataset,
-    stats: IngestStats,
+    records: &[CommentRecord],
+    skipped: u64,
 ) -> Result<(), TestCaseError> {
-    for out in dataset_drivers(bytes, cfg, splits) {
+    let expected = Dataset::from_records(records.iter().cloned());
+    let stats = implied_stats(text, records.len(), skipped);
+    for out in every_driver(text.as_bytes(), cfg, splits) {
         let out = out.unwrap();
-        assert_datasets_identical(reference, &out.dataset)?;
+        assert_datasets_identical(&expected, &out.dataset)?;
         prop_assert_eq!(out.stats, stats);
-        prop_assert_eq!(out.dataset.authors.get("ghost"), None);
-    }
-    for out in record_drivers(bytes, cfg, splits) {
-        let (records, record_stats) = out.unwrap();
-        assert_datasets_identical(reference, &Dataset::from_records(records))?;
-        prop_assert_eq!(record_stats, stats);
     }
     Ok(())
 }
 
-/// Every driver against the reference reader on well-formed `text`.
-fn assert_all_drivers_match(text: &str, splits: &[usize]) -> Result<(), TestCaseError> {
-    let reference = read_ndjson_into_dataset(text.as_bytes()).unwrap();
-    let stats = implied_stats(text, reference.len() as u64, 0);
-    let strict = IngestConfig::default();
-    assert_all_drivers_yield(text.as_bytes(), &strict, splits, &reference, stats)
-}
-
-/// How a strict read ended, as far as the reference reader can say: it
-/// numbers a malformed line but not a non-UTF-8 one.
-#[derive(Debug, PartialEq, Eq)]
-enum Fault {
-    Parse(usize),
-    NotUtf8,
-}
-
-fn fault<T: std::fmt::Debug>(r: Result<T, ReadError>) -> Fault {
-    match r {
-        Err(ReadError::Parse { line, .. }) => Fault::Parse(line),
-        Err(ReadError::Io(e)) if e.kind() == ErrorKind::InvalidData => Fault::NotUtf8,
-        other => panic!("expected a parse or a UTF-8 error, got {other:?}"),
+/// Every strict driver on `bytes` fails, each wording the failure as the
+/// others do; the first driver's error.
+fn assert_all_drivers_fail_alike(bytes: &[u8], splits: &[usize]) -> ReadError {
+    let mut errors = every_driver(bytes, &IngestConfig::default(), splits)
+        .into_iter()
+        .map(|out| out.expect_err("a strict run fails"));
+    let first = errors.next().unwrap();
+    for e in errors {
+        assert_eq!(e.to_string(), first.to_string());
     }
+    first
 }
 
-/// Every strict driver stops at the fault the reference reader stops at —
-/// the first in file order — and, past what the reference reader can say,
-/// the chunk reader and the one-piece pass word it identically.
-fn assert_all_drivers_fail_like_the_reference(bytes: &[u8], splits: &[usize]) -> Fault {
-    let strict = IngestConfig::default();
-    let expected = fault(read_ndjson_into_dataset(bytes));
-    let mut messages = Vec::new();
-    for out in dataset_drivers(bytes, &strict, splits) {
-        messages.push(out.as_ref().unwrap_err().to_string());
-        assert_eq!(fault(out), expected);
-    }
-    for out in record_drivers(bytes, &strict, splits) {
-        messages.push(out.as_ref().unwrap_err().to_string());
-        assert_eq!(fault(out), expected);
-    }
-    assert!(messages.iter().all(|m| *m == messages[0]), "{messages:?}");
-    expected
-}
-
-/// Every strict driver reports the first malformed line of `text` under the
-/// same 1-based number as the reference reader.
-fn assert_all_drivers_fail_at(text: &str, line: usize, splits: &[usize]) {
-    assert_eq!(
-        assert_all_drivers_fail_like_the_reference(text.as_bytes(), splits),
-        Fault::Parse(line)
-    );
-}
+// ---------------------------------------------------------------- properties
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Mixed corpora — scanner-eligible lines, escape and float fallbacks,
-    /// duplicate keys, padded and blank lines, CRLF endings, with and
-    /// without the final newline.
+    /// Lines built from the grammar's productions, with or without the final
+    /// newline, read as built by every driver, strict and lossy.
     #[test]
-    fn every_driver_matches_the_reference_reader(
-        (lines, final_newline) in arb_corpus(),
+    fn grammar_lines_read_as_built(
+        draws in arb_tape(),
+        n in 0usize..40,
+        final_newline in 0u8..2,
         splits in arb_splits(),
     ) {
-        assert_all_drivers_match(&join(&lines, final_newline), &splits)?;
-    }
-
-    /// Strict mode: one malformed line anywhere in the corpus (first, last or
-    /// in between) is reported under the same line number by every driver.
-    #[test]
-    fn strict_mode_reports_the_reference_readers_line(
-        (mut lines, final_newline) in arb_corpus(),
-        at in 0usize..60,
-        splits in arb_splits(),
-    ) {
-        let at = at.min(lines.len());
-        lines.insert(at, BAD_LINE.to_owned());
-        assert_all_drivers_fail_at(&join(&lines, final_newline), at + 1, &splits);
-    }
-
-    /// Lossy mode over a corpus with malformed lines spliced in: the good
-    /// records all survive under the reference reader's ids, and the
-    /// counters say exactly what was dropped.
-    #[test]
-    fn lossy_mode_keeps_good_records_and_counts_the_rest(
-        (lines, final_newline) in arb_corpus(),
-        every in 2usize..5,
-        splits in arb_splits(),
-    ) {
-        let mut corrupt = Vec::new();
-        let mut bad = 0u64;
-        for (i, line) in lines.iter().enumerate() {
-            corrupt.push(line.clone());
-            if i % every == 0 {
-                corrupt.push(BAD_LINE.to_owned());
-                bad += 1;
-            }
+        let (lines, records) = corpus(&draws, n);
+        let text = join(&lines, final_newline == 1);
+        for cfg in [IngestConfig::default(), IngestConfig { skip_bad_lines: true }] {
+            assert_all_drivers_yield(&text, &cfg, &splits, &records, 0)?;
         }
-        let good = join(&lines, true);
-        let text = join(&corrupt, final_newline);
-        let reference = read_ndjson_into_dataset(good.as_bytes()).unwrap();
-        let stats = implied_stats(&text, reference.len() as u64, bad);
-        let lossy = IngestConfig { skip_bad_lines: true };
-        assert_all_drivers_yield(text.as_bytes(), &lossy, &splits, &reference, stats)?;
+    }
+
+    /// A line malformed by each mutation class in turn, anywhere in a
+    /// corpus, is a parse error on its line naming the class's fault in
+    /// strict mode; in lossy mode all of them together are skipped lines and
+    /// the corpus's records survive.
+    #[test]
+    fn each_mutation_class_fails_at_its_line(
+        draws in arb_tape(),
+        n in 0usize..30,
+        mutations in arb_tape(),
+        places in prop::collection::vec(0usize..40, 9),
+        final_newline in 0u8..2,
+        splits in arb_splits(),
+    ) {
+        let (lines, records) = corpus(&draws, n);
+        let mut t = Tape { draws: &mutations, at: 0 };
+        let mut lossy = lines.clone();
+        for (defect, place) in DEFECTS.into_iter().zip(places) {
+            let mut bad = String::new();
+            prop_assert!(line(&mut t, Some(defect), &mut bad).is_none());
+            let mut strict = lines.clone();
+            let at = place % (lines.len() + 1);
+            strict.insert(at, bad.clone());
+            let text = join(&strict, final_newline == 1);
+            match assert_all_drivers_fail_alike(text.as_bytes(), &splits) {
+                ReadError::Parse { line, source } => {
+                    prop_assert_eq!(line, at + 1, "{:?} {:?}", defect, bad);
+                    prop_assert!(defect.named(source.kind), "{:?} {:?}: {}", defect, bad, source);
+                }
+                other => prop_assert!(false, "{:?} {:?}: {}", defect, bad, other),
+            }
+            lossy.insert(place % (lossy.len() + 1), bad);
+        }
+        let text = join(&lossy, final_newline == 1);
+        let cfg = IngestConfig { skip_bad_lines: true };
+        assert_all_drivers_yield(&text, &cfg, &splits, &records, 9)?;
     }
 
     /// Arbitrary *bytes* — a corpus with runs of anything spliced in: lone
     /// continuation bytes, truncated sequences, newlines, quotes — end the
-    /// way the reference reader ends on them: the same dataset, or the same
-    /// kind of fault on the same line.
+    /// same way through every driver: the same dataset and counts, or the
+    /// same error, worded the same. A lossy run accounts for every line as a
+    /// record, a skipped line or a blank one, and every record it accepts
+    /// reads back unchanged once [`write_ndjson`] has written it.
     #[test]
-    fn arbitrary_bytes_end_as_the_reference_reader_does(
-        (lines, final_newline) in arb_corpus(),
+    fn arbitrary_bytes_end_alike_on_every_driver(
+        draws in arb_tape(),
+        n in 0usize..40,
         splices in prop::collection::vec(
             (0usize..4000, prop::collection::vec(0u8..=255, 0..4)),
             0..5,
         ),
         splits in arb_splits(),
     ) {
-        let mut bytes = join(&lines, final_newline).into_bytes();
+        let mut bytes = join(&corpus(&draws, n).0, true).into_bytes();
         for (at, run) in splices {
             let at = at % (bytes.len() + 1);
             bytes.splice(at..at, run);
         }
-        match read_ndjson_into_dataset(&bytes[..]) {
-            Ok(reference) => {
-                let strict = IngestConfig::default();
-                for out in dataset_drivers(&bytes, &strict, &splits) {
-                    assert_datasets_identical(&reference, &out.unwrap().dataset)?;
-                }
-                for out in record_drivers(&bytes, &strict, &splits) {
-                    assert_datasets_identical(&reference, &Dataset::from_records(out.unwrap().0))?;
-                }
-            }
-            Err(_) => {
-                assert_all_drivers_fail_like_the_reference(&bytes, &splits);
-            }
+        let lossy = IngestConfig { skip_bad_lines: true };
+        if let Ok((records, stats)) = ingest::ingest_records_slice(&bytes, &lossy) {
+            let blank = bytes
+                .split(|&b| b == b'\n')
+                .take(stats.lines as usize)
+                .filter(|l| l.iter().all(|b| b" \t\r".contains(b)))
+                .count();
+            prop_assert_eq!(stats.events + stats.skipped_lines + blank as u64, stats.lines);
+            let mut written = Vec::new();
+            write_ndjson(&mut written, &records).unwrap();
+            let read = ingest::ingest_records_slice(&written, &IngestConfig::default());
+            prop_assert_eq!(read.unwrap().0, records);
         }
-    }
-
-    /// On every serialized record line the scanner either bails (handing the
-    /// line to serde) or extracts exactly the fields serde would.
-    #[test]
-    fn scanner_agrees_with_serde_on_valid_lines(
-        author in arb_name(),
-        link_id in arb_name(),
-        ts in -1_000i64..1_000_000_000,
-    ) {
-        let record = CommentRecord::new(author, link_id, ts);
-        let mut line = Vec::new();
-        write_ndjson(&mut line, std::slice::from_ref(&record)).unwrap();
-        let line = std::str::from_utf8(&line).unwrap().trim_end_matches('\n');
-        match scan_record(line) {
-            Some(r) => {
-                prop_assert_eq!(r.author, record.author.as_str());
-                prop_assert_eq!(r.link_id, record.link_id.as_str());
-                prop_assert_eq!(r.created_utc, record.created_utc);
-            }
-            None => {
-                // bail is always safe: the fallback parses it
-                let parsed: CommentRecord = serde_json::from_str(line).unwrap();
-                prop_assert_eq!(parsed, record);
-            }
-        }
-    }
-
-    /// Soundness on corrupted input: whenever the scanner accepts a mutated
-    /// line, serde must also accept it and agree on every field. (The scanner
-    /// may bail where serde succeeds — that is the fallback path — but must
-    /// never accept where serde fails or disagrees.)
-    #[test]
-    fn scanner_never_accepts_what_serde_rejects(
-        author in arb_name(),
-        link_id in arb_name(),
-        ts in -1_000i64..1_000_000_000,
-        cut in 0usize..80,
-        junk in "[ {}\":,a-z0-9._-]{0,6}",
-    ) {
-        let record = CommentRecord::new(author, link_id, ts);
-        let mut buf = Vec::new();
-        write_ndjson(&mut buf, std::slice::from_ref(&record)).unwrap();
-        let valid = std::str::from_utf8(&buf).unwrap().trim_end_matches('\n');
-        // corrupt: truncate at an arbitrary char boundary, splice junk in
-        let at = valid
-            .char_indices()
-            .map(|(i, _)| i)
-            .chain([valid.len()])
-            .nth(cut.min(valid.chars().count()))
-            .unwrap_or(valid.len());
-        let mutated = format!("{}{}{}", &valid[..at], junk, &valid[at..]);
-        if let Some(r) = scan_record(&mutated) {
-            let parsed: Result<CommentRecord, _> = serde_json::from_str(&mutated);
-            let parsed = match parsed {
-                Ok(p) => p,
+        for cfg in [IngestConfig::default(), lossy] {
+            let mut outs = every_driver(&bytes, &cfg, &splits).into_iter();
+            match outs.next().unwrap() {
+                Ok(whole) => {
+                    for out in outs {
+                        let out = out.unwrap();
+                        assert_datasets_identical(&whole.dataset, &out.dataset)?;
+                        prop_assert_eq!(out.stats, whole.stats);
+                    }
+                }
                 Err(e) => {
-                    return Err(TestCaseError::fail(format!(
-                        "scanner accepted {mutated:?} but serde rejected it: {e}"
-                    )));
+                    for out in outs {
+                        prop_assert_eq!(out.unwrap_err().to_string(), e.to_string());
+                    }
                 }
-            };
-            prop_assert_eq!(r.author, parsed.author.as_str());
-            prop_assert_eq!(r.link_id, parsed.link_id.as_str());
-            prop_assert_eq!(r.created_utc, parsed.created_utc);
+            }
         }
     }
 }
+
+// ---------------------------------------------------------------- fixtures
 
 fn plain_line(author: &str, page: &str, ts: i64) -> String {
     format!(r#"{{"author":"{author}","link_id":"{page}","created_utc":{ts}}}"#)
 }
 
+/// `records` as plain lines.
+fn plain_text(records: &[CommentRecord], final_newline: bool) -> String {
+    let lines: Vec<String> = records
+        .iter()
+        .map(|r| plain_line(&r.author, &r.link_id, r.created_utc))
+        .collect();
+    join(&lines, final_newline)
+}
+
+/// A hand-written month in pushshift's own format: escaped bodies, nested
+/// `gildings` and `all_awardings`, `null`s, `[deleted]`, AutoModerator, a
+/// name escaped as a surrogate pair, a duplicate key, integral-float
+/// timestamps, padding, a blank line and CRLF endings.
+#[test]
+fn the_pushshift_corpus_reads_the_same_through_every_driver() {
+    let text = include_str!("data/pushshift_2020_01.ndjson");
+    assert!(text.contains("\r\n") && text.len() <= 16 << 10);
+    let records: Vec<CommentRecord> = [
+        ("Grumpy_Ferret_42", "t3_ei1xyz", 1577836800),
+        ("AutoModerator", "t3_ei1abc", 1577836801),
+        ("[deleted]", "t3_ei1xyz", 1577836805),
+        ("quoting_quinn", "t3_ei1xyz", 1577836810),
+        ("🤖_helper", "t3_ei1def", 1577836815),
+        ("dupe_winner", "t3_ei1def", 1577836820),
+        ("mlb_stream_bot_1", "t3_ei2mlb", 1577836830),
+        ("mlb_stream_bot_2", "t3_ei2mlb", 1577836831),
+        ("mlb_stream_bot_3", "t3_ei2mlb", 1577836833),
+        ("gpt2_bot_7", "t3_ei3gpt", 1577836900),
+        ("gpt2_bot_8", "t3_ei3gpt", 1577836905),
+        ("gpt2_bot_7", "t3_ei3gpt", 1577836910),
+        ("smiley_bot", "t3_ei4smi", 1577837000),
+        ("casual_carl", "t3_ei4smi", 1577837001),
+        ("smiley_bot", "t3_ei4smi", 1577837002),
+        ("Grumpy_Ferret_42", "t3_ei1abc", 1577837100),
+        ("[deleted]", "t3_ei1abc", 1577837200),
+        ("sébastien_ü", "t3_ei5caf", 1577837300),
+        ("AutoModerator", "t3_ei5caf", 1577837400),
+    ]
+    .into_iter()
+    .map(|(a, p, ts)| CommentRecord::new(a, p, ts))
+    .collect();
+    let (read, _) =
+        ingest::ingest_records_slice(text.as_bytes(), &IngestConfig::default()).unwrap();
+    assert_eq!(read, records);
+    assert_all_drivers_yield(text, &IngestConfig::default(), SPLITS, &records, 0).unwrap();
+}
+
 /// Every line a new author (and every fifth a new page): the interners grow
 /// through many table doublings.
 #[test]
-fn huge_vocabulary_matches_the_reference_reader() {
-    let lines: Vec<String> = (0..3000)
-        .map(|i| {
-            plain_line(
-                &format!("author_{i}"),
-                &format!("t3_{}", i / 5),
-                i / 5 * 100,
-            )
-        })
+fn huge_vocabulary_reads_as_written() {
+    let records: Vec<CommentRecord> = (0..3000)
+        .map(|i| CommentRecord::new(format!("author_{i}"), format!("t3_{}", i / 5), i / 5 * 100))
         .collect();
-    let text = join(&lines, true);
-    assert_all_drivers_match(&text, SPLITS).unwrap();
+    let text = plain_text(&records, true);
+    assert_all_drivers_yield(&text, &IngestConfig::default(), SPLITS, &records, 0).unwrap();
     let ds = ingest::ingest_slice(text.as_bytes(), &IngestConfig::default())
         .unwrap()
         .dataset;
     assert_eq!((ds.authors.len(), ds.pages.len()), (3000, 600));
 }
 
-/// The malformed line swept through every position of a corpus, first to
-/// last, with and without the final newline.
+/// A malformed line swept through every position of a corpus of equal-width
+/// lines, first to last, with and without the final newline: through every
+/// driver, a parse error on its line, at the byte where its string is cut.
 #[test]
 fn strict_error_line_is_the_same_at_every_position() {
     let n = 30;
@@ -468,14 +724,24 @@ fn strict_error_line_is_the_same_at_every_position() {
         let lines: Vec<String> = (1..=n)
             .map(|i| {
                 if i == bad_at {
-                    format!("{BAD_LINE:<width$}")
+                    format!("{:<width$}", "{\"author\": 12, \"oops")
                 } else {
                     plain_line(&format!("u{:02}", i % 7), "p", 100 + i as i64)
                 }
             })
             .collect();
-        assert!(lines.iter().all(|l| l.len() == lines[0].len()));
-        assert_all_drivers_fail_at(&join(&lines, bad_at % 2 == 0), bad_at, SPLITS);
+        assert!(lines.iter().all(|l| l.len() == width));
+        let text = join(&lines, bad_at % 2 == 0);
+        match assert_all_drivers_fail_alike(text.as_bytes(), SPLITS) {
+            ReadError::Parse { line, source } => {
+                let cut = ParseError {
+                    kind: ParseErrorKind::UnexpectedEnd,
+                    at: width,
+                };
+                assert_eq!((line, source), (bad_at, cut));
+            }
+            other => panic!("line {bad_at}: expected a parse error, got {other}"),
+        }
     }
 }
 
@@ -485,7 +751,7 @@ fn strict_error_line_is_the_same_at_every_position() {
 fn a_line_longer_than_the_chunk_grows_the_buffer() {
     let long = format!(
         r#"{{"body":"{}","author":"wordy","link_id":"t3_long","created_utc":2}}"#,
-        "x".repeat(3 << 20)
+        "x\\\"".repeat(1 << 20)
     );
     let lines = [
         plain_line("before", "t3_a", 1),
@@ -493,18 +759,14 @@ fn a_line_longer_than_the_chunk_grows_the_buffer() {
         plain_line("after", "t3_a", 3),
         plain_line("wordy", "t3_b", 4),
     ];
+    let records = [
+        CommentRecord::new("before", "t3_a", 1),
+        CommentRecord::new("wordy", "t3_long", 2),
+        CommentRecord::new("after", "t3_a", 3),
+        CommentRecord::new("wordy", "t3_b", 4),
+    ];
     let text = join(&lines, true);
-    let reference = read_ndjson_into_dataset(text.as_bytes()).unwrap();
-    assert_eq!(reference.len(), 4);
-    let sizes = [1 << 16];
-    let reader = ShortReads {
-        rest: text.as_bytes(),
-        sizes: &sizes,
-        calls: 0,
-    };
-    let out = ingest::ingest_reader(reader, &IngestConfig::default()).unwrap();
-    assert_datasets_identical(&reference, &out.dataset).unwrap();
-    assert_eq!(out.stats, implied_stats(&text, 4, 0));
+    assert_all_drivers_yield(&text, &IngestConfig::default(), &[1 << 16], &records, 0).unwrap();
 }
 
 /// More text than one chunk, no final newline, CRLF endings and multi-byte
@@ -512,27 +774,30 @@ fn a_line_longer_than_the_chunk_grows_the_buffer() {
 /// mid-character, between `\r` and `\n` — the tail is carried over whole.
 #[test]
 fn chunk_boundaries_fall_anywhere_in_a_large_input() {
-    let lines: Vec<String> = (0..60_000)
+    let records: Vec<CommentRecord> = (0..60_000)
         .map(|i| {
-            let mut line = plain_line(
-                &format!("uni—codé✓{}", i % 977),
-                &format!("t3_ü{}", i % 1013),
+            CommentRecord::new(
+                format!("uni—codé✓{}", i % 977),
+                format!("t3_ü{}", i % 1013),
                 i,
-            );
-            if i % 3 == 0 {
-                line.push('\r');
-            }
-            line
+            )
         })
         .collect();
-    let text = join(&lines, false);
+    let text = plain_text(&records, false).replace("}\n", "}\r\n");
     assert!(text.len() > 3 << 20);
-    assert_all_drivers_match(&text, &[8191, 70_001]).unwrap();
+    assert_all_drivers_yield(
+        &text,
+        &IngestConfig::default(),
+        &[8191, 70_001],
+        &records,
+        0,
+    )
+    .unwrap();
 }
 
 #[test]
 fn empty_input_is_an_empty_dataset_for_every_driver() {
-    assert_all_drivers_match("", SPLITS).unwrap();
+    assert_all_drivers_yield("", &IngestConfig::default(), SPLITS, &[], 0).unwrap();
 }
 
 /// A file with malformed JSON on line 5 and a non-UTF-8 byte on line 900 is a
@@ -544,39 +809,39 @@ fn the_first_fault_in_file_order_wins() {
         .map(|i| plain_line(&format!("u{}", i % 13), "p", i).into_bytes())
         .collect();
     let (malformed, not_utf8) = (
-        BAD_LINE.as_bytes().to_vec(),
+        b"{\"author\": 12".to_vec(),
         b"{\"author\":\"\xff\"}".to_vec(),
     );
 
     lines[4] = malformed.clone();
     lines[899] = not_utf8.clone();
     let bytes = lines.join(&b'\n');
-    assert_eq!(
-        assert_all_drivers_fail_like_the_reference(&bytes, SPLITS),
-        Fault::Parse(5)
-    );
+    match assert_all_drivers_fail_alike(&bytes, SPLITS) {
+        ReadError::Parse { line: 5, .. } => {}
+        other => panic!("expected a parse error on line 5, got {other}"),
+    }
 
     lines[4] = not_utf8;
     lines[899] = malformed;
     let bytes = lines.join(&b'\n');
-    assert_eq!(
-        assert_all_drivers_fail_like_the_reference(&bytes, SPLITS),
-        Fault::NotUtf8
-    );
     let offset: usize = lines[..4].iter().map(|l| l.len() + 1).sum::<usize>() + 11;
-    let message = ingest::ingest_reader(&bytes[..], &IngestConfig::default())
-        .unwrap_err()
-        .to_string();
-    assert!(
-        message.contains(&format!("line 5, at byte {offset}")),
-        "{message}"
-    );
+    match assert_all_drivers_fail_alike(&bytes, SPLITS) {
+        ReadError::Io(e) => {
+            assert_eq!(e.kind(), ErrorKind::InvalidData);
+            assert!(
+                e.to_string()
+                    .ends_with(&format!("line 5, at byte {offset}")),
+                "{e}"
+            );
+        }
+        other => panic!("expected an I/O error, got {other}"),
+    }
     // lossy mode skips malformed lines, never undecodable ones
     let lossy = IngestConfig {
         skip_bad_lines: true,
     };
-    for out in dataset_drivers(&bytes, &lossy, SPLITS) {
-        assert_eq!(fault(out), Fault::NotUtf8);
+    for out in every_driver(&bytes, &lossy, SPLITS) {
+        assert!(matches!(out, Err(ReadError::Io(_))));
     }
 }
 

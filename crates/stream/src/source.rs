@@ -32,8 +32,7 @@ pub fn sort_records(records: &mut [CommentRecord]) {
 
 /// Read NDJSON comment records from `reader` — a chunk at a time, through
 /// the [`coordination_core::ingest`] layer's scanner — and return them in
-/// stream order plus the ingest counters (skipped lines in lossy mode,
-/// scanner fallbacks).
+/// stream order plus the ingest counters (skipped lines in lossy mode).
 pub fn read_ndjson_sorted(
     reader: impl Read + Send,
     skip_bad_lines: bool,

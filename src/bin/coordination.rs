@@ -37,7 +37,6 @@ const BATCH_COUNTERS: &[&str] = &[
     "ingest.lines",
     "ingest.events",
     "ingest.skipped_lines",
-    "ingest.scanner_fallbacks",
     "ingest.intern_wait_ns",
     "ingest.scan_wait_ns",
     "btm.pages_presorted",

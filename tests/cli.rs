@@ -653,6 +653,46 @@ fn streamed_input_is_byte_identical_to_a_file() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// A line nested 50,000 deep is a parse error, not a blown stack: a strict
+/// run stops at it with exit 2, and a `--skip-bad-lines` run skips it and
+/// prints what the clean month prints.
+#[test]
+fn a_line_nested_50000_deep_is_a_parse_error() {
+    let dir = tmpdir("deep-line");
+    let clean = generate_month(&dir);
+    let text = std::fs::read_to_string(&clean).expect("read month");
+    let deep_line = format!(
+        "{{\"x\":{}{},\"author\":\"a\",\"link_id\":\"t3_a\",\"created_utc\":1}}",
+        "[".repeat(50_000),
+        "]".repeat(50_000)
+    );
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines.insert(699, &deep_line);
+    let deep = dir.join("deep.ndjson");
+    std::fs::write(&deep, lines.join("\n") + "\n").expect("write deep month");
+    for command in [
+        &["pipeline", "--d2", "60", "--cutoff", "25"][..],
+        &["stream", "--cutoff", "8"],
+    ] {
+        let expected = run_on(command, &clean, false);
+        assert!(expected.status.success(), "{command:?}");
+        let strict = run_on(command, &deep, false);
+        let stderr = String::from_utf8_lossy(&strict.stderr);
+        assert_eq!(strict.status.code(), Some(2), "{command:?}: {stderr}");
+        assert!(
+            stderr.contains("parse error on line 700: nested deeper than 128"),
+            "{stderr}"
+        );
+        let lossy = run_on(&[command, &["--skip-bad-lines"]].concat(), &deep, false);
+        assert_eq!(lossy.status.code(), Some(0), "{command:?}");
+        assert!(
+            lossy.stdout == expected.stdout,
+            "{command:?}: stdout diverged"
+        );
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
 #[test]
 fn ranks_flag_is_validated_and_scoped_to_distributed_runs() {
     let dir = tmpdir("ranks-flag");

@@ -121,6 +121,12 @@ fn arb_window() -> impl Strategy<Value = Window> {
     (0i64..100, 1i64..500).prop_map(|(d1, len)| Window::new(d1, d1 + len))
 }
 
+/// A name for the NDJSON round trip, of JSON's metacharacters, every kind of
+/// control character, and characters that take two, three and four UTF-8
+/// bytes.
+const ODD_NAME: &str =
+    "[aZ_ \"\\/\0\t\n\r\u{8}\u{c}\u{1f}\u{7f}é—\u{2028}\u{feff}😀\u{10ffff}]{0,12}";
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -222,18 +228,22 @@ proptest! {
         }
     }
 
-    /// NDJSON round trip: records → text → records is the identity.
+    /// NDJSON round trip: records → `write_ndjson` → `ingest_records_slice`
+    /// is the identity, for names of any characters — quotes, backslashes,
+    /// control characters, characters outside the BMP — and any timestamp.
     #[test]
-    fn ndjson_roundtrip(authors in prop::collection::vec("[a-z]{1,8}", 1..30)) {
-        use coordination::core::records::{read_ndjson, write_ndjson, CommentRecord};
-        let recs: Vec<CommentRecord> = authors
-            .iter()
-            .enumerate()
-            .map(|(i, a)| CommentRecord::new(a.clone(), format!("t3_{i}"), i as i64))
+    fn ndjson_roundtrip(
+        recs in prop::collection::vec((ODD_NAME, ODD_NAME, i64::MIN..i64::MAX), 1..30),
+    ) {
+        use coordination::core::ingest::{ingest_records_slice, IngestConfig};
+        use coordination::core::records::{write_ndjson, CommentRecord};
+        let recs: Vec<CommentRecord> = recs
+            .into_iter()
+            .map(|(author, page, ts)| CommentRecord::new(author, page, ts))
             .collect();
         let mut buf = Vec::new();
         write_ndjson(&mut buf, &recs).expect("write");
-        let back = read_ndjson(&buf[..]).expect("read");
+        let (back, _) = ingest_records_slice(&buf, &IngestConfig::default()).expect("read");
         prop_assert_eq!(back, recs);
     }
 
