@@ -101,7 +101,7 @@ fn weight_hexbin(out: &PipelineOutput, clip_outlier: bool) -> Hexbin {
 fn fig1(runs: &Runs) {
     println!("== Figure 1: GPT-2 text-generation network (jan2020, (0,60s), cutoff 25) ==");
     let (_, ds) = jan2020();
-    let comps = named_components(ds, &runs.jan_hunt.ci, 25);
+    let comps = named_components(&ds.authors, &runs.jan_hunt.ci, 25);
     println!("  components at cutoff 25: {}", comps.len());
     let gpt = comps
         .iter()
@@ -132,7 +132,7 @@ fn fig1(runs: &Runs) {
                 .collect();
             save(
                 "fig1_gpt2.dot",
-                &component_dot(ds, &runs.jan_hunt.ci, &ids, 25),
+                &component_dot(&ds.authors, &runs.jan_hunt.ci, &ids, 25),
             );
         }
         None => check("gpt2 component found", false),
@@ -143,7 +143,7 @@ fn fig1(runs: &Runs) {
 fn fig2(runs: &Runs) {
     println!("== Figure 2: restream link-sharing network (jan2020, (0,60s), cutoff 25) ==");
     let (_, ds) = jan2020();
-    let comps = named_components(ds, &runs.jan_hunt.ci, 25);
+    let comps = named_components(&ds.authors, &runs.jan_hunt.ci, 25);
     let stream = comps
         .iter()
         .find(|c| c.members.iter().all(|m| m.starts_with("stream_bot_")) && c.members.len() >= 4);
@@ -173,7 +173,7 @@ fn fig2(runs: &Runs) {
                 .collect();
             save(
                 "fig2_restream.dot",
-                &component_dot(ds, &runs.jan_hunt.ci, &ids, 25),
+                &component_dot(&ds.authors, &runs.jan_hunt.ci, &ids, 25),
             );
         }
         None => check("restream component found", false),

@@ -19,10 +19,14 @@
 //! the timestamp span), a prefix sum and a scatter pass — constant work per
 //! event and no per-page allocation — that only stores each comment at its
 //! row's cursor; one sequential pass afterwards comparison-sorts only the
-//! rows the input did not already deliver in time order. A rank of the
-//! sharded pipeline builds exactly these rows out of the events it receives,
-//! and a COORSNAP file stores them word for word, so a [`Btm`] read off a
-//! snapshot borrows its narrow rows from the mapping (`Btm::from_stored`).
+//! rows the input did not already deliver in time order. NDJSON ingest
+//! ([`crate::ingest::ingest_rows`]) stages each kept comment in 12 B as it
+//! interns (`StagedRows`), and the same passes then run over the staged
+//! chunks — each dropped once scattered — so a month read off NDJSON never
+//! exists as a 16 B event column. A rank of the sharded pipeline builds
+//! exactly these rows out of the events it receives, and a COORSNAP file
+//! stores them word for word, so a [`Btm`] read off a snapshot borrows its
+//! narrow rows from the mapping (`Btm::from_stored`).
 //!
 //! The author side — each author's deduplicated page list, the hypergraph
 //! side: `p_x` of Eq. 3 and the inputs to `w_xyz` of Eq. 2 — is not stored.
@@ -220,49 +224,78 @@ fn prefix_sum(off: &mut [usize]) {
     }
 }
 
-/// [`PageRows::build`]'s scatter pass in one layout: every event lands at its
-/// page's cursor as `pack` makes it, in arrival order — a cursor load and a
-/// store, nothing compared, so the cache misses of consecutive events
-/// overlap. The comments `gone` drops are skipped. [`order`] then sorts the
-/// rows that need it.
-fn scatter<R: Row>(
+/// The rows a scatter pass fills: every comment lands at its page's cursor,
+/// in arrival order — a cursor load and a store, nothing compared, so the
+/// cache misses of consecutive comments overlap.
+struct Scatter<R> {
+    rows: Vec<R>,
+    cursor: Vec<usize>,
+}
+
+impl<R: Row> Scatter<R> {
+    /// Store `r` at page `p`'s cursor.
+    #[inline]
+    fn place(&mut self, p: PageId, r: R) {
+        let at = self
+            .cursor
+            .get_mut(p.0 as usize)
+            .expect(SECOND_PASS_DIFFERS);
+        *self.rows.get_mut(*at).expect(SECOND_PASS_DIFFERS) = r;
+        *at += 1;
+    }
+}
+
+/// A scatter pass in one layout (span `btm.scatter`): `fill` places every
+/// comment of the rows `off` lays out, then [`order`] sorts the rows that
+/// need it.
+fn scatter<R: Row>(off: &[usize], fill: impl FnOnce(&mut Scatter<R>)) -> Vec<R> {
+    let span = obs::span("btm.scatter");
+    let np = off.len() - 1;
+    let mut pass = Scatter {
+        rows: vec![R::default(); off[np]],
+        cursor: off[..np].to_vec(),
+    };
+    fill(&mut pass);
+    // A row that over- or under-filled would silently shift its neighbours;
+    // both passes seeing the same events rules that out.
+    assert!(pass.cursor == off[1..], "{SECOND_PASS_DIFFERS}");
+    drop(span);
+    let mut rows = pass.rows;
+    order(off, &mut rows);
+    rows
+}
+
+/// [`PageRows::build`]'s scatter pass over its event source, the comments
+/// `gone` drops skipped, each packed as `pack` makes it.
+fn scatter_events<R: Row>(
     off: &[usize],
     gone: &[bool],
     mut source: impl Iterator<Item = (PageId, Timestamp, AuthorId)>,
     pack: impl Fn(Timestamp, AuthorId) -> R,
 ) -> Vec<R> {
-    let span = obs::span("btm.scatter");
-    let np = off.len() - 1;
-    let mut rows = vec![R::default(); off[np]];
-    let mut cursor = off[..np].to_vec();
-    // Staged through a small buffer for sources that cost a call per event:
-    // the one-rank door's boxed source builds in 1.13x the resident build's
-    // time staged and 1.24x unstaged (1 M `month_sparse` events, medians of
-    // eight runs each); a slice source reads level either way.
-    let mut staged = Vec::with_capacity(STAGE_EVENTS);
-    loop {
-        staged.clear();
-        staged.extend(source.by_ref().take(STAGE_EVENTS));
-        if staged.is_empty() {
-            break;
-        }
-        for &(p, ts, a) in &staged {
-            // The mask is read here, not as a `filter` on the source: one in
-            // the staging chain made `Btm::from_events` about 30 % slower.
-            if !is_kept(gone, a) {
-                continue;
+    scatter(off, |rows| {
+        // Staged through a small buffer for sources that cost a call per
+        // event: the one-rank door's boxed source builds in 1.13x the
+        // resident build's time staged and 1.24x unstaged (1 M
+        // `month_sparse` events, medians of eight runs each); a slice source
+        // reads level either way.
+        let mut staged = Vec::with_capacity(STAGE_EVENTS);
+        loop {
+            staged.clear();
+            staged.extend(source.by_ref().take(STAGE_EVENTS));
+            if staged.is_empty() {
+                break;
             }
-            let at = cursor.get_mut(p.0 as usize).expect(SECOND_PASS_DIFFERS);
-            *rows.get_mut(*at).expect(SECOND_PASS_DIFFERS) = pack(ts, a);
-            *at += 1;
+            for &(p, ts, a) in &staged {
+                // The mask is read here, not as a `filter` on the source: one
+                // in the staging chain made `Btm::from_events` about 30 %
+                // slower.
+                if is_kept(gone, a) {
+                    rows.place(p, pack(ts, a));
+                }
+            }
         }
-    }
-    // A row that over- or under-filled would silently shift its neighbours;
-    // both passes seeing the same events rules that out.
-    assert!(cursor == off[1..], "{SECOND_PASS_DIFFERS}");
-    drop(span);
-    order(off, &mut rows);
-    rows
+    })
 }
 
 /// Sort the rows (page `p`'s are `off[p]..off[p + 1]`) not already in
@@ -296,6 +329,181 @@ fn retain_kept<R: Row>(off: &[usize], rows: &[R], gone: &[bool]) -> (Vec<usize>,
         kept_off.push(kept.len());
     }
     (kept_off, kept)
+}
+
+/// One staged chunk of [`StagedRows`]: its comments' page ids and narrow
+/// words, in arrival order. A word is `(ts − base) mod 2³² << 32 | author`,
+/// and the chunk's own timestamps span at most `u32::MAX` s (`lo..=hi`), so
+/// a word decodes to its exact timestamp against any base that lies at most
+/// that far below every one of them: [`StagedChunk::rebase`].
+#[derive(Debug, Default)]
+struct StagedChunk {
+    base: Timestamp,
+    lo: Timestamp,
+    hi: Timestamp,
+    pages: Vec<u32>,
+    words: Vec<NarrowRow>,
+}
+
+impl StagedChunk {
+    /// A chunk with room for `capacity` comments, the first at `ts`.
+    fn new(capacity: usize, ts: Timestamp) -> Self {
+        StagedChunk {
+            base: ts,
+            lo: ts,
+            hi: ts,
+            pages: Vec::with_capacity(capacity),
+            words: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Take a comment at `ts` into the chunk's range if it fits: there is
+    /// room, and the chunk's span with it still fits a `u32`.
+    #[inline]
+    fn admit(&mut self, ts: Timestamp) -> bool {
+        let (lo, hi) = (self.lo.min(ts), self.hi.max(ts));
+        let fits =
+            self.words.len() < self.words.capacity() && hi.abs_diff(lo) <= u64::from(u32::MAX);
+        if fits {
+            (self.lo, self.hi) = (lo, hi);
+        }
+        fits
+    }
+
+    /// `word` as the narrow row `(ts − t0) << 32 | author`, for a `t0` at
+    /// most `u32::MAX` s below its timestamp: one add, since the offsets
+    /// agree modulo 2³² and the result is known to fit.
+    #[inline]
+    fn rebase(&self, t0: Timestamp) -> impl Fn(NarrowRow) -> NarrowRow {
+        let shift = u64::from(self.base.wrapping_sub(t0) as u32) << 32;
+        move |word| word.wrapping_add(shift)
+    }
+
+    /// Bytes allocated for the chunk's comments.
+    fn bytes(&self) -> usize {
+        self.pages.capacity() * std::mem::size_of::<u32>()
+            + self.words.capacity() * std::mem::size_of::<NarrowRow>()
+    }
+}
+
+/// Comments staged for a [`PageRows`] build while they are read, in 12 B
+/// each (a `u32` page id, a `u64` narrow word), in chunks of a fixed size.
+/// Each chunk is allocated once, never grown, and closes early rather than
+/// let its own span pass `u32::MAX` s, so every staged comment decodes to
+/// its exact timestamp and the span of all of them alone still picks the
+/// layout (only the chunk after such an early close may be smaller).
+/// [`StagedRows::into_rows`] counts, then scatters the chunks one after
+/// another and drops each once scattered.
+#[derive(Debug)]
+pub(crate) struct StagedRows {
+    /// Comments per chunk.
+    capacity: usize,
+    /// The chunk being filled; an empty one with no room before the first.
+    open: StagedChunk,
+    closed: Vec<StagedChunk>,
+}
+
+impl StagedRows {
+    /// Nothing staged, in chunks of `capacity` comments.
+    pub(crate) fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "a staging chunk holds at least one comment");
+        StagedRows {
+            capacity,
+            open: StagedChunk::default(),
+            closed: Vec::new(),
+        }
+    }
+
+    /// Stage author `a`'s comment at `ts` on page `p`.
+    #[inline]
+    pub(crate) fn push(&mut self, p: PageId, ts: Timestamp, a: AuthorId) {
+        if !self.open.admit(ts) {
+            self.close(ts);
+        }
+        let chunk = &mut self.open;
+        chunk.pages.push(p.0);
+        let offset = ts.wrapping_sub(chunk.base) as u32;
+        chunk.words.push(u64::from(offset) << 32 | u64::from(a.0));
+    }
+
+    /// Close the open chunk and open one for a comment at `ts`. A chunk the
+    /// span closed before it was full opens one of at most twice its length,
+    /// so an input whose timestamps keep jumping `u32::MAX` s back and forth
+    /// holds at most about twice its staged bytes, not a whole chunk per
+    /// comment; a month never closes a chunk that way.
+    #[cold]
+    fn close(&mut self, ts: Timestamp) {
+        let len = self.open.words.len();
+        let capacity = if len < self.open.words.capacity() {
+            (2 * len).clamp(1, self.capacity)
+        } else {
+            self.capacity
+        };
+        let done = std::mem::replace(&mut self.open, StagedChunk::new(capacity, ts));
+        if len > 0 {
+            self.closed.push(done);
+        }
+    }
+
+    /// Bytes allocated for the staged comments.
+    pub(crate) fn bytes(&self) -> usize {
+        self.closed
+            .iter()
+            .chain([&self.open])
+            .map(StagedChunk::bytes)
+            .sum()
+    }
+
+    /// The staged comments as the rows of `n_pages` pages:
+    /// [`PageRows::build`]'s passes over the staged chunks instead of the
+    /// events — the counting pass reads the 4 B page ids and the chunks'
+    /// ranges (`btm.count`), then a prefix sum, the scatter of one chunk
+    /// after another, each dropped once scattered, and the order pass.
+    ///
+    /// # Panics
+    /// If a staged page id is not below `n_pages`.
+    pub(crate) fn into_rows(self, n_pages: u32) -> PageRows {
+        let count = obs::span("btm.count");
+        let StagedRows {
+            open, mut closed, ..
+        } = self;
+        closed.push(open);
+        let mut off = vec![0usize; n_pages as usize + 1];
+        let (mut lo, mut hi) = (Timestamp::MAX, Timestamp::MIN);
+        // Only the open chunk can be empty, and only if nothing was staged:
+        // then its range, `0..=0`, gives the base `narrow_base` gives no range.
+        for chunk in &closed {
+            for &p in &chunk.pages {
+                off[p as usize + 1] += 1;
+            }
+            (lo, hi) = (lo.min(chunk.lo), hi.max(chunk.hi));
+        }
+        prefix_sum(&mut off);
+        drop(count);
+        let comments = match narrow_base(lo, hi) {
+            Some(t0) => {
+                let rows = scatter(&off, |rows| {
+                    for chunk in closed {
+                        let rebase = chunk.rebase(t0);
+                        for (&p, &word) in chunk.pages.iter().zip(&chunk.words) {
+                            rows.place(PageId(p), rebase(word));
+                        }
+                    }
+                });
+                let rows = NarrowRows::Owned(rows);
+                Comments::Narrow { t0, rows }
+            }
+            None => Comments::Wide(scatter(&off, |rows| {
+                for chunk in closed {
+                    let rebase = chunk.rebase(chunk.lo);
+                    for (&p, &word) in chunk.pages.iter().zip(&chunk.words) {
+                        rows.place(PageId(p), unpack_narrow(chunk.lo, rebase(word)));
+                    }
+                }
+            })),
+        };
+        PageRows { off, comments }.counted()
+    }
 }
 
 impl PageRows {
@@ -345,10 +553,10 @@ impl PageRows {
         let comments = match narrow_base(lo, hi) {
             Some(t0) => {
                 let pack = |ts, a| pack_narrow(t0, ts, a).expect(SECOND_PASS_DIFFERS);
-                let rows = NarrowRows::Owned(scatter(&off, gone, events(), pack));
+                let rows = NarrowRows::Owned(scatter_events(&off, gone, events(), pack));
                 Comments::Narrow { t0, rows }
             }
-            None => Comments::Wide(scatter(&off, gone, events(), |ts, a| (ts, a))),
+            None => Comments::Wide(scatter_events(&off, gone, events(), |ts, a| (ts, a))),
         };
         PageRows { off, comments }.counted()
     }
@@ -496,6 +704,21 @@ impl Btm {
         let rows = PageRows::build(n_pages, &gone, source);
         obs::record_stage_rss("btm");
         Btm { rows, n_authors }
+    }
+
+    /// The rows of `staged` over `n_authors` authors and `n_pages` pages
+    /// (span `btm.build`): the build of [`crate::ingest::ingest_rows`],
+    /// whose ingest dropped the excluded authors' comments.
+    pub(crate) fn from_staged(n_authors: u32, n_pages: u32, staged: StagedRows) -> Self {
+        let _g = obs::span("btm.build");
+        let rows = staged.into_rows(n_pages);
+        obs::record_stage_rss("btm");
+        Btm { rows, n_authors }
+    }
+
+    /// The page side, as a snapshot stores it.
+    pub(crate) fn page_rows(&self) -> &PageRows {
+        &self.rows
     }
 
     /// Number of author slots `|U|`.
@@ -1113,6 +1336,75 @@ mod tests {
             &[(3, 5), (4, 7), (4, 6)],
         ];
         assert_eq!(sorted_rows(&pages), 2);
+    }
+
+    /// `events` staged in chunks of `capacity` comments.
+    fn staged(events: &[Event], capacity: usize) -> StagedRows {
+        let mut staged = StagedRows::new(capacity);
+        for e in events {
+            staged.push(e.page, e.ts, e.author);
+        }
+        staged
+    }
+
+    /// Staged chunks of any size build the rows the two-pass build makes of
+    /// the same events, in the same layout, in both layouts.
+    #[test]
+    fn staged_rows_build_what_the_event_build_does() {
+        let month: Vec<Event> = (0..60)
+            .map(|i| ev(i % 7, i % 5, 1_577_836_800 - i64::from(i * 37 % 200)))
+            .collect();
+        for events in [messy(), month, vec![]] {
+            let want = Btm::from_events(8, 6, &events);
+            for capacity in [1, 2, 3, 7, 1 << 16] {
+                let got = Btm::from_staged(8, 6, staged(&events, capacity));
+                assert_eq!(got, want, "capacity {capacity}");
+                assert_eq!(narrow(&got), narrow(&want), "capacity {capacity}");
+            }
+        }
+    }
+
+    /// A chunk holds a span of exactly `u32::MAX` s — its first comment in
+    /// the middle, the earliest below it — and closes before a span one
+    /// second wider; both build exactly, narrow and then wide.
+    #[test]
+    fn a_chunk_closes_before_its_span_passes_u32() {
+        let span = i64::from(u32::MAX);
+        for (spread, chunks, is_narrow) in [(span, 1, true), (span + 1, 2, false)] {
+            let lo = -5_000_000_000;
+            let events = [
+                ev(0, 0, lo + spread / 2),
+                ev(1, 0, lo),
+                ev(2, 1, lo + spread),
+                ev(0, 1, lo + 1),
+            ];
+            let staged = staged(&events, 1 << 16);
+            assert_eq!(staged.closed.len() + 1, chunks, "spread {spread}");
+            let btm = Btm::from_staged(3, 2, staged);
+            assert_eq!(narrow(&btm), is_narrow);
+            assert_eq!(btm, Btm::from_events(3, 2, &events), "spread {spread}");
+        }
+    }
+
+    /// Timestamps that jump more than `u32::MAX` s at every comment close a
+    /// chunk at every comment, and the chunks after the first stay small.
+    #[test]
+    fn a_chunk_the_span_closes_is_followed_by_a_small_one() {
+        let events: Vec<Event> = (0..100)
+            .map(|i| ev(i % 3, i % 4, if i % 2 == 0 { 0 } else { 1 << 40 }))
+            .collect();
+        let staged = staged(&events, 1 << 16);
+        assert_eq!(staged.closed.len(), 99);
+        let first = 12 << 16;
+        assert!(
+            staged.bytes() <= first + 99 * 2 * 12,
+            "{} bytes",
+            staged.bytes()
+        );
+        assert_eq!(
+            Btm::from_staged(3, 4, staged),
+            Btm::from_events(3, 4, &events)
+        );
     }
 
     /// A second pass with one more comment on the last page runs its row past

@@ -32,13 +32,18 @@
 //!    pieces borrowed from the slice, cut at a `\n` about every `CHUNK`
 //!    bytes.
 //! 3. **The interning stage.** The calling thread interns each batch's
-//!    `author`s and `link_id`s straight into the final [`Dataset`]'s
-//!    arena-backed [`Interner`]s and pushes its [`Event`]s, batch after batch
-//!    in input order, so global first-occurrence ids fall out by
-//!    construction, with no merge and no remap. It takes a batch's records a
-//!    few at a time (`SCAN_AHEAD`) so that the lookups' cache misses overlap,
-//!    then hands the emptied batch back to be refilled: the pass allocates
-//!    its two batches once.
+//!    `author`s and `link_id`s straight into the final arena-backed
+//!    [`Interner`]s, batch after batch in input order, so global
+//!    first-occurrence ids fall out by construction, with no merge and no
+//!    remap. It takes a batch's records a few at a time (`SCAN_AHEAD`) so
+//!    that the lookups' cache misses overlap, then hands the emptied batch
+//!    back to be refilled: the pass allocates its two batches once. What it
+//!    keeps of each record is its sink's: [`ingest_reader`] pushes an
+//!    [`Event`] into a [`Dataset`]; [`ingest_rows`] keeps no event — it
+//!    stages each comment in 12 B and builds the page rows ([`Btm`]) from
+//!    the staged chunks after the last batch, so a resident run never holds
+//!    a 16 B event column; the `records` drivers keep owned
+//!    [`CommentRecord`]s and intern nothing.
 //!
 //! **What a line is.** Whitespace is JSON's — space, tab and `\r` inside a
 //! line — so a line of nothing else is blank and skipped, and any other
@@ -54,6 +59,11 @@
 //! reported as [`ReadError::Parse`] — and only then returns
 //! [`ReadError::Io`] naming the line and the file-absolute byte offset. The
 //! scan stage stops at its first fault, so no later piece is read.
+//!
+//! **Rows or a dataset.** The rows door is for a caller that reads a
+//! [`Btm`]: the CLI's resident runs and `snapshot write`. A caller that
+//! reads the events in arrival order — the rank-sharded pipeline's blocks,
+//! `stats`, library users — takes the [`Dataset`].
 //!
 //! **Two threads, always.** Read + UTF-8 + scan is about half of a serial
 //! pass on a 1 M-line month, and interning in order — the part that cannot
@@ -78,6 +88,8 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::btm::{Btm, StagedRows};
+use crate::filter::ExclusionList;
 use crate::ids::{AuthorId, Event, Interner, PageId, Timestamp};
 use crate::records::{CommentRecord, Dataset, ReadError};
 
@@ -107,6 +119,21 @@ pub struct Ingest {
     /// The interned dataset.
     pub dataset: Dataset,
     /// Ingest counters.
+    pub stats: IngestStats,
+}
+
+/// A month read straight into page rows ([`ingest_rows`]): the two name
+/// tables under first-occurrence ids, and the [`Btm`] of every comment but
+/// the excluded authors'.
+#[derive(Clone, Debug)]
+pub struct RowsIngest {
+    /// Author names; `AuthorId(i)` ↔ `authors.name(i)`.
+    pub authors: Interner,
+    /// Page names; `PageId(i)` ↔ `pages.name(i)`.
+    pub pages: Interner,
+    /// The page rows over both id spaces, excluded authors' comments dropped.
+    pub btm: Btm,
+    /// Ingest counters; `events` counts excluded authors' comments too.
     pub stats: IngestStats,
 }
 
@@ -771,6 +798,53 @@ impl Sink for Interning {
     }
 }
 
+/// Interns as [`Interning`] does — so the ids are the same — but keeps no
+/// event: each kept comment is staged for the page rows in 12 B
+/// ([`StagedRows`]), whose chunks track their timestamp ranges as the
+/// comments arrive. An author is checked against the exclusion list once,
+/// when first interned; an excluded author's comments are not staged, so
+/// they are neither counted nor part of the span that picks the layout.
+struct Staging<'a> {
+    authors: Interner,
+    pages: Interner,
+    excluded: &'a ExclusionList,
+    /// `gone[a]`: author `a` is excluded.
+    gone: Vec<bool>,
+    rows: StagedRows,
+}
+
+impl<'a> Staging<'a> {
+    fn new(excluded: &'a ExclusionList, chunk: usize) -> Self {
+        Staging {
+            authors: Interner::new(),
+            pages: Interner::new(),
+            excluded,
+            gone: Vec::new(),
+            rows: StagedRows::new(chunk),
+        }
+    }
+}
+
+impl Sink for Staging<'_> {
+    fn take(&mut self, ahead: &mut Vec<Scanned<'_>>) {
+        assert!(ahead.len() <= SCAN_AHEAD, "a window of at most SCAN_AHEAD");
+        let mut ids = [0u32; SCAN_AHEAD];
+        for (id, &(author, _, _)) in ids.iter_mut().zip(ahead.iter()) {
+            *id = self.authors.intern(author);
+            if *id as usize == self.gone.len() {
+                self.gone.push(self.excluded.contains(author));
+            }
+        }
+        for (&a, &(_, link_id, ts)) in ids.iter().zip(ahead.iter()) {
+            let p = PageId(self.pages.intern(link_id));
+            if !self.gone[a as usize] {
+                self.rows.push(p, ts, AuthorId(a));
+            }
+        }
+        ahead.clear();
+    }
+}
+
 /// Owned records, no interning — the streaming path wants
 /// [`CommentRecord`]s it can sort and replay.
 impl Sink for Vec<CommentRecord> {
@@ -1103,6 +1177,49 @@ pub fn ingest_reader(reader: impl Read + Send, cfg: &IngestConfig) -> Result<Ing
 /// pieces borrowed from `buf` instead of read.
 pub fn ingest_slice(buf: &[u8], cfg: &IngestConfig) -> Result<Ingest, ReadError> {
     slice_run(Interning::new(), buf, CHUNK, cfg).map(into_ingest)
+}
+
+/// Comments per staging chunk of [`ingest_rows`]: 12 B each, so a chunk is
+/// 768 KiB, allocated whole when its first comment arrives.
+const STAGE_CHUNK: usize = 1 << 16;
+
+/// [`ingest_reader`] straight into page rows: the same pass and the same
+/// ids, but no event column — each comment of an author not in `excluded`
+/// is staged in 12 B as it is interned, and once the last line is interned
+/// the rows are built from the staged chunks (span `btm.build`: `btm.count`
+/// reads their 4 B page ids, `btm.scatter` and `btm.order` run as in every
+/// build). Equal to [`ingest_reader`] then [`Dataset::btm_without`] of
+/// `excluded` resolved, with a peak of 20 B per comment (staged + rows)
+/// where that holds 24 (events + rows). The staged chunks' allocated bytes
+/// are the gauge `ingest.staged_bytes`.
+pub fn ingest_rows(
+    reader: impl Read + Send,
+    cfg: &IngestConfig,
+    excluded: &ExclusionList,
+) -> Result<RowsIngest, ReadError> {
+    ingest_rows_in_chunks(reader, cfg, excluded, STAGE_CHUNK)
+}
+
+/// [`ingest_rows`] staging `chunk` comments per chunk instead of its default:
+/// the same result at any size, which is what a small one tests.
+///
+/// # Panics
+/// If `chunk` is 0.
+pub fn ingest_rows_in_chunks(
+    reader: impl Read + Send,
+    cfg: &IngestConfig,
+    excluded: &ExclusionList,
+    chunk: usize,
+) -> Result<RowsIngest, ReadError> {
+    let (sink, stats) = read_run(Staging::new(excluded, chunk), reader, CHUNK, cfg)?;
+    obs::gauge("ingest.staged_bytes").set_max(sink.rows.bytes() as u64);
+    let (n_authors, n_pages) = (sink.authors.len() as u32, sink.pages.len() as u32);
+    Ok(RowsIngest {
+        authors: sink.authors,
+        pages: sink.pages,
+        btm: Btm::from_staged(n_authors, n_pages, sink.rows),
+        stats,
+    })
 }
 
 /// [`ingest_reader`] to owned records (no interning), in input order.
@@ -1503,8 +1620,9 @@ mod tests {
     /// A reader that fails after many pieces while the interning stage is
     /// held inside the last batch the scan stage handed over: the failure
     /// meets scanned records that were never interned, and the typed error
-    /// or the reader's panic reaches the caller — for both sinks — with
-    /// nothing partial returned and no stage left waiting.
+    /// or the reader's panic reaches the caller — for every sink, the rows
+    /// door's staging among them — with nothing partial returned and no
+    /// stage left waiting.
     #[test]
     fn a_reader_that_fails_with_records_in_flight_ends_the_run() {
         let text = lines(200);
@@ -1520,9 +1638,12 @@ mod tests {
                 "capacity {capacity}: {reached} records"
             );
             for panics in [false, true] {
+                let excluded = ExclusionList::reddit_defaults();
+                let staging = Staging::new(&excluded, 7);
                 let runs = [
                     failing_run(Interning::new(), text.as_bytes(), capacity, panics, reached),
                     failing_run(Vec::new(), text.as_bytes(), capacity, panics, reached),
+                    failing_run(staging, text.as_bytes(), capacity, panics, reached),
                 ];
                 for (ended, seen) in runs {
                     assert_eq!(seen, reached, "capacity {capacity}");

@@ -10,14 +10,16 @@
 //!   order so ids survive the round trip), optionally recording the
 //!   projection window a later `survey` re-projects the rows under;
 //! * [`ingest_to_snapshot`] — the `snapshot write` path: NDJSON ingest
-//!   straight into a snapshot file that records its window;
+//!   straight into page rows ([`crate::ingest::ingest_rows`]; no event
+//!   column) and into a snapshot file that records its window;
 //! * [`btm_from_snapshot`] — a [`Btm`] whose narrow rows are the mapping's
 //!   own words, borrowed, not decoded; the events never exist as a resident
 //!   `Vec<Event>`, which is what puts the snapshot path's peak RSS below the
 //!   resident path's;
-//! * [`dataset_from_snapshot`] — materialize a full [`Dataset`] (interners
-//!   included) for name-consuming commands; ids match the original ingest
-//!   exactly.
+//! * [`authors_from_snapshot`] / [`dataset_from_snapshot`] — materialize
+//!   the author [`Interner`], or a full [`Dataset`], for commands that look
+//!   names up in both directions or read events; ids match the original
+//!   ingest exactly.
 //!
 //! Equivalence contract (pinned by the oracle matrix in `tests/`, where the
 //! snapshot of any dataset is a door of both engines): for any dataset,
@@ -31,9 +33,10 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use coordination_store::{Snapshot, SnapshotWriter, StoreError};
+use coordination_store::{NamesView, Snapshot, SnapshotWriter, StoreError};
 
 use crate::btm::{Btm, PageRow, PageRows};
+use crate::filter::ExclusionList;
 use crate::ids::{AuthorId, Event, Interner, PageId};
 use crate::ingest::{self, IngestConfig, IngestStats};
 use crate::records::{Dataset, ReadError};
@@ -59,10 +62,21 @@ pub fn write_snapshot(
     let rows = PageRows::build(Some(ds.pages.len() as u32), &[], || {
         ds.events.iter().map(|e| (e.page, e.ts, e.author))
     });
+    write_rows(&ds.authors, &ds.pages, &rows, window, path)
+}
 
+/// Write the name tables and `rows` — copied word for word as `ROWS` — to a
+/// snapshot at `path`, recording `window` if there is one.
+fn write_rows(
+    authors: &Interner,
+    pages: &Interner,
+    rows: &PageRows,
+    window: Option<Window>,
+    path: &Path,
+) -> Result<WriteSummary, StoreError> {
     let mut w = SnapshotWriter::new();
-    w.authors(ds.authors.iter().map(|(_, n)| n))?;
-    w.pages(ds.pages.iter().map(|(_, n)| n))?;
+    w.authors(authors.iter().map(|(_, n)| n))?;
+    w.pages(pages.iter().map(|(_, n)| n))?;
     let (off, all) = rows.parts();
     let off: Vec<u64> = off.iter().map(|&o| o as u64).collect();
     let wide = |row: &[(i64, AuthorId)]| -> Vec<u64> {
@@ -85,18 +99,28 @@ pub fn write_snapshot(
     })
 }
 
-/// The `snapshot write` ingest path: ingest NDJSON from `reader`
-/// ([`ingest::ingest_reader`]) and write the result straight to `path`,
-/// recording `window` for `survey --from-snapshot`.
+/// The `snapshot write` ingest path: NDJSON from `reader` read straight into
+/// page rows ([`ingest::ingest_rows`], nobody excluded — no event column is
+/// built) and written to `path`, recording `window` for
+/// `survey --from-snapshot`. The file is the one [`write_snapshot`] writes
+/// for [`ingest::ingest_reader`]'s dataset of the same input.
 pub fn ingest_to_snapshot(
     reader: impl std::io::Read + Send,
     cfg: &IngestConfig,
     window: Window,
     path: &Path,
 ) -> Result<(WriteSummary, IngestStats), SnapshotWriteError> {
-    let ingest = ingest::ingest_reader(reader, cfg).map_err(SnapshotWriteError::Read)?;
-    let summary =
-        write_snapshot(&ingest.dataset, Some(window), path).map_err(SnapshotWriteError::Store)?;
+    let ingest = ingest::ingest_rows(reader, cfg, &ExclusionList::new())
+        .map_err(SnapshotWriteError::Read)?;
+    let _g = obs::span("snapshot.write");
+    let summary = write_rows(
+        &ingest.authors,
+        &ingest.pages,
+        ingest.btm.page_rows(),
+        Some(window),
+        path,
+    )
+    .map_err(SnapshotWriteError::Store)?;
     Ok((summary, ingest.stats))
 }
 
@@ -125,32 +149,44 @@ impl std::error::Error for SnapshotWriteError {}
 /// nobody excluded a month-sized (narrow) file's rows are not decoded or
 /// copied at all: the `Btm` borrows the mapping's words, and holds a share
 /// of it that outlives `snap`; only the page offsets are copied. Wide rows
-/// decode into an owned array, and an exclusion filters into one. No
-/// `Vec<Event>`, no interners.
+/// decode into an owned array, and an exclusion filters into one; then the
+/// mapped rows leave the resident set ([`Snapshot::release_rows`]), so the
+/// rows are not resident twice. No `Vec<Event>`, no interners.
 pub fn btm_from_snapshot(snap: &Snapshot, excluded: &[AuthorId]) -> Btm {
     let _g = obs::span("snapshot.btm");
     let view = snap.events();
     let wide = || view.iter().map(|(a, _, ts)| (ts, AuthorId(a))).collect();
     let comments = snap.narrow_words().ok_or_else(wide);
-    Btm::from_stored(snap.meta().n_authors, view.offsets(), comments, excluded)
+    let copied = comments.is_err() || !excluded.is_empty();
+    let btm = Btm::from_stored(snap.meta().n_authors, view.offsets(), comments, excluded);
+    if copied {
+        snap.release_rows();
+    }
+    btm
+}
+
+/// A snapshot's author table as an [`Interner`], for a caller that looks
+/// names up in both directions: the names are re-interned in dense-id order,
+/// so every id matches the ingest that wrote the snapshot.
+pub fn authors_from_snapshot(snap: &Snapshot) -> Interner {
+    interner_of(snap.author_names())
+}
+
+fn interner_of(names: NamesView<'_>) -> Interner {
+    let mut interner = Interner::new();
+    for n in names.iter() {
+        interner.intern(n);
+    }
+    interner
 }
 
 /// Materialize a full [`Dataset`] from a snapshot — the compatibility path
-/// for commands that need name lookups in both directions. The interners
-/// re-intern the stored tables in dense-id order, so every id matches the
-/// ingest that wrote the snapshot.
+/// for commands that need name lookups in both directions and the events.
+/// Ids match the original ingest exactly.
 pub fn dataset_from_snapshot(snap: &Snapshot) -> Dataset {
-    let mut authors = Interner::new();
-    for n in snap.author_names().iter() {
-        authors.intern(n);
-    }
-    let mut pages = Interner::new();
-    for n in snap.page_names().iter() {
-        pages.intern(n);
-    }
     Dataset {
-        authors: Arc::new(authors),
-        pages: Arc::new(pages),
+        authors: Arc::new(authors_from_snapshot(snap)),
+        pages: Arc::new(interner_of(snap.page_names())),
         events: snap
             .events()
             .iter()

@@ -9,7 +9,10 @@
 //! `records` twins must yield exactly those records under first-occurrence
 //! ids, the line counts the text implies, and in strict mode the first fault
 //! in file order: a malformed line as [`ReadError::Parse`] under its 1-based
-//! number, a non-UTF-8 one as an I/O error.
+//! number, a non-UTF-8 one as an I/O error. The rows door,
+//! [`ingest::ingest_rows`], must end as [`ingest::ingest_reader`] followed
+//! by [`Dataset::btm_without`] does: the same names under the same ids, an
+//! equal `Btm` in the same layout, the same counts or the same error.
 
 use std::fmt::Write as _;
 use std::io::{self, ErrorKind, Read};
@@ -17,9 +20,14 @@ use std::io::{self, ErrorKind, Read};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
+use coordination_core::btm::PageRow;
+use coordination_core::filter::ExclusionList;
 use coordination_core::ids::Interner;
-use coordination_core::ingest::{self, IngestConfig, IngestStats, ParseError, ParseErrorKind};
+use coordination_core::ingest::{
+    self, IngestConfig, IngestStats, ParseError, ParseErrorKind, RowsIngest,
+};
 use coordination_core::records::{write_ndjson, CommentRecord, Dataset, ReadError};
+use coordination_core::Btm;
 
 // ---------------------------------------------------------------- the grammar
 
@@ -521,16 +529,96 @@ fn assert_all_drivers_yield(
 }
 
 /// Every strict driver on `bytes` fails, each wording the failure as the
-/// others do; the first driver's error.
+/// others — and the rows door — do; the first driver's error.
 fn assert_all_drivers_fail_alike(bytes: &[u8], splits: &[usize]) -> ReadError {
-    let mut errors = every_driver(bytes, &IngestConfig::default(), splits)
+    let strict = IngestConfig::default();
+    let mut errors = every_driver(bytes, &strict, splits)
         .into_iter()
         .map(|out| out.expect_err("a strict run fails"));
     let first = errors.next().unwrap();
     for e in errors {
         assert_eq!(e.to_string(), first.to_string());
     }
+    let rows = ingest::ingest_rows(bytes, &strict, &ExclusionList::reddit_defaults());
+    assert_eq!(
+        rows.expect_err("a strict run fails").to_string(),
+        first.to_string()
+    );
     first
+}
+
+// ---------------------------------------------------------------- the rows door
+
+/// The staging-chunk sizes the rows door is run at: a chunk per comment, two,
+/// seven, and the default (`None`).
+const STAGE_CHUNKS: [Option<usize>; 4] = [Some(1), Some(2), Some(7), None];
+
+fn rows_door(
+    bytes: &[u8],
+    cfg: &IngestConfig,
+    excluded: &ExclusionList,
+    chunk: Option<usize>,
+) -> Result<RowsIngest, ReadError> {
+    match chunk {
+        Some(chunk) => ingest::ingest_rows_in_chunks(bytes, cfg, excluded, chunk),
+        None => ingest::ingest_rows(bytes, cfg, excluded),
+    }
+}
+
+/// Whether every row of `btm` took the 8 B layout.
+fn narrow(btm: &Btm) -> bool {
+    btm.pages()
+        .all(|(_, row)| matches!(row, PageRow::Narrow { .. }))
+}
+
+/// The rows door on `bytes` ends as [`ingest::ingest_reader`] then
+/// [`Dataset::btm_without`] of `excluded` resolved does: the same author and
+/// page names under the same ids, an equal `Btm` in the same layout and the
+/// same counts — or the same error, worded the same. Returns whether the
+/// rows came out narrow.
+fn assert_rows_door_matches(
+    bytes: &[u8],
+    cfg: &IngestConfig,
+    excluded: &ExclusionList,
+    chunk: Option<usize>,
+) -> Result<bool, TestCaseError> {
+    match (
+        ingest::ingest_reader(bytes, cfg),
+        rows_door(bytes, cfg, excluded, chunk),
+    ) {
+        (Ok(want), Ok(got)) => {
+            let ds = &want.dataset;
+            prop_assert_eq!(interner_names(&ds.authors), interner_names(&got.authors));
+            prop_assert_eq!(interner_names(&ds.pages), interner_names(&got.pages));
+            let btm = ds.btm_without(&excluded.resolve(ds));
+            prop_assert_eq!(&got.btm, &btm, "chunk {:?}", chunk);
+            prop_assert_eq!(narrow(&got.btm), narrow(&btm), "chunk {:?}", chunk);
+            prop_assert_eq!(got.stats, want.stats);
+            Ok(narrow(&got.btm))
+        }
+        (Err(want), Err(got)) => {
+            prop_assert_eq!(want.to_string(), got.to_string());
+            Ok(false)
+        }
+        (want, got) => {
+            let (want, got) = (want.map(|_| ()), got.map(|_| ()));
+            prop_assert!(false, "dataset door {:?}, rows door {:?}", want, got);
+            unreachable!()
+        }
+    }
+}
+
+/// The exclusion lists the rows door is run under: nobody, the paper's
+/// defaults (`[deleted]` and `AutoModerator`, both among the grammar's
+/// names), and the first record's author, present whenever a record is.
+fn exclusion_lists(records: &[CommentRecord]) -> [ExclusionList; 3] {
+    let mut first = ExclusionList::new();
+    first.extend(records.first().map(|r| r.author.clone()));
+    [
+        ExclusionList::new(),
+        ExclusionList::reddit_defaults(),
+        first,
+    ]
 }
 
 // ---------------------------------------------------------------- properties
@@ -551,6 +639,28 @@ proptest! {
         let text = join(&lines, final_newline == 1);
         for cfg in [IngestConfig::default(), IngestConfig { skip_bad_lines: true }] {
             assert_all_drivers_yield(&text, &cfg, &splits, &records, 0)?;
+        }
+    }
+
+    /// The rows door reads the grammar's lines, strict and lossy, into what
+    /// the dataset door and `Dataset::btm_without` give, at every
+    /// staging-chunk size and under every exclusion list. The grammar's
+    /// timestamps spread far wider than `u32::MAX` s, so most of its chunks
+    /// close on their span before they fill.
+    #[test]
+    fn the_rows_door_builds_what_the_dataset_door_builds(
+        draws in arb_tape(),
+        n in 0usize..40,
+        final_newline in 0u8..2,
+    ) {
+        let (lines, records) = corpus(&draws, n);
+        let text = join(&lines, final_newline == 1);
+        for cfg in [IngestConfig::default(), IngestConfig { skip_bad_lines: true }] {
+            for excluded in exclusion_lists(&records) {
+                for chunk in STAGE_CHUNKS {
+                    assert_rows_door_matches(text.as_bytes(), &cfg, &excluded, chunk)?;
+                }
+            }
         }
     }
 
@@ -696,6 +806,41 @@ fn the_pushshift_corpus_reads_the_same_through_every_driver() {
         ingest::ingest_records_slice(text.as_bytes(), &IngestConfig::default()).unwrap();
     assert_eq!(read, records);
     assert_all_drivers_yield(text, &IngestConfig::default(), SPLITS, &records, 0).unwrap();
+}
+
+/// A month spread over exactly `u32::MAX` s reads narrow and one a second
+/// wider reads wide, through the rows door as through the dataset door —
+/// with a staging-chunk boundary between the two extremes (chunks of two),
+/// and with all of them in one default chunk, which the wider spread closes
+/// early. The first comment is mid-span, so the earliest arrives below its
+/// chunk's base. Without the author of the latest comment the wider month
+/// reads narrow: an excluded author's comments take no part in the span.
+#[test]
+fn the_rows_door_picks_the_layout_by_the_span_alone() {
+    let t0 = 1_577_836_800;
+    for (spread, is_narrow) in [
+        (i64::from(u32::MAX), true),
+        (i64::from(u32::MAX) + 1, false),
+    ] {
+        let records = [
+            CommentRecord::new("mid", "t3_a", t0 + spread / 2),
+            CommentRecord::new("first", "t3_a", t0),
+            CommentRecord::new("last", "t3_b", t0 + spread),
+            CommentRecord::new("mid", "t3_b", t0 + 1),
+        ];
+        let text = plain_text(&records, true);
+        let (nobody, mut last) = (ExclusionList::new(), ExclusionList::new());
+        last.extend(["last"]);
+        for chunk in [Some(2), None] {
+            let cfg = IngestConfig::default();
+            let read = |excluded| assert_rows_door_matches(text.as_bytes(), &cfg, excluded, chunk);
+            assert_eq!(read(&nobody).unwrap(), is_narrow, "{spread} s, {chunk:?}");
+            assert!(
+                read(&last).unwrap(),
+                "{spread} s, {chunk:?}, `last` excluded"
+            );
+        }
+    }
 }
 
 /// Every line a new author (and every fifth a new page): the interners grow

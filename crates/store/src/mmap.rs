@@ -52,6 +52,7 @@ mod sys {
 
     pub(crate) const PROT_READ: i32 = 1;
     pub(crate) const MAP_PRIVATE: i32 = 2;
+    pub(crate) const MADV_DONTNEED: i32 = 4;
 
     extern "C" {
         pub(crate) fn mmap(
@@ -63,6 +64,7 @@ mod sys {
             offset: i64,
         ) -> *mut c_void;
         pub(crate) fn munmap(addr: *mut c_void, len: usize) -> i32;
+        pub(crate) fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
     }
 }
 
@@ -117,6 +119,38 @@ impl Bytes {
             }
         }
         Ok(Bytes::copy_from(&std::fs::read(path)?))
+    }
+
+    /// Let the whole pages inside `range` leave the process's resident set:
+    /// a hint for bytes the caller holds a copy of and will not read here
+    /// again. The mapping is private and never written, so a later read
+    /// faults a page back in from the file, as the first read did; owned
+    /// bytes stay as they are.
+    pub(crate) fn release(&self, range: Range<usize>) {
+        #[cfg(unix)]
+        if let Inner::Mapped { ptr, len } = self.inner {
+            // 4 KiB pages: on a host with larger ones an unaligned start
+            // fails the call, and the pages merely stay resident.
+            const PAGE: usize = 4096;
+            let start = range.start.next_multiple_of(PAGE);
+            let end = range.end.min(len) / PAGE * PAGE;
+            if start < end {
+                // SAFETY: `start..end` lies inside the `len` bytes mapped at
+                // `ptr` (`end <= len`) and starts on a page boundary of the
+                // page-aligned mapping, as `madvise` requires. On a private
+                // mapping nothing wrote to, `MADV_DONTNEED` drops page-table
+                // entries only: the mapping stays, and every `&[u8]`
+                // borrowed from `self` reads the file's bytes again on its
+                // next access. A failure only leaves the pages resident.
+                unsafe {
+                    sys::madvise(
+                        ptr.cast::<u8>().add(start).cast(),
+                        end - start,
+                        sys::MADV_DONTNEED,
+                    );
+                }
+            }
+        }
     }
 
     /// Whether the bytes are an actual file mapping (as opposed to the
@@ -247,6 +281,26 @@ mod tests {
         let bytes = Bytes::map_file(&path).unwrap();
         assert_eq!(&*bytes, &payload[..]);
         drop(bytes);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Released pages read back as the file's bytes, whole or cut at any
+    /// offset, and releasing owned bytes changes nothing.
+    #[test]
+    fn released_pages_read_back_from_the_file() {
+        let path = std::env::temp_dir().join(format!("store-mmap-release-{}", std::process::id()));
+        let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+        std::fs::write(&path, &payload).unwrap();
+        let mapped = Bytes::map_file(&path).unwrap();
+        let owned = Bytes::copy_from(&payload);
+        for bytes in [&mapped, &owned] {
+            assert_eq!(&**bytes, &payload[..]);
+            for range in [0..100_000, 5..9000, 4096..8192, 99_000..200_000] {
+                bytes.release(range);
+                assert_eq!(&**bytes, &payload[..]);
+            }
+        }
+        drop(mapped);
         std::fs::remove_file(&path).ok();
     }
 

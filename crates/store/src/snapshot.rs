@@ -915,6 +915,15 @@ impl Snapshot {
         Some((t0, words.expect("validated at open")))
     }
 
+    /// Let the pages of the stored page offsets and rows leave the process's
+    /// resident set, once the caller holds its own copy of them (rows an
+    /// exclusion filtered, wide rows decoded). Reading them again through
+    /// this snapshot is still correct: the pages are read back from the file.
+    pub fn release_rows(&self) {
+        self.bytes.release(self.rows.off.clone());
+        self.bytes.release(self.rows.rows.clone());
+    }
+
     /// Human-readable summary for `snapshot inspect`.
     pub fn describe(&self) -> String {
         let m = &self.meta;

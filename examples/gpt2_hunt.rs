@@ -33,7 +33,7 @@ fn main() {
         out.stats.ci_edges, out.stats.triangles_examined, out.stats.triangles_kept
     );
 
-    let components = named_components(&dataset, &out.ci, 25);
+    let components = named_components(&dataset.authors, &out.ci, 25);
     println!("{} connected components at cutoff 25:", components.len());
     std::fs::create_dir_all("target/figures").expect("mkdir target/figures");
     for (i, comp) in components.iter().enumerate() {
@@ -53,7 +53,8 @@ fn main() {
             .map(|m| dataset.authors.get(m).expect("interned"))
             .collect();
         let path = format!("target/figures/hunt_component_{i}.dot");
-        std::fs::write(&path, component_dot(&dataset, &out.ci, &ids, 25)).expect("write dot");
+        std::fs::write(&path, component_dot(&dataset.authors, &out.ci, &ids, 25))
+            .expect("write dot");
         println!("      wrote {path}");
     }
 

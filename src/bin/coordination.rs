@@ -18,10 +18,13 @@ use std::process::ExitCode;
 
 use coordination::analysis::components::{component_dot, describe, named_components};
 use coordination::core::dist_pipeline::DistPipeline;
+use coordination::core::filter::ExclusionList;
+use coordination::core::ids::Interner;
 use coordination::core::ingest::{self, IngestConfig, IngestStats};
 use coordination::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
 use coordination::core::records::{write_ndjson, Dataset};
 use coordination::core::snapshot::btm_from_snapshot;
+use coordination::core::store::Snapshot;
 use coordination::core::{Btm, CiGraph, Window};
 use coordination::redditgen::ScenarioConfig;
 
@@ -230,8 +233,8 @@ fn report_skipped(stats: &IngestStats) {
 /// Open a snapshot file with the typed store errors rendered for the CLI.
 /// Corrupt, truncated, or future-versioned files land here as a clear
 /// message and exit code 2 — never a panic.
-fn open_snapshot(path: &str) -> Result<coordination::core::store::Snapshot, String> {
-    use coordination::core::store::{Snapshot, StoreError};
+fn open_snapshot(path: &str) -> Result<Snapshot, String> {
+    use coordination::core::store::StoreError;
     let snap = Snapshot::open(std::path::Path::new(path)).map_err(|e| match e {
         // a snapshot is a cache of its NDJSON, so another version is rebuilt, not converted
         StoreError::UnsupportedVersion { .. } => {
@@ -262,10 +265,16 @@ fn reject_both_inputs(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// What a command runs over: `--input` ingested, or `--from-snapshot` mapped.
+/// `loaded …` on stderr, after an `--input` ingest.
+fn log_loaded(comments: u64, authors: usize, pages: usize) {
+    eprintln!("loaded {comments} comments, {authors} authors, {pages} pages");
+}
+
+/// What the rank program and `stats` run over: `--input` ingested as events
+/// in arrival order, or `--from-snapshot` mapped.
 enum Input {
     Dataset(Dataset),
-    Snapshot(coordination::core::store::Snapshot),
+    Snapshot(Snapshot),
 }
 
 impl Input {
@@ -279,26 +288,68 @@ impl Input {
             .map_err(|e| format!("read {path}: {e}"))?;
         report_skipped(&ing.stats);
         let ds = ing.dataset;
-        eprintln!(
-            "loaded {} comments, {} authors, {} pages",
-            ds.len(),
-            ds.authors.len(),
-            ds.pages.len()
-        );
+        log_loaded(ds.len() as u64, ds.authors.len(), ds.pages.len());
         Ok(Input::Dataset(ds))
     }
+}
 
-    /// The input as a [`Dataset`]; a snapshot materializes its tables.
-    fn into_dataset(self) -> Dataset {
+/// `stats`' input as a [`Dataset`]; a snapshot materializes its tables.
+fn load_dataset(flags: &Flags) -> Result<Dataset, String> {
+    Ok(match Input::open(flags)? {
+        Input::Dataset(ds) => ds,
+        Input::Snapshot(snap) => coordination::core::snapshot::dataset_from_snapshot(&snap),
+    })
+}
+
+/// The author names a resident run prints: the table `--input`'s ingest
+/// interned, or the mapped snapshot's, read in place.
+enum AuthorNames {
+    Interned(Interner),
+    Mapped(Snapshot),
+}
+
+impl AuthorNames {
+    fn name(&self, id: u32) -> &str {
         match self {
-            Input::Dataset(ds) => ds,
-            Input::Snapshot(snap) => coordination::core::snapshot::dataset_from_snapshot(&snap),
+            AuthorNames::Interned(authors) => authors.name(id),
+            AuthorNames::Mapped(snap) => snap.author_names().get(id),
+        }
+    }
+
+    fn len(&self) -> u32 {
+        match self {
+            AuthorNames::Interned(authors) => authors.len() as u32,
+            AuthorNames::Mapped(snap) => snap.author_names().len(),
+        }
+    }
+
+    /// The table as an [`Interner`], for lookups by name as well; a
+    /// snapshot's is re-interned, ids unchanged.
+    fn into_interner(self) -> Interner {
+        match self {
+            AuthorNames::Interned(authors) => authors,
+            AuthorNames::Mapped(snap) => coordination::core::snapshot::authors_from_snapshot(&snap),
         }
     }
 }
 
-fn load_dataset(flags: &Flags) -> Result<Dataset, String> {
-    Input::open(flags).map(Input::into_dataset)
+/// A resident run's input: the author names, and the BTM of every comment
+/// but the `excluded` authors'. `--input` is read straight into page rows
+/// ([`ingest::ingest_rows`]), so no event column ever exists; a snapshot's
+/// rows come from the mapping ([`btm_from_snapshot`]).
+fn open_rows(flags: &Flags, excluded: &ExclusionList) -> Result<(AuthorNames, Btm), String> {
+    reject_both_inputs(flags)?;
+    if let Some(path) = flags.get("from-snapshot") {
+        let snap = open_snapshot(path)?;
+        let btm = btm_from_snapshot(&snap, &excluded.resolve_names(snap.author_names()));
+        return Ok((AuthorNames::Mapped(snap), btm));
+    }
+    let (reader, path) = open_input(flags)?;
+    let ing = ingest::ingest_rows(reader, &ingest_config(flags), excluded)
+        .map_err(|e| format!("read {path}: {e}"))?;
+    report_skipped(&ing.stats);
+    log_loaded(ing.stats.events, ing.authors.len(), ing.pages.len());
+    Ok((AuthorNames::Interned(ing.authors), ing.btm))
 }
 
 fn window(flags: &Flags) -> Result<Window, String> {
@@ -356,64 +407,6 @@ fn pipeline_config(flags: &Flags, default_cutoff: u64) -> Result<PipelineConfig,
     })
 }
 
-/// Run the three steps over `input`. The rank count alone says which engine
-/// runs: the rank program at `--ranks N > 1` — or at any count under a
-/// `--shuffle-budget`, which only it can honour — and the resident engine
-/// otherwise. Both print the same bytes (events reach the BTM in a different
-/// order, which it is insensitive to), and a snapshot feeds its mapped rows
-/// to either without materializing a [`Dataset`]. `release_events` is
-/// [`run_resident`]'s; the rank program reads its events as it runs.
-fn run_detector(
-    flags: &Flags,
-    config: PipelineConfig,
-    input: &mut Input,
-    release_events: bool,
-) -> Result<PipelineOutput, String> {
-    // `main` has checked both for a positive count
-    let ranks: usize = flags.num("ranks", 1)?;
-    let budget: Option<usize> = flags.get("shuffle-budget").and_then(|v| v.parse().ok());
-    let out = if ranks > 1 || budget.is_some() {
-        let mut ranked = DistPipeline::new(config, ranks);
-        if let Some(bytes) = budget {
-            ranked = ranked.with_shuffle_budget(bytes);
-        }
-        match input {
-            Input::Dataset(ds) => ranked.run_dataset(ds),
-            Input::Snapshot(snap) => ranked.run_snapshot(snap),
-        }
-    } else {
-        run_resident(config, input, release_events).0
-    };
-    log_timings(&out);
-    Ok(out)
-}
-
-/// The resident engine over `input`, and the BTM it read, built under the
-/// run's own exclusion list. With `release_events` the caller reads nothing
-/// but the name tables afterwards, so the dataset's event column is dropped
-/// once the BTM's rows are built from it — the two never sit side by side
-/// through projection and survey.
-fn run_resident(
-    config: PipelineConfig,
-    input: &mut Input,
-    release_events: bool,
-) -> (PipelineOutput, Btm) {
-    let exclusions = &config.exclusions;
-    let btm = match input {
-        Input::Dataset(ds) => {
-            let btm = ds.btm_without(&exclusions.resolve(ds));
-            if release_events {
-                ds.events = Vec::new();
-            }
-            btm
-        }
-        Input::Snapshot(snap) => {
-            btm_from_snapshot(snap, &exclusions.resolve_names(snap.author_names()))
-        }
-    };
-    (Pipeline::new(config).run_btm(&btm), btm)
-}
-
 fn log_timings(out: &PipelineOutput) {
     eprintln!(
         "projection: {} edges in {:.2?}; survey: {} triangles in {:.2?}; {} triplets validated in {:.2?}",
@@ -426,19 +419,26 @@ fn log_timings(out: &PipelineOutput) {
     );
 }
 
-/// The three steps for a command that prints names afterwards, on the
-/// resident engine (`--ranks` and `--shuffle-budget` are `pipeline`'s alone):
-/// the dataset, the output and the BTM the run read.
+/// The three steps on the resident engine over [`open_rows`]' input, built
+/// under the run config's exclusion list: the author names, the output and
+/// the BTM the run read.
+fn run_resident(
+    flags: &Flags,
+    config: PipelineConfig,
+) -> Result<(AuthorNames, PipelineOutput, Btm), String> {
+    let (names, btm) = open_rows(flags, &config.exclusions)?;
+    let out = Pipeline::new(config).run_btm(&btm);
+    log_timings(&out);
+    Ok((names, out, btm))
+}
+
+/// [`run_resident`] for a command that prints names afterwards
+/// (`--ranks` and `--shuffle-budget` are `pipeline`'s alone).
 fn run_pipeline(
     flags: &Flags,
     default_cutoff: u64,
-) -> Result<(Dataset, PipelineOutput, Btm), String> {
-    let config = pipeline_config(flags, default_cutoff)?;
-    let mut input = Input::open(flags)?;
-    let (out, btm) = run_resident(config, &mut input, false);
-    log_timings(&out);
-    // downstream printing needs the name tables either way
-    Ok((input.into_dataset(), out, btm))
+) -> Result<(AuthorNames, PipelineOutput, Btm), String> {
+    run_resident(flags, pipeline_config(flags, default_cutoff)?)
 }
 
 fn cmd_stats(flags: &Flags) -> Result<(), String> {
@@ -489,21 +489,19 @@ fn project_logged(btm: &Btm, w: Window) -> CiGraph {
 }
 
 fn cmd_project(flags: &Flags) -> Result<(), String> {
-    let ds = load_dataset(flags)?;
+    let (names, btm) = open_rows(flags, &ExclusionList::reddit_defaults())?;
     let out_path = flags.get("out").ok_or("--out is required")?;
-    let w = window(flags)?;
-    let excl = coordination::core::filter::ExclusionList::reddit_defaults();
-    let ci = project_logged(&ds.btm_without(&excl.resolve(&ds)), w);
+    let ci = project_logged(&btm, window(flags)?);
     let file = std::fs::File::create(out_path).map_err(|e| format!("create {out_path}: {e}"))?;
     ci.write_tsv(std::io::BufWriter::new(file))
         .map_err(|e| format!("write {out_path}: {e}"))?;
     // name sidecar so survey output can be human-readable
     let names_path = format!("{out_path}.names");
-    let mut names = String::new();
-    for (id, name) in ds.authors.iter() {
-        names.push_str(&format!("{id}\t{name}\n"));
+    let mut sidecar = String::new();
+    for id in 0..names.len() {
+        sidecar.push_str(&format!("{id}\t{}\n", names.name(id)));
     }
-    std::fs::write(&names_path, names).map_err(|e| format!("write {names_path}: {e}"))?;
+    std::fs::write(&names_path, sidecar).map_err(|e| format!("write {names_path}: {e}"))?;
     eprintln!("wrote {out_path} and {names_path}");
     Ok(())
 }
@@ -521,7 +519,7 @@ fn project_snapshot(path: &str) -> Result<(CiGraph, Label), String> {
             "{path} records no projection window; re-create it with `coordination snapshot write`"
         )
     })?;
-    let excl = coordination::core::filter::ExclusionList::reddit_defaults();
+    let excl = ExclusionList::reddit_defaults();
     let btm = btm_from_snapshot(&snap, &excl.resolve_names(snap.author_names()));
     let ci = project_logged(&btm, Window::new(d1, d2));
     let label = move |id: u32| snap.author_names().get(id).to_string();
@@ -602,8 +600,9 @@ fn cmd_survey(flags: &Flags) -> Result<(), String> {
 
 fn cmd_hunt(flags: &Flags) -> Result<(), String> {
     let cutoff: u64 = flags.num("cutoff", 25)?;
-    let (ds, out, _) = run_pipeline(flags, 25)?;
-    let comps = named_components(&ds, &out.ci, cutoff);
+    let (names, out, _) = run_pipeline(flags, 25)?;
+    let authors = names.into_interner();
+    let comps = named_components(&authors, &out.ci, cutoff);
     println!("{} connected components at cutoff {cutoff}:", comps.len());
     for (i, c) in comps.iter().enumerate() {
         println!("[{i}] {}", describe(c));
@@ -613,10 +612,10 @@ fn cmd_hunt(flags: &Flags) -> Result<(), String> {
             let ids: Vec<u32> = c
                 .members
                 .iter()
-                .map(|m| ds.authors.get(m).expect("member interned"))
+                .map(|m| authors.get(m).expect("member interned"))
                 .collect();
             let path = format!("{dir}/component_{i}.dot");
-            std::fs::write(&path, component_dot(&ds, &out.ci, &ids, cutoff))
+            std::fs::write(&path, component_dot(&authors, &out.ci, &ids, cutoff))
                 .map_err(|e| format!("write {path}: {e}"))?;
             println!("    wrote {path}");
         }
@@ -637,7 +636,7 @@ fn with_stdout(
 }
 
 fn cmd_validate(flags: &Flags) -> Result<(), String> {
-    let (ds, out, btm) = run_pipeline(flags, 10)?;
+    let (names, out, btm) = run_pipeline(flags, 10)?;
     if flags.has("windowed") {
         // future-work variant: hyperedges bounded by the projection window
         let bound = window(flags)?.d2();
@@ -648,7 +647,7 @@ fn cmd_validate(flags: &Flags) -> Result<(), String> {
         with_stdout(|w| {
             writeln!(w, "a\tb\tc\tmin_w\tw_xyz\tw_xyz_windowed\tC_windowed")?;
             for r in rows {
-                let [a, b, c] = r.authors.map(|a| ds.authors.name(a.0));
+                let [a, b, c] = r.authors.map(|a| names.name(a.0));
                 writeln!(
                     w,
                     "{a}\t{b}\t{c}\t{}\t{}\t{}\t{:.4}",
@@ -658,7 +657,7 @@ fn cmd_validate(flags: &Flags) -> Result<(), String> {
             Ok(())
         })
     } else {
-        with_stdout(|w| write_triplet_rows(w, &out.triplets, |id| ds.authors.name(id)))
+        with_stdout(|w| write_triplet_rows(w, &out.triplets, |id| names.name(id)))
     }
 }
 
@@ -684,16 +683,36 @@ fn write_triplet_rows<'a>(
 /// `pipeline`: the full ingest → projection → survey → validation run with a
 /// deterministic stdout report — the same bytes whichever engine `--ranks`
 /// and `--shuffle-budget` select, which is what the CLI equivalence test
-/// pins. Timings go to stderr only.
+/// pins. Timings go to stderr only. The rank count alone says which engine
+/// runs: the rank program at `--ranks N > 1` — or at any count under a
+/// `--shuffle-budget`, which only it can honour — over the events in arrival
+/// order or the mapped rows, and the resident engine over [`open_rows`]'
+/// input otherwise. Both print the same bytes (events reach the BTM in a
+/// different order, which it is insensitive to).
 fn cmd_pipeline(flags: &Flags) -> Result<(), String> {
     let config = pipeline_config(flags, 10)?;
-    let mut input = Input::open(flags)?;
-    let out = run_detector(flags, config, &mut input, true)?;
+    // `main` has checked both for a positive count
+    let ranks: usize = flags.num("ranks", 1)?;
+    let budget: Option<usize> = flags.get("shuffle-budget").and_then(|v| v.parse().ok());
+    if ranks == 1 && budget.is_none() {
+        let (names, out, _) = run_resident(flags, config)?;
+        return print_pipeline_report(&out, |id| names.name(id));
+    }
+    let mut ranked = DistPipeline::new(config, ranks);
+    if let Some(bytes) = budget {
+        ranked = ranked.with_shuffle_budget(bytes);
+    }
     // Author names are read in place: off the mapping on the snapshot path
     // (no Dataset is materialized), out of the interner's arena otherwise.
-    match &input {
-        Input::Dataset(ds) => print_pipeline_report(&out, |id| ds.authors.name(id)),
+    match Input::open(flags)? {
+        Input::Dataset(ds) => {
+            let out = ranked.run_dataset(&ds);
+            log_timings(&out);
+            print_pipeline_report(&out, |id| ds.authors.name(id))
+        }
         Input::Snapshot(snap) => {
+            let out = ranked.run_snapshot(&snap);
+            log_timings(&out);
             let names = snap.author_names();
             print_pipeline_report(&out, |id| names.get(id))
         }
@@ -733,7 +752,7 @@ fn print_pipeline_report<'a>(
 }
 
 fn cmd_groups(flags: &Flags) -> Result<(), String> {
-    let (ds, out, btm) = run_pipeline(flags, 25)?;
+    let (names, out, btm) = run_pipeline(flags, 25)?;
     let groups = coordination::core::groups::merge_triplets(&btm, &out.triplets, 2);
     println!(
         "{} groups from {} triplets:",
@@ -741,7 +760,7 @@ fn cmd_groups(flags: &Flags) -> Result<(), String> {
         out.triplets.len()
     );
     for (i, g) in groups.iter().enumerate() {
-        let names: Vec<&str> = g.members.iter().map(|a| ds.authors.name(a.0)).collect();
+        let members: Vec<&str> = g.members.iter().map(|a| names.name(a.0)).collect();
         println!(
             "[{i}] {} members, w_G = {}, score = {:.3}, {} supporting triplets",
             g.members.len(),
@@ -749,25 +768,23 @@ fn cmd_groups(flags: &Flags) -> Result<(), String> {
             g.score,
             g.triplet_support
         );
-        println!("    {names:?}");
+        println!("    {members:?}");
     }
     Ok(())
 }
 
 fn cmd_refine(flags: &Flags) -> Result<(), String> {
-    let ds = load_dataset(flags)?;
+    let (names, btm) = open_rows(flags, &ExclusionList::reddit_defaults())?;
     let rounds: usize = flags.num("rounds", 3)?;
     let pipeline = Pipeline::new(PipelineConfig {
         window: window(flags)?,
         min_triangle_weight: flags.num("cutoff", 25)?,
         ..Default::default()
     });
-    let excl = coordination::core::filter::ExclusionList::reddit_defaults();
-    let btm = ds.btm_without(&excl.resolve(&ds));
     for (i, round) in pipeline.run_refinement(&btm, rounds).iter().enumerate() {
-        let names: Vec<&str> = round.flagged.iter().map(|a| ds.authors.name(a.0)).collect();
+        let flagged: Vec<&str> = round.flagged.iter().map(|a| names.name(a.0)).collect();
         println!(
-            "round {i}: {} triplets, {} authors flagged: {names:?}",
+            "round {i}: {} triplets, {} authors flagged: {flagged:?}",
             round.output.triplets.len(),
             round.flagged.len()
         );

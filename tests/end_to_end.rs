@@ -30,7 +30,7 @@ fn hunt(
 #[test]
 fn jan2020_hunt_recovers_all_three_botnet_families() {
     let (scenario, dataset, out) = hunt(0.2);
-    let comps = named_components(&dataset, &out.ci, 25);
+    let comps = named_components(&dataset.authors, &out.ci, 25);
     assert!(
         comps.len() >= 3,
         "expected ≥3 components, got {}",
@@ -71,7 +71,7 @@ fn jan2020_hunt_recovers_all_three_botnet_families() {
 #[test]
 fn figure1_structure_sparse_gpt_network() {
     let (scenario, dataset, out) = hunt(0.2);
-    let comps = named_components(&dataset, &out.ci, 25);
+    let comps = named_components(&dataset.authors, &out.ci, 25);
     let gpt = comps
         .iter()
         .find(|c| {
@@ -90,7 +90,7 @@ fn figure1_structure_sparse_gpt_network() {
 #[test]
 fn figure2_structure_dense_restream_clique() {
     let (scenario, dataset, out) = hunt(0.2);
-    let comps = named_components(&dataset, &out.ci, 25);
+    let comps = named_components(&dataset.authors, &out.ci, 25);
     let stream = comps
         .iter()
         .find(|c| {
