@@ -56,7 +56,8 @@
 //!    builds is *skipped* here and harvested on demand in stage 5.)
 //! 3. **Projection** — page owners run the resident engine's page step
 //!    (`project::PageStep`: [`crate::project::page_pairs_flat`] → pair set →
-//!    distinct endpoints into `P'`) over each page's row, borrowed in place
+//!    each endpoint into `P'` once per page, by page stamp) over each page's
+//!    row, borrowed in place
 //!    (`PagePartition::for_each_page`), and shuffle each packed pair
 //!    occurrence to its *edge owner* (`owner_of(packed)`), which sorts and
 //!    run-length-counts its disjoint slice of the edge set. Per-author `P'`
@@ -72,9 +73,10 @@
 //!    [`tripoll::survey_stage`] closes wedges exactly as on the cluster —
 //!    16-byte wedge checks through the same packed aggregator as every
 //!    other shuffle — folding each triangle where its wedge closes into the
-//!    resident survey's own [`tripoll::survey::SurveyFold`] (min weight and
-//!    `T`-score predicates included — `P'` is replicated). Only the
-//!    statistics and the survivors exist afterwards.
+//!    resident survey's own [`tripoll::survey::SurveyFold`] with its one
+//!    kernel: below the cutoff a triangle is only counted, at or above it
+//!    listed through the min weight and `T`-score predicates (`P'` is
+//!    replicated). Only the statistics and the survivors exist afterwards.
 //! 5. **Validation** — first the *on-demand harvest*: the survivors'
 //!    vertex set is all-gathered, each rank runs the resident engine's
 //!    harvest scan (`btm::HarvestScan`, the scan under

@@ -10,8 +10,10 @@
 //! pushed into a reusable scratch `Vec` and sort+deduped per page
 //! ([`page_pairs_flat`]), and every page's pair set is appended to one
 //! occurrence buffer that is sorted and run-length-counted **once** at the
-//! end into the sorted edge run `CiGraph::from_runs` takes. No per-page
-//! hashing anywhere on the path. [`project_subset`] is the same loop over
+//! end into the sorted edge run `CiGraph::from_runs` takes. `P'` is counted
+//! by stamp: each author remembers the last page that counted it, so a
+//! page's endpoints are neither collected nor sorted. No per-page hashing
+//! anywhere on the path. [`project_subset`] is the same loop over
 //! each page's subset members, and the rank-sharded engine
 //! (`crate::dist_pipeline`) runs the same per-page step on the pages each rank
 //! owns.
@@ -168,10 +170,17 @@ pub(crate) fn run_length_pairs(occ: impl IntoIterator<Item = u64>) -> Vec<(u32, 
 /// the caller's business — [`project`] and [`project_subset`] append it to
 /// their occurrence buffer, stage 3 of [`crate::dist_pipeline`] ships it to
 /// the edge owners.
+///
+/// An author is counted by stamp, not by sorting the page's endpoints:
+/// `last_page[a]` holds the number of the last page that counted `a`, so
+/// each endpoint costs one compare and two stores, with no branch. Page
+/// numbers run from 1; when they wrap, the stamps are cleared, so a number
+/// is never mistaken for one from before the wrap.
 pub(crate) struct PageStep {
     pairs: Vec<u64>,
-    endpoints: Vec<u32>,
     page_counts: Vec<u64>,
+    last_page: Vec<u32>,
+    page: u32,
 }
 
 impl PageStep {
@@ -179,8 +188,9 @@ impl PageStep {
     pub(crate) fn new(n_authors: u32) -> Self {
         PageStep {
             pairs: Vec::new(),
-            endpoints: Vec::new(),
             page_counts: vec![0; n_authors as usize],
+            last_page: vec![0; n_authors as usize],
+            page: 0,
         }
     }
 
@@ -193,16 +203,19 @@ impl PageStep {
         kernel: impl FnOnce(PageRow<'_>, &mut Vec<u64>),
     ) -> &[u64] {
         kernel(comments, &mut self.pairs);
-        self.endpoints.clear();
+        self.page = match self.page.checked_add(1) {
+            Some(page) => page,
+            None => {
+                self.last_page.fill(0);
+                1
+            }
+        };
         for &p in &self.pairs {
             let (x, y) = unpack_pair(p);
-            self.endpoints.push(x);
-            self.endpoints.push(y);
-        }
-        self.endpoints.sort_unstable();
-        self.endpoints.dedup();
-        for &a in &self.endpoints {
-            self.page_counts[a as usize] += 1;
+            for a in [x as usize, y as usize] {
+                self.page_counts[a] += u64::from(self.last_page[a] != self.page);
+                self.last_page[a] = self.page;
+            }
         }
         &self.pairs
     }
@@ -481,6 +494,50 @@ mod tests {
             &project_subset(&b, &members, w),
         );
         assert_eq!(project_subset(&b, &[AuthorId(7)], w).n_edges(), 0);
+    }
+
+    /// `P'` counted by stamp equals `P'` counted by sorting each page's
+    /// endpoints, when the page numbers wrap too: the first page is numbered
+    /// 1 as always, then the count jumps to just short of `u32::MAX`, so the
+    /// page after the wrap would read the first page's stamps as its own if
+    /// the wrap did not clear them.
+    #[test]
+    fn page_counts_are_exact_across_the_page_number_wrap() {
+        let b = random_btm(31, 12, 40, 900);
+        let window = Window::new(0, 300);
+        let kernel = |c: PageRow<'_>, pairs: &mut Vec<u64>| page_pairs_flat(c, &window, pairs);
+        let mut want = vec![0u64; 12];
+        let mut pairs = Vec::new();
+        for (_, comments) in b.pages() {
+            kernel(comments, &mut pairs);
+            let mut ends: Vec<u32> = pairs
+                .iter()
+                .flat_map(|&p| <[u32; 2]>::from(unpack_pair(p)))
+                .collect();
+            ends.sort_unstable();
+            ends.dedup();
+            for a in ends {
+                want[a as usize] += 1;
+            }
+        }
+        assert!(want.iter().all(|&n| n > 1), "every author on several pages");
+        for jump_to in [
+            None,
+            Some(u32::MAX - 20),
+            Some(u32::MAX - 1),
+            Some(u32::MAX),
+        ] {
+            let mut step = PageStep::new(12);
+            for (i, (_, comments)) in b.pages().enumerate() {
+                step.page(comments, kernel);
+                if i == 0 {
+                    assert_eq!(step.page, 1);
+                    step.page = jump_to.unwrap_or(step.page);
+                }
+            }
+            assert!(jump_to.is_none() || step.page < 40, "the numbers wrapped");
+            assert_eq!(step.into_page_counts(), want, "jump to {jump_to:?}");
+        }
     }
 
     /// Windows around what a narrow row can span: two comments exactly

@@ -213,6 +213,17 @@ impl StampSet {
         }
     }
 
+    /// Visit every element of `b` (ids `< n_ids`) as `f(slot, index_in_b)`,
+    /// in `b`'s order: `slot` is `1 +` the element's index in the stamped
+    /// row `a`, or `0` if it is not in `a`. No branch on membership, for a
+    /// caller that folds hits and misses alike.
+    #[inline]
+    pub fn probe_slots<T: Copy + Into<u32>, F: FnMut(u32, usize)>(&self, b: &[T], f: &mut F) {
+        for (bi, &x) in b.iter().enumerate() {
+            f(self.slots[x.into() as usize], bi);
+        }
+    }
+
     /// Whether no id is stamped. `O(n_ids)`: for assertions and tests.
     pub fn is_clear(&self) -> bool {
         self.slots.iter().all(|&s| s == 0)
@@ -310,6 +321,19 @@ mod tests {
                 let mut probed = Vec::new();
                 stamps.probe(b, &mut |i, j| probed.push((i, j)));
                 assert_eq!(probed, pairs_linear(a, b), "a={a:?} b={b:?}");
+                // every element of `b` once; the hits are the probe's
+                let mut slots = Vec::new();
+                stamps.probe_slots(b, &mut |slot, j| slots.push((slot, j)));
+                assert_eq!(
+                    slots.iter().map(|&(_, j)| j).collect::<Vec<_>>(),
+                    Vec::from_iter(0..b.len())
+                );
+                let hits: Vec<_> = slots
+                    .iter()
+                    .filter(|&&(slot, _)| slot != 0)
+                    .map(|&(slot, j)| (slot as usize - 1, j))
+                    .collect();
+                assert_eq!(hits, probed, "a={a:?} b={b:?}");
             }
             stamps.unstamp(a);
             assert!(stamps.is_clear(), "a={a:?} left a stamp behind");

@@ -5,13 +5,14 @@
 //! vertex hash; the rank owning wedge apex `u` pushes, for each oriented edge
 //! `(u, v)`, a *wedge check* to the owner of `v`, which probes its local
 //! `out(v)` against the stamped `out(u)` and **folds** every triangle it
-//! closes into its own [`SurveyFold`] — statistics and survivors, never the
+//! closes into its own [`SurveyFold`] — counters and survivors, never the
 //! listing. A single barrier separates the push superstep from reading the
 //! folds.
 //!
 //! It is the resident survey ([`crate::survey::survey`]) run where the data
-//! lives, not a second implementation of it: the same fold, the same
-//! [`close_wedge`] kernel, rows read in place out of each rank's
+//! lives, not a second implementation of it: the same fold and its one
+//! kernel (`SurveyFold::close`: count below the cutoff, list at or above
+//! it), rows read in place out of each rank's
 //! [`LocalCsr`]. Each rank keeps the kernel's stamp scratch (4 B per vertex
 //! id, allocated once in [`DistSurvey::publish`]): an apex's checks arrive
 //! back to back, so its handler stamps `out(u)` when the apex changes and
@@ -32,16 +33,13 @@ use parking_lot::Mutex;
 use ygm::partition::owner_of;
 use ygm::{adaptive_batch_bytes, Packable, PackedAggregator, PackedBatch, RankCtx, World};
 
-use crate::enumerate::{close_wedge, Triangle};
+use crate::enumerate::{Row, Triangle};
 use crate::orient::OrientedGraph;
 use crate::survey::{record_counters, SurveyConfig, SurveyFold, SurveyReport};
 
 /// One wedge check on the wire: close the wedges through oriented edge
 /// `(u, v)` of weight `w_uv` at the owner of `v`. 16 bytes packed.
 type WedgeCheck = (u32, u32, u64);
-
-/// One out-list read in place: targets and weights.
-type Row<'a> = (&'a [u32], &'a [u64]);
 
 /// What one rank publishes before the survey: the rows it owns (vertices
 /// `owner_of` assigns it, out-lists sorted by target id) and its replica of
@@ -154,12 +152,7 @@ impl DistSurvey {
     pub fn take_fold(&self, ctx: &RankCtx) -> SurveyFold {
         let state = std::mem::take(&mut *self.0.states[ctx.rank()].lock());
         debug_assert!(state.stamps.is_clear(), "a handler left a stamp behind");
-        record_counters(
-            state.fold.examined(),
-            state.fold.survivors().len() as u64,
-            state.wedge_checks,
-            state.wedge_list_entries,
-        );
+        record_counters(&state.fold, state.wedge_checks, state.wedge_list_entries);
         state.fold
     }
 }
@@ -212,9 +205,7 @@ pub fn survey_stage(ctx: &RankCtx, survey: &DistSurvey, batch_bytes: Option<usiz
                 };
                 // A `v` without out-edges closes nothing.
                 if let Some(out_v) = mine.csr.out(v) {
-                    close_wedge(stamps, out_u, out_v, &mut |x, w_ux, w_vx| {
-                        fold.observe([u, v, x], [w_uv, w_ux, w_vx], &shared.config, pages)
-                    });
+                    fold.close(stamps, out_u, out_v, [u, v], w_uv, &shared.config, pages);
                 }
             }
             // Batches from different senders interleave here, so every batch
@@ -269,8 +260,15 @@ pub fn survey_on_ranks(
     survey_on_ranks_batched(oriented, config, vertex_pages, nranks, None)
 }
 
+/// One wedge check per batch, as a [`survey_stage`] `batch_bytes`: every
+/// check restamps its apex, apex rows from different senders interleave at
+/// the closing rank, and every batch must start from the all-clear scratch
+/// the last one left.
+#[cfg(test)]
+pub(crate) const ONE_CHECK: Option<usize> = Some(WedgeCheck::WIDTH);
+
 /// [`survey_on_ranks`] with [`survey_stage`]'s `batch_bytes` override.
-fn survey_on_ranks_batched(
+pub(crate) fn survey_on_ranks_batched(
     oriented: &OrientedGraph,
     config: &SurveyConfig,
     vertex_pages: Option<&[u64]>,
@@ -331,64 +329,44 @@ pub fn distributed_survey(
 mod tests {
     use super::*;
     use crate::enumerate::brute_force_triangles;
-    use crate::fixtures::{hub_and_fringe, pages_for, random_graph};
+    use crate::fixtures::{
+        brute_force_fields, fields, hub_and_fringe, level_configs, level_graph, pages_for,
+        random_graph, LEVEL_WEIGHTS,
+    };
     use crate::graph::WeightedGraph;
     use crate::orient::OrientationStrategy;
     use crate::survey::survey;
     use coordination_graph::intersect::STAMP_GALLOP_RATIO;
     use proptest::prelude::*;
 
-    /// One wedge check per batch: every check restamps its apex, apex rows
-    /// from different senders interleave at the closing rank, and every batch
-    /// must start from the all-clear scratch the last one left.
-    const ONE_CHECK: Option<usize> = Some(WedgeCheck::WIDTH);
-
-    fn assert_reports_equal(got: &SurveyReport, want: &SurveyReport, what: &str) {
-        assert_eq!(got.total_examined, want.total_examined, "{what}");
-        assert_eq!(got.max_min_weight, want.max_min_weight, "{what}");
-        assert_eq!(got.min_weight_log_hist, want.min_weight_log_hist, "{what}");
-        assert_eq!(got.len(), want.len(), "{what}");
-        for (x, y) in got.triangles.iter().zip(&want.triangles) {
-            assert_eq!(x.triangle, y.triangle, "{what}");
-            assert_eq!(x.min_weight, y.min_weight, "{what}");
-            assert_eq!(x.t_score.to_bits(), y.t_score.to_bits(), "{what}");
-        }
-    }
-
-    /// The rank-sharded survey equals the resident one field for field, at
-    /// every rank count, batched adaptively and one check per batch, under
-    /// both orientations, for a cutoff, for cutoff 1 (everything survives)
-    /// and for a `T`-score predicate over vertex metadata; and both examine
-    /// exactly the triangles the O(n³) reference finds.
-    fn assert_equals_resident(g: &WeightedGraph, what: &str) {
+    /// The rank-sharded survey equals the resident one field for field, and
+    /// both the fold over the O(n³) reference listing, at every rank count,
+    /// batched adaptively and one check per batch, under both orientations,
+    /// for every `step`-th of the level configs (the cutoffs, each `T` floor
+    /// and `top_k` variant in turn).
+    fn assert_equals_resident(g: &WeightedGraph, step: usize, what: &str) {
         let pages = pages_for(g);
-        let scored = SurveyConfig {
-            min_edge_weight: 2,
-            min_t_score: 0.2,
-            top_k: None,
-        };
-        let cases = [
-            (SurveyConfig::with_min_weight(6), None),
-            (SurveyConfig::with_min_weight(1), None),
-            (scored, Some(&pages[..])),
-        ];
-        let reference = brute_force_triangles(g).len() as u64;
+        let brute = brute_force_triangles(g);
         for strategy in [
             OrientationStrategy::DegreeOrder,
             OrientationStrategy::IdOrder,
         ] {
             let o = OrientedGraph::with_strategy(g, strategy);
-            for (config, vertex_pages) in &cases {
-                let want = survey(&o, config, *vertex_pages);
-                assert_eq!(want.total_examined, reference, "{what}");
+            for (config, with_pages) in level_configs(g).into_iter().step_by(step) {
+                let vertex_pages = with_pages.then_some(&pages[..]);
+                let want = fields(&survey(&o, &config, vertex_pages));
+                let what = format!("{what}, {strategy:?}, {config:?}, P' {with_pages}");
+                assert_eq!(
+                    want,
+                    brute_force_fields(&brute, &config, vertex_pages),
+                    "{what}"
+                );
                 for nranks in [1, 2, 3, 7] {
                     for batch_bytes in [None, ONE_CHECK] {
                         let (got, _) =
-                            survey_on_ranks_batched(&o, config, *vertex_pages, nranks, batch_bytes);
-                        let what = format!(
-                            "{what}, {strategy:?}, {nranks} ranks, batch {batch_bytes:?}, {config:?}"
-                        );
-                        assert_reports_equal(&got, &want, &what);
+                            survey_on_ranks_batched(&o, &config, vertex_pages, nranks, batch_bytes);
+                        let what = format!("{what}, {nranks} ranks, batch {batch_bytes:?}");
+                        assert_eq!(fields(&got), want, "{what}");
                     }
                 }
             }
@@ -398,7 +376,14 @@ mod tests {
     #[test]
     fn rank_sharded_survey_equals_resident_on_random_graphs() {
         for seed in 0..4 {
-            assert_equals_resident(&random_graph(40, 0.25, seed), &format!("seed {seed}"));
+            assert_equals_resident(&random_graph(40, 0.25, seed), 5, &format!("seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn rank_sharded_survey_equals_resident_at_every_level() {
+        for seed in 0..4 {
+            assert_equals_resident(&level_graph(16, 0.5, seed), 5, &format!("levels {seed}"));
         }
     }
 
@@ -415,7 +400,8 @@ mod tests {
                 .any(|&v| nbrs.len() * STAMP_GALLOP_RATIO < o.out(v).0.len())
         });
         assert!(skewed, "the graph must put a wedge on the galloping branch");
-        assert_equals_resident(&g, "hub and fringe");
+        // Every third cutoff: the graph is large for a debug build.
+        assert_equals_resident(&g, 17, "hub and fringe");
     }
 
     /// Publish `o`'s partitions on two ranks as a graph of `n_vertices`
@@ -456,15 +442,36 @@ mod tests {
 
     #[test]
     fn rank_sharded_survey_equals_resident_on_degenerate_graphs() {
-        assert_equals_resident(&WeightedGraph::from_edges(0, std::iter::empty()), "empty");
+        assert_equals_resident(
+            &WeightedGraph::from_edges(0, std::iter::empty()),
+            5,
+            "empty",
+        );
         assert_equals_resident(
             &WeightedGraph::from_edges(6, std::iter::empty()),
+            5,
             "edgeless",
         );
+        // Zero weights: every triangle is examined, in bucket 0, and the
+        // largest `min{w'}` is 0, whatever the cutoff.
+        let zero =
+            WeightedGraph::from_edges(4, (0..4).flat_map(|a| ((a + 1)..4).map(move |b| (a, b, 0))));
+        assert_equals_resident(&zero, 1, "zero weights");
+        for cutoff in [0, 1, 5] {
+            let config = SurveyConfig::with_min_weight(cutoff);
+            let (report, _) = survey_on_ranks(&OrientedGraph::from_graph(&zero), &config, None, 2);
+            let got = (
+                report.total_examined,
+                report.max_min_weight,
+                report.min_weight_log_hist,
+            );
+            assert_eq!(got, (4, 0, vec![4]), "cutoff {cutoff}");
+            assert_eq!(report.triangles.len(), if cutoff == 0 { 4 } else { 0 });
+        }
         // Weights at the top of the range land in the last histogram bucket.
         let max =
             WeightedGraph::from_edges(3, [(0, 1, u64::MAX), (0, 2, u64::MAX), (1, 2, u64::MAX)]);
-        assert_equals_resident(&max, "u64::MAX weights");
+        assert_equals_resident(&max, 5, "u64::MAX weights");
         let (report, _) = survey_on_ranks(
             &OrientedGraph::from_graph(&max),
             &SurveyConfig::default(),
@@ -492,7 +499,7 @@ mod tests {
             part.m_local() > 0 && part.ghosts().len() as u64 == part.m_local()
         });
         assert!(ghost_only.contains(&true));
-        assert_equals_resident(&g, "one triangle across three ranks");
+        assert_equals_resident(&g, 5, "one triangle across three ranks");
     }
 
     #[test]
@@ -542,29 +549,46 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Any edge soup (duplicates, self-loops, isolated vertices), any
-        /// rank count, either orientation, any cutoff, adaptive batches or
-        /// one check per batch: the rank-sharded report is the resident
-        /// report.
+        /// Any edge soup (duplicates, self-loops, isolated vertices) weighted
+        /// at and around the survey's log2 levels, any rank count, either
+        /// orientation, any cutoff, `T` floor 0 or not, `top_k` on or off,
+        /// adaptive batches or one check per batch: the rank-sharded report
+        /// is the resident report, and both are the fold over the reference
+        /// listing.
         #[test]
         fn rank_sharded_survey_equals_resident(
             (n, edges) in (3u32..24).prop_flat_map(|n| {
-                (Just(n), prop::collection::vec((0..n, 0..n, 1u64..12), 0..120))
+                let weight = (0..LEVEL_WEIGHTS.len()).prop_map(|i| LEVEL_WEIGHTS[i]);
+                (Just(n), prop::collection::vec((0..n, 0..n, weight), 0..120))
             }),
             nranks in 1usize..8,
-            cutoff in 1u64..10,
+            // a level weight, or (one in 21) any
+            (level, any) in (0..LEVEL_WEIGHTS.len() + 1, 0u64..u64::MAX),
+            scored in 0usize..2,
+            top_k in 0usize..5,
             by_id in 0usize..2,
             one_check in 0usize..2,
         ) {
-            let g = WeightedGraph::from_edges(n, edges.into_iter().filter(|&(a, b, _)| a != b));
+            // Duplicates keep their first weight: summed, they could overflow.
+            let mut seen = std::collections::HashSet::new();
+            let edges = edges
+                .into_iter()
+                .filter(|&(a, b, _)| a != b && seen.insert((a.min(b), a.max(b))));
+            let g = WeightedGraph::from_edges(n, edges);
             let strategy = [OrientationStrategy::DegreeOrder, OrientationStrategy::IdOrder][by_id];
             let o = OrientedGraph::with_strategy(&g, strategy);
-            let config = SurveyConfig::with_min_weight(cutoff);
+            let config = SurveyConfig {
+                min_edge_weight: LEVEL_WEIGHTS.get(level).copied().unwrap_or(any),
+                min_t_score: [0.0, 0.2][scored],
+                top_k: (top_k > 0).then_some(top_k),
+            };
             let pages = pages_for(&g);
-            let want = survey(&o, &config, Some(&pages));
+            let want = fields(&survey(&o, &config, Some(&pages)));
+            let brute = brute_force_triangles(&g);
+            prop_assert_eq!(&want, &brute_force_fields(&brute, &config, Some(&pages)));
             let batch_bytes = [None, ONE_CHECK][one_check];
             let (got, _) = survey_on_ranks_batched(&o, &config, Some(&pages), nranks, batch_bytes);
-            assert_reports_equal(&got, &want, "proptest");
+            prop_assert_eq!(fields(&got), want);
         }
     }
 }

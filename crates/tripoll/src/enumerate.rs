@@ -3,17 +3,20 @@
 //! With the graph oriented by degree order, every triangle `{a, b, c}` appears
 //! exactly once: at its lowest-order vertex `u` (the wedge *apex*), as an
 //! oriented edge `(u, v)` and a third vertex `x ∈ out(u) ∩ out(v)`. Every `v`
-//! of one apex intersects the *same* `out(u)`, so the enumerator stamps
-//! `out(u)` into a dense per-vertex scratch once
-//! ([`coordination_graph::intersect::StampSet`]) and closes each wedge by
-//! probing `out(v)` against it ([`close_wedge`]): `Σ |out(v)|` loads over all
-//! oriented edges, each followed by one mostly-not-taken branch, and nothing
-//! per element of `out(u)` beyond the stamp itself. When `out(v)` is far
-//! longer than `out(u)` (id-order orientation, hub-and-fringe graphs) the
-//! kernel gallops through it from `out(u)`'s side instead —
-//! `O(|out(u)| · log |out(v)|)`.
+//! of one apex intersects the *same* `out(u)`, so the one apex loop
+//! (`for_each_oriented_edge`) stamps `out(u)` into a dense per-vertex
+//! scratch once ([`coordination_graph::intersect::StampSet`]) and hands each
+//! oriented edge to a kernel that probes `out(v)` against it: `Σ |out(v)|`
+//! loads over all oriented edges, and nothing per element of `out(u)` beyond
+//! the stamp itself. When `out(v)` is far longer than `out(u)` (id-order
+//! orientation, hub-and-fringe graphs) the kernel gallops through it from
+//! `out(u)`'s side instead — `O(|out(u)| · log |out(v)|)`.
 //!
-//! Everything here is one sequential pass in apex order.
+//! The kernel, [`close_wedge`], hands over every triangle through the edge:
+//! [`for_each_triangle`] and [`crate::survey::triangles_above`] list them,
+//! and the survey's `SurveyFold::close` folds them — except on a light edge
+//! below its cutoff, whose hits it only counts. Everything here is one
+//! sequential pass in apex order.
 
 use coordination_graph::intersect::{intersect_indices_gallop, StampSet, STAMP_GALLOP_RATIO};
 
@@ -83,27 +86,43 @@ impl Triangle {
     }
 }
 
-/// Stream every triangle of `oriented` through `f` as the raw wedge that
-/// closed it — vertices `[u, v, x]` (apex, the oriented edge's head, the
-/// common out-neighbour) and weights `[w_uv, w_ux, w_vx]`, the argument
-/// order of [`Triangle::new`] — in apex order, then `out(u)` order of `v`,
-/// then ascending `x`. The one apex loop of the crate: one [`StampSet`] for
-/// the whole pass, stamped and cleared per apex around its [`close_wedge`]s.
-pub(crate) fn for_each_wedge<F>(oriented: &OrientedGraph, mut f: F)
+/// One out-list read in place: targets and weights.
+pub(crate) type Row<'a> = (&'a [u32], &'a [u64]);
+
+/// The one apex loop of the crate: hand `f` every oriented edge `(u, v)` of
+/// `oriented` as `(stamps, out(u), out(v), [u, v], w_uv)` with `out(u)`
+/// stamped, in apex order, then `out(u)` order of `v`. One [`StampSet`] for
+/// the whole pass, stamped and cleared per apex. The survey closes each edge
+/// with `SurveyFold::close`, the listing helpers with [`close_wedge`].
+pub(crate) fn for_each_oriented_edge<F>(oriented: &OrientedGraph, mut f: F)
 where
-    F: FnMut([u32; 3], [u64; 3]),
+    F: FnMut(&StampSet, Row<'_>, Row<'_>, [u32; 2], u64),
 {
     let mut stamps = StampSet::new(oriented.n() as usize);
     for u in 0..oriented.n() {
         let out_u = oriented.out(u);
         stamps.stamp(out_u.0);
         for (&v, &w_uv) in out_u.0.iter().zip(out_u.1) {
-            close_wedge(&stamps, out_u, oriented.out(v), &mut |x, w_ux, w_vx| {
-                f([u, v, x], [w_uv, w_ux, w_vx])
-            });
+            f(&stamps, out_u, oriented.out(v), [u, v], w_uv);
         }
         stamps.unstamp(out_u.0);
     }
+}
+
+/// Stream every triangle of `oriented` through `f` as the raw wedge that
+/// closed it — vertices `[u, v, x]` (apex, the oriented edge's head, the
+/// common out-neighbour) and weights `[w_uv, w_ux, w_vx]`, the argument
+/// order of [`Triangle::new`] — in apex order, then `out(u)` order of `v`,
+/// then ascending `x`.
+fn for_each_wedge<F>(oriented: &OrientedGraph, mut f: F)
+where
+    F: FnMut([u32; 3], [u64; 3]),
+{
+    for_each_oriented_edge(oriented, |stamps, out_u, out_v, [u, v], w_uv| {
+        close_wedge(stamps, out_u, out_v, &mut |x, w_ux, w_vx| {
+            f([u, v, x], [w_uv, w_ux, w_vx])
+        });
+    });
 }
 
 /// Stream every triangle of `oriented` through `f`, canonicalised.
@@ -119,10 +138,10 @@ where
 /// Close the wedges through one oriented edge `(u, v)`: every
 /// `x ∈ out(u) ∩ out(v)` is the triangle `u–v–x`, handed to `f` as
 /// `(x, w_ux, w_vx)` in ascending `x`. `stamps` must hold `out(u)` stamped
-/// (and nothing else). The one wedge-closing kernel of the crate — the
-/// resident apex loop (`for_each_wedge`) calls it for each edge of
-/// `out(u)`, the rank-sharded survey ([`crate::distributed`]) calls it on
-/// `owner_of(v)` for each wedge check it receives.
+/// (and nothing else). The one wedge-closing kernel of the crate:
+/// [`for_each_triangle`] and [`crate::survey::triangles_above`] close every
+/// wedge with it, and the survey's `SurveyFold::close` (in both engines)
+/// every wedge but those of a light edge below the cutoff.
 ///
 /// Two arms, chosen by the measured [`STAMP_GALLOP_RATIO`]: probe the whole
 /// of `out(v)` against the stamps — the third vertex can sit anywhere in
@@ -185,7 +204,9 @@ pub(crate) fn brute_force_triangles(g: &crate::graph::WeightedGraph) -> Vec<Tria
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::level_configs;
     use crate::graph::WeightedGraph;
+    use crate::survey::SurveyConfig;
     use std::collections::HashSet;
 
     fn triangles_of(g: &WeightedGraph) -> Vec<Triangle> {
@@ -250,34 +271,32 @@ mod tests {
 
     /// The stamped kernel against its two references, under both
     /// orientations: per oriented edge `(u, v)` the visit sequence of
-    /// [`close_wedge`] is `intersect_indices_linear`'s, and `survey()` is a
-    /// fold over `brute_force_triangles`, field for field.
-    fn assert_kernel_matches_references(g: &WeightedGraph, what: &str) {
+    /// [`close_wedge`] is `intersect_indices_linear`'s, and the survey's
+    /// kernel is a fold over `brute_force_triangles`, field for
+    /// field, `T` bits included — resident, and rank-sharded at 1, 2 and 3
+    /// ranks and one check per batch — for each `configs` entry (a config,
+    /// and whether it reads [`crate::fixtures::pages_for`] as `P'`).
+    fn assert_kernel_matches_references(
+        g: &WeightedGraph,
+        configs: impl IntoIterator<Item = (SurveyConfig, bool)>,
+        what: &str,
+    ) {
+        use crate::distributed::{survey_on_ranks_batched, ONE_CHECK};
+        use crate::fixtures::{brute_force_fields, fields, pages_for};
         use crate::orient::OrientationStrategy;
-        use crate::survey::{survey, t_score, SurveyConfig};
+        use crate::survey::survey;
         use coordination_graph::intersect_indices_linear;
 
+        let pages = pages_for(g);
         let brute = brute_force_triangles(g);
-        let pages = crate::fixtures::pages_for(g);
-        let config = SurveyConfig {
-            min_edge_weight: 4,
-            min_t_score: 0.15,
-            top_k: None,
-        };
-        let mut hist = Vec::new();
-        let mut kept = Vec::new();
-        for t in &brute {
-            let mw = t.min_weight();
-            let bucket = mw.max(1).ilog2() as usize;
-            hist.resize(hist.len().max(bucket + 1), 0u64);
-            hist[bucket] += 1;
-            let [a, b, c] = t.vertices().map(|v| pages[v as usize]);
-            let ts = t_score(mw, a, b, c);
-            if mw >= config.min_edge_weight && ts >= config.min_t_score {
-                kept.push((*t, mw, ts.to_bits()));
-            }
-        }
-
+        let expected: Vec<_> = configs
+            .into_iter()
+            .map(|(config, with_pages)| {
+                let vertex_pages = with_pages.then_some(&pages[..]);
+                let want = brute_force_fields(&brute, &config, vertex_pages);
+                (config, vertex_pages, want)
+            })
+            .collect();
         for strategy in [
             OrientationStrategy::DegreeOrder,
             OrientationStrategy::IdOrder,
@@ -304,20 +323,19 @@ mod tests {
             }
             assert!(stamps.is_clear(), "{what}");
 
-            let report = survey(&o, &config, Some(&pages));
-            assert_eq!(report.total_examined, brute.len() as u64, "{what}");
-            assert_eq!(
-                report.max_min_weight,
-                brute.iter().map(Triangle::min_weight).max().unwrap_or(0),
-                "{what}"
-            );
-            assert_eq!(report.min_weight_log_hist, hist, "{what}");
-            let survivors: Vec<_> = report
-                .triangles
-                .iter()
-                .map(|s| (s.triangle, s.min_weight, s.t_score.to_bits()))
-                .collect();
-            assert_eq!(survivors, kept, "{what}");
+            for (config, vertex_pages, want) in &expected {
+                let what = format!("{what}, {config:?}, P' {}", vertex_pages.is_some());
+                assert_eq!(fields(&survey(&o, config, *vertex_pages)), *want, "{what}");
+                for (nranks, batch) in [(1, None), (2, None), (3, None), (2, ONE_CHECK)] {
+                    let (got, _) =
+                        survey_on_ranks_batched(&o, config, *vertex_pages, nranks, batch);
+                    assert_eq!(
+                        fields(&got),
+                        *want,
+                        "{what}, {nranks} ranks, batch {batch:?}"
+                    );
+                }
+            }
         }
     }
 
@@ -340,7 +358,30 @@ mod tests {
             let fast: HashSet<Triangle> = triangles_of(&g).into_iter().collect();
             let brute: HashSet<Triangle> = brute_force_triangles(&g).into_iter().collect();
             assert_eq!(fast, brute, "mismatch on trial {trial} (n={n}, p={p})");
-            assert_kernel_matches_references(&g, &format!("trial {trial} (n={n}, p={p})"));
+            // Every cutoff, a `T` floor and `top_k` variant each (5 is
+            // coprime to the 6 variants per cutoff).
+            let configs = level_configs(&g).into_iter().step_by(5);
+            let what = format!("trial {trial} (n={n}, p={p})");
+            assert_kernel_matches_references(&g, configs, &what);
+        }
+    }
+
+    #[test]
+    fn matches_brute_force_at_every_level_and_cutoff() {
+        use crate::fixtures::{level_graph, LEVEL_WEIGHTS};
+        for seed in 0..6 {
+            let g = level_graph(16, 0.5, seed);
+            assert_kernel_matches_references(&g, level_configs(&g), &format!("levels {seed}"));
+        }
+        // Every edge of one weight: 0 (triangles examined in bucket 0, the
+        // largest `min{w'}` 0), 1, and the top of the range.
+        let k5 = |w: u64| {
+            let edges = (0..5u32).flat_map(|i| ((i + 1)..5).map(move |j| (i, j, w)));
+            WeightedGraph::from_edges(5, edges)
+        };
+        for w in LEVEL_WEIGHTS {
+            let g = k5(w);
+            assert_kernel_matches_references(&g, level_configs(&g), &format!("K5 of {w}"));
         }
     }
 
@@ -371,7 +412,10 @@ mod tests {
             assert!((0..o.n() - 1).any(|u| o.out(u).0.last() == Some(&(o.n() - 1))));
             assert!((0..o.n()).any(|u| o.out(u).0.len() == 1));
         }
-        assert_kernel_matches_references(&g, "hub and fringe");
+        // Every other cutoff, the `T` floor and `top_k` variants in turn: the
+        // graph is large for a debug build.
+        let configs = level_configs(&g).into_iter().step_by(7);
+        assert_kernel_matches_references(&g, configs, "hub and fringe");
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! shared orientation, and the rank-sharded [`distributed`] driver over the
 //! [`ygm`] runtime, which preserves the push-style communication structure of
 //! real TriPoll. Both close wedges with the same kernel
-//! ([`enumerate::close_wedge`]) and fold triangles into the same
-//! [`survey::SurveyFold`].
+//! (`survey::SurveyFold::close`), which counts the triangles below the
+//! weight cutoff and lists the rest into the same [`survey::SurveyFold`].
 //!
 //! ## Example
 //!

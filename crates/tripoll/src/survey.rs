@@ -10,13 +10,19 @@
 //!   ≥ τ`, which needs per-vertex metadata (`P'` page counts) supplied
 //!   alongside the graph.
 //!
-//! The statistics cover *every* triangle, so the fold ([`SurveyFold`]) is
-//! handed each one as the raw wedge that closed it and pays a `min`, a
-//! compare and a histogram bump for it; the vertex sort and weight
-//! permutation of [`Triangle::new`] are spent on survivors of the weight
-//! cutoff only. [`survey`] is one sequential pass in apex order.
+//! The statistics cover *every* triangle, but step 2 keeps only those that
+//! pass the weight cutoff, so the one kernel (`SurveyFold::close`) lists
+//! only those: a triangle at or above the cutoff is canonicalised by
+//! [`Triangle::new`], scored and kept if it passes the `T` floor; one below
+//! it only moves the examined count, the running max and the log2
+//! histogram. Every triangle through an edge below the cutoff of weight
+//! ≤ 1 lands in bucket 0, so once the max has reached that weight the
+//! kernel just counts the edge's hits.
+//! [`survey`] is one sequential pass in apex order.
 
-use crate::enumerate::{for_each_triangle, for_each_wedge, Triangle};
+use coordination_graph::intersect::{StampSet, STAMP_GALLOP_RATIO};
+
+use crate::enumerate::{close_wedge, for_each_oriented_edge, for_each_triangle, Row, Triangle};
 use crate::orient::OrientedGraph;
 
 /// Survey thresholds and options.
@@ -112,31 +118,83 @@ pub fn t_score(min_weight: u64, px: u64, py: u64, pz: u64) -> f64 {
 /// Bytes one `out(u)` entry (`u32` target + `u64` weight) takes on the wire.
 const WEDGE_ENTRY_BYTES: u64 = 12;
 
-/// The survey fold: what a survey keeps of the triangles that stream past it
-/// — the examined count, the largest `min{w'}`, the log2 histogram and the
+/// The survey fold: what a survey keeps of the triangles its wedges close —
+/// the examined count, the largest `min{w'}`, the log2 histogram and the
 /// survivors of the predicates. Never the listing.
 ///
-/// Both engines fold into this one type where the wedge closes: the resident
-/// [`survey`] in its one apex loop, the rank-sharded
+/// Both engines fold into this one type with one kernel, `close`: the
+/// resident [`survey`] in its one apex loop, the rank-sharded
 /// [`crate::distributed::DistSurvey`] on the rank that receives the wedge
-/// check. Folds merge associatively.
+/// check. A triangle below the weight cutoff is only *counted*; one at or
+/// above it is *listed*: canonicalised, scored, and kept if it passes the
+/// `T` floor. Folds merge associatively.
 #[derive(Clone, Debug, Default)]
 pub struct SurveyFold {
     kept: Vec<SurveyedTriangle>,
     examined: u64,
+    /// Triangles at or above the weight cutoff, kept or not.
+    listed: u64,
     max_min: u64,
     /// log2 buckets of `min{w'}`, grown on write: the last one is never 0.
     hist: Vec<u64>,
 }
 
 impl SurveyFold {
+    /// Close the wedges through one oriented edge `(u, v)` of weight `w_uv`
+    /// and fold every triangle `u–v–x`, `x ∈ out(u) ∩ out(v)`, past the
+    /// predicates of `config`. `stamps` must hold `out(u)` stamped (and
+    /// nothing else); `vertex_pages` is the `P'` metadata of [`survey`].
+    ///
+    /// An edge below the cutoff of weight ≤ 1, once the largest `min{w'}`
+    /// has reached its weight, closes only triangles with `min{w'} ≤ 1`:
+    /// below the cutoff, in bucket 0, and no new max. It probes the whole of
+    /// `out(v)` against the stamps and adds up the hits, with no branch on
+    /// them. Every other edge closes its wedges with [`close_wedge`] (which
+    /// gallops when `out(v)` is [`STAMP_GALLOP_RATIO`] times longer than
+    /// `out(u)`) and folds each triangle one at a time.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn close(
+        &mut self,
+        stamps: &StampSet,
+        out_u: Row<'_>,
+        out_v: Row<'_>,
+        [u, v]: [u32; 2],
+        w_uv: u64,
+        config: &SurveyConfig,
+        vertex_pages: Option<&[u64]>,
+    ) {
+        let (u_nbrs, v_nbrs) = (out_u.0, out_v.0);
+        if w_uv < config.min_edge_weight
+            && w_uv <= self.max_min.min(1)
+            && u_nbrs.len() * STAMP_GALLOP_RATIO >= v_nbrs.len()
+        {
+            let mut hits = 0;
+            stamps.probe_slots(v_nbrs, &mut |slot, bi| {
+                debug_assert!(
+                    slot == 0 || (v_nbrs[bi] != u && v_nbrs[bi] != v),
+                    "triangle vertices must be distinct"
+                );
+                hits += u64::from(slot != 0);
+            });
+            if hits > 0 {
+                self.examined += hits;
+                self.bump(0, hits);
+            }
+            return;
+        }
+        close_wedge(stamps, out_u, out_v, &mut |x, w_ux, w_vx| {
+            self.observe([u, v, x], [w_uv, w_ux, w_vx], config, vertex_pages)
+        });
+    }
+
     /// Stream one triangle past the predicates of `config`, as the raw wedge
     /// that closed it: three distinct vertices in any order and the weights
-    /// of edges `(u, v)`, `(u, x)`, `(v, x)`. `vertex_pages` is the `P'`
-    /// metadata of [`survey`]. Every triangle is counted; only one that
-    /// passes `min_edge_weight` is canonicalised into a [`Triangle`].
+    /// of edges `(u, v)`, `(u, x)`, `(v, x)`. Every triangle is counted;
+    /// only one that passes `min_edge_weight` is canonicalised into a
+    /// [`Triangle`].
     #[inline]
-    pub(crate) fn observe(
+    fn observe(
         &mut self,
         [u, v, x]: [u32; 3],
         [w_uv, w_ux, w_vx]: [u64; 3],
@@ -150,14 +208,11 @@ impl SurveyFold {
         let mw = w_uv.min(w_ux).min(w_vx);
         self.examined += 1;
         self.max_min = self.max_min.max(mw);
-        let bucket = 63 - mw.max(1).leading_zeros() as usize;
-        if self.hist.len() <= bucket {
-            self.hist.resize(bucket + 1, 0);
-        }
-        self.hist[bucket] += 1;
+        self.bump(63 - mw.max(1).leading_zeros() as usize, 1);
         if mw < config.min_edge_weight {
             return;
         }
+        self.listed += 1;
         let t = Triangle::new(u, v, x, w_uv, w_ux, w_vx);
         let ts = match vertex_pages {
             Some(vp) => t_score(mw, vp[t.a as usize], vp[t.b as usize], vp[t.c as usize]),
@@ -173,6 +228,15 @@ impl SurveyFold {
         });
     }
 
+    /// Add `n` triangles to log2 bucket `bucket`.
+    #[inline]
+    fn bump(&mut self, bucket: usize, n: u64) {
+        if self.hist.len() <= bucket {
+            self.hist.resize(bucket + 1, 0);
+        }
+        self.hist[bucket] += n;
+    }
+
     /// Fold `other` into `self`.
     pub fn merge(&mut self, mut other: SurveyFold) {
         if self.kept.len() < other.kept.len() {
@@ -180,6 +244,7 @@ impl SurveyFold {
         }
         self.kept.append(&mut other.kept);
         self.examined += other.examined;
+        self.listed += other.listed;
         self.max_min = self.max_min.max(other.max_min);
         if self.hist.len() < other.hist.len() {
             std::mem::swap(&mut self.hist, &mut other.hist);
@@ -192,6 +257,12 @@ impl SurveyFold {
     /// Triangles streamed past the fold.
     pub fn examined(&self) -> u64 {
         self.examined
+    }
+
+    /// Triangles counted without being canonicalised: those below the
+    /// weight cutoff.
+    pub(crate) fn counted(&self) -> u64 {
+        self.examined - self.listed
     }
 
     /// Largest `min{w'}` seen.
@@ -240,18 +311,16 @@ impl SurveyFold {
 }
 
 /// The survey's [`obs`] counters, defined once for both engines:
-/// `survey.triangles_examined` / `survey.triangles_kept`, the wedge checks
-/// made (one per oriented edge) and `survey.wedge_list_bytes` — the bytes of
-/// `out(u)` lists a network transport would ship, 12 B per entry once per
-/// distinct `(u, owner_of(v))`; `wedge_list_entries` is that entry count.
-pub(crate) fn record_counters(
-    examined: u64,
-    kept: u64,
-    wedge_checks: u64,
-    wedge_list_entries: u64,
-) {
-    obs::counter("survey.triangles_examined").add(examined);
-    obs::counter("survey.triangles_kept").add(kept);
+/// `survey.triangles_examined` / `survey.triangles_kept`,
+/// `survey.triangles_counted` (below the cutoff, never canonicalised), the
+/// wedge checks made (one per oriented edge) and
+/// `survey.wedge_list_bytes` — the bytes of `out(u)` lists a network
+/// transport would ship, 12 B per entry once per distinct
+/// `(u, owner_of(v))`; `wedge_list_entries` is that entry count.
+pub(crate) fn record_counters(fold: &SurveyFold, wedge_checks: u64, wedge_list_entries: u64) {
+    obs::counter("survey.triangles_examined").add(fold.examined());
+    obs::counter("survey.triangles_kept").add(fold.survivors().len() as u64);
+    obs::counter("survey.triangles_counted").add(fold.counted());
     obs::counter("survey.wedge_checks").add(wedge_checks);
     obs::counter("survey.wedge_list_bytes").add(WEDGE_ENTRY_BYTES * wedge_list_entries);
 }
@@ -280,18 +349,13 @@ pub fn survey(
     }
 
     let mut fold = SurveyFold::default();
-    for_each_wedge(oriented, |vertices, weights| {
-        fold.observe(vertices, weights, config, vertex_pages)
+    for_each_oriented_edge(oriented, |stamps, out_u, out_v, uv, w_uv| {
+        fold.close(stamps, out_u, out_v, uv, w_uv, config, vertex_pages)
     });
 
     // One rank owns every vertex here, so each out-list would travel once.
     // The kept count is the predicates' survivors, before any `top_k`.
-    record_counters(
-        fold.examined(),
-        fold.survivors().len() as u64,
-        oriented.m(),
-        oriented.m(),
-    );
+    record_counters(&fold, oriented.m(), oriented.m());
     let report = fold.into_report(config.top_k);
     obs::record_stage_rss("survey");
     report
@@ -453,6 +517,12 @@ mod tests {
             [9, 5, 2],
         ];
         let (mut kept, mut dropped) = (SurveyFold::default(), SurveyFold::default());
+        // listed, then dropped by the `T` floor: not counted
+        let mut floored = SurveyFold::default();
+        let floor_all = SurveyConfig {
+            min_t_score: 1.0,
+            ..keep_all.clone()
+        };
         for [u, v, x] in orders {
             let weights = [w(u, v), w(u, x), w(v, x)];
             // what canonicalising first, then reading the triangle, gives
@@ -466,9 +536,14 @@ mod tests {
             kept.observe([u, v, x], weights, &keep_all, Some(&pages));
             assert_eq!(kept.survivors().last(), Some(&want), "order {u} {v} {x}");
             dropped.observe([u, v, x], weights, &SurveyConfig::with_min_weight(4), None);
+            floored.observe([u, v, x], weights, &floor_all, Some(&pages));
         }
+        assert_eq!(kept.counted(), 0);
+        assert_eq!((floored.examined(), floored.counted()), (6, 0));
+        assert!(floored.survivors().is_empty());
         // Below the cutoff a triangle is counted, never canonicalised or kept.
         assert_eq!(dropped.examined(), 6);
+        assert_eq!(dropped.counted(), 6);
         assert_eq!(dropped.max_min_weight(), 3);
         assert_eq!(dropped.log_hist(), [0, 6]);
         assert!(dropped.survivors().is_empty());
@@ -480,6 +555,70 @@ mod tests {
     fn observe_rejects_a_degenerate_wedge_it_would_only_count() {
         let below_cutoff = SurveyConfig::with_min_weight(10);
         SurveyFold::default().observe([1, 2, 1], [1, 1, 1], &below_cutoff, None);
+    }
+
+    /// Close the one wedge `u–v–x` as the kernel sees it: `out(u) = {v, x}`
+    /// stamped (one entry if `x = v`), `out(v) = {x}`, each sorted by id.
+    fn close_one(
+        fold: &mut SurveyFold,
+        [u, v, x]: [u32; 3],
+        [w_uv, w_ux, w_vx]: [u64; 3],
+        config: &SurveyConfig,
+    ) {
+        let mut out_u = vec![(v, w_uv), (x, w_ux)];
+        out_u.sort_unstable();
+        out_u.dedup_by_key(|&mut (y, _)| y);
+        let (u_nbrs, u_ws): (Vec<u32>, Vec<u64>) = out_u.into_iter().unzip();
+        let mut stamps = StampSet::new(16);
+        stamps.stamp(&u_nbrs);
+        let out_v = (&[x][..], &[w_vx][..]);
+        fold.close(&stamps, (&u_nbrs, &u_ws), out_v, [u, v], w_uv, config, None);
+    }
+
+    #[test]
+    fn close_counts_the_wedges_of_a_light_edge_below_the_cutoff() {
+        let below_cutoff = SurveyConfig::with_min_weight(10);
+        let mut fold = SurveyFold::default();
+        // The first wedge of weight 1 raises the max to 1, so the rest take
+        // the arm that only counts hits.
+        for x in [3, 4, 5] {
+            close_one(&mut fold, [1, 2, x], [1, 6, 7], &below_cutoff);
+        }
+        close_one(&mut fold, [1, 2, 3], [0, 6, 7], &below_cutoff);
+        assert_eq!(fold.examined(), 4);
+        assert_eq!(fold.counted(), 4);
+        assert_eq!(fold.max_min_weight(), 1);
+        assert_eq!(fold.log_hist(), [4]);
+        assert!(fold.survivors().is_empty());
+    }
+
+    /// Close `wedge` below the cutoff and expect the debug check's panic: a
+    /// wedge of weight 0 takes the arm that only counts hits, one of weight
+    /// 3 the arm that observes each triangle.
+    #[cfg(debug_assertions)]
+    fn assert_close_rejects(wedge: [u32; 3], weights: [u64; 3]) {
+        let below_cutoff = SurveyConfig::with_min_weight(10);
+        let closed = std::panic::catch_unwind(|| {
+            close_one(&mut SurveyFold::default(), wedge, weights, &below_cutoff)
+        });
+        let err = closed.expect_err("a degenerate wedge must not be counted");
+        let msg = err
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| err.downcast_ref::<String>().map(String::as_str));
+        assert!(
+            msg.is_some_and(|m| m.contains("distinct")),
+            "{wedge:?} {weights:?}: {msg:?}"
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn close_rejects_a_degenerate_wedge_on_either_arm() {
+        for wedge in [[1, 2, 1], [1, 2, 2]] {
+            assert_close_rejects(wedge, [0; 3]);
+            assert_close_rejects(wedge, [3; 3]);
+        }
     }
 
     #[test]

@@ -51,6 +51,7 @@ const BATCH_COUNTERS: &[&str] = &[
     "project.edges",
     "survey.triangles_examined",
     "survey.triangles_kept",
+    "survey.triangles_counted",
     "validate.triplets",
     "validate.harvest_authors",
     "validate.harvest_incidences",
