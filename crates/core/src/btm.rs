@@ -23,10 +23,12 @@
 //! ([`crate::ingest::ingest_rows`]) stages each kept comment in 12 B as it
 //! interns (`StagedRows`), and the same passes then run over the staged
 //! chunks — each dropped once scattered — so a month read off NDJSON never
-//! exists as a 16 B event column. A rank of the sharded pipeline builds
-//! exactly these rows out of the events it receives, and a COORSNAP file
-//! stores them word for word, so a [`Btm`] read off a snapshot borrows its
-//! narrow rows from the mapping (`Btm::from_stored`).
+//! exists as a 16 B event column. A COORSNAP file stores the rows word for
+//! word, so a [`Btm`] read off a snapshot borrows its narrow rows from the
+//! mapping (`Btm::from_stored`). The sharded pipeline reads a [`Btm`] in
+//! blocks, one per rank (`Btm::block`: whole pages but for the two a block
+//! edge splits, read in place from owned or mapped rows), and each rank
+//! builds exactly these rows again out of the events it receives.
 //!
 //! The author side — each author's deduplicated page list, the hypergraph
 //! side: `p_x` of Eq. 3 and the inputs to `w_xyz` of Eq. 2 — is not stored.
@@ -789,6 +791,26 @@ impl Btm {
         self.rows.pages()
     }
 
+    /// Rank `rank`'s block of the comments when `nranks` ranks split them
+    /// ([`ygm::block_range`] over the flat rows): whole pages, but for the two
+    /// a block edge splits, as events page by page in row order, read in
+    /// place from owned or mapped rows of either layout. The page holding the
+    /// block's first comment is found in the offsets, so nothing before the
+    /// block is read. The blocks of one rank count tile the comments in order.
+    pub(crate) fn block(&self, rank: usize, nranks: usize) -> impl Iterator<Item = Event> + '_ {
+        let rows = &self.rows;
+        let block = ygm::block_range(rank, rows.n_comments() as usize, nranks);
+        let (lo, hi) = (block.start, block.end);
+        let first = rows.off.partition_point(|&o| o <= lo) - 1;
+        (first..rows.n_pages() as usize)
+            .take_while(move |&p| rows.off[p] < hi)
+            .flat_map(move |p| {
+                let row = rows.slice(rows.off[p].max(lo), rows.off[p + 1].min(hi));
+                let page = PageId(p as u32);
+                row.iter().map(move |(ts, a)| Event::new(a, page, ts))
+            })
+    }
+
     /// The largest page neighborhood (comment count) — the projection's
     /// worst-case page.
     pub fn max_page_degree(&self) -> usize {
@@ -1405,6 +1427,51 @@ mod tests {
             Btm::from_staged(3, 4, staged),
             Btm::from_events(3, 4, &events)
         );
+    }
+
+    /// The blocks of any rank count tile the rows: every comment once, page
+    /// by page in row order, each block its `block_range`'s length — for
+    /// built narrow and wide rows, and for narrow rows borrowed from a
+    /// snapshot.
+    #[test]
+    fn blocks_tile_the_rows_at_any_rank_count() {
+        use coordination_store::{Snapshot, SnapshotWriter};
+        let month: Vec<Event> = (0..997u32)
+            .map(|i| ev(i % 37, i % 11 + i % 2 * 3, i64::from(i / 3)))
+            .collect();
+        let names: Vec<String> = (0..37).map(|i| format!("n{i}")).collect();
+        let mut w = SnapshotWriter::new();
+        w.authors(names.iter().map(String::as_str)).unwrap();
+        w.pages(names[..15].iter().map(String::as_str)).unwrap();
+        let stored: Vec<_> = month.iter().map(|e| (e.author.0, e.page.0, e.ts)).collect();
+        w.events(&stored).unwrap();
+        let snap = Snapshot::from_bytes(w.to_bytes().unwrap()).unwrap();
+        let mapped = crate::snapshot::btm_from_snapshot(&snap, &[]);
+        let (rows, built) = (&mapped.rows.comments, Btm::from_events(37, 15, &month));
+        assert!(matches!(
+            rows,
+            Comments::Narrow {
+                rows: NarrowRows::Mapped(_),
+                ..
+            }
+        ));
+        assert!(narrow(&built) && mapped == built);
+        let wide = Btm::from_events(8, 6, &messy());
+        for btm in [&built, &wide, &mapped, &Btm::from_events(3, 3, &[])] {
+            let all: Vec<Event> = btm
+                .pages()
+                .flat_map(|(p, row)| row.iter().map(move |(ts, a)| Event::new(a, p, ts)))
+                .collect();
+            for nranks in [1, 2, 3, 7, 1000] {
+                let blocks: Vec<Vec<Event>> = (0..nranks)
+                    .map(|r| btm.block(r, nranks).collect())
+                    .collect();
+                for (r, block) in blocks.iter().enumerate() {
+                    assert_eq!(block.len(), ygm::block_range(r, all.len(), nranks).len());
+                }
+                assert_eq!(blocks.concat(), all, "{nranks} ranks");
+            }
+        }
     }
 
     /// A second pass with one more comment on the last page runs its row past

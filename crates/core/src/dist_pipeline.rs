@@ -7,23 +7,30 @@
 //! owner-partitioned and every hand-off an explicit shuffle. One rank
 //! without a shuffle budget would own every page, edge and vertex, so each
 //! of its shuffles would only send the rank its own messages: that run is
-//! the resident run. The door hands the source to [`Btm::build`], which
-//! pulls it twice — it counts on the first pull and scatters on the second,
-//! so the events are never copied — and calls [`Pipeline::run_btm`]; no rank
-//! is spawned. Every other run — two or more ranks, or any budget — is the
-//! rank program:
+//! the resident run, [`Pipeline::run_btm`], and no rank is spawned. Every
+//! other run — two or more ranks, or any budget — is the rank program:
 //!
-//! 1. **Ingest** — there is one way in: the author id-space size, an
-//!    exclusion list the caller resolved, and one `EventSource` that every
-//!    rank calls as `source(rank, nranks)` to pull its share of the input
-//!    ([`DistPipeline::run_events`]). A [`Dataset`] and a snapshot are two
-//!    five-line sources over that door — a block of the borrowed event list,
-//!    a slice of the one mmapped file all ranks share — and resolve their
-//!    exclusions by name exactly as [`Pipeline`] does.
-//!    Events flow straight from the source, through the author range check
-//!    and the exclusion mask ([`Btm::build`]'s own), into stage 2, so ingest
-//!    and exchange overlap. No rank materializes its share of the *input* as
-//!    an owned `Vec<Event>`.
+//! 1. **Ingest** — each rank calls one `EventSource` as `source(rank,
+//!    nranks)` and pulls its share of the input. There are two such sources,
+//!    and neither knows about exclusions:
+//!    * [`DistPipeline::run_btm`] takes a [`Btm`], whose exclusions were
+//!      applied when it was built, and rank r reads its
+//!      [`ygm::block_range`] of the BTM's comments in place: whole pages but
+//!      for the two a block edge splits, from owned or mapped rows of either
+//!      layout. [`DistPipeline::run_dataset`] and
+//!      [`DistPipeline::run_snapshot`] resolve exclusions by name, exactly
+//!      as their [`Pipeline`] twins do, and call it; so does the CLI, over
+//!      the BTM its ingest reads `--input` straight into.
+//!    * [`DistPipeline::run_events`] takes the author id-space size and a
+//!      caller's source of events that carry dense ids and no names, so its
+//!      callers exclude upstream. At one rank without a budget it builds the
+//!      BTM with [`Btm::build`], which pulls the source twice (it counts on
+//!      the first pull and scatters on the second, so the events are never
+//!      copied), and runs [`Pipeline::run_btm`] on it.
+//!
+//!    Events flow straight from the source, through the author range check,
+//!    into stage 2, so ingest and exchange overlap. No rank materializes its
+//!    share of the *input* as an owned `Vec<Event>`.
 //! 2. **Exchange** — each kept event belongs to its *page* owner and is
 //!    shuffled *once*, through a packed byte-buffer aggregator
 //!    ([`ygm::PackedAggregator`], adaptive bytes-per-batch thresholds):
@@ -123,9 +130,9 @@ use tripoll::survey::{SurveyReport, SurveyedTriangle};
 use tripoll::{survey_stage, DistSurvey};
 use ygm::container::DistBag;
 use ygm::reduce::{all_gather_concat, all_reduce_hist};
-use ygm::{block_range, owner_of, DistRuns, PackedAggregator, PackedBatch, RankCtx, RunSet, World};
+use ygm::{owner_of, DistRuns, PackedAggregator, PackedBatch, RankCtx, RunSet, World};
 
-use crate::btm::{author_mask, is_kept, AuthorPages, Btm, HarvestScan, PageRow, PageRows, WideRow};
+use crate::btm::{AuthorPages, Btm, HarvestScan, PageRow, PageRows, WideRow};
 use crate::cigraph::CiGraph;
 use crate::hypergraph::{record_runs, validate_triangles};
 use crate::ids::{AuthorId, Event, PageId};
@@ -133,6 +140,7 @@ use crate::metrics::TripletMetrics;
 use crate::pipeline::{Pipeline, PipelineConfig, PipelineOutput, RunStats, StageTimings};
 use crate::project::{pack_pair, page_pairs_flat, run_length_pairs, PageStep};
 use crate::records::Dataset;
+use crate::snapshot::btm_from_snapshot;
 
 /// `log2`-bucket histograms pad to the full `u64` range so
 /// [`all_reduce_hist`] sees equal lengths on every rank; trailing zeros are
@@ -266,7 +274,7 @@ impl PageInbox {
 }
 
 /// A rank's kept `(page, ts, author)` events as flat page rows, by the
-/// builder [`Btm`] builds its page side with. `run_events` is told only
+/// builder [`Btm`] builds its page side with. The rank program is told only
 /// `n_authors`, so the page table is sized by the events' largest page id
 /// as they are counted.
 ///
@@ -435,32 +443,35 @@ impl DistPipeline {
         self
     }
 
-    /// Pipeline over an already-interned dataset: each rank takes its block
-    /// of the event list ([`ygm::block_range`]); exclusions resolve by name,
-    /// as in [`Pipeline::run_dataset`].
+    /// Pipeline over an already-interned dataset: exclusions resolve by name
+    /// and its BTM is built without them, as in [`Pipeline::run_dataset`],
+    /// then [`DistPipeline::run_btm`].
     pub fn run_dataset(&self, ds: &Dataset) -> PipelineOutput {
-        let excluded = self.config.exclusions.resolve(ds);
-        let source = event_source(|rank, nranks| {
-            let block = block_range(rank, ds.events.len(), nranks);
-            Box::new(ds.events[block].iter().copied())
-        });
-        self.run_world(ds.authors.len() as u32, &excluded, &source)
+        self.run_btm(&ds.btm_without(&self.config.exclusions.resolve(ds)))
     }
 
-    /// Pipeline over an opened snapshot: every rank reads its own block of
-    /// the page rows' words in the shared mmap
-    /// ([`coordination_store::snapshot::EventsView::rank_slice`]: whole pages but for
-    /// the two a block boundary may split, found through the row offsets) —
-    /// the rows are never copied, per rank or at all. Exclusions resolve
-    /// against the mapped name table, as in
-    /// [`Pipeline::run_snapshot`].
+    /// Pipeline over an opened snapshot: exclusions resolve against the
+    /// mapped name table, as in [`Pipeline::run_snapshot`], and with nobody
+    /// excluded the BTM borrows the mapping's rows ([`btm_from_snapshot`]),
+    /// so every rank reads its block of the one mapping; then
+    /// [`DistPipeline::run_btm`].
     pub fn run_snapshot(&self, snap: &coordination_store::Snapshot) -> PipelineOutput {
         let excluded = self.config.exclusions.resolve_names(snap.author_names());
-        let source = event_source(|rank, nranks| {
-            let slice = snap.events().rank_slice(rank, nranks);
-            Box::new(slice.map(|(a, p, ts)| Event::new(AuthorId(a), PageId(p), ts)))
-        });
-        self.run_world(snap.meta().n_authors, &excluded, &source)
+        self.run_btm(&btm_from_snapshot(snap, &excluded))
+    }
+
+    /// Pipeline over a BTM, whose exclusions were applied when it was
+    /// built. One rank without a budget is [`Pipeline::run_btm`] on it,
+    /// nothing rebuilt. Otherwise every rank reads its own block of the
+    /// comments in place ([`ygm::block_range`] of the flat rows: whole pages
+    /// but for the two a block edge splits) into the rank program, so the
+    /// rows are never copied, per rank or at all.
+    pub fn run_btm(&self, btm: &Btm) -> PipelineOutput {
+        if self.is_resident() {
+            return Pipeline::new(self.config.clone()).run_btm(btm);
+        }
+        let source = event_source(|rank, nranks| Box::new(btm.block(rank, nranks)));
+        self.run_ranks(btm.n_authors(), &source)
     }
 
     /// Pipeline over a rank-sharded event stream: each rank pulls
@@ -483,27 +494,25 @@ impl DistPipeline {
     /// without a budget, its second pull yields different events from the
     /// first ("event source yielded different events on its second pass").
     pub fn run_events<'a>(&self, n_authors: u32, source: &'a EventSource<'a>) -> PipelineOutput {
-        self.run_world(n_authors, &[], source)
+        if self.is_resident() {
+            // Pulled twice, counted on the first pull (which sizes the page
+            // space) and scattered on the second: no copy of the events.
+            return self.run_btm(&Btm::build(n_authors, None, &[], || source(0, 1)));
+        }
+        self.run_ranks(n_authors, source)
     }
 
-    /// The one door: every `run_*` is this call. One rank without a
-    /// shuffle budget is the resident run; everything else spawns the ranks.
-    fn run_world(
-        &self,
-        n_authors: u32,
-        excluded: &[AuthorId],
-        source: &EventSource<'_>,
-    ) -> PipelineOutput {
+    /// One rank without a shuffle budget: the resident run.
+    fn is_resident(&self) -> bool {
+        self.nranks == 1 && self.shuffle_budget.is_none()
+    }
+
+    /// The rank program over `source`: spawn the ranks, run every stage,
+    /// and assemble their contributions into one output.
+    fn run_ranks(&self, n_authors: u32, source: &EventSource<'_>) -> PipelineOutput {
         let nranks = self.nranks;
         let cfg = &self.config;
         let budget = self.shuffle_budget;
-        if nranks == 1 && budget.is_none() {
-            // Pulled twice, counted on the first pull (which sizes the page
-            // space) and scattered on the second: no copy of the events.
-            let btm = Btm::build(n_authors, None, excluded, || source(0, 1));
-            return Pipeline::new(cfg.clone()).run_btm(&btm);
-        }
-        let gone = author_mask(n_authors, excluded);
 
         // Distributed containers, one per shuffle point. The event exchange
         // lands in flat page rows (or, under a budget, a spilling run stack);
@@ -525,7 +534,6 @@ impl DistPipeline {
             cfg,
             batch_bytes: self.batch_bytes,
             n_authors,
-            gone: &gone,
             source,
             page_events: &page_events,
             author_pages: &author_pages,
@@ -595,8 +603,6 @@ struct RankProgram<'a, 's> {
     cfg: &'a PipelineConfig,
     batch_bytes: Option<usize>,
     n_authors: u32,
-    /// [`author_mask`] of the caller's exclusion list.
-    gone: &'a [bool],
     source: &'a EventSource<'s>,
     page_events: &'a PageInbox,
     author_pages: &'a DistRuns<u64>,
@@ -613,7 +619,6 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
         cfg,
         batch_bytes,
         n_authors,
-        gone,
         source,
         page_events,
         author_pages,
@@ -650,7 +655,7 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
     // are when the partition may stay resident; under a shuffle budget,
     // sorted on arrival and merged *while later batches are still in flight*
     // (ship drains opportunistically), spilling sorted segments to disk.
-    let mut kept_local = 0u64;
+    let mut pulled = 0u64;
     {
         let pe = page_events.clone();
         let mut to_pages = packed_agg!(
@@ -658,8 +663,8 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
             (u32, i64, u32),
             move |inner: &RankCtx, batch: PackedBatch<(u32, i64, u32)>| pe.absorb(inner, batch)
         );
-        // Inputs arrive page-clustered (dataset and snapshot events are
-        // page-major; generated blocks share a page), so one cached owner
+        // Inputs arrive page-clustered (a BTM's blocks are page-major;
+        // generated blocks share a page), so one cached owner
         // saves an `owner_of` hash per event in the common case.
         let mut page_owner = CachedOwner::new();
         for e in events {
@@ -670,17 +675,14 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
                 "author id {} out of range",
                 e.author.0
             );
-            if !is_kept(gone, e.author) {
-                continue;
-            }
-            kept_local += 1;
+            pulled += 1;
             let dest = page_owner.dest(e.page.0, ctx.nranks());
             to_pages.push(ctx, dest, (e.page.0, e.ts, e.author.0));
         }
         to_pages.flush_all(ctx);
     }
     ctx.barrier();
-    out.n_comments = ctx.all_reduce_sum(kept_local);
+    out.n_comments = ctx.all_reduce_sum(pulled);
     // Owners finish their partitions: a counting scatter into flat page
     // rows, then a pass that sorts only the rows that did not arrive
     // time-ordered — `Btm`'s page side, by `Btm`'s own builder — or, under

@@ -11,6 +11,7 @@ use std::collections::HashSet;
 
 use coordination_store::NamesView;
 
+use crate::btm::Btm;
 use crate::ids::AuthorId;
 use crate::records::Dataset;
 
@@ -83,17 +84,27 @@ impl ExclusionList {
     }
 }
 
-/// Heuristic from §2.4's refinement loop: accounts whose comment volume
-/// exceeds `threshold` comments in the dataset are candidate platform
-/// utilities worth reviewing for exclusion. Returns names sorted by volume,
-/// heaviest first.
-pub fn high_volume_accounts(ds: &Dataset, threshold: u64) -> Vec<(String, u64)> {
-    let counts = crate::records::comment_counts_dense(ds);
+/// Heuristic from §2.4's refinement loop: accounts with at least
+/// `threshold` comments in `btm`'s rows are candidate platform utilities
+/// worth reviewing for exclusion, so `btm` is built with nobody excluded.
+/// `name` labels an author id. Returns names sorted by volume, heaviest
+/// first.
+pub fn high_volume_accounts<'a>(
+    btm: &Btm,
+    name: impl Fn(u32) -> &'a str,
+    threshold: u64,
+) -> Vec<(String, u64)> {
+    let mut counts = vec![0u64; btm.n_authors() as usize];
+    for (_, row) in btm.pages() {
+        for (_, a) in row.iter() {
+            counts[a.0 as usize] += 1;
+        }
+    }
     let mut out: Vec<(String, u64)> = counts
         .into_iter()
         .enumerate()
         .filter(|&(_, c)| c >= threshold && c > 0)
-        .map(|(id, c)| (ds.authors.name(id as u32).to_owned(), c))
+        .map(|(id, c)| (name(id as u32).to_owned(), c))
         .collect();
     out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     out
@@ -199,7 +210,7 @@ mod tests {
         }
         recs.push(CommentRecord::new("light", "p0", 0));
         let ds = Dataset::from_records(recs);
-        let heavy = high_volume_accounts(&ds, 10);
+        let heavy = high_volume_accounts(&ds.btm(), |id| ds.authors.name(id), 10);
         assert_eq!(
             heavy,
             vec![("heavy".to_string(), 50), ("medium".to_string(), 10)]

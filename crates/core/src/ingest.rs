@@ -61,9 +61,12 @@
 //! scan stage stops at its first fault, so no later piece is read.
 //!
 //! **Rows or a dataset.** The rows door is for a caller that reads a
-//! [`Btm`]: the CLI's resident runs and `snapshot write`. A caller that
-//! reads the events in arrival order — the rank-sharded pipeline's blocks,
-//! `stats`, library users — takes the [`Dataset`].
+//! [`Btm`], and every CLI command that reads `--input` does: both engines
+//! at any rank count (the rank program reads each rank's block of the BTM),
+//! `stats` and `snapshot write`. The [`Dataset`] is for a caller that reads
+//! the events in arrival order — library users, the benchmark's
+//! [`ingest_slice`] — and [`ingest_reader`] into it is the reference the
+//! rows door is tested against.
 //!
 //! **Two threads, always.** Read + UTF-8 + scan is about half of a serial
 //! pass on a 1 M-line month, and interning in order — the part that cannot

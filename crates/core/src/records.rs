@@ -174,16 +174,6 @@ impl std::fmt::Display for JsonString<'_> {
     }
 }
 
-/// Count events per author as a dense vector indexed by `AuthorId` — one
-/// cache-friendly pass over the events, no hashing of author names.
-pub(crate) fn comment_counts_dense(ds: &Dataset) -> Vec<u64> {
-    let mut out = vec![0u64; ds.authors.len()];
-    for e in &ds.events {
-        out[e.author.0 as usize] += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,15 +221,5 @@ mod tests {
         assert_eq!(btm.n_authors(), 2);
         assert_eq!(btm.n_pages(), 1);
         assert_eq!(btm.page_neighborhood(PageId(0)).iter().count(), 2);
-    }
-
-    #[test]
-    fn comment_counts_by_dense_id() {
-        let ds = Dataset::from_records([
-            CommentRecord::new("a", "p", 1),
-            CommentRecord::new("a", "q", 2),
-            CommentRecord::new("b", "p", 3),
-        ]);
-        assert_eq!(comment_counts_dense(&ds), vec![2, 1]);
     }
 }

@@ -15,10 +15,10 @@
 //! * [`btm_from_snapshot`] — a [`Btm`] whose narrow rows are the mapping's
 //!   own words, borrowed, not decoded; the events never exist as a resident
 //!   `Vec<Event>`, which is what puts the snapshot path's peak RSS below the
-//!   resident path's;
-//! * [`authors_from_snapshot`] / [`dataset_from_snapshot`] — materialize
-//!   the author [`Interner`], or a full [`Dataset`], for commands that look
-//!   names up in both directions or read events; ids match the original
+//!   resident path's. Every reader of a snapshot's comments, both engines
+//!   at any rank count included, reads them through it;
+//! * [`authors_from_snapshot`] — materialize the author [`Interner`] for
+//!   commands that look names up in both directions; ids match the original
 //!   ingest exactly.
 //!
 //! Equivalence contract (pinned by the oracle matrix in `tests/`, where the
@@ -31,13 +31,12 @@
 //! is identical.
 
 use std::path::Path;
-use std::sync::Arc;
 
-use coordination_store::{NamesView, Snapshot, SnapshotWriter, StoreError};
+use coordination_store::{Snapshot, SnapshotWriter, StoreError};
 
 use crate::btm::{Btm, PageRow, PageRows};
 use crate::filter::ExclusionList;
-use crate::ids::{AuthorId, Event, Interner, PageId};
+use crate::ids::{AuthorId, Interner};
 use crate::ingest::{self, IngestConfig, IngestStats};
 use crate::records::{Dataset, ReadError};
 use crate::window::Window;
@@ -169,35 +168,17 @@ pub fn btm_from_snapshot(snap: &Snapshot, excluded: &[AuthorId]) -> Btm {
 /// names up in both directions: the names are re-interned in dense-id order,
 /// so every id matches the ingest that wrote the snapshot.
 pub fn authors_from_snapshot(snap: &Snapshot) -> Interner {
-    interner_of(snap.author_names())
-}
-
-fn interner_of(names: NamesView<'_>) -> Interner {
     let mut interner = Interner::new();
-    for n in names.iter() {
+    for n in snap.author_names().iter() {
         interner.intern(n);
     }
     interner
 }
 
-/// Materialize a full [`Dataset`] from a snapshot — the compatibility path
-/// for commands that need name lookups in both directions and the events.
-/// Ids match the original ingest exactly.
-pub fn dataset_from_snapshot(snap: &Snapshot) -> Dataset {
-    Dataset {
-        authors: Arc::new(authors_from_snapshot(snap)),
-        pages: Arc::new(interner_of(snap.page_names())),
-        events: snap
-            .events()
-            .iter()
-            .map(|(a, p, ts)| Event::new(AuthorId(a), PageId(p), ts))
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::PageId;
     use crate::records::CommentRecord;
 
     fn scenario() -> Dataset {
@@ -231,20 +212,18 @@ mod tests {
         assert_eq!(summary.n_events as usize, ds.len());
 
         let snap = Snapshot::open(&path).unwrap();
-        let back = dataset_from_snapshot(&snap);
-        assert_eq!(back.authors.len(), ds.authors.len());
-        assert_eq!(back.pages.len(), ds.pages.len());
+        let authors = authors_from_snapshot(&snap);
+        assert_eq!(authors.len(), ds.authors.len());
+        assert_eq!(snap.page_names().len() as usize, ds.pages.len());
         // Same ids, same names.
         for (id, name) in ds.authors.iter() {
-            assert_eq!(back.authors.get(name), Some(id));
+            assert_eq!(authors.get(name), Some(id));
         }
-        // Same multiset of events (order differs: snapshot is page-major).
-        let mut a = ds.events.clone();
-        let mut b = back.events.clone();
-        let key = |e: &Event| (e.ts, e.author.0, e.page.0);
-        a.sort_by_key(key);
-        b.sort_by_key(key);
-        assert_eq!(a, b);
+        for (id, name) in ds.pages.iter() {
+            assert_eq!(snap.page_names().get(id), name);
+        }
+        // Same events: the rows are the dataset's BTM.
+        assert_eq!(btm_from_snapshot(&snap, &[]), ds.btm());
         drop(snap);
         std::fs::remove_file(&path).ok();
     }

@@ -1144,53 +1144,19 @@ impl<'a> EventsView<'a> {
         self.off
     }
 
-    /// Comments `lo..hi` of [`EventsView::iter`]: the page holding `lo` is
-    /// found in the offsets, later page boundaries are stepped over.
-    fn between(self, lo: u64, hi: u64) -> impl Iterator<Item = (u32, u32, i64)> + 'a {
-        let off = self.off;
-        let mut page = off.partition_point(|&o| o <= lo) - 1;
-        (lo..hi).map(move |i| {
+    /// Every comment as `(author, page, ts)`, page by page and in
+    /// `(ts, author)` order within a page: page boundaries are stepped over
+    /// as the offsets say.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, u32, i64)> + 'a {
+        let (off, rows) = (self.off, self.rows);
+        let mut page = 0;
+        (0..self.len()).map(move |i| {
             while off[page + 1] <= i {
                 page += 1;
             }
-            let (ts, a) = self.rows.comment(i as usize);
+            let (ts, a) = rows.comment(i as usize);
             (a, page as u32, ts)
         })
-    }
-
-    /// Every comment as `(author, page, ts)`, page by page and in
-    /// `(ts, author)` order within a page.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u32, i64)> + 'a {
-        self.between(0, self.len())
-    }
-
-    /// The half-open event-index range `rank` owns under a block partition of
-    /// `0..len()` across `nranks` ranks — same tiling as
-    /// `ygm::partition::block_range`, duplicated here so the store stays
-    /// below the runtime in the dependency graph. Ranges tile the event space
-    /// exactly: disjoint, in order, covering every index.
-    pub(crate) fn rank_range(&self, rank: usize, nranks: usize) -> std::ops::Range<u64> {
-        assert!(nranks > 0, "rank_range needs at least one rank");
-        assert!(rank < nranks, "rank {rank} out of range for {nranks} ranks");
-        let n = self.len();
-        let per = n.div_ceil(nranks as u64);
-        let lo = (rank as u64 * per).min(n);
-        let hi = ((rank as u64 + 1) * per).min(n);
-        lo..hi
-    }
-
-    /// Only this rank's block of [`EventsView::iter`], which the distributed
-    /// pipeline reads: every rank reads its `rank_range` of the same mapping,
-    /// starting at the page the offsets say holds its first comment — no
-    /// copy, no prefix read and thrown away. A block is a run of whole pages
-    /// plus at most two split ones.
-    pub fn rank_slice(
-        &self,
-        rank: usize,
-        nranks: usize,
-    ) -> impl Iterator<Item = (u32, u32, i64)> + 'a {
-        let r = self.rank_range(rank, nranks);
-        self.between(r.start, r.end)
     }
 }
 
@@ -1273,43 +1239,6 @@ mod tests {
         let snap = Snapshot::from_bytes(odd).unwrap();
         assert_eq!(snap.events().iter().count(), 4);
         assert_eq!(snap.narrow_words().unwrap().1.as_ptr() as usize % 8, 0);
-    }
-
-    #[test]
-    fn rank_slices_tile_the_event_table() {
-        // Larger table than `sample()`, with empty pages between full ones.
-        let mut w = SnapshotWriter::new();
-        let author_names: Vec<String> = (0..37).map(|i| format!("a{i}")).collect();
-        let page_names: Vec<String> = (0..15).map(|i| format!("p{i}")).collect();
-        w.authors(author_names.iter().map(String::as_str)).unwrap();
-        w.pages(page_names.iter().map(String::as_str)).unwrap();
-        let events: Vec<(u32, u32, i64)> = (0..997u32)
-            .map(|i| (i % 37, i % 11 + i % 2 * 3, i64::from(i / 3)))
-            .collect();
-        w.events(&events).unwrap();
-        let snap = Snapshot::from_bytes(w.to_bytes().unwrap()).unwrap();
-        let view = snap.events();
-        let all: Vec<_> = view.iter().collect();
-        for nranks in [1usize, 2, 3, 4, 7, 1000, 2000] {
-            let mut tiled = Vec::new();
-            let mut hi_prev = 0u64;
-            for rank in 0..nranks {
-                let r = view.rank_range(rank, nranks);
-                assert_eq!(r.start, hi_prev, "ranges must tile in order");
-                hi_prev = r.end;
-                tiled.extend(view.rank_slice(rank, nranks));
-            }
-            assert_eq!(hi_prev, view.len());
-            assert_eq!(tiled, all, "nranks={nranks}");
-        }
-        // Empty table: every rank gets an empty slice.
-        let mut w = SnapshotWriter::new();
-        w.authors(std::iter::empty()).unwrap();
-        w.pages(std::iter::empty()).unwrap();
-        w.events(&[]).unwrap();
-        let snap = Snapshot::from_bytes(w.to_bytes().unwrap()).unwrap();
-        assert_eq!(snap.events().rank_slice(0, 3).count(), 0);
-        assert_eq!(snap.events().rank_range(2, 3), 0..0);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! *incrementally* as comments arrive, so the injected botnets are caught
 //! mid-stream instead of a month later:
 //!
-//! 1. [`source`] — event sources replaying pushshift-style NDJSON or
-//!    [`redditgen`] scenarios in timestamp order, optionally paced against the
-//!    wall clock with a configurable speedup;
+//! 1. [`source`] — event sources replaying pushshift-style NDJSON or a
+//!    generated scenario's records in timestamp order, optionally paced
+//!    against the wall clock with a configurable speedup;
 //! 2. [`projector`] — a sliding-window incremental projector: per-page
 //!    time-ordered comment buffers emit `w'` edge deltas (+1 when an author
 //!    pair first interacts within `(δ1, δ2)` on a page, −1 when a page

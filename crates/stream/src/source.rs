@@ -2,12 +2,10 @@
 //!
 //! The projector requires non-decreasing timestamps, so every source here
 //! sorts up front (a real firehose would instead sit behind a small reorder
-//! buffer). Two concrete sources cover the repo's data paths:
-//!
-//! * pushshift-style NDJSON (`{"author", "link_id", "created_utc"}` per
-//!   line) via [`read_ndjson_sorted`];
-//! * synthetic [`redditgen`] scenarios via [`scenario_records`], which keeps
-//!   the ground truth available for latency measurements.
+//! buffer): pushshift-style NDJSON (`{"author", "link_id", "created_utc"}`
+//! per line) via [`read_ndjson_sorted`], and any record list — a generated
+//! scenario's, cloned so the scenario keeps its ground truth for judging
+//! alerts — via [`sort_records`].
 //!
 //! [`Replay`] optionally paces either stream against the wall clock with a
 //! configurable speedup — 3600× replays an hour of Reddit per second — for
@@ -19,7 +17,6 @@ use std::time::{Duration, Instant};
 
 use coordination_core::ingest::{ingest_records_reader, IngestConfig, IngestStats};
 use coordination_core::records::{CommentRecord, ReadError};
-use redditgen::Scenario;
 
 /// Sort records into the engine's required order: by timestamp, with
 /// (author, page) as a deterministic tie-break. The tie-break never changes
@@ -40,14 +37,6 @@ pub fn read_ndjson_sorted(
     let (mut records, stats) = ingest_records_reader(reader, &IngestConfig { skip_bad_lines })?;
     sort_records(&mut records);
     Ok((records, stats))
-}
-
-/// A scenario's records in stream order (cloned; the scenario keeps its
-/// ground truth for judging alerts afterwards).
-pub fn scenario_records(scenario: &Scenario) -> Vec<CommentRecord> {
-    let mut records = scenario.records.clone();
-    sort_records(&mut records);
-    records
 }
 
 /// A pacing wrapper: yields records in order, optionally sleeping so that
@@ -186,8 +175,8 @@ mod tests {
 
     #[test]
     fn scenario_records_are_stream_ordered() {
-        let scenario = redditgen::ScenarioConfig::jan2020(0.02).build();
-        let records = scenario_records(&scenario);
+        let mut records = redditgen::ScenarioConfig::jan2020(0.02).build().records;
+        sort_records(&mut records);
         assert!(!records.is_empty());
         assert!(records
             .windows(2)

@@ -25,11 +25,10 @@
 //! partition); the `survey.wedge_list_bytes` counter records what a network
 //! transport would have to ship in its place.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use coordination_graph::intersect::StampSet;
 use coordination_graph::LocalCsr;
-use parking_lot::Mutex;
 use ygm::partition::owner_of;
 use ygm::{adaptive_batch_bytes, Packable, PackedAggregator, PackedBatch, RankCtx, World};
 
@@ -40,6 +39,12 @@ use crate::survey::{record_counters, SurveyConfig, SurveyFold, SurveyReport};
 /// One wedge check on the wire: close the wedges through oriented edge
 /// `(u, v)` of weight `w_uv` at the owner of `v`. 16 bytes packed.
 type WedgeCheck = (u32, u32, u64);
+
+/// Lock a rank's state, recovering it if a rank panicked while holding it:
+/// that panic already ends the world, which re-raises it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// What one rank publishes before the survey: the rows it owns (vertices
 /// `owner_of` assigns it, out-lists sorted by target id) and its replica of
@@ -142,7 +147,7 @@ impl DistSurvey {
         );
         // Allocated here, not in the handler: a peer's first wedge check can
         // arrive while this rank is still inside the barrier that follows.
-        self.0.states[ctx.rank()].lock().stamps = StampSet::new(n_vertices);
+        lock(&self.0.states[ctx.rank()]).stamps = StampSet::new(n_vertices);
         let published = self.0.parts[ctx.rank()].set(Partition { csr, vertex_pages });
         assert!(published.is_ok(), "a rank publishes its partition once");
     }
@@ -150,7 +155,7 @@ impl DistSurvey {
     /// This rank's fold, once the barrier after [`survey_stage`] has drained
     /// every wedge check. Records this rank's share of the survey counters.
     pub fn take_fold(&self, ctx: &RankCtx) -> SurveyFold {
-        let state = std::mem::take(&mut *self.0.states[ctx.rank()].lock());
+        let state = std::mem::take(&mut *lock(&self.0.states[ctx.rank()]));
         debug_assert!(state.stamps.is_clear(), "a handler left a stamp behind");
         record_counters(&state.fold, state.wedge_checks, state.wedge_list_entries);
         state.fold
@@ -181,7 +186,7 @@ pub fn survey_stage(ctx: &RankCtx, survey: &DistSurvey, batch_bytes: Option<usiz
         move |inner: &RankCtx, batch: PackedBatch<WedgeCheck>| {
             let mine = shared.part(inner.rank());
             let pages = mine.vertex_pages.as_deref().map(Vec::as_slice);
-            let mut state = shared.states[inner.rank()].lock();
+            let mut state = lock(&shared.states[inner.rank()]);
             let RankState { fold, stamps, .. } = &mut *state;
             // An apex's checks arrive back to back: look its row up, and
             // stamp it, once.
@@ -233,7 +238,7 @@ pub fn survey_stage(ctx: &RankCtx, survey: &DistSurvey, batch_bytes: Option<usiz
         sent += targets.len() as u64;
     }
     checks.flush_all(ctx);
-    let mut state = survey.0.states[ctx.rank()].lock();
+    let mut state = lock(&survey.0.states[ctx.rank()]);
     state.wedge_checks += sent;
     state.wedge_list_entries += list_entries;
 }

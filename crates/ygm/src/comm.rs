@@ -11,9 +11,8 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use crossbeam_channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::exchange::BufferPool;
 
@@ -22,6 +21,13 @@ pub(crate) type Message = Box<dyn FnOnce(&RankCtx) + Send>;
 
 /// Slot storage for one matched collective: one `Any` box per rank.
 type CollectiveSlots = Vec<Option<Box<dyn std::any::Any + Send>>>;
+
+/// Lock `m`, recovering its data if a rank panicked while holding it: that
+/// panic already ends the world (the first one is re-raised), and the
+/// teardown must still reach the state the dead rank shared.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Shared world state visible to every rank.
 pub(crate) struct Shared {
@@ -40,7 +46,7 @@ pub(crate) struct Shared {
     /// panics instead of spinning forever.
     poisoned: AtomicBool,
     /// Slots for matched collectives (all_gather etc.), keyed by sequence id.
-    pub(crate) collectives: parking_lot::Mutex<std::collections::HashMap<u64, CollectiveSlots>>,
+    pub(crate) collectives: Mutex<std::collections::HashMap<u64, CollectiveSlots>>,
     /// World-shared recycling pool for packed-batch byte buffers: a buffer
     /// shipped from any rank and drained on any other returns here for the
     /// next sender, so steady-state shuffles allocate nothing.
@@ -69,7 +75,7 @@ impl World {
         let mut senders = Vec::with_capacity(nranks);
         let mut receivers = Vec::with_capacity(nranks);
         for _ in 0..nranks {
-            let (s, r) = unbounded();
+            let (s, r) = channel();
             senders.push(s);
             receivers.push(r);
         }
@@ -81,7 +87,7 @@ impl World {
                 barrier_count: AtomicUsize::new(nranks),
                 barrier_sense: AtomicBool::new(false),
                 poisoned: AtomicBool::new(false),
-                collectives: parking_lot::Mutex::new(std::collections::HashMap::new()),
+                collectives: Mutex::new(std::collections::HashMap::new()),
                 // Enough retained buffers for every rank to have one in
                 // flight to every other rank, with headroom for bursts.
                 pool: BufferPool::new((nranks * nranks).clamp(64, 1024)),
@@ -112,7 +118,7 @@ impl World {
         let f = &f;
         // The earliest panic of the region. Later ones are its consequences:
         // a poisoned barrier, a send to the dead rank's dropped receiver.
-        let first_panic = parking_lot::Mutex::new(None);
+        let first_panic = Mutex::new(None);
         let first_panic = &first_panic;
         let out: Vec<Option<R>> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(nranks);
@@ -143,7 +149,7 @@ impl World {
                     // The payload is recorded before the flag releases the
                     // other ranks, and both before `ctx` drops its receiver.
                     run.map_err(|payload| {
-                        first_panic.lock().get_or_insert(payload);
+                        lock(first_panic).get_or_insert(payload);
                         ctx.shared.poisoned.store(true, Ordering::Relaxed);
                     })
                     .ok()
@@ -154,7 +160,7 @@ impl World {
                 .map(|h| h.join().expect("a rank's panic is caught on its thread"))
                 .collect()
         });
-        if let Some(payload) = first_panic.lock().take() {
+        if let Some(payload) = lock(first_panic).take() {
             std::panic::resume_unwind(payload);
         }
         out.into_iter()
@@ -305,7 +311,7 @@ impl RankCtx {
         let seq = self.coll_seq.get();
         self.coll_seq.set(seq + 1);
         {
-            let mut slots = self.shared.collectives.lock();
+            let mut slots = lock(&self.shared.collectives);
             let slot = slots
                 .entry(seq)
                 .or_insert_with(|| (0..self.shared.nranks).map(|_| None).collect());
@@ -313,7 +319,7 @@ impl RankCtx {
         }
         self.barrier();
         let gathered: Vec<T> = {
-            let slots = self.shared.collectives.lock();
+            let slots = lock(&self.shared.collectives);
             let slot = slots.get(&seq).expect("collective slot vanished");
             slot.iter()
                 .map(|v| {
@@ -327,7 +333,7 @@ impl RankCtx {
         };
         self.barrier();
         if self.rank == 0 {
-            self.shared.collectives.lock().remove(&seq);
+            lock(&self.shared.collectives).remove(&seq);
         }
         gathered
     }

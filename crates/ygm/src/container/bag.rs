@@ -5,11 +5,9 @@
 //! and after the barrier the rank takes its shard ([`DistBag::local_take`]) or
 //! any rank reads it in place ([`DistBag::with_shard`]).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-
-use crate::comm::RankCtx;
+use crate::comm::{lock, RankCtx};
 
 /// Cache-line-aligned shard wrapper: adjacent shards never false-share.
 #[repr(align(64))]
@@ -57,14 +55,14 @@ where
         I: IntoIterator<Item = T>,
     {
         self.check(ctx);
-        self.shards[ctx.rank()].0.lock().extend(items);
+        lock(&self.shards[ctx.rank()].0).extend(items);
     }
 
     /// Read `rank`'s shard in place through `f`, without cloning. Quiescent
     /// regimes only (post-barrier or post-run): the caller must guarantee no
     /// in-flight inserts.
     pub fn with_shard<R>(&self, rank: usize, f: impl FnOnce(&Vec<T>) -> R) -> R {
-        f(&self.shards[rank].0.lock())
+        f(&lock(&self.shards[rank].0))
     }
 
     /// Mutate `rank`'s shard in place (e.g. sort it into a binary-searchable
@@ -72,13 +70,13 @@ where
     /// must own the shard or otherwise coordinate — the usual pattern is
     /// each rank reorganizing its own shard right after a barrier.
     pub fn with_shard_mut<R>(&self, rank: usize, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
-        f(&mut self.shards[rank].0.lock())
+        f(&mut lock(&self.shards[rank].0))
     }
 
     /// Take (move out) this rank's items, leaving the shard empty.
     pub fn local_take(&self, ctx: &RankCtx) -> Vec<T> {
         self.check(ctx);
-        std::mem::take(&mut *self.shards[ctx.rank()].0.lock())
+        std::mem::take(&mut *lock(&self.shards[ctx.rank()].0))
     }
 }
 

@@ -43,10 +43,9 @@
 //! instead of letting its inbox (and the run stacks behind it) sit idle
 //! until the next barrier.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use crate::comm::RankCtx;
+use crate::comm::{lock, RankCtx};
 
 /// Target payload per shipped batch. 64 KiB amortizes the per-message boxed
 /// closure + channel send to noise while staying far inside L2.
@@ -168,7 +167,7 @@ impl BufferPool {
 
     /// Take a cleared buffer with at least `capacity` bytes reserved.
     pub(crate) fn acquire(&self, capacity: usize) -> Vec<u8> {
-        let recycled = self.free.lock().pop();
+        let recycled = lock(&self.free).pop();
         match &recycled {
             Some(_) => self.hits.add(1),
             None => self.misses.add(1),
@@ -186,7 +185,7 @@ impl BufferPool {
         if buf.capacity() == 0 {
             return;
         }
-        let mut free = self.free.lock();
+        let mut free = lock(&self.free);
         if free.len() < self.max_retained {
             free.push(buf);
         }
@@ -572,7 +571,7 @@ mod tests {
                 agg.flush_all(ctx);
                 ctx.barrier();
             }
-            ctx.buffer_pool().free.lock().len()
+            lock(&ctx.buffer_pool().free).len()
         });
         // after the final barrier every shipped buffer was drained and
         // released; the pool holds the steady-state working set

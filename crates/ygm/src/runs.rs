@@ -30,12 +30,11 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use coordination_store::segment::{SegmentReader, SegmentWriter};
-use parking_lot::Mutex;
 
-use crate::comm::RankCtx;
+use crate::comm::{lock, RankCtx};
 
 /// Target size of one sealed in-memory run. Runs around this size keep the
 /// stack shallow; the effective seal threshold is the smaller of this and
@@ -490,14 +489,14 @@ impl<K: RunKey> DistRuns<K> {
     /// batch-granular receiver for packed-batch applies.
     pub fn local_absorb<I: IntoIterator<Item = K>>(&self, ctx: &RankCtx, items: I) {
         self.check(ctx);
-        self.shards[ctx.rank()].lock().absorb(items);
+        lock(&self.shards[ctx.rank()]).absorb(items);
     }
 
     /// Take (move out) this rank's finished partition for merging, leaving
     /// the shard empty. Quiescent regimes only (post-barrier).
     pub fn local_take(&self, ctx: &RankCtx) -> RunSet<K> {
         self.check(ctx);
-        self.shards[ctx.rank()].lock().take()
+        lock(&self.shards[ctx.rank()]).take()
     }
 }
 
@@ -589,15 +588,15 @@ mod tests {
                 for batch in 0..10u64 {
                     runs.local_absorb(ctx, batch * 100..(batch + 1) * 100);
                 }
-                let paths = runs.shards[0].lock().spills.0.clone();
+                let paths = lock(&runs.shards[0]).spills.0.clone();
                 assert!(paths.len() == 10 && paths.iter().all(|p| p.exists()));
-                *seen.lock() = paths;
+                *lock(&seen) = paths;
                 ctx.barrier();
                 runs.local_take(ctx).cursor().count()
             });
         });
         assert_eq!(msg, "rank one gives up before the take");
-        let spilled = spilled.lock();
+        let spilled = lock(&spilled);
         assert_eq!(spilled.len(), 10, "rank 0 never spilled");
         assert!(spilled.iter().all(|p| !p.exists()), "{spilled:?}");
     }

@@ -16,12 +16,13 @@ use std::collections::BTreeMap;
 
 use coordination::core::Window;
 use coordination::redditgen::ScenarioConfig;
-use coordination::stream::source::scenario_records;
+use coordination::stream::source::sort_records;
 use coordination::stream::{StreamConfig, StreamEngine};
 
 fn main() {
     let scenario = ScenarioConfig::jan2020(0.3).build();
-    let records = scenario_records(&scenario);
+    let mut records = scenario.records.clone();
+    sort_records(&mut records);
     let total = records.len();
     let t_start = records.first().map(|r| r.created_utc).unwrap_or(0);
     let t_end = records.last().map(|r| r.created_utc).unwrap_or(0);

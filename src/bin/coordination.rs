@@ -22,7 +22,7 @@ use coordination::core::filter::ExclusionList;
 use coordination::core::ids::Interner;
 use coordination::core::ingest::{self, IngestConfig, IngestStats};
 use coordination::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
-use coordination::core::records::{write_ndjson, Dataset};
+use coordination::core::records::write_ndjson;
 use coordination::core::snapshot::btm_from_snapshot;
 use coordination::core::store::Snapshot;
 use coordination::core::{Btm, CiGraph, Window};
@@ -258,51 +258,7 @@ fn open_snapshot(path: &str) -> Result<Snapshot, String> {
     Ok(snap)
 }
 
-/// Guard against mixing the resident and mapped input paths.
-fn reject_both_inputs(flags: &Flags) -> Result<(), String> {
-    if flags.has("from-snapshot") && flags.has("input") {
-        return Err("use exactly one of --input and --from-snapshot".to_string());
-    }
-    Ok(())
-}
-
-/// `loaded …` on stderr, after an `--input` ingest.
-fn log_loaded(comments: u64, authors: usize, pages: usize) {
-    eprintln!("loaded {comments} comments, {authors} authors, {pages} pages");
-}
-
-/// What the rank program and `stats` run over: `--input` ingested as events
-/// in arrival order, or `--from-snapshot` mapped.
-enum Input {
-    Dataset(Dataset),
-    Snapshot(Snapshot),
-}
-
-impl Input {
-    fn open(flags: &Flags) -> Result<Input, String> {
-        reject_both_inputs(flags)?;
-        if let Some(path) = flags.get("from-snapshot") {
-            return open_snapshot(path).map(Input::Snapshot);
-        }
-        let (reader, path) = open_input(flags)?;
-        let ing = ingest::ingest_reader(reader, &ingest_config(flags))
-            .map_err(|e| format!("read {path}: {e}"))?;
-        report_skipped(&ing.stats);
-        let ds = ing.dataset;
-        log_loaded(ds.len() as u64, ds.authors.len(), ds.pages.len());
-        Ok(Input::Dataset(ds))
-    }
-}
-
-/// `stats`' input as a [`Dataset`]; a snapshot materializes its tables.
-fn load_dataset(flags: &Flags) -> Result<Dataset, String> {
-    Ok(match Input::open(flags)? {
-        Input::Dataset(ds) => ds,
-        Input::Snapshot(snap) => coordination::core::snapshot::dataset_from_snapshot(&snap),
-    })
-}
-
-/// The author names a resident run prints: the table `--input`'s ingest
+/// The author names a run prints: the table `--input`'s ingest
 /// interned, or the mapped snapshot's, read in place.
 enum AuthorNames {
     Interned(Interner),
@@ -317,13 +273,6 @@ impl AuthorNames {
         }
     }
 
-    fn len(&self) -> u32 {
-        match self {
-            AuthorNames::Interned(authors) => authors.len() as u32,
-            AuthorNames::Mapped(snap) => snap.author_names().len(),
-        }
-    }
-
     /// The table as an [`Interner`], for lookups by name as well; a
     /// snapshot's is re-interned, ids unchanged.
     fn into_interner(self) -> Interner {
@@ -334,12 +283,14 @@ impl AuthorNames {
     }
 }
 
-/// A resident run's input: the author names, and the BTM of every comment
-/// but the `excluded` authors'. `--input` is read straight into page rows
-/// ([`ingest::ingest_rows`]), so no event column ever exists; a snapshot's
-/// rows come from the mapping ([`btm_from_snapshot`]).
+/// Every batch command's input: the author names, and the BTM of every
+/// comment but the `excluded` authors'. `--input` is read straight into page
+/// rows ([`ingest::ingest_rows`]), so no event column ever exists; a
+/// snapshot's rows come from the mapping ([`btm_from_snapshot`]).
 fn open_rows(flags: &Flags, excluded: &ExclusionList) -> Result<(AuthorNames, Btm), String> {
-    reject_both_inputs(flags)?;
+    if flags.has("from-snapshot") && flags.has("input") {
+        return Err("use exactly one of --input and --from-snapshot".to_string());
+    }
     if let Some(path) = flags.get("from-snapshot") {
         let snap = open_snapshot(path)?;
         let btm = btm_from_snapshot(&snap, &excluded.resolve_names(snap.author_names()));
@@ -349,7 +300,11 @@ fn open_rows(flags: &Flags, excluded: &ExclusionList) -> Result<(AuthorNames, Bt
     let ing = ingest::ingest_rows(reader, &ingest_config(flags), excluded)
         .map_err(|e| format!("read {path}: {e}"))?;
     report_skipped(&ing.stats);
-    log_loaded(ing.stats.events, ing.authors.len(), ing.pages.len());
+    let (authors, pages) = (ing.authors.len(), ing.pages.len());
+    eprintln!(
+        "loaded {} comments, {authors} authors, {pages} pages",
+        ing.stats.events
+    );
     Ok((AuthorNames::Interned(ing.authors), ing.btm))
 }
 
@@ -420,58 +375,58 @@ fn log_timings(out: &PipelineOutput) {
     );
 }
 
-/// The three steps on the resident engine over [`open_rows`]' input, built
-/// under the run config's exclusion list: the author names, the output and
-/// the BTM the run read.
-fn run_resident(
+/// The three steps on the resident engine over [`open_rows`]' input, under
+/// the run config (cutoff `default_cutoff` unless `--cutoff` sets one) and
+/// its exclusion list: the author names, the output and the BTM the run read
+/// (`--ranks` and `--shuffle-budget` are `pipeline`'s alone).
+fn run_pipeline(
     flags: &Flags,
-    config: PipelineConfig,
+    default_cutoff: u64,
 ) -> Result<(AuthorNames, PipelineOutput, Btm), String> {
+    let config = pipeline_config(flags, default_cutoff)?;
     let (names, btm) = open_rows(flags, &config.exclusions)?;
     let out = Pipeline::new(config).run_btm(&btm);
     log_timings(&out);
     Ok((names, out, btm))
 }
 
-/// [`run_resident`] for a command that prints names afterwards
-/// (`--ranks` and `--shuffle-budget` are `pipeline`'s alone).
-fn run_pipeline(
-    flags: &Flags,
-    default_cutoff: u64,
-) -> Result<(AuthorNames, PipelineOutput, Btm), String> {
-    run_resident(flags, pipeline_config(flags, default_cutoff)?)
-}
-
 fn cmd_stats(flags: &Flags) -> Result<(), String> {
-    let ds = load_dataset(flags)?;
-    let btm = ds.btm();
+    // nobody excluded: `stats` proposes who to exclude
+    let (names, btm) = open_rows(flags, &ExclusionList::new())?;
     let authors = coordination::core::AuthorPages::all(&btm);
-    let per_author: Vec<f64> = (0..btm.n_authors())
+    let active: Vec<f64> = (0..btm.n_authors())
         .map(|a| authors.page_count(coordination::core::AuthorId(a)) as f64)
+        .filter(|&c| c > 0.0)
         .collect();
-    let active: Vec<f64> = per_author.iter().copied().filter(|&c| c > 0.0).collect();
-    println!("comments            {}", btm.n_comments());
-    println!(
-        "authors (active)    {} ({})",
-        btm.n_authors(),
-        authors.active_authors()
-    );
-    println!("pages               {}", btm.n_pages());
-    println!("largest page        {} comments", btm.max_page_degree());
-    if let Some(s) = coordination::analysis::Summary::of(&active) {
-        println!(
-            "pages/author        min {} q1 {} median {} q3 {} max {} mean {:.1}",
-            s.min, s.q1, s.median, s.q3, s.max, s.mean
-        );
-    }
-    let heavy = coordination::core::filter::high_volume_accounts(&ds, 100);
-    if !heavy.is_empty() {
-        println!("accounts with ≥100 comments (exclusion-list candidates):");
-        for (name, c) in heavy.iter().take(10) {
-            println!("  {name}: {c}");
+    let heavy = coordination::core::filter::high_volume_accounts(&btm, |id| names.name(id), 100);
+    with_stdout(|w| {
+        writeln!(w, "comments            {}", btm.n_comments())?;
+        writeln!(
+            w,
+            "authors (active)    {} ({})",
+            btm.n_authors(),
+            authors.active_authors()
+        )?;
+        writeln!(w, "pages               {}", btm.n_pages())?;
+        writeln!(w, "largest page        {} comments", btm.max_page_degree())?;
+        if let Some(s) = coordination::analysis::Summary::of(&active) {
+            writeln!(
+                w,
+                "pages/author        min {} q1 {} median {} q3 {} max {} mean {:.1}",
+                s.min, s.q1, s.median, s.q3, s.max, s.mean
+            )?;
         }
-    }
-    Ok(())
+        if !heavy.is_empty() {
+            writeln!(
+                w,
+                "accounts with ≥100 comments (exclusion-list candidates):"
+            )?;
+            for (name, c) in heavy.iter().take(10) {
+                writeln!(w, "  {name}: {c}")?;
+            }
+        }
+        Ok(())
+    })
 }
 
 /// Step 1 as `project` and `survey --from-snapshot` run it: `btm` (built
@@ -499,7 +454,7 @@ fn cmd_project(flags: &Flags) -> Result<(), String> {
     // name sidecar so survey output can be human-readable
     let names_path = format!("{out_path}.names");
     let mut sidecar = String::new();
-    for id in 0..names.len() {
+    for id in 0..btm.n_authors() {
         sidecar.push_str(&format!("{id}\t{}\n", names.name(id)));
     }
     std::fs::write(&names_path, sidecar).map_err(|e| format!("write {names_path}: {e}"))?;
@@ -510,21 +465,22 @@ fn cmd_project(flags: &Flags) -> Result<(), String> {
 /// An author's name in `survey`'s output, by id.
 type Label = Box<dyn Fn(u32) -> String>;
 
-/// `survey --from-snapshot`: the mapped rows, after the paper's standard
-/// bot exclusions as `project` applies them, projected under the window
-/// `snapshot write` recorded, with the author names read off the mapping.
-fn project_snapshot(path: &str) -> Result<(CiGraph, Label), String> {
-    let snap = open_snapshot(path)?;
+/// `survey --from-snapshot`: [`open_rows`]' mapped rows, after the paper's
+/// standard bot exclusions as `project` applies them, projected under the
+/// window `snapshot write` recorded, with the author names read off the
+/// mapping.
+fn project_snapshot(flags: &Flags, path: &str) -> Result<(CiGraph, Label), String> {
+    let (names, btm) = open_rows(flags, &ExclusionList::reddit_defaults())?;
+    let AuthorNames::Mapped(snap) = &names else {
+        unreachable!("--from-snapshot maps its rows")
+    };
     let (d1, d2) = snap.meta().window.ok_or_else(|| {
         format!(
             "{path} records no projection window; re-create it with `coordination snapshot write`"
         )
     })?;
-    let excl = ExclusionList::reddit_defaults();
-    let btm = btm_from_snapshot(&snap, &excl.resolve_names(snap.author_names()));
     let ci = project_logged(&btm, Window::new(d1, d2));
-    let label = move |id: u32| snap.author_names().get(id).to_string();
-    Ok((ci, Box::new(label)))
+    Ok((ci, Box::new(move |id| names.name(id).to_string())))
 }
 
 /// `survey --graph`: a `project --out` TSV, labelled by its `.names`
@@ -557,7 +513,7 @@ fn cmd_survey(flags: &Flags) -> Result<(), String> {
         (Some(_), Some(_)) => {
             return Err("use exactly one of --graph and --from-snapshot".to_string())
         }
-        (Some(path), None) => project_snapshot(path)?,
+        (Some(path), None) => project_snapshot(flags, path)?,
         (None, Some(path)) => read_graph(path)?,
         (None, None) => return Err("--graph is required".to_string()),
     };
@@ -584,19 +540,22 @@ fn cmd_survey(flags: &Flags) -> Result<(), String> {
         t0.elapsed(),
         report.len()
     );
-    println!("a\tb\tc\tmin_w\tT");
-    for s in &report.triangles {
-        let [a, b, c] = s.triangle.vertices();
-        println!(
-            "{}\t{}\t{}\t{}\t{:.4}",
-            label(a),
-            label(b),
-            label(c),
-            s.min_weight,
-            s.t_score
-        );
-    }
-    Ok(())
+    with_stdout(|w| {
+        writeln!(w, "a\tb\tc\tmin_w\tT")?;
+        for s in &report.triangles {
+            let [a, b, c] = s.triangle.vertices();
+            writeln!(
+                w,
+                "{}\t{}\t{}\t{}\t{:.4}",
+                label(a),
+                label(b),
+                label(c),
+                s.min_weight,
+                s.t_score
+            )?;
+        }
+        Ok(())
+    })
 }
 
 fn cmd_hunt(flags: &Flags) -> Result<(), String> {
@@ -604,11 +563,10 @@ fn cmd_hunt(flags: &Flags) -> Result<(), String> {
     let (names, out, _) = run_pipeline(flags, 25)?;
     let authors = names.into_interner();
     let comps = named_components(&authors, &out.ci, cutoff);
-    println!("{} connected components at cutoff {cutoff}:", comps.len());
-    for (i, c) in comps.iter().enumerate() {
-        println!("[{i}] {}", describe(c));
-        println!("    {:?}", c.members);
-        if let Some(dir) = flags.get("dot-dir") {
+    // each component's DOT file, written before the report that names it
+    let mut dots = Vec::new();
+    if let Some(dir) = flags.get("dot-dir") {
+        for (i, c) in comps.iter().enumerate() {
             std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {dir}: {e}"))?;
             let ids: Vec<u32> = c
                 .members
@@ -618,10 +576,24 @@ fn cmd_hunt(flags: &Flags) -> Result<(), String> {
             let path = format!("{dir}/component_{i}.dot");
             std::fs::write(&path, component_dot(&authors, &out.ci, &ids, cutoff))
                 .map_err(|e| format!("write {path}: {e}"))?;
-            println!("    wrote {path}");
+            dots.push(path);
         }
     }
-    Ok(())
+    with_stdout(|w| {
+        writeln!(
+            w,
+            "{} connected components at cutoff {cutoff}:",
+            comps.len()
+        )?;
+        for (i, c) in comps.iter().enumerate() {
+            writeln!(w, "[{i}] {}", describe(c))?;
+            writeln!(w, "    {:?}", c.members)?;
+            if let Some(path) = dots.get(i) {
+                writeln!(w, "    wrote {path}")?;
+            }
+        }
+        Ok(())
+    })
 }
 
 /// Write a whole report through one locked, buffered stdout handle, flushed
@@ -684,40 +656,20 @@ fn write_triplet_rows<'a>(
 /// `pipeline`: the full ingest → projection → survey → validation run with a
 /// deterministic stdout report — the same bytes whichever engine `--ranks`
 /// and `--shuffle-budget` select, which is what the CLI equivalence test
-/// pins. Timings go to stderr only. The rank count alone says which engine
-/// runs: the rank program at `--ranks N > 1` — or at any count under a
-/// `--shuffle-budget`, which only it can honour — over the events in arrival
-/// order or the mapped rows, and the resident engine over [`open_rows`]'
-/// input otherwise. Both print the same bytes (events reach the BTM in a
-/// different order, which it is insensitive to).
+/// pins. Timings go to stderr only. Every engine runs over [`open_rows`]'
+/// BTM, and the rank count alone says which: the rank program at
+/// `--ranks N > 1`, or at any count under a `--shuffle-budget`, which only
+/// it can honour; the resident engine otherwise.
 fn cmd_pipeline(flags: &Flags) -> Result<(), String> {
-    let config = pipeline_config(flags, 10)?;
     // `main` has checked both for a positive count
-    let ranks: usize = flags.num("ranks", 1)?;
-    let budget: Option<usize> = flags.get("shuffle-budget").and_then(|v| v.parse().ok());
-    if ranks == 1 && budget.is_none() {
-        let (names, out, _) = run_resident(flags, config)?;
-        return print_pipeline_report(&out, |id| names.name(id));
+    let mut pipeline = DistPipeline::new(pipeline_config(flags, 10)?, flags.num("ranks", 1)?);
+    if let Some(bytes) = flags.get("shuffle-budget").and_then(|v| v.parse().ok()) {
+        pipeline = pipeline.with_shuffle_budget(bytes);
     }
-    let mut ranked = DistPipeline::new(config, ranks);
-    if let Some(bytes) = budget {
-        ranked = ranked.with_shuffle_budget(bytes);
-    }
-    // Author names are read in place: off the mapping on the snapshot path
-    // (no Dataset is materialized), out of the interner's arena otherwise.
-    match Input::open(flags)? {
-        Input::Dataset(ds) => {
-            let out = ranked.run_dataset(&ds);
-            log_timings(&out);
-            print_pipeline_report(&out, |id| ds.authors.name(id))
-        }
-        Input::Snapshot(snap) => {
-            let out = ranked.run_snapshot(&snap);
-            log_timings(&out);
-            let names = snap.author_names();
-            print_pipeline_report(&out, |id| names.get(id))
-        }
-    }
+    let (names, btm) = open_rows(flags, &pipeline.config.exclusions)?;
+    let out = pipeline.run_btm(&btm);
+    log_timings(&out);
+    print_pipeline_report(&out, |id| names.name(id))
 }
 
 /// `pipeline`'s deterministic report.
@@ -755,23 +707,27 @@ fn print_pipeline_report<'a>(
 fn cmd_groups(flags: &Flags) -> Result<(), String> {
     let (names, out, btm) = run_pipeline(flags, 25)?;
     let groups = coordination::core::groups::merge_triplets(&btm, &out.triplets, 2);
-    println!(
-        "{} groups from {} triplets:",
-        groups.len(),
-        out.triplets.len()
-    );
-    for (i, g) in groups.iter().enumerate() {
-        let members: Vec<&str> = g.members.iter().map(|a| names.name(a.0)).collect();
-        println!(
-            "[{i}] {} members, w_G = {}, score = {:.3}, {} supporting triplets",
-            g.members.len(),
-            g.group_weight,
-            g.score,
-            g.triplet_support
-        );
-        println!("    {members:?}");
-    }
-    Ok(())
+    with_stdout(|w| {
+        writeln!(
+            w,
+            "{} groups from {} triplets:",
+            groups.len(),
+            out.triplets.len()
+        )?;
+        for (i, g) in groups.iter().enumerate() {
+            let members: Vec<&str> = g.members.iter().map(|a| names.name(a.0)).collect();
+            writeln!(
+                w,
+                "[{i}] {} members, w_G = {}, score = {:.3}, {} supporting triplets",
+                g.members.len(),
+                g.group_weight,
+                g.score,
+                g.triplet_support
+            )?;
+            writeln!(w, "    {members:?}")?;
+        }
+        Ok(())
+    })
 }
 
 fn cmd_refine(flags: &Flags) -> Result<(), String> {
@@ -782,15 +738,19 @@ fn cmd_refine(flags: &Flags) -> Result<(), String> {
         min_triangle_weight: flags.num("cutoff", 25)?,
         ..Default::default()
     });
-    for (i, round) in pipeline.run_refinement(&btm, rounds).iter().enumerate() {
-        let flagged: Vec<&str> = round.flagged.iter().map(|a| names.name(a.0)).collect();
-        println!(
-            "round {i}: {} triplets, {} authors flagged: {flagged:?}",
-            round.output.triplets.len(),
-            round.flagged.len()
-        );
-    }
-    Ok(())
+    let rounds = pipeline.run_refinement(&btm, rounds);
+    with_stdout(|w| {
+        for (i, round) in rounds.iter().enumerate() {
+            let flagged: Vec<&str> = round.flagged.iter().map(|a| names.name(a.0)).collect();
+            writeln!(
+                w,
+                "round {i}: {} triplets, {} authors flagged: {flagged:?}",
+                round.output.triplets.len(),
+                round.flagged.len()
+            )?;
+        }
+        Ok(())
+    })
 }
 
 fn cmd_stream(flags: &Flags) -> Result<(), String> {
@@ -815,7 +775,8 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
                 )
             })?;
             let scenario = cfg.build();
-            let records = source::scenario_records(&scenario);
+            let mut records = scenario.records;
+            source::sort_records(&mut records);
             (records, Some(scenario.truth))
         }
         _ => return Err("need exactly one of --input or --preset".to_string()),
@@ -852,18 +813,32 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
     let speedup: f64 = flags.num("speedup", 0.0)?; // 0 = unpaced
     let replay = source::Replay::new(records).with_speedup(speedup);
     let stream_span = obs::span("stream");
-    engine.run(replay, |eng, alert| {
-        let [a, b, c] = eng.author_names(alert.authors);
-        let tag = truth
-            .as_ref()
-            .and_then(|t| [a, b, c].iter().find_map(|n| t.family_of(n)))
-            .map(|f| format!(" [{}]", f.name))
-            .unwrap_or_default();
-        println!(
-            "ALERT @{} after {} events: {a} {b} {c} (min_w={}, T={:.3}){tag}",
-            alert.ts, alert.events_ingested, alert.min_weight, alert.t_score
-        );
-    });
+    with_stdout(|w| {
+        // A paced replay shows each alert as it fires; a closed stdout ends
+        // the replay, since nothing reads the alerts any more.
+        let closed = std::cell::Cell::new(false);
+        let mut written = Ok(());
+        let replay = replay.take_while(|_| !closed.get());
+        engine.run(replay, |eng, alert| {
+            if closed.get() {
+                return;
+            }
+            let [a, b, c] = eng.author_names(alert.authors);
+            let tag = truth
+                .as_ref()
+                .and_then(|t| [a, b, c].iter().find_map(|n| t.family_of(n)))
+                .map(|f| format!(" [{}]", f.name))
+                .unwrap_or_default();
+            written = writeln!(
+                w,
+                "ALERT @{} after {} events: {a} {b} {c} (min_w={}, T={:.3}){tag}",
+                alert.ts, alert.events_ingested, alert.min_weight, alert.t_score
+            )
+            .and_then(|()| if speedup > 0.0 { w.flush() } else { Ok(()) });
+            closed.set(written.is_err());
+        });
+        written
+    })?;
     drop(stream_span);
     obs::record_stage_rss("stream");
     for cp in engine.checkpoints() {
@@ -926,8 +901,7 @@ fn cmd_snapshot_write(flags: &Flags) -> Result<(), String> {
 fn cmd_snapshot_inspect(flags: &Flags) -> Result<(), String> {
     let path = flags.get("snapshot").ok_or("--snapshot is required")?;
     let snap = open_snapshot(path)?;
-    print!("{}", snap.describe());
-    Ok(())
+    with_stdout(|w| w.write_all(snap.describe().as_bytes()))
 }
 
 fn cmd_report_validate(flags: &Flags) -> Result<(), String> {

@@ -558,10 +558,11 @@ fn pipeline_distributed_stdout_is_byte_identical_to_resident() {
         .expect("run report-validate");
     let stderr = String::from_utf8_lossy(&check.stderr);
     assert!(check.status.success(), "{stderr}");
-    // and times each rank's row build pass by pass
+    // and times the rows door's build and each rank's row build, pass by
+    // pass: four of each at three ranks
     let text = std::fs::read_to_string(report).expect("read report");
     for pass in ["btm.count", "btm.scatter", "btm.order"] {
-        let entry = format!("\"label\": \"{pass}\", \"count\": 3,");
+        let entry = format!("\"label\": \"{pass}\", \"count\": 4,");
         assert!(text.contains(&entry), "no {entry} in {text}");
     }
     std::fs::remove_dir_all(dir).ok();
@@ -767,6 +768,55 @@ fn unknown_flags_are_refused_before_any_work() {
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(stderr.contains(flag), "{cmd} {flag}: stderr was {stderr}");
         assert!(!stderr.contains("loaded"), "{cmd} {flag} ingested first");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// A report command whose stdout reader has gone — `coordination … | head`
+/// once `head` is done — fails with exit 2 and `write stdout: …` on stderr,
+/// never a panic. The read end is closed before the command starts, so
+/// every command meets the closed pipe at its first write, however short
+/// its report is.
+#[test]
+fn a_closed_stdout_is_an_error_not_a_panic() {
+    let dir = tmpdir("closed-stdout");
+    let path = |p: PathBuf| p.to_str().expect("utf-8 temp dir").to_owned();
+    let month = path(generate_month(&dir));
+    let (graph, snap) = (path(dir.join("graph.tsv")), path(dir.join("month.snap")));
+    let run = |args: &[&str]| {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = bin().args(args).stdout(writer).output();
+        out.expect("run with a closed stdout")
+    };
+    for setup in [
+        &["project", "--input", &month, "--out", &graph][..],
+        &["snapshot", "write", "--input", &month, "--out", &snap],
+    ] {
+        assert!(run(setup).status.success(), "{setup:?}");
+    }
+    let input = ["--input", month.as_str(), "--cutoff", "5"];
+    let commands = [
+        vec!["stats", "--input", &month],
+        vec!["survey", "--graph", &graph, "--cutoff", "5"],
+        [&["hunt"][..], &input].concat(),
+        [&["validate"][..], &input].concat(),
+        [&["groups"][..], &input].concat(),
+        [&["refine"][..], &input].concat(),
+        [&["pipeline"][..], &input].concat(),
+        [&["pipeline"][..], &input, &["--ranks", "2"]].concat(),
+        [&["stream"][..], &input].concat(),
+        vec!["snapshot", "inspect", "--snapshot", &snap],
+    ];
+    for args in &commands {
+        let out = run(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("error: write stdout: "),
+            "{args:?}: {stderr}"
+        );
     }
     std::fs::remove_dir_all(dir).ok();
 }

@@ -228,7 +228,8 @@ fn one_rank_run_dataset_excludes_as_the_resident_run_does() {
         min_triangle_weight: 25,
         ..Default::default()
     };
-    let heavy = coordination::core::filter::high_volume_accounts(&ds, 150);
+    let heavy =
+        coordination::core::filter::high_volume_accounts(&ds.btm(), |id| ds.authors.name(id), 150);
     assert!(!heavy.is_empty(), "no heavy accounts to exclude");
     config
         .exclusions

@@ -6,7 +6,7 @@ use coordination::analysis::stats::pearson;
 use coordination::core::pipeline::{Pipeline, PipelineConfig};
 use coordination::core::Window;
 use coordination::redditgen::ScenarioConfig;
-use coordination::stream::source::scenario_records;
+use coordination::stream::source::sort_records;
 use coordination::stream::{StreamConfig, StreamEngine};
 
 fn hunt(
@@ -286,7 +286,8 @@ fn detection_is_precise_and_complete() {
 #[test]
 fn stream_engine_alerts_both_planted_families() {
     let scenario = ScenarioConfig::jan2020(0.15).build();
-    let records = scenario_records(&scenario);
+    let mut records = scenario.records.clone();
+    sort_records(&mut records);
     let total = records.len();
     let mut engine = StreamEngine::new(StreamConfig {
         window: Window::zero_to_60s(),

@@ -39,7 +39,8 @@ fn cli_stdout_matches_the_golden_files() {
 
     let input = ["--input", month.as_str()];
     let cutoff = ["--cutoff", "25"];
-    let runs: [(&str, Vec<&str>); 8] = [
+    let runs: [(&str, Vec<&str>); 9] = [
+        ("stats", [&["stats"][..], &input].concat()),
         ("pipeline", [&["pipeline"][..], &input, &cutoff].concat()),
         (
             "pipeline",

@@ -8,9 +8,10 @@
 //! - the resident engine: [`Pipeline::run_btm`] over [`Btm::build`] (authors
 //!   excluded by id), [`Pipeline::run_dataset`] (excluded by name) and
 //!   [`Pipeline::run_snapshot`] on the dataset written and opened;
-//! - the rank-sharded engine at each [`Ranked`] setting: its `run_dataset`,
-//!   `run_snapshot` and `run_events`, the last fed the kept comments in a
-//!   permuted arrival order;
+//! - the rank-sharded engine at each [`Ranked`] setting: its `run_dataset`
+//!   and `run_snapshot`, which build or map a BTM as the resident twins do
+//!   and read its blocks through `run_btm`, and `run_events`, fed the kept
+//!   comments in a permuted arrival order;
 //! - the cumulative [`StreamEngine`], for `w′` and `P′`.
 //!
 //! Which row layout a door holds is the input's to pick: 8 B rows when the

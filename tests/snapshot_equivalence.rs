@@ -1,24 +1,26 @@
 //! What a snapshot stores, read back: the rows of any events are the BTM of
-//! the definition, its event views tile them at every rank count, and a
-//! generated month keeps ingest's ids, the window it was written with and the
-//! CI graph `survey --from-snapshot` projects. (The pipelines over a
+//! the definition, the rank program's blocks of the mapped BTM tile them at
+//! every rank count, and a generated month keeps ingest's ids, the window it
+//! was written with and the CI graph `survey --from-snapshot` projects. (The pipelines over a
 //! snapshot are doors of the one matrix, `oracle.rs`.)
 
 mod matrix;
 
 use std::sync::Arc;
 
+use coordination::core::dist_pipeline::DistPipeline;
 use coordination::core::filter::ExclusionList;
 use coordination::core::ids::Interner;
+use coordination::core::pipeline::{Pipeline, PipelineConfig};
 use coordination::core::project::project;
 use coordination::core::records::{write_ndjson, Dataset};
 use coordination::core::snapshot::{
-    btm_from_snapshot, dataset_from_snapshot, ingest_to_snapshot, write_snapshot,
+    authors_from_snapshot, btm_from_snapshot, ingest_to_snapshot, write_snapshot,
 };
 use coordination::core::store::Snapshot;
 use coordination::core::{AuthorId, Event, IngestConfig, PageId, Window};
 use coordination::redditgen::ScenarioConfig;
-use matrix::TempSnap;
+use matrix::{observed, TempSnap};
 use proptest::prelude::*;
 
 /// 10 authors and 8 pages of which ids 0 and n-1 never occur (rows are empty
@@ -49,7 +51,9 @@ proptest! {
     /// Stored rows ≡ the definition: whatever the events and whoever is
     /// excluded, the BTM read off a written snapshot holds the definition's
     /// rows, the flat event iterator is a permutation of what was written,
-    /// and the rank slices tile it for every rank count.
+    /// and the blocks the rank program reads of the BTM tile it for every
+    /// rank count: each comment reaches exactly one rank, so every run is
+    /// the resident run on the same rows.
     #[test]
     fn snapshot_rows_are_the_btm_of_the_definition(
         events in arb_events(),
@@ -81,10 +85,12 @@ proptest! {
         got.sort_unstable();
         want.sort_unstable();
         prop_assert_eq!(got, want);
-        for nranks in 1..=7 {
-            let tiled: Vec<_> =
-                (0..nranks).flat_map(|r| snap.events().rank_slice(r, nranks)).collect();
-            prop_assert_eq!(&tiled, &stored, "{} ranks", nranks);
+        let config = PipelineConfig { min_triangle_weight: 1, ..Default::default() };
+        let resident = observed(&Pipeline::new(config.clone()).run_btm(&btm))?;
+        for nranks in 2..=7 {
+            let ranked = DistPipeline::new(config.clone(), nranks).run_btm(&btm);
+            prop_assert_eq!(ranked.stats.comments_reviewed, btm.n_comments());
+            prop_assert_eq!(&observed(&ranked)?, &resident, "{} ranks", nranks);
         }
     }
 }
@@ -107,11 +113,11 @@ fn snapshot_path_is_equivalent_end_to_end() {
         .expect("resident ingest")
         .dataset;
 
-    // the materialized dataset keeps ingest's dense ids
-    let back = dataset_from_snapshot(&snap);
-    assert_eq!(back.authors.len(), resident.authors.len());
+    // the re-interned author table keeps ingest's dense ids
+    let back = authors_from_snapshot(&snap);
+    assert_eq!(back.len(), resident.authors.len());
     for (id, name) in resident.authors.iter() {
-        assert_eq!(back.authors.get(name), Some(id));
+        assert_eq!(back.get(name), Some(id));
     }
 
     // the file records its window, and its rows under the pipeline's bot
