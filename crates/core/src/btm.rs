@@ -35,7 +35,8 @@
 //! Step 3 reads it for the vertices of the triangles that survived steps
 //! 1–2, a few dozen authors out of |U|, so it is a value of its own,
 //! [`AuthorPages`], harvested from the rows for exactly the authors asked
-//! for in one masked scan.
+//! for in one masked scan, each author's pages held as a bitset over the
+//! harvest's page space or as a sorted list, whichever is smaller.
 
 use coordination_store::mmap::Words;
 use coordination_store::snapshot::narrow_base;
@@ -820,18 +821,87 @@ impl Btm {
 }
 
 /// The author side of a [`Btm`] for a stated set of authors: each one's
-/// distinct pages, sorted — the hypergraph incidence lists `w_xyz` (Eq. 2)
-/// intersects and `p_x` (Eq. 3) measures. Asking for every author gives the
-/// full transpose of the page side.
+/// distinct pages — the hypergraph incidence sets `w_xyz` (Eq. 2) intersects
+/// and `p_x` (Eq. 3) measures. Asking for every author gives the full
+/// transpose of the page side.
+///
+/// Each set is held in whichever form is smaller: a bitset over the
+/// harvest's page space (one past its largest page id) for an author on at
+/// least 1/32 of it, the sorted list otherwise. The form changes no
+/// answer, only how step 3's kernel intersects.
 #[derive(Clone, Debug)]
 pub struct AuthorPages {
     /// `slot[a]` is author `a`'s row below if `a` was asked for, [`NO_SLOT`]
     /// otherwise.
     slot: Vec<u32>,
-    /// Row `s`'s pages are `pages[author_off[s]..author_off[s + 1]]`.
-    author_off: Vec<usize>,
-    /// Distinct pages per harvested author, each author's sorted.
+    /// Row `s` holds `len[s]` distinct pages.
+    len: Vec<u32>,
+    /// Where row `s` starts: in `words` if it is dense, in `pages` otherwise.
+    start: Vec<usize>,
+    /// The sparse rows' pages, each row sorted.
     pages: Vec<PageId>,
+    /// The dense rows' bitsets, [`AuthorPages::n_words`] words each.
+    words: Vec<u64>,
+    /// One past the largest page id harvested (0 for none).
+    page_space: usize,
+}
+
+/// Whether a set of `len` pages in a page space of `page_space` ids is held
+/// as a bitset: when `32·len ≥ page_space`, so the bitset's `page_space / 8`
+/// bytes are never more than the list's `4·len` (up to the last word's
+/// rounding). The one rule both engines' harvests follow.
+pub(crate) fn is_dense(len: usize, page_space: usize) -> bool {
+    len > 0 && 32 * len >= page_space
+}
+
+/// A harvested author's distinct pages, in the form they are held in.
+#[derive(Clone, Copy, Debug)]
+pub enum PageSet<'a> {
+    /// Bit `p % 64` of word `p / 64` is set for each page `p`.
+    Bits(&'a [u64]),
+    /// The pages, ascending.
+    List(&'a [PageId]),
+}
+
+impl<'a> PageSet<'a> {
+    /// Whether page `p` is in the set.
+    #[inline]
+    pub fn contains(self, p: PageId) -> bool {
+        match self {
+            PageSet::Bits(words) => (p.0 as usize) < 64 * words.len() && has(words, p),
+            PageSet::List(pages) => pages.binary_search(&p).is_ok(),
+        }
+    }
+
+    /// The pages, ascending.
+    pub fn iter(self) -> impl Iterator<Item = PageId> + 'a {
+        let (words, pages) = match self {
+            PageSet::Bits(words) => (words, &[][..]),
+            PageSet::List(pages) => (&[][..], pages),
+        };
+        bit_pages(words).chain(pages.iter().copied())
+    }
+}
+
+/// Whether page `p`, below `64 · words.len()`, is set in `words`.
+#[inline]
+pub(crate) fn has(words: &[u64], p: PageId) -> bool {
+    let p = p.0 as usize;
+    words[p / 64] >> (p % 64) & 1 != 0
+}
+
+/// The pages set in `words`, ascending.
+pub(crate) fn bit_pages(words: &[u64]) -> impl Iterator<Item = PageId> + '_ {
+    words.iter().enumerate().flat_map(|(i, &w)| {
+        let mut w = w;
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let bit = w.trailing_zeros();
+                w &= w - 1;
+                PageId(i as u32 * 64 + bit)
+            })
+        })
+    })
 }
 
 /// Rows number below `n_authors <= u32::MAX`, so the sentinel is no row.
@@ -942,32 +1012,67 @@ impl AuthorPages {
                 scan.page(p, row, |s, _| hits.push((s, p)));
             }
         }
-        Self::from_hits(scan, &hits)
+        // pages are scanned ascending, so the last hit is on the largest
+        let page_space = hits.last().map_or(0, |&(_, p)| p.0 as usize + 1);
+        Self::from_hits(scan, &hits, page_space)
     }
 
-    /// Lay `(slot, page)` hits — each slot's pages ascending and distinct —
-    /// out per author of `scan`'s request by count → prefix sum → scatter.
-    /// [`AuthorPages::harvest`] feeds it one scan's hits; stage 5 of
-    /// [`crate::dist_pipeline`] feeds it the runs it reads out of the
-    /// harvest shards.
-    pub(crate) fn from_hits(scan: HarvestScan, hits: &[(u32, PageId)]) -> Self {
+    /// Lay `(slot, page)` hits — each slot's pages ascending and distinct, all
+    /// below `page_space` — out per author of `scan`'s request by count →
+    /// prefix sum → scatter, then fold each dense row, read in order, into
+    /// its bitset and close the sparse rows up behind one another, so no
+    /// hit's form is decided in the scatter. [`AuthorPages::harvest`] feeds it
+    /// one scan's hits; stage 5 of [`crate::dist_pipeline`] feeds it the runs
+    /// it reads out of the harvest shards, with the page space of every
+    /// rank's.
+    pub(crate) fn from_hits(scan: HarvestScan, hits: &[(u32, PageId)], page_space: usize) -> Self {
         let n_slots = scan.n_slots();
-        let mut author_off = vec![0usize; n_slots + 1];
+        let mut off = vec![0usize; n_slots + 1];
         for &(s, _) in hits {
-            author_off[s as usize + 1] += 1;
+            off[s as usize + 1] += 1;
         }
-        prefix_sum(&mut author_off);
+        prefix_sum(&mut off);
         let mut pages = vec![PageId(0); hits.len()];
-        let mut cursor = author_off[..n_slots].to_vec();
+        let mut cursor = off[..n_slots].to_vec();
         for &(s, p) in hits {
             let at = &mut cursor[s as usize];
             pages[*at] = p;
             *at += 1;
         }
+        // each dense row becomes a bitset, and the sparse rows close up
+        let n_words = page_space.div_ceil(64);
+        let len: Vec<u32> = off.windows(2).map(|w| (w[1] - w[0]) as u32).collect();
+        let n_dense = len
+            .iter()
+            .filter(|&&l| is_dense(l as usize, page_space))
+            .count();
+        let mut words = vec![0u64; n_dense * n_words];
+        let mut start = Vec::with_capacity(n_slots);
+        let (mut listed, mut dense) = (0, 0);
+        for (s, row) in off.windows(2).enumerate() {
+            if is_dense(len[s] as usize, page_space) {
+                start.push(dense);
+                let set = &mut words[dense..dense + n_words];
+                for p in &pages[row[0]..row[1]] {
+                    let p = p.0 as usize;
+                    set[p / 64] |= 1 << (p % 64);
+                }
+                dense += n_words;
+            } else {
+                start.push(listed);
+                pages.copy_within(row[0]..row[1], listed);
+                listed += row[1] - row[0];
+            }
+        }
+        pages.truncate(listed);
+        pages.shrink_to_fit();
         AuthorPages {
             slot: scan.slot,
-            author_off,
+            len,
+            start,
             pages,
+            words,
+            page_space,
         }
     }
 
@@ -977,43 +1082,63 @@ impl AuthorPages {
         Self::harvest(btm, (0..btm.n_authors()).map(AuthorId))
     }
 
-    /// The author's distinct pages, sorted.
-    ///
-    /// # Panics
-    /// If `a` was not among the authors harvested.
-    pub fn pages(&self, a: AuthorId) -> &[PageId] {
+    /// The row of a harvested author.
+    fn row(&self, a: AuthorId) -> usize {
         match self.slot.get(a.0 as usize) {
-            Some(&s) if s != NO_SLOT => {
-                &self.pages[self.author_off[s as usize]..self.author_off[s as usize + 1]]
-            }
+            Some(&s) if s != NO_SLOT => s as usize,
             _ => panic!("author {} was not harvested", a.0),
         }
     }
 
+    /// The author's distinct pages.
+    ///
+    /// # Panics
+    /// If `a` was not among the authors harvested.
+    pub fn pages(&self, a: AuthorId) -> PageSet<'_> {
+        let s = self.row(a);
+        let (start, len) = (self.start[s], self.len[s] as usize);
+        if is_dense(len, self.page_space) {
+            PageSet::Bits(&self.words[start..start + self.n_words()])
+        } else {
+            PageSet::List(&self.pages[start..start + len])
+        }
+    }
+
     /// `p_x`: the number of pages where `x` has at least one comment (Eq. 3).
+    ///
+    /// # Panics
+    /// If `a` was not among the authors harvested.
     pub fn page_count(&self, a: AuthorId) -> u64 {
-        self.pages(a).len() as u64
+        u64::from(self.len[self.row(a)])
     }
 
     /// Number of distinct authors harvested.
     pub fn n_authors(&self) -> u32 {
-        (self.author_off.len() - 1) as u32
+        self.len.len() as u32
     }
 
     /// Number of harvested authors with at least one comment.
     pub fn active_authors(&self) -> u32 {
-        self.author_off.windows(2).filter(|w| w[1] > w[0]).count() as u32
+        self.len.iter().filter(|&&l| l > 0).count() as u32
     }
 
     /// Total author–page incidences harvested.
     pub fn n_incidences(&self) -> u64 {
-        self.pages.len() as u64
+        self.len.iter().map(|&l| u64::from(l)).sum()
     }
 
-    /// One past the largest page id harvested (0 for none): the page-id space
-    /// a dense per-page table over these lists needs.
-    pub(crate) fn page_bound(&self) -> usize {
-        self.pages.iter().max().map_or(0, |p| p.0 as usize + 1)
+    /// The incidences of the authors held as bitsets.
+    pub(crate) fn dense_incidences(&self) -> u64 {
+        let dense = self
+            .len
+            .iter()
+            .filter(|&&l| is_dense(l as usize, self.page_space));
+        dense.map(|&l| u64::from(l)).sum()
+    }
+
+    /// Words in one page bitset over the harvest's page space.
+    pub(crate) fn n_words(&self) -> usize {
+        self.page_space.div_ceil(64)
     }
 }
 
@@ -1138,10 +1263,8 @@ mod tests {
     fn author_pages_are_deduped_and_sorted() {
         let btm = Btm::from_events(1, 3, &[ev(0, 2, 1), ev(0, 0, 2), ev(0, 2, 3), ev(0, 1, 4)]);
         let authors = AuthorPages::all(&btm);
-        assert_eq!(
-            authors.pages(AuthorId(0)),
-            &[PageId(0), PageId(1), PageId(2)]
-        );
+        let pages: Vec<PageId> = authors.pages(AuthorId(0)).iter().collect();
+        assert_eq!(pages, [PageId(0), PageId(1), PageId(2)]);
         assert_eq!(authors.page_count(AuthorId(0)), 3);
     }
 
@@ -1196,9 +1319,10 @@ mod tests {
         let asked = [6, 2, 7, 2, 6].map(AuthorId);
         let some = AuthorPages::harvest(&btm, asked);
         assert_eq!((some.n_authors(), some.active_authors()), (3, 2));
-        assert_eq!(some.pages(AuthorId(6)), [2, 4].map(PageId));
-        assert_eq!(some.pages(AuthorId(2)), [1, 4].map(PageId));
-        assert_eq!(some.pages(AuthorId(7)), []);
+        let pages = |a| some.pages(AuthorId(a)).iter().collect::<Vec<_>>();
+        assert_eq!(pages(6), [2, 4].map(PageId));
+        assert_eq!(pages(2), [1, 4].map(PageId));
+        assert_eq!(pages(7), []);
         assert_eq!(some.n_incidences(), 2 + 2);
         assert!(std::panic::catch_unwind(|| some.pages(AuthorId(1))).is_err());
     }

@@ -104,13 +104,16 @@
 //!    resident path evaluates.
 //!
 //! The pair-occurrence, oriented-edge and harvest shuffles land in run
-//! stacks with or without a budget. Each stage records the resident
-//! engine's span for the same step — `btm.build` over stages 1–2, which end
-//! with the BTM's page side, then `project`, `survey` and `validate` — and
-//! its counters (`project.pages`, `project.edges`, `survey.*`,
-//! `validate.*`), each rank adding its share, so the process totals are the
-//! resident run's and a run report names the same stages whichever engine
-//! ran.
+//! stacks with or without a budget. Stages 1–2, which end with the BTM's
+//! page side sharded, record a span of their own, `btm.shard` (the event
+//! exchange and each rank's row build, whose `btm.count`, `btm.scatter` and
+//! `btm.order` passes nest in it), so a report keeps them apart from the
+//! `btm.build` of the door that read the input. Stages 3–5 record the
+//! resident engine's spans for the same steps — `project`, `survey` and
+//! `validate` — and every stage its counters (`project.pages`,
+//! `project.edges`, `survey.*`, `validate.*`), each rank adding its share, so
+//! the process totals are the resident run's and a run report names the
+//! same steps whichever engine ran.
 //!
 //! **Equivalence contract** (pinned by the oracle matrix in `tests/`, which
 //! holds every door of both engines to the paper's definition, and a CLI
@@ -132,7 +135,7 @@ use ygm::container::DistBag;
 use ygm::reduce::{all_gather_concat, all_reduce_hist};
 use ygm::{owner_of, DistRuns, PackedAggregator, PackedBatch, RankCtx, RunSet, World};
 
-use crate::btm::{AuthorPages, Btm, HarvestScan, PageRow, PageRows, WideRow};
+use crate::btm::{is_dense, AuthorPages, Btm, HarvestScan, PageRow, PageRows, WideRow};
 use crate::cigraph::CiGraph;
 use crate::hypergraph::{record_runs, validate_triangles};
 use crate::ids::{AuthorId, Event, PageId};
@@ -640,9 +643,9 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
         }};
     }
 
-    // Stages 1–2 end with the BTM's page side, sharded: one span, the
-    // resident build's.
-    let build_span = obs::span("btm.build");
+    // Stages 1–2 end with the BTM's page side, sharded: one span, apart from
+    // the door's `btm.build`.
+    let build_span = obs::span("btm.shard");
 
     // ---- Stage 1: open this rank's share of the one source --------------
     let events = source(ctx.rank(), ctx.nranks());
@@ -867,13 +870,22 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
     // adjacent) and publish the rank's sorted run for cross-rank binary
     // searches. The harvest is restricted to surveyed authors, so this
     // materialization is tiny by construction.
-    {
+    let page_space = {
         let harvested = author_pages.local_take(ctx);
         let mut merged: Vec<u64> = harvested.cursor().collect();
         merged.dedup();
         obs::counter("validate.harvest_incidences").add(merged.len() as u64);
+        // Every rank lays its authors out over the resident harvest's page
+        // space, one past the largest page harvested on any rank.
+        let top = merged.iter().map(|&p| u64::from(p as u32) + 1).max();
+        let page_space = ctx.all_reduce_max(top.unwrap_or(0)) as usize;
+        let runs = merged.chunk_by(|a, b| a >> 32 == b >> 32);
+        let dense = runs.filter(|run| is_dense(run.len(), page_space));
+        let dense: usize = dense.map(<[u64]>::len).sum();
+        obs::counter("validate.dense_incidences").add(dense as u64);
         harvest_out.with_shard_mut(ctx.rank(), |shard| *shard = merged);
-    }
+        page_space
+    };
     ctx.barrier();
     // Each author's run, read out of its owner's shard once — quiescent
     // reads: the harvest barrier drained every message and validation sends
@@ -888,7 +900,7 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
             hits.extend(run.map(|&p| (s, PageId(p as u32))));
         });
     }
-    let authors = AuthorPages::from_hits(scan, &hits);
+    let authors = AuthorPages::from_hits(scan, &hits, page_space);
     let (metrics, runs) =
         validate_triangles(&authors, &out.page_counts, mine.iter().map(|s| &s.triangle));
     out.kept = mine.into_iter().zip(metrics).collect();

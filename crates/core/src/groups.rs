@@ -17,8 +17,9 @@
 
 use std::collections::HashMap;
 
-use crate::btm::{AuthorPages, Btm};
-use crate::ids::{AuthorId, PageId};
+use crate::btm::{AuthorPages, Btm, PageSet};
+use crate::hypergraph::SharedPages;
+use crate::ids::AuthorId;
 use crate::metrics::TripletMetrics;
 use tripoll::graph::DisjointSets;
 
@@ -35,33 +36,22 @@ pub struct Group {
     pub triplet_support: usize,
 }
 
-/// Pages shared by *all* the given authors (k-way sorted intersection).
+/// Pages shared by *all* the given authors: the two with the fewest pages
+/// are intersected as step 3 intersects a leading edge, and each page they
+/// share is tested against the rest.
 pub fn group_weight(authors: &AuthorPages, members: &[AuthorId]) -> u64 {
     assert!(!members.is_empty());
-    // Intersect iteratively, starting from the shortest list.
-    let mut lists: Vec<&[PageId]> = members.iter().map(|&a| authors.pages(a)).collect();
-    lists.sort_by_key(|l| l.len());
-    let mut current: Vec<PageId> = lists[0].to_vec();
-    for list in &lists[1..] {
-        if current.is_empty() {
-            return 0;
-        }
-        let mut next = Vec::with_capacity(current.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < current.len() && j < list.len() {
-            match current[i].cmp(&list[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    next.push(current[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        current = next;
-    }
-    current.len() as u64
+    let mut members = members.to_vec();
+    members.sort_by_key(|&a| authors.page_count(a));
+    let sets: Vec<PageSet<'_>> = members.iter().map(|&a| authors.pages(a)).collect();
+    // a lone member is its own intersection
+    let mut shared = SharedPages::new(authors);
+    shared.set(sets[0], sets[1.min(sets.len() - 1)]);
+    let rest = &sets[2.min(sets.len())..];
+    let pages = shared.pages().iter();
+    pages
+        .filter(|&&p| rest.iter().all(|s| s.contains(p)))
+        .count() as u64
 }
 
 /// The generalized coordination score `|G|·w_G / Σ p_x`; in `[0, 1]` because
@@ -176,7 +166,7 @@ pub fn prune_group(btm: &Btm, group: &Group, min_weight: u64) -> Group {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::Event;
+    use crate::ids::{Event, PageId};
 
     fn ev(a: u32, p: u32, ts: i64) -> Event {
         Event::new(AuthorId(a), PageId(p), ts)
@@ -207,6 +197,36 @@ mod tests {
         let with_tagalong: Vec<AuthorId> = (0..6).map(AuthorId).collect();
         assert_eq!(group_weight(&authors, &with_tagalong), 1);
         assert_eq!(group_weight(&authors, &[AuthorId(0)]), 8);
+    }
+
+    /// Bitset members beside list members in a 320-page space, where 10
+    /// pages make a bitset: every even page (0), pages 0..64 (1), and two
+    /// lists on word edges (2, 3); each weight is the k-way intersection.
+    #[test]
+    fn group_weight_mixes_bitsets_and_lists() {
+        let lists: [Vec<u32>; 4] = [
+            (0..320).step_by(2).collect(),
+            (0..64).collect(),
+            vec![0, 4, 63, 64, 130],
+            vec![4, 64, 319],
+        ];
+        let events: Vec<Event> = (0..4)
+            .flat_map(|a| lists[a].iter().map(move |&p| ev(a as u32, p, 0)))
+            .collect();
+        let authors = AuthorPages::all(&Btm::from_events(4, 320, &events));
+        let held = (0..4).map(|a| matches!(authors.pages(AuthorId(a)), PageSet::Bits(_)));
+        assert_eq!(held.collect::<Vec<_>>(), [true, true, false, false]);
+        for (members, want) in [
+            (&[0, 1, 2][..], 2), // 0 and 4
+            (&[2, 1, 0, 3], 1),  // 4
+            (&[0, 2], 4),        // 0, 4, 64, 130
+            (&[3, 1], 1),        // 4
+            (&[1, 0], 32),
+            (&[3], 3),
+        ] {
+            let members: Vec<AuthorId> = members.iter().map(|&a| AuthorId(a)).collect();
+            assert_eq!(group_weight(&authors, &members), want, "{members:?}");
+        }
     }
 
     #[test]

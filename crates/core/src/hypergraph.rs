@@ -8,11 +8,11 @@
 //! Note there is deliberately no time bound here — the paper validates spatial
 //! coordination only (its §4.2 names time-windowed hyperedges as future work).
 
-use crate::btm::{AuthorPages, Btm};
+use crate::btm::{bit_pages, has, AuthorPages, Btm, PageSet};
 use crate::ids::{AuthorId, PageId};
 use crate::metrics::{c_score, TripletMetrics};
 use coordination_graph::intersect::{
-    intersect_indices, intersect_indices_gallop, StampSet, STAMP_GALLOP_RATIO,
+    intersect_indices, intersect_indices_gallop, STAMP_GALLOP_RATIO,
 };
 use tripoll::survey::t_score;
 use tripoll::Triangle;
@@ -20,62 +20,171 @@ use tripoll::Triangle;
 /// A run of consecutive triples sharing an edge: it and `|pages(x) ∩ pages(y)|`.
 pub(crate) type PrefixRun = ([AuthorId; 2], usize);
 
+/// `pages(x) ∩ pages(y)` for one leading edge, as one bit a page over the
+/// harvest's page space (allocated once, all clear between edges), and its
+/// sorted pages once something asks for them. Formed by word AND when both
+/// sides are bitsets, by probing or merging the lists otherwise; step 3's
+/// kernel, [`crate::groups::group_weight`] and the windowed weight all read
+/// the shared pages of an edge through it.
+pub(crate) struct SharedPages {
+    bits: Vec<u64>,
+    /// The set's pages, ascending, when `listed`.
+    list: Vec<PageId>,
+    listed: bool,
+    len: usize,
+    /// Whether `bits` was written word by word, so that clearing it is a
+    /// fill; otherwise only the words of `list` hold bits.
+    by_words: bool,
+}
+
+impl SharedPages {
+    /// A clear set over `authors`' page space.
+    pub(crate) fn new(authors: &AuthorPages) -> Self {
+        SharedPages {
+            bits: vec![0; authors.n_words()],
+            list: Vec::new(),
+            listed: true,
+            len: 0,
+            by_words: false,
+        }
+    }
+
+    /// Make the set `a ∩ b`.
+    pub(crate) fn set(&mut self, a: PageSet<'_>, b: PageSet<'_>) {
+        self.clear();
+        match (a, b) {
+            (PageSet::Bits(a), PageSet::Bits(b)) => {
+                let mut len = 0;
+                for ((s, a), b) in self.bits.iter_mut().zip(a).zip(b) {
+                    *s = a & b;
+                    len += s.count_ones() as usize;
+                }
+                (self.len, self.listed, self.by_words) = (len, false, true);
+            }
+            (PageSet::Bits(bits), PageSet::List(list))
+            | (PageSet::List(list), PageSet::Bits(bits)) => {
+                for &p in list.iter().filter(|&&p| has(bits, p)) {
+                    self.insert(p);
+                }
+            }
+            (PageSet::List(a), PageSet::List(b)) => {
+                intersect_indices(a, b, &mut |i, _| self.insert(a[i]));
+            }
+        }
+    }
+
+    /// Add page `p`, above every page held, to a set being listed.
+    fn insert(&mut self, p: PageId) {
+        let i = p.0 as usize;
+        self.bits[i / 64] |= 1 << (i % 64);
+        self.list.push(p);
+        self.len += 1;
+    }
+
+    /// Empty the set, clearing only the words it wrote.
+    fn clear(&mut self) {
+        if self.by_words {
+            self.bits.fill(0);
+        } else {
+            for &p in &self.list {
+                self.bits[p.0 as usize / 64] = 0;
+            }
+        }
+        self.list.clear();
+        (self.len, self.listed, self.by_words) = (0, true, false);
+    }
+
+    /// The number of pages held.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The pages held, ascending (read out of the bits the first time).
+    pub(crate) fn pages(&mut self) -> &[PageId] {
+        if !self.listed {
+            self.list.extend(bit_pages(&self.bits));
+            self.listed = true;
+        }
+        &self.list
+    }
+
+    /// `|self ∩ c|`. Against a bitset it is the popcount of the two ANDed,
+    /// or, when the set is listed and shorter than the words, a bit test per
+    /// page it holds; against a list, a bit test per page of `c`, or, when `c`
+    /// is over [`STAMP_GALLOP_RATIO`]× longer than the set, a gallop of the
+    /// set's pages through `c`.
+    pub(crate) fn count(&mut self, c: PageSet<'_>) -> u64 {
+        let mut n = 0u64;
+        match c {
+            PageSet::Bits(c) if self.listed && self.len < c.len() => {
+                n = self.list.iter().filter(|&&p| has(c, p)).count() as u64;
+            }
+            PageSet::Bits(c) => {
+                let and = self.bits.iter().zip(c).map(|(s, c)| (s & c).count_ones());
+                n = and.map(u64::from).sum();
+            }
+            PageSet::List(c) if self.len * STAMP_GALLOP_RATIO < c.len() => {
+                intersect_indices_gallop(self.pages(), c, false, &mut |_, _| n += 1);
+            }
+            PageSet::List(c) => {
+                n = c.iter().filter(|&&p| has(&self.bits, p)).count() as u64;
+            }
+        }
+        n
+    }
+
+    /// Visit each page held that `c` holds too, ascending.
+    pub(crate) fn common(&mut self, c: PageSet<'_>, f: &mut impl FnMut(PageId)) {
+        let list = self.pages();
+        match c {
+            PageSet::Bits(c) => list.iter().filter(|&&p| has(c, p)).for_each(|&p| f(p)),
+            PageSet::List(c) => intersect_indices(list, c, &mut |i, _| f(list[i])),
+        }
+    }
+}
+
 /// Step 3's one kernel, both engines': `w_xyz` for triples keyed on their
 /// leading edge `(x, y)`. When the edge changes, `pages(x) ∩ pages(y)` is
-/// intersected once and stamped into one per-page [`StampSet`] (allocated
-/// once, cleared by unstamping, never swept); each `w_xyz` of the run probes
-/// `pages(z)` against it or, when `pages(z)` is over [`STAMP_GALLOP_RATIO`]×
-/// longer, gallops the intersection through it, as the wedge kernel does.
-/// Order is a speed property only: any order (unsorted, repeated,
-/// interleaved) gives the same weights; sorted input intersects an edge once.
+/// formed once into one [`SharedPages`]; each `w_xyz` of the run counts
+/// `pages(z)` in it ([`SharedPages::count`]: AND + popcount against a bitset,
+/// a probe or a gallop against a list). Order is a speed property only: any
+/// order (unsorted, repeated, interleaved) gives the same weights; sorted
+/// input intersects an edge once.
 pub(crate) struct SharedPrefix<'a> {
     authors: &'a AuthorPages,
-    marks: StampSet,
-    /// The current run's stamped `pages(x) ∩ pages(y)`; its edge is the last run's.
-    shared: Vec<PageId>,
+    /// The current run's `pages(x) ∩ pages(y)`; its edge is the last run's.
+    shared: SharedPages,
     runs: Vec<PrefixRun>,
 }
 
 impl<'a> SharedPrefix<'a> {
-    /// A kernel over `authors`' page lists.
+    /// A kernel over `authors`' page sets.
     pub(crate) fn new(authors: &'a AuthorPages) -> Self {
         SharedPrefix {
             authors,
-            marks: StampSet::new(authors.page_bound()),
-            shared: Vec::new(),
+            shared: SharedPages::new(authors),
             runs: Vec::new(),
         }
     }
 
+    /// `pages(x) ∩ pages(y)`, opening a run if the edge is not the last one's.
+    pub(crate) fn shared(&mut self, [x, y]: [AuthorId; 2]) -> &mut SharedPages {
+        if self.runs.last().map(|r| r.0) != Some([x, y]) {
+            let authors = self.authors;
+            self.shared.set(authors.pages(x), authors.pages(y));
+            self.runs.push(([x, y], self.shared.len()));
+        }
+        &mut self.shared
+    }
+
     /// `w_xyz` of `[x, y, z]`, all three harvested.
     pub(crate) fn weight(&mut self, [x, y, z]: [AuthorId; 3]) -> u64 {
-        if self.runs.last().map(|r| r.0) != Some([x, y]) {
-            self.close_run();
-            let px = self.authors.pages(x);
-            let shared = &mut self.shared;
-            intersect_indices(px, self.authors.pages(y), &mut |i, _| shared.push(px[i]));
-            self.marks.stamp(shared);
-            self.runs.push(([x, y], shared.len()));
-        }
         let pz = self.authors.pages(z);
-        let mut w = 0u64;
-        if self.shared.len() * STAMP_GALLOP_RATIO < pz.len() {
-            intersect_indices_gallop(&self.shared, pz, false, &mut |_, _| w += 1);
-        } else {
-            self.marks.probe(pz, &mut |_, _| w += 1);
-        }
-        w
+        self.shared([x, y]).count(pz)
     }
 
-    /// Unstamp the current run, leaving the marks clear; a new run must open next.
-    fn close_run(&mut self) {
-        self.marks.unstamp(&self.shared);
-        self.shared.clear();
-    }
-
-    /// Clear the marks and return the runs opened, in order.
-    pub(crate) fn finish(mut self) -> Vec<PrefixRun> {
-        self.close_run();
+    /// The runs opened, in order.
+    pub(crate) fn finish(self) -> Vec<PrefixRun> {
         self.runs
     }
 }
@@ -153,6 +262,7 @@ pub fn validate_all(
     };
     obs::counter("validate.harvest_authors").add(u64::from(authors.n_authors()));
     obs::counter("validate.harvest_incidences").add(authors.n_incidences());
+    obs::counter("validate.dense_incidences").add(authors.dense_incidences());
     let (metrics, runs) = validate_triangles(&authors, ci_page_counts, triangles);
     record_runs(&runs);
     obs::counter("validate.triplets").add(metrics.len() as u64);
@@ -206,25 +316,63 @@ mod tests {
             .filter(|&(i, t)| i == 0 || triples[i - 1][..2] != t[..2])
             .count();
         prop_assert_eq!(kernel.runs.len(), opened);
-        kernel.close_run();
-        prop_assert!(kernel.marks.is_clear(), "a run left a mark behind");
+        kernel.shared.clear();
+        prop_assert!(
+            kernel.shared.bits.iter().all(|&w| w == 0),
+            "a run left a bit behind"
+        );
         Ok(())
     }
 
-    /// An author's pages: none, a scattered few, or a long contiguous stretch
-    /// (the long side of the probe/gallop boundary).
-    fn arb_list() -> impl Strategy<Value = Vec<u32>> {
-        (0u32..4, prop::collection::vec(0u32..48, 0..12), 0u32..400).prop_map(
-            |(kind, mut scattered, len)| match kind {
+    /// Page spaces the drawn lists fill: none a multiple of 64, each a
+    /// multiple of 32, so an author can sit exactly at `32·|P| = space`. In
+    /// the largest, a list can be over [`STAMP_GALLOP_RATIO`]× longer than a
+    /// shared edge and still be a list.
+    const SPACES: [u32; 3] = [96, 224, 2080];
+
+    /// Pages at the edges of a bitset word.
+    const WORD_EDGES: [u32; 7] = [0, 31, 63, 64, 65, 127, 128];
+
+    /// An author's pages in `0..space`: none; one; a long contiguous
+    /// stretch; exactly `space / 32` pages, or one fewer or one more (the
+    /// two sides of the bitset rule); or a scattered few. Pages lean on the
+    /// word edges, so the sets meet.
+    fn arb_list(space: u32) -> impl Strategy<Value = Vec<u32>> {
+        let page = (0u32..2, 0u32..space, 0usize..WORD_EDGES.len())
+            .prop_map(move |(edge, p, e)| if edge == 0 { WORD_EDGES[e] % space } else { p });
+        let picks = prop::collection::vec(page, 0..12);
+        (0u32..5, picks, 0u32..3, 0u32..space).prop_map(move |(kind, picks, side, at)| {
+            let mut list = match kind {
                 0 => Vec::new(),
-                1 => (0..len).collect(),
-                _ => {
-                    scattered.sort_unstable();
-                    scattered.dedup();
-                    scattered
+                1 => vec![at],
+                2 => (at / 2..space).collect(),
+                3 => {
+                    // picks first, then the pages from `at` on, distinct
+                    let want = (space / 32 + side - 1) as usize;
+                    let mut seen = vec![false; space as usize];
+                    let fill = (0..space).map(|i| (at + i) % space);
+                    let pool = picks.into_iter().chain(fill);
+                    let fresh = pool.filter(|&p| !std::mem::replace(&mut seen[p as usize], true));
+                    fresh.take(want).collect()
                 }
-            },
-        )
+                _ => picks,
+            };
+            list.sort_unstable();
+            list.dedup();
+            list
+        })
+    }
+
+    /// Authors in one of [`SPACES`], the last on its last page alone so the
+    /// harvest's page space is exactly the one drawn.
+    fn arb_lists() -> impl Strategy<Value = Vec<Vec<u32>>> {
+        (0..SPACES.len()).prop_flat_map(|s| {
+            let space = SPACES[s];
+            prop::collection::vec(arb_list(space), 3..7).prop_map(move |mut lists| {
+                lists.push(vec![space - 1]);
+                lists
+            })
+        })
     }
 
     proptest! {
@@ -234,8 +382,8 @@ mod tests {
         /// and interleaved by halves — gives the definition's weights.
         #[test]
         fn shared_prefix_weights_match_the_definition(
-            lists in prop::collection::vec(arb_list(), 3..7),
-            raw in prop::collection::vec((0usize..7, 0usize..7, 0usize..7), 0..40),
+            lists in arb_lists(),
+            raw in prop::collection::vec((0usize..8, 0usize..8, 0usize..8), 0..40),
         ) {
             let n = lists.len();
             let drawn: Vec<[usize; 3]> = raw.iter().map(|&(x, y, z)| [x % n, y % n, z % n]).collect();
@@ -251,34 +399,84 @@ mod tests {
         }
     }
 
+    /// Whether author `a` of `authors` is held as a bitset.
+    fn dense(authors: &AuthorPages, a: usize) -> bool {
+        matches!(authors.pages(AuthorId(a as u32)), PageSet::Bits(_))
+    }
+
     #[test]
     fn shared_prefix_edge_cases() {
-        // 0: empty; 1, 2: disjoint; 3: shares 1's pages; 4: the long side
+        // a page space of 96 (not a multiple of 64): 3 pages make a bitset,
+        // 2 a list. 0: empty; 1, 2: disjoint lists; 3: 4 pages, sharing 1's
+        // and 63/64; 4: the long side; 5: exactly 3 pages on the word edge;
+        // 6: one page, the last, which fixes the space; 7: 2 pages, one
+        // short of the rule
         let lists = vec![
             vec![],
-            vec![0, 2, 4],
-            vec![1, 3, 5],
-            vec![0, 2, 4, 6],
+            vec![0, 2],
+            vec![1, 3],
+            vec![0, 2, 63, 64],
             (0..96).collect::<Vec<u32>>(),
+            vec![63, 64, 65],
+            vec![95],
+            vec![2, 64],
         ];
+        let authors = author_pages(&lists);
+        let held: Vec<bool> = (0..lists.len()).map(|a| dense(&authors, a)).collect();
+        assert_eq!(held, [false, false, false, true, true, true, false, false]);
         let cases = [
-            ([0, 1, 3], 0), // an empty list
-            ([1, 2, 3], 0), // a run whose intersection is empty
-            ([1, 2, 4], 0), // … galloped over nothing
-            ([1, 3, 4], 3), // |pages(4)| = 32 × 3: probed
-            ([1, 3, 2], 0),
-            ([1, 3, 3], 3),
+            ([0, 1, 3], 0), // an empty list: an empty run
+            ([1, 2, 3], 0), // two lists whose intersection is empty
+            ([1, 3, 4], 2), // list ∩ bitset, then AND + popcount with a bitset
+            ([7, 5, 4], 1), // … one page, shorter than the words: a bit test
+            ([3, 4, 5], 2), // bitset AND bitset, then AND + popcount
+            ([3, 4, 1], 2), // … a probe of a list into the bits
+            ([3, 5, 6], 0), // … against a one-page list
+            ([4, 4, 5], 3), // an author with itself
+            ([6, 4, 4], 1),
         ];
         for (t, w) in cases {
             assert_eq!(definition(&lists, t), w, "{t:?}");
         }
         let triples: Vec<[usize; 3]> = cases.iter().map(|c| c.0).collect();
         check_kernel(&lists, &triples).unwrap();
-        // one past the boundary: |pages(4)| = 32 × 3 + 1 is galloped
-        let mut longer = lists.clone();
-        longer[4].push(96);
-        check_kernel(&longer, &[[1, 3, 4], [3, 1, 4], [1, 1, 4], [4, 4, 4]]).unwrap();
         check_kernel(&lists, &[]).unwrap();
+
+        // a page space of 2080: 65 pages make a bitset, 64 a list. 0 and 1
+        // share page 127 alone; 2 is 64 pages holding it, so the one-page
+        // intersection gallops through it; 3 is 65 pages, one past the rule;
+        // 4 holds 128 and the last page; 5 is a bitset sharing page 164 alone
+        // with 3, so their AND is read out into a one-page list to gallop
+        // through 6, a list holding it, and then probed into 3's bits
+        let mut lists = vec![
+            vec![5, 127, 700],
+            vec![127, 128, 701],
+            (100..164).collect::<Vec<u32>>(),
+            (100..165).collect::<Vec<u32>>(),
+            vec![128, 2079],
+            (164..229).collect::<Vec<u32>>(),
+            (150..214).collect::<Vec<u32>>(),
+        ];
+        let authors = author_pages(&lists);
+        let held: Vec<bool> = (0..lists.len()).map(|a| dense(&authors, a)).collect();
+        assert_eq!(held, [false, false, false, true, false, true, false]);
+        let triples = [
+            [0, 1, 2],
+            [0, 1, 3],
+            [1, 2, 3],
+            [1, 4, 3],
+            [2, 3, 1],
+            [3, 3, 2],
+            [3, 3, 3],
+            [3, 5, 6],
+            [3, 5, 3],
+        ];
+        check_kernel(&lists, &triples).unwrap();
+        // at the gallop ratio (probed) and one page past it (galloped)
+        lists[2] = (100..132).collect();
+        check_kernel(&lists, &triples).unwrap();
+        lists[2] = (100..133).collect();
+        check_kernel(&lists, &triples).unwrap();
     }
 
     fn coordinated_btm() -> Btm {

@@ -22,6 +22,7 @@
 //! span ≤ δ2, and check whether the window covers all three authors.
 
 use crate::btm::{AuthorPages, Btm, PageRow, Row};
+use crate::hypergraph::SharedPrefix;
 use crate::ids::AuthorId;
 use crate::metrics::c_score;
 use tripoll::Triangle;
@@ -36,37 +37,30 @@ pub fn windowed_hyperedge_weight(
     z: AuthorId,
     max_span: i64,
 ) -> u64 {
+    let mut kernel = SharedPrefix::new(authors);
+    windowed_weight(btm, authors, &mut kernel, [x, y, z], max_span)
+}
+
+/// [`windowed_hyperedge_weight`] through a kernel over `authors`: only pages
+/// all three touch can qualify, so the per-page scan runs on the pages of the
+/// kernel's `pages(x) ∩ pages(y)` that `z` holds too.
+fn windowed_weight(
+    btm: &Btm,
+    authors: &AuthorPages,
+    kernel: &mut SharedPrefix<'_>,
+    [x, y, z]: [AuthorId; 3],
+    max_span: i64,
+) -> u64 {
     assert!(max_span >= 0, "span must be non-negative");
     assert!(x != y && y != z && x != z, "authors must be distinct");
-    // Only pages all three touch can qualify; intersect their page lists
-    // first so the per-page scan runs on a short list.
-    let (pa, pb, pc) = (authors.pages(x), authors.pages(y), authors.pages(z));
     let mut count = 0u64;
-    let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-    while i < pa.len() && j < pb.len() && k < pc.len() {
-        let (a, b, c) = (pa[i], pb[j], pc[k]);
-        let m = a.min(b).min(c);
-        if a == b && b == c {
-            let covered = match btm.page_neighborhood(a) {
-                PageRow::Narrow { row, .. } => page_has_windowed_triple(row, x, y, z, max_span),
-                PageRow::Wide(row) => page_has_windowed_triple(row, x, y, z, max_span),
-            };
-            count += u64::from(covered);
-            i += 1;
-            j += 1;
-            k += 1;
-        } else {
-            if a == m {
-                i += 1;
-            }
-            if b == m {
-                j += 1;
-            }
-            if c == m {
-                k += 1;
-            }
-        }
-    }
+    kernel.shared([x, y]).common(authors.pages(z), &mut |p| {
+        let covered = match btm.page_neighborhood(p) {
+            PageRow::Narrow { row, .. } => page_has_windowed_triple(row, x, y, z, max_span),
+            PageRow::Wide(row) => page_has_windowed_triple(row, x, y, z, max_span),
+        };
+        count += u64::from(covered);
+    });
     count
 }
 
@@ -134,14 +128,14 @@ pub fn validate_windowed(btm: &Btm, triangles: &[Triangle], max_span: i64) -> Ve
         btm,
         triangles.iter().flat_map(|t| t.vertices()).map(AuthorId),
     );
-    let mut kernel = crate::hypergraph::SharedPrefix::new(&authors);
+    let mut kernel = SharedPrefix::new(&authors);
     triangles
         .iter()
         .map(|t| {
             let [a, b, c] = t.vertices();
             let (xa, xb, xc) = (AuthorId(a), AuthorId(b), AuthorId(c));
-            let ww = windowed_hyperedge_weight(btm, &authors, xa, xb, xc, max_span);
             let unbounded = kernel.weight([xa, xb, xc]);
+            let ww = windowed_weight(btm, &authors, &mut kernel, [xa, xb, xc], max_span);
             WindowedTriplet {
                 authors: [xa, xb, xc],
                 min_ci_weight: t.min_weight(),
@@ -161,6 +155,7 @@ pub fn validate_windowed(btm: &Btm, triangles: &[Triangle], max_span: i64) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::btm::PageSet;
     use crate::ids::{Event, PageId, Timestamp};
     use crate::project::project;
     use crate::window::Window;
@@ -336,6 +331,30 @@ mod tests {
         assert!(w.windowed_weight <= w.min_ci_weight);
         assert!((w.windowed_c - c_score(2, 3, 3, 3)).abs() < 1e-12);
         assert!((0.0..=1.0).contains(&w.windowed_c));
+    }
+
+    /// A bitset member beside two list members: author 0 is on every page
+    /// of a 320-page space (a bitset: 32 × 320 ≥ 320), authors 1 and 2 on
+    /// three pages each (lists: 32 × 3 < 320), sharing pages 5 and 64. The
+    /// weight is the same whichever author leads.
+    #[test]
+    fn a_bitset_member_beside_list_members() {
+        let mut events: Vec<Event> = (0..320).map(|p| ev(0, p, 0)).collect();
+        events.extend([5, 64, 200].map(|p| ev(1, p, 10)));
+        events.extend([(5, 20), (64, 100), (201, 0)].map(|(p, ts)| ev(2, p, ts)));
+        let btm = Btm::from_events(3, 320, &events);
+        let authors = AuthorPages::harvest(&btm, (0..3).map(AuthorId));
+        let held = (0..3).map(|a| matches!(authors.pages(AuthorId(a)), PageSet::Bits(_)));
+        assert_eq!(held.collect::<Vec<_>>(), [true, false, false]);
+        for (span, want) in [(19, 0), (20, 1), (99, 1), (100, 2)] {
+            let w = |x, y, z| {
+                let [x, y, z] = [x, y, z].map(AuthorId);
+                windowed_hyperedge_weight(&btm, &authors, x, y, z, span)
+            };
+            assert_eq!(w(0, 1, 2), want, "span {span}");
+            assert_eq!(w(1, 2, 0), want, "span {span}");
+            assert_eq!(w(2, 0, 1), want, "span {span}");
+        }
     }
 
     #[test]

@@ -18,12 +18,3 @@ pub struct AuthorId(pub u32);
 /// Dense page id (the root submission of a comment tree).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageId(pub u32);
-
-/// A page id is its dense index: what lets a page list be stamped into an
-/// [`crate::intersect::StampSet`] over the page-id space.
-impl From<PageId> for u32 {
-    #[inline]
-    fn from(p: PageId) -> u32 {
-        p.0
-    }
-}

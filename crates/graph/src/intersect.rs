@@ -3,9 +3,9 @@
 //! Two consumers burn most of their cycles intersecting sorted lists: the
 //! triangle enumerator (`tripoll::enumerate` intersects oriented out-lists)
 //! and hypergraph validation (`coordination_core::hypergraph` intersects
-//! author page lists). Both use both kernels below.
+//! the author page sets it holds as lists; dense ones are bitsets there).
 //!
-//! *One pair at a time* (validation's leading edge):
+//! *One pair at a time* (validation's leading edge of two page lists):
 //! [`intersect_indices`] dispatches on the length ratio: below
 //! `GALLOP_RATIO` it runs the classic two-cursor linear merge; above it,
 //! it walks the *short* side and locates each element in the long side by
@@ -17,13 +17,13 @@
 //! every other kernel here to it.
 //!
 //! *One row against many* (the wedge kernel: `out(u)` against `out(v)` for
-//! every `v ∈ out(u)`; validation: `pages(a) ∩ pages(b)` against `pages(c)`
-//! for every `c` of a run sharing the edge `(a, b)`): [`StampSet`] marks the
-//! shared row once in a dense per-id scratch and each partner row is probed
-//! against it — `|b|` loads with one mostly-not-taken branch each, where the
-//! merge pays `|a| + |b|` data-dependent three-way branches. A partner more than
+//! every `v ∈ out(u)`): [`StampSet`] marks the shared row once in a dense
+//! per-id scratch and each partner row is probed against it — `|b|` loads
+//! with one mostly-not-taken branch each, where the merge pays `|a| + |b|`
+//! data-dependent three-way branches. A partner more than
 //! [`STAMP_GALLOP_RATIO`] times the stamped row's length is galloped through
-//! instead ([`intersect_indices_gallop`]).
+//! instead ([`intersect_indices_gallop`]); validation's bitset of a shared
+//! edge takes the same escape.
 
 /// Length ratio above which galloping beats the linear merge in
 /// [`intersect_indices`]. Chosen from an ablation on degree-skewed page

@@ -55,6 +55,7 @@ const BATCH_COUNTERS: &[&str] = &[
     "validate.triplets",
     "validate.harvest_authors",
     "validate.harvest_incidences",
+    "validate.dense_incidences",
     "validate.prefix_runs",
     "validate.prefix_pages",
 ];

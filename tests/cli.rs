@@ -558,11 +558,19 @@ fn pipeline_distributed_stdout_is_byte_identical_to_resident() {
         .expect("run report-validate");
     let stderr = String::from_utf8_lossy(&check.stderr);
     assert!(check.status.success(), "{stderr}");
-    // and times the rows door's build and each rank's row build, pass by
-    // pass: four of each at three ranks
+    // and books the rows door's build (`btm.build`, once) apart from the
+    // ranks' exchange and row builds (`btm.shard`, once a rank), while the
+    // passes nested in both are timed pass by pass: four of each at three
+    // ranks
     let text = std::fs::read_to_string(report).expect("read report");
-    for pass in ["btm.count", "btm.scatter", "btm.order"] {
-        let entry = format!("\"label\": \"{pass}\", \"count\": 4,");
+    for (label, count) in [
+        ("btm.build", 1),
+        ("btm.shard", 3),
+        ("btm.count", 4),
+        ("btm.scatter", 4),
+        ("btm.order", 4),
+    ] {
+        let entry = format!("\"label\": \"{label}\", \"count\": {count},");
         assert!(text.contains(&entry), "no {entry} in {text}");
     }
     std::fs::remove_dir_all(dir).ok();

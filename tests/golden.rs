@@ -39,7 +39,7 @@ fn cli_stdout_matches_the_golden_files() {
 
     let input = ["--input", month.as_str()];
     let cutoff = ["--cutoff", "25"];
-    let runs: [(&str, Vec<&str>); 9] = [
+    let runs: [(&str, Vec<&str>); 10] = [
         ("stats", [&["stats"][..], &input].concat()),
         ("pipeline", [&["pipeline"][..], &input, &cutoff].concat()),
         (
@@ -47,6 +47,17 @@ fn cli_stdout_matches_the_golden_files() {
             [&["pipeline"][..], &input, &cutoff, &["--ranks", "2"]].concat(),
         ),
         ("validate", [&["validate"][..], &input, &cutoff].concat()),
+        // cutoff 3 harvests the authors of the densest triangles, nearly all
+        // held as bitsets; the T floor keeps the listing short
+        (
+            "validate_cutoff3",
+            [
+                &["validate"][..],
+                &input,
+                &["--cutoff", "3", "--t-score", "0.11"],
+            ]
+            .concat(),
+        ),
         ("hunt", [&["hunt"][..], &input, &cutoff].concat()),
         ("groups", [&["groups"][..], &input, &cutoff].concat()),
         ("stream", [&["stream"][..], &input, &cutoff].concat()),

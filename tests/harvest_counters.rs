@@ -6,7 +6,10 @@
 //! So do the validation kernel's `validate.prefix_runs` (runs of survivors
 //! sharing a leading edge `(a, b)`: the distinct such edges) and
 //! `validate.prefix_pages` (their `|pages(a) ∩ pages(b)|`, summed), though a
-//! run may split across the ranks that kept its triangles. And a one-byte
+//! run may split across the ranks that kept its triangles, and
+//! `validate.dense_incidences` (the incidences of the harvested authors held
+//! as bitsets: those on at least 1/32 of the harvest's page space), though
+//! each rank lays out only the authors of its own survivors. And a one-byte
 //! shuffle budget really spills (`shuffle.spilled_bytes`,
 //! `shuffle.spill_segments`), where no budget spills nothing. The stage
 //! totals a run report documents — `project.pages`, `project.edges` and
@@ -32,7 +35,7 @@ use coordination::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
 use coordination::core::records::{CommentRecord, Dataset};
 use coordination::redditgen::ScenarioConfig;
 
-const COUNTERS: [&str; 17] = [
+const COUNTERS: [&str; 18] = [
     "validate.harvest_authors",
     "validate.harvest_incidences",
     "validate.prefix_runs",
@@ -50,6 +53,7 @@ const COUNTERS: [&str; 17] = [
     "project.pages",
     "project.edges",
     "validate.triplets",
+    "validate.dense_incidences",
 ];
 
 /// Where the shuffles' `items_sent` counters sit in [`COUNTERS`].
@@ -61,8 +65,11 @@ const SURVEY: std::ops::Range<usize> = 11..14;
 /// Where the stage totals both engines document sit in [`COUNTERS`].
 const STAGES: std::ops::Range<usize> = 14..17;
 
+/// Where `validate.dense_incidences` sits in [`COUNTERS`].
+const DENSE: usize = 17;
+
 /// The counters' growth over one run.
-fn measured(run: &dyn Fn() -> PipelineOutput) -> (PipelineOutput, [u64; 17]) {
+fn measured(run: &dyn Fn() -> PipelineOutput) -> (PipelineOutput, [u64; 18]) {
     let read = || COUNTERS.map(|name| obs::counter(name).get());
     let before = read();
     let out = run();
@@ -123,6 +130,15 @@ fn check(ds: &Dataset, config: &PipelineConfig) {
         .iter()
         .map(|&[a, b]| pages(a).intersection(&pages(b)).count() as u64);
     assert_eq!(want[2..4], [edges.len() as u64, shared.sum()]);
+    // the authors on at least 1/32 of the page space the harvest spans
+    let space = p_x.keys().map(|&a| pages(a).last().map_or(0, |&p| p + 1));
+    let space = u64::from(space.max().unwrap_or(0));
+    let dense = p_x.values().filter(|&&p| p > 0 && 32 * p >= space);
+    assert_eq!(
+        want[DENSE],
+        dense.sum::<u64>(),
+        "the resident dense incidences"
+    );
     assert_eq!(want[4..SENT.end], [0; 7], "the resident engine shuffled");
     assert!(want[SURVEY].iter().all(|&n| n > 0), "{:?}", &want[SURVEY]);
     // pages with a kept comment, distinct edges, validated triplets
@@ -144,6 +160,7 @@ fn check(ds: &Dataset, config: &PipelineConfig) {
             });
             assert_eq!(dist.triplets, resident.triplets);
             assert_eq!(got[..4], want[..4], "{nranks} ranks, budget {budget:?}");
+            assert_eq!(got[DENSE], want[DENSE], "{nranks} ranks, budget {budget:?}");
             assert_eq!(
                 got[STAGES], want[STAGES],
                 "{nranks} ranks, budget {budget:?}"

@@ -469,7 +469,7 @@ proptest! {
         }
         let authors = AuthorPages::all(&btm);
         for a in 0..na {
-            prop_assert_eq!(authors.pages(AuthorId(a)), &by_author[a as usize][..]);
+            prop_assert_eq!(authors.pages(AuthorId(a)).iter().collect::<Vec<_>>(), by_author[a as usize].clone());
         }
         prop_assert_eq!(btm.n_comments(), filtered.len() as u64);
 
@@ -502,7 +502,7 @@ proptest! {
             distinct.sort_unstable();
             distinct.dedup();
             for &a in &distinct {
-                prop_assert_eq!(authors.pages(AuthorId(a)), &by_author[a as usize][..]);
+                prop_assert_eq!(authors.pages(AuthorId(a)).iter().collect::<Vec<_>>(), by_author[a as usize].clone());
             }
             let held = distinct.iter().map(|&a| by_author[a as usize].len());
             prop_assert_eq!(authors.n_authors() as usize, distinct.len());
