@@ -850,7 +850,7 @@ pub struct AuthorPages {
 /// as a bitset: when `32·len ≥ page_space`, so the bitset's `page_space / 8`
 /// bytes are never more than the list's `4·len` (up to the last word's
 /// rounding). The one rule both engines' harvests follow.
-pub(crate) fn is_dense(len: usize, page_space: usize) -> bool {
+fn is_dense(len: usize, page_space: usize) -> bool {
     len > 0 && 32 * len >= page_space
 }
 
@@ -957,11 +957,6 @@ impl HarvestScan {
         self.last_page.len()
     }
 
-    /// The slot of a requested author.
-    pub(crate) fn slot(&self, a: AuthorId) -> u32 {
-        self.slot[a.0 as usize]
-    }
-
     /// Feed the next incidence of a page-major stream: the author's slot if
     /// they were requested and this is their first comment on page `p`.
     #[inline]
@@ -1022,9 +1017,8 @@ impl AuthorPages {
     /// prefix sum → scatter, then fold each dense row, read in order, into
     /// its bitset and close the sparse rows up behind one another, so no
     /// hit's form is decided in the scatter. [`AuthorPages::harvest`] feeds it
-    /// one scan's hits; stage 5 of [`crate::dist_pipeline`] feeds it the runs
-    /// it reads out of the harvest shards, with the page space of every
-    /// rank's.
+    /// one scan's hits; stage 5 of [`crate::dist_pipeline`] feeds it every
+    /// rank's scan of its own pages, gathered and sorted page-major.
     pub(crate) fn from_hits(scan: HarvestScan, hits: &[(u32, PageId)], page_space: usize) -> Self {
         let n_slots = scan.n_slots();
         let mut off = vec![0usize; n_slots + 1];

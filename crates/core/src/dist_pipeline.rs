@@ -84,33 +84,28 @@
 //!    kernel: below the cutoff a triangle is only counted, at or above it
 //!    listed through the min weight and `T`-score predicates (`P'` is
 //!    replicated). Only the statistics and the survivors exist afterwards.
-//! 5. **Validation** — first the *on-demand harvest*: the survivors'
-//!    vertex set is all-gathered, each rank runs the resident engine's
-//!    harvest scan (`btm::HarvestScan`, the scan under
+//! 5. **Validation** — step 3 as the resident engine runs it, plus one
+//!    all-gather: the survivors' vertices are all-gathered, each rank runs the
+//!    resident harvest scan (`btm::HarvestScan`, the scan under
 //!    [`AuthorPages::harvest`](crate::btm::AuthorPages::harvest)) over its
 //!    page partition a second time for just those authors
-//!    (`PagePartition::harvest`: the rows flat, the runs
-//!    straight off a merge cursor — page-major either way), and ships each
-//!    packed `(author, page)` hit, already deduplicated, to the author
-//!    owners, which merge them — reproducing `Btm`'s page lists for exactly the
-//!    authors validation will read, instead of shuffling and sorting the
-//!    full per-event incidence. Then each rank reads the page run of every
-//!    author of its survivors out of the author-owner shard once (quiescent
-//!    [`with_shard`](ygm::container::DistBag::with_shard) reads after the
-//!    harvest barrier — no message chains) into an [`AuthorPages`] table,
-//!    and validates its survivors, sorted by vertex triple, through the
-//!    resident engine's kernel and metrics constructor
-//!    ([`crate::hypergraph`]) — the same floating-point expressions the
-//!    resident path evaluates.
+//!    (`PagePartition::harvest`: the rows flat, the runs straight off a merge
+//!    cursor — page-major either way), and the `(slot, page)` hits are
+//!    all-gathered. A page has one owner, so the ranks' hits are disjoint and,
+//!    sorted, are the hits the resident harvest finds over the whole BTM:
+//!    every rank builds the same [`AuthorPages`] table from them and
+//!    validates its survivors, sorted by vertex triple, through the resident
+//!    engine's kernel and metrics constructor ([`crate::hypergraph`]) — the
+//!    same floating-point expressions the resident path evaluates.
 //!
-//! The pair-occurrence, oriented-edge and harvest shuffles land in run
-//! stacks with or without a budget. Stages 1–2, which end with the BTM's
-//! page side sharded, record a span of their own, `btm.shard` (the event
-//! exchange and each rank's row build, whose `btm.count`, `btm.scatter` and
-//! `btm.order` passes nest in it), so a report keeps them apart from the
-//! `btm.build` of the door that read the input. Stages 3–5 record the
-//! resident engine's spans for the same steps — `project`, `survey` and
-//! `validate` — and every stage its counters (`project.pages`,
+//! The pair-occurrence and oriented-edge shuffles land in run stacks with or
+//! without a budget. Stages 1–2, which end with the BTM's page side sharded,
+//! record a span of their own, `btm.shard` (the event exchange and each
+//! rank's row build, whose `btm.count`, `btm.scatter` and `btm.order` passes
+//! nest in it), so a report keeps them apart from the `btm.build` of the door
+//! that read the input. Stages 3–5 record the resident engine's spans for the
+//! same steps — `project`, `survey` and `validate`, with its
+//! `validate.harvest` — and every stage its counters (`project.pages`,
 //! `project.edges`, `survey.*`, `validate.*`), each rank adding its share, so
 //! the process totals are the resident run's and a run report names the
 //! same steps whichever engine ran.
@@ -135,13 +130,13 @@ use ygm::container::DistBag;
 use ygm::reduce::{all_gather_concat, all_reduce_hist};
 use ygm::{owner_of, DistRuns, PackedAggregator, PackedBatch, RankCtx, RunSet, World};
 
-use crate::btm::{is_dense, AuthorPages, Btm, HarvestScan, PageRow, PageRows, WideRow};
+use crate::btm::{AuthorPages, Btm, HarvestScan, PageRow, PageRows, WideRow};
 use crate::cigraph::CiGraph;
-use crate::hypergraph::{record_runs, validate_triangles};
+use crate::hypergraph::{record_harvest, record_runs, validate_triangles};
 use crate::ids::{AuthorId, Event, PageId};
 use crate::metrics::TripletMetrics;
 use crate::pipeline::{Pipeline, PipelineConfig, PipelineOutput, RunStats, StageTimings};
-use crate::project::{pack_pair, page_pairs_flat, run_length_pairs, PageStep};
+use crate::project::{page_pairs_flat, run_length_pairs, PageStep};
 use crate::records::Dataset;
 use crate::snapshot::btm_from_snapshot;
 
@@ -212,23 +207,22 @@ impl PagePartition {
         }
     }
 
-    /// Run the harvest `scan` over the partition: `hit(page, author)` for
-    /// each requested author's first comment on each page. The runs stream
-    /// straight off the merge: regrouping them into rows first measured 5–8 %
-    /// off the whole budgeted run.
-    pub(crate) fn harvest(&self, scan: &mut HarvestScan, mut hit: impl FnMut(PageId, AuthorId)) {
+    /// Run the harvest `scan` over the partition: `hit(page, slot)` for each
+    /// requested author's first comment on each page, pages ascending. The
+    /// runs stream straight off the merge: regrouping them into rows first
+    /// measured 5–8 % off the whole budgeted run.
+    pub(crate) fn harvest(&self, scan: &mut HarvestScan, mut hit: impl FnMut(PageId, u32)) {
         match self {
             PagePartition::Rows(rows) => {
                 for (p, row) in rows.pages() {
-                    scan.page(p, row, |_, a| hit(p, a));
+                    scan.page(p, row, |s, _| hit(p, s));
                 }
             }
             PagePartition::Runs(runs) => {
                 for k in runs.cursor() {
                     let (p, _, a) = event_from_key(k);
-                    let (p, a) = (PageId(p), AuthorId(a));
-                    if scan.first_on_page(p, a).is_some() {
-                        hit(p, a);
+                    if let Some(s) = scan.first_on_page(PageId(p), AuthorId(a)) {
+                        hit(PageId(p), s);
                     }
                 }
             }
@@ -519,18 +513,13 @@ impl DistPipeline {
 
         // Distributed containers, one per shuffle point. The event exchange
         // lands in flat page rows (or, under a budget, a spilling run stack);
-        // the other three are bounded run stacks (each arriving batch sorted
+        // the other two are bounded run stacks (each arriving batch sorted
         // and merged incrementally, spilling past the budget), never maps of
         // per-key `Vec`s. Keys are the order-preserving packings declared at
         // the top of the module.
         let page_events = PageInbox::new(nranks, budget);
-        let author_pages: DistRuns<u64> = DistRuns::new(nranks, "author_pages", budget);
         let pair_occurrences: DistRuns<u64> = DistRuns::new(nranks, "pair_occurrences", budget);
         let oriented_edges: DistRuns<u128> = DistRuns::new(nranks, "oriented_edges", budget);
-        // The merged on-demand harvest is published per rank into a plain
-        // bag so validation's quiescent cross-rank binary searches still
-        // have a random-access sorted shard to read.
-        let harvest_out: DistBag<u64> = DistBag::new(nranks);
         let survey = DistSurvey::new(nranks, cfg.survey_config());
 
         let program = RankProgram {
@@ -539,10 +528,8 @@ impl DistPipeline {
             n_authors,
             source,
             page_events: &page_events,
-            author_pages: &author_pages,
             pair_occurrences: &pair_occurrences,
             oriented_edges: &oriented_edges,
-            harvest_out: &harvest_out,
             survey: &survey,
         };
         let mut outs = World::run(nranks, |ctx| rank_main(ctx, program));
@@ -608,10 +595,8 @@ struct RankProgram<'a, 's> {
     n_authors: u32,
     source: &'a EventSource<'s>,
     page_events: &'a PageInbox,
-    author_pages: &'a DistRuns<u64>,
     pair_occurrences: &'a DistRuns<u64>,
     oriented_edges: &'a DistRuns<u128>,
-    harvest_out: &'a DistBag<u64>,
     survey: &'a DistSurvey,
 }
 
@@ -624,10 +609,8 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
         n_authors,
         source,
         page_events,
-        author_pages,
         pair_occurrences,
         oriented_edges,
-        harvest_out,
         survey,
     } = program;
     let mut out = RankOut::default();
@@ -815,92 +798,32 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
     // Sorted by vertex triple, consecutive survivors share their leading
     // edge: the validation kernel intersects it once per run.
     mine.sort_unstable_by_key(|s| s.triangle.vertices());
-    // On-demand author→pages harvest. Validation only ever reads the page
-    // lists of surveyed triangle vertices — a handful of authors — so
-    // instead of shuffling every event to its author owner (a second full
-    // per-event exchange plus a multimillion-pair sort), each rank scans its
-    // page partition for the authors the survey surfaced and ships just
-    // those incidences. The packed sort + dedup at the owner reproduces
-    // `Btm`'s sorted, deduplicated page lists exactly — restricted to the
-    // authors anyone will look up.
-    // The fold already applied the keep predicates (min weight, t-score),
-    // so only survivors' vertices enter the harvest. Hot organic authors
-    // with huge page lists mostly ride in noise triangles, so this is the
-    // difference between shipping thousands of pairs and shipping a sizable
-    // fraction of the whole incidence.
-    let mut local: Vec<u32> = mine.iter().flat_map(|s| s.triangle.vertices()).collect();
-    local.sort_unstable();
-    local.dedup();
-    let mut needed = all_gather_concat(ctx, local.clone());
-    needed.sort_unstable();
-    needed.dedup();
-    // `needed` is replicated, so one rank speaks for all: the same totals
-    // the resident `validate_all` reports for its harvest.
-    if ctx.rank() == 0 {
-        obs::counter("validate.harvest_authors").add(needed.len() as u64);
-    }
-    {
-        let ap = author_pages.clone();
-        let mut to_authors =
-            packed_agg!("author_pages_on_demand", u64, move |inner: &RankCtx,
-                                                             batch: PackedBatch<
-                u64,
-            >| {
-                ap.local_absorb(inner, batch.iter());
-            });
-        if !needed.is_empty() {
-            // The resident harvest's scan, over this rank's pages: a hit is
-            // an author's first comment on a page, so what ships is already
-            // deduplicated (a page has one owner).
-            let mut scan = HarvestScan::new(n_authors, needed.iter().map(|&a| AuthorId(a)));
-            // Bots comment in bursts, so consecutive qualifying events often
-            // share an author — cache the owner like the page loop does.
-            let mut author_owner = CachedOwner::new();
-            my_events.harvest(&mut scan, |p, a| {
-                let dest = author_owner.dest(a.0, ctx.nranks());
-                to_authors.push(ctx, dest, pack_pair(a.0, p.0));
-            });
+    // Step 3 reads `B` for the survivors' vertices only, so each rank runs
+    // the resident harvest scan for all of them over its own pages, and one
+    // all-gather hands every rank every hit. The request is replicated, so
+    // the slots agree on every rank; a page has one owner, so the ranks'
+    // hits are disjoint, and sorted they are the page-major hits
+    // `AuthorPages::harvest` finds over the whole BTM.
+    let authors = {
+        let _harvest = obs::span("validate.harvest");
+        let local = mine.iter().flat_map(|s| s.triangle.vertices()).collect();
+        let needed = all_gather_concat(ctx, local);
+        let mut scan = HarvestScan::new(n_authors, needed.into_iter().map(AuthorId));
+        let mut hits = Vec::new();
+        if scan.n_slots() > 0 {
+            my_events.harvest(&mut scan, |p, s| hits.push((s, p)));
         }
-        to_authors.flush_all(ctx);
-    }
-    // Dropping the partition deletes any spill segments behind it.
-    drop(my_events);
-    ctx.barrier();
-    // Merge + dedup the harvested incidences (the cursor yields duplicates
-    // adjacent) and publish the rank's sorted run for cross-rank binary
-    // searches. The harvest is restricted to surveyed authors, so this
-    // materialization is tiny by construction.
-    let page_space = {
-        let harvested = author_pages.local_take(ctx);
-        let mut merged: Vec<u64> = harvested.cursor().collect();
-        merged.dedup();
-        obs::counter("validate.harvest_incidences").add(merged.len() as u64);
-        // Every rank lays its authors out over the resident harvest's page
-        // space, one past the largest page harvested on any rank.
-        let top = merged.iter().map(|&p| u64::from(p as u32) + 1).max();
-        let page_space = ctx.all_reduce_max(top.unwrap_or(0)) as usize;
-        let runs = merged.chunk_by(|a, b| a >> 32 == b >> 32);
-        let dense = runs.filter(|run| is_dense(run.len(), page_space));
-        let dense: usize = dense.map(<[u64]>::len).sum();
-        obs::counter("validate.dense_incidences").add(dense as u64);
-        harvest_out.with_shard_mut(ctx.rank(), |shard| *shard = merged);
-        page_space
+        // Dropping the partition deletes any spill segments behind it.
+        drop(my_events);
+        let mut hits = all_gather_concat(ctx, hits);
+        hits.sort_unstable_by_key(|&(_, p)| p);
+        let page_space = hits.last().map_or(0, |&(_, p)| p.0 as usize + 1);
+        AuthorPages::from_hits(scan, &hits, page_space)
     };
-    ctx.barrier();
-    // Each author's run, read out of its owner's shard once — quiescent
-    // reads: the harvest barrier drained every message and validation sends
-    // none — into the table the kernel borrows, as in the resident path.
-    let scan = HarvestScan::new(n_authors, local.iter().map(|&a| AuthorId(a)));
-    let mut hits = Vec::new();
-    for &a in &local {
-        let s = scan.slot(AuthorId(a));
-        harvest_out.with_shard(owner_of(&a, ctx.nranks()), |shard| {
-            let lo = shard.partition_point(|&p| p < u64::from(a) << 32);
-            let run = shard[lo..].iter().take_while(|&&p| p >> 32 == u64::from(a));
-            hits.extend(run.map(|&p| (s, PageId(p as u32))));
-        });
+    // The table is replicated, so one rank speaks for it.
+    if ctx.rank() == 0 {
+        record_harvest(&authors);
     }
-    let authors = AuthorPages::from_hits(scan, &hits, page_space);
     let (metrics, runs) =
         validate_triangles(&authors, &out.page_counts, mine.iter().map(|s| &s.triangle));
     out.kept = mine.into_iter().zip(metrics).collect();

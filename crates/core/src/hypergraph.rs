@@ -238,6 +238,14 @@ pub(crate) fn validate_triangles<'t>(
     (metrics, kernel.finish())
 }
 
+/// Record what a harvest holds: its authors, their incidences, and the
+/// incidences held as bitsets.
+pub(crate) fn record_harvest(authors: &AuthorPages) {
+    obs::counter("validate.harvest_authors").add(u64::from(authors.n_authors()));
+    obs::counter("validate.harvest_incidences").add(authors.n_incidences());
+    obs::counter("validate.dense_incidences").add(authors.dense_incidences());
+}
+
 /// Count runs into `validate.prefix_runs`, their lengths into `.prefix_pages`.
 pub(crate) fn record_runs(runs: &[PrefixRun]) {
     obs::counter("validate.prefix_runs").add(runs.len() as u64);
@@ -260,9 +268,7 @@ pub fn validate_all(
             triangles.iter().flat_map(|t| t.vertices()).map(AuthorId),
         )
     };
-    obs::counter("validate.harvest_authors").add(u64::from(authors.n_authors()));
-    obs::counter("validate.harvest_incidences").add(authors.n_incidences());
-    obs::counter("validate.dense_incidences").add(authors.dense_incidences());
+    record_harvest(&authors);
     let (metrics, runs) = validate_triangles(&authors, ci_page_counts, triangles);
     record_runs(&runs);
     obs::counter("validate.triplets").add(metrics.len() as u64);

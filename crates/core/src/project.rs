@@ -43,45 +43,6 @@ pub fn unpack_pair(p: u64) -> (u32, u32) {
 /// each candidate still costs an amortized O(log) — not a hash probe.
 const COMPACT_MIN: usize = 1 << 14;
 
-/// Below this length comparison sort beats the fixed cost of counting passes.
-const RADIX_MIN: usize = 1 << 15;
-
-/// Sort packed pairs: LSD radix over 16-bit digits for large buffers
-/// (skipping the digits that are zero for every element — author ids are
-/// dense, so a packed pair rarely uses more than ~40 of its 64 bits),
-/// `sort_unstable` otherwise. A mega-thread's candidate buffer sorts in a
-/// few linear passes instead of `O(n log n)` comparisons.
-pub(crate) fn sort_packed(v: &mut Vec<u64>) {
-    if v.len() < RADIX_MIN {
-        v.sort_unstable();
-        return;
-    }
-    let max = v.iter().copied().max().unwrap_or(0);
-    let bits = 64 - max.leading_zeros() as usize;
-    let passes = bits.div_ceil(16).max(1);
-    let mut tmp = vec![0u64; v.len()];
-    let mut counts = vec![0u32; 1 << 16];
-    for pass in 0..passes {
-        let shift = pass * 16;
-        counts.fill(0);
-        for &x in v.iter() {
-            counts[((x >> shift) & 0xFFFF) as usize] += 1;
-        }
-        let mut sum = 0u32;
-        for c in counts.iter_mut() {
-            let t = *c;
-            *c = sum;
-            sum += t;
-        }
-        for &x in v.iter() {
-            let d = ((x >> shift) & 0xFFFF) as usize;
-            tmp[counts[d] as usize] = x;
-            counts[d] += 1;
-        }
-        std::mem::swap(v, &mut tmp);
-    }
-}
-
 /// The delay `later - earlier` if it is at most `d2`. Timestamps come from
 /// the input file, so two comments of one page can lie more than `i64::MAX`
 /// seconds apart: a difference that overflows is farther than any window.
@@ -119,7 +80,7 @@ fn row_pairs<R: Row>(comments: &[R], window: &Window, pairs: &mut Vec<u64>) {
                 pairs.push(pack_pair(ai.min(aj), ai.max(aj)));
                 if pairs.len() >= compact_at {
                     let before = pairs.len();
-                    sort_packed(pairs);
+                    pairs.sort_unstable();
                     pairs.dedup();
                     // Compaction earns its keep only on duplicate-heavy pages
                     // (a bot pile-on repeating few author pairs). If it barely
@@ -135,7 +96,7 @@ fn row_pairs<R: Row>(comments: &[R], window: &Window, pairs: &mut Vec<u64>) {
             }
         }
     }
-    sort_packed(pairs);
+    pairs.sort_unstable();
     pairs.dedup();
 }
 
@@ -240,7 +201,7 @@ fn project_btm(btm: &Btm, mut kernel: impl FnMut(PageRow<'_>, &mut Vec<u64>)) ->
             occ.extend_from_slice(step.page(comments, &mut kernel));
         }
         obs::counter("project.pair_occurrences").add(occ.len() as u64);
-        sort_packed(&mut occ);
+        occ.sort_unstable();
         run_length_pairs(occ)
     };
     let _merge = obs::span("project.merge");

@@ -105,7 +105,9 @@ impl World {
     /// # Panics
     /// If a rank panics — in `f` or in a message handler it runs — the other
     /// ranks panic out of their next barrier and the first panic is re-raised
-    /// here once every rank thread has ended.
+    /// here once every rank thread has ended. If the OS refuses a rank's
+    /// thread, the ranks already started leave their barrier the same way and
+    /// this panics with the spawn error once they have ended.
     pub(crate) fn launch<R, F>(mut self, f: F) -> Vec<R>
     where
         R: Send,
@@ -120,12 +122,13 @@ impl World {
         // a poisoned barrier, a send to the dead rank's dropped receiver.
         let first_panic = Mutex::new(None);
         let first_panic = &first_panic;
-        let out: Vec<Option<R>> = std::thread::scope(|scope| {
+        let (out, refused): (Vec<Option<R>>, _) = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(nranks);
+            let mut refused = None;
             for (rank, receiver) in receivers.into_iter().enumerate() {
                 let shared = Arc::clone(shared);
                 let senders = Arc::clone(senders);
-                handles.push(scope.spawn(move || {
+                let spawned = spawn_rank(scope, rank, move || {
                     let ctx = RankCtx {
                         rank,
                         shared,
@@ -153,13 +156,27 @@ impl World {
                         ctx.shared.poisoned.store(true, Ordering::Relaxed);
                     })
                     .ok()
-                }));
+                });
+                match spawned {
+                    Ok(handle) => handles.push(handle),
+                    // The ranks already started would wait in a barrier this
+                    // rank never reaches: the flag sends them out of it.
+                    Err(e) => {
+                        self.shared.poisoned.store(true, Ordering::Relaxed);
+                        refused = Some((rank, e));
+                        break;
+                    }
+                }
             }
-            handles
+            let out = handles
                 .into_iter()
                 .map(|h| h.join().expect("a rank's panic is caught on its thread"))
-                .collect()
+                .collect();
+            (out, refused)
         });
+        if let Some((rank, e)) = refused {
+            panic!("could not start the thread of rank {rank}: {e}");
+        }
         if let Some(payload) = lock(first_panic).take() {
             std::panic::resume_unwind(payload);
         }
@@ -176,6 +193,28 @@ impl World {
     {
         World::new(nranks).launch(f)
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The rank whose thread spawn fails in this thread's launches: the seam
+    /// that tests a refused spawn without asking the OS for many threads.
+    static REFUSED_RANK: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Start rank `rank`'s thread in `scope`, returning the OS's refusal instead
+/// of panicking on it.
+#[cfg_attr(not(test), allow(unused_variables))]
+fn spawn_rank<'scope, T: Send + 'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    rank: usize,
+    f: impl FnOnce() -> T + Send + 'scope,
+) -> std::io::Result<std::thread::ScopedJoinHandle<'scope, T>> {
+    #[cfg(test)]
+    if REFUSED_RANK.get() == Some(rank) {
+        return Err(std::io::Error::other("refused by the test seam"));
+    }
+    std::thread::Builder::new().spawn_scoped(scope, f)
 }
 
 /// Per-rank execution context handed to the SPMD function.
@@ -557,6 +596,19 @@ pub(crate) mod tests {
             });
         });
         assert_eq!(msg, "handler on rank 2");
+    }
+
+    #[test]
+    fn poisoned_world_a_refused_rank_thread_releases_the_started_ranks() {
+        for refused in 0..3 {
+            let msg = panic_message_within_10s(move || {
+                REFUSED_RANK.set(Some(refused));
+                World::run(3, |ctx| ctx.all_reduce_sum(1));
+            });
+            let want =
+                format!("could not start the thread of rank {refused}: refused by the test seam");
+            assert_eq!(msg, want);
+        }
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! A bag is a receive-side landing zone: a packed batch's handler appends it
 //! to the receiving rank's shard under one lock ([`DistBag::local_extend`]),
-//! and after the barrier the rank takes its shard ([`DistBag::local_take`]) or
-//! any rank reads it in place ([`DistBag::with_shard`]).
+//! and after the barrier the rank takes its shard ([`DistBag::local_take`]).
 
 use std::sync::{Arc, Mutex};
 
@@ -58,21 +57,6 @@ where
         lock(&self.shards[ctx.rank()].0).extend(items);
     }
 
-    /// Read `rank`'s shard in place through `f`, without cloning. Quiescent
-    /// regimes only (post-barrier or post-run): the caller must guarantee no
-    /// in-flight inserts.
-    pub fn with_shard<R>(&self, rank: usize, f: impl FnOnce(&Vec<T>) -> R) -> R {
-        f(&lock(&self.shards[rank].0))
-    }
-
-    /// Mutate `rank`'s shard in place (e.g. sort it into a binary-searchable
-    /// run without moving it out). Quiescent regimes only, and the caller
-    /// must own the shard or otherwise coordinate — the usual pattern is
-    /// each rank reorganizing its own shard right after a barrier.
-    pub fn with_shard_mut<R>(&self, rank: usize, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
-        f(&mut lock(&self.shards[rank].0))
-    }
-
     /// Take (move out) this rank's items, leaving the shard empty.
     pub fn local_take(&self, ctx: &RankCtx) -> Vec<T> {
         self.check(ctx);
@@ -88,20 +72,19 @@ mod tests {
     #[test]
     fn take_empties_only_this_rank() {
         let bag = DistBag::<usize>::new(3);
-        let taken = {
-            let bag = bag.clone();
-            World::run(3, move |ctx| {
-                bag.local_extend(ctx, std::iter::repeat_n(ctx.rank(), ctx.rank() + 1));
-                ctx.barrier();
-                if ctx.rank() == 0 {
-                    bag.local_take(ctx)
-                } else {
-                    Vec::new()
-                }
-            })
-        };
-        assert_eq!(taken, vec![vec![0], vec![], vec![]]);
-        let lens: Vec<usize> = (0..3).map(|r| bag.with_shard(r, Vec::len)).collect();
-        assert_eq!(lens, vec![0, 2, 3]);
+        let taken = World::run(3, |ctx| {
+            bag.local_extend(ctx, std::iter::repeat_n(ctx.rank(), ctx.rank() + 1));
+            ctx.barrier();
+            let first = if ctx.rank() == 0 {
+                bag.local_take(ctx)
+            } else {
+                Vec::new()
+            };
+            ctx.barrier();
+            (first, bag.local_take(ctx))
+        });
+        let (first, left): (Vec<_>, Vec<_>) = taken.into_iter().unzip();
+        assert_eq!(first, vec![vec![0], vec![], vec![]]);
+        assert_eq!(left, vec![vec![], vec![1, 1], vec![2, 2, 2]]);
     }
 }

@@ -23,7 +23,7 @@
 //! messages are boxed closures over shared memory instead of serialized MPI
 //! buffers.
 //!
-//! ## Barrier semantics and quiescent reads
+//! ## Barrier semantics
 //!
 //! There are exactly three quiescence regimes, and every method documents
 //! which one it needs:
@@ -34,14 +34,13 @@
 //!    message *chains*: handlers that send further messages are run to
 //!    completion before any rank is released).
 //! 2. **Inside the SPMD region, immediately after a barrier** — the world is
-//!    quiescent until the next `async_*` send, so readers of another rank's
-//!    shard ([`container::DistBag::with_shard`]) may peek at it through shared
-//!    memory. Collectives (`all_gather`, `all_reduce*`, …) must be issued by
-//!    **every** rank in the same order.
+//!    quiescent until the next `async_*` send, so a rank may take its own
+//!    shard whole (`local_take`). Collectives (`all_gather`, `all_reduce*`,
+//!    …) must be issued by **every** rank in the same order; they are how one
+//!    rank's data reaches another outside a message.
 //! 3. **After [`World::run`] returns** — all ranks have joined and an
 //!    implicit final barrier has drained every in-flight message, so the
-//!    containers are permanently quiescent and `with_shard` is safe from the
-//!    main thread.
+//!    containers are permanently quiescent.
 //!
 //! Collective calls after `World::run` has returned are a bug: there are no
 //! rank threads left to meet the barrier, so they would deadlock.

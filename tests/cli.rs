@@ -561,11 +561,12 @@ fn pipeline_distributed_stdout_is_byte_identical_to_resident() {
     // and books the rows door's build (`btm.build`, once) apart from the
     // ranks' exchange and row builds (`btm.shard`, once a rank), while the
     // passes nested in both are timed pass by pass: four of each at three
-    // ranks
+    // ranks; each rank times its step 3 harvest as the resident run does
     let text = std::fs::read_to_string(report).expect("read report");
     for (label, count) in [
         ("btm.build", 1),
         ("btm.shard", 3),
+        ("validate.harvest", 3),
         ("btm.count", 4),
         ("btm.scatter", 4),
         ("btm.order", 4),

@@ -8,17 +8,16 @@
 //! `validate.prefix_pages` (their `|pages(a) ∩ pages(b)|`, summed), though a
 //! run may split across the ranks that kept its triangles, and
 //! `validate.dense_incidences` (the incidences of the harvested authors held
-//! as bitsets: those on at least 1/32 of the harvest's page space), though
-//! each rank lays out only the authors of its own survivors. And a one-byte
-//! shuffle budget really spills (`shuffle.spilled_bytes`,
+//! as bitsets: those on at least 1/32 of the harvest's page space). And a
+//! one-byte shuffle budget really spills (`shuffle.spilled_bytes`,
 //! `shuffle.spill_segments`), where no budget spills nothing. The stage
 //! totals a run report documents — `project.pages`, `project.edges` and
 //! `validate.triplets` — are the resident run's in every cell, each rank
 //! adding its share. One rank without a budget is the resident run: it
-//! sends no message through any of the five shuffles
+//! sends no message through any of the four shuffles
 //! (`ygm.<label>.items_sent` for the events, the pair occurrences, the
-//! oriented edges, the wedge checks and the harvest), where every other run
-//! sends through each, and its `survey.triangles_examined`,
+//! oriented edges and the wedge checks), where every other run sends
+//! through each, and its `survey.triangles_examined`,
 //! `survey.wedge_checks` and `survey.wedge_list_bytes` are the resident
 //! run's.
 //!
@@ -35,7 +34,7 @@ use coordination::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
 use coordination::core::records::{CommentRecord, Dataset};
 use coordination::redditgen::ScenarioConfig;
 
-const COUNTERS: [&str; 18] = [
+const COUNTERS: [&str; 17] = [
     "validate.harvest_authors",
     "validate.harvest_incidences",
     "validate.prefix_runs",
@@ -46,7 +45,6 @@ const COUNTERS: [&str; 18] = [
     "ygm.pair_occurrences.items_sent",
     "ygm.oriented_edges.items_sent",
     "ygm.wedge_checks.items_sent",
-    "ygm.author_pages_on_demand.items_sent",
     "survey.triangles_examined",
     "survey.wedge_checks",
     "survey.wedge_list_bytes",
@@ -57,19 +55,19 @@ const COUNTERS: [&str; 18] = [
 ];
 
 /// Where the shuffles' `items_sent` counters sit in [`COUNTERS`].
-const SENT: std::ops::Range<usize> = 6..11;
+const SENT: std::ops::Range<usize> = 6..10;
 
 /// Where the survey counters sit in [`COUNTERS`].
-const SURVEY: std::ops::Range<usize> = 11..14;
+const SURVEY: std::ops::Range<usize> = 10..13;
 
 /// Where the stage totals both engines document sit in [`COUNTERS`].
-const STAGES: std::ops::Range<usize> = 14..17;
+const STAGES: std::ops::Range<usize> = 13..16;
 
 /// Where `validate.dense_incidences` sits in [`COUNTERS`].
-const DENSE: usize = 17;
+const DENSE: usize = 16;
 
 /// The counters' growth over one run.
-fn measured(run: &dyn Fn() -> PipelineOutput) -> (PipelineOutput, [u64; 18]) {
+fn measured(run: &dyn Fn() -> PipelineOutput) -> (PipelineOutput, [u64; 17]) {
     let read = || COUNTERS.map(|name| obs::counter(name).get());
     let before = read();
     let out = run();
@@ -139,7 +137,7 @@ fn check(ds: &Dataset, config: &PipelineConfig) {
         dense.sum::<u64>(),
         "the resident dense incidences"
     );
-    assert_eq!(want[4..SENT.end], [0; 7], "the resident engine shuffled");
+    assert_eq!(want[4..SENT.end], [0; 6], "the resident engine shuffled");
     assert!(want[SURVEY].iter().all(|&n| n > 0), "{:?}", &want[SURVEY]);
     // pages with a kept comment, distinct edges, validated triplets
     let excluded = config.exclusions.resolve(ds);
@@ -176,7 +174,7 @@ fn check(ds: &Dataset, config: &PipelineConfig) {
             // resident run.
             let sent = &got[SENT];
             if nranks == 1 && budget.is_none() {
-                assert_eq!(sent, [0; 5], "one rank sent messages");
+                assert_eq!(sent, [0; 4], "one rank sent messages");
                 assert_eq!(got[SURVEY], want[SURVEY], "one rank's survey counters");
             } else {
                 let what = format!("{nranks} ranks, budget {budget:?}");
