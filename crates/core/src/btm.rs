@@ -15,7 +15,7 @@
 //! as a [`PageRow`] view, and every per-row loop is one body generic over
 //! `Row`.
 //!
-//! [`PageRows::build`] fills the rows with a counting pass (which also learns
+//! `PageRows::build` fills the rows with a counting pass (which also learns
 //! the timestamp span), a prefix sum and a scatter pass — constant work per
 //! event and no per-page allocation — that only stores each comment at its
 //! row's cursor; one sequential pass afterwards comparison-sorts only the
@@ -25,10 +25,10 @@
 //! chunks — each dropped once scattered — so a month read off NDJSON never
 //! exists as a 16 B event column. A COORSNAP file stores the rows word for
 //! word, so a [`Btm`] read off a snapshot borrows its narrow rows from the
-//! mapping (`Btm::from_stored`). The sharded pipeline reads a [`Btm`] in
-//! blocks, one per rank (`Btm::block`: whole pages but for the two a block
-//! edge splits, read in place from owned or mapped rows), and each rank
-//! builds exactly these rows again out of the events it receives.
+//! mapping (`Btm::from_stored`). The sharded pipeline reads a [`Btm`]'s
+//! rows in place on every rank: each rank its own pages' rows, or under a
+//! shuffle budget its block of the comments (`Btm::block`: whole pages but
+//! for the two a block edge splits) to ship to their pages' owners.
 //!
 //! The author side — each author's deduplicated page list, the hypergraph
 //! side: `p_x` of Eq. 3 and the inputs to `w_xyz` of Eq. 2 — is not stored.
@@ -111,7 +111,7 @@ fn unpack_narrow(t0: Timestamp, row: NarrowRow) -> WideRow {
     (t0 + (row >> 32) as i64, row.author())
 }
 
-/// A page's time-sorted comments in whichever layout its [`PageRows`] chose:
+/// A page's time-sorted comments in whichever layout its rows took:
 /// a small `Copy` view. Per-row loops match on it once per page and run one
 /// body generic over `Row` on the slice inside; [`PageRow::iter`] decodes
 /// `(timestamp, author)` for everything else.
@@ -177,12 +177,11 @@ enum Comments {
 
 /// The page side of the BTM on its own: every page's comments as one
 /// time-sorted row, the rows laid end to end behind one offset table. [`Btm`]
-/// is these rows plus the size of the author id space; a rank of the sharded
-/// pipeline ([`crate::dist_pipeline`]) holds the rows of the pages it owns.
-/// Equal for any arrival order of the same events: equality is of the decoded
-/// rows, not of the layout or its base.
+/// is these rows plus the size of the author id space. Equal for any arrival
+/// order of the same events: equality is of the decoded rows, not of the
+/// layout or its base.
 #[derive(Clone, Debug)]
-pub struct PageRows {
+struct PageRows {
     /// Page `p`'s comments are rows `off[p]..off[p + 1]`.
     off: Vec<usize>,
     /// Each page's rows sorted by timestamp then author. The length is the
@@ -465,7 +464,7 @@ impl StagedRows {
     ///
     /// # Panics
     /// If a staged page id is not below `n_pages`.
-    pub(crate) fn into_rows(self, n_pages: u32) -> PageRows {
+    fn into_rows(self, n_pages: u32) -> PageRows {
         let count = obs::span("btm.count");
         let StagedRows {
             open, mut closed, ..
@@ -531,7 +530,7 @@ impl PageRows {
     /// If a page id is not below `n_pages` ("page id N out of range"), is
     /// `u32::MAX` without one ("dense page ids stay below u32::MAX"), or the
     /// two passes differ.
-    pub fn build<I: Iterator<Item = (PageId, Timestamp, AuthorId)>>(
+    fn build<I: Iterator<Item = (PageId, Timestamp, AuthorId)>>(
         n_pages: Option<u32>,
         gone: &[bool],
         events: impl Fn() -> I,
@@ -578,18 +577,18 @@ impl PageRows {
     }
 
     /// Number of page slots, empty ones included.
-    pub fn n_pages(&self) -> u32 {
+    fn n_pages(&self) -> u32 {
         (self.off.len() - 1) as u32
     }
 
     /// Total comments over all rows.
-    pub fn n_comments(&self) -> u64 {
+    fn n_comments(&self) -> u64 {
         self.off[self.off.len() - 1] as u64
     }
 
     /// The offset table and every row end to end as one view: what equality
     /// compares and a snapshot stores.
-    pub(crate) fn parts(&self) -> (&[usize], PageRow<'_>) {
+    fn parts(&self) -> (&[usize], PageRow<'_>) {
         (&self.off, self.slice(0, self.n_comments() as usize))
     }
 
@@ -605,13 +604,13 @@ impl PageRows {
     }
 
     /// Page `p`'s comments, sorted by time.
-    pub fn row(&self, p: PageId) -> PageRow<'_> {
+    fn row(&self, p: PageId) -> PageRow<'_> {
         let p = p.0 as usize;
         self.slice(self.off[p], self.off[p + 1])
     }
 
     /// Iterate the non-empty rows as `(PageId, comments)`, pages ascending.
-    pub(crate) fn pages(&self) -> impl Iterator<Item = (PageId, PageRow<'_>)> {
+    fn pages(&self) -> impl Iterator<Item = (PageId, PageRow<'_>)> {
         self.off
             .windows(2)
             .enumerate()
@@ -682,10 +681,10 @@ impl Btm {
     /// `excluded` authors (the pre-projection exclusion list; their rows
     /// come out empty, exactly as [`Btm::without_authors`] leaves them).
     /// `n_pages` fixes the page id space, or with `None` the source sizes
-    /// it ([`PageRows::build`]).
+    /// it (`PageRows::build`).
     ///
     /// `events` is called twice and must yield the same events both times
-    /// ([`PageRows::build`]'s two passes), so they never need to exist as a
+    /// (`PageRows::build`'s two passes), so they never need to exist as a
     /// resident `Vec<Event>`. Order-invariant: any permutation of the same
     /// events yields an equal BTM.
     pub fn build<I: Iterator<Item = Event>>(
@@ -719,9 +718,10 @@ impl Btm {
         Btm { rows, n_authors }
     }
 
-    /// The page side, as a snapshot stores it.
-    pub(crate) fn page_rows(&self) -> &PageRows {
-        &self.rows
+    /// The offset table and every row end to end as one view: what a
+    /// snapshot stores.
+    pub(crate) fn parts(&self) -> (&[usize], PageRow<'_>) {
+        self.rows.parts()
     }
 
     /// Number of author slots `|U|`.
@@ -907,15 +907,13 @@ pub(crate) fn bit_pages(words: &[u64]) -> impl Iterator<Item = PageId> + '_ {
 /// Rows number below `n_authors <= u32::MAX`, so the sentinel is no row.
 const NO_SLOT: u32 = u32::MAX;
 
-/// The one harvest scan, over any page-major stream of `(page, author)`
-/// incidences: every comment's author is tested against a bitset of the
+/// The masked scan under [`AuthorPages::harvest`], fed the page rows in page
+/// order: every comment's author is tested against a bitset of the
 /// requested ids (`|U|` / 8 bytes, cache-resident where a per-author table is
 /// not), and a hit is taken the first time that author is seen on that page —
 /// an author's repeat comments all sit inside the page's row, so remembering
-/// the last page per requested author catches them. [`AuthorPages::harvest`]
-/// runs it over a [`Btm`]'s rows; stage 5 of [`crate::dist_pipeline`] runs it
-/// over a rank's page partition.
-pub(crate) struct HarvestScan {
+/// the last page per requested author catches them.
+struct HarvestScan {
     /// `slot[a]` numbers the requested authors in request order, [`NO_SLOT`]
     /// for everyone else.
     slot: Vec<u32>,
@@ -932,7 +930,7 @@ impl HarvestScan {
     ///
     /// # Panics
     /// If a requested id is not below `n_authors`.
-    pub(crate) fn new(n_authors: u32, authors: impl IntoIterator<Item = AuthorId>) -> Self {
+    fn new(n_authors: u32, authors: impl IntoIterator<Item = AuthorId>) -> Self {
         let mut slot = vec![NO_SLOT; n_authors as usize];
         let mut wanted = vec![0u64; (n_authors as usize).div_ceil(64)];
         let mut n_slots = 0u32;
@@ -953,14 +951,14 @@ impl HarvestScan {
     }
 
     /// Number of distinct authors requested.
-    pub(crate) fn n_slots(&self) -> usize {
+    fn n_slots(&self) -> usize {
         self.last_page.len()
     }
 
     /// Feed the next incidence of a page-major stream: the author's slot if
     /// they were requested and this is their first comment on page `p`.
     #[inline]
-    pub(crate) fn first_on_page(&mut self, p: PageId, a: AuthorId) -> Option<u32> {
+    fn first_on_page(&mut self, p: PageId, a: AuthorId) -> Option<u32> {
         let a = a.0 as usize;
         if self.wanted[a / 64] >> (a % 64) & 1 == 0 {
             return None;
@@ -971,7 +969,7 @@ impl HarvestScan {
 
     /// Feed page `p`'s whole row: `hit(slot, author)` for each requested
     /// author's first comment on it.
-    pub(crate) fn page(&mut self, p: PageId, row: PageRow<'_>, mut hit: impl FnMut(u32, AuthorId)) {
+    fn page(&mut self, p: PageId, row: PageRow<'_>, mut hit: impl FnMut(u32, AuthorId)) {
         match row {
             PageRow::Narrow { row, .. } => self.row(p, row, &mut hit),
             PageRow::Wide(row) => self.row(p, row, &mut hit),
@@ -1016,10 +1014,8 @@ impl AuthorPages {
     /// below `page_space` — out per author of `scan`'s request by count →
     /// prefix sum → scatter, then fold each dense row, read in order, into
     /// its bitset and close the sparse rows up behind one another, so no
-    /// hit's form is decided in the scatter. [`AuthorPages::harvest`] feeds it
-    /// one scan's hits; stage 5 of [`crate::dist_pipeline`] feeds it every
-    /// rank's scan of its own pages, gathered and sorted page-major.
-    pub(crate) fn from_hits(scan: HarvestScan, hits: &[(u32, PageId)], page_space: usize) -> Self {
+    /// hit's form is decided in the scatter.
+    fn from_hits(scan: HarvestScan, hits: &[(u32, PageId)], page_space: usize) -> Self {
         let n_slots = scan.n_slots();
         let mut off = vec![0usize; n_slots + 1];
         for &(s, _) in hits {

@@ -1,75 +1,56 @@
-//! The rank-sharded end-to-end pipeline: ingest → projection → survey →
-//! validation on [`ygm`] ranks.
+//! The rank-sharded end-to-end pipeline: projection → survey → validation
+//! on [`ygm`] ranks, over one [`Btm`].
 //!
 //! [`Pipeline`] runs the three paper steps in one address space over a
 //! resident [`Btm`]; this module runs the *same program* in the SPMD
 //! communication structure the paper's MPI deployment used, with every stage
-//! owner-partitioned and every hand-off an explicit shuffle. One rank
-//! without a shuffle budget would own every page, edge and vertex, so each
-//! of its shuffles would only send the rank its own messages: that run is
-//! the resident run, [`Pipeline::run_btm`], and no rank is spawned. Every
-//! other run — two or more ranks, or any budget — is the rank program:
+//! owner-partitioned and every hand-off between owners an explicit shuffle.
+//! One rank without a shuffle budget would own every page, edge and vertex,
+//! so each of its shuffles would only send the rank its own messages: that
+//! run is the resident run, [`Pipeline::run_btm`], and no rank is spawned.
+//! Every other run — two or more ranks, or any budget — is the rank program:
 //!
-//! 1. **Ingest** — each rank calls one `EventSource` as `source(rank,
-//!    nranks)` and pulls its share of the input. There are two such sources,
-//!    and neither knows about exclusions:
-//!    * [`DistPipeline::run_btm`] takes a [`Btm`], whose exclusions were
-//!      applied when it was built, and rank r reads its
-//!      [`ygm::block_range`] of the BTM's comments in place: whole pages but
-//!      for the two a block edge splits, from owned or mapped rows of either
-//!      layout. [`DistPipeline::run_dataset`] and
-//!      [`DistPipeline::run_snapshot`] resolve exclusions by name, exactly
-//!      as their [`Pipeline`] twins do, and call it; so does the CLI, over
-//!      the BTM its ingest reads `--input` straight into.
-//!    * [`DistPipeline::run_events`] takes the author id-space size and a
-//!      caller's source of events that carry dense ids and no names, so its
-//!      callers exclude upstream. At one rank without a budget it builds the
-//!      BTM with [`Btm::build`], which pulls the source twice (it counts on
-//!      the first pull and scatters on the second, so the events are never
-//!      copied), and runs [`Pipeline::run_btm`] on it.
+//! 1. **Input** — one [`Btm`], handed to every rank and read where it lies.
+//!    Nobody applies exclusions past this point: [`DistPipeline::run_btm`]
+//!    takes a BTM whose exclusions were applied when it was built, and
+//!    [`DistPipeline::run_dataset`] and [`DistPipeline::run_snapshot`]
+//!    resolve exclusions by name, exactly as their [`Pipeline`] twins do,
+//!    and call it; so does the CLI, over the BTM its ingest reads `--input`
+//!    straight into or the one that borrows a snapshot's mapped rows.
+//!    [`DistPipeline::run_events`] builds its BTM from a caller's
+//!    `EventSource` with [`Btm::build`] first (two pulls of `source(0, 1)`:
+//!    it counts on the first and scatters on the second, so the events are
+//!    never copied).
+//! 2. **Page partition** — a page belongs to rank `owner_of(page)`. Without
+//!    a budget a rank's partition *is* the BTM's rows of its pages, read in
+//!    place: the rows are page-major already, so nothing is in the wrong
+//!    place and no comment is shuffled. A `--shuffle-budget` caps what a
+//!    rank may hold resident, so there the partition is built as an
+//!    out-of-core cluster builds it: each rank reads its [`ygm::block_range`]
+//!    of the comments in place (whole pages but for the two a block edge
+//!    splits, from owned or mapped rows of either layout) and ships each
+//!    comment to its page owner once, through the packed byte-buffer
+//!    aggregator ([`ygm::PackedAggregator`], adaptive bytes-per-batch
+//!    thresholds) as `(page, ts, author)`, 16 B on the wire. The owner sorts
+//!    each arriving batch as order-preserving packed keys (`event_key`) into
+//!    a bounded run stack ([`ygm::runs::DistRuns`]), merged incrementally
+//!    *while later batches are in flight* (ship drains opportunistically)
+//!    and spilled as sorted segments to the snapshot store past the cap, and
+//!    reads its partition back through a streaming k-way merge over
+//!    resident + spilled runs, one page resident at a time.
 //!
-//!    Events flow straight from the source, through the author range check,
-//!    into stage 2, so ingest and exchange overlap. No rank materializes its
-//!    share of the *input* as an owned `Vec<Event>`.
-//! 2. **Exchange** — each kept event belongs to its *page* owner and is
-//!    shuffled *once*, through a packed byte-buffer aggregator
-//!    ([`ygm::PackedAggregator`], adaptive bytes-per-batch thresholds):
-//!    `(page, ts, author)`, 16 B on the wire. What the owner does with an
-//!    arriving batch depends on one thing, whether a `--shuffle-budget` caps
-//!    its memory:
-//!    * **No budget — rows.** Batches are appended unsorted, one lock each.
-//!      After the closing barrier the rank *partitions instead of sorting*:
-//!      count per page → prefix sum → a scatter that only stores each
-//!      comment at its row's cursor, into one flat array of page rows (8 B
-//!      a comment when the rank's timestamps span no more than a `u32`),
-//!      then one pass over the rows that comparison-sorts only those not
-//!      already in time order ([`crate::btm::PageRows::build`] — the builder
-//!      [`Btm`] makes its own page side with, not a copy of it). Algorithm 1
-//!      needs each page's comments in time order and never a global
-//!      `(page, ts, author)` order, so none is computed.
-//!    * **A budget — runs.** Flat rows hold the whole partition resident,
-//!      which is what the budget forbids, so each batch is sorted on arrival
-//!      as order-preserving packed keys (`event_key`) into a bounded run
-//!      stack ([`ygm::runs::DistRuns`]), merged incrementally *while later
-//!      batches are in flight* (ship drains opportunistically) and spilled
-//!      as sorted segments to the snapshot store past the cap; the rank
-//!      reads its partition back through a streaming k-way merge over
-//!      resident + spilled runs, one page resident at a time.
-//!
-//!    Either way the rank holds a `PagePartition` — the same comments in
-//!    the same order, whatever order they arrived in (the invariance that
-//!    makes `Btm` chunk-count-independent) — and stages 3 and 5 are written
-//!    once against its two methods. (The author→pages incidence `Btm` also
-//!    builds is *skipped* here and harvested on demand in stage 5.)
+//!    Either way the rank holds a `PagePartition` — the same comments of the
+//!    same pages in the same `(ts, author)` order — and stage 3 is written
+//!    once against its one method.
 //! 3. **Projection** — page owners run the resident engine's page step
 //!    (`project::PageStep`: [`crate::project::page_pairs_flat`] → pair set →
 //!    each endpoint into `P'` once per page, by page stamp) over each page's
-//!    row, borrowed in place
-//!    (`PagePartition::for_each_page`), and shuffle each packed pair
-//!    occurrence to its *edge owner* (`owner_of(packed)`), which sorts and
-//!    run-length-counts its disjoint slice of the edge set. Per-author `P'`
-//!    contributions reduce to a replicated dense vector via
-//!    [`ygm::reduce::all_reduce_hist`].
+//!    row, borrowed in place (`PagePartition::for_each_page`), and shuffle
+//!    each packed pair occurrence to its *edge owner* (`owner_of(packed)`),
+//!    which sorts and run-length-counts its disjoint slice of the edge set.
+//!    Per-author `P'` contributions reduce to a replicated dense vector via
+//!    [`ygm::reduce::all_reduce_hist`]. The partition, and any spill
+//!    segments behind it, is dropped here.
 //! 4. **Survey** — the ghost-boundary exchange is a global post-threshold
 //!    degree reduction: every rank learns the degree of every vertex (the
 //!    ghosts of its partition included) and orients its edges by the same
@@ -85,30 +66,24 @@
 //!    listed through the min weight and `T`-score predicates (`P'` is
 //!    replicated). Only the statistics and the survivors exist afterwards.
 //! 5. **Validation** — step 3 as the resident engine runs it, plus one
-//!    all-gather: the survivors' vertices are all-gathered, each rank runs the
-//!    resident harvest scan (`btm::HarvestScan`, the scan under
-//!    [`AuthorPages::harvest`](crate::btm::AuthorPages::harvest)) over its
-//!    page partition a second time for just those authors
-//!    (`PagePartition::harvest`: the rows flat, the runs straight off a merge
-//!    cursor — page-major either way), and the `(slot, page)` hits are
-//!    all-gathered. A page has one owner, so the ranks' hits are disjoint and,
-//!    sorted, are the hits the resident harvest finds over the whole BTM:
-//!    every rank builds the same [`AuthorPages`] table from them and
-//!    validates its survivors, sorted by vertex triple, through the resident
-//!    engine's kernel and metrics constructor ([`crate::hypergraph`]) — the
-//!    same floating-point expressions the resident path evaluates.
+//!    all-gather: the survivors' vertices are all-gathered, and every rank
+//!    reads their page lists off the BTM's rows with
+//!    [`AuthorPages::harvest`], the resident harvest, so every rank holds the
+//!    table `validate_all` builds. Each validates its survivors, sorted by
+//!    vertex triple, through the resident engine's kernel and metrics
+//!    constructor ([`crate::hypergraph`]) — the same floating-point
+//!    expressions the resident path evaluates.
 //!
 //! The pair-occurrence and oriented-edge shuffles land in run stacks with or
-//! without a budget. Stages 1–2, which end with the BTM's page side sharded,
-//! record a span of their own, `btm.shard` (the event exchange and each
-//! rank's row build, whose `btm.count`, `btm.scatter` and `btm.order` passes
-//! nest in it), so a report keeps them apart from the `btm.build` of the door
-//! that read the input. Stages 3–5 record the resident engine's spans for the
-//! same steps — `project`, `survey` and `validate`, with its
-//! `validate.harvest` — and every stage its counters (`project.pages`,
-//! `project.edges`, `survey.*`, `validate.*`), each rank adding its share, so
-//! the process totals are the resident run's and a run report names the
-//! same steps whichever engine ran.
+//! without a budget. A budgeted run's stage 2 records a span of its own,
+//! `btm.shard` (the event exchange and the owners' take of their runs), so a
+//! report keeps it apart from the `btm.build` of the door that read the
+//! input. Stages 3–5 record the resident engine's spans for the same steps —
+//! `project`, `survey` and `validate`, with its `validate.harvest` — and
+//! every stage its counters (`project.pages`, `project.edges`, `survey.*`,
+//! `validate.*`), each rank adding its share, so the process totals are the
+//! resident run's and a run report names the same steps whichever engine
+//! ran.
 //!
 //! **Equivalence contract** (pinned by the oracle matrix in `tests/`, which
 //! holds every door of both engines to the paper's definition, and a CLI
@@ -126,14 +101,13 @@ use std::time::Instant;
 use coordination_graph::LocalCsr;
 use tripoll::survey::{SurveyReport, SurveyedTriangle};
 use tripoll::{survey_stage, DistSurvey};
-use ygm::container::DistBag;
 use ygm::reduce::{all_gather_concat, all_reduce_hist};
 use ygm::{owner_of, DistRuns, PackedAggregator, PackedBatch, RankCtx, RunSet, World};
 
-use crate::btm::{AuthorPages, Btm, HarvestScan, PageRow, PageRows, WideRow};
+use crate::btm::{AuthorPages, Btm, PageRow, WideRow};
 use crate::cigraph::CiGraph;
 use crate::hypergraph::{record_harvest, record_runs, validate_triangles};
-use crate::ids::{AuthorId, Event, PageId};
+use crate::ids::{AuthorId, Event};
 use crate::metrics::TripletMetrics;
 use crate::pipeline::{Pipeline, PipelineConfig, PipelineOutput, RunStats, StageTimings};
 use crate::project::{page_pairs_flat, run_length_pairs, PageStep};
@@ -164,27 +138,32 @@ fn event_from_key(k: u128) -> (u32, i64, u32) {
     (p, ts, k as u32)
 }
 
-/// One rank's share of the page side once the event exchange has closed:
-/// every comment of every page the rank owns, each page's in `(ts, author)`
-/// order. Stored one of two ways, chosen by the shuffle budget alone, and
-/// read through the same two methods either way.
-pub(crate) enum PagePartition {
-    /// No budget: the whole partition resident as flat page rows, built by
-    /// the counting scatter [`Btm`] builds its page side with, and read in
-    /// place.
-    Rows(PageRows),
+/// One rank's share of the page side: every comment of every page the rank
+/// owns, each page's in `(ts, author)` order, held one of two ways, chosen
+/// by the shuffle budget alone, and read through one method either way.
+enum PagePartition<'a> {
+    /// No budget: the BTM's own rows of the pages `owner_of` assigns this
+    /// rank, read in place.
+    InPlace {
+        btm: &'a Btm,
+        rank: usize,
+        nranks: usize,
+    },
     /// Under a budget the partition may not be resident: sorted runs of
     /// [`event_key`]s, spilled past the budget, read back through a
     /// streaming merge that holds one page at a time.
     Runs(RunSet<u128>),
 }
 
-impl PagePartition {
-    /// Call `f` with every non-empty page and its time-sorted comments,
-    /// pages ascending.
-    pub(crate) fn for_each_page(&self, mut f: impl FnMut(PageId, PageRow<'_>)) {
+impl PagePartition<'_> {
+    /// Call `f` with every non-empty page's time-sorted comments, pages
+    /// ascending.
+    fn for_each_page(&self, mut f: impl FnMut(PageRow<'_>)) {
         match self {
-            PagePartition::Rows(rows) => rows.pages().for_each(|(p, row)| f(p, row)),
+            PagePartition::InPlace { btm, rank, nranks } => btm
+                .pages()
+                .filter(|(p, _)| owner_of(&p.0, *nranks) == *rank)
+                .for_each(|(_, row)| f(row)),
             PagePartition::Runs(runs) => {
                 // Keys are `(page, ts, author)`-ordered, so each page is one
                 // contiguous stretch of the merge.
@@ -201,88 +180,11 @@ impl PagePartition {
                         row.push((ts, AuthorId(a)));
                         keys.next();
                     }
-                    f(PageId(page), PageRow::Wide(&row));
+                    f(PageRow::Wide(&row));
                 }
             }
         }
     }
-
-    /// Run the harvest `scan` over the partition: `hit(page, slot)` for each
-    /// requested author's first comment on each page, pages ascending. The
-    /// runs stream straight off the merge: regrouping them into rows first
-    /// measured 5–8 % off the whole budgeted run.
-    pub(crate) fn harvest(&self, scan: &mut HarvestScan, mut hit: impl FnMut(PageId, u32)) {
-        match self {
-            PagePartition::Rows(rows) => {
-                for (p, row) in rows.pages() {
-                    scan.page(p, row, |s, _| hit(p, s));
-                }
-            }
-            PagePartition::Runs(runs) => {
-                for k in runs.cursor() {
-                    let (p, _, a) = event_from_key(k);
-                    if let Some(s) = scan.first_on_page(PageId(p), AuthorId(a)) {
-                        hit(PageId(p), s);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The receive side of the event exchange, one shard per rank: what arriving
-/// batches are absorbed into and what [`PagePartition`] each rank takes out
-/// after the closing barrier. Flat rows hold a rank's whole partition
-/// resident, which is exactly what a shuffle budget forbids, so the budget
-/// picks the side.
-#[derive(Clone)]
-enum PageInbox {
-    /// Batches appended unsorted (16 B/event); partitioned on take.
-    Unsorted(DistBag<(u32, i64, u32)>),
-    /// Batches sorted and merged as they arrive, spilling past the budget.
-    Runs(DistRuns<u128>),
-}
-
-impl PageInbox {
-    fn new(nranks: usize, budget: Option<usize>) -> Self {
-        match budget {
-            None => PageInbox::Unsorted(DistBag::new(nranks)),
-            Some(_) => PageInbox::Runs(DistRuns::new(nranks, "page_events", budget)),
-        }
-    }
-
-    /// Absorb one arriving batch into the calling rank's shard, one lock.
-    fn absorb(&self, ctx: &RankCtx, batch: PackedBatch<(u32, i64, u32)>) {
-        match self {
-            PageInbox::Unsorted(bag) => bag.local_extend(ctx, batch.iter()),
-            PageInbox::Runs(runs) => {
-                runs.local_absorb(ctx, batch.iter().map(|(p, ts, a)| event_key(p, ts, a)))
-            }
-        }
-    }
-
-    /// Finish the calling rank's partition (post-barrier).
-    fn take(&self, ctx: &RankCtx) -> PagePartition {
-        match self {
-            PageInbox::Unsorted(bag) => PagePartition::Rows(page_rows(&bag.local_take(ctx))),
-            PageInbox::Runs(runs) => PagePartition::Runs(runs.local_take(ctx)),
-        }
-    }
-}
-
-/// A rank's kept `(page, ts, author)` events as flat page rows, by the
-/// builder [`Btm`] builds its page side with. The rank program is told only
-/// `n_authors`, so the page table is sized by the events' largest page id
-/// as they are counted.
-///
-/// # Panics
-/// If a page id is `u32::MAX`: the table would need `u32::MAX + 1` slots.
-fn page_rows(events: &[(u32, i64, u32)]) -> PageRows {
-    PageRows::build(None, &[], || {
-        events
-            .iter()
-            .map(|&(p, ts, a)| (PageId(p), ts, AuthorId(a)))
-    })
 }
 
 /// Pack an oriented `(src, dst, w)` edge into one order-preserving `u128`
@@ -345,38 +247,35 @@ pub struct DistPipeline {
     /// Per-label, per-rank cap on resident receive-side bytes. When a run
     /// stack exceeds it, resident runs are merged and spilled to a sorted
     /// on-disk segment ([`ygm::runs`]); `None` (the default) never spills,
-    /// and lets the event exchange land in flat page rows instead of a run
-    /// stack. The output must be bit-identical for every
-    /// budget, down to one batch.
+    /// and each rank reads its pages' rows in place, where a budget ships
+    /// every comment to its page owner's run stack first. The output must be
+    /// bit-identical for every budget, down to one batch.
     pub shuffle_budget: Option<usize>,
 }
 
-/// The rank program's one input shape: called as `source(rank, nranks)` on
-/// every rank, it yields that rank's share of the event stream. The union
-/// over ranks must be the same event multiset for every rank count. Events
-/// carry dense ids already — no interning happens behind this door.
-///
-/// At two or more ranks, or under a budget, each rank calls its source once.
-/// A one-rank run without a budget calls `source(0, 1)` **twice**, and both
-/// pulls must yield the same events: the resident engine's [`Btm`] is built
-/// by counting the first pull and scattering the second, so the events never
-/// exist as a copy. A slice or a mapping re-pulls for one virtual `next` per
-/// event; a source that generates its events pays its generator twice.
+/// What [`DistPipeline::run_events`] builds its [`Btm`] from: called as
+/// `source(0, 1)`, **twice**, it yields the whole event stream, and both
+/// pulls must yield the same events — the BTM is built by counting the first
+/// pull and scattering the second, so the events never exist as a copy. A
+/// slice or a mapping re-pulls for one virtual `next` per event; a source
+/// that generates its events pays its generator twice. Events carry dense
+/// ids already — no interning happens behind this door. Only `(0, 1)` is
+/// ever passed; the rank arguments stay so that sources written as
+/// `|rank, n| …` keep compiling.
 pub(crate) type EventSource<'a> =
     dyn Fn(usize, usize) -> Box<dyn Iterator<Item = Event> + 'a> + Sync + 'a;
 
 /// Identity helper that pins a closure to the `EventSource` shape. Without
 /// it, a closure literal returning `Box::new(...)` infers a `'static` boxed
-/// iterator and refuses to capture borrowed generator state; routing the
-/// closure through this function ties the box's lifetime to the borrow:
+/// iterator and refuses to capture borrowed state; routing the closure
+/// through this function ties the box's lifetime to the borrow:
 ///
 /// ```ignore
-/// let source = event_source(|rank, nranks| Box::new(month.rank_events(rank, nranks)));
-/// pipeline.run_events(month.total_authors(), &source);
+/// let source = event_source(|_, _| Box::new(events.iter().copied()));
+/// pipeline.run_events(n_authors, &source);
 /// ```
 ///
-/// At one rank without a budget that run generates the month twice, once
-/// per pull of the source.
+/// That run pulls `source(0, 1)` twice.
 pub fn event_source<'a, F>(f: F) -> F
 where
     F: Fn(usize, usize) -> Box<dyn Iterator<Item = Event> + 'a> + Sync,
@@ -397,7 +296,6 @@ struct RankOut {
     /// survey's wedge-check handlers while they run).
     page_counts: Arc<Vec<u64>>,
     /// Globals (identical on every rank after reduction).
-    n_comments: u64,
     ci_edges: u64,
     ci_edges_after_threshold: u64,
     triangles_examined: u64,
@@ -459,65 +357,48 @@ impl DistPipeline {
 
     /// Pipeline over a BTM, whose exclusions were applied when it was
     /// built. One rank without a budget is [`Pipeline::run_btm`] on it,
-    /// nothing rebuilt. Otherwise every rank reads its own block of the
-    /// comments in place ([`ygm::block_range`] of the flat rows: whole pages
-    /// but for the two a block edge splits) into the rank program, so the
-    /// rows are never copied, per rank or at all.
+    /// nothing rebuilt. Otherwise every rank reads the rows in place — its
+    /// own pages' rows, or under a budget its own block of the comments
+    /// ([`ygm::block_range`] of the flat rows: whole pages but for the two a
+    /// block edge splits) to ship to their page owners — so the rows are
+    /// never copied, per rank or at all.
     pub fn run_btm(&self, btm: &Btm) -> PipelineOutput {
-        if self.is_resident() {
+        if self.nranks == 1 && self.shuffle_budget.is_none() {
             return Pipeline::new(self.config.clone()).run_btm(btm);
         }
-        let source = event_source(|rank, nranks| Box::new(btm.block(rank, nranks)));
-        self.run_ranks(btm.n_authors(), &source)
+        self.run_ranks(btm)
     }
 
-    /// Pipeline over a rank-sharded event stream: each rank pulls
-    /// `source(rank, nranks)` and feeds the events straight into the
-    /// exchange, so no rank's share is ever materialized — the path for
-    /// generated (or externally streamed) workloads whose full event list
-    /// would not fit one rank. One rank without a budget pulls `source(0, 1)`
-    /// twice — it counts on the first pull, sizing the page space from the
-    /// largest page id, and scatters on the second — to build the [`Btm`],
-    /// and runs the resident engine, so the two pulls must yield the same
-    /// events and a generating source pays its generator twice there.
+    /// Pipeline over an event stream: the [`Btm`] built from two pulls of
+    /// `source(0, 1)` (`EventSource`; it counts on the first pull, sizing
+    /// the page space from the largest page id, and scatters on the second),
+    /// then [`DistPipeline::run_btm`], at every rank count and budget.
     /// Events carry dense author/page ids; name-based exclusions do not
     /// apply here (there are no names), so callers exclude upstream.
     ///
     /// # Panics
-    /// If the source yields an author id that is not below `n_authors`; if —
-    /// without a shuffle budget, at any rank count — it yields page id
-    /// `u32::MAX`: flat page rows are indexed by dense page ids, which stay
-    /// below it ("dense page ids stay below u32::MAX"); or if, at one rank
-    /// without a budget, its second pull yields different events from the
-    /// first ("event source yielded different events on its second pass").
+    /// Before any rank starts, if the source yields an author id that is not
+    /// below `n_authors` ("author id N out of range"), page id `u32::MAX`
+    /// ("dense page ids stay below u32::MAX": flat page rows are indexed by
+    /// dense page ids), or different events on its second pull ("event
+    /// source yielded different events on its second pass").
     pub fn run_events<'a>(&self, n_authors: u32, source: &'a EventSource<'a>) -> PipelineOutput {
-        if self.is_resident() {
-            // Pulled twice, counted on the first pull (which sizes the page
-            // space) and scattered on the second: no copy of the events.
-            return self.run_btm(&Btm::build(n_authors, None, &[], || source(0, 1)));
-        }
-        self.run_ranks(n_authors, source)
+        self.run_btm(&Btm::build(n_authors, None, &[], || source(0, 1)))
     }
 
-    /// One rank without a shuffle budget: the resident run.
-    fn is_resident(&self) -> bool {
-        self.nranks == 1 && self.shuffle_budget.is_none()
-    }
-
-    /// The rank program over `source`: spawn the ranks, run every stage,
-    /// and assemble their contributions into one output.
-    fn run_ranks(&self, n_authors: u32, source: &EventSource<'_>) -> PipelineOutput {
+    /// The rank program over `btm`: spawn the ranks, run every stage, and
+    /// assemble their contributions into one output.
+    fn run_ranks(&self, btm: &Btm) -> PipelineOutput {
         let nranks = self.nranks;
         let cfg = &self.config;
         let budget = self.shuffle_budget;
 
-        // Distributed containers, one per shuffle point. The event exchange
-        // lands in flat page rows (or, under a budget, a spilling run stack);
-        // the other two are bounded run stacks (each arriving batch sorted
-        // and merged incrementally, spilling past the budget), never maps of
-        // per-key `Vec`s. Keys are the order-preserving packings declared at
-        // the top of the module.
-        let page_events = PageInbox::new(nranks, budget);
+        // Distributed containers, one per shuffle point: bounded run stacks
+        // (each arriving batch sorted and merged incrementally, spilling past
+        // the budget), never maps of per-key `Vec`s. Only a budget ships the
+        // comments to their page owners. Keys are the order-preserving
+        // packings declared at the top of the module.
+        let page_events = budget.map(|_| DistRuns::<u128>::new(nranks, "page_events", budget));
         let pair_occurrences: DistRuns<u64> = DistRuns::new(nranks, "pair_occurrences", budget);
         let oriented_edges: DistRuns<u128> = DistRuns::new(nranks, "oriented_edges", budget);
         let survey = DistSurvey::new(nranks, cfg.survey_config());
@@ -525,9 +406,8 @@ impl DistPipeline {
         let program = RankProgram {
             cfg,
             batch_bytes: self.batch_bytes,
-            n_authors,
-            source,
-            page_events: &page_events,
+            btm,
+            page_events: page_events.as_ref(),
             pair_occurrences: &pair_occurrences,
             oriented_edges: &oriented_edges,
             survey: &survey,
@@ -546,6 +426,7 @@ impl DistPipeline {
             .iter_mut()
             .map(|o| std::mem::take(&mut o.edge_run))
             .collect();
+        let n_authors = btm.n_authors();
         let ci = CiGraph::from_runs(n_authors, runs, page_counts);
 
         // Triangles were kept on whichever rank closed their wedge; the
@@ -562,7 +443,7 @@ impl DistPipeline {
 
         let g = &outs[0];
         let stats = RunStats {
-            comments_reviewed: g.n_comments,
+            comments_reviewed: btm.n_comments(),
             total_authors: n_authors,
             projected_authors: ci.active_authors(),
             ci_edges: g.ci_edges,
@@ -586,33 +467,32 @@ impl DistPipeline {
     }
 }
 
-/// What every rank of one run shares: the input behind the door and the
-/// landing zone of each shuffle.
+/// What every rank of one run shares: the input and the landing zone of
+/// each shuffle (the comments' only under a budget).
 #[derive(Clone, Copy)]
-struct RankProgram<'a, 's> {
+struct RankProgram<'a> {
     cfg: &'a PipelineConfig,
     batch_bytes: Option<usize>,
-    n_authors: u32,
-    source: &'a EventSource<'s>,
-    page_events: &'a PageInbox,
+    btm: &'a Btm,
+    page_events: Option<&'a DistRuns<u128>>,
     pair_occurrences: &'a DistRuns<u64>,
     oriented_edges: &'a DistRuns<u128>,
     survey: &'a DistSurvey,
 }
 
-/// One rank's whole program, ingest to validation. Every collective below is
-/// issued unconditionally and in the same order on every rank.
-fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
+/// One rank's whole program, page partition to validation. Every collective
+/// below is issued unconditionally and in the same order on every rank.
+fn rank_main(ctx: &RankCtx, program: RankProgram<'_>) -> RankOut {
     let RankProgram {
         cfg,
         batch_bytes,
-        n_authors,
-        source,
+        btm,
         page_events,
         pair_occurrences,
         oriented_edges,
         survey,
     } = program;
+    let n_authors = btm.n_authors();
     let mut out = RankOut::default();
     let t_start = Instant::now();
     // One threshold policy for every shuffle in this run: the adaptive
@@ -626,60 +506,47 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
         }};
     }
 
-    // Stages 1–2 end with the BTM's page side, sharded: one span, apart from
-    // the door's `btm.build`.
-    let build_span = obs::span("btm.shard");
-
-    // ---- Stage 1: open this rank's share of the one source --------------
-    let events = source(ctx.rank(), ctx.nranks());
-
-    // ---- Stage 2: event exchange (page-hash shuffle) --------------------
-    // The source is pulled one event at a time straight into the packed
-    // aggregator, so ingest and exchange overlap and this rank's share of
-    // the *input* never exists as an owned `Vec<Event>`. Receivers absorb
-    // whole batches under one lock each ([`PageInbox`]): appended as they
-    // are when the partition may stay resident; under a shuffle budget,
-    // sorted on arrival and merged *while later batches are still in flight*
-    // (ship drains opportunistically), spilling sorted segments to disk.
-    let mut pulled = 0u64;
-    {
-        let pe = page_events.clone();
-        let mut to_pages = packed_agg!(
-            "events_to_pages",
-            (u32, i64, u32),
-            move |inner: &RankCtx, batch: PackedBatch<(u32, i64, u32)>| pe.absorb(inner, batch)
-        );
-        // Inputs arrive page-clustered (a BTM's blocks are page-major;
-        // generated blocks share a page), so one cached owner
-        // saves an `owner_of` hash per event in the common case.
-        let mut page_owner = CachedOwner::new();
-        for e in events {
-            // The door's range check, with `Btm::build`'s message: past here
-            // an author id indexes dense per-author tables on every rank.
-            assert!(
-                e.author.0 < n_authors,
-                "author id {} out of range",
-                e.author.0
-            );
-            pulled += 1;
-            let dest = page_owner.dest(e.page.0, ctx.nranks());
-            to_pages.push(ctx, dest, (e.page.0, e.ts, e.author.0));
+    // ---- Stages 1–2: this rank's pages of the one BTM -------------------
+    let my_pages = match page_events {
+        // The rows are page-major already: this rank's pages are read in
+        // place and nothing is shuffled.
+        None => PagePartition::InPlace {
+            btm,
+            rank: ctx.rank(),
+            nranks: ctx.nranks(),
+        },
+        // Under a budget the partition is built out of core: this rank's
+        // block of the comments, read in place, is shipped to the page
+        // owners, which sort each arriving batch under one lock and merge it
+        // *while later batches are still in flight* (ship drains
+        // opportunistically), spilling sorted segments to disk; each owner
+        // then reads its runs, resident and spilled, back through a
+        // streaming merge.
+        Some(page_events) => {
+            let _shard = obs::span("btm.shard");
+            {
+                let runs = page_events.clone();
+                let mut to_pages = packed_agg!(
+                    "events_to_pages",
+                    (u32, i64, u32),
+                    move |inner: &RankCtx, batch: PackedBatch<(u32, i64, u32)>| {
+                        let keys = batch.iter().map(|(p, ts, a)| event_key(p, ts, a));
+                        runs.local_absorb(inner, keys);
+                    }
+                );
+                // A block is page-major, so one cached owner saves an
+                // `owner_of` hash per comment.
+                let mut page_owner = CachedOwner::new();
+                for e in btm.block(ctx.rank(), ctx.nranks()) {
+                    let dest = page_owner.dest(e.page.0, ctx.nranks());
+                    to_pages.push(ctx, dest, (e.page.0, e.ts, e.author.0));
+                }
+                to_pages.flush_all(ctx);
+            }
+            ctx.barrier();
+            PagePartition::Runs(page_events.local_take(ctx))
         }
-        to_pages.flush_all(ctx);
-    }
-    ctx.barrier();
-    out.n_comments = ctx.all_reduce_sum(pulled);
-    // Owners finish their partitions: a counting scatter into flat page
-    // rows, then a pass that sorts only the rows that did not arrive
-    // time-ordered — `Btm`'s page side, by `Btm`'s own builder — or, under
-    // a budget, the sorted runs (resident and spilled) the stack already
-    // holds, read back through a streaming merge. (The author→pages
-    // incidence the validator needs is *not* built here: it is harvested on
-    // demand in stage 5, for the handful of authors the survey actually
-    // surfaces.)
-    let my_events = page_events.take(ctx);
-    ctx.barrier();
-    drop(build_span);
+    };
 
     // ---- Stage 3: projection (pair shuffle to edge owners) --------------
     let project_span = obs::span("project");
@@ -696,7 +563,7 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
         let kernel =
             |row: PageRow<'_>, pairs: &mut Vec<u64>| page_pairs_flat(row, &cfg.window, pairs);
         let mut pages = 0u64;
-        my_events.for_each_page(|_, comments| {
+        my_pages.for_each_page(|comments| {
             pages += 1;
             for &p in step.page(comments, kernel) {
                 to_edges.push_keyed(ctx, &p, p);
@@ -705,8 +572,9 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
         to_edges.flush_all(ctx);
         obs::counter("project.pages").add(pages);
     }
-    // `my_events` stays alive through the survey: stage 5 harvests the
-    // surveyed authors' page lists from a second pass over it.
+    // Stage 5 reads the BTM's rows, not the partition: dropping it deletes
+    // any spill segments behind it.
+    drop(my_pages);
     ctx.barrier();
     // Replicate P' everywhere: the survey's T-score and validation both
     // index it by arbitrary author id.
@@ -798,27 +666,14 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
     // Sorted by vertex triple, consecutive survivors share their leading
     // edge: the validation kernel intersects it once per run.
     mine.sort_unstable_by_key(|s| s.triangle.vertices());
-    // Step 3 reads `B` for the survivors' vertices only, so each rank runs
-    // the resident harvest scan for all of them over its own pages, and one
-    // all-gather hands every rank every hit. The request is replicated, so
-    // the slots agree on every rank; a page has one owner, so the ranks'
-    // hits are disjoint, and sorted they are the page-major hits
-    // `AuthorPages::harvest` finds over the whole BTM.
+    // Step 3 reads `B` for the survivors' vertices only: all-gathered, they
+    // are the request the resident harvest answers off the BTM's rows, so
+    // every rank holds the table `validate_all` builds.
     let authors = {
         let _harvest = obs::span("validate.harvest");
         let local = mine.iter().flat_map(|s| s.triangle.vertices()).collect();
         let needed = all_gather_concat(ctx, local);
-        let mut scan = HarvestScan::new(n_authors, needed.into_iter().map(AuthorId));
-        let mut hits = Vec::new();
-        if scan.n_slots() > 0 {
-            my_events.harvest(&mut scan, |p, s| hits.push((s, p)));
-        }
-        // Dropping the partition deletes any spill segments behind it.
-        drop(my_events);
-        let mut hits = all_gather_concat(ctx, hits);
-        hits.sort_unstable_by_key(|&(_, p)| p);
-        let page_space = hits.last().map_or(0, |&(_, p)| p.0 as usize + 1);
-        AuthorPages::from_hits(scan, &hits, page_space)
+        AuthorPages::harvest(btm, needed.into_iter().map(AuthorId))
     };
     // The table is replicated, so one rank speaks for it.
     if ctx.rank() == 0 {
@@ -840,7 +695,8 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
 
     // Rank 0's wall between the stage boundaries it crossed (every
     // boundary is a collective, so the other ranks crossed them with it).
-    // Ingest and exchange are booked as projection: they build its input.
+    // A budget's event exchange is booked as projection: it builds its
+    // input.
     if ctx.rank() == 0 {
         out.timings = StageTimings {
             projection: t_projected - t_start,
@@ -849,44 +705,4 @@ fn rank_main(ctx: &RankCtx, program: RankProgram<'_, '_>) -> RankOut {
         };
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Each rank sizes its page table by the largest page id it owns, so the
-    /// resident table's empty trailing pages are not there: at two ranks the
-    /// rows a rank holds are the resident `Btm`'s rows of its pages, and
-    /// every other slot is empty.
-    #[test]
-    fn two_ranks_hold_the_resident_rows_without_the_trailing_pages() {
-        let events = [(0, 1, 30), (1, 1, 10), (2, 4, 5), (0, 4, 5), (1, 6, 7)]
-            .map(|(a, p, ts)| Event::new(AuthorId(a), PageId(p), ts));
-        let btm = Btm::from_events(3, 10, &events); // pages 7–9 are empty
-        for rank in 0..2 {
-            let mine: Vec<(u32, i64, u32)> = events
-                .iter()
-                .filter(|e| owner_of(&e.page.0, 2) == rank)
-                .map(|e| (e.page.0, e.ts, e.author.0))
-                .collect();
-            assert!(!mine.is_empty(), "rank {rank} owns no comment");
-            let rows = page_rows(&mine);
-            let top = mine.iter().map(|e| e.0 + 1).max().unwrap();
-            assert_eq!(rows.n_pages(), top);
-            for p in (0..10).map(PageId) {
-                let held = if p.0 < top {
-                    rows.row(p).to_vec()
-                } else {
-                    Vec::new()
-                };
-                let resident = if owner_of(&p.0, 2) == rank {
-                    btm.page_neighborhood(p).to_vec()
-                } else {
-                    Vec::new()
-                };
-                assert_eq!(held, resident, "rank {rank}, page {}", p.0);
-            }
-        }
-    }
 }

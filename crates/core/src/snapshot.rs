@@ -6,7 +6,7 @@
 //! supplies the translations the pipeline actually uses:
 //!
 //! * [`write_snapshot`] — serialize an ingested [`Dataset`] (its
-//!   [`PageRows`] copied word for word as `ROWS`, interner names in dense-id
+//!   [`Btm`]'s rows copied word for word as `ROWS`, interner names in dense-id
 //!   order so ids survive the round trip), optionally recording the
 //!   projection window a later `survey` re-projects the rows under;
 //! * [`ingest_to_snapshot`] — the `snapshot write` path: NDJSON ingest
@@ -34,7 +34,7 @@ use std::path::Path;
 
 use coordination_store::{Snapshot, SnapshotWriter, StoreError};
 
-use crate::btm::{Btm, PageRow, PageRows};
+use crate::btm::{Btm, PageRow};
 use crate::filter::ExclusionList;
 use crate::ids::{AuthorId, Interner};
 use crate::ingest::{self, IngestConfig, IngestStats};
@@ -58,25 +58,22 @@ pub fn write_snapshot(
     path: &Path,
 ) -> Result<WriteSummary, StoreError> {
     let _g = obs::span("snapshot.write");
-    let rows = PageRows::build(Some(ds.pages.len() as u32), &[], || {
-        ds.events.iter().map(|e| (e.page, e.ts, e.author))
-    });
-    write_rows(&ds.authors, &ds.pages, &rows, window, path)
+    write_rows(&ds.authors, &ds.pages, &ds.btm_without(&[]), window, path)
 }
 
-/// Write the name tables and `rows` — copied word for word as `ROWS` — to a
-/// snapshot at `path`, recording `window` if there is one.
+/// Write the name tables and `btm`'s rows — copied word for word as `ROWS` —
+/// to a snapshot at `path`, recording `window` if there is one.
 fn write_rows(
     authors: &Interner,
     pages: &Interner,
-    rows: &PageRows,
+    btm: &Btm,
     window: Option<Window>,
     path: &Path,
 ) -> Result<WriteSummary, StoreError> {
     let mut w = SnapshotWriter::new();
     w.authors(authors.iter().map(|(_, n)| n))?;
     w.pages(pages.iter().map(|(_, n)| n))?;
-    let (off, all) = rows.parts();
+    let (off, all) = btm.parts();
     let off: Vec<u64> = off.iter().map(|&o| o as u64).collect();
     let wide = |row: &[(i64, AuthorId)]| -> Vec<u64> {
         let words = row.iter().flat_map(|&(ts, a)| [ts as u64, u64::from(a.0)]);
@@ -94,7 +91,7 @@ fn write_rows(
     obs::gauge("snapshot.bytes").set(bytes);
     Ok(WriteSummary {
         bytes,
-        n_events: rows.n_comments(),
+        n_events: btm.n_comments(),
     })
 }
 
@@ -115,7 +112,7 @@ pub fn ingest_to_snapshot(
     let summary = write_rows(
         &ingest.authors,
         &ingest.pages,
-        ingest.btm.page_rows(),
+        &ingest.btm,
         Some(window),
         path,
     )

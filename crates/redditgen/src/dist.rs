@@ -12,9 +12,9 @@
 //! exactly blocks `r, r+n, r+2n, …` — the same global event multiset for
 //! every rank count, with no rank (or any single machine) ever holding the
 //! whole month. This is the workload source for
-//! `DistPipeline::run_events`-style streaming benchmarks; at one rank
-//! without a shuffle budget that door pulls its source twice, so the month
-//! is generated twice there.
+//! `DistPipeline::run_events`-style streaming benchmarks; that door pulls
+//! its source twice, as `(0, 1)`, to build one `Btm` at every rank count, so
+//! the month is generated twice there.
 
 use coordination_core::ids::{AuthorId, Event, PageId};
 use rand::{Rng, SeedableRng};

@@ -25,8 +25,7 @@
 //!
 //! The receiver side is batch-granular too: the apply function gets one
 //! [`PackedBatch`] per shipped buffer and can lock its shard once per batch
-//! (e.g. [`crate::container::DistBag::local_extend`]) instead of once per
-//! item.
+//! (e.g. [`crate::DistRuns::local_absorb`]) instead of once per item.
 //!
 //! Shuffle traffic is observable through [`obs`] counters: `ygm.bytes_sent`,
 //! `ygm.batches_sent`, `ygm.items_sent` world totals, the same three under
@@ -422,9 +421,22 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::container::DistBag;
+    use crate::comm::lock;
     use crate::partition::owner_of;
     use crate::World;
+    use std::sync::{Arc, Mutex};
+
+    /// One landing `Vec` per rank, shared by every rank's handlers.
+    type Shards<T> = Arc<Vec<Mutex<Vec<T>>>>;
+
+    fn shards<T>(nranks: usize) -> Shards<T> {
+        Arc::new((0..nranks).map(|_| Mutex::new(Vec::new())).collect())
+    }
+
+    /// Take the calling rank's landing `Vec` (post-barrier).
+    fn take<T>(shards: &Shards<T>, ctx: &RankCtx) -> Vec<T> {
+        std::mem::take(&mut *lock(&shards[ctx.rank()]))
+    }
 
     #[test]
     fn scalar_and_tuple_roundtrip() {
@@ -457,19 +469,19 @@ mod tests {
     #[test]
     fn packed_shuffle_delivers_every_item() {
         const N: u64 = 20_000;
-        let bag: DistBag<u64> = DistBag::new(4);
+        let landed = shards::<u64>(4);
         let shards = World::run(4, |ctx| {
-            let b = bag.clone();
+            let b = landed.clone();
             let mut agg =
                 PackedAggregator::new(ctx, "test", move |inner, batch: PackedBatch<u64>| {
-                    b.local_extend(inner, batch.iter());
+                    lock(&b[inner.rank()]).extend(batch.iter());
                 });
             for i in 0..N {
                 agg.push_keyed(ctx, &i, i * 3 + ctx.rank() as u64);
             }
             agg.flush_all(ctx);
             ctx.barrier();
-            bag.local_take(ctx)
+            take(&landed, ctx)
         });
         let mut all = shards.concat();
         assert_eq!(all.len(), N as usize * 4);
@@ -483,38 +495,31 @@ mod tests {
 
     #[test]
     fn packed_routing_matches_direct_pushes() {
-        let packed: DistBag<(u32, u32)> = DistBag::new(3);
-        let direct: DistBag<(u32, u32)> = DistBag::new(3);
-        {
-            let packed = packed.clone();
-            let direct = direct.clone();
-            World::run(3, move |ctx| {
-                let p = packed.clone();
-                let mut pagg = PackedAggregator::new(
-                    ctx,
-                    "test",
-                    move |inner, batch: PackedBatch<(u32, u32)>| {
-                        p.local_extend(inner, batch.iter());
-                    },
-                );
-                for i in 0..5_000u32 {
-                    let key = i % 101;
-                    pagg.push_keyed(ctx, &key, (key, i));
-                    let d = direct.clone();
-                    ctx.async_exec(owner_of(&key, ctx.nranks()), move |inner| {
-                        d.local_extend(inner, [(key, i)]);
-                    });
-                }
-                pagg.flush_all(ctx);
-                ctx.barrier();
-                // same hash, same owner: the per-rank shards must agree
-                let mut mine_p = packed.local_take(ctx);
-                let mut mine_d = direct.local_take(ctx);
-                mine_p.sort_unstable();
-                mine_d.sort_unstable();
-                assert_eq!(mine_p, mine_d);
-            });
-        }
+        let packed = shards::<(u32, u32)>(3);
+        let direct = shards::<(u32, u32)>(3);
+        World::run(3, |ctx| {
+            let p = packed.clone();
+            let mut pagg =
+                PackedAggregator::new(ctx, "test", move |inner, batch: PackedBatch<(u32, u32)>| {
+                    lock(&p[inner.rank()]).extend(batch.iter());
+                });
+            for i in 0..5_000u32 {
+                let key = i % 101;
+                pagg.push_keyed(ctx, &key, (key, i));
+                let d = direct.clone();
+                ctx.async_exec(owner_of(&key, ctx.nranks()), move |inner| {
+                    lock(&d[inner.rank()]).push((key, i));
+                });
+            }
+            pagg.flush_all(ctx);
+            ctx.barrier();
+            // same hash, same owner: the per-rank shards must agree
+            let mut mine_p = take(&packed, ctx);
+            let mut mine_d = take(&direct, ctx);
+            mine_p.sort_unstable();
+            mine_d.sort_unstable();
+            assert_eq!(mine_p, mine_d);
+        });
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   which executes it on its local state (`RankCtx::async_exec`);
 //! * *owner-computes* routing by a stable key hash ([`owner_of`]), with the
 //!   fixed-width shuffles packed into byte batches ([`PackedAggregator`]);
-//! * receive-side landing zones: an unordered per-rank bag
-//!   ([`container::DistBag`]) and sorted, spillable run stacks ([`DistRuns`]);
+//! * a receive-side landing zone: sorted, spillable run stacks
+//!   ([`DistRuns`]);
 //! * *barriers with termination detection*: [`RankCtx::barrier`] returns only
 //!   once every rank has arrived **and** every message sent anywhere — including
 //!   messages generated while processing other messages — has been processed;
@@ -35,9 +35,9 @@
 //!    completion before any rank is released).
 //! 2. **Inside the SPMD region, immediately after a barrier** — the world is
 //!    quiescent until the next `async_*` send, so a rank may take its own
-//!    shard whole (`local_take`). Collectives (`all_gather`, `all_reduce*`,
-//!    …) must be issued by **every** rank in the same order; they are how one
-//!    rank's data reaches another outside a message.
+//!    shard whole ([`DistRuns::local_take`]). Collectives (`all_gather`,
+//!    `all_reduce*`, …) must be issued by **every** rank in the same order;
+//!    they are how one rank's data reaches another outside a message.
 //! 3. **After [`World::run`] returns** — all ranks have joined and an
 //!    implicit final barrier has drained every in-flight message, so the
 //!    containers are permanently quiescent.
@@ -52,31 +52,34 @@
 //! ## Example
 //!
 //! ```
-//! use ygm::container::DistBag;
-//! use ygm::{PackedAggregator, PackedBatch, World};
+//! use ygm::{DistRuns, PackedAggregator, PackedBatch, World};
 //!
-//! let bag = DistBag::<u64>::new(4);
+//! let runs = DistRuns::<u64>::new(4, "keys", None);
 //! let shards = World::run(4, |ctx| {
-//!     // every rank routes the same keys; each lands on its owner's shard
-//!     let landing = bag.clone();
+//!     // every rank routes the same keys; each lands on its owner's shard,
+//!     // sorted as it arrives
+//!     let landing = runs.clone();
 //!     let mut agg = PackedAggregator::new(ctx, "keys", move |owner, batch: PackedBatch<u64>| {
-//!         landing.local_extend(owner, batch.iter());
+//!         landing.local_absorb(owner, batch.iter());
 //!     });
 //!     for key in 0..100u64 {
 //!         agg.push_keyed(ctx, &key, key);
 //!     }
 //!     agg.flush_all(ctx);
 //!     ctx.barrier();
-//!     bag.local_take(ctx)
+//!     runs.local_take(ctx).cursor().collect::<Vec<u64>>()
 //! });
 //! assert_eq!(shards.iter().map(Vec::len).sum::<usize>(), 400);
-//! assert!(shards.iter().flatten().all(|&key| key < 100));
+//! // a key has one owner, which holds all four ranks' copies in key order
+//! for shard in &shards {
+//!     assert!(shard.windows(2).all(|w| w[0] <= w[1]));
+//!     assert!(shard.chunks(4).all(|c| c.iter().all(|&k| k == c[0])));
+//! }
 //! ```
 
 #![warn(unreachable_pub)]
 
 pub mod comm;
-pub mod container;
 pub mod exchange;
 pub mod partition;
 pub mod reduce;

@@ -440,7 +440,7 @@ impl<K: RunKey> Iterator for MergeCursor<'_, K> {
 }
 
 /// The distributed face of the run stacks: one `RunStack` shard per rank,
-/// same locking discipline as [`crate::container::DistBag`]. Batch handlers
+/// each behind its own lock. Batch handlers
 /// call [`DistRuns::local_absorb`] (one lock per batch — sorting happens
 /// inside, while other batches are still in flight), and after the closing
 /// barrier each rank [`DistRuns::local_take`]s its shard and merges.

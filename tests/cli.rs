@@ -254,6 +254,28 @@ fn snapshot_write_inspect_and_from_snapshot_paths() {
     assert!(!resident.stdout.is_empty());
     assert_eq!(resident.stdout, mapped.stdout, "paths diverged");
 
+    // a rank-sharded run off the mapping reads each rank's pages in place:
+    // its report validates as a batch report of the snapshot door, and no
+    // comment went through the event exchange
+    let report = dir.join("snapshot_ranks2.json");
+    let run = bin()
+        .args(["pipeline", "--from-snapshot"])
+        .arg(&snap)
+        .args(["--d2", "60", "--cutoff", "25", "--ranks", "2", "--report"])
+        .arg(&report)
+        .output()
+        .expect("run pipeline --from-snapshot --ranks 2");
+    assert!(run.status.success());
+    let check = bin()
+        .args(["report-validate", "--kind", "batch", "--report"])
+        .arg(&report)
+        .output()
+        .expect("run report-validate");
+    let stderr = String::from_utf8_lossy(&check.stderr);
+    assert!(check.status.success(), "{stderr}");
+    let text = std::fs::read_to_string(&report).expect("read report");
+    assert!(!text.contains("events_to_pages"), "events shuffled: {text}");
+
     // survey re-projects the mapped rows under the window the file records:
     // the same bytes as `project` then `survey --graph`, at either window
     let snap_600 = dir.join("month600.snap");
@@ -542,9 +564,19 @@ fn pipeline_distributed_stdout_is_byte_identical_to_resident() {
     // the acceptance bar: the rank-sharded run prints the same bytes
     let report = dir.join("ranks3.json");
     let report = report.to_str().expect("utf-8 temp path");
+    let budget_report = dir.join("ranks3_budget.json");
+    let budget_report = budget_report.to_str().expect("utf-8 temp path");
     for engine in [
         &["--ranks", "3", "--report", report][..],
         &["--shuffle-budget", "65536"],
+        &[
+            "--ranks",
+            "3",
+            "--shuffle-budget",
+            "65536",
+            "--report",
+            budget_report,
+        ],
     ] {
         assert!(
             resident == pipeline(engine),
@@ -558,22 +590,27 @@ fn pipeline_distributed_stdout_is_byte_identical_to_resident() {
         .expect("run report-validate");
     let stderr = String::from_utf8_lossy(&check.stderr);
     assert!(check.status.success(), "{stderr}");
-    // and books the rows door's build (`btm.build`, once) apart from the
-    // ranks' exchange and row builds (`btm.shard`, once a rank), while the
-    // passes nested in both are timed pass by pass: four of each at three
-    // ranks; each rank times its step 3 harvest as the resident run does
+    // and books the rows door's build (`btm.build` and the passes nested in
+    // it, once each) and nothing else as a build: the ranks read the rows in
+    // place; each rank times its step 3 harvest as the resident run does
+    let entry = |label: &str, count: usize| format!("\"label\": \"{label}\", \"count\": {count},");
     let text = std::fs::read_to_string(report).expect("read report");
     for (label, count) in [
         ("btm.build", 1),
-        ("btm.shard", 3),
         ("validate.harvest", 3),
-        ("btm.count", 4),
-        ("btm.scatter", 4),
-        ("btm.order", 4),
+        ("btm.count", 1),
+        ("btm.scatter", 1),
+        ("btm.order", 1),
     ] {
-        let entry = format!("\"label\": \"{label}\", \"count\": {count},");
+        let entry = entry(label, count);
         assert!(text.contains(&entry), "no {entry} in {text}");
     }
+    assert!(!text.contains("btm.shard"), "a shard span in {text}");
+    // under a budget each rank's event exchange is booked apart, as
+    // `btm.shard`, once a rank
+    let text = std::fs::read_to_string(budget_report).expect("read report");
+    let entry = entry("btm.shard", 3);
+    assert!(text.contains(&entry), "no {entry} in {text}");
     std::fs::remove_dir_all(dir).ok();
 }
 

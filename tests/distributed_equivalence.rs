@@ -143,10 +143,8 @@ fn poisoned_world_an_out_of_range_author_stops_the_run_at_the_door() {
 }
 
 /// Page id `u32::MAX` has no slot in flat page rows, which index one past
-/// the largest page id: without a budget the run must stop with that
-/// message, at one rank, where the door sizes the `Btm` it builds, and on
-/// two ranks, where the page's owner panics after the exchange — and no
-/// barrier may strand the other rank.
+/// the largest page id: the run must stop with that message where the door
+/// sizes the `Btm` it builds, on one rank or two, before any rank starts.
 #[test]
 fn poisoned_world_a_page_id_at_the_top_of_the_space_stops_the_run() {
     for nranks in [1, 2] {
@@ -159,11 +157,11 @@ fn poisoned_world_a_page_id_at_the_top_of_the_space_stops_the_run() {
     }
 }
 
-/// The door's contract with its source: one rank without a budget pulls
-/// `source(0, 1)` twice (it counts on the first pull and scatters on the
-/// second), and at two ranks each rank pulls its own share once.
+/// The door's contract with its source: every run pulls `source(0, 1)`
+/// twice (it counts on the first pull and scatters on the second) to build
+/// the `Btm` it runs on, at one rank or two, with a budget or without.
 #[test]
-fn the_door_pulls_twice_at_one_rank_and_once_per_rank_at_two() {
+fn the_door_pulls_the_whole_source_twice_at_any_rank_count_and_budget() {
     let events: Vec<Event> = bots(20, 7_200)
         .comments
         .iter()
@@ -173,49 +171,57 @@ fn the_door_pulls_twice_at_one_rank_and_once_per_rank_at_two() {
     let resident = Pipeline::new(PipelineConfig::default()).run_btm(
         &coordination::core::Btm::from_events(n_authors, 20, &events),
     );
-    for nranks in [1, 2] {
+    for (nranks, budget) in [(1, None), (2, None), (2, Some(1))] {
         let pulls = std::sync::Mutex::new(Vec::new());
         let source = event_source(|rank, n| {
             pulls.lock().unwrap().push((rank, n));
             Box::new(events.iter().skip(rank).step_by(n).copied())
         });
-        let out =
-            DistPipeline::new(PipelineConfig::default(), nranks).run_events(n_authors, &source);
+        let out = budgeted(nranks, budget).run_events(n_authors, &source);
         assert_eq!(observed(&out).unwrap(), observed(&resident).unwrap());
-        let mut pulls = pulls.into_inner().unwrap();
-        pulls.sort_unstable();
-        let expected = match nranks {
-            1 => vec![(0, 1), (0, 1)],
-            _ => vec![(0, 2), (1, 2)],
-        };
-        assert_eq!(pulls, expected, "{nranks} ranks");
+        let pulls = pulls.into_inner().unwrap();
+        let what = format!("{nranks} ranks, budget {budget:?}");
+        assert_eq!(pulls, [(0, 1), (0, 1)], "{what}");
     }
 }
 
-/// A one-rank source must yield the same events on both pulls: one whose
-/// second pull drops an event stops the run with the builder's message, and
-/// nothing is returned.
+/// A default-config pipeline on `nranks` ranks, under `budget` if any.
+fn budgeted(nranks: usize, budget: Option<usize>) -> DistPipeline {
+    let pipeline = DistPipeline::new(PipelineConfig::default(), nranks);
+    match budget {
+        Some(bytes) => pipeline.with_shuffle_budget(bytes),
+        None => pipeline,
+    }
+}
+
+/// A source must yield the same events on both pulls: one whose second pull
+/// drops an event stops the run with the builder's message, before any rank
+/// starts, and nothing is returned — at one rank, at two, and under a
+/// budget.
 #[test]
-fn a_one_rank_source_whose_second_pull_differs_stops_the_run() {
+fn a_source_whose_second_pull_differs_stops_the_run_at_any_rank_count_and_budget() {
     let events = [(0, 0, 5), (1, 0, 6), (2, 4, 7), (1, 4, 8)]
         .map(|(a, p, ts)| Event::new(AuthorId(a), PageId(p), ts));
-    let pulls = std::sync::atomic::AtomicUsize::new(0);
-    let source = event_source(|_, _| {
-        let pull = pulls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Box::new(events.iter().take(if pull == 0 { 4 } else { 3 }).copied())
-    });
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        DistPipeline::new(PipelineConfig::default(), 1).run_events(3, &source)
-    }));
-    let Err(panic) = run else {
-        panic!("the run returned output")
-    };
-    let message = *panic.downcast::<String>().expect("a panic message");
-    assert!(
-        message.contains("different events on its second pass"),
-        "{message}"
-    );
-    assert_eq!(pulls.into_inner(), 2);
+    for (nranks, budget) in [(1, None), (2, None), (2, Some(1))] {
+        let pulls = std::sync::atomic::AtomicUsize::new(0);
+        let source = event_source(|_, _| {
+            let pull = pulls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Box::new(events.iter().take(if pull == 0 { 4 } else { 3 }).copied())
+        });
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            budgeted(nranks, budget).run_events(3, &source)
+        }));
+        let what = format!("{nranks} ranks, budget {budget:?}");
+        let Err(panic) = run else {
+            panic!("{what}: the run returned output")
+        };
+        let message = *panic.downcast::<String>().expect("a panic message");
+        assert!(
+            message.contains("different events on its second pass"),
+            "{what}: {message}"
+        );
+        assert_eq!(pulls.into_inner(), 2, "{what}");
+    }
 }
 
 /// One rank without a budget builds its `Btm` under the run config's

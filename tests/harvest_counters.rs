@@ -16,10 +16,10 @@
 //! adding its share. One rank without a budget is the resident run: it
 //! sends no message through any of the four shuffles
 //! (`ygm.<label>.items_sent` for the events, the pair occurrences, the
-//! oriented edges and the wedge checks), where every other run sends
-//! through each, and its `survey.triangles_examined`,
+//! oriented edges and the wedge checks), and its `survey.triangles_examined`,
 //! `survey.wedge_checks` and `survey.wedge_list_bytes` are the resident
-//! run's.
+//! run's. Every other run sends through the last three; only a budget ships
+//! the events, since without one each rank reads its pages' rows in place.
 //!
 //! `obs` counters are process-global, so this is the only test in its binary:
 //! beside the pipelines other tests run on parallel threads, the totals read
@@ -171,13 +171,14 @@ fn check(ds: &Dataset, config: &PipelineConfig) {
             }
             // One rank owns every page, edge and vertex: only a budget's run
             // stacks send it its own messages, and without one it is the
-            // resident run.
-            let sent = &got[SENT];
+            // resident run. Only a budget ships the events to their pages.
+            let (events, sent) = (got[SENT.start], &got[SENT.start + 1..SENT.end]);
+            let what = format!("{nranks} ranks, budget {budget:?}");
+            assert_eq!(events > 0, budget.is_some(), "{what}: {events} events sent");
             if nranks == 1 && budget.is_none() {
-                assert_eq!(sent, [0; 4], "one rank sent messages");
+                assert_eq!(sent, [0; 3], "one rank sent messages");
                 assert_eq!(got[SURVEY], want[SURVEY], "one rank's survey counters");
             } else {
-                let what = format!("{nranks} ranks, budget {budget:?}");
                 assert!(sent.iter().all(|&n| n > 0), "{what}: {sent:?}");
             }
         }

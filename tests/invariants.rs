@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
-use coordination::core::btm::{AuthorPages, Btm, PageRows};
+use coordination::core::btm::{AuthorPages, Btm};
 use coordination::core::hypergraph::hyperedge_weight;
 use coordination::core::ids::{AuthorId, Event, PageId};
 use coordination::core::metrics::c_score;
@@ -512,27 +512,28 @@ proptest! {
     }
 
     /// One page side, whatever the arrival order: the counting-scatter
-    /// builder that `Btm` and every rank's partition are built with holds
-    /// the definition's rows, per page the sorted multiset of `(ts, author)`.
+    /// builder under `Btm::build` holds the definition's rows, per page the
+    /// sorted multiset of `(ts, author)`, in a page space fixed up front or
+    /// sized by the source as it is read.
     #[test]
     fn page_rows_match_the_definition(keyed in arb_keyed_events()) {
-        let np = 8;
+        let (na, np) = (10, 8);
         let orders = arrival_orders(&keyed);
         let by_page = rows_of(&orders[0], np);
         for input in &orders {
-            let source = || input.iter().map(|e| (e.page, e.ts, e.author));
-            let rows = PageRows::build(Some(np), &[], source);
+            let source = || input.iter().copied();
+            let rows = Btm::build(na, Some(np), &[], source);
             prop_assert_eq!(rows.n_pages(), np);
             // sized by the source instead: the same rows up to its largest page
-            let seen = PageRows::build(None, &[], source);
+            let seen = Btm::build(na, None, &[], source);
             let top = input.iter().map(|e| e.page.0 + 1).max().unwrap_or(0);
             prop_assert_eq!(seen.n_pages(), top);
             for p in 0..top {
-                prop_assert_eq!(&seen.row(PageId(p)).to_vec(), &by_page[p as usize]);
+                prop_assert_eq!(&seen.page_neighborhood(PageId(p)).to_vec(), &by_page[p as usize]);
             }
             prop_assert_eq!(rows.n_comments(), input.len() as u64);
             for p in 0..np {
-                prop_assert_eq!(&rows.row(PageId(p)).to_vec(), &by_page[p as usize]);
+                prop_assert_eq!(&rows.page_neighborhood(PageId(p)).to_vec(), &by_page[p as usize]);
             }
         }
     }
