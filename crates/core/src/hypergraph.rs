@@ -17,9 +17,6 @@ use coordination_graph::intersect::{
 use tripoll::survey::t_score;
 use tripoll::Triangle;
 
-/// A run of consecutive triples sharing an edge: it and `|pages(x) ∩ pages(y)|`.
-pub(crate) type PrefixRun = ([AuthorId; 2], usize);
-
 /// `pages(x) ∩ pages(y)` for one leading edge, as one bit a page over the
 /// harvest's page space (allocated once, all clear between edges), and its
 /// sorted pages once something asks for them. Formed by word AND when both
@@ -143,18 +140,22 @@ impl SharedPages {
     }
 }
 
-/// Step 3's one kernel, both engines': `w_xyz` for triples keyed on their
-/// leading edge `(x, y)`. When the edge changes, `pages(x) ∩ pages(y)` is
-/// formed once into one [`SharedPages`]; each `w_xyz` of the run counts
-/// `pages(z)` in it ([`SharedPages::count`]: AND + popcount against a bitset,
-/// a probe or a gallop against a list). Order is a speed property only: any
+/// Step 3's one kernel: `w_xyz` for triples keyed on their leading edge
+/// `(x, y)`. When the edge changes, `pages(x) ∩ pages(y)` is formed once
+/// into one [`SharedPages`]; each `w_xyz` of the run counts `pages(z)` in it
+/// ([`SharedPages::count`]: AND + popcount against a bitset, a probe or a
+/// gallop against a list). Order is a speed property only: any
 /// order (unsorted, repeated, interleaved) gives the same weights; sorted
 /// input intersects an edge once.
 pub(crate) struct SharedPrefix<'a> {
     authors: &'a AuthorPages,
-    /// The current run's `pages(x) ∩ pages(y)`; its edge is the last run's.
+    /// The current run's `pages(x) ∩ pages(y)`.
     shared: SharedPages,
-    runs: Vec<PrefixRun>,
+    /// The current run's leading edge.
+    edge: Option<[AuthorId; 2]>,
+    /// Runs opened, and their `|pages(x) ∩ pages(y)|` summed.
+    runs: u64,
+    run_pages: u64,
 }
 
 impl<'a> SharedPrefix<'a> {
@@ -163,16 +164,20 @@ impl<'a> SharedPrefix<'a> {
         SharedPrefix {
             authors,
             shared: SharedPages::new(authors),
-            runs: Vec::new(),
+            edge: None,
+            runs: 0,
+            run_pages: 0,
         }
     }
 
     /// `pages(x) ∩ pages(y)`, opening a run if the edge is not the last one's.
     pub(crate) fn shared(&mut self, [x, y]: [AuthorId; 2]) -> &mut SharedPages {
-        if self.runs.last().map(|r| r.0) != Some([x, y]) {
+        if self.edge != Some([x, y]) {
             let authors = self.authors;
             self.shared.set(authors.pages(x), authors.pages(y));
-            self.runs.push(([x, y], self.shared.len()));
+            self.edge = Some([x, y]);
+            self.runs += 1;
+            self.run_pages += self.shared.len() as u64;
         }
         &mut self.shared
     }
@@ -182,11 +187,6 @@ impl<'a> SharedPrefix<'a> {
         let pz = self.authors.pages(z);
         self.shared([x, y]).count(pz)
     }
-
-    /// The runs opened, in order.
-    pub(crate) fn finish(self) -> Vec<PrefixRun> {
-        self.runs
-    }
 }
 
 /// `w_xyz` for three harvested authors: a one-triplet run of the kernel.
@@ -194,67 +194,12 @@ pub fn hyperedge_weight(authors: &AuthorPages, x: AuthorId, y: AuthorId, z: Auth
     SharedPrefix::new(authors).weight([x, y, z])
 }
 
-/// A triangle's [`TripletMetrics`] from its `w_xyz`, its vertices' page
-/// counts `p_x` (`page_counts[i]` belongs to `t.vertices()[i]`) and the
-/// global `P'` vector. Both engines build every record through it, so `T` and
-/// `C` are the same floating-point expressions on both — bit-identical by
-/// construction.
-pub(crate) fn triplet_metrics(
-    t: &Triangle,
-    w_xyz: u64,
-    page_counts: [u64; 3],
-    ci_page_counts: &[u64],
-) -> TripletMetrics {
-    let [a, b, c] = t.vertices();
-    let [pa, pb, pc] = page_counts;
-    let p_ci = |v: u32| ci_page_counts[v as usize];
-    let min_w = t.min_weight();
-    TripletMetrics {
-        authors: [AuthorId(a), AuthorId(b), AuthorId(c)],
-        ci_weights: t.edge_weights(),
-        min_ci_weight: min_w,
-        t: t_score(min_w, p_ci(a), p_ci(b), p_ci(c)),
-        hyper_weight: w_xyz,
-        c: c_score(w_xyz, pa, pb, pc),
-        page_counts,
-    }
-}
-
-/// Both engines' step 3: `triangles`' metrics in order, and the kernel's runs.
-pub(crate) fn validate_triangles<'t>(
-    authors: &AuthorPages,
-    ci_page_counts: &[u64],
-    triangles: impl IntoIterator<Item = &'t Triangle>,
-) -> (Vec<TripletMetrics>, Vec<PrefixRun>) {
-    let mut kernel = SharedPrefix::new(authors);
-    let metrics = triangles
-        .into_iter()
-        .map(|t| {
-            let v = t.vertices().map(AuthorId);
-            let w_xyz = kernel.weight(v);
-            triplet_metrics(t, w_xyz, v.map(|a| authors.page_count(a)), ci_page_counts)
-        })
-        .collect();
-    (metrics, kernel.finish())
-}
-
-/// Record what a harvest holds: its authors, their incidences, and the
-/// incidences held as bitsets.
-pub(crate) fn record_harvest(authors: &AuthorPages) {
-    obs::counter("validate.harvest_authors").add(u64::from(authors.n_authors()));
-    obs::counter("validate.harvest_incidences").add(authors.n_incidences());
-    obs::counter("validate.dense_incidences").add(authors.dense_incidences());
-}
-
-/// Count runs into `validate.prefix_runs`, their lengths into `.prefix_pages`.
-pub(crate) fn record_runs(runs: &[PrefixRun]) {
-    obs::counter("validate.prefix_runs").add(runs.len() as u64);
-    obs::counter("validate.prefix_pages").add(runs.iter().map(|&(_, n)| n as u64).sum());
-}
-
 /// Validate a batch of triangles, returning metrics in the same order. The
 /// page lists of the triangles' vertices — all of `B` this step reads — are
-/// harvested from `btm` once, up front.
+/// harvested from `btm` once, up front. Records what the harvest holds (its
+/// authors, their incidences, and the incidences held as bitsets) and the
+/// kernel's runs (`validate.prefix_runs`) and their shared pages
+/// (`validate.prefix_pages`).
 pub fn validate_all(
     btm: &Btm,
     ci_page_counts: &[u64],
@@ -268,9 +213,33 @@ pub fn validate_all(
             triangles.iter().flat_map(|t| t.vertices()).map(AuthorId),
         )
     };
-    record_harvest(&authors);
-    let (metrics, runs) = validate_triangles(&authors, ci_page_counts, triangles);
-    record_runs(&runs);
+    obs::counter("validate.harvest_authors").add(u64::from(authors.n_authors()));
+    obs::counter("validate.harvest_incidences").add(authors.n_incidences());
+    obs::counter("validate.dense_incidences").add(authors.dense_incidences());
+    let mut kernel = SharedPrefix::new(&authors);
+    let metrics: Vec<TripletMetrics> = triangles
+        .iter()
+        .map(|t| {
+            let v = t.vertices();
+            let ids = v.map(AuthorId);
+            let w_xyz = kernel.weight(ids);
+            let page_counts = ids.map(|a| authors.page_count(a));
+            let [pa, pb, pc] = page_counts;
+            let [p_ci_a, p_ci_b, p_ci_c] = v.map(|a| ci_page_counts[a as usize]);
+            let min_w = t.min_weight();
+            TripletMetrics {
+                authors: ids,
+                ci_weights: t.edge_weights(),
+                min_ci_weight: min_w,
+                t: t_score(min_w, p_ci_a, p_ci_b, p_ci_c),
+                hyper_weight: w_xyz,
+                c: c_score(w_xyz, pa, pb, pc),
+                page_counts,
+            }
+        })
+        .collect();
+    obs::counter("validate.prefix_runs").add(kernel.runs);
+    obs::counter("validate.prefix_pages").add(kernel.run_pages);
     obs::counter("validate.triplets").add(metrics.len() as u64);
     obs::record_stage_rss("validate");
     metrics
@@ -321,7 +290,7 @@ mod tests {
         let opened = opened
             .filter(|&(i, t)| i == 0 || triples[i - 1][..2] != t[..2])
             .count();
-        prop_assert_eq!(kernel.runs.len(), opened);
+        prop_assert_eq!(kernel.runs, opened as u64);
         kernel.shared.clear();
         prop_assert!(
             kernel.shared.bits.iter().all(|&w| w == 0),

@@ -169,58 +169,69 @@ impl Pipeline {
 
     /// Run on an already-built (and already-filtered) BTM.
     pub fn run_btm(&self, btm: &Btm) -> PipelineOutput {
-        let cfg = &self.config;
+        run_stages(&self.config, btm, project::project, survey)
+    }
+}
 
-        // Step 1: projection.
-        let t0 = Instant::now();
-        let ci = project::project(btm, cfg.window);
-        let projection_time = t0.elapsed();
+/// The one stage graph of both engines: project `btm`, orient the threshold
+/// view, survey it, validate the survivors. Only the two steps that shard
+/// over ranks vary, and the caller passes them in: `project` (the resident
+/// [`project::project`], or the rank program's) and `survey` (the resident
+/// [`survey`], or [`tripoll::distributed::survey_on_ranks`]).
+pub(crate) fn run_stages(
+    cfg: &PipelineConfig,
+    btm: &Btm,
+    project: impl FnOnce(&Btm, Window) -> CiGraph,
+    survey: impl FnOnce(&OrientedGraph, &SurveyConfig, Option<&[u64]>) -> SurveyReport,
+) -> PipelineOutput {
+    // Step 1: projection.
+    let t0 = Instant::now();
+    let ci = project(btm, cfg.window);
+    let projection_time = t0.elapsed();
 
-        // Step 2: triangle survey on the edge-thresholded graph. Thresholding
-        // is a borrowed view over the CI graph's CSR — orientation consumes it
-        // directly, so no filtered copy of the edge set is ever materialized.
-        let t1 = Instant::now();
-        let orient_span = obs::span("survey.orient");
-        let oriented = if cfg.edge_threshold > 1 {
-            OrientedGraph::from_ref(&ci.threshold_view(cfg.edge_threshold))
-        } else {
-            OrientedGraph::from_ref(ci.as_csr())
-        };
-        // every edge the view keeps is oriented once: no second walk of it
-        let ci_edges_after_threshold = oriented.m();
-        drop(orient_span);
-        let report = survey(&oriented, &cfg.survey_config(), Some(ci.page_counts()));
-        let survey_time = t1.elapsed();
+    // Step 2: triangle survey on the edge-thresholded graph. Thresholding is
+    // a borrowed view over the CI graph's CSR — orientation consumes it
+    // directly, so no filtered copy of the edge set is ever materialized.
+    let t1 = Instant::now();
+    let orient_span = obs::span("survey.orient");
+    let oriented = if cfg.edge_threshold > 1 {
+        OrientedGraph::from_ref(&ci.threshold_view(cfg.edge_threshold))
+    } else {
+        OrientedGraph::from_ref(ci.as_csr())
+    };
+    // every edge the view keeps is oriented once: no second walk of it
+    let ci_edges_after_threshold = oriented.m();
+    drop(orient_span);
+    let report = survey(&oriented, &cfg.survey_config(), Some(ci.page_counts()));
+    let survey_time = t1.elapsed();
 
-        // Step 3: hypergraph validation.
-        let t2 = Instant::now();
-        let triangles: Vec<tripoll::Triangle> =
-            report.triangles.iter().map(|s| s.triangle).collect();
-        let triplets = validate_all(btm, ci.page_counts(), &triangles);
-        let validation_time = t2.elapsed();
+    // Step 3: hypergraph validation.
+    let t2 = Instant::now();
+    let triangles: Vec<tripoll::Triangle> = report.triangles.iter().map(|s| s.triangle).collect();
+    let triplets = validate_all(btm, ci.page_counts(), &triangles);
+    let validation_time = t2.elapsed();
 
-        let stats = RunStats {
-            comments_reviewed: btm.n_comments(),
-            total_authors: btm.n_authors(),
-            projected_authors: ci.active_authors(),
-            ci_edges: ci.n_edges(),
-            ci_edges_after_threshold,
-            triangles_examined: report.total_examined,
-            triangles_kept: report.len() as u64,
-            triplets_validated: triplets.len() as u64,
-        };
+    let stats = RunStats {
+        comments_reviewed: btm.n_comments(),
+        total_authors: btm.n_authors(),
+        projected_authors: ci.active_authors(),
+        ci_edges: ci.n_edges(),
+        ci_edges_after_threshold,
+        triangles_examined: report.total_examined,
+        triangles_kept: report.len() as u64,
+        triplets_validated: triplets.len() as u64,
+    };
 
-        PipelineOutput {
-            ci,
-            survey: report,
-            triplets,
-            stats,
-            timings: StageTimings {
-                projection: projection_time,
-                survey: survey_time,
-                validation: validation_time,
-            },
-        }
+    PipelineOutput {
+        ci,
+        survey: report,
+        triplets,
+        stats,
+        timings: StageTimings {
+            projection: projection_time,
+            survey: survey_time,
+            validation: validation_time,
+        },
     }
 }
 

@@ -1,20 +1,21 @@
 //! Rank-sharded triangle surveying over the [`ygm`] runtime.
 //!
-//! This driver reproduces the *communication structure* of real TriPoll's
-//! push-based algorithm: the oriented adjacency is partitioned across ranks by
-//! vertex hash; the rank owning wedge apex `u` pushes, for each oriented edge
+//! [`survey_on_ranks`] reproduces the *communication structure* of real
+//! TriPoll's push-based algorithm over a resident orientation: each rank
+//! takes the rows of the apexes `owner_of` assigns it, and the rank owning
+//! wedge apex `u` pushes, for each oriented edge
 //! `(u, v)`, a *wedge check* to the owner of `v`, which probes its local
 //! `out(v)` against the stamped `out(u)` and **folds** every triangle it
-//! closes into its own [`SurveyFold`] — counters and survivors, never the
+//! closes into its own `SurveyFold` — counters and survivors, never the
 //! listing. A single barrier separates the push superstep from reading the
-//! folds.
+//! folds, which merge into the report.
 //!
 //! It is the resident survey ([`crate::survey::survey`]) run where the data
 //! lives, not a second implementation of it: the same fold and its one
 //! kernel (`SurveyFold::close`: count below the cutoff, list at or above
 //! it), rows read in place out of each rank's
 //! [`LocalCsr`]. Each rank keeps the kernel's stamp scratch (4 B per vertex
-//! id, allocated once in [`DistSurvey::publish`]): an apex's checks arrive
+//! id, allocated once in `DistSurvey::publish`): an apex's checks arrive
 //! back to back, so its handler stamps `out(u)` when the apex changes and
 //! leaves the scratch all-clear when it returns — batches from different
 //! senders interleave, and the next one must find nothing of this one. What
@@ -62,7 +63,7 @@ struct Partition {
 struct RankState {
     fold: SurveyFold,
     /// The wedge kernel's scratch over `0..n_vertices`, allocated by
-    /// [`DistSurvey::publish`] and all-clear between received batches.
+    /// `DistSurvey::publish` and all-clear between received batches.
     stamps: StampSet,
     wedge_checks: u64,
     wedge_list_entries: u64,
@@ -95,12 +96,12 @@ impl Shared {
 /// survey_stage(ctx, &survey, None);     ctx.barrier();
 /// let fold = survey.take_fold(ctx);
 /// ```
-pub struct DistSurvey(Arc<Shared>);
+struct DistSurvey(Arc<Shared>);
 
 impl DistSurvey {
     /// A survey over `nranks` ranks with the predicates of `config`
     /// (`top_k` is the caller's to apply, via [`SurveyFold::into_report`]).
-    pub fn new(nranks: usize, config: SurveyConfig) -> Self {
+    fn new(nranks: usize, config: SurveyConfig) -> Self {
         assert!(nranks > 0, "a survey needs at least one rank");
         DistSurvey(Arc::new(Shared {
             config,
@@ -120,7 +121,7 @@ impl DistSurvey {
     /// `n_vertices` long: the wedge handler indexes the `P'` replica and its
     /// stamp scratch by those ids inside a message handler, where a panic
     /// strands the other ranks at the barrier.
-    pub fn publish(
+    fn publish(
         &self,
         ctx: &RankCtx,
         csr: LocalCsr,
@@ -154,7 +155,7 @@ impl DistSurvey {
 
     /// This rank's fold, once the barrier after [`survey_stage`] has drained
     /// every wedge check. Records this rank's share of the survey counters.
-    pub fn take_fold(&self, ctx: &RankCtx) -> SurveyFold {
+    fn take_fold(&self, ctx: &RankCtx) -> SurveyFold {
         let state = std::mem::take(&mut *lock(&self.0.states[ctx.rank()]));
         debug_assert!(state.stamps.is_clear(), "a handler left a stamp behind");
         record_counters(&state.fold, state.wedge_checks, state.wedge_list_entries);
@@ -162,21 +163,18 @@ impl DistSurvey {
     }
 }
 
-/// The TriPoll push superstep as a *composable* SPMD stage: for each owned
-/// apex `u` and oriented edge `(u, v)`, ship a wedge check to the owner of
-/// `v`, which closes the wedges `out(u) ∩ out(v)` and folds each triangle
-/// exactly once (on the closing rank).
+/// The TriPoll push superstep: for each owned apex `u` and oriented edge
+/// `(u, v)`, ship a wedge check to the owner of `v`, which closes the wedges
+/// `out(u) ∩ out(v)` and folds each triangle exactly once (on the closing
+/// rank).
 ///
 /// `batch_bytes` overrides the [`adaptive_batch_bytes`] flush threshold
 /// (equivalence tests shrink it to one check per batch).
 ///
-/// This is the building block larger SPMD programs (e.g.
-/// `coordination_core`'s distributed pipeline) embed between their own
-/// stages; [`distributed_survey`] is the self-contained wrapper around it.
 /// The caller must follow with `ctx.barrier()` before
 /// [`DistSurvey::take_fold`] — wedge checks are only guaranteed delivered
 /// once the barrier's termination detection has drained them.
-pub fn survey_stage(ctx: &RankCtx, survey: &DistSurvey, batch_bytes: Option<usize>) {
+fn survey_stage(ctx: &RankCtx, survey: &DistSurvey, batch_bytes: Option<usize>) {
     let nranks = ctx.nranks();
     let shared = Arc::clone(&survey.0);
     let mut checks = PackedAggregator::with_batch_bytes(
@@ -244,8 +242,8 @@ pub fn survey_stage(ctx: &RankCtx, survey: &DistSurvey, batch_bytes: Option<usiz
 }
 
 /// This rank's share of a resident orientation — the rows of the vertices
-/// `owner_of` assigns it — as the [`LocalCsr`] it would [`DistSurvey::publish`].
-pub fn local_partition(ctx: &RankCtx, oriented: &OrientedGraph) -> LocalCsr {
+/// `owner_of` assigns it — as the [`LocalCsr`] it would `DistSurvey::publish`.
+fn local_partition(ctx: &RankCtx, oriented: &OrientedGraph) -> LocalCsr {
     let owned = (0..oriented.n()).filter(|u| owner_of(u, ctx.nranks()) == ctx.rank());
     LocalCsr::from_sorted_edges(owned.flat_map(|u| {
         let (targets, weights) = oriented.out(u);
@@ -254,26 +252,14 @@ pub fn local_partition(ctx: &RankCtx, oriented: &OrientedGraph) -> LocalCsr {
 }
 
 /// Survey a resident orientation on `nranks` ygm ranks: the rank-sharded
-/// twin of [`crate::survey::survey`], equal to it field for field. Also
-/// returns the active messages the run sent (a proxy for MPI traffic).
+/// twin of [`crate::survey::survey`], equal to it field for field. Each rank
+/// publishes the rows of the apexes it owns ([`LocalCsr`]) and pushes their
+/// wedge checks; `batch_bytes` overrides the checks' [`adaptive_batch_bytes`]
+/// flush threshold (tests shrink it to one check per batch). Each rank
+/// records its work as the resident survey does — a `survey` span and its
+/// share of the `survey.*` counters — on its own thread. Also returns the
+/// active messages the run sent (a proxy for MPI traffic).
 pub fn survey_on_ranks(
-    oriented: &OrientedGraph,
-    config: &SurveyConfig,
-    vertex_pages: Option<&[u64]>,
-    nranks: usize,
-) -> (SurveyReport, u64) {
-    survey_on_ranks_batched(oriented, config, vertex_pages, nranks, None)
-}
-
-/// One wedge check per batch, as a [`survey_stage`] `batch_bytes`: every
-/// check restamps its apex, apex rows from different senders interleave at
-/// the closing rank, and every batch must start from the all-clear scratch
-/// the last one left.
-#[cfg(test)]
-pub(crate) const ONE_CHECK: Option<usize> = Some(WedgeCheck::WIDTH);
-
-/// [`survey_on_ranks`] with [`survey_stage`]'s `batch_bytes` override.
-pub(crate) fn survey_on_ranks_batched(
     oriented: &OrientedGraph,
     config: &SurveyConfig,
     vertex_pages: Option<&[u64]>,
@@ -283,6 +269,7 @@ pub(crate) fn survey_on_ranks_batched(
     let survey = DistSurvey::new(nranks, config.clone());
     let pages = vertex_pages.map(|vp| Arc::new(vp.to_vec()));
     let per_rank = World::run(nranks, |ctx| {
+        let _stage = obs::span("survey");
         let rows = local_partition(ctx, oriented);
         survey.publish(ctx, rows, oriented.n(), pages.clone());
         ctx.barrier();
@@ -298,6 +285,13 @@ pub(crate) fn survey_on_ranks_batched(
     }
     (fold.into_report(config.top_k), messages_sent)
 }
+
+/// One wedge check per batch, as a [`survey_on_ranks`] `batch_bytes`: every
+/// check restamps its apex, apex rows from different senders interleave at
+/// the closing rank, and every batch must start from the all-clear scratch
+/// the last one left.
+#[cfg(test)]
+pub(crate) const ONE_CHECK: Option<usize> = Some(WedgeCheck::WIDTH);
 
 /// Result of a distributed survey.
 #[derive(Clone, Debug)]
@@ -322,6 +316,7 @@ pub fn distributed_survey(
         &SurveyConfig::with_min_weight(cutoff),
         None,
         nranks,
+        None,
     );
     DistSurveyResult {
         triangles: report.triangles.iter().map(|s| s.triangle).collect(),
@@ -369,7 +364,7 @@ mod tests {
                 for nranks in [1, 2, 3, 7] {
                     for batch_bytes in [None, ONE_CHECK] {
                         let (got, _) =
-                            survey_on_ranks_batched(&o, &config, vertex_pages, nranks, batch_bytes);
+                            survey_on_ranks(&o, &config, vertex_pages, nranks, batch_bytes);
                         let what = format!("{what}, {nranks} ranks, batch {batch_bytes:?}");
                         assert_eq!(fields(&got), want, "{what}");
                     }
@@ -464,7 +459,8 @@ mod tests {
         assert_equals_resident(&zero, 1, "zero weights");
         for cutoff in [0, 1, 5] {
             let config = SurveyConfig::with_min_weight(cutoff);
-            let (report, _) = survey_on_ranks(&OrientedGraph::from_graph(&zero), &config, None, 2);
+            let (report, _) =
+                survey_on_ranks(&OrientedGraph::from_graph(&zero), &config, None, 2, None);
             let got = (
                 report.total_examined,
                 report.max_min_weight,
@@ -482,6 +478,7 @@ mod tests {
             &SurveyConfig::default(),
             None,
             2,
+            None,
         );
         assert_eq!(report.min_weight_log_hist.len(), 64);
         assert_eq!(report.min_weight_log_hist[63], 1);
@@ -592,7 +589,7 @@ mod tests {
             let brute = brute_force_triangles(&g);
             prop_assert_eq!(&want, &brute_force_fields(&brute, &config, Some(&pages)));
             let batch_bytes = [None, ONE_CHECK][one_check];
-            let (got, _) = survey_on_ranks_batched(&o, &config, Some(&pages), nranks, batch_bytes);
+            let (got, _) = survey_on_ranks(&o, &config, Some(&pages), nranks, batch_bytes);
             prop_assert_eq!(fields(&got), want);
         }
     }

@@ -281,7 +281,7 @@ mod tests {
         configs: impl IntoIterator<Item = (SurveyConfig, bool)>,
         what: &str,
     ) {
-        use crate::distributed::{survey_on_ranks_batched, ONE_CHECK};
+        use crate::distributed::{survey_on_ranks, ONE_CHECK};
         use crate::fixtures::{brute_force_fields, fields, pages_for};
         use crate::orient::OrientationStrategy;
         use crate::survey::survey;
@@ -327,8 +327,7 @@ mod tests {
                 let what = format!("{what}, {config:?}, P' {}", vertex_pages.is_some());
                 assert_eq!(fields(&survey(&o, config, *vertex_pages)), *want, "{what}");
                 for (nranks, batch) in [(1, None), (2, None), (3, None), (2, ONE_CHECK)] {
-                    let (got, _) =
-                        survey_on_ranks_batched(&o, config, *vertex_pages, nranks, batch);
+                    let (got, _) = survey_on_ranks(&o, config, *vertex_pages, nranks, batch);
                     assert_eq!(
                         fields(&got),
                         *want,

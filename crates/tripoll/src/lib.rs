@@ -21,7 +21,7 @@
 //! [`ygm`] runtime, which preserves the push-style communication structure of
 //! real TriPoll. Both close wedges with the same kernel
 //! (`survey::SurveyFold::close`), which counts the triangles below the
-//! weight cutoff and lists the rest into the same [`survey::SurveyFold`].
+//! weight cutoff and lists the rest into the same `survey::SurveyFold`.
 //!
 //! ## Example
 //!
@@ -52,7 +52,6 @@ pub mod graph;
 pub mod orient;
 pub mod survey;
 
-pub use distributed::{survey_stage, DistSurvey};
 pub use enumerate::Triangle;
 pub use graph::{GraphRef, WeightedGraph};
 pub use orient::OrientedGraph;

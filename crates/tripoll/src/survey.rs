@@ -124,12 +124,12 @@ const WEDGE_ENTRY_BYTES: u64 = 12;
 ///
 /// Both engines fold into this one type with one kernel, `close`: the
 /// resident [`survey`] in its one apex loop, the rank-sharded
-/// [`crate::distributed::DistSurvey`] on the rank that receives the wedge
-/// check. A triangle below the weight cutoff is only *counted*; one at or
+/// [`crate::distributed::survey_on_ranks`] on the rank that receives the
+/// wedge check. A triangle below the weight cutoff is only *counted*; one at or
 /// above it is *listed*: canonicalised, scored, and kept if it passes the
 /// `T` floor. Folds merge associatively.
 #[derive(Clone, Debug, Default)]
-pub struct SurveyFold {
+pub(crate) struct SurveyFold {
     kept: Vec<SurveyedTriangle>,
     examined: u64,
     /// Triangles at or above the weight cutoff, kept or not.
@@ -238,7 +238,7 @@ impl SurveyFold {
     }
 
     /// Fold `other` into `self`.
-    pub fn merge(&mut self, mut other: SurveyFold) {
+    pub(crate) fn merge(&mut self, mut other: SurveyFold) {
         if self.kept.len() < other.kept.len() {
             std::mem::swap(&mut self.kept, &mut other.kept);
         }
@@ -255,7 +255,7 @@ impl SurveyFold {
     }
 
     /// Triangles streamed past the fold.
-    pub fn examined(&self) -> u64 {
+    pub(crate) fn examined(&self) -> u64 {
         self.examined
     }
 
@@ -265,31 +265,14 @@ impl SurveyFold {
         self.examined - self.listed
     }
 
-    /// Largest `min{w'}` seen.
-    pub fn max_min_weight(&self) -> u64 {
-        self.max_min
-    }
-
-    /// Histogram of `log2(min{w'})` over every triangle examined, as in
-    /// [`SurveyReport::min_weight_log_hist`].
-    pub fn log_hist(&self) -> &[u64] {
-        &self.hist
-    }
-
     /// The survivors, in the order their wedges closed.
     pub(crate) fn survivors(&self) -> &[SurveyedTriangle] {
         &self.kept
     }
 
-    /// The survivors alone, still in closing order, once the statistics
-    /// have been read.
-    pub fn into_survivors(self) -> Vec<SurveyedTriangle> {
-        self.kept
-    }
-
     /// The finished report: survivors sorted by vertex triple (or the
     /// `top_k` heaviest, ties by vertex ids).
-    pub fn into_report(self, top_k: Option<usize>) -> SurveyReport {
+    pub(crate) fn into_report(self, top_k: Option<usize>) -> SurveyReport {
         let mut triangles = self.kept;
         if let Some(k) = top_k {
             triangles.sort_unstable_by(|x, y| {
@@ -544,8 +527,8 @@ mod tests {
         // Below the cutoff a triangle is counted, never canonicalised or kept.
         assert_eq!(dropped.examined(), 6);
         assert_eq!(dropped.counted(), 6);
-        assert_eq!(dropped.max_min_weight(), 3);
-        assert_eq!(dropped.log_hist(), [0, 6]);
+        assert_eq!(dropped.max_min, 3);
+        assert_eq!(dropped.hist, [0, 6]);
         assert!(dropped.survivors().is_empty());
     }
 
@@ -587,8 +570,8 @@ mod tests {
         close_one(&mut fold, [1, 2, 3], [0, 6, 7], &below_cutoff);
         assert_eq!(fold.examined(), 4);
         assert_eq!(fold.counted(), 4);
-        assert_eq!(fold.max_min_weight(), 1);
-        assert_eq!(fold.log_hist(), [4]);
+        assert_eq!(fold.max_min, 1);
+        assert_eq!(fold.hist, [4]);
         assert!(fold.survivors().is_empty());
     }
 

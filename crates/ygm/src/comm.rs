@@ -19,9 +19,6 @@ use crate::exchange::BufferPool;
 /// An active message: a closure executed on the destination rank's thread.
 pub(crate) type Message = Box<dyn FnOnce(&RankCtx) + Send>;
 
-/// Slot storage for one matched collective: one `Any` box per rank.
-type CollectiveSlots = Vec<Option<Box<dyn std::any::Any + Send>>>;
-
 /// Lock `m`, recovering its data if a rank panicked while holding it: that
 /// panic already ends the world (the first one is re-raised), and the
 /// teardown must still reach the state the dead rank shared.
@@ -45,8 +42,6 @@ pub(crate) struct Shared {
     /// or process its queue again, so every barrier wait loop checks this and
     /// panics instead of spinning forever.
     poisoned: AtomicBool,
-    /// Slots for matched collectives (all_gather etc.), keyed by sequence id.
-    pub(crate) collectives: Mutex<std::collections::HashMap<u64, CollectiveSlots>>,
     /// World-shared recycling pool for packed-batch byte buffers: a buffer
     /// shipped from any rank and drained on any other returns here for the
     /// next sender, so steady-state shuffles allocate nothing.
@@ -87,7 +82,6 @@ impl World {
                 barrier_count: AtomicUsize::new(nranks),
                 barrier_sense: AtomicBool::new(false),
                 poisoned: AtomicBool::new(false),
-                collectives: Mutex::new(std::collections::HashMap::new()),
                 // Enough retained buffers for every rank to have one in
                 // flight to every other rank, with headroom for bursts.
                 pool: BufferPool::new((nranks * nranks).clamp(64, 1024)),
@@ -135,7 +129,6 @@ impl World {
                         senders,
                         receiver,
                         sense: Cell::new(false),
-                        coll_seq: Cell::new(0),
                         draining: Cell::new(false),
                     };
                     // Handlers run inside `drain` on this thread, so one
@@ -229,8 +222,6 @@ pub struct RankCtx {
     receiver: Receiver<Message>,
     /// Local barrier sense (flips every barrier).
     sense: Cell<bool>,
-    /// Per-rank collective sequence number; matched calls share a number.
-    coll_seq: Cell<u64>,
     /// Reentrancy guard for [`RankCtx::drain`]: handlers may themselves ship
     /// batches (which opportunistically drain), and unbounded
     /// drain-inside-drain recursion would blow the stack on message floods.
@@ -256,7 +247,7 @@ impl RankCtx {
     /// behaviour and bounding handler recursion depth.
     ///
     /// Handlers may freely send further messages; they must **not** call
-    /// [`RankCtx::barrier`] or any collective.
+    /// [`RankCtx::barrier`].
     pub(crate) fn async_exec<F>(&self, dest: usize, f: F)
     where
         F: FnOnce(&RankCtx) + Send + 'static,
@@ -342,60 +333,6 @@ impl RankCtx {
                 self.rank
             );
         }
-    }
-
-    /// Gather one value from every rank; returns the values indexed by rank.
-    /// Collective: every rank must call with the same sequence of collectives.
-    pub(crate) fn all_gather<T: Clone + Send + 'static>(&self, value: T) -> Vec<T> {
-        let seq = self.coll_seq.get();
-        self.coll_seq.set(seq + 1);
-        {
-            let mut slots = lock(&self.shared.collectives);
-            let slot = slots
-                .entry(seq)
-                .or_insert_with(|| (0..self.shared.nranks).map(|_| None).collect());
-            slot[self.rank] = Some(Box::new(value));
-        }
-        self.barrier();
-        let gathered: Vec<T> = {
-            let slots = lock(&self.shared.collectives);
-            let slot = slots.get(&seq).expect("collective slot vanished");
-            slot.iter()
-                .map(|v| {
-                    v.as_ref()
-                        .expect("rank missed collective")
-                        .downcast_ref::<T>()
-                        .expect("collective type mismatch across ranks")
-                        .clone()
-                })
-                .collect()
-        };
-        self.barrier();
-        if self.rank == 0 {
-            lock(&self.shared.collectives).remove(&seq);
-        }
-        gathered
-    }
-
-    /// Reduce one value per rank with `op`; every rank receives the result.
-    pub(crate) fn all_reduce<T, F>(&self, value: T, op: F) -> T
-    where
-        T: Clone + Send + 'static,
-        F: Fn(T, T) -> T,
-    {
-        let mut vals = self.all_gather(value).into_iter();
-        let first = vals.next().expect("world has at least one rank");
-        vals.fold(first, op)
-    }
-
-    /// Sum a `u64` across all ranks.
-    pub fn all_reduce_sum(&self, value: u64) -> u64 {
-        self.all_reduce(value, |a, b| a + b)
-    }
-
-    /// Max a `u64` across all ranks.
-    pub fn all_reduce_max(&self, value: u64) -> u64 {
-        self.all_reduce(value, |a, b| a.max(b))
     }
 
     /// The world-shared byte-buffer recycling pool used by
@@ -495,42 +432,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn all_gather_returns_values_in_rank_order() {
-        let out = World::run(4, |ctx| ctx.all_gather(ctx.rank() as u64 * 2));
-        for v in out {
-            assert_eq!(v, vec![0, 2, 4, 6]);
-        }
-    }
-
-    #[test]
-    fn all_reduce_sum_and_max() {
-        let out = World::run(4, |ctx| {
-            let s = ctx.all_reduce_sum(ctx.rank() as u64 + 1);
-            let m = ctx.all_reduce_max(ctx.rank() as u64 + 1);
-            (s, m)
-        });
-        for (s, m) in out {
-            assert_eq!(s, 10);
-            assert_eq!(m, 4);
-        }
-    }
-
-    #[test]
-    fn repeated_collectives_use_fresh_slots() {
-        let out = World::run(3, |ctx| {
-            let a = ctx.all_reduce_sum(1);
-            let b = ctx.all_reduce_sum(10);
-            let c = ctx.all_gather(ctx.rank());
-            (a, b, c)
-        });
-        for (a, b, c) in out {
-            assert_eq!(a, 3);
-            assert_eq!(b, 30);
-            assert_eq!(c, vec![0, 1, 2]);
-        }
-    }
-
-    #[test]
     fn message_flood_is_fully_processed_before_barrier_release() {
         const PER_RANK: u64 = 5_000;
         let total = Arc::new(AtomicU64::new(0));
@@ -578,7 +479,6 @@ pub(crate) mod tests {
                     panic!("rank one gives up");
                 }
                 ctx.barrier();
-                ctx.all_reduce_sum(1)
             });
         });
         assert_eq!(msg, "rank one gives up");
@@ -603,7 +503,7 @@ pub(crate) mod tests {
         for refused in 0..3 {
             let msg = panic_message_within_10s(move || {
                 REFUSED_RANK.set(Some(refused));
-                World::run(3, |ctx| ctx.all_reduce_sum(1));
+                World::run(3, |ctx| ctx.barrier());
             });
             let want =
                 format!("could not start the thread of rank {refused}: refused by the test seam");
@@ -622,8 +522,7 @@ pub(crate) mod tests {
             ctx.barrier();
             ctx.messages_sent()
         });
-        // 3 explicit messages, counted world-wide; collectives in barrier
-        // send none.
+        // 3 explicit messages, counted world-wide; a barrier sends none.
         assert_eq!(out, vec![3, 3]);
     }
 }

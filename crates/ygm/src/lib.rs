@@ -15,9 +15,10 @@
 //!   ([`DistRuns`]);
 //! * *barriers with termination detection*: [`RankCtx::barrier`] returns only
 //!   once every rank has arrived **and** every message sent anywhere — including
-//!   messages generated while processing other messages — has been processed;
-//! * collectives over those barriers (`RankCtx::all_gather`,
-//!   `RankCtx::all_reduce`, [`reduce`]).
+//!   messages generated while processing other messages — has been processed.
+//!
+//! There are no collectives: a rank's result reaches the caller as the value
+//! its SPMD function returns from [`World::run`], and the caller combines them.
 //!
 //! The only difference from real YGM is the transport: ranks are OS threads and
 //! messages are boxed closures over shared memory instead of serialized MPI
@@ -35,15 +36,10 @@
 //!    completion before any rank is released).
 //! 2. **Inside the SPMD region, immediately after a barrier** — the world is
 //!    quiescent until the next `async_*` send, so a rank may take its own
-//!    shard whole ([`DistRuns::local_take`]). Collectives (`all_gather`,
-//!    `all_reduce*`, …) must be issued by **every** rank in the same order;
-//!    they are how one rank's data reaches another outside a message.
+//!    shard whole ([`DistRuns::local_take`]).
 //! 3. **After [`World::run`] returns** — all ranks have joined and an
 //!    implicit final barrier has drained every in-flight message, so the
 //!    containers are permanently quiescent.
-//!
-//! Collective calls after `World::run` has returned are a bug: there are no
-//! rank threads left to meet the barrier, so they would deadlock.
 //!
 //! A rank that panics — in its SPMD function or in a message handler — poisons
 //! the world: every other rank panics out of its next barrier wait instead of
@@ -82,7 +78,6 @@
 pub mod comm;
 pub mod exchange;
 pub mod partition;
-pub mod reduce;
 pub mod runs;
 
 pub use comm::{RankCtx, World};

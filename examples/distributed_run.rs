@@ -54,7 +54,7 @@ fn main() {
     let config = SurveyConfig::with_min_weight(10);
     let pages = shared.ci.page_counts();
     let resident = survey(&oriented, &config, Some(pages));
-    let (report, messages_sent) = survey_on_ranks(&oriented, &config, Some(pages), nranks);
+    let (report, messages_sent) = survey_on_ranks(&oriented, &config, Some(pages), nranks, None);
     println!(
         "\nrank-sharded survey: {} triangles examined, {} kept at cutoff 10, {} active messages",
         report.total_examined,

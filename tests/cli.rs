@@ -592,20 +592,28 @@ fn pipeline_distributed_stdout_is_byte_identical_to_resident() {
     assert!(check.status.success(), "{stderr}");
     // and books the rows door's build (`btm.build` and the passes nested in
     // it, once each) and nothing else as a build: the ranks read the rows in
-    // place; each rank times its step 3 harvest as the resident run does
+    // place. The ranks shard projection and the survey only: the calling
+    // thread orients the threshold view and validates once, as the resident
+    // run does, and no oriented edge is shipped
     let entry = |label: &str, count: usize| format!("\"label\": \"{label}\", \"count\": {count},");
     let text = std::fs::read_to_string(report).expect("read report");
     for (label, count) in [
         ("btm.build", 1),
-        ("validate.harvest", 3),
         ("btm.count", 1),
         ("btm.scatter", 1),
         ("btm.order", 1),
+        ("survey.orient", 1),
+        ("validate", 1),
+        ("validate.harvest", 1),
     ] {
         let entry = entry(label, count);
         assert!(text.contains(&entry), "no {entry} in {text}");
     }
     assert!(!text.contains("btm.shard"), "a shard span in {text}");
+    assert!(
+        !text.contains("ygm.oriented_edges"),
+        "an oriented-edge shuffle in {text}"
+    );
     // under a budget each rank's event exchange is booked apart, as
     // `btm.shard`, once a rank
     let text = std::fs::read_to_string(budget_report).expect("read report");

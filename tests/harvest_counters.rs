@@ -1,25 +1,27 @@
 //! How much of `B` validation touched is reported identically by both
 //! engines: `validate.harvest_authors` / `validate.harvest_incidences` agree
-//! between the resident `validate_all` and the rank-sharded stage 5 for the
-//! same input, at any rank count and any shuffle budget — and equal what the
-//! validated triplets themselves say (distinct vertices, and their `p_x`).
-//! So do the validation kernel's `validate.prefix_runs` (runs of survivors
-//! sharing a leading edge `(a, b)`: the distinct such edges) and
-//! `validate.prefix_pages` (their `|pages(a) ∩ pages(b)|`, summed), though a
-//! run may split across the ranks that kept its triangles, and
-//! `validate.dense_incidences` (the incidences of the harvested authors held
-//! as bitsets: those on at least 1/32 of the harvest's page space). And a
-//! one-byte shuffle budget really spills (`shuffle.spilled_bytes`,
+//! between the resident run and the rank program for the same input, at any
+//! rank count and any shuffle budget — and equal what the validated triplets
+//! themselves say (distinct vertices, and their `p_x`). So do the validation
+//! kernel's `validate.prefix_runs` (runs of survivors sharing a leading edge
+//! `(a, b)`: the distinct such edges) and `validate.prefix_pages` (their
+//! `|pages(a) ∩ pages(b)|`, summed), and `validate.dense_incidences` (the
+//! incidences of the harvested authors held as bitsets: those on at least
+//! 1/32 of the harvest's page space). In `split_runs` the survivors sharing a
+//! leading edge close their wedges on different ranks, so the counts hold
+//! only if the ranks' folds merge back into the resident survey's order. And
+//! a one-byte shuffle budget really spills (`shuffle.spilled_bytes`,
 //! `shuffle.spill_segments`), where no budget spills nothing. The stage
 //! totals a run report documents — `project.pages`, `project.edges` and
 //! `validate.triplets` — are the resident run's in every cell, each rank
-//! adding its share. One rank without a budget is the resident run: it
-//! sends no message through any of the four shuffles
-//! (`ygm.<label>.items_sent` for the events, the pair occurrences, the
-//! oriented edges and the wedge checks), and its `survey.triangles_examined`,
-//! `survey.wedge_checks` and `survey.wedge_list_bytes` are the resident
-//! run's. Every other run sends through the last three; only a budget ships
-//! the events, since without one each rank reads its pages' rows in place.
+//! adding its share. The rank program's shuffles are the events (under a
+//! budget only), the pair occurrences and the wedge checks
+//! (`ygm.<label>.items_sent`). One rank without a budget is the resident
+//! run: it sends nothing through any of them, and its
+//! `survey.triangles_examined`, `survey.wedge_checks` and
+//! `survey.wedge_list_bytes` are the resident run's. Every other run sends
+//! pairs and wedge checks; only a budget ships the events, since without one
+//! each rank reads its pages' rows in place.
 //!
 //! `obs` counters are process-global, so this is the only test in its binary:
 //! beside the pipelines other tests run on parallel threads, the totals read
@@ -34,7 +36,7 @@ use coordination::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
 use coordination::core::records::{CommentRecord, Dataset};
 use coordination::redditgen::ScenarioConfig;
 
-const COUNTERS: [&str; 17] = [
+const COUNTERS: [&str; 16] = [
     "validate.harvest_authors",
     "validate.harvest_incidences",
     "validate.prefix_runs",
@@ -43,7 +45,6 @@ const COUNTERS: [&str; 17] = [
     "shuffle.spill_segments",
     "ygm.events_to_pages.items_sent",
     "ygm.pair_occurrences.items_sent",
-    "ygm.oriented_edges.items_sent",
     "ygm.wedge_checks.items_sent",
     "survey.triangles_examined",
     "survey.wedge_checks",
@@ -55,19 +56,19 @@ const COUNTERS: [&str; 17] = [
 ];
 
 /// Where the shuffles' `items_sent` counters sit in [`COUNTERS`].
-const SENT: std::ops::Range<usize> = 6..10;
+const SENT: std::ops::Range<usize> = 6..9;
 
 /// Where the survey counters sit in [`COUNTERS`].
-const SURVEY: std::ops::Range<usize> = 10..13;
+const SURVEY: std::ops::Range<usize> = 9..12;
 
 /// Where the stage totals both engines document sit in [`COUNTERS`].
-const STAGES: std::ops::Range<usize> = 13..16;
+const STAGES: std::ops::Range<usize> = 12..15;
 
 /// Where `validate.dense_incidences` sits in [`COUNTERS`].
-const DENSE: usize = 16;
+const DENSE: usize = 15;
 
 /// The counters' growth over one run.
-fn measured(run: &dyn Fn() -> PipelineOutput) -> (PipelineOutput, [u64; 17]) {
+fn measured(run: &dyn Fn() -> PipelineOutput) -> (PipelineOutput, [u64; 16]) {
     let read = || COUNTERS.map(|name| obs::counter(name).get());
     let before = read();
     let out = run();
@@ -137,7 +138,7 @@ fn check(ds: &Dataset, config: &PipelineConfig) {
         dense.sum::<u64>(),
         "the resident dense incidences"
     );
-    assert_eq!(want[4..SENT.end], [0; 6], "the resident engine shuffled");
+    assert_eq!(want[4..SENT.end], [0; 5], "the resident engine shuffled");
     assert!(want[SURVEY].iter().all(|&n| n > 0), "{:?}", &want[SURVEY]);
     // pages with a kept comment, distinct edges, validated triplets
     let excluded = config.exclusions.resolve(ds);
@@ -176,7 +177,7 @@ fn check(ds: &Dataset, config: &PipelineConfig) {
             let what = format!("{nranks} ranks, budget {budget:?}");
             assert_eq!(events > 0, budget.is_some(), "{what}: {events} events sent");
             if nranks == 1 && budget.is_none() {
-                assert_eq!(sent, [0; 3], "one rank sent messages");
+                assert_eq!(sent, [0; 2], "one rank sent messages");
                 assert_eq!(got[SURVEY], want[SURVEY], "one rank's survey counters");
             } else {
                 assert!(sent.iter().all(|&n| n > 0), "{what}: {sent:?}");
