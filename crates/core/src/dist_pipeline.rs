@@ -59,10 +59,10 @@
 //! The rest is the resident stage graph (`pipeline::run_stages`): the
 //! threshold view is oriented once, on the calling thread, and
 //! [`tripoll::distributed::survey_on_ranks`] surveys that orientation on the
-//! ranks — each takes the rows of the apexes it owns and pushes a 16-byte
-//! wedge check per oriented edge through the packed aggregator to the owner
-//! of its far end, which folds the triangles it closes with the resident
-//! survey's kernel. Step 3 is [`crate::hypergraph::validate_all`], once, on
+//! ranks — each reads the rows of the apexes it owns out of that one
+//! orientation in place and pushes a 16-byte wedge check per oriented edge
+//! through the packed aggregator to the owner of its far end, which folds
+//! the triangles it closes with the resident survey's kernel. Step 3 is [`crate::hypergraph::validate_all`], once, on
 //! the calling thread, over the same rows.
 //!
 //! So the shuffles are the comments' under a budget, the pair occurrences,
@@ -370,13 +370,13 @@ impl DistPipeline {
     /// One rank's stages 2–3: its page partition, then the page step over
     /// it with the pair shuffle to edge owners. Returns this rank's sorted
     /// canonical edge run and its `P'` contribution.
-    fn project_rank(
+    fn project_rank<'env>(
         &self,
-        ctx: &RankCtx,
+        ctx: &RankCtx<'env>,
         btm: &Btm,
         window: Window,
-        page_events: Option<&DistRuns<u128>>,
-        pair_occurrences: &DistRuns<u64>,
+        page_events: Option<&'env DistRuns<u128>>,
+        pair_occurrences: &'env DistRuns<u64>,
     ) -> (Vec<(u32, u32, u64)>, Vec<u64>) {
         // One threshold policy for every shuffle in this run: the adaptive
         // bytes-per-batch default for the item width, or the test override.
@@ -404,9 +404,8 @@ impl DistPipeline {
             Some(page_events) => {
                 let _shard = obs::span("btm.shard");
                 {
-                    let runs = page_events.clone();
-                    let absorb = move |inner: &RankCtx, batch: PackedBatch<WireEvent>| {
-                        runs.local_absorb(
+                    let absorb = move |inner: &RankCtx<'env>, batch: PackedBatch<WireEvent>| {
+                        page_events.local_absorb(
                             inner,
                             batch.iter().map(|(p, ts, a)| event_key(p, ts, a)),
                         );
@@ -435,9 +434,8 @@ impl DistPipeline {
         let _project = obs::span("project");
         let mut step = PageStep::new(btm.n_authors());
         {
-            let occ = pair_occurrences.clone();
-            let absorb = move |inner: &RankCtx, batch: PackedBatch<u64>| {
-                occ.local_absorb(inner, batch.iter());
+            let absorb = move |inner: &RankCtx<'env>, batch: PackedBatch<u64>| {
+                pair_occurrences.local_absorb(inner, batch.iter());
             };
             let mut to_edges = PackedAggregator::with_batch_bytes(
                 ctx,

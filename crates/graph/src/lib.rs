@@ -17,9 +17,6 @@
 //! * [`intersect`] — the adaptive sorted-slice intersection kernel (linear
 //!   merge for comparable lengths, galloping from the short side for skewed
 //!   ones) shared by the triangle enumerator and hypergraph validation;
-//! * [`partition`] — the per-rank [`LocalCsr`] partition representation
-//!   (owned-source rows plus the ghost-vertex frontier) the distributed
-//!   pipeline builds on each `ygm` rank;
 //! * [`view`] — the [`GraphRef`] borrowing trait and the allocation-free
 //!   [`ThresholdView`] adapter, so edge thresholding before a survey filters
 //!   *during iteration* instead of cloning the edge set.
@@ -33,11 +30,9 @@
 pub mod csr;
 pub mod ids;
 pub mod intersect;
-pub mod partition;
 pub mod view;
 
 pub use csr::{components, CsrGraph, DisjointSets};
 pub use ids::{AuthorId, PageId, Timestamp};
 pub use intersect::{intersect_count, intersect_indices, intersect_indices_linear};
-pub use partition::LocalCsr;
 pub use view::{GraphRef, ThresholdView};

@@ -1,35 +1,33 @@
 //! Rank-sharded triangle surveying over the [`ygm`] runtime.
 //!
 //! [`survey_on_ranks`] reproduces the *communication structure* of real
-//! TriPoll's push-based algorithm over a resident orientation: each rank
-//! takes the rows of the apexes `owner_of` assigns it, and the rank owning
-//! wedge apex `u` pushes, for each oriented edge
-//! `(u, v)`, a *wedge check* to the owner of `v`, which probes its local
-//! `out(v)` against the stamped `out(u)` and **folds** every triangle it
-//! closes into its own `SurveyFold` — counters and survivors, never the
-//! listing. A single barrier separates the push superstep from reading the
-//! folds, which merge into the report.
+//! TriPoll's push-based algorithm over a resident orientation: the rank
+//! owning wedge apex `u` (by `owner_of`) pushes, for each oriented edge
+//! `(u, v)`, a *wedge check* to the owner of `v`, which probes `out(v)`
+//! against the stamped `out(u)` and **folds** every triangle it closes into
+//! its own `SurveyFold` — counters and survivors, never the listing. A
+//! single barrier separates the push superstep from reading the folds,
+//! which merge into the report.
 //!
 //! It is the resident survey ([`crate::survey::survey`]) run where the data
 //! lives, not a second implementation of it: the same fold and its one
 //! kernel (`SurveyFold::close`: count below the cutoff, list at or above
-//! it), rows read in place out of each rank's
-//! [`LocalCsr`]. Each rank keeps the kernel's stamp scratch (4 B per vertex
-//! id, allocated once in `DistSurvey::publish`): an apex's checks arrive
-//! back to back, so its handler stamps `out(u)` when the apex changes and
-//! leaves the scratch all-clear when it returns — batches from different
-//! senders interleave, and the next one must find nothing of this one. What
-//! the ranks add is the 16-byte wedge check per oriented edge, shipped
-//! through [`PackedAggregator`] like every other shuffle of the pipeline. In
-//! this one-process world `out(u)` itself travels *by
-//! reference* (the closing rank reads it out of the apex owner's published
-//! partition); the `survey.wedge_list_bytes` counter records what a network
-//! transport would have to ship in its place.
+//! it). Every rank reads the orientation and `P'` in place, borrowed for
+//! the world's lifetime, so no rank copies its rows. Each rank keeps the
+//! kernel's stamp scratch (4 B per vertex id, allocated before any rank
+//! starts): an apex's checks arrive back to back, so its handler stamps
+//! `out(u)` when the apex changes and leaves the scratch all-clear when it
+//! returns — batches from different senders interleave, and the next one
+//! must find nothing of this one. What the ranks add is the 16-byte wedge
+//! check per oriented edge, shipped through [`PackedAggregator`] like every
+//! other shuffle of the pipeline. In this one-process world `out(u)` itself
+//! travels *by reference* (the closing rank reads it out of the shared
+//! orientation); the `survey.wedge_list_bytes` counter records what a
+//! network transport would have to ship in its place.
 
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use coordination_graph::intersect::StampSet;
-use coordination_graph::LocalCsr;
 use ygm::partition::owner_of;
 use ygm::{adaptive_batch_bytes, Packable, PackedAggregator, PackedBatch, RankCtx, World};
 
@@ -47,14 +45,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// What one rank publishes before the survey: the rows it owns (vertices
-/// `owner_of` assigns it, out-lists sorted by target id) and its replica of
-/// the per-vertex `P'` metadata, if the survey scores triangles.
-struct Partition {
-    csr: LocalCsr,
-    vertex_pages: Option<Arc<Vec<u64>>>,
-}
-
 /// What one rank accumulates: the fold of the wedges it closed, and the
 /// traffic of the wedge checks it sent. Cache-line aligned: each rank bumps
 /// its own fold per triangle, and adjacent ranks must not share a line.
@@ -62,111 +52,84 @@ struct Partition {
 #[repr(align(64))]
 struct RankState {
     fold: SurveyFold,
-    /// The wedge kernel's scratch over `0..n_vertices`, allocated by
-    /// `DistSurvey::publish` and all-clear between received batches.
+    /// The wedge kernel's scratch over `0..n`, all-clear between received
+    /// batches.
     stamps: StampSet,
     wedge_checks: u64,
     wedge_list_entries: u64,
 }
 
-struct Shared {
-    config: SurveyConfig,
-    /// Written once by its rank before the barrier, read-only after: rows are
-    /// found by `owner_of` + [`LocalCsr::out`], with no lock and no copy.
-    parts: Vec<OnceLock<Partition>>,
-    /// Locked by its own rank only, once per received batch.
+/// One rank-sharded survey: what every rank reads in place (the
+/// orientation, the predicates, `P'`) and the state each rank folds into,
+/// locked by its own rank only, once per received batch. It serves one
+/// survey:
+///
+/// ```text
+/// survey_stage(ctx, &survey, None);  ctx.barrier();
+/// let fold = survey.take_fold(ctx);
+/// ```
+struct DistSurvey<'a> {
+    oriented: &'a OrientedGraph,
+    config: &'a SurveyConfig,
+    pages: Option<&'a [u64]>,
     states: Vec<Mutex<RankState>>,
 }
 
-impl Shared {
-    fn part(&self, rank: usize) -> &Partition {
-        self.parts[rank]
-            .get()
-            .expect("every rank publishes its partition before the survey barrier")
-    }
-}
-
-/// One rank-sharded survey: the world-shared handle every rank of an SPMD
-/// region publishes into, surveys through and reads its fold back from.
-/// Create it *outside* the region (so all ranks close over the same state);
-/// it serves one survey.
-///
-/// ```text
-/// survey.publish(ctx, my_rows, n, pages);  ctx.barrier();
-/// survey_stage(ctx, &survey, None);     ctx.barrier();
-/// let fold = survey.take_fold(ctx);
-/// ```
-struct DistSurvey(Arc<Shared>);
-
-impl DistSurvey {
-    /// A survey over `nranks` ranks with the predicates of `config`
-    /// (`top_k` is the caller's to apply, via [`SurveyFold::into_report`]).
-    fn new(nranks: usize, config: SurveyConfig) -> Self {
-        assert!(nranks > 0, "a survey needs at least one rank");
-        DistSurvey(Arc::new(Shared {
-            config,
-            parts: (0..nranks).map(|_| OnceLock::new()).collect(),
-            states: (0..nranks).map(|_| Mutex::default()).collect(),
-        }))
-    }
-
-    /// Publish this rank's partition: `csr` must hold exactly the rows of
-    /// the vertices `owner_of` assigns this rank, out of a graph on vertex
-    /// ids `0..n_vertices`; `vertex_pages` (vertex id → `P'`) is required if
-    /// the config has a `min_t_score`. Both are the same on every rank.
-    /// Follow with `ctx.barrier()` before [`survey_stage`].
+impl<'a> DistSurvey<'a> {
+    /// A survey of `oriented` over `nranks` ranks with the predicates of
+    /// `config` (`top_k` is the caller's to apply, via
+    /// [`SurveyFold::into_report`]); `pages` (vertex id → `P'`) is required
+    /// if the config has a `min_t_score`.
     ///
-    /// Panics here, on the publishing thread and before that barrier, if a
-    /// row names a vertex id `≥ n_vertices` or `vertex_pages` is not
-    /// `n_vertices` long: the wedge handler indexes the `P'` replica and its
-    /// stamp scratch by those ids inside a message handler, where a panic
-    /// strands the other ranks at the barrier.
-    fn publish(
-        &self,
-        ctx: &RankCtx,
-        csr: LocalCsr,
-        n_vertices: u32,
-        vertex_pages: Option<Arc<Vec<u64>>>,
-    ) {
-        assert_eq!(
-            self.0.parts.len(),
-            ctx.nranks(),
-            "survey/world size mismatch"
-        );
+    /// Panics here, on the calling thread and before any rank starts, if
+    /// `pages` is not `oriented.n()` long: the wedge handler indexes it, and
+    /// a panic in a handler ends the whole world.
+    fn new(
+        oriented: &'a OrientedGraph,
+        config: &'a SurveyConfig,
+        pages: Option<&'a [u64]>,
+        nranks: usize,
+    ) -> Self {
         assert!(
-            self.0.config.min_t_score <= 0.0 || vertex_pages.is_some(),
+            config.min_t_score <= 0.0 || pages.is_some(),
             "min_t_score requires vertex_pages metadata"
         );
-        let n_vertices = n_vertices as usize;
-        if let Some(vp) = &vertex_pages {
-            assert_eq!(vp.len(), n_vertices, "vertex_pages length mismatch");
+        let n = oriented.n() as usize;
+        if let Some(vp) = pages {
+            assert_eq!(vp.len(), n, "vertex_pages length mismatch");
         }
-        assert!(
-            csr.id_bound() <= n_vertices,
-            "published rows name vertex id {} of a {n_vertices}-vertex survey",
-            csr.id_bound() - 1
-        );
-        // Allocated here, not in the handler: a peer's first wedge check can
-        // arrive while this rank is still inside the barrier that follows.
-        lock(&self.0.states[ctx.rank()]).stamps = StampSet::new(n_vertices);
-        let published = self.0.parts[ctx.rank()].set(Partition { csr, vertex_pages });
-        assert!(published.is_ok(), "a rank publishes its partition once");
+        // Allocated before any rank starts: a peer's first wedge check can
+        // reach a rank before that rank has sent one.
+        let states = (0..nranks)
+            .map(|_| {
+                Mutex::new(RankState {
+                    stamps: StampSet::new(n),
+                    ..RankState::default()
+                })
+            })
+            .collect();
+        DistSurvey {
+            oriented,
+            config,
+            pages,
+            states,
+        }
     }
 
     /// This rank's fold, once the barrier after [`survey_stage`] has drained
     /// every wedge check. Records this rank's share of the survey counters.
-    fn take_fold(&self, ctx: &RankCtx) -> SurveyFold {
-        let state = std::mem::take(&mut *lock(&self.0.states[ctx.rank()]));
+    fn take_fold(&self, ctx: &RankCtx<'_>) -> SurveyFold {
+        let state = std::mem::take(&mut *lock(&self.states[ctx.rank()]));
         debug_assert!(state.stamps.is_clear(), "a handler left a stamp behind");
         record_counters(&state.fold, state.wedge_checks, state.wedge_list_entries);
         state.fold
     }
 }
 
-/// The TriPoll push superstep: for each owned apex `u` and oriented edge
-/// `(u, v)`, ship a wedge check to the owner of `v`, which closes the wedges
-/// `out(u) ∩ out(v)` and folds each triangle exactly once (on the closing
-/// rank).
+/// The TriPoll push superstep: for each apex `u` this rank owns and
+/// oriented edge `(u, v)`, ship a wedge check to the owner of `v`, which
+/// closes the wedges `out(u) ∩ out(v)` and folds each triangle exactly once
+/// (on the closing rank).
 ///
 /// `batch_bytes` overrides the [`adaptive_batch_bytes`] flush threshold
 /// (equivalence tests shrink it to one check per batch).
@@ -174,17 +137,24 @@ impl DistSurvey {
 /// The caller must follow with `ctx.barrier()` before
 /// [`DistSurvey::take_fold`] — wedge checks are only guaranteed delivered
 /// once the barrier's termination detection has drained them.
-fn survey_stage(ctx: &RankCtx, survey: &DistSurvey, batch_bytes: Option<usize>) {
-    let nranks = ctx.nranks();
-    let shared = Arc::clone(&survey.0);
+fn survey_stage<'env>(
+    ctx: &RankCtx<'env>,
+    survey: &'env DistSurvey<'_>,
+    batch_bytes: Option<usize>,
+) {
+    let (rank, nranks) = (ctx.rank(), ctx.nranks());
+    let &DistSurvey {
+        oriented,
+        config,
+        pages,
+        ref states,
+    } = survey;
     let mut checks = PackedAggregator::with_batch_bytes(
         ctx,
         "wedge_checks",
         batch_bytes.unwrap_or_else(|| adaptive_batch_bytes(WedgeCheck::WIDTH, nranks)),
-        move |inner: &RankCtx, batch: PackedBatch<WedgeCheck>| {
-            let mine = shared.part(inner.rank());
-            let pages = mine.vertex_pages.as_deref().map(Vec::as_slice);
-            let mut state = lock(&shared.states[inner.rank()]);
+        move |inner: &RankCtx<'env>, batch: PackedBatch<WedgeCheck>| {
+            let mut state = lock(&states[inner.rank()]);
             let RankState { fold, stamps, .. } = &mut *state;
             // An apex's checks arrive back to back: look its row up, and
             // stamp it, once.
@@ -196,20 +166,13 @@ fn survey_stage(ctx: &RankCtx, survey: &DistSurvey, batch_bytes: Option<usize>) 
                         if let Some((_, stale)) = apex {
                             stamps.unstamp(stale.0);
                         }
-                        let out = shared
-                            .part(owner_of(&u, nranks))
-                            .csr
-                            .out(u)
-                            .expect("a wedge check names a row its sender published");
+                        let out = oriented.out(u);
                         stamps.stamp(out.0);
                         apex = Some((u, out));
                         out
                     }
                 };
-                // A `v` without out-edges closes nothing.
-                if let Some(out_v) = mine.csr.out(v) {
-                    fold.close(stamps, out_u, out_v, [u, v], w_uv, &shared.config, pages);
-                }
+                fold.close(stamps, out_u, oriented.out(v), [u, v], w_uv, config, pages);
             }
             // Batches from different senders interleave here, so every batch
             // starts from, and leaves, an all-clear scratch.
@@ -219,16 +182,16 @@ fn survey_stage(ctx: &RankCtx, survey: &DistSurvey, batch_bytes: Option<usize>) 
         },
     );
 
-    let mine = survey.0.part(ctx.rank());
     let (mut sent, mut list_entries) = (0u64, 0u64);
-    // `row_of[dest]` = last row that sent `dest` a check: one out-list would
-    // travel per distinct (u, owner_of(v)).
-    let mut row_of = vec![usize::MAX; nranks];
-    for (row, (u, targets, weights)) in mine.csr.rows().enumerate() {
+    // `apex_of[dest]` = last apex that sent `dest` a check: one out-list
+    // would travel per distinct (u, owner_of(v)). No id is `u32::MAX`.
+    let mut apex_of = vec![u32::MAX; nranks];
+    for u in (0..oriented.n()).filter(|u| owner_of(u, nranks) == rank) {
+        let (targets, weights) = oriented.out(u);
         for (&v, &w_uv) in targets.iter().zip(weights) {
             let dest = owner_of(&v, nranks);
-            if row_of[dest] != row {
-                row_of[dest] = row;
+            if apex_of[dest] != u {
+                apex_of[dest] = u;
                 list_entries += targets.len() as u64;
             }
             checks.push(ctx, dest, (u, v, w_uv));
@@ -236,29 +199,25 @@ fn survey_stage(ctx: &RankCtx, survey: &DistSurvey, batch_bytes: Option<usize>) 
         sent += targets.len() as u64;
     }
     checks.flush_all(ctx);
-    let mut state = lock(&survey.0.states[ctx.rank()]);
+    let mut state = lock(&states[rank]);
     state.wedge_checks += sent;
     state.wedge_list_entries += list_entries;
 }
 
-/// This rank's share of a resident orientation — the rows of the vertices
-/// `owner_of` assigns it — as the [`LocalCsr`] it would `DistSurvey::publish`.
-fn local_partition(ctx: &RankCtx, oriented: &OrientedGraph) -> LocalCsr {
-    let owned = (0..oriented.n()).filter(|u| owner_of(u, ctx.nranks()) == ctx.rank());
-    LocalCsr::from_sorted_edges(owned.flat_map(|u| {
-        let (targets, weights) = oriented.out(u);
-        targets.iter().zip(weights).map(move |(&v, &w)| (u, v, w))
-    }))
-}
-
 /// Survey a resident orientation on `nranks` ygm ranks: the rank-sharded
 /// twin of [`crate::survey::survey`], equal to it field for field. Each rank
-/// publishes the rows of the apexes it owns ([`LocalCsr`]) and pushes their
-/// wedge checks; `batch_bytes` overrides the checks' [`adaptive_batch_bytes`]
-/// flush threshold (tests shrink it to one check per batch). Each rank
-/// records its work as the resident survey does — a `survey` span and its
-/// share of the `survey.*` counters — on its own thread. Also returns the
-/// active messages the run sent (a proxy for MPI traffic).
+/// pushes the wedge checks of the apexes `owner_of` assigns it, reading
+/// `oriented` and `vertex_pages` in place; `batch_bytes` overrides the
+/// checks' [`adaptive_batch_bytes`] flush threshold (tests shrink it to one
+/// check per batch). Each rank records its work as the resident survey does
+/// — a `survey` span and its share of the `survey.*` counters — on its own
+/// thread. Also returns the active messages the run sent (a proxy for MPI
+/// traffic).
+///
+/// # Panics
+/// On the calling thread, before any rank starts, if `vertex_pages` is not
+/// `oriented.n()` long ("vertex_pages length mismatch") or is missing under
+/// a `min_t_score` ("min_t_score requires vertex_pages metadata").
 pub fn survey_on_ranks(
     oriented: &OrientedGraph,
     config: &SurveyConfig,
@@ -266,13 +225,9 @@ pub fn survey_on_ranks(
     nranks: usize,
     batch_bytes: Option<usize>,
 ) -> (SurveyReport, u64) {
-    let survey = DistSurvey::new(nranks, config.clone());
-    let pages = vertex_pages.map(|vp| Arc::new(vp.to_vec()));
+    let survey = DistSurvey::new(oriented, config, vertex_pages, nranks);
     let per_rank = World::run(nranks, |ctx| {
         let _stage = obs::span("survey");
-        let rows = local_partition(ctx, oriented);
-        survey.publish(ctx, rows, oriented.n(), pages.clone());
-        ctx.barrier();
         survey_stage(ctx, &survey, batch_bytes);
         ctx.barrier();
         (survey.take_fold(ctx), ctx.messages_sent())
@@ -404,40 +359,12 @@ mod tests {
         assert_equals_resident(&g, 17, "hub and fringe");
     }
 
-    /// Publish `o`'s partitions on two ranks as a graph of `n_vertices`
-    /// with `pages` for `P'`, and re-raise the panic `publish` answers with.
-    /// It is caught where it is raised, so the world shuts down normally: no
-    /// rank reaches the barrier, let alone a handler, with what was refused.
-    fn publish_refuses(o: &OrientedGraph, n_vertices: u32, pages: Option<Vec<u64>>) {
-        use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-        let pages = pages.map(Arc::new);
-        let dist = DistSurvey::new(2, SurveyConfig::default());
-        let refused = World::run(2, |ctx| {
-            let rows = local_partition(ctx, o);
-            catch_unwind(AssertUnwindSafe(|| {
-                dist.publish(ctx, rows, n_vertices, pages.clone())
-            }))
-            .err()
-        });
-        if let Some(payload) = refused.into_iter().flatten().next() {
-            resume_unwind(payload);
-        }
-    }
-
     #[test]
     #[should_panic(expected = "vertex_pages length mismatch")]
-    fn publishing_a_short_replica_panics_before_the_barrier() {
+    fn a_short_replica_panics_before_any_rank_starts() {
         let o = OrientedGraph::from_graph(&random_graph(20, 0.4, 1));
-        publish_refuses(&o, o.n(), Some(vec![1; o.n() as usize - 1]));
-    }
-
-    #[test]
-    #[should_panic(expected = "name vertex id 19 of a 19-vertex survey")]
-    fn publishing_rows_past_the_id_space_panics_before_the_barrier() {
-        // The stamp scratch is sized from `n_vertices`: a row naming an id
-        // past it must not reach a handler.
-        let o = OrientedGraph::from_graph(&random_graph(20, 0.4, 1));
-        publish_refuses(&o, o.n() - 1, None);
+        let pages = vec![1; o.n() as usize - 1];
+        survey_on_ranks(&o, &SurveyConfig::default(), Some(&pages), 2, None);
     }
 
     #[test]
@@ -496,11 +423,11 @@ mod tests {
         let [a, b, c] = on_rank.map(|v| v.expect("64 ids cover three ranks"));
         let g = WeightedGraph::from_edges(64, [(a, b, 5), (a, c, 7), (b, c, 9)]);
         let o = OrientedGraph::from_graph(&g);
-        let ghost_only = World::run(nranks, |ctx| {
-            let part = local_partition(ctx, &o);
-            part.m_local() > 0 && part.ghosts().len() as u64 == part.m_local()
+        let ghosts_only = (0..o.n()).all(|u| {
+            let mine = owner_of(&u, nranks);
+            o.out(u).0.iter().all(|v| owner_of(v, nranks) != mine)
         });
-        assert!(ghost_only.contains(&true));
+        assert!(ghosts_only && o.m() == 3);
         assert_equals_resident(&g, 5, "one triangle across three ranks");
     }
 
@@ -514,10 +441,8 @@ mod tests {
         let want = survey(&o, &config, None);
         assert!(!want.is_empty() && (want.len() as u64) < want.total_examined / 4);
         let nranks = 3;
-        let dist = DistSurvey::new(nranks, config);
+        let dist = DistSurvey::new(&o, &config, None, nranks);
         let folds = World::run(nranks, |ctx| {
-            dist.publish(ctx, local_partition(ctx, &o), o.n(), None);
-            ctx.barrier();
             survey_stage(ctx, &dist, ONE_CHECK);
             ctx.barrier();
             dist.take_fold(ctx)

@@ -8,6 +8,11 @@
 //! sent counter and a global processed counter) gives the barrier its
 //! termination-detection property: the counters only agree when every queue in
 //! the world is empty and no handler is mid-flight.
+//!
+//! A world lives no longer than `'env`, the data it runs over: its rank
+//! threads are scoped, and every message of a region is run or dropped
+//! before [`World::run`] returns, so a handler may borrow anything that
+//! outlives that call.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -17,7 +22,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use crate::exchange::BufferPool;
 
 /// An active message: a closure executed on the destination rank's thread.
-pub(crate) type Message = Box<dyn FnOnce(&RankCtx) + Send>;
+/// It may borrow anything that outlives the region (`'env`): the region runs
+/// or drops every message before [`World::run`] returns.
+pub(crate) type Message<'env> = Box<dyn FnOnce(&RankCtx<'env>) + Send + 'env>;
 
 /// Lock `m`, recovering its data if a rank panicked while holding it: that
 /// panic already ends the world (the first one is re-raised), and the
@@ -54,13 +61,13 @@ pub(crate) struct Shared {
 /// the role of the MPI world size in real YGM. Sixteen ranks on a four-core
 /// machine is perfectly legal (threads simply time-share), which keeps the
 /// partitioning behaviour of cluster-scale runs reproducible on a laptop.
-pub struct World {
+pub struct World<'env> {
     shared: Arc<Shared>,
-    senders: Arc<Vec<Sender<Message>>>,
-    receivers: Vec<Receiver<Message>>,
+    senders: Arc<Vec<Sender<Message<'env>>>>,
+    receivers: Vec<Receiver<Message<'env>>>,
 }
 
-impl World {
+impl<'env> World<'env> {
     /// Create a world with `nranks` ranks.
     ///
     /// # Panics
@@ -105,12 +112,12 @@ impl World {
     pub(crate) fn launch<R, F>(mut self, f: F) -> Vec<R>
     where
         R: Send,
-        F: Fn(&RankCtx) -> R + Send + Sync,
+        F: Fn(&RankCtx<'env>) -> R + Send + Sync,
     {
         let nranks = self.shared.nranks;
         let shared = &self.shared;
         let senders = &self.senders;
-        let receivers: Vec<Receiver<Message>> = std::mem::take(&mut self.receivers);
+        let receivers: Vec<Receiver<Message<'env>>> = std::mem::take(&mut self.receivers);
         let f = &f;
         // The earliest panic of the region. Later ones are its consequences:
         // a poisoned barrier, a send to the dead rank's dropped receiver.
@@ -182,7 +189,7 @@ impl World {
     pub fn run<R, F>(nranks: usize, f: F) -> Vec<R>
     where
         R: Send,
-        F: Fn(&RankCtx) -> R + Send + Sync,
+        F: Fn(&RankCtx<'env>) -> R + Send + Sync,
     {
         World::new(nranks).launch(f)
     }
@@ -215,11 +222,11 @@ fn spawn_rank<'scope, T: Send + 'scope>(
 /// A `RankCtx` never moves between threads (it is deliberately `!Sync` via its
 /// channel receiver); message handlers run on the destination rank's thread and
 /// receive that rank's context.
-pub struct RankCtx {
+pub struct RankCtx<'env> {
     rank: usize,
     shared: Arc<Shared>,
-    senders: Arc<Vec<Sender<Message>>>,
-    receiver: Receiver<Message>,
+    senders: Arc<Vec<Sender<Message<'env>>>>,
+    receiver: Receiver<Message<'env>>,
     /// Local barrier sense (flips every barrier).
     sense: Cell<bool>,
     /// Reentrancy guard for [`RankCtx::drain`]: handlers may themselves ship
@@ -228,7 +235,7 @@ pub struct RankCtx {
     draining: Cell<bool>,
 }
 
-impl RankCtx {
+impl<'env> RankCtx<'env> {
     /// This rank's id in `0..nranks`.
     #[inline]
     pub fn rank(&self) -> usize {
@@ -250,7 +257,7 @@ impl RankCtx {
     /// [`RankCtx::barrier`].
     pub(crate) fn async_exec<F>(&self, dest: usize, f: F)
     where
-        F: FnOnce(&RankCtx) + Send + 'static,
+        F: FnOnce(&RankCtx<'env>) + Send + 'env,
     {
         debug_assert!(dest < self.shared.nranks, "destination rank out of range");
         // `sent` must be visible before the message can possibly be counted as
@@ -375,13 +382,11 @@ pub(crate) mod tests {
 
     #[test]
     fn async_exec_delivers_to_destination_rank() {
-        let hits = Arc::new(AtomicU64::new(0));
-        let h = Arc::clone(&hits);
-        World::run(4, move |ctx| {
-            let h = Arc::clone(&h);
+        let hits = AtomicU64::new(0);
+        let h = &hits;
+        World::run(4, |ctx| {
             if ctx.rank() == 0 {
                 for dest in 0..ctx.nranks() {
-                    let h = Arc::clone(&h);
                     ctx.async_exec(dest, move |inner| {
                         // handler runs on the destination's thread
                         h.fetch_add(inner.rank() as u64 + 1, Ordering::SeqCst);
@@ -394,20 +399,35 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn handlers_borrow_caller_owned_state() {
+        // No `Arc`: the counter and the slice live on this test's stack, and
+        // every handler reads or bumps them in place on its own rank.
+        let total = AtomicU64::new(0);
+        let weights: Vec<u64> = (1..=64).collect();
+        let (total_ref, weights_ref) = (&total, &weights[..]);
+        World::run(3, |ctx| {
+            for i in (ctx.rank()..weights_ref.len()).step_by(ctx.nranks()) {
+                ctx.async_exec((i + 1) % ctx.nranks(), move |_| {
+                    total_ref.fetch_add(weights_ref[i], Ordering::SeqCst);
+                });
+            }
+            ctx.barrier();
+        });
+        assert_eq!(total.load(Ordering::SeqCst), weights.iter().sum::<u64>());
+    }
+
+    #[test]
     fn barrier_waits_for_cascading_messages() {
         // Rank 0 sends a message that itself sends messages, three levels deep.
         // The barrier must not release until the whole cascade has settled.
-        let total = Arc::new(AtomicU64::new(0));
-        let t = Arc::clone(&total);
-        World::run(3, move |ctx| {
+        let total = AtomicU64::new(0);
+        let t = &total;
+        World::run(3, |ctx| {
             if ctx.rank() == 0 {
-                let t1 = Arc::clone(&t);
                 ctx.async_exec(1, move |c1| {
-                    let t2 = Arc::clone(&t1);
                     c1.async_exec(2, move |c2| {
-                        let t3 = Arc::clone(&t2);
                         c2.async_exec(0, move |_| {
-                            t3.fetch_add(1, Ordering::SeqCst);
+                            t.fetch_add(1, Ordering::SeqCst);
                         });
                     });
                 });
@@ -434,14 +454,12 @@ pub(crate) mod tests {
     #[test]
     fn message_flood_is_fully_processed_before_barrier_release() {
         const PER_RANK: u64 = 5_000;
-        let total = Arc::new(AtomicU64::new(0));
-        let t = Arc::clone(&total);
+        let total = AtomicU64::new(0);
+        let t = &total;
         let nranks = 6;
-        World::run(nranks, move |ctx| {
-            let t = Arc::clone(&t);
+        World::run(nranks, |ctx| {
             for i in 0..PER_RANK {
                 let dest = (i as usize) % ctx.nranks();
-                let t = Arc::clone(&t);
                 ctx.async_exec(dest, move |_| {
                     t.fetch_add(1, Ordering::SeqCst);
                 });
@@ -452,23 +470,31 @@ pub(crate) mod tests {
     }
 
     /// Run `f` on a helper thread and return the message it panicked with. A
-    /// world that strands its surviving ranks fails here instead of hanging.
-    pub(crate) fn panic_message_within_10s(f: impl FnOnce() + Send + 'static) -> String {
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err();
-            let _ = tx.send(payload.map(|p| {
-                match p.downcast::<String>() {
-                    Ok(s) => *s,
-                    Err(p) => p
-                        .downcast::<&str>()
-                        .map_or_else(|_| "?".into(), |s| s.to_string()),
+    /// world that strands its surviving ranks fails here instead of hanging:
+    /// `f` may borrow the caller's frame, so its thread cannot be left
+    /// behind, and the process aborts.
+    pub(crate) fn panic_message_within_10s(f: impl FnOnce() + Send) -> String {
+        std::thread::scope(|scope| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            scope.spawn(move || {
+                let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err();
+                let _ = tx.send(payload.map(|p| {
+                    match p.downcast::<String>() {
+                        Ok(s) => *s,
+                        Err(p) => p
+                            .downcast::<&str>()
+                            .map_or_else(|_| "?".into(), |s| s.to_string()),
+                    }
+                }));
+            });
+            match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+                Ok(msg) => msg.expect("the region was expected to panic"),
+                Err(_) => {
+                    eprintln!("the world did not tear down within 10 s");
+                    std::process::abort()
                 }
-            }));
-        });
-        rx.recv_timeout(std::time::Duration::from_secs(10))
-            .expect("the world did not tear down within 10 s")
-            .expect("the region was expected to panic")
+            }
+        })
     }
 
     #[test]
@@ -496,6 +522,28 @@ pub(crate) mod tests {
             });
         });
         assert_eq!(msg, "handler on rank 2");
+    }
+
+    #[test]
+    fn poisoned_world_a_rank_panicking_with_borrowing_messages_queued_tears_down() {
+        // Every rank queues rank 2 messages that borrow this test's stack,
+        // and rank 2 panics before it drains one: the world must release the
+        // others, drop those messages unrun and re-raise the panic.
+        let survivor = Mutex::new(vec![7u64; 16]);
+        let borrowed = &survivor;
+        let msg = panic_message_within_10s(|| {
+            World::run(3, |ctx| {
+                for _ in 0..100 {
+                    ctx.async_exec(2, move |_| lock(borrowed)[0] += 1);
+                }
+                if ctx.rank() == 2 {
+                    panic!("rank two gives up with its queue full");
+                }
+                ctx.barrier();
+            });
+        });
+        assert_eq!(msg, "rank two gives up with its queue full");
+        assert_eq!(*lock(&survivor), vec![7; 16]);
     }
 
     #[test]

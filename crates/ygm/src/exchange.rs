@@ -78,7 +78,7 @@ pub fn adaptive_batch_bytes(item_width: usize, nranks: usize) -> usize {
 /// A fixed-width item with a little-endian byte encoding — the wire format
 /// of [`PackedAggregator`] batches. `WIDTH` must be exact: `pack` appends
 /// exactly `WIDTH` bytes and `unpack` reads exactly `WIDTH`.
-pub trait Packable: Copy + Send + 'static {
+pub trait Packable: Copy + Send {
     /// Encoded size in bytes.
     const WIDTH: usize;
     /// Append this item's encoding to `out` (exactly `WIDTH` bytes).
@@ -232,10 +232,10 @@ const BATCH_HIST_BUCKETS: usize = 17;
 /// `A` runs on the *destination* rank once per shipped buffer; it must be
 /// `Clone` because each shipped batch carries its own copy. The usual apply
 /// locks a container shard once and bulk-appends the decoded items.
-pub struct PackedAggregator<T, A>
+pub struct PackedAggregator<'env, T, A>
 where
     T: Packable,
-    A: Fn(&RankCtx, PackedBatch<'_, T>) + Clone + Send + 'static,
+    A: Fn(&RankCtx<'env>, PackedBatch<'_, T>) + Clone + Send + 'env,
 {
     buffers: Vec<Vec<u8>>,
     threshold_bytes: usize,
@@ -245,7 +245,7 @@ where
     bytes_sent: u64,
     batch_hist: [u64; BATCH_HIST_BUCKETS],
     counters: ExchangeCounters,
-    _item: std::marker::PhantomData<T>,
+    _item: std::marker::PhantomData<(T, &'env ())>,
 }
 
 /// Held [`obs`] counter handles — resolved once per aggregator so the ship
@@ -280,15 +280,34 @@ impl ExchangeCounters {
     }
 }
 
-impl<T, A> PackedAggregator<T, A>
+impl<'env, T, A> PackedAggregator<'env, T, A>
 where
     T: Packable,
-    A: Fn(&RankCtx, PackedBatch<'_, T>) + Clone + Send + 'static,
+    A: Fn(&RankCtx<'env>, PackedBatch<'_, T>) + Clone + Send + 'env,
 {
     /// An aggregator with the [`adaptive_batch_bytes`] threshold for this
     /// item width and world size. `label` names the shuffle in obs counters
     /// (`ygm.<label>.bytes_sent` …).
-    pub fn new(ctx: &RankCtx, label: &str, apply: A) -> Self {
+    ///
+    /// `apply` may borrow what outlives the world, never a local of the
+    /// SPMD function: a rank's locals are gone before the final barrier
+    /// drains the batches that would read them.
+    ///
+    /// ```compile_fail,E0597
+    /// use std::sync::atomic::{AtomicU64, Ordering};
+    /// use ygm::{PackedAggregator, PackedBatch, World};
+    ///
+    /// World::run(2, |ctx| {
+    ///     let landed = AtomicU64::new(0);
+    ///     let landed = &landed;
+    ///     let mut agg = PackedAggregator::new(ctx, "local", move |_, batch: PackedBatch<u64>| {
+    ///         landed.fetch_add(batch.len() as u64, Ordering::Relaxed);
+    ///     });
+    ///     agg.push(ctx, 1 - ctx.rank(), 7);
+    ///     agg.flush_all(ctx);
+    /// });
+    /// ```
+    pub fn new(ctx: &RankCtx<'env>, label: &str, apply: A) -> Self {
         Self::with_batch_bytes(
             ctx,
             label,
@@ -301,7 +320,12 @@ where
     /// bytes (clamped to at least one item). Equivalence tests use tiny
     /// thresholds to stress the flush path; production callers want
     /// [`PackedAggregator::new`].
-    pub fn with_batch_bytes(ctx: &RankCtx, label: &str, batch_bytes: usize, apply: A) -> Self {
+    pub fn with_batch_bytes(
+        ctx: &RankCtx<'env>,
+        label: &str,
+        batch_bytes: usize,
+        apply: A,
+    ) -> Self {
         assert!(T::WIDTH > 0, "packed items must have positive width");
         PackedAggregator {
             buffers: (0..ctx.nranks()).map(|_| Vec::new()).collect(),
@@ -319,7 +343,7 @@ where
     /// Stage `item` for `dest`, shipping the buffer once it holds
     /// `batch_bytes` worth of items.
     #[inline]
-    pub fn push(&mut self, ctx: &RankCtx, dest: usize, item: T) {
+    pub fn push(&mut self, ctx: &RankCtx<'env>, dest: usize, item: T) {
         let buf = &mut self.buffers[dest];
         if buf.capacity() == 0 {
             *buf = self.pool.acquire(self.threshold_bytes);
@@ -332,14 +356,19 @@ where
 
     /// Stage `item` for the rank owning `key` under hash partitioning.
     #[inline]
-    pub fn push_keyed<K: std::hash::Hash + ?Sized>(&mut self, ctx: &RankCtx, key: &K, item: T) {
+    pub fn push_keyed<K: std::hash::Hash + ?Sized>(
+        &mut self,
+        ctx: &RankCtx<'env>,
+        key: &K,
+        item: T,
+    ) {
         let dest = crate::partition::owner_of(key, self.buffers.len());
         self.push(ctx, dest, item);
     }
 
     /// Ship every non-empty buffer. Items are visible on their owners only
     /// after the next barrier, as with plain `async_exec`.
-    pub fn flush_all(&mut self, ctx: &RankCtx) {
+    pub fn flush_all(&mut self, ctx: &RankCtx<'env>) {
         for dest in 0..self.buffers.len() {
             if !self.buffers[dest].is_empty() {
                 self.ship(ctx, dest);
@@ -347,7 +376,7 @@ where
         }
     }
 
-    fn ship(&mut self, ctx: &RankCtx, dest: usize) {
+    fn ship(&mut self, ctx: &RankCtx<'env>, dest: usize) {
         let batch = std::mem::take(&mut self.buffers[dest]);
         let items = (batch.len() / T::WIDTH) as u64;
         self.batches_sent += 1;
@@ -394,10 +423,10 @@ where
     }
 }
 
-impl<T, A> Drop for PackedAggregator<T, A>
+impl<'env, T, A> Drop for PackedAggregator<'env, T, A>
 where
     T: Packable,
-    A: Fn(&RankCtx, PackedBatch<'_, T>) + Clone + Send + 'static,
+    A: Fn(&RankCtx<'env>, PackedBatch<'_, T>) + Clone + Send + 'env,
 {
     fn drop(&mut self) {
         // Flush the items-per-batch histogram into the shared registry
@@ -424,13 +453,13 @@ mod tests {
     use crate::comm::lock;
     use crate::partition::owner_of;
     use crate::World;
-    use std::sync::{Arc, Mutex};
+    use std::sync::Mutex;
 
-    /// One landing `Vec` per rank, shared by every rank's handlers.
-    type Shards<T> = Arc<Vec<Mutex<Vec<T>>>>;
+    /// One landing `Vec` per rank, borrowed by every rank's handlers.
+    type Shards<T> = Vec<Mutex<Vec<T>>>;
 
     fn shards<T>(nranks: usize) -> Shards<T> {
-        Arc::new((0..nranks).map(|_| Mutex::new(Vec::new())).collect())
+        (0..nranks).map(|_| Mutex::new(Vec::new())).collect()
     }
 
     /// Take the calling rank's landing `Vec` (post-barrier).
@@ -471,7 +500,7 @@ mod tests {
         const N: u64 = 20_000;
         let landed = shards::<u64>(4);
         let shards = World::run(4, |ctx| {
-            let b = landed.clone();
+            let b = &landed;
             let mut agg =
                 PackedAggregator::new(ctx, "test", move |inner, batch: PackedBatch<u64>| {
                     lock(&b[inner.rank()]).extend(batch.iter());
@@ -498,7 +527,7 @@ mod tests {
         let packed = shards::<(u32, u32)>(3);
         let direct = shards::<(u32, u32)>(3);
         World::run(3, |ctx| {
-            let p = packed.clone();
+            let p = &packed;
             let mut pagg =
                 PackedAggregator::new(ctx, "test", move |inner, batch: PackedBatch<(u32, u32)>| {
                     lock(&p[inner.rank()]).extend(batch.iter());
@@ -506,7 +535,7 @@ mod tests {
             for i in 0..5_000u32 {
                 let key = i % 101;
                 pagg.push_keyed(ctx, &key, (key, i));
-                let d = direct.clone();
+                let d = &direct;
                 ctx.async_exec(owner_of(&key, ctx.nranks()), move |inner| {
                     lock(&d[inner.rank()]).push((key, i));
                 });

@@ -8,7 +8,9 @@
 //! * a fixed set of *ranks*, each running the same SPMD function
 //!   ([`World::run`]);
 //! * *asynchronous active messages*: a rank sends a closure to another rank,
-//!   which executes it on its local state (`RankCtx::async_exec`);
+//!   which executes it on its local state (`RankCtx::async_exec`); a
+//!   message may borrow anything that outlives the region, since every
+//!   message is run or dropped before [`World::run`] returns;
 //! * *owner-computes* routing by a stable key hash ([`owner_of`]), with the
 //!   fixed-width shuffles packed into byte batches ([`PackedAggregator`]);
 //! * a receive-side landing zone: sorted, spillable run stacks
@@ -22,7 +24,8 @@
 //!
 //! The only difference from real YGM is the transport: ranks are OS threads and
 //! messages are boxed closures over shared memory instead of serialized MPI
-//! buffers.
+//! buffers, so a rank reads the caller's data in place where an MPI rank
+//! would hold its own slice of it.
 //!
 //! ## Barrier semantics
 //!
@@ -53,8 +56,8 @@
 //! let runs = DistRuns::<u64>::new(4, "keys", None);
 //! let shards = World::run(4, |ctx| {
 //!     // every rank routes the same keys; each lands on its owner's shard,
-//!     // sorted as it arrives
-//!     let landing = runs.clone();
+//!     // sorted as it arrives, through a handler that borrows `runs`
+//!     let landing = &runs;
 //!     let mut agg = PackedAggregator::new(ctx, "keys", move |owner, batch: PackedBatch<u64>| {
 //!         landing.local_absorb(owner, batch.iter());
 //!     });

@@ -48,7 +48,7 @@ pub(crate) const RUN_TARGET_BYTES: usize = 4 << 20;
 /// Consumers pick order-preserving bijections into `u64`/`u128` (e.g. a
 /// `(page, ts, author)` event packs as `page·2⁹⁶ | (ts ⊕ 2⁶³)·2³² | author`,
 /// the sign-flip keeping negative timestamps below positive ones).
-pub trait RunKey: Copy + Ord + Send + 'static {
+pub trait RunKey: Copy + Ord + Send {
     /// Packed width in bytes (8 or 16) — the segment width on disk.
     const WIDTH: usize;
     /// The order-preserving integer encoding.
@@ -444,6 +444,8 @@ impl<K: RunKey> Iterator for MergeCursor<'_, K> {
 /// call [`DistRuns::local_absorb`] (one lock per batch — sorting happens
 /// inside, while other batches are still in flight), and after the closing
 /// barrier each rank [`DistRuns::local_take`]s its shard and merges.
+/// Handlers may borrow it for the world's lifetime; a clone is a second
+/// handle on the same shards.
 pub struct DistRuns<K: RunKey> {
     shards: Arc<Vec<Mutex<RunStack<K>>>>,
     nranks: usize,
@@ -606,26 +608,23 @@ mod tests {
         const N: u64 = 30_000;
         for budget in [None, Some(1usize << 12), Some(1)] {
             let runs: DistRuns<u64> = DistRuns::new(4, "test_shuffle", budget);
-            let out = {
-                let runs = runs.clone();
-                World::run(4, move |ctx| {
-                    let r = runs.clone();
-                    let mut agg = PackedAggregator::with_batch_bytes(
-                        ctx,
-                        "test",
-                        512,
-                        move |inner: &RankCtx, batch: PackedBatch<u64>| {
-                            r.local_absorb(inner, batch.iter());
-                        },
-                    );
-                    for i in 0..N {
-                        agg.push_keyed(ctx, &i, i);
-                    }
-                    agg.flush_all(ctx);
-                    ctx.barrier();
-                    runs.local_take(ctx).cursor().collect::<Vec<_>>()
-                })
-            };
+            let landing = &runs;
+            let out = World::run(4, |ctx| {
+                let mut agg = PackedAggregator::with_batch_bytes(
+                    ctx,
+                    "test",
+                    512,
+                    move |inner: &RankCtx, batch: PackedBatch<u64>| {
+                        landing.local_absorb(inner, batch.iter());
+                    },
+                );
+                for i in 0..N {
+                    agg.push_keyed(ctx, &i, i);
+                }
+                agg.flush_all(ctx);
+                ctx.barrier();
+                runs.local_take(ctx).cursor().collect::<Vec<_>>()
+            });
             let mut all: Vec<u64> = out.into_iter().flatten().collect();
             // each key shipped once per rank => 4 sorted copies of 0..N
             assert_eq!(all.len(), N as usize * 4);

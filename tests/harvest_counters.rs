@@ -16,12 +16,14 @@
 //! `validate.triplets` — are the resident run's in every cell, each rank
 //! adding its share. The rank program's shuffles are the events (under a
 //! budget only), the pair occurrences and the wedge checks
-//! (`ygm.<label>.items_sent`). One rank without a budget is the resident
-//! run: it sends nothing through any of them, and its
-//! `survey.triangles_examined`, `survey.wedge_checks` and
-//! `survey.wedge_list_bytes` are the resident run's. Every other run sends
-//! pairs and wedge checks; only a budget ships the events, since without one
-//! each rank reads its pages' rows in place.
+//! (`ygm.<label>.items_sent`). `survey.triangles_examined` and
+//! `survey.wedge_checks` are the resident run's in every cell: the ranks
+//! examine each triangle once and send one check per oriented edge, each
+//! from the rank owning its apex. One rank without a budget is the resident
+//! run: it sends nothing through any shuffle, and its
+//! `survey.wedge_list_bytes` is the resident run's too. Every other run
+//! sends pairs and wedge checks; only a budget ships the events, since
+//! without one each rank reads its pages' rows in place.
 //!
 //! `obs` counters are process-global, so this is the only test in its binary:
 //! beside the pipelines other tests run on parallel threads, the totals read
@@ -60,6 +62,10 @@ const SENT: std::ops::Range<usize> = 6..9;
 
 /// Where the survey counters sit in [`COUNTERS`].
 const SURVEY: std::ops::Range<usize> = 9..12;
+
+/// Where the survey counters that do not depend on the rank count sit in
+/// [`COUNTERS`]: triangles examined and wedge checks.
+const SURVEY_WORK: std::ops::Range<usize> = 9..11;
 
 /// Where the stage totals both engines document sit in [`COUNTERS`].
 const STAGES: std::ops::Range<usize> = 12..15;
@@ -160,6 +166,10 @@ fn check(ds: &Dataset, config: &PipelineConfig) {
             assert_eq!(dist.triplets, resident.triplets);
             assert_eq!(got[..4], want[..4], "{nranks} ranks, budget {budget:?}");
             assert_eq!(got[DENSE], want[DENSE], "{nranks} ranks, budget {budget:?}");
+            assert_eq!(
+                got[SURVEY_WORK], want[SURVEY_WORK],
+                "{nranks} ranks, budget {budget:?}: survey work"
+            );
             assert_eq!(
                 got[STAGES], want[STAGES],
                 "{nranks} ranks, budget {budget:?}"
