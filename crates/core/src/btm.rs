@@ -793,23 +793,26 @@ impl Btm {
     }
 
     /// Rank `rank`'s block of the comments when `nranks` ranks split them
-    /// ([`ygm::block_range`] over the flat rows): whole pages, but for the two
-    /// a block edge splits, as events page by page in row order, read in
-    /// place from owned or mapped rows of either layout. The page holding the
+    /// ([`ygm::block_range`] over the flat rows), page by page in row order
+    /// as `(PageId, comments)`: whole pages, but for the two the block's
+    /// edges clip, read in place from owned or mapped rows of either layout.
+    /// Pages the block holds no comment of are skipped. The page holding the
     /// block's first comment is found in the offsets, so nothing before the
     /// block is read. The blocks of one rank count tile the comments in order.
-    pub(crate) fn block(&self, rank: usize, nranks: usize) -> impl Iterator<Item = Event> + '_ {
+    pub(crate) fn block(
+        &self,
+        rank: usize,
+        nranks: usize,
+    ) -> impl Iterator<Item = (PageId, PageRow<'_>)> + '_ {
         let rows = &self.rows;
         let block = ygm::block_range(rank, rows.n_comments() as usize, nranks);
         let (lo, hi) = (block.start, block.end);
         let first = rows.off.partition_point(|&o| o <= lo) - 1;
         (first..rows.n_pages() as usize)
             .take_while(move |&p| rows.off[p] < hi)
-            .flat_map(move |p| {
-                let row = rows.slice(rows.off[p].max(lo), rows.off[p + 1].min(hi));
-                let page = PageId(p as u32);
-                row.iter().map(move |(ts, a)| Event::new(a, page, ts))
-            })
+            .map(move |p| (p, rows.off[p].max(lo), rows.off[p + 1].min(hi)))
+            .filter(|&(_, from, to)| from < to)
+            .map(move |(p, from, to)| (PageId(p as u32), rows.slice(from, to)))
     }
 
     /// The largest page neighborhood (comment count) — the projection's
@@ -1544,9 +1547,9 @@ mod tests {
     }
 
     /// The blocks of any rank count tile the rows: every comment once, page
-    /// by page in row order, each block its `block_range`'s length — for
-    /// built narrow and wide rows, and for narrow rows borrowed from a
-    /// snapshot.
+    /// by page in row order, no page empty or twice in one block, each block
+    /// its `block_range`'s length — for built narrow and wide rows, and for
+    /// narrow rows borrowed from a snapshot.
     #[test]
     fn blocks_tile_the_rows_at_any_rank_count() {
         use coordination_store::{Snapshot, SnapshotWriter};
@@ -1571,14 +1574,23 @@ mod tests {
         ));
         assert!(narrow(&built) && mapped == built);
         let wide = Btm::from_events(8, 6, &messy());
+        let events = |pages: &mut dyn Iterator<Item = (PageId, PageRow<'_>)>| -> Vec<Event> {
+            let mut last = None;
+            let mut out = Vec::new();
+            for (p, row) in pages {
+                assert!(last < Some(p), "page {p:?} after {last:?}");
+                last = Some(p);
+                let before = out.len();
+                out.extend(row.iter().map(|(ts, a)| Event::new(a, p, ts)));
+                assert!(out.len() > before, "empty row of page {p:?}");
+            }
+            out
+        };
         for btm in [&built, &wide, &mapped, &Btm::from_events(3, 3, &[])] {
-            let all: Vec<Event> = btm
-                .pages()
-                .flat_map(|(p, row)| row.iter().map(move |(ts, a)| Event::new(a, p, ts)))
-                .collect();
+            let all = events(&mut btm.pages());
             for nranks in [1, 2, 3, 7, 1000] {
                 let blocks: Vec<Vec<Event>> = (0..nranks)
-                    .map(|r| btm.block(r, nranks).collect())
+                    .map(|r| events(&mut btm.block(r, nranks)))
                     .collect();
                 for (r, block) in blocks.iter().enumerate() {
                     assert_eq!(block.len(), ygm::block_range(r, all.len(), nranks).len());

@@ -28,13 +28,13 @@
 //!    place and no comment is shuffled. A `--shuffle-budget` caps what a
 //!    rank may hold resident, so there the partition is built as an
 //!    out-of-core cluster builds it: each rank reads its [`ygm::block_range`]
-//!    of the comments in place (whole pages but for the two a block edge
-//!    splits, from owned or mapped rows of either layout) and ships each
-//!    comment to its page owner once, through the packed byte-buffer
-//!    aggregator ([`ygm::PackedAggregator`], adaptive bytes-per-batch
-//!    thresholds) as `(page, ts, author)`, 16 B on the wire. The owner sorts
-//!    each arriving batch as order-preserving packed keys (`event_key`) into
-//!    a bounded run stack ([`ygm::runs::DistRuns`]), merged incrementally
+//!    of the comments in place, page by page (whole pages but for the two
+//!    a block edge splits, from owned or mapped rows of either layout), and
+//!    ships each comment to its page owner once, hashing the owner once a
+//!    page, through the batching aggregator ([`ygm::PackedAggregator`],
+//!    adaptive bytes-per-batch thresholds) as its order-preserving run key
+//!    (`event_key`), 16 B on the wire. The owner lands each arriving batch
+//!    in a bounded run stack ([`ygm::runs::DistRuns`]), sorted into runs
 //!    *while later batches are in flight* (ship drains opportunistically)
 //!    and spilled as sorted segments to the snapshot store past the cap, and
 //!    reads its partition back through a streaming k-way merge over
@@ -103,14 +103,11 @@ use crate::window::Window;
 /// key: `page·2⁹⁶ | (ts ⊕ 2⁶³)·2³² | author`. The timestamp sign-flip maps
 /// `i64` order onto unsigned order, so numeric key order is exactly the
 /// `(page, ts, author)` tuple order [`PagePartition::Runs`] is grouped by.
-/// Only a budgeted run packs events this way.
+/// Only a budgeted run packs events this way, and ships them so.
 #[inline]
 fn event_key(p: u32, ts: i64, a: u32) -> u128 {
     ((p as u128) << 96) | ((((ts as u64) ^ (1 << 63)) as u128) << 32) | a as u128
 }
-
-/// A comment on the wire to its page owner: `(page, ts, author)`, 16 B.
-type WireEvent = (u32, i64, u32);
 
 /// Inverse of [`event_key`].
 #[inline]
@@ -166,35 +163,6 @@ impl PagePartition<'_> {
                 }
             }
         }
-    }
-}
-
-/// One-entry owner cache for `push`-ing long same-key streams without
-/// rehashing: a budget's page loop ships every comment of a page to the same
-/// destination, and at two or more ranks [`ygm::owner_of`] hashes (FNV-1a,
-/// then a splitmix finish) on every `push_keyed` call regardless.
-/// Routing is identical by construction (same key type, same hash); the
-/// equivalence proptests pin it.
-struct CachedOwner {
-    key: u32,
-    dest: usize,
-}
-
-impl CachedOwner {
-    fn new() -> Self {
-        CachedOwner {
-            key: 0,
-            dest: usize::MAX, // forces a hash on first use
-        }
-    }
-
-    #[inline]
-    fn dest(&mut self, key: u32, nranks: usize) -> usize {
-        if self.dest == usize::MAX || self.key != key {
-            self.key = key;
-            self.dest = owner_of(&key, nranks);
-        }
-        self.dest
     }
 }
 
@@ -364,7 +332,9 @@ impl DistPipeline {
             .collect();
         // Each pair hashes to one owner, so the runs are disjoint sorted
         // canonical runs and the merge is the resident CSR.
-        CiGraph::from_runs(btm.n_authors(), runs, page_counts)
+        let ci = CiGraph::from_runs(btm.n_authors(), runs, page_counts);
+        obs::record_stage_rss("project");
+        ci
     }
 
     /// One rank's stages 2–3: its page partition, then the page step over
@@ -404,24 +374,22 @@ impl DistPipeline {
             Some(page_events) => {
                 let _shard = obs::span("btm.shard");
                 {
-                    let absorb = move |inner: &RankCtx<'env>, batch: PackedBatch<WireEvent>| {
-                        page_events.local_absorb(
-                            inner,
-                            batch.iter().map(|(p, ts, a)| event_key(p, ts, a)),
-                        );
+                    let absorb = move |inner: &RankCtx<'env>, batch: PackedBatch<u128>| {
+                        page_events.local_absorb(inner, batch.iter());
                     };
                     let mut to_pages = PackedAggregator::with_batch_bytes(
                         ctx,
                         "events_to_pages",
-                        batch_bytes(WireEvent::WIDTH),
+                        batch_bytes(u128::WIDTH),
                         absorb,
                     );
-                    // A block is page-major, so one cached owner saves an
-                    // `owner_of` hash per comment.
-                    let mut page_owner = CachedOwner::new();
-                    for e in btm.block(ctx.rank(), ctx.nranks()) {
-                        let dest = page_owner.dest(e.page.0, ctx.nranks());
-                        to_pages.push(ctx, dest, (e.page.0, e.ts, e.author.0));
+                    // Each comment ships as its run key, to the owner of its
+                    // page, hashed once a page.
+                    for (page, row) in btm.block(ctx.rank(), ctx.nranks()) {
+                        let dest = owner_of(&page.0, ctx.nranks());
+                        for (ts, a) in row.iter() {
+                            to_pages.push(ctx, dest, event_key(page.0, ts, a.0));
+                        }
                     }
                     to_pages.flush_all(ctx);
                 }

@@ -36,7 +36,7 @@ use crate::orient::OrientedGraph;
 use crate::survey::{record_counters, SurveyConfig, SurveyFold, SurveyReport};
 
 /// One wedge check on the wire: close the wedges through oriented edge
-/// `(u, v)` of weight `w_uv` at the owner of `v`. 16 bytes packed.
+/// `(u, v)` of weight `w_uv` at the owner of `v`. 16 B on the wire.
 type WedgeCheck = (u32, u32, u64);
 
 /// Lock a rank's state, recovering it if a rank panicked while holding it:
@@ -238,6 +238,7 @@ pub fn survey_on_ranks(
         fold.merge(rank_fold);
         messages_sent = messages_sent.max(sent);
     }
+    obs::record_stage_rss("survey");
     (fold.into_report(config.top_k), messages_sent)
 }
 

@@ -19,8 +19,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::exchange::BufferPool;
-
 /// An active message: a closure executed on the destination rank's thread.
 /// It may borrow anything that outlives the region (`'env`): the region runs
 /// or drops every message before [`World::run`] returns.
@@ -49,10 +47,6 @@ pub(crate) struct Shared {
     /// or process its queue again, so every barrier wait loop checks this and
     /// panics instead of spinning forever.
     poisoned: AtomicBool,
-    /// World-shared recycling pool for packed-batch byte buffers: a buffer
-    /// shipped from any rank and drained on any other returns here for the
-    /// next sender, so steady-state shuffles allocate nothing.
-    pub(crate) pool: Arc<BufferPool>,
 }
 
 /// A fixed-size group of ranks that run SPMD functions.
@@ -89,9 +83,6 @@ impl<'env> World<'env> {
                 barrier_count: AtomicUsize::new(nranks),
                 barrier_sense: AtomicBool::new(false),
                 poisoned: AtomicBool::new(false),
-                // Enough retained buffers for every rank to have one in
-                // flight to every other rank, with headroom for bursts.
-                pool: BufferPool::new((nranks * nranks).clamp(64, 1024)),
             }),
             senders: Arc::new(senders),
             receivers,
@@ -340,12 +331,6 @@ impl<'env> RankCtx<'env> {
                 self.rank
             );
         }
-    }
-
-    /// The world-shared byte-buffer recycling pool used by
-    /// [`crate::exchange::PackedAggregator`] batches.
-    pub(crate) fn buffer_pool(&self) -> &Arc<BufferPool> {
-        &self.shared.pool
     }
 
     /// Total messages sent so far, world-wide.

@@ -12,7 +12,8 @@
 //!   message may borrow anything that outlives the region, since every
 //!   message is run or dropped before [`World::run`] returns;
 //! * *owner-computes* routing by a stable key hash ([`owner_of`]), with the
-//!   fixed-width shuffles packed into byte batches ([`PackedAggregator`]);
+//!   fixed-width shuffles batched per destination and shipped as typed
+//!   `Vec`s ([`PackedAggregator`]);
 //! * a receive-side landing zone: sorted, spillable run stacks
 //!   ([`DistRuns`]);
 //! * *barriers with termination detection*: [`RankCtx::barrier`] returns only
@@ -25,7 +26,8 @@
 //! The only difference from real YGM is the transport: ranks are OS threads and
 //! messages are boxed closures over shared memory instead of serialized MPI
 //! buffers, so a rank reads the caller's data in place where an MPI rank
-//! would hold its own slice of it.
+//! would hold its own slice of it, and a batch crosses as the items
+//! themselves, never encoded to bytes.
 //!
 //! ## Barrier semantics
 //!

@@ -1,15 +1,13 @@
-//! Receive-side run stacks: incremental merge + out-of-core spill for
+//! Receive-side run stacks: sorted runs + out-of-core spill for
 //! memory-bounded shuffles.
 //!
 //! The barrier-shaped shuffle buffers a rank's whole partition, then sorts it
 //! once the exchange quiesces — which means peak receiver memory equals the
 //! partition size. This module replaces that buffer with a **run stack**:
 //!
-//! * each arriving [`crate::PackedBatch`] is sorted immediately on the
-//!   packed key encoding ([`sort_run`]) and pushed as a *run*;
-//! * adjacent runs of comparable size are merged opportunistically
-//!   (pairwise merge-by-level, the classic logarithmic run-stack invariant),
-//!   so the stack holds O(log n) sorted runs instead of n batches;
+//! * arriving [`crate::PackedBatch`]es append to an active buffer, which is
+//!   sorted on the packed key encoding ([`sort_run`]) and pushed as a *run*
+//!   once it reaches the seal size (the smaller of 4 MiB and the budget);
 //! * when a label's resident bytes exceed its **shuffle budget**, every
 //!   resident run is k-way merged and streamed to disk as one sorted
 //!   [`coordination_store::segment`] — receiver memory is
@@ -18,13 +16,16 @@
 //!   resident runs + spilled segments: globally sorted order without ever
 //!   materializing the partition.
 //!
+//! Sealed runs are never merged with each other in memory: they meet only
+//! in a spill's k-way merge or in the cursor.
+//!
 //! Because batches are absorbed as they arrive (the ship path drains
 //! opportunistically — see [`crate::exchange`]), the sorting work overlaps
 //! the communication instead of serializing behind the barrier.
 //!
-//! Spill traffic is observable: `shuffle.spilled_bytes`,
-//! `shuffle.spill_segments` and `shuffle.merge_passes` counters land in the
-//! run report like every other [`obs`] metric.
+//! Spill traffic is observable: `shuffle.spilled_bytes` and
+//! `shuffle.spill_segments` counters land in the run report like every
+//! other [`obs`] metric.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -94,7 +95,6 @@ pub fn sort_run<K: RunKey>(v: &mut [K]) {
 struct SpillCounters {
     spilled_bytes: obs::Counter,
     spill_segments: obs::Counter,
-    merge_passes: obs::Counter,
 }
 
 impl SpillCounters {
@@ -102,7 +102,6 @@ impl SpillCounters {
         SpillCounters {
             spilled_bytes: obs::counter("shuffle.spilled_bytes"),
             spill_segments: obs::counter("shuffle.spill_segments"),
-            merge_passes: obs::counter("shuffle.merge_passes"),
         }
     }
 }
@@ -143,8 +142,7 @@ impl Drop for SpillFiles {
 pub(crate) struct RunStack<K: RunKey> {
     /// Unsorted arrivals since the last seal.
     active: Vec<K>,
-    /// Sealed sorted runs, oldest first; the merge-by-level invariant keeps
-    /// `runs[i].len() > 2 * runs[i+1].len()` roughly, so there are O(log n).
+    /// Sealed sorted runs, oldest first.
     runs: Vec<Vec<K>>,
     /// Seal the active buffer at this many keys.
     seal_keys: usize,
@@ -187,14 +185,8 @@ impl<K: RunKey> RunStack<K> {
         }
     }
 
-    /// Absorb a batch of arrivals; seals (sorts + merges) when the active
-    /// buffer fills and spills when the budget is exceeded.
-    ///
-    /// The budget check runs *before* the seal: a seal's merge-by-level
-    /// allocates merged copies of resident runs, which is exactly the
-    /// transient the budget exists to avoid — an over-budget stack goes
-    /// straight to disk from its unmerged runs instead (the spill's k-way
-    /// merge produces the same sorted segment without the intermediate).
+    /// Absorb a batch of arrivals; seals (sorts + pushes) when the active
+    /// buffer fills, or spills instead when the budget is exceeded.
     pub(crate) fn absorb<I: IntoIterator<Item = K>>(&mut self, items: I) {
         self.active.extend(items);
         if self.active.len() < self.seal_keys {
@@ -218,34 +210,13 @@ impl<K: RunKey> RunStack<K> {
         let mut run = std::mem::take(&mut self.active);
         sort_run(&mut run);
         self.runs.push(run);
-        // Merge-by-level: collapse the top of the stack while the
-        // second-from-top run is no more than twice the top — each key is
-        // merged O(log n) times total, and the stack stays logarithmic.
-        while self.runs.len() >= 2 {
-            let top = self.runs[self.runs.len() - 1].len();
-            let below = self.runs[self.runs.len() - 2].len();
-            if below > 2 * top {
-                break;
-            }
-            let hi = self.runs.pop().expect("len checked");
-            let lo = self.runs.pop().expect("len checked");
-            self.runs.push(merge_two(lo, hi));
-            self.counters.merge_passes.add(1);
-        }
     }
 
     /// Merge every resident run and stream it to disk as one sorted segment.
     /// Write failures panic: spill files live in the local temp dir and a
     /// rank that cannot write scratch space cannot make progress anyway.
-    ///
-    /// The active buffer is sorted and pushed as a run directly — no
-    /// merge-by-level, the disk merge subsumes it.
     fn spill_all(&mut self) {
-        if !self.active.is_empty() {
-            let mut run = std::mem::take(&mut self.active);
-            sort_run(&mut run);
-            self.runs.push(run);
-        }
+        self.seal();
         if self.runs.is_empty() {
             return;
         }
@@ -280,30 +251,6 @@ impl<K: RunKey> RunStack<K> {
         RunSet {
             runs: std::mem::take(&mut self.runs),
             spills: std::mem::take(&mut self.spills),
-        }
-    }
-}
-
-fn merge_two<K: RunKey>(lo: Vec<K>, hi: Vec<K>) -> Vec<K> {
-    let mut out = Vec::with_capacity(lo.len() + hi.len());
-    let (mut a, mut b) = (lo.into_iter().peekable(), hi.into_iter().peekable());
-    loop {
-        match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) => {
-                if x <= y {
-                    out.push(a.next().expect("peeked"));
-                } else {
-                    out.push(b.next().expect("peeked"));
-                }
-            }
-            (Some(_), None) => {
-                out.extend(a);
-                return out;
-            }
-            (None, _) => {
-                out.extend(b);
-                return out;
-            }
         }
     }
 }

@@ -622,6 +622,46 @@ fn pipeline_distributed_stdout_is_byte_identical_to_resident() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// The rank program gauges its stages' memory as the resident run does: a
+/// `--ranks 2` report and a budgeted one-rank report each carry
+/// `project.peak_rss_kb` and `survey.peak_rss_kb`. Under the budget every
+/// comment crosses the event exchange as one 16 B run key.
+#[test]
+fn rank_program_reports_project_and_survey_peak_rss() {
+    let dir = tmpdir("rank-rss");
+    let input = generate_month(&dir);
+    for engine in [["--ranks", "2"], ["--shuffle-budget", "65536"]] {
+        let report = dir.join("report.json");
+        let status = bin()
+            .args(["pipeline", "--input"])
+            .arg(&input)
+            .args(["--cutoff", "25"])
+            .args(engine)
+            .arg("--report")
+            .arg(&report)
+            .stdout(std::process::Stdio::null())
+            .status()
+            .expect("run pipeline --report");
+        assert!(status.success(), "pipeline {engine:?}");
+        let text = std::fs::read_to_string(&report).expect("read report");
+        let json: serde_json::Value = serde_json::from_str(&text).expect("report is JSON");
+        let read = |kind: &str, name: &str| json.get(kind).and_then(|g| g.get(name))?.as_u64();
+        for gauge in ["project.peak_rss_kb", "survey.peak_rss_kb"] {
+            let kb = read("gauges", gauge);
+            assert!(kb.is_some_and(|kb| kb > 0), "{engine:?}: {gauge} {kb:?}");
+        }
+        if engine[0] == "--shuffle-budget" {
+            let items = read("counters", "ygm.events_to_pages.items_sent").unwrap_or(0);
+            let bytes = read("counters", "ygm.events_to_pages.bytes_sent");
+            assert!(
+                items > 0 && bytes == Some(16 * items),
+                "{items} comments, {bytes:?} B"
+            );
+        }
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
 /// Run `coordination <args> --input <input>` — or, `piped`, `--input -` with
 /// the file's bytes written down a pipe.
 fn run_on(args: &[&str], input: &std::path::Path, piped: bool) -> std::process::Output {
