@@ -6,12 +6,17 @@
 //! projection edge at `x` (Eq. 6), which the normalized triangle score
 //! `T(x,y,z)` (Eq. 7) needs.
 //!
-//! Since the `crates/graph` refactor the edge set is stored as a shared
-//! [`CsrGraph`] rather than a `HashMap<(u32, u32), u64>`: the projection
-//! hands its sorted edge run (one per rank in the rank-sharded engine)
-//! straight to `CiGraph::from_runs`, the triangle survey orients [`CiGraph::as_csr`]
-//! directly (`tripoll::WeightedGraph` *is* this CSR type), and thresholding is
-//! a borrowed [`ThresholdView`] instead of an edge-map clone.
+//! The edge set is a shared [`CsrGraph`]: the projection hands its sorted
+//! edge run (one per rank in the rank-sharded engine) straight to
+//! `CiGraph::from_runs`, and the triangle survey orients [`CiGraph::as_csr`]
+//! directly (`tripoll::WeightedGraph` *is* this CSR type).
+//!
+//! A graph may be **cut**: a pipeline run's graph holds only the edges at or
+//! above its edge threshold `e` (the projection drops the rest where it
+//! counts them), and records `e` as [`CiGraph::cut_weight`]. A whole graph
+//! is cut at 1. Further thresholding is a borrowed [`ThresholdView`]; asking
+//! a cut graph for a threshold below its cut panics, since the edges it
+//! would need were never built.
 
 use coordination_graph::{CsrGraph, GraphRef, ThresholdView};
 
@@ -20,10 +25,14 @@ use crate::ids::AuthorId;
 /// A weighted one-mode author graph plus per-author projection page counts.
 #[derive(Clone, Debug, Default)]
 pub struct CiGraph {
-    /// Edge weights `w'` in shared CSR form (dense author-id vertices).
+    /// Edge weights `w'` in shared CSR form (dense author-id vertices): every
+    /// edge with `w' >= cut`.
     csr: CsrGraph,
-    /// `P'_x` per author id (0 for authors with no projection edge).
+    /// `P'_x` per author id (0 for authors with no projection edge), counted
+    /// before any cut.
     page_counts: Vec<u64>,
+    /// The weight the edges were cut at; 0 and 1 both mean every edge.
+    cut: u64,
 }
 
 impl CiGraph {
@@ -41,6 +50,7 @@ impl CiGraph {
             n_authors,
             CsrGraph::from_canonical_unsorted(n_authors, canon),
             page_counts,
+            1,
         )
     }
 
@@ -57,31 +67,39 @@ impl CiGraph {
             n_authors,
             CsrGraph::from_edges(n_authors, edges),
             page_counts,
+            1,
         )
     }
 
     /// Construct from sorted canonical edge runs — the zero-re-sort fast path
     /// the projection uses ([`CsrGraph::from_canonical_runs`] k-way merges
-    /// the runs, summing duplicate pairs across them).
+    /// the runs, summing duplicate pairs across them). The runs hold every
+    /// edge with `w' >= cut` and none lighter: the graph records `cut`.
     pub(crate) fn from_runs(
         n_authors: u32,
         runs: Vec<Vec<(u32, u32, u64)>>,
         page_counts: Vec<u64>,
+        cut: u64,
     ) -> Self {
         Self::from_runs_inner(
             n_authors,
             CsrGraph::from_canonical_runs(n_authors, runs),
             page_counts,
+            cut,
         )
     }
 
-    fn from_runs_inner(n_authors: u32, csr: CsrGraph, page_counts: Vec<u64>) -> Self {
+    fn from_runs_inner(n_authors: u32, csr: CsrGraph, page_counts: Vec<u64>, cut: u64) -> Self {
         assert_eq!(
             page_counts.len(),
             n_authors as usize,
             "page_counts length mismatch"
         );
-        CiGraph { csr, page_counts }
+        CiGraph {
+            csr,
+            page_counts,
+            cut,
+        }
     }
 
     /// The underlying shared CSR representation. `tripoll::WeightedGraph` is
@@ -95,8 +113,30 @@ impl CiGraph {
     /// pre-triangle threshold without cloning the edge set. `P'` counts are
     /// untouched: thresholding is a search-space reduction, not a
     /// re-projection.
+    ///
+    /// # Panics
+    /// If `min_weight` is below [`CiGraph::cut_weight`]: the edges between
+    /// the two were never built, and the view would be silently smaller.
     pub fn threshold_view(&self, min_weight: u64) -> ThresholdView<'_, CsrGraph> {
+        self.assert_holds(min_weight);
         ThresholdView::new(&self.csr, min_weight)
+    }
+
+    /// The weight the graph was cut at: it holds every edge with
+    /// `w' >= cut_weight()` and none lighter. 1 for a whole graph; a
+    /// pipeline run's graph is cut at its edge threshold.
+    pub fn cut_weight(&self) -> u64 {
+        self.cut.max(1)
+    }
+
+    /// Panic unless the graph holds every edge with `w' >= min_weight`.
+    fn assert_holds(&self, min_weight: u64) {
+        assert!(
+            min_weight.max(1) >= self.cut_weight(),
+            "threshold {min_weight} is below the weight this CI graph was cut at ({}): \
+             its lighter edges were never built",
+            self.cut_weight()
+        );
     }
 
     /// Number of author slots.
@@ -104,7 +144,7 @@ impl CiGraph {
         self.csr.n()
     }
 
-    /// Number of edges (pairs with `w' ≥ 1`).
+    /// Number of edges held (pairs with `w' ≥` [`CiGraph::cut_weight`]).
     pub fn n_edges(&self) -> u64 {
         self.csr.m()
     }
@@ -114,7 +154,8 @@ impl CiGraph {
         self.page_counts.iter().filter(|&&c| c > 0).count() as u32
     }
 
-    /// `w'_{xy}` (symmetric); 0 if the pair shares no windowed interaction.
+    /// `w'_{xy}` (symmetric); 0 if the pair shares no windowed interaction,
+    /// or shares fewer pages than [`CiGraph::cut_weight`].
     pub fn weight(&self, x: AuthorId, y: AuthorId) -> u64 {
         self.csr.edge_weight(x.0, y.0).unwrap_or(0)
     }
@@ -134,13 +175,15 @@ impl CiGraph {
         self.csr.edges()
     }
 
-    /// Materialize a thresholded copy. Prefer [`CiGraph::threshold_view`]
-    /// everywhere a borrow suffices (orientation, components, iteration) —
-    /// this exists for callers that need an owned thresholded `CiGraph`.
+    /// Materialize a thresholded copy, cut at `min_weight`. Prefer
+    /// [`CiGraph::threshold_view`] everywhere a borrow suffices (orientation,
+    /// components, iteration) — this exists for callers that need an owned
+    /// thresholded `CiGraph`. Panics as the view does.
     pub fn threshold(&self, min_weight: u64) -> CiGraph {
         CiGraph {
             csr: self.threshold_view(min_weight).to_csr(),
             page_counts: self.page_counts.clone(),
+            cut: min_weight.max(1),
         }
     }
 
@@ -158,7 +201,10 @@ impl CiGraph {
 
     /// Connected components over edges with `w' ≥ min_weight` (≥ 2 vertices,
     /// largest first) — how the paper extracts botnet candidates (Figures 1–2).
+    /// Panics below [`CiGraph::cut_weight`], as [`CiGraph::threshold_view`]
+    /// does.
     pub fn components(&self, min_weight: u64) -> Vec<Vec<u32>> {
+        self.assert_holds(min_weight);
         self.csr.components(min_weight)
     }
 
@@ -343,6 +389,38 @@ mod tests {
         assert_eq!(t.page_count(a(0)), 7);
     }
 
+    /// A graph cut at 5 answers thresholds at or above 5 (and a copy
+    /// thresholded higher records its own cut), and refuses any below it,
+    /// whose edges it never held.
+    #[test]
+    fn a_cut_graph_refuses_thresholds_below_its_cut() {
+        let g = CiGraph::from_runs(3, vec![vec![(0, 1, 10), (1, 2, 5)]], vec![1, 2, 1], 5);
+        assert_eq!(g.cut_weight(), 5);
+        assert_eq!(g.threshold_view(5).to_csr().m(), 2);
+        assert_eq!(g.components(6), vec![vec![0, 1]]);
+        assert_eq!(g.threshold(7).cut_weight(), 7);
+        assert_eq!(CiGraphBuilder::new(2).build().cut_weight(), 1);
+        for below in [0, 1, 4] {
+            let message = |run: &dyn Fn()| {
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                    .expect_err("a threshold below the cut");
+                *err.downcast::<String>().expect("a message")
+            };
+            for got in [
+                message(&|| {
+                    g.threshold_view(below);
+                }),
+                message(&|| drop(g.components(below))),
+                message(&|| drop(g.threshold(below))),
+            ] {
+                assert!(
+                    got.contains("below the weight this CI graph was cut at (5)"),
+                    "{got}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn threshold_view_matches_materialized_threshold() {
         use coordination_graph::GraphRef;
@@ -369,8 +447,12 @@ mod tests {
         map.insert((0u32, 1u32), 4u64);
         map.insert((2u32, 3u32), 9u64);
         let from_map = CiGraph::from_parts(4, map, vec![1, 1, 1, 1]);
-        let from_runs =
-            CiGraph::from_runs(4, vec![vec![(0, 1, 4)], vec![(2, 3, 9)]], vec![1, 1, 1, 1]);
+        let from_runs = CiGraph::from_runs(
+            4,
+            vec![vec![(0, 1, 4)], vec![(2, 3, 9)]],
+            vec![1, 1, 1, 1],
+            1,
+        );
         assert_eq!(
             from_map.edges().collect::<Vec<_>>(),
             from_runs.edges().collect::<Vec<_>>()

@@ -49,15 +49,18 @@
 //!    row, borrowed in place (`PagePartition::for_each_page`), and shuffle
 //!    each packed pair occurrence to its *edge owner* (`owner_of(packed)`),
 //!    which sorts and run-length-counts its disjoint slice of the edge set.
-//!    Each rank returns its edge run and its `P'` contribution, and the
-//!    partition, with any spill segments behind it, is dropped with the
-//!    rank. No rank issues a collective: a page has one owner, so the caller
-//!    sums the contributions into the resident `P'`, and the runs are
-//!    disjoint and sorted, so `CiGraph::from_runs` merges them into the
-//!    resident CI graph.
+//!    An owner holds every occurrence of its pairs, so it cuts its run at
+//!    the edge threshold exactly as the resident count does: it keeps the
+//!    edges with `w' ≥ e` and counts the rest. Each rank returns its cut
+//!    edge run, its count of every edge it owns and its `P'` contribution,
+//!    and the partition, with any spill segments behind it, is dropped with
+//!    the rank. No rank issues a collective: a page has one owner, so the
+//!    caller sums the contributions into the resident `P'` and the counts
+//!    into `ci_edges`, and the runs are disjoint and sorted, so
+//!    `CiGraph::from_runs` merges them into the resident cut CI graph.
 //!
-//! The rest is the resident stage graph (`pipeline::run_stages`): the
-//! threshold view is oriented once, on the calling thread, and
+//! The rest is the resident stage graph (`pipeline::run_stages`): the cut
+//! graph is oriented once, on the calling thread, and
 //! [`tripoll::distributed::survey_on_ranks`] surveys that orientation on the
 //! ranks — each reads the rows of the apexes it owns out of that one
 //! orientation in place and pushes a 16-byte wedge check per oriented edge
@@ -283,7 +286,7 @@ impl DistPipeline {
         run_stages(
             &self.config,
             btm,
-            |btm, window| self.project(btm, window),
+            |btm, window, cut| self.project(btm, window, cut),
             |oriented, config, pages| {
                 survey_on_ranks(oriented, config, pages, self.nranks, self.batch_bytes).0
             },
@@ -308,9 +311,10 @@ impl DistPipeline {
     }
 
     /// Step 1 on the ranks: each rank projects its pages of `btm` and
-    /// returns its edge run and its `P'` contribution, which merge here into
-    /// the CI graph.
-    fn project(&self, btm: &Btm, window: Window) -> CiGraph {
+    /// returns its edge run cut at `cut`, its count of every edge it owns and
+    /// its `P'` contribution, which merge here into the cut CI graph and the
+    /// count of every edge.
+    fn project(&self, btm: &Btm, window: Window, cut: u64) -> (CiGraph, u64) {
         // One landing zone per shuffle: a bounded run stack (each arriving
         // batch sorted and merged incrementally, spilling past the budget).
         // Only a budget ships the comments to their page owners.
@@ -318,36 +322,47 @@ impl DistPipeline {
         let page_events = budget.map(|_| DistRuns::<u128>::new(self.nranks, "page_events", budget));
         let pair_occurrences = DistRuns::<u64>::new(self.nranks, "pair_occurrences", budget);
         let ranks = World::run(self.nranks, |ctx| {
-            self.project_rank(ctx, btm, window, page_events.as_ref(), &pair_occurrences)
+            self.project_rank(
+                ctx,
+                btm,
+                window,
+                cut,
+                page_events.as_ref(),
+                &pair_occurrences,
+            )
         });
         let mut page_counts = vec![0u64; btm.n_authors() as usize];
+        let mut edges = 0;
         let runs = ranks
             .into_iter()
-            .map(|(run, counts)| {
+            .map(|(run, counts, counted)| {
                 for (sum, c) in page_counts.iter_mut().zip(counts) {
                     *sum += c;
                 }
+                edges += counted;
                 run
             })
             .collect();
         // Each pair hashes to one owner, so the runs are disjoint sorted
         // canonical runs and the merge is the resident CSR.
-        let ci = CiGraph::from_runs(btm.n_authors(), runs, page_counts);
+        let ci = CiGraph::from_runs(btm.n_authors(), runs, page_counts, cut);
         obs::record_stage_rss("project");
-        ci
+        (ci, edges)
     }
 
     /// One rank's stages 2–3: its page partition, then the page step over
     /// it with the pair shuffle to edge owners. Returns this rank's sorted
-    /// canonical edge run and its `P'` contribution.
+    /// canonical edge run cut at `cut`, its `P'` contribution and its count
+    /// of every edge it owns.
     fn project_rank<'env>(
         &self,
         ctx: &RankCtx<'env>,
         btm: &Btm,
         window: Window,
+        cut: u64,
         page_events: Option<&'env DistRuns<u128>>,
         pair_occurrences: &'env DistRuns<u64>,
-    ) -> (Vec<(u32, u32, u64)>, Vec<u64>) {
+    ) -> (Vec<(u32, u32, u64)>, Vec<u64>, u64) {
         // One threshold policy for every shuffle in this run: the adaptive
         // bytes-per-batch default for the item width, or the test override.
         let batch_bytes = |width: usize| {
@@ -429,9 +444,10 @@ impl DistPipeline {
 
         // Each edge owner run-length-counts its disjoint slice of the pair
         // multiset straight off the merge cursor (already globally sorted,
-        // duplicates adjacent).
-        let edge_run = run_length_pairs(pair_occurrences.local_take(ctx).cursor());
-        obs::counter("project.edges").add(edge_run.len() as u64);
-        (edge_run, step.into_page_counts())
+        // duplicates adjacent). It holds every occurrence of its pairs, so
+        // its cut at the edge threshold is exact.
+        let (edge_run, weights) = run_length_pairs(pair_occurrences.local_take(ctx).cursor(), cut);
+        weights.record();
+        (edge_run, step.into_page_counts(), weights.edges())
     }
 }

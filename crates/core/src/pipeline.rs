@@ -29,7 +29,9 @@ pub struct PipelineConfig {
     /// The projection delay window `(δ1, δ2)`.
     pub window: Window,
     /// Drop CI edges below this weight before triangle enumeration (the paper
-    /// used 5 for the billion-edge 2016 one-hour projection).
+    /// used 5 for the billion-edge 2016 one-hour projection; 0 acts as 1).
+    /// The projection drops them where it counts them, so they are never
+    /// built.
     pub edge_threshold: u64,
     /// Keep triangles with `min{w'} ≥` this cutoff (10 for the figures, 25
     /// for the anecdotal botnet hunts).
@@ -84,9 +86,10 @@ pub struct RunStats {
     pub total_authors: u32,
     /// Authors with at least one CI edge.
     pub projected_authors: u32,
-    /// CI graph edges before the edge threshold.
+    /// CI graph edges before the edge threshold: every pair with `w' ≥ 1`.
     pub ci_edges: u64,
-    /// CI graph edges after the edge threshold.
+    /// CI graph edges after the edge threshold: the edges [`PipelineOutput::ci`]
+    /// holds.
     pub ci_edges_after_threshold: u64,
     /// Triangles examined by the survey (post-edge-threshold graph).
     pub triangles_examined: u64,
@@ -99,7 +102,10 @@ pub struct RunStats {
 /// Everything a run produces.
 #[derive(Clone, Debug)]
 pub struct PipelineOutput {
-    /// The full (unthresholded) CI graph.
+    /// The CI graph cut at the edge threshold: the edges with
+    /// `w' ≥ max(edge_threshold, 1)`, the ones the survey reads, and every
+    /// author's `P'` ([`CiGraph::cut_weight`] is the threshold). The whole
+    /// graph is [`project::project`]'s.
     pub ci: CiGraph,
     /// Step 2's survey report over the edge-thresholded graph.
     pub survey: SurveyReport,
@@ -169,38 +175,34 @@ impl Pipeline {
 
     /// Run on an already-built (and already-filtered) BTM.
     pub fn run_btm(&self, btm: &Btm) -> PipelineOutput {
-        run_stages(&self.config, btm, project::project, survey)
+        run_stages(&self.config, btm, project::project_cut, survey)
     }
 }
 
-/// The one stage graph of both engines: project `btm`, orient the threshold
-/// view, survey it, validate the survivors. Only the two steps that shard
-/// over ranks vary, and the caller passes them in: `project` (the resident
-/// [`project::project`], or the rank program's) and `survey` (the resident
-/// [`survey`], or [`tripoll::distributed::survey_on_ranks`]).
+/// The one stage graph of both engines: project `btm` cut at the edge
+/// threshold, orient the cut graph, survey it, validate the survivors. Only
+/// the two steps that shard over ranks vary, and the caller passes them in:
+/// `project` (the resident [`project::project_cut`], or the rank program's),
+/// which returns the graph holding the edges with `w' ≥` its third argument
+/// and the count of every edge, and `survey` (the resident [`survey`], or
+/// [`tripoll::distributed::survey_on_ranks`]).
 pub(crate) fn run_stages(
     cfg: &PipelineConfig,
     btm: &Btm,
-    project: impl FnOnce(&Btm, Window) -> CiGraph,
+    project: impl FnOnce(&Btm, Window, u64) -> (CiGraph, u64),
     survey: impl FnOnce(&OrientedGraph, &SurveyConfig, Option<&[u64]>) -> SurveyReport,
 ) -> PipelineOutput {
-    // Step 1: projection.
+    // Step 1: projection. The edge threshold cuts the graph where its edges
+    // are counted, so an edge below it is counted into `ci_edges` and never
+    // built.
     let t0 = Instant::now();
-    let ci = project(btm, cfg.window);
+    let (ci, ci_edges) = project(btm, cfg.window, cfg.edge_threshold);
     let projection_time = t0.elapsed();
 
-    // Step 2: triangle survey on the edge-thresholded graph. Thresholding is
-    // a borrowed view over the CI graph's CSR — orientation consumes it
-    // directly, so no filtered copy of the edge set is ever materialized.
+    // Step 2: triangle survey on the cut graph, oriented as it stands.
     let t1 = Instant::now();
     let orient_span = obs::span("survey.orient");
-    let oriented = if cfg.edge_threshold > 1 {
-        OrientedGraph::from_ref(&ci.threshold_view(cfg.edge_threshold))
-    } else {
-        OrientedGraph::from_ref(ci.as_csr())
-    };
-    // every edge the view keeps is oriented once: no second walk of it
-    let ci_edges_after_threshold = oriented.m();
+    let oriented = OrientedGraph::from_ref(ci.as_csr());
     drop(orient_span);
     let report = survey(&oriented, &cfg.survey_config(), Some(ci.page_counts()));
     let survey_time = t1.elapsed();
@@ -215,8 +217,8 @@ pub(crate) fn run_stages(
         comments_reviewed: btm.n_comments(),
         total_authors: btm.n_authors(),
         projected_authors: ci.active_authors(),
-        ci_edges: ci.n_edges(),
-        ci_edges_after_threshold,
+        ci_edges,
+        ci_edges_after_threshold: ci.n_edges(),
         triangles_examined: report.total_examined,
         triangles_kept: report.len() as u64,
         triplets_validated: triplets.len() as u64,

@@ -10,7 +10,9 @@
 //! pushed into a reusable scratch `Vec` and sort+deduped per page
 //! ([`page_pairs_flat`]), and every page's pair set is appended to one
 //! occurrence buffer that is sorted and run-length-counted **once** at the
-//! end into the sorted edge run `CiGraph::from_runs` takes. `P'` is counted
+//! end into the sorted edge run `CiGraph::from_runs` takes; the count sees
+//! every weight, so it keeps only the edges at or above the edge threshold
+//! and counts the rest ([`project_cut`]; [`project`] keeps all). `P'` is counted
 //! by stamp: each author remembers the last page that counted it, so a
 //! page's endpoints are neither collected nor sorted. No per-page hashing
 //! anywhere on the path. [`project_subset`] is the same loop over
@@ -102,10 +104,25 @@ fn row_pairs<R: Row>(comments: &[R], window: &Window, pairs: &mut Vec<u64>) {
 
 /// Run-length-count a sorted occurrence sequence of packed canonical pairs
 /// into a sorted `(x, y, w)` edge run — the [`CiGraph::from_runs`] input
-/// format. Takes any sorted iterator so streaming merge cursors count
-/// without materializing the occurrence multiset.
-pub(crate) fn run_length_pairs(occ: impl IntoIterator<Item = u64>) -> Vec<(u32, u32, u64)> {
+/// format — that keeps only the edges with `w ≥ min_weight` (0 keeps every
+/// edge, as 1 does). Every distinct pair, kept or not, is counted into the
+/// returned [`EdgeWeights`]: the count sees every weight, so the cut costs
+/// nothing, and an edge the survey would skip is never built. Takes any
+/// sorted iterator so streaming merge cursors count without materializing
+/// the occurrence multiset.
+pub(crate) fn run_length_pairs(
+    occ: impl IntoIterator<Item = u64>,
+    min_weight: u64,
+) -> (Vec<(u32, u32, u64)>, EdgeWeights) {
     let mut run = Vec::new();
+    let mut weights = EdgeWeights([0; 64]);
+    let mut emit = |p: u64, w: u64| {
+        weights.add(w);
+        if w >= min_weight {
+            let (x, y) = unpack_pair(p);
+            run.push((x, y, w));
+        }
+    };
     let mut it = occ.into_iter();
     if let Some(mut cur) = it.next() {
         let mut w = 1u64;
@@ -113,16 +130,43 @@ pub(crate) fn run_length_pairs(occ: impl IntoIterator<Item = u64>) -> Vec<(u32, 
             if p == cur {
                 w += 1;
             } else {
-                let (x, y) = unpack_pair(cur);
-                run.push((x, y, w));
+                emit(cur, w);
                 cur = p;
                 w = 1;
             }
         }
-        let (x, y) = unpack_pair(cur);
-        run.push((x, y, w));
+        emit(cur, w);
     }
-    run
+    (run, weights)
+}
+
+/// The distinct pairs one projection counted, by `⌊log₂ w′⌋`: bucket `k`
+/// holds the edges with `2ᵏ ≤ w′ < 2ᵏ⁺¹`, whether the cut kept them or not.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct EdgeWeights([u64; 64]);
+
+impl EdgeWeights {
+    /// Count one edge of weight `w ≥ 1`.
+    #[inline]
+    fn add(&mut self, w: u64) {
+        self.0[w.ilog2() as usize] += 1;
+    }
+
+    /// Every edge counted: the CI graph's edge count before the cut.
+    pub(crate) fn edges(&self) -> u64 {
+        self.0.iter().sum()
+    }
+
+    /// Add the edges to `project.edges` and each nonzero bucket to
+    /// `project.edges_w_log2_NN`, so the buckets sum to `project.edges`.
+    pub(crate) fn record(&self) {
+        obs::counter("project.edges").add(self.edges());
+        for (k, &n) in self.0.iter().enumerate() {
+            if n > 0 {
+                obs::counter(&format!("project.edges_w_log2_{k:02}")).add(n);
+            }
+        }
+    }
 }
 
 /// The one page step of Algorithm 1, shared by every engine: run the pair
@@ -190,11 +234,16 @@ impl PageStep {
 /// The one loop [`project`] and [`project_subset`] share: walk every page
 /// through the [`PageStep`] and append its pair set to one occurrence buffer
 /// that is sorted and run-length-counted **once** after the last page — no
-/// hash map on the whole path.
-fn project_btm(btm: &Btm, mut kernel: impl FnMut(PageRow<'_>, &mut Vec<u64>)) -> CiGraph {
+/// hash map on the whole path. The graph holds the edges with
+/// `w′ ≥ min_weight`; the weights count every edge.
+fn project_btm(
+    btm: &Btm,
+    min_weight: u64,
+    mut kernel: impl FnMut(PageRow<'_>, &mut Vec<u64>),
+) -> (CiGraph, EdgeWeights) {
     let mut step = PageStep::new(btm.n_authors());
     let mut occ: Vec<u64> = Vec::new();
-    let run = {
+    let (run, weights) = {
         // One span for the whole loop, not per page — no clock read per page.
         let _pairs = obs::span("project.pairs");
         for (_, comments) in btm.pages() {
@@ -202,23 +251,33 @@ fn project_btm(btm: &Btm, mut kernel: impl FnMut(PageRow<'_>, &mut Vec<u64>)) ->
         }
         obs::counter("project.pair_occurrences").add(occ.len() as u64);
         occ.sort_unstable();
-        run_length_pairs(occ)
+        run_length_pairs(occ, min_weight)
     };
     let _merge = obs::span("project.merge");
-    CiGraph::from_runs(btm.n_authors(), vec![run], step.into_page_counts())
+    let page_counts = step.into_page_counts();
+    let ci = CiGraph::from_runs(btm.n_authors(), vec![run], page_counts, min_weight);
+    (ci, weights)
 }
 
 /// Algorithm 1 on the flat vector kernels (see the module docs): one loop
-/// over the pages, [`page_pairs_flat`] on each.
+/// over the pages, [`page_pairs_flat`] on each. The whole CI graph.
 pub fn project(btm: &Btm, window: Window) -> CiGraph {
+    project_cut(btm, window, 1).0
+}
+
+/// [`project`] with the CI graph cut at `min_weight` (the edge threshold `e`;
+/// 0 acts as 1) where its edges are counted: the graph holds the edges with
+/// `w′ ≥ min_weight`, and the count of every edge, kept or not, comes back
+/// beside it. `P′` is counted per page, so the cut leaves it whole.
+pub(crate) fn project_cut(btm: &Btm, window: Window, min_weight: u64) -> (CiGraph, u64) {
     let _stage = obs::span("project");
     obs::counter("project.pages").add(btm.pages().count() as u64);
-    let ci = project_btm(btm, |comments, pairs| {
+    let (ci, weights) = project_btm(btm, min_weight, |comments, pairs| {
         page_pairs_flat(comments, &window, pairs)
     });
-    obs::counter("project.edges").add(ci.n_edges());
+    weights.record();
     obs::record_stage_rss("project");
-    ci
+    (ci, weights.edges())
 }
 
 /// Targeted reprojection (paper §2.2): project only the pairs drawn from a
@@ -238,10 +297,11 @@ pub fn project_subset(btm: &Btm, subset: &[AuthorId], window: Window) -> CiGraph
     }
     // the members' comments of the page at hand, in the page's own layout
     let (mut narrow, mut wide) = (Vec::new(), Vec::new());
-    project_btm(btm, |comments, pairs| match comments {
+    let (ci, _) = project_btm(btm, 1, |comments, pairs| match comments {
         PageRow::Narrow { row, .. } => member_pairs(row, &in_subset, &mut narrow, &window, pairs),
         PageRow::Wide(row) => member_pairs(row, &in_subset, &mut wide, &window, pairs),
-    })
+    });
+    ci
 }
 
 /// [`project_subset`]'s page step over one layout's rows: restrict the
@@ -455,6 +515,58 @@ mod tests {
             &project_subset(&b, &members, w),
         );
         assert_eq!(project_subset(&b, &[AuthorId(7)], w).n_edges(), 0);
+    }
+
+    /// The cut at its boundary: around each `e`, pairs of weight `e − 1`,
+    /// `e` and `e + 1` (and weight 1), so the run keeps exactly those at or
+    /// above `e`, `e` of 0 and 1 keep everything, and every distinct pair is
+    /// counted, kept or not, into its `⌊log₂ w⌋` bucket.
+    #[test]
+    fn the_cut_keeps_weights_at_or_above_e_and_counts_every_pair() {
+        for e in [0u64, 1, 2, 3, 5, 8, 64] {
+            let weights = [1, e.saturating_sub(1).max(1), e.max(1), e + 1];
+            let mut occ = Vec::new();
+            for (y, &w) in (1u32..).zip(&weights) {
+                occ.extend(std::iter::repeat_n(pack_pair(0, y), w as usize));
+            }
+            let (run, counted) = run_length_pairs(occ, e);
+            let kept: Vec<(u32, u32, u64)> = (1u32..)
+                .zip(weights)
+                .filter(|&(_, w)| w >= e)
+                .map(|(y, w)| (0, y, w))
+                .collect();
+            assert_eq!(run, kept, "e = {e}");
+            if e <= 1 {
+                assert_eq!(run.len(), weights.len(), "e = {e} keeps everything");
+            }
+            assert_eq!(counted.edges(), weights.len() as u64, "e = {e}");
+            let mut buckets = [0u64; 64];
+            for w in weights {
+                buckets[w.ilog2() as usize] += 1;
+            }
+            assert_eq!(counted, EdgeWeights(buckets), "e = {e}");
+        }
+        let (run, counted) = run_length_pairs(std::iter::empty(), 5);
+        assert!(run.is_empty());
+        assert_eq!(counted.edges(), 0);
+    }
+
+    /// [`project_cut`] holds what [`project`] holds at or above the cut,
+    /// counts every edge of it, and leaves `P'` whole.
+    #[test]
+    fn project_cut_is_the_whole_graph_thresholded() {
+        let b = random_btm(41, 30, 20, 900);
+        let w = Window::new(0, 600);
+        let whole = project(&b, w);
+        assert!(whole.max_weight() >= 3, "weights to cut");
+        for e in [0, 1, 2, 3, whole.max_weight() + 1] {
+            let (cut, edges) = project_cut(&b, w, e);
+            assert_eq!(edges, whole.n_edges(), "e = {e}");
+            assert_eq!(cut.cut_weight(), e.max(1));
+            let kept: Vec<_> = whole.edges().filter(|&(_, _, wt)| wt >= e).collect();
+            assert_eq!(cut.edges().collect::<Vec<_>>(), kept, "e = {e}");
+            assert_eq!(cut.page_counts(), whole.page_counts(), "e = {e}");
+        }
     }
 
     /// `P'` counted by stamp equals `P'` counted by sorting each page's

@@ -89,7 +89,7 @@ fn usage() -> ExitCode {
          generate  --preset jan2020|oct2016|adv_* [--scale F=0.3] --out FILE\n\
          stats     --input FILE\n\
          pipeline  --input FILE [--d1 S=0] [--d2 S=60] [--cutoff N=10] [--t-score F=0]\n\
-         \x20          [--ranks N=1] [--shuffle-budget BYTES]\n\
+         \x20          [--edge-threshold N=1] [--ranks N=1] [--shuffle-budget BYTES]\n\
          project   --input FILE [--d1 S=0] [--d2 S=60] --out GRAPH.tsv\n\
          survey    --graph GRAPH.tsv [--cutoff N=10] [--t-score F=0] [--top N]\n\
          hunt      --input FILE [--d1 S=0] [--d2 S=60] [--cutoff N=25] [--dot-dir DIR]\n\
@@ -130,6 +130,9 @@ fn usage() -> ExitCode {
          resident shuffle run stack per label; overflow spills sorted\n\
          segments to disk and the output is bit-identical to an unbounded\n\
          run. A budget selects the rank-sharded engine at any --ranks.\n\
+         --edge-threshold N (`pipeline` only) drops CI edges with w' < N\n\
+         before the survey, as the paper did at 5; `ci edges` still counts\n\
+         every edge, and the default, 1, keeps them all.\n\
          --skip-bad-lines counts and skips malformed input lines instead of\n\
          aborting (default: strict). --report FILE writes a schema-versioned\n\
          JSON run report (span timings + counters); --progress prints live\n\
@@ -146,6 +149,7 @@ const KNOWN_FLAGS: &[&str] = &[
     "d1",
     "d2",
     "dot-dir",
+    "edge-threshold",
     "from-snapshot",
     "graph",
     "horizon",
@@ -670,10 +674,16 @@ fn write_triplet_rows<'a>(
 /// pins. Timings go to stderr only. Every engine runs over [`open_rows`]'
 /// BTM, and the rank count alone says which: the rank program at
 /// `--ranks N > 1`, or at any count under a `--shuffle-budget`, which only
-/// it can honour; the resident engine otherwise.
+/// it can honour; the resident engine otherwise. `--edge-threshold` is the
+/// paper's `e`, and `pipeline`'s alone: the commands that read the CI graph
+/// itself (`hunt`'s components) keep every edge.
 fn cmd_pipeline(flags: &Flags) -> Result<(), String> {
-    // `main` has checked both for a positive count
-    let mut pipeline = DistPipeline::new(pipeline_config(flags, 10)?, flags.num("ranks", 1)?);
+    // `main` has checked all three for a positive count
+    let config = PipelineConfig {
+        edge_threshold: flags.num("edge-threshold", 1)?,
+        ..pipeline_config(flags, 10)?
+    };
+    let mut pipeline = DistPipeline::new(config, flags.num("ranks", 1)?);
     if let Some(bytes) = flags.get("shuffle-budget").and_then(|v| v.parse().ok()) {
         pipeline = pipeline.with_shuffle_budget(bytes);
     }
@@ -1000,14 +1010,19 @@ fn main() -> ExitCode {
     let Some(flags) = Flags::parse(rest) else {
         return usage();
     };
-    // `--ranks` and `--shuffle-budget` choose and bound `pipeline`'s engine.
-    // Catching them here gives every other subcommand the same clear error
-    // instead of a silently ignored flag.
-    for (flag, what) in [("ranks", "rank count"), ("shuffle-budget", "byte count")] {
+    // `--ranks` and `--shuffle-budget` choose and bound `pipeline`'s engine,
+    // and `--edge-threshold` cuts its CI graph. Catching them here gives
+    // every other subcommand the same clear error instead of a silently
+    // ignored flag.
+    for (flag, what) in [
+        ("ranks", "rank count"),
+        ("shuffle-budget", "byte count"),
+        ("edge-threshold", "edge weight"),
+    ] {
         let Some(v) = flags.get(flag) else { continue };
         if cmd != "pipeline" {
             eprintln!(
-                "error: --{flag} only applies to `pipeline`; use `pipeline [--ranks N] [--shuffle-budget BYTES]`"
+                "error: --{flag} only applies to `pipeline`; use `pipeline [--ranks N] [--shuffle-budget BYTES] [--edge-threshold N]`"
             );
             return ExitCode::from(2);
         }

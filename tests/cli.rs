@@ -593,7 +593,7 @@ fn pipeline_distributed_stdout_is_byte_identical_to_resident() {
     // and books the rows door's build (`btm.build` and the passes nested in
     // it, once each) and nothing else as a build: the ranks read the rows in
     // place. The ranks shard projection and the survey only: the calling
-    // thread orients the threshold view and validates once, as the resident
+    // thread orients the cut graph and validates once, as the resident
     // run does, and no oriented edge is shipped
     let entry = |label: &str, count: usize| format!("\"label\": \"{label}\", \"count\": {count},");
     let text = std::fs::read_to_string(report).expect("read report");
@@ -619,6 +619,72 @@ fn pipeline_distributed_stdout_is_byte_identical_to_resident() {
     let text = std::fs::read_to_string(budget_report).expect("read report");
     let entry = entry("btm.shard", 3);
     assert!(text.contains(&entry), "no {entry} in {text}");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// `pipeline --edge-threshold N` is the paper's `e`: at 1 it prints what no
+/// flag prints, byte for byte; at 5 every door — resident, two ranks, one
+/// rank under a budget and the snapshot — prints the same, still counting
+/// every edge in `ci edges` and keeping fewer after the threshold.
+#[test]
+fn pipeline_edge_threshold_is_the_same_through_every_door() {
+    let dir = tmpdir("edge-threshold");
+    let input = generate_month(&dir);
+    let snap = dir.join("month.snap");
+    let status = bin()
+        .args(["snapshot", "write", "--input"])
+        .arg(&input)
+        .arg("--out")
+        .arg(&snap)
+        .status()
+        .expect("run snapshot write");
+    assert!(status.success());
+    let pipeline = |door: (&str, &std::path::Path), args: &[&str]| {
+        let run = bin()
+            .args(["pipeline", door.0])
+            .arg(door.1)
+            .args(["--cutoff", "5"])
+            .args(args)
+            .output()
+            .expect("run pipeline");
+        assert!(run.status.success(), "pipeline {door:?} {args:?}");
+        run.stdout
+    };
+    let plain = pipeline(("--input", &input), &[]);
+    assert!(plain == pipeline(("--input", &input), &["--edge-threshold", "1"]));
+    let cut = pipeline(("--input", &input), &["--edge-threshold", "5"]);
+    for (door, args) in [
+        (("--input", input.as_path()), &["--ranks", "2"][..]),
+        (
+            ("--input", &input),
+            &["--ranks", "1", "--shuffle-budget", "65536"],
+        ),
+        (("--from-snapshot", &snap), &[]),
+    ] {
+        let mut args = args.to_vec();
+        args.extend(["--edge-threshold", "5"]);
+        assert!(cut == pipeline(door, &args), "pipeline {door:?} {args:?}");
+    }
+    // the line that counts the edges: every edge, then the ones kept
+    let edges = |stdout: &[u8]| -> (u64, u64) {
+        let text = String::from_utf8_lossy(stdout);
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("ci edges"))
+            .expect("ci edges");
+        let nums: Vec<u64> = line
+            .split(|c: char| !c.is_ascii_digit())
+            .filter_map(|n| n.parse().ok())
+            .collect();
+        (nums[0], nums[1])
+    };
+    let ((all, kept_at_1), (all_at_5, kept_at_5)) = (edges(&plain), edges(&cut));
+    assert_eq!(
+        (all, kept_at_1),
+        (all_at_5, all),
+        "{all} {kept_at_1} {all_at_5}"
+    );
+    assert!(kept_at_5 < all, "e = 5 kept {kept_at_5} of {all}");
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -802,6 +868,7 @@ fn ranks_flag_is_validated_and_scoped_to_distributed_runs() {
     for args in [
         ["stats", "--ranks", "4", "--input"],
         ["hunt", "--shuffle-budget", "65536", "--input"],
+        ["hunt", "--edge-threshold", "5", "--input"],
     ] {
         let stderr = stderr_of_exit_2(&args);
         assert!(
@@ -815,6 +882,7 @@ fn ranks_flag_is_validated_and_scoped_to_distributed_runs() {
         ("--ranks", "-3"),
         ("--ranks", "x"),
         ("--shuffle-budget", "0"),
+        ("--edge-threshold", "0"),
     ] {
         let stderr = stderr_of_exit_2(&["pipeline", flag, bad, "--input"]);
         assert!(

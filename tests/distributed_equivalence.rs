@@ -57,7 +57,10 @@ fn month_at(ranks: usize) {
         ..Default::default()
     };
     let resident = observed(&Pipeline::new(config.clone()).run_dataset(&ds)).unwrap();
-    assert!(!resident.triplets.is_empty(), "scenario found no triplets");
+    assert!(
+        !resident.def.triplets.is_empty(),
+        "scenario found no triplets"
+    );
     let ranked = observed(&DistPipeline::new(config, ranks).run_dataset(&ds)).unwrap();
     assert_eq!(ranked, resident, "{ranks} ranks");
 }
@@ -241,7 +244,10 @@ fn one_rank_run_dataset_excludes_as_the_resident_run_does() {
         .exclusions
         .extend(heavy.into_iter().map(|(name, _)| name));
     let resident = observed(&Pipeline::new(config.clone()).run_dataset(&ds)).unwrap();
-    assert!(resident.comments < ds.len() as u64, "nothing was excluded");
+    assert!(
+        resident.def.comments < ds.len() as u64,
+        "nothing was excluded"
+    );
     let one_rank = observed(&DistPipeline::new(config, 1).run_dataset(&ds)).unwrap();
     assert_eq!(one_rank, resident);
 }

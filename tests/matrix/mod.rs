@@ -133,11 +133,54 @@ fn event((a, p, ts): Comment) -> Event {
     Event::new(AuthorId(a), PageId(p), ts)
 }
 
-/// What a pipeline run says, in the definition's terms — after checking
-/// that the fields of its report that restate one another agree.
-pub fn observed(out: &PipelineOutput) -> Result<Definition, TestCaseError> {
+/// What a pipeline run says: the definition's terms over the CI graph the
+/// run kept, the weight it was cut at, and its count of every edge.
+#[derive(Debug, PartialEq)]
+pub struct Observed {
+    /// `ci_edges`: every pair with `w′ ≥ 1`, kept by the cut or not.
+    pub ci_edges: u64,
+    /// The weight the run's CI graph was cut at.
+    pub cut: u64,
+    /// The run in the definition's terms; its `w` is the kept graph's, the
+    /// pairs with `w′` at or above `cut`.
+    pub def: Definition,
+}
+
+impl Observed {
+    /// What a run of `params` must say about an input whose definition is
+    /// `want`: every edge counted, and `w` restricted to `w ≥ max(e, 1)`.
+    pub fn of(want: &Definition, params: &Params) -> Self {
+        let cut = params.edge_threshold.max(1);
+        let kept = want.w.iter().filter(|&(_, &w)| w >= cut);
+        Observed {
+            ci_edges: want.w.len() as u64,
+            cut,
+            def: Definition {
+                comments: want.comments,
+                w: kept.map(|(&xy, &w)| (xy, w)).collect(),
+                p_prime: want.p_prime.clone(),
+                edges_kept: want.edges_kept,
+                examined: want.examined,
+                max_min_weight: want.max_min_weight,
+                log_hist: want.log_hist.clone(),
+                triplets: want.triplets.clone(),
+            },
+        }
+    }
+}
+
+/// What a pipeline run says — after checking that the fields of its report
+/// that restate one another agree.
+pub fn observed(out: &PipelineOutput) -> Result<Observed, TestCaseError> {
     let (stats, survey) = (&out.stats, &out.survey);
-    prop_assert_eq!(stats.ci_edges, out.ci.n_edges());
+    let cut = out.ci.cut_weight();
+    prop_assert_eq!(stats.ci_edges_after_threshold, out.ci.n_edges());
+    prop_assert!(stats.ci_edges >= out.ci.n_edges());
+    prop_assert!(
+        out.ci.edges().all(|(_, _, w)| w >= cut),
+        "an edge below {}",
+        cut
+    );
     prop_assert_eq!(stats.projected_authors, out.ci.active_authors());
     prop_assert_eq!(stats.triangles_examined, survey.total_examined);
     let kept = out.triplets.len() as u64;
@@ -158,7 +201,7 @@ pub fn observed(out: &PipelineOutput) -> Result<Definition, TestCaseError> {
             c_bits: m.c.to_bits(),
         });
     }
-    Ok(Definition {
+    let def = Definition {
         comments: stats.comments_reviewed,
         w: out.ci.edges().map(|(x, y, w)| ((x, y), w)).collect(),
         p_prime: p_prime(out.ci.page_counts()),
@@ -167,6 +210,11 @@ pub fn observed(out: &PipelineOutput) -> Result<Definition, TestCaseError> {
         max_min_weight: survey.max_min_weight,
         log_hist: survey.min_weight_log_hist.clone(),
         triplets,
+    };
+    Ok(Observed {
+        ci_edges: stats.ci_edges,
+        cut,
+        def,
     })
 }
 
@@ -263,10 +311,15 @@ pub fn check(
         let out = pipeline.run_events(input.n_authors, &source);
         runs.push((format!("{engine} run_events"), out));
     }
+    let expected = Observed::of(&want, &params);
     for (door, out) in &runs {
         let context = format!("{door}, {layout} rows, {params:?}");
         let got = observed(out).map_err(|e| TestCaseError::fail(format!("{context}: {e:?}")))?;
-        prop_assert_eq!(&got, &want, "{context}:\n got {got:?}\nwant {want:?}");
+        prop_assert_eq!(
+            &got,
+            &expected,
+            "{context}:\n got {got:?}\nwant {expected:?}"
+        );
     }
 
     let streamed = streamed(&kept, params);
